@@ -58,9 +58,6 @@ type runReport struct {
 	Store         string  `json:"store"`
 	Repl          int     `json:"repl,omitempty"`
 	ReplAcks      string  `json:"repl_acks,omitempty"`
-	Wire          string  `json:"wire"`
-	Batching      bool    `json:"batching"`
-	CtlBatching   bool    `json:"ctl_batching"`
 	Ring          bool    `json:"ring,omitempty"`
 	JoinMidRun    bool    `json:"join_mid_run,omitempty"`
 	Migrations    int64   `json:"migrations,omitempty"`
@@ -131,9 +128,6 @@ func run(args []string) error {
 	latency := fs.Duration("latency", 200*time.Microsecond, "one-way network latency")
 	optimized := fs.Bool("optimized", false, "use the Figure-5 optimized rollback algorithm")
 	sflags := stable.BindFlags(fs, stable.Spec{Engine: "mem"})
-	wireFmt := fs.String("wire", "binary", "payload wire format: binary (fast path) | gob (legacy)")
-	noBatch := fs.Bool("nobatch", false, "disable per-destination coalescing of protocol sends")
-	noCtlBatch := fs.Bool("noctlbatch", false, "disable cross-transaction control-plane batching (per-txn resend timers, unstaged decision GC, no ack piggybacking) — A/B baseline")
 	profileName := fs.String("profile", "", `named load profile: "shard-saturate" saturates GOMAXPROCS across the shards and sweeps 1x/10x in-flight agents (p99 should stay flat)`)
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile covering the whole run to this file")
 	memProfile := fs.String("memprofile", "", "write a pprof heap profile at the end of the run to this file")
@@ -152,12 +146,6 @@ func run(args []string) error {
 	chaosKill := fs.Int("chaos-kill", 0, "chaos: permanent machine kills per schedule (requires -repl with quorum acks)")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-
-	switch *wireFmt {
-	case "binary", "gob":
-	default:
-		return fmt.Errorf("bad -wire %q (want binary or gob)", *wireFmt)
 	}
 
 	spec, err := sflags.Spec()
@@ -206,12 +194,10 @@ func run(args []string) error {
 		return runChaos(chaosConfig{
 			seed: *chaosSeed, seeds: *chaosSeeds, base: *chaosBase,
 			store: spec.Engine, workers: *workers, nodes: *nodes,
-			wire:       *wireFmt,
-			noCtlBatch: *noCtlBatch,
-			repl:       spec.Repl.Followers,
-			replAcks:   replAcks,
-			kills:      *chaosKill,
-			jsonPath:   *jsonPath,
+			repl:     spec.Repl.Followers,
+			replAcks: replAcks,
+			kills:    *chaosKill,
+			jsonPath: *jsonPath,
 		})
 	}
 	if *chaosKill > 0 {
@@ -290,9 +276,6 @@ func run(args []string) error {
 				Optimized:     *optimized,
 				Store:         backend,
 				Repl:          spec.Repl,
-				WireGob:       *wireFmt == "gob",
-				NoCoalesce:    *noBatch,
-				NoCtlBatch:    *noCtlBatch,
 				TraceRing:     traceRing,
 				CollectTrace:  *tracePath != "",
 				Ring:          *ring || *joinMid,
@@ -310,9 +293,6 @@ func run(args []string) error {
 				Store:          backend,
 				Repl:           spec.Repl.Followers,
 				ReplAcks:       replAcks,
-				Wire:           *wireFmt,
-				Batching:       !*noBatch,
-				CtlBatching:    !*noCtlBatch,
 				Ring:           *ring || *joinMid,
 				JoinMidRun:     *joinMid,
 				Migrations:     res.Metrics.Migrations,
@@ -365,11 +345,11 @@ func run(args []string) error {
 			r.WireMsgsByKind = res.Metrics.WireMsgsByKind
 			lastTrace = res.TraceRecords
 			reports = append(reports, r)
-			fmt.Printf("workers=%-3d agents=%-5d store=%-4s wire=%-6s agents/s=%-8.1f steps/s=%-8.1f p50=%6.2fms p99=%7.2fms elapsed=%7.1fms inflight=%-3d goroutines=%-4d claimConf=%-4d lockAborts=%-3d retries=%-4d msgs=%-6d avgBatch=%.2f\n",
-				r.Workers, r.Agents, r.Store, r.Wire, r.AgentsPerSec, r.StepsPerSec, r.P50MS, r.P99MS, r.ElapsedMS,
+			fmt.Printf("workers=%-3d agents=%-5d store=%-4s agents/s=%-8.1f steps/s=%-8.1f p50=%6.2fms p99=%7.2fms elapsed=%7.1fms inflight=%-3d goroutines=%-4d claimConf=%-4d lockAborts=%-3d retries=%-4d msgs=%-6d avgBatch=%.2f\n",
+				r.Workers, r.Agents, r.Store, r.AgentsPerSec, r.StepsPerSec, r.P50MS, r.P99MS, r.ElapsedMS,
 				r.InFlightPeak, r.GoroutinePeak, r.ClaimConflict, r.LockAborts, r.Retries, r.Messages, r.AvgBatchSize)
-			fmt.Printf("control plane: ctl_batching=%v decision_commits/txn=%.3f decision_ops/commit=%.2f piggybacked=%d timers/txn=%.3f\n",
-				r.CtlBatching, r.DecisionCommitsPerTx, safeDiv(r.DecisionOps, r.DecisionBatches), r.AckPiggybacked, r.TimersPerTxn)
+			fmt.Printf("control plane: decision_commits/txn=%.3f decision_ops/commit=%.2f piggybacked=%d timers/txn=%.3f\n",
+				r.DecisionCommitsPerTx, safeDiv(r.DecisionOps, r.DecisionBatches), r.AckPiggybacked, r.TimersPerTxn)
 			if r.Ring {
 				fmt.Printf("ring placement: join_mid_run=%v migrations=%d\n", r.JoinMidRun, r.Migrations)
 			}
@@ -436,18 +416,16 @@ func safeDiv(a, b int64) float64 {
 }
 
 type chaosConfig struct {
-	seed       int64 // >= 0: replay exactly this seed
-	seeds      int
-	base       int64
-	store      string
-	workers    int
-	nodes      int
-	wire       string
-	noCtlBatch bool
-	repl       int    // follower replicas per shard (0 disables)
-	replAcks   string // "quorum" or "async"
-	kills      int    // permanent machine kills per schedule
-	jsonPath   string
+	seed     int64 // >= 0: replay exactly this seed
+	seeds    int
+	base     int64
+	store    string
+	workers  int
+	nodes    int
+	repl     int    // follower replicas per shard (0 disables)
+	replAcks string // "quorum" or "async"
+	kills    int    // permanent machine kills per schedule
+	jsonPath string
 }
 
 type chaosReport struct {
@@ -483,15 +461,13 @@ func runChaos(cfg chaosConfig) error {
 	failed := 0
 	for _, seed := range seeds {
 		res, err := chaos.Run(chaos.Options{
-			Seed:       seed,
-			Store:      cfg.store,
-			Workers:    cfg.workers,
-			Nodes:      cfg.nodes,
-			Wire:       cfg.wire,
-			NoCtlBatch: cfg.noCtlBatch,
-			Repl:       cfg.repl,
-			ReplAcks:   cfg.replAcks,
-			Kills:      cfg.kills,
+			Seed:     seed,
+			Store:    cfg.store,
+			Workers:  cfg.workers,
+			Nodes:    cfg.nodes,
+			Repl:     cfg.repl,
+			ReplAcks: cfg.replAcks,
+			Kills:    cfg.kills,
 		})
 		if err != nil {
 			return err
@@ -517,8 +493,8 @@ func runChaos(cfg chaosConfig) error {
 			for _, v := range res.Violations {
 				fmt.Printf("  violation: %s\n", v)
 			}
-			repro := fmt.Sprintf("go run ./cmd/loadgen -chaos -chaos-seed=%d -store=%s -workers=%d -wire=%s",
-				seed, cfg.store, cfg.workers, cfg.wire)
+			repro := fmt.Sprintf("go run ./cmd/loadgen -chaos -chaos-seed=%d -store=%s -workers=%d",
+				seed, cfg.store, cfg.workers)
 			if cfg.repl > 0 {
 				repro += fmt.Sprintf(" -repl=%d -repl-acks=%s -chaos-kill=%d", cfg.repl, cfg.replAcks, cfg.kills)
 			}

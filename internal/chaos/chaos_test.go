@@ -25,8 +25,6 @@ var (
 	chaosBase    = flag.Int64("chaos-base-seed", 1, "first seed of the sweep")
 	chaosStore   = flag.String("chaos-store", "mem", "stable engine per node: mem|file|wal")
 	chaosWorkers = flag.Int("chaos-workers", 1, "scheduler workers per node")
-	chaosWire    = flag.String("chaos-wire", "binary", "wire format: binary|gob")
-	chaosNoCtl   = flag.Bool("chaos-noctlbatch", false, "disable cross-transaction control-plane batching (legacy per-txn timers)")
 	chaosChurn   = flag.Int("chaos-churn", 0, "membership churn draws per seed (joins + leaves; 0 disables)")
 	chaosRepl    = flag.Int("chaos-repl", 0, "follower replicas per shard (0 disables replication)")
 	chaosAcks    = flag.String("chaos-repl-acks", "quorum", "replication ack mode: quorum|async")
@@ -35,15 +33,13 @@ var (
 
 func chaosOptions(seed int64) chaos.Options {
 	return chaos.Options{
-		Seed:       seed,
-		Store:      *chaosStore,
-		Workers:    *chaosWorkers,
-		Wire:       *chaosWire,
-		NoCtlBatch: *chaosNoCtl,
-		Churn:      *chaosChurn,
-		Repl:       *chaosRepl,
-		ReplAcks:   *chaosAcks,
-		Kills:      *chaosKill,
+		Seed:     seed,
+		Store:    *chaosStore,
+		Workers:  *chaosWorkers,
+		Churn:    *chaosChurn,
+		Repl:     *chaosRepl,
+		ReplAcks: *chaosAcks,
+		Kills:    *chaosKill,
 	}
 }
 
@@ -62,14 +58,14 @@ func runSeed(t *testing.T, seed int64, verbose bool) {
 	if !res.Failed() {
 		return
 	}
-	report := fmt.Sprintf("chaos seed %d (store=%s workers=%d wire=%s) violated %d invariant(s):\n",
-		seed, *chaosStore, *chaosWorkers, *chaosWire, len(res.Violations))
+	report := fmt.Sprintf("chaos seed %d (store=%s workers=%d) violated %d invariant(s):\n",
+		seed, *chaosStore, *chaosWorkers, len(res.Violations))
 	for _, v := range res.Violations {
 		report += "  " + v.String() + "\n"
 	}
 	report += "\n" + res.Schedule.String()
-	repro := fmt.Sprintf("go test ./internal/chaos -run 'TestChaos$' -chaos-seed=%d -chaos-store=%s -chaos-workers=%d -chaos-wire=%s",
-		seed, *chaosStore, *chaosWorkers, *chaosWire)
+	repro := fmt.Sprintf("go test ./internal/chaos -run 'TestChaos$' -chaos-seed=%d -chaos-store=%s -chaos-workers=%d",
+		seed, *chaosStore, *chaosWorkers)
 	if *chaosRepl > 0 {
 		repro += fmt.Sprintf(" -chaos-repl=%d -chaos-repl-acks=%s -chaos-kill=%d", *chaosRepl, *chaosAcks, *chaosKill)
 	}
@@ -331,8 +327,8 @@ func TestChaosKillRequiresQuorum(t *testing.T) {
 }
 
 // TestChaosDurableEngines runs one seed per durable engine so the store
-// reopen path (real crash recovery under ReopenStores) is exercised even
-// without the CI matrix.
+// reopen path (real crash recovery of a durable Options.Store) is
+// exercised even without the CI matrix.
 func TestChaosDurableEngines(t *testing.T) {
 	if testing.Short() {
 		t.Skip("durable chaos runs")

@@ -34,13 +34,6 @@ type Options struct {
 	Steps   int    // work steps per agent before the decide step (default 5)
 	Store   string // stable engine per node: mem|file|wal (default mem)
 	Dir     string // root for durable engines (temp dir when empty)
-	Wire    string // wire format: binary (coalesced fast path, default) | gob (legacy)
-
-	// NoCtlBatch disables cross-transaction control-plane batching
-	// (node.Config.NoCtlBatch): per-txn resend timers, unstaged GC
-	// writes, no ack piggybacking. Matrix cells run both settings so
-	// a batching bug cannot hide behind the default.
-	NoCtlBatch bool
 
 	// RollbackRatio is the fraction of agents whose decide step triggers
 	// a partial rollback of the whole sub-itinerary. Zero picks the
@@ -106,9 +99,6 @@ func (o *Options) fillDefaults() {
 	}
 	if o.Store == "" {
 		o.Store = "mem"
-	}
-	if o.Wire == "" {
-		o.Wire = "binary"
 	}
 	if o.Churn > 0 {
 		o.RollbackRatio = -1 // see the Churn comment: no rollbacks under churn
@@ -256,11 +246,6 @@ func run(opts Options, fixed *Schedule) (*Result, error) {
 		opts.Dir = dir
 	}
 
-	switch opts.Wire {
-	case "binary", "gob":
-	default:
-		return nil, fmt.Errorf("chaos: unknown wire format %q (want binary or gob)", opts.Wire)
-	}
 	if opts.Kills > 0 {
 		if opts.Churn > 0 {
 			return nil, fmt.Errorf("chaos: Kills and Churn cannot be combined (a drain can target an identity mid-failover)")
@@ -285,8 +270,6 @@ func run(opts Options, fixed *Schedule) (*Result, error) {
 		AckTimeout:  150 * time.Millisecond,
 		MaxAttempts: 5000,
 		Workers:     opts.Workers,
-		WireGob:     opts.Wire == "gob",
-		NoCtlBatch:  opts.NoCtlBatch,
 		Counters:    counters,
 		Store:       spec,      // durable engines run real recovery on crash
 		FaultSeed:   opts.Seed, // probabilistic faults replay with the seed

@@ -65,41 +65,15 @@ type Options struct {
 	// crash-recovery path on Recover (the store handle is closed on Crash
 	// and reopened via stable.Open).
 	Store stable.Spec
-	// StoreFactory builds one node's stable store.
-	//
-	// Deprecated: superseded by Store, which replaces the factory with a
-	// declarative stable.Spec. Ignored when Store.Engine is set.
-	StoreFactory func(node string) (stable.Store, error)
-	// ReopenStores makes Crash close the node's store and Recover
-	// re-invoke StoreFactory on the same node name.
-	//
-	// Deprecated: only meaningful with StoreFactory. With Store, reopen
-	// behaviour follows Store.Durable() automatically.
-	ReopenStores bool
 	// FaultSeed seeds the simulated network's fault RNG so probabilistic
 	// link faults (SetLinkFaults) replay identically for the same seed.
 	FaultSeed int64
 	// MailboxCap bounds each node's inbound mailbox; overflow drops are
 	// counted in Counters.MailboxDrops. Zero keeps mailboxes unbounded.
 	MailboxCap int
-	// WireGob forces gob payload encoding on every node (the pre-binary
-	// wire format; see node.Config.WireGob). A/B benchmarks, chaos
-	// matrix cells and mixed-version tests.
-	WireGob bool
-	// NoCoalesce disables per-destination grouping of one transition's
-	// sends on every node (see node.Config.NoCoalesce).
-	NoCoalesce bool
-	// NoCtlBatch disables cross-transaction control-plane batching on
-	// every node (see node.Config.NoCtlBatch). A/B benchmarks and chaos
-	// matrix cells.
-	NoCtlBatch bool
 	// MigrateBurst bounds migrations per rebalancer sweep on every node
 	// (see node.Config.MigrateBurst); 0 keeps the node default.
 	MigrateBurst int
-	// NodeOverride, when set, may adjust one node's config just before
-	// boot — e.g. pinning a single node to the legacy gob format for a
-	// mixed-version cluster. Called for every boot, including Recover.
-	NodeOverride func(name string, cfg *node.Config)
 	// Clock drives the simulated network's latency-delayed deliveries
 	// AND every node's protocol timers (ack timeouts, control resends,
 	// in-doubt queries, notification resends — the node timer wheel);
@@ -219,11 +193,6 @@ func (c *Cluster) Counters() *metrics.Counters { return c.counters }
 // AddNode registers a node with its resource factories. Must be called
 // before Start.
 func (c *Cluster) AddNode(name string, factories ...node.ResourceFactory) error {
-	if !c.specPath() && c.opts.ReopenStores && c.opts.StoreFactory == nil {
-		// Recover would otherwise silently swap in a fresh MemStore,
-		// destroying the "stable store survives the crash" contract.
-		return errors.New("cluster: ReopenStores requires a StoreFactory")
-	}
 	store, err := c.newStore(name)
 	if err != nil {
 		return err
@@ -244,31 +213,9 @@ func (c *Cluster) AddNode(name string, factories ...node.ResourceFactory) error 
 	return nil
 }
 
-// specPath reports whether stores come from Options.Store (the unified
-// Spec) rather than the deprecated StoreFactory.
-func (c *Cluster) specPath() bool {
-	return c.opts.Store.Engine != "" || c.opts.StoreFactory == nil
-}
-
-// reopenStores reports whether Crash/Recover cycle the store handle
-// through its engine's real crash-recovery path.
-func (c *Cluster) reopenStores() bool {
-	if c.specPath() {
-		return c.opts.Store.Durable()
-	}
-	return c.opts.ReopenStores
-}
-
 // newStore builds one node's stable engine store (the inner store —
 // replication wrapping happens separately, once the node set is known).
 func (c *Cluster) newStore(name string) (stable.Store, error) {
-	if !c.specPath() {
-		store, err := c.opts.StoreFactory(name)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: store for %q: %w", name, err)
-		}
-		return store, nil
-	}
 	spec := c.opts.Store
 	spec.Repl = stable.ReplSpec{} // replication is layered on by the cluster
 	if spec.Counters == nil {
@@ -360,9 +307,6 @@ func (c *Cluster) bootNode(name string) error {
 		MaxAttempts:  c.opts.MaxAttempts,
 		Workers:      c.opts.Workers,
 		SagaBaseline: c.opts.SagaBaseline,
-		WireGob:      c.opts.WireGob,
-		NoCoalesce:   c.opts.NoCoalesce,
-		NoCtlBatch:   c.opts.NoCtlBatch,
 		MigrateBurst: c.opts.MigrateBurst,
 		Clock:        c.opts.Clock,
 		Counters:     c.counters,
@@ -373,9 +317,6 @@ func (c *Cluster) bootNode(name string) error {
 		// of the node's soft state); the boot announcement plus
 		// anti-entropy replies re-teach a recovered node the present.
 		cfg.Membership = membership.NewManager(name, c.opts.VNodes, c.seedMembers()...)
-	}
-	if c.opts.NodeOverride != nil {
-		c.opts.NodeOverride(name, &cfg)
 	}
 	n, err := node.New(cfg, ep, st.store, c.registry, st.factories...)
 	if err != nil {
@@ -678,10 +619,9 @@ func (c *Cluster) Run(a *agent.Agent, entered []string, at string, timeout time.
 }
 
 // Crash stops a node abruptly: volatile state is lost, messages to it are
-// dropped, the stable store survives. With a durable engine (or the
-// deprecated ReopenStores) the store handle is closed too (the on-disk
-// state survives, like a machine reboot), and Recover reopens it through
-// its real crash-recovery path.
+// dropped, the stable store survives. With a durable engine the store
+// handle is closed too (the on-disk state survives, like a machine
+// reboot), and Recover reopens it through its real crash-recovery path.
 func (c *Cluster) Crash(name string) error {
 	c.mu.Lock()
 	st, ok := c.nodes[name]
@@ -701,7 +641,7 @@ func (c *Cluster) Crash(name string) error {
 		rs.Unbind()
 	}
 	n.Stop()
-	if c.reopenStores() {
+	if c.opts.Store.Durable() {
 		_ = stable.Close(store)
 		c.closeReplicas(name)
 	}
@@ -718,7 +658,7 @@ func (c *Cluster) Recover(name string) error {
 		return fmt.Errorf("cluster: cannot recover %q", name)
 	}
 	c.mu.Unlock()
-	if c.reopenStores() {
+	if c.opts.Store.Durable() {
 		store, err := c.newStore(name)
 		if err != nil {
 			return err

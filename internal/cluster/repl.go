@@ -44,7 +44,7 @@ type replicaRef struct {
 
 // replEnabled reports whether the Spec configures replication.
 func (c *Cluster) replEnabled() bool {
-	return c.specPath() && c.opts.Store.Repl.Enabled()
+	return c.opts.Store.Repl.Enabled()
 }
 
 // followersFor returns (computing and caching on first use) the follower
@@ -451,7 +451,7 @@ func (c *Cluster) ReplStatus(name string) (stable.ReplStatus, bool) {
 // storeDir returns the node's current primary data directory ("" for
 // volatile engines).
 func (c *Cluster) storeDir(name string) string {
-	if !c.specPath() || !c.opts.Store.Durable() {
+	if !c.opts.Store.Durable() {
 		return ""
 	}
 	c.mu.Lock()
@@ -467,7 +467,7 @@ func (c *Cluster) storeDir(name string) string {
 // promoted replica's, not the node's original one. Post-mortem checks
 // (chaos store-recovery invariant) use it.
 func (c *Cluster) NodeStoreSpec(name string) (stable.Spec, bool) {
-	if !c.specPath() || !c.opts.Store.Durable() {
+	if !c.opts.Store.Durable() {
 		return stable.Spec{}, false
 	}
 	spec := c.opts.Store

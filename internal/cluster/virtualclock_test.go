@@ -18,23 +18,19 @@ import (
 // progress WITHOUT a single protocol timer firing — retries, in-doubt
 // queries and notification resends are armed but never needed, so chaos
 // runs on a virtual clock advance protocol time explicitly instead of
-// racing wall-clock pollers. Both timer models are covered: the legacy
-// per-transaction timers retire by explicit cancel on ack, the default
-// coalesced per-peer timers retire lazily (dead entries filtered at
-// fire time — no cancels at all).
+// racing wall-clock pollers. The per-peer timers retire lazily (dead
+// entries filtered at fire time — no cancels at all).
 func TestVirtualClockClusterDeterministicTimers(t *testing.T) {
-	t.Run("ctlbatch", func(t *testing.T) { testVirtualClockCluster(t, false) })
-	t.Run("legacy", func(t *testing.T) { testVirtualClockCluster(t, true) })
+	t.Run("ctlbatch", testVirtualClockCluster)
 }
 
-func testVirtualClockCluster(t *testing.T, noCtlBatch bool) {
+func testVirtualClockCluster(t *testing.T) {
 	vc := network.NewVirtualClock(time.Time{})
 	counters := &metrics.Counters{}
 	cl := cluster.New(cluster.Options{
-		Optimized:  true,
-		Clock:      vc,
-		Counters:   counters,
-		NoCtlBatch: noCtlBatch,
+		Optimized: true,
+		Clock:     vc,
+		Counters:  counters,
 	})
 	if err := cl.AddNode("A", bankFactory("bank", false)); err != nil {
 		t.Fatal(err)
@@ -91,12 +87,8 @@ func testVirtualClockCluster(t *testing.T, noCtlBatch bool) {
 	if snap.TimersFired != 0 {
 		t.Errorf("%d protocol timers fired on a frozen virtual clock with a loss-free network", snap.TimersFired)
 	}
-	if noCtlBatch {
-		if snap.TimersCanceled == 0 {
-			t.Error("no protocol timers canceled (acks should retire legacy per-txn timers)")
-		}
-	} else if snap.TimersCanceled != 0 {
-		t.Errorf("%d protocol timers canceled under coalesced scheduling (retirement is lazy, at fire time)", snap.TimersCanceled)
+	if snap.TimersCanceled != 0 {
+		t.Errorf("%d protocol timers canceled (retirement is lazy, at fire time)", snap.TimersCanceled)
 	}
 
 	// Advancing the clock far past every retry interval on the settled

@@ -2,15 +2,14 @@ package cluster_test
 
 // End-to-end crash recovery over the log-structured WAL storage engine:
 // unlike the MemStore simulation (where the store object survives the
-// crash), Options.ReopenStores closes the store on Crash and re-opens it
-// from disk on Recover, so the engine's real recovery path — checkpoint
+// crash), a durable Options.Store is closed on Crash and re-opened from
+// disk on Recover, so the engine's real recovery path — checkpoint
 // load, segment replay, torn-tail truncation — carries the §4.3 protocol
 // recovery (staged-entry resolution, input-queue replay).
 
 import (
 	"errors"
 	"fmt"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -21,7 +20,7 @@ import (
 	"repro/internal/node"
 	"repro/internal/resource"
 	"repro/internal/stable"
-	"repro/internal/stable/wal"
+	_ "repro/internal/stable/wal" // registers the wal engine
 	"repro/internal/txn"
 )
 
@@ -34,18 +33,15 @@ func TestWALStoreCrashRecovery(t *testing.T) {
 	)
 	baseDir := t.TempDir()
 	cl := cluster.New(cluster.Options{
-		Workers:      workers,
-		RetryDelay:   time.Millisecond,
-		AckTimeout:   2 * time.Second,
-		ReopenStores: true,
-		StoreFactory: func(nodeName string) (stable.Store, error) {
-			// Small segments and an eager checkpoint cadence so the
-			// workload actually rotates, checkpoints and replays.
-			return wal.Open(filepath.Join(baseDir, nodeName), wal.Options{
-				SegmentSize:     16 << 10,
-				CheckpointEvery: 32 << 10,
-			})
-		},
+		Workers:    workers,
+		RetryDelay: time.Millisecond,
+		AckTimeout: 2 * time.Second,
+		// Small segments and an eager checkpoint cadence so the
+		// workload actually rotates, checkpoints and replays.
+		Store: stable.Spec{Engine: "wal", Dir: baseDir, WAL: stable.WALSpec{
+			SegmentSize:     16 << 10,
+			CheckpointEvery: 32 << 10,
+		}},
 	})
 	for _, n := range []string{"n0", "n1"} {
 		if err := cl.AddNode(n, bankFactory("bank", false)); err != nil {

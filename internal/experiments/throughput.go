@@ -53,15 +53,6 @@ type ThroughputConfig struct {
 	// `repl` experiment sweeps the ack modes to price synchronous
 	// replication.
 	Repl stable.ReplSpec
-	// WireGob forces the legacy gob payload encoding on every node; the
-	// default is the binary fast-path codec (cluster.Options.WireGob).
-	WireGob bool
-	// NoCoalesce disables per-destination batching of one protocol
-	// transition's sends (cluster.Options.NoCoalesce). A/B sweeps.
-	NoCoalesce bool
-	// NoCtlBatch disables cross-transaction control-plane batching
-	// (cluster.Options.NoCtlBatch). A/B sweeps.
-	NoCtlBatch bool
 	// MigrateBurst bounds migrations per rebalancer sweep
 	// (cluster.Options.MigrateBurst); 0 keeps the node default.
 	MigrateBurst int
@@ -155,9 +146,6 @@ func BuildThroughputCluster(cfg ThroughputConfig) (*cluster.Cluster, error) {
 		RetryDelay:   2 * time.Millisecond,
 		AckTimeout:   2 * time.Second,
 		MaxAttempts:  100,
-		WireGob:      cfg.WireGob,
-		NoCoalesce:   cfg.NoCoalesce,
-		NoCtlBatch:   cfg.NoCtlBatch,
 		MigrateBurst: cfg.MigrateBurst,
 		Counters:     counters,
 		Store:        spec,

@@ -16,9 +16,7 @@ import (
 //
 // where strings and payload are uvarint-length-prefixed. kindCode maps
 // the well-known protocol kinds to one byte (code 0 means "kind string
-// follows inline", the escape hatch for kinds outside the table). The
-// magic byte can never start a gob stream, so a receiver classifies a
-// connection as framed-binary or legacy gob from its first byte.
+// follows inline", the escape hatch for kinds outside the table).
 //
 // The table is part of the wire format: never reuse or renumber a code.
 // It intentionally holds literal strings — the protocol/node packages
@@ -141,8 +139,8 @@ func parseFrameBody(b []byte) (Message, error) {
 }
 
 // readFrame reads one complete frame from br. Any parse failure poisons
-// the stream (framing is lost), mirroring a gob stream decode error: the
-// caller drops the connection and the peer re-dials.
+// the stream (framing is lost): the caller drops the connection and the
+// peer re-dials.
 func readFrame(br *bufio.Reader) (Message, error) {
 	magic, err := br.ReadByte()
 	if err != nil {

@@ -28,12 +28,6 @@ type TCPConfig struct {
 	DialTimeout time.Duration
 	// Counters receives message/byte accounting; may be nil.
 	Counters *metrics.Counters
-	// LegacyGob sends outbound messages as a persistent gob stream — the
-	// pre-binary wire format — instead of binary frames. Inbound always
-	// auto-detects per connection, so a LegacyGob endpoint and a binary
-	// endpoint interoperate in both directions; the flag exists for
-	// rolling upgrades and the mixed-version tests.
-	LegacyGob bool
 	// FlushBytes forces a flush once this many bytes are pending on one
 	// peer connection (default 64 KiB).
 	FlushBytes int
@@ -58,12 +52,8 @@ type TCPConfig struct {
 // ride one syscall. Outbound connections are cached per destination and
 // re-dialed on error; a failed send is dropped silently (the caller's
 // protocol retries), matching the simulator's crashed-destination
-// semantics.
-//
-// The outbound format is binary frames (frame.go) by default, or one
-// persistent gob stream per connection with LegacyGob — in gob mode the
-// encode session writes into the same pending buffer, so coalescing and
-// the no-write-under-encode-lock property hold for both formats.
+// semantics. The only format on a connection is binary frames
+// (frame.go).
 type TCPEndpoint struct {
 	cfg      TCPConfig
 	clock    Clock
@@ -146,8 +136,8 @@ func (e *TCPEndpoint) Send(to, kind string, payload []byte) error {
 		return fmt.Errorf("%w: %q", ErrUnknownNode, to)
 	}
 	if len(payload) > wire.MaxMessageSize {
-		// Rejected locally before any bytes hit a stream, like the gob
-		// session's size check: the connection stays usable.
+		// Rejected locally before any bytes hit the stream: the
+		// connection stays usable.
 		return nil
 	}
 	msg := Message{From: e.cfg.Name, To: to, Kind: kind, Payload: payload}
@@ -199,15 +189,6 @@ func (e *TCPEndpoint) writeTo(to, addr string, msg *Message) error {
 	if err != nil {
 		return err
 	}
-	if e.cfg.LegacyGob {
-		if err := pc.enc.Encode(msg); err != nil {
-			// The stream is undefined after an encode error (the session
-			// state diverged from the receiver); a fresh dial restarts it.
-			e.dropConn(to, pc)
-			return err
-		}
-		return nil
-	}
 	return pc.enqueue(func(buf []byte) []byte { return appendFrame(buf, msg) }, 1)
 }
 
@@ -215,16 +196,6 @@ func (e *TCPEndpoint) batchTo(to, addr string, msgs []Outgoing) error {
 	pc, err := e.conn(to, addr)
 	if err != nil {
 		return err
-	}
-	if e.cfg.LegacyGob {
-		for _, m := range msgs {
-			msg := Message{From: e.cfg.Name, To: to, Kind: m.Kind, Payload: m.Payload}
-			if err := pc.enc.Encode(&msg); err != nil {
-				e.dropConn(to, pc)
-				return err
-			}
-		}
-		return nil
 	}
 	return pc.enqueue(func(buf []byte) []byte {
 		for _, m := range msgs {
@@ -312,36 +283,17 @@ func (e *TCPEndpoint) accept() {
 	}
 }
 
-// serve decodes one inbound connection into the mailbox. The first byte
-// classifies the stream — binary frames lead with wire.FrameMagic, which
-// can never start a gob stream — so a binary-codec node keeps accepting
-// connections from legacy gob peers (the whole fallback story; see
-// DESIGN.md "Wire format"). A decode error in either format poisons the
-// stream (there is no per-message resynchronization), so the connection
-// is dropped and the peer re-dials — the protocol's retries cover the
-// gap.
+// serve decodes one inbound connection into the mailbox. Anything that
+// is not a well-formed frame — starting with a first byte other than
+// wire.FrameMagic — poisons the stream (there is no per-message
+// resynchronization), so the connection is dropped, nothing from it is
+// delivered past that point, and the peer re-dials — the protocol's
+// retries cover the gap.
 func (e *TCPEndpoint) serve(conn net.Conn) {
 	br := bufio.NewReader(conn)
-	first, err := br.Peek(1)
-	if err != nil {
-		return
-	}
-	if first[0] == wire.FrameMagic {
-		for {
-			msg, err := readFrame(br)
-			if err != nil {
-				return
-			}
-			if msg.To != e.cfg.Name {
-				continue // misrouted
-			}
-			e.mb.enqueue(msg)
-		}
-	}
-	dec := wire.NewStreamDecoder(br)
 	for {
-		var msg Message
-		if err := dec.Decode(&msg); err != nil {
+		msg, err := readFrame(br)
+		if err != nil {
 			return
 		}
 		if msg.To != e.cfg.Name {
@@ -393,16 +345,11 @@ const maxPendingRetain = 1 << 20
 
 // peerConn is one cached outbound connection: a pending write buffer
 // senders append encoded frames to, and a flusher goroutine that owns
-// the actual conn.Write. In LegacyGob mode the persistent encode session
-// stages each message and appends it to the same pending buffer via
-// pendingWriter, so the encode mutex is never held across a socket
-// write in either mode.
+// the actual conn.Write.
 type peerConn struct {
 	ep *TCPEndpoint
 	to string
 	c  net.Conn
-
-	enc *wire.StreamEncoder // LegacyGob only
 
 	mu      sync.Mutex
 	pending []byte
@@ -419,7 +366,7 @@ type peerConn struct {
 }
 
 func newPeerConn(e *TCPEndpoint, to string, c net.Conn) *peerConn {
-	pc := &peerConn{
+	return &peerConn{
 		ep:   e,
 		to:   to,
 		c:    c,
@@ -427,10 +374,6 @@ func newPeerConn(e *TCPEndpoint, to string, c net.Conn) *peerConn {
 		full: make(chan struct{}, 1),
 		done: make(chan struct{}),
 	}
-	if e.cfg.LegacyGob {
-		pc.enc = wire.NewStreamEncoder(pendingWriter{pc})
-	}
-	return pc
 }
 
 // enqueue stages frames frames built by build into the pending buffer
@@ -448,17 +391,6 @@ func (pc *peerConn) enqueue(build func([]byte) []byte, frames int) error {
 	pc.mu.Unlock()
 	pc.signal(n)
 	return nil
-}
-
-// pendingWriter routes a gob session's staged messages into the pending
-// buffer. The StreamEncoder calls Write exactly once per message.
-type pendingWriter struct{ pc *peerConn }
-
-func (w pendingWriter) Write(p []byte) (int, error) {
-	if err := w.pc.enqueue(func(buf []byte) []byte { return append(buf, p...) }, 1); err != nil {
-		return 0, err
-	}
-	return len(p), nil
 }
 
 func (pc *peerConn) signal(pendingBytes int) {
@@ -544,13 +476,16 @@ func (pc *peerConn) flush() bool {
 		pc.frames = 0
 		pc.mu.Unlock()
 
+		// Counted before the write: the receiver may act on the frames
+		// the moment they hit the socket, and a reader of the counter
+		// must never see the frames' effects without the count.
+		if c := pc.ep.cfg.Counters; c != nil {
+			c.ObserveNetBatch(frames)
+		}
 		_, err := pc.c.Write(buf)
 		if err != nil {
 			pc.ep.dropConn(pc.to, pc)
 			return false
-		}
-		if c := pc.ep.cfg.Counters; c != nil {
-			c.ObserveNetBatch(frames)
 		}
 		if cap(buf) <= maxPendingRetain {
 			pc.spare = buf[:0] // spare is only ever touched by this goroutine

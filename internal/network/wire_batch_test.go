@@ -3,7 +3,10 @@ package network
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
+	"net"
+	"os"
 	"testing"
 	"time"
 
@@ -225,7 +228,7 @@ func TestSimSendBatchToCrashedNode(t *testing.T) {
 	}
 }
 
-// --- TCP coalescing and interop ---------------------------------------
+// --- TCP coalescing ---------------------------------------------------
 
 // tcpPairCfg is tcpPair with per-endpoint config overrides applied on
 // top of the bootstrap (name/listen/peers are filled in).
@@ -319,36 +322,44 @@ func TestTCPSendBatch(t *testing.T) {
 	}
 }
 
-// TestTCPLegacyGobInterop: a binary-framed endpoint and a LegacyGob
-// endpoint exchange messages in both directions — the receiver sniffs
-// each inbound connection's format from its first byte.
-func TestTCPLegacyGobInterop(t *testing.T) {
-	a, b := tcpPairCfg(t, TCPConfig{}, TCPConfig{LegacyGob: true})
-	if err := a.Send("b", "new-to-old", []byte("bin")); err != nil {
-		t.Fatal(err)
+// TestTCPRejectsNonFrameConnection: a connection that does not open with
+// a binary frame — a pre-binary peer's gob stream, or plain garbage — is
+// closed with nothing delivered, and the endpoint keeps serving the
+// well-formed connections that follow.
+func TestTCPRejectsNonFrameConnection(t *testing.T) {
+	a, b := tcpPairCfg(t, TCPConfig{}, TCPConfig{})
+	openers := map[string]func(c net.Conn) error{
+		"gob stream": func(c net.Conn) error {
+			return wire.NewStreamEncoder(c).Encode(&Message{From: "old", To: "b", Kind: "q.prepare", Payload: []byte("gob")})
+		},
+		"garbage byte": func(c net.Conn) error {
+			_, err := c.Write([]byte{0x00})
+			return err
+		},
 	}
-	msg, ok := recvOne(t, b, 5*time.Second)
-	if !ok || msg.Kind != "new-to-old" || string(msg.Payload) != "bin" {
-		t.Fatalf("binary→gob endpoint: %+v, %v", msg, ok)
-	}
-	if err := b.Send("a", "old-to-new", []byte("gob")); err != nil {
-		t.Fatal(err)
-	}
-	msg, ok = recvOne(t, a, 5*time.Second)
-	if !ok || msg.Kind != "old-to-new" || string(msg.Payload) != "gob" {
-		t.Fatalf("gob→binary endpoint: %+v, %v", msg, ok)
-	}
-	// Bursts survive in both formats (the gob side coalesces through
-	// the same pending buffer).
-	for i := 0; i < 8; i++ {
-		if err := b.Send("a", "seq", []byte{byte(i)}); err != nil {
+	for name, open := range openers {
+		c, err := net.Dial("tcp", b.Addr())
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	for i := 0; i < 8; i++ {
-		msg, ok := recvOne(t, a, 5*time.Second)
-		if !ok || msg.Payload[0] != byte(i) {
-			t.Fatalf("gob burst %d: %+v, %v", i, msg, ok)
+		if err := open(c); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		// The endpoint hangs up: the read ends with EOF (or a reset), never
+		// a timeout.
+		_ = c.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := c.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Errorf("%s: connection not closed by the endpoint (read err %v)", name, err)
+		}
+		_ = c.Close()
+		if msg, ok := recvOne(t, b, 50*time.Millisecond); ok {
+			t.Errorf("%s: delivered %+v from a non-frame connection", name, msg)
+		}
+		if err := a.Send("b", "after", []byte(name)); err != nil {
+			t.Fatal(err)
+		}
+		if msg, ok := recvOne(t, b, 5*time.Second); !ok || msg.Kind != "after" || string(msg.Payload) != name {
+			t.Fatalf("%s: well-formed connection not served afterwards: %+v, %v", name, msg, ok)
 		}
 	}
 }

@@ -25,9 +25,6 @@ import (
 //     frame group, so the ack rides a write the node was making anyway.
 //     A reply the sender blocks on (prepare acks, exec acks, done acks)
 //     never parks.
-//
-// Both are disabled by Config.NoCtlBatch; piggybacking additionally by
-// NoCoalesce, which removes the batches rides would attach to.
 
 const (
 	// ctlStageMax bounds the GC staging buffer; a full buffer flushes
@@ -43,12 +40,12 @@ const (
 )
 
 // stageCtlOp buffers one control-plane GC operation for the next group
-// commit (or applies it directly when batching is off or the wheel is
-// not running). Losing staged deletes on a crash is safe: a surviving
-// decision record answers queries with the decision it records, and a
-// surviving done record only restarts the idempotent done/ack cycle.
+// commit (or applies it directly when the wheel is not running). Losing
+// staged deletes on a crash is safe: a surviving decision record answers
+// queries with the decision it records, and a surviving done record only
+// restarts the idempotent done/ack cycle.
 func (n *Node) stageCtlOp(op stable.Op) {
-	if n.cfg.NoCtlBatch || n.wheel == nil {
+	if n.wheel == nil {
 		_ = n.store.Apply(op)
 		return
 	}
@@ -104,7 +101,7 @@ func piggybackKind(kind string) bool {
 // timer on the first hold. Reports whether the message was parked
 // (false: the caller sends it normally).
 func (n *Node) holdForRide(to, kind string, payload []byte) bool {
-	if n.cfg.NoCtlBatch || n.cfg.NoCoalesce || n.wheel == nil || !piggybackKind(kind) {
+	if n.wheel == nil || !piggybackKind(kind) {
 		return false
 	}
 	n.holdMu.Lock()

@@ -15,7 +15,7 @@ import (
 // dispatch is the message-handling goroutine: it decodes inbound
 // protocol messages into events for the protocol machine. There is no
 // ticker — every retry and in-doubt cycle runs on the node's timer
-// wheel, armed and canceled by the machine itself.
+// wheel, armed by the machine itself.
 func (n *Node) dispatch() {
 	for {
 		select {
@@ -42,10 +42,6 @@ func (n *Node) dispatch() {
 // returns, so a commit fan-out or an ack+status pair coalesces on the
 // wire instead of paying one network hop each.
 func (n *Node) step(ev protocol.Event) {
-	if n.cfg.NoCoalesce {
-		n.stepInto(ev, nil)
-		return
-	}
 	var b outBatch
 	n.stepInto(ev, &b)
 	b.flush(n)
@@ -85,12 +81,6 @@ func (n *Node) stepInto(ev protocol.Event, b *outBatch) {
 // machine under one shared outbound batch, so the replies to a
 // coalesced frame coalesce on the way back too.
 func (n *Node) stepAll(evs []protocol.Event) {
-	if n.cfg.NoCoalesce {
-		for _, ev := range evs {
-			n.stepInto(ev, nil)
-		}
-		return
-	}
 	var b outBatch
 	for _, ev := range evs {
 		n.stepInto(ev, &b)
@@ -111,8 +101,7 @@ func (n *Node) onTimer(id string) {
 		return
 	}
 	if tr := n.cfg.Tracer; tr != nil {
-		txnID, agentID := protocol.TimerInfo(id)
-		tr.Rec(trace.OpTimerFire, txnID, agentID, id, "", "", 0)
+		tr.Rec(trace.OpTimerFire, "", "", id, "", "", 0)
 	}
 	n.step(protocol.TimerFired{ID: id})
 }
@@ -121,8 +110,7 @@ func (n *Node) onTimer(id string) {
 // decision logic lives in the machine; this switch only decodes and,
 // where a decision needs a stable-storage fact (the presumed-abort
 // decision record), reads it to enrich the event. Protocol payloads go
-// through protocol.Decode, which accepts both the binary fast path and
-// legacy gob — the node never needs to know which format a peer runs.
+// through protocol.Decode.
 func (n *Node) handle(msg network.Message) {
 	if tr := n.cfg.Tracer; tr != nil {
 		tr.Rec(trace.OpWireRecv, "", "", msg.Kind, msg.From, "", int64(len(msg.Payload)))
@@ -221,7 +209,7 @@ func (n *Node) handle(msg network.Message) {
 // applyEffect executes one machine effect. Mechanics only — queue and
 // store operations, transaction settles, sends, timers; any outcome the
 // machine must know about loops back in as another event. Sends join
-// the enclosing transition's outbound batch b (nil with NoCoalesce).
+// the enclosing transition's outbound batch b.
 func (n *Node) applyEffect(eff protocol.Effect, b *outBatch) {
 	switch e := eff.(type) {
 	case protocol.SendMsg:
@@ -298,19 +286,10 @@ func (n *Node) applyEffect(eff protocol.Effect, b *outBatch) {
 		n.stageCtlOp(stableDelDone(e.AgentID))
 	case protocol.ArmTimer:
 		if tr := n.cfg.Tracer; tr != nil {
-			txnID, agentID := protocol.TimerInfo(e.ID)
-			tr.Rec(trace.OpTimerArm, txnID, agentID, e.ID, "", "", int64(e.D))
+			tr.Rec(trace.OpTimerArm, "", "", e.ID, "", "", int64(e.D))
 		}
 		if n.wheel != nil {
 			n.wheel.Schedule(e.ID, e.D)
-		}
-	case protocol.CancelTimer:
-		if tr := n.cfg.Tracer; tr != nil {
-			txnID, agentID := protocol.TimerInfo(e.ID)
-			tr.Rec(trace.OpTimerCancel, txnID, agentID, e.ID, "", "", 0)
-		}
-		if n.wheel != nil {
-			n.wheel.Cancel(e.ID)
 		}
 	case protocol.CountCompOps:
 		if n.cfg.Counters != nil {

@@ -59,8 +59,8 @@ func RingKey(loc, agentID string) (string, bool) {
 }
 
 // announceMsg carries one node's full membership view. Announcements are
-// low-rate (only view *changes* flood), so the gob fallback encoding is
-// fine — no binary codec, no frame-size concerns.
+// low-rate (only view *changes* flood), so the gob encoding is fine —
+// no binary codec, no frame-size concerns.
 type announceMsg struct {
 	Members []membership.Member
 }

@@ -126,14 +126,10 @@ type Done struct {
 	Agent   *agent.Agent
 }
 
-// DecodeDone decodes a KindAgentDone payload, binary or legacy gob.
+// DecodeDone decodes a KindAgentDone payload.
 func DecodeDone(payload []byte) (Done, error) {
 	var dm doneMsg
-	if wire.Binary(payload) {
-		if err := dm.DecodeFrom(payload); err != nil {
-			return Done{}, err
-		}
-	} else if err := wire.Decode(payload, &dm); err != nil {
+	if err := dm.DecodeFrom(payload); err != nil {
 		return Done{}, err
 	}
 	d := Done{AgentID: dm.AgentID, Failed: dm.Failed, Reason: dm.Reason}
@@ -147,9 +143,7 @@ func DecodeDone(payload []byte) (Done, error) {
 	return d, nil
 }
 
-// EncodeDoneAck builds the KindAgentDoneAck payload for agentID. All
-// nodes decode acks with format sniffing, so the binary form is safe to
-// send to gob-configured peers too.
+// EncodeDoneAck builds the KindAgentDoneAck payload for agentID.
 func EncodeDoneAck(agentID string) ([]byte, error) {
 	ack := protocol.AckMsg{TxnID: agentID, OK: true}
 	return ack.AppendTo(nil), nil

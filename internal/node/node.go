@@ -90,22 +90,6 @@ type Config struct {
 	// For the S16b ablation only — it demonstrably corrupts agents whose
 	// compensations produce information (see the baseline tests).
 	SagaBaseline bool
-	// WireGob forces gob encoding for all outbound payloads, disabling
-	// the binary fast-path codec. Inbound decoding always auto-detects,
-	// so a WireGob node and a binary node interoperate; the flag exists
-	// for rolling upgrades, A/B benchmarks and the mixed-version tests.
-	WireGob bool
-	// NoCoalesce sends each protocol message individually instead of
-	// grouping the sends of one machine transition per destination (the
-	// batching half of the wire fast path). A/B benchmarks only.
-	NoCoalesce bool
-	// NoCtlBatch disables the PR-10 cross-transaction control-plane
-	// batching end to end: the protocol machine arms per-transaction
-	// resend/query timers again (eagerly canceled), decision-record GC
-	// applies one store transaction per decision instead of staging into
-	// a group commit, and acks never linger for piggybacking. A/B
-	// benchmarks and the loadgen -noctlbatch flag only.
-	NoCtlBatch bool
 	// MigrateBurst bounds the migration hand-offs the rebalancer
 	// attempts per sweep, so one view change cannot convert the whole
 	// misplaced backlog into a single burst that spikes step latency.
@@ -247,7 +231,6 @@ func New(cfg Config, ep network.Endpoint, store stable.Store, registry *agent.Re
 			Node:          cfg.Name,
 			RetryInterval: cfg.RetryDelay * 5,
 			StaleAfter:    2 * cfg.AckTimeout,
-			NoCtlBatch:    cfg.NoCtlBatch,
 		}),
 		factories: factories,
 		members:   cfg.Membership,
@@ -398,7 +381,7 @@ func (n *Node) await(ch chan protocol.AckMsg, kind, id string) (protocol.AckMsg,
 // send marshals and transmits a protocol message (fire and forget; the
 // simulated network only fails permanently for unknown destinations).
 func (n *Node) send(to, kind string, payload any) {
-	data, err := n.encodePayload(payload)
+	data, err := encodePayload(payload)
 	if err != nil {
 		return
 	}
@@ -443,16 +426,11 @@ func payloadSubject(payload any) (txnID, agentID string) {
 }
 
 // sendTo routes a protocol send through the current transition's
-// outbound batch when one is active, so every message a machine
-// transition emits to the same destination rides one endpoint call (and
-// with the Sim, one mailbox hop; with TCP, usually one socket write).
-// With a nil batch — or NoCoalesce — it degenerates to send.
+// outbound batch, so every message a machine transition emits to the
+// same destination rides one endpoint call (and with the Sim, one
+// mailbox hop; with TCP, usually one socket write).
 func (n *Node) sendTo(b *outBatch, to, kind string, payload any) {
-	if b == nil {
-		n.send(to, kind, payload)
-		return
-	}
-	data, err := n.encodePayload(payload)
+	data, err := encodePayload(payload)
 	if err != nil {
 		return
 	}
@@ -464,17 +442,14 @@ func (n *Node) sendTo(b *outBatch, to, kind string, payload any) {
 }
 
 // encodePayload serializes one outbound payload: the hand-rolled binary
-// codec for the high-volume protocol messages (unless Config.WireGob
-// pins the legacy format), gob for everything else. Receivers sniff the
-// version byte, so both formats coexist on one link.
-func (n *Node) encodePayload(payload any) ([]byte, error) {
+// codec for the message types that have one, gob for everything else.
+// The receiver picks the decoder from the message kind's Go type.
+func encodePayload(payload any) ([]byte, error) {
 	if payload == nil {
 		return nil, nil
 	}
-	if !n.cfg.WireGob {
-		if bm, ok := payload.(wire.BinaryMessage); ok {
-			return bm.AppendTo(nil), nil
-		}
+	if bm, ok := payload.(wire.BinaryMessage); ok {
+		return bm.AppendTo(nil), nil
 	}
 	data, err := wire.Encode(payload)
 	if err != nil {

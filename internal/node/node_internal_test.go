@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/agent"
 	"repro/internal/itinerary"
+	"repro/internal/wire"
 )
 
 func TestPermanentErrorClassification(t *testing.T) {
@@ -90,9 +91,18 @@ func TestDoneMessageRoundTrip(t *testing.T) {
 	if done.AgentID != "agent-7" || !done.Failed || done.Reason != "why" || done.Agent == nil {
 		t.Errorf("done = %+v", done)
 	}
+
+	// A completion notification has only the binary form on the wire:
+	// the same message gob-encoded is corrupt, not a fallback.
+	gobEnc, err := wire.Encode(&doneMsg{AgentID: "agent-7", Data: data})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeDone(gobEnc); !errors.Is(err, wire.ErrCorrupt) {
+		t.Errorf("DecodeDone of gob bytes = %v, want wire.ErrCorrupt", err)
+	}
 }
 
 func wireEncodeDone(m doneMsg) ([]byte, error) {
-	n := &Node{}
-	return n.encodePayload(&m)
+	return encodePayload(&m)
 }

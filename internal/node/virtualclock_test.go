@@ -11,7 +11,6 @@ import (
 	"repro/internal/protocol"
 	"repro/internal/resource"
 	"repro/internal/stable"
-	"repro/internal/wire"
 )
 
 // TestProtocolTimersOnVirtualClock drives the full in-doubt query cycle
@@ -72,10 +71,7 @@ func TestProtocolTimersOnVirtualClock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, err := wire.Encode(&protocol.PrepareMsg{TxnID: "co#1", EntryID: a.ID, Data: data})
-	if err != nil {
-		t.Fatal(err)
-	}
+	payload := (&protocol.PrepareMsg{TxnID: "co#1", EntryID: a.ID, Data: data}).AppendTo(nil)
 	if err := coEp.Send("p", protocol.KindEnqueuePrepare, payload); err != nil {
 		t.Fatal(err)
 	}
@@ -98,10 +94,7 @@ func TestProtocolTimersOnVirtualClock(t *testing.T) {
 
 	// The verdict commits the stage; the agent runs to completion and
 	// the owner is notified immediately (no timer involved).
-	status, err := wire.Encode(&protocol.StatusMsg{TxnID: "co#1", Committed: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	status := (&protocol.StatusMsg{TxnID: "co#1", Committed: true}).AppendTo(nil)
 	if err := coEp.Send("p", protocol.KindTxnStatus, status); err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +115,7 @@ func TestProtocolTimersOnVirtualClock(t *testing.T) {
 	if err := ownEp.Send("p", KindAgentDoneAck, ack); err != nil {
 		t.Fatal(err)
 	}
-	// Give the ack a moment to cancel the timer, then advance: silence.
+	// Give the ack a moment to drop the record, then advance: silence.
 	time.Sleep(50 * time.Millisecond)
 	vc.Advance(200 * time.Millisecond)
 	assertNoMessage(t, ownEp, 80*time.Millisecond)
@@ -180,10 +173,7 @@ func TestQueryBatchOnVirtualClock(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		payload, err := wire.Encode(&protocol.PrepareMsg{TxnID: txn, EntryID: a.ID, Data: data})
-		if err != nil {
-			t.Fatal(err)
-		}
+		payload := (&protocol.PrepareMsg{TxnID: txn, EntryID: a.ID, Data: data}).AppendTo(nil)
 		if err := coEp.Send("p", protocol.KindEnqueuePrepare, payload); err != nil {
 			t.Fatal(err)
 		}
@@ -199,7 +189,7 @@ func TestQueryBatchOnVirtualClock(t *testing.T) {
 
 	// First fire drains only the first entry (the second was enqueued
 	// while the timer ticked and is promoted): a lone survivor still
-	// travels as the legacy single-transaction query.
+	// travels as the plain single-transaction query.
 	vc.Advance(50 * time.Millisecond)
 	msg := recvMsg(t, coEp, 2*time.Second)
 	if msg.Kind != protocol.KindTxnQuery {
@@ -228,10 +218,7 @@ func TestQueryBatchOnVirtualClock(t *testing.T) {
 
 	// Presumed abort resolves both; the next fire drains to silence.
 	for _, txn := range []string{"co#1", "co#2"} {
-		status, err := wire.Encode(&protocol.StatusMsg{TxnID: txn, Committed: false})
-		if err != nil {
-			t.Fatal(err)
-		}
+		status := (&protocol.StatusMsg{TxnID: txn, Committed: false}).AppendTo(nil)
 		if err := coEp.Send("p", protocol.KindTxnStatus, status); err != nil {
 			t.Fatal(err)
 		}

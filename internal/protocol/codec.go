@@ -12,12 +12,8 @@ import (
 // Hand-rolled binary codec for the high-volume protocol messages. Every
 // payload is wire.BinaryVersion, a type byte from the table below, then
 // the struct fields in declaration order via the wire varint helpers.
-// The legacy gob encoding remains valid on the wire forever: the
-// version byte cannot start a gob stream, so Decode routes each payload
-// by its first byte and mixed-version links interoperate (a gob-only
-// peer's messages decode here; enabling the binary *encoder* requires
-// peers at least at this decoder version — see DESIGN.md "Wire
-// format").
+// A message type has exactly one encoding: the types below travel only
+// in this format (see DESIGN.md "Wire format").
 //
 // Type bytes (protocol block 0x01..0x0f; never renumber):
 const (
@@ -38,17 +34,12 @@ const (
 	TypeQueryBatch byte = 0x07
 )
 
-// Decode decodes one inbound payload into v, taking the binary fast
-// path when the payload starts with the binary version byte and falling
-// back to gob otherwise. This is the dispatcher's single entry point,
-// so a node decodes both its own wire format and a previous-version
-// (gob-only) peer's transparently.
+// Decode decodes one inbound payload into v, the dispatcher's single
+// entry point. The codec follows from v's type: a type with a binary
+// codec decodes only through it (anything else, gob included, is
+// wire.ErrCorrupt); the remaining types are gob.
 func Decode(data []byte, v any) error {
-	if wire.Binary(data) {
-		bm, ok := v.(wire.BinaryMessage)
-		if !ok {
-			return fmt.Errorf("%w: binary payload for %T without a binary codec", wire.ErrCorrupt, v)
-		}
+	if bm, ok := v.(wire.BinaryMessage); ok {
 		return bm.DecodeFrom(data)
 	}
 	return wire.Decode(data, v)

@@ -13,7 +13,7 @@ package protocol
 // decision is still open — the participant re-asks). Once absent, a
 // query is answered from the stable decision record alone: record
 // present ⇒ committed, otherwise presumed abort. Commit control
-// messages are resent on a per-transaction timer until every
+// messages are resent on the per-peer timer (timers.go) until every
 // participant acknowledged; abort notifications go out exactly once
 // (presumed abort covers their loss).
 
@@ -55,7 +55,7 @@ func (m *Machine) coordPrepareRCE(e CoordPrepareRCE) []Effect {
 }
 
 // coordDecided closes the decision. On commit the participants are
-// driven to commit reliably (per-transaction resend timer); on abort
+// driven to commit reliably (per-peer resend timer); on abort
 // they are notified once and the transaction is forgotten — presumed
 // abort resolves anything the notification misses.
 func (m *Machine) coordDecided(e CoordDecided) []Effect {
@@ -79,12 +79,9 @@ func (m *Machine) coordDecided(e CoordDecided) []Effect {
 		c.pending[p] = true
 		effs = append(effs, SendMsg{To: p.Node, Kind: p.ctlKind(true), Payload: &CtlMsg{TxnID: e.TxnID}})
 	}
-	if !m.batch() {
-		return append(effs, ArmTimer{ID: timerID(timerCtl, e.TxnID), D: m.cfg.RetryInterval})
-	}
-	// Coalesced mode: the first controls still go out per-transaction
-	// (the driver's outbound batch groups them per destination); only the
-	// resend obligation joins the shared per-peer timer.
+	// The first controls go out per-transaction (the driver's outbound
+	// batch groups them per destination); only the resend obligation
+	// joins the shared per-peer timer.
 	for _, p := range e.Parts {
 		effs = append(effs, m.enqueue(timerPeerCtl, p.Node, dueEntry{id: e.TxnID, aux: partAux(p.Kind)}, m.cfg.RetryInterval)...)
 	}
@@ -120,19 +117,14 @@ func (m *Machine) ackReceived(e AckReceived) []Effect {
 	if len(c.pending) > 0 {
 		return nil
 	}
+	// The resend entries are dropped lazily at the next per-peer fire.
 	delete(m.coord, e.TxnID)
-	var effs []Effect
-	if !m.batch() {
-		// Coalesced entries are dropped lazily at the next per-peer fire;
-		// only the legacy per-transaction timer needs an eager cancel.
-		effs = append(effs, CancelTimer{ID: timerID(timerCtl, e.TxnID)})
-	}
 	if commit {
 		// Every participant acknowledged the commit: the decision
 		// record can be garbage-collected.
-		effs = append(effs, ClearDecision{TxnID: e.TxnID})
+		return []Effect{ClearDecision{TxnID: e.TxnID}}
 	}
-	return effs
+	return nil
 }
 
 // queryReceived answers a participant's in-doubt query. A decision
@@ -160,19 +152,4 @@ func (m *Machine) queryReceived(e QueryReceived) []Effect {
 		Kind:    KindTxnStatus,
 		Payload: &StatusMsg{TxnID: e.TxnID, Committed: committed},
 	}}
-}
-
-// ctlTimer resends the outstanding commit controls of one transaction.
-func (m *Machine) ctlTimer(txnID string) []Effect {
-	c, ok := m.coord[txnID]
-	if !ok || len(c.pending) == 0 {
-		return nil
-	}
-	var effs []Effect
-	for p := range c.pending {
-		effs = append(effs, SendMsg{To: p.Node, Kind: p.ctlKind(true), Payload: &CtlMsg{TxnID: txnID}})
-	}
-	sortSends(effs)
-	effs = append(effs, ArmTimer{ID: timerID(timerCtl, txnID), D: m.cfg.RetryInterval})
-	return effs
 }

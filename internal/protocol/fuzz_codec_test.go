@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -8,14 +9,25 @@ import (
 	"repro/internal/wire"
 )
 
-// FuzzWireRoundTrip differentially fuzzes the two wire formats: for every
-// fast-path message type, a value built from the fuzz input must decode to
-// the same Go value whether it crossed the wire as gob or as the binary
-// codec. The same input also drives rejection checks: truncated binary
-// frames must error, bit-flipped frames must never panic (and if one still
-// parses, its re-encoding must be stable), and arbitrary bytes fed
-// straight into the decoders must be handled gracefully.
+// FuzzWireRoundTrip differentially fuzzes the binary codec against gob
+// as the reference: for every fast-path message type, a value built from
+// the fuzz input must decode to the same Go value from either encoding.
+// The same input also drives rejection checks: gob bytes handed to the
+// wire entry point Decode must be refused as corrupt (these types have no
+// gob form on the wire), truncated binary frames must error, bit-flipped
+// frames must never panic (and if one still parses, its re-encoding must
+// be stable), and arbitrary bytes fed straight into the decoders must be
+// handled gracefully.
 func FuzzWireRoundTrip(f *testing.F) {
+	// Gob-encoded acks and controls as raw input: what a pre-binary peer
+	// would send.
+	for _, m := range []any{&AckMsg{TxnID: "n1#7", OK: true}, &CtlMsg{TxnID: "n1#7"}} {
+		gobEnc, err := wire.Encode(m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add("n1#7", "", "", []byte{}, true, byte(0), gobEnc)
+	}
 	f.Add("n1#7", "agent-3", "", []byte("container"), true, byte(0), []byte{0x90, 0x01})
 	f.Add("", "", "node recovering", []byte{}, false, byte(3), []byte("not binary"))
 	f.Add("txn", "e", "x", []byte{0x90, 0x05, 0xff}, true, byte(0xff), []byte{0x90})
@@ -49,8 +61,11 @@ func FuzzWireRoundTrip(f *testing.F) {
 				t.Fatalf("%T: gob encode: %v", tc.msg, err)
 			}
 			binEnc := tc.msg.AppendTo(nil)
+			if err := Decode(gobEnc, tc.zero()); !errors.Is(err, wire.ErrCorrupt) {
+				t.Fatalf("%T: Decode of gob bytes = %v, want wire.ErrCorrupt", tc.msg, err)
+			}
 			viaGob, viaBin := tc.zero(), tc.zero()
-			if err := Decode(gobEnc, viaGob); err != nil {
+			if err := wire.Decode(gobEnc, viaGob); err != nil {
 				t.Fatalf("%T: gob decode: %v", tc.msg, err)
 			}
 			if err := Decode(binEnc, viaBin); err != nil {
@@ -93,9 +108,13 @@ func FuzzWireRoundTrip(f *testing.F) {
 			}
 
 			// Arbitrary bytes straight into the decoder: error or success,
-			// never a panic or runaway allocation.
+			// never a panic or runaway allocation — and anything that does
+			// not open with the binary version byte is corrupt.
 			_ = tc.zero().DecodeFrom(raw)
-			_ = Decode(raw, tc.zero())
+			err = Decode(raw, tc.zero())
+			if (len(raw) == 0 || raw[0] != wire.BinaryVersion) && !errors.Is(err, wire.ErrCorrupt) {
+				t.Fatalf("%T: Decode of non-binary bytes = %v, want wire.ErrCorrupt", tc.msg, err)
+			}
 		}
 	})
 }

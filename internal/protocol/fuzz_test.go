@@ -202,11 +202,6 @@ func (d *driverModel) apply(effs []protocol.Effect) {
 				d.t.Fatalf("malformed ArmTimer: %+v", e)
 			}
 			d.timers[e.ID] = true
-		case protocol.CancelTimer:
-			if !validTimerID(e.ID) {
-				d.t.Fatalf("malformed CancelTimer: %+v", e)
-			}
-			delete(d.timers, e.ID)
 		case protocol.StageEntry:
 			if e.AckKind != protocol.KindEnqueuePrepareAck {
 				d.t.Fatalf("StageEntry with ack kind %q", e.AckKind)

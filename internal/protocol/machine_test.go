@@ -8,16 +8,14 @@ import (
 	"repro/internal/protocol"
 )
 
-// newReady builds a ready machine in legacy per-transaction timer mode
-// (NoCtlBatch): the tests below pin the exact per-txn arm/cancel
-// behaviour that mode keeps. The coalesced default is covered by
-// timers_test.go.
+// newReady builds a ready machine. The tests below pin each role's
+// states and effects plus the per-peer timer it arms and lazily retires;
+// the coalescing itself is covered by timers_test.go.
 func newReady(node string) *protocol.Machine {
 	m := protocol.NewMachine(protocol.Config{
 		Node:          node,
 		RetryInterval: 50 * time.Millisecond,
 		StaleAfter:    300 * time.Millisecond,
-		NoCtlBatch:    true,
 	})
 	m.Step(protocol.ReadyReached{})
 	return m
@@ -60,7 +58,8 @@ func TestCoordinatorLifecycle(t *testing.T) {
 		t.Fatalf("decided query = %+v", effs)
 	}
 
-	// Decide commit with two participants: two ctl sends + retry timer.
+	// Decide commit with two participants: two ctl sends + one resend
+	// timer per participant peer.
 	parts := []protocol.Participant{
 		{Node: "p", Kind: protocol.PartQueue},
 		{Node: "r", Kind: protocol.PartRCE},
@@ -69,17 +68,24 @@ func TestCoordinatorLifecycle(t *testing.T) {
 	if got := pick[protocol.SendMsg](effs); len(got) != 2 {
 		t.Fatalf("decided effects = %+v", effs)
 	}
-	if got := pick[protocol.ArmTimer](effs); len(got) != 1 {
-		t.Fatalf("no ctl retry timer armed: %+v", effs)
+	if got := pick[protocol.ArmTimer](effs); len(got) != 2 || got[0].ID != "pctl|p" || got[1].ID != "pctl|r" {
+		t.Fatalf("ctl resend timers armed = %+v", effs)
 	}
 	if s := m.Stats(); s.CoordActive != 0 || s.CoordPendingCtl != 1 {
 		t.Fatalf("stats after decide: %+v", s)
 	}
 
-	// The retry timer resends only the outstanding controls.
-	effs = m.Step(protocol.TimerFired{ID: "ctl|" + txn})
-	if got := pick[protocol.SendMsg](effs); len(got) != 2 {
-		t.Fatalf("timer resend = %+v", effs)
+	// Each peer's timer resends that peer's outstanding control and
+	// re-arms.
+	for peer, kind := range map[string]string{"p": protocol.KindEnqueueCommit, "r": protocol.KindRCECommit} {
+		effs = m.Step(protocol.TimerFired{ID: "pctl|" + peer})
+		got := pick[protocol.SendMsg](effs)
+		if len(got) != 1 || got[0].To != peer || got[0].Kind != kind {
+			t.Fatalf("timer resend to %s = %+v", peer, effs)
+		}
+		if len(pick[protocol.ArmTimer](effs)) != 1 {
+			t.Fatalf("resend timer for %s did not re-arm: %+v", peer, effs)
+		}
 	}
 
 	// A query whose store read raced the commit (StoreDecided=false but
@@ -111,18 +117,23 @@ func TestCoordinatorLifecycle(t *testing.T) {
 	if effs := m.Step(protocol.AckReceived{Kind: protocol.KindEnqueueCommitAck, TxnID: txn, From: "p", OK: true}); len(effs) != 0 {
 		t.Fatalf("duplicate ack produced effects: %+v", effs)
 	}
-	// Last ack clears the decision record and the timer.
+	// Last ack clears the decision record; the timers are left to fire.
 	effs = m.Step(protocol.AckReceived{Kind: protocol.KindRCECommitAck, TxnID: txn, From: "r", OK: true})
-	if len(pick[protocol.ClearDecision](effs)) != 1 || len(pick[protocol.CancelTimer](effs)) != 1 {
+	if len(pick[protocol.ClearDecision](effs)) != 1 || len(effs) != 1 {
 		t.Fatalf("final ack effects = %+v", effs)
 	}
 	if s := m.Stats(); s.CoordPendingCtl != 0 {
 		t.Fatalf("pending ctl after all acks: %+v", s)
 	}
-	// Fired timer for the settled transaction does nothing (one-shot,
-	// self-healing).
-	if effs := m.Step(protocol.TimerFired{ID: "ctl|" + txn}); len(effs) != 0 {
-		t.Fatalf("stale ctl timer produced effects: %+v", effs)
+	// The armed timers of the settled transaction fire into nothing and
+	// retire their slots (one-shot, self-healing).
+	for _, peer := range []string{"p", "r"} {
+		if effs := m.Step(protocol.TimerFired{ID: "pctl|" + peer}); len(effs) != 0 {
+			t.Fatalf("stale ctl timer produced effects: %+v", effs)
+		}
+	}
+	if n := m.SchedSlots(); n != 0 {
+		t.Fatalf("%d timer slots linger after the settled timers fired", n)
 	}
 
 	// Forgotten transaction: presumed abort.
@@ -160,7 +171,7 @@ func TestParticipantStagedLifecycle(t *testing.T) {
 		t.Fatalf("prepare effects = %+v", effs)
 	}
 	effs = m.Step(protocol.StageOutcome{TxnID: txn, OK: true})
-	if got := pick[protocol.ArmTimer](effs); len(got) != 1 || got[0].ID != "staged|"+txn {
+	if got := pick[protocol.ArmTimer](effs); len(got) != 1 || got[0].ID != "pquery|co" {
 		t.Fatalf("stage outcome effects = %+v", effs)
 	}
 	if s := m.Stats(); s.Staged != 1 {
@@ -168,7 +179,7 @@ func TestParticipantStagedLifecycle(t *testing.T) {
 	}
 
 	// The in-doubt timer queries the coordinator and re-arms.
-	effs = m.Step(protocol.TimerFired{ID: "staged|" + txn})
+	effs = m.Step(protocol.TimerFired{ID: "pquery|co"})
 	q := pick[protocol.SendMsg](effs)
 	if len(q) != 1 || q[0].Kind != protocol.KindTxnQuery || q[0].To != "co" {
 		t.Fatalf("staged timer effects = %+v", effs)
@@ -177,22 +188,25 @@ func TestParticipantStagedLifecycle(t *testing.T) {
 		t.Fatalf("staged timer did not re-arm: %+v", effs)
 	}
 
-	// The commit control resolves the stage, acks with the outcome, and
-	// cancels the query cycle.
+	// The commit control resolves the stage and acks with the outcome;
+	// the query cycle ends at its next fire.
 	effs = m.Step(protocol.CtlReceived{TxnID: txn, From: "co", Commit: true})
 	res := pick[protocol.ResolveStaged](effs)
 	if len(res) != 1 || !res[0].Commit || res[0].AckTo != "co" || res[0].AckKind != protocol.KindEnqueueCommitAck {
 		t.Fatalf("ctl effects = %+v", effs)
 	}
-	if len(pick[protocol.CancelTimer](effs)) != 1 {
-		t.Fatalf("staged timer not canceled: %+v", effs)
+	if len(effs) != 1 {
+		t.Fatalf("ctl produced extra effects: %+v", effs)
 	}
 	if s := m.Stats(); s.Staged != 0 {
 		t.Fatalf("staged state lingers: %+v", s)
 	}
-	// The timer that may already be in flight self-heals.
-	if effs := m.Step(protocol.TimerFired{ID: "staged|" + txn}); len(effs) != 0 {
+	// The still-armed timer fires into nothing and retires its slot.
+	if effs := m.Step(protocol.TimerFired{ID: "pquery|co"}); len(effs) != 0 {
 		t.Fatalf("stale staged timer produced effects: %+v", effs)
+	}
+	if n := m.SchedSlots(); n != 0 {
+		t.Fatalf("%d timer slots linger after the stale fire", n)
 	}
 }
 
@@ -228,7 +242,7 @@ func TestRCEBranchHappyPath(t *testing.T) {
 	if len(acks) != 1 || !acks[0].Payload.(*protocol.AckMsg).OK {
 		t.Fatalf("prepared effects = %+v", effs)
 	}
-	if got := pick[protocol.ArmTimer](effs); len(got) != 1 || got[0].ID != "branch|"+txn {
+	if got := pick[protocol.ArmTimer](effs); len(got) != 1 || got[0].ID != "pstale|co" {
 		t.Fatalf("stale-branch timer not armed: %+v", effs)
 	}
 	if got := pick[protocol.CountCompOps](effs); len(got) != 1 || got[0].N != 1 {
@@ -258,13 +272,13 @@ func TestRCEStaleBranchQueriesCoordinator(t *testing.T) {
 	const txn = "co#6"
 	m.Step(protocol.RCEExecReceived{TxnID: txn, From: "co", Ops: nil})
 	m.Step(protocol.BranchPrepared{TxnID: txn, OK: true})
-	effs := m.Step(protocol.TimerFired{ID: "branch|" + txn})
+	effs := m.Step(protocol.TimerFired{ID: "pstale|co"})
 	q := pick[protocol.SendMsg](effs)
 	if len(q) != 1 || q[0].Kind != protocol.KindTxnQuery || q[0].To != "co" {
 		t.Fatalf("stale branch timer = %+v", effs)
 	}
-	if len(pick[protocol.ArmTimer](effs)) != 1 {
-		t.Fatalf("stale branch timer did not re-arm: %+v", effs)
+	if got := pick[protocol.ArmTimer](effs); len(got) != 1 || got[0].ID != "pquery|co" {
+		t.Fatalf("stale branch did not enter the query cadence: %+v", effs)
 	}
 	// Presumed abort resolves it.
 	effs = m.Step(protocol.StatusReceived{TxnID: txn, Committed: false})
@@ -300,16 +314,19 @@ func TestNotifierResendCycle(t *testing.T) {
 	if len(pick[protocol.ResendDone](effs)) != 1 || len(pick[protocol.ArmTimer](effs)) != 1 {
 		t.Fatalf("done recorded = %+v", effs)
 	}
-	effs = m.Step(protocol.TimerFired{ID: "done|a1"})
+	effs = m.Step(protocol.TimerFired{ID: "pdone|own"})
 	if len(pick[protocol.ResendDone](effs)) != 1 || len(pick[protocol.ArmTimer](effs)) != 1 {
 		t.Fatalf("done timer = %+v", effs)
 	}
 	effs = m.Step(protocol.DoneAcked{AgentID: "a1"})
-	if len(pick[protocol.DropDone](effs)) != 1 || len(pick[protocol.CancelTimer](effs)) != 1 {
+	if len(pick[protocol.DropDone](effs)) != 1 || len(effs) != 1 {
 		t.Fatalf("done acked = %+v", effs)
 	}
-	if effs := m.Step(protocol.TimerFired{ID: "done|a1"}); len(effs) != 0 {
+	if effs := m.Step(protocol.TimerFired{ID: "pdone|own"}); len(effs) != 0 {
 		t.Fatalf("stale done timer = %+v", effs)
+	}
+	if n := m.SchedSlots(); n != 0 {
+		t.Fatalf("%d timer slots linger after the stale fire", n)
 	}
 	if s := m.Stats(); s.DonePending != 0 {
 		t.Fatalf("done state lingers: %+v", s)

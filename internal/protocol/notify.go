@@ -1,21 +1,18 @@
 package protocol
 
 // Notifier role: an agent's durable completion record must reach its
-// owner reliably. The record is sent when written, resent on a
-// per-agent timer, and garbage-collected on the owner's ack. Recovery
+// owner reliably. The record is sent when written, resent on the
+// per-owner timer, and garbage-collected on the owner's ack. Recovery
 // replays surviving records through DoneRecorded as well — the states
 // and edges are identical for the live and the recovered case.
 
 func (m *Machine) doneRecorded(e DoneRecorded) []Effect {
 	m.done[e.AgentID] = e.Owner
 	effs := []Effect{ResendDone{AgentID: e.AgentID}}
-	if m.batch() {
-		if e.Owner == "" {
-			return effs // unroutable record; nothing to retry against
-		}
-		return append(effs, m.enqueue(timerPeerDone, e.Owner, dueEntry{id: e.AgentID}, m.cfg.RetryInterval)...)
+	if e.Owner == "" {
+		return effs // unroutable record; nothing to retry against
 	}
-	return append(effs, ArmTimer{ID: timerID(timerDone, e.AgentID), D: m.cfg.RetryInterval})
+	return append(effs, m.enqueue(timerPeerDone, e.Owner, dueEntry{id: e.AgentID}, m.cfg.RetryInterval)...)
 }
 
 // doneAcked garbage-collects the completion record. The record is
@@ -23,21 +20,5 @@ func (m *Machine) doneRecorded(e DoneRecorded) []Effect {
 // the volatile state but before recovery replayed the record).
 func (m *Machine) doneAcked(e DoneAcked) []Effect {
 	delete(m.done, e.AgentID)
-	if m.batch() {
-		return []Effect{DropDone{AgentID: e.AgentID}}
-	}
-	return []Effect{
-		CancelTimer{ID: timerID(timerDone, e.AgentID)},
-		DropDone{AgentID: e.AgentID},
-	}
-}
-
-func (m *Machine) doneTimer(agentID string) []Effect {
-	if _, ok := m.done[agentID]; !ok {
-		return nil
-	}
-	return []Effect{
-		ResendDone{AgentID: agentID},
-		ArmTimer{ID: timerID(timerDone, agentID), D: m.cfg.RetryInterval},
-	}
+	return []Effect{DropDone{AgentID: e.AgentID}}
 }

@@ -66,47 +66,12 @@ func EventInfo(ev Event) (name, txnID, agentID string) {
 	case ReadyReached:
 		return "ReadyReached", "", ""
 	case TimerFired:
-		name, txnID, agentID = "TimerFired", "", ""
-		if kind, id, ok := splitTimerID(e.ID); ok {
-			switch {
-			case batchTimerClass(kind):
-				// Coalesced per-peer timer: the ID names a peer, and the
-				// fire concerns many transactions — no single subject.
-			case kind == timerDone:
-				agentID = id
-			default:
-				txnID = id
-			}
-		}
-		return name, txnID, agentID
+		// The ID names a peer, and the fire concerns many transactions —
+		// no single subject.
+		return "TimerFired", "", ""
 	default:
 		return "Event?", "", ""
 	}
-}
-
-// TimerInfo resolves a timer ID to the transaction or agent it tracks.
-// Coalesced per-peer timers ("pctl|..." etc.) track many transactions
-// and resolve to no subject; exactly one of the results is non-empty
-// for well-formed per-transaction IDs.
-func TimerInfo(timerID string) (txnID, agentID string) {
-	kind, id, ok := splitTimerID(timerID)
-	if !ok || batchTimerClass(kind) {
-		return "", ""
-	}
-	if kind == timerDone {
-		return "", id
-	}
-	return id, ""
-}
-
-// batchTimerClass reports whether kind names a coalesced per-peer timer
-// class from timers.go.
-func batchTimerClass(kind string) bool {
-	switch kind {
-	case timerPeerCtl, timerPeerQuery, timerPeerStale, timerPeerDone:
-		return true
-	}
-	return false
 }
 
 // StateOf labels the machine's current state for a subject: the

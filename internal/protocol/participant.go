@@ -1,7 +1,5 @@
 package protocol
 
-import "sort"
-
 // Participant role (queue hand-off): this node durably stages a
 // container insertion under the coordinator's transaction and waits
 // for the decision. States per transaction:
@@ -9,8 +7,8 @@ import "sort"
 //	(absent) --PrepareReceived--> staging --StageOutcome(ok)--> staged
 //	   staged --CtlReceived/StatusReceived--> (absent) + commit/abort of the stage
 //
-// A staged transaction with a remote coordinator is in-doubt: a
-// per-transaction timer queries the coordinator on RetryInterval until
+// A staged transaction with a remote coordinator is in-doubt: the
+// per-peer query timer asks the coordinator on RetryInterval until
 // the verdict arrives (presumed abort answers queries the coordinator
 // no longer remembers). Control messages and verdicts are idempotent
 // on the queue, so duplicates are harmless.
@@ -45,10 +43,7 @@ func (m *Machine) stageOutcome(e StageOutcome) []Effect {
 	if co == "" || co == m.cfg.Node {
 		return nil // self-coordinated: recovery resolves from the local decision record
 	}
-	if m.batch() {
-		return m.enqueue(timerPeerQuery, co, dueEntry{id: e.TxnID, aux: auxStaged}, m.cfg.RetryInterval)
-	}
-	return []Effect{ArmTimer{ID: timerID(timerStaged, e.TxnID), D: m.cfg.RetryInterval}}
+	return m.enqueue(timerPeerQuery, co, dueEntry{id: e.TxnID, aux: auxStaged}, m.cfg.RetryInterval)
 }
 
 // recoveredStaged replays a crash-surviving staged entry with a remote
@@ -60,10 +55,7 @@ func (m *Machine) recoveredStaged(e RecoveredStaged) []Effect {
 		return nil
 	}
 	effs := []Effect{SendMsg{To: co, Kind: KindTxnQuery, Payload: &CtlMsg{TxnID: e.TxnID}}}
-	if m.batch() {
-		return append(effs, m.enqueue(timerPeerQuery, co, dueEntry{id: e.TxnID, aux: auxStaged}, m.cfg.RetryInterval)...)
-	}
-	return append(effs, ArmTimer{ID: timerID(timerStaged, e.TxnID), D: m.cfg.RetryInterval})
+	return append(effs, m.enqueue(timerPeerQuery, co, dueEntry{id: e.TxnID, aux: auxStaged}, m.cfg.RetryInterval)...)
 }
 
 // ctlReceived applies the coordinator's explicit commit/abort. Queue
@@ -77,14 +69,7 @@ func (m *Machine) ctlReceived(e CtlReceived) []Effect {
 			ackKind = KindEnqueueCommitAck
 		}
 		m.dropStaged(e.TxnID)
-		resolve := ResolveStaged{TxnID: e.TxnID, Commit: e.Commit, AckTo: e.From, AckKind: ackKind}
-		if m.batch() {
-			return []Effect{resolve}
-		}
-		return []Effect{
-			CancelTimer{ID: timerID(timerStaged, e.TxnID)},
-			resolve,
-		}
+		return []Effect{ResolveStaged{TxnID: e.TxnID, Commit: e.Commit, AckTo: e.From, AckKind: ackKind}}
 	}
 	ackKind := KindRCEAbortAck
 	if e.Commit {
@@ -104,42 +89,10 @@ func (m *Machine) ctlReceived(e CtlReceived) []Effect {
 // and the crash-surviving branch record. extra effects are appended
 // after the resolution set.
 func (m *Machine) resolve(txnID string, commit bool, extra []Effect) []Effect {
-	var effs []Effect
-	if !m.batch() {
-		effs = append(effs, CancelTimer{ID: timerID(timerStaged, txnID)})
-	}
-	effs = append(effs, ResolveStaged{TxnID: txnID, Commit: commit})
+	effs := []Effect{ResolveStaged{TxnID: txnID, Commit: commit}}
 	m.dropStaged(txnID)
 	effs = append(effs, m.resolveBranch(txnID, commit)...)
 	return append(effs, extra...)
 }
 
 func (m *Machine) dropStaged(txnID string) { delete(m.staged, txnID) }
-
-// stagedTimer re-asks the coordinator about one in-doubt staged entry.
-func (m *Machine) stagedTimer(txnID string) []Effect {
-	co, ok := m.staged[txnID]
-	if !ok || co == "" || co == m.cfg.Node {
-		return nil
-	}
-	return []Effect{
-		SendMsg{To: co, Kind: KindTxnQuery, Payload: &CtlMsg{TxnID: txnID}},
-		ArmTimer{ID: timerID(timerStaged, txnID), D: m.cfg.RetryInterval},
-	}
-}
-
-// sortSends orders a run of SendMsg effects by (To, Kind) so effects
-// derived from map iteration stay deterministic.
-func sortSends(effs []Effect) {
-	sort.SliceStable(effs, func(i, j int) bool {
-		a, aok := effs[i].(SendMsg)
-		b, bok := effs[j].(SendMsg)
-		if !aok || !bok {
-			return false
-		}
-		if a.To != b.To {
-			return a.To < b.To
-		}
-		return a.Kind < b.Kind
-	})
-}

@@ -65,7 +65,7 @@ func runRCEPermutation(t *testing.T, seq []byte) {
 
 	outstanding := 0         // ExecBranch effects not yet completed
 	parked := false          // a prepared branch transaction is parked (driver side)
-	timerArmed := false      // branch|txn timer currently armed
+	timerArmed := false      // pstale|co armed (nothing fires it here, so it stays armed)
 	abortSeen := false       // an abort verdict was delivered...
 	abortDuringLife := false // ...while the machine held branch state
 
@@ -79,12 +79,8 @@ func runRCEPermutation(t *testing.T, seq []byte) {
 			case protocol.AbortBranch:
 				parked = false
 			case protocol.ArmTimer:
-				if e.ID == "branch|"+txn {
+				if e.ID == "pstale|co" {
 					timerArmed = true
-				}
-			case protocol.CancelTimer:
-				if e.ID == "branch|"+txn {
-					timerArmed = false
 				}
 			}
 		}

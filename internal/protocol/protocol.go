@@ -9,7 +9,7 @@
 // a timer firing, a local decision of the worker (begin / decide /
 // execution finished), or a recovery replay — and returns the list of
 // Effects the driver must apply: outbound messages, stable-store
-// writes, prepared-transaction commits/aborts, timer arm/cancel, and
+// writes, prepared-transaction commits/aborts, timer arms, and
 // metric counts. The machine never starts a goroutine, owns no
 // channel, and performs no I/O; facts that live in stable storage (the
 // presumed-abort decision record) are passed in on the event by the
@@ -46,12 +46,6 @@ type Config struct {
 	// before the participant starts querying its coordinator
 	// (2*AckTimeout in node terms).
 	StaleAfter time.Duration
-	// NoCtlBatch restores the per-transaction control-plane timers of
-	// PR ≤9 (one ctl-resend/in-doubt-query/notification timer per txn,
-	// eagerly canceled). The default false runs the coalesced
-	// per-(peer, class) scheduler of timers.go. A/B comparisons and the
-	// loadgen -noctlbatch flag only.
-	NoCtlBatch bool
 }
 
 func (c *Config) fillDefaults() {
@@ -336,9 +330,6 @@ type ArmTimer struct {
 	D  time.Duration
 }
 
-// CancelTimer disarms the named timer.
-type CancelTimer struct{ ID string }
-
 // CountCompOps bumps the compensating-operations metric (the branch
 // prepared successfully).
 type CountCompOps struct{ N int64 }
@@ -355,7 +346,6 @@ func (ClearDecision) isEffect()       {}
 func (ResendDone) isEffect()          {}
 func (DropDone) isEffect()            {}
 func (ArmTimer) isEffect()            {}
-func (CancelTimer) isEffect()         {}
 func (CountCompOps) isEffect()        {}
 
 // --- transition dispatch ----------------------------------------------
@@ -459,18 +449,11 @@ func Coordinator(txnID string) string {
 
 // --- timer identifiers ------------------------------------------------
 
-// Timer ID namespaces. IDs are "<kind>|<txn or agent id>".
-const (
-	timerCtl    = "ctl"    // coordinator ctl-resend cycle per txn
-	timerStaged = "staged" // participant in-doubt query per staged txn
-	timerBranch = "branch" // participant stale-branch query per branch
-	timerDone   = "done"   // owner notification resend per agent
-)
+// Timer IDs are "<class>|<peer>"; the classes are in timers.go.
+func timerID(class, peer string) string { return class + "|" + peer }
 
-func timerID(kind, id string) string { return kind + "|" + id }
-
-// splitTimerID splits "<kind>|<id>"; ok=false for malformed IDs.
-func splitTimerID(tid string) (kind, id string, ok bool) {
+// splitTimerID splits "<class>|<peer>"; ok=false for malformed IDs.
+func splitTimerID(tid string) (class, peer string, ok bool) {
 	i := strings.Index(tid, "|")
 	if i < 0 {
 		return "", "", false
@@ -478,31 +461,23 @@ func splitTimerID(tid string) (kind, id string, ok bool) {
 	return tid[:i], tid[i+1:], true
 }
 
-// timerFired dispatches an expired timer to its role. A timer whose
-// subject is gone (resolved between arm and fire) produces no effects
-// and is not re-armed — timers are one-shot and self-healing.
+// timerFired dispatches an expired timer to its class. A fire whose
+// obligations are all gone (resolved between arm and fire) produces no
+// effects and is not re-armed — timers are one-shot and self-healing.
 func (m *Machine) timerFired(e TimerFired) []Effect {
-	kind, id, ok := splitTimerID(e.ID)
+	class, peer, ok := splitTimerID(e.ID)
 	if !ok {
 		return nil
 	}
-	switch kind {
-	case timerCtl:
-		return m.ctlTimer(id)
-	case timerStaged:
-		return m.stagedTimer(id)
-	case timerBranch:
-		return m.branchTimer(id)
-	case timerDone:
-		return m.doneTimer(id)
+	switch class {
 	case timerPeerCtl:
-		return m.peerCtlTimer(id)
+		return m.peerCtlTimer(peer)
 	case timerPeerQuery:
-		return m.peerQueryTimer(id)
+		return m.peerQueryTimer(peer)
 	case timerPeerStale:
-		return m.peerStaleTimer(id)
+		return m.peerStaleTimer(peer)
 	case timerPeerDone:
-		return m.peerDoneTimer(id)
+		return m.peerDoneTimer(peer)
 	default:
 		return nil
 	}

@@ -27,8 +27,9 @@ package protocol
 // (rceInFlight/rceAborted) is now this ordinary transition.
 //
 // A prepared branch left undecided for StaleAfter starts querying its
-// coordinator (the coordinator may have aborted silently); the timer
-// then re-arms on RetryInterval.
+// coordinator (the coordinator may have aborted silently — presumed
+// abort never pushes a verdict on its own), then re-asks on
+// RetryInterval.
 
 // branchState is the lifecycle position of one RCE branch.
 type branchState int
@@ -83,16 +84,9 @@ func (m *Machine) rceExecReceived(e RCEExecReceived) []Effect {
 		}
 	}
 	m.branches[e.TxnID] = &branch{state: branchExecuting, replyTo: e.From, ops: int64(len(e.Ops))}
-	exec := ExecBranch{TxnID: e.TxnID, ReplyTo: e.From, Ops: e.Ops}
-	if m.batch() {
-		// Any queued stale/query entry for the previous incarnation is
-		// filtered lazily at the next per-peer fire.
-		return []Effect{exec}
-	}
-	return []Effect{
-		CancelTimer{ID: timerID(timerBranch, e.TxnID)},
-		exec,
-	}
+	// Any queued stale/query entry for the previous incarnation is
+	// filtered lazily at the next per-peer fire.
+	return []Effect{ExecBranch{TxnID: e.TxnID, ReplyTo: e.From, Ops: e.Ops}}
 }
 
 // branchPrepared lands the driver's execution result on the current
@@ -151,9 +145,6 @@ func (m *Machine) branchPrepared(e BranchPrepared) []Effect {
 			Payload: &AckMsg{TxnID: e.TxnID, OK: true},
 		},
 	}
-	if !m.batch() {
-		return append(effs, ArmTimer{ID: timerID(timerBranch, e.TxnID), D: m.cfg.StaleAfter})
-	}
 	co := Coordinator(e.TxnID)
 	if co == "" || co == m.cfg.Node {
 		// No remote coordinator to query; the verdict arrives locally.
@@ -176,14 +167,10 @@ func (m *Machine) resolveBranch(txnID string, commit bool) []Effect {
 	switch b.state {
 	case branchPrepared:
 		delete(m.branches, txnID)
-		eff := Effect(CommitBranch{TxnID: txnID})
 		if !commit {
-			eff = AbortBranch{TxnID: txnID}
+			return []Effect{AbortBranch{TxnID: txnID}}
 		}
-		if m.batch() {
-			return []Effect{eff}
-		}
-		return []Effect{CancelTimer{ID: timerID(timerBranch, txnID)}, eff}
+		return []Effect{CommitBranch{TxnID: txnID}}
 	case branchExecuting:
 		if !commit {
 			// The abort overtook the branch: its RCE execution is still
@@ -196,13 +183,7 @@ func (m *Machine) resolveBranch(txnID string, commit bool) []Effect {
 		return []Effect{ResolveBranchRecord{TxnID: txnID, Commit: commit}}
 	case branchInDoubt:
 		delete(m.branches, txnID)
-		if m.batch() {
-			return []Effect{ResolveBranchRecord{TxnID: txnID, Commit: commit}}
-		}
-		return []Effect{
-			CancelTimer{ID: timerID(timerBranch, txnID)},
-			ResolveBranchRecord{TxnID: txnID, Commit: commit},
-		}
+		return []Effect{ResolveBranchRecord{TxnID: txnID, Commit: commit}}
 	}
 	return nil
 }
@@ -221,26 +202,5 @@ func (m *Machine) recoveredBranch(e RecoveredBranch) []Effect {
 		return nil
 	}
 	effs := []Effect{SendMsg{To: co, Kind: KindTxnQuery, Payload: &CtlMsg{TxnID: e.TxnID}}}
-	if m.batch() {
-		return append(effs, m.enqueue(timerPeerQuery, co, dueEntry{id: e.TxnID, aux: auxBranch}, m.cfg.RetryInterval)...)
-	}
-	return append(effs, ArmTimer{ID: timerID(timerBranch, e.TxnID), D: m.cfg.RetryInterval})
-}
-
-// branchTimer queries the coordinator about a branch that has sat
-// undecided past its threshold (the coordinator may have aborted
-// silently — presumed abort never pushes a verdict on its own).
-func (m *Machine) branchTimer(txnID string) []Effect {
-	b, ok := m.branches[txnID]
-	if !ok || (b.state != branchPrepared && b.state != branchInDoubt) {
-		return nil
-	}
-	co := Coordinator(txnID)
-	if co == "" || co == m.cfg.Node {
-		return nil
-	}
-	return []Effect{
-		SendMsg{To: co, Kind: KindTxnQuery, Payload: &CtlMsg{TxnID: txnID}},
-		ArmTimer{ID: timerID(timerBranch, txnID), D: m.cfg.RetryInterval},
-	}
+	return append(effs, m.enqueue(timerPeerQuery, co, dueEntry{id: e.TxnID, aux: auxBranch}, m.cfg.RetryInterval)...)
 }

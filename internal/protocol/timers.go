@@ -2,15 +2,14 @@ package protocol
 
 import "time"
 
-// Coalesced control-plane timers (PR-10). The per-transaction resend and
-// in-doubt-query timers of PR ≤9 arm one wheel timer per in-flight
-// transaction: 10k in-flight transactions mean 10k armed timers and 10k
-// single-message resend frames per interval — exactly the ack/resend
-// saturation the PR-6 in-flight sweep measured. The batch scheduler
-// replaces them with one timer per (peer, class): every obligation of
-// one class headed to the same peer shares a timer and drains as one
-// multi-transaction frame, so armed timers scale O(peers) and resend
-// traffic O(peers · classes) instead of O(txns).
+// Control-plane timers. One wheel timer per in-flight transaction
+// means 10k armed timers and 10k single-message resend frames per
+// interval at 10k in-flight transactions — the ack/resend saturation
+// the PR-6 in-flight sweep measured. Instead there is one timer per
+// (peer, class): every obligation of one class headed to the same peer
+// shares a timer and drains as one multi-transaction frame, so armed
+// timers scale O(peers) and resend traffic O(peers · classes) instead
+// of O(txns).
 //
 // Mechanics: each (class, peer) slot keeps a two-bucket due-list. An
 // enqueue lands in `due` and arms the wheel timer when the slot is idle,
@@ -18,10 +17,9 @@ import "time"
 // promotes `pending`, filters every drained entry against the
 // authoritative role maps (coord/staged/branches/done) and emits one
 // batched frame for the survivors — a single survivor goes out as the
-// legacy per-transaction message, so mixed-version peers and the
-// unbatched receive path stay byte-identical. Survivors re-enqueue
-// (re-arming the timer); an entry therefore fires between 1× and 2× its
-// interval after enqueue, never early.
+// plain per-transaction message. Survivors re-enqueue (re-arming the
+// timer); an entry therefore fires between 1× and 2× its interval
+// after enqueue, never early.
 //
 // Removal is lazy: resolving a transaction does NOT cancel anything.
 // The next fire filters the dead entry out, and a slot whose buckets
@@ -29,22 +27,20 @@ import "time"
 // silent within one interval, which is what the fuzz quiescence
 // invariant (fire every armed timer, demand no re-arm) pins.
 //
-// Timer IDs are "<class>|<peer>". Classes (distinct from the per-txn
-// kinds so legacy and batch IDs can never collide):
+// Timer IDs are "<class>|<peer>". Classes:
 const (
 	// timerPeerCtl coalesces the coordinator's commit-control resends
-	// per participant peer (replaces timerCtl).
+	// per participant peer.
 	timerPeerCtl = "pctl"
 	// timerPeerQuery coalesces in-doubt queries — staged entries and
-	// recovered/stale branches — per coordinator peer (replaces
-	// timerStaged and the query cadence of timerBranch).
+	// recovered/stale branches — per coordinator peer.
 	timerPeerQuery = "pquery"
 	// timerPeerStale coalesces the StaleAfter threshold of prepared
 	// branches per coordinator peer; a fire hands the still-prepared
-	// branches to timerPeerQuery (replaces the first timerBranch arm).
+	// branches to timerPeerQuery.
 	timerPeerStale = "pstale"
 	// timerPeerDone coalesces completion-notification resends per owner
-	// peer (replaces timerDone).
+	// peer.
 	timerPeerDone = "pdone"
 )
 
@@ -84,10 +80,6 @@ type peerSched struct {
 	pending []dueEntry // enqueued while armed; promoted on fire
 	queued  map[dueEntry]struct{}
 }
-
-// batch reports whether the coalesced control-plane timers are active
-// (the default; Config.NoCtlBatch restores the per-txn timers).
-func (m *Machine) batch() bool { return !m.cfg.NoCtlBatch }
 
 // enqueue registers one obligation on the (class, peer) slot, arming the
 // shared wheel timer when the slot was idle. Duplicate entries (already
@@ -186,8 +178,7 @@ func (m *Machine) peerCtlTimer(peer string) []Effect {
 	case 0:
 		return effs
 	case 1:
-		// A lone survivor travels as the legacy per-transaction control,
-		// byte-identical to the unbatched path.
+		// A lone survivor travels as the plain per-transaction control.
 		p := Participant{Node: peer, Kind: PartQueue}
 		if items[0].RCE {
 			p.Kind = PartRCE
@@ -234,7 +225,7 @@ func (m *Machine) queryLive(peer string, e dueEntry) bool {
 	return false
 }
 
-// querySend emits the in-doubt queries for txns as one frame (legacy
+// querySend emits the in-doubt queries for txns as one frame (the plain
 // single-transaction query when only one survived).
 func (m *Machine) querySend(peer string, txns []string) []Effect {
 	switch len(txns) {
@@ -250,8 +241,7 @@ func (m *Machine) querySend(peer string, txns []string) []Effect {
 // peerStaleTimer fires the StaleAfter threshold for prepared branches
 // coordinated by one peer: every branch still prepared starts the query
 // cadence (an immediate query, then RetryInterval re-asks via
-// timerPeerQuery) — the same first-query-after-StaleAfter behaviour the
-// per-txn branch timer had.
+// timerPeerQuery).
 func (m *Machine) peerStaleTimer(peer string) []Effect {
 	fired := m.takeDue(timerPeerStale, peer, func(e dueEntry) bool {
 		b, ok := m.branches[e.id]
@@ -281,6 +271,6 @@ func (m *Machine) peerDoneTimer(peer string) []Effect {
 	return append(effs, m.rearm(timerPeerDone, peer, m.cfg.RetryInterval)...)
 }
 
-// SchedSlots reports the number of (class, peer) timer slots the batch
-// scheduler currently tracks; tests use it to pin the O(peers) bound.
+// SchedSlots reports the number of (class, peer) timer slots the machine
+// currently tracks; tests use it to pin the O(peers) bound.
 func (m *Machine) SchedSlots() int { return len(m.scheds) }

@@ -2,25 +2,15 @@ package protocol_test
 
 import (
 	"fmt"
+	"maps"
 	"testing"
-	"time"
 
 	"repro/internal/protocol"
 )
 
-// newBatch builds a ready machine in the default coalesced-timer mode.
 // Interval choices are irrelevant to these tests: the machine is pure,
 // so a "fire" is just Step(TimerFired{...}) — the tests single-step the
 // clock by hand, which is what makes coalesced firing deterministic.
-func newBatch(node string) *protocol.Machine {
-	m := protocol.NewMachine(protocol.Config{
-		Node:          node,
-		RetryInterval: 50 * time.Millisecond,
-		StaleAfter:    300 * time.Millisecond,
-	})
-	m.Step(protocol.ReadyReached{})
-	return m
-}
 
 // armedIDs returns the IDs of every ArmTimer effect, in order.
 func armedIDs(effs []protocol.Effect) []string {
@@ -44,7 +34,7 @@ func decide(m *protocol.Machine, txn, peer string) []protocol.Effect {
 // resend timer, and a fire with more than one survivor emits one
 // multi-transaction CtlBatchMsg frame instead of N singles.
 func TestPeerCtlTimerCoalescesResends(t *testing.T) {
-	m := newBatch("co")
+	m := newReady("co")
 
 	// First decision arms the shared (pctl, p) timer...
 	if ids := armedIDs(decide(m, "co#1", "p")); len(ids) != 1 || ids[0] != "pctl|p" {
@@ -60,7 +50,7 @@ func TestPeerCtlTimerCoalescesResends(t *testing.T) {
 
 	// First fire drains only the due bucket (co#1 — enqueued a full
 	// interval ago); co#2 was pending and is promoted. A single
-	// survivor travels as the legacy per-transaction frame.
+	// survivor travels as the plain per-transaction frame.
 	effs := m.Step(protocol.TimerFired{ID: "pctl|p"})
 	sends := pick[protocol.SendMsg](effs)
 	if len(sends) != 1 || sends[0].Kind != protocol.KindEnqueueCommit {
@@ -91,17 +81,17 @@ func TestPeerCtlTimerCoalescesResends(t *testing.T) {
 		t.Fatalf("batch items = %+v, want co#1+co#2", items)
 	}
 
-	// Retirement is lazy: the ack cancels nothing, the next fire
-	// filters the dead entry and resends only the survivor.
+	// Retirement is lazy: the ack only clears the decision record, the
+	// next fire filters the dead entry and resends only the survivor.
 	effs = m.Step(protocol.AckReceived{Kind: protocol.KindEnqueueCommitAck, TxnID: "co#1", From: "p", OK: true})
-	if n := len(pick[protocol.CancelTimer](effs)); n != 0 {
-		t.Fatalf("ack canceled %d timers, want lazy retirement", n)
+	if len(effs) != 1 || len(pick[protocol.ClearDecision](effs)) != 1 {
+		t.Fatalf("ack effects = %+v, want only ClearDecision (lazy retirement)", effs)
 	}
 	effs = m.Step(protocol.TimerFired{ID: "pctl|p"})
 	sends = pick[protocol.SendMsg](effs)
 	if len(sends) != 1 || sends[0].Kind != protocol.KindEnqueueCommit ||
 		sends[0].Payload.(*protocol.CtlMsg).TxnID != "co#2" {
-		t.Fatalf("post-ack fire sends = %+v, want lone co#2 legacy frame", sends)
+		t.Fatalf("post-ack fire sends = %+v, want lone co#2 plain frame", sends)
 	}
 
 	// Last ack, then the fire on fully dead state: no send, no re-arm,
@@ -121,7 +111,7 @@ func TestPeerCtlTimerCoalescesResends(t *testing.T) {
 // timer: the fire emits one QueryBatchMsg with per-transaction dedup
 // (a staged entry and a branch of the same transaction ask once).
 func TestPeerQueryTimerCoalescesInDoubt(t *testing.T) {
-	m := newBatch("p")
+	m := newReady("p")
 
 	stage := func(txn string) []protocol.Effect {
 		m.Step(protocol.PrepareReceived{TxnID: txn, EntryID: "e-" + txn, From: "co", Data: []byte("x")})
@@ -177,7 +167,7 @@ func TestPeerQueryTimerCoalescesInDoubt(t *testing.T) {
 // coordinator immediately and moves the branch onto the shared query
 // cadence.
 func TestPeerStaleTimerHandsOffToQuery(t *testing.T) {
-	m := newBatch("r")
+	m := newReady("r")
 
 	m.Step(protocol.RCEExecReceived{TxnID: "co#9", From: "co"})
 	effs := m.Step(protocol.BranchPrepared{TxnID: "co#9", OK: true})
@@ -212,7 +202,7 @@ func TestPeerStaleTimerHandsOffToQuery(t *testing.T) {
 // ResendDone effects (the driver re-reads the durable record) and
 // retire lazily on ack.
 func TestPeerDoneTimerCoalesces(t *testing.T) {
-	m := newBatch("n")
+	m := newReady("n")
 
 	if ids := armedIDs(m.Step(protocol.DoneRecorded{AgentID: "a1", Owner: "own"})); len(ids) != 1 || ids[0] != "pdone|own" {
 		t.Fatalf("first done armed %v, want [pdone|own]", ids)
@@ -229,8 +219,8 @@ func TestPeerDoneTimerCoalesces(t *testing.T) {
 	}
 
 	effs = m.Step(protocol.DoneAcked{AgentID: "a1"})
-	if n := len(pick[protocol.CancelTimer](effs)); n != 0 {
-		t.Fatalf("done ack canceled %d timers, want lazy retirement", n)
+	if len(effs) != 1 || len(pick[protocol.DropDone](effs)) != 1 {
+		t.Fatalf("done ack effects = %+v, want only DropDone (lazy retirement)", effs)
 	}
 	effs = m.Step(protocol.TimerFired{ID: "pdone|own"})
 	resends = pick[protocol.ResendDone](effs)
@@ -246,108 +236,91 @@ func TestPeerDoneTimerCoalesces(t *testing.T) {
 }
 
 // TestBatchTimersScaleWithPeersNotTxns is the acceptance pin: with 1000
-// in-flight transactions spread over 4 peers, the coalesced scheduler
-// arms exactly one timer per peer, where the legacy mode arms one per
-// transaction.
+// in-flight transactions spread over 4 peers, the scheduler arms exactly
+// one timer per peer — the oracle is the set of distinct destinations in
+// the input, not the number of transactions.
 func TestBatchTimersScaleWithPeersNotTxns(t *testing.T) {
 	const txns, peers = 1000, 4
 
-	armTotal := func(m *protocol.Machine) int {
-		total := 0
-		for i := 0; i < txns; i++ {
-			total += len(armedIDs(decide(m, fmt.Sprintf("co#%d", i), fmt.Sprintf("p%d", i%peers))))
-		}
-		return total
+	m := newReady("co")
+	dests := map[string]bool{}
+	armed := 0
+	for i := 0; i < txns; i++ {
+		peer := fmt.Sprintf("p%d", i%peers)
+		dests[peer] = true
+		armed += len(armedIDs(decide(m, fmt.Sprintf("co#%d", i), peer)))
 	}
-
-	m := newBatch("co")
-	if got := armTotal(m); got != peers {
-		t.Errorf("batch mode armed %d timers for %d txns, want %d (one per peer)", got, txns, peers)
+	if armed != len(dests) {
+		t.Errorf("armed %d timers for %d txns, want %d (one per peer)", armed, txns, len(dests))
 	}
-	if got := m.SchedSlots(); got != peers {
-		t.Errorf("batch mode SchedSlots = %d, want %d", got, peers)
-	}
-
-	legacy := newReady("co") // NoCtlBatch
-	if got := armTotal(legacy); got != txns {
-		t.Errorf("legacy mode armed %d timers, want one per txn (%d)", got, txns)
-	}
-	if got := legacy.SchedSlots(); got != 0 {
-		t.Errorf("legacy mode SchedSlots = %d, want 0", got)
+	if got := m.SchedSlots(); got != len(dests) {
+		t.Errorf("SchedSlots = %d, want %d", got, len(dests))
 	}
 }
 
 // TestBatchedFramesMatchUnbatchedPerTxn is the differential check: the
 // per-transaction (destination, kind, txn) resend obligations carried
 // by batched frames, once exploded item-by-item the way the receive
-// path does, are exactly the set the legacy per-transaction timers
-// send. Only the framing changes, never the protocol content.
+// path does, are exactly the set the decided transactions owe — the
+// oracle computed from the inputs. The framing never changes the
+// protocol content.
 func TestBatchedFramesMatchUnbatchedPerTxn(t *testing.T) {
 	parts := map[string]protocol.PartKind{
 		"co#1": protocol.PartQueue,
 		"co#2": protocol.PartRCE,
 		"co#3": protocol.PartQueue,
 	}
-	driveAll := func(m *protocol.Machine) []protocol.Effect {
-		var armed []string
-		for txn, kind := range parts {
-			effs := m.Step(protocol.CoordDecided{TxnID: txn, Commit: true, Parts: []protocol.Participant{
-				{Node: "p", Kind: kind},
-			}})
-			armed = append(armed, armedIDs(effs)...)
+	want := map[string]bool{}
+	for txn, kind := range parts {
+		ctl := protocol.KindEnqueueCommit
+		if kind == protocol.PartRCE {
+			ctl = protocol.KindRCECommit
 		}
-		// Fire every armed timer twice: in batch mode the first fire
-		// drains the due bucket and promotes the rest, the second
-		// drains everything (plus re-sends the first survivor — set
-		// semantics below absorb the duplicate).
-		var out []protocol.Effect
-		for pass := 0; pass < 2; pass++ {
-			for _, id := range armed {
-				out = append(out, m.Step(protocol.TimerFired{ID: id})...)
-			}
-		}
-		return out
+		want["p/"+ctl+"/"+txn] = true
 	}
 
-	// explode flattens sends into per-transaction obligations, undoing
-	// the batch framing exactly like the dispatcher's receive path.
-	explode := func(effs []protocol.Effect) map[string]bool {
-		set := map[string]bool{}
-		for _, s := range pick[protocol.SendMsg](effs) {
-			switch p := s.Payload.(type) {
-			case *protocol.CtlMsg:
-				set[s.To+"/"+s.Kind+"/"+p.TxnID] = true
-			case *protocol.CtlBatchMsg:
-				for _, it := range p.Items {
-					kind := protocol.KindEnqueueCommit
-					if it.RCE {
-						kind = protocol.KindRCECommit
-					}
-					if !it.Commit {
-						t.Fatalf("abort in resend batch: %+v", it)
-					}
-					set[s.To+"/"+kind+"/"+it.TxnID] = true
+	m := newReady("co")
+	var armed []string
+	for txn, kind := range parts {
+		effs := m.Step(protocol.CoordDecided{TxnID: txn, Commit: true, Parts: []protocol.Participant{
+			{Node: "p", Kind: kind},
+		}})
+		armed = append(armed, armedIDs(effs)...)
+	}
+	// Fire every armed timer twice: the first fire drains the due
+	// bucket and promotes the rest, the second drains everything (plus
+	// re-sends the first survivor — set semantics below absorb the
+	// duplicate).
+	var resent []protocol.Effect
+	for pass := 0; pass < 2; pass++ {
+		for _, id := range armed {
+			resent = append(resent, m.Step(protocol.TimerFired{ID: id})...)
+		}
+	}
+
+	// Flatten sends into per-transaction obligations, undoing the batch
+	// framing exactly like the dispatcher's receive path.
+	got := map[string]bool{}
+	for _, s := range pick[protocol.SendMsg](resent) {
+		switch p := s.Payload.(type) {
+		case *protocol.CtlMsg:
+			got[s.To+"/"+s.Kind+"/"+p.TxnID] = true
+		case *protocol.CtlBatchMsg:
+			for _, it := range p.Items {
+				kind := protocol.KindEnqueueCommit
+				if it.RCE {
+					kind = protocol.KindRCECommit
 				}
-			default:
-				t.Fatalf("unexpected resend payload %T", p)
+				if !it.Commit {
+					t.Fatalf("abort in resend batch: %+v", it)
+				}
+				got[s.To+"/"+kind+"/"+it.TxnID] = true
 			}
-		}
-		return set
-	}
-
-	batched := explode(driveAll(newBatch("co")))
-	legacy := explode(driveAll(newReady("co")))
-	if len(batched) != len(parts) || len(legacy) != len(parts) {
-		t.Fatalf("obligation sets: batched %d, legacy %d, want %d each", len(batched), len(legacy), len(parts))
-	}
-	for k := range legacy {
-		if !batched[k] {
-			t.Errorf("legacy obligation %q missing from batched set", k)
+		default:
+			t.Fatalf("unexpected resend payload %T", p)
 		}
 	}
-	for k := range batched {
-		if !legacy[k] {
-			t.Errorf("batched obligation %q missing from legacy set", k)
-		}
+	if !maps.Equal(got, want) {
+		t.Fatalf("resend obligations = %v, want %v", got, want)
 	}
 }

@@ -29,11 +29,10 @@ type Op uint8
 const (
 	// OpTransition is one Machine.Step: event in, state edge, effects out.
 	OpTransition Op = iota + 1
-	// OpTimerArm / OpTimerFire / OpTimerCancel follow a protocol timer
-	// through the wheel. Name carries the timer ID ("kind|subject").
+	// OpTimerArm / OpTimerFire follow a protocol timer through the
+	// wheel. Name carries the timer ID ("class|peer").
 	OpTimerArm
 	OpTimerFire
-	OpTimerCancel
 	// OpWireSend / OpWireRecv are one protocol message leaving or
 	// entering the node. Name is the message kind, A the peer, N bytes.
 	OpWireSend
@@ -72,22 +71,21 @@ const (
 )
 
 var opNames = [...]string{
-	OpTransition:  "transition",
-	OpTimerArm:    "timer-arm",
-	OpTimerFire:   "timer-fire",
-	OpTimerCancel: "timer-cancel",
-	OpWireSend:    "wire-send",
-	OpWireRecv:    "wire-recv",
-	OpBatchFlush:  "batch-flush",
-	OpSchedClaim:  "sched-claim",
-	OpSchedRetry:  "sched-retry",
-	OpSchedAbort:  "sched-abort",
-	OpAgentStep:   "agent-step",
-	OpStable:      "stable",
-	OpMember:      "member",
-	OpMigrate:     "migrate",
-	OpCtlFlush:    "ctl-flush",
-	OpPiggyback:   "piggyback",
+	OpTransition: "transition",
+	OpTimerArm:   "timer-arm",
+	OpTimerFire:  "timer-fire",
+	OpWireSend:   "wire-send",
+	OpWireRecv:   "wire-recv",
+	OpBatchFlush: "batch-flush",
+	OpSchedClaim: "sched-claim",
+	OpSchedRetry: "sched-retry",
+	OpSchedAbort: "sched-abort",
+	OpAgentStep:  "agent-step",
+	OpStable:     "stable",
+	OpMember:     "member",
+	OpMigrate:    "migrate",
+	OpCtlFlush:   "ctl-flush",
+	OpPiggyback:  "piggyback",
 }
 
 func (o Op) String() string {

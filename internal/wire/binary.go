@@ -17,9 +17,9 @@ import (
 // *frame* is the TCP transport's unit: a magic byte and a length prefix
 // around one routed message (see network's frame codec). Both lead-in
 // bytes live in the 0x80..0xF7 window that can never start a gob stream
-// (see scalar.go), so a decoder distinguishes binary from legacy gob
-// payloads by looking at one byte — that is the whole version/fallback
-// story: decoders always accept both formats, encoders choose.
+// (see scalar.go), so gob bytes handed to a binary decoder fail on the
+// first byte with ErrCorrupt instead of being misparsed. There is no
+// fallback: a message type with a binary codec travels only in it.
 //
 // Type-byte registry. Payload type bytes are partitioned by owning
 // package so they cannot collide:
@@ -31,16 +31,13 @@ import (
 // or renumber a released type byte; the wire format is a compatibility
 // surface.
 const (
-	// BinaryVersion is the first byte of every binary payload. It is
-	// outside gob's first-byte range, so Binary(data) cheaply routes a
-	// payload to the right decoder. Bump means a new, incompatible
-	// payload layout; decoders reject unknown versions rather than
-	// guessing.
+	// BinaryVersion is the first byte of every binary payload. Bump
+	// means a new, incompatible payload layout; decoders reject unknown
+	// versions rather than guessing.
 	BinaryVersion byte = 0x90
 	// FrameMagic is the first byte of every binary transport frame
-	// (the TCP endpoint's length-prefixed unit). Also outside gob's
-	// first-byte range, so one sniffed byte classifies a connection as
-	// framed-binary or legacy gob stream.
+	// (the TCP endpoint's length-prefixed unit); a connection that
+	// opens with anything else is closed.
 	FrameMagic byte = 0x91
 )
 
@@ -62,12 +59,6 @@ var ErrCorrupt = errors.New("wire: corrupt binary encoding")
 type BinaryMessage interface {
 	AppendTo(buf []byte) []byte
 	DecodeFrom(buf []byte) error
-}
-
-// Binary reports whether data starts a binary payload (as opposed to a
-// legacy gob encoding).
-func Binary(data []byte) bool {
-	return len(data) > 0 && data[0] == BinaryVersion
 }
 
 // SplitBinary validates the two-byte payload header and returns the

@@ -104,7 +104,7 @@ func TestBinaryLeadInBytesOutsideGobRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if Binary(enc) {
-		t.Fatal("gob encoding misdetected as binary payload")
+	if _, _, err := SplitBinary(enc); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("gob encoding accepted as binary payload: %v", err)
 	}
 }
