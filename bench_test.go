@@ -1,7 +1,6 @@
 package repro_test
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 	"time"
@@ -104,9 +103,7 @@ func BenchmarkFig2LogEncode(b *testing.B) {
 
 // BenchmarkWireCodec: one protocol message round-trip through the wire
 // layer. "standalone" is the per-value API (pooled scratch buffers, fresh
-// gob streams — used for containers and stable-store records); "stream"
-// is the persistent per-connection session the TCP transport uses, where
-// type descriptors cross once per connection.
+// gob streams — used for containers and stable-store records).
 func BenchmarkWireCodec(b *testing.B) {
 	msg := &network.Message{From: "n1", To: "n2", Kind: "q.prepare", Payload: make([]byte, 1024)}
 	b.Run("standalone", func(b *testing.B) {
@@ -118,21 +115,6 @@ func BenchmarkWireCodec(b *testing.B) {
 			}
 			var out network.Message
 			if err := wire.Decode(data, &out); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("stream", func(b *testing.B) {
-		var buf bytes.Buffer
-		enc := wire.NewStreamEncoder(&buf)
-		dec := wire.NewStreamDecoder(&buf)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := enc.Encode(msg); err != nil {
-				b.Fatal(err)
-			}
-			var out network.Message
-			if err := dec.Decode(&out); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -131,7 +131,7 @@ func run(args []string) error {
 	profileName := fs.String("profile", "", `named load profile: "shard-saturate" saturates GOMAXPROCS across the shards and sweeps 1x/10x in-flight agents (p99 should stay flat)`)
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile covering the whole run to this file")
 	memProfile := fs.String("memprofile", "", "write a pprof heap profile at the end of the run to this file")
-	storeSweep := fs.Bool("storesweep", false, "run the full backend sweep (mem, file, wal) per worker count")
+	storeSweep := fs.Bool("storesweep", false, "run the sweep over every registered engine (stable.Engines) per worker count")
 	sweep := fs.String("sweep", "", "comma-separated worker counts to sweep (overrides -workers)")
 	jsonPath := fs.String("json", "", "write the reports as JSON to this file")
 	tracePath := fs.String("trace", "", "write the final run's causal trace as Chrome trace_event JSON (open in chrome://tracing or Perfetto)")
@@ -218,7 +218,7 @@ func run(args []string) error {
 
 	backends := []string{spec.Engine}
 	if *storeSweep {
-		backends = experiments.StoreBackends
+		backends = stable.Engines()
 	}
 
 	// A load point is one (workers, agents) cell; the plain worker sweep

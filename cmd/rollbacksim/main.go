@@ -27,8 +27,7 @@ func main() {
 }
 
 // jsonTable is the machine-readable form of one experiment table, written
-// by -json so successive PRs can diff a perf trajectory (see
-// scripts/bench.sh, which snapshots them as BENCH_PR<N>.json).
+// by -json.
 type jsonTable struct {
 	Name   string     `json:"name"`
 	Title  string     `json:"title"`

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/stable"
 )
 
 // The chaos sweep is driven by flags so CI can fan it out over seed
@@ -23,7 +24,7 @@ var (
 	chaosSeeds   = flag.Int("chaos-seeds", 3, "number of consecutive seeds to sweep")
 	chaosSeed    = flag.Int64("chaos-seed", -1, "replay exactly this seed (prints its schedule)")
 	chaosBase    = flag.Int64("chaos-base-seed", 1, "first seed of the sweep")
-	chaosStore   = flag.String("chaos-store", "mem", "stable engine per node: mem|file|wal")
+	chaosStore   = flag.String("chaos-store", "mem", fmt.Sprintf("stable engine per node, one of %v", stable.Engines()))
 	chaosWorkers = flag.Int("chaos-workers", 1, "scheduler workers per node")
 	chaosChurn   = flag.Int("chaos-churn", 0, "membership churn draws per seed (joins + leaves; 0 disables)")
 	chaosRepl    = flag.Int("chaos-repl", 0, "follower replicas per shard (0 disables replication)")

@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -180,13 +181,7 @@ func agentID(i int) string { return fmt.Sprintf("chaos%04d", i) }
 // import above.
 func storeSpec(opts Options, counters *metrics.Counters) (stable.Spec, error) {
 	spec := stable.Spec{Engine: opts.Store, Dir: opts.Dir, Counters: counters}
-	known := false
-	for _, e := range stable.Engines() {
-		if e == spec.Engine {
-			known = true
-		}
-	}
-	if !known {
+	if !slices.Contains(stable.Engines(), spec.Engine) {
 		return stable.Spec{}, fmt.Errorf("chaos: unknown store backend %q (want one of %v)", opts.Store, stable.Engines())
 	}
 	if opts.Repl > 0 {

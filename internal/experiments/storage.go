@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -12,23 +13,17 @@ import (
 	"repro/internal/stable/wal" // linked for the engine registration; typed asserts below
 )
 
-// StoreBackends names the pluggable stable-storage engines the harnesses
-// can sweep: "mem" (volatile map), "file" (one file per key + journal),
-// "wal" (log-structured segments + checkpoints).
-var StoreBackends = []string{"mem", "file", "wal"}
-
 // StoreSpec builds the cluster storage Spec for one backend of the
 // sweep. Durable backends root per-node directories under baseDir (the
 // cluster derives them with Spec.ForNode); Sync is left off — the
 // simulation convention, matching MemStore semantics — while the `stor`
 // experiment measures the Sync-on path explicitly.
 func StoreSpec(backend, baseDir string, counters *metrics.Counters) (stable.Spec, error) {
-	switch backend {
-	case "":
+	if backend == "" {
 		backend = "mem"
-	case "mem", "file", "wal":
-	default:
-		return stable.Spec{}, fmt.Errorf("unknown store backend %q (want %v)", backend, StoreBackends)
+	}
+	if !slices.Contains(stable.Engines(), backend) {
+		return stable.Spec{}, fmt.Errorf("unknown store backend %q (want one of %v)", backend, stable.Engines())
 	}
 	return stable.Spec{Engine: backend, Dir: baseDir, Counters: counters}, nil
 }

@@ -60,14 +60,14 @@ func TestRecoveryBenchBackends(t *testing.T) {
 }
 
 // TestStoreSpecBackends covers the backend selector used by the cluster
-// harnesses: every named backend resolves to a Spec that opens through
+// harnesses: every registered engine resolves to a Spec that opens through
 // the unified stable.Open path.
 func TestStoreSpecBackends(t *testing.T) {
 	if spec, err := StoreSpec("", "", nil); err != nil || spec.Engine != "mem" {
 		t.Errorf("empty backend: spec=%+v err=%v (want the mem default)", spec, err)
 	}
 	dir := t.TempDir()
-	for _, backend := range []string{"mem", "file", "wal"} {
+	for _, backend := range stable.Engines() {
 		spec, err := StoreSpec(backend, dir, nil)
 		if err != nil {
 			t.Fatalf("%s spec: %v", backend, err)

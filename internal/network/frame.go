@@ -68,6 +68,10 @@ func FrameKindCode(kind string) (byte, bool) {
 // for routing fields. Larger declarations poison the connection.
 const maxFrameBody = wire.MaxMessageSize + 4096
 
+// frameReadStep is how much of a declared body readFrame allocates ahead
+// of the bytes it has received.
+const frameReadStep = 1 << 20
+
 // uvarintLen returns the encoded size of v.
 func uvarintLen(v uint64) int {
 	n := 1
@@ -156,9 +160,17 @@ func readFrame(br *bufio.Reader) (Message, error) {
 	if n > maxFrameBody {
 		return Message{}, fmt.Errorf("%w: frame of %d bytes", wire.ErrMessageTooLarge, n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(br, body); err != nil {
-		return Message{}, err
+	// The body buffer grows with the bytes that actually arrive: a header
+	// that declares a huge body and then stalls or hangs up costs the peer
+	// its bytes, not this node an allocation. A frame of up to one step is
+	// still one exact-size allocation.
+	var body []byte
+	for uint64(len(body)) < n {
+		step := int(min(n-uint64(len(body)), frameReadStep))
+		body = append(body, make([]byte, step)...)
+		if _, err := io.ReadFull(br, body[len(body)-step:]); err != nil {
+			return Message{}, err
+		}
 	}
 	return parseFrameBody(body)
 }

@@ -3,6 +3,7 @@ package network
 import (
 	"bufio"
 	"bytes"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -330,7 +331,7 @@ func TestTCPRejectsNonFrameConnection(t *testing.T) {
 	a, b := tcpPairCfg(t, TCPConfig{}, TCPConfig{})
 	openers := map[string]func(c net.Conn) error{
 		"gob stream": func(c net.Conn) error {
-			return wire.NewStreamEncoder(c).Encode(&Message{From: "old", To: "b", Kind: "q.prepare", Payload: []byte("gob")})
+			return gob.NewEncoder(c).Encode(&Message{From: "old", To: "b", Kind: "q.prepare", Payload: []byte("gob")})
 		},
 		"garbage byte": func(c net.Conn) error {
 			_, err := c.Write([]byte{0x00})

@@ -12,13 +12,16 @@ import (
 	"repro/internal/node"
 	"repro/internal/resource"
 	"repro/internal/stable"
+	"repro/internal/stable/wal"
 )
 
-// tcpNode is one "process": a TCP endpoint + file store + node runtime.
+// tcpNode is one "process": a TCP endpoint + wal store + node runtime,
+// what cmd/agentnode assembles by default.
 type tcpNode struct {
 	name    string
 	dataDir string
 	ep      *network.TCPEndpoint
+	store   *wal.Store
 	n       *node.Node
 }
 
@@ -29,7 +32,7 @@ func startTCPNode(t *testing.T, name, listen string, peers map[string]string, da
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := stable.OpenFileStore(dataDir, nil)
+	store, err := wal.Open(dataDir, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,12 +51,13 @@ func startTCPNode(t *testing.T, name, listen string, peers map[string]string, da
 	case <-time.After(5 * time.Second):
 		t.Fatalf("node %s never became ready", name)
 	}
-	return &tcpNode{name: name, dataDir: dataDir, ep: ep, n: n}
+	return &tcpNode{name: name, dataDir: dataDir, ep: ep, store: store, n: n}
 }
 
 func (tn *tcpNode) stop() {
 	tn.n.Stop()
 	tn.ep.Close()
+	_ = tn.store.Close()
 }
 
 // TestTCPMultiProcess runs the demo shopping scenario (with its partial

@@ -7,190 +7,6 @@ import (
 	"time"
 )
 
-func TestQueueClaimLease(t *testing.T) {
-	storeImpls(t, func(t *testing.T, s Store) {
-		q := NewQueue(s, "q/")
-		for _, id := range []string{"a", "b", "c"} {
-			if err := q.Enqueue(id, []byte(id)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		// Claims hand out distinct entries oldest-first.
-		e1, depth, err := q.Claim(nil)
-		if err != nil || e1 == nil || e1.ID != "a" {
-			t.Fatalf("claim 1: %v %v", e1, err)
-		}
-		if depth != 3 {
-			t.Errorf("observed depth = %d, want 3", depth)
-		}
-		e2, _, err := q.Claim(nil)
-		if err != nil || e2 == nil || e2.ID != "b" {
-			t.Fatalf("claim 2: %v %v", e2, err)
-		}
-		if q.Claimed() != 2 {
-			t.Errorf("Claimed = %d, want 2", q.Claimed())
-		}
-		// Peek still sees the oldest entry: claims do not remove.
-		if e, _ := q.Peek(); e == nil || e.ID != "a" {
-			t.Errorf("peek under claim = %v", e)
-		}
-		// Releasing makes the entry claimable again, in order.
-		q.Release(e1)
-		e3, _, err := q.Claim(nil)
-		if err != nil || e3 == nil || e3.ID != "a" {
-			t.Fatalf("re-claim: %v %v", e3, err)
-		}
-		// Consuming an entry durably, then releasing the claim.
-		if err := s.Apply(q.RemoveOp(e3)); err != nil {
-			t.Fatal(err)
-		}
-		q.Release(e3)
-		e4, _, err := q.Claim(nil)
-		if err != nil || e4 == nil || e4.ID != "c" {
-			t.Fatalf("claim after remove: %v %v", e4, err)
-		}
-		if e, _, err := q.Claim(nil); err != nil || e != nil {
-			t.Fatalf("claim on drained queue: %v %v", e, err)
-		}
-	})
-}
-
-func TestQueueClaimPerAgentFIFO(t *testing.T) {
-	storeImpls(t, func(t *testing.T, s Store) {
-		q := NewQueue(s, "q/")
-		// Two entries for agent x, one for agent y, in age order x1 y x2.
-		if err := q.Enqueue("x", []byte("x1")); err != nil {
-			t.Fatal(err)
-		}
-		if err := q.Enqueue("y", []byte("y1")); err != nil {
-			t.Fatal(err)
-		}
-		if err := q.Enqueue("x", []byte("x2")); err != nil {
-			t.Fatal(err)
-		}
-		e1, _, _ := q.Claim(nil)
-		if e1 == nil || string(e1.Data) != "x1" {
-			t.Fatalf("claim 1 = %v", e1)
-		}
-		// x's younger entry is withheld while x1 is claimed; y is free.
-		e2, _, _ := q.Claim(nil)
-		if e2 == nil || e2.ID != "y" {
-			t.Fatalf("claim 2 = %v", e2)
-		}
-		if e, _, _ := q.Claim(nil); e != nil {
-			t.Fatalf("x2 handed out while x1 in flight: %v", e)
-		}
-		// Consume x1 (the normal step-commit path), then release: x's
-		// younger entry becomes claimable.
-		if err := s.Apply(q.RemoveOp(e1)); err != nil {
-			t.Fatal(err)
-		}
-		q.Release(e1)
-		e3, _, _ := q.Claim(nil)
-		if e3 == nil || string(e3.Data) != "x2" {
-			t.Fatalf("claim after release = %v", e3)
-		}
-	})
-}
-
-func TestQueueClaimSkip(t *testing.T) {
-	storeImpls(t, func(t *testing.T, s Store) {
-		q := NewQueue(s, "q/")
-		for _, id := range []string{"cooling", "ready"} {
-			if err := q.Enqueue(id, nil); err != nil {
-				t.Fatal(err)
-			}
-		}
-		e, _, err := q.Claim(func(id string) bool { return id == "cooling" })
-		if err != nil || e == nil || e.ID != "ready" {
-			t.Fatalf("claim with skip = %v %v", e, err)
-		}
-		// The vetoed agent stays claimable once the veto lifts.
-		e2, _, err := q.Claim(nil)
-		if err != nil || e2 == nil || e2.ID != "cooling" {
-			t.Fatalf("claim after veto = %v %v", e2, err)
-		}
-	})
-}
-
-// TestQueueClaimVolatile models a crash: a fresh Queue over the same store
-// sees claimed-but-unremoved entries again (§4.3: the agent still resides
-// in the input queue).
-func TestQueueClaimVolatile(t *testing.T) {
-	storeImpls(t, func(t *testing.T, s Store) {
-		q := NewQueue(s, "q/")
-		for i := 0; i < 3; i++ {
-			if err := q.Enqueue(fmt.Sprintf("a%d", i), nil); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for i := 0; i < 3; i++ {
-			if e, _, _ := q.Claim(nil); e == nil {
-				t.Fatal("claim came up empty")
-			}
-		}
-		q2 := NewQueue(s, "q/")
-		for i := 0; i < 3; i++ {
-			e, _, err := q2.Claim(nil)
-			if err != nil || e == nil {
-				t.Fatalf("post-crash claim %d: %v %v", i, e, err)
-			}
-		}
-	})
-}
-
-// TestQueueClaimCachedIDsStayCorrect drives the entryIDs cache through
-// enqueue / claim / remove / release / re-enqueue churn and checks the
-// hand-out order never deviates from a cache-less queue.
-func TestQueueClaimCachedIDsStayCorrect(t *testing.T) {
-	storeImpls(t, func(t *testing.T, s Store) {
-		q := NewQueue(s, "q/")
-		// Interleave two agents, claim through twice so the second pass
-		// is served from the warm cache.
-		for round := 0; round < 2; round++ {
-			for i := 0; i < 4; i++ {
-				if err := q.Enqueue(fmt.Sprintf("ag%d", i%2), []byte(fmt.Sprintf("r%d-%d", round, i))); err != nil {
-					t.Fatal(err)
-				}
-			}
-			var claimed []*Entry
-			for i := 0; i < 2; i++ {
-				e, _, err := q.Claim(nil)
-				if err != nil || e == nil {
-					t.Fatalf("round %d claim %d: %v %v", round, i, e, err)
-				}
-				if want := fmt.Sprintf("r%d-%d", round, i); string(e.Data) != want {
-					t.Fatalf("round %d claim %d = %q, want %q", round, i, e.Data, want)
-				}
-				claimed = append(claimed, e)
-			}
-			// Younger entries of both agents are withheld.
-			if e, _, _ := q.Claim(nil); e != nil {
-				t.Fatalf("round %d: withheld entry handed out: %v", round, e)
-			}
-			for _, e := range claimed {
-				if err := s.Apply(q.RemoveOp(e)); err != nil {
-					t.Fatal(err)
-				}
-				q.Release(e)
-			}
-			for i := 2; i < 4; i++ {
-				e, _, err := q.Claim(nil)
-				if err != nil || e == nil {
-					t.Fatalf("round %d tail claim: %v %v", round, e, err)
-				}
-				if want := fmt.Sprintf("r%d-%d", round, i); string(e.Data) != want {
-					t.Fatalf("round %d tail = %q, want %q", round, e.Data, want)
-				}
-				if err := s.Apply(q.RemoveOp(e)); err != nil {
-					t.Fatal(err)
-				}
-				q.Release(e)
-			}
-		}
-	})
-}
-
 // BenchmarkQueueClaimWithheld measures one Claim call over a queue whose
 // visible entries are all withheld (every agent has its oldest entry in
 // flight) — the scheduler's steady state under load. Before the entryIDs

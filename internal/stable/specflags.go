@@ -32,7 +32,7 @@ func BindFlags(fs *flag.FlagSet, def Spec) *SpecFlags {
 		defAcks = "async"
 	}
 	return &SpecFlags{
-		engine:    fs.String("store", engine, "stable storage engine: wal (log-structured segments + checkpoints), file (one file per key), mem (volatile, testing only)"),
+		engine:    fs.String("store", engine, fmt.Sprintf("stable storage engine, one of %v (mem is volatile, testing only)", Engines())),
 		sync:      fs.Bool("sync", def.Sync, "fsync stable-storage writes (crash-safe across power loss); disable for simulations and throwaway deployments"),
 		segSize:   fs.Int64("wal-segment", def.WAL.SegmentSize, "wal engine: segment rotation size in bytes (0 = default 4 MiB)"),
 		ckptEvery: fs.Int64("wal-checkpoint", def.WAL.CheckpointEvery, "wal engine: bytes appended between index checkpoints (0 = default 1 MiB, negative disables)"),

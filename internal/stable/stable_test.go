@@ -3,24 +3,10 @@ package stable
 import (
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"repro/internal/wire"
 )
-
-// storeImpls runs a subtest against both store implementations.
-func storeImpls(t *testing.T, fn func(t *testing.T, s Store)) {
-	t.Helper()
-	t.Run("mem", func(t *testing.T) { fn(t, NewMemStore(nil)) })
-	t.Run("file", func(t *testing.T) {
-		s, err := OpenFileStore(t.TempDir(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fn(t, s)
-	})
-}
 
 // Store interface conformance (basics, value isolation, batch atomicity,
 // queue linearization) lives in the shared suite: see storetest and
@@ -88,71 +74,6 @@ func TestFileStoreTornJournalDiscarded(t *testing.T) {
 	if _, ok, _ := s.Get("a"); ok {
 		t.Error("torn journal applied")
 	}
-}
-
-func TestQueueFIFO(t *testing.T) {
-	storeImpls(t, func(t *testing.T, s Store) {
-		q := NewQueue(s, "q/")
-		for _, id := range []string{"first", "second", "third"} {
-			if err := q.Enqueue(id, []byte(id+"-data")); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if n, _ := q.Len(); n != 3 {
-			t.Fatalf("Len = %d, want 3", n)
-		}
-		for _, want := range []string{"first", "second", "third"} {
-			e, err := q.Peek()
-			if err != nil || e == nil {
-				t.Fatalf("peek: %v %v", e, err)
-			}
-			if e.ID != want || string(e.Data) != want+"-data" {
-				t.Errorf("peeked %q, want %q", e.ID, want)
-			}
-			if err := s.Apply(q.RemoveOp(e)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		e, err := q.Peek()
-		if err != nil || e != nil {
-			t.Errorf("empty queue peek = %v, %v", e, err)
-		}
-	})
-}
-
-func TestQueueStagedLifecycle(t *testing.T) {
-	storeImpls(t, func(t *testing.T, s Store) {
-		q := NewQueue(s, "q/")
-		if err := q.Prepare("tx1", "agent1", []byte("d1")); err != nil {
-			t.Fatal(err)
-		}
-		// Invisible while staged.
-		if e, _ := q.Peek(); e != nil {
-			t.Error("staged entry visible")
-		}
-		staged, err := q.StagedTxns()
-		if err != nil || !reflect.DeepEqual(staged, []string{"tx1"}) {
-			t.Errorf("staged = %v, %v", staged, err)
-		}
-		// Prepare is idempotent.
-		if err := q.Prepare("tx1", "agent1", []byte("d1")); err != nil {
-			t.Fatal(err)
-		}
-		if err := q.CommitStaged("tx1"); err != nil {
-			t.Fatal(err)
-		}
-		e, err := q.Peek()
-		if err != nil || e == nil || e.ID != "agent1" {
-			t.Fatalf("after commit: %v %v", e, err)
-		}
-		// Commit is idempotent.
-		if err := q.CommitStaged("tx1"); err != nil {
-			t.Fatal(err)
-		}
-		if n, _ := q.Len(); n != 1 {
-			t.Errorf("duplicate commit duplicated entry: len %d", n)
-		}
-	})
 }
 
 func TestQueueAbortStaged(t *testing.T) {

@@ -127,6 +127,11 @@ func loadCheckpoint(dir string) (map[string]loc, ckptPos, error) {
 	}
 	count := binary.LittleEndian.Uint64(body[pos+12:])
 	pos += 20
+	// An entry is at least 21 bytes; a count the body cannot hold must not
+	// size the map.
+	if count > uint64(len(body)-pos)/21 {
+		return nil, ckptPos{}, errors.New("wal: checkpoint entry count overruns the file")
+	}
 	index := make(map[string]loc, count)
 	for i := uint64(0); i < count; i++ {
 		klen, w := binary.Uvarint(body[pos:])

@@ -123,13 +123,14 @@ type scanOp struct {
 	del    bool
 }
 
-// scanRecords reads records from r starting at offset off, invoking fn for
-// every op of every valid record (recEnd is the file offset just past the
-// record). It returns the offset just past the last valid record. A short
-// read, bad length or CRC mismatch stops the scan with errTorn wrapped
-// alongside the good offset — the caller decides whether a torn tail is
-// recoverable (final segment) or corruption (earlier segment).
-func scanRecords(r io.ReaderAt, off int64, fn func(op scanOp, recEnd int64) error) (int64, error) {
+// scanRecords reads records from r, a segment of size bytes, starting at
+// offset off, invoking fn for every op of every valid record (recEnd is
+// the file offset just past the record). It returns the offset just past
+// the last valid record. A short read, bad length or CRC mismatch stops
+// the scan with errTorn wrapped alongside the good offset — the caller
+// decides whether a torn tail is recoverable (final segment) or corruption
+// (earlier segment).
+func scanRecords(r io.ReaderAt, off, size int64, fn func(op scanOp, recEnd int64) error) (int64, error) {
 	var hdr [recHeaderSize]byte
 	for {
 		if n, err := r.ReadAt(hdr[:], off); err != nil {
@@ -145,7 +146,9 @@ func scanRecords(r io.ReaderAt, off int64, fn func(op scanOp, recEnd int64) erro
 		wantCRC := binary.LittleEndian.Uint32(hdr[4:8])
 		// No valid record is empty (empty groups are never appended), so a
 		// zero length word is a torn or zero-filled tail, not corruption.
-		if plen == 0 || plen > maxRecordSize {
+		// One that points past the end of the segment is refused here,
+		// before a buffer is sized by it.
+		if plen == 0 || plen > maxRecordSize || plen > size-off-recHeaderSize {
 			return off, errTorn
 		}
 		rb := payloadPool.Get().(*recBuf)

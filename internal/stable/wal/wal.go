@@ -215,7 +215,7 @@ func (s *Store) recover() error {
 		last := id == ids[len(ids)-1]
 		if start >= 0 && start < seg.size {
 			s.recovery.SegmentsScanned++
-			end, err := scanRecords(f, start, func(op scanOp, recEnd int64) error {
+			end, err := scanRecords(f, start, seg.size, func(op scanOp, recEnd int64) error {
 				s.applyToIndex(op, id)
 				return nil
 			})

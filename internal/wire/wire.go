@@ -2,10 +2,10 @@
 //
 // The paper's prototype (Mole) relied on Java object serialization to
 // capture an agent's private data and rollback log for migration and for
-// stable storage. This package plays the same role using encoding/gob:
-// per-value encoding for containers and stable-storage records, persistent
-// stream sessions for the TCP transport used by cmd/agentnode, and tagged
-// zero-gob fast paths for the common scalar kinds.
+// stable storage. This package plays the same role: per-value gob
+// encoding for containers and stable-storage records, the hand-rolled
+// binary codec for protocol messages and TCP frames, and tagged zero-gob
+// fast paths for the common scalar kinds.
 package wire
 
 import (
@@ -16,13 +16,12 @@ import (
 	"sync"
 )
 
-// MaxMessageSize bounds a single streamed message (64 MiB). A decoder
+// MaxMessageSize bounds a single message on the wire (64 MiB). A decoder
 // refusing larger messages keeps a corrupt or malicious byte stream from
 // triggering an unbounded allocation.
 const MaxMessageSize = 64 << 20
 
-// ErrMessageTooLarge is returned when a streamed message exceeds
-// MaxMessageSize.
+// ErrMessageTooLarge is returned when a message exceeds MaxMessageSize.
 var ErrMessageTooLarge = errors.New("wire: message exceeds maximum size")
 
 // Register makes a concrete type known to gob. It must be called (typically
@@ -40,8 +39,8 @@ func RegisterName(name string, v any) { gob.RegisterName(name, v) }
 // bytes.Buffer per call.
 var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// maxPooledBuf caps the capacity of scratch buffers kept alive by pools
-// and sessions: a rare huge value (a multi-MiB agent container) must not
+// maxPooledBuf caps the capacity of scratch buffers kept alive by the
+// pool: a rare huge value (a multi-MiB agent container) must not
 // pin a same-sized buffer for the process lifetime.
 const maxPooledBuf = 1 << 20
 
