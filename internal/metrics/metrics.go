@@ -2,12 +2,22 @@
 //
 // A single Counters value is shared by the network, the stable stores and
 // the node runtimes of one cluster; all methods are safe for concurrent
-// use. Snapshots are plain structs so experiment harnesses can diff them.
+// use, and a nil *Counters is "off": every method is a no-op on it (as on
+// a nil *trace.Tracer), so callers bump without checking. Snapshots are
+// plain structs so experiment harnesses can diff them.
+//
+// To add a counter: add one field, with its one-line description, to the
+// fields struct, and add the method that bumps it. Counters.Snapshot,
+// Snapshot.Sub, WritePrometheus (hence /metrics) and the benchmark's
+// scrape of it are derived from that declaration and follow unedited.
 package metrics
 
 import (
 	"fmt"
+	"maps"
+	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,87 +27,96 @@ import (
 // over the most recent latRingSize observations.
 const latRingSize = 8192
 
+// fields is the single declaration of every counter. Counters holds it
+// with live atomic cells and Snapshot is its plain-int64 copy, so the two
+// cannot drift; field order is the sample order on /metrics. Fields are
+// monotone counts unless isPeak says otherwise.
+type fields[T any] struct {
+	Messages          T // network messages delivered
+	BytesSent         T // payload bytes put on the (simulated) wire
+	AgentTransfers    T // agent containers moved to a *different* node
+	AgentTransferByte T // encoded bytes of transferred agent containers
+	StepTxns          T // committed step transactions
+	StepTxnAborts     T // aborted step transactions
+	CompTxns          T // committed compensation transactions
+	CompTxnAborts     T // aborted compensation transactions
+	CompOps           T // individual compensating operations executed
+	RemoteCompBatches T // RCE lists shipped to a resource node (Fig. 5)
+	Savepoints        T // savepoint entries written
+	LogBytesPeak      T // largest encoded rollback log observed
+	StableWrites      T // writes to stable storage
+	StableBytes       T // bytes written to stable storage
+
+	// Scheduler (internal/sched).
+	SchedClaims          T // queue entries claimed by scheduler workers
+	SchedClaimConflicts  T // dispatches reordered past a conflicting task
+	SchedLockAborts      T // step attempts aborted on 2PL lock conflicts
+	SchedRetries         T // retryable step attempt failures
+	SchedInFlightPeak    T // peak concurrently executing steps
+	SchedQueueDepthPeak  T // peak observed input-queue depth
+	SchedWorkerBusyNanos T // cumulative worker time spent executing
+
+	// Fault injection and mailboxes (internal/network.Sim).
+	NetFaultDrops       T // messages dropped by injected link faults
+	NetFaultDups        T // duplicate deliveries injected by link faults
+	NetFaultReorders    T // messages delayed past later traffic (reorder faults)
+	NetUnreachableDrops T // messages lost to partitions / crashed destinations
+	MailboxDrops        T // messages dropped at a full or closed mailbox
+
+	// Wire and coalescing: a batch is one write or mailbox hop carrying ≥1
+	// frames. In Counters the two per-kind maps are guarded by wireMu.
+	NetBatches      T                            // transport batches flushed (≥1 frames each)
+	NetBatchedMsgs  T                            // messages carried inside those batches
+	NetBatchSize    [len(BatchSizeBuckets) + 1]T // frames-per-batch histogram (see BatchSizeBuckets)
+	WireBytesByKind map[string]int64             // payload bytes on the wire per message kind
+	WireMsgsByKind  map[string]int64             // messages on the wire per message kind
+
+	// Control-plane batching (internal/node's GC stager and ack piggybacking).
+	DecisionBatches   T                            // control-plane GC group commits flushed
+	DecisionOps       T                            // decision/done GC ops carried inside those commits
+	DecisionBatchSize [len(BatchSizeBuckets) + 1]T // ops-per-commit histogram (see BatchSizeBuckets)
+	AckPiggybacked    T                            // acks/status replies that rode an existing outbound batch
+
+	// Protocol core (internal/protocol driven by internal/node).
+	ProtocolTransitions T // protocol state-machine events processed
+	TimersArmed         T // protocol timers armed on the wheel
+	TimersFired         T // protocol timers that fired
+	TimersCanceled      T // protocol timers canceled before firing
+
+	// Membership and migration (internal/node's rebalancer).
+	MemberAnnounces  T // membership announcements received over the wire
+	RingChanges      T // local ring rebuilds after a view change
+	Migrations       T // agents migrated off this node by the rebalancer
+	MigrationBytes   T // encoded container bytes moved by migrations
+	MigrationAborts  T // migration hand-offs aborted (retried later)
+	AdoptionRefusals T // duplicate adoptions refused by the epoch guard
+
+	// WAL storage engine (internal/stable/wal).
+	WALRotations      T // WAL segments sealed and rotated
+	WALCompactions    T // cold segments compacted and deleted
+	WALCompactedBytes T // garbage bytes reclaimed by compaction
+	WALCheckpoints    T // index checkpoints persisted
+	Fsyncs            T // fsync calls issued by stable storage
+	FsyncNanos        T // cumulative time spent in fsync
+
+	// Replicated storage (internal/stable/repl).
+	ReplBatches   T // committed batches shipped to follower replicas
+	ReplAcks      T // follower flush acknowledgements received
+	ReplSnapshots T // full-snapshot catch-ups streamed to followers
+}
+
+// isPeak reports whether the named field is a high-water mark rather than
+// a monotone count: Snapshot.Sub passes it through undifferenced and
+// WritePrometheus exposes it as a gauge.
+func isPeak(name string) bool { return strings.Contains(name, "Peak") }
+
 // Counters accumulates event counts for one cluster run.
-// The zero value is ready to use.
+// The zero value is ready to use; a nil *Counters records nothing.
 type Counters struct {
-	messages          atomic.Int64
-	bytesSent         atomic.Int64
-	agentTransfers    atomic.Int64
-	agentTransferByte atomic.Int64
-	stepTxns          atomic.Int64
-	stepTxnAborts     atomic.Int64
-	compTxns          atomic.Int64
-	compTxnAborts     atomic.Int64
-	compOps           atomic.Int64
-	remoteCompBatches atomic.Int64
-	savepoints        atomic.Int64
-	logBytesPeak      atomic.Int64
-	stableWrites      atomic.Int64
-	stableBytes       atomic.Int64
+	live   fields[atomic.Int64]
+	wireMu sync.Mutex // guards the per-kind maps in live
 
-	// Scheduler (internal/sched) instrumentation.
-	schedClaims     atomic.Int64
-	claimConflicts  atomic.Int64
-	lockAborts      atomic.Int64
-	schedRetries    atomic.Int64
-	inFlight        atomic.Int64
-	inFlightPeak    atomic.Int64
-	queueDepthPeak  atomic.Int64
-	workerBusyNanos atomic.Int64
-
-	// Network fault-injection (internal/network.Sim) instrumentation.
-	netFaultDrops       atomic.Int64
-	netFaultDups        atomic.Int64
-	netFaultReorders    atomic.Int64
-	netUnreachableDrops atomic.Int64
-	mailboxDrops        atomic.Int64
-
-	// Wire / coalescing instrumentation: transport-level batches (one
-	// write or mailbox hop carrying ≥1 frames) and bytes on the wire per
-	// message kind.
-	netBatches     atomic.Int64
-	netBatchedMsgs atomic.Int64
-	netBatchHist   [len(BatchSizeBuckets) + 1]atomic.Int64
-
-	// Control-plane batching (internal/node's GC stager and ack
-	// piggybacking) instrumentation.
-	decisionBatches   atomic.Int64
-	decisionOps       atomic.Int64
-	decisionBatchHist [len(BatchSizeBuckets) + 1]atomic.Int64
-	ackPiggybacked    atomic.Int64
-
-	wireMu          sync.Mutex
-	wireBytesByKind map[string]int64
-	wireMsgsByKind  map[string]int64
-
-	// Protocol core (internal/protocol driven by internal/node)
-	// instrumentation.
-	protocolTransitions atomic.Int64
-	timersArmed         atomic.Int64
-	timersFired         atomic.Int64
-	timersCanceled      atomic.Int64
-
-	// Membership / migration (internal/membership driven by
-	// internal/node's rebalancer) instrumentation.
-	memberAnnounces  atomic.Int64
-	ringChanges      atomic.Int64
-	migrations       atomic.Int64
-	migrationBytes   atomic.Int64
-	migrationAborts  atomic.Int64
-	adoptionRefusals atomic.Int64
-
-	// WAL storage engine (internal/stable/wal) instrumentation.
-	walRotations      atomic.Int64
-	walCompactions    atomic.Int64
-	walCompactedBytes atomic.Int64
-	walCheckpoints    atomic.Int64
-	fsyncs            atomic.Int64
-	fsyncNanos        atomic.Int64
-
-	// Replicated storage (internal/stable/repl) instrumentation.
-	replBatches   atomic.Int64
-	replAcks      atomic.Int64
-	replSnapshots atomic.Int64
+	inFlight atomic.Int64 // steps executing now: a level, so not in Snapshot
 
 	latMu    sync.Mutex
 	latCount int64
@@ -105,154 +124,101 @@ type Counters struct {
 }
 
 // Snapshot is a point-in-time copy of all counters.
-type Snapshot struct {
-	Messages          int64 // network messages delivered
-	BytesSent         int64 // payload bytes put on the (simulated) wire
-	AgentTransfers    int64 // agent containers moved to a *different* node
-	AgentTransferByte int64 // encoded bytes of transferred agent containers
-	StepTxns          int64 // committed step transactions
-	StepTxnAborts     int64 // aborted step transactions
-	CompTxns          int64 // committed compensation transactions
-	CompTxnAborts     int64 // aborted compensation transactions
-	CompOps           int64 // individual compensating operations executed
-	RemoteCompBatches int64 // RCE lists shipped to a resource node (Fig. 5)
-	Savepoints        int64 // savepoint entries written
-	LogBytesPeak      int64 // largest encoded rollback log observed
-	StableWrites      int64 // writes to stable storage
-	StableBytes       int64 // bytes written to stable storage
+type Snapshot fields[int64]
 
-	SchedClaims          int64 // queue entries claimed by scheduler workers
-	SchedClaimConflicts  int64 // dispatches reordered past a conflicting task
-	SchedLockAborts      int64 // step attempts aborted on 2PL lock conflicts
-	SchedRetries         int64 // retryable step attempt failures
-	SchedInFlightPeak    int64 // peak concurrently executing steps
-	SchedQueueDepthPeak  int64 // peak observed input-queue depth
-	SchedWorkerBusyNanos int64 // cumulative worker time spent executing
-
-	NetFaultDrops       int64 // messages dropped by injected link faults
-	NetFaultDups        int64 // duplicate deliveries injected by link faults
-	NetFaultReorders    int64 // messages delayed past later traffic (reorder faults)
-	NetUnreachableDrops int64 // messages lost to partitions / crashed destinations
-	MailboxDrops        int64 // messages dropped at a full or closed mailbox
-
-	NetBatches      int64                            // transport batches flushed (≥1 frames each)
-	NetBatchedMsgs  int64                            // messages carried inside those batches
-	NetBatchSize    [len(BatchSizeBuckets) + 1]int64 // frames-per-batch histogram (see BatchSizeBuckets)
-	WireBytesByKind map[string]int64                 // payload bytes on the wire per message kind
-	WireMsgsByKind  map[string]int64                 // messages on the wire per message kind
-
-	DecisionBatches   int64                            // control-plane GC group commits flushed
-	DecisionOps       int64                            // decision/done GC ops carried inside those commits
-	DecisionBatchSize [len(BatchSizeBuckets) + 1]int64 // ops-per-commit histogram (see BatchSizeBuckets)
-	AckPiggybacked    int64                            // acks/status replies that rode an existing outbound batch
-
-	ProtocolTransitions int64 // protocol state-machine events processed
-	TimersArmed         int64 // protocol timers armed on the wheel
-	TimersFired         int64 // protocol timers that fired
-	TimersCanceled      int64 // protocol timers canceled before firing
-
-	MemberAnnounces  int64 // membership announcements received over the wire
-	RingChanges      int64 // local ring rebuilds after a view change
-	Migrations       int64 // agents migrated off this node by the rebalancer
-	MigrationBytes   int64 // encoded container bytes moved by migrations
-	MigrationAborts  int64 // migration hand-offs aborted (retried later)
-	AdoptionRefusals int64 // duplicate adoptions refused by the epoch guard
-
-	WALRotations      int64 // WAL segments sealed and rotated
-	WALCompactions    int64 // cold segments compacted and deleted
-	WALCompactedBytes int64 // garbage bytes reclaimed by compaction
-	WALCheckpoints    int64 // index checkpoints persisted
-	Fsyncs            int64 // fsync calls issued by stable storage
-	FsyncNanos        int64 // cumulative time spent in fsync
-
-	ReplBatches   int64 // committed batches shipped to follower replicas
-	ReplAcks      int64 // follower flush acknowledgements received
-	ReplSnapshots int64 // full-snapshot catch-ups streamed to followers
+// on runs f unless c is nil. It is the one place where "a nil *Counters is
+// off" is decided: every exported method does all its work inside on, so
+// on a nil receiver it does nothing and returns zero values.
+func (c *Counters) on(f func()) {
+	if c != nil {
+		f()
+	}
 }
 
 // IncMessages records one delivered network message carrying n payload bytes.
 func (c *Counters) IncMessages(n int64) {
-	c.messages.Add(1)
-	c.bytesSent.Add(n)
+	c.on(func() {
+		c.live.Messages.Add(1)
+		c.live.BytesSent.Add(n)
+	})
 }
 
 // IncAgentTransfer records an agent container of n encoded bytes moving
 // between two distinct nodes.
 func (c *Counters) IncAgentTransfer(n int64) {
-	c.agentTransfers.Add(1)
-	c.agentTransferByte.Add(n)
+	c.on(func() {
+		c.live.AgentTransfers.Add(1)
+		c.live.AgentTransferByte.Add(n)
+	})
 }
 
 // IncStepTxn records a committed step transaction.
-func (c *Counters) IncStepTxn() { c.stepTxns.Add(1) }
+func (c *Counters) IncStepTxn() { c.on(func() { c.live.StepTxns.Add(1) }) }
 
 // IncStepTxnAbort records an aborted step transaction.
-func (c *Counters) IncStepTxnAbort() { c.stepTxnAborts.Add(1) }
+func (c *Counters) IncStepTxnAbort() { c.on(func() { c.live.StepTxnAborts.Add(1) }) }
 
 // IncCompTxn records a committed compensation transaction.
-func (c *Counters) IncCompTxn() { c.compTxns.Add(1) }
+func (c *Counters) IncCompTxn() { c.on(func() { c.live.CompTxns.Add(1) }) }
 
 // IncCompTxnAbort records an aborted compensation transaction.
-func (c *Counters) IncCompTxnAbort() { c.compTxnAborts.Add(1) }
+func (c *Counters) IncCompTxnAbort() { c.on(func() { c.live.CompTxnAborts.Add(1) }) }
 
 // IncCompOps records n executed compensating operations.
-func (c *Counters) IncCompOps(n int64) { c.compOps.Add(n) }
+func (c *Counters) IncCompOps(n int64) { c.on(func() { c.live.CompOps.Add(n) }) }
 
 // IncRemoteCompBatch records one RCE list shipped to a resource node.
-func (c *Counters) IncRemoteCompBatch() { c.remoteCompBatches.Add(1) }
+func (c *Counters) IncRemoteCompBatch() { c.on(func() { c.live.RemoteCompBatches.Add(1) }) }
 
 // IncSavepoints records one savepoint entry written to a rollback log.
-func (c *Counters) IncSavepoints() { c.savepoints.Add(1) }
+func (c *Counters) IncSavepoints() { c.on(func() { c.live.Savepoints.Add(1) }) }
 
 // ObserveLogBytes tracks the peak encoded size of a rollback log.
-func (c *Counters) ObserveLogBytes(n int64) {
-	for {
-		cur := c.logBytesPeak.Load()
-		if n <= cur || c.logBytesPeak.CompareAndSwap(cur, n) {
-			return
-		}
-	}
-}
+func (c *Counters) ObserveLogBytes(n int64) { c.on(func() { peakMax(&c.live.LogBytesPeak, n) }) }
 
 // IncStableWrite records one stable-storage write of n bytes.
 func (c *Counters) IncStableWrite(n int64) {
-	c.stableWrites.Add(1)
-	c.stableBytes.Add(n)
+	c.on(func() {
+		c.live.StableWrites.Add(1)
+		c.live.StableBytes.Add(n)
+	})
 }
 
 // IncSchedClaim records one claimed queue entry and the queue depth
 // observed at claim time (peak-tracked).
 func (c *Counters) IncSchedClaim(depth int64) {
-	c.schedClaims.Add(1)
-	peakMax(&c.queueDepthPeak, depth)
+	c.on(func() {
+		c.live.SchedClaims.Add(1)
+		peakMax(&c.live.SchedQueueDepthPeak, depth)
+	})
 }
 
 // IncClaimConflict records one conflict-aware dispatch decision: a ready
 // task was passed over because its resource set collided with running work.
-func (c *Counters) IncClaimConflict() { c.claimConflicts.Add(1) }
+func (c *Counters) IncClaimConflict() { c.on(func() { c.live.SchedClaimConflicts.Add(1) }) }
 
 // IncLockConflictAbort records a step attempt aborted by a 2PL lock
 // conflict between concurrent transactions.
-func (c *Counters) IncLockConflictAbort() { c.lockAborts.Add(1) }
+func (c *Counters) IncLockConflictAbort() { c.on(func() { c.live.SchedLockAborts.Add(1) }) }
 
 // IncSchedRetry records a retryable step attempt failure.
-func (c *Counters) IncSchedRetry() { c.schedRetries.Add(1) }
+func (c *Counters) IncSchedRetry() { c.on(func() { c.live.SchedRetries.Add(1) }) }
 
 // IncNetFaultDrop records one message dropped by an injected link fault.
-func (c *Counters) IncNetFaultDrop() { c.netFaultDrops.Add(1) }
+func (c *Counters) IncNetFaultDrop() { c.on(func() { c.live.NetFaultDrops.Add(1) }) }
 
 // IncNetFaultDup records one injected duplicate delivery.
-func (c *Counters) IncNetFaultDup() { c.netFaultDups.Add(1) }
+func (c *Counters) IncNetFaultDup() { c.on(func() { c.live.NetFaultDups.Add(1) }) }
 
 // IncNetFaultReorder records one message held back past later traffic.
-func (c *Counters) IncNetFaultReorder() { c.netFaultReorders.Add(1) }
+func (c *Counters) IncNetFaultReorder() { c.on(func() { c.live.NetFaultReorders.Add(1) }) }
 
 // IncNetUnreachableDrop records one message lost to a partitioned link or
 // a crashed destination.
-func (c *Counters) IncNetUnreachableDrop() { c.netUnreachableDrops.Add(1) }
+func (c *Counters) IncNetUnreachableDrop() { c.on(func() { c.live.NetUnreachableDrops.Add(1) }) }
 
 // IncMailboxDrop records one message dropped at a full or closed mailbox.
-func (c *Counters) IncMailboxDrop() { c.mailboxDrops.Add(1) }
+func (c *Counters) IncMailboxDrop() { c.on(func() { c.live.MailboxDrops.Add(1) }) }
 
 // BatchSizeBuckets holds the upper bounds of the frames-per-batch
 // histogram cells; a batch of n frames lands in the first cell whose
@@ -274,146 +240,158 @@ func BatchBucketLabel(i int) string {
 // ObserveNetBatch records one transport batch carrying frames messages —
 // one conn.Write on the TCP endpoint or one mailbox hop in the simulator.
 func (c *Counters) ObserveNetBatch(frames int) {
-	if frames <= 0 {
-		return
-	}
-	c.netBatches.Add(1)
-	c.netBatchedMsgs.Add(int64(frames))
-	i := 0
-	for i < len(BatchSizeBuckets) && int64(frames) > BatchSizeBuckets[i] {
-		i++
-	}
-	c.netBatchHist[i].Add(1)
+	c.on(func() { observeBatch(frames, &c.live.NetBatches, &c.live.NetBatchedMsgs, &c.live.NetBatchSize) })
 }
 
 // ObserveDecisionBatch records one control-plane GC group commit
 // carrying ops staged decision-record clears / done-record drops.
 func (c *Counters) ObserveDecisionBatch(ops int) {
-	if ops <= 0 {
+	c.on(func() { observeBatch(ops, &c.live.DecisionBatches, &c.live.DecisionOps, &c.live.DecisionBatchSize) })
+}
+
+// observeBatch counts one batch of n > 0 items: the batch, its items, and
+// the BatchSizeBuckets histogram cell n lands in.
+func observeBatch(n int, batches, items *atomic.Int64, hist *[len(BatchSizeBuckets) + 1]atomic.Int64) {
+	if n <= 0 {
 		return
 	}
-	c.decisionBatches.Add(1)
-	c.decisionOps.Add(int64(ops))
+	batches.Add(1)
+	items.Add(int64(n))
 	i := 0
-	for i < len(BatchSizeBuckets) && int64(ops) > BatchSizeBuckets[i] {
+	for i < len(BatchSizeBuckets) && int64(n) > BatchSizeBuckets[i] {
 		i++
 	}
-	c.decisionBatchHist[i].Add(1)
+	hist[i].Add(1)
 }
 
 // IncAckPiggybacked records n non-blocking replies that rode an outbound
 // batch already headed to their peer instead of flushing their own frame.
-func (c *Counters) IncAckPiggybacked(n int64) { c.ackPiggybacked.Add(n) }
+func (c *Counters) IncAckPiggybacked(n int64) { c.on(func() { c.live.AckPiggybacked.Add(n) }) }
 
 // AddWireBytes attributes one wire message of n payload bytes to its
 // message kind (every transport calls it exactly once per message, so
 // it also maintains the per-kind message counts).
 func (c *Counters) AddWireBytes(kind string, n int64) {
-	c.wireMu.Lock()
-	if c.wireBytesByKind == nil {
-		c.wireBytesByKind = make(map[string]int64)
-		c.wireMsgsByKind = make(map[string]int64)
-	}
-	c.wireBytesByKind[kind] += n
-	c.wireMsgsByKind[kind]++
-	c.wireMu.Unlock()
+	c.on(func() {
+		c.wireMu.Lock()
+		if c.live.WireBytesByKind == nil {
+			c.live.WireBytesByKind = make(map[string]int64)
+			c.live.WireMsgsByKind = make(map[string]int64)
+		}
+		c.live.WireBytesByKind[kind] += n
+		c.live.WireMsgsByKind[kind]++
+		c.wireMu.Unlock()
+	})
 }
 
 // IncProtocolTransition records one event processed by a node's
 // protocol state machine.
-func (c *Counters) IncProtocolTransition() { c.protocolTransitions.Add(1) }
+func (c *Counters) IncProtocolTransition() { c.on(func() { c.live.ProtocolTransitions.Add(1) }) }
 
 // IncTimerArmed records one protocol timer armed (or re-armed) on a
 // node's timer wheel.
-func (c *Counters) IncTimerArmed() { c.timersArmed.Add(1) }
+func (c *Counters) IncTimerArmed() { c.on(func() { c.live.TimersArmed.Add(1) }) }
 
 // IncTimerFired records one protocol timer firing.
-func (c *Counters) IncTimerFired() { c.timersFired.Add(1) }
+func (c *Counters) IncTimerFired() { c.on(func() { c.live.TimersFired.Add(1) }) }
 
 // IncTimerCanceled records one protocol timer canceled before firing.
-func (c *Counters) IncTimerCanceled() { c.timersCanceled.Add(1) }
+func (c *Counters) IncTimerCanceled() { c.on(func() { c.live.TimersCanceled.Add(1) }) }
 
 // IncMemberAnnounce records one membership announcement received.
-func (c *Counters) IncMemberAnnounce() { c.memberAnnounces.Add(1) }
+func (c *Counters) IncMemberAnnounce() { c.on(func() { c.live.MemberAnnounces.Add(1) }) }
 
 // IncRingChange records one local consistent-hash ring rebuild.
-func (c *Counters) IncRingChange() { c.ringChanges.Add(1) }
+func (c *Counters) IncRingChange() { c.on(func() { c.live.RingChanges.Add(1) }) }
 
 // IncMigration records one agent migrated off this node (container of n
 // encoded bytes handed to its new owner through the 2PC hand-off).
 func (c *Counters) IncMigration(n int64) {
-	c.migrations.Add(1)
-	c.migrationBytes.Add(n)
+	c.on(func() {
+		c.live.Migrations.Add(1)
+		c.live.MigrationBytes.Add(n)
+	})
 }
 
 // IncMigrationAbort records one migration hand-off that aborted (the
 // rebalancer retries on the next sweep).
-func (c *Counters) IncMigrationAbort() { c.migrationAborts.Add(1) }
+func (c *Counters) IncMigrationAbort() { c.on(func() { c.live.MigrationAborts.Add(1) }) }
 
 // IncAdoptionRefusal records a duplicate adoption refused by the
 // destination's agent-epoch guard.
-func (c *Counters) IncAdoptionRefusal() { c.adoptionRefusals.Add(1) }
+func (c *Counters) IncAdoptionRefusal() { c.on(func() { c.live.AdoptionRefusals.Add(1) }) }
 
 // IncWALRotation records one WAL segment sealed and a new one opened.
-func (c *Counters) IncWALRotation() { c.walRotations.Add(1) }
+func (c *Counters) IncWALRotation() { c.on(func() { c.live.WALRotations.Add(1) }) }
 
 // IncWALCompaction records one compacted segment and the garbage bytes it
 // held (reclaimed disk space).
 func (c *Counters) IncWALCompaction(reclaimed int64) {
-	c.walCompactions.Add(1)
-	c.walCompactedBytes.Add(reclaimed)
+	c.on(func() {
+		c.live.WALCompactions.Add(1)
+		c.live.WALCompactedBytes.Add(reclaimed)
+	})
 }
 
 // IncWALCheckpoint records one persisted index checkpoint.
-func (c *Counters) IncWALCheckpoint() { c.walCheckpoints.Add(1) }
+func (c *Counters) IncWALCheckpoint() { c.on(func() { c.live.WALCheckpoints.Add(1) }) }
 
 // ObserveFsync records one fsync call and its duration.
 func (c *Counters) ObserveFsync(d time.Duration) {
-	c.fsyncs.Add(1)
-	c.fsyncNanos.Add(int64(d))
+	c.on(func() {
+		c.live.Fsyncs.Add(1)
+		c.live.FsyncNanos.Add(int64(d))
+	})
 }
 
 // IncReplBatch records one committed batch shipped to follower replicas.
-func (c *Counters) IncReplBatch() { c.replBatches.Add(1) }
+func (c *Counters) IncReplBatch() { c.on(func() { c.live.ReplBatches.Add(1) }) }
 
 // IncReplAck records one follower flush acknowledgement received.
-func (c *Counters) IncReplAck() { c.replAcks.Add(1) }
+func (c *Counters) IncReplAck() { c.on(func() { c.live.ReplAcks.Add(1) }) }
 
 // IncReplSnapshot records one full-snapshot catch-up streamed to a
 // lagging or freshly (re)joined follower.
-func (c *Counters) IncReplSnapshot() { c.replSnapshots.Add(1) }
+func (c *Counters) IncReplSnapshot() { c.on(func() { c.live.ReplSnapshots.Add(1) }) }
 
 // StepStarted marks one step entering execution; it returns the current
 // in-flight count. Pair with StepFinished.
-func (c *Counters) StepStarted() int64 {
-	n := c.inFlight.Add(1)
-	peakMax(&c.inFlightPeak, n)
+func (c *Counters) StepStarted() (n int64) {
+	c.on(func() {
+		n = c.inFlight.Add(1)
+		peakMax(&c.live.SchedInFlightPeak, n)
+	})
 	return n
 }
 
 // StepFinished marks one step leaving execution after busy time d,
 // recording its latency for percentile reporting when ok.
 func (c *Counters) StepFinished(d time.Duration, ok bool) {
-	c.inFlight.Add(-1)
-	c.workerBusyNanos.Add(int64(d))
-	if !ok {
-		return
-	}
-	c.latMu.Lock()
-	if c.latRing == nil {
-		c.latRing = make([]time.Duration, 0, latRingSize)
-	}
-	if len(c.latRing) < latRingSize {
-		c.latRing = append(c.latRing, d)
-	} else {
-		c.latRing[c.latCount%latRingSize] = d
-	}
-	c.latCount++
-	c.latMu.Unlock()
+	c.on(func() {
+		c.inFlight.Add(-1)
+		c.live.SchedWorkerBusyNanos.Add(int64(d))
+		if !ok {
+			return
+		}
+		c.latMu.Lock()
+		if c.latRing == nil {
+			c.latRing = make([]time.Duration, 0, latRingSize)
+		}
+		if len(c.latRing) < latRingSize {
+			c.latRing = append(c.latRing, d)
+		} else {
+			c.latRing[c.latCount%latRingSize] = d
+		}
+		c.latCount++
+		c.latMu.Unlock()
+	})
 }
 
 // InFlight returns the number of steps currently executing.
-func (c *Counters) InFlight() int64 { return c.inFlight.Load() }
+func (c *Counters) InFlight() (n int64) {
+	c.on(func() { n = c.inFlight.Load() })
+	return n
+}
 
 // LatencyBuckets holds the upper bounds of the step-latency histogram
 // cells; observations above the last bound land in the overflow cell.
@@ -446,12 +424,14 @@ type LatencySummary struct {
 // StepLatency reports percentiles and a histogram of the most recent
 // successful step executions (bounded reservoir) plus the total number
 // observed.
-func (c *Counters) StepLatency() LatencySummary {
-	c.latMu.Lock()
-	buf := append([]time.Duration(nil), c.latRing...)
-	n := c.latCount
-	c.latMu.Unlock()
-	sum := LatencySummary{Count: n}
+func (c *Counters) StepLatency() (sum LatencySummary) {
+	var buf []time.Duration
+	c.on(func() {
+		c.latMu.Lock()
+		buf = append(buf, c.latRing...)
+		sum.Count = c.latCount
+		c.latMu.Unlock()
+	})
 	if len(buf) == 0 {
 		return sum
 	}
@@ -482,92 +462,59 @@ func peakMax(peak *atomic.Int64, n int64) {
 }
 
 // Snapshot returns a copy of the current counter values.
-func (c *Counters) Snapshot() Snapshot {
-	var hist, dhist [len(BatchSizeBuckets) + 1]int64
-	for i := range c.netBatchHist {
-		hist[i] = c.netBatchHist[i].Load()
-		dhist[i] = c.decisionBatchHist[i].Load()
-	}
-	c.wireMu.Lock()
-	bytesByKind := copyKindMap(c.wireBytesByKind)
-	msgsByKind := copyKindMap(c.wireMsgsByKind)
-	c.wireMu.Unlock()
-	return Snapshot{
-		NetBatches:      c.netBatches.Load(),
-		NetBatchedMsgs:  c.netBatchedMsgs.Load(),
-		NetBatchSize:    hist,
-		WireBytesByKind: bytesByKind,
-		WireMsgsByKind:  msgsByKind,
+func (c *Counters) Snapshot() (s Snapshot) {
+	c.on(func() {
+		c.wireMu.Lock()
+		defer c.wireMu.Unlock()
+		src, dst := reflect.ValueOf(&c.live).Elem(), reflect.ValueOf(&s).Elem()
+		for i := 0; i < src.NumField(); i++ {
+			load(src.Field(i), dst.Field(i))
+		}
+	})
+	return s
+}
 
-		DecisionBatches:   c.decisionBatches.Load(),
-		DecisionOps:       c.decisionOps.Load(),
-		DecisionBatchSize: dhist,
-		AckPiggybacked:    c.ackPiggybacked.Load(),
-
-		Messages:          c.messages.Load(),
-		BytesSent:         c.bytesSent.Load(),
-		AgentTransfers:    c.agentTransfers.Load(),
-		AgentTransferByte: c.agentTransferByte.Load(),
-		StepTxns:          c.stepTxns.Load(),
-		StepTxnAborts:     c.stepTxnAborts.Load(),
-		CompTxns:          c.compTxns.Load(),
-		CompTxnAborts:     c.compTxnAborts.Load(),
-		CompOps:           c.compOps.Load(),
-		RemoteCompBatches: c.remoteCompBatches.Load(),
-		Savepoints:        c.savepoints.Load(),
-		LogBytesPeak:      c.logBytesPeak.Load(),
-		StableWrites:      c.stableWrites.Load(),
-		StableBytes:       c.stableBytes.Load(),
-
-		SchedClaims:          c.schedClaims.Load(),
-		SchedClaimConflicts:  c.claimConflicts.Load(),
-		SchedLockAborts:      c.lockAborts.Load(),
-		SchedRetries:         c.schedRetries.Load(),
-		SchedInFlightPeak:    c.inFlightPeak.Load(),
-		SchedQueueDepthPeak:  c.queueDepthPeak.Load(),
-		SchedWorkerBusyNanos: c.workerBusyNanos.Load(),
-
-		NetFaultDrops:       c.netFaultDrops.Load(),
-		NetFaultDups:        c.netFaultDups.Load(),
-		NetFaultReorders:    c.netFaultReorders.Load(),
-		NetUnreachableDrops: c.netUnreachableDrops.Load(),
-		MailboxDrops:        c.mailboxDrops.Load(),
-
-		ProtocolTransitions: c.protocolTransitions.Load(),
-		TimersArmed:         c.timersArmed.Load(),
-		TimersFired:         c.timersFired.Load(),
-		TimersCanceled:      c.timersCanceled.Load(),
-
-		MemberAnnounces:  c.memberAnnounces.Load(),
-		RingChanges:      c.ringChanges.Load(),
-		Migrations:       c.migrations.Load(),
-		MigrationBytes:   c.migrationBytes.Load(),
-		MigrationAborts:  c.migrationAborts.Load(),
-		AdoptionRefusals: c.adoptionRefusals.Load(),
-
-		WALRotations:      c.walRotations.Load(),
-		WALCompactions:    c.walCompactions.Load(),
-		WALCompactedBytes: c.walCompactedBytes.Load(),
-		WALCheckpoints:    c.walCheckpoints.Load(),
-		Fsyncs:            c.fsyncs.Load(),
-		FsyncNanos:        c.fsyncNanos.Load(),
-
-		ReplBatches:   c.replBatches.Load(),
-		ReplAcks:      c.replAcks.Load(),
-		ReplSnapshots: c.replSnapshots.Load(),
+// load copies one live field of the declaration into its Snapshot twin:
+// an atomic cell, an array of them, or a per-kind map (wireMu held).
+func load(src, dst reflect.Value) {
+	switch src.Kind() {
+	case reflect.Struct:
+		dst.SetInt(src.Addr().Interface().(*atomic.Int64).Load())
+	case reflect.Array:
+		for i := 0; i < src.Len(); i++ {
+			load(src.Index(i), dst.Index(i))
+		}
+	case reflect.Map:
+		// A live map is nil until its first entry, so an idle one snapshots as nil.
+		dst.Set(reflect.ValueOf(maps.Clone(src.Interface().(map[string]int64))))
 	}
 }
 
-// copyKindMap returns a copy of m, or nil if m is empty.
-func copyKindMap(m map[string]int64) map[string]int64 {
-	if len(m) == 0 {
-		return nil
+// Sub returns the component-wise difference s - o; isPeak fields are not
+// differential and keep s's value.
+func (s Snapshot) Sub(o Snapshot) Snapshot {
+	d, ov := reflect.ValueOf(&s).Elem(), reflect.ValueOf(&o).Elem()
+	for i := 0; i < d.NumField(); i++ {
+		if !isPeak(d.Type().Field(i).Name) {
+			sub(d.Field(i), ov.Field(i))
+		}
 	}
-	out := make(map[string]int64, len(m))
-	for k, v := range m {
-		out[k] = v
+	return s
+}
+
+// sub replaces one Snapshot field d by d - o: a count, an array of them,
+// or a per-kind map.
+func sub(d, o reflect.Value) {
+	switch d.Kind() {
+	case reflect.Int64:
+		d.SetInt(d.Int() - o.Int())
+	case reflect.Array:
+		for i := 0; i < d.Len(); i++ {
+			sub(d.Index(i), o.Index(i))
+		}
+	case reflect.Map:
+		d.Set(reflect.ValueOf(subKindMap(d.Interface().(map[string]int64), o.Interface().(map[string]int64))))
 	}
-	return out
 }
 
 // subKindMap returns the per-key difference s - o, dropping zero deltas
@@ -575,9 +522,6 @@ func copyKindMap(m map[string]int64) map[string]int64 {
 // zero (or both maps are empty) so that equal snapshots diff to the
 // zero Snapshot.
 func subKindMap(s, o map[string]int64) map[string]int64 {
-	if len(s) == 0 && len(o) == 0 {
-		return nil
-	}
 	out := make(map[string]int64, len(s))
 	for k, v := range s {
 		if d := v - o[k]; d != 0 {
@@ -593,77 +537,4 @@ func subKindMap(s, o map[string]int64) map[string]int64 {
 		return nil
 	}
 	return out
-}
-
-// Sub returns the component-wise difference s - o.
-func (s Snapshot) Sub(o Snapshot) Snapshot {
-	var hist, dhist [len(BatchSizeBuckets) + 1]int64
-	for i := range hist {
-		hist[i] = s.NetBatchSize[i] - o.NetBatchSize[i]
-		dhist[i] = s.DecisionBatchSize[i] - o.DecisionBatchSize[i]
-	}
-	return Snapshot{
-		NetBatches:      s.NetBatches - o.NetBatches,
-		NetBatchedMsgs:  s.NetBatchedMsgs - o.NetBatchedMsgs,
-		NetBatchSize:    hist,
-		WireBytesByKind: subKindMap(s.WireBytesByKind, o.WireBytesByKind),
-		WireMsgsByKind:  subKindMap(s.WireMsgsByKind, o.WireMsgsByKind),
-
-		DecisionBatches:   s.DecisionBatches - o.DecisionBatches,
-		DecisionOps:       s.DecisionOps - o.DecisionOps,
-		DecisionBatchSize: dhist,
-		AckPiggybacked:    s.AckPiggybacked - o.AckPiggybacked,
-
-		Messages:          s.Messages - o.Messages,
-		BytesSent:         s.BytesSent - o.BytesSent,
-		AgentTransfers:    s.AgentTransfers - o.AgentTransfers,
-		AgentTransferByte: s.AgentTransferByte - o.AgentTransferByte,
-		StepTxns:          s.StepTxns - o.StepTxns,
-		StepTxnAborts:     s.StepTxnAborts - o.StepTxnAborts,
-		CompTxns:          s.CompTxns - o.CompTxns,
-		CompTxnAborts:     s.CompTxnAborts - o.CompTxnAborts,
-		CompOps:           s.CompOps - o.CompOps,
-		RemoteCompBatches: s.RemoteCompBatches - o.RemoteCompBatches,
-		Savepoints:        s.Savepoints - o.Savepoints,
-		LogBytesPeak:      s.LogBytesPeak, // peak is not differential
-		StableWrites:      s.StableWrites - o.StableWrites,
-		StableBytes:       s.StableBytes - o.StableBytes,
-
-		SchedClaims:          s.SchedClaims - o.SchedClaims,
-		SchedClaimConflicts:  s.SchedClaimConflicts - o.SchedClaimConflicts,
-		SchedLockAborts:      s.SchedLockAborts - o.SchedLockAborts,
-		SchedRetries:         s.SchedRetries - o.SchedRetries,
-		SchedInFlightPeak:    s.SchedInFlightPeak, // peak is not differential
-		SchedQueueDepthPeak:  s.SchedQueueDepthPeak,
-		SchedWorkerBusyNanos: s.SchedWorkerBusyNanos - o.SchedWorkerBusyNanos,
-
-		NetFaultDrops:       s.NetFaultDrops - o.NetFaultDrops,
-		NetFaultDups:        s.NetFaultDups - o.NetFaultDups,
-		NetFaultReorders:    s.NetFaultReorders - o.NetFaultReorders,
-		NetUnreachableDrops: s.NetUnreachableDrops - o.NetUnreachableDrops,
-		MailboxDrops:        s.MailboxDrops - o.MailboxDrops,
-
-		ProtocolTransitions: s.ProtocolTransitions - o.ProtocolTransitions,
-		TimersArmed:         s.TimersArmed - o.TimersArmed,
-		TimersFired:         s.TimersFired - o.TimersFired,
-		TimersCanceled:      s.TimersCanceled - o.TimersCanceled,
-
-		MemberAnnounces:  s.MemberAnnounces - o.MemberAnnounces,
-		RingChanges:      s.RingChanges - o.RingChanges,
-		Migrations:       s.Migrations - o.Migrations,
-		MigrationBytes:   s.MigrationBytes - o.MigrationBytes,
-		MigrationAborts:  s.MigrationAborts - o.MigrationAborts,
-		AdoptionRefusals: s.AdoptionRefusals - o.AdoptionRefusals,
-
-		WALRotations:      s.WALRotations - o.WALRotations,
-		WALCompactions:    s.WALCompactions - o.WALCompactions,
-		WALCompactedBytes: s.WALCompactedBytes - o.WALCompactedBytes,
-		WALCheckpoints:    s.WALCheckpoints - o.WALCheckpoints,
-		Fsyncs:            s.Fsyncs - o.Fsyncs,
-		FsyncNanos:        s.FsyncNanos - o.FsyncNanos,
-
-		ReplBatches:   s.ReplBatches - o.ReplBatches,
-		ReplAcks:      s.ReplAcks - o.ReplAcks,
-		ReplSnapshots: s.ReplSnapshots - o.ReplSnapshots,
-	}
 }

@@ -12,13 +12,12 @@ import (
 
 // WritePrometheus renders a Snapshot plus a step-latency summary in the
 // Prometheus text exposition format (version 0.0.4). The metric set is
-// derived from the Snapshot struct by reflection so new counters appear
-// on /metrics without touching this file:
+// derived from the fields declaration by reflection so new counters
+// appear on /metrics without touching this file:
 //
 //   - int64 fields become counters named repro_<snake_case>_total,
-//     except fields whose name contains "Peak", which are gauges
-//     (repro_<snake_case>) because they are not monotone across
-//     Snapshot.Sub windows;
+//     except isPeak fields, which are gauges (repro_<snake_case>)
+//     because they are not monotone across Snapshot.Sub windows;
 //   - map[string]int64 fields become one counter with a kind="…" label
 //     per key, emitted in sorted key order;
 //   - the NetBatchSize and DecisionBatchSize arrays become classic
@@ -43,7 +42,7 @@ func WritePrometheus(w io.Writer, s Snapshot, lat LatencySummary) error {
 		case f.Name == "DecisionBatchSize":
 			writeBatchHistogram(bw, "repro_decision_batch_size", s.DecisionBatchSize, s.DecisionOps, s.DecisionBatches)
 		case f.Type.Kind() == reflect.Int64:
-			if strings.Contains(f.Name, "Peak") {
+			if isPeak(f.Name) {
 				bw.printf("# TYPE %s gauge\n%s %d\n", name, name, v.Field(i).Int())
 			} else {
 				bw.printf("# TYPE %s_total counter\n%s_total %d\n", name, name, v.Field(i).Int())

@@ -97,7 +97,8 @@ type SimConfig struct {
 	// Latency is the one-way delivery delay applied to every message.
 	// Zero delivers synchronously (still via the mailbox, never inline).
 	Latency time.Duration
-	// Counters receives message/byte accounting; may be nil.
+	// Counters receives message/byte accounting; nil = off, methods are
+	// nil-safe (as trace.Tracer).
 	Counters *metrics.Counters
 	// FaultSeed seeds the RNG driving probabilistic link faults, making a
 	// fault run reproducible. Zero seeds with 1.
@@ -362,9 +363,7 @@ func (s *Sim) send(msg Message) error {
 		// counted. A crashed sender cannot transmit — its endpoint
 		// object may survive in a stopping goroutine, but the host it
 		// modeled is gone.
-		if s.cfg.Counters != nil {
-			s.cfg.Counters.IncNetUnreachableDrop()
-		}
+		s.cfg.Counters.IncNetUnreachableDrop()
 		return nil
 	}
 	if _, ok := s.eps[msg.To]; !ok {
@@ -378,9 +377,7 @@ func (s *Sim) send(msg Message) error {
 		if f.Drop > 0 && s.rng.Float64() < f.Drop {
 			st.Drops++
 			s.mu.Unlock()
-			if s.cfg.Counters != nil {
-				s.cfg.Counters.IncNetFaultDrop()
-			}
+			s.cfg.Counters.IncNetFaultDrop()
 			return nil
 		}
 		lat += f.Extra
@@ -401,15 +398,13 @@ func (s *Sim) send(msg Message) error {
 	epoch := s.epoch[msg.To]
 	s.mu.Unlock()
 
-	if s.cfg.Counters != nil {
-		s.cfg.Counters.IncMessages(int64(len(msg.Payload)))
-		s.cfg.Counters.AddWireBytes(msg.Kind, int64(len(msg.Payload)))
-		if dup {
-			s.cfg.Counters.IncNetFaultDup()
-		}
-		if reorder {
-			s.cfg.Counters.IncNetFaultReorder()
-		}
+	s.cfg.Counters.IncMessages(int64(len(msg.Payload)))
+	s.cfg.Counters.AddWireBytes(msg.Kind, int64(len(msg.Payload)))
+	if dup {
+		s.cfg.Counters.IncNetFaultDup()
+	}
+	if reorder {
+		s.cfg.Counters.IncNetFaultReorder()
 	}
 	s.dispatch(msg, epoch, lat)
 	if dup {
@@ -434,10 +429,8 @@ func (s *Sim) sendBatch(from, to string, msgs []Outgoing) error {
 	hostFrom, hostTo := hostOf(from), hostOf(to)
 	if s.blocked[hostFrom][hostTo] || s.down[hostTo] || s.down[hostFrom] {
 		s.mu.Unlock()
-		if s.cfg.Counters != nil {
-			for range msgs {
-				s.cfg.Counters.IncNetUnreachableDrop()
-			}
+		for range msgs {
+			s.cfg.Counters.IncNetUnreachableDrop()
 		}
 		return nil
 	}
@@ -499,22 +492,20 @@ func (s *Sim) sendBatch(from, to string, msgs []Outgoing) error {
 	epoch := s.epoch[to]
 	s.mu.Unlock()
 
-	if c := s.cfg.Counters; c != nil {
-		for i, n := range sentBytes {
-			c.IncMessages(n)
-			c.AddWireBytes(sentKinds[i], n)
-		}
-		for i := 0; i < drops; i++ {
-			c.IncNetFaultDrop()
-		}
-		for i := 0; i < dups; i++ {
-			c.IncNetFaultDup()
-		}
-		for i := 0; i < reorders; i++ {
-			c.IncNetFaultReorder()
-		}
-		c.ObserveNetBatch(len(batch))
+	for i, n := range sentBytes {
+		s.cfg.Counters.IncMessages(n)
+		s.cfg.Counters.AddWireBytes(sentKinds[i], n)
 	}
+	for i := 0; i < drops; i++ {
+		s.cfg.Counters.IncNetFaultDrop()
+	}
+	for i := 0; i < dups; i++ {
+		s.cfg.Counters.IncNetFaultDup()
+	}
+	for i := 0; i < reorders; i++ {
+		s.cfg.Counters.IncNetFaultReorder()
+	}
+	s.cfg.Counters.ObserveNetBatch(len(batch))
 	if len(batch) > 0 {
 		s.dispatchBatch(batch, epoch, lat)
 	}
@@ -601,7 +592,7 @@ func (s *Sim) deliverBatch(batch []Message, epoch int) {
 	if s.closed || !ok || s.down[hostOf(to)] || s.epoch[to] != epoch || s.blocked[hostOf(from)][hostOf(to)] {
 		closed := s.closed
 		s.mu.Unlock()
-		if !closed && s.cfg.Counters != nil {
+		if !closed {
 			for range batch {
 				s.cfg.Counters.IncNetUnreachableDrop()
 			}
@@ -621,7 +612,7 @@ func (s *Sim) deliver(msg Message, epoch int) {
 	if s.closed || !ok || s.down[hostOf(msg.To)] || s.epoch[msg.To] != epoch || s.blocked[hostOf(msg.From)][hostOf(msg.To)] {
 		closed := s.closed
 		s.mu.Unlock()
-		if !closed && s.cfg.Counters != nil {
+		if !closed {
 			s.cfg.Counters.IncNetUnreachableDrop()
 		}
 		return
@@ -646,11 +637,7 @@ var (
 )
 
 func newSimEndpoint(name string, sim *Sim) *simEndpoint {
-	var onDrop func()
-	if c := sim.cfg.Counters; c != nil {
-		onDrop = c.IncMailboxDrop
-	}
-	return &simEndpoint{name: name, sim: sim, mb: newBoundedMailbox(sim.cfg.MailboxCap, onDrop)}
+	return &simEndpoint{name: name, sim: sim, mb: newBoundedMailbox(sim.cfg.MailboxCap, sim.cfg.Counters.IncMailboxDrop)}
 }
 
 func (e *simEndpoint) Name() string { return e.name }

@@ -26,7 +26,8 @@ type TCPConfig struct {
 	Peers map[string]string
 	// DialTimeout bounds connection attempts (default 2s).
 	DialTimeout time.Duration
-	// Counters receives message/byte accounting; may be nil.
+	// Counters receives message/byte accounting; nil = off, methods are
+	// nil-safe (as trace.Tracer).
 	Counters *metrics.Counters
 	// FlushBytes forces a flush once this many bytes are pending on one
 	// peer connection (default 64 KiB).
@@ -141,10 +142,8 @@ func (e *TCPEndpoint) Send(to, kind string, payload []byte) error {
 		return nil
 	}
 	msg := Message{From: e.cfg.Name, To: to, Kind: kind, Payload: payload}
-	if e.cfg.Counters != nil {
-		e.cfg.Counters.IncMessages(int64(len(payload)))
-		e.cfg.Counters.AddWireBytes(kind, int64(len(payload)))
-	}
+	e.cfg.Counters.IncMessages(int64(len(payload)))
+	e.cfg.Counters.AddWireBytes(kind, int64(len(payload)))
 	if err := e.writeTo(to, addr, &msg); err != nil {
 		// One reconnect attempt: the cached connection may be stale.
 		if err := e.writeTo(to, addr, &msg); err != nil {
@@ -168,10 +167,8 @@ func (e *TCPEndpoint) SendBatch(to string, msgs []Outgoing) error {
 			continue // rejected locally, connection unaffected
 		}
 		kept = append(kept, m)
-		if e.cfg.Counters != nil {
-			e.cfg.Counters.IncMessages(int64(len(m.Payload)))
-			e.cfg.Counters.AddWireBytes(m.Kind, int64(len(m.Payload)))
-		}
+		e.cfg.Counters.IncMessages(int64(len(m.Payload)))
+		e.cfg.Counters.AddWireBytes(m.Kind, int64(len(m.Payload)))
 	}
 	if len(kept) == 0 {
 		return nil
@@ -479,9 +476,7 @@ func (pc *peerConn) flush() bool {
 		// Counted before the write: the receiver may act on the frames
 		// the moment they hit the socket, and a reader of the counter
 		// must never see the frames' effects without the count.
-		if c := pc.ep.cfg.Counters; c != nil {
-			c.ObserveNetBatch(frames)
-		}
+		pc.ep.cfg.Counters.ObserveNetBatch(frames)
 		_, err := pc.c.Write(buf)
 		if err != nil {
 			pc.ep.dropConn(pc.to, pc)

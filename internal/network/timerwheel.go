@@ -4,6 +4,8 @@ import (
 	"container/heap"
 	"sync"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 // TimerWheel multiplexes any number of named one-shot timers onto a
@@ -20,9 +22,9 @@ import (
 // callback may Schedule or Cancel freely. Each timer is one-shot: it
 // fires at most once per Schedule.
 type TimerWheel struct {
-	clock Clock
-	fire  func(id string)
-	obs   TimerObserver // may be nil
+	clock    Clock
+	fire     func(id string)
+	counters *metrics.Counters // armed/fired/canceled counts; nil = off
 
 	mu     sync.Mutex
 	heap   timerHeap
@@ -35,14 +37,6 @@ type TimerWheel struct {
 	wg   sync.WaitGroup
 }
 
-// TimerObserver receives wheel instrumentation (metrics.Counters
-// implements it); all methods must be safe for concurrent use.
-type TimerObserver interface {
-	IncTimerArmed()
-	IncTimerFired()
-	IncTimerCanceled()
-}
-
 type timerEntry struct {
 	id       string
 	deadline time.Time
@@ -52,18 +46,18 @@ type timerEntry struct {
 
 // NewTimerWheel creates and starts a wheel on the given clock (nil uses
 // the wall clock). fire is invoked for every expired timer, one at a
-// time, from the wheel's single goroutine. obs may be nil.
-func NewTimerWheel(clock Clock, fire func(id string), obs TimerObserver) *TimerWheel {
+// time, from the wheel's single goroutine. A nil counters is off.
+func NewTimerWheel(clock Clock, fire func(id string), counters *metrics.Counters) *TimerWheel {
 	if clock == nil {
 		clock = WallClock()
 	}
 	w := &TimerWheel{
-		clock: clock,
-		fire:  fire,
-		obs:   obs,
-		index: make(map[string]*timerEntry),
-		poke:  make(chan struct{}, 1),
-		stop:  make(chan struct{}),
+		clock:    clock,
+		fire:     fire,
+		counters: counters,
+		index:    make(map[string]*timerEntry),
+		poke:     make(chan struct{}, 1),
+		stop:     make(chan struct{}),
 	}
 	w.wg.Add(1)
 	go func() {
@@ -95,9 +89,7 @@ func (w *TimerWheel) Schedule(id string, d time.Duration) {
 		heap.Push(&w.heap, e)
 	}
 	w.mu.Unlock()
-	if w.obs != nil {
-		w.obs.IncTimerArmed()
-	}
+	w.counters.IncTimerArmed()
 	w.wake()
 }
 
@@ -111,8 +103,8 @@ func (w *TimerWheel) Cancel(id string) {
 		heap.Remove(&w.heap, e.pos)
 	}
 	w.mu.Unlock()
-	if ok && w.obs != nil {
-		w.obs.IncTimerCanceled()
+	if ok {
+		w.counters.IncTimerCanceled()
 	}
 }
 
@@ -167,9 +159,7 @@ func (w *TimerWheel) run() {
 			w.mu.Unlock()
 		}
 		for _, id := range due {
-			if w.obs != nil {
-				w.obs.IncTimerFired()
-			}
+			w.counters.IncTimerFired()
 			w.fire(id)
 		}
 		if len(due) > 0 {

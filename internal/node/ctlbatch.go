@@ -76,9 +76,7 @@ func (n *Node) flushCtlStage() {
 		return
 	}
 	_ = n.store.Apply(ops...)
-	if n.cfg.Counters != nil {
-		n.cfg.Counters.ObserveDecisionBatch(len(ops))
-	}
+	n.cfg.Counters.ObserveDecisionBatch(len(ops))
 	if tr := n.cfg.Tracer; tr != nil {
 		tr.Rec(trace.OpCtlFlush, "", "", "", "", "", int64(len(ops)))
 	}

@@ -69,9 +69,7 @@ func (n *Node) stepInto(ev protocol.Event, b *outBatch) {
 	if tr != nil {
 		tr.Rec(trace.OpTransition, txnID, agentID, name, before, after, int64(len(effs)))
 	}
-	if n.cfg.Counters != nil {
-		n.cfg.Counters.IncProtocolTransition()
-	}
+	n.cfg.Counters.IncProtocolTransition()
 	for _, eff := range effs {
 		n.applyEffect(eff, b)
 	}
@@ -292,9 +290,7 @@ func (n *Node) applyEffect(eff protocol.Effect, b *outBatch) {
 			n.wheel.Schedule(e.ID, e.D)
 		}
 	case protocol.CountCompOps:
-		if n.cfg.Counters != nil {
-			n.cfg.Counters.IncCompOps(e.N)
-		}
+		n.cfg.Counters.IncCompOps(e.N)
 	}
 }
 

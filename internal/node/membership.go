@@ -104,9 +104,7 @@ func (n *Node) AnnounceStatus(name string, s membership.Status) {
 		if tr := n.cfg.Tracer; tr != nil {
 			tr.Rec(trace.OpMember, "", "", "set-status", entry.Name, entry.Status.String(), entry.Epoch)
 		}
-		if n.cfg.Counters != nil {
-			n.cfg.Counters.IncRingChange()
-		}
+		n.cfg.Counters.IncRingChange()
 		n.Announce()
 	}
 }
@@ -120,17 +118,13 @@ func (n *Node) handleAnnounce(msg network.Message) {
 	if err := wire.Decode(msg.Payload, &am); err != nil {
 		return
 	}
-	if n.cfg.Counters != nil {
-		n.cfg.Counters.IncMemberAnnounce()
-	}
+	n.cfg.Counters.IncMemberAnnounce()
 	changed, remoteStale := n.members.Merge(membership.View{Members: am.Members})
 	if changed {
 		if tr := n.cfg.Tracer; tr != nil {
 			tr.Rec(trace.OpMember, "", "", "merge", msg.From, "", int64(len(am.Members)))
 		}
-		if n.cfg.Counters != nil {
-			n.cfg.Counters.IncRingChange()
-		}
+		n.cfg.Counters.IncRingChange()
 		n.Announce()
 	}
 	if remoteStale && msg.From != n.cfg.Name {
@@ -186,9 +180,7 @@ func (n *Node) adoptionGate(e protocol.StageEntry) error {
 		if tr := n.cfg.Tracer; tr != nil {
 			tr.Rec(trace.OpMigrate, e.TxnID, agentID, "refuse", e.From, "", c.Epoch)
 		}
-		if n.cfg.Counters != nil {
-			n.cfg.Counters.IncAdoptionRefusal()
-		}
+		n.cfg.Counters.IncAdoptionRefusal()
 		return fmt.Errorf("agent %s epoch %d already adopted", agentID, c.Epoch)
 	}
 	n.adopting[e.TxnID] = stagingAdoption{agentID: agentID, epoch: c.Epoch}
@@ -323,9 +315,7 @@ func (n *Node) rebalanceSweep() (pending bool) {
 		attempted++
 		if err := n.migrateEntry(claimed, mv.dest); err != nil {
 			n.queue.Release(claimed)
-			if n.cfg.Counters != nil {
-				n.cfg.Counters.IncMigrationAbort()
-			}
+			n.cfg.Counters.IncMigrationAbort()
 			if tr := n.cfg.Tracer; tr != nil {
 				tr.Rec(trace.OpMigrate, "", claimed.ID, "abort", n.cfg.Name, mv.dest, 0)
 			}
@@ -416,10 +406,7 @@ func (n *Node) migrateEntry(e *stable.Entry, dest string) error {
 		_ = tx.Abort()
 		return fmt.Errorf("node %s: migrate %s to %s: %w", n.cfg.Name, c.Agent.ID, dest, err)
 	}
-	var onCommit func()
-	if n.cfg.Counters != nil {
-		onCommit = func() { n.cfg.Counters.IncMigration(int64(len(data))) }
-	}
+	onCommit := func() { n.cfg.Counters.IncMigration(int64(len(data))) }
 	if err := n.commitDistributed(tx, []protocol.Participant{prep}, onCommit); err != nil {
 		return err
 	}

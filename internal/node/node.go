@@ -101,7 +101,7 @@ type Config struct {
 	// timer wheel; nil uses the wall clock. A network.VirtualClock
 	// makes every protocol timer manually advanceable.
 	Clock network.Clock
-	// Counters receives metrics; may be nil.
+	// Counters receives metrics; nil = off, methods are nil-safe (as Tracer).
 	Counters *metrics.Counters
 	// Tracer receives the node's causal event records: every protocol
 	// transition, timer arm/fire/cancel, wire send/receive/batch-flush,
@@ -266,11 +266,7 @@ func (n *Node) Manager() *txn.Manager { return n.mgr }
 // returns immediately; recovery (in-doubt resolution, resource loading)
 // happens in the background and gates queue processing.
 func (n *Node) Start() {
-	var obs network.TimerObserver
-	if n.cfg.Counters != nil {
-		obs = n.cfg.Counters
-	}
-	n.wheel = network.NewTimerWheel(n.clock, n.onTimer, obs)
+	n.wheel = network.NewTimerWheel(n.clock, n.onTimer, n.cfg.Counters)
 	n.wg.Add(2)
 	go func() {
 		defer n.wg.Done()
@@ -482,9 +478,7 @@ func (b *outBatch) flush(n *Node) {
 		// A batch headed to a peer picks up that peer's parked replies:
 		// the piggyback ride.
 		if rides := n.takeHeld(to); len(rides) > 0 {
-			if n.cfg.Counters != nil {
-				n.cfg.Counters.IncAckPiggybacked(int64(len(rides)))
-			}
+			n.cfg.Counters.IncAckPiggybacked(int64(len(rides)))
 			if tr := n.cfg.Tracer; tr != nil {
 				for _, r := range rides {
 					tr.Rec(trace.OpPiggyback, "", "", r.Kind, to, "", int64(len(r.Payload)))

@@ -45,9 +45,7 @@ func (n *Node) runCompensation(entry *stable.Entry, c *Container, attempt int) e
 		if err != nil {
 			abortErr := tx.Abort()
 			n.abortParts(tx, parts)
-			if n.cfg.Counters != nil {
-				n.cfg.Counters.IncCompTxnAbort()
-			}
+			n.cfg.Counters.IncCompTxnAbort()
 			if abortErr != nil {
 				return abortErr
 			}
@@ -96,14 +94,8 @@ func (n *Node) runCompensation(entry *stable.Entry, c *Container, attempt int) e
 	}
 
 	a.SRO.Freeze(false) // clear runtime-only flag before serialization
-	var onCommit func()
-	if n.cfg.Counters != nil {
-		onCommit = n.cfg.Counters.IncCompTxn
-	}
-	if err := n.shipContainer(tx, next, dest, parts, onCommit); err != nil {
-		if n.cfg.Counters != nil {
-			n.cfg.Counters.IncCompTxnAbort()
-		}
+	if err := n.shipContainer(tx, next, dest, parts, n.cfg.Counters.IncCompTxn); err != nil {
+		n.cfg.Counters.IncCompTxnAbort()
 		return err
 	}
 	return nil
@@ -133,9 +125,7 @@ func (n *Node) compensateLastStep(tx *txn.Tx, a *agent.Agent, attempt int) ([]pr
 		if err := n.execCompOps(tx, a, ops); err != nil {
 			return nil, err
 		}
-		if n.cfg.Counters != nil {
-			n.cfg.Counters.IncCompOps(int64(len(ops)))
-		}
+		n.cfg.Counters.IncCompOps(int64(len(ops)))
 		return nil, nil
 	}
 
@@ -153,9 +143,7 @@ func (n *Node) compensateLastStep(tx *txn.Tx, a *agent.Agent, attempt int) ([]pr
 		prep, ch := n.prepareRCERemote(tx, dest, rces)
 		parts = append(parts, prep)
 		ackCh = ch
-		if n.cfg.Counters != nil {
-			n.cfg.Counters.IncRemoteCompBatch()
-		}
+		n.cfg.Counters.IncRemoteCompBatch()
 	}
 	if err := n.execCompOps(tx, a, aces); err != nil {
 		if ackCh != nil {
@@ -163,9 +151,7 @@ func (n *Node) compensateLastStep(tx *txn.Tx, a *agent.Agent, attempt int) ([]pr
 		}
 		return parts, err
 	}
-	if n.cfg.Counters != nil {
-		n.cfg.Counters.IncCompOps(int64(len(aces)))
-	}
+	n.cfg.Counters.IncCompOps(int64(len(aces)))
 	if ackCh != nil {
 		if _, err := n.await(ackCh, protocol.KindRCEExecAck, tx.ID()); err != nil {
 			return parts, fmt.Errorf("node %s: remote compensation on %s: %w", n.cfg.Name, eos.Node, err)

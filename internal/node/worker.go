@@ -277,7 +277,7 @@ func (n *Node) finishAgent(tx *txn.Tx, a *agent.Agent, failed bool, reason strin
 	// Count the committed step transaction BEFORE the notification goes
 	// out: once the owner sees the done message it may snapshot metrics,
 	// and the final step must already be in them.
-	if !failed && n.cfg.Counters != nil {
+	if !failed {
 		n.cfg.Counters.IncStepTxn()
 	}
 	n.step(protocol.DoneRecorded{AgentID: a.ID, Owner: a.Owner})
@@ -313,9 +313,7 @@ func (n *Node) runStep(entry *stable.Entry, c *Container, attempt int) error {
 	sctx := &stepCtx{node: n, a: a, tx: tx, seq: seq}
 	if err := fn(sctx); err != nil {
 		abortErr := tx.Abort()
-		if n.cfg.Counters != nil {
-			n.cfg.Counters.IncStepTxnAbort()
-		}
+		n.cfg.Counters.IncStepTxnAbort()
 		if abortErr != nil {
 			return abortErr
 		}
@@ -402,11 +400,7 @@ func (n *Node) runStep(entry *stable.Entry, c *Container, attempt int) error {
 		}
 		dest = n.ringDest(key)
 	}
-	var onCommit func()
-	if n.cfg.Counters != nil {
-		onCommit = n.cfg.Counters.IncStepTxn
-	}
-	return n.shipContainer(tx, &Container{Mode: ModeStep, Agent: a}, dest, nil, onCommit)
+	return n.shipContainer(tx, &Container{Mode: ModeStep, Agent: a}, dest, nil, n.cfg.Counters.IncStepTxn)
 }
 
 // appendSavepoint constitutes a savepoint at the current end of the log.
@@ -416,9 +410,7 @@ func (n *Node) appendSavepoint(a *agent.Agent, id string) error {
 		// the log and still valid.
 		return nil
 	}
-	if n.cfg.Counters != nil {
-		n.cfg.Counters.IncSavepoints()
-	}
+	n.cfg.Counters.IncSavepoints()
 	return appendSavepointTo(a, id, n.cfg.LogMode, n.cfg.SagaBaseline)
 }
 
@@ -467,6 +459,8 @@ func AppendInitialSavepointsMode(a *agent.Agent, entered []string, mode core.Log
 }
 
 func (n *Node) observeLogSize(a *agent.Agent) {
+	// The one place a nil Counters is still tested for: not to protect the
+	// call below, which is nil-safe, but to skip computing EncodedSize.
 	if n.cfg.Counters == nil {
 		return
 	}
@@ -546,7 +540,7 @@ func (n *Node) shipContainer(tx *txn.Tx, c *Container, dest string, parts []prot
 		return permanent(err)
 	}
 	hook := onCommit
-	if dest != n.cfg.Name && n.cfg.Counters != nil {
+	if dest != n.cfg.Name {
 		hook = func() {
 			n.cfg.Counters.IncAgentTransfer(int64(len(data)))
 			if onCommit != nil {

@@ -23,7 +23,8 @@ import (
 type Config struct {
 	// Node is the node name reported by /healthz.
 	Node string
-	// Counters backs /metrics; nil serves an empty snapshot.
+	// Counters backs /metrics; nil = off, methods are nil-safe (as
+	// Tracer), so /metrics then serves the all-zero exposition.
 	Counters *metrics.Counters
 	// Tracer backs /trace; nil makes /trace return 404.
 	Tracer *trace.Tracer
@@ -72,14 +73,8 @@ type RingDump struct {
 func Handler(cfg Config) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		var s metrics.Snapshot
-		var lat metrics.LatencySummary
-		if cfg.Counters != nil {
-			s = cfg.Counters.Snapshot()
-			lat = cfg.Counters.StepLatency()
-		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = metrics.WritePrometheus(w, s, lat)
+		_ = metrics.WritePrometheus(w, cfg.Counters.Snapshot(), cfg.Counters.StepLatency())
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")

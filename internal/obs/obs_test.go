@@ -60,6 +60,19 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("metrics missing %q", want)
 		}
 	}
+
+	// A nil Counters is "off": same endpoint, the all-zero exposition.
+	off := get(t, Handler(Config{Node: "n1"}), "/metrics")
+	if off.Code != http.StatusOK || off.Header().Get("Content-Type") != rec.Header().Get("Content-Type") {
+		t.Errorf("nil counters: status = %d, content type = %q", off.Code, off.Header().Get("Content-Type"))
+	}
+	var zero strings.Builder
+	if err := metrics.WritePrometheus(&zero, metrics.Snapshot{}, metrics.LatencySummary{}); err != nil {
+		t.Fatal(err)
+	}
+	if off.Body.String() != zero.String() {
+		t.Errorf("nil counters: body is not the all-zero exposition:\n%s", off.Body.String())
+	}
 }
 
 func TestHealthz(t *testing.T) {

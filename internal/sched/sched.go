@@ -79,7 +79,8 @@ type Config struct {
 	// currently held (txn.Lock.Busy); may be nil.
 	Busy func(key string) bool
 
-	// Counters receives scheduler metrics; may be nil.
+	// Counters receives scheduler metrics; nil = off, methods are
+	// nil-safe (as Tracer).
 	Counters *metrics.Counters
 	// Tracer receives claim/retry/abort records (nil-safe).
 	Tracer *trace.Tracer
@@ -248,9 +249,7 @@ func (p *Pool) tryClaim() (bool, time.Duration) {
 	if p.cfg.Hints != nil {
 		keys = p.cfg.Hints(e)
 	}
-	if p.cfg.Counters != nil {
-		p.cfg.Counters.IncSchedClaim(int64(depth))
-	}
+	p.cfg.Counters.IncSchedClaim(int64(depth))
 	p.cfg.Tracer.Rec(trace.OpSchedClaim, "", e.ID, "", "", "", int64(depth))
 	t := &task{entry: e, keys: keys}
 	p.mu.Lock()
@@ -312,7 +311,7 @@ func (p *Pool) selectLocked() *task {
 	}
 	if pick < 0 {
 		pick = 0
-	} else if pick > 0 && p.cfg.Counters != nil {
+	} else if pick > 0 {
 		p.cfg.Counters.IncClaimConflict()
 	}
 	t := p.ready[pick]
@@ -339,15 +338,10 @@ func (p *Pool) exec(t *task) {
 	attempt := p.attempts[t.entry.ID] + 1
 	p.mu.Unlock()
 
-	c := p.cfg.Counters
-	if c != nil {
-		c.StepStarted()
-	}
+	p.cfg.Counters.StepStarted()
 	start := time.Now()
 	err := p.cfg.Exec(t.entry, attempt)
-	if c != nil {
-		c.StepFinished(time.Since(start), err == nil)
-	}
+	p.cfg.Counters.StepFinished(time.Since(start), err == nil)
 
 	settled := err == nil
 	if err != nil {
@@ -356,11 +350,9 @@ func (p *Pool) exec(t *task) {
 			perm = true
 		}
 		if !perm {
-			if c != nil {
-				c.IncSchedRetry()
-				if errors.Is(err, txn.ErrLockTimeout) {
-					c.IncLockConflictAbort()
-				}
+			p.cfg.Counters.IncSchedRetry()
+			if errors.Is(err, txn.ErrLockTimeout) {
+				p.cfg.Counters.IncLockConflictAbort()
 			}
 			if p.cfg.Tracer != nil {
 				p.cfg.Tracer.Rec(trace.OpSchedRetry, "", t.entry.ID, err.Error(), "", "", int64(attempt))

@@ -89,7 +89,7 @@ var _ Store = (*FileStore)(nil)
 
 // OpenFileStore opens (creating if necessary) a FileStore rooted at dir
 // with default options (no fsync, default cache) and replays any pending
-// journal. counters may be nil.
+// journal. A nil counters is off.
 func OpenFileStore(dir string, counters *metrics.Counters) (*FileStore, error) {
 	return OpenFileStoreWith(dir, counters, FileStoreOptions{})
 }
@@ -308,13 +308,11 @@ func (s *FileStore) commitGroup(group []*applyWaiter) error {
 		return fmt.Errorf("stable: clear journal: %w", err)
 	}
 	s.groupCommits.Add(1)
-	if s.counters != nil {
-		var bytes int64
-		for _, op := range ops {
-			bytes += int64(len(op.Value))
-		}
-		s.counters.IncStableWrite(bytes)
+	var bytes int64
+	for _, op := range ops {
+		bytes += int64(len(op.Value))
 	}
+	s.counters.IncStableWrite(bytes)
 	return nil
 }
 
@@ -355,9 +353,7 @@ func (s *FileStore) writeFileAtomic(path string, data []byte) error {
 	if s.opts.Sync {
 		start := time.Now()
 		err := f.Sync()
-		if s.counters != nil {
-			s.counters.ObserveFsync(time.Since(start))
-		}
+		s.counters.ObserveFsync(time.Since(start))
 		if err != nil {
 			_ = f.Close()
 			return err
@@ -377,9 +373,7 @@ func (s *FileStore) syncDir(dir string) error {
 	}
 	start := time.Now()
 	err = d.Sync()
-	if s.counters != nil {
-		s.counters.ObserveFsync(time.Since(start))
-	}
+	s.counters.ObserveFsync(time.Since(start))
 	if cerr := d.Close(); err == nil {
 		err = cerr
 	}

@@ -24,7 +24,7 @@ type MemStore struct {
 
 var _ Store = (*MemStore)(nil)
 
-// NewMemStore returns an empty MemStore. counters may be nil.
+// NewMemStore returns an empty MemStore. A nil counters is off.
 func NewMemStore(counters *metrics.Counters) *MemStore {
 	return &MemStore{
 		data:     make(map[string][]byte),
@@ -74,9 +74,7 @@ func (s *MemStore) Apply(batch ...Op) error {
 		s.data[op.Key] = v
 		bytes += int64(len(v))
 	}
-	if s.counters != nil {
-		s.counters.IncStableWrite(bytes)
-	}
+	s.counters.IncStableWrite(bytes)
 	return nil
 }
 

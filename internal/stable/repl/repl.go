@@ -68,7 +68,8 @@ type Options struct {
 	// one, and records it writes must not be confused with same-LSN
 	// records of the previous authority.
 	Promote bool
-	// Counters receives replication instrumentation; nil disables it.
+	// Counters receives replication instrumentation; nil = off, methods
+	// are nil-safe (as trace.Tracer).
 	Counters *metrics.Counters
 }
 
@@ -304,7 +305,7 @@ func (s *Store) commitGroup(group []*applyReq) error {
 	s.mu.Unlock()
 
 	if send != nil {
-		if s.counters != nil && len(s.followers) > 0 {
+		if len(s.followers) > 0 {
 			s.counters.IncReplBatch()
 		}
 		for _, f := range s.followers {
@@ -352,9 +353,7 @@ func (s *Store) HandleAck(follower string, ack Ack) {
 	if ack.Shard != s.shard {
 		return
 	}
-	if s.counters != nil {
-		s.counters.IncReplAck()
-	}
+	s.counters.IncReplAck()
 	s.acked[follower] = ack.LSN
 	s.ackedEpoch[follower] = ack.Epoch
 	if len(s.waiters) == 0 {
@@ -434,9 +433,7 @@ func (s *Store) Sync() {
 				continue
 			}
 		}
-		if s.counters != nil {
-			s.counters.IncReplSnapshot()
-		}
+		s.counters.IncReplSnapshot()
 		outs = append(outs, out{Endpoint(f), KindSnapshot, snap})
 	}
 	s.mu.Unlock()

@@ -31,7 +31,8 @@ type Spec struct {
 	// multi-node runtime (cluster) because it needs a transport; Open
 	// itself returns the unreplicated engine.
 	Repl ReplSpec
-	// Counters receives storage metrics; may be nil.
+	// Counters receives storage metrics; nil = off, methods are nil-safe
+	// (as trace.Tracer).
 	Counters *metrics.Counters
 }
 

@@ -95,9 +95,7 @@ func writeCheckpoint(dir string, pos ckptPos, index map[string]loc, counters *me
 func timedSync(sync func() error, counters *metrics.Counters) error {
 	start := time.Now()
 	err := sync()
-	if counters != nil {
-		counters.ObserveFsync(time.Since(start))
-	}
+	counters.ObserveFsync(time.Since(start))
 	return err
 }
 

@@ -49,7 +49,8 @@ type Options struct {
 	// compaction then only happen through explicit Checkpoint/Compact
 	// calls (tests and experiments).
 	NoBackground bool
-	// Counters receives metrics; may be nil.
+	// Counters receives metrics; nil = off, methods are nil-safe (as
+	// trace.Tracer).
 	Counters *metrics.Counters
 }
 
@@ -430,13 +431,11 @@ func (s *Store) commitGroup(group []*applyWaiter) error {
 		return err
 	}
 	s.groupCommits.Add(1)
-	if s.counters != nil {
-		var bytes int64
-		for _, op := range ops {
-			bytes += int64(len(op.Value))
-		}
-		s.counters.IncStableWrite(bytes)
+	var bytes int64
+	for _, op := range ops {
+		bytes += int64(len(op.Value))
 	}
+	s.counters.IncStableWrite(bytes)
 	s.maybeKickMaintenance()
 	return nil
 }
@@ -541,9 +540,7 @@ func (s *Store) rotate(active *segment) error {
 	if err := s.createSegmentLocked(active.id + 1); err != nil {
 		return err
 	}
-	if s.counters != nil {
-		s.counters.IncWALRotation()
-	}
+	s.counters.IncWALRotation()
 	return nil
 }
 
@@ -653,9 +650,7 @@ func (s *Store) Checkpoint() error {
 		s.ckptAppended = appended
 	}
 	s.mu.Unlock()
-	if s.counters != nil {
-		s.counters.IncWALCheckpoint()
-	}
+	s.counters.IncWALCheckpoint()
 	return nil
 }
 
@@ -770,8 +765,6 @@ func (s *Store) compactSegment(seg *segment) error {
 	if err := os.Remove(seg.path(s.dir)); err != nil && !os.IsNotExist(err) {
 		return err
 	}
-	if s.counters != nil {
-		s.counters.IncWALCompaction(size - live)
-	}
+	s.counters.IncWALCompaction(size - live)
 	return nil
 }
