@@ -371,55 +371,6 @@ func BenchmarkWALRecovery(b *testing.B) {
 	}
 }
 
-// BenchmarkLogEncodedSize: per-step log-size accounting on a growing log —
-// the incremental path measures only the appended entries, the full path
-// re-encodes the whole log every step (the pre-change behavior).
-func BenchmarkLogEncodedSize(b *testing.B) {
-	const resetAt = 512 // bound log growth across b.N
-	seed := func(l *core.Log) {
-		if err := l.AppendSavepoint("sp", map[string][]byte{"v": make([]byte, 256)}, core.StateLogging, true); err != nil {
-			b.Fatal(err)
-		}
-	}
-	step := func(l *core.Log, i int) {
-		l.Append(&core.BeginStepEntry{Node: "n", Seq: i})
-		l.Append(&core.OpEntry{Kind: core.OpResource, Op: "op", Params: core.NewParams().Set("amt", int64(i))})
-		l.Append(&core.EndStepEntry{Node: "n", Seq: i})
-	}
-	b.Run("incremental", func(b *testing.B) {
-		var l core.Log
-		seed(&l)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if l.Len() > resetAt {
-				l.Clear()
-				seed(&l)
-			}
-			step(&l, i)
-			if _, err := l.EncodedSize(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("full", func(b *testing.B) {
-		var l core.Log
-		seed(&l)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if l.Len() > resetAt {
-				l.Clear()
-				seed(&l)
-			}
-			step(&l, i)
-			if _, err := wire.EncodedSize(&l); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkFig3Rollback: partial rollback cost vs rollback depth
 // (Figures 3-4, basic algorithm).
 func BenchmarkFig3Rollback(b *testing.B) {
@@ -656,8 +607,8 @@ func BenchmarkEOSFlagAblation(b *testing.B) {
 	})
 }
 
-// BenchmarkSchedulerWorkers: the worker-scaling load (the `tput`
-// experiment scaled down): agents/sec as custom metric; throughput must
+// BenchmarkSchedulerWorkers: the worker-scaling load (loadgen's
+// workload scaled down): agents/sec as custom metric; throughput must
 // grow with workers because steps hold their transaction for the
 // service time and workers overlap it.
 func BenchmarkSchedulerWorkers(b *testing.B) {

@@ -1,8 +1,8 @@
 // Command agentnode runs one agent-system node as a standalone OS process
 // over TCP, with a disk-backed stable store — the multi-process deployment
-// of the system (gob on the wire and on disk). Killing the process and
-// restarting it with the same -data directory exercises the crash-recovery
-// protocol for real. The default -store=wal engine appends commits to
+// of the system (binary frames on the wire, gob containers inside them
+// and on disk). Killing the process and restarting it with the same -data
+// directory exercises the crash-recovery protocol for real. The default -store=wal engine appends commits to
 // checksummed log segments with index checkpoints, so restart replays
 // only the log tail written since the last checkpoint; -store=file keeps
 // the one-file-per-key layout of earlier deployments (the engines do not

@@ -1,22 +1,25 @@
-// Command loadgen drives the throughput load harness against a simulated
-// cluster: K agents over M nodes with a configurable conflict ratio,
-// reporting agents/sec and step-latency percentiles.
+// Command loadgen drives one open-loop burst of load against a simulated
+// cluster — K agents over M nodes with a configurable conflict ratio — and
+// prints a summary of the run. It is the driver for the cluster smokes
+// (mid-run join, replication, storage engines, chaos) and for profiles and
+// traces; timing numbers come from `go run ./bench`, not from here.
 //
 // Usage:
 //
 //	loadgen                                  # defaults: 64 agents, 4 nodes, 1 worker
 //	loadgen -workers 8                       # 8 scheduler workers per node
 //	loadgen -workers 8 -conflict 0.5         # half the agents pinned to one bank
-//	loadgen -sweep 1,2,4,8 -json out.json    # worker sweep, machine-readable
 //	loadgen -store wal                       # nodes on the log-structured WAL engine
-//	loadgen -storesweep -workers 4           # backend sweep: mem vs file vs wal
 //	loadgen -ring                            # consistent-hash placement (@ring steps)
 //	loadgen -join -workers 4                 # boot a 5th node mid-run; live agents migrate to it
 //	loadgen -repl 2                          # replicate every shard to 2 followers (quorum acks)
 //	loadgen -repl 2 -repl-acks async         # replicate asynchronously (primary-only durability)
+//	loadgen -profile shard-saturate          # two runs, 1x and 10x in-flight agents
+//	loadgen -trace t.json -cpuprofile p      # causal trace (chrome://tracing) and pprof CPU profile
 //	loadgen -chaos -chaos-seeds 20           # chaos sweep: 20 seeded fault schedules
 //	loadgen -chaos -chaos-seed 7 -store wal  # replay one failing seed, print its schedule
 //	loadgen -chaos -repl 2 -chaos-kill 2     # chaos with permanent machine kills + failover
+//	loadgen -chaos -json chaos.json          # also write the per-seed chaos reports as JSON
 //
 // The per-step service time (-stepwork) is spent inside the step
 // transaction with the bank lock held; it is what makes the workload
@@ -29,7 +32,9 @@
 // faults and latency spikes, executed against the workload while the
 // §4.3 invariants are checked. A failing CI seed is replayed exactly with
 // `-chaos -chaos-seed=N -store=<engine> -workers=<W>`; the exact schedule
-// is printed and the exit status reflects the verdict.
+// is printed and the exit status reflects the verdict. The chaos workload
+// is the harness's own: a plain-load flag under -chaos, or a -chaos-*
+// flag or -json without it, is an error.
 package main
 
 import (
@@ -39,75 +44,14 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/experiments"
-	"repro/internal/metrics"
 	"repro/internal/stable"
 	"repro/internal/trace"
 )
-
-type runReport struct {
-	Workers       int     `json:"workers"`
-	Nodes         int     `json:"nodes"`
-	Agents        int     `json:"agents"`
-	Steps         int     `json:"steps"`
-	Store         string  `json:"store"`
-	Repl          int     `json:"repl,omitempty"`
-	ReplAcks      string  `json:"repl_acks,omitempty"`
-	Ring          bool    `json:"ring,omitempty"`
-	JoinMidRun    bool    `json:"join_mid_run,omitempty"`
-	Migrations    int64   `json:"migrations,omitempty"`
-	ConflictRatio float64 `json:"conflict_ratio"`
-	StepWorkMS    float64 `json:"step_work_ms"`
-	ElapsedMS     float64 `json:"elapsed_ms"`
-	AgentsPerSec  float64 `json:"agents_per_sec"`
-	StepsPerSec   float64 `json:"steps_per_sec"`
-	P50MS         float64 `json:"p50_ms"`
-	P90MS         float64 `json:"p90_ms"`
-	P99MS         float64 `json:"p99_ms"`
-	P999MS        float64 `json:"p999_ms"`
-	InFlightPeak  int64   `json:"inflight_peak"`
-	GoroutinePeak int     `json:"goroutine_peak"`
-	ClaimConflict int64   `json:"claim_conflicts"`
-	LockAborts    int64   `json:"lock_aborts"`
-	Retries       int64   `json:"retries"`
-	StableWrites  int64   `json:"stable_writes"`
-	Fsyncs        int64   `json:"fsyncs"`
-	ReplBatches   int64   `json:"repl_batches,omitempty"`
-	Messages      int64   `json:"messages"`
-	BytesSent     int64   `json:"bytes_sent"`
-	// NetBatches / NetBatchedMsgs summarize per-link coalescing: how
-	// many endpoint deliveries carried how many protocol messages.
-	NetBatches     int64   `json:"net_batches"`
-	NetBatchedMsgs int64   `json:"net_batched_msgs"`
-	AvgBatchSize   float64 `json:"avg_batch_size"`
-	// NetBatchSize is the frames-per-batch histogram, keyed by bucket
-	// label ("1", "2-2", "3-4", ..., ">64").
-	NetBatchSize map[string]int64 `json:"net_batch_size,omitempty"`
-	// Control-plane batching effectiveness: how many stable group
-	// commits retired how many decision/done GC ops
-	// (decision_commits_per_txn < 1.0 is the coalescing win), how many
-	// replies rode existing outbound batches, and how the timer-arm
-	// volume relates to committed step transactions (per-peer coalesced
-	// timers keep timers_per_txn far below the per-txn timer model).
-	DecisionBatches      int64   `json:"decision_batches"`
-	DecisionOps          int64   `json:"decision_ops"`
-	DecisionCommitsPerTx float64 `json:"decision_commits_per_txn"`
-	AckPiggybacked       int64   `json:"ack_piggybacked"`
-	TimersArmed          int64   `json:"timers_armed"`
-	TimersPerTxn         float64 `json:"timers_per_txn"`
-	// StepLatencyBuckets is the raw step-latency reservoir histogram,
-	// keyed by bucket label ("le_1ms", ..., "inf"); empty cells omitted.
-	StepLatencyBuckets map[string]int64 `json:"step_latency_buckets,omitempty"`
-	// WireBytesByKind is payload bytes on the wire per message kind;
-	// WireMsgsByKind the matching message counts.
-	WireBytesByKind map[string]int64 `json:"wire_bytes_by_kind,omitempty"`
-	WireMsgsByKind  map[string]int64 `json:"wire_msgs_by_kind,omitempty"`
-}
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
@@ -128,24 +72,39 @@ func run(args []string) error {
 	latency := fs.Duration("latency", 200*time.Microsecond, "one-way network latency")
 	optimized := fs.Bool("optimized", false, "use the Figure-5 optimized rollback algorithm")
 	sflags := stable.BindFlags(fs, stable.Spec{Engine: "mem"})
-	profileName := fs.String("profile", "", `named load profile: "shard-saturate" saturates GOMAXPROCS across the shards and sweeps 1x/10x in-flight agents (p99 should stay flat)`)
+	profileName := fs.String("profile", "", `named load profile: "shard-saturate" saturates GOMAXPROCS across the shards and runs 1x then 10x in-flight agents (p99 should stay flat)`)
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile covering the whole run to this file")
 	memProfile := fs.String("memprofile", "", "write a pprof heap profile at the end of the run to this file")
-	storeSweep := fs.Bool("storesweep", false, "run the sweep over every registered engine (stable.Engines) per worker count")
-	sweep := fs.String("sweep", "", "comma-separated worker counts to sweep (overrides -workers)")
-	jsonPath := fs.String("json", "", "write the reports as JSON to this file")
 	tracePath := fs.String("trace", "", "write the final run's causal trace as Chrome trace_event JSON (open in chrome://tracing or Perfetto)")
-	noTrace := fs.Bool("notrace", false, "disable the per-node trace rings (tracing is on by default; used to measure its overhead)")
 	ring := fs.Bool("ring", false, "place steps by consistent hash (membership layer on) instead of static round-robin wiring")
 	joinMid := fs.Bool("join", false, "boot one extra node mid-run and let the rebalancer migrate its ring share of live agents over (implies -ring)")
-	migrateBurst := fs.Int("migrateburst", 0, "max live-agent migrations per rebalancer sweep (0 = node default, negative = unbounded) — A/B the join-spike throttle")
 	chaosMode := fs.Bool("chaos", false, "run the seeded fault-injection harness instead of the plain load")
 	chaosSeed := fs.Int64("chaos-seed", -1, "chaos: replay exactly this seed (prints the schedule)")
 	chaosSeeds := fs.Int("chaos-seeds", 5, "chaos: number of consecutive seeds to sweep")
 	chaosBase := fs.Int64("chaos-base-seed", 1, "chaos: first seed of the sweep")
 	chaosKill := fs.Int("chaos-kill", 0, "chaos: permanent machine kills per schedule (requires -repl with quorum acks)")
+	jsonPath := fs.String("json", "", "chaos: write the per-seed reports as JSON to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	// -chaos runs the harness's own workload: a flag only the other mode
+	// reads is an error, not silently dropped.
+	plainOnly := map[string]bool{
+		"agents": true, "steps": true, "banks": true, "conflict": true, "stepwork": true, "latency": true,
+		"optimized": true, "profile": true, "trace": true, "ring": true, "join": true,
+	}
+	var modeErr error
+	fs.Visit(func(f *flag.Flag) {
+		switch {
+		case modeErr != nil:
+		case *chaosMode && plainOnly[f.Name]:
+			modeErr = fmt.Errorf("-%s is a plain-load flag: the -chaos workload would ignore it", f.Name)
+		case !*chaosMode && (f.Name == "json" || strings.HasPrefix(f.Name, "chaos-")):
+			modeErr = fmt.Errorf("-%s requires -chaos", f.Name)
+		}
+	})
+	if modeErr != nil {
+		return modeErr
 	}
 
 	spec, err := sflags.Spec()
@@ -200,194 +159,83 @@ func run(args []string) error {
 			jsonPath: *jsonPath,
 		})
 	}
-	if *chaosKill > 0 {
-		return fmt.Errorf("-chaos-kill requires -chaos")
-	}
 
-	counts := []int{*workers}
-	if *sweep != "" {
-		counts = counts[:0]
-		for _, f := range strings.Split(*sweep, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil || n < 1 {
-				return fmt.Errorf("bad -sweep element %q", f)
-			}
-			counts = append(counts, n)
-		}
+	cfg := experiments.ThroughputConfig{
+		Nodes:         *nodes,
+		Workers:       *workers,
+		Agents:        *agents,
+		Steps:         *steps,
+		Banks:         *banks,
+		ConflictRatio: *conflict,
+		StepWork:      *stepwork,
+		Latency:       *latency,
+		Optimized:     *optimized,
+		Store:         spec.Engine,
+		Repl:          spec.Repl,
+		CollectTrace:  *tracePath != "",
+		Ring:          *ring || *joinMid,
+		JoinMidRun:    *joinMid,
 	}
-
-	backends := []string{spec.Engine}
-	if *storeSweep {
-		backends = stable.Engines()
-	}
-
-	// A load point is one (workers, agents) cell; the plain worker sweep
-	// holds agents fixed, a named profile may vary both.
-	type loadPoint struct{ workers, agents int }
-	points := make([]loadPoint, 0, len(counts)+1)
-	for _, w := range counts {
-		points = append(points, loadPoint{workers: w, agents: *agents})
-	}
+	var last experiments.ThroughputResult
 	switch *profileName {
 	case "":
+		if last, err = runLoad(cfg, replAcks); err != nil {
+			return err
+		}
 	case "shard-saturate":
 		// Saturate the machine: enough workers per node to keep every
 		// core busy, then 10x the in-flight agent backlog while holding
 		// everything else fixed. With the control plane batched per peer
-		// the p99 step latency should stay flat across the two points —
+		// the p99 step latency should stay flat across the two runs —
 		// the timers, GC writes and acks no longer scale with the number
 		// of in-flight transactions.
-		if *sweep != "" {
-			return fmt.Errorf("-profile shard-saturate and -sweep are mutually exclusive")
-		}
-		w := (runtime.GOMAXPROCS(0) + *nodes - 1) / *nodes
-		if w < 2 {
-			w = 2
-		}
-		points = []loadPoint{
-			{workers: w, agents: *agents},
-			{workers: w, agents: *agents * 10},
-		}
-	default:
-		return fmt.Errorf("unknown -profile %q (want shard-saturate)", *profileName)
-	}
-
-	traceRing := 0
-	if *noTrace {
-		if *tracePath != "" {
-			return fmt.Errorf("-trace and -notrace are mutually exclusive")
-		}
-		traceRing = -1
-	}
-
-	var reports []runReport
-	var lastTrace []trace.Record
-	for _, pt := range points {
-		for _, backend := range backends {
-			res, err := experiments.RunThroughput(experiments.ThroughputConfig{
-				Nodes:         *nodes,
-				Workers:       pt.workers,
-				Agents:        pt.agents,
-				Steps:         *steps,
-				Banks:         *banks,
-				ConflictRatio: *conflict,
-				StepWork:      *stepwork,
-				Latency:       *latency,
-				Optimized:     *optimized,
-				Store:         backend,
-				Repl:          spec.Repl,
-				TraceRing:     traceRing,
-				CollectTrace:  *tracePath != "",
-				Ring:          *ring || *joinMid,
-				JoinMidRun:    *joinMid,
-				MigrateBurst:  *migrateBurst,
-			})
-			if err != nil {
-				return err
-			}
-			r := runReport{
-				Workers:        pt.workers,
-				Nodes:          *nodes,
-				Agents:         pt.agents,
-				Steps:          *steps,
-				Store:          backend,
-				Repl:           spec.Repl.Followers,
-				ReplAcks:       replAcks,
-				Ring:           *ring || *joinMid,
-				JoinMidRun:     *joinMid,
-				Migrations:     res.Metrics.Migrations,
-				ConflictRatio:  *conflict,
-				StepWorkMS:     float64(stepwork.Microseconds()) / 1000,
-				ElapsedMS:      float64(res.Elapsed.Microseconds()) / 1000,
-				AgentsPerSec:   res.AgentsPerSec,
-				StepsPerSec:    res.StepsPerSec,
-				P50MS:          float64(res.P50.Microseconds()) / 1000,
-				P90MS:          float64(res.Latency.P90.Microseconds()) / 1000,
-				P99MS:          float64(res.P99.Microseconds()) / 1000,
-				P999MS:         float64(res.Latency.P999.Microseconds()) / 1000,
-				InFlightPeak:   res.Metrics.SchedInFlightPeak,
-				GoroutinePeak:  res.GoroutinePeak,
-				ClaimConflict:  res.Metrics.SchedClaimConflicts,
-				LockAborts:     res.Metrics.SchedLockAborts,
-				Retries:        res.Metrics.SchedRetries,
-				StableWrites:   res.Metrics.StableWrites,
-				Fsyncs:         res.Metrics.Fsyncs,
-				ReplBatches:    res.Metrics.ReplBatches,
-				Messages:       res.Metrics.Messages,
-				BytesSent:      res.Metrics.BytesSent,
-				NetBatches:     res.Metrics.NetBatches,
-				NetBatchedMsgs: res.Metrics.NetBatchedMsgs,
-			}
-			if r.NetBatches > 0 {
-				r.AvgBatchSize = float64(r.NetBatchedMsgs) / float64(r.NetBatches)
-			}
-			r.DecisionBatches = res.Metrics.DecisionBatches
-			r.DecisionOps = res.Metrics.DecisionOps
-			r.AckPiggybacked = res.Metrics.AckPiggybacked
-			r.TimersArmed = res.Metrics.TimersArmed
-			if st := res.Metrics.StepTxns; st > 0 {
-				r.DecisionCommitsPerTx = float64(r.DecisionBatches) / float64(st)
-				r.TimersPerTxn = float64(r.TimersArmed) / float64(st)
-			}
-			r.NetBatchSize = make(map[string]int64)
-			for i, n := range res.Metrics.NetBatchSize {
-				if n > 0 {
-					r.NetBatchSize[metrics.BatchBucketLabel(i)] = n
-				}
-			}
-			r.StepLatencyBuckets = make(map[string]int64)
-			for i, n := range res.Latency.Buckets {
-				if n > 0 {
-					r.StepLatencyBuckets[metrics.LatencyBucketLabel(i)] = n
-				}
-			}
-			r.WireBytesByKind = res.Metrics.WireBytesByKind
-			r.WireMsgsByKind = res.Metrics.WireMsgsByKind
-			lastTrace = res.TraceRecords
-			reports = append(reports, r)
-			fmt.Printf("workers=%-3d agents=%-5d store=%-4s agents/s=%-8.1f steps/s=%-8.1f p50=%6.2fms p99=%7.2fms elapsed=%7.1fms inflight=%-3d goroutines=%-4d claimConf=%-4d lockAborts=%-3d retries=%-4d msgs=%-6d avgBatch=%.2f\n",
-				r.Workers, r.Agents, r.Store, r.AgentsPerSec, r.StepsPerSec, r.P50MS, r.P99MS, r.ElapsedMS,
-				r.InFlightPeak, r.GoroutinePeak, r.ClaimConflict, r.LockAborts, r.Retries, r.Messages, r.AvgBatchSize)
-			fmt.Printf("control plane: decision_commits/txn=%.3f decision_ops/commit=%.2f piggybacked=%d timers/txn=%.3f\n",
-				r.DecisionCommitsPerTx, safeDiv(r.DecisionOps, r.DecisionBatches), r.AckPiggybacked, r.TimersPerTxn)
-			if r.Ring {
-				fmt.Printf("ring placement: join_mid_run=%v migrations=%d\n", r.JoinMidRun, r.Migrations)
-			}
-			if r.Repl > 0 {
-				fmt.Printf("replication: followers=%d acks=%s batches=%d\n", r.Repl, r.ReplAcks, r.ReplBatches)
-			}
-		}
-	}
-	if *profileName == "shard-saturate" && len(reports) == 2 {
-		base, top := reports[0], reports[1]
-		ratio := 0.0
-		if base.P99MS > 0 {
-			ratio = top.P99MS / base.P99MS
-		}
-		fmt.Printf("shard-saturate: %dx in-flight agents (%d→%d) = p99 %.2fms → %.2fms (%.2fx)\n",
-			top.Agents/max(base.Agents, 1), base.Agents, top.Agents, base.P99MS, top.P99MS, ratio)
-	} else if len(reports) > 1 && len(backends) == 1 {
-		base, top := reports[0], reports[len(reports)-1]
-		fmt.Printf("scaling: %d→%d workers = %.2fx agents/sec\n",
-			base.Workers, top.Workers, top.AgentsPerSec/base.AgentsPerSec)
-	}
-	if *jsonPath != "" {
-		data, err := json.MarshalIndent(reports, "", "  ")
+		cfg.Workers = max((runtime.GOMAXPROCS(0)+*nodes-1) / *nodes, 2)
+		base, err := runLoad(cfg, replAcks)
 		if err != nil {
 			return err
 		}
-		if err := os.WriteFile(*jsonPath, append(data, '\n'), 0o644); err != nil {
+		cfg.Agents *= 10
+		if last, err = runLoad(cfg, replAcks); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %d report(s) to %s\n", len(reports), *jsonPath)
+		fmt.Printf("shard-saturate: 10x in-flight agents (%d→%d) = p99 %.2fms → %.2fms (%.2fx)\n",
+			*agents, cfg.Agents, ms(base.P99), ms(last.P99), safeDiv(last.P99.Microseconds(), base.P99.Microseconds()))
+	default:
+		return fmt.Errorf("unknown -profile %q (want shard-saturate)", *profileName)
 	}
 	if *tracePath != "" {
-		if err := writeChromeTrace(*tracePath, lastTrace); err != nil {
+		if err := writeChromeTrace(*tracePath, last.TraceRecords); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %d trace records to %s (open in chrome://tracing)\n", len(lastTrace), *tracePath)
+		fmt.Printf("wrote %d trace records to %s (open in chrome://tracing)\n", len(last.TraceRecords), *tracePath)
 	}
 	return nil
+}
+
+// runLoad executes one load run and prints its summary lines.
+func runLoad(cfg experiments.ThroughputConfig, replAcks string) (experiments.ThroughputResult, error) {
+	res, err := experiments.RunThroughput(cfg)
+	if err != nil {
+		return res, err
+	}
+	m := res.Metrics
+	fmt.Printf("workers=%-3d agents=%-5d store=%-4s agents/s=%-8.1f steps/s=%-8.1f p50=%6.2fms p99=%7.2fms elapsed=%7.1fms inflight=%-3d goroutines=%-4d claimConf=%-4d lockAborts=%-3d retries=%-4d msgs=%-6d avgBatch=%.2f\n",
+		cfg.Workers, cfg.Agents, cfg.Store, res.AgentsPerSec, res.StepsPerSec, ms(res.P50), ms(res.P99), ms(res.Elapsed),
+		m.SchedInFlightPeak, res.GoroutinePeak, m.SchedClaimConflicts, m.SchedLockAborts, m.SchedRetries, m.Messages,
+		safeDiv(m.NetBatchedMsgs, m.NetBatches))
+	// Control-plane batching: stable group commits per step transaction
+	// that retired decision/done GC ops (< 1.0 is the coalescing win),
+	// replies that rode existing outbound batches, timer arms per txn.
+	fmt.Printf("control plane: decision_commits/txn=%.3f decision_ops/commit=%.2f piggybacked=%d timers/txn=%.3f\n",
+		safeDiv(m.DecisionBatches, m.StepTxns), safeDiv(m.DecisionOps, m.DecisionBatches), m.AckPiggybacked,
+		safeDiv(m.TimersArmed, m.StepTxns))
+	if cfg.Ring {
+		fmt.Printf("ring placement: join_mid_run=%v migrations=%d\n", cfg.JoinMidRun, m.Migrations)
+	}
+	if cfg.Repl.Enabled() {
+		fmt.Printf("replication: followers=%d acks=%s batches=%d\n", cfg.Repl.Followers, replAcks, m.ReplBatches)
+	}
+	return res, nil
 }
 
 // writeChromeTrace exports the run's causal trace in Chrome trace_event
@@ -406,6 +254,9 @@ func writeChromeTrace(path string, rs []trace.Record) error {
 	}
 	return os.WriteFile(path, []byte(buf.String()), 0o644)
 }
+
+// ms renders a duration in fractional milliseconds.
+func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 
 // safeDiv returns a/b as a float, 0 when b is 0.
 func safeDiv(a, b int64) float64 {
@@ -481,7 +332,7 @@ func runChaos(cfg chaosConfig) error {
 			Repl: cfg.repl, Kills: cfg.kills,
 			Drops: res.Faults.Drops, Dups: res.Faults.Dups, Reorders: res.Faults.Reorders,
 			RolledBack: res.RolledBack,
-			ElapsedMS:  float64(res.Elapsed.Microseconds()) / 1000,
+			ElapsedMS:  ms(res.Elapsed),
 		}
 		r.Crashes, r.Partitions, r.FaultWins = res.Schedule.Counts()
 		for _, v := range res.Violations {

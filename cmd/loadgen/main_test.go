@@ -5,53 +5,56 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
+
+	"repro/internal/experiments"
+	"repro/internal/stable"
 )
 
-// TestLoadgenSmoke runs a tiny sweep end to end and checks the JSON
-// report shape.
+// smallLoad is a tiny two-node load at 2 workers per node.
+var smallLoad = experiments.ThroughputConfig{
+	Nodes: 2, Workers: 2, Agents: 6, Steps: 2, Banks: 2,
+	StepWork: time.Millisecond, Store: "mem",
+}
+
+// TestLoadgenSmoke runs one tiny plain load through the flags, then once
+// more through runLoad to check the result behind the summary line.
 func TestLoadgenSmoke(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "load.json")
 	err := run([]string{
 		"-nodes", "2", "-agents", "6", "-steps", "2", "-banks", "2",
-		"-stepwork", "1ms", "-latency", "0",
-		"-sweep", "1,2", "-json", out,
+		"-stepwork", "1ms", "-latency", "0", "-workers", "2",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(out)
+	res, err := runLoad(smallLoad, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var reports []runReport
-	if err := json.Unmarshal(data, &reports); err != nil {
-		t.Fatal(err)
+	if res.AgentsPerSec <= 0 || res.StepsPerSec <= 0 {
+		t.Errorf("non-positive throughput %+v", res)
 	}
-	if len(reports) != 2 {
-		t.Fatalf("got %d reports, want 2", len(reports))
-	}
-	for _, r := range reports {
-		if r.AgentsPerSec <= 0 || r.StepsPerSec <= 0 {
-			t.Errorf("workers=%d: non-positive throughput %+v", r.Workers, r)
-		}
-		if r.P99MS < r.P50MS {
-			t.Errorf("workers=%d: p99 %.3f < p50 %.3f", r.Workers, r.P99MS, r.P50MS)
-		}
-	}
-	if reports[0].Workers != 1 || reports[1].Workers != 2 {
-		t.Errorf("sweep order wrong: %v", reports)
+	if res.P99 < res.P50 {
+		t.Errorf("p99 %v < p50 %v", res.P99, res.P50)
 	}
 }
 
 func TestLoadgenBadFlags(t *testing.T) {
-	if err := run([]string{"-sweep", "1,zero"}); err == nil {
-		t.Error("bad sweep accepted")
-	}
 	if err := run([]string{"-store", "papyrus"}); err == nil {
 		t.Error("unknown store backend accepted")
 	}
 	if err := run([]string{"-chaos", "-store", "papyrus"}); err == nil {
 		t.Error("chaos mode accepted an unknown store backend")
+	}
+	// A flag only the other mode reads is rejected, not silently dropped.
+	if err := run([]string{"-chaos", "-agents", "100"}); err == nil {
+		t.Error("chaos mode accepted a plain-load flag")
+	}
+	if err := run([]string{"-chaos-seed", "1"}); err == nil {
+		t.Error("plain load accepted a -chaos-* flag")
+	}
+	if err := run([]string{"-json", filepath.Join(t.TempDir(), "r.json")}); err == nil {
+		t.Error("plain load accepted -json")
 	}
 }
 
@@ -90,34 +93,20 @@ func TestLoadgenChaosReplay(t *testing.T) {
 }
 
 // TestLoadgenStoreBackends drives a tiny run against each storage engine
-// and checks the durable backends actually hit stable storage.
+// and checks every backend actually hit stable storage.
 func TestLoadgenStoreBackends(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "stores.json")
-	err := run([]string{
-		"-nodes", "2", "-agents", "4", "-steps", "2", "-banks", "2",
-		"-stepwork", "1ms", "-latency", "0", "-workers", "2",
-		"-storesweep", "-json", out,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var reports []runReport
-	if err := json.Unmarshal(data, &reports); err != nil {
-		t.Fatal(err)
-	}
-	if len(reports) != 3 {
-		t.Fatalf("got %d reports, want 3 (mem, file, wal)", len(reports))
-	}
-	for _, r := range reports {
-		if r.AgentsPerSec <= 0 {
-			t.Errorf("store=%s: non-positive throughput", r.Store)
+	for _, engine := range stable.Engines() {
+		cfg := smallLoad
+		cfg.Store = engine
+		res, err := runLoad(cfg, "")
+		if err != nil {
+			t.Fatalf("store=%s: %v", engine, err)
 		}
-		if r.StableWrites <= 0 {
-			t.Errorf("store=%s: no stable writes recorded", r.Store)
+		if res.AgentsPerSec <= 0 {
+			t.Errorf("store=%s: non-positive throughput", engine)
+		}
+		if res.Metrics.StableWrites <= 0 {
+			t.Errorf("store=%s: no stable writes recorded", engine)
 		}
 	}
 }

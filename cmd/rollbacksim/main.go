@@ -5,8 +5,8 @@
 // Usage:
 //
 //	rollbacksim                 # run every experiment
-//	rollbacksim -exp f5         # run one experiment (f1..f6, tlog, tft, tperf, tput, stor, repl)
-//	rollbacksim -list           # list experiments
+//	rollbacksim -exp f5         # run one experiment
+//	rollbacksim -list           # list the experiments by name
 //	rollbacksim -json out.json  # also write the tables as JSON
 package main
 
@@ -14,13 +14,15 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 
 	"repro/internal/experiments"
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "rollbacksim:", err)
 		os.Exit(1)
 	}
@@ -36,33 +38,28 @@ type jsonTable struct {
 	Rows   [][]string `json:"rows"`
 }
 
-func run(args []string) error {
+func run(args []string, stdout io.Writer) error {
+	exps := experiments.List()
+	names := make([]string, len(exps))
+	for i, e := range exps {
+		names[i] = e.Name
+	}
 	fs := flag.NewFlagSet("rollbacksim", flag.ContinueOnError)
-	exp := fs.String("exp", "", "run a single experiment (f1..f6, tlog, tft, tperf, tput, stor, repl, chaos)")
+	exp := fs.String("exp", "", "run a single experiment ("+strings.Join(names, ", ")+")")
 	list := fs.Bool("list", false, "list experiments and exit")
 	jsonPath := fs.String("json", "", "write the experiment tables as JSON to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *list {
-		fmt.Println("f1    Figure 1: step execution cost vs agent payload")
-		fmt.Println("f2    Figure 2: rollback log layout and size")
-		fmt.Println("f3    Figures 3-4: rollback cost vs steps rolled back")
-		fmt.Println("f4    Figure 4: rollback under node crash + recovery")
-		fmt.Println("f5    Figure 5: basic vs optimized rollback")
-		fmt.Println("f6    Figure 6: log size, flat vs itinerary-managed")
-		fmt.Println("tlog  §4.2: state vs transition logging")
-		fmt.Println("tft   §4.3: rollback with an unreachable node")
-		fmt.Println("tperf §4.4.1: remote-compensation strategy model ([16])")
-		fmt.Println("tput  node throughput vs scheduler workers (see also cmd/loadgen)")
-		fmt.Println("stor  stable-storage engines: durable Apply throughput + crash-recovery time")
-		fmt.Println("repl  replicated stable storage: ack-mode cost on the step path")
-		fmt.Println("chaos seeded fault schedules vs §4.3 invariants (replay: loadgen -chaos)")
+		for _, e := range exps {
+			fmt.Fprintf(stdout, "%-5s %s\n", e.Name, e.Desc)
+		}
 		return nil
 	}
 
 	var out []jsonTable
-	for _, e := range experiments.List() {
+	for _, e := range exps {
 		if *exp != "" && e.Name != *exp {
 			continue
 		}
@@ -70,7 +67,7 @@ func run(args []string) error {
 		if err != nil {
 			return fmt.Errorf("experiment %s: %w", e.Name, err)
 		}
-		tbl.Fprint(os.Stdout)
+		tbl.Fprint(stdout)
 		out = append(out, jsonTable{
 			Name: e.Name, Title: tbl.Title, Note: tbl.Note,
 			Header: tbl.Header, Rows: tbl.Rows,
@@ -87,7 +84,7 @@ func run(args []string) error {
 		if err := os.WriteFile(*jsonPath, append(data, '\n'), 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("\nwrote %d experiment table(s) to %s\n", len(out), *jsonPath)
+		fmt.Fprintf(stdout, "\nwrote %d experiment table(s) to %s\n", len(out), *jsonPath)
 	}
 	return nil
 }

@@ -71,9 +71,6 @@ type Options struct {
 	// MailboxCap bounds each node's inbound mailbox; overflow drops are
 	// counted in Counters.MailboxDrops. Zero keeps mailboxes unbounded.
 	MailboxCap int
-	// MigrateBurst bounds migrations per rebalancer sweep on every node
-	// (see node.Config.MigrateBurst); 0 keeps the node default.
-	MigrateBurst int
 	// Clock drives the simulated network's latency-delayed deliveries
 	// AND every node's protocol timers (ack timeouts, control resends,
 	// in-doubt queries, notification resends — the node timer wheel);
@@ -307,7 +304,6 @@ func (c *Cluster) bootNode(name string) error {
 		MaxAttempts:  c.opts.MaxAttempts,
 		Workers:      c.opts.Workers,
 		SagaBaseline: c.opts.SagaBaseline,
-		MigrateBurst: c.opts.MigrateBurst,
 		Clock:        c.opts.Clock,
 		Counters:     c.counters,
 		Tracer:       c.nodeTracer(name),

@@ -220,26 +220,12 @@ var (
 
 // Log is the agent rollback log. It is a stack: entries are appended at
 // step commit and popped (from the end) during rollback. The zero value is
-// an empty log; Log is gob-serializable as part of the agent container
-// (the unexported size-accounting fields are volatile and rebuilt lazily
-// after decode).
+// an empty log; Log is gob-serializable as part of the agent container.
 type Log struct {
 	Entries []Entry
-
-	// Incremental encoded-size accounting. sizes memoizes the encoded
-	// size of each measured entry (a prefix of Entries), produced through
-	// one persistent sizing session so gob type descriptors are charged
-	// once per stream, like one container encode. Pop subtracts the
-	// popped entry's memoized size; structural edits elsewhere in the log
-	// (RemoveSavepoint) invalidate the whole memo. Entries must not be
-	// mutated after they are appended, or the memo goes stale.
-	sizer   *wire.SizingEncoder
-	sizes   []int
-	sizeSum int
 }
 
-// Append adds e at the end of the log. Its size is measured lazily on the
-// next EncodedSize call.
+// Append adds e at the end of the log.
 func (l *Log) Append(e Entry) { l.Entries = append(l.Entries, e) }
 
 // Len returns the number of entries.
@@ -260,58 +246,23 @@ func (l *Log) Pop() (Entry, error) {
 	}
 	e := l.Entries[len(l.Entries)-1]
 	l.Entries = l.Entries[:len(l.Entries)-1]
-	if len(l.sizes) > len(l.Entries) {
-		// The popped entry was measured: subtract its memoized size so
-		// the memo stays a valid prefix.
-		l.sizeSum -= l.sizes[len(l.sizes)-1]
-		l.sizes = l.sizes[:len(l.sizes)-1]
-	}
 	return e, nil
 }
 
 // Clear discards all entries (§4.4.2: completion of a sub-itinerary of the
 // main itinerary deletes all rollback information).
-func (l *Log) Clear() {
-	l.Entries = nil
-	l.invalidateSizes()
-}
-
-// invalidateSizes discards the size memo; the next EncodedSize call
-// re-measures the whole log. Called after structural edits that are not
-// stack pushes/pops.
-func (l *Log) invalidateSizes() {
-	l.sizer = nil
-	l.sizes = l.sizes[:0]
-	l.sizeSum = 0
-}
+func (l *Log) Clear() { l.Entries = nil }
 
 // EncodedSize returns the serialized size of the log in bytes, used by the
-// log-size experiments (F6, T-log) and the per-step log metrics. The size
-// is tracked incrementally: each call measures only the entries appended
-// since the last call, so per-step accounting is O(entries appended that
-// step) amortized instead of re-encoding the whole log. The reported value
-// is the size of the entries as one encode stream; it can differ from a
-// full container encode by a few bytes of framing when entries carrying
-// gob type descriptors are popped.
+// log-size experiments (F6, T-log) and the per-step log metrics: the size
+// of the entries as one encode stream, so gob type descriptors are charged
+// once, like one container encode.
 func (l *Log) EncodedSize() (int, error) {
-	if len(l.Entries) == 0 {
-		return 0, nil
+	vs := make([]any, len(l.Entries))
+	for i, e := range l.Entries {
+		vs[i] = e
 	}
-	if l.sizer == nil {
-		l.sizes = l.sizes[:0]
-		l.sizeSum = 0
-		l.sizer = wire.NewSizingEncoder()
-	}
-	for i := len(l.sizes); i < len(l.Entries); i++ {
-		n, err := l.sizer.Size(l.Entries[i])
-		if err != nil {
-			l.invalidateSizes()
-			return 0, err
-		}
-		l.sizes = append(l.sizes, n)
-		l.sizeSum += n
-	}
-	return l.sizeSum, nil
+	return wire.EncodedSize(vs...)
 }
 
 // savepointIndex returns the index of the savepoint with the given ID, or

@@ -127,9 +127,6 @@ func (l *Log) RemoveSavepoint(id string) error {
 		}
 	}
 	l.Entries = append(l.Entries[:idx], l.Entries[idx+1:]...)
-	// Removal splices mid-log and may have rewritten the next savepoint's
-	// image/delta in place; the size memo is no longer a valid prefix.
-	l.invalidateSizes()
 	return nil
 }
 

@@ -169,14 +169,14 @@ func TestSmallFigures(t *testing.T) {
 }
 
 func TestList(t *testing.T) {
-	want := []string{"f1", "f2", "f3", "f4", "f5", "f6", "tlog", "tft", "tperf", "tput", "stor", "repl", "chaos"}
+	want := []string{"f1", "f2", "f3", "f4", "f5", "f6", "tlog", "tft", "tperf", "chaos"}
 	got := List()
 	if len(got) != len(want) {
 		t.Fatalf("List has %d experiments, want %d", len(got), len(want))
 	}
 	for i, e := range got {
-		if e.Name != want[i] || e.Run == nil {
-			t.Errorf("List[%d] = %q (run nil: %v), want %q", i, e.Name, e.Run == nil, want[i])
+		if e.Name != want[i] || e.Run == nil || e.Desc == "" {
+			t.Errorf("List[%d] = %q (run nil: %v, desc %q), want %q", i, e.Name, e.Run == nil, e.Desc, want[i])
 		}
 	}
 }
@@ -242,7 +242,7 @@ func TestThroughputHarness(t *testing.T) {
 	}
 }
 
-// TestThroughputReplicated: the `repl` experiment's wiring — a load run
+// TestThroughputReplicated: `loadgen -repl`'s wiring — a load run
 // with quorum-replicated stores completes with the exactly-once sink
 // invariant intact (checked inside RunThroughput) and with replication
 // actually engaged on the commit path.

@@ -472,18 +472,26 @@ func runUnreachable(withAlt bool) (string, time.Duration, error) {
 	}
 }
 
-// Experiment is one named experiment of the suite.
+// Experiment is one named experiment of the suite; Desc is its one-line
+// description in `rollbacksim -list`.
 type Experiment struct {
 	Name string
+	Desc string
 	Run  func() (*Table, error)
 }
 
 // List returns every experiment in suite order.
 func List() []Experiment {
 	return []Experiment{
-		{"f1", Fig1}, {"f2", Fig2}, {"f3", Fig3}, {"f4", Fig4},
-		{"f5", Fig5}, {"f6", Fig6}, {"tlog", TLog}, {"tft", TFT},
-		{"tperf", TPerf}, {"tput", Throughput}, {"stor", Storage},
-		{"repl", Repl}, {"chaos", Chaos},
+		{"f1", "Figure 1: step execution cost vs agent payload", Fig1},
+		{"f2", "Figure 2: rollback log layout and size", Fig2},
+		{"f3", "Figures 3-4: rollback cost vs steps rolled back", Fig3},
+		{"f4", "Figure 4: rollback under node crash + recovery", Fig4},
+		{"f5", "Figure 5: basic vs optimized rollback", Fig5},
+		{"f6", "Figure 6: log size, flat vs itinerary-managed", Fig6},
+		{"tlog", "§4.2: state vs transition logging", TLog},
+		{"tft", "§4.3: rollback with an unreachable node", TFT},
+		{"tperf", "§4.4.1: remote-compensation strategy model ([16])", TPerf},
+		{"chaos", "seeded fault schedules vs §4.3 invariants (replay: loadgen -chaos)", Chaos},
 	}
 }

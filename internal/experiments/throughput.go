@@ -43,28 +43,20 @@ type ThroughputConfig struct {
 	Latency   time.Duration
 	Optimized bool
 	// Store selects the stable-storage backend under every node: "mem"
-	// (default), "file" or "wal" — the backend sweep for the engine
-	// comparison. Durable backends root their files under StoreDir
-	// (RunThroughput provisions a temp dir when empty).
+	// (default) or any other stable.Engines() name. Durable backends root
+	// their files under StoreDir (RunThroughput provisions a temp dir
+	// when empty).
 	Store    string
 	StoreDir string
 	// Repl replicates every node's store (stable.Spec.Repl): Followers
-	// replicas per shard, Acks selecting async vs quorum durability. The
-	// `repl` experiment sweeps the ack modes to price synchronous
-	// replication.
+	// replicas per shard, Acks selecting async vs quorum durability.
 	Repl stable.ReplSpec
-	// MigrateBurst bounds migrations per rebalancer sweep
-	// (cluster.Options.MigrateBurst); 0 keeps the node default.
-	MigrateBurst int
 	// Timeout bounds the whole run; zero uses the experiment default
 	// (large load points under the race detector need more).
 	Timeout time.Duration
-	// TraceRing sizes the per-node causal trace rings
-	// (cluster.Options.TraceRing: 0 = default on, negative disables).
-	TraceRing int
 	// CollectTrace copies the merged trace records into
 	// ThroughputResult.TraceRecords after the run (they are dropped
-	// otherwise — a full sweep's records would dwarf the report).
+	// otherwise).
 	CollectTrace bool
 	// Ring runs the cluster with the membership layer on and places
 	// every step by consistent hash (@ring itinerary locations) instead
@@ -101,9 +93,6 @@ type ThroughputResult struct {
 	AgentsPerSec float64
 	StepsPerSec  float64
 	P50, P99     time.Duration // successful step-attempt latency
-	// Latency carries the full distribution behind the P50/P99
-	// convenience fields: p90/p999 and the reservoir histogram.
-	Latency metrics.LatencySummary
 	// GoroutinePeak is the peak runtime.NumGoroutine observed while the
 	// agents were in flight. The event-driven protocol core keeps it
 	// O(nodes × workers) — independent of the number of in-flight
@@ -140,17 +129,15 @@ func BuildThroughputCluster(cfg ThroughputConfig) (*cluster.Cluster, error) {
 	}
 	spec.Repl = cfg.Repl
 	cl := cluster.New(cluster.Options{
-		Optimized:    cfg.Optimized,
-		Latency:      cfg.Latency,
-		Workers:      cfg.Workers,
-		RetryDelay:   2 * time.Millisecond,
-		AckTimeout:   2 * time.Second,
-		MaxAttempts:  100,
-		MigrateBurst: cfg.MigrateBurst,
-		Counters:     counters,
-		Store:        spec,
-		TraceRing:    cfg.TraceRing,
-		Membership:   cfg.Ring,
+		Optimized:   cfg.Optimized,
+		Latency:     cfg.Latency,
+		Workers:     cfg.Workers,
+		RetryDelay:  2 * time.Millisecond,
+		AckTimeout:  2 * time.Second,
+		MaxAttempts: 100,
+		Counters:    counters,
+		Store:       spec,
+		Membership:  cfg.Ring,
 	})
 	for i := 0; i < cfg.Nodes; i++ {
 		if err := cl.AddNode(workerName(i), tputFactories(cfg)...); err != nil {
@@ -428,60 +415,8 @@ func RunThroughput(cfg ThroughputConfig) (ThroughputResult, error) {
 		StepsPerSec:   float64(cfg.Agents*cfg.Steps) / sec,
 		P50:           lat.P50,
 		P99:           lat.P99,
-		Latency:       lat,
 		GoroutinePeak: gorPeak,
 		Metrics:       cl.Counters().Snapshot().Sub(before),
 		TraceRecords:  recs,
 	}, nil
-}
-
-// tputStepWork is the per-step service time of the `tput` experiment:
-// large against the per-step CPU cost, so the table measures scheduler
-// overlap rather than single-core CPU saturation.
-const tputStepWork = 8 * time.Millisecond
-
-// Throughput is the worker-scaling experiment (`tput`): the 64-agent load
-// on 4 nodes at increasing per-node worker counts and varying conflict
-// ratios. Steps hold their transaction (and bank lock) for tputStepWork,
-// so worker concurrency — overlapping held time, not raw CPU — is what
-// the scaling column measures. The acceptance bar is Workers=8 ≥ 3×
-// Workers=1 on the non-conflicting rows; the conflict rows show 2PL
-// serialization capping exactly the pinned fraction of the load.
-func Throughput() (*Table, error) {
-	t := &Table{
-		Title: "TPUT: node throughput vs scheduler workers (64 agents, 4 nodes, 8 steps, 8 ms/step service time)",
-		Note:  "conflict c pins c·agents to one bank/node (2PL-serialized); the rest spread over 8 banks",
-		Header: []string{"workers", "conflict", "agents/s", "steps/s", "p50 ms", "p99 ms",
-			"elapsed ms", "inflight peak", "claim conf", "lock aborts", "retries"},
-	}
-	type pt struct {
-		workers  int
-		conflict float64
-	}
-	pts := []pt{
-		{1, 0}, {2, 0}, {4, 0}, {8, 0},
-		{1, 0.5}, {8, 0.5},
-		{1, 1}, {8, 1},
-	}
-	for _, p := range pts {
-		res, err := RunThroughput(ThroughputConfig{
-			Workers:       p.workers,
-			ConflictRatio: p.conflict,
-			StepWork:      tputStepWork,
-			Latency:       expLatency,
-		})
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(p.workers, fmt.Sprintf("%.2f", p.conflict),
-			res.AgentsPerSec, res.StepsPerSec,
-			float64(res.P50.Microseconds())/1000,
-			float64(res.P99.Microseconds())/1000,
-			float64(res.Elapsed.Microseconds())/1000,
-			res.Metrics.SchedInFlightPeak,
-			res.Metrics.SchedClaimConflicts,
-			res.Metrics.SchedLockAborts,
-			res.Metrics.SchedRetries)
-	}
-	return t, nil
 }

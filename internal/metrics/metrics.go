@@ -13,7 +13,6 @@
 package metrics
 
 import (
-	"fmt"
 	"maps"
 	"reflect"
 	"sort"
@@ -226,17 +225,6 @@ func (c *Counters) IncMailboxDrop() { c.on(func() { c.live.MailboxDrops.Add(1) }
 // end for anything larger.
 var BatchSizeBuckets = [...]int64{1, 2, 4, 8, 16, 32, 64}
 
-// BatchBucketLabel returns the display label of histogram cell i.
-func BatchBucketLabel(i int) string {
-	if i >= len(BatchSizeBuckets) {
-		return fmt.Sprintf(">%d", BatchSizeBuckets[len(BatchSizeBuckets)-1])
-	}
-	if i == 0 {
-		return "1"
-	}
-	return fmt.Sprintf("%d-%d", BatchSizeBuckets[i-1]+1, BatchSizeBuckets[i])
-}
-
 // ObserveNetBatch records one transport batch carrying frames messages —
 // one conn.Write on the TCP endpoint or one mailbox hop in the simulator.
 func (c *Counters) ObserveNetBatch(frames int) {
@@ -400,15 +388,6 @@ var LatencyBuckets = [...]time.Duration{
 	time.Millisecond, 3 * time.Millisecond, 10 * time.Millisecond,
 	30 * time.Millisecond, 100 * time.Millisecond, 300 * time.Millisecond,
 	time.Second, 3 * time.Second,
-}
-
-// LatencyBucketLabel returns a stable label for histogram cell i, e.g.
-// "le_3ms" or "inf" for the overflow cell.
-func LatencyBucketLabel(i int) string {
-	if i >= len(LatencyBuckets) {
-		return "inf"
-	}
-	return "le_" + LatencyBuckets[i].String()
 }
 
 // LatencySummary describes the distribution of the most recent

@@ -81,12 +81,6 @@ func TestWireAndBatchCounters(t *testing.T) {
 	if d.WireMsgsByKind["q.commit"] != 1 || len(d.WireMsgsByKind) != 1 {
 		t.Errorf("msg diff = %v", d.WireMsgsByKind)
 	}
-	if lbl := BatchBucketLabel(0); lbl != "1" {
-		t.Errorf("label 0 = %q", lbl)
-	}
-	if lbl := BatchBucketLabel(len(BatchSizeBuckets)); lbl != ">64" {
-		t.Errorf("overflow label = %q", lbl)
-	}
 }
 
 // TestKindMapSubEdgeCases pins the Snapshot/Sub map-diff semantics both
@@ -260,12 +254,6 @@ func TestStepLatencyBuckets(t *testing.T) {
 	last := len(s.Buckets) - 1
 	if s.Buckets[0] != 2 || s.Buckets[3] != 1 || s.Buckets[last] != 1 {
 		t.Errorf("buckets = %v", s.Buckets)
-	}
-	if lbl := LatencyBucketLabel(3); lbl != "le_3ms" {
-		t.Errorf("label 3 = %q", lbl)
-	}
-	if lbl := LatencyBucketLabel(last); lbl != "inf" {
-		t.Errorf("overflow label = %q", lbl)
 	}
 }
 

@@ -246,6 +246,10 @@ func (n *Node) rebalanceLoop() {
 	}
 }
 
+// migrateBurst bounds the migration hand-offs the rebalancer attempts per
+// sweep; overflow moves stay fenced and retry on the next sweep.
+const migrateBurst = 8
+
 // rebalanceSweep lists the queue, fences every misplaced ring-placed
 // agent against the step workers, and migrates the unclaimed ones. It
 // reports whether work remains (entries in flight under a worker claim,
@@ -296,7 +300,7 @@ func (n *Node) rebalanceSweep() (pending bool) {
 		// store and lock bandwidth exactly when a joining node spikes
 		// load. Overflow moves stay fenced (so workers do not race the
 		// next pass for them) and retry on the next sweep.
-		if n.cfg.MigrateBurst > 0 && attempted >= n.cfg.MigrateBurst {
+		if attempted >= migrateBurst {
 			still[mv.e.ID] = true
 			pending = true
 			continue

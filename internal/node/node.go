@@ -90,12 +90,6 @@ type Config struct {
 	// For the S16b ablation only — it demonstrably corrupts agents whose
 	// compensations produce information (see the baseline tests).
 	SagaBaseline bool
-	// MigrateBurst bounds the migration hand-offs the rebalancer
-	// attempts per sweep, so one view change cannot convert the whole
-	// misplaced backlog into a single burst that spikes step latency.
-	// Overflow moves stay fenced and retry on the next sweep. The
-	// default is 8; negative means unbounded.
-	MigrateBurst int
 	// Clock drives the node's protocol timers (ack timeouts, control
 	// resends, in-doubt queries, notification resends) through its
 	// timer wheel; nil uses the wall clock. A network.VirtualClock
@@ -136,9 +130,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.Workers < 1 {
 		c.Workers = 1
-	}
-	if c.MigrateBurst == 0 {
-		c.MigrateBurst = 8
 	}
 	if c.Clock == nil {
 		c.Clock = network.WallClock()

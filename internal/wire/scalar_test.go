@@ -11,28 +11,6 @@ type streamMsg struct {
 	Payload []byte
 }
 
-func TestSizingEncoder(t *testing.T) {
-	s := NewSizingEncoder()
-	m := streamMsg{Seq: 1, Kind: "k", Payload: make([]byte, 128)}
-	n1, err := s.Size(&m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n2, err := s.Size(&m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n1 <= n2 {
-		t.Errorf("first size %d should include the descriptor, second %d only the value", n1, n2)
-	}
-	if n2 < 128 {
-		t.Errorf("value size %d smaller than payload", n2)
-	}
-	if s.Total() != n1+n2 {
-		t.Errorf("Total = %d, want %d", s.Total(), n1+n2)
-	}
-}
-
 func TestScalarRoundTrip(t *testing.T) {
 	for _, v := range []int64{0, 1, -1, 63, 64, -65, 1 << 40, -(1 << 40)} {
 		got, ok := DecodeInt64(EncodeInt64(v))

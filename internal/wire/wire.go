@@ -95,14 +95,19 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// EncodedSize returns the gob-encoded size of v in bytes without
-// materializing the encoding: the encoder writes into a counting sink, so
-// sizing a value allocates no payload-sized buffers. It is used by the
-// experiments to account for log and agent transfer sizes.
-func EncodedSize(v any) (int, error) {
+// EncodedSize returns the gob-encoded size in bytes of vs written to one
+// stream, without materializing the encoding: the encoder writes into a
+// counting sink, so sizing allocates no payload-sized buffers. As in any
+// gob stream a type descriptor is charged once, to the first value of
+// its type — the cost profile of a rollback log inside an agent
+// container. It is used for the log-size metrics and experiments.
+func EncodedSize(vs ...any) (int, error) {
 	var cw countingWriter
-	if err := gob.NewEncoder(&cw).Encode(v); err != nil {
-		return 0, fmt.Errorf("wire: size %T: %w", v, err)
+	enc := gob.NewEncoder(&cw)
+	for _, v := range vs {
+		if err := enc.Encode(v); err != nil {
+			return 0, fmt.Errorf("wire: size %T: %w", v, err)
+		}
 	}
 	return cw.n, nil
 }

@@ -46,6 +46,30 @@ func TestEncodedSize(t *testing.T) {
 	}
 }
 
+// TestEncodedSizeChargesDescriptorOnce: several values sized in one call
+// share one stream, so the second value of a type costs only its data.
+func TestEncodedSizeChargesDescriptorOnce(t *testing.T) {
+	m := payload{Name: "k", Tags: []string{strings.Repeat("x", 128)}}
+	one, err := EncodedSize(&m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	two, err := EncodedSize(&m, &m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second := two - one
+	if second >= one {
+		t.Errorf("second value cost %d, first %d: descriptor charged twice", second, one)
+	}
+	if second < 128 {
+		t.Errorf("second value cost %d, smaller than its payload", second)
+	}
+	if none, err := EncodedSize(); err != nil || none != 0 {
+		t.Errorf("EncodedSize() = %d, %v; want 0", none, err)
+	}
+}
+
 func TestDecodeCorrupt(t *testing.T) {
 	var out payload
 	if err := Decode([]byte("not gob"), &out); err == nil {
