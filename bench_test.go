@@ -232,7 +232,7 @@ func BenchmarkTransitionToWire(b *testing.B) {
 				{Kind: protocol.KindTxnStatus, Payload: encode(st)},
 			}
 			if batch {
-				if err := network.SendAll(src, "dst", msgs); err != nil {
+				if err := src.SendBatch("dst", msgs); err != nil {
 					b.Fatal(err)
 				}
 				srcTr.Rec(trace.OpBatchFlush, "", "", "", "dst", "", int64(len(msgs)))

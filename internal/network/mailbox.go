@@ -39,51 +39,22 @@ func newBoundedMailbox(limit int, onDrop func()) *mailbox {
 
 func (mb *mailbox) Recv() <-chan Message { return mb.out }
 
-func (mb *mailbox) enqueue(msg Message) {
+// enqueue appends messages in one lock acquisition and one wake-up — the
+// mailbox half of per-link coalescing. What does not fit, or races a
+// close, is dropped and counted per message, so the loss reconciles
+// against the send counters.
+func (mb *mailbox) enqueue(msgs ...Message) {
 	mb.mu.Lock()
-	if mb.closed || (mb.limit > 0 && len(mb.queue) >= mb.limit) {
-		// Closed (a message racing an endpoint close) or full: dropped,
-		// and counted so the loss reconciles against the send counters.
-		mb.mu.Unlock()
-		if mb.onDrop != nil {
-			mb.onDrop()
-		}
-		return
-	}
-	mb.queue = append(mb.queue, msg)
-	mb.mu.Unlock()
-	select {
-	case mb.notify <- struct{}{}:
-	default:
-	}
-}
-
-// enqueueAll appends a batch of messages in one lock acquisition and one
-// wake-up — the mailbox half of per-link coalescing. Overflow drops are
-// still counted per message, so accounting matches enqueue called n
-// times.
-func (mb *mailbox) enqueueAll(msgs []Message) {
-	if len(msgs) == 0 {
-		return
-	}
-	mb.mu.Lock()
-	var dropped int
+	fit := len(msgs)
 	if mb.closed {
-		dropped = len(msgs)
-		msgs = nil
+		fit = 0
 	} else if mb.limit > 0 {
-		if room := mb.limit - len(mb.queue); room < len(msgs) {
-			if room < 0 {
-				room = 0
-			}
-			dropped = len(msgs) - room
-			msgs = msgs[:room]
-		}
+		fit = max(0, min(fit, mb.limit-len(mb.queue)))
 	}
-	mb.queue = append(mb.queue, msgs...)
+	mb.queue = append(mb.queue, msgs[:fit]...)
 	mb.mu.Unlock()
-	if dropped > 0 && mb.onDrop != nil {
-		for i := 0; i < dropped; i++ {
+	if mb.onDrop != nil {
+		for range msgs[fit:] {
 			mb.onDrop()
 		}
 	}

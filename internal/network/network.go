@@ -6,6 +6,11 @@
 // (messages to a crashed node are dropped, mirroring a down host). The
 // Endpoint interface is also implemented by a TCP transport (tcp.go) so the
 // same node runtime runs across real processes.
+//
+// Each transport has one send path, SendBatch, and Send is a batch of
+// one: the fault model, the loss accounting and the counted-before-visible
+// rule live in one function per transport (Sim.send, TCPEndpoint.SendBatch)
+// and both feed the one mailbox append.
 package network
 
 import (
@@ -37,6 +42,11 @@ type Endpoint interface {
 	// conditions (unknown destination, closed network); messages lost to
 	// injected faults are dropped silently, as on a real network.
 	Send(to, kind string, payload []byte) error
+	// SendBatch transmits same-destination messages in one transport hop
+	// (one mailbox pass in the simulator, one staged write on TCP). Send
+	// is SendBatch of one message: semantics per message are identical,
+	// only the transport cost is shared.
+	SendBatch(to string, msgs []Outgoing) error
 	// Recv returns the channel of inbound messages. The channel is closed
 	// when the endpoint is detached or the network shuts down.
 	Recv() <-chan Message
@@ -46,32 +56,6 @@ type Endpoint interface {
 type Outgoing struct {
 	Kind    string
 	Payload []byte
-}
-
-// BatchSender is implemented by endpoints that can deliver a batch of
-// same-destination messages in one transport hop (one mailbox pass in
-// the simulator, one coalesced write on TCP). Semantics per message are
-// identical to Send called in order; only the transport cost is shared.
-type BatchSender interface {
-	SendBatch(to string, msgs []Outgoing) error
-}
-
-// SendAll delivers a same-destination batch through ep, using its
-// BatchSender fast path when available and falling back to per-message
-// Send otherwise.
-func SendAll(ep Endpoint, to string, msgs []Outgoing) error {
-	if len(msgs) == 1 {
-		return ep.Send(to, msgs[0].Kind, msgs[0].Payload)
-	}
-	if bs, ok := ep.(BatchSender); ok {
-		return bs.SendBatch(to, msgs)
-	}
-	for _, m := range msgs {
-		if err := ep.Send(to, m.Kind, m.Payload); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Errors returned by the simulated network.
@@ -347,80 +331,19 @@ func (s *Sim) Close() {
 	}
 }
 
-// send routes a message, applying faults and latency. Every injected or
-// topological loss is counted — faults must never vanish silently, or a
-// chaos run cannot be audited against its schedule.
-func (s *Sim) send(msg Message) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrNetworkClosed
-	}
-	hostFrom, hostTo := hostOf(msg.From), hostOf(msg.To)
-	if s.blocked[hostFrom][hostTo] || s.down[hostTo] || s.down[hostFrom] {
-		s.mu.Unlock()
-		// Partitioned link or crashed host on either end: lost, and
-		// counted. A crashed sender cannot transmit — its endpoint
-		// object may survive in a stopping goroutine, but the host it
-		// modeled is gone.
-		s.cfg.Counters.IncNetUnreachableDrop()
-		return nil
-	}
-	if _, ok := s.eps[msg.To]; !ok {
-		s.mu.Unlock()
-		return fmt.Errorf("%w: %q", ErrUnknownNode, msg.To)
-	}
-	lat := s.cfg.Latency
-	var dup, reorder bool
-	if f := s.faults[hostFrom][hostTo]; f.Active() {
-		st := s.statsFor(hostFrom, hostTo)
-		if f.Drop > 0 && s.rng.Float64() < f.Drop {
-			st.Drops++
-			s.mu.Unlock()
-			s.cfg.Counters.IncNetFaultDrop()
-			return nil
-		}
-		lat += f.Extra
-		if f.Duplicate > 0 && s.rng.Float64() < f.Duplicate {
-			dup = true
-			st.Dups++
-		}
-		if f.Reorder > 0 && s.rng.Float64() < f.Reorder {
-			reorder = true
-			st.Reorders++
-			delay := f.Delay
-			if delay <= 0 {
-				delay = time.Millisecond + 4*s.cfg.Latency
-			}
-			lat += delay
-		}
-	}
-	epoch := s.epoch[msg.To]
-	s.mu.Unlock()
-
-	s.cfg.Counters.IncMessages(int64(len(msg.Payload)))
-	s.cfg.Counters.AddWireBytes(msg.Kind, int64(len(msg.Payload)))
-	if dup {
-		s.cfg.Counters.IncNetFaultDup()
-	}
-	if reorder {
-		s.cfg.Counters.IncNetFaultReorder()
-	}
-	s.dispatch(msg, epoch, lat)
-	if dup {
-		s.dispatch(msg, epoch, lat)
-	}
-	return nil
-}
-
-// sendBatch routes a same-destination batch as one delivery hop. Faults
-// are still rolled per message — a batched frame must not weaken chaos
-// coverage — with the fates: dropped messages leave the batch (counted),
-// duplicated messages ride the same batch twice, reordered messages are
-// pulled out and dispatched individually with their hold-back delay so
-// later batches overtake them. The survivors share one latency wait and
-// one mailbox pass at the destination.
-func (s *Sim) sendBatch(from, to string, msgs []Outgoing) error {
+// send routes a same-destination batch from a protocol effect to the
+// destination mailbox; a single message is a batch of one. Faults are
+// rolled per message, in order — drop, then duplicate, then reorder,
+// with Extra added once to the batch's latency — so batching never
+// weakens chaos coverage: dropped messages leave the batch, duplicated
+// messages ride it twice, reordered messages are peeled off into their
+// own one-message hop with their hold-back delay so later traffic
+// overtakes them. The survivors share one latency wait and one mailbox
+// pass. Every injected or topological loss is counted, and every
+// counter is bumped before anything is dispatched — faults must never
+// vanish silently and a receiver's effects must never be visible without
+// the count, or a chaos run cannot be audited against its schedule.
+func (s *Sim) send(from, to string, msgs []Outgoing) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -429,9 +352,11 @@ func (s *Sim) sendBatch(from, to string, msgs []Outgoing) error {
 	hostFrom, hostTo := hostOf(from), hostOf(to)
 	if s.blocked[hostFrom][hostTo] || s.down[hostTo] || s.down[hostFrom] {
 		s.mu.Unlock()
-		for range msgs {
-			s.cfg.Counters.IncNetUnreachableDrop()
-		}
+		// Partitioned link or crashed host on either end: lost, and
+		// counted. A crashed sender cannot transmit — its endpoint
+		// object may survive in a stopping goroutine, but the host it
+		// modeled is gone.
+		times(len(msgs), s.cfg.Counters.IncNetUnreachableDrop)
 		return nil
 	}
 	if _, ok := s.eps[to]; !ok {
@@ -439,153 +364,104 @@ func (s *Sim) sendBatch(from, to string, msgs []Outgoing) error {
 		return fmt.Errorf("%w: %q", ErrUnknownNode, to)
 	}
 	lat := s.cfg.Latency
-	var batch, held []Message
-	var heldLat []time.Duration
-	var drops, dups, reorders int
-	var sentBytes []int64 // payload size per surviving original, for counters
-	var sentKinds []string
+	sent := msgs // the originals that survive the drop roll
+	batch := make([]Message, 0, len(msgs))
+	var held []Message // reordered: one hop each, heldLat later
+	var heldLat time.Duration
+	var rolled LinkStats
 	if f := s.faults[hostFrom][hostTo]; f.Active() {
-		st := s.statsFor(hostFrom, hostTo)
 		lat += f.Extra
+		heldLat = lat + f.Delay
+		if f.Delay <= 0 {
+			heldLat = lat + time.Millisecond + 4*s.cfg.Latency
+		}
+		sent = nil
 		for _, m := range msgs {
-			msg := Message{From: from, To: to, Kind: m.Kind, Payload: m.Payload}
 			if f.Drop > 0 && s.rng.Float64() < f.Drop {
-				st.Drops++
-				drops++
+				rolled.Drops++
 				continue
 			}
-			sentBytes = append(sentBytes, int64(len(m.Payload)))
-			sentKinds = append(sentKinds, m.Kind)
-			dup := f.Duplicate > 0 && s.rng.Float64() < f.Duplicate
-			if dup {
-				st.Dups++
-				dups++
+			sent = append(sent, m)
+			msg := Message{From: from, To: to, Kind: m.Kind, Payload: m.Payload}
+			copies := 1
+			if f.Duplicate > 0 && s.rng.Float64() < f.Duplicate {
+				rolled.Dups++
+				copies = 2
 			}
+			dst := &batch
 			if f.Reorder > 0 && s.rng.Float64() < f.Reorder {
-				st.Reorders++
-				reorders++
-				delay := f.Delay
-				if delay <= 0 {
-					delay = time.Millisecond + 4*s.cfg.Latency
-				}
-				for i := 0; i < 1+btoi(dup); i++ {
-					held = append(held, msg)
-					heldLat = append(heldLat, lat+delay)
-				}
-				continue
+				rolled.Reorders++
+				dst = &held
 			}
-			batch = append(batch, msg)
-			if dup {
-				batch = append(batch, msg)
+			for ; copies > 0; copies-- {
+				*dst = append(*dst, msg)
 			}
 		}
+		st := s.statsFor(hostFrom, hostTo)
+		*st = st.add(rolled)
 	} else {
-		batch = make([]Message, len(msgs))
-		sentBytes = make([]int64, len(msgs))
-		sentKinds = make([]string, len(msgs))
-		for i, m := range msgs {
-			batch[i] = Message{From: from, To: to, Kind: m.Kind, Payload: m.Payload}
-			sentBytes[i] = int64(len(m.Payload))
-			sentKinds[i] = m.Kind
+		for _, m := range msgs {
+			batch = append(batch, Message{From: from, To: to, Kind: m.Kind, Payload: m.Payload})
 		}
 	}
 	epoch := s.epoch[to]
 	s.mu.Unlock()
 
-	for i, n := range sentBytes {
-		s.cfg.Counters.IncMessages(n)
-		s.cfg.Counters.AddWireBytes(sentKinds[i], n)
+	for _, m := range sent {
+		s.cfg.Counters.IncMessages(int64(len(m.Payload)))
+		s.cfg.Counters.AddWireBytes(m.Kind, int64(len(m.Payload)))
 	}
-	for i := 0; i < drops; i++ {
-		s.cfg.Counters.IncNetFaultDrop()
+	times(int(rolled.Drops), s.cfg.Counters.IncNetFaultDrop)
+	times(int(rolled.Dups), s.cfg.Counters.IncNetFaultDup)
+	times(int(rolled.Reorders), s.cfg.Counters.IncNetFaultReorder)
+	if len(msgs) > 1 {
+		// A net batch is what the caller coalesced, not what a single
+		// send happens to look like on this path.
+		s.cfg.Counters.ObserveNetBatch(len(batch))
 	}
-	for i := 0; i < dups; i++ {
-		s.cfg.Counters.IncNetFaultDup()
-	}
-	for i := 0; i < reorders; i++ {
-		s.cfg.Counters.IncNetFaultReorder()
-	}
-	s.cfg.Counters.ObserveNetBatch(len(batch))
 	if len(batch) > 0 {
-		s.dispatchBatch(batch, epoch, lat)
+		s.dispatch(batch, epoch, lat)
 	}
-	for i, msg := range held {
-		s.dispatch(msg, epoch, heldLat[i])
+	for i := range held {
+		s.dispatch(held[i:i+1], epoch, heldLat)
 	}
 	return nil
 }
 
-func btoi(b bool) int {
-	if b {
-		return 1
+// times bumps a per-message counter once for each of n messages.
+func times(n int, inc func()) {
+	for ; n > 0; n-- {
+		inc()
 	}
-	return 0
 }
 
-// dispatch delivers a message after lat on the configured clock. The
-// default wall clock keeps a cancelable timer so a Close with deliveries
-// in flight releases them immediately; a custom Clock's waiter is simply
-// abandoned (a VirtualClock fires and frees it on the next Advance past
-// its deadline).
-func (s *Sim) dispatch(msg Message, epoch int, lat time.Duration) {
+// dispatch delivers a batch (all messages share From/To) after lat on
+// the configured clock: one wait, one delivery pass. The timer is
+// canceled when the wait ends either way, so a Close with deliveries in
+// flight releases them immediately.
+func (s *Sim) dispatch(batch []Message, epoch int, lat time.Duration) {
 	if lat <= 0 {
-		s.deliver(msg, epoch)
+		s.deliver(batch, epoch)
 		return
 	}
 	s.wg.Add(1)
-	var due <-chan time.Time
-	var cancel func() bool
-	if s.cfg.Clock == nil {
-		timer := time.NewTimer(lat)
-		due, cancel = timer.C, timer.Stop
-	} else {
-		due = s.clock.After(lat)
-	}
+	due, cancel := ClockTimer(s.clock, lat)
 	go func() {
 		defer s.wg.Done()
-		if cancel != nil {
-			defer cancel()
-		}
+		defer cancel()
 		select {
 		case <-due:
-			s.deliver(msg, epoch)
+			s.deliver(batch, epoch)
 		case <-s.stop:
 		}
 	}()
 }
 
-// dispatchBatch is dispatch for a whole batch: one timer wait, one
-// delivery pass. All messages of a batch share From/To.
-func (s *Sim) dispatchBatch(batch []Message, epoch int, lat time.Duration) {
-	if lat <= 0 {
-		s.deliverBatch(batch, epoch)
-		return
-	}
-	s.wg.Add(1)
-	var due <-chan time.Time
-	var cancel func() bool
-	if s.cfg.Clock == nil {
-		timer := time.NewTimer(lat)
-		due, cancel = timer.C, timer.Stop
-	} else {
-		due = s.clock.After(lat)
-	}
-	go func() {
-		defer s.wg.Done()
-		if cancel != nil {
-			defer cancel()
-		}
-		select {
-		case <-due:
-			s.deliverBatch(batch, epoch)
-		case <-s.stop:
-		}
-	}()
-}
-
-// deliverBatch places a whole batch in the destination mailbox as one
-// hop, with the same delivery-time re-checks as deliver.
-func (s *Sim) deliverBatch(batch []Message, epoch int) {
+// deliver places a batch in the destination mailbox as one hop,
+// re-checking faults at delivery time: messages in flight when the
+// destination crashed are lost even if a new incarnation is already up
+// (epoch mismatch).
+func (s *Sim) deliver(batch []Message, epoch int) {
 	from, to := batch[0].From, batch[0].To
 	s.mu.Lock()
 	ep, ok := s.eps[to]
@@ -593,32 +469,12 @@ func (s *Sim) deliverBatch(batch []Message, epoch int) {
 		closed := s.closed
 		s.mu.Unlock()
 		if !closed {
-			for range batch {
-				s.cfg.Counters.IncNetUnreachableDrop()
-			}
+			times(len(batch), s.cfg.Counters.IncNetUnreachableDrop)
 		}
 		return
 	}
 	s.mu.Unlock()
-	ep.mb.enqueueAll(batch)
-}
-
-// deliver places a message in the destination mailbox, re-checking faults
-// at delivery time: messages in flight when the destination crashed are
-// lost even if a new incarnation is already up (epoch mismatch).
-func (s *Sim) deliver(msg Message, epoch int) {
-	s.mu.Lock()
-	ep, ok := s.eps[msg.To]
-	if s.closed || !ok || s.down[hostOf(msg.To)] || s.epoch[msg.To] != epoch || s.blocked[hostOf(msg.From)][hostOf(msg.To)] {
-		closed := s.closed
-		s.mu.Unlock()
-		if !closed {
-			s.cfg.Counters.IncNetUnreachableDrop()
-		}
-		return
-	}
-	s.mu.Unlock()
-	ep.enqueue(msg)
+	ep.mb.enqueue(batch...)
 }
 
 // simEndpoint is one node's attachment to the simulated network. Its
@@ -631,10 +487,7 @@ type simEndpoint struct {
 	mb   *mailbox
 }
 
-var (
-	_ Endpoint    = (*simEndpoint)(nil)
-	_ BatchSender = (*simEndpoint)(nil)
-)
+var _ Endpoint = (*simEndpoint)(nil)
 
 func newSimEndpoint(name string, sim *Sim) *simEndpoint {
 	return &simEndpoint{name: name, sim: sim, mb: newBoundedMailbox(sim.cfg.MailboxCap, sim.cfg.Counters.IncMailboxDrop)}
@@ -643,20 +496,16 @@ func newSimEndpoint(name string, sim *Sim) *simEndpoint {
 func (e *simEndpoint) Name() string { return e.name }
 
 func (e *simEndpoint) Send(to, kind string, payload []byte) error {
-	return e.sim.send(Message{From: e.name, To: to, Kind: kind, Payload: payload})
+	return e.SendBatch(to, []Outgoing{{Kind: kind, Payload: payload}})
 }
 
-// SendBatch implements BatchSender: the batch shares one latency wait and
-// one mailbox pass, with faults still rolled per message.
 func (e *simEndpoint) SendBatch(to string, msgs []Outgoing) error {
 	if len(msgs) == 0 {
 		return nil
 	}
-	return e.sim.sendBatch(e.name, to, msgs)
+	return e.sim.send(e.name, to, msgs)
 }
 
 func (e *simEndpoint) Recv() <-chan Message { return e.mb.Recv() }
-
-func (e *simEndpoint) enqueue(msg Message) { e.mb.enqueue(msg) }
 
 func (e *simEndpoint) close() { e.mb.close() }

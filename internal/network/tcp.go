@@ -69,10 +69,7 @@ type TCPEndpoint struct {
 	wg sync.WaitGroup
 }
 
-var (
-	_ Endpoint    = (*TCPEndpoint)(nil)
-	_ BatchSender = (*TCPEndpoint)(nil)
-)
+var _ Endpoint = (*TCPEndpoint)(nil)
 
 // NewTCP creates a TCP endpoint and, if configured, starts accepting peer
 // connections.
@@ -128,34 +125,16 @@ func (e *TCPEndpoint) Addr() string {
 	return e.listener.Addr().String()
 }
 
-// Send implements Endpoint. Transient failures (peer down, broken
-// connection) drop the message silently after one reconnect attempt; an
-// unknown peer name is a permanent error.
+// Send implements Endpoint: a batch of one.
 func (e *TCPEndpoint) Send(to, kind string, payload []byte) error {
-	addr, ok := e.cfg.Peers[to]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownNode, to)
-	}
-	if len(payload) > wire.MaxMessageSize {
-		// Rejected locally before any bytes hit the stream: the
-		// connection stays usable.
-		return nil
-	}
-	msg := Message{From: e.cfg.Name, To: to, Kind: kind, Payload: payload}
-	e.cfg.Counters.IncMessages(int64(len(payload)))
-	e.cfg.Counters.AddWireBytes(kind, int64(len(payload)))
-	if err := e.writeTo(to, addr, &msg); err != nil {
-		// One reconnect attempt: the cached connection may be stale.
-		if err := e.writeTo(to, addr, &msg); err != nil {
-			return nil // dropped, like a message to a crashed node
-		}
-	}
-	return nil
+	return e.SendBatch(to, []Outgoing{{Kind: kind, Payload: payload}})
 }
 
-// SendBatch implements BatchSender: all frames of the batch are staged
+// SendBatch implements Endpoint: all frames of the batch are staged
 // under one buffer lock and one flusher wake-up, so they ride the same
-// write unless the flusher is already mid-flush.
+// write unless the flusher is already mid-flush. Transient failures
+// (peer down, broken connection) drop the batch silently after one
+// reconnect attempt; an unknown peer name is a permanent error.
 func (e *TCPEndpoint) SendBatch(to string, msgs []Outgoing) error {
 	addr, ok := e.cfg.Peers[to]
 	if !ok {
@@ -164,7 +143,9 @@ func (e *TCPEndpoint) SendBatch(to string, msgs []Outgoing) error {
 	kept := msgs[:0:0]
 	for _, m := range msgs {
 		if len(m.Payload) > wire.MaxMessageSize {
-			continue // rejected locally, connection unaffected
+			// Rejected locally before any bytes hit the stream: the
+			// connection stays usable.
+			continue
 		}
 		kept = append(kept, m)
 		e.cfg.Counters.IncMessages(int64(len(m.Payload)))
@@ -174,19 +155,12 @@ func (e *TCPEndpoint) SendBatch(to string, msgs []Outgoing) error {
 		return nil
 	}
 	if err := e.batchTo(to, addr, kept); err != nil {
+		// One reconnect attempt: the cached connection may be stale.
 		if err := e.batchTo(to, addr, kept); err != nil {
 			return nil // dropped, like messages to a crashed node
 		}
 	}
 	return nil
-}
-
-func (e *TCPEndpoint) writeTo(to, addr string, msg *Message) error {
-	pc, err := e.conn(to, addr)
-	if err != nil {
-		return err
-	}
-	return pc.enqueue(func(buf []byte) []byte { return appendFrame(buf, msg) }, 1)
 }
 
 func (e *TCPEndpoint) batchTo(to, addr string, msgs []Outgoing) error {

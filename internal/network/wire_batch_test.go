@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -109,7 +111,7 @@ func TestMailboxEnqueueAll(t *testing.T) {
 	for i := range msgs {
 		msgs[i] = Message{Kind: fmt.Sprintf("k%d", i)}
 	}
-	mb.enqueueAll(msgs)
+	mb.enqueue(msgs...)
 	for i := 0; i < 3; i++ {
 		select {
 		case got := <-mb.Recv():
@@ -129,7 +131,7 @@ func TestMailboxEnqueueAllClosed(t *testing.T) {
 	var drops int
 	mb := newBoundedMailbox(0, func() { drops++ })
 	mb.close()
-	mb.enqueueAll(make([]Message, 4))
+	mb.enqueue(make([]Message, 4)...)
 	if drops != 4 {
 		t.Errorf("closed drops = %d, want 4", drops)
 	}
@@ -151,7 +153,7 @@ func TestSimSendBatchDeliversInOrder(t *testing.T) {
 	defer sim.Close()
 	a, _ := sim.Endpoint("a")
 	b, _ := sim.Endpoint("b")
-	if err := SendAll(a, "b", batchOf(5)); err != nil {
+	if err := a.SendBatch("b", batchOf(5)); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
@@ -181,7 +183,7 @@ func TestSimSendBatchFaultsPerMessage(t *testing.T) {
 
 	// Drop everything: the whole batch is lost, counted per message.
 	sim.SetLinkFaults("a", "b", LinkFaults{Drop: 1.0})
-	if err := SendAll(a, "b", batchOf(4)); err != nil {
+	if err := a.SendBatch("b", batchOf(4)); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := recvOne(t, b, 50*time.Millisecond); ok {
@@ -193,7 +195,7 @@ func TestSimSendBatchFaultsPerMessage(t *testing.T) {
 
 	// Duplicate everything: each message arrives twice.
 	sim.SetLinkFaults("a", "b", LinkFaults{Duplicate: 1.0})
-	if err := SendAll(a, "b", batchOf(2)); err != nil {
+	if err := a.SendBatch("b", batchOf(2)); err != nil {
 		t.Fatal(err)
 	}
 	seen := map[byte]int{}
@@ -221,12 +223,130 @@ func TestSimSendBatchToCrashedNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim.Crash("b")
-	if err := SendAll(a, "b", batchOf(3)); err != nil {
+	if err := a.SendBatch("b", batchOf(3)); err != nil {
 		t.Fatal(err)
 	}
 	if s := c.Snapshot(); s.NetUnreachableDrops != 3 {
 		t.Errorf("unreachable drops = %d, want 3", s.NetUnreachableDrops)
 	}
+}
+
+// sendCounts is what the transports count per message, whatever the call
+// shape that carried it.
+type sendCounts struct {
+	Messages, BytesSent, KindBytes                    int64
+	FaultDrops, FaultDups, FaultReorders, Unreachable int64
+	NetBatches, NetBatchedMsgs                        int64
+}
+
+func countsOf(c *metrics.Counters) sendCounts {
+	s := c.Snapshot()
+	return sendCounts{s.Messages, s.BytesSent, s.WireBytesByKind["q.prepare"],
+		s.NetFaultDrops, s.NetFaultDups, s.NetFaultReorders, s.NetUnreachableDrops,
+		s.NetBatches, s.NetBatchedMsgs}
+}
+
+// TestSendIsBatchOfOne pins the Endpoint contract "Send is SendBatch of
+// one message": the same messages through either call shape meet the same
+// fault rolls, are counted the same and arrive the same, on both
+// transports. One multi-message SendBatch differs only in the net batch
+// it is observed as.
+func TestSendIsBatchOfOne(t *testing.T) {
+	const n = 200
+	msgs := make([]Outgoing, n)
+	for i := range msgs {
+		msgs[i] = Outgoing{Kind: "q.prepare", Payload: []byte(fmt.Sprintf("m%03d", i))}
+	}
+	drain := func(t *testing.T, ep Endpoint, want int64) []string {
+		t.Helper()
+		got := make([]string, 0, want)
+		for int64(len(got)) < want {
+			msg, ok := recvOne(t, ep, 5*time.Second)
+			if !ok {
+				t.Fatalf("delivery %d of %d missing", len(got), want)
+			}
+			got = append(got, string(msg.Payload))
+		}
+		if msg, ok := recvOne(t, ep, 20*time.Millisecond); ok {
+			t.Fatalf("extra delivery %q", msg.Payload)
+		}
+		sort.Strings(got)
+		return got
+	}
+
+	t.Run("sim", func(t *testing.T) {
+		run := func(send func(a Endpoint)) ([]string, LinkStats, sendCounts) {
+			var c metrics.Counters
+			sim := NewSim(SimConfig{Counters: &c, FaultSeed: 7})
+			defer sim.Close()
+			a, _ := sim.Endpoint("a")
+			b, _ := sim.Endpoint("b")
+			sim.SetLinkFaults("a", "b", LinkFaults{Drop: 0.3, Duplicate: 0.3, Reorder: 0.3, Delay: time.Millisecond})
+			send(a)
+			st := sim.LinkStats("a", "b")
+			if st.Drops == 0 || st.Dups == 0 || st.Reorders == 0 {
+				t.Fatalf("faults never fired: %+v", st)
+			}
+			return drain(t, b, n-st.Drops+st.Dups), st, countsOf(&c)
+		}
+		single, singleStats, singleCounts := run(func(a Endpoint) {
+			for _, m := range msgs {
+				if err := a.Send("b", m.Kind, m.Payload); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		ones, onesStats, onesCounts := run(func(a Endpoint) {
+			for i := range msgs {
+				if err := a.SendBatch("b", msgs[i:i+1]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		if !reflect.DeepEqual(ones, single) || onesStats != singleStats || onesCounts != singleCounts {
+			t.Errorf("one-element SendBatch differs from Send:\n%+v %+v\n%+v %+v", onesStats, onesCounts, singleStats, singleCounts)
+		}
+		if singleCounts.NetBatches != 0 {
+			t.Errorf("single sends observed %d net batches, want 0", singleCounts.NetBatches)
+		}
+		whole, wholeStats, wholeCounts := run(func(a Endpoint) {
+			if err := a.SendBatch("b", msgs); err != nil {
+				t.Fatal(err)
+			}
+		})
+		wholeCounts.NetBatches, wholeCounts.NetBatchedMsgs = 0, 0
+		if !reflect.DeepEqual(whole, single) || wholeStats != singleStats || wholeCounts != singleCounts {
+			t.Errorf("one SendBatch differs per message from Send:\n%+v %+v\n%+v %+v", wholeStats, wholeCounts, singleStats, singleCounts)
+		}
+	})
+
+	t.Run("tcp", func(t *testing.T) {
+		run := func(send func(a Endpoint, m Outgoing) error) ([]string, sendCounts) {
+			var c metrics.Counters
+			a, b := tcpPairCfg(t, TCPConfig{Counters: &c}, TCPConfig{})
+			var got []string
+			for _, m := range msgs[:20] {
+				if err := send(a, m); err != nil {
+					t.Fatal(err)
+				}
+				// One at a time, so each write carries one frame either way.
+				msg, ok := recvOne(t, b, 5*time.Second)
+				if !ok {
+					t.Fatalf("%q not delivered", m.Payload)
+				}
+				got = append(got, string(msg.Payload))
+			}
+			return append(got, drain(t, b, 0)...), countsOf(&c)
+		}
+		single, singleCounts := run(func(a Endpoint, m Outgoing) error { return a.Send("b", m.Kind, m.Payload) })
+		ones, onesCounts := run(func(a Endpoint, m Outgoing) error { return a.SendBatch("b", []Outgoing{m}) })
+		if !reflect.DeepEqual(ones, single) || onesCounts != singleCounts {
+			t.Errorf("one-element SendBatch differs from Send:\n%+v\n%+v", onesCounts, singleCounts)
+		}
+		if singleCounts.Messages != 20 || singleCounts.NetBatchedMsgs != 20 {
+			t.Errorf("counts = %+v, want 20 messages in 20 frames", singleCounts)
+		}
+	})
 }
 
 // --- TCP coalescing ---------------------------------------------------
@@ -309,7 +429,7 @@ func TestTCPFlushBytesOverridesLinger(t *testing.T) {
 func TestTCPSendBatch(t *testing.T) {
 	var c metrics.Counters
 	a, b := tcpPairCfg(t, TCPConfig{Counters: &c}, TCPConfig{})
-	if err := SendAll(a, "b", batchOf(6)); err != nil {
+	if err := a.SendBatch("b", batchOf(6)); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 6; i++ {

@@ -77,9 +77,7 @@ func (n *Node) flushCtlStage() {
 	}
 	_ = n.store.Apply(ops...)
 	n.cfg.Counters.ObserveDecisionBatch(len(ops))
-	if tr := n.cfg.Tracer; tr != nil {
-		tr.Rec(trace.OpCtlFlush, "", "", "", "", "", int64(len(ops)))
-	}
+	n.cfg.Tracer.Rec(trace.OpCtlFlush, "", "", "", "", "", int64(len(ops)))
 }
 
 // piggybackKind reports whether a reply kind is safe to park: nothing
@@ -139,5 +137,5 @@ func (n *Node) flushHeld(peer string) {
 		return
 	}
 	// Unknown-destination errors: lost messages, like send.
-	_ = network.SendAll(n.ep, peer, msgs)
+	_ = n.ep.SendBatch(peer, msgs)
 }

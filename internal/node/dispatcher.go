@@ -30,8 +30,9 @@ func (n *Node) dispatch() {
 	}
 }
 
-// step feeds one event through the protocol machine (serialized under
-// pmu) and applies the returned effects. Effects are applied outside
+// step feeds events — one, or the per-transaction events of a batch
+// frame — through the protocol machine (serialized under pmu) and
+// applies the returned effects. Effects are applied outside
 // the machine lock, in emission order, by the same caller — they are
 // idempotent or state-guarded, so concurrent steppers interleaving
 // their effect application is safe.
@@ -39,11 +40,14 @@ func (n *Node) dispatch() {
 // All messages the transition batch emits — including those of nested
 // transitions its effects trigger — are collected per destination and
 // flushed in one endpoint call per peer when the outermost step
-// returns, so a commit fan-out or an ack+status pair coalesces on the
-// wire instead of paying one network hop each.
-func (n *Node) step(ev protocol.Event) {
+// returns, so a commit fan-out, an ack+status pair or the replies to a
+// coalesced frame coalesce on the wire instead of paying one network
+// hop each.
+func (n *Node) step(evs ...protocol.Event) {
 	var b outBatch
-	n.stepInto(ev, &b)
+	for _, ev := range evs {
+		n.stepInto(ev, &b)
+	}
 	b.flush(n)
 }
 
@@ -66,24 +70,11 @@ func (n *Node) stepInto(ev protocol.Event, b *outBatch) {
 		after = n.machine.StateOf(txnID, agentID)
 	}
 	n.pmu.Unlock()
-	if tr != nil {
-		tr.Rec(trace.OpTransition, txnID, agentID, name, before, after, int64(len(effs)))
-	}
+	tr.Rec(trace.OpTransition, txnID, agentID, name, before, after, int64(len(effs)))
 	n.cfg.Counters.IncProtocolTransition()
 	for _, eff := range effs {
 		n.applyEffect(eff, b)
 	}
-}
-
-// stepAll feeds a batch frame's per-transaction events through the
-// machine under one shared outbound batch, so the replies to a
-// coalesced frame coalesce on the way back too.
-func (n *Node) stepAll(evs []protocol.Event) {
-	var b outBatch
-	for _, ev := range evs {
-		n.stepInto(ev, &b)
-	}
-	b.flush(n)
 }
 
 // onTimer is the wheel's fire callback: a timer event like any other,
@@ -98,9 +89,7 @@ func (n *Node) onTimer(id string) {
 		n.flushHeld(peer)
 		return
 	}
-	if tr := n.cfg.Tracer; tr != nil {
-		tr.Rec(trace.OpTimerFire, "", "", id, "", "", 0)
-	}
+	n.cfg.Tracer.Rec(trace.OpTimerFire, "", "", id, "", "", 0)
 	n.step(protocol.TimerFired{ID: id})
 }
 
@@ -110,9 +99,7 @@ func (n *Node) onTimer(id string) {
 // decision record), reads it to enrich the event. Protocol payloads go
 // through protocol.Decode.
 func (n *Node) handle(msg network.Message) {
-	if tr := n.cfg.Tracer; tr != nil {
-		tr.Rec(trace.OpWireRecv, "", "", msg.Kind, msg.From, "", int64(len(msg.Payload)))
-	}
+	n.cfg.Tracer.Rec(trace.OpWireRecv, "", "", msg.Kind, msg.From, "", int64(len(msg.Payload)))
 	switch msg.Kind {
 	case protocol.KindEnqueuePrepare:
 		var req protocol.PrepareMsg
@@ -154,7 +141,7 @@ func (n *Node) handle(msg network.Message) {
 		for _, it := range req.Items {
 			evs = append(evs, protocol.CtlReceived{TxnID: it.TxnID, From: msg.From, Commit: it.Commit, RCE: it.RCE})
 		}
-		n.stepAll(evs)
+		n.step(evs...)
 	case protocol.KindQueryBatch:
 		var req protocol.QueryBatchMsg
 		if err := protocol.Decode(msg.Payload, &req); err != nil {
@@ -168,7 +155,7 @@ func (n *Node) handle(msg network.Message) {
 			}
 			evs = append(evs, protocol.QueryReceived{TxnID: txnID, From: msg.From, StoreDecided: decided})
 		}
-		n.stepAll(evs)
+		n.step(evs...)
 	case protocol.KindTxnStatus:
 		var st protocol.StatusMsg
 		if err := protocol.Decode(msg.Payload, &st); err != nil {
@@ -283,9 +270,7 @@ func (n *Node) applyEffect(eff protocol.Effect, b *outBatch) {
 	case protocol.DropDone:
 		n.stageCtlOp(stableDelDone(e.AgentID))
 	case protocol.ArmTimer:
-		if tr := n.cfg.Tracer; tr != nil {
-			tr.Rec(trace.OpTimerArm, "", "", e.ID, "", "", int64(e.D))
-		}
+		n.cfg.Tracer.Rec(trace.OpTimerArm, "", "", e.ID, "", "", int64(e.D))
 		if n.wheel != nil {
 			n.wheel.Schedule(e.ID, e.D)
 		}

@@ -101,9 +101,7 @@ func (n *Node) AnnounceStatus(name string, s membership.Status) {
 		return
 	}
 	if entry, changed := n.members.SetStatus(name, s); changed {
-		if tr := n.cfg.Tracer; tr != nil {
-			tr.Rec(trace.OpMember, "", "", "set-status", entry.Name, entry.Status.String(), entry.Epoch)
-		}
+		n.cfg.Tracer.Rec(trace.OpMember, "", "", "set-status", entry.Name, entry.Status.String(), entry.Epoch)
 		n.cfg.Counters.IncRingChange()
 		n.Announce()
 	}
@@ -121,9 +119,7 @@ func (n *Node) handleAnnounce(msg network.Message) {
 	n.cfg.Counters.IncMemberAnnounce()
 	changed, remoteStale := n.members.Merge(membership.View{Members: am.Members})
 	if changed {
-		if tr := n.cfg.Tracer; tr != nil {
-			tr.Rec(trace.OpMember, "", "", "merge", msg.From, "", int64(len(am.Members)))
-		}
+		n.cfg.Tracer.Rec(trace.OpMember, "", "", "merge", msg.From, "", int64(len(am.Members)))
 		n.cfg.Counters.IncRingChange()
 		n.Announce()
 	}
@@ -177,9 +173,7 @@ func (n *Node) adoptionGate(e protocol.StageEntry) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.adopted[agentID] >= c.Epoch {
-		if tr := n.cfg.Tracer; tr != nil {
-			tr.Rec(trace.OpMigrate, e.TxnID, agentID, "refuse", e.From, "", c.Epoch)
-		}
+		n.cfg.Tracer.Rec(trace.OpMigrate, e.TxnID, agentID, "refuse", e.From, "", c.Epoch)
 		n.cfg.Counters.IncAdoptionRefusal()
 		return fmt.Errorf("agent %s epoch %d already adopted", agentID, c.Epoch)
 	}
@@ -320,9 +314,7 @@ func (n *Node) rebalanceSweep() (pending bool) {
 		if err := n.migrateEntry(claimed, mv.dest); err != nil {
 			n.queue.Release(claimed)
 			n.cfg.Counters.IncMigrationAbort()
-			if tr := n.cfg.Tracer; tr != nil {
-				tr.Rec(trace.OpMigrate, "", claimed.ID, "abort", n.cfg.Name, mv.dest, 0)
-			}
+			n.cfg.Tracer.Rec(trace.OpMigrate, "", claimed.ID, "abort", n.cfg.Name, mv.dest, 0)
 			still[mv.e.ID] = true
 			pending = true
 			continue
@@ -400,9 +392,7 @@ func (n *Node) migrateEntry(e *stable.Entry, dest string) error {
 	if err != nil {
 		return err
 	}
-	if tr := n.cfg.Tracer; tr != nil {
-		tr.Rec(trace.OpMigrate, tx.ID(), c.Agent.ID, "start", n.cfg.Name, dest, int64(len(data)))
-	}
+	n.cfg.Tracer.Rec(trace.OpMigrate, tx.ID(), c.Agent.ID, "start", n.cfg.Name, dest, int64(len(data)))
 	tx.AddCommitOps(n.queue.RemoveOp(e))
 	prep, err := n.prepareEnqueueRemote(tx, dest, c.Agent.ID, data)
 	if err != nil {
@@ -414,8 +404,6 @@ func (n *Node) migrateEntry(e *stable.Entry, dest string) error {
 	if err := n.commitDistributed(tx, []protocol.Participant{prep}, onCommit); err != nil {
 		return err
 	}
-	if tr := n.cfg.Tracer; tr != nil {
-		tr.Rec(trace.OpMigrate, tx.ID(), c.Agent.ID, "commit", n.cfg.Name, dest, int64(len(data)))
-	}
+	n.cfg.Tracer.Rec(trace.OpMigrate, tx.ID(), c.Agent.ID, "commit", n.cfg.Name, dest, int64(len(data)))
 	return nil
 }

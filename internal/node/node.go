@@ -470,18 +470,14 @@ func (b *outBatch) flush(n *Node) {
 		// the piggyback ride.
 		if rides := n.takeHeld(to); len(rides) > 0 {
 			n.cfg.Counters.IncAckPiggybacked(int64(len(rides)))
-			if tr := n.cfg.Tracer; tr != nil {
-				for _, r := range rides {
-					tr.Rec(trace.OpPiggyback, "", "", r.Kind, to, "", int64(len(r.Payload)))
-				}
+			for _, r := range rides {
+				n.cfg.Tracer.Rec(trace.OpPiggyback, "", "", r.Kind, to, "", int64(len(r.Payload)))
 			}
 			msgs = append(msgs, rides...)
 		}
-		if tr := n.cfg.Tracer; tr != nil {
-			tr.Rec(trace.OpBatchFlush, "", "", "", to, "", int64(len(msgs)))
-		}
+		n.cfg.Tracer.Rec(trace.OpBatchFlush, "", "", "", to, "", int64(len(msgs)))
 		// Unknown-destination errors: lost messages, like send.
-		_ = network.SendAll(n.ep, to, msgs)
+		_ = n.ep.SendBatch(to, msgs)
 	}
 	b.order = b.order[:0]
 	clear(b.byDest)

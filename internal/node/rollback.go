@@ -33,9 +33,7 @@ func (n *Node) runCompensation(entry *stable.Entry, c *Container, attempt int) e
 	if err != nil {
 		return err
 	}
-	if tr := n.cfg.Tracer; tr != nil {
-		tr.Rec(trace.OpAgentStep, tx.ID(), a.ID, "compensate", "", "", int64(attempt))
-	}
+	n.cfg.Tracer.Rec(trace.OpAgentStep, tx.ID(), a.ID, "compensate", "", "", int64(attempt))
 	tx.AddCommitOps(n.queue.RemoveOp(entry))
 
 	reached, _ := protocol.PopToTarget(a.Log, spID)

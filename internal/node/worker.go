@@ -255,9 +255,7 @@ func (n *Node) failAgent(entry *stable.Entry, cause error) {
 // the notification to the protocol machine's notifier role (sent now,
 // re-sent on its timer until acknowledged).
 func (n *Node) finishAgent(tx *txn.Tx, a *agent.Agent, failed bool, reason string) error {
-	if tr := n.cfg.Tracer; tr != nil {
-		tr.Rec(trace.OpAgentStep, tx.ID(), a.ID, "finish", "", "", 0)
-	}
+	n.cfg.Tracer.Rec(trace.OpAgentStep, tx.ID(), a.ID, "finish", "", "", 0)
 	data, err := EncodeContainer(&Container{Mode: ModeStep, Agent: a})
 	if err != nil {
 		return err
@@ -305,9 +303,7 @@ func (n *Node) runStep(entry *stable.Entry, c *Container, attempt int) error {
 	}
 	// The join record for timeline reconstruction: the worker is the only
 	// place that knows both the agent entry and its step transaction.
-	if tr := n.cfg.Tracer; tr != nil {
-		tr.Rec(trace.OpAgentStep, tx.ID(), a.ID, step.Method, "", "", int64(attempt))
-	}
+	n.cfg.Tracer.Rec(trace.OpAgentStep, tx.ID(), a.ID, step.Method, "", "", int64(attempt))
 	tx.AddCommitOps(n.queue.RemoveOp(entry))
 	seq := a.StepSeq
 	sctx := &stepCtx{node: n, a: a, tx: tx, seq: seq}

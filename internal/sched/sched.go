@@ -354,10 +354,8 @@ func (p *Pool) exec(t *task) {
 			if errors.Is(err, txn.ErrLockTimeout) {
 				p.cfg.Counters.IncLockConflictAbort()
 			}
-			if p.cfg.Tracer != nil {
-				p.cfg.Tracer.Rec(trace.OpSchedRetry, "", t.entry.ID, err.Error(), "", "", int64(attempt))
-			}
-		} else if p.cfg.Tracer != nil {
+			p.cfg.Tracer.Rec(trace.OpSchedRetry, "", t.entry.ID, err.Error(), "", "", int64(attempt))
+		} else {
 			p.cfg.Tracer.Rec(trace.OpSchedAbort, "", t.entry.ID, err.Error(), "", "", int64(attempt))
 		}
 		if perm && p.cfg.Fail != nil {

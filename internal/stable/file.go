@@ -68,21 +68,8 @@ type FileStore struct {
 	cacheBytes int
 	gen        uint64
 
-	// gmu guards the group-commit queue; gcond wakes queued callers when
-	// the leader finishes so one of them can take over leadership.
-	gmu    sync.Mutex
-	gcond  *sync.Cond
-	queue  []*applyWaiter
-	leader bool
-
+	group        *GroupCommit
 	groupCommits atomic.Int64
-}
-
-// applyWaiter is one Apply call waiting for its group to commit.
-type applyWaiter struct {
-	ops       []Op
-	err       error
-	committed bool
 }
 
 var _ Store = (*FileStore)(nil)
@@ -101,7 +88,7 @@ func OpenFileStoreWith(dir string, counters *metrics.Counters, opts FileStoreOpt
 		return nil, fmt.Errorf("stable: create store dir: %w", err)
 	}
 	s := &FileStore{dir: dir, kvDir: kvDir, counters: counters, opts: opts}
-	s.gcond = sync.NewCond(&s.gmu)
+	s.group = NewGroupCommit(s.commitGroup)
 	if opts.CacheEntries >= 0 {
 		s.cache = make(map[string][]byte)
 	}
@@ -230,57 +217,15 @@ func (s *FileStore) Keys(prefix string) ([]string, error) {
 	return keys, nil
 }
 
-// Apply implements Store with group commit: the calling goroutine enqueues
-// its batch and waits until a leader commits it. Whenever no leader is
-// active, one queued caller takes over, commits every batch queued at
-// that moment (its own included) as one journal write + fan-out apply,
-// and hands leadership to the next queued caller. Each leader commits
-// exactly one group and then returns, so sustained concurrent traffic
-// rotates leadership instead of starving one caller. All batches of a
-// group share one crash-consistency point: the journal holds the whole
-// group, so replay after a crash applies every batch of the group or
-// none.
-func (s *FileStore) Apply(batch ...Op) error {
-	w := &applyWaiter{ops: batch}
-	s.gmu.Lock()
-	s.queue = append(s.queue, w)
-	for !w.committed && s.leader {
-		s.gcond.Wait()
-	}
-	if w.committed {
-		err := w.err
-		s.gmu.Unlock()
-		return err
-	}
-	// Become the leader for every batch queued right now.
-	s.leader = true
-	group := s.queue
-	s.queue = nil
-	s.gmu.Unlock()
+// Apply implements Store with group commit (see GroupCommit). All batches
+// of a group share one crash-consistency point: the journal holds the
+// whole group, so replay after a crash applies every batch of the group
+// or none.
+func (s *FileStore) Apply(batch ...Op) error { return s.group.Apply(batch) }
 
-	err := s.commitGroup(group)
-
-	s.gmu.Lock()
-	for _, g := range group {
-		g.err = err
-		g.committed = true
-	}
-	s.leader = false
-	s.gmu.Unlock()
-	s.gcond.Broadcast()
-	return err // w is part of group
-}
-
-// commitGroup durably commits the concatenated ops of one group.
-func (s *FileStore) commitGroup(group []*applyWaiter) error {
-	total := 0
-	for _, g := range group {
-		total += len(g.ops)
-	}
-	ops := make([]Op, 0, total)
-	for _, g := range group {
-		ops = append(ops, g.ops...)
-	}
+// commitGroup durably commits the concatenated ops of one group as one
+// journal write + fan-out apply.
+func (s *FileStore) commitGroup(ops []Op) error {
 	data, err := wire.Encode(ops)
 	if err != nil {
 		return err

@@ -173,7 +173,9 @@ func (r *reader) ops() []stable.Op {
 	if r.err != nil {
 		return nil
 	}
-	if n > uint64(len(r.b)) { // each op takes >= 1 byte
+	// An op takes at least two bytes (key length, value length), so the
+	// slice sized below is bounded by the frame, not by the count it claims.
+	if n > uint64(len(r.b))/2 {
 		r.err = fmt.Errorf("repl: op count %d exceeds frame", n)
 		return nil
 	}

@@ -114,14 +114,7 @@ type Store struct {
 	// group commit: concurrent Apply calls elect a leader that commits,
 	// ships and (in quorum mode) awaits acks for the whole group as one
 	// record, mirroring the WAL engine's group commit underneath.
-	gmu     sync.Mutex
-	queue   []*applyReq
-	leading bool
-}
-
-type applyReq struct {
-	ops  []stable.Op
-	done chan error
+	group *stable.GroupCommit
 }
 
 var (
@@ -176,6 +169,7 @@ func Wrap(inner stable.Store, opts Options) (*Store, error) {
 		ackedEpoch: make(map[string]uint64),
 		stop:       make(chan struct{}),
 	}
+	s.group = stable.NewGroupCommit(s.commitGroup)
 	s.wg.Add(1)
 	go s.resendLoop()
 	return s, nil
@@ -243,40 +237,9 @@ func (s *Store) Keys(prefix string) ([]string, error) {
 // Apply commits the batch locally, ships it to the followers, and in
 // quorum mode blocks until enough copies acknowledged. Concurrent
 // appliers are group-committed.
-func (s *Store) Apply(batch ...stable.Op) error {
-	req := &applyReq{ops: batch, done: make(chan error, 1)}
-	s.gmu.Lock()
-	s.queue = append(s.queue, req)
-	if s.leading {
-		s.gmu.Unlock()
-		return <-req.done
-	}
-	s.leading = true
-	for len(s.queue) > 0 {
-		group := s.queue
-		s.queue = nil
-		s.gmu.Unlock()
-		err := s.commitGroup(group)
-		for _, r := range group {
-			r.done <- err
-		}
-		s.gmu.Lock()
-	}
-	s.leading = false
-	s.gmu.Unlock()
-	return <-req.done
-}
+func (s *Store) Apply(batch ...stable.Op) error { return s.group.Apply(batch) }
 
-func (s *Store) commitGroup(group []*applyReq) error {
-	var ops []stable.Op
-	if len(group) == 1 {
-		ops = group[0].ops
-	} else {
-		for _, r := range group {
-			ops = append(ops, r.ops...)
-		}
-	}
-
+func (s *Store) commitGroup(ops []stable.Op) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()

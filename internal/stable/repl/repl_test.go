@@ -441,3 +441,75 @@ func TestDivergenceProperty(t *testing.T) {
 		})
 	}
 }
+
+// gatedStore holds every Apply at a gate the test opens one commit at a
+// time, until open is closed.
+type gatedStore struct {
+	stable.Store
+	entered chan struct{} // one token per Apply that reached the gate
+	release chan struct{} // one token lets one Apply through
+	open    chan struct{} // closed: the gate stands open (test teardown)
+}
+
+func (g *gatedStore) Apply(batch ...stable.Op) error {
+	select {
+	case g.entered <- struct{}{}:
+		select {
+		case <-g.release:
+		case <-g.open:
+		}
+	case <-g.open:
+	}
+	return g.Store.Apply(batch...)
+}
+
+// TestApplyLeaderHandsOffAfterOwnGroup: a group-commit leader commits
+// the group its own batch is in and returns; callers queued behind it
+// elect the next leader. (The former loop kept one caller committing
+// other callers' groups for as long as the queue was non-empty.)
+func TestApplyLeaderHandsOffAfterOwnGroup(t *testing.T) {
+	gate := &gatedStore{
+		Store:   stable.NewMemStore(nil),
+		entered: make(chan struct{}),
+		release: make(chan struct{}),
+		open:    make(chan struct{}),
+	}
+	s, err := repl.Wrap(gate, repl.Options{Shard: "p", ResendEvery: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	defer close(gate.open) // first: Close waits out a commit held at the gate
+
+	first := make(chan error, 1)
+	go func() { first <- s.Apply(stable.Put("a", []byte("1"))) }()
+	<-gate.entered // the first caller leads and its group is at the gate
+
+	second := make(chan error, 1)
+	started := make(chan struct{})
+	go func() {
+		close(started)
+		second <- s.Apply(stable.Put("b", []byte("2")))
+	}()
+	<-started
+	// Give the second applier time to queue behind the leader. The pause
+	// only makes the old loop's fault reproduce; the assertions below wait
+	// on events.
+	time.Sleep(20 * time.Millisecond)
+
+	gate.release <- struct{}{} // the first group commits; the second stays gated
+	select {
+	case err := <-first:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("first Apply did not return after its own group committed: the leader is committing another caller's group")
+	}
+
+	<-gate.entered
+	gate.release <- struct{}{}
+	if err := <-second; err != nil {
+		t.Fatal(err)
+	}
+}

@@ -17,6 +17,9 @@
 //     process death (used by cmd/agentnode).
 //   - Queue: a FIFO agent input queue with staged (prepared) entries for
 //     two-phase commit.
+//   - GroupCommit: the leader-election loop that coalesces concurrent
+//     Apply callers into one commit, shared by FileStore, wal.Store and
+//     repl.Store.
 //
 // The log-structured WAL engine lives in the stable/wal subpackage and the
 // primary/backup replication layer in stable/repl; both register with or

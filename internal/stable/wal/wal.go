@@ -103,24 +103,13 @@ type Store struct {
 	ckptAppended  int64 // totalAppended at the last checkpoint
 	ckptMu        sync.Mutex
 
-	// Group commit (same leader/follower shape as stable.FileStore).
-	gmu    sync.Mutex
-	gcond  *sync.Cond
-	queue  []*applyWaiter
-	leader bool
-
+	group        *stable.GroupCommit
 	groupCommits atomic.Int64
 	recovery     RecoveryStats
 
 	maintCh chan struct{}
 	stopCh  chan struct{}
 	wg      sync.WaitGroup
-}
-
-type applyWaiter struct {
-	ops       []stable.Op
-	err       error
-	committed bool
 }
 
 var _ stable.Store = (*Store)(nil)
@@ -142,7 +131,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		maintCh:  make(chan struct{}, 1),
 		stopCh:   make(chan struct{}),
 	}
-	s.gcond = sync.NewCond(&s.gmu)
+	s.group = stable.NewGroupCommit(s.commitGroup)
 	if err := s.recover(); err != nil {
 		return nil, err
 	}
@@ -378,54 +367,16 @@ func (s *Store) Keys(prefix string) ([]string, error) {
 	return keys, nil
 }
 
-// Apply implements stable.Store with group commit: the calling goroutine
-// enqueues its batch and waits until a leader commits it. Whenever no
-// leader is active, one queued caller takes over, appends every batch
-// queued at that moment (its own included) as one record + one fsync, and
-// hands leadership to the next queued caller.
-func (s *Store) Apply(batch ...stable.Op) error {
-	w := &applyWaiter{ops: batch}
-	s.gmu.Lock()
-	s.queue = append(s.queue, w)
-	for !w.committed && s.leader {
-		s.gcond.Wait()
-	}
-	if w.committed {
-		err := w.err
-		s.gmu.Unlock()
-		return err
-	}
-	s.leader = true
-	group := s.queue
-	s.queue = nil
-	s.gmu.Unlock()
-
-	err := s.commitGroup(group)
-
-	s.gmu.Lock()
-	for _, g := range group {
-		g.err = err
-		g.committed = true
-	}
-	s.leader = false
-	s.gmu.Unlock()
-	s.gcond.Broadcast()
-	return err // w is part of group
-}
+// Apply implements stable.Store with group commit (see
+// stable.GroupCommit): every batch queued when a leader takes over is
+// appended as one record + one fsync.
+func (s *Store) Apply(batch ...stable.Op) error { return s.group.Apply(batch) }
 
 // commitGroup durably appends the concatenated ops of one group as a
 // single record and publishes them in the index.
-func (s *Store) commitGroup(group []*applyWaiter) error {
-	total := 0
-	for _, g := range group {
-		total += len(g.ops)
-	}
-	if total == 0 {
+func (s *Store) commitGroup(ops []stable.Op) error {
+	if len(ops) == 0 {
 		return nil
-	}
-	ops := make([]stable.Op, 0, total)
-	for _, g := range group {
-		ops = append(ops, g.ops...)
 	}
 	if err := s.append(ops, false); err != nil {
 		return err
