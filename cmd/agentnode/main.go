@@ -1,7 +1,8 @@
 // Command agentnode runs one agent-system node as a standalone OS process
 // over TCP, with a disk-backed stable store — the multi-process deployment
-// of the system (binary frames on the wire, gob containers inside them
-// and on disk). Killing the process and restarting it with the same -data
+// of the system (binary frames on the wire, binary agent containers inside
+// them and on disk; a data directory still holding gob containers from
+// before that codec is refused at start). Killing the process and restarting it with the same -data
 // directory exercises the crash-recovery protocol for real. The default -store=wal engine appends commits to
 // checksummed log segments with index checkpoints, so restart replays
 // only the log tail written since the last checkpoint; -store=file keeps

@@ -88,18 +88,12 @@ func (a *Agent) SystemImage() (map[string][]byte, error) {
 			return nil, fmt.Errorf("agent %s: reserved SRO key %q", a.ID, k)
 		}
 	}
-	cur, err := wire.Encode(a.Cursor)
+	itin, err := a.Itin.AppendTo(nil)
 	if err != nil {
 		return nil, err
 	}
-	itin, err := wire.Encode(a.Itin)
-	if err != nil {
-		return nil, err
-	}
-	img[sysKeyCursor] = cur
+	img[sysKeyCursor] = a.Cursor.AppendTo(nil)
 	img[sysKeyItin] = itin
-	// The step counter takes the tagged-scalar fast path; RestoreSystemImage
-	// still decodes gob-encoded counters from older savepoint images.
 	img[sysKeyStepSeq] = wire.EncodeInt64(int64(a.StepSeq))
 	return img, nil
 }
@@ -116,11 +110,7 @@ func (a *Agent) SystemImageWithWRO() (map[string][]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	wro, err := wire.Encode(a.WRO.Snapshot())
-	if err != nil {
-		return nil, err
-	}
-	img[sysKeyWRO] = wro
+	img[sysKeyWRO] = wire.AppendBytesMap(nil, a.WRO.Data)
 	return img, nil
 }
 
@@ -131,33 +121,31 @@ func (a *Agent) RestoreSystemImage(img map[string][]byte) error {
 	if !ok {
 		return fmt.Errorf("agent %s: savepoint image lacks system state", a.ID)
 	}
-	// Decode into fresh values: gob omits zero-valued fields at encode
-	// time, so decoding into the live (non-zero) fields would merge
-	// instead of replace.
-	var cursor itinerary.Cursor
-	if err := wire.Decode(raw, &cursor); err != nil {
-		return err
+	r := wire.NewReader(raw)
+	cursor := itinerary.ReadCursor(r)
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("agent %s: savepoint cursor: %w", a.ID, err)
 	}
-	var itin itinerary.Itinerary
-	if err := wire.Decode(img[sysKeyItin], &itin); err != nil {
-		return err
+	r = wire.NewReader(img[sysKeyItin])
+	itin := itinerary.ReadItinerary(r)
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("agent %s: savepoint itinerary: %w", a.ID, err)
 	}
-	var seq int
-	if v, ok := wire.DecodeInt64(img[sysKeyStepSeq]); ok {
-		seq = int(v)
-	} else if err := wire.Decode(img[sysKeyStepSeq], &seq); err != nil {
-		return err
+	seq, ok := wire.DecodeInt64(img[sysKeyStepSeq])
+	if !ok {
+		return fmt.Errorf("agent %s: savepoint step counter: %w", a.ID, wire.ErrCorrupt)
 	}
 	a.Cursor = cursor
-	a.Itin = &itin
-	a.StepSeq = seq
+	a.Itin = itin
+	a.StepSeq = int(seq)
 	if wroRaw, ok := img[sysKeyWRO]; ok {
 		// Saga-baseline image (SystemImageWithWRO): restore the WROs
 		// from the before-image — deliberately wrong per §4.1, kept for
 		// the S16b demonstration.
-		var wroImg map[string][]byte
-		if err := wire.Decode(wroRaw, &wroImg); err != nil {
-			return err
+		r = wire.NewReader(wroRaw)
+		wroImg := r.BytesMap()
+		if err := r.Done(); err != nil {
+			return fmt.Errorf("agent %s: savepoint WRO image: %w", a.ID, err)
 		}
 		a.WRO.Restore(wroImg)
 	}
@@ -170,25 +158,4 @@ func (a *Agent) RestoreSystemImage(img map[string][]byte) error {
 	}
 	a.SRO.Restore(app)
 	return nil
-}
-
-// Encode serializes the agent (gob).
-func (a *Agent) Encode() ([]byte, error) { return wire.Encode(a) }
-
-// Decode deserializes an agent produced by Encode.
-func Decode(data []byte) (*Agent, error) {
-	var a Agent
-	if err := wire.Decode(data, &a); err != nil {
-		return nil, err
-	}
-	if a.SRO == nil {
-		a.SRO = NewSpace()
-	}
-	if a.WRO == nil {
-		a.WRO = NewSpace()
-	}
-	if a.Log == nil {
-		a.Log = &core.Log{}
-	}
-	return &a, nil
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/itinerary"
+	"repro/internal/wire"
 )
 
 func testItinerary(t *testing.T) *itinerary.Itinerary {
@@ -250,12 +251,17 @@ func TestAgentEncodeDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.StepSeq = 3
-	data, err := a.Encode()
+	// Scalars are stored under the value codec's tags, not as gob.
+	if raw := a.WRO.Data["w"]; len(raw) == 0 || raw[0] != wire.TagString {
+		t.Errorf("string stored as % x, want a tagged scalar", raw)
+	}
+	data, err := a.AppendTo(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Decode(data)
-	if err != nil {
+	r := wire.NewReader(data)
+	got := Read(r)
+	if err := r.Done(); err != nil {
 		t.Fatal(err)
 	}
 	if got.ID != "a1" || got.StepSeq != 3 {

@@ -83,6 +83,11 @@ type CompFunc func(ctx CompContext) error
 // scheduler uses the returned names as conflict keys for dispatch
 // ordering — purely advisory, never enforcement: a step may still touch
 // resources the hint missed (2PL arbitrates the truth).
+//
+// A hint is read-only by contract: the agent it is shown is the one the
+// claimed step attempt then executes on (the node decodes a container
+// once per claim), so it must not modify the agent, its data spaces or
+// its itinerary.
 type StepHint func(a *Agent, step itinerary.Step) []string
 
 // StaticHint is a StepHint for methods with a fixed resource set.

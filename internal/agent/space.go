@@ -7,7 +7,7 @@
 //
 // Code mobility substitution: Mole shipped Java classes with the agent; in
 // Go, step and compensation functions are registered by name on every node
-// and only the agent's *data* migrates (gob). See DESIGN.md.
+// and only the agent's *data* migrates (codec.go). See DESIGN.md.
 package agent
 
 import (
@@ -24,8 +24,9 @@ import (
 var ErrFrozen = errors.New("agent: strongly reversible objects are not accessible during compensation")
 
 // Space is one half of the agent's private data space. Values are stored
-// gob-encoded so a Space snapshot is a deep copy by construction and the
-// Space serializes as part of the agent container.
+// encoded (wire.EncodeValue: tagged scalars, gob for other types), so a
+// Space snapshot is a deep copy by construction and the container codec
+// carries them as opaque bytes.
 type Space struct {
 	Data map[string][]byte
 
@@ -49,12 +50,12 @@ func (s *Space) check() error {
 	return nil
 }
 
-// Set stores v under key (gob-encoded).
+// Set stores v under key, encoded by the shared value codec.
 func (s *Space) Set(key string, v any) error {
 	if err := s.check(); err != nil {
 		return err
 	}
-	data, err := wire.Encode(v)
+	data, err := wire.EncodeValue(v)
 	if err != nil {
 		return fmt.Errorf("agent: set %q: %w", key, err)
 	}
@@ -72,7 +73,7 @@ func (s *Space) Get(key string, out any) (bool, error) {
 	if !ok {
 		return false, nil
 	}
-	if err := wire.Decode(raw, out); err != nil {
+	if err := wire.DecodeValue(raw, out); err != nil {
 		return false, fmt.Errorf("agent: get %q: %w", key, err)
 	}
 	return true, nil

@@ -68,30 +68,22 @@ const (
 	TransitionLogging
 )
 
-// Params carries the parameters of a compensating operation as named,
-// gob-encoded values.
+// Params carries the parameters of a compensating operation as named
+// values, opaque bytes of the shared value codec.
 type Params map[string][]byte
 
 // NewParams returns an empty parameter set.
 func NewParams() Params { return make(Params) }
 
-// Set stores v under key and returns the receiver for chaining. The
-// common scalar kinds (int64/int, string, []byte) take a zero-gob fast
-// path under stable wire tags (see wire.Tagged); every other type is
-// gob-encoded as before. Both formats decode through Get.
+// Set stores v under key and returns the receiver for chaining. Values
+// go through the shared value codec (wire.EncodeValue); a value it cannot
+// encode is a programming error and panics.
 func (p Params) Set(key string, v any) Params {
-	switch x := v.(type) {
-	case int64:
-		p[key] = wire.EncodeInt64(x)
-	case int:
-		p[key] = wire.EncodeInt64(int64(x))
-	case string:
-		p[key] = wire.EncodeString(x)
-	case []byte:
-		p[key] = wire.EncodeBytes(x)
-	default:
-		p[key] = wire.MustEncode(v)
+	data, err := wire.EncodeValue(v)
+	if err != nil {
+		panic(err)
 	}
+	p[key] = data
 	return p
 }
 
@@ -101,32 +93,10 @@ func (p Params) Get(key string, out any) error {
 	if !ok {
 		return fmt.Errorf("core: missing parameter %q", key)
 	}
-	if !wire.Tagged(raw) {
-		return wire.Decode(raw, out)
+	if err := wire.DecodeValue(raw, out); err != nil {
+		return fmt.Errorf("core: parameter %q: %w", key, err)
 	}
-	switch o := out.(type) {
-	case *int64:
-		if v, ok := wire.DecodeInt64(raw); ok {
-			*o = v
-			return nil
-		}
-	case *int:
-		if v, ok := wire.DecodeInt64(raw); ok {
-			*o = int(v)
-			return nil
-		}
-	case *string:
-		if v, ok := wire.DecodeString(raw); ok {
-			*o = v
-			return nil
-		}
-	case *[]byte:
-		if v, ok := wire.DecodeBytes(raw); ok {
-			*o = v
-			return nil
-		}
-	}
-	return fmt.Errorf("core: parameter %q: cannot decode tagged scalar into %T", key, out)
+	return nil
 }
 
 // Entry is one rollback-log entry.
@@ -200,17 +170,6 @@ func (*EndStepEntry) entryName() string   { return "EOS" }
 // EntryName returns the short display name of e (SP/BOS/OE/EOS).
 func EntryName(e Entry) string { return e.entryName() }
 
-// registerTypes makes all entry types known to gob under stable names.
-var _ = registerTypes()
-
-func registerTypes() struct{} {
-	wire.RegisterName("core.SP", &SavepointEntry{})
-	wire.RegisterName("core.BOS", &BeginStepEntry{})
-	wire.RegisterName("core.OE", &OpEntry{})
-	wire.RegisterName("core.EOS", &EndStepEntry{})
-	return struct{}{}
-}
-
 // Errors of the log layer.
 var (
 	ErrEmptyLog         = errors.New("core: rollback log is empty")
@@ -220,7 +179,7 @@ var (
 
 // Log is the agent rollback log. It is a stack: entries are appended at
 // step commit and popped (from the end) during rollback. The zero value is
-// an empty log; Log is gob-serializable as part of the agent container.
+// an empty log; codec.go gives its encoding inside the agent container.
 type Log struct {
 	Entries []Entry
 }
@@ -252,18 +211,6 @@ func (l *Log) Pop() (Entry, error) {
 // Clear discards all entries (§4.4.2: completion of a sub-itinerary of the
 // main itinerary deletes all rollback information).
 func (l *Log) Clear() { l.Entries = nil }
-
-// EncodedSize returns the serialized size of the log in bytes, used by the
-// log-size experiments (F6, T-log) and the per-step log metrics: the size
-// of the entries as one encode stream, so gob type descriptors are charged
-// once, like one container encode.
-func (l *Log) EncodedSize() (int, error) {
-	vs := make([]any, len(l.Entries))
-	for i, e := range l.Entries {
-		vs[i] = e
-	}
-	return wire.EncodedSize(vs...)
-}
 
 // savepointIndex returns the index of the savepoint with the given ID, or
 // -1. Special savepoints match their own ID (not their RefID).

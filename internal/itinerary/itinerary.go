@@ -23,8 +23,6 @@ package itinerary
 import (
 	"errors"
 	"fmt"
-
-	"repro/internal/wire"
 )
 
 // Entry is one element of a (sub-)itinerary: either a Step or a nested
@@ -58,14 +56,6 @@ type Sub struct {
 
 func (Step) isEntry() {}
 func (*Sub) isEntry() {}
-
-var _ = registerTypes()
-
-func registerTypes() struct{} {
-	wire.RegisterName("itin.Step", Step{})
-	wire.RegisterName("itin.Sub", &Sub{})
-	return struct{}{}
-}
 
 // Errors of the itinerary layer.
 var (
@@ -140,7 +130,7 @@ func validateSub(sub *Sub, seen map[string]bool) error {
 // Cursor identifies the next step to execute as an index path: Path[0]
 // indexes Itinerary.Subs, each following element indexes the Entries of
 // the sub at the previous level. Done marks a finished execution. Cursor
-// is a value type and gob-serializable.
+// is a value type; codec.go gives its encoding.
 type Cursor struct {
 	Path []int
 	Done bool
@@ -148,7 +138,7 @@ type Cursor struct {
 
 // entryAt resolves the entry at path; path must address a valid entry.
 func (it *Itinerary) entryAt(path []int) (Entry, error) {
-	if len(path) == 0 {
+	if it == nil || len(path) == 0 {
 		return nil, ErrInvalidPath
 	}
 	if path[0] < 0 || path[0] >= len(it.Subs) {

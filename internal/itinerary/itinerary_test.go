@@ -1,6 +1,7 @@
 package itinerary
 
 import (
+	"encoding/gob"
 	"errors"
 	"reflect"
 	"testing"
@@ -214,15 +215,36 @@ func TestAdvanceOnDone(t *testing.T) {
 	}
 }
 
+// gob is the test-only oracle of the binary codec: the runtime no longer
+// registers these types with it.
+func init() {
+	gob.Register(Step{})
+	gob.Register(&Sub{})
+}
+
+// TestGobRoundTrip: the binary codec and the gob oracle agree on an
+// itinerary and a cursor, and the decoded itinerary still navigates.
 func TestGobRoundTrip(t *testing.T) {
 	it := figure6(t)
 	data, err := wire.Encode(it)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got Itinerary
-	if err := wire.Decode(data, &got); err != nil {
+	var viaGob Itinerary
+	if err := wire.Decode(data, &viaGob); err != nil {
 		t.Fatal(err)
+	}
+	bin, err := it.AppendTo(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := wire.NewReader(bin)
+	got := ReadItinerary(r)
+	if err := r.Done(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, &viaGob) || !reflect.DeepEqual(got, it) {
+		t.Errorf("binary round trip = %+v\n gob oracle = %+v\n want %+v", got, &viaGob, it)
 	}
 	c, entered, err := got.Start()
 	if err != nil {
@@ -237,6 +259,10 @@ func TestGobRoundTrip(t *testing.T) {
 	}
 	if got.IsTopLevel("SI4") {
 		t.Error("structure corrupted by roundtrip")
+	}
+	r = wire.NewReader(c.AppendTo(nil))
+	if back := ReadCursor(r); r.Done() != nil || !reflect.DeepEqual(back, c) {
+		t.Errorf("cursor round trip = %+v, %v; want %+v", back, r.Err(), c)
 	}
 }
 
@@ -257,5 +283,64 @@ func TestStepAlternativesPreserved(t *testing.T) {
 	}
 	if !reflect.DeepEqual(step.Alt, []string{"alt1", "alt2"}) {
 		t.Errorf("Alt = %v", step.Alt)
+	}
+}
+
+// TestCodecDepthAndBadInput: nesting is capped at maxDepth on both sides of
+// the codec, nil round-trips as nil, and malformed input is ErrCorrupt.
+func TestCodecDepthAndBadInput(t *testing.T) {
+	nest := func(depth int) *Itinerary {
+		sub := &Sub{ID: "leaf", Entries: []Entry{Step{Method: "m", Loc: "l"}}}
+		for i := 1; i < depth; i++ {
+			sub = &Sub{ID: "s", Entries: []Entry{sub}}
+		}
+		return &Itinerary{Subs: []*Sub{sub}}
+	}
+	data, err := nest(maxDepth).AppendTo(nil)
+	if err != nil {
+		t.Fatalf("depth %d refused: %v", maxDepth, err)
+	}
+	r := wire.NewReader(data)
+	if got := ReadItinerary(r); r.Done() != nil || !reflect.DeepEqual(got, nest(maxDepth)) {
+		t.Errorf("depth %d did not round-trip: %v", maxDepth, r.Err())
+	}
+	if _, err := nest(maxDepth + 1).AppendTo(nil); err == nil {
+		t.Errorf("depth %d encoded", maxDepth+1)
+	}
+	// One more level, spliced in by hand: s AnyOrder=0 nEntries=1 kindSub.
+	deep := append([]byte{1, 1, 1, 's', 0, 1, kindSub}, data[2:]...)
+	r = wire.NewReader(deep)
+	ReadItinerary(r)
+	if !errors.Is(r.Err(), wire.ErrCorrupt) {
+		t.Errorf("depth %d decoded: %v", maxDepth+1, r.Err())
+	}
+
+	var none *Itinerary
+	data, err = none.AppendTo(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r = wire.NewReader(data)
+	if got := ReadItinerary(r); got != nil || r.Done() != nil {
+		t.Errorf("nil itinerary round-tripped to %v, %v", got, r.Err())
+	}
+	for name, it := range map[string]*Itinerary{
+		"nil sub":       {Subs: []*Sub{nil}},
+		"unknown entry": {Subs: []*Sub{{ID: "s", Entries: []Entry{nil}}}},
+	} {
+		if _, err := it.AppendTo(nil); err == nil {
+			t.Errorf("%s encoded", name)
+		}
+	}
+	for name, in := range map[string][]byte{
+		"unknown entry kind": {1, 1, 1, 's', 0, 1, 9, 0, 0, 0},
+		"inflated sub count": {1, 0xff, 0xff, 0x03, 1, 's', 0, 0},
+		"truncated":          {1, 1, 1, 's'},
+	} {
+		r := wire.NewReader(in)
+		ReadItinerary(r)
+		if !errors.Is(r.Done(), wire.ErrCorrupt) {
+			t.Errorf("%s: %v, want ErrCorrupt", name, r.Err())
+		}
 	}
 }

@@ -335,7 +335,7 @@ func (n *Node) sendDone(b *outBatch, agentID string) {
 // handleLaunch inserts a fresh agent container into the input queue.
 func (n *Node) handleLaunch(msg network.Message) {
 	var req launchMsg
-	if err := wire.Decode(msg.Payload, &req); err != nil {
+	if err := req.DecodeFrom(msg.Payload); err != nil {
 		return
 	}
 	reply := protocol.AckMsg{TxnID: req.ID, OK: true}

@@ -65,8 +65,6 @@ type announceMsg struct {
 	Members []membership.Member
 }
 
-func init() { wire.RegisterName("node.memberAnnounce", &announceMsg{}) }
-
 // Membership returns the node's membership manager (nil when the node
 // runs with static wiring).
 func (n *Node) Membership() *membership.Manager { return n.members }
@@ -162,7 +160,7 @@ func (n *Node) adoptionGate(e protocol.StageEntry) error {
 	if n.members.Left() {
 		return errors.New("node left the cluster (draining)")
 	}
-	c, err := DecodeContainer(e.Data)
+	c, err := peekContainer(e.Data)
 	if err != nil || c.Epoch == 0 {
 		return nil // not a migration container (or not ours to judge)
 	}
@@ -352,7 +350,7 @@ func (n *Node) stillQueued(e *stable.Entry) bool {
 // compensation must run where its step ran) and keep executing here even
 // during a drain.
 func (n *Node) migrationDest(ring *membership.Ring, e *stable.Entry) (string, bool) {
-	c, err := DecodeContainer(e.Data)
+	c, err := peekContainer(e.Data)
 	if err != nil || c.Agent == nil || c.Mode != ModeStep {
 		return "", false
 	}
@@ -379,7 +377,7 @@ func (n *Node) migrationDest(ring *membership.Ring, e *stable.Entry) (string, bo
 // input queue (§4.3 carries over: before the decision the staged copy
 // dies by presumed abort; after it, removal is already durable).
 func (n *Node) migrateEntry(e *stable.Entry, dest string) error {
-	c, err := DecodeContainer(e.Data)
+	c, err := n.decode(e.Data)
 	if err != nil || c.Agent == nil {
 		return fmt.Errorf("node %s: migrate %q: corrupt container", n.cfg.Name, e.ID)
 	}

@@ -44,22 +44,122 @@ type Container struct {
 	Epoch int64
 }
 
-// EncodeContainer serializes a container for queue storage / transfer.
-func EncodeContainer(c *Container) ([]byte, error) { return wire.Encode(c) }
+// Binary type bytes of the node-runtime partition 0x10–0x1F (the
+// protocol messages own 0x01–0x0F); never reuse a value.
+const (
+	typeDone      = 0x10 // doneMsg
+	typeContainer = 0x11 // Container
+	typeLaunch    = 0x12 // launchMsg
+)
 
-// DecodeContainer deserializes a container.
-func DecodeContainer(data []byte) (*Container, error) {
-	var c Container
-	if err := wire.Decode(data, &c); err != nil {
+// EncodeContainer serializes a container for queue storage / transfer:
+//
+//	0x90 0x11 | Mode SpID Epoch | agent head | WRO SRO Log
+//
+// with the agent part as agent.Agent.AppendTo writes it. Map keys are
+// written in sorted order, so equal containers give equal bytes. This is
+// the only container format; the gob encoding it replaced (last read by
+// commit 5015b40) is refused at node start, see refuseGobContainers. The
+// result is an exact-size copy out of a pooled scratch buffer.
+func EncodeContainer(c *Container) ([]byte, error) {
+	scratch := wire.GetScratch()
+	defer wire.PutScratch(scratch)
+	buf := append((*scratch)[:0], wire.BinaryVersion, typeContainer)
+	buf = wire.AppendVarint(buf, int64(c.Mode))
+	buf = wire.AppendString(buf, c.SpID)
+	buf = wire.AppendVarint(buf, c.Epoch)
+	buf, err := c.Agent.AppendTo(buf)
+	if err != nil {
+		return nil, fmt.Errorf("node: encode container: %w", err)
+	}
+	*scratch = buf
+	out := make([]byte, len(buf))
+	copy(out, buf)
+	return out, nil
+}
+
+// body validates a payload's header against the expected type byte and
+// returns the fields behind it.
+func body(data []byte, want byte) ([]byte, error) {
+	typ, b, err := wire.SplitBinary(data)
+	if err != nil {
 		return nil, err
 	}
-	return &c, nil
+	if typ != want {
+		return nil, fmt.Errorf("%w: message type 0x%02x, want 0x%02x", wire.ErrCorrupt, typ, want)
+	}
+	return b, nil
+}
+
+// containerHead reads what precedes the agent and leaves r at it.
+func containerHead(data []byte) (*Container, *wire.Reader, error) {
+	b, err := body(data, typeContainer)
+	if err != nil {
+		return nil, nil, err
+	}
+	r := wire.NewReader(b)
+	return &Container{Mode: Mode(r.Int()), SpID: r.String(), Epoch: r.Varint()}, r, nil
+}
+
+// DecodeContainer deserializes a container; anything but exactly one
+// well-formed container is wire.ErrCorrupt. Data-space, savepoint-image
+// and parameter values alias data, which the caller must not modify
+// afterwards (queue records and inbound payloads qualify: each is freshly
+// allocated and immutable once delivered).
+func DecodeContainer(data []byte) (*Container, error) {
+	c, r, err := containerHead(data)
+	if err != nil {
+		return nil, err
+	}
+	c.Agent = agent.Read(r)
+	if err := r.Done(); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// peekContainer decodes only the leading fields of a container — mode,
+// savepoint, epoch and the agent's head (ID, owner, step counter, cursor,
+// itinerary) — for routing decisions that never look at the data spaces
+// or the log. What follows the head is not validated.
+func peekContainer(data []byte) (*Container, error) {
+	c, r, err := containerHead(data)
+	if err != nil {
+		return nil, err
+	}
+	c.Agent = agent.ReadHead(r)
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	return c, nil
 }
 
 // launchMsg inserts a fresh agent container into the node's input queue.
 type launchMsg struct {
 	ID   string // request correlation + queue entry ID
 	Data []byte
+}
+
+// AppendTo implements wire.BinaryMessage.
+func (m *launchMsg) AppendTo(buf []byte) []byte {
+	buf = append(buf, wire.BinaryVersion, typeLaunch)
+	buf = wire.AppendString(buf, m.ID)
+	return wire.AppendBytes(buf, m.Data)
+}
+
+// DecodeFrom implements wire.BinaryMessage. Data aliases the input.
+func (m *launchMsg) DecodeFrom(data []byte) error {
+	rest, err := body(data, typeLaunch)
+	if err != nil {
+		return err
+	}
+	if m.ID, rest, err = wire.ReadString(rest); err != nil {
+		return err
+	}
+	if m.Data, rest, err = wire.ReadBytes(rest); err != nil {
+		return err
+	}
+	return wire.Done(rest)
 }
 
 // doneMsg reports agent completion (or permanent failure) to its owner.
@@ -69,10 +169,6 @@ type doneMsg struct {
 	Reason  string
 	Data    []byte // final agent container
 }
-
-// typeDone is doneMsg's binary type byte. The node-runtime partition is
-// 0x10–0x1F (the protocol messages own 0x01–0x0F); never reuse a value.
-const typeDone = 0x10
 
 // AppendTo implements wire.BinaryMessage: completion notifications carry
 // the full final agent container, so they ride the fast path alongside
@@ -87,12 +183,9 @@ func (m *doneMsg) AppendTo(buf []byte) []byte {
 
 // DecodeFrom implements wire.BinaryMessage. Data aliases the input.
 func (m *doneMsg) DecodeFrom(data []byte) error {
-	typ, rest, err := wire.SplitBinary(data)
+	rest, err := body(data, typeDone)
 	if err != nil {
 		return err
-	}
-	if typ != typeDone {
-		return fmt.Errorf("%w: message type 0x%02x, want done 0x%02x", wire.ErrCorrupt, typ, typeDone)
 	}
 	if m.AgentID, rest, err = wire.ReadString(rest); err != nil {
 		return err
@@ -155,14 +248,5 @@ const KindAgentLaunch = kindAgentLaunch
 
 // EncodeLaunch builds a KindAgentLaunch payload.
 func EncodeLaunch(id string, container []byte) ([]byte, error) {
-	return wire.Encode(&launchMsg{ID: id, Data: container})
-}
-
-var _ = registerMessages()
-
-func registerMessages() struct{} {
-	wire.RegisterName("node.Container", &Container{})
-	wire.RegisterName("node.launch", &launchMsg{})
-	wire.RegisterName("node.done", &doneMsg{})
-	return struct{}{}
+	return (&launchMsg{ID: id, Data: container}).AppendTo(nil), nil
 }

@@ -43,6 +43,7 @@ import (
 	"log/slog"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/agent"
@@ -168,6 +169,8 @@ type Node struct {
 	branchTx  map[string]*txn.Tx // prepared RCE branch transactions, parked for the verdict
 	pool      *sched.Pool        // step scheduler; set once recovery completes
 
+	decodes atomic.Int64 // full container decodes, see decode
+
 	// Control-plane write stager (PR-10): decision-record clears and
 	// done-record drops from concurrent transitions coalesce into one
 	// group Apply, flushed on size or after a short linger.
@@ -198,6 +201,10 @@ func New(cfg Config, ep network.Endpoint, store stable.Store, registry *agent.Re
 	if strings.Contains(cfg.Name, "#") {
 		return nil, fmt.Errorf("node: name %q must not contain '#'", cfg.Name)
 	}
+	queue := stable.NewQueue(store, "q/")
+	if err := refuseGobContainers(cfg.Name, queue); err != nil {
+		return nil, err // before anything below can write to the store
+	}
 	mgr, err := txn.NewManager(cfg.Name, store)
 	if err != nil {
 		return nil, err
@@ -214,7 +221,7 @@ func New(cfg Config, ep network.Endpoint, store stable.Store, registry *agent.Re
 		cfg:      cfg,
 		ep:       ep,
 		store:    store,
-		queue:    stable.NewQueue(store, "q/"),
+		queue:    queue,
 		mgr:      mgr,
 		registry: registry,
 		clock:    cfg.Clock,
@@ -234,6 +241,23 @@ func New(cfg Config, ep network.Endpoint, store stable.Store, registry *agent.Re
 		stop:      make(chan struct{}),
 	}
 	return n, nil
+}
+
+// refuseGobContainers scans the input queue, committed and staged, for
+// containers in the gob encoding this runtime no longer reads. Left to
+// the workers they would decode as corrupt and be dropped as poisoned
+// (failAgent), silently losing every in-flight agent of a data directory
+// written before the binary container codec — so the node refuses to
+// start instead, with the store untouched. Only the gob lead byte counts:
+// other garbage (a malformed launch) stays on the runtime poison path, so
+// one bad message cannot block a restart.
+func refuseGobContainers(node string, queue *stable.Queue) error {
+	return queue.Each(func(id string, data []byte) error {
+		if wire.LooksLikeGob(data) {
+			return fmt.Errorf("node %s: queued container of agent %q is gob-encoded: this data directory was written before the binary container codec; 5015b40 is the last commit that reads it (finish or drain its agents there)", node, id)
+		}
+		return nil
+	})
 }
 
 // Name returns the node name.
@@ -429,7 +453,8 @@ func (n *Node) sendTo(b *outBatch, to, kind string, payload any) {
 }
 
 // encodePayload serializes one outbound payload: the hand-rolled binary
-// codec for the message types that have one, gob for everything else.
+// codec for the message types that have one, gob for what is left (the
+// low-rate membership announcements).
 // The receiver picks the decoder from the message kind's Go type.
 func encodePayload(payload any) ([]byte, error) {
 	if payload == nil {

@@ -45,8 +45,6 @@ type doneRec struct {
 	Msg   doneMsg
 }
 
-func init() { wire.RegisterName("node.doneRec", &doneRec{}) }
-
 const donePrefix = "done/"
 
 func doneKey(agentID string) string          { return donePrefix + agentID }
@@ -100,10 +98,17 @@ func (n *Node) recoverThenWork() {
 // schedule freely; 2PL remains the arbiter of actual conflicts.
 func (n *Node) conflictKeys(e *stable.Entry) []string {
 	if !n.registry.HasHints() {
-		return nil // skip the container decode entirely
+		return nil // process decodes; nothing to read here
 	}
-	c, err := DecodeContainer(e.Data)
-	if err != nil || c.Mode != ModeStep || c.Agent == nil {
+	c, err := n.decode(e.Data)
+	if err != nil {
+		return nil // process decodes again and fails the entry
+	}
+	// Decode once per claim: process executes on this container. Hints
+	// are read-only by contract (agent.StepHint), and a retry is a fresh
+	// claim of the stored bytes, so no attempt sees another's mutations.
+	e.Decoded = c
+	if c.Mode != ModeStep || c.Agent == nil {
 		return nil
 	}
 	step, err := c.Agent.Itin.StepAt(c.Agent.Cursor)
@@ -208,15 +213,31 @@ func (n *Node) replayDone() {
 	}
 }
 
-// process decodes and executes one queued container. Decoding is fresh on
-// every attempt: an aborted attempt's in-memory mutations vanish and the
-// stable queue copy is authoritative — the paper's "the state of the agent
-// and the rollback log read from stable storage is the state before the
-// execution of the aborting step transaction".
+// decode is DecodeContainer, counted: decodes is how many full container
+// decodes this node has run (tests assert one per claimed attempt).
+func (n *Node) decode(data []byte) (*Container, error) {
+	n.decodes.Add(1)
+	return DecodeContainer(data)
+}
+
+// process executes one claimed container. Every attempt starts from the
+// stored bytes — each claim hands out a fresh entry, decoded here or by
+// the claim's hint pass (conflictKeys), never both — so an aborted
+// attempt's in-memory mutations vanish and the stable queue copy is
+// authoritative: the paper's "the state of the agent and the rollback log
+// read from stable storage is the state before the execution of the
+// aborting step transaction".
 func (n *Node) process(entry *stable.Entry, attempt int) error {
-	c, err := DecodeContainer(entry.Data)
-	if err != nil {
-		return permanent(fmt.Errorf("node %s: corrupt container %q: %w", n.cfg.Name, entry.ID, err))
+	c, _ := entry.Decoded.(*Container)
+	entry.Decoded = nil
+	if c == nil {
+		var err error
+		if c, err = n.decode(entry.Data); err != nil {
+			return permanent(fmt.Errorf("node %s: corrupt container %q: %w", n.cfg.Name, entry.ID, err))
+		}
+	}
+	if a := c.Agent; a == nil || a.SRO == nil || a.WRO == nil || a.Log == nil {
+		return permanent(fmt.Errorf("node %s: container %q lacks an agent, a data space or a log", n.cfg.Name, entry.ID))
 	}
 	switch c.Mode {
 	case ModeStep:
@@ -231,7 +252,7 @@ func (n *Node) process(entry *stable.Entry, attempt int) error {
 // failAgent removes the container and reports permanent failure to the
 // agent's owner.
 func (n *Node) failAgent(entry *stable.Entry, cause error) {
-	c, err := DecodeContainer(entry.Data)
+	c, err := n.decode(entry.Data) // fresh pre-step state
 	if err != nil || c.Agent == nil {
 		// Undeliverable: drop the poisoned entry.
 		n.cfg.Logger.Error("dropping poisoned queue entry",
@@ -472,7 +493,7 @@ func (n *Node) observeLogSize(a *agent.Agent) {
 // compensation transaction — the routing decisions are
 // protocol.PopToTarget / protocol.CompensationDest.
 func (n *Node) startRollback(entry *stable.Entry, spID string) error {
-	c, err := DecodeContainer(entry.Data) // fresh pre-step state
+	c, err := n.decode(entry.Data) // fresh pre-step state
 	if err != nil {
 		return permanent(err)
 	}

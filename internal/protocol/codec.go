@@ -3,7 +3,6 @@ package protocol
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/wire"
@@ -163,9 +162,9 @@ func (m *StatusMsg) DecodeFrom(buf []byte) error {
 
 // --- RCEExecMsg -------------------------------------------------------
 
-// AppendTo implements wire.BinaryMessage. Params keys are written in
-// sorted order so an encoding is deterministic for identical messages
-// (gob gives no such guarantee for maps).
+// AppendTo implements wire.BinaryMessage. Params travel as in the agent
+// container's log (wire.AppendBytesMap: sorted keys, nil and empty kept
+// distinct), so an encoding is deterministic for identical messages.
 func (m *RCEExecMsg) AppendTo(buf []byte) []byte {
 	buf = slices.Grow(buf, 2+len(m.TxnID)+16+32*len(m.Ops))
 	buf = append(buf, wire.BinaryVersion, TypeRCEExec)
@@ -178,25 +177,7 @@ func (m *RCEExecMsg) AppendTo(buf []byte) []byte {
 		}
 		buf = wire.AppendUvarint(buf, uint64(op.Kind))
 		buf = wire.AppendString(buf, op.Op)
-		// Params count is shifted by one so nil and empty stay distinct
-		// across a round trip, exactly as gob keeps them (slices collapse
-		// to nil at length zero, maps only when nil).
-		if op.Params == nil {
-			buf = wire.AppendUvarint(buf, 0)
-			continue
-		}
-		buf = wire.AppendUvarint(buf, uint64(len(op.Params))+1)
-		if len(op.Params) > 0 {
-			keys := make([]string, 0, len(op.Params))
-			for k := range op.Params {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			for _, k := range keys {
-				buf = wire.AppendString(buf, k)
-				buf = wire.AppendBytes(buf, op.Params[k])
-			}
-		}
+		buf = wire.AppendBytesMap(buf, op.Params)
 	}
 	return buf
 }

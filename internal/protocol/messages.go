@@ -1,9 +1,6 @@
 package protocol
 
-import (
-	"repro/internal/core"
-	"repro/internal/wire"
-)
+import "repro/internal/core"
 
 // Message kinds of the node protocol. The q.* family implements the
 // two-phase hand-off of agent containers between input queues (the
@@ -147,19 +144,4 @@ type CtlBatchMsg struct {
 // one txn.query.
 type QueryBatchMsg struct {
 	TxnIDs []string
-}
-
-var _ = registerMessages()
-
-// registerMessages keeps the wire names these payloads had when they
-// lived in internal/node, so encoded streams stay compatible.
-func registerMessages() struct{} {
-	wire.RegisterName("node.enqueuePrepare", &PrepareMsg{})
-	wire.RegisterName("node.ack", &AckMsg{})
-	wire.RegisterName("node.txnCtl", &CtlMsg{})
-	wire.RegisterName("node.txnStatus", &StatusMsg{})
-	wire.RegisterName("node.rceExec", &RCEExecMsg{})
-	wire.RegisterName("node.ctlBatch", &CtlBatchMsg{})
-	wire.RegisterName("node.queryBatch", &QueryBatchMsg{})
-	return struct{}{}
 }

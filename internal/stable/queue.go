@@ -86,6 +86,11 @@ type Entry struct {
 	ID   string // application-level identifier (agent ID)
 	Data []byte // opaque container bytes
 
+	// Decoded is the consumer's slot for the decoded form of Data, so a
+	// claim's hint pass and its execution share one decode. It lives and
+	// dies with this claim's Entry; the queue never reads it.
+	Decoded any
+
 	key string // store key, used by RemoveOp
 }
 
@@ -279,6 +284,35 @@ func (q *Queue) StagedTxns() ([]string, error) {
 		txns[i] = k[len(q.prefix)+2:]
 	}
 	return txns, nil
+}
+
+// Each calls fn with the agent ID and container bytes of every committed
+// entry and every staged (prepared, still invisible) insertion, stopping
+// at fn's first error. Records whose envelope does not decode are skipped:
+// the claim path reports those.
+func (q *Queue) Each(fn func(id string, data []byte) error) error {
+	for _, sub := range []string{"e/", "s/"} {
+		keys, err := q.store.Keys(q.prefix + sub)
+		if err != nil {
+			return err
+		}
+		for _, k := range keys {
+			raw, ok, err := q.store.Get(k)
+			if err != nil {
+				return err
+			}
+			// stagedRec is entryRec plus a Seq; gob matches fields by
+			// name, so one struct reads both.
+			var rec entryRec
+			if !ok || wire.Decode(raw, &rec) != nil {
+				continue
+			}
+			if err := fn(rec.ID, rec.Data); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // Peek returns the oldest visible entry, or nil if the queue is empty.

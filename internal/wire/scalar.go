@@ -1,18 +1,24 @@
 package wire
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
-// Tagged scalar encoding: zero-gob fast paths for the scalar kinds that
-// dominate compensation parameters (§4.4.1 operation entries carry small
-// named values such as account names and amounts).
+// The value codec: the one encoding of user-defined values — data-space
+// objects (agent.Space) and compensation parameters (core.Params). The
+// runtime carries such a value as opaque bytes; only EncodeValue and
+// DecodeValue look inside. The scalar kinds that dominate both (§4.4.1
+// operation entries carry small named values such as account names and
+// amounts) are written under a one-byte tag, every other type as gob.
 //
 // A gob stream begins with the message byte count encoded as gob's
 // unsigned varint: a single byte below 0x80, or a negated-length byte in
 // 0xF8..0xFF followed by big-endian bytes. First bytes in 0x80..0xF7 can
 // therefore never start a valid gob encoding, which makes them free for
-// out-of-band tags. Decoders probe the tag and fall back to gob for
-// untagged (legacy or non-scalar) values, so the two formats coexist in
-// the same Params map or savepoint image.
+// out-of-band tags. DecodeValue probes the tag and falls back to gob for
+// untagged (non-scalar) values, so the two formats coexist in the same
+// Params map or savepoint image.
 const (
 	// TagInt64 prefixes a signed varint (covers int and int64 params).
 	TagInt64 = 0x81
@@ -26,6 +32,61 @@ const (
 // cannot be a gob encoding).
 func Tagged(data []byte) bool {
 	return len(data) > 0 && data[0] >= 0x80 && data[0] < 0xF8
+}
+
+// LooksLikeGob reports whether data opens with a byte a gob stream can
+// start with (0x01..0x7F, 0xF8..0xFF) — the test that tells a container
+// written before the binary codec from other garbage.
+func LooksLikeGob(data []byte) bool {
+	return len(data) > 0 && data[0] != 0 && !Tagged(data)
+}
+
+// EncodeValue encodes one user-defined value: int, int64, string and
+// []byte as tagged scalars, every other type as gob.
+func EncodeValue(v any) ([]byte, error) {
+	switch x := v.(type) {
+	case int64:
+		return EncodeInt64(x), nil
+	case int:
+		return EncodeInt64(int64(x)), nil
+	case string:
+		return EncodeString(x), nil
+	case []byte:
+		return EncodeBytes(x), nil
+	}
+	return Encode(v)
+}
+
+// DecodeValue decodes a value produced by EncodeValue into out (a non-nil
+// pointer). A tagged scalar decodes only into its own kind (int and int64
+// interchangeably); anything else is an error, never a misdecode.
+func DecodeValue(data []byte, out any) error {
+	if !Tagged(data) {
+		return Decode(data, out)
+	}
+	switch o := out.(type) {
+	case *int64:
+		if v, ok := DecodeInt64(data); ok {
+			*o = v
+			return nil
+		}
+	case *int:
+		if v, ok := DecodeInt64(data); ok {
+			*o = int(v)
+			return nil
+		}
+	case *string:
+		if v, ok := DecodeString(data); ok {
+			*o = v
+			return nil
+		}
+	case *[]byte:
+		if v, ok := DecodeBytes(data); ok {
+			*o = v
+			return nil
+		}
+	}
+	return fmt.Errorf("wire: cannot decode tagged scalar 0x%02x into %T", data[0], out)
 }
 
 // EncodeInt64 encodes v as a tagged signed varint.

@@ -2,10 +2,15 @@
 //
 // The paper's prototype (Mole) relied on Java object serialization to
 // capture an agent's private data and rollback log for migration and for
-// stable storage. This package plays the same role: per-value gob
-// encoding for containers and stable-storage records, the hand-rolled
-// binary codec for protocol messages and TCP frames, and tagged zero-gob
-// fast paths for the common scalar kinds.
+// stable storage. This package plays the same role. Everything the
+// runtime itself defines — protocol messages, TCP frames, the agent
+// container with its itinerary, data spaces and rollback log — travels in
+// the hand-rolled length-prefixed binary format of binary.go. User-defined
+// values (data-space objects, compensation parameters) are opaque bytes
+// produced by the value codec of scalar.go: a tagged scalar for
+// int/int64/string/[]byte, gob for every other type. Gob otherwise
+// remains only for low-rate stable-storage records (the queue record
+// envelope, transaction branches, resource state, completion records).
 package wire
 
 import (
@@ -23,15 +28,6 @@ const MaxMessageSize = 64 << 20
 
 // ErrMessageTooLarge is returned when a message exceeds MaxMessageSize.
 var ErrMessageTooLarge = errors.New("wire: message exceeds maximum size")
-
-// Register makes a concrete type known to gob. It must be called (typically
-// from package variables of the owning package) for every type stored in an
-// interface field of a serialized structure, e.g. rollback-log entries.
-func Register(v any) { gob.Register(v) }
-
-// RegisterName registers a concrete type under a stable name, decoupling the
-// wire format from Go package paths.
-func RegisterName(name string, v any) { gob.RegisterName(name, v) }
 
 // bufPool recycles encode scratch buffers. A buffer grows to the largest
 // value it ever encoded and is then reused, so steady-state encoding
@@ -85,29 +81,4 @@ func MustEncode(v any) []byte {
 		panic(err)
 	}
 	return data
-}
-
-// countingWriter counts bytes without retaining them.
-type countingWriter struct{ n int }
-
-func (w *countingWriter) Write(p []byte) (int, error) {
-	w.n += len(p)
-	return len(p), nil
-}
-
-// EncodedSize returns the gob-encoded size in bytes of vs written to one
-// stream, without materializing the encoding: the encoder writes into a
-// counting sink, so sizing allocates no payload-sized buffers. As in any
-// gob stream a type descriptor is charged once, to the first value of
-// its type — the cost profile of a rollback log inside an agent
-// container. It is used for the log-size metrics and experiments.
-func EncodedSize(vs ...any) (int, error) {
-	var cw countingWriter
-	enc := gob.NewEncoder(&cw)
-	for _, v := range vs {
-		if err := enc.Encode(v); err != nil {
-			return 0, fmt.Errorf("wire: size %T: %w", v, err)
-		}
-	}
-	return cw.n, nil
 }
