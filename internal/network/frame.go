@@ -110,33 +110,17 @@ func appendFrame(buf []byte, msg *Message) []byte {
 // parseFrameBody decodes one frame body. The payload aliases b, which
 // must be a fresh per-frame buffer the caller will not reuse.
 func parseFrameBody(b []byte) (Message, error) {
-	if len(b) == 0 {
-		return Message{}, fmt.Errorf("%w: empty frame", wire.ErrCorrupt)
-	}
-	code := b[0]
-	b = b[1:]
+	r := wire.NewReader(b)
 	var msg Message
-	var err error
-	if code == 0 {
-		if msg.Kind, b, err = wire.ReadString(b); err != nil {
-			return Message{}, err
-		}
-	} else {
-		if int(code) >= len(frameKinds) || frameKinds[code] == "" {
-			return Message{}, fmt.Errorf("%w: unknown kind code %d", wire.ErrCorrupt, code)
-		}
+	if code := r.Byte(); code == 0 {
+		msg.Kind = r.String()
+	} else if int(code) < len(frameKinds) && frameKinds[code] != "" {
 		msg.Kind = frameKinds[code]
+	} else {
+		r.Fail("unknown kind code %d", code)
 	}
-	if msg.From, b, err = wire.ReadString(b); err != nil {
-		return Message{}, err
-	}
-	if msg.To, b, err = wire.ReadString(b); err != nil {
-		return Message{}, err
-	}
-	if msg.Payload, b, err = wire.ReadBytes(b); err != nil {
-		return Message{}, err
-	}
-	if err := wire.Done(b); err != nil {
+	msg.From, msg.To, msg.Payload = r.String(), r.String(), r.Bytes()
+	if err := r.Done(); err != nil {
 		return Message{}, err
 	}
 	return msg, nil

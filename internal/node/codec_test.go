@@ -15,6 +15,7 @@ import (
 	"repro/internal/agent"
 	"repro/internal/core"
 	"repro/internal/itinerary"
+	"repro/internal/membership"
 	"repro/internal/wire"
 )
 
@@ -363,9 +364,12 @@ func TestContainerRejectsMalformed(t *testing.T) {
 	}
 }
 
-func gobFixture(t testing.TB) []byte {
+func gobFixture(t testing.TB) []byte { return fixture(t, "gob-container-5015b40.bin") }
+
+// fixture reads one file of testdata: bytes as an older commit wrote them.
+func fixture(t testing.TB, name string) []byte {
 	t.Helper()
-	data, err := os.ReadFile(filepath.Join("testdata", "gob-container-5015b40.bin"))
+	data, err := os.ReadFile(filepath.Join("testdata", name))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,13 +476,27 @@ func corpusSeeds(t testing.TB) map[string][]byte {
 
 var updateCorpus = os.Getenv("UPDATE_CORPUS") != ""
 
-// TestContainerCorpusCurrent pins the container format: the checked-in
-// fuzz corpus must be exactly what the encoder writes today, so a format
-// change has to regenerate it (UPDATE_CORPUS=1 go test ./internal/node
-// -run TestContainerCorpusCurrent) and show up in review as changed bytes.
+// TestContainerCorpusCurrent pins the container format (and the membership
+// announce's): the checked-in fuzz corpus must be exactly what the encoder
+// writes today, so a format change has to regenerate it (UPDATE_CORPUS=1
+// go test ./internal/node -run TestContainerCorpusCurrent) and show up in
+// review as changed bytes.
 func TestContainerCorpusCurrent(t *testing.T) {
-	dir := filepath.Join("testdata", "fuzz", "FuzzContainerRoundTrip")
 	seeds := corpusSeeds(t)
+	checkCorpus(t, "FuzzContainerRoundTrip", seeds)
+	checkCorpus(t, "FuzzAnnounce", announceSeeds())
+	for _, name := range []string{"inflated-subs", "inflated-map", "inflated-log", "truncated", "trailing"} {
+		if _, err := DecodeContainer(seeds[name]); !errors.Is(err, wire.ErrCorrupt) {
+			t.Errorf("seed %s: %v, want ErrCorrupt", name, err)
+		}
+	}
+}
+
+// checkCorpus compares (or, with UPDATE_CORPUS, rewrites) the checked-in
+// corpus of one fuzz target against seeds.
+func checkCorpus(t *testing.T, target string, seeds map[string][]byte) {
+	t.Helper()
+	dir := filepath.Join("testdata", "fuzz", target)
 	for name, data := range seeds {
 		want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data)
 		path := filepath.Join(dir, "seed-"+name)
@@ -496,12 +514,86 @@ func TestContainerCorpusCurrent(t *testing.T) {
 			t.Fatal(err)
 		}
 		if string(got) != want {
-			t.Errorf("%s differs from today's encoding of the %q container", path, name)
+			t.Errorf("%s differs from today's encoding of the %q seed", path, name)
 		}
 	}
-	for _, name := range []string{"inflated-subs", "inflated-map", "inflated-log", "truncated", "trailing"} {
-		if _, err := DecodeContainer(seeds[name]); !errors.Is(err, wire.ErrCorrupt) {
-			t.Errorf("seed %s: %v, want ErrCorrupt", name, err)
+}
+
+// announceSeeds names the FuzzAnnounce seeds: a three-member view, the
+// empty view, and the view cut short, trailed, with its member count
+// inflated past the input and with a status no member can have.
+func announceSeeds() map[string][]byte {
+	view := (&announceMsg{Members: []membership.Member{
+		{Name: "A", Status: membership.Alive, Epoch: 1},
+		{Name: "B", Status: membership.Suspect, Epoch: 300},
+		{Name: "node-C", Status: membership.Left, Epoch: 1 << 40},
+	}}).AppendTo(nil)
+	badStatus := append([]byte{}, view...)
+	badStatus[5] = byte(membership.Left) + 1 // 0x90 0x14 count len 'A' status
+	return map[string][]byte{
+		"view":           view,
+		"empty":          (&announceMsg{}).AppendTo(nil),
+		"truncated":      view[:len(view)-3],
+		"trailing":       append(append([]byte{}, view...), 0x00),
+		"inflated-count": inflateCount(view, 2),
+		"bad-status":     badStatus,
+	}
+}
+
+// FuzzAnnounce fuzzes the decoder of membership announcements, the one
+// payload a node accepts from any peer at any time: it must never panic,
+// must refuse what it refuses as wire.ErrCorrupt, must not allocate out of
+// proportion to its input whatever member count the input declares, and
+// whatever it accepts names only known statuses and re-encodes to exactly
+// the input bytes.
+func FuzzAnnounce(f *testing.F) {
+	for _, data := range announceSeeds() {
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var am announceMsg
+		var err error
+		checkAllocs(t, len(data), func() { err = am.DecodeFrom(data) })
+		if err != nil {
+			if !errors.Is(err, wire.ErrCorrupt) {
+				t.Fatalf("refused with %v, want wire.ErrCorrupt", err)
+			}
+			return
+		}
+		for _, m := range am.Members {
+			if m.Status > membership.Left {
+				t.Fatalf("accepted member %+v with an unknown status", m)
+			}
+		}
+		if again := am.AppendTo(nil); !bytes.Equal(again, data) {
+			t.Fatalf("accepted announce re-encodes differently:\n in  %x\n out %x", data, again)
+		}
+	})
+}
+
+// TestAnnounceRoundTrip: a view survives the wire, and only the seeds that
+// are views decode.
+func TestAnnounceRoundTrip(t *testing.T) {
+	seeds := announceSeeds()
+	var am announceMsg
+	if err := am.DecodeFrom(seeds["view"]); err != nil {
+		t.Fatal(err)
+	}
+	want := []membership.Member{{Name: "A", Epoch: 1}, {Name: "B", Status: membership.Suspect, Epoch: 300}, {Name: "node-C", Status: membership.Left, Epoch: 1 << 40}}
+	if !reflect.DeepEqual(am.Members, want) {
+		t.Errorf("view = %+v, want %+v", am.Members, want)
+	}
+	if err := am.DecodeFrom(seeds["empty"]); err != nil || am.Members != nil {
+		t.Errorf("empty view = %+v, %v", am.Members, err)
+	}
+	gobEnc, err := wire.Encode(&announceMsg{Members: want})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeds["gob"] = gobEnc
+	for _, name := range []string{"truncated", "trailing", "inflated-count", "bad-status", "gob"} {
+		if err := new(announceMsg).DecodeFrom(seeds[name]); !errors.Is(err, wire.ErrCorrupt) {
+			t.Errorf("%s announce: %v, want ErrCorrupt", name, err)
 		}
 	}
 }

@@ -190,10 +190,37 @@ func TestIncompleteContainerFailsAgent(t *testing.T) {
 	}
 }
 
-// TestRefusesGobContainers: a store holding a container in the gob
-// encoding of commit 5015b40 (testdata, generated there) stops the node
-// from starting — committed or merely staged — and is left exactly as it
-// was; a queue entry of other garbage does not.
+// TestGarbageAtQueueHeadIsDropped: a store whose queue head holds bytes
+// that are no container does not wedge the node — the entry is handed out
+// like any other, dropped as poisoned by failAgent, and the agent queued
+// behind it completes. (With the queue's gob envelope a value that did not
+// decode made every Claim return an error, for good.)
+func TestGarbageAtQueueHeadIsDropped(t *testing.T) {
+	reg := agent.NewRegistry()
+	if err := reg.RegisterStep("pay", func(agent.StepContext) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	store := stable.NewMemStore(nil)
+	const head = "q/e/0000000000000000/junk"
+	if err := store.Apply(stable.Put("q/seq", []byte("1")), stable.Put(head, []byte("\x00no container"))); err != nil {
+		t.Fatal(err)
+	}
+	n, own := soloNode(t, store, reg, nil)
+	if done := localTour(t, n, own, "pay", 2); done.Failed {
+		t.Fatalf("tour behind the garbage failed: %s", done.Reason)
+	}
+	if _, ok, err := store.Get(head); err != nil || ok {
+		t.Errorf("garbage entry still queued (present=%v, err=%v), want it dropped", ok, err)
+	}
+}
+
+// TestRefusesGobContainers: a store holding what an older runtime wrote
+// stops the node from starting and is left exactly as it was — a
+// container in the gob encoding of commit 5015b40, committed or merely
+// staged, and the gob envelopes commit fd17232 wrapped around a binary
+// container in the queue and in a completion record (testdata, generated
+// at those commits). A queue entry of other garbage does not, and neither
+// does an empty queue.
 func TestRefusesGobContainers(t *testing.T) {
 	legacy := gobFixture(t)
 	newNode := func(store stable.Store) error {
@@ -206,19 +233,47 @@ func TestRefusesGobContainers(t *testing.T) {
 		_, err = New(Config{Name: "p"}, ep, store, agent.NewRegistry())
 		return err
 	}
-	for name, put := range map[string]func(q *stable.Queue) error{
-		"committed": func(q *stable.Queue) error { return q.Enqueue("legacy-agent", legacy) },
-		"staged":    func(q *stable.Queue) error { return q.Prepare("co#1", "legacy-agent", legacy) },
+	queue := func(store stable.Store) *stable.Queue { return stable.NewQueue(store, "q/") }
+	for name, tc := range map[string]struct {
+		put  func(store stable.Store) error
+		want []string // what the refusal names
+	}{
+		"committed": {
+			func(s stable.Store) error { return queue(s).Enqueue("legacy-agent", legacy) },
+			[]string{"5015b40", `"legacy-agent"`}},
+		"staged": {
+			func(s stable.Store) error { return queue(s).Prepare("co#1", "legacy-agent", legacy) },
+			[]string{"5015b40", `"legacy-agent"`}},
+		"envelope-committed": {
+			func(s stable.Store) error {
+				return s.Apply(stable.Put("q/seq", []byte("1")), stable.Put("q/e/0000000000000000", fixture(t, "queue-entry-fd17232.bin")))
+			},
+			[]string{"fd17232", `"q/e/0000000000000000"`}},
+		"envelope-staged": {
+			func(s stable.Store) error {
+				return s.Apply(stable.Put("q/seq", []byte("1")), stable.Put("q/s/co#1", fixture(t, "queue-staged-fd17232.bin")))
+			},
+			[]string{"fd17232", `"q/s/co#1"`}},
+		"envelope-done": {
+			func(s stable.Store) error {
+				return s.Apply(stable.Put("done/legacy-agent", fixture(t, "done-record-fd17232.bin")))
+			},
+			[]string{"fd17232", `"legacy-agent"`}},
 	} {
 		t.Run(name, func(t *testing.T) {
 			store := stable.NewMemStore(nil)
-			if err := put(stable.NewQueue(store, "q/")); err != nil {
+			if err := tc.put(store); err != nil {
 				t.Fatal(err)
 			}
 			before := dumpStore(t, store)
 			err := newNode(store)
-			if err == nil || !strings.Contains(err.Error(), "5015b40") || !strings.Contains(err.Error(), "legacy-agent") {
-				t.Fatalf("New on a gob-era store = %v, want a refusal naming the agent and commit 5015b40", err)
+			if err == nil {
+				t.Fatal("New on an older runtime's store succeeded, want a refusal")
+			}
+			for _, want := range tc.want {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("refusal %q does not name %s", err, want)
+				}
 			}
 			if after := dumpStore(t, store); !reflect.DeepEqual(after, before) {
 				t.Errorf("refusal modified the store:\n before %v\n after  %v", before, after)
@@ -226,10 +281,17 @@ func TestRefusesGobContainers(t *testing.T) {
 		})
 	}
 	store := stable.NewMemStore(nil)
-	if err := stable.NewQueue(store, "q/").Enqueue("junk", []byte{0x00, 0xde, 0xad}); err != nil {
+	if err := newNode(store); err != nil {
+		t.Errorf("an empty store blocked the start: %v", err)
+	}
+	if err := queue(store).Enqueue("junk", []byte{0x00, 0xde, 0xad}); err != nil {
 		t.Fatal(err)
 	}
-	if err := store.Apply(stable.Put("q/e/9999999999999999", []byte("not even a queue record"))); err != nil {
+	if err := store.Apply(
+		stable.Put("q/e/9999999999999999", []byte("\x00not even a queue record")),
+		stable.Put("q/s/co#9", []byte{0x90, 0x20, 0xff}),
+		stable.Put("done/junk", []byte{0x00}),
+	); err != nil {
 		t.Fatal(err)
 	}
 	if err := newNode(store); err != nil {

@@ -9,7 +9,6 @@ import (
 	"repro/internal/protocol"
 	"repro/internal/trace"
 	"repro/internal/txn"
-	"repro/internal/wire"
 )
 
 // dispatch is the message-handling goroutine: it decodes inbound
@@ -325,11 +324,11 @@ func (n *Node) sendDone(b *outBatch, agentID string) {
 	if err != nil || !ok {
 		return
 	}
-	var rec doneRec
-	if err := wire.Decode(raw, &rec); err != nil {
+	owner, msg, err := readDoneRec(raw)
+	if err != nil {
 		return
 	}
-	n.sendTo(b, rec.Owner, kindAgentDone, &rec.Msg)
+	n.sendTo(b, owner, kindAgentDone, msg)
 }
 
 // handleLaunch inserts a fresh agent container into the input queue.

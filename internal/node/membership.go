@@ -58,11 +58,46 @@ func RingKey(loc, agentID string) (string, bool) {
 	return "", false
 }
 
-// announceMsg carries one node's full membership view. Announcements are
-// low-rate (only view *changes* flood), so the gob encoding is fine —
-// no binary codec, no frame-size concerns.
+// announceMsg carries one node's full membership view:
+//
+//	0x90 0x14 | count | count × (Name Status Epoch)
 type announceMsg struct {
 	Members []membership.Member
+}
+
+// AppendTo implements wire.BinaryMessage.
+func (m *announceMsg) AppendTo(buf []byte) []byte {
+	buf = append(buf, wire.BinaryVersion, typeAnnounce)
+	buf = wire.AppendUvarint(buf, uint64(len(m.Members)))
+	for _, e := range m.Members {
+		buf = wire.AppendString(buf, e.Name)
+		buf = append(buf, byte(e.Status))
+		buf = wire.AppendVarint(buf, e.Epoch)
+	}
+	return buf
+}
+
+// DecodeFrom implements wire.BinaryMessage. A status beyond Left is
+// refused: Manager.Merge lets the higher status win, so an unknown one
+// would outrank a departure.
+func (m *announceMsg) DecodeFrom(data []byte) error {
+	b, err := wire.Body(data, typeAnnounce)
+	if err != nil {
+		return err
+	}
+	r := wire.NewReader(b)
+	m.Members = nil
+	// A member costs at least its name length, status and epoch.
+	if n := r.Count(3); n > 0 {
+		m.Members = make([]membership.Member, n)
+		for i := range m.Members {
+			m.Members[i] = membership.Member{Name: r.String(), Status: membership.Status(r.Byte()), Epoch: r.Varint()}
+			if m.Members[i].Status > membership.Left {
+				r.Fail("member status %d", m.Members[i].Status)
+			}
+		}
+	}
+	return r.Done()
 }
 
 // Membership returns the node's membership manager (nil when the node
@@ -111,7 +146,7 @@ func (n *Node) AnnounceStatus(name string, s membership.Status) {
 // freshly restarted nodes converge without waiting for the next change).
 func (n *Node) handleAnnounce(msg network.Message) {
 	var am announceMsg
-	if err := wire.Decode(msg.Payload, &am); err != nil {
+	if err := am.DecodeFrom(msg.Payload); err != nil {
 		return
 	}
 	n.cfg.Counters.IncMemberAnnounce()

@@ -50,6 +50,8 @@ const (
 	typeDone      = 0x10 // doneMsg
 	typeContainer = 0x11 // Container
 	typeLaunch    = 0x12 // launchMsg
+	typeDoneRec   = 0x13 // durable completion record (stable storage only)
+	typeAnnounce  = 0x14 // announceMsg
 )
 
 // EncodeContainer serializes a container for queue storage / transfer:
@@ -59,7 +61,7 @@ const (
 // with the agent part as agent.Agent.AppendTo writes it. Map keys are
 // written in sorted order, so equal containers give equal bytes. This is
 // the only container format; the gob encoding it replaced (last read by
-// commit 5015b40) is refused at node start, see refuseGobContainers. The
+// commit 5015b40) is refused at node start, see refuseOlderLayout. The
 // result is an exact-size copy out of a pooled scratch buffer.
 func EncodeContainer(c *Container) ([]byte, error) {
 	scratch := wire.GetScratch()
@@ -78,22 +80,9 @@ func EncodeContainer(c *Container) ([]byte, error) {
 	return out, nil
 }
 
-// body validates a payload's header against the expected type byte and
-// returns the fields behind it.
-func body(data []byte, want byte) ([]byte, error) {
-	typ, b, err := wire.SplitBinary(data)
-	if err != nil {
-		return nil, err
-	}
-	if typ != want {
-		return nil, fmt.Errorf("%w: message type 0x%02x, want 0x%02x", wire.ErrCorrupt, typ, want)
-	}
-	return b, nil
-}
-
 // containerHead reads what precedes the agent and leaves r at it.
 func containerHead(data []byte) (*Container, *wire.Reader, error) {
-	b, err := body(data, typeContainer)
+	b, err := wire.Body(data, typeContainer)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -104,7 +93,7 @@ func containerHead(data []byte) (*Container, *wire.Reader, error) {
 // DecodeContainer deserializes a container; anything but exactly one
 // well-formed container is wire.ErrCorrupt. Data-space, savepoint-image
 // and parameter values alias data, which the caller must not modify
-// afterwards (queue records and inbound payloads qualify: each is freshly
+// afterwards (queue entries and inbound payloads qualify: each is freshly
 // allocated and immutable once delivered).
 func DecodeContainer(data []byte) (*Container, error) {
 	c, r, err := containerHead(data)
@@ -149,17 +138,13 @@ func (m *launchMsg) AppendTo(buf []byte) []byte {
 
 // DecodeFrom implements wire.BinaryMessage. Data aliases the input.
 func (m *launchMsg) DecodeFrom(data []byte) error {
-	rest, err := body(data, typeLaunch)
+	b, err := wire.Body(data, typeLaunch)
 	if err != nil {
 		return err
 	}
-	if m.ID, rest, err = wire.ReadString(rest); err != nil {
-		return err
-	}
-	if m.Data, rest, err = wire.ReadBytes(rest); err != nil {
-		return err
-	}
-	return wire.Done(rest)
+	r := wire.NewReader(b)
+	m.ID, m.Data = r.String(), r.Bytes()
+	return r.Done()
 }
 
 // doneMsg reports agent completion (or permanent failure) to its owner.
@@ -183,23 +168,34 @@ func (m *doneMsg) AppendTo(buf []byte) []byte {
 
 // DecodeFrom implements wire.BinaryMessage. Data aliases the input.
 func (m *doneMsg) DecodeFrom(data []byte) error {
-	rest, err := body(data, typeDone)
+	b, err := wire.Body(data, typeDone)
 	if err != nil {
 		return err
 	}
-	if m.AgentID, rest, err = wire.ReadString(rest); err != nil {
-		return err
+	r := wire.NewReader(b)
+	m.AgentID, m.Failed, m.Reason, m.Data = r.String(), r.Bool(), r.String(), r.Bytes()
+	return r.Done()
+}
+
+// appendDoneRec builds the durable completion record kept under done/
+// and re-sent to the owner until acknowledged:
+//
+//	0x90 0x13 | Owner | the doneMsg payload, to the end of the record
+func appendDoneRec(owner string, msg *doneMsg) []byte {
+	buf := append(make([]byte, 0, 32+len(owner)+len(msg.AgentID)+len(msg.Reason)+len(msg.Data)), wire.BinaryVersion, typeDoneRec)
+	return msg.AppendTo(wire.AppendString(buf, owner))
+}
+
+// readDoneRec decodes a completion record; msg.Data aliases raw.
+func readDoneRec(raw []byte) (owner string, msg *doneMsg, err error) {
+	b, err := wire.Body(raw, typeDoneRec)
+	if err != nil {
+		return "", nil, err
 	}
-	if m.Failed, rest, err = wire.ReadBool(rest); err != nil {
-		return err
-	}
-	if m.Reason, rest, err = wire.ReadString(rest); err != nil {
-		return err
-	}
-	if m.Data, rest, err = wire.ReadBytes(rest); err != nil {
-		return err
-	}
-	return wire.Done(rest)
+	r := wire.NewReader(b)
+	owner, msg = r.String(), new(doneMsg)
+	// A failed read leaves nothing behind it, which is no doneMsg either.
+	return owner, msg, msg.DecodeFrom(r.Rest())
 }
 
 // Exported message kinds for collectors (owners) built outside this

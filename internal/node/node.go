@@ -202,7 +202,7 @@ func New(cfg Config, ep network.Endpoint, store stable.Store, registry *agent.Re
 		return nil, fmt.Errorf("node: name %q must not contain '#'", cfg.Name)
 	}
 	queue := stable.NewQueue(store, "q/")
-	if err := refuseGobContainers(cfg.Name, queue); err != nil {
+	if err := refuseOlderLayout(cfg.Name, store, queue); err != nil {
 		return nil, err // before anything below can write to the store
 	}
 	mgr, err := txn.NewManager(cfg.Name, store)
@@ -243,21 +243,47 @@ func New(cfg Config, ep network.Endpoint, store stable.Store, registry *agent.Re
 	return n, nil
 }
 
-// refuseGobContainers scans the input queue, committed and staged, for
-// containers in the gob encoding this runtime no longer reads. Left to
-// the workers they would decode as corrupt and be dropped as poisoned
-// (failAgent), silently losing every in-flight agent of a data directory
-// written before the binary container codec — so the node refuses to
-// start instead, with the store untouched. Only the gob lead byte counts:
-// other garbage (a malformed launch) stays on the runtime poison path, so
-// one bad message cannot block a restart.
-func refuseGobContainers(node string, queue *stable.Queue) error {
-	return queue.Each(func(id string, data []byte) error {
-		if wire.LooksLikeGob(data) {
-			return fmt.Errorf("node %s: queued container of agent %q is gob-encoded: this data directory was written before the binary container codec; 5015b40 is the last commit that reads it (finish or drain its agents there)", node, id)
+// refuseOlderLayout scans the input queue, committed and staged, and the
+// completion records for what an older runtime wrote and this one no
+// longer reads: gob-encoded containers (before the binary container
+// codec) and the gob envelopes the queue and done/ records wrapped around
+// a container (before the queue stored it bare). Left to the workers
+// either would decode as a corrupt container and be dropped as poisoned
+// (failAgent), silently losing every in-flight agent of the data
+// directory — so the node refuses to start instead, with the store
+// untouched. Only the gob lead byte counts: other garbage (a malformed
+// launch) stays on the runtime poison path, so one bad message cannot
+// block a restart.
+func refuseOlderLayout(node string, store stable.Store, queue *stable.Queue) error {
+	refuse := func(what, name, commit string) error {
+		return fmt.Errorf("node %s: %s %q is gob-encoded: this data directory was written by an older runtime; %s is the last commit that reads it (finish or drain its agents there)", node, what, name, commit)
+	}
+	err := queue.Each(func(key, id string, data []byte) error {
+		switch {
+		case !wire.LooksLikeGob(data):
+			return nil
+		case id == "":
+			// Not this layout's record: the envelope around the container.
+			return refuse("queue record", key, "fd17232")
+		default:
+			return refuse("queued container of agent", id, "5015b40")
 		}
-		return nil
 	})
+	if err != nil {
+		return err
+	}
+	keys, err := store.Keys(donePrefix)
+	if err != nil {
+		return err
+	}
+	for _, k := range keys {
+		if raw, _, err := store.Get(k); err != nil {
+			return err
+		} else if wire.LooksLikeGob(raw) {
+			return refuse("completion record of agent", strings.TrimPrefix(k, donePrefix), "fd17232")
+		}
+	}
+	return nil
 }
 
 // Name returns the node name.
@@ -391,11 +417,8 @@ func (n *Node) await(ch chan protocol.AckMsg, kind, id string) (protocol.AckMsg,
 
 // send marshals and transmits a protocol message (fire and forget; the
 // simulated network only fails permanently for unknown destinations).
-func (n *Node) send(to, kind string, payload any) {
-	data, err := encodePayload(payload)
-	if err != nil {
-		return
-	}
+func (n *Node) send(to, kind string, payload wire.BinaryMessage) {
+	data := payload.AppendTo(nil)
 	n.traceSend(to, kind, payload, len(data))
 	// Unknown-destination errors are treated like a lost message: the
 	// protocol's retries and presumed abort recover, exactly as for a
@@ -404,7 +427,7 @@ func (n *Node) send(to, kind string, payload any) {
 }
 
 // traceSend records one outbound protocol message in the trace ring.
-func (n *Node) traceSend(to, kind string, payload any, bytes int) {
+func (n *Node) traceSend(to, kind string, payload wire.BinaryMessage, bytes int) {
 	tr := n.cfg.Tracer
 	if tr == nil {
 		return
@@ -415,7 +438,7 @@ func (n *Node) traceSend(to, kind string, payload any, bytes int) {
 
 // payloadSubject pulls the transaction and/or agent a protocol payload
 // concerns, for trace records.
-func payloadSubject(payload any) (txnID, agentID string) {
+func payloadSubject(payload wire.BinaryMessage) (txnID, agentID string) {
 	switch p := payload.(type) {
 	case *protocol.PrepareMsg:
 		return p.TxnID, p.EntryID
@@ -440,34 +463,13 @@ func payloadSubject(payload any) (txnID, agentID string) {
 // outbound batch, so every message a machine transition emits to the
 // same destination rides one endpoint call (and with the Sim, one
 // mailbox hop; with TCP, usually one socket write).
-func (n *Node) sendTo(b *outBatch, to, kind string, payload any) {
-	data, err := encodePayload(payload)
-	if err != nil {
-		return
-	}
+func (n *Node) sendTo(b *outBatch, to, kind string, payload wire.BinaryMessage) {
+	data := payload.AppendTo(nil)
 	n.traceSend(to, kind, payload, len(data))
 	if n.holdForRide(to, kind, data) {
 		return
 	}
 	b.add(to, kind, data)
-}
-
-// encodePayload serializes one outbound payload: the hand-rolled binary
-// codec for the message types that have one, gob for what is left (the
-// low-rate membership announcements).
-// The receiver picks the decoder from the message kind's Go type.
-func encodePayload(payload any) ([]byte, error) {
-	if payload == nil {
-		return nil, nil
-	}
-	if bm, ok := payload.(wire.BinaryMessage); ok {
-		return bm.AppendTo(nil), nil
-	}
-	data, err := wire.Encode(payload)
-	if err != nil {
-		return nil, fmt.Errorf("node: encode payload: %w", err)
-	}
-	return data, nil
 }
 
 // outBatch accumulates the sends of one protocol transition grouped by

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -101,8 +102,26 @@ func TestDoneMessageRoundTrip(t *testing.T) {
 	if _, err := DecodeDone(gobEnc); !errors.Is(err, wire.ErrCorrupt) {
 		t.Errorf("DecodeDone of gob bytes = %v, want wire.ErrCorrupt", err)
 	}
+
+	// The durable completion record is the owner plus that payload.
+	rec := appendDoneRec("owner", &doneMsg{AgentID: "agent-7", Failed: true, Reason: "why", Data: data})
+	owner, msg, err := readDoneRec(rec)
+	if err != nil || owner != "owner" || !bytes.Equal(msg.AppendTo(nil), payload) {
+		t.Errorf("done record = %q %+v, %v", owner, msg, err)
+	}
+	for name, in := range map[string][]byte{
+		"truncated":   rec[:len(rec)-1],
+		"trailing":    append(append([]byte{}, rec...), 0),
+		"owner only":  rec[:8],
+		"the payload": payload,
+		"gob":         fixture(t, "done-record-fd17232.bin"),
+	} {
+		if _, _, err := readDoneRec(in); !errors.Is(err, wire.ErrCorrupt) {
+			t.Errorf("%s done record: %v, want wire.ErrCorrupt", name, err)
+		}
+	}
 }
 
 func wireEncodeDone(m doneMsg) ([]byte, error) {
-	return encodePayload(&m)
+	return m.AppendTo(nil), nil
 }

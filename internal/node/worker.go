@@ -13,7 +13,6 @@ import (
 	"repro/internal/stable"
 	"repro/internal/trace"
 	"repro/internal/txn"
-	"repro/internal/wire"
 )
 
 // permanentError marks failures that retrying cannot fix (unknown step
@@ -38,13 +37,8 @@ func isPermanent(err error) bool {
 // accounting still bounds rollback/retry loops.
 var errImmediateRollback = errors.New("node: rollback finished at immediate savepoint")
 
-// doneRec is the durable completion record re-sent to the owner until
-// acknowledged.
-type doneRec struct {
-	Owner string
-	Msg   doneMsg
-}
-
+// donePrefix keys the durable completion records (appendDoneRec), each
+// re-sent to the agent's owner until acknowledged.
 const donePrefix = "done/"
 
 func doneKey(agentID string) string          { return donePrefix + agentID }
@@ -205,11 +199,11 @@ func (n *Node) replayDone() {
 		if err != nil || !ok {
 			continue
 		}
-		var rec doneRec
-		if err := wire.Decode(raw, &rec); err != nil {
+		owner, _, err := readDoneRec(raw)
+		if err != nil {
 			continue
 		}
-		n.step(protocol.DoneRecorded{AgentID: strings.TrimPrefix(k, donePrefix), Owner: rec.Owner})
+		n.step(protocol.DoneRecorded{AgentID: strings.TrimPrefix(k, donePrefix), Owner: owner})
 	}
 }
 
@@ -281,15 +275,8 @@ func (n *Node) finishAgent(tx *txn.Tx, a *agent.Agent, failed bool, reason strin
 	if err != nil {
 		return err
 	}
-	rec := doneRec{
-		Owner: a.Owner,
-		Msg:   doneMsg{AgentID: a.ID, Failed: failed, Reason: reason, Data: data},
-	}
-	raw, err := wire.Encode(&rec)
-	if err != nil {
-		return err
-	}
-	tx.AddCommitOps(stable.Put(doneKey(a.ID), raw))
+	rec := appendDoneRec(a.Owner, &doneMsg{AgentID: a.ID, Failed: failed, Reason: reason, Data: data})
+	tx.AddCommitOps(stable.Put(doneKey(a.ID), rec))
 	if err := tx.Commit(); err != nil {
 		return err
 	}

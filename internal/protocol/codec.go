@@ -34,26 +34,14 @@ const (
 )
 
 // Decode decodes one inbound payload into v, the dispatcher's single
-// entry point. The codec follows from v's type: a type with a binary
-// codec decodes only through it (anything else, gob included, is
-// wire.ErrCorrupt); the remaining types are gob.
+// entry point. Every message type has a binary codec and decodes only
+// through it: anything else on the wire, gob included, is wire.ErrCorrupt.
 func Decode(data []byte, v any) error {
-	if bm, ok := v.(wire.BinaryMessage); ok {
-		return bm.DecodeFrom(data)
+	bm, ok := v.(wire.BinaryMessage)
+	if !ok {
+		return fmt.Errorf("protocol: %T has no wire codec", v)
 	}
-	return wire.Decode(data, v)
-}
-
-// body validates the payload header against the expected type byte.
-func body(data []byte, want byte) ([]byte, error) {
-	typ, b, err := wire.SplitBinary(data)
-	if err != nil {
-		return nil, err
-	}
-	if typ != want {
-		return nil, fmt.Errorf("%w: payload type 0x%02x, want 0x%02x", wire.ErrCorrupt, typ, want)
-	}
-	return b, nil
+	return bm.DecodeFrom(data)
 }
 
 // --- PrepareMsg -------------------------------------------------------
@@ -69,20 +57,13 @@ func (m *PrepareMsg) AppendTo(buf []byte) []byte {
 
 // DecodeFrom implements wire.BinaryMessage. Data aliases buf.
 func (m *PrepareMsg) DecodeFrom(buf []byte) error {
-	b, err := body(buf, TypePrepare)
+	b, err := wire.Body(buf, TypePrepare)
 	if err != nil {
 		return err
 	}
-	if m.TxnID, b, err = wire.ReadString(b); err != nil {
-		return err
-	}
-	if m.EntryID, b, err = wire.ReadString(b); err != nil {
-		return err
-	}
-	if m.Data, b, err = wire.ReadBytes(b); err != nil {
-		return err
-	}
-	return wire.Done(b)
+	r := wire.NewReader(b)
+	m.TxnID, m.EntryID, m.Data = r.String(), r.String(), r.Bytes()
+	return r.Done()
 }
 
 // --- AckMsg -----------------------------------------------------------
@@ -98,20 +79,13 @@ func (m *AckMsg) AppendTo(buf []byte) []byte {
 
 // DecodeFrom implements wire.BinaryMessage.
 func (m *AckMsg) DecodeFrom(buf []byte) error {
-	b, err := body(buf, TypeAck)
+	b, err := wire.Body(buf, TypeAck)
 	if err != nil {
 		return err
 	}
-	if m.TxnID, b, err = wire.ReadString(b); err != nil {
-		return err
-	}
-	if m.OK, b, err = wire.ReadBool(b); err != nil {
-		return err
-	}
-	if m.Err, b, err = wire.ReadString(b); err != nil {
-		return err
-	}
-	return wire.Done(b)
+	r := wire.NewReader(b)
+	m.TxnID, m.OK, m.Err = r.String(), r.Bool(), r.String()
+	return r.Done()
 }
 
 // --- CtlMsg -----------------------------------------------------------
@@ -125,14 +99,13 @@ func (m *CtlMsg) AppendTo(buf []byte) []byte {
 
 // DecodeFrom implements wire.BinaryMessage.
 func (m *CtlMsg) DecodeFrom(buf []byte) error {
-	b, err := body(buf, TypeCtl)
+	b, err := wire.Body(buf, TypeCtl)
 	if err != nil {
 		return err
 	}
-	if m.TxnID, b, err = wire.ReadString(b); err != nil {
-		return err
-	}
-	return wire.Done(b)
+	r := wire.NewReader(b)
+	m.TxnID = r.String()
+	return r.Done()
 }
 
 // --- StatusMsg --------------------------------------------------------
@@ -147,17 +120,13 @@ func (m *StatusMsg) AppendTo(buf []byte) []byte {
 
 // DecodeFrom implements wire.BinaryMessage.
 func (m *StatusMsg) DecodeFrom(buf []byte) error {
-	b, err := body(buf, TypeStatus)
+	b, err := wire.Body(buf, TypeStatus)
 	if err != nil {
 		return err
 	}
-	if m.TxnID, b, err = wire.ReadString(b); err != nil {
-		return err
-	}
-	if m.Committed, b, err = wire.ReadBool(b); err != nil {
-		return err
-	}
-	return wire.Done(b)
+	r := wire.NewReader(b)
+	m.TxnID, m.Committed = r.String(), r.Bool()
+	return r.Done()
 }
 
 // --- RCEExecMsg -------------------------------------------------------
@@ -182,10 +151,24 @@ func (m *RCEExecMsg) AppendTo(buf []byte) []byte {
 	return buf
 }
 
-// maxInlineOps bounds the declared op count honoured before the decoder
-// checks it against the remaining bytes, so a corrupt header cannot
-// force a giant pre-allocation.
-const maxInlineOps = 1 << 20
+// DecodeFrom implements wire.BinaryMessage. Params values alias buf.
+func (m *RCEExecMsg) DecodeFrom(buf []byte) error {
+	b, err := wire.Body(buf, TypeRCEExec)
+	if err != nil {
+		return err
+	}
+	r := wire.NewReader(b)
+	m.TxnID = r.String()
+	m.Ops = nil
+	// An op costs at least its kind, name length and parameter count.
+	if n := r.Count(3); n > 0 {
+		m.Ops = make([]*core.OpEntry, 0, n)
+		for i := 0; i < n && r.Err() == nil; i++ {
+			m.Ops = append(m.Ops, &core.OpEntry{Kind: core.OpKind(r.Uvarint()), Op: r.String(), Params: r.BytesMap()})
+		}
+	}
+	return r.Done()
+}
 
 // --- CtlBatchMsg ------------------------------------------------------
 
@@ -202,39 +185,22 @@ func (m *CtlBatchMsg) AppendTo(buf []byte) []byte {
 	return buf
 }
 
-// DecodeFrom implements wire.BinaryMessage. TxnIDs alias buf.
+// DecodeFrom implements wire.BinaryMessage.
 func (m *CtlBatchMsg) DecodeFrom(buf []byte) error {
-	b, err := body(buf, TypeCtlBatch)
+	b, err := wire.Body(buf, TypeCtlBatch)
 	if err != nil {
 		return err
 	}
-	n, b, err := wire.ReadUvarint(b)
-	if err != nil {
-		return err
-	}
-	// Every item costs at least 3 bytes (length prefix + two bools);
-	// reject counts the remaining buffer cannot possibly hold.
-	if n > maxInlineOps || n > uint64(len(b)) {
-		return fmt.Errorf("%w: %d ctl-batch items exceed buffer", wire.ErrCorrupt, n)
-	}
+	r := wire.NewReader(b)
 	m.Items = nil
-	if n > 0 {
-		m.Items = make([]CtlBatchItem, 0, n)
+	// An item costs at least its ID length and two bools.
+	if n := r.Count(3); n > 0 {
+		m.Items = make([]CtlBatchItem, n)
+		for i := range m.Items {
+			m.Items[i] = CtlBatchItem{TxnID: r.String(), RCE: r.Bool(), Commit: r.Bool()}
+		}
 	}
-	for i := uint64(0); i < n; i++ {
-		var it CtlBatchItem
-		if it.TxnID, b, err = wire.ReadString(b); err != nil {
-			return err
-		}
-		if it.RCE, b, err = wire.ReadBool(b); err != nil {
-			return err
-		}
-		if it.Commit, b, err = wire.ReadBool(b); err != nil {
-			return err
-		}
-		m.Items = append(m.Items, it)
-	}
-	return wire.Done(b)
+	return r.Done()
 }
 
 // --- QueryBatchMsg ----------------------------------------------------
@@ -250,90 +216,13 @@ func (m *QueryBatchMsg) AppendTo(buf []byte) []byte {
 	return buf
 }
 
-// DecodeFrom implements wire.BinaryMessage. TxnIDs alias buf.
+// DecodeFrom implements wire.BinaryMessage.
 func (m *QueryBatchMsg) DecodeFrom(buf []byte) error {
-	b, err := body(buf, TypeQueryBatch)
+	b, err := wire.Body(buf, TypeQueryBatch)
 	if err != nil {
 		return err
 	}
-	n, b, err := wire.ReadUvarint(b)
-	if err != nil {
-		return err
-	}
-	if n > maxInlineOps || n > uint64(len(b)) {
-		return fmt.Errorf("%w: %d query-batch entries exceed buffer", wire.ErrCorrupt, n)
-	}
-	m.TxnIDs = nil
-	if n > 0 {
-		m.TxnIDs = make([]string, 0, n)
-	}
-	for i := uint64(0); i < n; i++ {
-		var id string
-		if id, b, err = wire.ReadString(b); err != nil {
-			return err
-		}
-		m.TxnIDs = append(m.TxnIDs, id)
-	}
-	return wire.Done(b)
-}
-
-// DecodeFrom implements wire.BinaryMessage. Params values alias buf.
-func (m *RCEExecMsg) DecodeFrom(buf []byte) error {
-	b, err := body(buf, TypeRCEExec)
-	if err != nil {
-		return err
-	}
-	if m.TxnID, b, err = wire.ReadString(b); err != nil {
-		return err
-	}
-	nOps, b, err := wire.ReadUvarint(b)
-	if err != nil {
-		return err
-	}
-	// Every op costs at least 3 bytes on the wire; reject counts the
-	// remaining buffer cannot possibly hold.
-	if nOps > maxInlineOps || nOps > uint64(len(b)) {
-		return fmt.Errorf("%w: %d ops exceed buffer", wire.ErrCorrupt, nOps)
-	}
-	m.Ops = nil
-	if nOps > 0 {
-		m.Ops = make([]*core.OpEntry, 0, nOps)
-	}
-	for i := uint64(0); i < nOps; i++ {
-		op := &core.OpEntry{}
-		kind, rest, err := wire.ReadUvarint(b)
-		if err != nil {
-			return err
-		}
-		b = rest
-		op.Kind = core.OpKind(kind)
-		if op.Op, b, err = wire.ReadString(b); err != nil {
-			return err
-		}
-		nParams, rest, err := wire.ReadUvarint(b)
-		if err != nil {
-			return err
-		}
-		b = rest
-		if nParams > 0 {
-			nParams-- // shifted count: 0 is nil, n+1 is n entries
-			if nParams > uint64(len(b)) {
-				return fmt.Errorf("%w: %d params exceed buffer", wire.ErrCorrupt, nParams)
-			}
-			op.Params = make(core.Params, nParams)
-			for j := uint64(0); j < nParams; j++ {
-				var k string
-				var v []byte
-				if k, b, err = wire.ReadString(b); err != nil {
-					return err
-				}
-				if v, b, err = wire.ReadBytes(b); err != nil {
-					return err
-				}
-				op.Params[k] = v
-			}
-		}
-		m.Ops = append(m.Ops, op)
-	}
-	return wire.Done(b)
+	r := wire.NewReader(b)
+	m.TxnIDs = r.Strings()
+	return r.Done()
 }

@@ -25,10 +25,11 @@
 package protocol
 
 import (
-	"repro/internal/core"
-
 	"strings"
 	"time"
+
+	"repro/internal/core"
+	"repro/internal/wire"
 )
 
 // Config are the machine's only tunables. The zero value of either
@@ -254,7 +255,7 @@ func (TimerFired) isEvent()          {}
 type SendMsg struct {
 	To      string
 	Kind    string
-	Payload any
+	Payload wire.BinaryMessage
 }
 
 // DeliverAck routes an acknowledgement to the local worker blocked on

@@ -9,9 +9,9 @@ import (
 
 // BenchmarkQueueClaimWithheld measures one Claim call over a queue whose
 // visible entries are all withheld (every agent has its oldest entry in
-// flight) — the scheduler's steady state under load. Before the entryIDs
-// cache this re-read and re-decoded every withheld entry from the store
-// per call (O(depth) gob decodes); with it the scan is pure map lookups.
+// flight) — the scheduler's steady state under load. The scan judges every
+// withheld entry from its key (the agent ID is part of it): map lookups,
+// no store reads.
 func BenchmarkQueueClaimWithheld(b *testing.B) {
 	for _, agents := range []int{64, 512, 4096} {
 		b.Run(fmt.Sprintf("agents=%d", agents), func(b *testing.B) {

@@ -10,7 +10,17 @@ import (
 )
 
 // Queue is the agent input queue of one node (§2 of the paper): a FIFO of
-// opaque agent containers on stable storage. It supports two write paths:
+// opaque agent containers on stable storage. The key listing alone names
+// every entry's agent, and the values are the containers as handed in:
+//
+//	<prefix>seq                     next sequence number (decimal)
+//	<prefix>e/<16-digit seq>/<ID>   committed entry: the bare container
+//	<prefix>s/<txn>                 prepared insertion: 0x90 0x20, the
+//	                                reserved seq, the ID, then the container
+//	                                to the end of the record
+//
+// An entry without data is stored as an empty value (a nil Op.Value is a
+// delete). It supports two write paths:
 //
 //   - Enqueue: direct, atomic insertion (used when an owner launches an
 //     agent into the system).
@@ -37,20 +47,11 @@ type Queue struct {
 	mu     sync.Mutex
 	notify chan struct{}
 
-	// Volatile claims: store key -> agent ID, plus a per-agent count so
+	// Volatile claims: the claimed store keys, plus a per-agent count so
 	// Claim can preserve per-agent FIFO order (a younger entry for an
 	// agent is never handed out while an older one is claimed).
-	claimed    map[string]string
+	claimed    map[string]bool
 	claimedIDs map[string]int
-
-	// entryIDs caches the agent ID of visible entries by store key. The
-	// claim scan consults it so withheld entries (claimed keys, younger
-	// entries of in-flight agents, vetoed agents) cost a map lookup, not
-	// a store read plus a gob decode per entry per call — with hundreds
-	// of agents in flight the old scan re-decoded every withheld entry
-	// on every Claim. Entries are decoded at most once per lifetime; the
-	// cache is pruned against the live key set when it outgrows it.
-	entryIDs map[string]string
 
 	// view caches the sorted visible-key listing for the claim scan.
 	// Every visibility transition invalidates it through signal(): queue
@@ -94,18 +95,10 @@ type Entry struct {
 	key string // store key, used by RemoveOp
 }
 
-// stagedRec is the durable form of a prepared insertion.
-type stagedRec struct {
-	Seq  uint64
-	ID   string
-	Data []byte
-}
-
-// entryRec is the durable form of a committed entry.
-type entryRec struct {
-	ID   string
-	Data []byte
-}
+// typeStaged is the binary type byte of a prepared insertion, the first
+// of the stable block 0x20..0x2f (registry in wire/binary.go); never
+// reuse a value.
+const typeStaged = 0x20
 
 // NewQueue returns a queue stored under the given key prefix.
 func NewQueue(store Store, prefix string) *Queue {
@@ -113,9 +106,8 @@ func NewQueue(store Store, prefix string) *Queue {
 		store:      store,
 		prefix:     prefix,
 		notify:     make(chan struct{}),
-		claimed:    make(map[string]string),
+		claimed:    make(map[string]bool),
 		claimedIDs: make(map[string]int),
-		entryIDs:   make(map[string]string),
 	}
 }
 
@@ -136,10 +128,46 @@ func (q *Queue) signal() {
 	q.notify = make(chan struct{})
 }
 
-func (q *Queue) seqKey() string           { return q.prefix + "seq" }
-func (q *Queue) entryKey(n uint64) string { return fmt.Sprintf("%se/%016d", q.prefix, n) }
+// seqDigits is the zero-padded width of the sequence number in an entry
+// key, so the lexicographic key order is the FIFO order.
+const seqDigits = 16
+
+func (q *Queue) seqKey() string { return q.prefix + "seq" }
+func (q *Queue) entryKey(n uint64, id string) string {
+	return fmt.Sprintf("%se/%0*d/%s", q.prefix, seqDigits, n, id)
+}
 func (q *Queue) stageKey(txn string) string {
 	return q.prefix + "s/" + txn
+}
+
+// entryID returns the agent ID an entry key names: whatever follows the
+// sequence number's slash (an ID may itself contain slashes). A key too
+// short to name one — not written by this layout — yields "".
+func (q *Queue) entryID(key string) string {
+	if n := len(q.prefix) + len("e/") + seqDigits + 1; len(key) > n {
+		return key[n:]
+	}
+	return ""
+}
+
+// putEntry returns the Op writing a committed entry. A nil Op.Value is a
+// delete, so an entry without data is stored as an empty value.
+func (q *Queue) putEntry(seq uint64, id string, data []byte) Op {
+	if data == nil {
+		data = []byte{}
+	}
+	return Put(q.entryKey(seq, id), data)
+}
+
+// parseStaged splits a prepared insertion's record; data aliases raw.
+func parseStaged(raw []byte) (seq uint64, id string, data []byte, err error) {
+	b, err := wire.Body(raw, typeStaged)
+	if err != nil {
+		return 0, "", nil, err
+	}
+	r := wire.NewReader(b)
+	seq, id, data = r.Uvarint(), r.String(), r.Rest()
+	return seq, id, data, r.Done()
 }
 
 // nextSeq reserves the next sequence number and returns the op persisting
@@ -175,14 +203,9 @@ func (q *Queue) Enqueue(id string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	rec, err := wire.Encode(entryRec{ID: id, Data: data})
-	if err != nil {
+	if err := q.store.Apply(seqOp, q.putEntry(seq, id, data)); err != nil {
 		return err
 	}
-	if err := q.store.Apply(seqOp, Put(q.entryKey(seq), rec)); err != nil {
-		return err
-	}
-	q.entryIDs[q.entryKey(seq)] = id
 	q.signal()
 	return nil
 }
@@ -202,15 +225,7 @@ func (q *Queue) EnqueueOps(id string, data []byte) ([]Op, error) {
 	if err := q.store.Apply(seqOp); err != nil {
 		return nil, err
 	}
-	rec, err := wire.Encode(entryRec{ID: id, Data: data})
-	if err != nil {
-		return nil, err
-	}
-	// Cache the ID now: the entry only becomes visible if the caller's
-	// transaction commits the ops, and a stale cache entry for a position
-	// that never materializes is pruned with the rest.
-	q.entryIDs[q.entryKey(seq)] = id
-	return []Op{Put(q.entryKey(seq), rec)}, nil
+	return []Op{q.putEntry(seq, id, data)}, nil
 }
 
 // Prepare stages an insertion under txnID. The entry is durable but not
@@ -227,11 +242,9 @@ func (q *Queue) Prepare(txnID, id string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	rec, err := wire.Encode(stagedRec{Seq: seq, ID: id, Data: data})
-	if err != nil {
-		return err
-	}
-	return q.store.Apply(seqOp, Put(q.stageKey(txnID), rec))
+	rec := append(make([]byte, 0, 24+len(id)+len(data)), wire.BinaryVersion, typeStaged)
+	rec = wire.AppendString(wire.AppendUvarint(rec, seq), id)
+	return q.store.Apply(seqOp, Put(q.stageKey(txnID), append(rec, data...)))
 }
 
 // CommitStaged makes the entry staged under txnID visible. It is
@@ -246,21 +259,13 @@ func (q *Queue) CommitStaged(txnID string) error {
 	if !ok {
 		return nil
 	}
-	var st stagedRec
-	if err := wire.Decode(raw, &st); err != nil {
+	seq, id, data, err := parseStaged(raw)
+	if err != nil {
 		return fmt.Errorf("stable: corrupt staged entry %q: %w", txnID, err)
 	}
-	rec, err := wire.Encode(entryRec{ID: st.ID, Data: st.Data})
-	if err != nil {
+	if err := q.store.Apply(Del(q.stageKey(txnID)), q.putEntry(seq, id, data)); err != nil {
 		return err
 	}
-	if err := q.store.Apply(
-		Del(q.stageKey(txnID)),
-		Put(q.entryKey(st.Seq), rec),
-	); err != nil {
-		return err
-	}
-	q.entryIDs[q.entryKey(st.Seq)] = st.ID
 	q.signal()
 	return nil
 }
@@ -286,28 +291,33 @@ func (q *Queue) StagedTxns() ([]string, error) {
 	return txns, nil
 }
 
-// Each calls fn with the agent ID and container bytes of every committed
-// entry and every staged (prepared, still invisible) insertion, stopping
-// at fn's first error. Records whose envelope does not decode are skipped:
-// the claim path reports those.
-func (q *Queue) Each(fn func(id string, data []byte) error) error {
+// Each calls fn with the store key, agent ID and container bytes of every
+// committed entry and every staged (prepared, still invisible) insertion,
+// stopping at fn's first error. A record this layout did not write — an
+// entry key that names no agent, a staged value that does not parse — is
+// passed on with an empty ID and its raw value, so a start-up check can
+// tell a queue written by an older runtime from an empty one.
+func (q *Queue) Each(fn func(key, id string, data []byte) error) error {
 	for _, sub := range []string{"e/", "s/"} {
 		keys, err := q.store.Keys(q.prefix + sub)
 		if err != nil {
 			return err
 		}
 		for _, k := range keys {
-			raw, ok, err := q.store.Get(k)
+			data, ok, err := q.store.Get(k)
 			if err != nil {
 				return err
 			}
-			// stagedRec is entryRec plus a Seq; gob matches fields by
-			// name, so one struct reads both.
-			var rec entryRec
-			if !ok || wire.Decode(raw, &rec) != nil {
+			if !ok {
 				continue
 			}
-			if err := fn(rec.ID, rec.Data); err != nil {
+			id := ""
+			if sub == "e/" {
+				id = q.entryID(k)
+			} else if _, sid, sdata, err := parseStaged(data); err == nil {
+				id, data = sid, sdata
+			}
+			if err := fn(k, id, data); err != nil {
 				return err
 			}
 		}
@@ -324,18 +334,7 @@ func (q *Queue) Peek() (*Entry, error) {
 	if len(keys) == 0 {
 		return nil, nil
 	}
-	raw, ok, err := q.store.Get(keys[0])
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return nil, fmt.Errorf("stable: queue entry %q vanished", keys[0])
-	}
-	var rec entryRec
-	if err := wire.Decode(raw, &rec); err != nil {
-		return nil, fmt.Errorf("stable: corrupt queue entry %q: %w", keys[0], err)
-	}
-	return &Entry{ID: rec.ID, Data: rec.Data, key: keys[0]}, nil
+	return q.readEntry(keys[0])
 }
 
 // Claim returns the oldest visible entry that is not claimed and whose
@@ -349,10 +348,9 @@ func (q *Queue) Peek() (*Entry, error) {
 // starts unclaimed.
 //
 // Cost: entries passed over (claimed, withheld behind an in-flight agent,
-// vetoed) are judged from the entryIDs cache — no store reads, no
-// decodes — so the per-claim cost stays flat as the queue deepens with
-// in-flight agents; exactly one store read fetches the winning entry, and
-// each entry is decoded at most once over its lifetime.
+// vetoed) are judged from their keys — no store reads — so the per-claim
+// cost stays flat as the queue deepens with in-flight agents; exactly one
+// store read fetches the winning entry.
 func (q *Queue) Claim(skip func(id string) bool) (e *Entry, depth int, err error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -379,23 +377,13 @@ func (q *Queue) claimScan(skip func(id string) bool) (e *Entry, depth int, err e
 		}
 		q.view = keys
 		q.viewValid = true
-		q.pruneEntryIDs(keys)
 	}
 	depth = len(q.view)
 	for _, k := range q.view {
-		if _, taken := q.claimed[k]; taken {
+		if q.claimed[k] {
 			continue
 		}
-		id, cached := q.entryIDs[k]
-		var data []byte
-		if !cached {
-			var rec entryRec
-			if rec, err = q.readEntry(k); err != nil {
-				return nil, depth, err
-			}
-			id, data = rec.ID, rec.Data
-			q.entryIDs[k] = id
-		}
+		id := q.entryID(k)
 		if q.claimedIDs[id] > 0 {
 			continue // an older entry of this agent is in flight
 		}
@@ -405,16 +393,12 @@ func (q *Queue) claimScan(skip func(id string) bool) (e *Entry, depth int, err e
 		if q.fence != nil && q.fence(id) {
 			continue // withheld for migration (see SetFence)
 		}
-		if cached {
-			var rec entryRec
-			if rec, err = q.readEntry(k); err != nil {
-				return nil, depth, err
-			}
-			data = rec.Data
+		if e, err = q.readEntry(k); err != nil {
+			return nil, depth, err
 		}
-		q.claimed[k] = id
+		q.claimed[k] = true
 		q.claimedIDs[id]++
-		return &Entry{ID: id, Data: data, key: k}, depth, nil
+		return e, depth, nil
 	}
 	return nil, depth, nil
 }
@@ -423,36 +407,17 @@ func (q *Queue) claimScan(skip func(id string) bool) (e *Entry, depth int, err e
 // when the listing was cached (refresh and rescan), corruption when not.
 var errEntryVanished = errors.New("stable: queue entry vanished")
 
-// readEntry fetches and decodes one committed entry record.
-func (q *Queue) readEntry(key string) (entryRec, error) {
-	raw, ok, err := q.store.Get(key)
+// readEntry fetches one committed entry: the ID from the key, the data
+// from the one store read.
+func (q *Queue) readEntry(key string) (*Entry, error) {
+	data, ok, err := q.store.Get(key)
 	if err != nil {
-		return entryRec{}, err
+		return nil, err
 	}
 	if !ok {
-		return entryRec{}, fmt.Errorf("%w: %q", errEntryVanished, key)
+		return nil, fmt.Errorf("%w: %q", errEntryVanished, key)
 	}
-	var rec entryRec
-	if err := wire.Decode(raw, &rec); err != nil {
-		return entryRec{}, fmt.Errorf("stable: corrupt queue entry %q: %w", key, err)
-	}
-	return rec, nil
-}
-
-// pruneEntryIDs drops cache entries for removed queue positions once the
-// cache has outgrown the live key set — O(live) work amortized over at
-// least as many removals.
-func (q *Queue) pruneEntryIDs(live []string) {
-	if len(q.entryIDs) <= 2*len(live)+64 {
-		return
-	}
-	fresh := make(map[string]string, len(live))
-	for _, k := range live {
-		if id, ok := q.entryIDs[k]; ok {
-			fresh[k] = id
-		}
-	}
-	q.entryIDs = fresh
+	return &Entry{ID: q.entryID(key), Data: data, key: key}, nil
 }
 
 // Release drops the claim on e. Call it after the entry was durably
@@ -462,11 +427,11 @@ func (q *Queue) pruneEntryIDs(live []string) {
 func (q *Queue) Release(e *Entry) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	id, ok := q.claimed[e.key]
-	if !ok {
+	if !q.claimed[e.key] {
 		return
 	}
 	delete(q.claimed, e.key)
+	id := q.entryID(e.key)
 	if q.claimedIDs[id] <= 1 {
 		delete(q.claimedIDs, id)
 	} else {
@@ -508,14 +473,14 @@ func (q *Queue) Entries() ([]*Entry, error) {
 	}
 	out := make([]*Entry, 0, len(keys))
 	for _, k := range keys {
-		rec, err := q.readEntry(k)
+		e, err := q.readEntry(k)
 		if errors.Is(err, errEntryVanished) {
 			continue
 		}
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, &Entry{ID: rec.ID, Data: rec.Data, key: k})
+		out = append(out, e)
 	}
 	return out, nil
 }
@@ -529,22 +494,22 @@ func (q *Queue) Entries() ([]*Entry, error) {
 func (q *Queue) TryClaim(e *Entry) (*Entry, bool, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if _, taken := q.claimed[e.key]; taken {
+	if q.claimed[e.key] {
 		return nil, false, nil
 	}
-	rec, err := q.readEntry(e.key)
+	if q.claimedIDs[q.entryID(e.key)] > 0 {
+		return nil, false, nil // an older entry of this agent is in flight
+	}
+	fresh, err := q.readEntry(e.key)
 	if errors.Is(err, errEntryVanished) {
 		return nil, false, nil
 	}
 	if err != nil {
 		return nil, false, err
 	}
-	if q.claimedIDs[rec.ID] > 0 {
-		return nil, false, nil // an older entry of this agent is in flight
-	}
-	q.claimed[e.key] = rec.ID
-	q.claimedIDs[rec.ID]++
-	return &Entry{ID: rec.ID, Data: rec.Data, key: e.key}, true, nil
+	q.claimed[e.key] = true
+	q.claimedIDs[fresh.ID]++
+	return fresh, true, nil
 }
 
 // RemoveOp returns the batch Op deleting e; include it in the commit batch

@@ -228,14 +228,14 @@ func TestQueueClaimVolatile(t *testing.T) {
 	})
 }
 
-// TestQueueClaimCachedIDsStayCorrect drives the entryIDs cache through
+// TestQueueClaimCachedIDsStayCorrect drives the cached key view through
 // enqueue / claim / remove / release / re-enqueue churn and checks the
 // hand-out order never deviates from a cache-less queue.
 func TestQueueClaimCachedIDsStayCorrect(t *testing.T) {
 	storeImpls(t, func(t *testing.T, s stable.Store) {
 		q := stable.NewQueue(s, "q/")
 		// Interleave two agents, claim through twice so the second pass
-		// is served from the warm cache.
+		// starts from a view the first one left behind.
 		for round := 0; round < 2; round++ {
 			for i := 0; i < 4; i++ {
 				if err := q.Enqueue(fmt.Sprintf("ag%d", i%2), []byte(fmt.Sprintf("r%d-%d", round, i))); err != nil {
@@ -278,4 +278,134 @@ func TestQueueClaimCachedIDsStayCorrect(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestQueueKeyNamesAgent: the entry key carries the agent ID and the value
+// the bare data, whichever of the three write paths made the entry — an ID
+// with slashes in it and an entry without data included — and FIFO order
+// follows the reserved sequence numbers across all three.
+func TestQueueKeyNamesAgent(t *testing.T) {
+	storeImpls(t, func(t *testing.T, s stable.Store) {
+		q := stable.NewQueue(s, "q/")
+		// Reservation order: staged, direct, ops, direct without data.
+		if err := q.Prepare("co#1", "tenant/a/staged", []byte("staged-data")); err != nil {
+			t.Fatal(err)
+		}
+		if err := q.Enqueue("tenant/a/direct", []byte("direct-data")); err != nil {
+			t.Fatal(err)
+		}
+		ops, err := q.EnqueueOps("tenant/b//ops", []byte("ops-data"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := q.Enqueue("bare", nil); err != nil {
+			t.Fatal(err)
+		}
+		// Visibility in the opposite order must not matter.
+		if err := s.Apply(ops...); err != nil {
+			t.Fatal(err)
+		}
+		if err := q.CommitStaged("co#1"); err != nil {
+			t.Fatal(err)
+		}
+		want := [][2]string{
+			{"tenant/a/staged", "staged-data"}, {"tenant/a/direct", "direct-data"},
+			{"tenant/b//ops", "ops-data"}, {"bare", ""},
+		}
+		keys, err := s.Keys("q/e/")
+		if err != nil || len(keys) != len(want) {
+			t.Fatalf("entry keys = %q, %v", keys, err)
+		}
+		for i, k := range keys {
+			if wantKey := fmt.Sprintf("q/e/%016d/%s", i, want[i][0]); k != wantKey {
+				t.Errorf("key %d = %q, want %q", i, k, wantKey)
+			}
+			if v, ok, err := s.Get(k); err != nil || !ok || string(v) != want[i][1] {
+				t.Errorf("value of %q = %q present=%v err=%v, want the bare data %q", k, v, ok, err, want[i][1])
+			}
+		}
+		entries, err := q.Entries()
+		if err != nil || len(entries) != len(want) {
+			t.Fatalf("entries = %v, %v", entries, err)
+		}
+		var each [][2]string
+		if err := q.Each(func(_, id string, data []byte) error {
+			each = append(each, [2]string{id, string(data)})
+			return nil
+		}); err != nil || !reflect.DeepEqual(each, want) {
+			t.Errorf("Each = %q, %v; want %q", each, err, want)
+		}
+		for i, w := range want {
+			if entries[i].ID != w[0] || string(entries[i].Data) != w[1] {
+				t.Errorf("entries[%d] = %q %q, want %q", i, entries[i].ID, entries[i].Data, w)
+			}
+			e, _, err := q.Claim(nil)
+			if err != nil || e == nil || e.ID != w[0] || string(e.Data) != w[1] {
+				t.Fatalf("claim %d = %+v, %v; want %q", i, e, err, w)
+			}
+			if err := s.Apply(q.RemoveOp(e)); err != nil {
+				t.Fatal(err)
+			}
+			q.Release(e)
+		}
+		if n, _ := q.Len(); n != 0 {
+			t.Errorf("%d entries left", n)
+		}
+	})
+}
+
+// getCounter counts the reads a queue makes of its store.
+type getCounter struct {
+	stable.Store
+	gets int
+}
+
+func (c *getCounter) Get(key string) ([]byte, bool, error) {
+	c.gets++
+	return c.Store.Get(key)
+}
+
+// TestQueueClaimReadsOnlyTheWinner: entries a claim passes over — claimed,
+// withheld behind an in-flight agent, vetoed, fenced — are judged from
+// their keys; the one store read of a claim fetches the entry it hands out.
+func TestQueueClaimReadsOnlyTheWinner(t *testing.T) {
+	s := &getCounter{Store: stable.NewMemStore(nil)}
+	q := stable.NewQueue(s, "q/")
+	const agents = 16
+	for round := 0; round < 2; round++ { // two entries each: an oldest and a withheld one
+		for i := 0; i < agents; i++ {
+			if err := q.Enqueue(fmt.Sprintf("ag%02d", i), []byte("x")); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, id := range []string{"vetoed", "fenced", "winner"} {
+		if err := q.Enqueue(id, []byte(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < agents; i++ {
+		if e, _, err := q.Claim(nil); err != nil || e == nil {
+			t.Fatalf("setup claim %d: %v %v", i, e, err)
+		}
+	}
+	q.SetFence(func(id string) bool { return id == "fenced" })
+	s.gets = 0
+	e, depth, err := q.Claim(func(id string) bool { return id == "vetoed" })
+	if err != nil || e == nil || e.ID != "winner" || string(e.Data) != "winner" {
+		t.Fatalf("claim = %+v, %v; want the winner", e, err)
+	}
+	if depth != 2*agents+3 || s.gets != 1 {
+		t.Errorf("claim over %d entries (%d withheld) made %d store reads, want 1", depth, depth-1, s.gets)
+	}
+	s.gets = 0
+	if e, _, err := q.Claim(nil); err != nil || e == nil || e.ID != "vetoed" {
+		t.Fatalf("second claim = %+v, %v; want the formerly vetoed entry", e, err)
+	}
+	if e, _, err := q.Claim(nil); err != nil || e != nil {
+		t.Fatalf("third claim = %+v, %v; want nothing claimable", e, err)
+	}
+	if s.gets != 1 {
+		t.Errorf("a claim that hands out one entry and one that finds none made %d store reads, want 1", s.gets)
+	}
 }

@@ -40,6 +40,11 @@ func Conformance(t *testing.T, f Factory) {
 	t.Run("Basics", func(t *testing.T) { testBasics(t, f(t)) })
 	t.Run("ValueIsolation", func(t *testing.T) { testValueIsolation(t, f(t)) })
 	t.Run("PrefixKeys", func(t *testing.T) { testPrefixKeys(t, f(t)) })
+	t.Run("EmptyValue", func(t *testing.T) {
+		s := f(t)
+		putEmptyValue(t, s)
+		checkEmptyValue(t, s)
+	})
 	t.Run("BatchAtomicity", func(t *testing.T) { testBatchAtomicity(t, f) })
 	t.Run("QueueLinearization", func(t *testing.T) { testQueueLinearization(t, f) })
 }
@@ -93,6 +98,33 @@ func testValueIsolation(t *testing.T, s stable.Store) {
 	v2, _, _ := s.Get("k")
 	if string(v2) != "hello" {
 		t.Errorf("returned value aliases store: %q", v2)
+	}
+}
+
+// putEmptyValue writes an empty value beside a deleted key, the two things
+// an Op without bytes can mean: the queue stores an entry without data as
+// an empty value and relies on it staying an entry.
+func putEmptyValue(t *testing.T, s stable.Store) {
+	t.Helper()
+	if err := s.Apply(stable.Put("gone", []byte("x")), stable.Put("empty", []byte("x"))); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Apply(stable.Del("gone"), stable.Put("empty", []byte{})); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// checkEmptyValue: Put(k, []byte{}) is present, Del(k) is not.
+func checkEmptyValue(t *testing.T, s stable.Store) {
+	t.Helper()
+	if v, ok, err := s.Get("empty"); err != nil || !ok || len(v) != 0 {
+		t.Errorf("empty value = %q present=%v err=%v, want present and empty", v, ok, err)
+	}
+	if _, ok, err := s.Get("gone"); err != nil || ok {
+		t.Errorf("deleted key present=%v err=%v", ok, err)
+	}
+	if keys, err := s.Keys(""); err != nil || !reflect.DeepEqual(keys, []string{"empty"}) {
+		t.Errorf("keys = %v %v, want only the empty-valued one", keys, err)
 	}
 }
 
@@ -279,6 +311,15 @@ func testQueueLinearization(t *testing.T, f Factory) {
 // nothing else. Mid-write (torn) crashes below the batch boundary are
 // engine-specific and covered by the engines' own torn-write tests.
 func CrashMatrix(t *testing.T, open ReopenFactory) {
+	t.Run("empty_value", func(t *testing.T) {
+		dir := t.TempDir()
+		s := open(t, dir)
+		putEmptyValue(t, s)
+		r := open(t, dir) // crash: s is abandoned, as below
+		checkEmptyValue(t, r)
+		closeStore(r)
+		closeStore(s)
+	})
 	const nBatches = 12
 	for _, seed := range []int64{1, 7, 42} {
 		seed := seed

@@ -27,7 +27,9 @@ import (
 // package so they cannot collide:
 //
 //	0x01..0x0f  internal/protocol (prepare, ack, ctl, status, rce.exec)
-//	0x10..0x1f  internal/node     (done notification, agent container, launch)
+//	0x10..0x1f  internal/node     (done notification, agent container, launch,
+//	                               done record, membership announce)
+//	0x20..0x2f  internal/stable   (staged queue insertion)
 //
 // The authoritative table is in DESIGN.md ("Wire format"). Never reuse
 // or renumber a released type byte; the wire format is a compatibility
@@ -70,6 +72,19 @@ func SplitBinary(data []byte) (typ byte, body []byte, err error) {
 		return 0, nil, fmt.Errorf("%w: bad payload header", ErrCorrupt)
 	}
 	return data[1], data[2:], nil
+}
+
+// Body validates the payload header against the type byte the caller
+// expects and returns the fields behind it.
+func Body(data []byte, want byte) ([]byte, error) {
+	typ, b, err := SplitBinary(data)
+	if err != nil {
+		return nil, err
+	}
+	if typ != want {
+		return nil, fmt.Errorf("%w: payload type 0x%02x, want 0x%02x", ErrCorrupt, typ, want)
+	}
+	return b, nil
 }
 
 // --- append half ------------------------------------------------------
@@ -153,73 +168,15 @@ func PutScratch(p *[]byte) {
 
 // --- read half --------------------------------------------------------
 
-// ReadUvarint consumes an unsigned varint from b, returning the value
-// and the remainder.
-func ReadUvarint(b []byte) (v uint64, rest []byte, err error) {
-	v, n := binary.Uvarint(b)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("%w: bad varint", ErrCorrupt)
-	}
-	return v, b[n:], nil
-}
-
-// ReadString consumes a length-prefixed string from b. The string is a
-// copy (strings are immutable; the source buffer may outlive it safely
-// either way).
-func ReadString(b []byte) (s string, rest []byte, err error) {
-	raw, rest, err := ReadBytes(b)
-	if err != nil {
-		return "", nil, err
-	}
-	return string(raw), rest, nil
-}
-
-// ReadBytes consumes a length-prefixed byte slice from b. The returned
-// slice aliases b (zero-copy); a zero length yields nil, matching what a
-// gob round-trip produces for empty slices.
-func ReadBytes(b []byte) (val []byte, rest []byte, err error) {
-	n, rest, err := ReadUvarint(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	if n > uint64(len(rest)) || n > MaxMessageSize {
-		return nil, nil, fmt.Errorf("%w: length %d exceeds buffer", ErrCorrupt, n)
-	}
-	if n == 0 {
-		return nil, rest, nil
-	}
-	return rest[:n:n], rest[n:], nil
-}
-
-// ReadBool consumes one bool byte from b. Any non-zero byte is true,
-// but encoders only emit 0 and 1.
-func ReadBool(b []byte) (v bool, rest []byte, err error) {
-	if len(b) == 0 {
-		return false, nil, fmt.Errorf("%w: missing bool", ErrCorrupt)
-	}
-	return b[0] != 0, b[1:], nil
-}
-
-// Done verifies a decode consumed its whole body: trailing bytes mean a
-// corrupt or mis-versioned payload, never padding.
-func Done(rest []byte) error {
-	if len(rest) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(rest))
-	}
-	return nil
-}
-
-// Reader consumes a binary body field by field. It serves the nested
-// encodings (the agent container and what it holds), where threading a
-// remainder and an error through every field would bury the layout. The
-// first malformed field sets a sticky ErrCorrupt and every later read
-// returns the zero value, so a decoder checks Err where it is about to
-// allocate in a loop and once at the end (Done).
+// Reader consumes a binary body field by field: the one read idiom of
+// every binary decoder in the repository. The first malformed field sets a
+// sticky ErrCorrupt and every later read returns the zero value, so a
+// decoder checks Err where it is about to allocate in a loop and once at
+// the end (Done).
 //
-// Unlike the Read functions above, a Reader accepts only the canonical
-// encoding — minimal varints, bool bytes 0 and 1, strictly ascending map
-// keys — so whatever it accepts re-encodes to the same bytes. []byte
-// values alias the input, as with ReadBytes.
+// A Reader accepts only the canonical encoding — minimal varints, bool
+// bytes 0 and 1, strictly ascending map keys — so whatever it accepts
+// re-encodes to the same bytes. []byte values alias the input.
 type Reader struct {
 	b   []byte
 	err error
@@ -318,6 +275,14 @@ func (r *Reader) Bytes() []byte {
 
 // String consumes a length-prefixed string (a copy).
 func (r *Reader) String() string { return string(r.Bytes()) }
+
+// Rest consumes everything that is left, aliasing the input: the trailing
+// field of a record whose end is the record's own.
+func (r *Reader) Rest() []byte {
+	v := r.b
+	r.b = nil
+	return v
+}
 
 // Count consumes a declared element count and bounds it by the bytes
 // that remain, each element costing at least minSize of them, so nothing

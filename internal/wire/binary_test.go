@@ -17,50 +17,51 @@ func TestBinaryAppendReadRoundTrip(t *testing.T) {
 	buf = AppendBool(buf, true)
 	buf = AppendBool(buf, false)
 
-	v, rest, err := ReadUvarint(buf)
-	if err != nil || v != 0 {
-		t.Fatalf("uvarint 0: %d %v", v, err)
+	r := NewReader(buf)
+	if v := r.Uvarint(); v != 0 {
+		t.Fatalf("uvarint 0: %d", v)
 	}
-	if v, rest, err = ReadUvarint(rest); err != nil || v != 1<<40 {
-		t.Fatalf("uvarint 1<<40: %d %v", v, err)
+	if v := r.Uvarint(); v != 1<<40 {
+		t.Fatalf("uvarint 1<<40: %d", v)
 	}
-	s, rest, err := ReadString(rest)
-	if err != nil || s != "" {
-		t.Fatalf("empty string: %q %v", s, err)
+	if s := r.String(); s != "" {
+		t.Fatalf("empty string: %q", s)
 	}
-	if s, rest, err = ReadString(rest); err != nil || s != "hello" {
-		t.Fatalf("string: %q %v", s, err)
+	if s := r.String(); s != "hello" {
+		t.Fatalf("string: %q", s)
 	}
-	b, rest, err := ReadBytes(rest)
-	if err != nil || b != nil {
-		t.Fatalf("empty bytes must decode to nil: %v %v", b, err)
+	if b := r.Bytes(); b != nil {
+		t.Fatalf("empty bytes must decode to nil: %v", b)
 	}
-	if b, rest, err = ReadBytes(rest); err != nil || !bytes.Equal(b, []byte{1, 2, 3}) {
-		t.Fatalf("bytes: %v %v", b, err)
+	if b := r.Bytes(); !bytes.Equal(b, []byte{1, 2, 3}) {
+		t.Fatalf("bytes: %v", b)
 	}
-	bl, rest, err := ReadBool(rest)
-	if err != nil || !bl {
-		t.Fatalf("bool true: %v %v", bl, err)
+	if !r.Bool() {
+		t.Fatal("bool true read as false")
 	}
-	if bl, rest, err = ReadBool(rest); err != nil || bl {
-		t.Fatalf("bool false: %v %v", bl, err)
+	if r.Bool() {
+		t.Fatal("bool false read as true")
 	}
-	if err := Done(rest); err != nil {
-		t.Fatalf("trailing bytes: %v", err)
+	if err := r.Done(); err != nil {
+		t.Fatalf("round trip: %v", err)
 	}
 }
 
 func TestBinaryReadBytesAliases(t *testing.T) {
-	buf := AppendBytes(nil, []byte("payload"))
-	val, _, err := ReadBytes(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	buf := append(AppendBytes(nil, []byte("payload")), "tail"...)
+	r := NewReader(buf)
+	val := r.Bytes()
 	if &val[0] != &buf[1] {
-		t.Fatal("ReadBytes must alias the input buffer, not copy")
+		t.Fatal("Bytes must alias the input buffer, not copy")
 	}
 	if cap(val) != len(val) {
 		t.Fatal("aliased slice must be capacity-clamped so appends cannot scribble on the buffer")
+	}
+	if rest := r.Rest(); string(rest) != "tail" || &rest[0] != &buf[8] {
+		t.Fatalf("Rest = %q, want the aliased remainder", rest)
+	}
+	if err := r.Done(); err != nil {
+		t.Fatalf("Rest left bytes behind: %v", err)
 	}
 }
 
@@ -72,15 +73,14 @@ func TestBinaryCorruptInputs(t *testing.T) {
 		"huge length":     AppendUvarint(nil, MaxMessageSize+1),
 	}
 	for name, in := range cases {
-		if _, _, err := ReadBytes(in); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s: got %v, want ErrCorrupt", name, err)
+		r := NewReader(in)
+		r.Bytes()
+		if !errors.Is(r.Err(), ErrCorrupt) {
+			t.Errorf("%s: got %v, want ErrCorrupt", name, r.Err())
 		}
-	}
-	if _, _, err := ReadBool(nil); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("bool from empty: want ErrCorrupt")
-	}
-	if err := Done([]byte{1}); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("trailing byte: want ErrCorrupt")
+		if rest := r.Rest(); rest != nil {
+			t.Errorf("%s: Rest after a failure = %v, want nil", name, rest)
+		}
 	}
 	if _, _, err := SplitBinary([]byte{BinaryVersion}); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("payload without type byte: want ErrCorrupt")
