@@ -217,10 +217,11 @@ func TestGarbageAtQueueHeadIsDropped(t *testing.T) {
 // TestRefusesGobContainers: a store holding what an older runtime wrote
 // stops the node from starting and is left exactly as it was — a
 // container in the gob encoding of commit 5015b40, committed or merely
-// staged, and the gob envelopes commit fd17232 wrapped around a binary
-// container in the queue and in a completion record (testdata, generated
-// at those commits). A queue entry of other garbage does not, and neither
-// does an empty queue.
+// staged, the gob envelopes commit fd17232 wrapped around a binary
+// container in the queue and in a completion record, and the prepared
+// insertion commit e4fe5c0 kept with its container under q/s/ (testdata,
+// generated at those commits). A queue entry of other garbage does not,
+// and neither does an empty queue.
 func TestRefusesGobContainers(t *testing.T) {
 	legacy := gobFixture(t)
 	newNode := func(store stable.Store) error {
@@ -254,6 +255,11 @@ func TestRefusesGobContainers(t *testing.T) {
 				return s.Apply(stable.Put("q/seq", []byte("1")), stable.Put("q/s/co#1", fixture(t, "queue-staged-fd17232.bin")))
 			},
 			[]string{"fd17232", `"q/s/co#1"`}},
+		"staged-with-container": {
+			func(s stable.Store) error {
+				return s.Apply(stable.Put("q/seq", []byte("1")), stable.Put("q/s/co#1", fixture(t, "queue-staged-e4fe5c0.bin")))
+			},
+			[]string{"e4fe5c0", `"q/s/co#1"`}},
 		"envelope-done": {
 			func(s stable.Store) error {
 				return s.Apply(stable.Put("done/legacy-agent", fixture(t, "done-record-fd17232.bin")))

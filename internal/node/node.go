@@ -243,30 +243,35 @@ func New(cfg Config, ep network.Endpoint, store stable.Store, registry *agent.Re
 	return n, nil
 }
 
-// refuseOlderLayout scans the input queue, committed and staged, and the
+// refuseOlderLayout scans the input queue, entries and markers, and the
 // completion records for what an older runtime wrote and this one no
 // longer reads: gob-encoded containers (before the binary container
-// codec) and the gob envelopes the queue and done/ records wrapped around
-// a container (before the queue stored it bare). Left to the workers
-// either would decode as a corrupt container and be dropped as poisoned
-// (failAgent), silently losing every in-flight agent of the data
-// directory — so the node refuses to start instead, with the store
-// untouched. Only the gob lead byte counts: other garbage (a malformed
-// launch) stays on the runtime poison path, so one bad message cannot
-// block a restart.
+// codec), the gob envelopes the queue and done/ records wrapped around a
+// container (before the queue stored it bare), and prepared insertions
+// that carry their container under q/s/ (before Prepare wrote it at its
+// entry key). Left to the runtime the first two would decode as a corrupt
+// container and be dropped as poisoned (failAgent), and the third is a
+// marker that hides nothing, deleted on commit with its container —
+// either way every in-flight agent of the data directory silently lost.
+// So the node refuses to start instead, with the store untouched. Only
+// those shapes count: other garbage (a malformed launch) stays on the
+// runtime poison path, so one bad message cannot block a restart.
 func refuseOlderLayout(node string, store stable.Store, queue *stable.Queue) error {
-	refuse := func(what, name, commit string) error {
-		return fmt.Errorf("node %s: %s %q is gob-encoded: this data directory was written by an older runtime; %s is the last commit that reads it (finish or drain its agents there)", node, what, name, commit)
+	refuse := func(what, name, how, commit string) error {
+		return fmt.Errorf("node %s: %s %q %s: this data directory was written by an older runtime; %s is the last commit that reads it (finish or drain its agents there)", node, what, name, how, commit)
 	}
+	const gob = "is gob-encoded"
 	err := queue.Each(func(key, id string, data []byte) error {
 		switch {
+		case id == "" && stable.IsRetiredStagedRecord(data):
+			return refuse("prepared insertion", key, "carries its container", "e4fe5c0")
 		case !wire.LooksLikeGob(data):
 			return nil
 		case id == "":
 			// Not this layout's record: the envelope around the container.
-			return refuse("queue record", key, "fd17232")
+			return refuse("queue record", key, gob, "fd17232")
 		default:
-			return refuse("queued container of agent", id, "5015b40")
+			return refuse("queued container of agent", id, gob, "5015b40")
 		}
 	})
 	if err != nil {
@@ -280,7 +285,7 @@ func refuseOlderLayout(node string, store stable.Store, queue *stable.Queue) err
 		if raw, _, err := store.Get(k); err != nil {
 			return err
 		} else if wire.LooksLikeGob(raw) {
-			return refuse("completion record of agent", strings.TrimPrefix(k, donePrefix), "fd17232")
+			return refuse("completion record of agent", strings.TrimPrefix(k, donePrefix), gob, "fd17232")
 		}
 	}
 	return nil

@@ -14,10 +14,10 @@ import (
 // every entry's agent, and the values are the containers as handed in:
 //
 //	<prefix>seq                     next sequence number (decimal)
-//	<prefix>e/<16-digit seq>/<ID>   committed entry: the bare container
-//	<prefix>s/<txn>                 prepared insertion: 0x90 0x20, the
-//	                                reserved seq, the ID, then the container
-//	                                to the end of the record
+//	<prefix>e/<16-digit seq>/<ID>   entry: the bare container
+//	<prefix>s/<txn>                 marker of a prepared insertion: 0x90
+//	                                0x21, then the seq and ID of the entry
+//	                                it hides
 //
 // An entry without data is stored as an empty value (a nil Op.Value is a
 // delete). It supports two write paths:
@@ -25,9 +25,18 @@ import (
 //   - Enqueue: direct, atomic insertion (used when an owner launches an
 //     agent into the system).
 //   - Prepare/CommitStaged/AbortStaged: two-phase insertion used by the
-//     distributed step and compensation transactions. A prepared entry is
-//     durable but invisible; committing makes it visible at the queue
-//     position reserved at prepare time.
+//     distributed step and compensation transactions. Prepare writes the
+//     container once, at the entry key it will live under, and a marker
+//     beside it in the same batch. An entry with a marker is durable but
+//     hidden from every listing; committing deletes the marker, which
+//     makes the entry visible at the queue position reserved at prepare
+//     time, and aborting deletes both.
+//
+// A Queue is the only Queue over its prefix while it lives: the sequence
+// counter, the set of hidden entries and the claims are read from the
+// store once and kept in memory from then on. A fresh Queue over the same
+// store (i.e. after a crash) rebuilds the hidden set from the markers, so
+// a prepared entry is still in doubt and still invisible to it.
 //
 // Removal is exposed as a batch Op (RemoveOp) so the destructive read of an
 // agent at the start of a step transaction commits atomically with the rest
@@ -65,6 +74,14 @@ type Queue struct {
 	view      []string
 	viewValid bool
 
+	// staged maps every prepared transaction to the entry key its marker
+	// hides ("" for a marker that does not parse and so hides nothing),
+	// hidden is the set of those keys. Both are loaded from the markers on
+	// first use, like seq, and kept by Prepare/CommitStaged/AbortStaged.
+	staged       map[string]string
+	hidden       map[string]bool
+	stagedLoaded bool
+
 	// seq caches the next sequence number after the first read, so tail
 	// reservations cost no store round-trip. The store copy is only read
 	// again by a fresh Queue (i.e. after a crash/restart), and every
@@ -95,10 +112,17 @@ type Entry struct {
 	key string // store key, used by RemoveOp
 }
 
-// typeStaged is the binary type byte of a prepared insertion, the first
-// of the stable block 0x20..0x2f (registry in wire/binary.go); never
-// reuse a value.
-const typeStaged = 0x20
+// Binary type bytes of the stable block 0x20..0x2f (registry in
+// wire/binary.go); never reuse a value.
+const (
+	// typeStagedRecord is retired: the prepared insertion that carried
+	// its container (seq, ID, then the container), last written and read
+	// by commit e4fe5c0.
+	typeStagedRecord = 0x20
+	// typeStaged is the marker of a prepared insertion: seq and ID of
+	// the entry it hides.
+	typeStaged = 0x21
+)
 
 // NewQueue returns a queue stored under the given key prefix.
 func NewQueue(store Store, prefix string) *Queue {
@@ -159,15 +183,84 @@ func (q *Queue) putEntry(seq uint64, id string, data []byte) Op {
 	return Put(q.entryKey(seq, id), data)
 }
 
-// parseStaged splits a prepared insertion's record; data aliases raw.
-func parseStaged(raw []byte) (seq uint64, id string, data []byte, err error) {
+// appendStaged appends the marker of a prepared insertion to buf.
+func appendStaged(buf []byte, seq uint64, id string) []byte {
+	buf = append(buf, wire.BinaryVersion, typeStaged)
+	return wire.AppendString(wire.AppendUvarint(buf, seq), id)
+}
+
+// parseStaged reads a prepared insertion's marker.
+func parseStaged(raw []byte) (seq uint64, id string, err error) {
 	b, err := wire.Body(raw, typeStaged)
 	if err != nil {
-		return 0, "", nil, err
+		return 0, "", err
 	}
 	r := wire.NewReader(b)
-	seq, id, data = r.Uvarint(), r.String(), r.Rest()
-	return seq, id, data, r.Done()
+	seq, id = r.Uvarint(), r.String()
+	return seq, id, r.Done()
+}
+
+// IsRetiredStagedRecord reports whether raw, the value of a <prefix>s/ key,
+// is a prepared insertion as commit e4fe5c0 and its predecessors back to
+// PR 23 wrote it: type byte 0x20, the seq, the ID, then the container.
+// This layout reads it as a marker that does not parse.
+func IsRetiredStagedRecord(raw []byte) bool {
+	b, err := wire.Body(raw, typeStagedRecord)
+	if err != nil {
+		return false
+	}
+	r := wire.NewReader(b)
+	_, _ = r.Uvarint(), r.String() // the container is whatever follows
+	return r.Err() == nil
+}
+
+// loadStaged reads the markers into staged and hidden, once per Queue.
+// The caller must hold q.mu.
+func (q *Queue) loadStaged() error {
+	if q.stagedLoaded {
+		return nil
+	}
+	keys, err := q.store.Keys(q.prefix + "s/")
+	if err != nil {
+		return err
+	}
+	staged, hidden := make(map[string]string, len(keys)), make(map[string]bool, len(keys))
+	for _, k := range keys {
+		raw, ok, err := q.store.Get(k)
+		if err != nil {
+			return err
+		}
+		if !ok {
+			continue
+		}
+		key := ""
+		if seq, id, err := parseStaged(raw); err == nil {
+			key = q.entryKey(seq, id)
+			hidden[key] = true
+		}
+		staged[k[len(q.prefix)+2:]] = key
+	}
+	q.staged, q.hidden, q.stagedLoaded = staged, hidden, true
+	return nil
+}
+
+// visibleKeys lists the entry keys no marker hides, in FIFO order. The
+// caller must hold q.mu.
+func (q *Queue) visibleKeys() ([]string, error) {
+	if err := q.loadStaged(); err != nil {
+		return nil, err
+	}
+	keys, err := q.store.Keys(q.prefix + "e/")
+	if err != nil || len(q.hidden) == 0 {
+		return keys, err
+	}
+	out := keys[:0]
+	for _, k := range keys {
+		if !q.hidden[k] {
+			out = append(out, k)
+		}
+	}
+	return out, nil
 }
 
 // nextSeq reserves the next sequence number and returns the op persisting
@@ -228,53 +321,69 @@ func (q *Queue) EnqueueOps(id string, data []byte) ([]Op, error) {
 	return []Op{q.putEntry(seq, id, data)}, nil
 }
 
-// Prepare stages an insertion under txnID. The entry is durable but not
-// visible until CommitStaged. Prepare is idempotent per txnID.
+// Prepare stages an insertion under txnID: the entry is written where it
+// will live, hidden behind a marker until CommitStaged. Prepare is
+// idempotent per txnID.
 func (q *Queue) Prepare(txnID, id string, data []byte) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if _, ok, err := q.store.Get(q.stageKey(txnID)); err != nil {
+	if err := q.loadStaged(); err != nil {
 		return err
-	} else if ok {
+	}
+	if _, ok := q.staged[txnID]; ok {
 		return nil // already prepared (coordinator retry)
 	}
 	seq, seqOp, err := q.nextSeq()
 	if err != nil {
 		return err
 	}
-	rec := append(make([]byte, 0, 24+len(id)+len(data)), wire.BinaryVersion, typeStaged)
-	rec = wire.AppendString(wire.AppendUvarint(rec, seq), id)
-	return q.store.Apply(seqOp, Put(q.stageKey(txnID), append(rec, data...)))
-}
-
-// CommitStaged makes the entry staged under txnID visible. It is
-// idempotent: committing an unknown txnID is a no-op (already committed).
-func (q *Queue) CommitStaged(txnID string) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	raw, ok, err := q.store.Get(q.stageKey(txnID))
-	if err != nil {
+	entry := q.putEntry(seq, id, data)
+	marker := Put(q.stageKey(txnID), appendStaged(make([]byte, 0, 12+len(id)), seq, id))
+	if err := q.store.Apply(seqOp, entry, marker); err != nil {
 		return err
 	}
-	if !ok {
-		return nil
-	}
-	seq, id, data, err := parseStaged(raw)
-	if err != nil {
-		return fmt.Errorf("stable: corrupt staged entry %q: %w", txnID, err)
-	}
-	if err := q.store.Apply(Del(q.stageKey(txnID)), q.putEntry(seq, id, data)); err != nil {
-		return err
-	}
-	q.signal()
+	q.staged[txnID] = entry.Key
+	q.hidden[entry.Key] = true
 	return nil
 }
 
-// AbortStaged discards the entry staged under txnID. Idempotent.
+// CommitStaged makes the entry staged under txnID visible by deleting its
+// marker; the container is neither read nor written. It is idempotent:
+// committing an unknown txnID is a no-op (already committed).
+func (q *Queue) CommitStaged(txnID string) error {
+	return q.settleStaged(txnID, true)
+}
+
+// AbortStaged discards the entry staged under txnID, marker and entry in
+// one batch. Idempotent: an unknown txnID (already settled either way) is
+// a no-op that leaves a committed entry alone.
 func (q *Queue) AbortStaged(txnID string) error {
+	return q.settleStaged(txnID, false)
+}
+
+func (q *Queue) settleStaged(txnID string, commit bool) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.store.Apply(Del(q.stageKey(txnID)))
+	if err := q.loadStaged(); err != nil {
+		return err
+	}
+	key, ok := q.staged[txnID]
+	if !ok {
+		return nil
+	}
+	ops := []Op{Del(q.stageKey(txnID))}
+	if !commit && key != "" {
+		ops = append(ops, Del(key))
+	}
+	if err := q.store.Apply(ops...); err != nil {
+		return err
+	}
+	delete(q.staged, txnID)
+	delete(q.hidden, key)
+	if commit {
+		q.signal()
+	}
+	return nil
 }
 
 // StagedTxns returns the transaction IDs with prepared entries; used by
@@ -292,11 +401,11 @@ func (q *Queue) StagedTxns() ([]string, error) {
 }
 
 // Each calls fn with the store key, agent ID and container bytes of every
-// committed entry and every staged (prepared, still invisible) insertion,
-// stopping at fn's first error. A record this layout did not write — an
-// entry key that names no agent, a staged value that does not parse — is
-// passed on with an empty ID and its raw value, so a start-up check can
-// tell a queue written by an older runtime from an empty one.
+// entry, visible or still hidden behind a marker, stopping at fn's first
+// error. A record this layout did not write — an entry key that names no
+// agent, a <prefix>s/ value that is no marker — is passed on with an empty
+// ID and its raw value, so a start-up check can tell a queue written by an
+// older runtime from an empty one.
 func (q *Queue) Each(fn func(key, id string, data []byte) error) error {
 	for _, sub := range []string{"e/", "s/"} {
 		keys, err := q.store.Keys(q.prefix + sub)
@@ -314,8 +423,8 @@ func (q *Queue) Each(fn func(key, id string, data []byte) error) error {
 			id := ""
 			if sub == "e/" {
 				id = q.entryID(k)
-			} else if _, sid, sdata, err := parseStaged(data); err == nil {
-				id, data = sid, sdata
+			} else if _, _, err := parseStaged(data); err == nil {
+				continue // a marker: its container is the entry it names
 			}
 			if err := fn(k, id, data); err != nil {
 				return err
@@ -327,12 +436,11 @@ func (q *Queue) Each(fn func(key, id string, data []byte) error) error {
 
 // Peek returns the oldest visible entry, or nil if the queue is empty.
 func (q *Queue) Peek() (*Entry, error) {
-	keys, err := q.store.Keys(q.prefix + "e/")
-	if err != nil {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	keys, err := q.visibleKeys()
+	if err != nil || len(keys) == 0 {
 		return nil, err
-	}
-	if len(keys) == 0 {
-		return nil, nil
 	}
 	return q.readEntry(keys[0])
 }
@@ -371,7 +479,7 @@ func (q *Queue) Claim(skip func(id string) bool) (e *Entry, depth int, err error
 // visible-key view. Caller holds q.mu.
 func (q *Queue) claimScan(skip func(id string) bool) (e *Entry, depth int, err error) {
 	if !q.viewValid {
-		keys, err := q.store.Keys(q.prefix + "e/")
+		keys, err := q.visibleKeys()
 		if err != nil {
 			return nil, 0, err
 		}
@@ -467,7 +575,7 @@ func (q *Queue) SetFence(f func(id string) bool) {
 func (q *Queue) Entries() ([]*Entry, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	keys, err := q.store.Keys(q.prefix + "e/")
+	keys, err := q.visibleKeys()
 	if err != nil {
 		return nil, err
 	}
@@ -487,14 +595,18 @@ func (q *Queue) Entries() ([]*Entry, error) {
 
 // TryClaim claims the specific entry e (by queue position), bypassing the
 // fence — the migration path's targeted claim. It fails (ok=false) when
-// the entry is claimed, when its agent has another entry in flight, or
-// when the entry is no longer in the store (consumed since the listing).
+// the entry is claimed, when its agent has another entry in flight, when
+// the entry is no longer in the store (consumed since the listing), or
+// when a marker hides it (the key of a prepared insertion, not a listing's).
 // On success it returns the entry re-read from the store, so the caller
 // migrates the current container bytes, never a stale listing's.
 func (q *Queue) TryClaim(e *Entry) (*Entry, bool, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.claimed[e.key] {
+	if err := q.loadStaged(); err != nil {
+		return nil, false, err
+	}
+	if q.claimed[e.key] || q.hidden[e.key] {
 		return nil, false, nil
 	}
 	if q.claimedIDs[q.entryID(e.key)] > 0 {
@@ -518,9 +630,8 @@ func (q *Queue) RemoveOp(e *Entry) Op { return Del(e.key) }
 
 // Len returns the number of visible entries.
 func (q *Queue) Len() (int, error) {
-	keys, err := q.store.Keys(q.prefix + "e/")
-	if err != nil {
-		return 0, err
-	}
-	return len(keys), nil
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	keys, err := q.visibleKeys()
+	return len(keys), err
 }

@@ -135,8 +135,9 @@ type Manager struct {
 	node  string
 	store stable.Store
 
-	mu  sync.Mutex
-	seq uint64
+	mu       sync.Mutex
+	seq      uint64 // last ID handed out
+	reserved uint64 // persisted high-water mark: IDs up to it need no write
 
 	// LockTimeout bounds lock waits; expiry aborts the acquiring
 	// transaction (the paper lists deadlocks among the abort causes of
@@ -161,7 +162,8 @@ func (m *Manager) traceOp(op, id string) {
 }
 
 // NewManager returns a Manager persisting into store. The transaction-ID
-// counter is restored from the store so IDs stay unique across restarts.
+// counter restarts from the persisted high-water mark, so IDs stay unique
+// across restarts (the unused rest of the last block is skipped).
 func NewManager(node string, store stable.Store) (*Manager, error) {
 	m := &Manager{node: node, store: store, LockTimeout: 2 * time.Second}
 	raw, ok, err := store.Get(m.seqKey())
@@ -173,7 +175,7 @@ func NewManager(node string, store stable.Store) (*Manager, error) {
 		if err != nil {
 			return nil, fmt.Errorf("txn: corrupt txn seq: %w", err)
 		}
-		m.seq = n
+		m.seq, m.reserved = n, n
 	}
 	return m, nil
 }
@@ -188,18 +190,24 @@ func (m *Manager) Node() string { return m.node }
 // Store returns the manager's stable store.
 func (m *Manager) Store() stable.Store { return m.store }
 
-// NewID allocates a globally unique transaction ID. The counter is
-// persisted so IDs never repeat after a restart.
+// idBlock is how many transaction IDs one write of the counter reserves.
+const idBlock = 64
+
+// NewID allocates a globally unique transaction ID. IDs are reserved in
+// blocks of idBlock: the counter is persisted when a block is exhausted,
+// not per ID, so IDs skip after a restart but never repeat.
 func (m *Manager) NewID() (string, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.seq++
-	id := m.node + "#" + strconv.FormatUint(m.seq, 10)
-	err := m.store.Apply(stable.Put(m.seqKey(), []byte(strconv.FormatUint(m.seq, 10))))
-	if err != nil {
-		return "", err
+	if m.seq == m.reserved {
+		mark := m.reserved + idBlock
+		if err := m.store.Apply(stable.Put(m.seqKey(), []byte(strconv.FormatUint(mark, 10)))); err != nil {
+			return "", err
+		}
+		m.reserved = mark
 	}
-	return id, nil
+	m.seq++
+	return m.node + "#" + strconv.FormatUint(m.seq, 10), nil
 }
 
 // Begin starts a local transaction with a fresh ID.

@@ -2,9 +2,11 @@ package txn
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/stable"
 )
 
@@ -272,6 +274,34 @@ func TestIDsUniqueAcrossRestart(t *testing.T) {
 			t.Fatalf("id %s repeated after restart", id)
 		}
 		seen[id] = true
+	}
+}
+
+// TestIDsReservedInBlocks: the counter is written once per block of IDs,
+// not once per ID, and a restart resumes past the block the last manager
+// had reserved — IDs skip, they do not repeat.
+func TestIDsReservedInBlocks(t *testing.T) {
+	c := &metrics.Counters{}
+	store := stable.NewMemStore(c)
+	m1, err := NewManager("n1", store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= idBlock+1; i++ {
+		id, err := m1.NewID()
+		if want := fmt.Sprintf("n1#%d", i); err != nil || id != want {
+			t.Fatalf("id %d = %q, %v; want %q", i, id, err, want)
+		}
+		if writes, want := c.Snapshot().StableWrites, int64((i+idBlock-1)/idBlock); writes != want {
+			t.Fatalf("%d IDs cost %d counter writes, want %d", i, writes, want)
+		}
+	}
+	m2, err := NewManager("n1", store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id, err := m2.NewID(); err != nil || id != fmt.Sprintf("n1#%d", 2*idBlock+1) {
+		t.Errorf("first id after restart = %q, %v; want the one past the reserved blocks", id, err)
 	}
 }
 

@@ -29,7 +29,7 @@ import (
 //	0x01..0x0f  internal/protocol (prepare, ack, ctl, status, rce.exec)
 //	0x10..0x1f  internal/node     (done notification, agent container, launch,
 //	                               done record, membership announce)
-//	0x20..0x2f  internal/stable   (staged queue insertion)
+//	0x20..0x2f  internal/stable   (0x20 retired; marker of a prepared queue insertion)
 //
 // The authoritative table is in DESIGN.md ("Wire format"). Never reuse
 // or renumber a released type byte; the wire format is a compatibility
