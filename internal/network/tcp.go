@@ -29,35 +29,22 @@ type TCPConfig struct {
 	// Counters receives message/byte accounting; nil = off, methods are
 	// nil-safe (as trace.Tracer).
 	Counters *metrics.Counters
-	// FlushBytes forces a flush once this many bytes are pending on one
-	// peer connection (default 64 KiB).
-	FlushBytes int
-	// FlushLinger is how long a non-full pending buffer may wait for
-	// more messages before it is written out (default 50µs — long enough
-	// to coalesce a burst of protocol sends into one write, short enough
-	// to be invisible next to network latency). Negative disables the
-	// wait: the flusher writes as soon as it runs, still coalescing
-	// whatever accumulated while the previous write was in flight.
-	FlushLinger time.Duration
-	// Clock drives the linger timer; nil uses the wall clock. With a
-	// VirtualClock, lingers only elapse on Advance, keeping simulated
-	// runs deterministic.
-	Clock Clock
 }
 
 // TCPEndpoint implements Endpoint over TCP with per-link write
 // coalescing: each outbound connection owns a pending buffer and a
 // flusher goroutine. Senders only append encoded frames to the buffer —
 // cheap, under a short mutex — while the flusher performs the slow
-// conn.Write, so a stalled peer never blocks a sender and many frames
-// ride one syscall. Outbound connections are cached per destination and
-// re-dialed on error; a failed send is dropped silently (the caller's
-// protocol retries), matching the simulator's crashed-destination
-// semantics. The only format on a connection is binary frames
-// (frame.go).
+// conn.Write, so a stalled peer never blocks a sender, and every frame
+// staged while a write is in flight rides the next one. An idle link
+// writes at once: there is no linger, because a Go timer shorter than
+// 1 ms costs a whole 1 ms netpoller sleep on an idle runtime. Outbound
+// connections are cached per destination and re-dialed on error; a
+// failed send is dropped silently (the caller's protocol retries),
+// matching the simulator's crashed-destination semantics. The only
+// format on a connection is binary frames (frame.go).
 type TCPEndpoint struct {
 	cfg      TCPConfig
-	clock    Clock
 	listener net.Listener
 	mb       *mailbox
 
@@ -80,21 +67,11 @@ func NewTCP(cfg TCPConfig) (*TCPEndpoint, error) {
 	if cfg.DialTimeout == 0 {
 		cfg.DialTimeout = 2 * time.Second
 	}
-	if cfg.FlushBytes <= 0 {
-		cfg.FlushBytes = 64 << 10
-	}
-	if cfg.FlushLinger == 0 {
-		cfg.FlushLinger = 50 * time.Microsecond
-	}
 	ep := &TCPEndpoint{
 		cfg:     cfg,
-		clock:   cfg.Clock,
 		mb:      newMailbox(),
 		conns:   make(map[string]*peerConn),
 		inbound: make(map[net.Conn]struct{}),
-	}
-	if ep.clock == nil {
-		ep.clock = WallClock()
 	}
 	if cfg.Listen != "" {
 		l, err := net.Listen("tcp", cfg.Listen)
@@ -132,7 +109,7 @@ func (e *TCPEndpoint) Send(to, kind string, payload []byte) error {
 
 // SendBatch implements Endpoint: all frames of the batch are staged
 // under one buffer lock and one flusher wake-up, so they ride the same
-// write unless the flusher is already mid-flush. Transient failures
+// write. Transient failures
 // (peer down, broken connection) drop the batch silently after one
 // reconnect attempt; an unknown peer name is a permanent error.
 func (e *TCPEndpoint) SendBatch(to string, msgs []Outgoing) error {
@@ -329,7 +306,6 @@ type peerConn struct {
 	drain   bool // graceful shutdown: flush what is pending, then close
 
 	kick chan struct{} // cap 1: pending became non-empty
-	full chan struct{} // cap 1: pending passed FlushBytes, skip the linger
 	done chan struct{}
 	once sync.Once
 
@@ -342,7 +318,6 @@ func newPeerConn(e *TCPEndpoint, to string, c net.Conn) *peerConn {
 		to:   to,
 		c:    c,
 		kick: make(chan struct{}, 1),
-		full: make(chan struct{}, 1),
 		done: make(chan struct{}),
 	}
 }
@@ -358,21 +333,12 @@ func (pc *peerConn) enqueue(build func([]byte) []byte, frames int) error {
 	}
 	pc.pending = build(pc.pending)
 	pc.frames += frames
-	n := len(pc.pending)
 	pc.mu.Unlock()
-	pc.signal(n)
-	return nil
-}
-
-func (pc *peerConn) signal(pendingBytes int) {
-	ch := pc.kick
-	if pendingBytes >= pc.ep.cfg.FlushBytes {
-		ch = pc.full
-	}
 	select {
-	case ch <- struct{}{}:
-	default:
+	case pc.kick <- struct{}{}:
+	default: // a kick is already pending; the flusher takes these frames too
 	}
+	return nil
 }
 
 // shutdown retires the connection. graceful lets the flusher drain the
@@ -394,12 +360,10 @@ func (pc *peerConn) shutdown(graceful bool) {
 	}
 }
 
-// flusher owns conn.Write for this connection. After a wake-up it
-// lingers briefly (FlushLinger on the endpoint clock) so a burst of
-// sends coalesces into one write, unless the buffer already passed
-// FlushBytes.
+// flusher owns conn.Write for this connection. It writes as soon as it
+// is kicked; frames staged while that write is in flight go out together
+// in the next one, which is all the coalescing the link needs.
 func (pc *peerConn) flusher() {
-	linger := pc.ep.cfg.FlushLinger
 	for {
 		select {
 		case <-pc.done:
@@ -409,17 +373,7 @@ func (pc *peerConn) flusher() {
 			pc.mu.Unlock()
 			_ = pc.c.Close()
 			return
-		case <-pc.full:
 		case <-pc.kick:
-			if linger > 0 {
-				t, cancel := ClockTimer(pc.ep.clock, linger)
-				select {
-				case <-t:
-				case <-pc.full:
-				case <-pc.done:
-				}
-				cancel()
-			}
 		}
 		if !pc.flush() {
 			return

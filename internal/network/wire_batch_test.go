@@ -9,6 +9,7 @@ import (
 	"net"
 	"os"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -381,48 +382,79 @@ func tcpPairCfg(t *testing.T, cfgA, cfgB TCPConfig) (a, b *TCPEndpoint) {
 	return a, b
 }
 
-// TestTCPCoalescesUnderLinger: with a long linger, a burst of sends
-// rides one socket write; the batch-size histogram proves it.
+// TestTCPCoalescesUnderLinger: the only coalescing left is behind an
+// in-flight write — frames staged while the flusher's write is blocked
+// all ride the one write after it. The peer is a bare socket that reads
+// nothing until the test lets it, and the first frame is far larger than
+// what loopback socket buffers absorb (~4 MiB), so the flusher is
+// provably stuck in that write while the burst is staged.
 func TestTCPCoalescesUnderLinger(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
 	var c metrics.Counters
-	a, b := tcpPairCfg(t,
-		TCPConfig{Counters: &c, FlushLinger: 100 * time.Millisecond},
-		TCPConfig{})
-	const n = 10
+	a, err := NewTCP(TCPConfig{Name: "a", Peers: map[string]string{"b": l.Addr().String()}, Counters: &c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+
+	const big, n = 16 << 20, 10
+	if err := a.Send("b", "q.prepare", make([]byte, big)); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := l.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// Counted when the flusher takes the buffer, before its Write.
+	for c.Snapshot().NetBatches == 0 {
+		runtime.Gosched()
+	}
 	for i := 0; i < n; i++ {
 		if err := a.Send("b", "q.prepare", []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if s := c.Snapshot(); s.NetBatches != 1 {
+		t.Fatalf("%d writes before the peer read anything: the big frame did not block the flusher", s.NetBatches)
+	}
+
+	br := bufio.NewReader(conn)
+	if msg, err := readFrame(br); err != nil || len(msg.Payload) != big {
+		t.Fatalf("big frame: %d bytes, %v", len(msg.Payload), err)
+	}
 	for i := 0; i < n; i++ {
-		msg, ok := recvOne(t, b, 5*time.Second)
-		if !ok || msg.Payload[0] != byte(i) {
-			t.Fatalf("message %d: %+v, %v", i, msg, ok)
+		msg, err := readFrame(br)
+		if err != nil || len(msg.Payload) != 1 || msg.Payload[0] != byte(i) {
+			t.Fatalf("frame %d: %+v, %v", i, msg, err)
 		}
 	}
-	s := c.Snapshot()
-	if s.NetBatchedMsgs != n {
-		t.Errorf("batched msgs = %d, want %d", s.NetBatchedMsgs, n)
-	}
-	// The first send may flush alone (the flusher was idle before the
-	// linger started); the rest must coalesce into very few writes.
-	if s.NetBatches > 3 {
-		t.Errorf("burst of %d took %d writes, want coalescing", n, s.NetBatches)
+	if s := c.Snapshot(); s.NetBatches != 2 || s.NetBatchedMsgs != 1+n {
+		t.Errorf("writes/frames = %d/%d, want 2/%d: the staged burst did not ride one write", s.NetBatches, s.NetBatchedMsgs, 1+n)
 	}
 }
 
-// TestTCPFlushBytesOverridesLinger: a pending buffer past FlushBytes is
-// written immediately even under an hour-long linger.
+// TestTCPFlushBytesOverridesLinger: nothing waits for more frames — a
+// lone frame on an idle link, and one larger than the deleted 64 KiB
+// flush threshold, each go out in exactly one write with no further
+// send to push them.
 func TestTCPFlushBytesOverridesLinger(t *testing.T) {
-	a, b := tcpPairCfg(t,
-		TCPConfig{FlushLinger: time.Hour, FlushBytes: 256},
-		TCPConfig{})
-	payload := make([]byte, 512) // one message alone passes FlushBytes
-	if err := a.Send("b", "q.prepare", payload); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := recvOne(t, b, 5*time.Second); !ok {
-		t.Fatal("full buffer not flushed despite linger")
+	var c metrics.Counters
+	a, b := tcpPairCfg(t, TCPConfig{Counters: &c}, TCPConfig{})
+	for i, size := range []int{1, 128 << 10} {
+		if err := a.Send("b", "q.prepare", make([]byte, size)); err != nil {
+			t.Fatal(err)
+		}
+		if msg, ok := recvOne(t, b, 5*time.Second); !ok || len(msg.Payload) != size {
+			t.Fatalf("%d-byte frame not delivered on an idle link", size)
+		}
+		if s := c.Snapshot(); s.NetBatches != int64(i+1) || s.NetBatchedMsgs != int64(i+1) {
+			t.Errorf("after the %d-byte frame: writes/frames = %d/%d, want %d/%d", size, s.NetBatches, s.NetBatchedMsgs, i+1, i+1)
+		}
 	}
 }
 
@@ -482,27 +514,5 @@ func TestTCPRejectsNonFrameConnection(t *testing.T) {
 		if msg, ok := recvOne(t, b, 5*time.Second); !ok || msg.Kind != "after" || string(msg.Payload) != name {
 			t.Fatalf("%s: well-formed connection not served afterwards: %+v, %v", name, msg, ok)
 		}
-	}
-}
-
-// TestTCPVirtualClockLinger: with a VirtualClock the linger only elapses
-// on Advance — and the FlushBytes trigger still delivers without any
-// clock movement, so simulated deployments cannot deadlock on a timer
-// that never fires.
-func TestTCPVirtualClockLinger(t *testing.T) {
-	vc := NewVirtualClock(time.Time{})
-	a, b := tcpPairCfg(t,
-		TCPConfig{Clock: vc, FlushLinger: 50 * time.Millisecond},
-		TCPConfig{})
-	if err := a.Send("b", "held", []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	// Nothing moves until the virtual linger elapses.
-	if _, ok := recvOne(t, b, 30*time.Millisecond); ok {
-		t.Fatal("message flushed before the virtual linger elapsed")
-	}
-	vc.Advance(50 * time.Millisecond)
-	if _, ok := recvOne(t, b, 5*time.Second); !ok {
-		t.Fatal("message not flushed after Advance")
 	}
 }

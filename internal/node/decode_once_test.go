@@ -218,10 +218,11 @@ func TestGarbageAtQueueHeadIsDropped(t *testing.T) {
 // stops the node from starting and is left exactly as it was — a
 // container in the gob encoding of commit 5015b40, committed or merely
 // staged, the gob envelopes commit fd17232 wrapped around a binary
-// container in the queue and in a completion record, and the prepared
-// insertion commit e4fe5c0 kept with its container under q/s/ (testdata,
-// generated at those commits). A queue entry of other garbage does not,
-// and neither does an empty queue.
+// container in the queue and in a completion record, the prepared
+// insertion commit e4fe5c0 kept with its container under q/s/, and the
+// coin-list till of commit 1b58917's shop (testdata, generated at those
+// commits; the shop's lives in internal/resource). A queue entry or shop
+// record of other garbage does not, and neither does an empty queue.
 func TestRefusesGobContainers(t *testing.T) {
 	legacy := gobFixture(t)
 	newNode := func(store stable.Store) error {
@@ -265,6 +266,11 @@ func TestRefusesGobContainers(t *testing.T) {
 				return s.Apply(stable.Put("done/legacy-agent", fixture(t, "done-record-fd17232.bin")))
 			},
 			[]string{"fd17232", `"legacy-agent"`}},
+		"shop-coin-till": {
+			func(s stable.Store) error {
+				return s.Apply(stable.Put("res/shop/shop", fixture(t, "../../resource/testdata/shop-till-1b58917.bin")))
+			},
+			[]string{"1b58917", `"res/shop/shop"`}},
 	} {
 		t.Run(name, func(t *testing.T) {
 			store := stable.NewMemStore(nil)
@@ -297,6 +303,7 @@ func TestRefusesGobContainers(t *testing.T) {
 		stable.Put("q/e/9999999999999999", []byte("\x00not even a queue record")),
 		stable.Put("q/s/co#9", []byte{0x90, 0x20, 0xff}),
 		stable.Put("done/junk", []byte{0x00}),
+		stable.Put("res/shop/junk", []byte{0x00}),
 	); err != nil {
 		t.Fatal(err)
 	}

@@ -243,19 +243,21 @@ func New(cfg Config, ep network.Endpoint, store stable.Store, registry *agent.Re
 	return n, nil
 }
 
-// refuseOlderLayout scans the input queue, entries and markers, and the
-// completion records for what an older runtime wrote and this one no
-// longer reads: gob-encoded containers (before the binary container
-// codec), the gob envelopes the queue and done/ records wrapped around a
-// container (before the queue stored it bare), and prepared insertions
-// that carry their container under q/s/ (before Prepare wrote it at its
-// entry key). Left to the runtime the first two would decode as a corrupt
-// container and be dropped as poisoned (failAgent), and the third is a
-// marker that hides nothing, deleted on commit with its container —
-// either way every in-flight agent of the data directory silently lost.
-// So the node refuses to start instead, with the store untouched. Only
-// those shapes count: other garbage (a malformed launch) stays on the
-// runtime poison path, so one bad message cannot block a restart.
+// refuseOlderLayout scans the input queue, entries and markers, the
+// completion records and the shop records for what an older runtime
+// wrote and this one no longer reads: gob-encoded containers (before the
+// binary container codec), the gob envelopes the queue and done/ records
+// wrapped around a container (before the queue stored it bare), prepared
+// insertions that carry their container under q/s/ (before Prepare wrote
+// it at its entry key), and shops whose till is a coin list (before it
+// was a balance). Left to the runtime the first two would decode as a
+// corrupt container and be dropped as poisoned (failAgent), the third is
+// a marker that hides nothing, deleted on commit with its container —
+// either way every in-flight agent of the data directory silently lost —
+// and the fourth keeps the node not-ready for good. So the node refuses
+// to start instead, with the store untouched. Only those shapes count:
+// other garbage (a malformed launch) stays on the runtime poison path,
+// so one bad message cannot block a restart.
 func refuseOlderLayout(node string, store stable.Store, queue *stable.Queue) error {
 	refuse := func(what, name, how, commit string) error {
 		return fmt.Errorf("node %s: %s %q %s: this data directory was written by an older runtime; %s is the last commit that reads it (finish or drain its agents there)", node, what, name, how, commit)
@@ -286,6 +288,16 @@ func refuseOlderLayout(node string, store stable.Store, queue *stable.Queue) err
 			return err
 		} else if wire.LooksLikeGob(raw) {
 			return refuse("completion record of agent", strings.TrimPrefix(k, donePrefix), gob, "fd17232")
+		}
+	}
+	if keys, err = store.Keys(resource.ShopKeyPrefix); err != nil {
+		return err
+	}
+	for _, k := range keys {
+		if raw, _, err := store.Get(k); err != nil {
+			return err
+		} else if resource.IsRetiredShopRecord(raw) {
+			return refuse("shop record", k, "holds a coin-list till", "1b58917")
 		}
 	}
 	return nil

@@ -7,7 +7,9 @@
 //     example of §3.2 (CT must withdraw what T deposited, failing if the
 //     balance dropped meanwhile).
 //   - Shop: goods with stock; the out-of-stock example of §3.2 and the
-//     refund-fee / credit-note compensation policies.
+//     refund-fee / credit-note compensation policies. Payments land in a
+//     till kept as a balance, and refunds are freshly minted coins, so
+//     the shop's record does not grow with the trips it serves.
 //   - Exchange: currency exchange of digital cash, the paper's example of
 //     a *mixed* compensation entry (§4.4.1) needing both the agent's
 //     weakly reversible wallet and the resource.

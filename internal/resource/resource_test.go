@@ -1,7 +1,10 @@
 package resource
 
 import (
+	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/stable"
@@ -282,7 +285,121 @@ func TestShopRefundWithFee(t *testing.T) {
 	if st, _ := s.StockOf(tx, "book"); st != 1 {
 		t.Errorf("stock after refund = %d, want 1", st)
 	}
+	if till, _ := s.TillTotal(tx); till != 10 {
+		t.Errorf("till after refund = %d, want the 10 fee", till)
+	}
+	// The till pays refunds only out of what it holds.
+	if _, _, err := s.Refund(tx, "book", 1, 100); !errors.Is(err, ErrInsufficientFunds) {
+		t.Errorf("refund beyond the till: err = %v, want ErrInsufficientFunds", err)
+	}
+	if st, _ := s.StockOf(tx, "book"); st != 1 {
+		t.Errorf("stock after a refused refund = %d, want 1", st)
+	}
 	_ = tx.Abort()
+}
+
+// TestShopStateSizeIndependentOfTrips pins that the persisted shop does
+// not grow with the trips it served: after 10 and after 2 000 buy+refund
+// pairs that each leave a 10% fee behind, the record differs only by
+// varint growth of the till balance and the refund serial counter. (A
+// coin-list till gained a coin per ~10 trips, ~26 B per ten.)
+func TestShopStateSizeIndependentOfTrips(t *testing.T) {
+	m, store := setup(t)
+	s, err := NewShop(store, "shop", ShopConfig{Currency: "USD", Mode: RefundCash, FeePercent: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := newTx(t, m)
+	if err := s.Restock(tx, "book", 1, 100); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	var serial uint64
+	recordAfter := func(trips int) int {
+		t.Helper()
+		for ; serial < uint64(trips); serial++ {
+			tx := newTx(t, m)
+			pay := Cash{mint("bank", serial, "USD", 100)}
+			if _, err := s.Buy(tx, "book", 1, pay); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := s.Refund(tx, "book", 1, 100); err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		raw, ok, err := store.Get("res/shop/shop")
+		if err != nil || !ok {
+			t.Fatalf("shop record: %v, %v", ok, err)
+		}
+		return len(raw)
+	}
+	short, long := recordAfter(10), recordAfter(2000)
+	if long-short > 4 {
+		t.Errorf("shop record grew from %d B after 10 trips to %d B after 2000", short, long)
+	}
+	tx = newTx(t, m)
+	defer func() { _ = tx.Abort() }()
+	if till, _ := s.TillTotal(tx); till != 2000*10 {
+		t.Errorf("till = %d, want %d: the sum of the fees", till, 2000*10)
+	}
+}
+
+// TestShopRefusesCoinListTill: a shop record in the layout of commit
+// 1b58917 (testdata, written by that commit's Shop: a till of coins
+// worth 210 USD) is recognised as retired and fails to load, rather
+// than loading as an empty till, and the store is left as it was. (The
+// refusal by name at node start is node's TestRefusesGobContainers.)
+func TestShopRefusesCoinListTill(t *testing.T) {
+	old, err := os.ReadFile(filepath.Join("testdata", "shop-till-1b58917.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !IsRetiredShopRecord(old) {
+		t.Fatal("the 1b58917 record is not recognised as retired")
+	}
+	store := stable.NewMemStore(nil)
+	const key = ShopKeyPrefix + "shop"
+	if err := store.Apply(stable.Put(key, old)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewShop(store, "shop", ShopConfig{Currency: "USD"}); err == nil {
+		t.Fatal("NewShop read a coin-list till")
+	}
+	if raw, _, _ := store.Get(key); !bytes.Equal(raw, old) {
+		t.Error("the refusal modified the record")
+	}
+	if keys, _ := store.Keys(""); len(keys) != 1 {
+		t.Errorf("the refusal wrote to the store: %v", keys)
+	}
+
+	// This layout's record is not mistaken for the old one.
+	m, fresh := setup(t)
+	s, err := NewShop(fresh, "shop", ShopConfig{Currency: "USD"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := newTx(t, m)
+	if err := s.Restock(tx, "book", 1, 100); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Buy(tx, "book", 1, Cash{mint("bank", 1, "USD", 100)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	raw, _, _ := fresh.Get(key)
+	if IsRetiredShopRecord(raw) {
+		t.Error("a current record is taken for the retired layout")
+	}
+	if _, err := NewShop(fresh, "shop", ShopConfig{}); err != nil {
+		t.Errorf("reload of a current record: %v", err)
+	}
 }
 
 func TestShopRefundCreditNote(t *testing.T) {

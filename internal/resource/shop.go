@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/stable"
 	"repro/internal/txn"
+	"repro/internal/wire"
 )
 
 // RefundMode selects the shop's compensation policy (§3.2: "the seller of
@@ -32,7 +33,10 @@ type CreditNote struct {
 
 // Shop sells goods for digital cash. Buying when stock is empty fails with
 // ErrOutOfStock, reproducing the §3.2 scenario where an agent simply buys
-// at another shop.
+// at another shop. The till is a balance in the shop's currency, not the
+// coins themselves: a payment is deposited, a refund is paid out of it in
+// freshly minted coins, so the persisted state stays the same size however
+// many purchases and refunds it has seen.
 type Shop struct {
 	base
 	state shopState
@@ -42,7 +46,7 @@ type shopState struct {
 	Currency   string
 	Stock      map[string]int
 	Price      map[string]int64
-	Till       Cash
+	Till       int64 // a coin list (Cash) up to 1b58917, see IsRetiredShopRecord
 	Mode       RefundMode
 	FeePercent int64
 	CoinSeq    uint64
@@ -55,6 +59,18 @@ type ShopConfig struct {
 	Currency   string
 	Mode       RefundMode
 	FeePercent int64 // refund fee in percent, applied in RefundCash mode
+}
+
+// ShopKeyPrefix prefixes every shop's record in a node's stable store.
+const ShopKeyPrefix = "res/shop/"
+
+// IsRetiredShopRecord reports whether raw is a shop record whose till is
+// a coin list, the layout of commit 1b58917 and before. Such a record is
+// refused, never read (node.New names it): its coins have no balance to
+// land in, and NewShop fails to decode it.
+func IsRetiredShopRecord(raw []byte) bool {
+	var old struct{ Till Cash }
+	return wire.Decode(raw, &old) == nil
 }
 
 // NewShop creates or re-loads the shop named name on the given store.
@@ -155,7 +171,7 @@ func (s *Shop) Buy(tx *txn.Tx, item string, qty int, payment Cash) (change Cash,
 	oldStock := have
 	oldTill := s.state.Till
 	s.state.Stock[item] = have - qty
-	s.state.Till = append(append(Cash{}, oldTill...), paid...)
+	s.state.Till += paid.Total(s.state.Currency)
 	tx.RecordUndo(func() {
 		s.state.Stock[item] = oldStock
 		s.state.Till = oldTill
@@ -172,7 +188,7 @@ func (s *Shop) TillTotal(tx *txn.Tx) (int64, error) {
 	if err := s.lockTx(tx); err != nil {
 		return 0, err
 	}
-	return s.state.Till.Total(s.state.Currency), nil
+	return s.state.Till, nil
 }
 
 // Refund compensates a purchase: the goods go back into stock and the shop
@@ -197,16 +213,18 @@ func (s *Shop) Refund(tx *txn.Tx, item string, qty int, paidAmount int64) (Cash,
 	}
 	// RefundCash: return paidAmount minus the fee in fresh coins.
 	refund := paidAmount - paidAmount*s.state.FeePercent/100
+	if refund < 0 {
+		return nil, nil, fmt.Errorf("shop %s: refund: negative amount %d", s.name, refund)
+	}
+	if s.state.Till < refund {
+		return nil, nil, fmt.Errorf("shop %s: refund: %w", s.name, ErrInsufficientFunds)
+	}
 	oldStock := s.state.Stock[item]
 	oldTill := s.state.Till
 	oldSeq := s.state.CoinSeq
 	s.state.Stock[item] = oldStock + qty
-	// The till keeps the fee; remove refund-worth of value.
-	_, rest, err := s.state.Till.Take(s.state.Currency, refund)
-	if err != nil {
-		return nil, nil, fmt.Errorf("shop %s: refund: %w", s.name, err)
-	}
-	s.state.Till = rest
+	// The till keeps the fee; pay refund-worth of value out of it.
+	s.state.Till -= refund
 	s.state.CoinSeq++
 	coin := mint(s.name+"-refund", s.state.CoinSeq, s.state.Currency, refund)
 	tx.RecordUndo(func() {
