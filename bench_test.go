@@ -258,38 +258,19 @@ func BenchmarkTransitionToWire(b *testing.B) {
 	b.Run("binary-batch-traced", func(b *testing.B) { run(b, false, true, true) })
 }
 
-// BenchmarkStableApplyParallel: concurrent step commits against one
-// file-backed store; group commit coalesces the journal writes
-// (commits/op < 1 under contention).
-func BenchmarkStableApplyParallel(b *testing.B) {
-	s, err := stable.OpenFileStore(b.TempDir(), nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	val := make([]byte, 512)
-	b.SetParallelism(4) // ensure concurrent committers even on one core
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			key := fmt.Sprintf("k%d", i%64)
-			if err := s.Apply(stable.Put(key, val), stable.Put(key+"/meta", val[:16])); err != nil {
-				b.Fatal(err)
-			}
-			i++
-		}
-	})
-	b.ReportMetric(float64(s.GroupCommits())/float64(b.N), "commits/op")
-}
-
-// BenchmarkStoreApplyDurable: the fully durable (fsync-on) grouped commit
-// path, FileStore vs the log-structured WAL engine — the PR-3 headline.
-// The file engine pays several fsyncs per group (journal temp file, dir,
-// each op file, kv dir); the WAL appends one record and fsyncs once.
+// BenchmarkStoreApplyDurable: concurrent step commits against the fully
+// durable (fsync-on) WAL engine. Group commit coalesces concurrent
+// callers into one record append and one fsync, so commits/op < 1 under
+// contention.
 func BenchmarkStoreApplyDurable(b *testing.B) {
-	val := make([]byte, 512)
-	run := func(b *testing.B, s stable.Store, commits func() int64) {
-		b.SetParallelism(4)
+	b.Run("wal", func(b *testing.B) {
+		s, err := wal.Open(b.TempDir(), wal.Options{Sync: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer s.Close()
+		val := make([]byte, 512)
+		b.SetParallelism(4) // ensure concurrent committers even on one core
 		b.ResetTimer()
 		b.RunParallel(func(pb *testing.PB) {
 			i := 0
@@ -301,22 +282,7 @@ func BenchmarkStoreApplyDurable(b *testing.B) {
 				i++
 			}
 		})
-		b.ReportMetric(float64(commits())/float64(b.N), "commits/op")
-	}
-	b.Run("file", func(b *testing.B) {
-		s, err := stable.OpenFileStoreWith(b.TempDir(), nil, stable.FileStoreOptions{Sync: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		run(b, s, s.GroupCommits)
-	})
-	b.Run("wal", func(b *testing.B) {
-		s, err := wal.Open(b.TempDir(), wal.Options{Sync: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer s.Close()
-		run(b, s, s.GroupCommits)
+		b.ReportMetric(float64(s.GroupCommits())/float64(b.N), "commits/op")
 	})
 }
 

@@ -2,13 +2,13 @@
 // over TCP, with a disk-backed stable store — the multi-process deployment
 // of the system (binary frames on the wire, binary agent containers inside
 // them and on disk; a data directory still holding gob containers from
-// before that codec is refused at start). Killing the process and restarting it with the same -data
-// directory exercises the crash-recovery protocol for real. The default -store=wal engine appends commits to
-// checksummed log segments with index checkpoints, so restart replays
-// only the log tail written since the last checkpoint; -store=file keeps
-// the one-file-per-key layout of earlier deployments (the engines do not
-// migrate in place — restart existing data dirs with the engine that
-// wrote them).
+// before that codec is refused at start). Killing the process and
+// restarting it with the same -data directory exercises the
+// crash-recovery protocol for real. The durable engine, -store=wal (the
+// default), appends commits to checksummed log segments with index
+// checkpoints, so restart replays only the log tail written since the
+// last checkpoint. A data directory written by the removed file engine
+// (one holding kv/) is refused at start and left untouched.
 //
 // Example three-node cluster (plus the agentctl client as peer "ctl"):
 //
@@ -209,29 +209,15 @@ func run(args []string) error {
 }
 
 // openStore builds the node's stable store through the unified
-// stable.Open path. Opening a data directory that was written by a
-// different engine is refused rather than silently starting empty — the
-// layouts are disjoint, so the agent queue and resource states would all
-// be invisible.
+// stable.Open path. A data directory written by the removed file engine
+// (its kv/ subdirectory) is refused rather than silently started empty —
+// the agent queue and resource states in it would all be invisible — and
+// is left as it is.
 func openStore(spec stable.Spec, logger *slog.Logger) (stable.Store, error) {
-	hasFileLayout := false
 	if _, err := os.Stat(filepath.Join(spec.Dir, "kv")); err == nil {
-		hasFileLayout = true
+		return nil, fmt.Errorf("data dir %s holds a file-engine layout (kv/): the file engine was removed; df71a49 is the last commit that reads it (finish or drain its agents there)", spec.Dir)
 	}
-	hasWALLayout := false
-	if segs, _ := filepath.Glob(filepath.Join(spec.Dir, "*.seg")); len(segs) > 0 {
-		hasWALLayout = true
-	}
-	switch spec.Engine {
-	case "wal":
-		if hasFileLayout {
-			return nil, fmt.Errorf("data dir %s holds a file-store layout; restart with -store=file (engines do not migrate in place)", spec.Dir)
-		}
-	case "file":
-		if hasWALLayout {
-			return nil, fmt.Errorf("data dir %s holds a wal layout; restart with -store=wal (engines do not migrate in place)", spec.Dir)
-		}
-	case "mem":
+	if spec.Engine == "mem" {
 		logger.Warn("-store=mem is volatile; a restart loses the input queue and all resource state")
 	}
 	return stable.Open(spec)

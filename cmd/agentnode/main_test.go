@@ -1,7 +1,10 @@
 package main
 
 import (
+	"io/fs"
 	"log/slog"
+	"maps"
+	"os"
 	"strings"
 	"testing"
 
@@ -68,22 +71,31 @@ func TestRunRequiresFlags(t *testing.T) {
 	}
 }
 
-// TestOpenStoreLayoutGuard: opening a data dir written by a different
-// engine must be refused, never silently started empty.
+// TestOpenStoreLayoutGuard: a data dir written by the removed file engine
+// (testdata: kv/ with one value file, and a pending journal) must be
+// refused, never silently started empty, and left byte-for-byte as it
+// was; -store=file itself is refused; a wal dir reopens with its data.
 func TestOpenStoreLayoutGuard(t *testing.T) {
 	spec := func(engine, dir string) stable.Spec {
 		return stable.Spec{Engine: engine, Dir: dir}
 	}
+	fixture := os.DirFS("testdata")
 	fileDir := t.TempDir()
-	fs, err := openStore(spec("file", fileDir), testLogger())
-	if err != nil {
+	if err := os.CopyFS(fileDir, fixture); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.Apply(stable.Put("k", []byte("v"))); err != nil {
-		t.Fatal(err)
+	if s, err := openStore(spec("wal", fileDir), testLogger()); err == nil {
+		_ = stable.Close(s)
+		t.Error("wal engine opened a file-engine data dir")
+	} else if msg := err.Error(); !strings.Contains(msg, fileDir) ||
+		!strings.Contains(msg, "file engine was removed") || !strings.Contains(msg, "last commit that reads it") {
+		t.Errorf("refusal does not name the dir, the removal and the last commit: %v", err)
 	}
-	if _, err := openStore(spec("wal", fileDir), testLogger()); err == nil {
-		t.Error("wal engine opened a file-store layout")
+	if got, want := tree(t, os.DirFS(fileDir)), tree(t, fixture); !maps.Equal(got, want) {
+		t.Errorf("refused data dir changed: %q, want %q", got, want)
+	}
+	if _, err := openStore(spec("file", t.TempDir()), testLogger()); err == nil || !strings.Contains(err.Error(), `unknown engine "file"`) {
+		t.Errorf("-store=file not refused: %v", err)
 	}
 
 	walDir := t.TempDir()
@@ -95,10 +107,6 @@ func TestOpenStoreLayoutGuard(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = stable.Close(ws)
-	if _, err := openStore(spec("file", walDir), testLogger()); err == nil {
-		t.Error("file engine opened a wal layout")
-	}
-	// Reopening with the matching engine works.
 	ws2, err := openStore(spec("wal", walDir), testLogger())
 	if err != nil {
 		t.Fatal(err)
@@ -111,6 +119,29 @@ func TestOpenStoreLayoutGuard(t *testing.T) {
 	if _, err := openStore(spec("papyrus", t.TempDir()), testLogger()); err == nil {
 		t.Error("unknown engine accepted")
 	}
+}
+
+// tree maps every directory and file under fsys to its contents ("" for a
+// directory).
+func tree(t *testing.T, fsys fs.FS) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	err := fs.WalkDir(fsys, ".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			out[path+"/"] = ""
+			return nil
+		}
+		data, err := fs.ReadFile(fsys, path)
+		out[path] = string(data)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // TestRunRejectsRepl: the standalone process has no peers to hold

@@ -33,7 +33,7 @@ type Options struct {
 	Workers int    // scheduler workers per node (default 1)
 	Agents  int    // concurrent agents (default 12)
 	Steps   int    // work steps per agent before the decide step (default 5)
-	Store   string // stable engine per node: mem|file|wal (default mem)
+	Store   string // stable engine per node: mem|wal (default mem)
 	Dir     string // root for durable engines (temp dir when empty)
 
 	// RollbackRatio is the fraction of agents whose decide step triggers

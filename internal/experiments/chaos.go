@@ -6,6 +6,17 @@ import (
 	"repro/internal/chaos"
 )
 
+// chaosPoints are the rows of the chaos table: one seed per engine ×
+// worker count.
+var chaosPoints = []struct {
+	seed    int64
+	store   string
+	workers int
+}{
+	{1, "mem", 1}, {2, "mem", 8},
+	{4, "wal", 1}, {5, "wal", 8},
+}
+
 // Chaos is the `chaos` experiment: a small sweep of seeded fault
 // schedules (node crashes, partitions, message drop/duplicate/reorder,
 // latency spikes) over engine × worker combinations, asserting the §4.3
@@ -20,16 +31,7 @@ func Chaos() (*Table, error) {
 		Header: []string{"seed", "store", "workers", "crashes", "partitions", "fault wins",
 			"drops", "dups", "reorders", "rolled back", "elapsed ms", "verdict"},
 	}
-	type pt struct {
-		seed    int64
-		store   string
-		workers int
-	}
-	pts := []pt{
-		{1, "mem", 1}, {2, "mem", 8}, {3, "file", 1},
-		{4, "wal", 1}, {5, "wal", 8},
-	}
-	for _, p := range pts {
+	for _, p := range chaosPoints {
 		res, err := chaos.Run(chaos.Options{Seed: p.seed, Store: p.store, Workers: p.workers})
 		if err != nil {
 			return nil, fmt.Errorf("chaos seed %d (%s/%d): %w", p.seed, p.store, p.workers, err)

@@ -226,8 +226,8 @@ func TestChaosExperiment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tbl.Rows) != 5 {
-		t.Fatalf("chaos table has %d rows, want 5", len(tbl.Rows))
+	if len(tbl.Rows) != len(chaosPoints) {
+		t.Fatalf("chaos table has %d rows, want %d", len(tbl.Rows), len(chaosPoints))
 	}
 	verdict := len(tbl.Header) - 1
 	for _, row := range tbl.Rows {

@@ -3,9 +3,9 @@ package stable
 import "sync"
 
 // GroupCommit is the leader-election loop of group commit, shared by
-// every engine whose Apply coalesces concurrent callers (FileStore,
-// wal.Store, repl.Store). A caller enqueues its batch and waits until a
-// leader commits it. Whenever no leader is active, one queued caller
+// every engine whose Apply coalesces concurrent callers (wal.Store,
+// repl.Store). A caller enqueues its batch and waits until a leader
+// commits it. Whenever no leader is active, one queued caller
 // takes over, hands the concatenated ops of everything queued at that
 // moment (its own batch included) to commit as one crash-consistency
 // point, wakes the group with the result and returns. Each leader

@@ -10,18 +10,11 @@ import (
 	"repro/internal/stable/wal"
 )
 
-// storeImpls runs a queue subtest over the volatile store and each
-// durable engine.
+// storeImpls runs a queue subtest over the volatile store and the durable
+// engine.
 func storeImpls(t *testing.T, fn func(t *testing.T, s stable.Store)) {
 	t.Helper()
 	t.Run("mem", func(t *testing.T) { fn(t, stable.NewMemStore(nil)) })
-	t.Run("file", func(t *testing.T) {
-		s, err := stable.OpenFileStore(t.TempDir(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fn(t, s)
-	})
 	t.Run("wal", func(t *testing.T) {
 		s, err := wal.Open(t.TempDir(), wal.Options{NoBackground: true})
 		if err != nil {

@@ -1,80 +1,13 @@
 package stable
 
 import (
-	"os"
-	"path/filepath"
+	"fmt"
 	"testing"
-
-	"repro/internal/wire"
 )
 
 // Store interface conformance (basics, value isolation, batch atomicity,
 // queue linearization) lives in the shared suite: see storetest and
 // conformance_test.go, which run it against every engine.
-
-func TestFileStorePersistsAcrossReopen(t *testing.T) {
-	dir := t.TempDir()
-	s1, err := OpenFileStore(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s1.Apply(Put("key", []byte("persisted"))); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := OpenFileStore(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, ok, err := s2.Get("key")
-	if err != nil || !ok || string(v) != "persisted" {
-		t.Errorf("reopen: %q %v %v", v, ok, err)
-	}
-}
-
-func TestFileStoreJournalReplay(t *testing.T) {
-	// Simulate a crash between journal write and batch apply: a valid
-	// journal exists, the kv files do not. Opening must replay it.
-	dir := t.TempDir()
-	batch := []Op{Put("a", []byte("1")), Del("b")}
-	data, err := wire.Encode(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.MkdirAll(filepath.Join(dir, "kv"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "journal"), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, err := OpenFileStore(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, ok, err := s.Get("a")
-	if err != nil || !ok || string(v) != "1" {
-		t.Errorf("journal not replayed: %q %v %v", v, ok, err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "journal")); !os.IsNotExist(err) {
-		t.Error("journal not cleared after replay")
-	}
-}
-
-func TestFileStoreTornJournalDiscarded(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.MkdirAll(filepath.Join(dir, "kv"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "journal"), []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, err := OpenFileStore(dir, nil)
-	if err != nil {
-		t.Fatalf("torn journal should be discarded, got %v", err)
-	}
-	if _, ok, _ := s.Get("a"); ok {
-		t.Error("torn journal applied")
-	}
-}
 
 func TestQueueAbortStaged(t *testing.T) {
 	s := NewMemStore(nil)
@@ -166,5 +99,32 @@ func TestQueueSeparatePrefixes(t *testing.T) {
 	}
 	if e, _ := q2.Peek(); e != nil {
 		t.Error("queues share entries across prefixes")
+	}
+}
+
+// TestQueueSeqCacheSurvivesRestart: the cached tail counter must pick up
+// where the persisted counter left off when a fresh Queue (post-crash)
+// opens the same store.
+func TestQueueSeqCacheSurvivesRestart(t *testing.T) {
+	s := NewMemStore(nil)
+	q1 := NewQueue(s, "q/")
+	for i := 0; i < 3; i++ {
+		if err := q1.Enqueue(fmt.Sprintf("a%d", i), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// "Crash": a fresh queue over the same store.
+	q2 := NewQueue(s, "q/")
+	if err := q2.Enqueue("a3", nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"a0", "a1", "a2", "a3"} {
+		e, err := q2.Peek()
+		if err != nil || e == nil || e.ID != want {
+			t.Fatalf("head = %v %v, want %s", e, err, want)
+		}
+		if err := s.Apply(q2.RemoveOp(e)); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -13,17 +13,15 @@
 //     which every engine (and the replication wrapper around it) is built.
 //   - MemStore: in-memory store that survives *simulated* node crashes
 //     (the cluster keeps it while the node's volatile state is discarded).
-//   - FileStore: gob/raw files with a write-ahead journal, surviving real
-//     process death (used by cmd/agentnode).
 //   - Queue: a FIFO agent input queue with staged (prepared) entries for
 //     two-phase commit.
 //   - GroupCommit: the leader-election loop that coalesces concurrent
-//     Apply callers into one commit, shared by FileStore, wal.Store and
-//     repl.Store.
+//     Apply callers into one commit, shared by wal.Store and repl.Store.
 //
-// The log-structured WAL engine lives in the stable/wal subpackage and the
-// primary/backup replication layer in stable/repl; both register with or
-// wrap the engines opened here.
+// The one durable engine, the log-structured WAL that survives real
+// process death (cmd/agentnode's default), lives in the stable/wal
+// subpackage and the primary/backup replication layer in stable/repl;
+// both register with or wrap the engines opened here.
 package stable
 
 import "errors"

@@ -1,6 +1,7 @@
 // Package storetest is the shared conformance and crash-matrix suite for
-// stable.Store implementations. Every engine (MemStore, FileStore, the
-// WAL engine, and any future backend) runs the same battery:
+// stable.Store implementations. Every engine (MemStore, the WAL engine,
+// the replication wrapper around it, and any future backend) runs the
+// same battery:
 //
 //   - Conformance: interface semantics — get/keys/apply, batch atomicity
 //     (property-based), value isolation, queue linearization over the
@@ -9,7 +10,9 @@
 //     every fsync boundary (i.e. after every committed Apply — the
 //     engine's contract is that an acknowledged batch is durable), then
 //     reopened and verified against a model, including double-reopens and
-//     reopen-then-write-then-crash chains.
+//     reopen-then-write-then-crash chains; and concurrent Apply callers,
+//     whose batches group commit coalesces, each landing whole before and
+//     after a crash.
 //
 // The suite lives outside the _test files so the stable package, the wal
 // package and engine packages added later can all invoke it without
@@ -20,6 +23,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strconv"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -320,6 +325,7 @@ func CrashMatrix(t *testing.T, open ReopenFactory) {
 		closeStore(r)
 		closeStore(s)
 	})
+	t.Run("concurrent_apply", func(t *testing.T) { testConcurrentApply(t, open) })
 	const nBatches = 12
 	for _, seed := range []int64{1, 7, 42} {
 		seed := seed
@@ -361,6 +367,43 @@ func CrashMatrix(t *testing.T, open ReopenFactory) {
 			}
 		})
 	}
+}
+
+// testConcurrentApply hammers Apply from many goroutines, so group commit
+// coalesces their batches into shared commits, then checks that every
+// caller's batch took full effect — a goroutine's key and its shadow key,
+// written together, agree on the last value — live and after a crash.
+func testConcurrentApply(t *testing.T, open ReopenFactory) {
+	const goroutines, writes = 8, 40
+	dir := t.TempDir()
+	s := open(t, dir)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < writes; i++ {
+				v := []byte(strconv.Itoa(i))
+				key := fmt.Sprintf("g%d", g)
+				if err := s.Apply(stable.Put(key, v), stable.Put(key+"/shadow", v)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	want := map[string]string{}
+	for g := 0; g < goroutines; g++ {
+		key := fmt.Sprintf("g%d", g)
+		want[key] = strconv.Itoa(writes - 1)
+		want[key+"/shadow"] = strconv.Itoa(writes - 1)
+	}
+	verifyModel(t, s, want)
+	r := open(t, dir) // crash: s is abandoned, as in the matrix below
+	verifyModel(t, r, want)
+	closeStore(r)
+	closeStore(s)
 }
 
 // buildHistory generates nBatches random batches over a small key space

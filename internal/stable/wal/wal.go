@@ -6,12 +6,11 @@
 // checkpoints persist the index so crash recovery replays only the log
 // tail written since the last checkpoint (bounded recovery).
 //
-// Durability contract matches stable.FileStore: Apply returns only after
-// the group holding the batch is on disk — in the OS page cache by
-// default (surviving process death), fsynced when Options.Sync is set
-// (surviving power loss). Group commit is preserved from the FileStore:
-// concurrent Apply callers coalesce into a single record append and a
-// single fsync.
+// It is the one durable engine. Apply returns only after the group
+// holding the batch is on disk — in the OS page cache by default
+// (surviving process death), fsynced when Options.Sync is set (surviving
+// power loss). Concurrent Apply callers coalesce through
+// stable.GroupCommit into a single record append and a single fsync.
 package wal
 
 import (

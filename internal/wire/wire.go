@@ -10,8 +10,7 @@
 // produced by the value codec of scalar.go: a tagged scalar for
 // int/int64/string/[]byte, gob for every other type. Gob otherwise
 // remains only for low-rate stable-storage records (transaction branches,
-// resource state, FileStore's journal); nothing a peer sends or accepts
-// is gob.
+// resource state); nothing a peer sends or accepts is gob.
 package wire
 
 import (
