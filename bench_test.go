@@ -572,28 +572,3 @@ func BenchmarkEOSFlagAblation(b *testing.B) {
 		}
 	})
 }
-
-// BenchmarkSchedulerWorkers: the worker-scaling load (loadgen's
-// workload scaled down): agents/sec as custom metric; throughput must
-// grow with workers because steps hold their transaction for the
-// service time and workers overlap it.
-func BenchmarkSchedulerWorkers(b *testing.B) {
-	for _, workers := range []int{1, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			var agentsPerSec, p99ms float64
-			for i := 0; i < b.N; i++ {
-				res, err := experiments.RunThroughput(experiments.ThroughputConfig{
-					Nodes: 2, Workers: workers, Agents: 16, Steps: 4, Banks: 4,
-					StepWork: 2 * time.Millisecond, Latency: 200 * time.Microsecond,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				agentsPerSec += res.AgentsPerSec
-				p99ms += float64(res.P99.Microseconds()) / 1000
-			}
-			b.ReportMetric(agentsPerSec/float64(b.N), "agents/sec")
-			b.ReportMetric(p99ms/float64(b.N), "p99ms")
-		})
-	}
-}

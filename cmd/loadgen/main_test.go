@@ -1,94 +1,80 @@
 package main
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
+	"reflect"
 	"testing"
-	"time"
 
-	"repro/internal/experiments"
+	"repro/internal/chaos"
 	"repro/internal/stable"
 )
 
 // smallLoad is a tiny two-node load at 2 workers per node.
-var smallLoad = experiments.ThroughputConfig{
-	Nodes: 2, Workers: 2, Agents: 6, Steps: 2, Banks: 2,
-	StepWork: time.Millisecond, Store: "mem",
+var smallLoad = []string{
+	"-nodes", "2", "-agents", "6", "-steps", "2", "-banks", "2",
+	"-stepwork", "1ms", "-workers", "2",
 }
 
-// TestLoadgenSmoke runs one tiny plain load through the flags, then once
-// more through runLoad to check the result behind the summary line.
+func runArgs(t *testing.T, args ...string) *chaos.Result {
+	t.Helper()
+	res, err := run(args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestLoadgenSmoke runs one tiny plain load through the flags and checks
+// the result behind the summary lines.
 func TestLoadgenSmoke(t *testing.T) {
-	err := run([]string{
-		"-nodes", "2", "-agents", "6", "-steps", "2", "-banks", "2",
-		"-stepwork", "1ms", "-latency", "0", "-workers", "2",
-	})
-	if err != nil {
-		t.Fatal(err)
+	res := runArgs(t, smallLoad...)
+	if res.Completed != 6 || len(res.Schedule.Events) != 0 {
+		t.Errorf("plain load: %d of 6 agents completed, %d schedule events", res.Completed, len(res.Schedule.Events))
 	}
-	res, err := runLoad(smallLoad, "")
-	if err != nil {
-		t.Fatal(err)
+	if res.RolledBack == 0 {
+		t.Error("plain load rolled no agent back")
 	}
-	if res.AgentsPerSec <= 0 || res.StepsPerSec <= 0 {
-		t.Errorf("non-positive throughput %+v", res)
+	if res.P50 <= 0 || res.P99 < res.P50 {
+		t.Errorf("implausible percentiles p50=%v p99=%v", res.P50, res.P99)
 	}
-	if res.P99 < res.P50 {
-		t.Errorf("p99 %v < p50 %v", res.P99, res.P50)
+	if res.GoroutinePeak <= 0 || len(res.Trace) == 0 {
+		t.Errorf("goroutine peak %d, %d trace records", res.GoroutinePeak, len(res.Trace))
 	}
 }
 
 func TestLoadgenBadFlags(t *testing.T) {
-	if err := run([]string{"-store", "papyrus"}); err == nil {
-		t.Error("unknown store backend accepted")
-	}
-	if err := run([]string{"-chaos", "-store", "papyrus"}); err == nil {
-		t.Error("chaos mode accepted an unknown store backend")
-	}
-	// A flag only the other mode reads is rejected, not silently dropped.
-	if err := run([]string{"-chaos", "-agents", "100"}); err == nil {
-		t.Error("chaos mode accepted a plain-load flag")
-	}
-	if err := run([]string{"-chaos-seed", "1"}); err == nil {
-		t.Error("plain load accepted a -chaos-* flag")
-	}
-	if err := run([]string{"-json", filepath.Join(t.TempDir(), "r.json")}); err == nil {
-		t.Error("plain load accepted -json")
+	for _, args := range [][]string{
+		{"-store", "papyrus"},
+		{"-chaos", "-store", "papyrus"},
+		{"-repl-acks", "most"},
+		// The seed draws the schedule: a join or a profile would replace it.
+		{"-chaos", "-join"},
+		{"-chaos-seed", "1", "-profile", "shard-saturate"},
+		{"-profile", "flat-out"},
+	} {
+		if _, err := run(args); err == nil {
+			t.Errorf("%v accepted", args)
+		}
 	}
 }
 
-// TestLoadgenChaosReplay replays one chaos seed through the CLI and
-// checks the JSON report shape — the path CI's repro command takes.
+// TestLoadgenChaosReplay replays one chaos seed through the CLI — the path
+// a failing seed's repro line takes — and checks it draws the schedule
+// the chaos test sweep draws for the same seed and worker count.
 func TestLoadgenChaosReplay(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "chaos.json")
-	err := run([]string{
-		"-chaos", "-chaos-seed", "1", "-nodes", "3", "-workers", "2",
-		"-json", out,
-	})
-	if err != nil {
-		t.Fatal(err)
+	res := runArgs(t, "-chaos", "-chaos-seed", "1", "-workers", "2")
+	if res.Seed != 1 || res.Failed() {
+		t.Fatalf("seed %d: violations %v", res.Seed, res.Violations)
 	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var reports []chaosReport
-	if err := json.Unmarshal(data, &reports); err != nil {
-		t.Fatal(err)
-	}
-	if len(reports) != 1 {
-		t.Fatalf("got %d chaos reports, want 1", len(reports))
-	}
-	r := reports[0]
-	if r.Seed != 1 || r.Workers != 2 || r.Store != "mem" {
-		t.Errorf("report header wrong: %+v", r)
-	}
-	if len(r.Violations) != 0 {
-		t.Errorf("seed 1 violated invariants: %v", r.Violations)
-	}
-	if r.Crashes+r.Partitions+r.FaultWins == 0 {
+	crashes, partitions, faults := res.Schedule.Counts()
+	if crashes+partitions+faults == 0 {
 		t.Error("schedule contained no fault windows at all")
+	}
+	want, err := chaos.Run(chaos.Options{Seed: 1, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Schedule, want.Schedule) {
+		t.Errorf("loadgen drew\n%s\nthe chaos test draws\n%s", res.Schedule.String(), want.Schedule.String())
 	}
 }
 
@@ -96,17 +82,18 @@ func TestLoadgenChaosReplay(t *testing.T) {
 // and checks every backend actually hit stable storage.
 func TestLoadgenStoreBackends(t *testing.T) {
 	for _, engine := range stable.Engines() {
-		cfg := smallLoad
-		cfg.Store = engine
-		res, err := runLoad(cfg, "")
-		if err != nil {
-			t.Fatalf("store=%s: %v", engine, err)
-		}
-		if res.AgentsPerSec <= 0 {
-			t.Errorf("store=%s: non-positive throughput", engine)
-		}
+		res := runArgs(t, append(smallLoad, "-store", engine)...)
 		if res.Metrics.StableWrites <= 0 {
 			t.Errorf("store=%s: no stable writes recorded", engine)
 		}
+	}
+}
+
+// TestLoadgenStorageFlags: the storage flags reach the harness whole, so
+// a WAL engine tuned to tiny segments rotates them.
+func TestLoadgenStorageFlags(t *testing.T) {
+	res := runArgs(t, append(smallLoad, "-store", "wal", "-wal-segment", "4096")...)
+	if res.Metrics.WALRotations == 0 {
+		t.Error("-wal-segment 4096 rotated no segment")
 	}
 }

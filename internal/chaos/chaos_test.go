@@ -32,23 +32,50 @@ var (
 	chaosKill    = flag.Int("chaos-kill", 0, "permanent-kill draws per seed (requires -chaos-repl with quorum acks)")
 )
 
-func chaosOptions(seed int64) chaos.Options {
-	return chaos.Options{
-		Seed:     seed,
-		Store:    *chaosStore,
-		Workers:  *chaosWorkers,
-		Churn:    *chaosChurn,
-		Repl:     *chaosRepl,
-		ReplAcks: *chaosAcks,
-		Kills:    *chaosKill,
+func chaosOptions(seed int64) (chaos.Options, error) {
+	spec := stable.Spec{Engine: *chaosStore, Repl: stable.ReplSpec{Followers: *chaosRepl}}
+	switch *chaosAcks {
+	case "quorum":
+		spec.Repl.Acks = stable.AcksQuorum
+	case "async":
+		spec.Repl.Acks = 1
+	default:
+		return chaos.Options{}, fmt.Errorf("-chaos-repl-acks %q: want quorum or async", *chaosAcks)
 	}
+	return chaos.Options{
+		Seed:    seed,
+		Store:   spec,
+		Workers: *chaosWorkers,
+		Churn:   *chaosChurn,
+		Kills:   *chaosKill,
+	}, nil
+}
+
+// reproLine is the one command that replays seed: TestChaos with every
+// -chaos-* flag this run was given, so the replay draws the same schedule.
+func reproLine(seed int64) string {
+	line := fmt.Sprintf("go test ./internal/chaos -run 'TestChaos$' -chaos-seed=%d", seed)
+	flag.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "chaos-seed", "chaos-seeds", "chaos-base-seed":
+		default:
+			if strings.HasPrefix(f.Name, "chaos-") {
+				line += fmt.Sprintf(" -%s=%s", f.Name, f.Value)
+			}
+		}
+	})
+	return line
 }
 
 // runSeed executes one seed and fails the test on any invariant
 // violation, printing the exact schedule and the one-line repro command.
 func runSeed(t *testing.T, seed int64, verbose bool) {
 	t.Helper()
-	res, err := chaos.Run(chaosOptions(seed))
+	opts, err := chaosOptions(seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := chaos.Run(opts)
 	if err != nil {
 		t.Fatalf("seed %d: harness error: %v", seed, err)
 	}
@@ -65,12 +92,7 @@ func runSeed(t *testing.T, seed int64, verbose bool) {
 		report += "  " + v.String() + "\n"
 	}
 	report += "\n" + res.Schedule.String()
-	repro := fmt.Sprintf("go test ./internal/chaos -run 'TestChaos$' -chaos-seed=%d -chaos-store=%s -chaos-workers=%d",
-		seed, *chaosStore, *chaosWorkers)
-	if *chaosRepl > 0 {
-		repro += fmt.Sprintf(" -chaos-repl=%d -chaos-repl-acks=%s -chaos-kill=%d", *chaosRepl, *chaosAcks, *chaosKill)
-	}
-	report += fmt.Sprintf("\nreproduce with:\n  %s\n", repro)
+	report += fmt.Sprintf("\nreproduce with:\n  %s\n", reproLine(seed))
 	writeArtifact(t, seed, report)
 	t.Errorf("%s", report)
 }
@@ -110,6 +132,26 @@ func TestChaos(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			runSeed(t, seed, false)
 		})
+	}
+}
+
+// TestChaosReproLine: a failing seed's repro line names every -chaos-*
+// flag the sweep was given. Without -chaos-churn, a churn cell's replay
+// would draw no joins or leaves and turn rollbacks back on.
+func TestChaosReproLine(t *testing.T) {
+	old := flag.Lookup("chaos-churn").Value.String()
+	if err := flag.Set("chaos-churn", "2"); err != nil {
+		t.Fatal(err)
+	}
+	defer flag.Set("chaos-churn", old)
+	line := reproLine(7)
+	for _, want := range []string{"-run 'TestChaos$'", " -chaos-seed=7", " -chaos-churn=2"} {
+		if !strings.Contains(line, want) {
+			t.Errorf("repro line %q lacks %q", line, want)
+		}
+	}
+	if strings.Contains(line, "-chaos-seeds") || strings.Contains(line, "-chaos-base-seed") {
+		t.Errorf("repro line %q names a sweep flag", line)
 	}
 }
 
@@ -280,9 +322,9 @@ func TestChaosKillPermanent(t *testing.T) {
 		tc := tc
 		t.Run(fmt.Sprintf("%s/seed=%d", tc.store, tc.seed), func(t *testing.T) {
 			res, err := chaos.Run(chaos.Options{
-				Seed:    tc.seed,
-				Store:   tc.store,
-				Repl:    2,
+				Seed: tc.seed,
+				Store: stable.Spec{Engine: tc.store,
+					Repl: stable.ReplSpec{Followers: 2, Acks: stable.AcksQuorum}},
 				Kills:   2,
 				Agents:  10,
 				Steps:   4,
@@ -316,13 +358,15 @@ func TestChaosKillPermanent(t *testing.T) {
 // a permanent kill genuinely cannot survive, instead of reporting the
 // resulting data loss as a protocol violation.
 func TestChaosKillRequiresQuorum(t *testing.T) {
-	if _, err := chaos.Run(chaos.Options{Seed: 1, Kills: 1, Repl: 2, ReplAcks: "async"}); err == nil {
+	quorum := stable.Spec{Repl: stable.ReplSpec{Followers: 2, Acks: stable.AcksQuorum}}
+	async := stable.Spec{Repl: stable.ReplSpec{Followers: 2, Acks: 1}}
+	if _, err := chaos.Run(chaos.Options{Seed: 1, Kills: 1, Store: async}); err == nil {
 		t.Error("async acks + permanent kills was not rejected")
 	}
 	if _, err := chaos.Run(chaos.Options{Seed: 1, Kills: 1}); err == nil {
 		t.Error("permanent kills without replication was not rejected")
 	}
-	if _, err := chaos.Run(chaos.Options{Seed: 1, Kills: 1, Repl: 2, Churn: 1}); err == nil {
+	if _, err := chaos.Run(chaos.Options{Seed: 1, Kills: 1, Store: quorum, Churn: 1}); err == nil {
 		t.Error("permanent kills + churn was not rejected")
 	}
 }
@@ -337,7 +381,7 @@ func TestChaosDurableEngines(t *testing.T) {
 	t.Run("wal", func(t *testing.T) {
 		res, err := chaos.Run(chaos.Options{
 			Seed:   3,
-			Store:  "wal",
+			Store:  stable.Spec{Engine: "wal"},
 			Agents: 8,
 			Steps:  4,
 			Gen:    chaos.GenConfig{Faults: 4, Horizon: 800 * time.Millisecond},

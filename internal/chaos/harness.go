@@ -5,7 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"slices"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -29,12 +29,27 @@ import (
 // default; only Seed distinguishes runs.
 type Options struct {
 	Seed    int64
-	Nodes   int    // cluster size (default 3)
-	Workers int    // scheduler workers per node (default 1)
-	Agents  int    // concurrent agents (default 12)
-	Steps   int    // work steps per agent before the decide step (default 5)
-	Store   string // stable engine per node: mem|wal (default mem)
-	Dir     string // root for durable engines (temp dir when empty)
+	Nodes   int // cluster size (default 3)
+	Workers int // scheduler workers per node (default 1)
+	Agents  int // concurrent agents (default 12)
+	Steps   int // work steps per agent before the decide step (default 5)
+	// Banks is the number of bank resources per node (default 1): agent i
+	// deposits into bank i mod Banks, and the work step names its bank as
+	// the scheduler's conflict hint. One bank is the all-conflict load.
+	Banks int
+
+	// Store configures every node's stable storage (Engine defaults to
+	// mem). A durable engine roots its files under Store.Dir, a temp dir
+	// when empty. Store.Repl with Followers > 0 wraps every node's engine
+	// (mem included) in the repl primary, and each node hosts replicas of
+	// its neighbours' shards.
+	Store stable.Spec
+
+	// Ring places every step by consistent hash ("@ring:<key>" locations
+	// instead of fixed node names) with the membership layer on. A join or
+	// leave in the schedule implies it: a joiner owns nothing under static
+	// wiring.
+	Ring bool
 
 	// RollbackRatio is the fraction of agents whose decide step triggers
 	// a partial rollback of the whole sub-itinerary. Zero picks the
@@ -60,29 +75,26 @@ type Options struct {
 	// Churn draws this many membership join (and ~half as many leave)
 	// events into the schedule, so crashes and partitions fire while
 	// live agents migrate between nodes. Churn cells run the workload
-	// ring-placed ("@ring:<key>" locations instead of fixed node names)
-	// and with rollbacks disabled: a compensation targets the concrete
-	// node its step ran on, which may have permanently left.
+	// ring-placed and with rollbacks disabled: a compensation targets the
+	// concrete node its step ran on, which may have permanently left.
 	Churn int
 
-	// Repl is the number of follower replicas of each node's store
-	// (stable.ReplSpec.Followers); 0 disables replication. With
-	// replication on, every node's engine (mem included) is wrapped in
-	// the repl primary and the node hosts replicas of its neighbours'
-	// shards.
-	Repl int
-	// ReplAcks selects the ack mode when Repl > 0: "quorum" (default —
-	// Apply blocks until a majority of copies is durable) or "async"
-	// (ship-and-return; an unreplicated tail can die with a machine).
-	ReplAcks string
 	// Kills draws this many permanent-kill events into the schedule:
 	// distinct nodes whose disk is destroyed with the machine and whose
 	// identity fails over onto the most caught-up surviving replica.
-	// Requires Repl > 0 with quorum acks (with async acks a kill
-	// genuinely loses acknowledged data — the harness refuses the
-	// combination rather than report it as a protocol violation) and is
-	// mutually exclusive with Churn.
+	// Requires Store.Repl with Followers > 0 and Acks = stable.AcksQuorum
+	// (with fewer acks a kill genuinely loses acknowledged data — the
+	// harness refuses the combination rather than report it as a
+	// protocol violation) and is mutually exclusive with Churn.
 	Kills int
+}
+
+// Defaults returns the Options a zero value runs with: the workload a
+// plain Run makes, and the defaults of cmd/loadgen's workload flags.
+func Defaults() Options {
+	var o Options
+	o.fillDefaults()
+	return o
 }
 
 func (o *Options) fillDefaults() {
@@ -98,8 +110,11 @@ func (o *Options) fillDefaults() {
 	if o.Steps <= 0 {
 		o.Steps = 5
 	}
-	if o.Store == "" {
-		o.Store = "mem"
+	if o.Banks <= 0 {
+		o.Banks = 1
+	}
+	if o.Store.Engine == "" {
+		o.Store.Engine = "mem"
 	}
 	if o.Churn > 0 {
 		o.RollbackRatio = -1 // see the Churn comment: no rollbacks under churn
@@ -136,6 +151,14 @@ type Result struct {
 	Violations []Violation
 	Metrics    metrics.Snapshot  // counter diff over the run
 	Faults     network.LinkStats // injected message-fault totals
+	P50, P99   time.Duration     // successful step-attempt latency
+	// GoroutinePeak is the peak runtime.NumGoroutine sampled while the
+	// agents were in flight. The event-driven protocol core keeps it
+	// O(nodes × workers), independent of the number of in-flight agents.
+	GoroutinePeak int
+	// Trace is the cluster's merged causal trace; the per-node rings
+	// outlive cluster shutdown.
+	Trace []trace.Record
 	// PostMortem is the causal per-agent timeline dump built from the
 	// cluster's trace rings when any invariant was violated: one block
 	// per implicated agent with its last transaction, last protocol
@@ -175,28 +198,7 @@ func nodeName(i int) string { return fmt.Sprintf("w%d", i) }
 
 func agentID(i int) string { return fmt.Sprintf("chaos%04d", i) }
 
-// storeSpec builds the run's stable.Spec: chaos constructs every store
-// through the unified stable.Open path (via cluster.Options.Store), so
-// the engines come from the registry — the wal engine via its blank
-// import above.
-func storeSpec(opts Options, counters *metrics.Counters) (stable.Spec, error) {
-	spec := stable.Spec{Engine: opts.Store, Dir: opts.Dir, Counters: counters}
-	if !slices.Contains(stable.Engines(), spec.Engine) {
-		return stable.Spec{}, fmt.Errorf("chaos: unknown store backend %q (want one of %v)", opts.Store, stable.Engines())
-	}
-	if opts.Repl > 0 {
-		acks := stable.AcksQuorum
-		switch opts.ReplAcks {
-		case "", "quorum":
-		case "async":
-			acks = 1
-		default:
-			return stable.Spec{}, fmt.Errorf("chaos: unknown repl ack mode %q (want quorum or async)", opts.ReplAcks)
-		}
-		spec.Repl = stable.ReplSpec{Followers: opts.Repl, Acks: acks}
-	}
-	return spec, nil
-}
+func bankName(b int) string { return fmt.Sprintf("bank%d", b) }
 
 // spreadFlags marks round(ratio*n) of n slots true, spread evenly.
 func spreadFlags(n int, ratio float64) []bool {
@@ -232,32 +234,43 @@ func RunSchedule(opts Options, sched Schedule) (*Result, error) {
 
 func run(opts Options, fixed *Schedule) (*Result, error) {
 	opts.fillDefaults()
-	if opts.Store != "mem" && opts.Dir == "" {
-		dir, err := os.MkdirTemp("", "chaos-"+opts.Store)
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(dir)
-		opts.Dir = dir
-	}
-
 	if opts.Kills > 0 {
 		if opts.Churn > 0 {
 			return nil, fmt.Errorf("chaos: Kills and Churn cannot be combined (a drain can target an identity mid-failover)")
 		}
-		if opts.Repl <= 0 {
-			return nil, fmt.Errorf("chaos: Kills requires replication (Repl > 0): a permanent kill destroys the disk")
+		if !opts.Store.Repl.Enabled() {
+			return nil, fmt.Errorf("chaos: Kills requires replication (Store.Repl.Followers > 0): a permanent kill destroys the disk")
 		}
-		if opts.ReplAcks == "async" {
-			return nil, fmt.Errorf("chaos: async acks cannot survive permanent kills (the unreplicated tail dies with the machine); use quorum")
+		if opts.Store.Repl.Acks != stable.AcksQuorum {
+			return nil, fmt.Errorf("chaos: permanent kills need quorum acks (with fewer, the unreplicated tail dies with the machine)")
 		}
 	}
 
-	counters := &metrics.Counters{}
-	spec, err := storeSpec(opts, counters)
-	if err != nil {
-		return nil, err
+	names := make([]string, opts.Nodes)
+	for i := range names {
+		names[i] = nodeName(i)
 	}
+	sched := Schedule{}
+	if fixed != nil {
+		sched = *fixed
+	} else {
+		sched = Generate(opts.Seed, genConfig(opts, names))
+	}
+	for _, e := range sched.Events {
+		if e.Op == OpJoin || e.Op == OpLeave {
+			opts.Ring = true
+		}
+	}
+
+	if opts.Store.Durable() && opts.Store.Dir == "" {
+		dir, err := os.MkdirTemp("", "chaos-"+opts.Store.Engine)
+		if err != nil {
+			return nil, err
+		}
+		defer os.RemoveAll(dir)
+		opts.Store.Dir = dir
+	}
+	counters := &metrics.Counters{}
 	cl := cluster.New(cluster.Options{
 		Optimized:   true,
 		Latency:     200 * time.Microsecond,
@@ -266,17 +279,12 @@ func run(opts Options, fixed *Schedule) (*Result, error) {
 		MaxAttempts: 5000,
 		Workers:     opts.Workers,
 		Counters:    counters,
-		Store:       spec,      // durable engines run real recovery on crash
-		FaultSeed:   opts.Seed, // probabilistic faults replay with the seed
-		Membership:  opts.Churn > 0,
+		Store:       opts.Store, // durable engines run real recovery on crash
+		FaultSeed:   opts.Seed,  // probabilistic faults replay with the seed
+		Membership:  opts.Ring,
 	})
-	names := make([]string, opts.Nodes)
-	for i := range names {
-		names[i] = nodeName(i)
-		bank := func(store stable.Store) (resource.Resource, error) {
-			return resource.NewBank(store, "bank", true)
-		}
-		if err := cl.AddNode(names[i], node.ResourceFactory(bank)); err != nil {
+	for _, n := range names {
+		if err := cl.AddNode(n, banks(opts)...); err != nil {
 			return nil, err
 		}
 	}
@@ -288,22 +296,17 @@ func run(opts Options, fixed *Schedule) (*Result, error) {
 	}
 	defer cl.Close()
 	for _, n := range names {
-		if err := openSink(cl, n); err != nil {
+		if err := openSinks(cl, n, opts); err != nil {
 			return nil, err
 		}
-	}
-
-	sched := Schedule{}
-	if fixed != nil {
-		sched = *fixed
-	} else {
-		sched = Generate(opts.Seed, genConfig(opts, names))
 	}
 	res := &Result{Seed: opts.Seed, Schedule: sched}
 
 	rollback := spreadFlags(opts.Agents, opts.RollbackRatio)
 	chans := make([]<-chan cluster.Result, opts.Agents)
 	before := counters.Snapshot()
+	goroutinePeak := sampleGoroutines()
+	defer goroutinePeak()
 	start := time.Now()
 	for i := 0; i < opts.Agents; i++ {
 		ch, err := launchAgent(cl, i, rollback[i], opts)
@@ -314,7 +317,7 @@ func run(opts Options, fixed *Schedule) (*Result, error) {
 	}
 
 	execDone := make(chan error, 1)
-	go func() { execDone <- execute(cl, sched, start) }()
+	go func() { execDone <- execute(cl, sched, start, opts) }()
 
 	deadline := time.NewTimer(opts.Timeout)
 	defer deadline.Stop()
@@ -363,6 +366,7 @@ func run(opts Options, fixed *Schedule) (*Result, error) {
 		})
 	}
 	res.Elapsed = time.Since(start)
+	res.GoroutinePeak = goroutinePeak()
 	if execDone != nil {
 		if err := <-execDone; err != nil {
 			return nil, err
@@ -384,8 +388,11 @@ func run(opts Options, fixed *Schedule) (*Result, error) {
 		return nil, err
 	}
 	res.Metrics = counters.Snapshot().Sub(before)
+	lat := counters.StepLatency()
+	res.P50, res.P99 = lat.P50, lat.P99
 	res.Faults = cl.LinkFaultStats()
 	cl.Close()
+	res.Trace = cl.TraceRecords()
 	if err := checkStoresReopen(res, cl, names); err != nil {
 		return nil, err
 	}
@@ -393,21 +400,44 @@ func run(opts Options, fixed *Schedule) (*Result, error) {
 	if res.Failed() {
 		// A progress violation focuses the dump on the stuck agents;
 		// any other violation dumps every agent with trace records.
-		res.PostMortem = buildPostMortem(cl, res, stuck)
+		res.PostMortem = buildPostMortem(res, stuck)
 		writeTimelineArtifact(opts, res)
 	}
 	return res, nil
 }
 
-// buildPostMortem renders the causal per-agent timelines from the
-// cluster's trace rings (which outlive cluster shutdown). agents nil
-// means every agent that left records.
-func buildPostMortem(cl *cluster.Cluster, res *Result, agents []string) string {
-	rs := cl.TraceRecords()
-	if len(rs) == 0 {
+// sampleGoroutines samples runtime.NumGoroutine every 2ms until the
+// returned func is first called; every call returns the peak.
+func sampleGoroutines() func() int {
+	done := make(chan struct{})
+	peak := make(chan int, 1)
+	go func() {
+		p := runtime.NumGoroutine()
+		ticker := time.NewTicker(2 * time.Millisecond)
+		defer ticker.Stop()
+		for {
+			select {
+			case <-done:
+				peak <- p
+				return
+			case <-ticker.C:
+				p = max(p, runtime.NumGoroutine())
+			}
+		}
+	}()
+	return sync.OnceValue(func() int {
+		close(done)
+		return <-peak
+	})
+}
+
+// buildPostMortem renders the causal per-agent timelines from the run's
+// trace. agents nil means every agent that left records.
+func buildPostMortem(res *Result, agents []string) string {
+	if len(res.Trace) == 0 {
 		return ""
 	}
-	pms := trace.BuildPostMortem(rs, agents)
+	pms := trace.BuildPostMortem(res.Trace, agents)
 	if len(pms) == 0 {
 		return ""
 	}
@@ -433,7 +463,7 @@ func writeTimelineArtifact(opts Options, res *Result) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return
 	}
-	name := filepath.Join(dir, fmt.Sprintf("seed-%d-%s-w%d-timeline.txt", opts.Seed, opts.Store, opts.Workers))
+	name := filepath.Join(dir, fmt.Sprintf("seed-%d-%s-w%d-timeline.txt", opts.Seed, opts.Store.Engine, opts.Workers))
 	_ = os.WriteFile(name, []byte(res.PostMortem), 0o644)
 }
 
@@ -453,22 +483,40 @@ func genConfig(opts Options, names []string) GenConfig {
 
 func joinName(i int) string { return fmt.Sprintf("j%d", i) }
 
-// openSink opens the shared sink account on one node's bank.
-func openSink(cl *cluster.Cluster, name string) error {
+// banks builds one node's bank resources (the initial nodes' and every
+// joiner's).
+func banks(opts Options) []node.ResourceFactory {
+	factories := make([]node.ResourceFactory, opts.Banks)
+	for b := range factories {
+		factories[b] = func(store stable.Store) (resource.Resource, error) {
+			return resource.NewBank(store, bankName(b), true)
+		}
+	}
+	return factories
+}
+
+// openSinks opens the sink account in every bank of one node.
+func openSinks(cl *cluster.Cluster, name string, opts Options) error {
 	nd, ok := cl.Node(name)
 	if !ok {
 		return fmt.Errorf("chaos: no node %q", name)
 	}
 	return cl.WithTx(name, func(tx *txn.Tx, _ *node.Node) error {
-		r, _ := nd.Resource("bank")
-		return r.(*resource.Bank).OpenAccount(tx, sinkAccount, 0)
+		for b := 0; b < opts.Banks; b++ {
+			r, _ := nd.Resource(bankName(b))
+			if err := r.(*resource.Bank).OpenAccount(tx, sinkAccount, 0); err != nil {
+				return err
+			}
+		}
+		return nil
 	})
 }
 
 // registerWorkload registers the chaos steps and compensations: every
-// work step deposits into the node-local bank and logs the withdrawing
-// compensation; step 0 also logs the agent-side rollback marker. The
-// decide step triggers a partial rollback once for flagged agents.
+// work step deposits into the agent's bank on the local node and logs
+// the withdrawing compensation; step 0 also logs the agent-side rollback
+// marker. The decide step triggers a partial rollback once for flagged
+// agents.
 func registerWorkload(cl *cluster.Cluster, opts Options) error {
 	reg := cl.Registry()
 	if err := reg.RegisterStep("chaos.work", func(ctx agent.StepContext) error {
@@ -489,9 +537,13 @@ func registerWorkload(cl *cluster.Cluster, opts Options) error {
 		} else if noted {
 			return nil
 		}
-		r, ok := ctx.Resource("bank")
+		var bank string
+		if err := ctx.WRO().MustGet("bank", &bank); err != nil {
+			return err
+		}
+		r, ok := ctx.Resource(bank)
 		if !ok {
-			return fmt.Errorf("chaos.work: no bank on %s", ctx.NodeName())
+			return fmt.Errorf("chaos.work: no %s on %s", bank, ctx.NodeName())
 		}
 		if err := r.(*resource.Bank).Deposit(ctx.Tx(), sinkAccount, chaosDeposit); err != nil {
 			return err
@@ -500,13 +552,24 @@ func registerWorkload(cl *cluster.Cluster, opts Options) error {
 			time.Sleep(opts.StepWork) // service time, inside the transaction
 		}
 		ctx.LogComp(core.OpResource, "chaos.comp", core.NewParams().
-			Set("bank", "bank").Set("amt", int64(chaosDeposit)))
+			Set("bank", bank).Set("amt", int64(chaosDeposit)))
 		if ctx.StepSeq() == 0 {
 			// Rollback marker: the compensation records in the WRO that
 			// the first pass was undone (survives the rollback, §3.2).
 			ctx.LogComp(core.OpAgent, "chaos.mark", core.NewParams())
 		}
 		return nil
+	}); err != nil {
+		return err
+	}
+	// The scheduler's conflict hint: steps of agents sharing a bank
+	// contend on one 2PL lock, so a worker does not claim them together.
+	if err := reg.RegisterStepHints("chaos.work", func(a *agent.Agent, _ itinerary.Step) []string {
+		var bank string
+		if _, err := a.WRO.Get("bank", &bank); err != nil {
+			return nil
+		}
+		return []string{bank}
 	}); err != nil {
 		return err
 	}
@@ -556,22 +619,24 @@ func registerWorkload(cl *cluster.Cluster, opts Options) error {
 }
 
 // launchAgent builds and launches agent i: Steps work steps round-robin
-// over the nodes plus a final decide step back at its start node.
+// over the nodes plus a final decide step back at its start node, all
+// depositing into bank i mod Banks.
 func launchAgent(cl *cluster.Cluster, i int, rollback bool, opts Options) (<-chan cluster.Result, error) {
 	id := agentID(i)
 	start := i % opts.Nodes
 	sub := &itinerary.Sub{ID: "job-" + id}
 	for s := 0; s < opts.Steps; s++ {
 		loc := nodeName((start + s) % opts.Nodes)
-		if opts.Churn > 0 {
-			// Ring-placed: churn can move the step to whichever node owns
-			// the key when the hand-off happens.
+		if opts.Ring {
+			// A distinct ring key per step spreads the agent's steps over
+			// the owners, and a join or leave moves the step to whichever
+			// node owns the key when the hand-off happens.
 			loc = fmt.Sprintf("%s:%s-s%d", node.RingLoc, id, s)
 		}
 		sub.Entries = append(sub.Entries, itinerary.Step{Method: "chaos.work", Loc: loc})
 	}
 	decideLoc := nodeName(start)
-	if opts.Churn > 0 {
+	if opts.Ring {
 		decideLoc = node.RingLoc
 	}
 	sub.Entries = append(sub.Entries, itinerary.Step{Method: "chaos.decide", Loc: decideLoc})
@@ -586,6 +651,9 @@ func launchAgent(cl *cluster.Cluster, i int, rollback bool, opts Options) (<-cha
 	if err := a.WRO.Set("rb", rollback); err != nil {
 		return nil, err
 	}
+	if err := a.WRO.Set("bank", bankName(i%opts.Banks)); err != nil {
+		return nil, err
+	}
 	return cl.Launch(a, entered, nodeName(start))
 }
 
@@ -596,7 +664,7 @@ func launchAgent(cl *cluster.Cluster, i int, rollback bool, opts Options) (<-cha
 // asynchronously: a drain can only finish once the nodes holding the new
 // owners are reachable again, which may require recover/heal events that
 // come later in the schedule.
-func execute(cl *cluster.Cluster, sched Schedule, start time.Time) error {
+func execute(cl *cluster.Cluster, sched Schedule, start time.Time, opts Options) error {
 	var leaves sync.WaitGroup
 	leaveErr := make(chan error, len(sched.Events))
 	for _, ev := range sched.Events {
@@ -619,7 +687,7 @@ func execute(cl *cluster.Cluster, sched Schedule, start time.Time) error {
 		case OpClearFaults:
 			cl.SetLinkFaults(ev.A, ev.B, network.LinkFaults{})
 		case OpJoin:
-			if err := joinNode(cl, ev.Node); err != nil {
+			if err := joinNode(cl, ev.Node, opts); err != nil {
 				return err
 			}
 		case OpLeave:
@@ -665,15 +733,13 @@ func execute(cl *cluster.Cluster, sched Schedule, start time.Time) error {
 	}
 }
 
-// joinNode boots one churn node with the workload's bank and sink.
-func joinNode(cl *cluster.Cluster, name string) error {
-	bank := func(store stable.Store) (resource.Resource, error) {
-		return resource.NewBank(store, "bank", true)
-	}
-	if err := cl.Join(name, node.ResourceFactory(bank)); err != nil {
+// joinNode boots one node mid-run with the workload's banks and sinks.
+// Steps migrated there before the sinks open fail and retry.
+func joinNode(cl *cluster.Cluster, name string, opts Options) error {
+	if err := cl.Join(name, banks(opts)...); err != nil {
 		return err
 	}
-	return openSink(cl, name)
+	return openSinks(cl, name, opts)
 }
 
 // recoverNode recovers one crashed node, tolerating "not crashed".
@@ -763,12 +829,14 @@ func checkConservation(res *Result, cl *cluster.Cluster, rollback []bool, opts O
 			return fmt.Errorf("chaos: node %s missing after quiesce", n)
 		}
 		if err := cl.WithTx(n, func(tx *txn.Tx, _ *node.Node) error {
-			r, _ := nd.Resource("bank")
-			bal, err := r.(*resource.Bank).Balance(tx, sinkAccount)
-			if err != nil {
-				return err
+			for b := 0; b < opts.Banks; b++ {
+				r, _ := nd.Resource(bankName(b))
+				bal, err := r.(*resource.Bank).Balance(tx, sinkAccount)
+				if err != nil {
+					return err
+				}
+				total += bal
 			}
-			total += bal
 			return nil
 		}); err != nil {
 			return err

@@ -60,7 +60,7 @@ const (
 	// failure class the paper's own recovery excludes. The cluster
 	// promotes the most caught-up surviving replica of the node's shard
 	// and reboots the identity on it (cluster.KillPermanent); requires a
-	// run with replication (Options.Repl) and quorum acks. The executor
+	// run with replication (Options.Store.Repl) and quorum acks. The executor
 	// waits for the replication factor to be restored before the next
 	// event, so a schedule may contain several kills.
 	OpKillPermanent

@@ -156,6 +156,9 @@ func New(opts Options) *Cluster {
 	if opts.Counters == nil {
 		opts.Counters = &metrics.Counters{}
 	}
+	if opts.Store.Counters == nil {
+		opts.Store.Counters = opts.Counters // engine and replication metrics alike
+	}
 	if opts.LogMode == 0 {
 		opts.LogMode = core.StateLogging
 	}
@@ -215,9 +218,6 @@ func (c *Cluster) AddNode(name string, factories ...node.ResourceFactory) error 
 func (c *Cluster) newStore(name string) (stable.Store, error) {
 	spec := c.opts.Store
 	spec.Repl = stable.ReplSpec{} // replication is layered on by the cluster
-	if spec.Counters == nil {
-		spec.Counters = c.counters
-	}
 	if spec.Durable() {
 		spec.Dir = c.storeDir(name)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/chaos"
+	"repro/internal/stable"
 )
 
 // chaosPoints are the rows of the chaos table: one seed per engine ×
@@ -32,7 +33,7 @@ func Chaos() (*Table, error) {
 			"drops", "dups", "reorders", "rolled back", "elapsed ms", "verdict"},
 	}
 	for _, p := range chaosPoints {
-		res, err := chaos.Run(chaos.Options{Seed: p.seed, Store: p.store, Workers: p.workers})
+		res, err := chaos.Run(chaos.Options{Seed: p.seed, Store: stable.Spec{Engine: p.store}, Workers: p.workers})
 		if err != nil {
 			return nil, fmt.Errorf("chaos seed %d (%s/%d): %w", p.seed, p.store, p.workers, err)
 		}

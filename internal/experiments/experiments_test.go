@@ -6,10 +6,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/core"
-	"repro/internal/stable"
 )
 
 // TestPipelineForward: the generic workload completes a forward run and
@@ -249,83 +247,5 @@ func TestTransitionLoggingPipeline(t *testing.T) {
 	}
 	if res.Failed {
 		t.Fatalf("failed: %s", res.Reason)
-	}
-}
-
-// TestThroughputHarness: a small load run completes, the exactly-once
-// deposit invariant holds (checked inside RunThroughput), and the report
-// is sane.
-func TestThroughputHarness(t *testing.T) {
-	res, err := RunThroughput(ThroughputConfig{
-		Nodes: 2, Workers: 4, Agents: 8, Steps: 3, Banks: 2,
-		ConflictRatio: 0.5, StepWork: time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.AgentsPerSec <= 0 || res.StepsPerSec <= 0 {
-		t.Errorf("non-positive throughput: %+v", res)
-	}
-	if res.P50 <= 0 || res.P99 < res.P50 {
-		t.Errorf("implausible percentiles p50=%v p99=%v", res.P50, res.P99)
-	}
-	if res.Metrics.StepTxns != 8*3 {
-		t.Errorf("step txns = %d, want 24", res.Metrics.StepTxns)
-	}
-	if res.Metrics.SchedClaims == 0 {
-		t.Error("scheduler claimed nothing; pool not engaged")
-	}
-}
-
-// TestThroughputReplicated: `loadgen -repl`'s wiring — a load run
-// with quorum-replicated stores completes with the exactly-once sink
-// invariant intact (checked inside RunThroughput) and with replication
-// actually engaged on the commit path.
-func TestThroughputReplicated(t *testing.T) {
-	res, err := RunThroughput(ThroughputConfig{
-		Nodes: 3, Workers: 2, Agents: 9, Steps: 3, Banks: 2,
-		StepWork: time.Millisecond,
-		Repl:     stable.ReplSpec{Followers: 2, Acks: stable.AcksQuorum},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Metrics.StepTxns != 9*3 {
-		t.Errorf("step txns = %d, want 27", res.Metrics.StepTxns)
-	}
-	if res.Metrics.ReplBatches == 0 {
-		t.Error("no batches replicated; Repl spec not wired through")
-	}
-}
-
-// TestThroughputJoinMidRun: the join smoke the CI loadgen job runs — ring
-// placement with a 5th node booting mid-run. The exactly-once sink check
-// inside RunThroughput (sum over all nodes, including the joiner) is the
-// zero-lost/zero-duplicated-steps assertion; here we additionally require
-// that the joiner actually received load via transactional migrations.
-func TestThroughputJoinMidRun(t *testing.T) {
-	res, err := RunThroughput(ThroughputConfig{
-		Nodes: 4, Workers: 2, Agents: 24, Steps: 6, Banks: 2,
-		StepWork: 4 * time.Millisecond, Ring: true, JoinMidRun: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Metrics.StepTxns != 24*6 {
-		t.Errorf("step txns = %d, want 144", res.Metrics.StepTxns)
-	}
-	if res.Metrics.Migrations == 0 {
-		t.Error("mid-run join triggered no migrations")
-	}
-	t.Logf("migrations=%d bytes=%d aborts=%d refusals=%d",
-		res.Metrics.Migrations, res.Metrics.MigrationBytes,
-		res.Metrics.MigrationAborts, res.Metrics.AdoptionRefusals)
-}
-
-// JoinMidRun without ring placement is a configuration error: a joiner
-// owns nothing under static wiring, so the run would assert vacuously.
-func TestThroughputJoinNeedsRing(t *testing.T) {
-	if _, err := RunThroughput(ThroughputConfig{JoinMidRun: true}); err == nil {
-		t.Fatal("JoinMidRun without Ring accepted")
 	}
 }

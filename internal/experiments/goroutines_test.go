@@ -3,6 +3,8 @@ package experiments
 import (
 	"testing"
 	"time"
+
+	"repro/internal/chaos"
 )
 
 // TestGoroutinesBoundedUnderLoad pins the O(workers) goroutine bound of
@@ -11,9 +13,11 @@ import (
 // transaction. The steady-state population is the fixed per-node crew
 // (dispatcher, timer wheel, scheduler dispatcher, workers, recovery)
 // plus transient RCE executions and network deliveries — nothing scales
-// with the agents sitting in the input queues; the measured peak is
-// ~50. A regression that re-introduces per-transaction goroutines (the
-// pre-PR-5 polling cycles) blows past the bound immediately.
+// with the agents sitting in the input queues. The load runs on the chaos
+// harness, whose 200µs hop holds every in-flight delivery in a goroutine,
+// so the measured peak is ~105 (~50 at zero latency). A regression that
+// re-introduces per-transaction goroutines (the pre-PR-5 polling cycles)
+// blows past the bound immediately.
 //
 // Under the race detector the contended scheduler workload runs orders
 // of magnitude slower (the PR-4 baseline could not even finish 128
@@ -31,23 +35,22 @@ func TestGoroutinesBoundedUnderLoad(t *testing.T) {
 	if raceDetectorEnabled {
 		agents = 128
 	}
-	res, err := RunThroughput(ThroughputConfig{
-		Nodes:    nodes,
-		Workers:  workers,
-		Agents:   agents,
-		Steps:    2,
-		Banks:    8,
-		StepWork: 200 * time.Microsecond,
-		Timeout:  4 * time.Minute,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runLoad(t, chaos.Options{
+		Nodes:         nodes,
+		Workers:       workers,
+		Agents:        agents,
+		Steps:         2,
+		Banks:         8,
+		StepWork:      200 * time.Microsecond,
+		RollbackRatio: -1,
+		Timeout:       4 * time.Minute,
+	}, chaos.Schedule{})
 	// Fixed crew: ~4 goroutines per node (dispatcher, wheel, pool
 	// dispatcher, recovery) + workers, the cluster collector, the test
-	// runtime, and headroom for transient deliveries/RCE executions —
-	// ~2× the measured peak of ~50, and far below the agent count.
-	bound := nodes*(workers+6) + 60
+	// runtime, a few deliveries in flight per worker's transaction, and
+	// headroom for RCE executions — ~2× the measured peak of ~105, and
+	// far below the agent count.
+	bound := nodes*(4*workers+6) + 60
 	if res.GoroutinePeak > bound {
 		t.Errorf("goroutine peak %d exceeds O(workers) bound %d for %d in-flight agents",
 			res.GoroutinePeak, bound, agents)

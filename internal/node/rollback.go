@@ -77,7 +77,11 @@ func (n *Node) runCompensation(entry *stable.Entry, c *Container, attempt int) e
 			return permanent(fmt.Errorf("node %s: restored cursor: %w", n.cfg.Name, err))
 		}
 		next = &Container{Mode: ModeStep, Agent: a}
-		dest = protocol.PickDestination(step.Loc, step.Alt, attempt)
+		if dest, err = n.stepDest(a, step, attempt); err != nil {
+			_ = tx.Abort()
+			n.abortParts(tx, parts)
+			return err
+		}
 	} else {
 		// More steps to compensate: route the agent (or not — Figure
 		// 5a's destination rule) to the next compensation transaction.

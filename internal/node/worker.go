@@ -396,15 +396,26 @@ func (n *Node) runStep(entry *stable.Entry, c *Container, attempt int) error {
 		_ = tx.Abort()
 		return permanent(err)
 	}
-	dest := protocol.PickDestination(next.Loc, next.Alt, attempt)
-	if key, ok := RingKey(next.Loc, a.ID); ok {
-		if n.members == nil {
-			_ = tx.Abort()
-			return permanent(fmt.Errorf("node %s: agent %s location %q needs the membership layer", n.cfg.Name, a.ID, next.Loc))
-		}
-		dest = n.ringDest(key)
+	dest, err := n.stepDest(a, next, attempt)
+	if err != nil {
+		_ = tx.Abort()
+		return err
 	}
 	return n.shipContainer(tx, &Container{Mode: ModeStep, Agent: a}, dest, nil, n.cfg.Counters.IncStepTxn)
+}
+
+// stepDest resolves the node a step runs on: its location (or, on a
+// retry, an alternative), and for a ring-routed location the key's
+// current owner.
+func (n *Node) stepDest(a *agent.Agent, step itinerary.Step, attempt int) (string, error) {
+	key, ok := RingKey(step.Loc, a.ID)
+	if !ok {
+		return protocol.PickDestination(step.Loc, step.Alt, attempt), nil
+	}
+	if n.members == nil {
+		return "", permanent(fmt.Errorf("node %s: agent %s location %q needs the membership layer", n.cfg.Name, a.ID, step.Loc))
+	}
+	return n.ringDest(key), nil
 }
 
 // appendSavepoint constitutes a savepoint at the current end of the log.

@@ -42,9 +42,6 @@ type Spec struct {
 type WALSpec struct {
 	SegmentSize     int64
 	CheckpointEvery int64
-	// NoBackground disables the maintenance goroutine (benchmarks that
-	// drive checkpoints and compaction explicitly).
-	NoBackground bool
 }
 
 // ReplSpec configures primary/backup replication of committed batches.

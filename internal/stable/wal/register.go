@@ -11,7 +11,6 @@ func init() {
 			Sync:            spec.Sync,
 			SegmentSize:     spec.WAL.SegmentSize,
 			CheckpointEvery: spec.WAL.CheckpointEvery,
-			NoBackground:    spec.WAL.NoBackground,
 			Counters:        spec.Counters,
 		})
 	})
