@@ -6,6 +6,7 @@
 //
 //	rollbacksim                 # run every experiment
 //	rollbacksim -exp f5         # run one experiment
+//	rollbacksim -exp f2,tperf   # run several, in the order given
 //	rollbacksim -list           # list the experiments by name
 //	rollbacksim -json out.json  # also write the tables as JSON
 package main
@@ -45,7 +46,7 @@ func run(args []string, stdout io.Writer) error {
 		names[i] = e.Name
 	}
 	fs := flag.NewFlagSet("rollbacksim", flag.ContinueOnError)
-	exp := fs.String("exp", "", "run a single experiment ("+strings.Join(names, ", ")+")")
+	exp := fs.String("exp", "", "run only these experiments, comma-separated ("+strings.Join(names, ", ")+")")
 	list := fs.Bool("list", false, "list experiments and exit")
 	jsonPath := fs.String("json", "", "write the experiment tables as JSON to this file")
 	if err := fs.Parse(args); err != nil {
@@ -57,12 +58,23 @@ func run(args []string, stdout io.Writer) error {
 		}
 		return nil
 	}
+	if *exp != "" {
+		byName := make(map[string]experiments.Experiment, len(exps))
+		for _, e := range exps {
+			byName[e.Name] = e
+		}
+		exps = nil
+		for _, name := range strings.Split(*exp, ",") {
+			e, ok := byName[name]
+			if !ok {
+				return fmt.Errorf("unknown experiment %q (use -list)", name)
+			}
+			exps = append(exps, e)
+		}
+	}
 
 	var out []jsonTable
 	for _, e := range exps {
-		if *exp != "" && e.Name != *exp {
-			continue
-		}
 		tbl, err := e.Run()
 		if err != nil {
 			return fmt.Errorf("experiment %s: %w", e.Name, err)
@@ -72,9 +84,6 @@ func run(args []string, stdout io.Writer) error {
 			Name: e.Name, Title: tbl.Title, Note: tbl.Note,
 			Header: tbl.Header, Rows: tbl.Rows,
 		})
-	}
-	if len(out) == 0 {
-		return fmt.Errorf("unknown experiment %q (use -list)", *exp)
 	}
 	if *jsonPath != "" {
 		data, err := json.MarshalIndent(out, "", "  ")

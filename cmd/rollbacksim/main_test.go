@@ -34,6 +34,28 @@ func TestUnknownExperiment(t *testing.T) {
 	}
 }
 
+// TestExperimentList: -exp takes a comma-separated list, runs it in the
+// order given, and refuses an unknown name by name before running any.
+func TestExperimentList(t *testing.T) {
+	var out strings.Builder
+	if err := run([]string{"-exp", "tperf,f2"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	tperf, f2 := strings.Index(out.String(), "== T-perf"), strings.Index(out.String(), "== F2")
+	if tperf < 0 || f2 < tperf {
+		t.Errorf("-exp tperf,f2 printed T-perf at %d and F2 at %d:\n%s", tperf, f2, out.String())
+	}
+
+	out.Reset()
+	err := run([]string{"-exp", "f2,bogus"}, &out)
+	if err == nil || !strings.Contains(err.Error(), `"bogus"`) {
+		t.Errorf("-exp f2,bogus: err = %v, want one naming \"bogus\"", err)
+	}
+	if out.Len() != 0 {
+		t.Errorf("-exp f2,bogus ran experiments before refusing:\n%s", out.String())
+	}
+}
+
 func TestSingleCheapExperiment(t *testing.T) {
 	for _, exp := range []string{"f2", "tlog", "tperf"} {
 		if err := run([]string{"-exp", exp}, io.Discard); err != nil {
