@@ -3,6 +3,7 @@ package agent
 import (
 	"errors"
 	"fmt"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/itinerary"
@@ -84,7 +85,7 @@ const (
 func (a *Agent) SystemImage() (map[string][]byte, error) {
 	img := a.SRO.Snapshot()
 	for k := range img {
-		if len(k) >= len(sysPrefix) && k[:len(sysPrefix)] == sysPrefix {
+		if strings.HasPrefix(k, sysPrefix) {
 			return nil, fmt.Errorf("agent %s: reserved SRO key %q", a.ID, k)
 		}
 	}
@@ -149,13 +150,22 @@ func (a *Agent) RestoreSystemImage(img map[string][]byte) error {
 		}
 		a.WRO.Restore(wroImg)
 	}
+	a.RestoreSRO(img)
+	return nil
+}
+
+// RestoreSRO replaces the strongly reversible objects with the
+// application part of a savepoint image, leaving the system keys out. It
+// is the one place an image becomes the SRO: RestoreSystemImage ends with
+// it, and a rollback applies it as soon as its target savepoint is known,
+// because no compensation can read the SRO it would otherwise carry
+// (§4.3).
+func (a *Agent) RestoreSRO(img map[string][]byte) {
 	app := make(map[string][]byte, len(img))
 	for k, v := range img {
-		if len(k) >= len(sysPrefix) && k[:len(sysPrefix)] == sysPrefix {
-			continue
+		if !strings.HasPrefix(k, sysPrefix) {
+			app[k] = v
 		}
-		app[k] = v
 	}
 	a.SRO.Restore(app)
-	return nil
 }

@@ -3,6 +3,7 @@ package cluster_test
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/node"
 	"repro/internal/resource"
 	"repro/internal/txn"
+	"repro/internal/wire"
 )
 
 // miniCluster builds a 2-node cluster (n1 with a bank, n2 bare) for the
@@ -163,17 +165,24 @@ func TestAgentCompCannotTouchResources(t *testing.T) {
 // TestUnknownCompensationIsPermanent: a step logging a compensation that
 // is not registered makes the step non-compensable (§3.2) — the rollback
 // fails permanently instead of retrying forever.
+//
+// The failed agent is reported with the target savepoint's SRO, a state
+// it really held: the rollback swapped it in before its first
+// compensation, so the "tick" the non-compensable step set is gone.
 func TestUnknownCompensationIsPermanent(t *testing.T) {
 	cl := miniCluster(t, false)
 	mustRegStep(t, cl.Registry(), "work", func(ctx agent.StepContext) error {
 		ctx.LogComp(core.OpResource, "never-registered", core.NewParams())
-		return nil
+		return ctx.SRO().Set("tick", 1)
 	})
 	registerRollbackOnce(t, cl, "trigger")
 	startMini(t, cl)
 
 	a, entered, err := agent.New("noncomp", "", twoStepItinerary(t, "work", "trigger"))
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.SRO.Set("seed", "launch"); err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
@@ -189,6 +198,13 @@ func TestUnknownCompensationIsPermanent(t *testing.T) {
 	}
 	if time.Since(start) > 5*time.Second {
 		t.Error("permanent failure took the full retry budget")
+	}
+	want := agent.NewSpace()
+	if err := want.Set("seed", "launch"); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Agent.SRO.Data, want.Data) {
+		t.Errorf("failed agent's SRO = %q, want the target savepoint's %q", res.Agent.SRO.Data, want.Data)
 	}
 }
 
@@ -307,6 +323,124 @@ func TestTransitionLoggingEndToEnd(t *testing.T) {
 	var n int
 	if err := res.Agent.SRO.MustGet("n", &n); err != nil || n != 3 {
 		t.Errorf("n = %d, %v; want 3 (restored to 2, one more accumulate)", n, err)
+	}
+}
+
+// TestRollbackRestoresTargetSRO: the first step after a rollback sees
+// exactly the SRO its target savepoint recorded — keys the undone step
+// added are gone, values it overwrote are back — under both logging
+// modes, for a data-carrying target ("manual", constituted by a step) and
+// for a special one ("inner", §4.4.2: the nested sub entered right after
+// it, which references "manual").
+func TestRollbackRestoresTargetSRO(t *testing.T) {
+	for _, mode := range []core.LogMode{core.StateLogging, core.TransitionLogging} {
+		name := map[core.LogMode]string{core.StateLogging: "state", core.TransitionLogging: "transition"}[mode]
+		for _, target := range []string{"manual", "inner"} {
+			t.Run(name+"/"+target, func(t *testing.T) {
+				testRollbackRestoresTargetSRO(t, mode, target)
+			})
+		}
+	}
+}
+
+func testRollbackRestoresTargetSRO(t *testing.T, mode core.LogMode, target string) {
+	cl := cluster.New(cluster.Options{LogMode: mode, RetryDelay: 2 * time.Millisecond})
+	for _, n := range []string{"n1", "n2"} {
+		if err := cl.AddNode(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reg := cl.Registry()
+	set := func(s *agent.Space, kv ...any) error {
+		for i := 0; i < len(kv); i += 2 {
+			if err := s.Set(kv[i].(string), kv[i+1]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	mustRegStep(t, reg, "fill", func(ctx agent.StepContext) error {
+		return set(ctx.SRO(), "k0", "v0", "last", 0)
+	})
+	mustRegStep(t, reg, "checkpoint", func(ctx agent.StepContext) error {
+		ctx.Savepoint("manual")
+		return set(ctx.SRO(), "k1", "v1", "last", 1)
+	})
+	mustRegStep(t, reg, "observe", func(ctx agent.StepContext) error {
+		rolled, err := ctx.WRO().Has("marked")
+		if err != nil {
+			return err
+		}
+		if seen, err := ctx.WRO().Has("seen"); err != nil {
+			return err
+		} else if rolled && !seen {
+			if err := ctx.WRO().Set("seen", wire.AppendBytesMap(nil, ctx.SRO().Snapshot())); err != nil {
+				return err
+			}
+		}
+		ctx.LogComp(core.OpAgent, "mark", core.NewParams())
+		return set(ctx.SRO(), "k2", "v2", "last", 2, "base", "overwritten")
+	})
+	mustRegStep(t, reg, "trigger", func(ctx agent.StepContext) error {
+		if rolled, err := ctx.WRO().Has("marked"); err != nil || rolled {
+			return err
+		}
+		return ctx.Rollback(target)
+	})
+	mustRegComp(t, reg, "mark", func(ctx agent.CompContext) error {
+		wro, err := ctx.WRO()
+		if err != nil {
+			return err
+		}
+		return wro.Set("marked", true)
+	})
+	if err := cl.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+
+	it, err := itinerary.New(&itinerary.Sub{ID: "job", Entries: []itinerary.Entry{
+		itinerary.Step{Method: "fill", Loc: "n1"},
+		itinerary.Step{Method: "checkpoint", Loc: "n2"},
+		&itinerary.Sub{ID: "inner", Entries: []itinerary.Entry{
+			itinerary.Step{Method: "observe", Loc: "n1"},
+			itinerary.Step{Method: "trigger", Loc: "n2"},
+		}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, entered, err := agent.New("restore-"+target, "", it)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.SRO.Set("base", "launch"); err != nil {
+		t.Fatal(err)
+	}
+	res, err := cl.Run(a, entered, "n1", testTimeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Failed {
+		t.Fatalf("agent failed: %s", res.Reason)
+	}
+	var raw []byte
+	if err := res.Agent.WRO.MustGet("seen", &raw); err != nil {
+		t.Fatal(err)
+	}
+	r := wire.NewReader(raw)
+	seen := r.BytesMap()
+	if err := r.Done(); err != nil {
+		t.Fatal(err)
+	}
+	// The state "manual" recorded: the checkpoint step's savepoint is
+	// constituted at the end of that step.
+	want := agent.NewSpace()
+	if err := set(want, "base", "launch", "k0", "v0", "k1", "v1", "last", 1); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(seen, want.Data) {
+		t.Errorf("first step after the rollback saw SRO %q, want the target's %q", seen, want.Data)
 	}
 }
 

@@ -21,12 +21,17 @@ import (
 // mode the agent only travels when the step contains a mixed compensation
 // entry, otherwise it stays put and the resource compensation entries are
 // shipped to the resource node instead.
+//
+// The container's SRO is already the target savepoint's (startRollback
+// restored it before the first hop). Reaching the target restores the
+// full savepoint image: the cursor, itinerary and step counter, the saga
+// baseline's WRO image, and the SRO once more, to the same bytes.
 func (n *Node) runCompensation(entry *stable.Entry, c *Container, attempt int) error {
 	a := c.Agent
 	spID := c.SpID
-	// Strongly reversible objects are not accessible during compensation:
-	// they still hold the "old" state and are restored only when the
-	// savepoint is reached (§4.3, Figure 3).
+	// Strongly reversible objects are not accessible during compensation
+	// (§4.3, Figure 3): a compensation must not read SRO state, whichever
+	// savepoint's it is.
 	a.SRO.Freeze(true)
 
 	tx, err := n.mgr.Begin()
@@ -55,9 +60,9 @@ func (n *Node) runCompensation(entry *stable.Entry, c *Container, attempt int) e
 	var next *Container
 	var dest string
 	if reached {
-		// Restore the strongly reversible objects from the savepoint
-		// entry — without deleting it from the log (§4.3) — and start
-		// the next step transaction at the restored cursor position.
+		// Restore the agent from the savepoint entry — without deleting
+		// it from the log (§4.3) — and start the next step transaction
+		// at the restored cursor position.
 		img, err := a.Log.ReconstructSRO(spID)
 		if err != nil {
 			_ = tx.Abort()

@@ -489,7 +489,12 @@ func (n *Node) observeLogSize(a *agent.Agent) {
 // from stable storage and either finishes immediately (savepoint directly
 // before the aborting step) or routes the agent into its first
 // compensation transaction — the routing decisions are
-// protocol.PopToTarget / protocol.CompensationDest.
+// protocol.PopToTarget / protocol.CompensationDest. The ModeRollback
+// container it ships already carries the target savepoint's SRO: no
+// compensation can read the SRO (§4.3), so the one the rollback undoes
+// is dead payload, and the reconstruction runCompensation repeats on
+// reaching the target yields the same bytes (DESIGN.md §5, "Rollback
+// execution").
 func (n *Node) startRollback(entry *stable.Entry, spID string) error {
 	c, err := n.decode(entry.Data) // fresh pre-step state
 	if err != nil {
@@ -531,6 +536,11 @@ func (n *Node) startRollback(entry *stable.Entry, spID string) error {
 	if !ok {
 		return permanent(fmt.Errorf("node %s: agent %s: savepoint %q unreachable (no end-of-step entry)", n.cfg.Name, a.ID, spID))
 	}
+	img, err := a.Log.ReconstructSRO(spID)
+	if err != nil {
+		return permanent(fmt.Errorf("node %s: restore savepoint %q: %w", n.cfg.Name, spID, err))
+	}
+	a.RestoreSRO(img)
 	dest := protocol.CompensationDest(eos, n.cfg.Optimized, n.cfg.Name)
 	tx, err := n.mgr.Begin()
 	if err != nil {
