@@ -333,11 +333,14 @@ func TestTransitionLoggingEndToEnd(t *testing.T) {
 // for a special one ("inner", §4.4.2: the nested sub entered right after
 // it, which references "manual").
 func TestRollbackRestoresTargetSRO(t *testing.T) {
-	for _, mode := range []core.LogMode{core.StateLogging, core.TransitionLogging} {
-		name := map[core.LogMode]string{core.StateLogging: "state", core.TransitionLogging: "transition"}[mode]
+	modes := []struct {
+		name string
+		mode core.LogMode
+	}{{"state", core.StateLogging}, {"transition", core.TransitionLogging}}
+	for _, m := range modes {
 		for _, target := range []string{"manual", "inner"} {
-			t.Run(name+"/"+target, func(t *testing.T) {
-				testRollbackRestoresTargetSRO(t, mode, target)
+			t.Run(m.name+"/"+target, func(t *testing.T) {
+				testRollbackRestoresTargetSRO(t, m.mode, target)
 			})
 		}
 	}
