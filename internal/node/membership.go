@@ -426,7 +426,7 @@ func (n *Node) migrateEntry(e *stable.Entry, dest string) error {
 		return err
 	}
 	n.cfg.Tracer.Rec(trace.OpMigrate, tx.ID(), c.Agent.ID, "start", n.cfg.Name, dest, int64(len(data)))
-	tx.AddCommitOps(n.queue.RemoveOp(e))
+	n.queue.RemoveIn(tx, e)
 	prep, err := n.prepareEnqueueRemote(tx, dest, c.Agent.ID, data)
 	if err != nil {
 		n.abortParts(tx, nil)

@@ -39,7 +39,7 @@ func (n *Node) runCompensation(entry *stable.Entry, c *Container, attempt int) e
 		return err
 	}
 	n.cfg.Tracer.Rec(trace.OpAgentStep, tx.ID(), a.ID, "compensate", "", "", int64(attempt))
-	tx.AddCommitOps(n.queue.RemoveOp(entry))
+	n.queue.RemoveIn(tx, entry)
 
 	reached, _ := protocol.PopToTarget(a.Log, spID)
 	var parts []protocol.Participant

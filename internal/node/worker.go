@@ -251,7 +251,7 @@ func (n *Node) failAgent(entry *stable.Entry, cause error) {
 		// Undeliverable: drop the poisoned entry.
 		n.cfg.Logger.Error("dropping poisoned queue entry",
 			"node", n.cfg.Name, "entry", entry.ID, "cause", cause)
-		_ = n.store.Apply(n.queue.RemoveOp(entry))
+		_ = n.queue.Remove(entry)
 		return
 	}
 	n.cfg.Logger.Warn("agent failed permanently",
@@ -260,7 +260,7 @@ func (n *Node) failAgent(entry *stable.Entry, cause error) {
 	if err != nil {
 		return
 	}
-	tx.AddCommitOps(n.queue.RemoveOp(entry))
+	n.queue.RemoveIn(tx, entry)
 	if err := n.finishAgent(tx, c.Agent, true, cause.Error()); err != nil {
 		_ = tx.Abort()
 	}
@@ -312,7 +312,7 @@ func (n *Node) runStep(entry *stable.Entry, c *Container, attempt int) error {
 	// The join record for timeline reconstruction: the worker is the only
 	// place that knows both the agent entry and its step transaction.
 	n.cfg.Tracer.Rec(trace.OpAgentStep, tx.ID(), a.ID, step.Method, "", "", int64(attempt))
-	tx.AddCommitOps(n.queue.RemoveOp(entry))
+	n.queue.RemoveIn(tx, entry)
 	seq := a.StepSeq
 	sctx := &stepCtx{node: n, a: a, tx: tx, seq: seq}
 	if err := fn(sctx); err != nil {
@@ -513,18 +513,16 @@ func (n *Node) startRollback(entry *stable.Entry, spID string) error {
 			if err != nil {
 				return err
 			}
-			tx.AddCommitOps(n.queue.RemoveOp(entry))
+			n.queue.RemoveIn(tx, entry)
 			data, err := EncodeContainer(&Container{Mode: ModeStep, Agent: a})
 			if err != nil {
 				_ = tx.Abort()
 				return permanent(err)
 			}
-			ops, err := n.queue.EnqueueOps(a.ID, data)
-			if err != nil {
+			if err := n.queue.EnqueueIn(tx, a.ID, data); err != nil {
 				_ = tx.Abort()
 				return err
 			}
-			tx.AddCommitOps(ops...)
 			if err := tx.Commit(); err != nil {
 				return err
 			}
@@ -546,7 +544,7 @@ func (n *Node) startRollback(entry *stable.Entry, spID string) error {
 	if err != nil {
 		return err
 	}
-	tx.AddCommitOps(n.queue.RemoveOp(entry))
+	n.queue.RemoveIn(tx, entry)
 	return n.shipContainer(tx, &Container{Mode: ModeRollback, SpID: spID, Agent: a}, dest, nil, nil)
 }
 
@@ -574,13 +572,11 @@ func (n *Node) shipContainer(tx *txn.Tx, c *Container, dest string, parts []prot
 		}
 	}
 	if dest == n.cfg.Name {
-		ops, err := n.queue.EnqueueOps(c.Agent.ID, data)
-		if err != nil {
+		if err := n.queue.EnqueueIn(tx, c.Agent.ID, data); err != nil {
 			_ = tx.Abort()
 			n.abortParts(tx, parts)
 			return err
 		}
-		tx.AddCommitOps(ops...)
 		return n.commitDistributed(tx, parts, hook)
 	}
 	prep, err := n.prepareEnqueueRemote(tx, dest, c.Agent.ID, data)

@@ -43,7 +43,7 @@ func (h *harness) executed() []string {
 // consume removes the entry durably, as a step transaction's commit batch
 // does.
 func (h *harness) consume(e *stable.Entry) error {
-	return h.store.Apply(h.queue.RemoveOp(e))
+	return h.queue.Remove(e)
 }
 
 func waitFor(t *testing.T, what string, cond func() bool) {

@@ -1,8 +1,9 @@
 package stable
 
 import (
-	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -33,15 +34,26 @@ import (
 //     time, and aborting deletes both.
 //
 // A Queue is the only Queue over its prefix while it lives: the sequence
-// counter, the set of hidden entries and the claims are read from the
-// store once and kept in memory from then on. A fresh Queue over the same
-// store (i.e. after a crash) rebuilds the hidden set from the markers, so
-// a prepared entry is still in doubt and still invisible to it.
+// counter, the set of hidden entries, the visible order and the claims
+// are read from the store once and kept in memory from then on. A fresh
+// Queue over the same store (i.e. after a crash) rebuilds them from the
+// keys and markers, so a prepared entry is still in doubt and still
+// invisible to it.
 //
-// Removal is exposed as a batch Op (RemoveOp) so the destructive read of an
-// agent at the start of a step transaction commits atomically with the rest
-// of the transaction: if the step aborts or the node crashes, the agent is
-// still in the queue (§2, §4.3).
+// The visible order is an index: the keys of the entries no marker hides,
+// ascending, which is FIFO order. It is loaded with one Keys listing and
+// from then on kept by the queue's own mutators — Enqueue, CommitStaged,
+// Remove — and, for writes that land with a caller's transaction
+// (EnqueueIn, RemoveIn), by a hook the transaction runs once its commit
+// batch is applied (Tx.OnCommit). An aborted transaction drops the hook,
+// and the index never holds what did not commit. So no claim, peek or
+// length re-lists the keyspace.
+//
+// Removal joins the commit batch of the transaction that consumed the
+// entry (RemoveIn), so the destructive read of an agent at the start of a
+// step transaction commits atomically with the rest of the transaction:
+// if the step aborts or the node crashes, the agent is still in the queue
+// (§2, §4.3).
 //
 // For concurrent consumers the queue adds claim/lease semantics (Claim,
 // Release): a claim marks an entry as taken by one worker without removing
@@ -62,33 +74,19 @@ type Queue struct {
 	claimed    map[string]bool
 	claimedIDs map[string]int
 
-	// view caches the sorted visible-key listing for the claim scan.
-	// Every visibility transition invalidates it through signal(): queue
-	// methods (Enqueue, CommitStaged) signal directly, and the external
-	// paths — EnqueueOps/RemoveOp batches committed by a worker's
-	// transaction — are always followed by the worker's Release, which
-	// signals. Until that Release the removed key is still in claimed
-	// and the scan skips it, so a stale view never surfaces a dead
-	// entry; as a second line of defense, a winner whose entry vanished
-	// from the store refreshes the view and rescans instead of failing.
-	view      []string
-	viewValid bool
-
 	// staged maps every prepared transaction to the entry key its marker
 	// hides ("" for a marker that does not parse and so hides nothing),
-	// hidden is the set of those keys. Both are loaded from the markers on
-	// first use, like seq, and kept by Prepare/CommitStaged/AbortStaged.
-	staged       map[string]string
-	hidden       map[string]bool
-	stagedLoaded bool
-
-	// seq caches the next sequence number after the first read, so tail
-	// reservations cost no store round-trip. The store copy is only read
-	// again by a fresh Queue (i.e. after a crash/restart), and every
-	// reservation persists seq+1 in the same batch as its entry, so the
-	// cache and the store can never diverge observably.
-	seq       uint64
-	seqLoaded bool
+	// hidden is the set of those keys, and visible is the index of the
+	// entry keys no marker hides, ascending. seq is the next sequence
+	// number. All four are read from the store on first use (load) and
+	// kept by the queue's mutators from then on; every reservation
+	// persists seq+1 in the same batch as its entry, so the cache and the
+	// store can never diverge observably.
+	staged  map[string]string
+	hidden  map[string]bool
+	visible []string
+	seq     uint64
+	loaded  bool
 
 	// fence, when set, withholds matching agents from the worker Claim
 	// path. The membership rebalancer installs it while migrating agents
@@ -109,7 +107,7 @@ type Entry struct {
 	// dies with this claim's Entry; the queue never reads it.
 	Decoded any
 
-	key string // store key, used by RemoveOp
+	key string // store key, used by Remove and RemoveIn
 }
 
 // Binary type bytes of the stable block 0x20..0x2f (registry in
@@ -147,7 +145,6 @@ func (q *Queue) Notify() <-chan struct{} {
 }
 
 func (q *Queue) signal() {
-	q.viewValid = false
 	close(q.notify)
 	q.notify = make(chan struct{})
 }
@@ -214,11 +211,21 @@ func IsRetiredStagedRecord(raw []byte) bool {
 	return r.Err() == nil
 }
 
-// loadStaged reads the markers into staged and hidden, once per Queue.
-// The caller must hold q.mu.
-func (q *Queue) loadStaged() error {
-	if q.stagedLoaded {
+// load reads the sequence counter, the markers and the visible entry keys
+// into memory, once per Queue. The caller must hold q.mu.
+func (q *Queue) load() error {
+	if q.loaded {
 		return nil
+	}
+	raw, ok, err := q.store.Get(q.seqKey())
+	if err != nil {
+		return err
+	}
+	var seq uint64
+	if ok {
+		if seq, err = strconv.ParseUint(string(raw), 10, 64); err != nil {
+			return fmt.Errorf("stable: corrupt queue seq: %w", err)
+		}
 	}
 	keys, err := q.store.Keys(q.prefix + "s/")
 	if err != nil {
@@ -240,85 +247,88 @@ func (q *Queue) loadStaged() error {
 		}
 		staged[k[len(q.prefix)+2:]] = key
 	}
-	q.staged, q.hidden, q.stagedLoaded = staged, hidden, true
+	visible, err := q.store.Keys(q.prefix + "e/")
+	if err != nil {
+		return err
+	}
+	visible = slices.DeleteFunc(visible, func(k string) bool { return hidden[k] })
+	q.seq, q.staged, q.hidden, q.visible, q.loaded = seq, staged, hidden, visible, true
 	return nil
 }
 
-// visibleKeys lists the entry keys no marker hides, in FIFO order. The
-// caller must hold q.mu.
-func (q *Queue) visibleKeys() ([]string, error) {
-	if err := q.loadStaged(); err != nil {
-		return nil, err
+// show puts key into the visible index at its FIFO position; drop takes
+// it out. The caller must hold q.mu.
+func (q *Queue) show(key string) {
+	if i, found := slices.BinarySearch(q.visible, key); !found {
+		q.visible = slices.Insert(q.visible, i, key)
 	}
-	keys, err := q.store.Keys(q.prefix + "e/")
-	if err != nil || len(q.hidden) == 0 {
-		return keys, err
+}
+
+func (q *Queue) drop(key string) {
+	if i, found := slices.BinarySearch(q.visible, key); found {
+		q.visible = slices.Delete(q.visible, i, i+1)
 	}
-	out := keys[:0]
-	for _, k := range keys {
-		if !q.hidden[k] {
-			out = append(out, k)
-		}
-	}
-	return out, nil
 }
 
 // nextSeq reserves the next sequence number and returns the op persisting
 // the successor; the caller includes it in the batch that uses the number.
-// The caller must hold q.mu. The counter is read from the store once and
-// cached; a reservation whose batch never commits burns the number, which
-// only leaves a harmless gap in the ordering.
-func (q *Queue) nextSeq() (uint64, Op, error) {
-	if !q.seqLoaded {
-		raw, ok, err := q.store.Get(q.seqKey())
-		if err != nil {
-			return 0, Op{}, err
-		}
-		if ok {
-			n, err := strconv.ParseUint(string(raw), 10, 64)
-			if err != nil {
-				return 0, Op{}, fmt.Errorf("stable: corrupt queue seq: %w", err)
-			}
-			q.seq = n
-		}
-		q.seqLoaded = true
-	}
+// The caller must hold q.mu and have loaded the queue. A reservation whose
+// batch never commits burns the number, which only leaves a harmless gap
+// in the ordering.
+func (q *Queue) nextSeq() (uint64, Op) {
 	n := q.seq
 	q.seq = n + 1
-	return n, Put(q.seqKey(), []byte(strconv.FormatUint(n+1, 10))), nil
+	return n, Put(q.seqKey(), []byte(strconv.FormatUint(n+1, 10)))
 }
 
 // Enqueue atomically inserts a committed entry at the tail.
 func (q *Queue) Enqueue(id string, data []byte) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	seq, seqOp, err := q.nextSeq()
-	if err != nil {
+	if err := q.load(); err != nil {
 		return err
 	}
-	if err := q.store.Apply(seqOp, q.putEntry(seq, id, data)); err != nil {
+	seq, seqOp := q.nextSeq()
+	entry := q.putEntry(seq, id, data)
+	if err := q.store.Apply(seqOp, entry); err != nil {
 		return err
 	}
+	q.show(entry.Key)
 	q.signal()
 	return nil
 }
 
-// EnqueueOps reserves a tail position immediately (the sequence number is
-// burnt even if the surrounding transaction aborts) and returns the batch
-// Ops that make the entry visible; include them in the transaction's
-// commit batch. This is how a step transaction atomically re-enqueues an
-// agent on the *same* node without two-phase commit.
-func (q *Queue) EnqueueOps(id string, data []byte) ([]Op, error) {
+// Tx is what the queue needs of a caller's transaction (txn.Tx has it):
+// ops that join its atomic commit batch, and a hook it runs once that
+// batch is applied — never if the transaction aborts.
+type Tx interface {
+	AddCommitOps(ops ...Op)
+	OnCommit(fn func())
+}
+
+// EnqueueIn inserts an entry at the tail when tx commits. The tail
+// position is reserved at once (the sequence number is burnt even if tx
+// aborts). This is how a step transaction atomically re-enqueues an agent
+// on the *same* node without two-phase commit.
+func (q *Queue) EnqueueIn(tx Tx, id string, data []byte) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	seq, seqOp, err := q.nextSeq()
-	if err != nil {
-		return nil, err
+	if err := q.load(); err != nil {
+		return err
 	}
+	seq, seqOp := q.nextSeq()
 	if err := q.store.Apply(seqOp); err != nil {
-		return nil, err
+		return err
 	}
-	return []Op{q.putEntry(seq, id, data)}, nil
+	entry := q.putEntry(seq, id, data)
+	tx.AddCommitOps(entry)
+	tx.OnCommit(func() {
+		q.mu.Lock()
+		defer q.mu.Unlock()
+		q.show(entry.Key)
+		q.signal()
+	})
+	return nil
 }
 
 // Prepare stages an insertion under txnID: the entry is written where it
@@ -327,16 +337,13 @@ func (q *Queue) EnqueueOps(id string, data []byte) ([]Op, error) {
 func (q *Queue) Prepare(txnID, id string, data []byte) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if err := q.loadStaged(); err != nil {
+	if err := q.load(); err != nil {
 		return err
 	}
 	if _, ok := q.staged[txnID]; ok {
 		return nil // already prepared (coordinator retry)
 	}
-	seq, seqOp, err := q.nextSeq()
-	if err != nil {
-		return err
-	}
+	seq, seqOp := q.nextSeq()
 	entry := q.putEntry(seq, id, data)
 	marker := Put(q.stageKey(txnID), appendStaged(make([]byte, 0, 12+len(id)), seq, id))
 	if err := q.store.Apply(seqOp, entry, marker); err != nil {
@@ -364,7 +371,7 @@ func (q *Queue) AbortStaged(txnID string) error {
 func (q *Queue) settleStaged(txnID string, commit bool) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if err := q.loadStaged(); err != nil {
+	if err := q.load(); err != nil {
 		return err
 	}
 	key, ok := q.staged[txnID]
@@ -380,24 +387,23 @@ func (q *Queue) settleStaged(txnID string, commit bool) error {
 	}
 	delete(q.staged, txnID)
 	delete(q.hidden, key)
-	if commit {
+	if commit && key != "" {
+		q.show(key)
 		q.signal()
 	}
 	return nil
 }
 
-// StagedTxns returns the transaction IDs with prepared entries; used by
-// crash recovery to resolve in-doubt transactions with the coordinator.
+// StagedTxns returns the transaction IDs with prepared entries, sorted;
+// used by crash recovery to resolve in-doubt transactions with the
+// coordinator.
 func (q *Queue) StagedTxns() ([]string, error) {
-	keys, err := q.store.Keys(q.prefix + "s/")
-	if err != nil {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if err := q.load(); err != nil {
 		return nil, err
 	}
-	txns := make([]string, len(keys))
-	for i, k := range keys {
-		txns[i] = k[len(q.prefix)+2:]
-	}
-	return txns, nil
+	return slices.Sorted(maps.Keys(q.staged)), nil
 }
 
 // Each calls fn with the store key, agent ID and container bytes of every
@@ -438,11 +444,15 @@ func (q *Queue) Each(fn func(key, id string, data []byte) error) error {
 func (q *Queue) Peek() (*Entry, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	keys, err := q.visibleKeys()
-	if err != nil || len(keys) == 0 {
+	if err := q.load(); err != nil {
 		return nil, err
 	}
-	return q.readEntry(keys[0])
+	for _, k := range q.visible {
+		if e, ok, err := q.readEntry(k); err != nil || ok {
+			return e, err
+		}
+	}
+	return nil, nil
 }
 
 // Claim returns the oldest visible entry that is not claimed and whose
@@ -455,39 +465,18 @@ func (q *Queue) Peek() (*Entry, error) {
 // volatile: it is not persisted, and a fresh Queue over the same store
 // starts unclaimed.
 //
-// Cost: entries passed over (claimed, withheld behind an in-flight agent,
-// vetoed) are judged from their keys — no store reads — so the per-claim
-// cost stays flat as the queue deepens with in-flight agents; exactly one
-// store read fetches the winning entry.
+// Cost: the scan walks the visible index, and entries passed over
+// (claimed, withheld behind an in-flight agent, vetoed) are judged from
+// their keys — no store reads — so the per-claim cost stays flat as the
+// queue deepens with in-flight agents; exactly one store read fetches the
+// winning entry.
 func (q *Queue) Claim(skip func(id string) bool) (e *Entry, depth int, err error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	// One retry: a fresh view resolves the benign vanished-entry race
-	// (removal committed, Release pending); a vanish that survives a
-	// fresh listing is real corruption and propagates.
-	for attempt := 0; ; attempt++ {
-		e, depth, err = q.claimScan(skip)
-		if errors.Is(err, errEntryVanished) && attempt == 0 {
-			q.viewValid = false
-			continue
-		}
-		return e, depth, err
+	if err := q.load(); err != nil {
+		return nil, 0, err
 	}
-}
-
-// claimScan is one pass of the claim scan over the (possibly cached)
-// visible-key view. Caller holds q.mu.
-func (q *Queue) claimScan(skip func(id string) bool) (e *Entry, depth int, err error) {
-	if !q.viewValid {
-		keys, err := q.visibleKeys()
-		if err != nil {
-			return nil, 0, err
-		}
-		q.view = keys
-		q.viewValid = true
-	}
-	depth = len(q.view)
-	for _, k := range q.view {
+	for _, k := range q.visible {
 		if q.claimed[k] {
 			continue
 		}
@@ -501,31 +490,37 @@ func (q *Queue) claimScan(skip func(id string) bool) (e *Entry, depth int, err e
 		if q.fence != nil && q.fence(id) {
 			continue // withheld for migration (see SetFence)
 		}
-		if e, err = q.readEntry(k); err != nil {
-			return nil, depth, err
+		if e, err = q.mustRead(k); err != nil {
+			return nil, len(q.visible), err
 		}
 		q.claimed[k] = true
 		q.claimedIDs[id]++
-		return e, depth, nil
+		return e, len(q.visible), nil
 	}
-	return nil, depth, nil
+	return nil, len(q.visible), nil
 }
 
-// errEntryVanished marks a listed entry missing from the store: benign
-// when the listing was cached (refresh and rescan), corruption when not.
-var errEntryVanished = errors.New("stable: queue entry vanished")
-
-// readEntry fetches one committed entry: the ID from the key, the data
-// from the one store read.
-func (q *Queue) readEntry(key string) (*Entry, error) {
+// readEntry fetches one visible entry: the ID from the key, the data from
+// the one store read. ok is false when the key is gone from the store:
+// a removal whose transaction committed and whose hook has not run yet.
+// A claim never meets one (the remover holds the entry's claim); a
+// listing passes over it.
+func (q *Queue) readEntry(key string) (e *Entry, ok bool, err error) {
 	data, ok, err := q.store.Get(key)
-	if err != nil {
-		return nil, err
+	if err != nil || !ok {
+		return nil, ok, err
 	}
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", errEntryVanished, key)
+	return &Entry{ID: q.entryID(key), Data: data, key: key}, true, nil
+}
+
+// mustRead is readEntry for a key no removal can be racing: missing, it
+// was deleted behind this Queue's back.
+func (q *Queue) mustRead(key string) (*Entry, error) {
+	e, ok, err := q.readEntry(key)
+	if err == nil && !ok {
+		err = fmt.Errorf("stable: queue entry %q vanished from the store", key)
 	}
-	return &Entry{ID: q.entryID(key), Data: data, key: key}, nil
+	return e, err
 }
 
 // Release drops the claim on e. Call it after the entry was durably
@@ -569,53 +564,47 @@ func (q *Queue) SetFence(f func(id string) bool) {
 }
 
 // Entries returns the visible entries in FIFO order, including claimed
-// and fenced ones — the rebalancer's sweep listing. Entries that vanish
-// between the key listing and the read (a removal committing under a
-// released claim) are skipped rather than reported as corruption.
+// and fenced ones — the rebalancer's sweep listing. An entry whose removal
+// has committed but not yet left the index is skipped.
 func (q *Queue) Entries() ([]*Entry, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	keys, err := q.visibleKeys()
-	if err != nil {
+	if err := q.load(); err != nil {
 		return nil, err
 	}
-	out := make([]*Entry, 0, len(keys))
-	for _, k := range keys {
-		e, err := q.readEntry(k)
-		if errors.Is(err, errEntryVanished) {
-			continue
-		}
+	out := make([]*Entry, 0, len(q.visible))
+	for _, k := range q.visible {
+		e, ok, err := q.readEntry(k)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, e)
+		if ok {
+			out = append(out, e)
+		}
 	}
 	return out, nil
 }
 
 // TryClaim claims the specific entry e (by queue position), bypassing the
 // fence — the migration path's targeted claim. It fails (ok=false) when
-// the entry is claimed, when its agent has another entry in flight, when
-// the entry is no longer in the store (consumed since the listing), or
-// when a marker hides it (the key of a prepared insertion, not a listing's).
-// On success it returns the entry re-read from the store, so the caller
-// migrates the current container bytes, never a stale listing's.
+// the entry is claimed, when its agent has another entry in flight, or
+// when the entry is not visible: consumed since the listing, or the key of
+// a prepared insertion a marker still hides. On success it returns the
+// entry re-read from the store, so the caller migrates the current
+// container bytes, never a stale listing's.
 func (q *Queue) TryClaim(e *Entry) (*Entry, bool, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if err := q.loadStaged(); err != nil {
+	if err := q.load(); err != nil {
 		return nil, false, err
 	}
-	if q.claimed[e.key] || q.hidden[e.key] {
+	if _, visible := slices.BinarySearch(q.visible, e.key); !visible || q.claimed[e.key] {
 		return nil, false, nil
 	}
 	if q.claimedIDs[q.entryID(e.key)] > 0 {
 		return nil, false, nil // an older entry of this agent is in flight
 	}
-	fresh, err := q.readEntry(e.key)
-	if errors.Is(err, errEntryVanished) {
-		return nil, false, nil
-	}
+	fresh, err := q.mustRead(e.key)
 	if err != nil {
 		return nil, false, err
 	}
@@ -624,14 +613,36 @@ func (q *Queue) TryClaim(e *Entry) (*Entry, bool, error) {
 	return fresh, true, nil
 }
 
-// RemoveOp returns the batch Op deleting e; include it in the commit batch
-// of the transaction that consumed the entry.
-func (q *Queue) RemoveOp(e *Entry) Op { return Del(e.key) }
+// RemoveIn deletes e when tx commits: the destructive read of the
+// transaction that consumed the entry. The caller holds e's claim until
+// tx has settled (Release after commit or abort), so no other consumer
+// reaches the entry between the commit batch and the hook that takes it
+// out of the index.
+func (q *Queue) RemoveIn(tx Tx, e *Entry) {
+	tx.AddCommitOps(Del(e.key))
+	tx.OnCommit(func() {
+		q.mu.Lock()
+		defer q.mu.Unlock()
+		q.drop(e.key)
+	})
+}
+
+// Remove deletes e on its own: a poisoned entry dropped outside any
+// transaction.
+func (q *Queue) Remove(e *Entry) error {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if err := q.store.Apply(Del(e.key)); err != nil {
+		return err
+	}
+	q.drop(e.key)
+	return nil
+}
 
 // Len returns the number of visible entries.
 func (q *Queue) Len() (int, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	keys, err := q.visibleKeys()
-	return len(keys), err
+	err := q.load()
+	return len(q.visible), err
 }

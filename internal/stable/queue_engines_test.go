@@ -8,6 +8,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/stable"
 	"repro/internal/stable/wal"
+	"repro/internal/txn"
 )
 
 // storeImpls runs a queue subtest over the volatile store and the durable
@@ -22,6 +23,53 @@ func storeImpls(t *testing.T, fn func(t *testing.T, s stable.Store)) {
 		}
 		t.Cleanup(func() { _ = s.Close() })
 		fn(t, s)
+	})
+}
+
+// beginTx starts a transaction over s, the way a step transaction joins
+// queue writes to its commit batch.
+func beginTx(t *testing.T, s stable.Store) *txn.Tx {
+	t.Helper()
+	m, err := txn.NewManager("n", s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx, err := m.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tx
+}
+
+// TestQueueEnqueueIn: an entry enqueued in a transaction is invisible
+// until the transaction commits, and never appears if it aborts.
+func TestQueueEnqueueIn(t *testing.T) {
+	storeImpls(t, func(t *testing.T, s stable.Store) {
+		q := stable.NewQueue(s, "q/")
+		tx := beginTx(t, s)
+		if err := q.EnqueueIn(tx, "a1", []byte("d")); err != nil {
+			t.Fatal(err)
+		}
+		if e, _ := q.Peek(); e != nil {
+			t.Error("entry visible before the transaction committed")
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		e, err := q.Peek()
+		if err != nil || e == nil || e.ID != "a1" {
+			t.Errorf("after commit: %v %v", e, err)
+		}
+		tx = beginTx(t, s)
+		if err := q.EnqueueIn(tx, "a2", []byte("d")); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Abort(); err != nil {
+			t.Fatal(err)
+		}
+		if n, _ := q.Len(); n != 1 {
+			t.Errorf("Len after an aborted enqueue = %d, want 1", n)
+		}
 	})
 }
 
@@ -44,7 +92,7 @@ func TestQueueFIFO(t *testing.T) {
 			if e.ID != want || string(e.Data) != want+"-data" {
 				t.Errorf("peeked %q, want %q", e.ID, want)
 			}
-			if err := s.Apply(q.RemoveOp(e)); err != nil {
+			if err := q.Remove(e); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -280,7 +328,7 @@ func TestQueueClaimLease(t *testing.T) {
 			t.Fatalf("re-claim: %v %v", e3, err)
 		}
 		// Consuming an entry durably, then releasing the claim.
-		if err := s.Apply(q.RemoveOp(e3)); err != nil {
+		if err := q.Remove(e3); err != nil {
 			t.Fatal(err)
 		}
 		q.Release(e3)
@@ -321,7 +369,7 @@ func TestQueueClaimPerAgentFIFO(t *testing.T) {
 		}
 		// Consume x1 (the normal step-commit path), then release: x's
 		// younger entry becomes claimable.
-		if err := s.Apply(q.RemoveOp(e1)); err != nil {
+		if err := q.Remove(e1); err != nil {
 			t.Fatal(err)
 		}
 		q.Release(e1)
@@ -408,7 +456,7 @@ func TestQueueClaimCachedIDsStayCorrect(t *testing.T) {
 				t.Fatalf("round %d: withheld entry handed out: %v", round, e)
 			}
 			for _, e := range claimed {
-				if err := s.Apply(q.RemoveOp(e)); err != nil {
+				if err := q.Remove(e); err != nil {
 					t.Fatal(err)
 				}
 				q.Release(e)
@@ -421,7 +469,7 @@ func TestQueueClaimCachedIDsStayCorrect(t *testing.T) {
 				if want := fmt.Sprintf("r%d-%d", round, i); string(e.Data) != want {
 					t.Fatalf("round %d tail = %q, want %q", round, e.Data, want)
 				}
-				if err := s.Apply(q.RemoveOp(e)); err != nil {
+				if err := q.Remove(e); err != nil {
 					t.Fatal(err)
 				}
 				q.Release(e)
@@ -444,15 +492,15 @@ func TestQueueKeyNamesAgent(t *testing.T) {
 		if err := q.Enqueue("tenant/a/direct", []byte("direct-data")); err != nil {
 			t.Fatal(err)
 		}
-		ops, err := q.EnqueueOps("tenant/b//ops", []byte("ops-data"))
-		if err != nil {
+		tx := beginTx(t, s)
+		if err := q.EnqueueIn(tx, "tenant/b//ops", []byte("ops-data")); err != nil {
 			t.Fatal(err)
 		}
 		if err := q.Enqueue("bare", nil); err != nil {
 			t.Fatal(err)
 		}
 		// Visibility in the opposite order must not matter.
-		if err := s.Apply(ops...); err != nil {
+		if err := tx.Commit(); err != nil {
 			t.Fatal(err)
 		}
 		if err := q.CommitStaged("co#1"); err != nil {
@@ -493,7 +541,7 @@ func TestQueueKeyNamesAgent(t *testing.T) {
 			if err != nil || e == nil || e.ID != w[0] || string(e.Data) != w[1] {
 				t.Fatalf("claim %d = %+v, %v; want %q", i, e, err, w)
 			}
-			if err := s.Apply(q.RemoveOp(e)); err != nil {
+			if err := q.Remove(e); err != nil {
 				t.Fatal(err)
 			}
 			q.Release(e)

@@ -46,7 +46,7 @@ func TestQueueFenceAndTryClaim(t *testing.T) {
 	}
 
 	// A consumed entry (removed + released) is refused, not resurrected.
-	if err := q.store.Apply(q.RemoveOp(fa)); err != nil {
+	if err := q.Remove(fa); err != nil {
 		t.Fatal(err)
 	}
 	q.Release(fa)

@@ -48,26 +48,6 @@ func TestQueueStagedKeepsReservedPosition(t *testing.T) {
 	}
 }
 
-func TestQueueEnqueueOps(t *testing.T) {
-	s := NewMemStore(nil)
-	q := NewQueue(s, "q/")
-	ops, err := q.EnqueueOps("a1", []byte("d"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Not visible until the ops are applied.
-	if e, _ := q.Peek(); e != nil {
-		t.Error("entry visible before ops applied")
-	}
-	if err := s.Apply(ops...); err != nil {
-		t.Fatal(err)
-	}
-	e, err := q.Peek()
-	if err != nil || e == nil || e.ID != "a1" {
-		t.Errorf("after apply: %v %v", e, err)
-	}
-}
-
 func TestQueueNotify(t *testing.T) {
 	s := NewMemStore(nil)
 	q := NewQueue(s, "q/")
@@ -123,7 +103,7 @@ func TestQueueSeqCacheSurvivesRestart(t *testing.T) {
 		if err != nil || e == nil || e.ID != want {
 			t.Fatalf("head = %v %v, want %s", e, err, want)
 		}
-		if err := s.Apply(q2.RemoveOp(e)); err != nil {
+		if err := q2.Remove(e); err != nil {
 			t.Fatal(err)
 		}
 	}

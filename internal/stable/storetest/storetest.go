@@ -283,7 +283,7 @@ func testQueueLinearization(t *testing.T, f Factory) {
 				break
 			}
 			got = append(got, e.ID)
-			if err := s.Apply(q.RemoveOp(e)); err != nil {
+			if err := q.Remove(e); err != nil {
 				return false
 			}
 		}

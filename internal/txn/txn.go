@@ -232,9 +232,10 @@ type Tx struct {
 	mgr    *Manager
 	status Status
 
-	undo    []func()
-	pending []pendingOp
-	locks   []*Lock
+	undo     []func()
+	pending  []pendingOp
+	locks    []*Lock
+	onCommit []func()
 }
 
 // pendingOp is one scheduled commit mutation: either an eager op with its
@@ -246,6 +247,8 @@ type pendingOp struct {
 	op   stable.Op
 	lazy func() ([]byte, error)
 }
+
+var _ stable.Tx = (*Tx)(nil)
 
 // ID returns the transaction ID.
 func (tx *Tx) ID() string { return tx.id }
@@ -275,6 +278,26 @@ func (tx *Tx) Lock(l *Lock) error {
 // transaction aborts. Undos run in reverse registration order.
 func (tx *Tx) RecordUndo(f func()) {
 	tx.undo = append(tx.undo, f)
+}
+
+// OnCommit registers fn to run once the commit batch is applied (by
+// Commit or CommitPrepared), in registration order, before the locks are
+// released. An abort, or a commit whose batch fails to apply, drops it. It
+// is how the input queue keeps its in-memory order in step with entries
+// that land in this transaction's batch (stable.Tx).
+func (tx *Tx) OnCommit(fn func()) {
+	tx.onCommit = append(tx.onCommit, fn)
+}
+
+// committed settles a transaction whose batch has been applied: hooks,
+// trace, locks.
+func (tx *Tx) committed(op string) {
+	tx.status = StatusCommitted
+	for _, fn := range tx.onCommit {
+		fn()
+	}
+	tx.mgr.traceOp(op, tx.id)
+	tx.releaseLocks()
 }
 
 // AddCommitOps appends stable-store mutations applied atomically at commit.
@@ -335,9 +358,7 @@ func (tx *Tx) Commit() error {
 	if err := tx.mgr.store.Apply(ops...); err != nil {
 		return fmt.Errorf("txn %s: commit: %w", tx.id, err)
 	}
-	tx.status = StatusCommitted
-	tx.mgr.traceOp("commit", tx.id)
-	tx.releaseLocks()
+	tx.committed("commit")
 	return nil
 }
 
@@ -405,9 +426,7 @@ func (tx *Tx) CommitPrepared() error {
 	if err := tx.mgr.store.Apply(batch...); err != nil {
 		return fmt.Errorf("txn %s: commit prepared: %w", tx.id, err)
 	}
-	tx.status = StatusCommitted
-	tx.mgr.traceOp("commit-prepared", tx.id)
-	tx.releaseLocks()
+	tx.committed("commit-prepared")
 	return nil
 }
 
