@@ -255,7 +255,7 @@ func TestAgentEncodeDecode(t *testing.T) {
 	if raw := a.WRO.Data["w"]; len(raw) == 0 || raw[0] != wire.TagString {
 		t.Errorf("string stored as % x, want a tagged scalar", raw)
 	}
-	data, err := a.AppendTo(nil)
+	data, _, err := a.AppendTo(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

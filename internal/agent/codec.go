@@ -16,19 +16,23 @@ import (
 // (ReadHead) without touching the data spaces or the log.
 
 // AppendTo appends the agent's encoding to buf; a nil agent round-trips
-// as nil. It fails where the itinerary or the log cannot be encoded.
-func (a *Agent) AppendTo(buf []byte) ([]byte, error) {
+// as nil. The log is the last field: logAt is the offset in out where its
+// entries begin, so len(out)-logAt is the log's EncodedSize (0 without an
+// agent or a log). It fails where the itinerary or the log cannot be
+// encoded.
+func (a *Agent) AppendTo(buf []byte) (out []byte, logAt int, err error) {
 	if a == nil {
-		return wire.AppendBool(buf, false), nil
+		buf = wire.AppendBool(buf, false)
+		return buf, len(buf), nil
 	}
 	buf = wire.AppendBool(buf, true)
 	buf = wire.AppendString(buf, a.ID)
 	buf = wire.AppendString(buf, a.Owner)
 	buf = wire.AppendVarint(buf, int64(a.StepSeq))
 	buf = a.Cursor.AppendTo(buf)
-	buf, err := a.Itin.AppendTo(buf)
+	buf, err = a.Itin.AppendTo(buf)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	buf = a.WRO.appendTo(buf)
 	buf = a.SRO.appendTo(buf)

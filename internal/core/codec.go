@@ -24,14 +24,18 @@ const (
 )
 
 // AppendTo appends the log's encoding to buf; a nil log round-trips as
-// nil. It fails only on a nil entry.
-func (l *Log) AppendTo(buf []byte) ([]byte, error) {
+// nil. entriesAt is the offset in out where the entries begin, so
+// len(out)-entriesAt is EncodedSize. It fails only on a nil entry.
+func (l *Log) AppendTo(buf []byte) (out []byte, entriesAt int, err error) {
 	if l == nil {
-		return wire.AppendBool(buf, false), nil
+		buf = wire.AppendBool(buf, false)
+		return buf, len(buf), nil
 	}
 	buf = wire.AppendBool(buf, true)
 	buf = wire.AppendUvarint(buf, uint64(len(l.Entries)))
-	return l.appendEntries(buf)
+	entriesAt = len(buf)
+	buf, err = l.appendEntries(buf)
+	return buf, entriesAt, err
 }
 
 func (l *Log) appendEntries(buf []byte) ([]byte, error) {
@@ -109,9 +113,9 @@ func ReadLog(r *wire.Reader) *Log {
 
 // EncodedSize returns the serialized size of the log's entries in bytes —
 // what the log adds to an agent container — for the log-size experiments
-// (F6, T-log) and the per-step log metrics. It is measured with the
-// container's own encoder, so the two cannot disagree; the pooled scratch
-// keeps the once-per-step sizing from allocating a log-sized slice.
+// (F6, T-log). It is measured with the container's own encoder, so the
+// two cannot disagree; a container encode reports the same number without
+// a second pass (AppendTo's entriesAt).
 func (l *Log) EncodedSize() (int, error) {
 	scratch := wire.GetScratch()
 	defer wire.PutScratch(scratch)

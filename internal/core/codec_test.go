@@ -32,7 +32,7 @@ func TestEntryCodecTable(t *testing.T) {
 	for name, e := range cases {
 		t.Run(name, func(t *testing.T) {
 			l := &Log{Entries: []Entry{e}}
-			data, err := l.AppendTo(nil)
+			data, at, err := l.AppendTo(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -44,12 +44,12 @@ func TestEntryCodecTable(t *testing.T) {
 			if !reflect.DeepEqual(got, l) {
 				t.Errorf("round trip:\n got %+v\nwant %+v", got.Entries[0], e)
 			}
-			if again, err := got.AppendTo(nil); err != nil || !bytes.Equal(again, data) {
+			if again, _, err := got.AppendTo(nil); err != nil || !bytes.Equal(again, data) {
 				t.Errorf("re-encoding changed the bytes (%v)", err)
 			}
 			// present byte + count byte precede the one entry.
-			if sz, err := l.EncodedSize(); err != nil || sz != len(data)-2 {
-				t.Errorf("EncodedSize = %d, %v; the entry encodes to %d bytes", sz, err, len(data)-2)
+			if sz, err := l.EncodedSize(); err != nil || sz != len(data)-2 || sz != len(data)-at {
+				t.Errorf("EncodedSize = %d, %v; the entry encodes to %d bytes, AppendTo places it at %d", sz, err, len(data)-2, at)
 			}
 			for cut := 0; cut < len(data); cut++ {
 				r := wire.NewReader(data[:cut])
@@ -67,7 +67,7 @@ func TestEntryCodecTable(t *testing.T) {
 // or an unknown kind byte is an error, not a panic.
 func TestLogCodecNilEmptyAndBadInput(t *testing.T) {
 	for _, l := range []*Log{nil, {}} {
-		data, err := l.AppendTo(nil)
+		data, _, err := l.AppendTo(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,16 +82,16 @@ func TestLogCodecNilEmptyAndBadInput(t *testing.T) {
 		big[k] = []byte(k)
 	}
 	l := &Log{Entries: []Entry{&SavepointEntry{ID: "sp", Mode: StateLogging, Image: big}}}
-	first, err := l.AppendTo(nil)
+	first, _, err := l.AppendTo(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
-		if again, _ := l.AppendTo(nil); !bytes.Equal(again, first) {
+		if again, _, _ := l.AppendTo(nil); !bytes.Equal(again, first) {
 			t.Fatal("equal logs encoded to different bytes")
 		}
 	}
-	if _, err := (&Log{Entries: []Entry{nil}}).AppendTo(nil); err == nil {
+	if _, _, err := (&Log{Entries: []Entry{nil}}).AppendTo(nil); err == nil {
 		t.Error("nil log entry encoded")
 	}
 	r := wire.NewReader([]byte{1, 1, 9, 0, 0})

@@ -328,7 +328,7 @@ func TestLogGobRoundTrip(t *testing.T) {
 	if err := wire.Decode(data, &viaGob); err != nil {
 		t.Fatal(err)
 	}
-	bin, err := l.AppendTo(nil)
+	bin, _, err := l.AppendTo(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

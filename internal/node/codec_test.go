@@ -461,7 +461,7 @@ func corpusSeeds(t testing.TB) map[string][]byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	log, err := c.Agent.Log.AppendTo(nil)
+	log, _, err := c.Agent.Log.AppendTo(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

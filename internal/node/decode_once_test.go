@@ -219,10 +219,12 @@ func TestGarbageAtQueueHeadIsDropped(t *testing.T) {
 // container in the gob encoding of commit 5015b40, committed or merely
 // staged, the gob envelopes commit fd17232 wrapped around a binary
 // container in the queue and in a completion record, the prepared
-// insertion commit e4fe5c0 kept with its container under q/s/, and the
-// coin-list till of commit 1b58917's shop (testdata, generated at those
-// commits; the shop's lives in internal/resource). A queue entry or shop
-// record of other garbage does not, and neither does an empty queue.
+// insertion commit e4fe5c0 kept with its container under q/s/, the
+// coin-list till of commit 1b58917's shop, and the gob resource records
+// and branch records of commit 60b3006 (testdata, generated at those
+// commits; the resource records live in internal/resource, the branch in
+// internal/txn). A queue entry, resource record or branch of other
+// garbage does not, and neither does an empty queue.
 func TestRefusesGobContainers(t *testing.T) {
 	legacy := gobFixture(t)
 	newNode := func(store stable.Store) error {
@@ -271,6 +273,21 @@ func TestRefusesGobContainers(t *testing.T) {
 				return s.Apply(stable.Put("res/shop/shop", fixture(t, "../../resource/testdata/shop-till-1b58917.bin")))
 			},
 			[]string{"1b58917", `"res/shop/shop"`}},
+		"bank-gob": {
+			func(s stable.Store) error {
+				return s.Apply(stable.Put("res/bank/bank", fixture(t, "../../resource/testdata/bank-gob-60b3006.bin")))
+			},
+			[]string{"60b3006", `"res/bank/bank"`}},
+		"shop-gob": {
+			func(s stable.Store) error {
+				return s.Apply(stable.Put("res/shop/shop", fixture(t, "../../resource/testdata/shop-gob-60b3006.bin")))
+			},
+			[]string{"60b3006", `"res/shop/shop"`}},
+		"branch-gob": {
+			func(s stable.Store) error {
+				return s.Apply(stable.Put("txn/branch/co#7", fixture(t, "../../txn/testdata/branch-gob-60b3006.bin")))
+			},
+			[]string{"60b3006", `"co#7"`}},
 	} {
 		t.Run(name, func(t *testing.T) {
 			store := stable.NewMemStore(nil)
@@ -304,6 +321,8 @@ func TestRefusesGobContainers(t *testing.T) {
 		stable.Put("q/s/co#9", []byte{0x90, 0x20, 0xff}),
 		stable.Put("done/junk", []byte{0x00}),
 		stable.Put("res/shop/junk", []byte{0x00}),
+		stable.Put("res/bank/junk", []byte{0x00}),
+		stable.Put("txn/branch/junk#1", []byte{0x00}),
 	); err != nil {
 		t.Fatal(err)
 	}

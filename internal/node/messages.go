@@ -64,20 +64,28 @@ const (
 // commit 5015b40) is refused at node start, see refuseOlderLayout. The
 // result is an exact-size copy out of a pooled scratch buffer.
 func EncodeContainer(c *Container) ([]byte, error) {
+	data, _, err := encodeContainer(c)
+	return data, err
+}
+
+// encodeContainer is EncodeContainer that also reports logBytes, the
+// encoded size of the agent's log entries (core.Log.EncodedSize), read off
+// the encode instead of a second pass over the log.
+func encodeContainer(c *Container) (data []byte, logBytes int, err error) {
 	scratch := wire.GetScratch()
 	defer wire.PutScratch(scratch)
 	buf := append((*scratch)[:0], wire.BinaryVersion, typeContainer)
 	buf = wire.AppendVarint(buf, int64(c.Mode))
 	buf = wire.AppendString(buf, c.SpID)
 	buf = wire.AppendVarint(buf, c.Epoch)
-	buf, err := c.Agent.AppendTo(buf)
+	buf, logAt, err := c.Agent.AppendTo(buf)
 	if err != nil {
-		return nil, fmt.Errorf("node: encode container: %w", err)
+		return nil, 0, fmt.Errorf("node: encode container: %w", err)
 	}
 	*scratch = buf
-	out := make([]byte, len(buf))
-	copy(out, buf)
-	return out, nil
+	data = make([]byte, len(buf))
+	copy(data, buf)
+	return data, len(buf) - logAt, nil
 }
 
 // containerHead reads what precedes the agent and leaves r at it.

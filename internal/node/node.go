@@ -244,20 +244,23 @@ func New(cfg Config, ep network.Endpoint, store stable.Store, registry *agent.Re
 }
 
 // refuseOlderLayout scans the input queue, entries and markers, the
-// completion records and the shop records for what an older runtime
-// wrote and this one no longer reads: gob-encoded containers (before the
-// binary container codec), the gob envelopes the queue and done/ records
-// wrapped around a container (before the queue stored it bare), prepared
-// insertions that carry their container under q/s/ (before Prepare wrote
-// it at its entry key), and shops whose till is a coin list (before it
-// was a balance). Left to the runtime the first two would decode as a
-// corrupt container and be dropped as poisoned (failAgent), the third is
-// a marker that hides nothing, deleted on commit with its container —
-// either way every in-flight agent of the data directory silently lost —
-// and the fourth keeps the node not-ready for good. So the node refuses
-// to start instead, with the store untouched. Only those shapes count:
-// other garbage (a malformed launch) stays on the runtime poison path,
-// so one bad message cannot block a restart.
+// completion records, the resource records and the prepared branches for
+// what an older runtime wrote and this one no longer reads: gob-encoded
+// containers (before the binary container codec), the gob envelopes the
+// queue and done/ records wrapped around a container (before the queue
+// stored it bare), prepared insertions that carry their container under
+// q/s/ (before Prepare wrote it at its entry key), shops whose till is a
+// coin list (before it was a balance), and gob resource state and branch
+// records (before their binary records). Left to the runtime the first
+// two would decode as a corrupt container and be dropped as poisoned
+// (failAgent), the third is a marker that hides nothing, deleted on commit
+// with its container — either way every in-flight agent of the data
+// directory silently lost — a resource record that does not decode keeps
+// the node not-ready for good, and a branch that does not decode is never
+// resolved. So the node refuses to start instead, with the store
+// untouched. Only those shapes count: other garbage (a malformed launch)
+// stays on the runtime poison path, so one bad message cannot block a
+// restart.
 func refuseOlderLayout(node string, store stable.Store, queue *stable.Queue) error {
 	refuse := func(what, name, how, commit string) error {
 		return fmt.Errorf("node %s: %s %q %s: this data directory was written by an older runtime; %s is the last commit that reads it (finish or drain its agents there)", node, what, name, how, commit)
@@ -279,28 +282,46 @@ func refuseOlderLayout(node string, store stable.Store, queue *stable.Queue) err
 	if err != nil {
 		return err
 	}
-	keys, err := store.Keys(donePrefix)
-	if err != nil {
-		return err
-	}
-	for _, k := range keys {
-		if raw, _, err := store.Get(k); err != nil {
+	// each calls fn with the key and value of every record under prefix.
+	each := func(prefix string, fn func(key string, raw []byte) error) error {
+		keys, err := store.Keys(prefix)
+		if err != nil {
 			return err
-		} else if wire.LooksLikeGob(raw) {
-			return refuse("completion record of agent", strings.TrimPrefix(k, donePrefix), gob, "fd17232")
 		}
-	}
-	if keys, err = store.Keys(resource.ShopKeyPrefix); err != nil {
-		return err
-	}
-	for _, k := range keys {
-		if raw, _, err := store.Get(k); err != nil {
-			return err
-		} else if resource.IsRetiredShopRecord(raw) {
-			return refuse("shop record", k, "holds a coin-list till", "1b58917")
+		for _, k := range keys {
+			raw, _, err := store.Get(k)
+			if err != nil {
+				return err
+			}
+			if err := fn(k, raw); err != nil {
+				return err
+			}
 		}
+		return nil
 	}
-	return nil
+	return errors.Join(
+		each(donePrefix, func(k string, raw []byte) error {
+			if wire.LooksLikeGob(raw) {
+				return refuse("completion record of agent", strings.TrimPrefix(k, donePrefix), gob, "fd17232")
+			}
+			return nil
+		}),
+		each(resource.KeyPrefix, func(k string, raw []byte) error {
+			switch {
+			case resource.IsRetiredShopRecord(raw):
+				return refuse("shop record", k, "holds a coin-list till", "1b58917")
+			case wire.LooksLikeGob(raw):
+				return refuse("resource record", k, gob, "60b3006")
+			}
+			return nil
+		}),
+		each(txn.BranchPrefix, func(k string, raw []byte) error {
+			if wire.LooksLikeGob(raw) {
+				return refuse("prepared branch", strings.TrimPrefix(k, txn.BranchPrefix), gob, "60b3006")
+			}
+			return nil
+		}),
+	)
 }
 
 // Name returns the node name.

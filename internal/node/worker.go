@@ -214,6 +214,16 @@ func (n *Node) decode(data []byte) (*Container, error) {
 	return DecodeContainer(data)
 }
 
+// encode is EncodeContainer, observed: the encode reports the size of the
+// log it ships, which feeds the core.log_bytes_peak gauge.
+func (n *Node) encode(c *Container) ([]byte, error) {
+	data, logBytes, err := encodeContainer(c)
+	if err == nil {
+		n.cfg.Counters.ObserveLogBytes(int64(logBytes))
+	}
+	return data, err
+}
+
 // process executes one claimed container. Every attempt starts from the
 // stored bytes — each claim hands out a fresh entry, decoded here or by
 // the claim's hint pass (conflictKeys), never both — so an aborted
@@ -271,7 +281,7 @@ func (n *Node) failAgent(entry *stable.Entry, cause error) {
 // re-sent on its timer until acknowledged).
 func (n *Node) finishAgent(tx *txn.Tx, a *agent.Agent, failed bool, reason string) error {
 	n.cfg.Tracer.Rec(trace.OpAgentStep, tx.ID(), a.ID, "finish", "", "", 0)
-	data, err := EncodeContainer(&Container{Mode: ModeStep, Agent: a})
+	data, err := n.encode(&Container{Mode: ModeStep, Agent: a})
 	if err != nil {
 		return err
 	}
@@ -379,8 +389,6 @@ func (n *Node) runStep(entry *stable.Entry, c *Container, attempt int) error {
 			}
 		}
 	}
-	n.observeLogSize(a)
-
 	if move.Next.Done {
 		// finishAgent counts the committed step transaction itself,
 		// before the completion notification can race a metrics reader.
@@ -473,17 +481,6 @@ func AppendInitialSavepointsMode(a *agent.Agent, entered []string, mode core.Log
 	return nil
 }
 
-func (n *Node) observeLogSize(a *agent.Agent) {
-	// The one place a nil Counters is still tested for: not to protect the
-	// call below, which is nil-safe, but to skip computing EncodedSize.
-	if n.cfg.Counters == nil {
-		return
-	}
-	if sz, err := a.Log.EncodedSize(); err == nil {
-		n.cfg.Counters.ObserveLogBytes(int64(sz))
-	}
-}
-
 // startRollback implements Figure 4a / 5a: after the aborting step
 // transaction rolled back, a new transaction re-reads the agent and log
 // from stable storage and either finishes immediately (savepoint directly
@@ -556,7 +553,7 @@ func (n *Node) startRollback(entry *stable.Entry, spID string) error {
 // onCommit (may be nil) is the caller's metric hook, run just before the
 // commit lands (see commitDistributed).
 func (n *Node) shipContainer(tx *txn.Tx, c *Container, dest string, parts []protocol.Participant, onCommit func()) error {
-	data, err := EncodeContainer(c)
+	data, err := n.encode(c)
 	if err != nil {
 		_ = tx.Abort()
 		n.abortParts(tx, parts)

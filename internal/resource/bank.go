@@ -26,7 +26,7 @@ var _ Resource = (*Bank)(nil)
 
 // NewBank creates or re-loads the bank named name on the given store.
 func NewBank(store stable.Store, name string, allowOverdraft bool) (*Bank, error) {
-	b := &Bank{base: base{name: name, kind: "bank", store: store}}
+	b := &Bank{base: base{name: name, kind: "bank", typ: typeBank, store: store}}
 	ok, err := b.load(&b.state)
 	if err != nil {
 		return nil, err
@@ -50,7 +50,8 @@ func (b *Bank) OpenAccount(tx *txn.Tx, acct string, balance int64) error {
 	}
 	b.state.Accounts[acct] = balance
 	tx.RecordUndo(func() { delete(b.state.Accounts, acct) })
-	return b.persist(tx, b.state)
+	b.persist(tx, &b.state)
+	return nil
 }
 
 // Balance returns the current balance of acct (read under the lock, so the
@@ -90,7 +91,8 @@ func (b *Bank) adjust(tx *txn.Tx, acct string, delta int64) error {
 	}
 	b.state.Accounts[acct] = old + delta
 	tx.RecordUndo(func() { b.state.Accounts[acct] = old })
-	return b.persist(tx, b.state)
+	b.persist(tx, &b.state)
+	return nil
 }
 
 // Transfer moves amount from one account to another — the paper's example
@@ -118,9 +120,7 @@ func (b *Bank) IssueCash(tx *txn.Tx, acct, currency string, amount int64) (Cash,
 	b.state.CoinSeq++
 	tx.RecordUndo(func() { b.state.CoinSeq = oldSeq })
 	coin := mint(b.name, b.state.CoinSeq, currency, amount)
-	if err := b.persist(tx, b.state); err != nil {
-		return nil, err
-	}
+	b.persist(tx, &b.state)
 	return Cash{coin}, nil
 }
 

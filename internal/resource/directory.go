@@ -25,7 +25,7 @@ var _ Resource = (*Directory)(nil)
 
 // NewDirectory creates or re-loads the directory named name.
 func NewDirectory(store stable.Store, name string) (*Directory, error) {
-	d := &Directory{base: base{name: name, kind: "directory", store: store}}
+	d := &Directory{base: base{name: name, kind: "directory", typ: typeDirectory, store: store}}
 	ok, err := d.load(&d.state)
 	if err != nil {
 		return nil, err
@@ -50,7 +50,8 @@ func (d *Directory) Put(tx *txn.Tx, key, value string) error {
 			delete(d.state.Data, key)
 		}
 	})
-	return d.persist(tx, d.state)
+	d.persist(tx, &d.state)
+	return nil
 }
 
 // Lookup returns the value stored under key.

@@ -35,7 +35,7 @@ var _ Resource = (*Exchange)(nil)
 
 // NewExchange creates or re-loads the exchange named name.
 func NewExchange(store stable.Store, name string, spreadMilli int64) (*Exchange, error) {
-	e := &Exchange{base: base{name: name, kind: "exchange", store: store}}
+	e := &Exchange{base: base{name: name, kind: "exchange", typ: typeExchange, store: store}}
 	ok, err := e.load(&e.state)
 	if err != nil {
 		return nil, err
@@ -69,7 +69,8 @@ func (e *Exchange) SetRate(tx *txn.Tx, from, to string, rateMilli, reserve int64
 	e.state.Reserves[from] += reserve
 	e.state.Reserves[to] += reserve
 	tx.RecordUndo(func() { e.state = old })
-	return e.persist(tx, e.state)
+	e.persist(tx, &e.state)
+	return nil
 }
 
 // Rate returns the from → to rate in 1/1000ths.
@@ -110,9 +111,7 @@ func (e *Exchange) Convert(tx *txn.Tx, from, to string, in Cash) (Cash, error) {
 	e.state.CoinSeq++
 	coin := mint(e.name, e.state.CoinSeq, to, net)
 	tx.RecordUndo(func() { e.state = old })
-	if err := e.persist(tx, e.state); err != nil {
-		return nil, err
-	}
+	e.persist(tx, &e.state)
 	return Cash{coin}, nil
 }
 

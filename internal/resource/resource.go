@@ -18,9 +18,10 @@
 //
 // Resources keep their authoritative state in memory, guarded by a single
 // txn.Lock (coarse strict two-phase locking), and persist their full state
-// into the node's stable store as part of each transaction's atomic commit
-// batch. On node recovery the state is re-loaded from the store, i.e. it
-// reflects exactly the committed transactions.
+// as one binary record (codec.go) into the node's stable store as part of
+// each transaction's atomic commit batch. On node recovery the state is
+// re-loaded from the store, i.e. it reflects exactly the committed
+// transactions.
 package resource
 
 import (
@@ -29,7 +30,6 @@ import (
 
 	"repro/internal/stable"
 	"repro/internal/txn"
-	"repro/internal/wire"
 )
 
 // Resource is implemented by every resource manager on a node.
@@ -58,6 +58,7 @@ var (
 type base struct {
 	name  string
 	kind  string
+	typ   byte // the record's type byte (codec.go)
 	store stable.Store
 	lock  txn.Lock
 }
@@ -67,15 +68,18 @@ func (b *base) Kind() string { return b.kind }
 
 func (b *base) ConflictLock() *txn.Lock { return &b.lock }
 
-func (b *base) storeKey() string { return "res/" + b.kind + "/" + b.name }
+// KeyPrefix prefixes every resource's record in a node's stable store.
+const KeyPrefix = "res/"
 
-// load decodes persisted state into state; reports whether it existed.
-func (b *base) load(state any) (bool, error) {
+func (b *base) storeKey() string { return KeyPrefix + b.kind + "/" + b.name }
+
+// load decodes persisted state into st; reports whether it existed.
+func (b *base) load(st state) (bool, error) {
 	raw, ok, err := b.store.Get(b.storeKey())
 	if err != nil || !ok {
 		return ok, err
 	}
-	if err := wire.Decode(raw, state); err != nil {
+	if err := decodeState(raw, b.typ, st); err != nil {
 		return false, fmt.Errorf("resource %s: load: %w", b.name, err)
 	}
 	return true, nil
@@ -85,19 +89,14 @@ func (b *base) load(state any) (bool, error) {
 // reads, goes through it (serializability via strict two-phase locking).
 func (b *base) lockTx(tx *txn.Tx) error { return tx.Lock(&b.lock) }
 
-// persist schedules the (already mutated) state for atomic persistence at
-// commit. The encode is lazy: the transaction materializes the op at
-// commit/prepare time, after last-writer-wins dedup, so a transaction
-// touching this resource N times pays one state encode instead of N. The
-// closure runs while the resource lock is still held, so it captures the
-// transaction's final state.
-func (b *base) persist(tx *txn.Tx, state any) error {
+// persist schedules st, the (already mutated) state, for atomic
+// persistence at commit. The encode is lazy: the transaction materializes
+// the op at commit/prepare time, after last-writer-wins dedup, so a
+// transaction touching this resource N times pays one state encode
+// instead of N. The closure runs while the resource lock is still held,
+// so it captures the transaction's final state.
+func (b *base) persist(tx *txn.Tx, st state) {
 	tx.AddLazyOp(b.storeKey(), func() ([]byte, error) {
-		data, err := wire.Encode(state)
-		if err != nil {
-			return nil, fmt.Errorf("resource %s: persist: %w", b.name, err)
-		}
-		return data, nil
+		return encodeState(b.typ, st), nil
 	})
-	return nil
 }

@@ -62,20 +62,20 @@ type ShopConfig struct {
 }
 
 // ShopKeyPrefix prefixes every shop's record in a node's stable store.
-const ShopKeyPrefix = "res/shop/"
+const ShopKeyPrefix = KeyPrefix + "shop/"
 
 // IsRetiredShopRecord reports whether raw is a shop record whose till is
-// a coin list, the layout of commit 1b58917 and before. Such a record is
-// refused, never read (node.New names it): its coins have no balance to
-// land in, and NewShop fails to decode it.
+// a coin list, the layout of commit 1b58917 and before: a gob record that
+// defines the Cash type. Such a record is refused, never read (node.New
+// names it): its coins have no balance to land in, and NewShop fails to
+// decode it.
 func IsRetiredShopRecord(raw []byte) bool {
-	var old struct{ Till Cash }
-	return wire.Decode(raw, &old) == nil
+	return wire.GobDefines(raw, "Cash")
 }
 
 // NewShop creates or re-loads the shop named name on the given store.
 func NewShop(store stable.Store, name string, cfg ShopConfig) (*Shop, error) {
-	s := &Shop{base: base{name: name, kind: "shop", store: store}}
+	s := &Shop{base: base{name: name, kind: "shop", typ: typeShop, store: store}}
 	ok, err := s.load(&s.state)
 	if err != nil {
 		return nil, err
@@ -125,7 +125,8 @@ func (s *Shop) Restock(tx *txn.Tx, item string, qty int, price int64) error {
 			delete(s.state.Price, item)
 		}
 	})
-	return s.persist(tx, s.state)
+	s.persist(tx, &s.state)
+	return nil
 }
 
 // StockOf returns the units of item currently in stock.
@@ -176,9 +177,7 @@ func (s *Shop) Buy(tx *txn.Tx, item string, qty int, payment Cash) (change Cash,
 		s.state.Stock[item] = oldStock
 		s.state.Till = oldTill
 	})
-	if err := s.persist(tx, s.state); err != nil {
-		return nil, err
-	}
+	s.persist(tx, &s.state)
 	return change, nil
 }
 
@@ -206,9 +205,7 @@ func (s *Shop) Refund(tx *txn.Tx, item string, qty int, paidAmount int64) (Cash,
 		oldStock := s.state.Stock[item]
 		s.state.Stock[item] = oldStock + qty
 		tx.RecordUndo(func() { s.state.Stock[item] = oldStock })
-		if err := s.persist(tx, s.state); err != nil {
-			return nil, nil, err
-		}
+		s.persist(tx, &s.state)
 		return nil, &CreditNote{Shop: s.name, Currency: s.state.Currency, Value: paidAmount}, nil
 	}
 	// RefundCash: return paidAmount minus the fee in fresh coins.
@@ -232,8 +229,6 @@ func (s *Shop) Refund(tx *txn.Tx, item string, qty int, paidAmount int64) (Cash,
 		s.state.Till = oldTill
 		s.state.CoinSeq = oldSeq
 	})
-	if err := s.persist(tx, s.state); err != nil {
-		return nil, nil, err
-	}
+	s.persist(tx, &s.state)
 	return Cash{coin}, nil, nil
 }

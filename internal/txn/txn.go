@@ -33,7 +33,6 @@ import (
 	"time"
 
 	"repro/internal/stable"
-	"repro/internal/wire"
 )
 
 // Status is the life-cycle state of a transaction.
@@ -180,9 +179,12 @@ func NewManager(node string, store stable.Store) (*Manager, error) {
 	return m, nil
 }
 
+// BranchPrefix prefixes the durable record of every prepared branch.
+const BranchPrefix = "txn/branch/"
+
 func (m *Manager) seqKey() string               { return "txnseq" }
 func (m *Manager) decisionKey(id string) string { return "txn/decision/" + id }
-func (m *Manager) branchKey(id string) string   { return "txn/branch/" + id }
+func (m *Manager) branchKey(id string) string   { return BranchPrefix + id }
 
 // Node returns the owning node name.
 func (m *Manager) Node() string { return m.node }
@@ -394,11 +396,7 @@ func (tx *Tx) Prepare() error {
 	if err != nil {
 		return fmt.Errorf("txn %s: prepare: %w", tx.id, err)
 	}
-	rec, err := wire.Encode(ops)
-	if err != nil {
-		return err
-	}
-	if err := tx.mgr.store.Apply(stable.Put(tx.mgr.branchKey(tx.id), rec)); err != nil {
+	if err := tx.mgr.store.Apply(stable.Put(tx.mgr.branchKey(tx.id), appendBranch(nil, ops))); err != nil {
 		return fmt.Errorf("txn %s: prepare: %w", tx.id, err)
 	}
 	// Pin the materialized batch so CommitPrepared applies exactly what
@@ -460,13 +458,13 @@ func (m *Manager) Decided(id string) (bool, error) {
 
 // InDoubtBranches lists prepared branches surviving a crash.
 func (m *Manager) InDoubtBranches() ([]string, error) {
-	keys, err := m.store.Keys("txn/branch/")
+	keys, err := m.store.Keys(BranchPrefix)
 	if err != nil {
 		return nil, err
 	}
 	ids := make([]string, len(keys))
 	for i, k := range keys {
-		ids[i] = k[len("txn/branch/"):]
+		ids[i] = k[len(BranchPrefix):]
 	}
 	return ids, nil
 }
@@ -486,8 +484,8 @@ func (m *Manager) ResolveBranch(id string, commit bool) error {
 	if !commit {
 		return m.store.Apply(stable.Del(m.branchKey(id)))
 	}
-	var ops []stable.Op
-	if err := wire.Decode(raw, &ops); err != nil {
+	ops, err := parseBranch(raw)
+	if err != nil {
 		return fmt.Errorf("txn: corrupt branch %q: %w", id, err)
 	}
 	return m.store.Apply(append(ops, stable.Del(m.branchKey(id)))...)
