@@ -22,8 +22,11 @@
 //	RPC            call each compensating operation individually
 //	               (one round trip per operation plus its parameters).
 //
-// Pick returns the cheapest strategy; the experiment table T-perf checks
-// the model's crossovers against the measured Figure-5 behaviour.
+// Pick returns the cheapest strategy. The experiment table T-perf prints
+// the model's Cost of each strategy and its Pick over a range of agent
+// sizes on one LAN link, with the agent size where shipping entries starts
+// to beat migrating the agent (CrossoverAgentBytes). It is the model's
+// arithmetic only: nothing here is checked against a measured run.
 package perfmodel
 
 import (

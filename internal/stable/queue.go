@@ -5,6 +5,7 @@ import (
 	"maps"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 
 	"repro/internal/wire"
@@ -21,10 +22,12 @@ import (
 //	                                it hides
 //
 // An entry without data is stored as an empty value (a nil Op.Value is a
-// delete). It supports two write paths:
+// delete). It supports three write paths:
 //
 //   - Enqueue: direct, atomic insertion (used when an owner launches an
 //     agent into the system).
+//   - EnqueueIn: insertion that lands when a caller's transaction
+//     commits (a step handing its agent to the next step on this node).
 //   - Prepare/CommitStaged/AbortStaged: two-phase insertion used by the
 //     distributed step and compensation transactions. Prepare writes the
 //     container once, at the entry key it will live under, and a marker
@@ -154,8 +157,23 @@ func (q *Queue) signal() {
 const seqDigits = 16
 
 func (q *Queue) seqKey() string { return q.prefix + "seq" }
+
+// entryKey builds the key by hand: every step reserves one, and
+// fmt.Sprintf cost a percent of a step's CPU.
 func (q *Queue) entryKey(n uint64, id string) string {
-	return fmt.Sprintf("%se/%0*d/%s", q.prefix, seqDigits, n, id)
+	var digits [20]byte
+	d := strconv.AppendUint(digits[:0], n, 10)
+	var b strings.Builder
+	b.Grow(len(q.prefix) + len("e/") + seqDigits + 1 + len(id))
+	b.WriteString(q.prefix)
+	b.WriteString("e/")
+	for i := len(d); i < seqDigits; i++ {
+		b.WriteByte('0')
+	}
+	b.Write(d)
+	b.WriteByte('/')
+	b.WriteString(id)
+	return b.String()
 }
 func (q *Queue) stageKey(txn string) string {
 	return q.prefix + "s/" + txn

@@ -30,6 +30,8 @@ import (
 //	0x10..0x1f  internal/node     (done notification, agent container, launch,
 //	                               done record, membership announce)
 //	0x20..0x2f  internal/stable   (0x20 retired; marker of a prepared queue insertion)
+//	0x30..0x37  internal/resource (bank, shop, directory, exchange state)
+//	0x38..0x3f  internal/txn      (prepared-branch record)
 //
 // The authoritative table is in DESIGN.md ("Wire format"). Never reuse
 // or renumber a released type byte; the wire format is a compatibility

@@ -4,13 +4,13 @@
 // capture an agent's private data and rollback log for migration and for
 // stable storage. This package plays the same role. Everything the
 // runtime itself defines — protocol messages, TCP frames, the agent
-// container with its itinerary, data spaces and rollback log — travels in
-// the hand-rolled length-prefixed binary format of binary.go. User-defined
-// values (data-space objects, compensation parameters) are opaque bytes
-// produced by the value codec of scalar.go: a tagged scalar for
-// int/int64/string/[]byte, gob for every other type. Gob otherwise
-// remains only for low-rate stable-storage records (transaction branches,
-// resource state); nothing a peer sends or accepts is gob.
+// container with its itinerary, data spaces and rollback log, and the
+// records it keeps on stable storage — travels in the hand-rolled
+// length-prefixed binary format of binary.go. User-defined values
+// (data-space objects, compensation parameters) are opaque bytes produced
+// by the value codec of scalar.go: a tagged scalar for int/int64/string/
+// []byte, gob for every other type. That fallback is the one use of gob
+// left (Encode/Decode below); nothing the runtime defines is gob.
 package wire
 
 import (
