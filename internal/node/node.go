@@ -282,46 +282,35 @@ func refuseOlderLayout(node string, store stable.Store, queue *stable.Queue) err
 	if err != nil {
 		return err
 	}
-	// each calls fn with the key and value of every record under prefix.
-	each := func(prefix string, fn func(key string, raw []byte) error) error {
-		keys, err := store.Keys(prefix)
+	for _, recs := range []struct {
+		prefix, what, commit string
+		byKey                bool // name the record by its key, not by what follows the prefix
+	}{
+		{donePrefix, "completion record of agent", "fd17232", false},
+		{resource.KeyPrefix, "resource record", "60b3006", true},
+		{txn.BranchPrefix, "prepared branch", "60b3006", false},
+	} {
+		keys, err := store.Keys(recs.prefix)
 		if err != nil {
 			return err
 		}
 		for _, k := range keys {
+			name := k
+			if !recs.byKey {
+				name = strings.TrimPrefix(k, recs.prefix)
+			}
 			raw, _, err := store.Get(k)
-			if err != nil {
-				return err
-			}
-			if err := fn(k, raw); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return errors.Join(
-		each(donePrefix, func(k string, raw []byte) error {
-			if wire.LooksLikeGob(raw) {
-				return refuse("completion record of agent", strings.TrimPrefix(k, donePrefix), gob, "fd17232")
-			}
-			return nil
-		}),
-		each(resource.KeyPrefix, func(k string, raw []byte) error {
 			switch {
-			case resource.IsRetiredShopRecord(raw):
+			case err != nil:
+				return err
+			case recs.prefix == resource.KeyPrefix && resource.IsRetiredShopRecord(raw):
 				return refuse("shop record", k, "holds a coin-list till", "1b58917")
 			case wire.LooksLikeGob(raw):
-				return refuse("resource record", k, gob, "60b3006")
+				return refuse(recs.what, name, gob, recs.commit)
 			}
-			return nil
-		}),
-		each(txn.BranchPrefix, func(k string, raw []byte) error {
-			if wire.LooksLikeGob(raw) {
-				return refuse("prepared branch", strings.TrimPrefix(k, txn.BranchPrefix), gob, "60b3006")
-			}
-			return nil
-		}),
-	)
+		}
+	}
+	return nil
 }
 
 // Name returns the node name.
