@@ -363,7 +363,7 @@ func TestShopRefusesCoinListTill(t *testing.T) {
 		t.Fatal("the 1b58917 record is not recognised as retired")
 	}
 	store := stable.NewMemStore(nil)
-	const key = ShopKeyPrefix + "shop"
+	const key = KeyPrefix + "shop/shop"
 	if err := store.Apply(stable.Put(key, old)); err != nil {
 		t.Fatal(err)
 	}

@@ -61,9 +61,6 @@ type ShopConfig struct {
 	FeePercent int64 // refund fee in percent, applied in RefundCash mode
 }
 
-// ShopKeyPrefix prefixes every shop's record in a node's stable store.
-const ShopKeyPrefix = KeyPrefix + "shop/"
-
 // IsRetiredShopRecord reports whether raw is a shop record whose till is
 // a coin list, the layout of commit 1b58917 and before: a gob record that
 // defines the Cash type. Such a record is refused, never read (node.New

@@ -175,6 +175,7 @@ func (q *Queue) entryKey(n uint64, id string) string {
 	b.WriteString(id)
 	return b.String()
 }
+
 func (q *Queue) stageKey(txn string) string {
 	return q.prefix + "s/" + txn
 }

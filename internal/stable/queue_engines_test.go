@@ -552,15 +552,21 @@ func TestQueueKeyNamesAgent(t *testing.T) {
 	})
 }
 
-// getCounter counts the reads a queue makes of its store.
+// getCounter counts the reads and the key listings a queue makes of its
+// store.
 type getCounter struct {
 	stable.Store
-	gets int
+	gets, keys int
 }
 
 func (c *getCounter) Get(key string) ([]byte, bool, error) {
 	c.gets++
 	return c.Store.Get(key)
+}
+
+func (c *getCounter) Keys(prefix string) ([]string, error) {
+	c.keys++
+	return c.Store.Keys(prefix)
 }
 
 // TestQueueClaimReadsOnlyTheWinner: entries a claim passes over — claimed,

@@ -205,23 +205,12 @@ func runQueueModel(t *testing.T, s stable.Store, r *rand.Rand, steps int) {
 	}
 }
 
-// keysCounter counts the keyspace listings a queue makes of its store.
-type keysCounter struct {
-	stable.Store
-	keys int
-}
-
-func (c *keysCounter) Keys(prefix string) ([]string, error) {
-	c.keys++
-	return c.Store.Keys(prefix)
-}
-
 // TestQueueIndexListsOnce: after the first load, 1 000 step-shaped
 // cycles — claim, remove and re-enqueue in one committed transaction,
 // release — and the Len, Peek, Entries and StagedTxns around them list
 // the store's keys zero times.
 func TestQueueIndexListsOnce(t *testing.T) {
-	s := &keysCounter{Store: stable.NewMemStore(nil)}
+	s := &getCounter{Store: stable.NewMemStore(nil)}
 	m, err := txn.NewManager("n", s)
 	if err != nil {
 		t.Fatal(err)

@@ -359,3 +359,52 @@ func TestLockBusyHint(t *testing.T) {
 		t.Error("released lock reported busy")
 	}
 }
+
+// failingStore refuses every batch.
+type failingStore struct{ stable.Store }
+
+func (failingStore) Apply(...stable.Op) error { return errors.New("disk full") }
+
+// TestOnCommitHooks: hooks run in order once Commit or CommitPrepared
+// has applied the batch, and never for an abort or a batch that failed.
+func TestOnCommitHooks(t *testing.T) {
+	m, _ := newMgr(t)
+	var ran []string
+	hook := func(name string) func() { return func() { ran = append(ran, name) } }
+
+	tx, _ := m.Begin()
+	tx.OnCommit(hook("a"))
+	tx.OnCommit(hook("b"))
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	tx = m.BeginWithID("co#1")
+	tx.OnCommit(hook("prepared"))
+	if err := tx.Prepare(); err != nil {
+		t.Fatal(err)
+	}
+	if len(ran) != 2 {
+		t.Fatalf("a hook ran at prepare: %v", ran)
+	}
+	if err := tx.CommitPrepared(); err != nil {
+		t.Fatal(err)
+	}
+	tx, _ = m.Begin()
+	tx.OnCommit(hook("aborted"))
+	if err := tx.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"a", "b", "prepared"}; fmt.Sprint(ran) != fmt.Sprint(want) {
+		t.Errorf("hooks ran %v, want %v", ran, want)
+	}
+
+	broken := &Manager{node: "n1", store: failingStore{stable.NewMemStore(nil)}, LockTimeout: time.Second}
+	tx = broken.BeginWithID("x#1")
+	tx.OnCommit(hook("failed"))
+	if err := tx.Commit(); err == nil {
+		t.Fatal("commit on a failing store succeeded")
+	}
+	if len(ran) != 3 {
+		t.Errorf("a hook ran for a batch that failed to apply: %v", ran)
+	}
+}
