@@ -27,7 +27,7 @@ func startObs(t *testing.T) string {
 	tr.Rec(trace.OpAgentStep, "A#1", "trip1", "buy", "", "", 1)
 	tr.Rec(trace.OpTransition, "A#1", "", "AckReceived(commit)", "coord-active", "coord-idle", 2)
 	tr.Rec(trace.OpTransition, "A#2", "", "PrepareReceived", "-", "staged", 1)
-	m := membership.NewManager("A", 16,
+	m := membership.NewManager("A",
 		membership.Member{Name: "B", Status: membership.Alive, Epoch: 1})
 	h := obs.Handler(obs.Config{
 		Node: "A", Counters: c, Tracer: tr,
@@ -131,7 +131,7 @@ func TestRingSubcommand(t *testing.T) {
 	}
 	got := out.String()
 	for _, want := range []string{
-		"node A: 2 members, 16 vnodes/member",
+		"node A: 2 members, 128 vnodes/member",
 		"adopted=2",
 		"MEMBER", // table header
 		"alive",

@@ -70,8 +70,6 @@ func run(args []string) error {
 		workers   = fs.Int("workers", 1, "concurrent step-transaction workers (1 = the paper's serial node model)")
 		obsAddr   = fs.String("obs-addr", "", "admin-plane listen address serving /metrics, /healthz, /trace, /ring and /debug/pprof (empty disables)")
 		members   = fs.String("members", "", "comma-separated peer node names seeding the membership view; enables consistent-hash placement (@ring itinerary locations) and live rebalancing (empty keeps static wiring)")
-		vnodes    = fs.Int("vnodes", 0, "virtual points per member on the consistent-hash ring (0 = default 128; only with -members)")
-		traceRing = fs.Int("trace-ring", 0, "causal trace ring size per node (0 = default 16384, negative disables tracing)")
 	)
 	// The storage knobs (-store, -sync, -wal-*, -repl*) are the shared
 	// flag surface: they parse into a stable.Spec in one place.
@@ -123,14 +121,7 @@ func run(args []string) error {
 		return err
 	}
 	counters := &metrics.Counters{}
-	var tracer *trace.Tracer
-	if *traceRing >= 0 {
-		size := *traceRing
-		if size == 0 {
-			size = trace.DefaultRingSize
-		}
-		tracer = trace.New(*name, size, func() int64 { return time.Now().UnixNano() })
-	}
+	tracer := trace.New(*name, trace.DefaultRingSize, func() int64 { return time.Now().UnixNano() })
 	var mgr *membership.Manager
 	if *members != "" {
 		// Seeds are epoch-0 hints ("announce to these"); the flood and the
@@ -141,7 +132,7 @@ func run(args []string) error {
 				seed = append(seed, membership.Member{Name: p})
 			}
 		}
-		mgr = membership.NewManager(*name, *vnodes, seed...)
+		mgr = membership.NewManager(*name, seed...)
 	}
 	n, err := node.New(node.Config{
 		Name:       *name,

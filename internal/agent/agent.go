@@ -76,7 +76,6 @@ const (
 	sysKeyCursor  = sysPrefix + "cursor"
 	sysKeyItin    = sysPrefix + "itinerary"
 	sysKeyStepSeq = sysPrefix + "stepseq"
-	sysKeyWRO     = sysPrefix + "wro"
 )
 
 // SystemImage returns the SRO snapshot augmented with the system state
@@ -96,22 +95,6 @@ func (a *Agent) SystemImage() (map[string][]byte, error) {
 	img[sysKeyCursor] = a.Cursor.AppendTo(nil)
 	img[sysKeyItin] = itin
 	img[sysKeyStepSeq] = wire.EncodeInt64(int64(a.StepSeq))
-	return img, nil
-}
-
-// SystemImageWithWRO is SystemImage plus a before-image of the weakly
-// reversible objects. The paper argues (§2, §4.1) that restoring WROs from
-// images is WRONG — compensation produces information (refund notes,
-// replacement cash) that an image restore would erase, and image-restored
-// cash double-spends. This method exists only for the saga-style baseline
-// (DESIGN.md S16b) that demonstrates the failure; the real mechanism never
-// calls it.
-func (a *Agent) SystemImageWithWRO() (map[string][]byte, error) {
-	img, err := a.SystemImage()
-	if err != nil {
-		return nil, err
-	}
-	img[sysKeyWRO] = wire.AppendBytesMap(nil, a.WRO.Data)
 	return img, nil
 }
 
@@ -139,17 +122,6 @@ func (a *Agent) RestoreSystemImage(img map[string][]byte) error {
 	a.Cursor = cursor
 	a.Itin = itin
 	a.StepSeq = int(seq)
-	if wroRaw, ok := img[sysKeyWRO]; ok {
-		// Saga-baseline image (SystemImageWithWRO): restore the WROs
-		// from the before-image — deliberately wrong per §4.1, kept for
-		// the S16b demonstration.
-		r = wire.NewReader(wroRaw)
-		wroImg := r.BytesMap()
-		if err := r.Done(); err != nil {
-			return fmt.Errorf("agent %s: savepoint WRO image: %w", a.ID, err)
-		}
-		a.WRO.Restore(wroImg)
-	}
 	a.RestoreSRO(img)
 	return nil
 }

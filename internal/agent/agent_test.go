@@ -147,6 +147,9 @@ func TestSystemImageRoundTrip(t *testing.T) {
 	if err := a.SRO.Set("user", "changed"); err != nil {
 		t.Fatal(err)
 	}
+	if err := a.WRO.Set("cash", 7); err != nil {
+		t.Fatal(err)
+	}
 	if err := a.SRO.Set("extra", 1); err != nil {
 		t.Fatal(err)
 	}
@@ -166,53 +169,18 @@ func TestSystemImageRoundTrip(t *testing.T) {
 	if a.StepSeq != 7 {
 		t.Errorf("StepSeq = %d, want 7", a.StepSeq)
 	}
+	// §4.1: weakly reversible objects are compensated, never restored
+	// from an image.
+	var cash int
+	if err := a.WRO.MustGet("cash", &cash); err != nil || cash != 7 {
+		t.Errorf("cash = %d, %v; want 7 (WRO untouched by restore)", cash, err)
+	}
 	if a.Cursor.Done {
 		t.Error("cursor not restored")
 	}
 	step, err := a.Itin.StepAt(a.Cursor)
 	if err != nil || step.Method != "m1" {
 		t.Errorf("restored cursor at %+v, %v", step, err)
-	}
-}
-
-func TestSystemImageWithWRO(t *testing.T) {
-	a, _, err := New("a1", "o", testItinerary(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.WRO.Set("cash", 500); err != nil {
-		t.Fatal(err)
-	}
-	img, err := a.SystemImageWithWRO()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Change the WRO, then restore the saga-style image: the WRO is
-	// (wrongly, per §4.1 — this mode exists for the baseline) reset.
-	if err := a.WRO.Set("cash", 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.RestoreSystemImage(img); err != nil {
-		t.Fatal(err)
-	}
-	var cash int
-	if err := a.WRO.MustGet("cash", &cash); err != nil || cash != 500 {
-		t.Errorf("cash = %d, %v; want 500 (image restored)", cash, err)
-	}
-
-	// A plain SystemImage must NOT touch the WRO on restore.
-	img2, err := a.SystemImage()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.WRO.Set("cash", 7); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.RestoreSystemImage(img2); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.WRO.MustGet("cash", &cash); err != nil || cash != 7 {
-		t.Errorf("cash = %d, %v; want 7 (WRO untouched by normal restore)", cash, err)
 	}
 }
 

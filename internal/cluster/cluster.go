@@ -51,9 +51,6 @@ type Options struct {
 	// Workers sets the step-scheduler worker count on every node
 	// (node.Config.Workers; default 1, the paper's serial model).
 	Workers int
-	// SagaBaseline enables the deliberately wrong saga-style WRO
-	// restore (S16b ablation; see node.Config.SagaBaseline).
-	SagaBaseline bool
 	// Counters receives all metrics; one is created if nil.
 	Counters *metrics.Counters
 	// Store configures every node's stable engine through the unified
@@ -68,30 +65,18 @@ type Options struct {
 	// FaultSeed seeds the simulated network's fault RNG so probabilistic
 	// link faults (SetLinkFaults) replay identically for the same seed.
 	FaultSeed int64
-	// MailboxCap bounds each node's inbound mailbox; overflow drops are
-	// counted in Counters.MailboxDrops. Zero keeps mailboxes unbounded.
-	MailboxCap int
 	// Clock drives the simulated network's latency-delayed deliveries
 	// AND every node's protocol timers (ack timeouts, control resends,
 	// in-doubt queries, notification resends — the node timer wheel);
 	// nil uses the wall clock. A network.VirtualClock makes both
 	// manually advanceable (deterministic deadline order).
 	Clock network.Clock
-	// TraceRing sizes each node's causal-trace ring buffer: 0 keeps
-	// tracing on at trace.DefaultRingSize, a positive value overrides
-	// the ring size, and a negative value disables tracing entirely.
-	// Tracers are stamped from Clock and survive Crash/Recover, so a
-	// node's timeline spans simulated reboots.
-	TraceRing int
 	// Membership gives every node a membership manager: views flood via
 	// announcements, "@ring" step locations resolve through the
 	// consistent-hash ring, and each node rebalances misplaced agents.
 	// It also enables Join (boot a node mid-run) and Leave (drain and
 	// detach a node).
 	Membership bool
-	// VNodes overrides the ring's virtual-node count per member (default
-	// membership.DefaultVNodes).
-	VNodes int
 }
 
 // Result is the final outcome of one agent delivered to the collector.
@@ -165,11 +150,10 @@ func New(opts Options) *Cluster {
 	return &Cluster{
 		opts: opts,
 		sim: network.NewSim(network.SimConfig{
-			Latency:    opts.Latency,
-			Counters:   opts.Counters,
-			FaultSeed:  opts.FaultSeed,
-			MailboxCap: opts.MailboxCap,
-			Clock:      opts.Clock,
+			Latency:   opts.Latency,
+			Counters:  opts.Counters,
+			FaultSeed: opts.FaultSeed,
+			Clock:     opts.Clock,
 		}),
 		registry:  agent.NewRegistry(),
 		counters:  opts.Counters,
@@ -296,23 +280,22 @@ func (c *Cluster) bootNode(name string) error {
 		return err
 	}
 	cfg := node.Config{
-		Name:         name,
-		Optimized:    c.opts.Optimized,
-		LogMode:      c.opts.LogMode,
-		AckTimeout:   c.opts.AckTimeout,
-		RetryDelay:   c.opts.RetryDelay,
-		MaxAttempts:  c.opts.MaxAttempts,
-		Workers:      c.opts.Workers,
-		SagaBaseline: c.opts.SagaBaseline,
-		Clock:        c.opts.Clock,
-		Counters:     c.counters,
-		Tracer:       c.nodeTracer(name),
+		Name:        name,
+		Optimized:   c.opts.Optimized,
+		LogMode:     c.opts.LogMode,
+		AckTimeout:  c.opts.AckTimeout,
+		RetryDelay:  c.opts.RetryDelay,
+		MaxAttempts: c.opts.MaxAttempts,
+		Workers:     c.opts.Workers,
+		Clock:       c.opts.Clock,
+		Counters:    c.counters,
+		Tracer:      c.nodeTracer(name),
 	}
 	if c.opts.Membership {
 		// A fresh manager per boot: the view is volatile (like the rest
 		// of the node's soft state); the boot announcement plus
 		// anti-entropy replies re-teach a recovered node the present.
-		cfg.Membership = membership.NewManager(name, c.opts.VNodes, c.seedMembers()...)
+		cfg.Membership = membership.NewManager(name, c.seedMembers()...)
 	}
 	n, err := node.New(cfg, ep, st.store, c.registry, st.factories...)
 	if err != nil {
@@ -465,13 +448,10 @@ func (c *Cluster) LeftNodes() []string {
 	return names
 }
 
-// nodeTracer returns the node's trace ring, creating it on first boot
-// and reusing it across Crash/Recover so timelines span reboots.
-// Returns nil when Options.TraceRing is negative.
+// nodeTracer returns the node's trace.DefaultRingSize ring, creating it
+// on first boot and reusing it across Crash/Recover so timelines span
+// reboots. It is stamped from Options.Clock.
 func (c *Cluster) nodeTracer(name string) *trace.Tracer {
-	if c.opts.TraceRing < 0 {
-		return nil
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if tr, ok := c.tracers[name]; ok {
@@ -481,17 +461,13 @@ func (c *Cluster) nodeTracer(name string) *trace.Tracer {
 	if clk := c.opts.Clock; clk != nil {
 		now = func() int64 { return clk.Now().UnixNano() }
 	}
-	size := c.opts.TraceRing
-	if size == 0 {
-		size = trace.DefaultRingSize
-	}
-	tr := trace.New(name, size, now)
+	tr := trace.New(name, trace.DefaultRingSize, now)
 	c.tracers[name] = tr
 	return tr
 }
 
-// Tracer returns the named node's trace ring, or nil when tracing is
-// disabled or the node never booted.
+// Tracer returns the named node's trace ring, or nil when the node never
+// booted.
 func (c *Cluster) Tracer(name string) *trace.Tracer {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -581,7 +557,7 @@ func (c *Cluster) Launch(a *agent.Agent, entered []string, at string) (<-chan Re
 		return nil, fmt.Errorf("cluster: no node %q", at)
 	}
 	a.Owner = collectorName
-	if err := node.AppendInitialSavepointsMode(a, entered, c.opts.LogMode, c.opts.SagaBaseline); err != nil {
+	if err := node.AppendInitialSavepoints(a, entered, c.opts.LogMode); err != nil {
 		return nil, err
 	}
 	data, err := node.EncodeContainer(&node.Container{Mode: node.ModeStep, Agent: a})

@@ -55,7 +55,7 @@ func shoppingCluster(t *testing.T, optimized bool) *cluster.Cluster {
 	if err := cl.AddNode("C", dirFactory("dir")); err != nil {
 		t.Fatal(err)
 	}
-	registerShoppingSteps(t, cl)
+	registerShoppingSteps(t, cl, nil)
 	if err := cl.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -139,11 +139,20 @@ func wallet(sp *agent.Space) (resource.Cash, error) {
 //	           compensation: refund with fee + note),
 //	check/C    read the review; bad review without a note triggers a
 //	           partial rollback of the whole sub-itinerary.
-func registerShoppingSteps(t *testing.T, cl *cluster.Cluster) {
+//
+// A non-nil wrap is applied to every step method.
+func registerShoppingSteps(t *testing.T, cl *cluster.Cluster, wrap func(agent.StepFunc) agent.StepFunc) {
 	t.Helper()
 	reg := cl.Registry()
+	regStep := func(name string, fn agent.StepFunc) {
+		t.Helper()
+		if wrap != nil {
+			fn = wrap(fn)
+		}
+		mustRegStep(t, reg, name, fn)
+	}
 
-	mustRegStep(t, reg, "getcash", func(ctx agent.StepContext) error {
+	regStep("getcash", func(ctx agent.StepContext) error {
 		r, ok := ctx.Resource("bank")
 		if !ok {
 			return errors.New("no bank here")
@@ -161,7 +170,7 @@ func registerShoppingSteps(t *testing.T, cl *cluster.Cluster) {
 		return nil
 	})
 
-	mustRegStep(t, reg, "buybook", func(ctx agent.StepContext) error {
+	regStep("buybook", func(ctx agent.StepContext) error {
 		w, err := wallet(ctx.WRO())
 		if err != nil {
 			return err
@@ -192,7 +201,7 @@ func registerShoppingSteps(t *testing.T, cl *cluster.Cluster) {
 		return nil
 	})
 
-	mustRegStep(t, reg, "check", func(ctx agent.StepContext) error {
+	regStep("check", func(ctx agent.StepContext) error {
 		r, ok := ctx.Resource("dir")
 		if !ok {
 			return errors.New("no directory here")

@@ -267,7 +267,7 @@ func TestReplCoordinatorStandby(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.Owner = "~collector"
-	if err := node.AppendInitialSavepointsMode(a, entered, core.StateLogging, false); err != nil {
+	if err := node.AppendInitialSavepoints(a, entered, core.StateLogging); err != nil {
 		t.Fatal(err)
 	}
 	data, err := node.EncodeContainer(&node.Container{Mode: node.ModeStep, Agent: a})

@@ -19,16 +19,55 @@ import (
 // agent's private data space is produced (usually by the rollback of the
 // state space of the resources). This new information has to be integrated
 // into the private agent data." These tests make the failure concrete.
+// The runtime never restores a WRO from an image, so the saga behaviour
+// is emulated here, by the steps themselves.
 
-// sagaShoppingCluster is the shopping scenario with the (deliberately
-// wrong) saga-style WRO restore switched on or off.
+// sagaKey is the SRO key under which sagaStep keeps a copy of the WRO.
+// Every savepoint images the SRO, so each one also holds the WRO as it
+// stood at that savepoint: the before-image a saga would restore.
+const sagaKey = "saga/wro"
+
+// sagaStep wraps a step with the saga-style WRO restore. On entry it
+// resets the WRO from the copy in the SRO; after a successful step it
+// refreshes the copy. Going forward the reset changes nothing. After a
+// rollback the SRO comes back from the target savepoint, so the reset
+// wipes whatever the compensations wrote into the WRO.
+func sagaStep(fn agent.StepFunc) agent.StepFunc {
+	return func(ctx agent.StepContext) error {
+		var img map[string][]byte
+		if err := ctx.SRO().MustGet(sagaKey, &img); err != nil {
+			return err
+		}
+		ctx.WRO().Restore(img)
+		if err := fn(ctx); err != nil {
+			return err
+		}
+		return ctx.SRO().Set(sagaKey, ctx.WRO().Snapshot())
+	}
+}
+
+// newSagaAgent creates an agent whose SRO already holds the WRO copy, so
+// the launcher's savepoints image it too.
+func newSagaAgent(t *testing.T, id string, it *itinerary.Itinerary) (*agent.Agent, []string) {
+	t.Helper()
+	a, entered, err := agent.New(id, "", it)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.SRO.Set(sagaKey, a.WRO.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	return a, entered
+}
+
+// sagaShoppingCluster is the shopping scenario, with every step wrapped
+// by sagaStep when saga is set.
 func sagaShoppingCluster(t *testing.T, saga bool) *cluster.Cluster {
 	t.Helper()
 	cl := cluster.New(cluster.Options{
-		SagaBaseline: saga,
-		RetryDelay:   2 * time.Millisecond,
-		AckTimeout:   time.Second,
-		MaxAttempts:  6, // bound the divergence loop
+		RetryDelay:  2 * time.Millisecond,
+		AckTimeout:  time.Second,
+		MaxAttempts: 6, // bound the divergence loop
 	})
 	if err := cl.AddNode("A", bankFactory("bank", false)); err != nil {
 		t.Fatal(err)
@@ -39,7 +78,11 @@ func sagaShoppingCluster(t *testing.T, saga bool) *cluster.Cluster {
 	if err := cl.AddNode("C", dirFactory("dir")); err != nil {
 		t.Fatal(err)
 	}
-	registerShoppingSteps(t, cl)
+	var wrap func(agent.StepFunc) agent.StepFunc
+	if saga {
+		wrap = sagaStep
+	}
+	registerShoppingSteps(t, cl, wrap)
 	if err := cl.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -85,10 +128,7 @@ func TestSagaBaselineLosesCompensationInformation(t *testing.T) {
 	// Saga baseline: the agent diverges (the WRO note is erased by every
 	// restore) until the retry budget kills it.
 	saga := sagaShoppingCluster(t, true)
-	a2, entered2, err := agent.New("saga-mode", "", shoppingItinerary(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	a2, entered2 := newSagaAgent(t, "saga-mode", shoppingItinerary(t))
 	res2, err := saga.Run(a2, entered2, "A", testTimeout)
 	if err != nil {
 		t.Fatal(err)
@@ -108,9 +148,8 @@ func TestSagaBaselineLosesCompensationInformation(t *testing.T) {
 // *after* the cash was issued makes the duplication visible directly.
 func TestSagaBaselineMintsMoney(t *testing.T) {
 	cl := cluster.New(cluster.Options{
-		SagaBaseline: true,
-		RetryDelay:   2 * time.Millisecond,
-		MaxAttempts:  4,
+		RetryDelay:  2 * time.Millisecond,
+		MaxAttempts: 4,
 	})
 	if err := cl.AddNode("A", bankFactory("bank", false)); err != nil {
 		t.Fatal(err)
@@ -119,7 +158,7 @@ func TestSagaBaselineMintsMoney(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := cl.Registry()
-	mustRegStep(t, reg, "cashout", func(ctx agent.StepContext) error {
+	mustRegStep(t, reg, "cashout", sagaStep(func(ctx agent.StepContext) error {
 		r, _ := ctx.Resource("bank")
 		cash, err := r.(*resource.Bank).IssueCash(ctx.Tx(), "alice", "USD", 500)
 		if err != nil {
@@ -133,8 +172,8 @@ func TestSagaBaselineMintsMoney(t *testing.T) {
 		// the rollback scope.
 		ctx.Savepoint("funded")
 		return nil
-	})
-	mustRegStep(t, reg, "spend", func(ctx agent.StepContext) error {
+	}))
+	mustRegStep(t, reg, "spend", sagaStep(func(ctx agent.StepContext) error {
 		w, err := wallet(ctx.WRO())
 		if err != nil {
 			return err
@@ -162,8 +201,8 @@ func TestSagaBaselineMintsMoney(t *testing.T) {
 		}
 		ctx.LogComp(core.OpMixed, "comp.spend", core.NewParams().Set("paid", int64(100)))
 		return nil
-	})
-	mustRegStep(t, reg, "regret", func(ctx agent.StepContext) error {
+	}))
+	mustRegStep(t, reg, "regret", sagaStep(func(ctx agent.StepContext) error {
 		var cycles int
 		if _, err := ctx.WRO().Get("cycles", &cycles); err != nil {
 			return err
@@ -172,7 +211,7 @@ func TestSagaBaselineMintsMoney(t *testing.T) {
 			return nil // stop the demonstration after three cycles
 		}
 		return ctx.Rollback("funded")
-	})
+	}))
 	mustRegComp(t, reg, "comp.spend", func(ctx agent.CompContext) error {
 		var paid int64
 		if err := ctx.Params().Get("paid", &paid); err != nil {
@@ -219,10 +258,7 @@ func TestSagaBaselineMintsMoney(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, entered, err := agent.New("minter", "", it)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, entered := newSagaAgent(t, "minter", it)
 	res, err := cl.Run(a, entered, "A", testTimeout)
 	if err != nil {
 		t.Fatal(err)

@@ -105,7 +105,6 @@ func (v View) Equal(o View) bool {
 type Manager struct {
 	mu     sync.Mutex
 	self   string
-	vnodes int
 	byName map[string]Member
 	ring   *Ring
 	// changed is a broadcast edge: closed and replaced whenever the view
@@ -116,10 +115,9 @@ type Manager struct {
 // NewManager builds a manager for node self seeded with the given
 // members. Seeds with epoch 0 act as hints ("announce to these") that
 // any real entry overrides; self is always present as Alive epoch 1.
-func NewManager(self string, vnodes int, seed ...Member) *Manager {
+func NewManager(self string, seed ...Member) *Manager {
 	m := &Manager{
 		self:    self,
-		vnodes:  vnodes,
 		byName:  make(map[string]Member, len(seed)+1),
 		changed: make(chan struct{}),
 	}
@@ -260,7 +258,7 @@ func (m *Manager) Peers() []string {
 }
 
 func (m *Manager) rebuildLocked() {
-	m.ring = NewRing(m.viewLocked().ringMembers(), m.vnodes)
+	m.ring = NewRing(m.viewLocked().ringMembers())
 }
 
 func (m *Manager) signalLocked() {

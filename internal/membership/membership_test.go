@@ -27,7 +27,7 @@ func TestMergeSemilattice(t *testing.T) {
 }
 
 func TestManagerMergeAndFloodHints(t *testing.T) {
-	m := NewManager("w0", 8, Member{Name: "w1"}, Member{Name: "w2"})
+	m := NewManager("w0", Member{Name: "w1"}, Member{Name: "w2"})
 	if got, _ := m.View().Get("w0"); got.Epoch != 1 || got.Status != Alive {
 		t.Fatalf("self entry = %+v", got)
 	}
@@ -64,7 +64,7 @@ func TestManagerMergeAndFloodHints(t *testing.T) {
 }
 
 func TestManagerRingTracksStatus(t *testing.T) {
-	m := NewManager("w0", 8, Member{Name: "w1"}, Member{Name: "w2"})
+	m := NewManager("w0", Member{Name: "w1"}, Member{Name: "w2"})
 	inRing := func(name string) bool {
 		for _, mm := range m.Ring().Members() {
 			if mm == name {
@@ -92,7 +92,7 @@ func TestManagerRingTracksStatus(t *testing.T) {
 }
 
 func TestManagerChangedSignal(t *testing.T) {
-	m := NewManager("w0", 8)
+	m := NewManager("w0")
 	ch := m.Changed()
 	select {
 	case <-ch:
@@ -122,9 +122,9 @@ func TestManagerLeftAndConvergence(t *testing.T) {
 	// arbitrary order reach the same view — the semilattice property the
 	// wire flood relies on.
 	ms := []*Manager{
-		NewManager("w0", 8, Member{Name: "w1"}, Member{Name: "w2"}),
-		NewManager("w1", 8, Member{Name: "w0"}),
-		NewManager("w2", 8),
+		NewManager("w0", Member{Name: "w1"}, Member{Name: "w2"}),
+		NewManager("w1", Member{Name: "w0"}),
+		NewManager("w2"),
 	}
 	ms[0].SetStatus("w0", Suspect)
 	ms[2].SetStatus("w2", Left)

@@ -56,15 +56,11 @@ type point struct {
 type Ring struct {
 	points  []point
 	members []string // sorted, deduplicated
-	vnodes  int
 }
 
-// NewRing builds a ring with vnodes virtual points per member (0 means
-// DefaultVNodes). Member order does not matter; duplicates collapse.
-func NewRing(members []string, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
-	}
+// NewRing builds a ring with DefaultVNodes virtual points per member.
+// Member order does not matter; duplicates collapse.
+func NewRing(members []string) *Ring {
 	seen := make(map[string]bool, len(members))
 	uniq := make([]string, 0, len(members))
 	for _, m := range members {
@@ -75,10 +71,10 @@ func NewRing(members []string, vnodes int) *Ring {
 		uniq = append(uniq, m)
 	}
 	sort.Strings(uniq)
-	r := &Ring{members: uniq, vnodes: vnodes}
-	r.points = make([]point, 0, len(uniq)*vnodes)
+	r := &Ring{members: uniq}
+	r.points = make([]point, 0, len(uniq)*DefaultVNodes)
 	for _, m := range uniq {
-		for i := 0; i < vnodes; i++ {
+		for i := 0; i < DefaultVNodes; i++ {
 			r.points = append(r.points, point{hashKey(m + "#" + strconv.Itoa(i)), m})
 		}
 	}
@@ -104,14 +100,6 @@ func (r *Ring) Owner(key string) string {
 		i = 0 // wrap
 	}
 	return r.points[i].owner
-}
-
-// VNodes returns the virtual-point count per member.
-func (r *Ring) VNodes() int {
-	if r == nil {
-		return 0
-	}
-	return r.vnodes
 }
 
 // Members returns the sorted member set (shared slice; do not mutate).

@@ -24,7 +24,7 @@ func names(n int) []string {
 // Ownership is a partition: every key has exactly one owner and that
 // owner is a ring member — no orphan keys, no key owned twice.
 func TestRingOwnershipIsPartition(t *testing.T) {
-	r := NewRing(names(5), 0)
+	r := NewRing(names(5))
 	members := map[string]bool{}
 	for _, m := range r.Members() {
 		members[m] = true
@@ -47,8 +47,8 @@ func TestRingOwnershipIsPartition(t *testing.T) {
 // pure function of the member set, never of build order or node
 // identity.
 func TestRingDeterministicAcrossNodes(t *testing.T) {
-	a := NewRing([]string{"w0", "w1", "w2", "w3"}, 0)
-	b := NewRing([]string{"w3", "w1", "w0", "w2", "w1"}, 0) // shuffled + dup
+	a := NewRing([]string{"w0", "w1", "w2", "w3"})
+	b := NewRing([]string{"w3", "w1", "w0", "w2", "w1"}) // shuffled + dup
 	for _, k := range keys(5000) {
 		if a.Owner(k) != b.Owner(k) {
 			t.Fatalf("key %s: owners diverge (%q vs %q)", k, a.Owner(k), b.Owner(k))
@@ -61,8 +61,8 @@ func TestRingDeterministicAcrossNodes(t *testing.T) {
 // below is 2x the fair share to absorb virtual-node variance.
 func TestRingBoundedMovement(t *testing.T) {
 	for _, n := range []int{3, 4, 8, 16} {
-		old := NewRing(names(n), 0)
-		joined := NewRing(append(names(n), "newcomer"), 0)
+		old := NewRing(names(n))
+		joined := NewRing(append(names(n), "newcomer"))
 		fair := 1.0 / float64(n+1)
 		if f := MovedFraction(old, joined); f > 2*fair {
 			t.Fatalf("join at n=%d moved %.3f of the space, want <= %.3f", n, f, 2*fair)
@@ -100,7 +100,7 @@ func TestRingBoundedMovement(t *testing.T) {
 
 // Shares sum to 1 and stay within a sane factor of fair (vnode variance).
 func TestRingShares(t *testing.T) {
-	r := NewRing(names(5), 0)
+	r := NewRing(names(5))
 	sum := 0.0
 	for m, s := range r.Shares() {
 		sum += s
@@ -118,11 +118,11 @@ func TestRingEmptyAndNil(t *testing.T) {
 	if o := nilRing.Owner("x"); o != "" {
 		t.Fatalf("nil ring owner = %q", o)
 	}
-	empty := NewRing(nil, 0)
+	empty := NewRing(nil)
 	if o := empty.Owner("x"); o != "" {
 		t.Fatalf("empty ring owner = %q", o)
 	}
-	if cs := Changes(empty, NewRing(names(2), 0)); cs != nil {
+	if cs := Changes(empty, NewRing(names(2))); cs != nil {
 		t.Fatalf("changes vs empty ring = %v, want nil", cs)
 	}
 }

@@ -60,7 +60,7 @@ type fields[T any] struct {
 	NetFaultDups        T // duplicate deliveries injected by link faults
 	NetFaultReorders    T // messages delayed past later traffic (reorder faults)
 	NetUnreachableDrops T // messages lost to partitions / crashed destinations
-	MailboxDrops        T // messages dropped at a full or closed mailbox
+	MailboxDrops        T // messages dropped at a closed mailbox
 
 	// Wire and coalescing: a batch is one write or mailbox hop carrying ≥1
 	// frames. In Counters the two per-kind maps are guarded by wireMu.
@@ -216,7 +216,7 @@ func (c *Counters) IncNetFaultReorder() { c.on(func() { c.live.NetFaultReorders.
 // a crashed destination.
 func (c *Counters) IncNetUnreachableDrop() { c.on(func() { c.live.NetUnreachableDrops.Add(1) }) }
 
-// IncMailboxDrop records one message dropped at a full or closed mailbox.
+// IncMailboxDrop records one message dropped at a closed mailbox.
 func (c *Counters) IncMailboxDrop() { c.on(func() { c.live.MailboxDrops.Add(1) }) }
 
 // BatchSizeBuckets holds the upper bounds of the frames-per-batch

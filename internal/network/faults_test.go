@@ -147,36 +147,54 @@ func TestUnreachableDropsCounted(t *testing.T) {
 	}
 }
 
-// TestMailboxOverflowCounted: with a bounded mailbox, overflowing messages
-// are dropped through the guarded path and counted, never lost silently.
-func TestMailboxOverflowCounted(t *testing.T) {
-	counters := &metrics.Counters{}
-	sim := NewSim(SimConfig{Counters: counters, MailboxCap: 2})
-	defer sim.Close()
-	a, _ := sim.Endpoint("a")
-	b, _ := sim.Endpoint("b")
-	const n = 10
-	for i := 0; i < n; i++ {
-		if err := a.Send("b", "k", []byte{byte(i)}); err != nil {
+// TestClosedMailboxDropCounted: a message that reaches a closed mailbox
+// is counted on MailboxDrops, on both transports. Only the receiver's
+// mailbox is closed, so the transport still carries the message to it:
+// the state a message racing an endpoint's close meets.
+func TestClosedMailboxDropCounted(t *testing.T) {
+	waitDrop := func(t *testing.T, counters *metrics.Counters) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for counters.Snapshot().MailboxDrops == 0 {
+			if time.Now().After(deadline) {
+				t.Fatal("message to a closed mailbox was not counted on MailboxDrops")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if got := counters.Snapshot().MailboxDrops; got != 1 {
+			t.Errorf("MailboxDrops = %d, want 1", got)
+		}
+	}
+	t.Run("sim", func(t *testing.T) {
+		counters := &metrics.Counters{}
+		sim := NewSim(SimConfig{Counters: counters})
+		defer sim.Close()
+		a, _ := sim.Endpoint("a")
+		b, _ := sim.Endpoint("b")
+		b.(*simEndpoint).mb.close()
+		if err := a.Send("b", "k", nil); err != nil {
 			t.Fatal(err)
 		}
-	}
-	// Nobody read yet: at most cap(2)+1 (one resting in the pump) got
-	// through; the rest must be on the drop counter.
-	drops := counters.Snapshot().MailboxDrops
-	if drops < n-3 {
-		t.Errorf("MailboxDrops = %d, want >= %d", drops, n-3)
-	}
-	var delivered int64
-	for {
-		if _, ok := recvOne(t, b, 100*time.Millisecond); !ok {
-			break
+		waitDrop(t, counters)
+	})
+	t.Run("tcp", func(t *testing.T) {
+		counters := &metrics.Counters{}
+		b, err := NewTCP(TCPConfig{Name: "b", Listen: "127.0.0.1:0", Counters: counters})
+		if err != nil {
+			t.Fatal(err)
 		}
-		delivered++
-	}
-	if delivered+drops != n {
-		t.Errorf("delivered %d + dropped %d != sent %d", delivered, drops, n)
-	}
+		defer b.Close()
+		a, err := NewTCP(TCPConfig{Name: "a", Peers: map[string]string{"b": b.Addr()}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer a.Close()
+		b.mb.close()
+		if err := a.Send("b", "k", nil); err != nil {
+			t.Fatal(err)
+		}
+		waitDrop(t, counters)
+	})
 }
 
 // TestVirtualClockDelivery: with a virtual clock, latency-delayed messages

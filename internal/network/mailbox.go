@@ -5,14 +5,13 @@ import "sync"
 // mailbox is a message queue with a channel front-end, shared by the
 // simulated and TCP endpoints. Senders never block on a slow receiver — a
 // crashed or wedged receiver must not be able to stall a sender's
-// transaction. The queue is unbounded by default; a positive limit drops
-// overflowing messages instead. Every drop — overflow or a message racing
-// a close — is reported through onDrop so the loss is counted rather than
-// silent (the protocol's retries cover it, exactly like a message lost on
-// the wire).
+// transaction. The queue is unbounded: §4.3's temporary faults are
+// injected as link drops, not as a full inbox. A message that races a
+// close is dropped and reported through onDrop, so the loss is counted
+// rather than silent (the protocol's retries cover it, exactly like a
+// message lost on the wire).
 type mailbox struct {
-	limit  int    // 0: unbounded
-	onDrop func() // overflow accounting; may be nil
+	onDrop func() // drop accounting
 
 	mu     sync.Mutex
 	queue  []Message
@@ -23,11 +22,8 @@ type mailbox struct {
 	done   chan struct{}
 }
 
-func newMailbox() *mailbox { return newBoundedMailbox(0, nil) }
-
-func newBoundedMailbox(limit int, onDrop func()) *mailbox {
+func newMailbox(onDrop func()) *mailbox {
 	mb := &mailbox{
-		limit:  limit,
 		onDrop: onDrop,
 		notify: make(chan struct{}, 1),
 		out:    make(chan Message),
@@ -40,21 +36,18 @@ func newBoundedMailbox(limit int, onDrop func()) *mailbox {
 func (mb *mailbox) Recv() <-chan Message { return mb.out }
 
 // enqueue appends messages in one lock acquisition and one wake-up — the
-// mailbox half of per-link coalescing. What does not fit, or races a
-// close, is dropped and counted per message, so the loss reconciles
-// against the send counters.
+// mailbox half of per-link coalescing. A batch that races a close is
+// dropped and counted per message, so the loss reconciles against the
+// send counters.
 func (mb *mailbox) enqueue(msgs ...Message) {
 	mb.mu.Lock()
-	fit := len(msgs)
-	if mb.closed {
-		fit = 0
-	} else if mb.limit > 0 {
-		fit = max(0, min(fit, mb.limit-len(mb.queue)))
+	closed := mb.closed
+	if !closed {
+		mb.queue = append(mb.queue, msgs...)
 	}
-	mb.queue = append(mb.queue, msgs[:fit]...)
 	mb.mu.Unlock()
-	if mb.onDrop != nil {
-		for range msgs[fit:] {
+	if closed {
+		for range msgs {
 			mb.onDrop()
 		}
 	}

@@ -87,10 +87,6 @@ type SimConfig struct {
 	// FaultSeed seeds the RNG driving probabilistic link faults, making a
 	// fault run reproducible. Zero seeds with 1.
 	FaultSeed int64
-	// MailboxCap bounds each endpoint's inbound mailbox; messages
-	// arriving at a full mailbox are dropped and counted
-	// (Counters.MailboxDrops). Zero keeps the mailbox unbounded.
-	MailboxCap int
 	// Clock drives delayed deliveries; nil uses the wall clock. A
 	// VirtualClock makes latency-delayed delivery deterministic.
 	Clock Clock
@@ -490,7 +486,7 @@ type simEndpoint struct {
 var _ Endpoint = (*simEndpoint)(nil)
 
 func newSimEndpoint(name string, sim *Sim) *simEndpoint {
-	return &simEndpoint{name: name, sim: sim, mb: newBoundedMailbox(sim.cfg.MailboxCap, sim.cfg.Counters.IncMailboxDrop)}
+	return &simEndpoint{name: name, sim: sim, mb: newMailbox(sim.cfg.Counters.IncMailboxDrop)}
 }
 
 func (e *simEndpoint) Name() string { return e.name }

@@ -69,7 +69,7 @@ func NewTCP(cfg TCPConfig) (*TCPEndpoint, error) {
 	}
 	ep := &TCPEndpoint{
 		cfg:     cfg,
-		mb:      newMailbox(),
+		mb:      newMailbox(cfg.Counters.IncMailboxDrop),
 		conns:   make(map[string]*peerConn),
 		inbound: make(map[net.Conn]struct{}),
 	}

@@ -106,14 +106,14 @@ func TestFrameRejectsCorrupt(t *testing.T) {
 
 func TestMailboxEnqueueAll(t *testing.T) {
 	var drops int
-	mb := newBoundedMailbox(3, func() { drops++ })
+	mb := newMailbox(func() { drops++ })
 	defer mb.close()
 	msgs := make([]Message, 5)
 	for i := range msgs {
 		msgs[i] = Message{Kind: fmt.Sprintf("k%d", i)}
 	}
 	mb.enqueue(msgs...)
-	for i := 0; i < 3; i++ {
+	for i := range msgs {
 		select {
 		case got := <-mb.Recv():
 			if got.Kind != fmt.Sprintf("k%d", i) {
@@ -123,14 +123,14 @@ func TestMailboxEnqueueAll(t *testing.T) {
 			t.Fatalf("message %d not delivered", i)
 		}
 	}
-	if drops != 2 {
-		t.Errorf("overflow drops = %d, want 2", drops)
+	if drops != 0 {
+		t.Errorf("drops = %d, want 0", drops)
 	}
 }
 
 func TestMailboxEnqueueAllClosed(t *testing.T) {
 	var drops int
-	mb := newBoundedMailbox(0, func() { drops++ })
+	mb := newMailbox(func() { drops++ })
 	mb.close()
 	mb.enqueue(make([]Message, 4)...)
 	if drops != 4 {

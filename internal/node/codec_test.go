@@ -91,10 +91,10 @@ func sampleContainers(t testing.TB) map[string]*Container {
 	}
 	rb.StepSeq = 1
 	rb.Cursor = itinerary.Cursor{Path: []int{0, 1, 0}}
-	if err := appendSavepointTo(rb, "shops", core.TransitionLogging, false); err != nil {
+	if err := appendSavepointTo(rb, "shops", core.TransitionLogging); err != nil {
 		t.Fatal(err)
 	}
-	if err := appendSavepointTo(rb, "inner", core.TransitionLogging, false); err != nil {
+	if err := appendSavepointTo(rb, "inner", core.TransitionLogging); err != nil {
 		t.Fatal(err)
 	}
 

@@ -79,18 +79,13 @@ type Config struct {
 	// RetryDelay is the back-off between attempts of failed work.
 	RetryDelay time.Duration
 	// MaxAttempts bounds retries of a queue container before the agent
-	// is reported failed to its owner. 0 means unbounded.
+	// is reported failed to its owner. 0 selects the default, 25.
 	MaxAttempts int
 	// Workers is the number of concurrent step-transaction workers
 	// draining the input queue (the internal/sched pool). The default 1
 	// reproduces the paper's one-step-at-a-time node model; higher
 	// values run independent step transactions in parallel under 2PL.
 	Workers int
-	// SagaBaseline restores weakly reversible objects from savepoint
-	// before-images, the saga-style behaviour the paper rejects (§4.1).
-	// For the S16b ablation only — it demonstrably corrupts agents whose
-	// compensations produce information (see the baseline tests).
-	SagaBaseline bool
 	// Clock drives the node's protocol timers (ack timeouts, control
 	// resends, in-doubt queries, notification resends) through its
 	// timer wheel; nil uses the wall clock. A network.VirtualClock

@@ -24,8 +24,8 @@ import (
 //
 // The container's SRO is already the target savepoint's (startRollback
 // restored it before the first hop). Reaching the target restores the
-// full savepoint image: the cursor, itinerary and step counter, the saga
-// baseline's WRO image, and the SRO once more, to the same bytes.
+// full savepoint image: the cursor, itinerary and step counter, and the
+// SRO once more, to the same bytes. The WRO is never restored (§4.1).
 func (n *Node) runCompensation(entry *stable.Entry, c *Container, attempt int) error {
 	a := c.Agent
 	spID := c.SpID

@@ -2,7 +2,9 @@ package node_test
 
 import (
 	"fmt"
+	"net"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -25,6 +27,7 @@ type tcpNode struct {
 	ep      *network.TCPEndpoint
 	store   *wal.Store
 	n       *node.Node
+	stopped sync.Once
 }
 
 // startTCPNode boots (or re-boots, crash-recovery style) one node.
@@ -56,10 +59,33 @@ func startTCPNode(t *testing.T, name, listen string, peers map[string]string, da
 	return &tcpNode{name: name, dataDir: dataDir, ep: ep, store: store, n: n}
 }
 
+// stop shuts the node down; calls after the first do nothing.
 func (tn *tcpNode) stop() {
-	tn.n.Stop()
-	tn.ep.Close()
-	_ = tn.store.Close()
+	tn.stopped.Do(func() {
+		tn.n.Stop()
+		tn.ep.Close()
+		_ = tn.store.Close()
+	})
+}
+
+// loopbackAddrs reserves one free loopback address per name: the OS
+// picks each port, and the listener is closed again so the node can bind
+// it. Tests never share a fixed port, so reruns and parallel packages do
+// not collide.
+func loopbackAddrs(t *testing.T, names ...string) map[string]string {
+	t.Helper()
+	addrs := make(map[string]string, len(names))
+	for _, name := range names {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs[name] = l.Addr().String()
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return addrs
 }
 
 // inTx runs f in a local transaction on tn and commits it.
@@ -94,7 +120,7 @@ func demoCluster(t *testing.T, ports map[string]string, reg *agent.Registry, bal
 	b = startTCPNode(t, "B", ports["B"], ports, filepath.Join(base, "b"), reg, demoShopF)
 	c = startTCPNode(t, "C", ports["C"], ports, filepath.Join(base, "c"), reg,
 		func(st stable.Store) (resource.Resource, error) { return resource.NewDirectory(st, "dir") })
-	t.Cleanup(func() { a.stop(); c.stop() })
+	t.Cleanup(func() { a.stop(); b.stop(); c.stop() })
 
 	a.inTx(t, func(tx *txn.Tx) error { return bankOf(a).OpenAccount(tx, "alice", balance) })
 	b.inTx(t, func(tx *txn.Tx) error { return shopOf(b).Restock(tx, "book", 5, 100) })
@@ -183,12 +209,7 @@ func runShopper(t *testing.T, ctl *network.TCPEndpoint, id string) node.Done {
 // "kills" the shop node (stopping runtime and listener) and restarts it on
 // the same data directory, verifying the durable resource state survived.
 func TestTCPMultiProcess(t *testing.T) {
-	ports := map[string]string{
-		"A":   "127.0.0.1:17841",
-		"B":   "127.0.0.1:17842",
-		"C":   "127.0.0.1:17843",
-		"ctl": "127.0.0.1:17840",
-	}
+	ports := loopbackAddrs(t, "A", "B", "C", "ctl")
 	reg := agent.NewRegistry()
 	if err := demo.Register(reg); err != nil {
 		t.Fatal(err)
@@ -239,12 +260,7 @@ func TestTCPMultiProcess(t *testing.T) {
 // shop's till ends up holding exactly the fees, and alice's account is
 // short by exactly the fees plus the cash each agent carries home.
 func TestTCPRefundHeavyTillHoldsFees(t *testing.T) {
-	ports := map[string]string{
-		"A":   "127.0.0.1:17851",
-		"B":   "127.0.0.1:17852",
-		"C":   "127.0.0.1:17853",
-		"ctl": "127.0.0.1:17850",
-	}
+	ports := loopbackAddrs(t, "A", "B", "C", "ctl")
 	reg := agent.NewRegistry()
 	if err := demo.Register(reg); err != nil {
 		t.Fatal(err)

@@ -434,7 +434,7 @@ func (n *Node) appendSavepoint(a *agent.Agent, id string) error {
 		return nil
 	}
 	n.cfg.Counters.IncSavepoints()
-	return appendSavepointTo(a, id, n.cfg.LogMode, n.cfg.SagaBaseline)
+	return appendSavepointTo(a, id, n.cfg.LogMode)
 }
 
 // appendSavepointTo writes one savepoint at the current end of the log. If
@@ -442,7 +442,7 @@ func (n *Node) appendSavepoint(a *agent.Agent, id string) error {
 // is written as a data-less special savepoint referencing the existing one
 // (§4.4.2); the reference is flattened to the root data-carrying entry so
 // removal order between nested scopes stays unconstrained.
-func appendSavepointTo(a *agent.Agent, id string, mode core.LogMode, sagaWRO bool) error {
+func appendSavepointTo(a *agent.Agent, id string, mode core.LogMode) error {
 	if sp, ok := a.Log.Last().(*core.SavepointEntry); ok {
 		ref := sp.ID
 		if sp.Special {
@@ -451,9 +451,6 @@ func appendSavepointTo(a *agent.Agent, id string, mode core.LogMode, sagaWRO boo
 		return a.Log.AppendSpecialSavepoint(id, ref, true)
 	}
 	img, err := a.SystemImage()
-	if sagaWRO {
-		img, err = a.SystemImageWithWRO()
-	}
 	if err != nil {
 		return err
 	}
@@ -464,17 +461,11 @@ func appendSavepointTo(a *agent.Agent, id string, mode core.LogMode, sagaWRO boo
 // sub-itineraries entered to reach an agent's first step; launchers call
 // it before enqueueing a fresh agent.
 func AppendInitialSavepoints(a *agent.Agent, entered []string, mode core.LogMode) error {
-	return AppendInitialSavepointsMode(a, entered, mode, false)
-}
-
-// AppendInitialSavepointsMode is AppendInitialSavepoints with the
-// saga-baseline switch (S16b ablation).
-func AppendInitialSavepointsMode(a *agent.Agent, entered []string, mode core.LogMode, sagaWRO bool) error {
 	for _, id := range entered {
 		if a.Log.HasSavepoint(id) {
 			continue
 		}
-		if err := appendSavepointTo(a, id, mode, sagaWRO); err != nil {
+		if err := appendSavepointTo(a, id, mode); err != nil {
 			return err
 		}
 	}

@@ -119,7 +119,7 @@ func Handler(cfg Config) http.Handler {
 		view := cfg.Membership.View()
 		ring := cfg.Membership.Ring()
 		shares := ring.Shares()
-		d := RingDump{Node: cfg.Node, VNodes: ring.VNodes()}
+		d := RingDump{Node: cfg.Node, VNodes: membership.DefaultVNodes}
 		for _, m := range view.Members {
 			d.Members = append(d.Members, RingMember{
 				Name:   m.Name,

@@ -135,7 +135,7 @@ func TestTraceDisabled(t *testing.T) {
 }
 
 func TestRingEndpoint(t *testing.T) {
-	m := membership.NewManager("n1", 16,
+	m := membership.NewManager("n1",
 		membership.Member{Name: "n2", Status: membership.Alive, Epoch: 1},
 		membership.Member{Name: "n3", Status: membership.Left, Epoch: 2})
 	q := stable.NewQueue(stable.NewMemStore(nil), "q/")
@@ -159,7 +159,7 @@ func TestRingEndpoint(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &d); err != nil {
 		t.Fatal(err)
 	}
-	if d.Node != "n1" || d.VNodes != 16 {
+	if d.Node != "n1" || d.VNodes != membership.DefaultVNodes {
 		t.Errorf("node/vnodes = %q/%d", d.Node, d.VNodes)
 	}
 	if d.Depth != 1 || d.Claimed != 0 || d.Adopted != 3 {
