@@ -1,8 +1,20 @@
 // Package protocol is the event-driven core of the distributed
-// protocols in §3–§4 of the paper: the step-transaction two-phase
-// commit of the queue hand-off, remote compensation via RCE lists
-// (Figure 5b), presumed-abort in-doubt resolution, and the reliable
+// protocols in §3–§4 of the paper: the queue hand-off of a step
+// transaction, remote compensation via RCE lists (Figure 5b),
+// presumed-abort in-doubt resolution, and the reliable
 // completion-notification cycle.
+//
+// The hand-off is decided by the node that receives the container
+// (the last-agent optimisation of two-phase commit). The source
+// prepares its own part durably, naming that node, and sends one
+// message; the decider enqueues the container and writes its commit
+// record atomically, then answers. A decider asked about a hand-off it
+// never saw fences the transaction durably before answering abort, and
+// every message from a source carries its watermark: the lowest
+// transaction it has not settled, below which the decider drops late
+// prepares and collects its records. Roles: source.go, decider.go,
+// coordinator.go (the RCE branches a compensation prepares), rce.go,
+// notify.go.
 //
 // Everything here is a pure, single-threaded state machine. A
 // transition consumes exactly one Event — an inbound protocol message,
