@@ -149,8 +149,8 @@ func BenchmarkWireCodec(b *testing.B) {
 }
 
 // BenchmarkTransitionToWire: the full cost of moving one protocol
-// transition's outbound fan-out (a 1 KiB prepare, a control message and
-// two small acks to one destination) from in-memory structs onto the
+// transition's outbound fan-out (a 1 KiB prepare, an outcome, a mark
+// and a status answer to one destination) from in-memory structs onto the
 // simulated wire and back into typed events at the peer — encode,
 // endpoint delivery, and the receiving dispatcher's payload decode, the
 // path a node pair takes around every Machine.Step. Variants match the
@@ -160,8 +160,8 @@ func BenchmarkWireCodec(b *testing.B) {
 // path).
 func BenchmarkTransitionToWire(b *testing.B) {
 	prep := &protocol.PrepareMsg{TxnID: "agent-42#7", EntryID: "agent-42", Data: make([]byte, 1024)}
-	ctl := &protocol.CtlMsg{TxnID: "agent-42#7"}
-	ack := &protocol.AckMsg{TxnID: "agent-42#7", OK: true}
+	out := &protocol.StatusMsg{TxnID: "agent-42#7", Committed: true}
+	mark := &protocol.MarkMsg{Mark: 7}
 	st := &protocol.StatusMsg{TxnID: "agent-42#7", Committed: true}
 
 	run := func(b *testing.B, gob, batch, traced bool) {
@@ -195,12 +195,10 @@ func BenchmarkTransitionToWire(b *testing.B) {
 				switch msg.Kind {
 				case protocol.KindEnqueuePrepare:
 					v = &protocol.PrepareMsg{}
-				case protocol.KindEnqueueCommit:
-					v = &protocol.CtlMsg{}
-				case protocol.KindEnqueueCommitAck:
-					v = &protocol.AckMsg{}
-				case protocol.KindTxnStatus:
+				case protocol.KindOutcome, protocol.KindTxnStatus:
 					v = &protocol.StatusMsg{}
+				case protocol.KindResolved:
+					v = &protocol.MarkMsg{}
 				default:
 					b.Errorf("unexpected kind %q", msg.Kind)
 					return
@@ -227,8 +225,8 @@ func BenchmarkTransitionToWire(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			msgs := []network.Outgoing{
 				{Kind: protocol.KindEnqueuePrepare, Payload: encode(prep)},
-				{Kind: protocol.KindEnqueueCommit, Payload: encode(ctl)},
-				{Kind: protocol.KindEnqueueCommitAck, Payload: encode(ack)},
+				{Kind: protocol.KindOutcome, Payload: encode(out)},
+				{Kind: protocol.KindResolved, Payload: encode(mark)},
 				{Kind: protocol.KindTxnStatus, Payload: encode(st)},
 			}
 			if batch {

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -113,7 +114,9 @@ func runLaunch(args []string) error {
 	if err != nil {
 		return err
 	}
-	if err := ep.Send(*bankNode, node.KindAgentLaunch, launch); err != nil {
+	// An unreachable node is no error yet: the launch is lost like any
+	// message, and the wait below times out.
+	if err := ep.Send(*bankNode, node.KindAgentLaunch, launch); err != nil && !errors.Is(err, network.ErrUnreachable) {
 		return err
 	}
 	fmt.Printf("launched agent %q at node %s, waiting for completion...\n", *id, *bankNode)

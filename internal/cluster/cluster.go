@@ -379,7 +379,7 @@ func (c *Cluster) Join(name string, factories ...node.ResourceFactory) error {
 // Leave drains a node out of the cluster: its Left status floods, its
 // rebalancer migrates every ring-placed agent to the new owners (and the
 // node refuses new adoptions), and once the input queue is empty with no
-// claims or staged hand-offs in flight, the runtime stops and detaches
+// claims or hand-offs waiting on their decider, the runtime stops and detaches
 // from the network. The node object and its store remain readable — a
 // departed node's resources still count in conservation sums.
 func (c *Cluster) Leave(name string, timeout time.Duration) error {
@@ -405,20 +405,17 @@ func (c *Cluster) Leave(name string, timeout time.Duration) error {
 		if err != nil {
 			return err
 		}
-		staged, err := n.Queue().StagedTxns()
-		if err != nil {
-			return err
-		}
+		delegated := n.Delegations()
 		claimed := n.Queue().Claimed()
-		if depth == 0 && claimed == 0 && len(staged) == 0 {
+		if depth == 0 && claimed == 0 && delegated == 0 {
 			streak++
 			time.Sleep(time.Millisecond)
 			continue
 		}
 		streak = 0
 		if time.Now().After(deadline) {
-			return fmt.Errorf("cluster: leave %q: not drained after %v (%d queued, %d claimed, %d staged)",
-				name, timeout, depth, claimed, len(staged))
+			return fmt.Errorf("cluster: leave %q: not drained after %v (%d queued, %d claimed, %d hand-offs in doubt)",
+				name, timeout, depth, claimed, delegated)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}

@@ -231,10 +231,11 @@ func TestReplKillPermanentMem(t *testing.T) {
 	}
 }
 
-// TestReplCoordinatorStandby pins the decision-record contract: a
-// participant in doubt about a transaction whose coordinator was
-// permanently killed resolves it against the reborn identity, which
-// answers from the replicated decision record.
+// TestReplCoordinatorStandby pins the decision-record contract: a source
+// in doubt about a hand-off whose decider — the node that coordinates its
+// outcome — was permanently killed resolves it against the reborn
+// identity, which answers from the replicated outcome record and runs the
+// agent it enqueued.
 func TestReplCoordinatorStandby(t *testing.T) {
 	const nodes = 3
 	cl := replCluster(t, nodes, stable.Spec{
@@ -243,20 +244,22 @@ func TestReplCoordinatorStandby(t *testing.T) {
 		Repl:   stable.ReplSpec{Followers: 2, Acks: stable.AcksQuorum},
 	})
 
-	// A commit decision on r0 for a transaction staging an agent on r1.
-	// The quorum-acked Apply guarantees the record reaches a surviving
-	// replica before anything downstream could observe the commit.
+	// The source r0's branch of a hand-off to r1, prepared and in doubt.
 	const txnID = "r0#9001"
 	n0, ok := cl.Node("r0")
 	if !ok {
 		t.Fatal("no node r0")
 	}
-	if err := n0.Manager().Store().Apply(n0.Manager().DecisionOp(txnID)); err != nil {
+	tx := n0.Manager().BeginWithID(txnID)
+	tx.AddCommitOps(stable.Put("standby/settled", []byte{1}))
+	if err := tx.PrepareDelegated("r1"); err != nil {
 		t.Fatal(err)
 	}
 
-	// Stage the prepared agent hand-off on the participant r1, exactly as
-	// an interrupted two-phase hand-off would leave it.
+	// The decider r1's commit, exactly as its Decide writes it: the
+	// entry and the outcome record in one batch. The quorum-acked Apply
+	// guarantees the record reaches a surviving replica before anything
+	// downstream could observe the commit.
 	sub := &itinerary.Sub{ID: "job-standby", Entries: []itinerary.Entry{itinerary.Step{Method: "repl.deposit", Loc: "r1"}}}
 	it, err := itinerary.New(sub)
 	if err != nil {
@@ -278,26 +281,25 @@ func TestReplCoordinatorStandby(t *testing.T) {
 	if !ok {
 		t.Fatal("no node r1")
 	}
-	if err := n1.Queue().Prepare(txnID, a.ID, data); err != nil {
+	if err := n1.Queue().Enqueue(a.ID, data, txn.OutcomeOp(txnID, true, 1)); err != nil {
 		t.Fatal(err)
 	}
 
-	// The participant crashes; the coordinator dies for good. The
-	// participant's recovery must resolve the staged entry against r0's
-	// reborn identity.
-	if err := cl.Crash("r1"); err != nil {
+	// The source crashes; the decider dies for good. The source's
+	// recovery must resolve its branch against r1's reborn identity.
+	if err := cl.Crash("r0"); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.KillPermanent("r0"); err != nil {
+	if err := cl.KillPermanent("r1"); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.Recover("r1"); err != nil {
+	if err := cl.Recover("r0"); err != nil {
 		t.Fatal(err)
 	}
 
-	// The staged entry commits and the agent runs its deposit on r1.
-	// (The bank reloads only once r1's recovery resolved the in-doubt
-	// entry, so "no resource yet" also just means "keep waiting".)
+	// The branch commits on r0, and the agent runs its deposit on r1.
+	// (A bank reloads only once its node's recovery resolved what was in
+	// doubt, so "no resource yet" also just means "keep waiting".)
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		var sink int64
@@ -310,11 +312,15 @@ func TestReplCoordinatorStandby(t *testing.T) {
 			sink, err = r.(*resource.Bank).Balance(tx, "sink")
 			return err
 		})
-		if err == nil && sink == 1 {
+		settled := false
+		if n0, ok := cl.Node("r0"); ok {
+			_, settled, _ = n0.Manager().Store().Get("standby/settled")
+		}
+		if err == nil && sink == 1 && settled {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("staged hand-off never resolved via the reborn coordinator (sink=%d, err=%v)", sink, err)
+			t.Fatalf("hand-off never resolved via the reborn decider (sink=%d, branch settled=%v, err=%v)", sink, settled, err)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

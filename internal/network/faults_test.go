@@ -1,6 +1,7 @@
 package network
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -131,16 +132,16 @@ func TestUnreachableDropsCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim.SetLink("a", "b", false)
-	if err := a.Send("b", "k", nil); err != nil {
-		t.Fatal(err)
+	if err := a.Send("b", "k", nil); !errors.Is(err, ErrUnreachable) {
+		t.Fatalf("send across a cut link = %v, want ErrUnreachable", err)
 	}
 	if got := counters.Snapshot().NetUnreachableDrops; got != 1 {
 		t.Errorf("after partition: NetUnreachableDrops = %d, want 1", got)
 	}
 	sim.SetLink("a", "b", true)
 	sim.Crash("b")
-	if err := a.Send("b", "k", nil); err != nil {
-		t.Fatal(err)
+	if err := a.Send("b", "k", nil); !errors.Is(err, ErrUnreachable) {
+		t.Fatalf("send to a crashed node = %v, want ErrUnreachable", err)
 	}
 	if got := counters.Snapshot().NetUnreachableDrops; got != 2 {
 		t.Errorf("after crash: NetUnreachableDrops = %d, want 2", got)

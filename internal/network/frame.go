@@ -23,12 +23,9 @@ import (
 // sit above network in the import graph, and a cross-check test in
 // internal/node asserts the table matches their kind constants.
 var frameKinds = [...]string{
-	1:  "q.prepare",
-	2:  "q.prepare.ack",
-	3:  "q.commit",
-	4:  "q.commit.ack",
-	5:  "q.abort",
-	6:  "q.abort.ack",
+	1: "q.prepare",
+	// 2..6 are retired: the vote, the decision and their acks of the
+	// three-message hand-off, last sent by commit 6471191.
 	7:  "txn.query",
 	8:  "txn.status",
 	9:  "rce.exec",
@@ -44,6 +41,8 @@ var frameKinds = [...]string{
 	19: "member.announce",
 	20: "ctl.batch",
 	21: "query.batch",
+	22: "q.outcome",
+	23: "q.resolved",
 }
 
 // frameKindCodes is the inverse of frameKinds.

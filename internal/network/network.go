@@ -38,9 +38,11 @@ type Message struct {
 type Endpoint interface {
 	// Name returns the node name this endpoint is bound to.
 	Name() string
-	// Send transmits a message. It returns an error only for permanent
-	// conditions (unknown destination, closed network); messages lost to
-	// injected faults are dropped silently, as on a real network.
+	// Send transmits a message. It returns an error for permanent
+	// conditions (unknown destination, closed network) and ErrUnreachable
+	// when no byte of the message can have reached the peer; messages
+	// lost to injected faults, or in flight when the peer dies, are
+	// dropped silently, as on a real network.
 	Send(to, kind string, payload []byte) error
 	// SendBatch transmits same-destination messages in one transport hop
 	// (one mailbox pass in the simulator, one staged write on TCP). Send
@@ -62,6 +64,11 @@ type Outgoing struct {
 var (
 	ErrUnknownNode   = errors.New("network: unknown node")
 	ErrNetworkClosed = errors.New("network: closed")
+	// ErrUnreachable reports a send of which no byte can have reached the
+	// peer: on Sim the host was down or the link cut at send time, on TCP
+	// no connection could take the batch. A hand-off's source aborts on
+	// it at once: no decider can ever see that prepare (DESIGN.md §5).
+	ErrUnreachable = errors.New("network: peer unreachable")
 )
 
 // hostOf maps an endpoint name to the host (node) it lives on. A node
@@ -353,7 +360,7 @@ func (s *Sim) send(from, to string, msgs []Outgoing) error {
 		// object may survive in a stopping goroutine, but the host it
 		// modeled is gone.
 		times(len(msgs), s.cfg.Counters.IncNetUnreachableDrop)
-		return nil
+		return ErrUnreachable
 	}
 	if _, ok := s.eps[to]; !ok {
 		s.mu.Unlock()

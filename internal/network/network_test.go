@@ -1,6 +1,7 @@
 package network
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -75,9 +76,9 @@ func TestCrashDropsMessages(t *testing.T) {
 	a, _ := sim.Endpoint("a")
 	b, _ := sim.Endpoint("b")
 	sim.Crash("b")
-	// Sends are silently dropped, like a down host.
-	if err := a.Send("b", "k", nil); err != nil {
-		t.Errorf("send to crashed node: %v", err)
+	// Sends are dropped, and the sender learns that none of it left.
+	if err := a.Send("b", "k", nil); !errors.Is(err, ErrUnreachable) {
+		t.Errorf("send to crashed node = %v, want ErrUnreachable", err)
 	}
 	if _, ok := recvOne(t, b, 50*time.Millisecond); ok {
 		t.Error("crashed endpoint received a message")
@@ -101,15 +102,15 @@ func TestPartitionAndHeal(t *testing.T) {
 	a, _ := sim.Endpoint("a")
 	b, _ := sim.Endpoint("b")
 	sim.SetLink("a", "b", false)
-	if err := a.Send("b", "k", nil); err != nil {
-		t.Errorf("partitioned send: %v", err)
+	if err := a.Send("b", "k", nil); !errors.Is(err, ErrUnreachable) {
+		t.Errorf("partitioned send = %v, want ErrUnreachable", err)
 	}
 	if _, ok := recvOne(t, b, 50*time.Millisecond); ok {
 		t.Error("message crossed partition")
 	}
 	// Symmetric.
-	if err := b.Send("a", "k", nil); err != nil {
-		t.Fatal(err)
+	if err := b.Send("a", "k", nil); !errors.Is(err, ErrUnreachable) {
+		t.Fatalf("reverse partitioned send = %v, want ErrUnreachable", err)
 	}
 	if _, ok := recvOne(t, a, 50*time.Millisecond); ok {
 		t.Error("message crossed partition (reverse)")

@@ -109,9 +109,9 @@ func (e *TCPEndpoint) Send(to, kind string, payload []byte) error {
 
 // SendBatch implements Endpoint: all frames of the batch are staged
 // under one buffer lock and one flusher wake-up, so they ride the same
-// write. Transient failures
-// (peer down, broken connection) drop the batch silently after one
-// reconnect attempt; an unknown peer name is a permanent error.
+// write. A batch no connection takes (peer down, broken connection)
+// is dropped after one reconnect attempt and reported as ErrUnreachable:
+// none of its bytes was staged. An unknown peer name is a permanent error.
 func (e *TCPEndpoint) SendBatch(to string, msgs []Outgoing) error {
 	addr, ok := e.cfg.Peers[to]
 	if !ok {
@@ -134,7 +134,7 @@ func (e *TCPEndpoint) SendBatch(to string, msgs []Outgoing) error {
 	if err := e.batchTo(to, addr, kept); err != nil {
 		// One reconnect attempt: the cached connection may be stale.
 		if err := e.batchTo(to, addr, kept); err != nil {
-			return nil // dropped, like messages to a crashed node
+			return ErrUnreachable
 		}
 	}
 	return nil

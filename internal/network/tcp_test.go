@@ -1,6 +1,7 @@
 package network
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -90,8 +91,10 @@ func TestTCPPeerDownDropsSilently(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	if err := a.Send("down", "k", nil); err != nil {
-		t.Errorf("send to down peer should drop silently, got %v", err)
+	// The batch is dropped, and since no connection took any of it the
+	// sender is told so (a hand-off's source aborts on it).
+	if err := a.Send("down", "k", nil); !errors.Is(err, ErrUnreachable) {
+		t.Errorf("send to down peer = %v, want ErrUnreachable", err)
 	}
 }
 

@@ -224,8 +224,8 @@ func TestSimSendBatchToCrashedNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim.Crash("b")
-	if err := a.SendBatch("b", batchOf(3)); err != nil {
-		t.Fatal(err)
+	if err := a.SendBatch("b", batchOf(3)); !errors.Is(err, ErrUnreachable) {
+		t.Fatalf("batch to a crashed node = %v, want ErrUnreachable", err)
 	}
 	if s := c.Snapshot(); s.NetUnreachableDrops != 3 {
 		t.Errorf("unreachable drops = %d, want 3", s.NetUnreachableDrops)

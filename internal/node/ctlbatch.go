@@ -19,12 +19,12 @@ import (
 //     invariant (no control send leaves before its decision record is
 //     stable) holds without the stager ever gating a send.
 //
-//   - ack piggybacking: non-blocking replies (commit/abort acks, status
-//     answers) park per peer for up to a RetryDelay linger; the next
-//     outbound transition batch headed to that peer drains them into its
-//     frame group, so the ack rides a write the node was making anyway.
-//     A reply the sender blocks on (prepare acks, exec acks, done acks)
-//     never parks.
+//   - ack piggybacking: non-blocking messages (RCE commit/abort acks,
+//     status answers, a source's q.resolved) park per peer for up to a
+//     RetryDelay linger; the next outbound transition batch headed to
+//     that peer drains them into its frame group, so they ride a write
+//     the node was making anyway. A message someone blocks on (exec acks,
+//     hand-off outcomes, done acks) never parks.
 
 const (
 	// ctlStageMax bounds the GC staging buffer; a full buffer flushes
@@ -80,14 +80,14 @@ func (n *Node) flushCtlStage() {
 	n.cfg.Tracer.Rec(trace.OpCtlFlush, "", "", "", "", "", int64(len(ops)))
 }
 
-// piggybackKind reports whether a reply kind is safe to park: nothing
-// blocks on it, and a RetryDelay of extra latency sits far inside the
-// sender's RetryInterval resend cadence.
+// piggybackKind reports whether a kind is safe to park: nothing blocks on
+// it, and a RetryDelay of extra latency sits far inside the sender's
+// RetryInterval resend cadence. A hand-off's outcome never parks: the
+// source's claim and locks wait on it.
 func piggybackKind(kind string) bool {
 	switch kind {
-	case protocol.KindEnqueueCommitAck, protocol.KindEnqueueAbortAck,
-		protocol.KindRCECommitAck, protocol.KindRCEAbortAck,
-		protocol.KindTxnStatus:
+	case protocol.KindRCECommitAck, protocol.KindRCEAbortAck,
+		protocol.KindTxnStatus, protocol.KindResolved:
 		return true
 	}
 	return false

@@ -220,11 +220,12 @@ func TestGarbageAtQueueHeadIsDropped(t *testing.T) {
 // staged, the gob envelopes commit fd17232 wrapped around a binary
 // container in the queue and in a completion record, the prepared
 // insertion commit e4fe5c0 kept with its container under q/s/, the
+// marker of a prepared insertion commit 6471191 kept under q/s/, the
 // coin-list till of commit 1b58917's shop, and the gob resource records
 // and branch records of commit 60b3006 (testdata, generated at those
 // commits; the resource records live in internal/resource, the branch in
 // internal/txn). A queue entry, resource record or branch of other
-// garbage does not, and neither does an empty queue.
+// garbage does not, and neither does an empty queue; any q/s/ key does.
 func TestRefusesGobContainers(t *testing.T) {
 	legacy := gobFixture(t)
 	newNode := func(store stable.Store) error {
@@ -246,8 +247,21 @@ func TestRefusesGobContainers(t *testing.T) {
 			func(s stable.Store) error { return queue(s).Enqueue("legacy-agent", legacy) },
 			[]string{"5015b40", `"legacy-agent"`}},
 		"staged": {
-			func(s stable.Store) error { return queue(s).Prepare("co#1", "legacy-agent", legacy) },
+			// A prepared insertion as commits e4fe5c0..6471191 wrote it:
+			// the container at its entry key, hidden by a marker.
+			func(s stable.Store) error {
+				return s.Apply(stable.Put("q/seq", []byte("1")),
+					stable.Put("q/e/0000000000000000/legacy-agent", legacy),
+					stable.Put("q/s/co#1", fixture(t, "queue-marker-6471191.bin")))
+			},
 			[]string{"5015b40", `"legacy-agent"`}},
+		"marker-6471191": {
+			func(s stable.Store) error {
+				return s.Apply(stable.Put("q/seq", []byte("1")),
+					stable.Put("q/e/0000000000000000/agent-6471191", vcContainer(t, "agent-6471191", "p")),
+					stable.Put("q/s/co#1", fixture(t, "queue-marker-6471191.bin")))
+			},
+			[]string{"6471191", `"q/s/co#1"`}},
 		"envelope-committed": {
 			func(s stable.Store) error {
 				return s.Apply(stable.Put("q/seq", []byte("1")), stable.Put("q/e/0000000000000000", fixture(t, "queue-entry-fd17232.bin")))
@@ -318,7 +332,6 @@ func TestRefusesGobContainers(t *testing.T) {
 	}
 	if err := store.Apply(
 		stable.Put("q/e/9999999999999999", []byte("\x00not even a queue record")),
-		stable.Put("q/s/co#9", []byte{0x90, 0x20, 0xff}),
 		stable.Put("done/junk", []byte{0x00}),
 		stable.Put("res/shop/junk", []byte{0x00}),
 		stable.Put("res/bank/junk", []byte{0x00}),

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"errors"
 	"strings"
 
 	"repro/internal/agent"
@@ -51,8 +52,8 @@ func (n *Node) step(evs ...protocol.Event) {
 }
 
 // stepInto is step with the caller's outbound batch: nested transitions
-// (StageEntry, ResolveStaged outcomes) join the enclosing batch rather
-// than flushing early.
+// (a Decide's verdict, an unreachable hand-off) join the enclosing batch
+// rather than flushing early.
 func (n *Node) stepInto(ev protocol.Event, b *outBatch) {
 	tr := n.cfg.Tracer
 	var name, txnID, agentID, before string
@@ -105,29 +106,33 @@ func (n *Node) handle(msg network.Message) {
 		if err := protocol.Decode(msg.Payload, &req); err != nil {
 			return
 		}
-		n.step(protocol.PrepareReceived{TxnID: req.TxnID, EntryID: req.EntryID, From: msg.From, Data: req.Data})
-	case protocol.KindEnqueueCommit, protocol.KindEnqueueAbort:
-		var req protocol.CtlMsg
-		if err := protocol.Decode(msg.Payload, &req); err != nil {
+		n.step(protocol.HandoffReceived{TxnID: req.TxnID, From: msg.From, EntryID: req.EntryID, Data: req.Data, Mark: req.Mark})
+	case protocol.KindOutcome:
+		var st protocol.StatusMsg
+		if err := protocol.Decode(msg.Payload, &st); err != nil {
 			return
 		}
-		n.step(protocol.CtlReceived{TxnID: req.TxnID, From: msg.From, Commit: msg.Kind == protocol.KindEnqueueCommit})
+		n.step(protocol.OutcomeReceived{TxnID: st.TxnID, Committed: st.Committed})
+	case protocol.KindResolved:
+		var mk protocol.MarkMsg
+		if err := protocol.Decode(msg.Payload, &mk); err != nil {
+			return
+		}
+		n.step(protocol.ResolvedReceived{From: msg.From, Mark: mk.Mark})
 	case protocol.KindRCECommit, protocol.KindRCEAbort:
 		var req protocol.CtlMsg
 		if err := protocol.Decode(msg.Payload, &req); err != nil {
 			return
 		}
-		n.step(protocol.CtlReceived{TxnID: req.TxnID, From: msg.From, Commit: msg.Kind == protocol.KindRCECommit, RCE: true})
+		n.step(protocol.CtlReceived{TxnID: req.TxnID, From: msg.From, Commit: msg.Kind == protocol.KindRCECommit})
 	case protocol.KindTxnQuery:
 		var req protocol.CtlMsg
 		if err := protocol.Decode(msg.Payload, &req); err != nil {
 			return
 		}
-		decided, err := n.mgr.Decided(req.TxnID)
-		if err != nil {
-			return
+		if ev, ok := n.queryEvent(req.TxnID, msg.From); ok {
+			n.step(ev)
 		}
-		n.step(protocol.QueryReceived{TxnID: req.TxnID, From: msg.From, StoreDecided: decided})
 	case protocol.KindCtlBatch:
 		// One multi-transaction resend frame explodes into the exact
 		// per-transaction events the unbatched kinds produce; replies
@@ -138,7 +143,7 @@ func (n *Node) handle(msg network.Message) {
 		}
 		evs := make([]protocol.Event, 0, len(req.Items))
 		for _, it := range req.Items {
-			evs = append(evs, protocol.CtlReceived{TxnID: it.TxnID, From: msg.From, Commit: it.Commit, RCE: it.RCE})
+			evs = append(evs, protocol.CtlReceived{TxnID: it.TxnID, From: msg.From, Commit: it.Commit})
 		}
 		n.step(evs...)
 	case protocol.KindQueryBatch:
@@ -148,11 +153,9 @@ func (n *Node) handle(msg network.Message) {
 		}
 		evs := make([]protocol.Event, 0, len(req.TxnIDs))
 		for _, txnID := range req.TxnIDs {
-			decided, err := n.mgr.Decided(txnID)
-			if err != nil {
-				continue
+			if ev, ok := n.queryEvent(txnID, msg.From); ok {
+				evs = append(evs, ev)
 			}
-			evs = append(evs, protocol.QueryReceived{TxnID: txnID, From: msg.From, StoreDecided: decided})
 		}
 		n.step(evs...)
 	case protocol.KindTxnStatus:
@@ -167,9 +170,7 @@ func (n *Node) handle(msg network.Message) {
 			return
 		}
 		n.step(protocol.RCEExecReceived{TxnID: req.TxnID, From: msg.From, Ops: req.Ops})
-	case protocol.KindEnqueuePrepareAck, protocol.KindRCEExecAck,
-		protocol.KindEnqueueCommitAck, protocol.KindEnqueueAbortAck,
-		protocol.KindRCECommitAck, protocol.KindRCEAbortAck:
+	case protocol.KindRCEExecAck, protocol.KindRCECommitAck, protocol.KindRCEAbortAck:
 		var ack protocol.AckMsg
 		if err := protocol.Decode(msg.Payload, &ack); err != nil {
 			return
@@ -190,6 +191,22 @@ func (n *Node) handle(msg network.Message) {
 	}
 }
 
+// queryEvent enriches an in-doubt query with the stable-storage facts the
+// machine needs when this node began the transaction: its decision
+// record, and its own prepared branch (a hand-off still in doubt, whose
+// RCE participants must not be told "abort"). ok is false when the store
+// cannot be read; the asker re-asks.
+func (n *Node) queryEvent(txnID, from string) (protocol.QueryReceived, bool) {
+	ev := protocol.QueryReceived{TxnID: txnID, From: from}
+	if protocol.Coordinator(txnID) != n.cfg.Name {
+		return ev, true // a source asks its decider: the machine knows
+	}
+	var err1, err2 error
+	ev.StoreDecided, err1 = n.mgr.Decided(txnID)
+	ev.StorePrepared, err2 = n.mgr.Prepared(txnID)
+	return ev, err1 == nil && err2 == nil
+}
+
 // applyEffect executes one machine effect. Mechanics only — queue and
 // store operations, transaction settles, sends, timers; any outcome the
 // machine must know about loops back in as another event. Sends join
@@ -198,50 +215,20 @@ func (n *Node) applyEffect(eff protocol.Effect, b *outBatch) {
 	switch e := eff.(type) {
 	case protocol.SendMsg:
 		n.sendTo(b, e.To, e.Kind, e.Payload)
+	case protocol.SendHandoff:
+		n.sendHandoff(e, b)
 	case protocol.DeliverAck:
 		n.deliverAck(e.Kind, e.TxnID, protocol.AckMsg{TxnID: e.TxnID, OK: e.OK, Err: e.Err})
-	case protocol.StageEntry:
-		// Membership: a draining (Left) node and an already-adopted agent
-		// epoch are refused before anything touches stable storage — the
-		// coordinator sees a NOT-OK ack and aborts, same as a full queue.
-		err := n.adoptionGate(e)
-		if err == nil {
-			err = n.queue.Prepare(e.TxnID, e.EntryID, e.Data)
+	case protocol.DeliverOutcome:
+		n.deliverAck(protocol.KindOutcome, e.TxnID, protocol.AckMsg{TxnID: e.TxnID, OK: e.Commit})
+	case protocol.Decide:
+		n.decide(e, b)
+	case protocol.DropOutcomes:
+		for _, id := range e.TxnIDs {
+			n.stageCtlOp(txn.DropOutcomeOp(id))
 		}
-		if err == nil {
-			n.stepInto(protocol.StageOutcome{TxnID: e.TxnID, OK: true}, b)
-		}
-		reply := protocol.AckMsg{TxnID: e.TxnID, OK: err == nil}
-		if err != nil {
-			reply.Err = err.Error()
-		}
-		n.sendTo(b, e.From, e.AckKind, &reply)
-	case protocol.ResolveStaged:
-		var err error
-		if e.Commit {
-			err = n.queue.CommitStaged(e.TxnID)
-		} else {
-			err = n.queue.AbortStaged(e.TxnID)
-		}
-		if err != nil {
-			// The entry is still durably staged but the machine already
-			// dropped it: re-enter the in-doubt cycle so the query timer
-			// retries the verdict — the replacement for the old
-			// dispatcher tick re-deriving in-doubt work from
-			// queue.StagedTxns() every cycle. (The coordinator keeps its
-			// commit obligation too: refused ctl acks do not retire it.)
-			n.stepInto(protocol.RecoveredStaged{TxnID: e.TxnID}, b)
-		}
-		if err == nil {
-			n.resolveAdoption(e.TxnID, e.Commit)
-		}
-		if e.AckTo != "" {
-			reply := protocol.AckMsg{TxnID: e.TxnID, OK: err == nil}
-			if err != nil {
-				reply.Err = err.Error()
-			}
-			n.sendTo(b, e.AckTo, e.AckKind, &reply)
-		}
+	case protocol.SendResolved:
+		n.sendResolvedInto(b, e.To)
 	case protocol.CommitBranch:
 		if tx := n.takeBranchTx(e.TxnID); tx != nil {
 			_ = tx.CommitPrepared()
@@ -276,6 +263,48 @@ func (n *Node) applyEffect(eff protocol.Effect, b *outBatch) {
 	case protocol.CountCompOps:
 		n.cfg.Counters.IncCompOps(e.N)
 	}
+}
+
+// sendHandoff sends a hand-off's prepare at once, with whatever is parked
+// for its decider riding along. A send that fails before any byte left
+// (network.ErrUnreachable) is fed back: no decider can ever see it, so
+// the source aborts now and the next attempt may pick an alternative.
+func (n *Node) sendHandoff(e protocol.SendHandoff, b *outBatch) {
+	data := e.Msg.AppendTo(nil)
+	n.traceSend(e.To, protocol.KindEnqueuePrepare, e.Msg, len(data))
+	msgs := append([]network.Outgoing{{Kind: protocol.KindEnqueuePrepare, Payload: data}}, n.takeHeld(e.To)...)
+	n.cfg.Tracer.Rec(trace.OpBatchFlush, "", "", "", e.To, "", int64(len(msgs)))
+	if err := n.ep.SendBatch(e.To, msgs); errors.Is(err, network.ErrUnreachable) {
+		n.stepInto(protocol.HandoffUnreachable{TxnID: e.Msg.TxnID}, b)
+	}
+}
+
+// decide makes a decider verdict durable (DESIGN.md §5) and feeds it back.
+// A commit vets the container first (adoptionGate); a refusal becomes a
+// fence. The entry and its commit record land in one Enqueue batch, so
+// the entry is visible — and the next step can run — at once.
+func (n *Node) decide(e protocol.Decide, b *outBatch) {
+	commit := e.Commit
+	var adopt func()
+	if commit {
+		var err error
+		if adopt, err = n.adoptionGate(e); err != nil {
+			commit = false
+		}
+	}
+	var err error
+	if commit {
+		err = n.queue.Enqueue(e.EntryID, e.Data, txn.OutcomeOp(e.TxnID, true, e.Mark))
+	} else {
+		err = n.store.Apply(txn.OutcomeOp(e.TxnID, false, e.Mark))
+	}
+	if err == nil && commit && adopt != nil {
+		adopt()
+	}
+	if err == nil && n.crashed(pointDeciderCommitted) {
+		return
+	}
+	n.stepInto(protocol.HandoffDecided{TxnID: e.TxnID, Commit: commit, OK: err == nil}, b)
 }
 
 // runBranchExec executes a resource-compensation-entry list inside a

@@ -15,15 +15,14 @@ import (
 
 // Membership integration: announcement flooding, ring-based step routing
 // and the rebalancer that migrates misplaced agents through the ordinary
-// 2PC hand-off.
+// hand-off.
 //
 // The node is (as everywhere) only the driver: the view/ring logic lives
 // in internal/membership, the hand-off logic in internal/protocol. A
-// migration is exactly a worker hand-off — destructive read of the queue
-// entry committed atomically with the coordinator decision, the staged
-// copy on the destination committed by the same decision — so the
-// conservation and exactly-once arguments of the step path carry over
-// verbatim. What membership adds on top:
+// migration is exactly a worker hand-off — the destructive read of the
+// queue entry prepared for the destination, which enqueues the copy and
+// decides — so the conservation and exactly-once arguments of the step
+// path carry over verbatim. What membership adds on top:
 //
 //   - the claim fence (stable.Queue.SetFence) keeps step workers off
 //     entries the rebalancer is about to move, and TryClaim gives the
@@ -32,8 +31,8 @@ import (
 //     drain on the source before its entries transfer;
 //   - Container.Epoch, bumped per migration, lets a destination refuse
 //     adopting an agent epoch it has already adopted (a volatile guard —
-//     2PC is the real exactly-once mechanism, the epoch check is the
-//     belt-and-braces against a confused or replayed coordinator);
+//     the hand-off is the real exactly-once mechanism, the epoch check is
+//     the belt-and-braces against a confused or replayed source);
 //   - a node whose own status is Left refuses new adoptions entirely and
 //     its ring (which no longer contains it) drains every ring-placed
 //     agent to the new owners.
@@ -174,30 +173,22 @@ func (n *Node) ringDest(key string) string {
 
 // --- adoption guard ---------------------------------------------------
 
-// stagingAdoption remembers, per staged transaction, which agent epoch a
-// commit would adopt. Volatile by design: after a crash the 2PC in-doubt
-// resolution re-derives everything that matters from stable storage.
-type stagingAdoption struct {
-	agentID string
-	epoch   int64
-}
-
-// adoptionGate vets one StageEntry before it is durably prepared. It
+// adoptionGate vets one hand-off before its decider commits it. It
 // refuses when this node has Left (a draining node must not accept new
 // agents) or when the container carries a migration epoch the node has
-// already adopted (duplicate adoption). On acceptance of a migration
-// container it parks the (txn, agent, epoch) so resolveAdoption can
-// record the adoption if the transaction commits.
-func (n *Node) adoptionGate(e protocol.StageEntry) error {
+// already adopted (duplicate adoption); the decider then fences the
+// transaction instead. For an accepted migration container it returns
+// the bookkeeping to run once the commit landed.
+func (n *Node) adoptionGate(e protocol.Decide) (adopt func(), err error) {
 	if n.members == nil {
-		return nil
+		return nil, nil
 	}
 	if n.members.Left() {
-		return errors.New("node left the cluster (draining)")
+		return nil, errors.New("node left the cluster (draining)")
 	}
 	c, err := peekContainer(e.Data)
 	if err != nil || c.Epoch == 0 {
-		return nil // not a migration container (or not ours to judge)
+		return nil, nil // not a migration container (or not ours to judge)
 	}
 	agentID := e.EntryID
 	if c.Agent != nil {
@@ -208,29 +199,15 @@ func (n *Node) adoptionGate(e protocol.StageEntry) error {
 	if n.adopted[agentID] >= c.Epoch {
 		n.cfg.Tracer.Rec(trace.OpMigrate, e.TxnID, agentID, "refuse", e.From, "", c.Epoch)
 		n.cfg.Counters.IncAdoptionRefusal()
-		return fmt.Errorf("agent %s epoch %d already adopted", agentID, c.Epoch)
+		return nil, fmt.Errorf("agent %s epoch %d already adopted", agentID, c.Epoch)
 	}
-	n.adopting[e.TxnID] = stagingAdoption{agentID: agentID, epoch: c.Epoch}
-	return nil
-}
-
-// resolveAdoption settles the adoption bookkeeping of one staged
-// transaction: a commit records the agent epoch as adopted, an abort
-// just forgets the staging. No-op for ordinary (non-migration) entries.
-func (n *Node) resolveAdoption(txnID string, commit bool) {
-	if n.members == nil {
-		return
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	rec, ok := n.adopting[txnID]
-	if !ok {
-		return
-	}
-	delete(n.adopting, txnID)
-	if commit && rec.epoch > n.adopted[rec.agentID] {
-		n.adopted[rec.agentID] = rec.epoch
-	}
+	return func() {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		if c.Epoch > n.adopted[agentID] {
+			n.adopted[agentID] = c.Epoch
+		}
+	}, nil
 }
 
 // --- rebalancer -------------------------------------------------------
@@ -404,13 +381,12 @@ func (n *Node) migrationDest(ring *membership.Ring, e *stable.Entry) (string, bo
 	return owner, true
 }
 
-// migrateEntry hands one claimed entry to dest as a 2PC queue hand-off —
-// the same coordinator path as a step's shipContainer, minus the step:
-// remove-from-source joins the coordinator's commit batch, the container
-// (with a bumped migration epoch) is staged on dest, and one decision
-// commits both. A crash at any point leaves the agent in exactly one
-// input queue (§4.3 carries over: before the decision the staged copy
-// dies by presumed abort; after it, removal is already durable).
+// migrateEntry hands one claimed entry to dest as a queue hand-off — the
+// same path as a step's shipContainer, minus the step: the removal from
+// this queue is prepared for dest, which enqueues the container (with a
+// bumped migration epoch) and decides. A crash at any point leaves the
+// agent in exactly one input queue (§4.3 carries over: before dest's
+// commit the source's branch can only abort; after it, only commit).
 func (n *Node) migrateEntry(e *stable.Entry, dest string) error {
 	c, err := n.decode(e.Data)
 	if err != nil || c.Agent == nil {
@@ -427,15 +403,9 @@ func (n *Node) migrateEntry(e *stable.Entry, dest string) error {
 	}
 	n.cfg.Tracer.Rec(trace.OpMigrate, tx.ID(), c.Agent.ID, "start", n.cfg.Name, dest, int64(len(data)))
 	n.queue.RemoveIn(tx, e)
-	prep, err := n.prepareEnqueueRemote(tx, dest, c.Agent.ID, data)
-	if err != nil {
-		n.abortParts(tx, nil)
-		_ = tx.Abort()
+	count := func(d int64) { n.cfg.Counters.AddMigrations(d, int64(len(data))) }
+	if err := n.handOff(tx, dest, c.Agent.ID, data, nil, count); err != nil {
 		return fmt.Errorf("node %s: migrate %s to %s: %w", n.cfg.Name, c.Agent.ID, dest, err)
-	}
-	onCommit := func() { n.cfg.Counters.IncMigration(int64(len(data))) }
-	if err := n.commitDistributed(tx, []protocol.Participant{prep}, onCommit); err != nil {
-		return err
 	}
 	n.cfg.Tracer.Rec(trace.OpMigrate, tx.ID(), c.Agent.ID, "commit", n.cfg.Name, dest, int64(len(data)))
 	return nil

@@ -3,15 +3,15 @@
 // the optimized mechanism of Figure 5, over the substrates in
 // internal/{network,stable,txn,resource}.
 //
-// Protocol architecture. Every 2PC / RCE / rollback decision lives in the
-// pure state machines of internal/protocol; this package is the driver
-// around them. The dispatcher goroutine decodes inbound messages into
-// protocol events, workers feed local decisions (prepare shipped, commit
-// decided, branch executed) in as events too, and a single
+// Protocol architecture. Every hand-off / RCE / rollback decision lives in
+// the pure state machines of internal/protocol; this package is the
+// driver around them. The dispatcher goroutine decodes inbound messages
+// into protocol events, workers feed local decisions (hand-off delegated,
+// commit decided, branch executed) in as events too, and a single
 // network.TimerWheel per node turns timer-fire callbacks into events —
 // Machine.Step is always serialized under one mutex. The effects a
-// transition returns (outbound messages, staged-queue operations, branch
-// commits/aborts, decision-record GC, timer arm/cancel) are applied by
+// transition returns (outbound messages, a decider's verdict write,
+// branch commits/aborts, record GC, timer arm/cancel) are applied by
 // the same caller, outside the machine lock. Timers therefore cost O(1)
 // goroutines per node — not one polling loop per in-flight transaction —
 // and a network.VirtualClock advances every protocol timer
@@ -20,18 +20,19 @@
 // Concurrency model. Each node runs a dispatcher goroutine handling
 // protocol messages and a sched.Pool of Config.Workers step workers
 // draining the agent input queue through volatile claim/lease hand-out
-// (default 1: the paper's serial node model). Workers block on
-// acknowledgements from remote participants; the dispatcher never blocks
-// on a worker. Concurrent step transactions are serialized by the txn
+// (default 1: the paper's serial node model). Workers block on the
+// outcome of their hand-off and on RCE acknowledgements; the dispatcher
+// never blocks on a worker. Concurrent step transactions are serialized by the txn
 // layer's strict 2PL; the pool additionally avoids co-scheduling steps
 // whose registered resource hints collide.
 //
 // Crash behaviour. A node's volatile state (in-flight transactions, locks,
 // pending acks, the protocol machine) is lost on Stop/crash; its stable
-// store (input queue, resource states, prepared branches, decision
-// records) survives. On restart the node first resolves in-doubt prepared
-// work with the respective coordinators (presumed abort) by replaying the
-// survivors into a fresh machine, then re-loads resources, then resumes
+// store (input queue, resource states, prepared branches, decision and
+// outcome records) survives. On restart the node first resolves in-doubt
+// prepared work with the respective deciders and coordinators by
+// replaying the survivors into a fresh machine, then re-loads resources,
+// then resumes
 // processing — exactly the recovery the paper's mechanism relies on
 // (§4.3: the agent and log still reside in the input queue, enabling the
 // algorithm to restart the transaction).
@@ -153,10 +154,9 @@ type Node struct {
 	machine *protocol.Machine
 
 	// members is cfg.Membership (nil without the membership layer);
-	// adopted/adopting (under mu) back the duplicate-adoption guard.
-	members  *membership.Manager
-	adopted  map[string]int64
-	adopting map[string]stagingAdoption
+	// adopted (under mu) backs the duplicate-adoption guard.
+	members *membership.Manager
+	adopted map[string]int64
 
 	mu        sync.Mutex
 	resources map[string]resource.Resource
@@ -228,12 +228,21 @@ func New(cfg Config, ep network.Endpoint, store stable.Store, registry *agent.Re
 		factories: factories,
 		members:   cfg.Membership,
 		adopted:   make(map[string]int64),
-		adopting:  make(map[string]stagingAdoption),
 		resources: make(map[string]resource.Resource),
 		waiters:   make(map[string]chan protocol.AckMsg),
 		branchTx:  make(map[string]*txn.Tx),
 		ready:     make(chan struct{}),
 		stop:      make(chan struct{}),
+	}
+	// The decider records answer queries the moment the dispatcher runs,
+	// so they — and with them each source's mark — are back in the
+	// machine first. A decider that cannot read them must not answer.
+	recs, err := mgr.Outcomes()
+	if err != nil {
+		return nil, fmt.Errorf("node %s: %w", cfg.Name, err)
+	}
+	for _, r := range recs {
+		n.step(protocol.RecoveredOutcome{TxnID: r.TxnID, Commit: r.Commit, Mark: r.Mark})
 	}
 	return n, nil
 }
@@ -243,14 +252,15 @@ func New(cfg Config, ep network.Endpoint, store stable.Store, registry *agent.Re
 // what an older runtime wrote and this one no longer reads: gob-encoded
 // containers (before the binary container codec), the gob envelopes the
 // queue and done/ records wrapped around a container (before the queue
-// stored it bare), prepared insertions that carry their container under
-// q/s/ (before Prepare wrote it at its entry key), shops whose till is a
-// coin list (before it was a balance), and gob resource state and branch
-// records (before their binary records). Left to the runtime the first
-// two would decode as a corrupt container and be dropped as poisoned
-// (failAgent), the third is a marker that hides nothing, deleted on commit
-// with its container — either way every in-flight agent of the data
-// directory silently lost — a resource record that does not decode keeps
+// stored it bare), prepared insertions under q/s/ (before the receiving
+// node decided a hand-off — and before commit e4fe5c0, carrying their
+// container), shops whose till is a coin list (before it was a balance),
+// and gob resource state and branch records (before their binary
+// records). Left to the runtime the first two would decode as a corrupt
+// container and be dropped as poisoned (failAgent), a prepared insertion
+// is an entry this queue shows at once although its coordinator may
+// abort it — an agent run twice — or, carrying its container, one never
+// shown — an agent lost; a resource record that does not decode keeps
 // the node not-ready for good, and a branch that does not decode is never
 // resolved. So the node refuses to start instead, with the store
 // untouched. Only those shapes count: other garbage (a malformed launch)
@@ -265,14 +275,15 @@ func refuseOlderLayout(node string, store stable.Store, queue *stable.Queue) err
 		switch {
 		case id == "" && stable.IsRetiredStagedRecord(data):
 			return refuse("prepared insertion", key, "carries its container", "e4fe5c0")
-		case !wire.LooksLikeGob(data):
-			return nil
-		case id == "":
+		case wire.LooksLikeGob(data) && id == "":
 			// Not this layout's record: the envelope around the container.
 			return refuse("queue record", key, gob, "fd17232")
-		default:
+		case wire.LooksLikeGob(data):
 			return refuse("queued container of agent", id, gob, "5015b40")
+		case strings.HasPrefix(key, "q/s/"):
+			return refuse("prepared insertion", key, "hides a queue entry until its coordinator decides", "6471191")
 		}
+		return nil
 	})
 	if err != nil {
 		return err
@@ -376,6 +387,14 @@ func (n *Node) Stop() {
 	// Courtesy drain of the GC stager: the ops are crash-safe to lose,
 	// but a clean stop should not leave avoidable garbage behind.
 	n.flushCtlStage()
+}
+
+// Delegations returns how many hand-offs from this node still wait on
+// their decider's verdict.
+func (n *Node) Delegations() int {
+	n.pmu.Lock()
+	defer n.pmu.Unlock()
+	return n.machine.Stats().Delegations
 }
 
 // Ready returns a channel closed when recovery completed. (The protocol

@@ -42,7 +42,7 @@ func (n *Node) runCompensation(entry *stable.Entry, c *Container, attempt int) e
 	n.queue.RemoveIn(tx, entry)
 
 	reached, _ := protocol.PopToTarget(a.Log, spID)
-	var parts []protocol.Participant
+	var parts []string
 	if !reached {
 		parts, err = n.compensateLastStep(tx, a, attempt)
 		if err != nil {
@@ -101,7 +101,7 @@ func (n *Node) runCompensation(entry *stable.Entry, c *Container, attempt int) e
 	}
 
 	a.SRO.Freeze(false) // clear runtime-only flag before serialization
-	if err := n.shipContainer(tx, next, dest, parts, n.cfg.Counters.IncCompTxn); err != nil {
+	if err := n.shipContainer(tx, next, dest, parts, n.cfg.Counters.AddCompTxns); err != nil {
 		n.cfg.Counters.IncCompTxnAbort()
 		return err
 	}
@@ -116,7 +116,7 @@ func (n *Node) runCompensation(entry *stable.Entry, c *Container, attempt int) e
 // locally concurrently with the resource compensation entries shipped to
 // the resource node; the remote branch is returned as a prepared
 // participant.
-func (n *Node) compensateLastStep(tx *txn.Tx, a *agent.Agent, attempt int) ([]protocol.Participant, error) {
+func (n *Node) compensateLastStep(tx *txn.Tx, a *agent.Agent, attempt int) ([]string, error) {
 	eos, ops, err := protocol.PopLastStep(a.Log)
 	if err != nil {
 		return nil, permanent(fmt.Errorf("node %s: %w", n.cfg.Name, err))
@@ -125,10 +125,13 @@ func (n *Node) compensateLastStep(tx *txn.Tx, a *agent.Agent, attempt int) ([]pr
 		return nil, nil
 	}
 
-	if protocol.CompensateLocally(eos, n.cfg.Optimized, n.cfg.Name) {
+	dest := protocol.PickDestination(eos.Node, eos.AltNodes, attempt)
+	if protocol.CompensateLocally(eos, n.cfg.Optimized, n.cfg.Name) || dest == n.cfg.Name {
 		// Basic algorithm, or mixed entries (the agent was brought to
-		// the resource node), or the agent already resides there:
-		// execute everything locally in log order.
+		// the resource node), or the agent already resides there (or at
+		// the alternative this attempt picked — a branch here would
+		// share this transaction's ID): execute everything locally in
+		// log order.
 		if err := n.execCompOps(tx, a, ops); err != nil {
 			return nil, err
 		}
@@ -143,13 +146,11 @@ func (n *Node) compensateLastStep(tx *txn.Tx, a *agent.Agent, attempt int) ([]pr
 	if err != nil {
 		return nil, permanent(fmt.Errorf("node %s: %w", n.cfg.Name, err))
 	}
-	var parts []protocol.Participant
+	var parts []string
 	var ackCh chan protocol.AckMsg
 	if len(rces) > 0 {
-		dest := protocol.PickDestination(eos.Node, eos.AltNodes, attempt)
-		prep, ch := n.prepareRCERemote(tx, dest, rces)
-		parts = append(parts, prep)
-		ackCh = ch
+		ackCh = n.prepareRCERemote(tx, dest, rces)
+		parts = append(parts, dest)
 		n.cfg.Counters.IncRemoteCompBatch()
 	}
 	if err := n.execCompOps(tx, a, aces); err != nil {

@@ -1,61 +1,167 @@
 package node
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/network"
 	"repro/internal/protocol"
 	"repro/internal/txn"
 )
 
-// Coordinator driver shims. The decision logic — when a transaction is
-// active, how queries are answered, which control messages go out and
-// when they stop being resent — lives in the protocol machine's
-// coordinator role; these helpers only sequence the worker's blocking
-// calls (register a waiter, feed the event, await the ack).
+// Hand-off and coordinator driver shims. The decision logic — who
+// decides, how queries are answered, which messages go out and when they
+// stop being resent — lives in the protocol machine's roles; these
+// helpers only sequence the worker's blocking calls (register a waiter,
+// feed the event, await the answer).
 
-// prepareEnqueueRemote runs the prepare phase of the queue hand-off: the
-// destination durably stages the container under this transaction's ID.
-// The machine marks the transaction active before the prepare message
-// leaves, so in-doubt queries from the participant are answered
-// "pending" rather than "abort" while the decision is still open.
-func (n *Node) prepareEnqueueRemote(tx *txn.Tx, dest, entryID string, data []byte) (protocol.Participant, error) {
-	ch := n.registerWaiter(protocol.KindEnqueuePrepareAck, tx.ID())
-	n.step(protocol.CoordPrepareEnqueue{TxnID: tx.ID(), Dest: dest, EntryID: entryID, Data: data})
-	if _, err := n.await(ch, protocol.KindEnqueuePrepareAck, tx.ID()); err != nil {
-		return protocol.Participant{}, err
+// crashAt, when set, is asked at each durable point of the hand-off
+// (pointSourcePrepared, pointDeciderCommitted, pointSourceDecided); true
+// means the process dies there: the caller stops without another write
+// or send, and blocks until the node is stopped. Crash tests set it; it
+// is nil otherwise.
+var crashAt func(node, point string) bool
+
+// The durable points of a hand-off, in order.
+const (
+	pointSourcePrepared   = "source-prepared"   // branch durable, prepare not sent
+	pointDeciderCommitted = "decider-committed" // entry and record durable, outcome not sent
+	pointSourceDecided    = "source-decided"    // outcome received, branch not settled
+)
+
+// crashed reports whether the process dies at point (see crashAt), and
+// if so waits for the node to be stopped.
+func (n *Node) crashed(point string) bool {
+	if crashAt == nil || !crashAt(n.cfg.Name, point) {
+		return false
 	}
-	return protocol.Participant{Node: dest, Kind: protocol.PartQueue}, nil
+	<-n.stop
+	return true
+}
+
+// errStopped reports that the node stopped while a worker waited.
+var errStopped = errors.New("node: stopped")
+
+// handOff finishes a transaction whose container moves to dest, which
+// decides it (DESIGN.md §5): the transaction is prepared as a branch
+// naming dest, the container goes out in one message, and the outcome
+// commits or aborts the branch. RCE participants prepared beforehand
+// (Figure 5b) learn the verdict from this node's decision record, which
+// rides in the branch's redo batch. count (may be nil) is the caller's
+// metric hook: count(1) runs before the prepare leaves, because dest may
+// make the agent visible — and its owner snapshot metrics — before the
+// outcome is back, and count(-1) takes it back if dest refused or never
+// saw the hand-off.
+func (n *Node) handOff(tx *txn.Tx, dest, entryID string, data []byte, parts []string, count func(int64)) error {
+	if len(parts) > 0 {
+		tx.AddCommitOps(n.mgr.DecisionOp(tx.ID()))
+	}
+	if err := tx.PrepareDelegated(dest); err != nil {
+		_ = tx.Abort()
+		n.abortParts(tx, parts)
+		return fmt.Errorf("node %s: hand-off to %s: %w", n.cfg.Name, dest, err)
+	}
+	if n.crashed(pointSourcePrepared) {
+		return errStopped
+	}
+	if count != nil {
+		count(1)
+	}
+	ch := n.registerWaiter(protocol.KindOutcome, tx.ID())
+	n.step(protocol.Delegate{TxnID: tx.ID(), Decider: dest, EntryID: entryID, Data: data, Mark: n.mgr.Mark()})
+	commit, err := n.awaitOutcome(ch, tx.ID())
+	if err != nil || n.crashed(pointSourceDecided) {
+		// Stopped: the branch stays prepared and recovery asks dest.
+		return errStopped
+	}
+	if !commit {
+		if count != nil {
+			count(-1)
+		}
+		_ = tx.Abort()
+		n.abortParts(tx, parts)
+		n.sendResolved(dest)
+		return fmt.Errorf("node %s: hand-off to %s refused", n.cfg.Name, dest)
+	}
+	if err := tx.CommitPrepared(); err != nil {
+		// dest has committed: the branch must follow. The record is
+		// durable, so replay it.
+		if err := n.mgr.ResolveBranch(tx.ID(), true); err != nil {
+			n.cfg.Logger.Error("hand-off committed at its decider, branch not settled",
+				"node", n.cfg.Name, "txn", tx.ID(), "decider", dest, "err", err)
+		}
+	}
+	if len(parts) > 0 {
+		n.step(protocol.CoordDecided{TxnID: tx.ID(), Commit: true, Parts: parts})
+	}
+	n.sendResolved(dest)
+	return nil
+}
+
+// awaitOutcome blocks for a hand-off's verdict. Past AckTimeout the
+// source is in doubt: it asks the decider once, the machine re-asks on
+// its query timer, and the worker keeps waiting — the branch cannot
+// settle without the verdict.
+func (n *Node) awaitOutcome(ch chan protocol.AckMsg, txnID string) (bool, error) {
+	timeout, cancel := network.ClockTimer(n.clock, n.cfg.AckTimeout)
+	defer cancel()
+	for {
+		select {
+		case msg := <-ch:
+			return msg.OK, nil
+		case <-timeout:
+			timeout = nil
+			n.step(protocol.DelegationStale{TxnID: txnID})
+		case <-n.stop:
+			n.dropWaiter(protocol.KindOutcome, txnID)
+			return false, errStopped
+		}
+	}
+}
+
+// sendResolved tells a decider this node's current mark (q.resolved). It
+// parks in the piggyback hold buffer (piggybackKind) when the wheel runs,
+// joining b otherwise.
+func (n *Node) sendResolved(to string) {
+	var b outBatch
+	n.sendResolvedInto(&b, to)
+	b.flush(n)
+}
+
+func (n *Node) sendResolvedInto(b *outBatch, to string) {
+	n.sendTo(b, to, protocol.KindResolved, &protocol.MarkMsg{Mark: n.mgr.Mark()})
 }
 
 // prepareRCERemote ships a resource-compensation-entry list to the
 // resource node (Figure 5b); the participant acknowledges once the
 // branch is durably prepared. The caller awaits the returned channel
 // after running its own agent compensation entries concurrently.
-func (n *Node) prepareRCERemote(tx *txn.Tx, dest string, ops []*core.OpEntry) (protocol.Participant, chan protocol.AckMsg) {
+func (n *Node) prepareRCERemote(tx *txn.Tx, dest string, ops []*core.OpEntry) chan protocol.AckMsg {
 	ch := n.registerWaiter(protocol.KindRCEExecAck, tx.ID())
 	n.step(protocol.CoordPrepareRCE{TxnID: tx.ID(), Dest: dest, Ops: ops})
-	return protocol.Participant{Node: dest, Kind: protocol.PartRCE}, ch
+	return ch
 }
 
-// commitDistributed finishes the coordinator side: with remote
-// participants, the commit decision record joins the local commit batch
-// (atomic "decide"), then the machine drives the participants to commit
-// reliably. Without participants it is a plain local commit.
+// commitDistributed finishes a transaction this node decides itself (the
+// container stays here, or there is none): with RCE participants, the
+// commit decision record joins the local commit batch (atomic "decide"),
+// then the machine drives the participants to commit reliably. Without
+// participants it is a plain local commit.
 //
-// onCommit (may be nil) runs immediately before the commit is applied:
-// metric increments belong there, because the instant the commit lands its
+// count (may be nil) runs as count(1) immediately before the commit is
+// applied: metric increments belong there, because the instant the commit lands its
 // effects are visible to concurrent workers and remote nodes — a counter
 // bumped *after* could be missed by a snapshot taken on completion of the
 // chain this commit enables. If the commit itself fails (store I/O error;
 // never in the simulated environment) the count is one high — the retry
 // recounts — which is harmless for advisory metrics.
-func (n *Node) commitDistributed(tx *txn.Tx, parts []protocol.Participant, onCommit func()) error {
+func (n *Node) commitDistributed(tx *txn.Tx, parts []string, count func(int64)) error {
 	if len(parts) > 0 {
 		tx.AddCommitOps(n.mgr.DecisionOp(tx.ID()))
 	}
-	if onCommit != nil {
-		onCommit()
+	if count != nil {
+		count(1)
 	}
 	if err := tx.Commit(); err != nil {
 		n.abortParts(tx, parts)
@@ -69,6 +175,6 @@ func (n *Node) commitDistributed(tx *txn.Tx, parts []protocol.Participant, onCom
 // abortParts notifies prepared participants of an abort (best effort:
 // presumed abort lets them resolve on their own if the message is lost)
 // and closes the coordinator decision, so queries answer "abort".
-func (n *Node) abortParts(tx *txn.Tx, parts []protocol.Participant) {
+func (n *Node) abortParts(tx *txn.Tx, parts []string) {
 	n.step(protocol.CoordDecided{TxnID: tx.ID(), Commit: false, Parts: parts})
 }

@@ -13,54 +13,51 @@ import (
 	"repro/internal/stable"
 )
 
-// TestProtocolTimersOnVirtualClock drives the full in-doubt query cycle
-// and the completion-resend cycle on a manually advanced clock: a
-// participant stages a hand-off whose coordinator goes silent, and no
-// query leaves the node until the virtual clock moves — each Advance
-// then fires exactly one deterministic query. The coordinator's verdict
-// commits the stage, the agent runs, and the unacknowledged completion
-// notification is re-sent once per Advance until acked. This is the
-// wheel-driven replacement for the old per-tick polling dispatcher.
-func TestProtocolTimersOnVirtualClock(t *testing.T) {
-	vc := network.NewVirtualClock(time.Time{})
+// vcNode starts node p on a frozen virtual clock with a "noop" step and
+// a bank, and returns it with the endpoints of the peers "co" (a decider
+// that answers only when the test says so) and "own" (an owner).
+func vcNode(t *testing.T, vc *network.VirtualClock, workers int) (n *Node, coEp, ownEp network.Endpoint) {
+	t.Helper()
 	sim := network.NewSim(network.SimConfig{})
-	defer sim.Close()
+	t.Cleanup(sim.Close)
 	ep, err := sim.Endpoint("p")
 	if err != nil {
 		t.Fatal(err)
 	}
-	coEp, err := sim.Endpoint("co")
-	if err != nil {
+	if coEp, err = sim.Endpoint("co"); err != nil {
 		t.Fatal(err)
 	}
-	ownEp, err := sim.Endpoint("own")
-	if err != nil {
+	if ownEp, err = sim.Endpoint("own"); err != nil {
 		t.Fatal(err)
 	}
-
 	reg := agent.NewRegistry()
 	if err := reg.RegisterStep("noop", func(ctx agent.StepContext) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	n, err := New(Config{Name: "p", RetryDelay: 10 * time.Millisecond, Clock: vc}, ep,
+	n, err = New(Config{Name: "p", RetryDelay: 10 * time.Millisecond, AckTimeout: 100 * time.Millisecond, Workers: workers, Clock: vc}, ep,
 		stable.NewMemStore(nil), reg,
 		func(st stable.Store) (resource.Resource, error) { return resource.NewBank(st, "bank", true) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	n.Start()
-	defer n.Stop()
+	t.Cleanup(n.Stop)
 	<-n.Ready()
+	return n, coEp, ownEp
+}
 
-	// A real one-step agent container, staged under a remote
-	// coordinator's transaction.
-	it, err := itinerary.New(&itinerary.Sub{ID: "s", Entries: []itinerary.Entry{
-		itinerary.Step{Method: "noop", Loc: "p"},
-	}})
+// vcContainer encodes a fresh agent whose "noop" steps run at locs.
+func vcContainer(t *testing.T, id string, locs ...string) []byte {
+	t.Helper()
+	sub := &itinerary.Sub{ID: "s"}
+	for _, loc := range locs {
+		sub.Entries = append(sub.Entries, itinerary.Step{Method: "noop", Loc: loc})
+	}
+	it, err := itinerary.New(sub)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, entered, err := agent.New("agent-vc", "own", it)
+	a, entered, err := agent.New(id, "own", it)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,32 +68,80 @@ func TestProtocolTimersOnVirtualClock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload := (&protocol.PrepareMsg{TxnID: "co#1", EntryID: a.ID, Data: data}).AppendTo(nil)
-	if err := coEp.Send("p", protocol.KindEnqueuePrepare, payload); err != nil {
+	return data
+}
+
+// recvPrepare waits for a hand-off's prepare at a decider endpoint.
+func recvPrepare(t *testing.T, ep network.Endpoint) protocol.PrepareMsg {
+	t.Helper()
+	msg := recvMsg(t, ep, 2*time.Second)
+	var pm protocol.PrepareMsg
+	if msg.Kind != protocol.KindEnqueuePrepare || protocol.Decode(msg.Payload, &pm) != nil {
+		t.Fatalf("expected a prepare, got %s", msg.Kind)
+	}
+	return pm
+}
+
+// TestProtocolTimersOnVirtualClock drives the source's in-doubt query
+// cycle and the completion-resend cycle on a manually advanced clock.
+// Node p hands an agent to a decider that goes silent: no query leaves
+// until the virtual clock moves past the worker's wait, and each Advance
+// then fires exactly one deterministic query; the decider's outcome
+// settles the branch and its q.resolved follows after the hold linger.
+// As a decider, p answers a hand-off at once — no timer involved — and
+// the agent it adopted completes; the unacknowledged completion
+// notification is re-sent once per Advance until acked. This is the
+// wheel-driven replacement for the old per-tick polling dispatcher.
+func TestProtocolTimersOnVirtualClock(t *testing.T) {
+	vc := network.NewVirtualClock(time.Time{})
+	n, coEp, ownEp := vcNode(t, vc, 1)
+
+	// Source: p runs the first step and hands the agent to co.
+	if err := n.Queue().Enqueue("agent-vc", vcContainer(t, "agent-vc", "p", "co")); err != nil {
 		t.Fatal(err)
 	}
-	if kind := recvKind(t, coEp, 2*time.Second); kind != protocol.KindEnqueuePrepareAck {
-		t.Fatalf("expected prepare ack, got %s", kind)
-	}
-
-	// The coordinator goes silent. The staged entry is in-doubt, but no
-	// query may leave the node while the virtual clock is frozen.
+	pm := recvPrepare(t, coEp)
+	// The decider goes silent. The branch is in doubt, but no query may
+	// leave the node while the virtual clock is frozen.
 	assertNoMessage(t, coEp, 80*time.Millisecond)
-
-	// Each Advance past the retry interval fires exactly one query.
+	// Past the worker's wait the source asks; then each Advance past the
+	// retry interval fires exactly one query.
+	vc.Advance(100 * time.Millisecond)
 	for i := 0; i < 3; i++ {
-		vc.Advance(50 * time.Millisecond)
 		if kind := recvKind(t, coEp, 2*time.Second); kind != protocol.KindTxnQuery {
 			t.Fatalf("advance %d: expected txn query, got %s", i, kind)
 		}
 		assertNoMessage(t, coEp, 30*time.Millisecond)
+		vc.Advance(50 * time.Millisecond)
 	}
-
-	// The verdict commits the stage; the agent runs to completion and
-	// the owner is notified immediately (no timer involved).
-	status := (&protocol.StatusMsg{TxnID: "co#1", Committed: true}).AppendTo(nil)
-	if err := coEp.Send("p", protocol.KindTxnStatus, status); err != nil {
+	if kind := recvKind(t, coEp, 2*time.Second); kind != protocol.KindTxnQuery {
+		t.Fatalf("expected txn query, got %s", kind)
+	}
+	// The verdict settles the branch; the confirmation waits out the hold
+	// linger.
+	outcome := (&protocol.StatusMsg{TxnID: pm.TxnID, Committed: true}).AppendTo(nil)
+	if err := coEp.Send("p", protocol.KindOutcome, outcome); err != nil {
 		t.Fatal(err)
+	}
+	time.Sleep(50 * time.Millisecond)
+	if ok, err := n.Manager().Prepared(pm.TxnID); err != nil || ok {
+		t.Fatalf("branch %s still prepared after the outcome: %v", pm.TxnID, err)
+	}
+	vc.Advance(10 * time.Millisecond)
+	if kind := recvKind(t, coEp, 2*time.Second); kind != protocol.KindResolved {
+		t.Fatalf("expected q.resolved, got %s", kind)
+	}
+	vc.Advance(200 * time.Millisecond)
+	assertNoMessage(t, coEp, 80*time.Millisecond)
+
+	// Decider: a hand-off from co is decided at once, and its agent runs
+	// to completion; the owner is notified immediately.
+	payload := (&protocol.PrepareMsg{TxnID: "co#1", EntryID: "agent-vc2", Mark: 1, Data: vcContainer(t, "agent-vc2", "p")}).AppendTo(nil)
+	if err := coEp.Send("p", protocol.KindEnqueuePrepare, payload); err != nil {
+		t.Fatal(err)
+	}
+	if kind := recvKind(t, coEp, 2*time.Second); kind != protocol.KindOutcome {
+		t.Fatalf("expected the outcome, got %s", kind)
 	}
 	if kind := recvKind(t, ownEp, 5*time.Second); kind != KindAgentDone {
 		t.Fatalf("expected agent done, got %s", kind)
@@ -108,7 +153,7 @@ func TestProtocolTimersOnVirtualClock(t *testing.T) {
 	if kind := recvKind(t, ownEp, 2*time.Second); kind != KindAgentDone {
 		t.Fatalf("expected done resend, got %s", kind)
 	}
-	ack, err := EncodeDoneAck(a.ID)
+	ack, err := EncodeDoneAck("agent-vc2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,71 +166,32 @@ func TestProtocolTimersOnVirtualClock(t *testing.T) {
 	assertNoMessage(t, ownEp, 80*time.Millisecond)
 }
 
-// TestQueryBatchOnVirtualClock stages two hand-offs under the same
-// silent remote coordinator and single-steps the clock: the coalesced
-// per-peer query timer fires once per Advance, and once both staged
-// entries share the due bucket one Advance emits a single query.batch
-// frame carrying both transactions — the wire-level half of the
-// per-peer coalescing that timers_test.go pins at the machine level.
+// TestQueryBatchOnVirtualClock hands two agents to the same silent
+// decider and single-steps the clock: past the workers' wait each asks
+// once, then the coalesced per-peer query timer fires once per Advance,
+// and once both delegations share the due bucket one Advance emits a
+// single query.batch frame carrying both transactions — the wire-level
+// half of the per-peer coalescing that timers_test.go pins at the
+// machine level.
 func TestQueryBatchOnVirtualClock(t *testing.T) {
 	vc := network.NewVirtualClock(time.Time{})
-	sim := network.NewSim(network.SimConfig{})
-	defer sim.Close()
-	ep, err := sim.Endpoint("p")
-	if err != nil {
-		t.Fatal(err)
+	n, coEp, _ := vcNode(t, vc, 2)
+	for _, id := range []string{"agent-qb1", "agent-qb2"} {
+		if err := n.Queue().Enqueue(id, vcContainer(t, id, "p", "co")); err != nil {
+			t.Fatal(err)
+		}
 	}
-	coEp, err := sim.Endpoint("co")
-	if err != nil {
-		t.Fatal(err)
-	}
+	txns := map[string]bool{recvPrepare(t, coEp).TxnID: true, recvPrepare(t, coEp).TxnID: true}
 
-	reg := agent.NewRegistry()
-	if err := reg.RegisterStep("noop", func(ctx agent.StepContext) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	n, err := New(Config{Name: "p", RetryDelay: 10 * time.Millisecond, Clock: vc}, ep,
-		stable.NewMemStore(nil), reg,
-		func(st stable.Store) (resource.Resource, error) { return resource.NewBank(st, "bank", true) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	n.Start()
-	defer n.Stop()
-	<-n.Ready()
-
-	stage := func(txn, agentID string) {
-		t.Helper()
-		it, err := itinerary.New(&itinerary.Sub{ID: "s", Entries: []itinerary.Entry{
-			itinerary.Step{Method: "noop", Loc: "p"},
-		}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, entered, err := agent.New(agentID, "own", it)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := AppendInitialSavepoints(a, entered, core.StateLogging); err != nil {
-			t.Fatal(err)
-		}
-		data, err := EncodeContainer(&Container{Mode: ModeStep, Agent: a})
-		if err != nil {
-			t.Fatal(err)
-		}
-		payload := (&protocol.PrepareMsg{TxnID: txn, EntryID: a.ID, Data: data}).AppendTo(nil)
-		if err := coEp.Send("p", protocol.KindEnqueuePrepare, payload); err != nil {
-			t.Fatal(err)
-		}
-		if kind := recvKind(t, coEp, 2*time.Second); kind != protocol.KindEnqueuePrepareAck {
-			t.Fatalf("expected prepare ack for %s, got %s", txn, kind)
-		}
-	}
-	stage("co#1", "agent-qb1")
-	stage("co#2", "agent-qb2")
-
-	// Frozen clock: both entries are in doubt but nothing leaves.
+	// Frozen clock: both branches are in doubt but nothing leaves.
 	assertNoMessage(t, coEp, 80*time.Millisecond)
+	vc.Advance(100 * time.Millisecond)
+	for i := 0; i < 2; i++ {
+		if kind := recvKind(t, coEp, 2*time.Second); kind != protocol.KindTxnQuery {
+			t.Fatalf("worker wait %d: expected %s, got %s", i, protocol.KindTxnQuery, kind)
+		}
+	}
+	assertNoMessage(t, coEp, 30*time.Millisecond)
 
 	// First fire drains only the first entry (the second was enqueued
 	// while the timer ticked and is promoted): a lone survivor still
@@ -207,25 +213,32 @@ func TestQueryBatchOnVirtualClock(t *testing.T) {
 	if err := protocol.Decode(msg.Payload, &qb); err != nil {
 		t.Fatalf("decode query batch: %v", err)
 	}
-	got := map[string]bool{}
-	for _, id := range qb.TxnIDs {
-		got[id] = true
-	}
-	if len(qb.TxnIDs) != 2 || !got["co#1"] || !got["co#2"] {
-		t.Fatalf("query batch = %v, want co#1+co#2", qb.TxnIDs)
+	if len(qb.TxnIDs) != 2 || !txns[qb.TxnIDs[0]] || !txns[qb.TxnIDs[1]] || qb.TxnIDs[0] == qb.TxnIDs[1] {
+		t.Fatalf("query batch = %v, want %v", qb.TxnIDs, txns)
 	}
 	assertNoMessage(t, coEp, 30*time.Millisecond)
 
-	// Presumed abort resolves both; the next fire drains to silence.
-	for _, txn := range []string{"co#1", "co#2"} {
-		status := (&protocol.StatusMsg{TxnID: txn, Committed: false}).AppendTo(nil)
-		if err := coEp.Send("p", protocol.KindTxnStatus, status); err != nil {
+	// The outcomes settle both; the next fire drains to silence but for
+	// the confirmations.
+	for txn := range txns {
+		outcome := (&protocol.StatusMsg{TxnID: txn, Committed: true}).AppendTo(nil)
+		if err := coEp.Send("p", protocol.KindOutcome, outcome); err != nil {
 			t.Fatal(err)
 		}
 	}
 	time.Sleep(50 * time.Millisecond)
 	vc.Advance(200 * time.Millisecond)
-	assertNoMessage(t, coEp, 80*time.Millisecond)
+	for {
+		select {
+		case msg := <-coEp.Recv():
+			if msg.Kind != protocol.KindResolved {
+				t.Fatalf("unexpected %s after the outcomes", msg.Kind)
+			}
+			continue
+		case <-time.After(80 * time.Millisecond):
+		}
+		break
+	}
 }
 
 func recvMsg(t *testing.T, ep network.Endpoint, timeout time.Duration) network.Message {

@@ -14,11 +14,8 @@ import (
 func TestAllKindsHaveFrameCodes(t *testing.T) {
 	kinds := []string{
 		protocol.KindEnqueuePrepare,
-		protocol.KindEnqueuePrepareAck,
-		protocol.KindEnqueueCommit,
-		protocol.KindEnqueueCommitAck,
-		protocol.KindEnqueueAbort,
-		protocol.KindEnqueueAbortAck,
+		protocol.KindOutcome,
+		protocol.KindResolved,
 		protocol.KindTxnQuery,
 		protocol.KindTxnStatus,
 		protocol.KindRCEExec,

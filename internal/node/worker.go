@@ -127,39 +127,34 @@ func (n *Node) lockBusy(key string) bool {
 	return r.ConflictLock().Busy()
 }
 
-// runRecovery resolves in-doubt prepared work (staged queue entries and
-// prepared branches) with the respective coordinators by replaying the
-// stable-storage survivors into the protocol machine, then re-loads the
-// resource managers from the stable store and replays undelivered
+// runRecovery resolves in-doubt prepared branches — hand-offs waiting on
+// their decider, RCE branches waiting on their coordinator — by replaying
+// the stable-storage survivors into the protocol machine, then re-loads
+// the resource managers from the stable store and replays undelivered
 // completion notifications. It returns false if the node was stopped
 // first.
 func (n *Node) runRecovery() bool {
 	for {
-		staged, err := n.queue.StagedTxns()
-		if err != nil {
-			return false
-		}
 		branches, err := n.mgr.InDoubtBranches()
 		if err != nil {
 			return false
 		}
-		if len(staged)+len(branches) == 0 {
+		if len(branches) == 0 {
 			break
 		}
-		for i, id := range append(append([]string(nil), staged...), branches...) {
-			co := protocol.Coordinator(id)
-			if co == "" || co == n.cfg.Name {
+		for _, id := range branches {
+			decider, err := n.mgr.Decider(id)
+			switch co := protocol.Coordinator(id); {
+			case err != nil:
+			case decider != "":
+				n.step(protocol.RecoveredDelegation{TxnID: id, Decider: decider})
+			case co == "" || co == n.cfg.Name:
 				// Self-coordinated: after a crash nothing is active,
 				// so the decision record alone decides.
-				committed, err := n.mgr.Decided(id)
-				if err == nil {
+				if committed, err := n.mgr.Decided(id); err == nil {
 					n.step(protocol.StatusReceived{TxnID: id, Committed: committed})
 				}
-				continue
-			}
-			if i < len(staged) {
-				n.step(protocol.RecoveredStaged{TxnID: id})
-			} else {
+			default:
 				n.step(protocol.RecoveredBranch{TxnID: id})
 			}
 		}
@@ -303,7 +298,7 @@ func (n *Node) finishAgent(tx *txn.Tx, a *agent.Agent, failed bool, reason strin
 // runStep executes the next itinerary step inside a step transaction (§2):
 // destructive read from the input queue, step method invocation, log
 // append (BOS, operation entries, EOS), savepoint constitution, and the
-// two-phase hand-off of the agent to the next node's input queue.
+// hand-off of the agent to the next node's input queue, which decides.
 func (n *Node) runStep(entry *stable.Entry, c *Container, attempt int) error {
 	a := c.Agent
 	step, err := a.Itin.StepAt(a.Cursor)
@@ -409,7 +404,7 @@ func (n *Node) runStep(entry *stable.Entry, c *Container, attempt int) error {
 		_ = tx.Abort()
 		return err
 	}
-	return n.shipContainer(tx, &Container{Mode: ModeStep, Agent: a}, dest, nil, n.cfg.Counters.IncStepTxn)
+	return n.shipContainer(tx, &Container{Mode: ModeStep, Agent: a}, dest, nil, n.cfg.Counters.AddStepTxns)
 }
 
 // stepDest resolves the node a step runs on: its location (or, on a
@@ -537,25 +532,23 @@ func (n *Node) startRollback(entry *stable.Entry, spID string) error {
 }
 
 // shipContainer finishes a transaction that hands the container to dest:
-// a local enqueue joins the commit batch directly; a remote hand-off runs
-// two-phase commit with the destination queue (prepare, decide+commit
-// locally, reliably commit remotely). Extra pre-prepared participants
-// (the RCE branch of Figure 5b) are committed with the same decision.
-// onCommit (may be nil) is the caller's metric hook, run just before the
-// commit lands (see commitDistributed).
-func (n *Node) shipContainer(tx *txn.Tx, c *Container, dest string, parts []protocol.Participant, onCommit func()) error {
+// a local enqueue joins the commit batch directly; a remote hand-off is
+// decided by dest (handOff). Pre-prepared RCE branches on parts (Figure
+// 5b) are committed with the same verdict. count (may be nil) is the
+// caller's metric hook (see handOff and commitDistributed).
+func (n *Node) shipContainer(tx *txn.Tx, c *Container, dest string, parts []string, count func(int64)) error {
 	data, err := n.encode(c)
 	if err != nil {
 		_ = tx.Abort()
 		n.abortParts(tx, parts)
 		return permanent(err)
 	}
-	hook := onCommit
+	hook := count
 	if dest != n.cfg.Name {
-		hook = func() {
-			n.cfg.Counters.IncAgentTransfer(int64(len(data)))
-			if onCommit != nil {
-				onCommit()
+		hook = func(d int64) {
+			n.cfg.Counters.AddAgentTransfers(d, int64(len(data)))
+			if count != nil {
+				count(d)
 			}
 		}
 	}
@@ -567,11 +560,5 @@ func (n *Node) shipContainer(tx *txn.Tx, c *Container, dest string, parts []prot
 		}
 		return n.commitDistributed(tx, parts, hook)
 	}
-	prep, err := n.prepareEnqueueRemote(tx, dest, c.Agent.ID, data)
-	if err != nil {
-		_ = tx.Abort()
-		n.abortParts(tx, parts)
-		return fmt.Errorf("node %s: hand-off to %s: %w", n.cfg.Name, dest, err)
-	}
-	return n.commitDistributed(tx, append(parts, prep), hook)
+	return n.handOff(tx, dest, c.Agent.ID, data, parts, hook)
 }

@@ -1,6 +1,7 @@
 package protocol_test
 
 import (
+	"strconv"
 	"testing"
 	"time"
 
@@ -9,12 +10,12 @@ import (
 )
 
 // BenchmarkProtocolTransitions measures the raw transition throughput of
-// the machine over a representative protocol mix: one full coordinator
-// commit cycle (prepare → ack → decide → ctl ack), one participant
-// hand-off (prepare → stage → commit ctl), and one RCE branch lifecycle
-// (exec → prepared → commit) — 10 transitions per iteration. The
-// machine is the single-threaded heart of every node, so ns/op here
-// bounds a node's protocol decision rate.
+// the machine over a representative protocol mix: one source hand-off
+// (delegate → outcome), one decider hand-off (prepare → decided → the
+// source's mark collects the record), and one RCE branch lifecycle (exec
+// → prepared → commit) — 8 transitions per iteration. The machine is the
+// single-threaded heart of every node, so ns/op here bounds a node's
+// protocol decision rate.
 func BenchmarkProtocolTransitions(b *testing.B) {
 	m := protocol.NewMachine(protocol.Config{
 		Node:          "co",
@@ -23,7 +24,6 @@ func BenchmarkProtocolTransitions(b *testing.B) {
 	})
 	m.Step(protocol.ReadyReached{})
 	ops := []*core.OpEntry{{Kind: core.OpResource, Op: "c"}}
-	parts := []protocol.Participant{{Node: "p", Kind: protocol.PartQueue}}
 	data := []byte("container")
 
 	b.ReportAllocs()
@@ -31,24 +31,24 @@ func BenchmarkProtocolTransitions(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		txn := "co#1" // IDs may repeat: every cycle fully settles its state
 
-		// Coordinator commit cycle.
-		m.Step(protocol.CoordPrepareEnqueue{TxnID: txn, Dest: "p", EntryID: "a", Data: data})
-		m.Step(protocol.AckReceived{Kind: protocol.KindEnqueuePrepareAck, TxnID: txn, From: "p", OK: true})
-		m.Step(protocol.CoordDecided{TxnID: txn, Commit: true, Parts: parts})
-		m.Step(protocol.AckReceived{Kind: protocol.KindEnqueueCommitAck, TxnID: txn, From: "p", OK: true})
+		// Source hand-off.
+		m.Step(protocol.Delegate{TxnID: txn, Decider: "p", EntryID: "a", Data: data, Mark: 1})
+		m.Step(protocol.OutcomeReceived{TxnID: txn, Committed: true})
 
-		// Participant hand-off.
-		m.Step(protocol.PrepareReceived{TxnID: "peer#2", EntryID: "a", From: "peer", Data: data})
-		m.Step(protocol.StageOutcome{TxnID: "peer#2", OK: true})
-		m.Step(protocol.CtlReceived{TxnID: "peer#2", From: "peer", Commit: true})
+		// Decider hand-off: the source's IDs keep rising with its mark.
+		seq := uint64(i) + 2
+		peer := "peer#" + strconv.FormatUint(seq, 10)
+		m.Step(protocol.HandoffReceived{TxnID: peer, From: "peer", EntryID: "a", Data: data, Mark: seq})
+		m.Step(protocol.HandoffDecided{TxnID: peer, Commit: true, OK: true})
+		m.Step(protocol.ResolvedReceived{From: "peer", Mark: seq + 1})
 
 		// RCE branch lifecycle.
-		m.Step(protocol.RCEExecReceived{TxnID: "peer#3", From: "peer", Ops: ops})
-		m.Step(protocol.BranchPrepared{TxnID: "peer#3", OK: true})
-		m.Step(protocol.CtlReceived{TxnID: "peer#3", From: "peer", Commit: true, RCE: true})
+		m.Step(protocol.RCEExecReceived{TxnID: "peer#1", From: "peer", Ops: ops})
+		m.Step(protocol.BranchPrepared{TxnID: "peer#1", OK: true})
+		m.Step(protocol.CtlReceived{TxnID: "peer#1", From: "peer", Commit: true})
 	}
 	b.StopTimer()
-	if s := m.Stats(); s.CoordPendingCtl != 0 || s.Staged != 0 || s.BranchesPrepared != 0 {
+	if s := m.Stats(); s.Delegations != 0 || s.Outcomes != 0 || s.BranchesPrepared != 0 {
 		b.Fatalf("state leaked across cycles: %+v", s)
 	}
 	b.ReportMetric(float64(m.Transitions())/float64(b.N), "transitions/op")

@@ -20,10 +20,9 @@ const (
 	TypePrepare byte = 0x01
 	// TypeAck carries AckMsg (every *.ack kind and agent.done.ack).
 	TypeAck byte = 0x02
-	// TypeCtl carries CtlMsg (q.commit, q.abort, rce.commit, rce.abort,
-	// txn.query).
+	// TypeCtl carries CtlMsg (rce.commit, rce.abort, txn.query).
 	TypeCtl byte = 0x03
-	// TypeStatus carries StatusMsg (txn.status).
+	// TypeStatus carries StatusMsg (txn.status, q.outcome).
 	TypeStatus byte = 0x04
 	// TypeRCEExec carries RCEExecMsg (rce.exec).
 	TypeRCEExec byte = 0x05
@@ -31,6 +30,8 @@ const (
 	TypeCtlBatch byte = 0x06
 	// TypeQueryBatch carries QueryBatchMsg (query.batch).
 	TypeQueryBatch byte = 0x07
+	// TypeMark carries MarkMsg (q.resolved).
+	TypeMark byte = 0x08
 )
 
 // Decode decodes one inbound payload into v, the dispatcher's single
@@ -48,10 +49,11 @@ func Decode(data []byte, v any) error {
 
 // AppendTo implements wire.BinaryMessage.
 func (m *PrepareMsg) AppendTo(buf []byte) []byte {
-	buf = slices.Grow(buf, 2+len(m.TxnID)+len(m.EntryID)+len(m.Data)+16)
+	buf = slices.Grow(buf, 2+len(m.TxnID)+len(m.EntryID)+len(m.Data)+24)
 	buf = append(buf, wire.BinaryVersion, TypePrepare)
 	buf = wire.AppendString(buf, m.TxnID)
 	buf = wire.AppendString(buf, m.EntryID)
+	buf = wire.AppendUvarint(buf, m.Mark)
 	return wire.AppendBytes(buf, m.Data)
 }
 
@@ -62,7 +64,25 @@ func (m *PrepareMsg) DecodeFrom(buf []byte) error {
 		return err
 	}
 	r := wire.NewReader(b)
-	m.TxnID, m.EntryID, m.Data = r.String(), r.String(), r.Bytes()
+	m.TxnID, m.EntryID, m.Mark, m.Data = r.String(), r.String(), r.Uvarint(), r.Bytes()
+	return r.Done()
+}
+
+// --- MarkMsg ----------------------------------------------------------
+
+// AppendTo implements wire.BinaryMessage.
+func (m *MarkMsg) AppendTo(buf []byte) []byte {
+	return wire.AppendUvarint(append(buf, wire.BinaryVersion, TypeMark), m.Mark)
+}
+
+// DecodeFrom implements wire.BinaryMessage.
+func (m *MarkMsg) DecodeFrom(buf []byte) error {
+	b, err := wire.Body(buf, TypeMark)
+	if err != nil {
+		return err
+	}
+	r := wire.NewReader(b)
+	m.Mark = r.Uvarint()
 	return r.Done()
 }
 
@@ -179,7 +199,6 @@ func (m *CtlBatchMsg) AppendTo(buf []byte) []byte {
 	buf = wire.AppendUvarint(buf, uint64(len(m.Items)))
 	for _, it := range m.Items {
 		buf = wire.AppendString(buf, it.TxnID)
-		buf = wire.AppendBool(buf, it.RCE)
 		buf = wire.AppendBool(buf, it.Commit)
 	}
 	return buf
@@ -193,11 +212,11 @@ func (m *CtlBatchMsg) DecodeFrom(buf []byte) error {
 	}
 	r := wire.NewReader(b)
 	m.Items = nil
-	// An item costs at least its ID length and two bools.
-	if n := r.Count(3); n > 0 {
+	// An item costs at least its ID length and a bool.
+	if n := r.Count(2); n > 0 {
 		m.Items = make([]CtlBatchItem, n)
 		for i := range m.Items {
-			m.Items[i] = CtlBatchItem{TxnID: r.String(), RCE: r.Bool(), Commit: r.Bool()}
+			m.Items[i] = CtlBatchItem{TxnID: r.String(), Commit: r.Bool()}
 		}
 	}
 	return r.Done()

@@ -22,8 +22,10 @@ func fastPathMessages() []struct {
 		msg  wire.BinaryMessage
 		zero func() wire.BinaryMessage
 	}{
-		{"prepare", &PrepareMsg{TxnID: "n1#7", EntryID: "agent-3", Data: []byte("container-bytes")},
+		{"prepare", &PrepareMsg{TxnID: "n1#7", EntryID: "agent-3", Mark: 5, Data: []byte("container-bytes")},
 			func() wire.BinaryMessage { return &PrepareMsg{} }},
+		{"mark", &MarkMsg{Mark: 1 << 40},
+			func() wire.BinaryMessage { return &MarkMsg{} }},
 		{"ack", &AckMsg{TxnID: "n1#7", OK: false, Err: "node recovering"},
 			func() wire.BinaryMessage { return &AckMsg{} }},
 		{"ctl", &CtlMsg{TxnID: "n1#7"},
@@ -36,7 +38,7 @@ func fastPathMessages() []struct {
 		}}, func() wire.BinaryMessage { return &RCEExecMsg{} }},
 		{"ctl-batch", &CtlBatchMsg{Items: []CtlBatchItem{
 			{TxnID: "n1#7", Commit: true},
-			{TxnID: "n1#9", RCE: true, Commit: true},
+			{TxnID: "n1#9", Commit: true},
 			{TxnID: "n2#1"},
 		}}, func() wire.BinaryMessage { return &CtlBatchMsg{} }},
 		{"query-batch", &QueryBatchMsg{TxnIDs: []string{"n1#7", "n2#4"}},
@@ -159,7 +161,7 @@ func TestBinaryCodecRejectsCorruptInput(t *testing.T) {
 	}
 	// Binary payload routed into a type without a codec: those are gob,
 	// which cannot parse it.
-	var part Participant
+	var part Config
 	if err := Decode(enc, &part); err == nil {
 		t.Fatal("codec-less target accepted a binary payload")
 	}

@@ -47,7 +47,8 @@ func FuzzWireRoundTrip(f *testing.F) {
 			msg  wire.BinaryMessage
 			zero func() wire.BinaryMessage
 		}{
-			{&PrepareMsg{TxnID: txn, EntryID: entry, Data: data}, func() wire.BinaryMessage { return &PrepareMsg{} }},
+			{&PrepareMsg{TxnID: txn, EntryID: entry, Mark: uint64(sel) * uint64(len(data)), Data: data}, func() wire.BinaryMessage { return &PrepareMsg{} }},
+			{&MarkMsg{Mark: uint64(sel) << (len(txn) % 64)}, func() wire.BinaryMessage { return &MarkMsg{} }},
 			{&AckMsg{TxnID: txn, OK: ok, Err: errStr}, func() wire.BinaryMessage { return &AckMsg{} }},
 			{&CtlMsg{TxnID: txn}, func() wire.BinaryMessage { return &CtlMsg{} }},
 			{&StatusMsg{TxnID: txn, Committed: ok}, func() wire.BinaryMessage { return &StatusMsg{} }},
@@ -125,7 +126,7 @@ func batchItems(txn, entry string, ok bool, sel byte) []CtlBatchItem {
 	if sel&0x20 != 0 {
 		return nil
 	}
-	items := []CtlBatchItem{{TxnID: txn, RCE: ok, Commit: sel&0x01 != 0}}
+	items := []CtlBatchItem{{TxnID: txn, Commit: sel&0x01 != 0}}
 	if sel&0x40 != 0 {
 		items = append(items, CtlBatchItem{TxnID: entry, Commit: true})
 	}

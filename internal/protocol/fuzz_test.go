@@ -14,15 +14,18 @@ import (
 // no panics, only well-formed effects (parseable timer IDs, known
 // message kinds, non-nil payloads), the driver contract on branch
 // settles (a Commit/AbortBranch only for a parked transaction, plus the
-// defensive stray-completion abort), and the terminal invariant that
-// once every in-flight execution completes and every transaction
-// receives a verdict, no branch state survives — every prepared branch
+// defensive stray-completion abort), that the decider never answers one
+// hand-off both ways, and the terminal invariant that once every
+// in-flight execution and verdict write completes, every transaction
+// receives its verdict and every source's mark passes its hand-offs, no
+// branch, delegation, commit record or fence survives — everything
 // resolves.
 func FuzzProtocolEvents(f *testing.F) {
 	f.Add([]byte{0x01, 0x12, 0x23, 0x34, 0x45})
 	f.Add([]byte{0x20, 0x30, 0x50, 0x60, 0x70, 0x80})
 	f.Add([]byte("chaos-seed-2"))
 	f.Add([]byte{0x00, 0xff, 0x10, 0x41, 0x52, 0x63, 0x74, 0x85, 0x96})
+	f.Add([]byte{0x06, 0x01, 0x07, 0x01, 0x04, 0x01, 0x10, 0x09, 0x06, 0x01})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m := protocol.NewMachine(protocol.Config{Node: "self"})
 		model := newDriverModel(t)
@@ -35,34 +38,41 @@ func FuzzProtocolEvents(f *testing.F) {
 		agents := []string{"a1", "a2"}
 		ops := []*core.OpEntry{{Kind: core.OpResource, Op: "c"}}
 		for i := 0; i+1 < len(data); i += 2 {
-			txn := txns[int(data[i+1])%len(txns)]
-			ag := agents[int(data[i+1])%len(agents)]
-			switch data[i] % 16 {
+			arg := data[i+1]
+			txn := txns[int(arg)%len(txns)]
+			src := protocol.Coordinator(txn)
+			ag := agents[int(arg)%len(agents)]
+			switch data[i] % 18 {
 			case 0:
-				model.apply(m.Step(protocol.CoordPrepareEnqueue{TxnID: txn, Dest: "peer", EntryID: ag, Data: []byte("d")}))
+				model.apply(m.Step(protocol.Delegate{TxnID: txn, Decider: "peer", EntryID: ag, Data: []byte("d"), Mark: uint64(arg % 5)}))
 			case 1:
 				model.apply(m.Step(protocol.CoordPrepareRCE{TxnID: txn, Dest: "peer", Ops: ops}))
 			case 2:
-				model.apply(m.Step(protocol.CoordDecided{TxnID: txn, Commit: data[i+1]%2 == 0, Parts: []protocol.Participant{
-					{Node: "peer", Kind: protocol.PartQueue},
-				}}))
+				model.apply(m.Step(protocol.CoordDecided{TxnID: txn, Commit: arg%2 == 0, Parts: []string{"peer"}}))
 			case 3:
-				kinds := []string{
-					protocol.KindEnqueuePrepareAck, protocol.KindRCEExecAck,
-					protocol.KindEnqueueCommitAck, protocol.KindEnqueueAbortAck,
-					protocol.KindRCECommitAck, protocol.KindRCEAbortAck,
-				}
-				model.apply(m.Step(protocol.AckReceived{Kind: kinds[int(data[i+1])%len(kinds)], TxnID: txn, From: "peer", OK: true}))
+				kinds := []string{protocol.KindRCEExecAck, protocol.KindRCECommitAck, protocol.KindRCEAbortAck}
+				model.apply(m.Step(protocol.AckReceived{Kind: kinds[int(arg)%len(kinds)], TxnID: txn, From: "peer", OK: true}))
 			case 4:
-				model.apply(m.Step(protocol.QueryReceived{TxnID: txn, From: "peer", StoreDecided: data[i+1]%3 == 0}))
+				from := "peer"
+				if arg%2 == 0 {
+					from = src // a source asking its decider
+				}
+				model.apply(m.Step(protocol.QueryReceived{TxnID: txn, From: from, StoreDecided: arg%3 == 0, StorePrepared: arg%5 == 0}))
 			case 5:
-				model.apply(m.Step(protocol.StatusReceived{TxnID: txn, Committed: data[i+1]%2 == 0}))
+				model.apply(m.Step(protocol.StatusReceived{TxnID: txn, Committed: arg%2 == 0}))
 			case 6:
-				model.apply(m.Step(protocol.PrepareReceived{TxnID: txn, EntryID: ag, From: "peer", Data: []byte("d")}))
+				model.apply(m.Step(protocol.HandoffReceived{TxnID: txn, From: src, EntryID: ag, Data: []byte("d"), Mark: uint64(arg % 7)}))
 			case 7:
-				model.apply(m.Step(protocol.StageOutcome{TxnID: txn, OK: data[i+1]%2 == 0}))
+				// A verdict write completing, honouring the driver
+				// contract when possible, deliberately stray otherwise.
+				commit, ok := model.deciding[txn]
+				delete(model.deciding, txn)
+				if !ok {
+					commit = arg%2 == 0
+				}
+				model.apply(m.Step(protocol.HandoffDecided{TxnID: txn, Commit: commit && arg%3 != 0, OK: arg%7 != 0}))
 			case 8:
-				model.apply(m.Step(protocol.CtlReceived{TxnID: txn, From: "peer", Commit: data[i+1]%2 == 0, RCE: data[i+1]%3 == 0}))
+				model.apply(m.Step(protocol.CtlReceived{TxnID: txn, From: "peer", Commit: arg%2 == 0}))
 			case 9:
 				model.apply(m.Step(protocol.RCEExecReceived{TxnID: txn, From: "peer", Ops: ops}))
 			case 10:
@@ -70,7 +80,7 @@ func FuzzProtocolEvents(f *testing.F) {
 				// when possible, deliberately stray otherwise.
 				if model.outstanding[txn] > 0 {
 					model.outstanding[txn]--
-					if data[i+1]%4 == 0 {
+					if arg%4 == 0 {
 						model.apply(m.Step(protocol.BranchPrepared{TxnID: txn, OK: false, Err: "exec failed"}))
 					} else {
 						model.parked[txn] = true
@@ -84,9 +94,29 @@ func FuzzProtocolEvents(f *testing.F) {
 			case 12:
 				model.apply(m.Step(protocol.DoneAcked{AgentID: ag}))
 			case 13:
-				model.apply(m.Step(protocol.RecoveredStaged{TxnID: txn}))
+				if arg%3 == 0 {
+					model.apply(m.Step(protocol.HandoffUnreachable{TxnID: txn}))
+				} else {
+					model.apply(m.Step(protocol.OutcomeReceived{TxnID: txn, Committed: arg%2 == 0}))
+				}
 			case 14:
-				model.apply(m.Step(protocol.RecoveredBranch{TxnID: txn}))
+				switch arg % 3 {
+				case 0:
+					model.apply(m.Step(protocol.RecoveredBranch{TxnID: txn}))
+				case 1:
+					model.apply(m.Step(protocol.RecoveredDelegation{TxnID: txn, Decider: "peer"}))
+				default:
+					// A replayed record says what was answered, if
+					// anything; replay precedes any write in flight.
+					if _, writing := model.deciding[txn]; writing {
+						break
+					}
+					commit, ok := model.answered[txn]
+					if !ok {
+						commit = arg%4 == 0
+					}
+					model.apply(m.Step(protocol.RecoveredOutcome{TxnID: txn, Commit: commit, Mark: uint64(arg % 3)}))
+				}
 			case 15:
 				// Fire an armed timer (or a stale/garbage one).
 				id := model.anyTimer()
@@ -94,11 +124,17 @@ func FuzzProtocolEvents(f *testing.F) {
 					id = fmt.Sprintf("garbage|%s", txn)
 				}
 				model.apply(m.Step(protocol.TimerFired{ID: id}))
+			case 16:
+				model.apply(m.Step(protocol.ResolvedReceived{From: src, Mark: uint64(arg % 6)}))
+			case 17:
+				model.apply(m.Step(protocol.DelegationStale{TxnID: txn}))
 			}
 		}
 
-		// Quiescence drive: complete every outstanding execution, then
-		// deliver a final verdict for every transaction and agent ack.
+		// Quiescence drive: complete every outstanding execution and
+		// verdict write, then deliver a final verdict for every
+		// transaction, every outcome, every agent ack, and a mark past
+		// every hand-off of every source.
 		model.apply(m.Step(protocol.ReadyReached{}))
 		for _, txn := range txns {
 			for model.outstanding[txn] > 0 {
@@ -106,11 +142,16 @@ func FuzzProtocolEvents(f *testing.F) {
 				model.parked[txn] = true
 				model.apply(m.Step(protocol.BranchPrepared{TxnID: txn, OK: true}))
 			}
+			if commit, ok := model.deciding[txn]; ok {
+				delete(model.deciding, txn)
+				model.apply(m.Step(protocol.HandoffDecided{TxnID: txn, Commit: commit, OK: true}))
+			}
 		}
 		for _, txn := range txns {
 			model.apply(m.Step(protocol.StatusReceived{TxnID: txn, Committed: false}))
-			model.apply(m.Step(protocol.AckReceived{Kind: protocol.KindEnqueueCommitAck, TxnID: txn, From: "peer", OK: true}))
+			model.apply(m.Step(protocol.OutcomeReceived{TxnID: txn, Committed: false}))
 			model.apply(m.Step(protocol.AckReceived{Kind: protocol.KindRCECommitAck, TxnID: txn, From: "peer", OK: true}))
+			model.apply(m.Step(protocol.ResolvedReceived{From: protocol.Coordinator(txn), Mark: 100}))
 		}
 		for _, ag := range agents {
 			model.apply(m.Step(protocol.DoneAcked{AgentID: ag}))
@@ -120,8 +161,8 @@ func FuzzProtocolEvents(f *testing.F) {
 		if st.BranchesExec != 0 || st.BranchesPrepared != 0 || st.BranchesInDoubt != 0 {
 			t.Fatalf("branch state survives quiescence: %+v", st)
 		}
-		if st.Staged != 0 {
-			t.Fatalf("staged state survives verdicts: %+v", st)
+		if st.Delegations != 0 || st.Outcomes != 0 || st.Deciding != 0 {
+			t.Fatalf("hand-off state survives verdicts and marks: %+v", st)
 		}
 		if st.DonePending != 0 {
 			t.Fatalf("done state survives acks: %+v", st)
@@ -153,6 +194,8 @@ type driverModel struct {
 	outstanding map[string]int  // ExecBranch effects awaiting completion
 	parked      map[string]bool // prepared branch transactions parked
 	timers      map[string]bool // armed timer IDs
+	deciding    map[string]bool // Decide effects awaiting their write (Commit)
+	answered    map[string]bool // the decider's outcome per hand-off
 }
 
 func newDriverModel(t *testing.T) *driverModel {
@@ -161,13 +204,13 @@ func newDriverModel(t *testing.T) *driverModel {
 		outstanding: make(map[string]int),
 		parked:      make(map[string]bool),
 		timers:      make(map[string]bool),
+		deciding:    make(map[string]bool),
+		answered:    make(map[string]bool),
 	}
 }
 
 var knownKinds = map[string]bool{
-	protocol.KindEnqueuePrepare: true, protocol.KindEnqueuePrepareAck: true,
-	protocol.KindEnqueueCommit: true, protocol.KindEnqueueCommitAck: true,
-	protocol.KindEnqueueAbort: true, protocol.KindEnqueueAbortAck: true,
+	protocol.KindEnqueuePrepare: true, protocol.KindOutcome: true, protocol.KindResolved: true,
 	protocol.KindTxnQuery: true, protocol.KindTxnStatus: true,
 	protocol.KindRCEExec: true, protocol.KindRCEExecAck: true,
 	protocol.KindRCECommit: true, protocol.KindRCECommitAck: true,
@@ -184,6 +227,26 @@ func (d *driverModel) apply(effs []protocol.Effect) {
 			}
 			if e.To == "" || e.Payload == nil {
 				d.t.Fatalf("malformed send: %+v", e)
+			}
+			if e.Kind == protocol.KindOutcome {
+				st := e.Payload.(*protocol.StatusMsg)
+				if prev, ok := d.answered[st.TxnID]; ok && prev != st.Committed {
+					d.t.Fatalf("decider answered %s both ways", st.TxnID)
+				}
+				d.answered[st.TxnID] = st.Committed
+			}
+		case protocol.SendHandoff:
+			if e.To == "" || e.Msg == nil || e.Msg.TxnID == "" {
+				d.t.Fatalf("malformed hand-off: %+v", e)
+			}
+		case protocol.Decide:
+			if _, dup := d.deciding[e.TxnID]; dup {
+				d.t.Fatalf("second Decide for %s while one is outstanding", e.TxnID)
+			}
+			d.deciding[e.TxnID] = e.Commit
+		case protocol.DropOutcomes:
+			for _, id := range e.TxnIDs {
+				delete(d.answered, id) // collected: the ID is free of its record
 			}
 		case protocol.ExecBranch:
 			d.outstanding[e.TxnID]++
@@ -202,14 +265,6 @@ func (d *driverModel) apply(effs []protocol.Effect) {
 				d.t.Fatalf("malformed ArmTimer: %+v", e)
 			}
 			d.timers[e.ID] = true
-		case protocol.StageEntry:
-			if e.AckKind != protocol.KindEnqueuePrepareAck {
-				d.t.Fatalf("StageEntry with ack kind %q", e.AckKind)
-			}
-		case protocol.ResolveStaged:
-			if e.AckTo != "" && !knownKinds[e.AckKind] {
-				d.t.Fatalf("ResolveStaged with unknown ack kind %q", e.AckKind)
-			}
 		case protocol.CountCompOps:
 			if e.N < 0 {
 				d.t.Fatalf("negative comp-op count: %+v", e)

@@ -36,10 +36,10 @@ func TestCoordinatorLifecycle(t *testing.T) {
 	m := newReady("co")
 	const txn = "co#1"
 
-	// Prepare marks the transaction active and ships the prepare.
-	effs := m.Step(protocol.CoordPrepareEnqueue{TxnID: txn, Dest: "p", EntryID: "a1", Data: []byte("x")})
+	// Prepare marks the transaction active and ships the RCE list.
+	effs := m.Step(protocol.CoordPrepareRCE{TxnID: txn, Dest: "p", Ops: nil})
 	sends := pick[protocol.SendMsg](effs)
-	if len(sends) != 1 || sends[0].Kind != protocol.KindEnqueuePrepare || sends[0].To != "p" {
+	if len(sends) != 1 || sends[0].Kind != protocol.KindRCEExec || sends[0].To != "p" {
 		t.Fatalf("prepare effects = %+v", effs)
 	}
 	if s := m.Stats(); s.CoordActive != 1 {
@@ -60,10 +60,7 @@ func TestCoordinatorLifecycle(t *testing.T) {
 
 	// Decide commit with two participants: two ctl sends + one resend
 	// timer per participant peer.
-	parts := []protocol.Participant{
-		{Node: "p", Kind: protocol.PartQueue},
-		{Node: "r", Kind: protocol.PartRCE},
-	}
+	parts := []string{"p", "r"}
 	effs = m.Step(protocol.CoordDecided{TxnID: txn, Commit: true, Parts: parts})
 	if got := pick[protocol.SendMsg](effs); len(got) != 2 {
 		t.Fatalf("decided effects = %+v", effs)
@@ -77,10 +74,10 @@ func TestCoordinatorLifecycle(t *testing.T) {
 
 	// Each peer's timer resends that peer's outstanding control and
 	// re-arms.
-	for peer, kind := range map[string]string{"p": protocol.KindEnqueueCommit, "r": protocol.KindRCECommit} {
+	for _, peer := range parts {
 		effs = m.Step(protocol.TimerFired{ID: "pctl|" + peer})
 		got := pick[protocol.SendMsg](effs)
-		if len(got) != 1 || got[0].To != peer || got[0].Kind != kind {
+		if len(got) != 1 || got[0].To != peer || got[0].Kind != protocol.KindRCECommit {
 			t.Fatalf("timer resend to %s = %+v", peer, effs)
 		}
 		if len(pick[protocol.ArmTimer](effs)) != 1 {
@@ -91,7 +88,7 @@ func TestCoordinatorLifecycle(t *testing.T) {
 	// A query whose store read raced the commit (StoreDecided=false but
 	// controls pending) must answer committed from machine state — a
 	// presumed-abort answer here would let the participant abort a
-	// committed hand-off and lose the agent.
+	// committed compensation.
 	effs = m.Step(protocol.QueryReceived{TxnID: txn, From: "p", StoreDecided: false})
 	race := pick[protocol.SendMsg](effs)
 	if len(race) != 1 || !race[0].Payload.(*protocol.StatusMsg).Committed {
@@ -100,7 +97,7 @@ func TestCoordinatorLifecycle(t *testing.T) {
 
 	// A refused control ack (participant store error) must not retire
 	// the obligation: the resend timer keeps driving it.
-	effs = m.Step(protocol.AckReceived{Kind: protocol.KindEnqueueCommitAck, TxnID: txn, From: "p", OK: false, Err: "io"})
+	effs = m.Step(protocol.AckReceived{Kind: protocol.KindRCECommitAck, TxnID: txn, From: "p", OK: false, Err: "io"})
 	if len(effs) != 0 {
 		t.Fatalf("refused ctl ack produced effects: %+v", effs)
 	}
@@ -109,12 +106,12 @@ func TestCoordinatorLifecycle(t *testing.T) {
 	}
 
 	// First ack retires one participant; no decision GC yet.
-	effs = m.Step(protocol.AckReceived{Kind: protocol.KindEnqueueCommitAck, TxnID: txn, From: "p", OK: true})
+	effs = m.Step(protocol.AckReceived{Kind: protocol.KindRCECommitAck, TxnID: txn, From: "p", OK: true})
 	if len(pick[protocol.ClearDecision](effs)) != 0 {
 		t.Fatalf("decision cleared early: %+v", effs)
 	}
 	// Duplicate ack is ignored.
-	if effs := m.Step(protocol.AckReceived{Kind: protocol.KindEnqueueCommitAck, TxnID: txn, From: "p", OK: true}); len(effs) != 0 {
+	if effs := m.Step(protocol.AckReceived{Kind: protocol.KindRCECommitAck, TxnID: txn, From: "p", OK: true}); len(effs) != 0 {
 		t.Fatalf("duplicate ack produced effects: %+v", effs)
 	}
 	// Last ack clears the decision record; the timers are left to fire.
@@ -148,7 +145,7 @@ func TestCoordinatorAbortNotifiesOnce(t *testing.T) {
 	m := newReady("co")
 	const txn = "co#2"
 	m.Step(protocol.CoordPrepareRCE{TxnID: txn, Dest: "r", Ops: nil})
-	effs := m.Step(protocol.CoordDecided{TxnID: txn, Commit: false, Parts: []protocol.Participant{{Node: "r", Kind: protocol.PartRCE}}})
+	effs := m.Step(protocol.CoordDecided{TxnID: txn, Commit: false, Parts: []string{"r"}})
 	sends := pick[protocol.SendMsg](effs)
 	if len(sends) != 1 || sends[0].Kind != protocol.KindRCEAbort {
 		t.Fatalf("abort effects = %+v", effs)
@@ -161,64 +158,137 @@ func TestCoordinatorAbortNotifiesOnce(t *testing.T) {
 	}
 }
 
-func TestParticipantStagedLifecycle(t *testing.T) {
-	m := newReady("p")
-	const txn = "co#3"
-
-	effs := m.Step(protocol.PrepareReceived{TxnID: txn, EntryID: "a1", From: "co", Data: []byte("x")})
-	stage := pick[protocol.StageEntry](effs)
-	if len(stage) != 1 || stage[0].AckKind != protocol.KindEnqueuePrepareAck {
-		t.Fatalf("prepare effects = %+v", effs)
+// TestSourceDelegationLifecycle: a live hand-off sends its prepare and
+// arms nothing — the worker's wait covers a late outcome — and the
+// decider's verdict goes to that worker once; a send that never left
+// aborts it the same way; a recovered branch asks its decider at once
+// and on the query timer, and its verdict settles the record and sends
+// the source's mark.
+func TestSourceDelegationLifecycle(t *testing.T) {
+	m := newReady("s")
+	effs := m.Step(protocol.Delegate{TxnID: "s#1", Decider: "d", EntryID: "a1", Data: []byte("x"), Mark: 1})
+	sh := pick[protocol.SendHandoff](effs)
+	if len(sh) != 1 || sh[0].To != "d" || sh[0].Msg.TxnID != "s#1" || sh[0].Msg.Mark != 1 || len(effs) != 1 {
+		t.Fatalf("delegate effects = %+v", effs)
 	}
-	effs = m.Step(protocol.StageOutcome{TxnID: txn, OK: true})
-	if got := pick[protocol.ArmTimer](effs); len(got) != 1 || got[0].ID != "pquery|co" {
-		t.Fatalf("stage outcome effects = %+v", effs)
-	}
-	if s := m.Stats(); s.Staged != 1 {
+	if s := m.Stats(); s.Delegations != 1 {
 		t.Fatalf("stats = %+v", s)
 	}
-
-	// The in-doubt timer queries the coordinator and re-arms.
-	effs = m.Step(protocol.TimerFired{ID: "pquery|co"})
-	q := pick[protocol.SendMsg](effs)
-	if len(q) != 1 || q[0].Kind != protocol.KindTxnQuery || q[0].To != "co" {
-		t.Fatalf("staged timer effects = %+v", effs)
+	effs = m.Step(protocol.OutcomeReceived{TxnID: "s#1", Committed: true})
+	if got := pick[protocol.DeliverOutcome](effs); len(got) != 1 || !got[0].Commit || len(effs) != 1 {
+		t.Fatalf("outcome effects = %+v", effs)
 	}
-	if len(pick[protocol.ArmTimer](effs)) != 1 {
-		t.Fatalf("staged timer did not re-arm: %+v", effs)
+	if effs := m.Step(protocol.OutcomeReceived{TxnID: "s#1", Committed: false}); len(effs) != 0 {
+		t.Fatalf("duplicate outcome produced effects: %+v", effs)
 	}
 
-	// The commit control resolves the stage and acks with the outcome;
-	// the query cycle ends at its next fire.
-	effs = m.Step(protocol.CtlReceived{TxnID: txn, From: "co", Commit: true})
-	res := pick[protocol.ResolveStaged](effs)
-	if len(res) != 1 || !res[0].Commit || res[0].AckTo != "co" || res[0].AckKind != protocol.KindEnqueueCommitAck {
-		t.Fatalf("ctl effects = %+v", effs)
+	m.Step(protocol.Delegate{TxnID: "s#2", Decider: "d", EntryID: "a2", Mark: 2})
+	effs = m.Step(protocol.HandoffUnreachable{TxnID: "s#2"})
+	if got := pick[protocol.DeliverOutcome](effs); len(got) != 1 || got[0].Commit {
+		t.Fatalf("unreachable effects = %+v", effs)
 	}
-	if len(effs) != 1 {
-		t.Fatalf("ctl produced extra effects: %+v", effs)
+
+	effs = m.Step(protocol.RecoveredDelegation{TxnID: "s#3", Decider: "d"})
+	if q := pick[protocol.SendMsg](effs); len(q) != 1 || q[0].Kind != protocol.KindTxnQuery || q[0].To != "d" {
+		t.Fatalf("recovered delegation effects = %+v", effs)
 	}
-	if s := m.Stats(); s.Staged != 0 {
-		t.Fatalf("staged state lingers: %+v", s)
+	if got := pick[protocol.ArmTimer](effs); len(got) != 1 || got[0].ID != "pquery|d" {
+		t.Fatalf("recovered delegation did not join the query timer: %+v", effs)
 	}
-	// The still-armed timer fires into nothing and retires its slot.
-	if effs := m.Step(protocol.TimerFired{ID: "pquery|co"}); len(effs) != 0 {
-		t.Fatalf("stale staged timer produced effects: %+v", effs)
+	effs = m.Step(protocol.TimerFired{ID: "pquery|d"})
+	if q := pick[protocol.SendMsg](effs); len(q) != 1 || q[0].Kind != protocol.KindTxnQuery {
+		t.Fatalf("query timer effects = %+v", effs)
 	}
-	if n := m.SchedSlots(); n != 0 {
-		t.Fatalf("%d timer slots linger after the stale fire", n)
+	effs = m.Step(protocol.OutcomeReceived{TxnID: "s#3", Committed: true})
+	rec := pick[protocol.ResolveBranchRecord](effs)
+	res := pick[protocol.SendResolved](effs)
+	if len(rec) != 1 || !rec[0].Commit || len(res) != 1 || res[0].To != "d" {
+		t.Fatalf("recovered outcome effects = %+v", effs)
+	}
+	if effs := m.Step(protocol.TimerFired{ID: "pquery|d"}); len(effs) != 0 {
+		t.Fatalf("stale query timer produced effects: %+v", effs)
+	}
+	if s := m.Stats(); s.Delegations != 0 || m.SchedSlots() != 0 {
+		t.Fatalf("delegation state lingers: %+v, %d slots", s, m.SchedSlots())
 	}
 }
 
-func TestParticipantRefusesWhileRecovering(t *testing.T) {
+// TestDeciderLifecycle replaces the staged participant: the decider
+// writes its verdict (Decide), answers once it is durable, answers a
+// duplicate prepare and the source's query from the record, fences an
+// ID it never saw before answering abort, and collects its records once
+// the source's mark passes them — after which a late copy of the
+// prepare is dropped. No timer is ever armed on this side.
+func TestDeciderLifecycle(t *testing.T) {
+	m := newReady("d")
+	effs := m.Step(protocol.HandoffReceived{TxnID: "s#5", From: "s", EntryID: "a1", Data: []byte("x"), Mark: 5})
+	dec := pick[protocol.Decide](effs)
+	if len(dec) != 1 || !dec[0].Commit || dec[0].Mark != 5 || dec[0].EntryID != "a1" || len(effs) != 1 {
+		t.Fatalf("hand-off effects = %+v", effs)
+	}
+	// Nothing is answered until the verdict is durable.
+	if effs := m.Step(protocol.QueryReceived{TxnID: "s#5", From: "s"}); len(effs) != 0 {
+		t.Fatalf("query while deciding = %+v", effs)
+	}
+	effs = m.Step(protocol.HandoffDecided{TxnID: "s#5", Commit: true, OK: true})
+	out := pick[protocol.SendMsg](effs)
+	if len(out) != 1 || out[0].Kind != protocol.KindOutcome || out[0].To != "s" || !out[0].Payload.(*protocol.StatusMsg).Committed {
+		t.Fatalf("decided effects = %+v", effs)
+	}
+	for _, ev := range []protocol.Event{
+		protocol.HandoffReceived{TxnID: "s#5", From: "s", EntryID: "a1", Mark: 5},
+		protocol.QueryReceived{TxnID: "s#5", From: "s"},
+	} {
+		effs := m.Step(ev)
+		if o := pick[protocol.SendMsg](effs); len(o) != 1 || !o[0].Payload.(*protocol.StatusMsg).Committed || len(effs) != 1 {
+			t.Fatalf("%T answered %+v, want the recorded commit", ev, effs)
+		}
+	}
+
+	// An ID never seen: fence first, then abort.
+	effs = m.Step(protocol.QueryReceived{TxnID: "s#6", From: "s"})
+	if dec := pick[protocol.Decide](effs); len(dec) != 1 || dec[0].Commit {
+		t.Fatalf("unknown query = %+v, want a fence", effs)
+	}
+	effs = m.Step(protocol.HandoffDecided{TxnID: "s#6", Commit: false, OK: true})
+	if o := pick[protocol.SendMsg](effs); len(o) != 1 || o[0].Payload.(*protocol.StatusMsg).Committed {
+		t.Fatalf("fenced answer = %+v", effs)
+	}
+	// The late prepare meets the fence.
+	effs = m.Step(protocol.HandoffReceived{TxnID: "s#6", From: "s", EntryID: "a2", Mark: 5})
+	if o := pick[protocol.SendMsg](effs); len(o) != 1 || o[0].Payload.(*protocol.StatusMsg).Committed || len(pick[protocol.Decide](effs)) != 0 {
+		t.Fatalf("prepare after the fence = %+v", effs)
+	}
+	if s := m.Stats(); s.Outcomes != 2 {
+		t.Fatalf("stats = %+v", s)
+	}
+
+	// The source's mark passes both: collected, and a late copy below
+	// the mark is dropped without an answer.
+	effs = m.Step(protocol.ResolvedReceived{From: "s", Mark: 7})
+	drop := pick[protocol.DropOutcomes](effs)
+	if len(drop) != 1 || len(drop[0].TxnIDs) != 2 || drop[0].TxnIDs[0] != "s#5" || drop[0].TxnIDs[1] != "s#6" {
+		t.Fatalf("mark effects = %+v", effs)
+	}
+	if effs := m.Step(protocol.HandoffReceived{TxnID: "s#5", From: "s", EntryID: "a1", Mark: 5}); len(effs) != 0 {
+		t.Fatalf("late duplicate after collection = %+v", effs)
+	}
+	if s := m.Stats(); s.Outcomes != 0 || s.Deciding != 0 || m.SchedSlots() != 0 {
+		t.Fatalf("decider state lingers: %+v", s)
+	}
+}
+
+// TestDeciderFencesWhileRecovering: a recovering node accepts no agent —
+// a hand-off is fenced, which answers abort — and refuses RCE
+// executions.
+func TestDeciderFencesWhileRecovering(t *testing.T) {
 	m := protocol.NewMachine(protocol.Config{Node: "p"})
-	effs := m.Step(protocol.PrepareReceived{TxnID: "co#4", EntryID: "a", From: "co"})
-	acks := pick[protocol.SendMsg](effs)
-	if len(acks) != 1 || acks[0].Payload.(*protocol.AckMsg).OK {
-		t.Fatalf("recovering prepare = %+v", effs)
+	effs := m.Step(protocol.HandoffReceived{TxnID: "co#4", From: "co", EntryID: "a"})
+	if dec := pick[protocol.Decide](effs); len(dec) != 1 || dec[0].Commit {
+		t.Fatalf("recovering hand-off = %+v, want a fence", effs)
 	}
 	effs = m.Step(protocol.RCEExecReceived{TxnID: "co#4", From: "co"})
-	acks = pick[protocol.SendMsg](effs)
+	acks := pick[protocol.SendMsg](effs)
 	if len(acks) != 1 || acks[0].Payload.(*protocol.AckMsg).OK {
 		t.Fatalf("recovering exec = %+v", effs)
 	}
@@ -255,7 +325,7 @@ func TestRCEBranchHappyPath(t *testing.T) {
 	}
 
 	// Commit control settles the parked transaction.
-	effs = m.Step(protocol.CtlReceived{TxnID: txn, From: "co", Commit: true, RCE: true})
+	effs = m.Step(protocol.CtlReceived{TxnID: txn, From: "co", Commit: true})
 	if got := pick[protocol.CommitBranch](effs); len(got) != 1 {
 		t.Fatalf("commit ctl effects = %+v", effs)
 	}
@@ -333,13 +403,24 @@ func TestNotifierResendCycle(t *testing.T) {
 	}
 }
 
-func TestSelfCoordinatedStagedSkipsQueryCycle(t *testing.T) {
-	m := newReady("p")
-	// A transaction coordinated by this very node never queries itself.
-	m.Step(protocol.PrepareReceived{TxnID: "p#9", EntryID: "a", From: "p", Data: nil})
-	effs := m.Step(protocol.StageOutcome{TxnID: "p#9", OK: true})
-	if len(pick[protocol.ArmTimer](effs)) != 0 {
-		t.Fatalf("self-coordinated staged armed a query timer: %+v", effs)
+// TestRCEQuerySilentWhileDelegated: a compensation whose agent moves on
+// prepares its own branch for the decider; until the verdict arrives its
+// RCE participants' queries get no presumed abort — neither while the
+// delegation is live nor, after a restart, while the driver reports the
+// branch prepared. Settled with no record, the answer is abort.
+func TestRCEQuerySilentWhileDelegated(t *testing.T) {
+	m := newReady("co")
+	m.Step(protocol.Delegate{TxnID: "co#9", Decider: "d", EntryID: "a", Mark: 9})
+	if effs := m.Step(protocol.QueryReceived{TxnID: "co#9", From: "r"}); len(effs) != 0 {
+		t.Fatalf("query while delegated = %+v", effs)
+	}
+	m.Step(protocol.OutcomeReceived{TxnID: "co#9", Committed: false})
+	if effs := m.Step(protocol.QueryReceived{TxnID: "co#9", From: "r", StorePrepared: true}); len(effs) != 0 {
+		t.Fatalf("query with the branch prepared = %+v", effs)
+	}
+	effs := m.Step(protocol.QueryReceived{TxnID: "co#9", From: "r"})
+	if st := pick[protocol.SendMsg](effs); len(st) != 1 || st[0].Payload.(*protocol.StatusMsg).Committed {
+		t.Fatalf("settled query = %+v, want presumed abort", effs)
 	}
 }
 

@@ -2,19 +2,19 @@ package protocol
 
 import "repro/internal/core"
 
-// Message kinds of the node protocol. The q.* family implements the
-// two-phase hand-off of agent containers between input queues (the
-// remote half of a distributed step/compensation transaction); the
-// rce.* family ships resource-compensation-entry lists to the resource
-// node in the optimized rollback (Figure 5b); txn.query resolves
-// in-doubt participants after crashes (presumed abort).
+// Message kinds of the node protocol. The q.* family is the hand-off of
+// agent containers between input queues, decided by the node that
+// receives the container (DESIGN.md §5): q.prepare carries the container
+// and the source's mark, q.outcome the decider's verdict, q.resolved the
+// source's mark once it settled. The rce.* family ships
+// resource-compensation-entry lists to the resource node in the
+// optimized rollback (Figure 5b); txn.query resolves in-doubt
+// transactions after crashes (presumed abort for RCE branches, a fence
+// for an unknown hand-off).
 const (
-	KindEnqueuePrepare    = "q.prepare"
-	KindEnqueuePrepareAck = "q.prepare.ack"
-	KindEnqueueCommit     = "q.commit"
-	KindEnqueueCommitAck  = "q.commit.ack"
-	KindEnqueueAbort      = "q.abort"
-	KindEnqueueAbortAck   = "q.abort.ack"
+	KindEnqueuePrepare = "q.prepare"
+	KindOutcome        = "q.outcome"
+	KindResolved       = "q.resolved"
 
 	KindTxnQuery  = "txn.query"
 	KindTxnStatus = "txn.status"
@@ -34,65 +34,19 @@ const (
 	KindQueryBatch = "query.batch"
 )
 
-// PartKind distinguishes the two participant flavors of a distributed
-// transaction — a staged queue entry and a prepared RCE branch — which
-// use different control-message families.
-type PartKind int
-
-// Participant kinds.
-const (
-	// PartQueue is a destination queue holding a staged container
-	// (q.commit / q.abort control messages).
-	PartQueue PartKind = iota + 1
-	// PartRCE is a resource node holding a prepared compensation branch
-	// (rce.commit / rce.abort control messages).
-	PartRCE
-)
-
-// Participant is one remote prepared participant of a distributed
-// transaction, as tracked by the coordinator.
-type Participant struct {
-	Node string
-	Kind PartKind
-}
-
-// ctlKind returns the control message kind for this participant and
-// decision.
-func (p Participant) ctlKind(commit bool) string {
-	switch {
-	case p.Kind == PartRCE && commit:
-		return KindRCECommit
-	case p.Kind == PartRCE:
-		return KindRCEAbort
-	case commit:
-		return KindEnqueueCommit
-	default:
-		return KindEnqueueAbort
-	}
-}
-
-// CtlKindOf maps an ack kind back to the (participant kind, commit)
-// pair it acknowledges; ok=false for non-ctl ack kinds.
-func CtlKindOf(ackKind string) (kind PartKind, commit, ok bool) {
-	switch ackKind {
-	case KindEnqueueCommitAck:
-		return PartQueue, true, true
-	case KindEnqueueAbortAck:
-		return PartQueue, false, true
-	case KindRCECommitAck:
-		return PartRCE, true, true
-	case KindRCEAbortAck:
-		return PartRCE, false, true
-	}
-	return 0, false, false
-}
-
-// PrepareMsg asks the destination to durably stage a container
-// insertion under the coordinator's transaction ID.
+// PrepareMsg hands a container to the node that decides the step
+// transaction TxnID: enqueue it as EntryID and answer with the outcome.
+// Mark is the source's watermark (txn.Manager.Mark).
 type PrepareMsg struct {
 	TxnID   string
 	EntryID string
+	Mark    uint64
 	Data    []byte
+}
+
+// MarkMsg carries a source's watermark to a decider (q.resolved).
+type MarkMsg struct {
+	Mark uint64
 }
 
 // AckMsg acknowledges a protocol request. OK=false carries the refusal
@@ -108,8 +62,9 @@ type CtlMsg struct {
 	TxnID string
 }
 
-// StatusMsg answers a txn.query: Committed=false means abort (presumed
-// abort: no decision record implies the transaction never committed).
+// StatusMsg answers a txn.query, or carries a decider's verdict
+// (q.outcome): Committed=false means abort (presumed abort for an RCE
+// branch, a fenced or refused hand-off).
 type StatusMsg struct {
 	TxnID     string
 	Committed bool
@@ -123,12 +78,10 @@ type RCEExecMsg struct {
 	Ops   []*core.OpEntry
 }
 
-// CtlBatchItem is one coalesced commit/abort control: semantically
-// identical to a CtlMsg of kind ctlKind — RCE selects the rce.* family,
-// Commit the commit/abort verdict.
+// CtlBatchItem is one coalesced RCE control: semantically identical to
+// a CtlMsg of kind rce.commit (Commit) or rce.abort.
 type CtlBatchItem struct {
 	TxnID  string
-	RCE    bool
 	Commit bool
 }
 

@@ -12,8 +12,30 @@ package protocol
 // identifies the protocol round precisely.
 func EventInfo(ev Event) (name, txnID, agentID string) {
 	switch e := ev.(type) {
-	case CoordPrepareEnqueue:
-		return "CoordPrepareEnqueue", e.TxnID, e.EntryID
+	case Delegate:
+		return "Delegate", e.TxnID, e.EntryID
+	case HandoffUnreachable:
+		return "HandoffUnreachable", e.TxnID, ""
+	case OutcomeReceived:
+		if e.Committed {
+			return "OutcomeReceived(commit)", e.TxnID, ""
+		}
+		return "OutcomeReceived(abort)", e.TxnID, ""
+	case DelegationStale:
+		return "DelegationStale", e.TxnID, ""
+	case RecoveredDelegation:
+		return "RecoveredDelegation", e.TxnID, ""
+	case HandoffReceived:
+		return "HandoffReceived", e.TxnID, e.EntryID
+	case HandoffDecided:
+		if e.Commit {
+			return "HandoffDecided(commit)", e.TxnID, ""
+		}
+		return "HandoffDecided(fence)", e.TxnID, ""
+	case ResolvedReceived:
+		return "ResolvedReceived", "", ""
+	case RecoveredOutcome:
+		return "RecoveredOutcome", e.TxnID, ""
 	case CoordPrepareRCE:
 		return "CoordPrepareRCE", e.TxnID, ""
 	case CoordDecided:
@@ -30,24 +52,11 @@ func EventInfo(ev Event) (name, txnID, agentID string) {
 			return "StatusReceived(commit)", e.TxnID, ""
 		}
 		return "StatusReceived(abort)", e.TxnID, ""
-	case PrepareReceived:
-		return "PrepareReceived", e.TxnID, e.EntryID
-	case StageOutcome:
-		if e.OK {
-			return "StageOutcome(ok)", e.TxnID, ""
-		}
-		return "StageOutcome(fail)", e.TxnID, ""
 	case CtlReceived:
-		switch {
-		case e.RCE && e.Commit:
+		if e.Commit {
 			return "CtlReceived(rce-commit)", e.TxnID, ""
-		case e.RCE:
-			return "CtlReceived(rce-abort)", e.TxnID, ""
-		case e.Commit:
-			return "CtlReceived(commit)", e.TxnID, ""
-		default:
-			return "CtlReceived(abort)", e.TxnID, ""
 		}
+		return "CtlReceived(rce-abort)", e.TxnID, ""
 	case RCEExecReceived:
 		return "RCEExecReceived", e.TxnID, ""
 	case BranchPrepared:
@@ -59,8 +68,6 @@ func EventInfo(ev Event) (name, txnID, agentID string) {
 		return "DoneRecorded", "", e.AgentID
 	case DoneAcked:
 		return "DoneAcked", "", e.AgentID
-	case RecoveredStaged:
-		return "RecoveredStaged", e.TxnID, ""
 	case RecoveredBranch:
 		return "RecoveredBranch", e.TxnID, ""
 	case ReadyReached:
@@ -75,7 +82,7 @@ func EventInfo(ev Event) (name, txnID, agentID string) {
 }
 
 // StateOf labels the machine's current state for a subject: the
-// coordinator/participant role a transaction is in, or the
+// role a transaction is in, or the
 // completion-notification state of an agent. "-" means the machine
 // holds no state for the subject (the terminal/absent state). Must be
 // called under the same serialization as Step.
@@ -91,8 +98,20 @@ func (m *Machine) StateOf(txnID, agentID string) string {
 				return "coord-idle"
 			}
 		}
-		if _, ok := m.staged[txnID]; ok {
-			return "staged"
+		if d, ok := m.delegs[txnID]; ok {
+			if d.recovered {
+				return "delegated-recovered"
+			}
+			return "delegated"
+		}
+		if m.deciding[txnID] {
+			return "deciding"
+		}
+		if commit, ok := m.decided[Coordinator(txnID)][txnID]; ok {
+			if commit {
+				return "decided-commit"
+			}
+			return "decided-fence"
 		}
 		if b, ok := m.branches[txnID]; ok {
 			switch b.state {

@@ -2,6 +2,7 @@ package protocol_test
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/protocol"
@@ -180,5 +181,310 @@ func TestRCEAbortOvertakesPrepareEdge(t *testing.T) {
 	}
 	if s := m.Stats(); s.BranchesExec != 0 {
 		t.Fatalf("tombstone recorded without an in-flight execution: %+v", s)
+	}
+}
+
+// TestDelegatedHandoffPermutations checks the one-hop hand-off (the node
+// that receives the container decides) over every interleaving of the
+// events around one hand-off from source "s" to decider "d": the source
+// sending (N), the prepare delivered (P), duplicated in flight (X) or
+// lost (L), the source's worker giving up waiting and querying (T), a
+// query delivered (Q), the decider's verdict write completing (W), the
+// outcome delivered (O), the source settling its branch (C), either node
+// crashing and recovering at any of those points (S, D), and the
+// source's mark delivered (R). Then the world quiesces. It asserts the
+// decider and the source never disagree — the container is in the
+// decider's queue exactly when the source's branch committed, and at
+// most once — and that every branch, commit record and fence resolves.
+//
+// The world is modelled the way the driver works: durable state is the
+// source's branch record and the decider's records and queue; volatile
+// state (the machines, the worker, pending writes) dies with a crash,
+// and so do messages in flight to the crashed node (a restarted endpoint
+// receives no frame sent to its previous incarnation).
+func TestDelegatedHandoffPermutations(t *testing.T) {
+	alphabets := []string{
+		"NPWOCR",   // the one-hop path in every order
+		"NPXWOCR",  // a duplicated prepare
+		"NLTQWOCR", // a lost prepare: the query fences it
+		"NPTQWOCR", // the prepare racing the source's query
+		"NPWOCRS",  // a source crash at each point
+		"NPWOCRD",  // a decider crash at each point
+		"NSPWDOCR", // both
+		"NPXWOCRD", // a duplicate around a decider crash and the mark
+	}
+	runs := 0
+	for _, alphabet := range alphabets {
+		for _, seq := range permutations([]byte(alphabet)) {
+			runHandoffPermutation(t, string(seq))
+			runs++
+		}
+	}
+	t.Logf("%d interleavings", runs)
+}
+
+const hoTxn = "s#5"
+
+type hoMsg struct {
+	kind string
+	mark uint64
+}
+
+// handoffWorld is one source, one decider, the network between them and
+// the durable state each keeps.
+type handoffWorld struct {
+	t    *testing.T
+	name string
+
+	s, d *protocol.Machine
+
+	// Source: the branch record, the live worker's delegation and the
+	// verdict it was handed but has not applied yet.
+	sent, branch, live bool
+	settled            string // "", "commit", "abort"
+	verdict            *bool
+
+	// Decider: its records, its queue, verdict writes in flight.
+	records  map[string]bool
+	enqueued int
+	writes   []protocol.Decide
+
+	toD, toS []hoMsg
+}
+
+func newHandoffWorld(t *testing.T, name string) *handoffWorld {
+	w := &handoffWorld{t: t, name: name, branch: true, records: map[string]bool{}}
+	w.s = newReady("s")
+	w.d = newReady("d")
+	return w
+}
+
+func (w *handoffWorld) mark() uint64 {
+	if w.branch {
+		return 5
+	}
+	return 6
+}
+
+// sApply applies the source machine's effects.
+func (w *handoffWorld) sApply(effs []protocol.Effect) {
+	for _, eff := range effs {
+		switch e := eff.(type) {
+		case protocol.SendHandoff:
+			w.toD = append(w.toD, hoMsg{kind: protocol.KindEnqueuePrepare, mark: e.Msg.Mark})
+		case protocol.SendMsg:
+			if e.Kind == protocol.KindTxnQuery {
+				w.toD = append(w.toD, hoMsg{kind: protocol.KindTxnQuery})
+			}
+		case protocol.DeliverOutcome:
+			if !w.live {
+				w.t.Fatalf("%s: outcome delivered with no worker waiting", w.name)
+			}
+			v := e.Commit
+			w.verdict = &v
+		case protocol.ResolveBranchRecord:
+			w.settle(e.Commit)
+		case protocol.SendResolved:
+			w.toD = append(w.toD, hoMsg{kind: protocol.KindResolved, mark: w.mark()})
+		}
+	}
+}
+
+// settle applies a verdict to the source's branch record.
+func (w *handoffWorld) settle(commit bool) {
+	if !w.branch {
+		return
+	}
+	w.branch = false
+	w.settled = "abort"
+	if commit {
+		w.settled = "commit"
+	}
+}
+
+// dApply applies the decider machine's effects.
+func (w *handoffWorld) dApply(effs []protocol.Effect) {
+	for _, eff := range effs {
+		switch e := eff.(type) {
+		case protocol.Decide:
+			w.writes = append(w.writes, e)
+		case protocol.SendMsg:
+			if e.Kind == protocol.KindOutcome {
+				w.toS = append(w.toS, hoMsg{kind: protocol.KindOutcome, mark: b2u(e.Payload.(*protocol.StatusMsg).Committed)})
+			}
+		case protocol.DropOutcomes:
+			for _, id := range e.TxnIDs {
+				delete(w.records, id)
+			}
+		}
+	}
+}
+
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// step runs one event; it reports whether anything happened.
+func (w *handoffWorld) step(ev byte) bool {
+	take := func(q *[]hoMsg, kind string) (hoMsg, bool) {
+		for i, m := range *q {
+			if m.kind == kind {
+				*q = append((*q)[:i], (*q)[i+1:]...)
+				return m, true
+			}
+		}
+		return hoMsg{}, false
+	}
+	switch ev {
+	case 'N':
+		if w.sent || !w.branch {
+			return false
+		}
+		w.sent, w.live = true, true
+		w.sApply(w.s.Step(protocol.Delegate{TxnID: hoTxn, Decider: "d", EntryID: "a", Mark: 5}))
+	case 'P':
+		m, ok := take(&w.toD, protocol.KindEnqueuePrepare)
+		if !ok {
+			return false
+		}
+		w.dApply(w.d.Step(protocol.HandoffReceived{TxnID: hoTxn, From: "s", EntryID: "a", Mark: m.mark}))
+	case 'X':
+		for _, m := range w.toD {
+			if m.kind == protocol.KindEnqueuePrepare {
+				w.toD = append(w.toD, m)
+				return true
+			}
+		}
+		return false
+	case 'L':
+		if _, ok := take(&w.toD, protocol.KindEnqueuePrepare); !ok {
+			return false
+		}
+	case 'T':
+		if !w.live || w.verdict != nil {
+			return false
+		}
+		w.sApply(w.s.Step(protocol.DelegationStale{TxnID: hoTxn}))
+	case 'Q':
+		if _, ok := take(&w.toD, protocol.KindTxnQuery); !ok {
+			return false
+		}
+		w.dApply(w.d.Step(protocol.QueryReceived{TxnID: hoTxn, From: "s"}))
+	case 'W':
+		if len(w.writes) == 0 {
+			return false
+		}
+		e := w.writes[0]
+		w.writes = w.writes[1:]
+		if _, exists := w.records[e.TxnID]; exists {
+			w.t.Fatalf("%s: a verdict write over an existing record", w.name)
+		}
+		w.records[e.TxnID] = e.Commit
+		if e.Commit {
+			w.enqueued++
+		}
+		w.dApply(w.d.Step(protocol.HandoffDecided{TxnID: e.TxnID, Commit: e.Commit, OK: true}))
+	case 'O':
+		m, ok := take(&w.toS, protocol.KindOutcome)
+		if !ok {
+			return false
+		}
+		w.sApply(w.s.Step(protocol.OutcomeReceived{TxnID: hoTxn, Committed: m.mark == 1}))
+	case 'C':
+		if w.verdict == nil {
+			return false
+		}
+		w.settle(*w.verdict)
+		w.verdict, w.live = nil, false
+		w.toD = append(w.toD, hoMsg{kind: protocol.KindResolved, mark: w.mark()})
+	case 'R':
+		m, ok := take(&w.toD, protocol.KindResolved)
+		if !ok {
+			return false
+		}
+		w.dApply(w.d.Step(protocol.ResolvedReceived{From: "s", Mark: m.mark}))
+	case 'S':
+		// The source dies: worker, machine and messages to it are gone;
+		// the branch record stays, and recovery asks the decider.
+		w.s, w.live, w.verdict, w.toS = newReady("s"), false, nil, nil
+		if w.branch {
+			w.sent = true // a branch that outlives the crash is in doubt either way
+			w.sApply(w.s.Step(protocol.RecoveredDelegation{TxnID: hoTxn, Decider: "d"}))
+		}
+	case 'D':
+		// The decider dies: machine, unfinished writes and messages to
+		// it are gone; records and queue stay and are replayed.
+		w.d, w.writes, w.toD = protocol.NewMachine(protocol.Config{Node: "d", RetryInterval: 50 * time.Millisecond}), nil, nil
+		for id, commit := range w.records {
+			w.dApply(w.d.Step(protocol.RecoveredOutcome{TxnID: id, Commit: commit, Mark: 5}))
+		}
+		w.d.Step(protocol.ReadyReached{})
+	default:
+		w.t.Fatalf("unknown event %q", ev)
+	}
+	return true
+}
+
+// quiesce drives the world to rest: writes complete, messages arrive,
+// the source settles, and a source still in doubt re-asks (its query
+// timer) until it has a verdict.
+func (w *handoffWorld) quiesce() {
+	for round := 0; round < 50; round++ {
+		progress := false
+		for _, ev := range []byte("WPQORC") {
+			for w.step(ev) {
+				progress = true
+			}
+		}
+		if !progress && w.branch {
+			if !w.sent {
+				w.step('N')
+				continue
+			}
+			if w.live && w.verdict == nil {
+				w.sApply(w.s.Step(protocol.DelegationStale{TxnID: hoTxn}))
+			} else {
+				w.sApply(w.s.Step(protocol.TimerFired{ID: "pquery|d"}))
+			}
+			progress = len(w.toD) > 0
+		}
+		if !progress {
+			return
+		}
+	}
+	w.t.Fatalf("%s: the world never came to rest", w.name)
+}
+
+func runHandoffPermutation(t *testing.T, seq string) {
+	t.Helper()
+	w := newHandoffWorld(t, seq)
+	for i := 0; i < len(seq); i++ {
+		w.step(seq[i])
+	}
+	w.quiesce()
+	// The source's last mark reaches the decider (a lost q.resolved is
+	// repaired by the next message from the source).
+	w.dApply(w.d.Step(protocol.ResolvedReceived{From: "s", Mark: w.mark()}))
+
+	if w.branch || w.settled == "" {
+		t.Fatalf("%s: the source's branch never settled", seq)
+	}
+	if w.enqueued > 1 {
+		t.Fatalf("%s: the container was enqueued %d times", seq, w.enqueued)
+	}
+	if committed := w.settled == "commit"; committed != (w.enqueued == 1) {
+		t.Fatalf("%s: source %s, decider enqueued %d — they disagree", seq, w.settled, w.enqueued)
+	}
+	if len(w.records) != 0 {
+		t.Fatalf("%s: records survive the mark: %v", seq, w.records)
+	}
+	if s := w.s.Stats(); s.Delegations != 0 {
+		t.Fatalf("%s: source state lingers: %+v", seq, s)
+	}
+	if s := w.d.Stats(); s.Outcomes != 0 || s.Deciding != 0 {
+		t.Fatalf("%s: decider state lingers: %+v", seq, s)
 	}
 }

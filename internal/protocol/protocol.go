@@ -37,6 +37,7 @@
 package protocol
 
 import (
+	"strconv"
 	"strings"
 	"time"
 
@@ -70,20 +71,23 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-// Machine holds the protocol state of one node across all three roles:
-// coordinator of its own distributed transactions, participant in
-// queue hand-offs, and RCE/rollback participant (Figure 5b resource
-// side), plus the completion notifier. Step is the single transition
-// function; it must be externally serialized (the driver guarantees
-// one Step at a time) and is otherwise a pure state+effects fold.
+// Machine holds the protocol state of one node across all its roles:
+// source and decider of queue hand-offs, coordinator of the RCE branches
+// of its compensation transactions, RCE participant (Figure 5b resource
+// side), and completion notifier. Step is the single transition
+// function; it must be externally serialized (the driver guarantees one
+// Step at a time) and is otherwise a pure state+effects fold.
 type Machine struct {
 	cfg   Config
 	ready bool
 
-	coord    map[string]*coordTxn // transactions this node coordinates
-	staged   map[string]string    // staged queue txn → coordinator node
-	branches map[string]*branch   // RCE branch per transaction
-	done     map[string]string    // undelivered completion: agent → owner
+	coord    map[string]*coordTxn       // RCE transactions this node coordinates
+	delegs   map[string]*delegation     // hand-offs this node's branches wait on
+	decided  map[string]map[string]bool // decider records: source → txn → committed
+	deciding map[string]bool            // hand-offs whose verdict is being written
+	marks    map[string]uint64          // decider: highest mark seen per source
+	branches map[string]*branch         // RCE branch per transaction
+	done     map[string]string          // undelivered completion: agent → owner
 
 	// scheds holds the coalesced per-(class, peer) timer slots (see
 	// timers.go), keyed by their wheel timer ID "<class>|<peer>".
@@ -98,7 +102,10 @@ func NewMachine(cfg Config) *Machine {
 	return &Machine{
 		cfg:      cfg,
 		coord:    make(map[string]*coordTxn),
-		staged:   make(map[string]string),
+		delegs:   make(map[string]*delegation),
+		decided:  make(map[string]map[string]bool),
+		deciding: make(map[string]bool),
+		marks:    make(map[string]uint64),
 		branches: make(map[string]*branch),
 		done:     make(map[string]string),
 		scheds:   make(map[string]*peerSched),
@@ -118,13 +125,71 @@ type Effect interface{ isEffect() }
 
 // --- events -----------------------------------------------------------
 
-// CoordPrepareEnqueue opens the coordinator decision for TxnID (queries
-// now answer "undecided") and ships the prepare of a queue hand-off.
-type CoordPrepareEnqueue struct {
+// Delegate opens a hand-off at its source: the worker prepared its
+// branch (naming Decider) and the container goes out now. Mark is the
+// source's watermark (txn.Manager.Mark).
+type Delegate struct {
 	TxnID   string
-	Dest    string
+	Decider string
 	EntryID string
 	Data    []byte
+	Mark    uint64
+}
+
+// HandoffUnreachable reports that the hand-off's send failed before any
+// byte of it left (network.ErrUnreachable): no decider can ever see it.
+type HandoffUnreachable struct{ TxnID string }
+
+// OutcomeReceived is a decider's verdict on one of this node's
+// hand-offs (q.outcome: the answer to the hand-off or to a query).
+type OutcomeReceived struct {
+	TxnID     string
+	Committed bool
+}
+
+// DelegationStale reports that a live hand-off's outcome did not arrive
+// within the worker's wait: the source starts querying its decider.
+type DelegationStale struct{ TxnID string }
+
+// RecoveredDelegation replays a crash-surviving branch that names its
+// decider: the source is in doubt and asks.
+type RecoveredDelegation struct {
+	TxnID   string
+	Decider string
+}
+
+// HandoffReceived is the decider half of a hand-off: a source asks this
+// node to enqueue a container and decide.
+type HandoffReceived struct {
+	TxnID   string
+	From    string
+	EntryID string
+	Data    []byte
+	Mark    uint64
+}
+
+// HandoffDecided reports the driver's durable verdict on a hand-off
+// (the Decide effect): Commit means the entry and its commit record
+// landed, !Commit that the fence did. OK=false means nothing was
+// written (a store error); the source's query will ask again.
+type HandoffDecided struct {
+	TxnID  string
+	Commit bool
+	OK     bool
+}
+
+// ResolvedReceived carries a source's mark (q.resolved): every hand-off
+// of From below Mark has settled there.
+type ResolvedReceived struct {
+	From string
+	Mark uint64
+}
+
+// RecoveredOutcome replays one decider record found at start-up.
+type RecoveredOutcome struct {
+	TxnID  string
+	Commit bool
+	Mark   uint64
 }
 
 // CoordPrepareRCE opens the coordinator decision for TxnID and ships a
@@ -135,18 +200,18 @@ type CoordPrepareRCE struct {
 	Ops   []*core.OpEntry
 }
 
-// CoordDecided closes the coordinator decision: Commit=true after the
-// local commit (with the decision record durably in the store) drives
-// the participants to commit reliably; Commit=false notifies them of
+// CoordDecided closes the coordinator decision over the RCE branches
+// on Parts: Commit=true after the decision record is durably in the
+// store drives them to commit reliably; Commit=false notifies them of
 // the abort once (best effort — presumed abort covers the loss).
 type CoordDecided struct {
 	TxnID  string
 	Commit bool
-	Parts  []Participant
+	Parts  []string
 }
 
-// AckReceived is any protocol acknowledgement. Kind is the ack message
-// kind (KindEnqueuePrepareAck, KindRCECommitAck, ...).
+// AckReceived is an RCE acknowledgement. Kind is the ack message kind
+// (KindRCEExecAck, KindRCECommitAck, KindRCEAbortAck).
 type AckReceived struct {
 	Kind  string
 	TxnID string
@@ -155,13 +220,16 @@ type AckReceived struct {
 	Err   string
 }
 
-// QueryReceived is a participant's in-doubt query for a transaction
-// this node coordinated. StoreDecided is the driver-supplied fact
-// whether the decision record exists in stable storage.
+// QueryReceived is an in-doubt query (txn.query). From a participant of
+// a transaction this node coordinates, StoreDecided and StorePrepared
+// are the driver-supplied facts whether the decision record, and this
+// node's own prepared branch for TxnID, exist in stable storage. From
+// the source of a hand-off this node decides, they are unused.
 type QueryReceived struct {
-	TxnID        string
-	From         string
-	StoreDecided bool
+	TxnID         string
+	From          string
+	StoreDecided  bool
+	StorePrepared bool
 }
 
 // StatusReceived is a coordinator's answer to an in-doubt query:
@@ -171,29 +239,12 @@ type StatusReceived struct {
 	Committed bool
 }
 
-// PrepareReceived is the participant half of the queue hand-off: the
-// coordinator asks this node to durably stage a container insertion.
-type PrepareReceived struct {
-	TxnID   string
-	EntryID string
-	From    string
-	Data    []byte
-}
-
-// StageOutcome reports the driver's attempt to stage the entry
-// (queue.Prepare). Only an OK outcome makes the transaction in-doubt.
-type StageOutcome struct {
-	TxnID string
-	OK    bool
-}
-
-// CtlReceived is a commit/abort control message from the coordinator,
-// for a staged queue entry (RCE=false) or an RCE branch (RCE=true).
+// CtlReceived is a commit/abort control message for an RCE branch from
+// its coordinator.
 type CtlReceived struct {
 	TxnID  string
 	From   string
 	Commit bool
-	RCE    bool
 }
 
 // RCEExecReceived asks this node to execute a resource-compensation
@@ -225,36 +276,36 @@ type DoneRecorded struct {
 // notification.
 type DoneAcked struct{ AgentID string }
 
-// RecoveredStaged replays a crash-surviving staged queue entry whose
-// coordinator is remote; the machine re-enters the in-doubt query
-// cycle for it.
-type RecoveredStaged struct{ TxnID string }
-
-// RecoveredBranch replays a crash-surviving prepared branch record
+// RecoveredBranch replays a crash-surviving prepared RCE branch record
 // (no live transaction); resolution goes through the branch record.
 type RecoveredBranch struct{ TxnID string }
 
-// ReadyReached marks the end of recovery: prepares and RCE executions
+// ReadyReached marks the end of recovery: hand-offs and RCE executions
 // are accepted from now on.
 type ReadyReached struct{}
 
 // TimerFired delivers an expired timer previously armed via ArmTimer.
 type TimerFired struct{ ID string }
 
-func (CoordPrepareEnqueue) isEvent() {}
+func (Delegate) isEvent()            {}
+func (HandoffUnreachable) isEvent()  {}
+func (OutcomeReceived) isEvent()     {}
+func (DelegationStale) isEvent()     {}
+func (RecoveredDelegation) isEvent() {}
+func (HandoffReceived) isEvent()     {}
+func (HandoffDecided) isEvent()      {}
+func (ResolvedReceived) isEvent()    {}
+func (RecoveredOutcome) isEvent()    {}
 func (CoordPrepareRCE) isEvent()     {}
 func (CoordDecided) isEvent()        {}
 func (AckReceived) isEvent()         {}
 func (QueryReceived) isEvent()       {}
 func (StatusReceived) isEvent()      {}
-func (PrepareReceived) isEvent()     {}
-func (StageOutcome) isEvent()        {}
 func (CtlReceived) isEvent()         {}
 func (RCEExecReceived) isEvent()     {}
 func (BranchPrepared) isEvent()      {}
 func (DoneRecorded) isEvent()        {}
 func (DoneAcked) isEvent()           {}
-func (RecoveredStaged) isEvent()     {}
 func (RecoveredBranch) isEvent()     {}
 func (ReadyReached) isEvent()        {}
 func (TimerFired) isEvent()          {}
@@ -270,8 +321,16 @@ type SendMsg struct {
 	Payload wire.BinaryMessage
 }
 
-// DeliverAck routes an acknowledgement to the local worker blocked on
-// it (the driver's waiter plumbing).
+// SendHandoff transmits a hand-off (q.prepare) at once, not batched:
+// when the send fails before any byte left (network.ErrUnreachable),
+// the driver feeds HandoffUnreachable back.
+type SendHandoff struct {
+	To  string
+	Msg *PrepareMsg
+}
+
+// DeliverAck routes an RCE acknowledgement to the local worker blocked
+// on it (the driver's waiter plumbing).
 type DeliverAck struct {
 	Kind  string
 	TxnID string
@@ -279,26 +338,33 @@ type DeliverAck struct {
 	Err   string
 }
 
-// StageEntry asks the driver to durably stage the container insertion
-// (queue.Prepare), acknowledge with the real outcome under AckKind,
-// and feed the result back as a StageOutcome event.
-type StageEntry struct {
-	TxnID   string
-	EntryID string
-	From    string
-	Data    []byte
-	AckKind string
+// DeliverOutcome hands a live hand-off's verdict to the worker waiting
+// on it, which commits or aborts its prepared branch.
+type DeliverOutcome struct {
+	TxnID  string
+	Commit bool
 }
 
-// ResolveStaged commits (Commit=true) or aborts a staged queue entry.
-// When AckTo is non-empty the driver acknowledges with the operation's
-// outcome under AckKind. Both queue operations are idempotent.
-type ResolveStaged struct {
+// Decide asks the driver to make a decider verdict durable and feed
+// the result back as HandoffDecided. Commit: vet the container (the
+// adoption gate), then enqueue Data and write the commit record in one
+// batch — or, if the gate refuses, write the fence instead. !Commit:
+// write the fence. Mark goes into the record.
+type Decide struct {
 	TxnID   string
+	From    string
+	EntryID string
+	Data    []byte
+	Mark    uint64
 	Commit  bool
-	AckTo   string
-	AckKind string
 }
+
+// DropOutcomes garbage-collects decider records below a source's mark.
+type DropOutcomes struct{ TxnIDs []string }
+
+// SendResolved sends the source's current mark to a decider
+// (q.resolved); the driver reads the mark when it applies the effect.
+type SendResolved struct{ To string }
 
 // CommitBranch / AbortBranch settle the live prepared branch
 // transaction parked by the driver for TxnID.
@@ -348,9 +414,12 @@ type ArmTimer struct {
 type CountCompOps struct{ N int64 }
 
 func (SendMsg) isEffect()             {}
+func (SendHandoff) isEffect()         {}
 func (DeliverAck) isEffect()          {}
-func (StageEntry) isEffect()          {}
-func (ResolveStaged) isEffect()       {}
+func (DeliverOutcome) isEffect()      {}
+func (Decide) isEffect()              {}
+func (DropOutcomes) isEffect()        {}
+func (SendResolved) isEffect()        {}
 func (CommitBranch) isEffect()        {}
 func (AbortBranch) isEffect()         {}
 func (ResolveBranchRecord) isEffect() {}
@@ -369,8 +438,24 @@ func (CountCompOps) isEffect()        {}
 func (m *Machine) Step(ev Event) []Effect {
 	m.transitions++
 	switch e := ev.(type) {
-	case CoordPrepareEnqueue:
-		return m.coordPrepareEnqueue(e)
+	case Delegate:
+		return m.delegate(e)
+	case HandoffUnreachable:
+		return m.settleDelegation(e.TxnID, false)
+	case OutcomeReceived:
+		return m.settleDelegation(e.TxnID, e.Committed)
+	case DelegationStale:
+		return m.delegationStale(e)
+	case RecoveredDelegation:
+		return m.recoveredDelegation(e)
+	case HandoffReceived:
+		return m.handoffReceived(e)
+	case HandoffDecided:
+		return m.handoffDecided(e)
+	case ResolvedReceived:
+		return m.advanceMark(e.From, e.Mark)
+	case RecoveredOutcome:
+		return m.recoveredOutcome(e)
 	case CoordPrepareRCE:
 		return m.coordPrepareRCE(e)
 	case CoordDecided:
@@ -380,11 +465,7 @@ func (m *Machine) Step(ev Event) []Effect {
 	case QueryReceived:
 		return m.queryReceived(e)
 	case StatusReceived:
-		return m.resolve(e.TxnID, e.Committed, nil)
-	case PrepareReceived:
-		return m.prepareReceived(e)
-	case StageOutcome:
-		return m.stageOutcome(e)
+		return m.resolveBranch(e.TxnID, e.Committed)
 	case CtlReceived:
 		return m.ctlReceived(e)
 	case RCEExecReceived:
@@ -395,8 +476,6 @@ func (m *Machine) Step(ev Event) []Effect {
 		return m.doneRecorded(e)
 	case DoneAcked:
 		return m.doneAcked(e)
-	case RecoveredStaged:
-		return m.recoveredStaged(e)
 	case RecoveredBranch:
 		return m.recoveredBranch(e)
 	case ReadyReached:
@@ -418,7 +497,9 @@ func (m *Machine) Transitions() int64 { return m.transitions }
 type Stats struct {
 	CoordActive      int // coordinator decisions still open
 	CoordPendingCtl  int // decided commits awaiting participant acks
-	Staged           int // in-doubt staged queue entries tracked
+	Delegations      int // hand-offs this node's branches still wait on
+	Outcomes         int // decider records held (commits and fences)
+	Deciding         int // hand-off verdicts being written
 	BranchesExec     int // RCE executions in flight (incl. poisoned)
 	BranchesPrepared int // prepared branches awaiting decision
 	BranchesInDoubt  int // recovered branch records awaiting verdict
@@ -436,7 +517,11 @@ func (m *Machine) Stats() Stats {
 			s.CoordPendingCtl++
 		}
 	}
-	s.Staged = len(m.staged)
+	s.Delegations = len(m.delegs)
+	for _, recs := range m.decided {
+		s.Outcomes += len(recs)
+	}
+	s.Deciding = len(m.deciding)
 	for _, b := range m.branches {
 		switch b.state {
 		case branchExecuting, branchExecutingAborted:
@@ -451,13 +536,24 @@ func (m *Machine) Stats() Stats {
 	return s
 }
 
-// Coordinator extracts the coordinator node from a transaction ID
-// ("node#seq"); it returns "" for IDs without a separator.
+// Coordinator extracts the node that began a transaction from its ID
+// ("node#seq") — the coordinator of its RCE branches and the source of
+// its hand-off; it returns "" for IDs without a separator.
 func Coordinator(txnID string) string {
 	if i := strings.LastIndex(txnID, "#"); i >= 0 {
 		return txnID[:i]
 	}
 	return ""
+}
+
+// seqOf extracts the sequence number from a transaction ID ("node#seq").
+func seqOf(txnID string) (uint64, bool) {
+	i := strings.LastIndex(txnID, "#")
+	if i < 0 {
+		return 0, false
+	}
+	seq, err := strconv.ParseUint(txnID[i+1:], 10, 64)
+	return seq, err == nil
 }
 
 // --- timer identifiers ------------------------------------------------

@@ -153,6 +153,20 @@ func (m *Machine) branchPrepared(e BranchPrepared) []Effect {
 	return append(effs, m.enqueue(timerPeerStale, co, dueEntry{id: e.TxnID, aux: auxBranch}, m.cfg.StaleAfter)...)
 }
 
+// ctlReceived applies the coordinator's explicit commit/abort of an RCE
+// branch and always acknowledges.
+func (m *Machine) ctlReceived(e CtlReceived) []Effect {
+	ackKind := KindRCEAbortAck
+	if e.Commit {
+		ackKind = KindRCECommitAck
+	}
+	return append(m.resolveBranch(e.TxnID, e.Commit), SendMsg{
+		To:      e.From,
+		Kind:    ackKind,
+		Payload: &AckMsg{TxnID: e.TxnID, OK: true},
+	})
+}
+
 // resolveBranch applies a coordinator verdict to whatever branch state
 // exists: a live prepared transaction, a still-running execution (the
 // poison edge), a recovered record, or nothing (then only the durable

@@ -15,7 +15,7 @@ import "time"
 // enqueue lands in `due` and arms the wheel timer when the slot is idle,
 // in `pending` when a timer is already ticking. A fire drains `due`,
 // promotes `pending`, filters every drained entry against the
-// authoritative role maps (coord/staged/branches/done) and emits one
+// authoritative role maps (coord/delegs/branches/done) and emits one
 // batched frame for the survivors — a single survivor goes out as the
 // plain per-transaction message. Survivors re-enqueue (re-arming the
 // timer); an entry therefore fires between 1× and 2× its interval
@@ -29,11 +29,11 @@ import "time"
 //
 // Timer IDs are "<class>|<peer>". Classes:
 const (
-	// timerPeerCtl coalesces the coordinator's commit-control resends
-	// per participant peer.
+	// timerPeerCtl coalesces the coordinator's RCE commit-control
+	// resends per participant peer.
 	timerPeerCtl = "pctl"
-	// timerPeerQuery coalesces in-doubt queries — staged entries and
-	// recovered/stale branches — per coordinator peer.
+	// timerPeerQuery coalesces in-doubt queries — hand-offs waiting on
+	// their decider, recovered/stale RCE branches — per peer asked.
 	timerPeerQuery = "pquery"
 	// timerPeerStale coalesces the StaleAfter threshold of prepared
 	// branches per coordinator peer; a fire hands the still-prepared
@@ -48,30 +48,14 @@ const (
 // it tracks plus a class-specific discriminator.
 type dueEntry struct {
 	id  string // txn ID (ctl/query/stale) or agent ID (done)
-	aux string // ctl: participant kind; query: entry source
+	aux string // query: what the entry tracks
 }
 
-// dueEntry aux values.
+// dueEntry aux values of query entries.
 const (
-	auxQueue  = "q"      // ctl entry drives a staged-queue participant
-	auxRCE    = "rce"    // ctl entry drives an RCE-branch participant
-	auxStaged = "staged" // query entry tracks a staged queue entry
-	auxBranch = "branch" // query entry tracks a prepared/in-doubt branch
+	auxDeleg  = "deleg"  // a hand-off waiting on its decider
+	auxBranch = "branch" // a prepared/in-doubt RCE branch
 )
-
-func partAux(k PartKind) string {
-	if k == PartRCE {
-		return auxRCE
-	}
-	return auxQueue
-}
-
-func auxPart(aux string) PartKind {
-	if aux == auxRCE {
-		return PartRCE
-	}
-	return PartQueue
-}
 
 // peerSched is the two-bucket due-list of one (class, peer) slot.
 type peerSched struct {
@@ -165,12 +149,12 @@ func (m *Machine) rearm(class, peer string, interval time.Duration) []Effect {
 func (m *Machine) peerCtlTimer(peer string) []Effect {
 	fired := m.takeDue(timerPeerCtl, peer, func(e dueEntry) bool {
 		c, ok := m.coord[e.id]
-		return ok && c.pending[Participant{Node: peer, Kind: auxPart(e.aux)}]
+		return ok && c.pending[peer]
 	})
 	var items []CtlBatchItem
 	var effs []Effect
 	for _, e := range fired {
-		items = append(items, CtlBatchItem{TxnID: e.id, RCE: e.aux == auxRCE, Commit: true})
+		items = append(items, CtlBatchItem{TxnID: e.id, Commit: true})
 		effs = append(effs, m.enqueue(timerPeerCtl, peer, e, m.cfg.RetryInterval)...)
 	}
 	effs = append(effs, m.rearm(timerPeerCtl, peer, m.cfg.RetryInterval)...)
@@ -179,11 +163,7 @@ func (m *Machine) peerCtlTimer(peer string) []Effect {
 		return effs
 	case 1:
 		// A lone survivor travels as the plain per-transaction control.
-		p := Participant{Node: peer, Kind: PartQueue}
-		if items[0].RCE {
-			p.Kind = PartRCE
-		}
-		send := SendMsg{To: peer, Kind: p.ctlKind(true), Payload: &CtlMsg{TxnID: items[0].TxnID}}
+		send := SendMsg{To: peer, Kind: KindRCECommit, Payload: &CtlMsg{TxnID: items[0].TxnID}}
 		return append([]Effect{send}, effs...)
 	default:
 		send := SendMsg{To: peer, Kind: KindCtlBatch, Payload: &CtlBatchMsg{Items: items}}
@@ -191,9 +171,9 @@ func (m *Machine) peerCtlTimer(peer string) []Effect {
 	}
 }
 
-// peerQueryTimer re-asks one coordinator about every in-doubt entry this
-// node still tracks for it: staged queue entries and prepared/in-doubt
-// branches, deduplicated per transaction, as a single frame.
+// peerQueryTimer re-asks one peer about every in-doubt entry this node
+// still tracks for it — hand-offs it decides, RCE branches it
+// coordinates — deduplicated per transaction, as a single frame.
 func (m *Machine) peerQueryTimer(peer string) []Effect {
 	fired := m.takeDue(timerPeerQuery, peer, func(e dueEntry) bool { return m.queryLive(peer, e) })
 	var txns []string
@@ -211,12 +191,13 @@ func (m *Machine) peerQueryTimer(peer string) []Effect {
 }
 
 // queryLive reports whether an in-doubt query obligation still matters:
-// the staged entry (or branch) exists and peer is still its coordinator.
+// the delegation still waits on peer, or the branch exists and peer is
+// still its coordinator.
 func (m *Machine) queryLive(peer string, e dueEntry) bool {
 	switch e.aux {
-	case auxStaged:
-		co, ok := m.staged[e.id]
-		return ok && co == peer
+	case auxDeleg:
+		d, ok := m.delegs[e.id]
+		return ok && d.decider == peer
 	case auxBranch:
 		b, ok := m.branches[e.id]
 		return ok && (b.state == branchPrepared || b.state == branchInDoubt) &&

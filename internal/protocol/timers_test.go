@@ -21,12 +21,10 @@ func armedIDs(effs []protocol.Effect) []string {
 	return ids
 }
 
-// decide drives one committed coordinator decision with a single
-// queue participant on peer.
+// decide drives one committed coordinator decision with a single RCE
+// participant on peer.
 func decide(m *protocol.Machine, txn, peer string) []protocol.Effect {
-	return m.Step(protocol.CoordDecided{TxnID: txn, Commit: true, Parts: []protocol.Participant{
-		{Node: peer, Kind: protocol.PartQueue},
-	}})
+	return m.Step(protocol.CoordDecided{TxnID: txn, Commit: true, Parts: []string{peer}})
 }
 
 // TestPeerCtlTimerCoalescesResends pins the tentpole behaviour: many
@@ -53,7 +51,7 @@ func TestPeerCtlTimerCoalescesResends(t *testing.T) {
 	// survivor travels as the plain per-transaction frame.
 	effs := m.Step(protocol.TimerFired{ID: "pctl|p"})
 	sends := pick[protocol.SendMsg](effs)
-	if len(sends) != 1 || sends[0].Kind != protocol.KindEnqueueCommit {
+	if len(sends) != 1 || sends[0].Kind != protocol.KindRCECommit {
 		t.Fatalf("first fire sends = %+v", sends)
 	}
 	if sends[0].Payload.(*protocol.CtlMsg).TxnID != "co#1" {
@@ -72,8 +70,8 @@ func TestPeerCtlTimerCoalescesResends(t *testing.T) {
 	items := sends[0].Payload.(*protocol.CtlBatchMsg).Items
 	got := map[string]bool{}
 	for _, it := range items {
-		if it.RCE || !it.Commit {
-			t.Fatalf("batch item %+v, want queue commit", it)
+		if !it.Commit {
+			t.Fatalf("batch item %+v, want a commit", it)
 		}
 		got[it.TxnID] = true
 	}
@@ -83,20 +81,20 @@ func TestPeerCtlTimerCoalescesResends(t *testing.T) {
 
 	// Retirement is lazy: the ack only clears the decision record, the
 	// next fire filters the dead entry and resends only the survivor.
-	effs = m.Step(protocol.AckReceived{Kind: protocol.KindEnqueueCommitAck, TxnID: "co#1", From: "p", OK: true})
+	effs = m.Step(protocol.AckReceived{Kind: protocol.KindRCECommitAck, TxnID: "co#1", From: "p", OK: true})
 	if len(effs) != 1 || len(pick[protocol.ClearDecision](effs)) != 1 {
 		t.Fatalf("ack effects = %+v, want only ClearDecision (lazy retirement)", effs)
 	}
 	effs = m.Step(protocol.TimerFired{ID: "pctl|p"})
 	sends = pick[protocol.SendMsg](effs)
-	if len(sends) != 1 || sends[0].Kind != protocol.KindEnqueueCommit ||
+	if len(sends) != 1 || sends[0].Kind != protocol.KindRCECommit ||
 		sends[0].Payload.(*protocol.CtlMsg).TxnID != "co#2" {
 		t.Fatalf("post-ack fire sends = %+v, want lone co#2 plain frame", sends)
 	}
 
 	// Last ack, then the fire on fully dead state: no send, no re-arm,
 	// slot garbage-collected — the quiescence invariant.
-	m.Step(protocol.AckReceived{Kind: protocol.KindEnqueueCommitAck, TxnID: "co#2", From: "p", OK: true})
+	m.Step(protocol.AckReceived{Kind: protocol.KindRCECommitAck, TxnID: "co#2", From: "p", OK: true})
 	effs = m.Step(protocol.TimerFired{ID: "pctl|p"})
 	if len(effs) != 0 {
 		t.Fatalf("fire on dead state emitted %+v", effs)
@@ -106,25 +104,25 @@ func TestPeerCtlTimerCoalescesResends(t *testing.T) {
 	}
 }
 
-// TestPeerQueryTimerCoalescesInDoubt drives two staged entries plus a
-// recovered branch for the same coordinator through the shared query
-// timer: the fire emits one QueryBatchMsg with per-transaction dedup
-// (a staged entry and a branch of the same transaction ask once).
+// TestPeerQueryTimerCoalescesInDoubt drives two stale hand-offs waiting
+// on the same decider plus a recovered RCE branch that decider
+// coordinates through the shared query timer: the fire emits one
+// QueryBatchMsg with per-transaction dedup.
 func TestPeerQueryTimerCoalescesInDoubt(t *testing.T) {
 	m := newReady("p")
 
-	stage := func(txn string) []protocol.Effect {
-		m.Step(protocol.PrepareReceived{TxnID: txn, EntryID: "e-" + txn, From: "co", Data: []byte("x")})
-		return m.Step(protocol.StageOutcome{TxnID: txn, OK: true})
+	stale := func(txn string) []protocol.Effect {
+		m.Step(protocol.Delegate{TxnID: txn, Decider: "co", EntryID: "e-" + txn, Data: []byte("x"), Mark: 1})
+		return m.Step(protocol.DelegationStale{TxnID: txn})
 	}
-	if ids := armedIDs(stage("co#1")); len(ids) != 1 || ids[0] != "pquery|co" {
-		t.Fatalf("first stage armed %v, want [pquery|co]", ids)
+	if ids := armedIDs(stale("p#1")); len(ids) != 1 || ids[0] != "pquery|co" {
+		t.Fatalf("first stale hand-off armed %v, want [pquery|co]", ids)
 	}
-	if ids := armedIDs(stage("co#2")); len(ids) != 0 {
-		t.Fatalf("second stage armed %v, want none", ids)
+	if ids := armedIDs(stale("p#2")); len(ids) != 0 {
+		t.Fatalf("second stale hand-off armed %v, want none", ids)
 	}
-	// A recovered branch of co#1 joins the same slot: the immediate
-	// recovery query goes out, but no second timer appears.
+	// A recovered branch coordinated by co joins the same slot: the
+	// immediate recovery query goes out, but no second timer appears.
 	effs := m.Step(protocol.RecoveredBranch{TxnID: "co#1"})
 	if ids := armedIDs(effs); len(ids) != 0 {
 		t.Fatalf("recovered branch armed %v, want none", ids)
@@ -134,7 +132,7 @@ func TestPeerQueryTimerCoalescesInDoubt(t *testing.T) {
 	}
 
 	// Fire until both buckets have cycled into due, then check the
-	// batched frame dedups co#1 (staged + branch entries).
+	// batched frame carries each transaction once.
 	m.Step(protocol.TimerFired{ID: "pquery|co"})
 	effs = m.Step(protocol.TimerFired{ID: "pquery|co"})
 	sends := pick[protocol.SendMsg](effs)
@@ -146,13 +144,14 @@ func TestPeerQueryTimerCoalescesInDoubt(t *testing.T) {
 	for _, id := range txns {
 		got[id] = true
 	}
-	if len(txns) != 2 || !got["co#1"] || !got["co#2"] {
-		t.Fatalf("query batch = %v, want deduped co#1+co#2", txns)
+	if len(txns) != 3 || !got["p#1"] || !got["p#2"] || !got["co#1"] {
+		t.Fatalf("query batch = %v, want p#1+p#2+co#1", txns)
 	}
 
 	// Verdicts settle everything; the next fires drain to silence.
-	m.Step(protocol.StatusReceived{TxnID: "co#1", Committed: true})
-	m.Step(protocol.StatusReceived{TxnID: "co#2", Committed: false})
+	m.Step(protocol.OutcomeReceived{TxnID: "p#1", Committed: true})
+	m.Step(protocol.OutcomeReceived{TxnID: "p#2", Committed: false})
+	m.Step(protocol.StatusReceived{TxnID: "co#1", Committed: false})
 	m.Step(protocol.TimerFired{ID: "pquery|co"})
 	if effs := m.Step(protocol.TimerFired{ID: "pquery|co"}); len(effs) != 0 {
 		t.Fatalf("fire after verdicts emitted %+v", effs)
@@ -265,27 +264,16 @@ func TestBatchTimersScaleWithPeersNotTxns(t *testing.T) {
 // oracle computed from the inputs. The framing never changes the
 // protocol content.
 func TestBatchedFramesMatchUnbatchedPerTxn(t *testing.T) {
-	parts := map[string]protocol.PartKind{
-		"co#1": protocol.PartQueue,
-		"co#2": protocol.PartRCE,
-		"co#3": protocol.PartQueue,
-	}
+	parts := map[string]string{"co#1": "p", "co#2": "p", "co#3": "q"}
 	want := map[string]bool{}
-	for txn, kind := range parts {
-		ctl := protocol.KindEnqueueCommit
-		if kind == protocol.PartRCE {
-			ctl = protocol.KindRCECommit
-		}
-		want["p/"+ctl+"/"+txn] = true
+	for txn, peer := range parts {
+		want[peer+"/"+protocol.KindRCECommit+"/"+txn] = true
 	}
 
 	m := newReady("co")
 	var armed []string
-	for txn, kind := range parts {
-		effs := m.Step(protocol.CoordDecided{TxnID: txn, Commit: true, Parts: []protocol.Participant{
-			{Node: "p", Kind: kind},
-		}})
-		armed = append(armed, armedIDs(effs)...)
+	for txn, peer := range parts {
+		armed = append(armed, armedIDs(decide(m, txn, peer))...)
 	}
 	// Fire every armed timer twice: the first fire drains the due
 	// bucket and promotes the rest, the second drains everything (plus
@@ -307,14 +295,10 @@ func TestBatchedFramesMatchUnbatchedPerTxn(t *testing.T) {
 			got[s.To+"/"+s.Kind+"/"+p.TxnID] = true
 		case *protocol.CtlBatchMsg:
 			for _, it := range p.Items {
-				kind := protocol.KindEnqueueCommit
-				if it.RCE {
-					kind = protocol.KindRCECommit
-				}
 				if !it.Commit {
 					t.Fatalf("abort in resend batch: %+v", it)
 				}
-				got[s.To+"/"+kind+"/"+it.TxnID] = true
+				got[s.To+"/"+protocol.KindRCECommit+"/"+it.TxnID] = true
 			}
 		default:
 			t.Fatalf("unexpected resend payload %T", p)

@@ -2,7 +2,6 @@ package stable
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 	"strconv"
 	"strings"
@@ -17,40 +16,33 @@ import (
 //
 //	<prefix>seq                     next sequence number (decimal)
 //	<prefix>e/<16-digit seq>/<ID>   entry: the bare container
-//	<prefix>s/<txn>                 marker of a prepared insertion: 0x90
-//	                                0x21, then the seq and ID of the entry
-//	                                it hides
 //
 // An entry without data is stored as an empty value (a nil Op.Value is a
-// delete). It supports three write paths:
+// delete). It supports two write paths:
 //
-//   - Enqueue: direct, atomic insertion (used when an owner launches an
-//     agent into the system).
+//   - Enqueue: direct, atomic insertion, optionally with extra ops in the
+//     same batch. An owner launches an agent this way, and the node that
+//     receives a container in a hand-off writes it and its commit record
+//     in one batch: that node decides the step transaction, so there is
+//     no prepared, hidden insertion (DESIGN.md §5).
 //   - EnqueueIn: insertion that lands when a caller's transaction
 //     commits (a step handing its agent to the next step on this node).
-//   - Prepare/CommitStaged/AbortStaged: two-phase insertion used by the
-//     distributed step and compensation transactions. Prepare writes the
-//     container once, at the entry key it will live under, and a marker
-//     beside it in the same batch. An entry with a marker is durable but
-//     hidden from every listing; committing deletes the marker, which
-//     makes the entry visible at the queue position reserved at prepare
-//     time, and aborting deletes both.
+//
+// The <prefix>s/<txn> markers that hid prepared insertions until commit
+// 6471191 are not read; node.New refuses a store that holds one.
 //
 // A Queue is the only Queue over its prefix while it lives: the sequence
-// counter, the set of hidden entries, the visible order and the claims
-// are read from the store once and kept in memory from then on. A fresh
-// Queue over the same store (i.e. after a crash) rebuilds them from the
-// keys and markers, so a prepared entry is still in doubt and still
-// invisible to it.
+// counter, the order and the claims are read from the store once and
+// kept in memory from then on. A fresh Queue over the same store (i.e.
+// after a crash) rebuilds them from the keys.
 //
-// The visible order is an index: the keys of the entries no marker hides,
-// ascending, which is FIFO order. It is loaded with one Keys listing and
-// from then on kept by the queue's own mutators — Enqueue, CommitStaged,
-// Remove — and, for writes that land with a caller's transaction
-// (EnqueueIn, RemoveIn), by a hook the transaction runs once its commit
-// batch is applied (Tx.OnCommit). An aborted transaction drops the hook,
-// and the index never holds what did not commit. So no claim, peek or
-// length re-lists the keyspace.
+// The order is an index: the entry keys, ascending, which is FIFO order.
+// It is loaded with one Keys listing and from then on kept by the
+// queue's own mutators — Enqueue, Remove — and, for writes that land
+// with a caller's transaction (EnqueueIn, RemoveIn), by a hook the
+// transaction runs once its commit batch is applied (Tx.OnCommit). An
+// aborted transaction drops the hook, and the index never holds what did
+// not commit. So no claim, peek or length re-lists the keyspace.
 //
 // Removal joins the commit batch of the transaction that consumed the
 // entry (RemoveIn), so the destructive read of an agent at the start of a
@@ -77,16 +69,11 @@ type Queue struct {
 	claimed    map[string]bool
 	claimedIDs map[string]int
 
-	// staged maps every prepared transaction to the entry key its marker
-	// hides ("" for a marker that does not parse and so hides nothing),
-	// hidden is the set of those keys, and visible is the index of the
-	// entry keys no marker hides, ascending. seq is the next sequence
-	// number. All four are read from the store on first use (load) and
-	// kept by the queue's mutators from then on; every reservation
+	// visible is the index of the entry keys, ascending, and seq the next
+	// sequence number. Both are read from the store on first use (load)
+	// and kept by the queue's mutators from then on; every reservation
 	// persists seq+1 in the same batch as its entry, so the cache and the
 	// store can never diverge observably.
-	staged  map[string]string
-	hidden  map[string]bool
 	visible []string
 	seq     uint64
 	loaded  bool
@@ -114,16 +101,12 @@ type Entry struct {
 }
 
 // Binary type bytes of the stable block 0x20..0x2f (registry in
-// wire/binary.go); never reuse a value.
-const (
-	// typeStagedRecord is retired: the prepared insertion that carried
-	// its container (seq, ID, then the container), last written and read
-	// by commit e4fe5c0.
-	typeStagedRecord = 0x20
-	// typeStaged is the marker of a prepared insertion: seq and ID of
-	// the entry it hides.
-	typeStaged = 0x21
-)
+// wire/binary.go); never reuse a value. Both are retired: 0x20 is the
+// prepared insertion that carried its container (seq, ID, then the
+// container), last written and read by commit e4fe5c0; 0x21 the marker of
+// a prepared insertion (seq and ID of the entry it hid), last written and
+// read by commit 6471191.
+const typeStagedRecord = 0x20
 
 // NewQueue returns a queue stored under the given key prefix.
 func NewQueue(store Store, prefix string) *Queue {
@@ -176,10 +159,6 @@ func (q *Queue) entryKey(n uint64, id string) string {
 	return b.String()
 }
 
-func (q *Queue) stageKey(txn string) string {
-	return q.prefix + "s/" + txn
-}
-
 // entryID returns the agent ID an entry key names: whatever follows the
 // sequence number's slash (an ID may itself contain slashes). A key too
 // short to name one — not written by this layout — yields "".
@@ -199,27 +178,9 @@ func (q *Queue) putEntry(seq uint64, id string, data []byte) Op {
 	return Put(q.entryKey(seq, id), data)
 }
 
-// appendStaged appends the marker of a prepared insertion to buf.
-func appendStaged(buf []byte, seq uint64, id string) []byte {
-	buf = append(buf, wire.BinaryVersion, typeStaged)
-	return wire.AppendString(wire.AppendUvarint(buf, seq), id)
-}
-
-// parseStaged reads a prepared insertion's marker.
-func parseStaged(raw []byte) (seq uint64, id string, err error) {
-	b, err := wire.Body(raw, typeStaged)
-	if err != nil {
-		return 0, "", err
-	}
-	r := wire.NewReader(b)
-	seq, id = r.Uvarint(), r.String()
-	return seq, id, r.Done()
-}
-
 // IsRetiredStagedRecord reports whether raw, the value of a <prefix>s/ key,
 // is a prepared insertion as commit e4fe5c0 and its predecessors back to
 // PR 23 wrote it: type byte 0x20, the seq, the ID, then the container.
-// This layout reads it as a marker that does not parse.
 func IsRetiredStagedRecord(raw []byte) bool {
 	b, err := wire.Body(raw, typeStagedRecord)
 	if err != nil {
@@ -230,8 +191,8 @@ func IsRetiredStagedRecord(raw []byte) bool {
 	return r.Err() == nil
 }
 
-// load reads the sequence counter, the markers and the visible entry keys
-// into memory, once per Queue. The caller must hold q.mu.
+// load reads the sequence counter and the entry keys into memory, once
+// per Queue. The caller must hold q.mu.
 func (q *Queue) load() error {
 	if q.loaded {
 		return nil
@@ -246,32 +207,11 @@ func (q *Queue) load() error {
 			return fmt.Errorf("stable: corrupt queue seq: %w", err)
 		}
 	}
-	keys, err := q.store.Keys(q.prefix + "s/")
-	if err != nil {
-		return err
-	}
-	staged, hidden := make(map[string]string, len(keys)), make(map[string]bool, len(keys))
-	for _, k := range keys {
-		raw, ok, err := q.store.Get(k)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			continue
-		}
-		key := ""
-		if seq, id, err := parseStaged(raw); err == nil {
-			key = q.entryKey(seq, id)
-			hidden[key] = true
-		}
-		staged[k[len(q.prefix)+2:]] = key
-	}
 	visible, err := q.store.Keys(q.prefix + "e/")
 	if err != nil {
 		return err
 	}
-	visible = slices.DeleteFunc(visible, func(k string) bool { return hidden[k] })
-	q.seq, q.staged, q.hidden, q.visible, q.loaded = seq, staged, hidden, visible, true
+	q.seq, q.visible, q.loaded = seq, visible, true
 	return nil
 }
 
@@ -300,8 +240,10 @@ func (q *Queue) nextSeq() (uint64, Op) {
 	return n, Put(q.seqKey(), []byte(strconv.FormatUint(n+1, 10)))
 }
 
-// Enqueue atomically inserts a committed entry at the tail.
-func (q *Queue) Enqueue(id string, data []byte) error {
+// Enqueue atomically inserts a committed entry at the tail, together
+// with extra, the caller's ops that must land in the same batch (a hand-off
+// decider's commit record).
+func (q *Queue) Enqueue(id string, data []byte, extra ...Op) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if err := q.load(); err != nil {
@@ -309,7 +251,7 @@ func (q *Queue) Enqueue(id string, data []byte) error {
 	}
 	seq, seqOp := q.nextSeq()
 	entry := q.putEntry(seq, id, data)
-	if err := q.store.Apply(seqOp, entry); err != nil {
+	if err := q.store.Apply(append([]Op{seqOp, entry}, extra...)...); err != nil {
 		return err
 	}
 	q.show(entry.Key)
@@ -328,7 +270,7 @@ type Tx interface {
 // EnqueueIn inserts an entry at the tail when tx commits. The tail
 // position is reserved at once (the sequence number is burnt even if tx
 // aborts). This is how a step transaction atomically re-enqueues an agent
-// on the *same* node without two-phase commit.
+// on the *same* node: it is its own decider.
 func (q *Queue) EnqueueIn(tx Tx, id string, data []byte) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -350,87 +292,12 @@ func (q *Queue) EnqueueIn(tx Tx, id string, data []byte) error {
 	return nil
 }
 
-// Prepare stages an insertion under txnID: the entry is written where it
-// will live, hidden behind a marker until CommitStaged. Prepare is
-// idempotent per txnID.
-func (q *Queue) Prepare(txnID, id string, data []byte) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if err := q.load(); err != nil {
-		return err
-	}
-	if _, ok := q.staged[txnID]; ok {
-		return nil // already prepared (coordinator retry)
-	}
-	seq, seqOp := q.nextSeq()
-	entry := q.putEntry(seq, id, data)
-	marker := Put(q.stageKey(txnID), appendStaged(make([]byte, 0, 12+len(id)), seq, id))
-	if err := q.store.Apply(seqOp, entry, marker); err != nil {
-		return err
-	}
-	q.staged[txnID] = entry.Key
-	q.hidden[entry.Key] = true
-	return nil
-}
-
-// CommitStaged makes the entry staged under txnID visible by deleting its
-// marker; the container is neither read nor written. It is idempotent:
-// committing an unknown txnID is a no-op (already committed).
-func (q *Queue) CommitStaged(txnID string) error {
-	return q.settleStaged(txnID, true)
-}
-
-// AbortStaged discards the entry staged under txnID, marker and entry in
-// one batch. Idempotent: an unknown txnID (already settled either way) is
-// a no-op that leaves a committed entry alone.
-func (q *Queue) AbortStaged(txnID string) error {
-	return q.settleStaged(txnID, false)
-}
-
-func (q *Queue) settleStaged(txnID string, commit bool) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if err := q.load(); err != nil {
-		return err
-	}
-	key, ok := q.staged[txnID]
-	if !ok {
-		return nil
-	}
-	ops := []Op{Del(q.stageKey(txnID))}
-	if !commit && key != "" {
-		ops = append(ops, Del(key))
-	}
-	if err := q.store.Apply(ops...); err != nil {
-		return err
-	}
-	delete(q.staged, txnID)
-	delete(q.hidden, key)
-	if commit && key != "" {
-		q.show(key)
-		q.signal()
-	}
-	return nil
-}
-
-// StagedTxns returns the transaction IDs with prepared entries, sorted;
-// used by crash recovery to resolve in-doubt transactions with the
-// coordinator.
-func (q *Queue) StagedTxns() ([]string, error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if err := q.load(); err != nil {
-		return nil, err
-	}
-	return slices.Sorted(maps.Keys(q.staged)), nil
-}
-
 // Each calls fn with the store key, agent ID and container bytes of every
-// entry, visible or still hidden behind a marker, stopping at fn's first
-// error. A record this layout did not write — an entry key that names no
-// agent, a <prefix>s/ value that is no marker — is passed on with an empty
-// ID and its raw value, so a start-up check can tell a queue written by an
-// older runtime from an empty one.
+// entry, stopping at fn's first error. A record this layout did not write
+// — an entry key that names no agent, any <prefix>s/ key (the retired
+// prepared insertions) — is passed on with an empty ID and its raw value,
+// so a start-up check can tell a queue written by an older runtime from
+// an empty one.
 func (q *Queue) Each(fn func(key, id string, data []byte) error) error {
 	for _, sub := range []string{"e/", "s/"} {
 		keys, err := q.store.Keys(q.prefix + sub)
@@ -448,8 +315,6 @@ func (q *Queue) Each(fn func(key, id string, data []byte) error) error {
 			id := ""
 			if sub == "e/" {
 				id = q.entryID(k)
-			} else if _, _, err := parseStaged(data); err == nil {
-				continue // a marker: its container is the entry it names
 			}
 			if err := fn(k, id, data); err != nil {
 				return err
@@ -459,7 +324,7 @@ func (q *Queue) Each(fn func(key, id string, data []byte) error) error {
 	return nil
 }
 
-// Peek returns the oldest visible entry, or nil if the queue is empty.
+// Peek returns the oldest entry, or nil if the queue is empty.
 func (q *Queue) Peek() (*Entry, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -607,8 +472,7 @@ func (q *Queue) Entries() ([]*Entry, error) {
 // TryClaim claims the specific entry e (by queue position), bypassing the
 // fence — the migration path's targeted claim. It fails (ok=false) when
 // the entry is claimed, when its agent has another entry in flight, or
-// when the entry is not visible: consumed since the listing, or the key of
-// a prepared insertion a marker still hides. On success it returns the
+// when the entry was consumed since the listing. On success it returns the
 // entry re-read from the store, so the caller migrates the current
 // container bytes, never a stale listing's.
 func (q *Queue) TryClaim(e *Entry) (*Entry, bool, error) {

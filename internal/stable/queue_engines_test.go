@@ -103,194 +103,30 @@ func TestQueueFIFO(t *testing.T) {
 	})
 }
 
-func TestQueueStagedLifecycle(t *testing.T) {
-	storeImpls(t, func(t *testing.T, s stable.Store) {
-		q := stable.NewQueue(s, "q/")
-		if err := q.Prepare("tx1", "agent1", []byte("d1")); err != nil {
-			t.Fatal(err)
-		}
-		// Invisible while staged.
-		if e, _ := q.Peek(); e != nil {
-			t.Error("staged entry visible")
-		}
-		staged, err := q.StagedTxns()
-		if err != nil || !reflect.DeepEqual(staged, []string{"tx1"}) {
-			t.Errorf("staged = %v, %v", staged, err)
-		}
-		// Prepare is idempotent.
-		if err := q.Prepare("tx1", "agent1", []byte("d1")); err != nil {
-			t.Fatal(err)
-		}
-		if err := q.CommitStaged("tx1"); err != nil {
-			t.Fatal(err)
-		}
-		e, err := q.Peek()
-		if err != nil || e == nil || e.ID != "agent1" {
-			t.Fatalf("after commit: %v %v", e, err)
-		}
-		// Commit is idempotent.
-		if err := q.CommitStaged("tx1"); err != nil {
-			t.Fatal(err)
-		}
-		if n, _ := q.Len(); n != 1 {
-			t.Errorf("duplicate commit duplicated entry: len %d", n)
-		}
-	})
-}
-
-// TestQueueStagedSurvivesRestart: a fresh Queue over the same store (a
-// crash between prepare and decision) still sees the prepared entry as in
-// doubt and invisible, and committing through it surfaces the entry at the
-// position reserved at prepare time, ahead of a later direct enqueue.
-func TestQueueStagedSurvivesRestart(t *testing.T) {
-	storeImpls(t, func(t *testing.T, s stable.Store) {
-		if err := stable.NewQueue(s, "q/").Prepare("tx1", "staged", []byte("d1")); err != nil {
-			t.Fatal(err)
-		}
-		q := stable.NewQueue(s, "q/")
-		if e, _, err := q.Claim(nil); err != nil || e != nil {
-			t.Errorf("claim of a prepared entry = %v, %v", e, err)
-		}
-		if e, err := q.Peek(); err != nil || e != nil {
-			t.Errorf("peek of a prepared entry = %v, %v", e, err)
-		}
-		if n, err := q.Len(); err != nil || n != 0 {
-			t.Errorf("Len = %d, %v; want 0", n, err)
-		}
-		if es, err := q.Entries(); err != nil || len(es) != 0 {
-			t.Errorf("Entries = %v, %v; want none", es, err)
-		}
-		if staged, err := q.StagedTxns(); err != nil || !reflect.DeepEqual(staged, []string{"tx1"}) {
-			t.Errorf("staged = %v, %v; want tx1 still in doubt", staged, err)
-		}
-		if err := q.Enqueue("later", []byte("d2")); err != nil {
-			t.Fatal(err)
-		}
-		if n, _ := q.Len(); n != 1 {
-			t.Errorf("Len beside a prepared entry = %d, want 1", n)
-		}
-		if err := q.CommitStaged("tx1"); err != nil {
-			t.Fatal(err)
-		}
-		es, err := q.Entries()
-		if err != nil || len(es) != 2 || es[0].ID != "staged" || string(es[0].Data) != "d1" || es[1].ID != "later" {
-			t.Fatalf("entries after commit = %v, %v; want staged then later", es, err)
-		}
-		if staged, _ := q.StagedTxns(); len(staged) != 0 {
-			t.Errorf("staged after commit = %v", staged)
-		}
-	})
-}
-
-// TestQueueAbortLeavesNoOrphan: aborting a prepared insertion removes the
-// entry with its marker. An entry key left behind would surface in the next
-// Queue over the store — an agent executed twice.
-func TestQueueAbortLeavesNoOrphan(t *testing.T) {
-	storeImpls(t, func(t *testing.T, s stable.Store) {
-		q := stable.NewQueue(s, "q/")
-		if err := q.Prepare("tx1", "agent1", []byte("d1")); err != nil {
-			t.Fatal(err)
-		}
-		if err := q.AbortStaged("tx1"); err != nil {
-			t.Fatal(err)
-		}
-		if n, err := stable.NewQueue(s, "q/").Len(); err != nil || n != 0 {
-			t.Errorf("Len after abort and restart = %d, %v; want 0", n, err)
-		}
-		if keys, err := s.Keys("q/"); err != nil || !reflect.DeepEqual(keys, []string{"q/seq"}) {
-			t.Errorf("keys after abort = %q, %v; want q/seq alone", keys, err)
-		}
-	})
-}
-
-// TestQueueTryClaimHidden: the targeted claim refuses the key of a
-// prepared entry. The key comes from a second store where the same
-// reservation was committed.
-func TestQueueTryClaimHidden(t *testing.T) {
-	storeImpls(t, func(t *testing.T, s stable.Store) {
-		other := stable.NewQueue(stable.NewMemStore(nil), "q/")
-		if err := other.Prepare("tx1", "agent1", []byte("d1")); err != nil {
-			t.Fatal(err)
-		}
-		if err := other.CommitStaged("tx1"); err != nil {
-			t.Fatal(err)
-		}
-		es, err := other.Entries()
-		if err != nil || len(es) != 1 {
-			t.Fatalf("entries = %v, %v", es, err)
-		}
-		q := stable.NewQueue(s, "q/")
-		if err := q.Prepare("tx1", "agent1", []byte("d1")); err != nil {
-			t.Fatal(err)
-		}
-		if e, ok, err := q.TryClaim(es[0]); err != nil || ok || e != nil {
-			t.Errorf("TryClaim of a prepared entry = %v, %v, %v; want a refusal", e, ok, err)
-		}
-		if err := q.CommitStaged("tx1"); err != nil {
-			t.Fatal(err)
-		}
-		if e, ok, err := q.TryClaim(es[0]); err != nil || !ok || e.ID != "agent1" {
-			t.Errorf("TryClaim after commit = %v, %v, %v", e, ok, err)
-		}
-	})
-}
-
-// TestQueueStagedSettlesOnce: a retried Prepare, a second CommitStaged and
-// an AbortStaged that arrives after the commit are no-ops; none of them
-// duplicates or deletes the visible entry.
-func TestQueueStagedSettlesOnce(t *testing.T) {
-	storeImpls(t, func(t *testing.T, s stable.Store) {
-		q := stable.NewQueue(s, "q/")
-		if err := q.Prepare("tx1", "agent1", []byte("d1")); err != nil {
-			t.Fatal(err)
-		}
-		if err := q.Prepare("tx1", "agent1", []byte("d1")); err != nil {
-			t.Fatal(err)
-		}
-		if keys, _ := s.Keys("q/e/"); len(keys) != 1 {
-			t.Fatalf("retried Prepare wrote %q, want one entry", keys)
-		}
-		for _, settle := range []func(string) error{q.CommitStaged, q.CommitStaged, q.AbortStaged} {
-			if err := settle("tx1"); err != nil {
-				t.Fatal(err)
-			}
-			for _, q := range []*stable.Queue{q, stable.NewQueue(s, "q/")} {
-				if es, err := q.Entries(); err != nil || len(es) != 1 || es[0].ID != "agent1" || string(es[0].Data) != "d1" {
-					t.Fatalf("entries = %v, %v; want agent1 alone", es, err)
-				}
-			}
-		}
-		if err := q.AbortStaged("never-prepared"); err != nil {
-			t.Fatal(err)
-		}
-	})
-}
-
-// TestQueueStagedWritesContainerOnce pins the write volume of a two-phase
-// insertion: the container reaches stable storage once, at prepare, with a
-// marker and a counter of a few bytes beside it, and the commit writes no
-// value and reads none.
-func TestQueueStagedWritesContainerOnce(t *testing.T) {
+// TestQueueEnqueueWritesContainerOnce pins the write volume of the
+// decider's side of a hand-off: one Enqueue batch carries the container
+// once, the counter and the caller's commit record (a few bytes), and
+// reads nothing; the entry is visible at once.
+func TestQueueEnqueueWritesContainerOnce(t *testing.T) {
 	c := &metrics.Counters{}
 	s := &getCounter{Store: stable.NewMemStore(c)}
 	q := stable.NewQueue(s, "q/")
+	if _, err := q.Len(); err != nil { // load before counting reads
+		t.Fatal(err)
+	}
 	const n = 8 << 10
-	if err := q.Prepare("co#1", "agent1", make([]byte, n)); err != nil {
-		t.Fatal(err)
-	}
-	prepared := c.Snapshot().StableBytes
-	if prepared < n || prepared > n+64 {
-		t.Errorf("Prepare of %d bytes wrote %d, want the container once and at most 64 beside it", n, prepared)
-	}
 	s.gets = 0
-	if err := q.CommitStaged("co#1"); err != nil {
+	if err := q.Enqueue("agent1", make([]byte, n), stable.Put("txn/outcome/co#1", []byte{0x90, 0x3a, 1, 1})); err != nil {
 		t.Fatal(err)
 	}
-	if total := c.Snapshot().StableBytes; total != prepared || s.gets != 0 {
-		t.Errorf("CommitStaged wrote %d value bytes and made %d store reads, want 0 and 0", total-prepared, s.gets)
+	if written := c.Snapshot().StableBytes; written < n || written > n+64 || s.gets != 0 {
+		t.Errorf("Enqueue of %d bytes with a record wrote %d and made %d reads, want the container once, at most 64 beside it and 0 reads", n, written, s.gets)
 	}
 	if e, err := q.Peek(); err != nil || e == nil || len(e.Data) != n {
-		t.Errorf("committed entry = %v, %v", e, err)
+		t.Errorf("entry = %v, %v", e, err)
+	}
+	if v, ok, err := s.Get("txn/outcome/co#1"); err != nil || !ok || len(v) != 4 {
+		t.Errorf("extra op = %q, %v, %v; want it in the same batch", v, ok, err)
 	}
 }
 
@@ -479,14 +315,14 @@ func TestQueueClaimCachedIDsStayCorrect(t *testing.T) {
 }
 
 // TestQueueKeyNamesAgent: the entry key carries the agent ID and the value
-// the bare data, whichever of the three write paths made the entry — an ID
+// the bare data, whichever of the write paths made the entry — an ID
 // with slashes in it and an entry without data included — and FIFO order
-// follows the reserved sequence numbers across all three.
+// follows the reserved sequence numbers across all of them.
 func TestQueueKeyNamesAgent(t *testing.T) {
 	storeImpls(t, func(t *testing.T, s stable.Store) {
 		q := stable.NewQueue(s, "q/")
-		// Reservation order: staged, direct, ops, direct without data.
-		if err := q.Prepare("co#1", "tenant/a/staged", []byte("staged-data")); err != nil {
+		// Reservation order: decided, direct, ops, direct without data.
+		if err := q.Enqueue("tenant/a/decided", []byte("decided-data"), stable.Put("rec", []byte{1})); err != nil {
 			t.Fatal(err)
 		}
 		if err := q.Enqueue("tenant/a/direct", []byte("direct-data")); err != nil {
@@ -503,11 +339,8 @@ func TestQueueKeyNamesAgent(t *testing.T) {
 		if err := tx.Commit(); err != nil {
 			t.Fatal(err)
 		}
-		if err := q.CommitStaged("co#1"); err != nil {
-			t.Fatal(err)
-		}
 		want := [][2]string{
-			{"tenant/a/staged", "staged-data"}, {"tenant/a/direct", "direct-data"},
+			{"tenant/a/decided", "decided-data"}, {"tenant/a/direct", "direct-data"},
 			{"tenant/b//ops", "ops-data"}, {"bare", ""},
 		}
 		keys, err := s.Keys("q/e/")

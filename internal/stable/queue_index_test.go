@@ -92,7 +92,6 @@ func runQueueModel(t *testing.T, s stable.Store, r *rand.Rand, steps int) {
 	}
 	q := stable.NewQueue(s, "q/")
 	var claimed []*stable.Entry // held by the model's workers
-	var open []string           // prepared, unsettled
 	n := 0
 	data := func() []byte { n++; return []byte(fmt.Sprint("d", n)) }
 	agent := func() string { return fmt.Sprint("ag", r.Intn(4)) }
@@ -110,25 +109,9 @@ func runQueueModel(t *testing.T, s stable.Store, r *rand.Rand, steps int) {
 			if err := q.Enqueue(agent(), data()); err != nil {
 				t.Fatal(err)
 			}
-		case c == 1:
-			op = "prepare"
-			txnID := fmt.Sprint("co#", step)
-			if err := q.Prepare(txnID, agent(), data()); err != nil {
-				t.Fatal(err)
-			}
-			open = append(open, txnID)
-		case c == 2 && len(open) > 0, c == 3 && len(open) > 0:
-			k := r.Intn(len(open))
-			txnID := open[k]
-			open = append(open[:k], open[k+1:]...)
-			if c == 2 {
-				op = "commit-staged"
-				err = q.CommitStaged(txnID)
-			} else {
-				op = "abort-staged"
-				err = q.AbortStaged(txnID)
-			}
-			if err != nil {
+		case c == 1, c == 2, c == 3:
+			op = "enqueue-with-ops"
+			if err := q.Enqueue(agent(), data(), stable.Put(fmt.Sprint("rec/", step), []byte{1})); err != nil {
 				t.Fatal(err)
 			}
 		case c == 4, c == 5:
@@ -207,8 +190,8 @@ func runQueueModel(t *testing.T, s stable.Store, r *rand.Rand, steps int) {
 
 // TestQueueIndexListsOnce: after the first load, 1 000 step-shaped
 // cycles — claim, remove and re-enqueue in one committed transaction,
-// release — and the Len, Peek, Entries and StagedTxns around them list
-// the store's keys zero times.
+// release — and the Len, Peek and Entries around them list the store's
+// keys zero times.
 func TestQueueIndexListsOnce(t *testing.T) {
 	s := &getCounter{Store: stable.NewMemStore(nil)}
 	m, err := txn.NewManager("n", s)
@@ -220,9 +203,6 @@ func TestQueueIndexListsOnce(t *testing.T) {
 		if err := q.Enqueue(fmt.Sprint("ag", i), []byte("d")); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := q.Prepare("co#1", "staged", []byte("d")); err != nil {
-		t.Fatal(err)
 	}
 	s.keys = 0
 	for i := 0; i < 1000; i++ {
@@ -250,9 +230,6 @@ func TestQueueIndexListsOnce(t *testing.T) {
 		}
 		if _, err := q.Entries(); err != nil {
 			t.Fatal(err)
-		}
-		if staged, err := q.StagedTxns(); err != nil || len(staged) != 1 {
-			t.Fatalf("cycle %d: StagedTxns = %v, %v", i, staged, err)
 		}
 	}
 	if s.keys != 0 {

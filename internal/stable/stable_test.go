@@ -9,45 +9,6 @@ import (
 // queue linearization) lives in the shared suite: see storetest and
 // conformance_test.go, which run it against every engine.
 
-func TestQueueAbortStaged(t *testing.T) {
-	s := NewMemStore(nil)
-	q := NewQueue(s, "q/")
-	if err := q.Prepare("tx1", "a", []byte("d")); err != nil {
-		t.Fatal(err)
-	}
-	if err := q.AbortStaged("tx1"); err != nil {
-		t.Fatal(err)
-	}
-	if staged, _ := q.StagedTxns(); len(staged) != 0 {
-		t.Errorf("staged after abort = %v", staged)
-	}
-	// Commit after abort is a no-op (no resurrection).
-	if err := q.CommitStaged("tx1"); err != nil {
-		t.Fatal(err)
-	}
-	if e, _ := q.Peek(); e != nil {
-		t.Error("aborted entry resurrected by commit")
-	}
-}
-
-func TestQueueStagedKeepsReservedPosition(t *testing.T) {
-	s := NewMemStore(nil)
-	q := NewQueue(s, "q/")
-	if err := q.Prepare("tx1", "early", nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := q.Enqueue("late", nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := q.CommitStaged("tx1"); err != nil {
-		t.Fatal(err)
-	}
-	e, err := q.Peek()
-	if err != nil || e == nil || e.ID != "early" {
-		t.Errorf("head = %v, want early (reserved position)", e)
-	}
-}
-
 func TestQueueNotify(t *testing.T) {
 	s := NewMemStore(nil)
 	q := NewQueue(s, "q/")

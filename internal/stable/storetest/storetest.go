@@ -195,10 +195,11 @@ func testBatchAtomicity(t *testing.T, f Factory) {
 	}
 }
 
-// testQueueLinearization: any random interleaving of direct enqueues and
-// prepare/commit/abort staged insertions over the store yields exactly
-// the committed entries, in reservation order, with no duplicates or
-// resurrections.
+// testQueueLinearization: any random interleaving of direct enqueues,
+// enqueues that carry a caller's ops (a hand-off decider's commit record)
+// and insertions that land with a caller's transaction, committed or
+// aborted in any order, yields exactly the committed entries, in
+// reservation order, with no duplicates or resurrections.
 func testQueueLinearization(t *testing.T, f Factory) {
 	err := quick.Check(func(seed int64, nRaw uint8) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -207,12 +208,29 @@ func testQueueLinearization(t *testing.T, f Factory) {
 		defer closeStore(s)
 		q := stable.NewQueue(s, "q/")
 
-		type staged struct {
-			txn string
-			id  string
-		}
-		var open []staged     // prepared, undecided
+		var open []*batchTx   // insertions whose transaction is undecided
 		var expected []string // ids in reservation order, "" = never visible
+		settle := func(k int, commit bool) bool {
+			tx := open[k]
+			open = append(open[:k], open[k+1:]...)
+			if commit {
+				if s.Apply(tx.ops...) != nil {
+					return false
+				}
+				for _, fn := range tx.hooks {
+					fn()
+				}
+			}
+			for j, e := range expected {
+				if e == "pending:"+tx.id {
+					expected[j] = ""
+					if commit {
+						expected[j] = tx.id
+					}
+				}
+			}
+			return true
+		}
 
 		for i := 0; i < n; i++ {
 			switch r.Intn(4) {
@@ -222,54 +240,32 @@ func testQueueLinearization(t *testing.T, f Factory) {
 					return false
 				}
 				expected = append(expected, id)
-			case 1: // prepare
-				st := staged{txn: fmt.Sprintf("t%d", i), id: fmt.Sprintf("staged%d", i)}
-				if err := q.Prepare(st.txn, st.id, []byte(st.id)); err != nil {
+			case 1: // enqueue with the caller's ops in the same batch
+				id := fmt.Sprintf("decided%d", i)
+				if err := q.Enqueue(id, []byte(id), stable.Put("rec/"+id, []byte{1})); err != nil {
 					return false
 				}
-				open = append(open, st)
-				expected = append(expected, "pending:"+st.txn)
-			case 2: // commit one open staging
-				if len(open) == 0 {
-					continue
-				}
-				k := r.Intn(len(open))
-				st := open[k]
-				open = append(open[:k], open[k+1:]...)
-				if err := q.CommitStaged(st.txn); err != nil {
+				if _, ok, err := s.Get("rec/" + id); err != nil || !ok {
 					return false
 				}
-				for j, e := range expected {
-					if e == "pending:"+st.txn {
-						expected[j] = st.id
-					}
-				}
-			default: // abort one open staging
-				if len(open) == 0 {
-					continue
-				}
-				k := r.Intn(len(open))
-				st := open[k]
-				open = append(open[:k], open[k+1:]...)
-				if err := q.AbortStaged(st.txn); err != nil {
+				expected = append(expected, id)
+			case 2: // insertion that lands with a transaction
+				tx := &batchTx{id: fmt.Sprintf("tx%d", i)}
+				if err := q.EnqueueIn(tx, tx.id, []byte(tx.id)); err != nil {
 					return false
 				}
-				for j, e := range expected {
-					if e == "pending:"+st.txn {
-						expected[j] = ""
-					}
+				open = append(open, tx)
+				expected = append(expected, "pending:"+tx.id)
+			default: // settle one open transaction either way
+				if len(open) > 0 && !settle(r.Intn(len(open)), r.Intn(2) == 0) {
+					return false
 				}
 			}
 		}
 		// Abort everything still open so visibility is final.
-		for _, st := range open {
-			if err := q.AbortStaged(st.txn); err != nil {
+		for len(open) > 0 {
+			if !settle(0, false) {
 				return false
-			}
-			for j, e := range expected {
-				if e == "pending:"+st.txn {
-					expected[j] = ""
-				}
 			}
 		}
 		// Drain and compare.
@@ -462,3 +458,14 @@ func verifyModel(t *testing.T, s stable.Store, model map[string]string) {
 func closeStore(s stable.Store) {
 	_ = stable.Close(s)
 }
+
+// batchTx is the smallest stable.Tx: its ops and hooks, applied by the
+// test when it decides to commit.
+type batchTx struct {
+	id    string
+	ops   []stable.Op
+	hooks []func()
+}
+
+func (tx *batchTx) AddCommitOps(ops ...stable.Op) { tx.ops = append(tx.ops, ops...) }
+func (tx *batchTx) OnCommit(fn func())            { tx.hooks = append(tx.hooks, fn) }

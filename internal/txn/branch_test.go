@@ -43,9 +43,13 @@ func preparedBranch(t testing.TB) (ops []stable.Op, raw []byte) {
 // start is node's TestRefusesGobContainers.)
 func TestBranchRecordRoundTrip(t *testing.T) {
 	ops, raw := preparedBranch(t)
-	got, err := parseBranch(raw)
-	if err != nil || !reflect.DeepEqual(got, ops) {
-		t.Fatalf("parseBranch = %#v, %v; want %#v", got, err, ops)
+	decider, got, err := parseBranch(raw)
+	if err != nil || decider != "" || !reflect.DeepEqual(got, ops) {
+		t.Fatalf("parseBranch = %q, %#v, %v; want %#v", decider, got, err, ops)
+	}
+	delegated := appendBranch(nil, "d", ops)
+	if decider, got, err := parseBranch(delegated); err != nil || decider != "d" || !reflect.DeepEqual(got, ops) {
+		t.Fatalf("parseBranch(delegated) = %q, %#v, %v; want d, %#v", decider, got, err, ops)
 	}
 	old, err := os.ReadFile(filepath.Join("testdata", "branch-gob-60b3006.bin"))
 	if err != nil {
@@ -71,14 +75,15 @@ func TestBranchRecordRoundTrip(t *testing.T) {
 func FuzzBranchRecord(f *testing.F) {
 	_, raw := preparedBranch(f)
 	f.Add(raw)
-	f.Add(appendBranch(nil, nil))
+	f.Add(appendBranch(nil, "", nil))
+	f.Add(appendBranch(nil, "dest", []stable.Op{stable.Del("q/e/1/a")}))
 	if old, err := os.ReadFile(filepath.Join("testdata", "branch-gob-60b3006.bin")); err == nil {
 		f.Add(old)
 	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		ops, err := parseBranch(raw)
+		decider, ops, err := parseBranch(raw)
 		runtime.ReadMemStats(&after)
 		if n, limit := after.TotalAlloc-before.TotalAlloc, uint64(64*len(raw)+1<<16); n > limit {
 			t.Fatalf("parsing %d bytes allocated %d, want <= %d", len(raw), n, limit)
@@ -89,7 +94,29 @@ func FuzzBranchRecord(f *testing.F) {
 			}
 			return
 		}
-		if again := appendBranch(nil, ops); !bytes.Equal(again, raw) {
+		if again := appendBranch(nil, decider, ops); !bytes.Equal(again, raw) {
+			t.Fatalf("record does not re-encode to itself:\n got % x\nwant % x", again, raw)
+		}
+	})
+}
+
+// FuzzOutcomeRecord fuzzes the decoder of the decider's commit records
+// and fences (txn/outcome/), read off a disk at recovery: parseOutcome
+// never panics, refuses as wire.ErrCorrupt, and accepts only what
+// re-encodes to the same bytes.
+func FuzzOutcomeRecord(f *testing.F) {
+	f.Add(appendOutcome(nil, true, 17))
+	f.Add(appendOutcome(nil, false, 0))
+	f.Add([]byte{0x90, 0x3a, 2, 1})
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		commit, mark, err := parseOutcome(raw)
+		if err != nil {
+			if !errors.Is(err, wire.ErrCorrupt) {
+				t.Fatalf("refused with %v, want wire.ErrCorrupt", err)
+			}
+			return
+		}
+		if again := appendOutcome(nil, commit, mark); !bytes.Equal(again, raw) {
 			t.Fatalf("record does not re-encode to itself:\n got % x\nwant % x", again, raw)
 		}
 	})

@@ -23,12 +23,19 @@
 // effects (DecisionOp) and then drives participants; a participant that
 // recovers with an in-doubt branch asks the coordinator and aborts if no
 // decision record exists (presumed abort).
+//
+// A queue hand-off turns this around (DESIGN.md §5): the source prepares
+// its own transaction as a branch naming the node that receives the
+// container (Tx.PrepareDelegated), and that node decides, writing its
+// verdict as an outcome record (OutcomeOp). The source's Mark bounds
+// which of those records the decider may collect.
 package txn
 
 import (
 	"errors"
 	"fmt"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -135,8 +142,9 @@ type Manager struct {
 	store stable.Store
 
 	mu       sync.Mutex
-	seq      uint64 // last ID handed out
-	reserved uint64 // persisted high-water mark: IDs up to it need no write
+	seq      uint64              // last ID handed out
+	reserved uint64              // persisted high-water mark: IDs up to it need no write
+	open     map[uint64]struct{} // own transactions not yet settled (see Mark)
 
 	// LockTimeout bounds lock waits; expiry aborts the acquiring
 	// transaction (the paper lists deadlocks among the abort causes of
@@ -162,9 +170,10 @@ func (m *Manager) traceOp(op, id string) {
 
 // NewManager returns a Manager persisting into store. The transaction-ID
 // counter restarts from the persisted high-water mark, so IDs stay unique
-// across restarts (the unused rest of the last block is skipped).
+// across restarts (the unused rest of the last block is skipped). Its own
+// prepared branches that survived a crash stay open until resolved.
 func NewManager(node string, store stable.Store) (*Manager, error) {
-	m := &Manager{node: node, store: store, LockTimeout: 2 * time.Second}
+	m := &Manager{node: node, store: store, LockTimeout: 2 * time.Second, open: make(map[uint64]struct{})}
 	raw, ok, err := store.Get(m.seqKey())
 	if err != nil {
 		return nil, err
@@ -176,7 +185,54 @@ func NewManager(node string, store stable.Store) (*Manager, error) {
 		}
 		m.seq, m.reserved = n, n
 	}
+	ids, err := m.InDoubtBranches()
+	if err != nil {
+		return nil, err
+	}
+	for _, id := range ids {
+		if seq, ok := m.ownSeq(id); ok {
+			m.open[seq] = struct{}{}
+		}
+	}
 	return m, nil
+}
+
+// ownSeq returns the sequence number of one of this manager's IDs
+// ("<node>#<seq>"); ok is false for any other ID.
+func (m *Manager) ownSeq(id string) (uint64, bool) {
+	rest, ok := strings.CutPrefix(id, m.node+"#")
+	if !ok {
+		return 0, false
+	}
+	seq, err := strconv.ParseUint(rest, 10, 64)
+	return seq, err == nil
+}
+
+// Mark is the watermark a source sends its deciders (DESIGN.md §5): the
+// lowest sequence number among this manager's transactions not yet
+// settled — begun and not yet committed or aborted, prepared, or
+// recovered in doubt — or the next sequence number if there are none.
+// Every transaction below the mark has settled, so it will never ask a
+// decider again. Active transactions count because one begun earlier
+// may still hand off later.
+func (m *Manager) Mark() uint64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	mark := m.seq + 1
+	for seq := range m.open {
+		mark = min(mark, seq)
+	}
+	return mark
+}
+
+// settle takes an own transaction out of the open set.
+func (m *Manager) settle(seq uint64) {
+	if seq == 0 {
+		return // a foreign ID (BeginWithID): never counted
+	}
+	m.mu.Lock()
+	delete(m.open, seq)
+	m.mu.Unlock()
 }
 
 // BranchPrefix prefixes the durable record of every prepared branch.
@@ -201,24 +257,37 @@ const idBlock = 64
 func (m *Manager) NewID() (string, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	seq, err := m.nextSeq()
+	if err != nil {
+		return "", err
+	}
+	return m.node + "#" + strconv.FormatUint(seq, 10), nil
+}
+
+// nextSeq hands out the next sequence number. The caller holds m.mu.
+func (m *Manager) nextSeq() (uint64, error) {
 	if m.seq == m.reserved {
 		mark := m.reserved + idBlock
 		if err := m.store.Apply(stable.Put(m.seqKey(), []byte(strconv.FormatUint(mark, 10)))); err != nil {
-			return "", err
+			return 0, err
 		}
 		m.reserved = mark
 	}
 	m.seq++
-	return m.node + "#" + strconv.FormatUint(m.seq, 10), nil
+	return m.seq, nil
 }
 
-// Begin starts a local transaction with a fresh ID.
+// Begin starts a local transaction with a fresh ID. It holds Mark at or
+// below its sequence number until it settles.
 func (m *Manager) Begin() (*Tx, error) {
-	id, err := m.NewID()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	seq, err := m.nextSeq()
 	if err != nil {
 		return nil, err
 	}
-	return m.BeginWithID(id), nil
+	m.open[seq] = struct{}{}
+	return &Tx{id: m.node + "#" + strconv.FormatUint(seq, 10), seq: seq, mgr: m, status: StatusActive}, nil
 }
 
 // BeginWithID starts a local transaction under an externally supplied ID
@@ -231,6 +300,7 @@ func (m *Manager) BeginWithID(id string) *Tx {
 // runtime drives each transaction from a single goroutine.
 type Tx struct {
 	id     string
+	seq    uint64 // own sequence number (Begin); 0 under a foreign ID
 	mgr    *Manager
 	status Status
 
@@ -298,6 +368,7 @@ func (tx *Tx) committed(op string) {
 	for _, fn := range tx.onCommit {
 		fn()
 	}
+	tx.mgr.settle(tx.seq)
 	tx.mgr.traceOp(op, tx.id)
 	tx.releaseLocks()
 }
@@ -379,6 +450,7 @@ func (tx *Tx) Abort() error {
 		tx.undo[i]()
 	}
 	tx.status = StatusAborted
+	tx.mgr.settle(tx.seq)
 	tx.mgr.traceOp("abort", tx.id)
 	tx.releaseLocks()
 	return nil
@@ -388,7 +460,15 @@ func (tx *Tx) Abort() error {
 // batch is persisted under the transaction ID while locks stay held. After
 // Prepare, the branch survives crashes and must be resolved by
 // CommitPrepared, Abort, or (post-crash) Manager.ResolveBranch.
-func (tx *Tx) Prepare() error {
+func (tx *Tx) Prepare() error { return tx.prepare("") }
+
+// PrepareDelegated is Prepare for a transaction whose outcome another
+// node decides: a queue hand-off's source, with decider the node that
+// receives the container. The record names the decider, so a recovered
+// branch knows whom to ask (Manager.Decider).
+func (tx *Tx) PrepareDelegated(decider string) error { return tx.prepare(decider) }
+
+func (tx *Tx) prepare(decider string) error {
 	if tx.status != StatusActive {
 		return fmt.Errorf("%w: %s", ErrNotActive, tx.status)
 	}
@@ -396,7 +476,7 @@ func (tx *Tx) Prepare() error {
 	if err != nil {
 		return fmt.Errorf("txn %s: prepare: %w", tx.id, err)
 	}
-	if err := tx.mgr.store.Apply(stable.Put(tx.mgr.branchKey(tx.id), appendBranch(nil, ops))); err != nil {
+	if err := tx.mgr.store.Apply(stable.Put(tx.mgr.branchKey(tx.id), appendBranch(nil, decider, ops))); err != nil {
 		return fmt.Errorf("txn %s: prepare: %w", tx.id, err)
 	}
 	// Pin the materialized batch so CommitPrepared applies exactly what
@@ -456,6 +536,27 @@ func (m *Manager) Decided(id string) (bool, error) {
 	return ok, err
 }
 
+// Prepared reports whether a prepared branch record exists for id.
+func (m *Manager) Prepared(id string) (bool, error) {
+	_, ok, err := m.store.Get(m.branchKey(id))
+	return ok, err
+}
+
+// Decider returns the node that decides the prepared branch id — "" for
+// a branch its coordinator decides (Prepare rather than
+// PrepareDelegated) or for no branch at all.
+func (m *Manager) Decider(id string) (string, error) {
+	raw, ok, err := m.store.Get(m.branchKey(id))
+	if err != nil || !ok {
+		return "", err
+	}
+	decider, _, err := parseBranch(raw)
+	if err != nil {
+		return "", fmt.Errorf("txn: corrupt branch %q: %w", id, err)
+	}
+	return decider, nil
+}
+
 // InDoubtBranches lists prepared branches surviving a crash.
 func (m *Manager) InDoubtBranches() ([]string, error) {
 	keys, err := m.store.Keys(BranchPrefix)
@@ -481,12 +582,17 @@ func (m *Manager) ResolveBranch(id string, commit bool) error {
 	if !ok {
 		return nil // already resolved
 	}
-	if !commit {
-		return m.store.Apply(stable.Del(m.branchKey(id)))
+	var ops []stable.Op
+	if commit {
+		if _, ops, err = parseBranch(raw); err != nil {
+			return fmt.Errorf("txn: corrupt branch %q: %w", id, err)
+		}
 	}
-	ops, err := parseBranch(raw)
-	if err != nil {
-		return fmt.Errorf("txn: corrupt branch %q: %w", id, err)
+	if err := m.store.Apply(append(ops, stable.Del(m.branchKey(id)))...); err != nil {
+		return err
 	}
-	return m.store.Apply(append(ops, stable.Del(m.branchKey(id)))...)
+	if seq, own := m.ownSeq(id); own {
+		m.settle(seq)
+	}
+	return nil
 }

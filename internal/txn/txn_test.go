@@ -408,3 +408,53 @@ func TestOnCommitHooks(t *testing.T) {
 		t.Errorf("a hook ran for a batch that failed to apply: %v", ran)
 	}
 }
+
+// TestMarkTracksUnsettledTransactions: the mark is the lowest own
+// transaction not yet settled — active, prepared, or recovered in doubt
+// by a fresh manager over the same store — and the next sequence number
+// once everything settled. Foreign IDs never hold it back.
+func TestMarkTracksUnsettledTransactions(t *testing.T) {
+	m, store := newMgr(t)
+	if got := m.Mark(); got != 1 {
+		t.Fatalf("fresh mark = %d, want 1", got)
+	}
+	t1, _ := m.Begin()
+	t2, _ := m.Begin()
+	foreign := m.BeginWithID("co#1")
+	if got := m.Mark(); got != 1 {
+		t.Fatalf("mark with n1#1 active = %d, want 1", got)
+	}
+	if err := t1.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Mark(); got != 2 {
+		t.Fatalf("mark after committing n1#1 = %d, want 2", got)
+	}
+	t2.AddCommitOps(stable.Put("k", []byte("v")))
+	if err := t2.PrepareDelegated("d"); err != nil {
+		t.Fatal(err)
+	}
+	if err := foreign.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Mark(); got != 2 {
+		t.Fatalf("mark with n1#2 prepared = %d, want 2", got)
+	}
+	// A crash: the prepared branch is all that survives.
+	m2, err := NewManager("n1", store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m2.Mark(); got != 2 {
+		t.Fatalf("recovered mark = %d, want 2 (the in-doubt branch)", got)
+	}
+	if d, err := m2.Decider(t2.ID()); err != nil || d != "d" {
+		t.Fatalf("Decider = %q, %v; want d", d, err)
+	}
+	if err := m2.ResolveBranch(t2.ID(), true); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := m2.Mark(), uint64(idBlock+1); got != want {
+		t.Fatalf("mark after resolving = %d, want %d (the next ID after the restart)", got, want)
+	}
+}
