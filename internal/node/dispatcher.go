@@ -201,9 +201,10 @@ func (n *Node) queryEvent(txnID, from string) (protocol.QueryReceived, bool) {
 	if protocol.Coordinator(txnID) != n.cfg.Name {
 		return ev, true // a source asks its decider: the machine knows
 	}
-	var err1, err2 error
-	ev.StoreDecided, err1 = n.mgr.Decided(txnID)
-	ev.StorePrepared, err2 = n.mgr.Prepared(txnID)
+	decider, err1 := n.mgr.Decider(txnID)
+	ev.StorePrepared = decider != ""
+	var err2 error
+	ev.StoreDecided, err2 = n.mgr.Decided(txnID)
 	return ev, err1 == nil && err2 == nil
 }
 
@@ -219,8 +220,6 @@ func (n *Node) applyEffect(eff protocol.Effect, b *outBatch) {
 		n.sendHandoff(e, b)
 	case protocol.DeliverAck:
 		n.deliverAck(e.Kind, e.TxnID, protocol.AckMsg{TxnID: e.TxnID, OK: e.OK, Err: e.Err})
-	case protocol.DeliverOutcome:
-		n.deliverAck(protocol.KindOutcome, e.TxnID, protocol.AckMsg{TxnID: e.TxnID, OK: e.Commit})
 	case protocol.Decide:
 		n.decide(e, b)
 	case protocol.DropOutcomes:
@@ -275,7 +274,7 @@ func (n *Node) sendHandoff(e protocol.SendHandoff, b *outBatch) {
 	msgs := append([]network.Outgoing{{Kind: protocol.KindEnqueuePrepare, Payload: data}}, n.takeHeld(e.To)...)
 	n.cfg.Tracer.Rec(trace.OpBatchFlush, "", "", "", e.To, "", int64(len(msgs)))
 	if err := n.ep.SendBatch(e.To, msgs); errors.Is(err, network.ErrUnreachable) {
-		n.stepInto(protocol.HandoffUnreachable{TxnID: e.Msg.TxnID}, b)
+		n.stepInto(protocol.OutcomeReceived{TxnID: e.Msg.TxnID, Err: err.Error()}, b)
 	}
 }
 

@@ -1,0 +1,23 @@
+package node
+
+import (
+	"testing"
+
+	"repro/internal/network"
+)
+
+// The durable points of a hand-off, for crash tests outside the package.
+const (
+	PointSourcePrepared   = pointSourcePrepared
+	PointDeciderCommitted = pointDeciderCommitted
+	PointSourceDecided    = pointSourceDecided
+)
+
+// SetCrashAt installs the hand-off crash hook (crashAt) for the test.
+func SetCrashAt(t testing.TB, f func(node, point string) bool) {
+	crashAt = f
+	t.Cleanup(func() { crashAt = nil })
+}
+
+// Deliver hands msg to the node's dispatcher as if it had arrived.
+func (n *Node) Deliver(msg network.Message) { n.handle(msg) }

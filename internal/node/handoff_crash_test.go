@@ -1,0 +1,254 @@
+package node_test
+
+import (
+	"errors"
+	"fmt"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/agent"
+	"repro/internal/cluster"
+	"repro/internal/core"
+	"repro/internal/itinerary"
+	"repro/internal/network"
+	"repro/internal/node"
+	"repro/internal/protocol"
+	"repro/internal/resource"
+	"repro/internal/stable"
+	_ "repro/internal/stable/wal" // registers the wal engine
+	"repro/internal/trace"
+	"repro/internal/txn"
+)
+
+var crashNodes = []string{"n0", "n1", "n2"}
+
+const crashSeed = 100
+
+// crashCluster starts three nodes with a bank each on engine; every
+// "deposit" step moves one unit from the node's pool to its sink.
+func crashCluster(t *testing.T, engine string) *cluster.Cluster {
+	t.Helper()
+	spec := stable.Spec{Engine: engine}
+	if engine != "mem" {
+		spec.Dir = t.TempDir()
+	}
+	cl := cluster.New(cluster.Options{
+		AckTimeout: 200 * time.Millisecond,
+		RetryDelay: 5 * time.Millisecond,
+		Store:      spec,
+	})
+	for _, n := range crashNodes {
+		err := cl.AddNode(n, func(s stable.Store) (resource.Resource, error) { return resource.NewBank(s, "bank", false) })
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	err := cl.Registry().RegisterStep("deposit", func(ctx agent.StepContext) error {
+		r, ok := ctx.Resource("bank")
+		if !ok {
+			return errors.New("no bank")
+		}
+		return r.(*resource.Bank).Transfer(ctx.Tx(), "pool", "sink", 1)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+	for _, n := range crashNodes {
+		err := cl.WithTx(n, func(tx *txn.Tx, nd *node.Node) error {
+			r, _ := nd.Resource("bank")
+			b := r.(*resource.Bank)
+			if err := b.OpenAccount(tx, "pool", crashSeed); err != nil {
+				return err
+			}
+			return b.OpenAccount(tx, "sink", 0)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return cl
+}
+
+// tourAgent is an agent depositing once on each node, n0 → n1 → n2.
+func tourAgent(t *testing.T, id string) (*agent.Agent, []string) {
+	t.Helper()
+	sub := &itinerary.Sub{ID: "tour-" + id}
+	for _, n := range crashNodes {
+		sub.Entries = append(sub.Entries, itinerary.Step{Method: "deposit", Loc: n})
+	}
+	it, err := itinerary.New(sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, entered, err := agent.New(id, "", it)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a, entered
+}
+
+// awaitAgent waits for the agent's one result and checks that no second
+// one follows.
+func awaitAgent(t *testing.T, ch <-chan cluster.Result) {
+	t.Helper()
+	select {
+	case res := <-ch:
+		if res.Failed {
+			t.Fatalf("agent %s failed: %s", res.AgentID, res.Reason)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("agent never completed")
+	}
+}
+
+// checkQuiesced asserts every node's bank moved exactly one unit per
+// agent and conserved the rest, and that no prepared branch, commit
+// record or fence survives on any node.
+func checkQuiesced(t *testing.T, cl *cluster.Cluster, agents int) {
+	t.Helper()
+	if err := cl.AwaitReady(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		var left []string
+		for _, n := range crashNodes {
+			nd, _ := cl.Node(n)
+			for _, prefix := range []string{txn.BranchPrefix, txn.OutcomePrefix} {
+				keys, err := nd.Manager().Store().Keys(prefix)
+				if err != nil {
+					t.Fatal(err)
+				}
+				left = append(left, keys...)
+			}
+		}
+		if len(left) == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("records survive quiesce: %v", left)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	for _, n := range crashNodes {
+		err := cl.WithTx(n, func(tx *txn.Tx, nd *node.Node) error {
+			r, _ := nd.Resource("bank")
+			b := r.(*resource.Bank)
+			pool, err := b.Balance(tx, "pool")
+			if err != nil {
+				return err
+			}
+			sink, err := b.Balance(tx, "sink")
+			if err != nil {
+				return err
+			}
+			if sink != int64(agents) || pool+sink != crashSeed {
+				return fmt.Errorf("pool %d, sink %d; want sink %d and %d in all", pool, sink, agents, crashSeed)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Errorf("%s: %v", n, err)
+		}
+	}
+}
+
+// TestHandoffCrashAtEveryDurablePoint kills a node at each durable
+// point a hand-off adds — the source after its prepare and before the
+// send, the decider after its commit and before the outcome, the source
+// after the outcome and before it settles its branch — on the mem and
+// the wal engine. Each time the agent completes exactly once, every bank
+// moves exactly one unit, and no branch, commit record or fence
+// survives quiesce.
+func TestHandoffCrashAtEveryDurablePoint(t *testing.T) {
+	for _, engine := range []string{"mem", "wal"} {
+		for _, tc := range []struct{ node, point string }{
+			{"n0", node.PointSourcePrepared},
+			{"n1", node.PointDeciderCommitted},
+			{"n0", node.PointSourceDecided},
+		} {
+			t.Run(engine+"/"+tc.point, func(t *testing.T) {
+				cl := crashCluster(t, engine)
+				hit := make(chan struct{})
+				var once sync.Once
+				node.SetCrashAt(t, func(n, point string) bool {
+					if n != tc.node || point != tc.point {
+						return false
+					}
+					fired := false
+					once.Do(func() { fired = true; close(hit) })
+					return fired
+				})
+				a, entered := tourAgent(t, "crash-"+tc.point)
+				ch, err := cl.Launch(a, entered, "n0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				select {
+				case <-hit:
+				case <-time.After(10 * time.Second):
+					t.Fatalf("the hand-off never reached %s on %s", tc.point, tc.node)
+				}
+				if err := cl.Crash(tc.node); err != nil {
+					t.Fatal(err)
+				}
+				if err := cl.Recover(tc.node); err != nil {
+					t.Fatal(err)
+				}
+				awaitAgent(t, ch)
+				checkQuiesced(t, cl, 1)
+			})
+		}
+	}
+}
+
+// TestLateDuplicatePrepareAfterCollection delivers a copy of a settled
+// hand-off's prepare to its decider after the source's mark collected
+// the commit record: the decider drops it — no second entry, no new
+// record, no second deposit.
+func TestLateDuplicatePrepareAfterCollection(t *testing.T) {
+	for _, engine := range []string{"mem", "wal"} {
+		t.Run(engine, func(t *testing.T) {
+			cl := crashCluster(t, engine)
+			a, entered := tourAgent(t, "dup")
+			ch, err := cl.Launch(a, entered, "n0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			awaitAgent(t, ch)
+			checkQuiesced(t, cl, 1) // the mark has collected every record
+
+			// The first hand-off: n0's step transaction, decided by n1.
+			var txnID string
+			for _, r := range cl.TraceRecords() {
+				if r.Op == trace.OpAgentStep && r.Node == "n0" && r.Agent == "dup" {
+					txnID = r.Txn
+				}
+			}
+			if protocol.Coordinator(txnID) != "n0" {
+				t.Fatalf("no step transaction of n0 in the trace (%q)", txnID)
+			}
+			again, entered := tourAgent(t, "dup")
+			if err := node.AppendInitialSavepoints(again, entered, core.StateLogging); err != nil {
+				t.Fatal(err)
+			}
+			data, err := node.EncodeContainer(&node.Container{Mode: node.ModeStep, Agent: again})
+			if err != nil {
+				t.Fatal(err)
+			}
+			n1, _ := cl.Node("n1")
+			prep := &protocol.PrepareMsg{TxnID: txnID, EntryID: "dup", Mark: 1, Data: data}
+			n1.Deliver(network.Message{From: "n0", To: "n1", Kind: protocol.KindEnqueuePrepare, Payload: prep.AppendTo(nil)})
+			time.Sleep(50 * time.Millisecond)
+			if depth, err := n1.Queue().Len(); err != nil || depth != 0 {
+				t.Fatalf("decider queue after the late copy = %d, %v; want empty", depth, err)
+			}
+			checkQuiesced(t, cl, 1)
+		})
+	}
+}

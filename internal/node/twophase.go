@@ -70,17 +70,23 @@ func (n *Node) handOff(tx *txn.Tx, dest, entryID string, data []byte, parts []st
 	}
 	ch := n.registerWaiter(protocol.KindOutcome, tx.ID())
 	n.step(protocol.Delegate{TxnID: tx.ID(), Decider: dest, EntryID: entryID, Data: data, Mark: n.mgr.Mark()})
-	commit, err := n.awaitOutcome(ch, tx.ID())
+	out, err := n.awaitOutcome(ch, tx.ID())
 	if err != nil || n.crashed(pointSourceDecided) {
 		// Stopped: the branch stays prepared and recovery asks dest.
 		return errStopped
 	}
-	if !commit {
+	if !out.OK {
 		if count != nil {
 			count(-1)
 		}
 		_ = tx.Abort()
 		n.abortParts(tx, parts)
+		if out.Err != "" {
+			// Nothing left: dest is down or cut off. The attempt still
+			// costs AckTimeout, as waiting for the answer of a dead node
+			// did, so MaxAttempts spans as long an outage as before.
+			return n.pause(fmt.Errorf("node %s: hand-off to %s: %s", n.cfg.Name, dest, out.Err))
+		}
 		n.sendResolved(dest)
 		return fmt.Errorf("node %s: hand-off to %s refused", n.cfg.Name, dest)
 	}
@@ -103,21 +109,32 @@ func (n *Node) handOff(tx *txn.Tx, dest, entryID string, data []byte, parts []st
 // source is in doubt: it asks the decider once, the machine re-asks on
 // its query timer, and the worker keeps waiting — the branch cannot
 // settle without the verdict.
-func (n *Node) awaitOutcome(ch chan protocol.AckMsg, txnID string) (bool, error) {
+func (n *Node) awaitOutcome(ch chan protocol.AckMsg, txnID string) (protocol.AckMsg, error) {
 	timeout, cancel := network.ClockTimer(n.clock, n.cfg.AckTimeout)
 	defer cancel()
 	for {
 		select {
 		case msg := <-ch:
-			return msg.OK, nil
+			return msg, nil
 		case <-timeout:
 			timeout = nil
 			n.step(protocol.DelegationStale{TxnID: txnID})
 		case <-n.stop:
 			n.dropWaiter(protocol.KindOutcome, txnID)
-			return false, errStopped
+			return protocol.AckMsg{}, errStopped
 		}
 	}
+}
+
+// pause returns err after AckTimeout, or at once when the node stops.
+func (n *Node) pause(err error) error {
+	timeout, cancel := network.ClockTimer(n.clock, n.cfg.AckTimeout)
+	defer cancel()
+	select {
+	case <-timeout:
+	case <-n.stop:
+	}
+	return err
 }
 
 // sendResolved tells a decider this node's current mark (q.resolved). It

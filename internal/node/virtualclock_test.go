@@ -124,7 +124,7 @@ func TestProtocolTimersOnVirtualClock(t *testing.T) {
 		t.Fatal(err)
 	}
 	time.Sleep(50 * time.Millisecond)
-	if ok, err := n.Manager().Prepared(pm.TxnID); err != nil || ok {
+	if d, err := n.Manager().Decider(pm.TxnID); err != nil || d != "" {
 		t.Fatalf("branch %s still prepared after the outcome: %v", pm.TxnID, err)
 	}
 	vc.Advance(10 * time.Millisecond)

@@ -94,11 +94,7 @@ func FuzzProtocolEvents(f *testing.F) {
 			case 12:
 				model.apply(m.Step(protocol.DoneAcked{AgentID: ag}))
 			case 13:
-				if arg%3 == 0 {
-					model.apply(m.Step(protocol.HandoffUnreachable{TxnID: txn}))
-				} else {
-					model.apply(m.Step(protocol.OutcomeReceived{TxnID: txn, Committed: arg%2 == 0}))
-				}
+				model.apply(m.Step(protocol.OutcomeReceived{TxnID: txn, Committed: arg%2 == 0}))
 			case 14:
 				switch arg % 3 {
 				case 0:

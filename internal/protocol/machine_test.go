@@ -175,7 +175,7 @@ func TestSourceDelegationLifecycle(t *testing.T) {
 		t.Fatalf("stats = %+v", s)
 	}
 	effs = m.Step(protocol.OutcomeReceived{TxnID: "s#1", Committed: true})
-	if got := pick[protocol.DeliverOutcome](effs); len(got) != 1 || !got[0].Commit || len(effs) != 1 {
+	if got := pick[protocol.DeliverAck](effs); len(got) != 1 || got[0].Kind != protocol.KindOutcome || !got[0].OK || len(effs) != 1 {
 		t.Fatalf("outcome effects = %+v", effs)
 	}
 	if effs := m.Step(protocol.OutcomeReceived{TxnID: "s#1", Committed: false}); len(effs) != 0 {
@@ -183,8 +183,8 @@ func TestSourceDelegationLifecycle(t *testing.T) {
 	}
 
 	m.Step(protocol.Delegate{TxnID: "s#2", Decider: "d", EntryID: "a2", Mark: 2})
-	effs = m.Step(protocol.HandoffUnreachable{TxnID: "s#2"})
-	if got := pick[protocol.DeliverOutcome](effs); len(got) != 1 || got[0].Commit {
+	effs = m.Step(protocol.OutcomeReceived{TxnID: "s#2"}) // the send never left
+	if got := pick[protocol.DeliverAck](effs); len(got) != 1 || got[0].OK {
 		t.Fatalf("unreachable effects = %+v", effs)
 	}
 

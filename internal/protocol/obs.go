@@ -14,8 +14,6 @@ func EventInfo(ev Event) (name, txnID, agentID string) {
 	switch e := ev.(type) {
 	case Delegate:
 		return "Delegate", e.TxnID, e.EntryID
-	case HandoffUnreachable:
-		return "HandoffUnreachable", e.TxnID, ""
 	case OutcomeReceived:
 		if e.Committed {
 			return "OutcomeReceived(commit)", e.TxnID, ""

@@ -276,11 +276,11 @@ func (w *handoffWorld) sApply(effs []protocol.Effect) {
 			if e.Kind == protocol.KindTxnQuery {
 				w.toD = append(w.toD, hoMsg{kind: protocol.KindTxnQuery})
 			}
-		case protocol.DeliverOutcome:
-			if !w.live {
-				w.t.Fatalf("%s: outcome delivered with no worker waiting", w.name)
+		case protocol.DeliverAck:
+			if !w.live || e.Kind != protocol.KindOutcome {
+				w.t.Fatalf("%s: %+v delivered with no worker waiting on an outcome", w.name, e)
 			}
-			v := e.Commit
+			v := e.OK
 			w.verdict = &v
 		case protocol.ResolveBranchRecord:
 			w.settle(e.Commit)

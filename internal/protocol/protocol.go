@@ -136,15 +136,15 @@ type Delegate struct {
 	Mark    uint64
 }
 
-// HandoffUnreachable reports that the hand-off's send failed before any
-// byte of it left (network.ErrUnreachable): no decider can ever see it.
-type HandoffUnreachable struct{ TxnID string }
-
 // OutcomeReceived is a decider's verdict on one of this node's
-// hand-offs (q.outcome: the answer to the hand-off or to a query).
+// hand-offs (q.outcome: the answer to the hand-off or to a query), or an
+// abort the driver feeds back, with its reason in Err, when the
+// prepare's send failed before any byte of it left
+// (network.ErrUnreachable: no decider can ever see it).
 type OutcomeReceived struct {
 	TxnID     string
 	Committed bool
+	Err       string
 }
 
 // DelegationStale reports that a live hand-off's outcome did not arrive
@@ -288,7 +288,6 @@ type ReadyReached struct{}
 type TimerFired struct{ ID string }
 
 func (Delegate) isEvent()            {}
-func (HandoffUnreachable) isEvent()  {}
 func (OutcomeReceived) isEvent()     {}
 func (DelegationStale) isEvent()     {}
 func (RecoveredDelegation) isEvent() {}
@@ -323,26 +322,21 @@ type SendMsg struct {
 
 // SendHandoff transmits a hand-off (q.prepare) at once, not batched:
 // when the send fails before any byte left (network.ErrUnreachable),
-// the driver feeds HandoffUnreachable back.
+// the driver feeds an abort OutcomeReceived back.
 type SendHandoff struct {
 	To  string
 	Msg *PrepareMsg
 }
 
-// DeliverAck routes an RCE acknowledgement to the local worker blocked
-// on it (the driver's waiter plumbing).
+// DeliverAck routes an answer to the local worker blocked on it (the
+// driver's waiter plumbing): an RCE exec ack, or — Kind KindOutcome, OK
+// the commit — a live hand-off's verdict, on which the worker commits or
+// aborts its prepared branch.
 type DeliverAck struct {
 	Kind  string
 	TxnID string
 	OK    bool
 	Err   string
-}
-
-// DeliverOutcome hands a live hand-off's verdict to the worker waiting
-// on it, which commits or aborts its prepared branch.
-type DeliverOutcome struct {
-	TxnID  string
-	Commit bool
 }
 
 // Decide asks the driver to make a decider verdict durable and feed
@@ -416,7 +410,6 @@ type CountCompOps struct{ N int64 }
 func (SendMsg) isEffect()             {}
 func (SendHandoff) isEffect()         {}
 func (DeliverAck) isEffect()          {}
-func (DeliverOutcome) isEffect()      {}
 func (Decide) isEffect()              {}
 func (DropOutcomes) isEffect()        {}
 func (SendResolved) isEffect()        {}
@@ -440,10 +433,8 @@ func (m *Machine) Step(ev Event) []Effect {
 	switch e := ev.(type) {
 	case Delegate:
 		return m.delegate(e)
-	case HandoffUnreachable:
-		return m.settleDelegation(e.TxnID, false)
 	case OutcomeReceived:
-		return m.settleDelegation(e.TxnID, e.Committed)
+		return m.settleDelegation(e)
 	case DelegationStale:
 		return m.delegationStale(e)
 	case RecoveredDelegation:

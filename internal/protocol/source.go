@@ -5,12 +5,12 @@ package protocol
 // prepared for the decider, and the decider's verdict settles it. States
 // per transaction:
 //
-//	(absent) --Delegate--> delegated --OutcomeReceived/HandoffUnreachable--> (absent)
+//	(absent) --Delegate--> delegated --OutcomeReceived--> (absent)
 //	   delegated --DelegationStale--> delegated + query the decider (pquery)
 //	(absent) --RecoveredDelegation--> recovered --OutcomeReceived--> (absent)
 //
 // A live delegation has a worker waiting: its verdict goes to that
-// worker (DeliverOutcome), which commits or aborts the branch and then
+// worker (DeliverAck), which commits or aborts the branch and then
 // confirms with q.resolved. A recovered one has no worker: its verdict
 // replays or drops the branch record, then confirms. The source never
 // decides, so it can never disagree with the decider; until the verdict
@@ -34,16 +34,16 @@ func (m *Machine) delegate(e Delegate) []Effect {
 // settleDelegation applies a verdict: the decider's outcome or the
 // refusal at send. Duplicates (a re-sent outcome, a late answer to a
 // query) find nothing and do nothing.
-func (m *Machine) settleDelegation(txnID string, commit bool) []Effect {
-	d, ok := m.delegs[txnID]
+func (m *Machine) settleDelegation(e OutcomeReceived) []Effect {
+	d, ok := m.delegs[e.TxnID]
 	if !ok {
 		return nil
 	}
-	delete(m.delegs, txnID)
+	delete(m.delegs, e.TxnID)
 	if !d.recovered {
-		return []Effect{DeliverOutcome{TxnID: txnID, Commit: commit}}
+		return []Effect{DeliverAck{Kind: KindOutcome, TxnID: e.TxnID, OK: e.Committed, Err: e.Err}}
 	}
-	return []Effect{ResolveBranchRecord{TxnID: txnID, Commit: commit}, SendResolved{To: d.decider}}
+	return []Effect{ResolveBranchRecord{TxnID: e.TxnID, Commit: e.Committed}, SendResolved{To: d.decider}}
 }
 
 // delegationStale starts the in-doubt query cycle of a live hand-off

@@ -536,12 +536,6 @@ func (m *Manager) Decided(id string) (bool, error) {
 	return ok, err
 }
 
-// Prepared reports whether a prepared branch record exists for id.
-func (m *Manager) Prepared(id string) (bool, error) {
-	_, ok, err := m.store.Get(m.branchKey(id))
-	return ok, err
-}
-
 // Decider returns the node that decides the prepared branch id — "" for
 // a branch its coordinator decides (Prepare rather than
 // PrepareDelegated) or for no branch at all.
