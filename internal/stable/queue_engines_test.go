@@ -103,6 +103,31 @@ func TestQueueFIFO(t *testing.T) {
 	})
 }
 
+// TestQueueAbortLeavesNoOrphan: an insertion whose transaction aborts
+// leaves no entry behind — neither in this queue nor for the next Queue
+// over the store — only the burnt sequence number. An entry key left
+// behind would surface after a restart: an agent executed twice.
+func TestQueueAbortLeavesNoOrphan(t *testing.T) {
+	storeImpls(t, func(t *testing.T, s stable.Store) {
+		q := stable.NewQueue(s, "q/")
+		tx := beginTx(t, s)
+		if err := q.EnqueueIn(tx, "agent1", []byte("d1")); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Abort(); err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range []*stable.Queue{q, stable.NewQueue(s, "q/")} {
+			if n, err := q.Len(); err != nil || n != 0 {
+				t.Errorf("Len after abort = %d, %v; want 0", n, err)
+			}
+		}
+		if keys, err := s.Keys("q/"); err != nil || !reflect.DeepEqual(keys, []string{"q/seq"}) {
+			t.Errorf("keys after abort = %q, %v; want q/seq alone", keys, err)
+		}
+	})
+}
+
 // TestQueueEnqueueWritesContainerOnce pins the write volume of the
 // decider's side of a hand-off: one Enqueue batch carries the container
 // once, the counter and the caller's commit record (a few bytes), and
