@@ -29,10 +29,10 @@ import (
 // node's identity on it — conceptually the identity is re-homed onto the
 // survivor that already held its stable state. Recovery then runs the
 // normal §4.3 replay of stable survivors: queued agents resume, in-doubt
-// hand-offs re-resolve, and replicated 2PC decision records let the
-// reborn coordinator answer participants' in-doubt queries (with quorum
-// acks a decision replicates before any participant can learn it, so the
-// answers are always consistent with what was externalized).
+// hand-offs re-resolve, and replicated decision and outcome records let
+// the reborn coordinator or decider answer in-doubt queries (with quorum
+// acks a decision replicates before anyone can learn it, so the answers
+// are always consistent with what was externalized).
 
 // replicaRef tracks one replica's storage independent of the holder's
 // runtime, so it survives the holder's crashes (and can be inspected for

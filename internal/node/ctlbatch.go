@@ -10,7 +10,7 @@ import (
 // Control-plane batching, driver half (the machine half is the per-peer
 // timer coalescing in internal/protocol/timers.go):
 //
-//   - decision-record GC staging: ClearDecision and DropDone effects from
+//   - record GC staging: ClearDecision, DropOutcomes and DropDone effects from
 //     concurrent transitions buffer into one bounded staging slice and
 //     apply as a single stable group commit, flushed when the buffer
 //     fills or after a RetryDelay linger. Only the garbage-collection

@@ -107,7 +107,7 @@ type Config struct {
 	// Membership, when set, turns on the membership layer: the node
 	// floods view announcements, resolves "@ring" step locations through
 	// the manager's consistent-hash ring, and runs a rebalancer that
-	// migrates misplaced ring-placed agents via 2PC hand-offs (see
+	// migrates misplaced ring-placed agents via queue hand-offs (see
 	// membership.go). Nil keeps the static-wiring behaviour.
 	Membership *membership.Manager
 }

@@ -13,8 +13,8 @@
 //     which every engine (and the replication wrapper around it) is built.
 //   - MemStore: in-memory store that survives *simulated* node crashes
 //     (the cluster keeps it while the node's volatile state is discarded).
-//   - Queue: a FIFO agent input queue with staged (prepared) entries for
-//     two-phase commit.
+//   - Queue: a FIFO agent input queue whose entries land in a caller's
+//     batch or transaction.
 //   - GroupCommit: the leader-election loop that coalesces concurrent
 //     Apply callers into one commit, shared by wal.Store and repl.Store.
 //
