@@ -117,6 +117,20 @@ func (n *Node) holdForRide(to, kind string, payload []byte) bool {
 	return true
 }
 
+// sendWithRides sends msgs to peer in one batch, and with them the
+// replies parked for that peer: the piggyback ride.
+func (n *Node) sendWithRides(peer string, msgs []network.Outgoing) error {
+	if rides := n.takeHeld(peer); len(rides) > 0 {
+		n.cfg.Counters.IncAckPiggybacked(int64(len(rides)))
+		for _, r := range rides {
+			n.cfg.Tracer.Rec(trace.OpPiggyback, "", "", r.Kind, peer, "", int64(len(r.Payload)))
+		}
+		msgs = append(msgs, rides...)
+	}
+	n.cfg.Tracer.Rec(trace.OpBatchFlush, "", "", "", peer, "", int64(len(msgs)))
+	return n.ep.SendBatch(peer, msgs)
+}
+
 // takeHeld removes and returns every message parked for peer.
 func (n *Node) takeHeld(peer string) []network.Outgoing {
 	n.holdMu.Lock()

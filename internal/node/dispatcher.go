@@ -271,9 +271,8 @@ func (n *Node) applyEffect(eff protocol.Effect, b *outBatch) {
 func (n *Node) sendHandoff(e protocol.SendHandoff, b *outBatch) {
 	data := e.Msg.AppendTo(nil)
 	n.traceSend(e.To, protocol.KindEnqueuePrepare, e.Msg, len(data))
-	msgs := append([]network.Outgoing{{Kind: protocol.KindEnqueuePrepare, Payload: data}}, n.takeHeld(e.To)...)
-	n.cfg.Tracer.Rec(trace.OpBatchFlush, "", "", "", e.To, "", int64(len(msgs)))
-	if err := n.ep.SendBatch(e.To, msgs); errors.Is(err, network.ErrUnreachable) {
+	msgs := []network.Outgoing{{Kind: protocol.KindEnqueuePrepare, Payload: data}}
+	if err := n.sendWithRides(e.To, msgs); errors.Is(err, network.ErrUnreachable) {
 		n.stepInto(protocol.OutcomeReceived{TxnID: e.Msg.TxnID, Err: err.Error()}, b)
 	}
 }

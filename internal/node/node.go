@@ -533,19 +533,8 @@ func (b *outBatch) add(to, kind string, payload []byte) {
 
 func (b *outBatch) flush(n *Node) {
 	for _, to := range b.order {
-		msgs := b.byDest[to]
-		// A batch headed to a peer picks up that peer's parked replies:
-		// the piggyback ride.
-		if rides := n.takeHeld(to); len(rides) > 0 {
-			n.cfg.Counters.IncAckPiggybacked(int64(len(rides)))
-			for _, r := range rides {
-				n.cfg.Tracer.Rec(trace.OpPiggyback, "", "", r.Kind, to, "", int64(len(r.Payload)))
-			}
-			msgs = append(msgs, rides...)
-		}
-		n.cfg.Tracer.Rec(trace.OpBatchFlush, "", "", "", to, "", int64(len(msgs)))
 		// Unknown-destination errors: lost messages, like send.
-		_ = n.ep.SendBatch(to, msgs)
+		_ = n.sendWithRides(to, b.byDest[to])
 	}
 	b.order = b.order[:0]
 	clear(b.byDest)
