@@ -21,44 +21,35 @@ import "slices"
 // handoffReceived decides a hand-off, or answers a duplicate from the
 // record.
 func (m *Machine) handoffReceived(e HandoffReceived) []Effect {
-	seq, ok := seqOf(e.TxnID)
 	src := Coordinator(e.TxnID)
-	if !ok || src != e.From || src == m.cfg.Node {
+	if src != e.From || src == m.cfg.Node {
 		return nil // not a hand-off this node can decide
 	}
 	effs := m.advanceMark(src, e.Mark)
-	if seq < m.marks[src] {
-		return effs // a late copy of a hand-off the source has settled
-	}
-	if commit, ok := m.decided[src][e.TxnID]; ok {
-		return append(effs, outcome(src, e.TxnID, commit))
-	}
-	if m.deciding[e.TxnID] {
-		return effs
-	}
-	m.deciding[e.TxnID] = true
-	return append(effs, Decide{
-		TxnID: e.TxnID, From: src, EntryID: e.EntryID, Data: e.Data,
-		Mark: m.marks[src], Commit: m.ready,
-	})
+	return append(effs, m.verdict(src, Decide{TxnID: e.TxnID, From: src, EntryID: e.EntryID, Data: e.Data, Commit: m.ready})...)
 }
 
 // queryDecided answers a source asking about its hand-off: the record,
 // or — for an ID this node never decided — a fence first.
 func (m *Machine) queryDecided(e QueryReceived) []Effect {
-	src := e.From
-	if commit, ok := m.decided[src][e.TxnID]; ok {
-		return []Effect{outcome(src, e.TxnID, commit)}
+	return m.verdict(e.From, Decide{TxnID: e.TxnID, From: e.From})
+}
+
+// verdict answers from the record; stays silent while a verdict is being
+// written (the source re-asks) or below the source's mark (a late copy
+// of something the source settled: nobody waits); and otherwise starts
+// writing d.
+func (m *Machine) verdict(src string, d Decide) []Effect {
+	if commit, ok := m.decided[src][d.TxnID]; ok {
+		return []Effect{outcome(src, d.TxnID, commit)}
 	}
-	seq, ok := seqOf(e.TxnID)
-	if !ok || m.deciding[e.TxnID] {
-		return nil // still being written: the source re-asks
+	seq, ok := seqOf(d.TxnID)
+	if !ok || m.deciding[d.TxnID] || seq < m.marks[src] {
+		return nil
 	}
-	if seq < m.marks[src] {
-		return nil // a late copy of a query the source settled: nobody waits
-	}
-	m.deciding[e.TxnID] = true
-	return []Effect{Decide{TxnID: e.TxnID, From: src, Mark: m.marks[src]}}
+	m.deciding[d.TxnID] = true
+	d.Mark = m.marks[src]
+	return []Effect{d}
 }
 
 // handoffDecided records a durable verdict and answers the source.
