@@ -379,8 +379,10 @@ func run(opts Options, fixed *Schedule) (*Result, error) {
 	}
 	// An agent completes before the source of its last hand-off settles
 	// (the node that receives a container decides, and the source hears
-	// back afterwards): quiescence includes every hand-off's verdict.
-	awaitHandoffs(res, cl, 30*time.Second)
+	// back afterwards): quiescence includes every branch's verdict.
+	if err := cl.AwaitSettled(30 * time.Second); err != nil {
+		res.Violations = append(res.Violations, Violation{Invariant: "progress", Detail: err.Error()})
+	}
 
 	checkAgents(res, results, got, rollback, opts)
 	if err := checkConservation(res, cl, rollback, opts); err != nil {
@@ -861,31 +863,6 @@ func checkConservation(res *Result, cl *cluster.Cluster, rollback []bool, opts O
 		})
 	}
 	return nil
-}
-
-// awaitHandoffs waits until no node has a hand-off waiting on its
-// decider's verdict, and reports the nodes that still do after timeout.
-func awaitHandoffs(res *Result, cl *cluster.Cluster, timeout time.Duration) {
-	deadline := time.Now().Add(timeout)
-	for {
-		var waiting []string
-		for _, n := range cl.NodeNames() {
-			if nd, ok := cl.Node(n); ok && nd.Delegations() > 0 {
-				waiting = append(waiting, fmt.Sprintf("%s (%d)", n, nd.Delegations()))
-			}
-		}
-		if len(waiting) == 0 {
-			return
-		}
-		if time.Now().After(deadline) {
-			res.Violations = append(res.Violations, Violation{
-				Invariant: "progress",
-				Detail:    fmt.Sprintf("hand-offs on %v never settled within %s", waiting, timeout),
-			})
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
 }
 
 // checkQueuesEmpty asserts no agent container is stranded in any input

@@ -379,7 +379,7 @@ func (c *Cluster) Join(name string, factories ...node.ResourceFactory) error {
 // Leave drains a node out of the cluster: its Left status floods, its
 // rebalancer migrates every ring-placed agent to the new owners (and the
 // node refuses new adoptions), and once the input queue is empty with no
-// claims or hand-offs waiting on their decider, the runtime stops and detaches
+// claims or prepared branches awaiting a verdict, the runtime stops and detaches
 // from the network. The node object and its store remain readable — a
 // departed node's resources still count in conservation sums.
 func (c *Cluster) Leave(name string, timeout time.Duration) error {
@@ -405,17 +405,20 @@ func (c *Cluster) Leave(name string, timeout time.Duration) error {
 		if err != nil {
 			return err
 		}
-		delegated := n.Delegations()
+		inDoubt, err := n.InDoubt()
+		if err != nil {
+			return err
+		}
 		claimed := n.Queue().Claimed()
-		if depth == 0 && claimed == 0 && delegated == 0 {
+		if depth == 0 && claimed == 0 && inDoubt == 0 {
 			streak++
 			time.Sleep(time.Millisecond)
 			continue
 		}
 		streak = 0
 		if time.Now().After(deadline) {
-			return fmt.Errorf("cluster: leave %q: not drained after %v (%d queued, %d claimed, %d hand-offs in doubt)",
-				name, timeout, depth, claimed, delegated)
+			return fmt.Errorf("cluster: leave %q: not drained after %v (%d queued, %d claimed, %d branches in doubt)",
+				name, timeout, depth, claimed, inDoubt)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -486,6 +489,33 @@ func (c *Cluster) TraceRecords() []trace.Record {
 		snaps[i] = tr.Snapshot()
 	}
 	return trace.Merge(snaps...)
+}
+
+// AwaitSettled blocks until no running node holds a prepared branch (see
+// Node.InDoubt): every hand-off settled at its source and every RCE
+// branch at its participant. Counters and balances read after it include
+// the sources' commits, which an agent's completion does not wait for.
+func (c *Cluster) AwaitSettled(timeout time.Duration) error {
+	deadline := time.Now().Add(timeout)
+	for {
+		var waiting []string
+		for _, name := range c.NodeNames() {
+			n, ok := c.Node(name)
+			if !ok {
+				continue
+			}
+			if k, err := n.InDoubt(); err != nil || k > 0 {
+				waiting = append(waiting, fmt.Sprintf("%s (%d, %v)", name, k, err))
+			}
+		}
+		if len(waiting) == 0 {
+			return nil
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("cluster: branches in doubt after %v on %v", timeout, waiting)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // AwaitReady blocks until every running node finished recovery.

@@ -268,6 +268,11 @@ func RunPipelineOn(cl *cluster.Cluster, cfg PipelineConfig, id string) (Pipeline
 	select {
 	case res := <-ch:
 		elapsed := time.Since(start)
+		// The source of the last hand-off settles after the agent
+		// completed; its writes belong to this run.
+		if err := cl.AwaitSettled(runTimeout); err != nil {
+			return PipelineResult{}, err
+		}
 		out := PipelineResult{
 			Elapsed: elapsed,
 			Metrics: cl.Counters().Snapshot().Sub(before),

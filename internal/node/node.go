@@ -389,12 +389,14 @@ func (n *Node) Stop() {
 	n.flushCtlStage()
 }
 
-// Delegations returns how many hand-offs from this node still wait on
-// their decider's verdict.
-func (n *Node) Delegations() int {
-	n.pmu.Lock()
-	defer n.pmu.Unlock()
-	return n.machine.Stats().Delegations
+// InDoubt returns how many prepared branches this node's store holds:
+// hand-offs not yet settled with their decider's verdict, and RCE
+// branches awaiting their coordinator's. An agent completes before the
+// source of its last hand-off settles, so a quiescent cluster is one
+// where every node reads 0.
+func (n *Node) InDoubt() (int, error) {
+	ids, err := n.mgr.InDoubtBranches()
+	return len(ids), err
 }
 
 // Ready returns a channel closed when recovery completed. (The protocol
