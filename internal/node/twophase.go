@@ -83,8 +83,9 @@ func (n *Node) handOff(tx *txn.Tx, dest, entryID string, data []byte, parts []st
 		n.abortParts(tx, parts)
 		if out.Err != "" {
 			// Nothing left: dest is down or cut off. The attempt still
-			// costs AckTimeout, as waiting for the answer of a dead node
-			// did, so MaxAttempts spans as long an outage as before.
+			// costs AckTimeout, what an unanswered prepare waits, so
+			// MaxAttempts attempts span MaxAttempts × AckTimeout of
+			// outage rather than a few retry delays.
 			return n.pause(fmt.Errorf("node %s: hand-off to %s: %s", n.cfg.Name, dest, out.Err))
 		}
 		n.sendResolved(dest)
