@@ -20,7 +20,7 @@ func startObs(t *testing.T) string {
 	t.Helper()
 	c := &metrics.Counters{}
 	c.IncMessages(64)
-	c.IncStepTxn()
+	c.AddStepTxns(1)
 	c.AddWireBytes("q.prepare", 128)
 	var ts int64
 	tr := trace.New("A", 64, func() int64 { ts += 1000; return ts })

@@ -142,14 +142,11 @@ func (c *Counters) IncMessages(n int64) {
 	})
 }
 
-// IncAgentTransfer records an agent container of n encoded bytes moving
-// between two distinct nodes.
-func (c *Counters) IncAgentTransfer(n int64) { c.AddAgentTransfers(1, n) }
-
-// AddAgentTransfers adds d agent transfers of n bytes each. A hand-off's
-// source counts before its prepare leaves (the decider may make the
-// agent visible at once) and takes the count back (d = -1) when the
-// decider refused it or never saw it.
+// AddAgentTransfers records d agent containers of n encoded bytes each
+// moving between two distinct nodes. A hand-off's source counts before
+// its prepare leaves (the decider may make the agent visible at once)
+// and takes the count back (d = -1) when the decider refused it or never
+// saw it.
 func (c *Counters) AddAgentTransfers(d, n int64) {
 	c.on(func() {
 		c.live.AgentTransfers.Add(d)
@@ -157,21 +154,15 @@ func (c *Counters) AddAgentTransfers(d, n int64) {
 	})
 }
 
-// IncStepTxn records a committed step transaction.
-func (c *Counters) IncStepTxn() { c.AddStepTxns(1) }
-
-// AddStepTxns adds d committed step transactions (d = -1 takes back a
-// refused hand-off's count, as AddAgentTransfers).
+// AddStepTxns records d committed step transactions (d = -1 takes back
+// a refused hand-off's count, as AddAgentTransfers).
 func (c *Counters) AddStepTxns(d int64) { c.on(func() { c.live.StepTxns.Add(d) }) }
 
 // IncStepTxnAbort records an aborted step transaction.
 func (c *Counters) IncStepTxnAbort() { c.on(func() { c.live.StepTxnAborts.Add(1) }) }
 
-// IncCompTxn records a committed compensation transaction.
-func (c *Counters) IncCompTxn() { c.AddCompTxns(1) }
-
-// AddCompTxns adds d committed compensation transactions (d = -1 takes
-// back a refused hand-off's count, as AddAgentTransfers).
+// AddCompTxns records d committed compensation transactions (d = -1
+// takes back a refused hand-off's count, as AddAgentTransfers).
 func (c *Counters) AddCompTxns(d int64) { c.on(func() { c.live.CompTxns.Add(d) }) }
 
 // IncCompTxnAbort records an aborted compensation transaction.
@@ -306,12 +297,9 @@ func (c *Counters) IncMemberAnnounce() { c.on(func() { c.live.MemberAnnounces.Ad
 // IncRingChange records one local consistent-hash ring rebuild.
 func (c *Counters) IncRingChange() { c.on(func() { c.live.RingChanges.Add(1) }) }
 
-// IncMigration records one agent migrated off this node (container of n
-// encoded bytes handed to its new owner through the 2PC hand-off).
-func (c *Counters) IncMigration(n int64) { c.AddMigrations(1, n) }
-
-// AddMigrations adds d migrations of n bytes each (d = -1 takes back a
-// refused hand-off's count, as AddAgentTransfers).
+// AddMigrations records d agents migrated off this node, each a
+// container of n encoded bytes handed to its new owner (d = -1 takes back
+// a refused hand-off's count, as AddAgentTransfers).
 func (c *Counters) AddMigrations(d, n int64) {
 	c.on(func() {
 		c.live.Migrations.Add(d)

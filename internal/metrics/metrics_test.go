@@ -11,10 +11,10 @@ func TestCountersSnapshot(t *testing.T) {
 	var c Counters
 	c.IncMessages(100)
 	c.IncMessages(50)
-	c.IncAgentTransfer(1024)
-	c.IncStepTxn()
+	c.AddAgentTransfers(1, 1024)
+	c.AddStepTxns(1)
 	c.IncStepTxnAbort()
-	c.IncCompTxn()
+	c.AddCompTxns(1)
 	c.IncCompTxnAbort()
 	c.IncCompOps(3)
 	c.IncRemoteCompBatch()
@@ -135,7 +135,7 @@ func TestSnapshotSub(t *testing.T) {
 	c.IncMessages(10)
 	before := c.Snapshot()
 	c.IncMessages(5)
-	c.IncStepTxn()
+	c.AddStepTxns(1)
 	diff := c.Snapshot().Sub(before)
 	if diff.Messages != 1 || diff.BytesSent != 5 || diff.StepTxns != 1 {
 		t.Errorf("diff = %+v", diff)

@@ -21,8 +21,8 @@ func promSnapshot() (Snapshot, LatencySummary) {
 	var c Counters
 	c.IncMessages(100)
 	c.IncMessages(28)
-	c.IncAgentTransfer(4096)
-	c.IncStepTxn()
+	c.AddAgentTransfers(1, 4096)
+	c.AddStepTxns(1)
 	c.IncStepTxnAbort()
 	c.IncCompOps(7)
 	c.ObserveLogBytes(512)

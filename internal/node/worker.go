@@ -289,7 +289,7 @@ func (n *Node) finishAgent(tx *txn.Tx, a *agent.Agent, failed bool, reason strin
 	// out: once the owner sees the done message it may snapshot metrics,
 	// and the final step must already be in them.
 	if !failed {
-		n.cfg.Counters.IncStepTxn()
+		n.cfg.Counters.AddStepTxns(1)
 	}
 	n.step(protocol.DoneRecorded{AgentID: a.ID, Owner: a.Owner})
 	return nil
