@@ -197,15 +197,10 @@ func (n *Node) handle(msg network.Message) {
 // RCE participants must not be told "abort"). ok is false when the store
 // cannot be read; the asker re-asks.
 func (n *Node) queryEvent(txnID, from string) (protocol.QueryReceived, bool) {
-	ev := protocol.QueryReceived{TxnID: txnID, From: from}
-	if protocol.Coordinator(txnID) != n.cfg.Name {
-		return ev, true // a source asks its decider: the machine knows
-	}
 	decider, err1 := n.mgr.Decider(txnID)
-	ev.StorePrepared = decider != ""
-	var err2 error
-	ev.StoreDecided, err2 = n.mgr.Decided(txnID)
-	return ev, err1 == nil && err2 == nil
+	decided, err2 := n.mgr.Decided(txnID)
+	return protocol.QueryReceived{TxnID: txnID, From: from, StoreDecided: decided, StorePrepared: decider != ""},
+		err1 == nil && err2 == nil
 }
 
 // applyEffect executes one machine effect. Mechanics only — queue and

@@ -251,20 +251,10 @@ func (m *Manager) Store() stable.Store { return m.store }
 // idBlock is how many transaction IDs one write of the counter reserves.
 const idBlock = 64
 
-// NewID allocates a globally unique transaction ID. IDs are reserved in
-// blocks of idBlock: the counter is persisted when a block is exhausted,
-// not per ID, so IDs skip after a restart but never repeat.
-func (m *Manager) NewID() (string, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	seq, err := m.nextSeq()
-	if err != nil {
-		return "", err
-	}
-	return m.node + "#" + strconv.FormatUint(seq, 10), nil
-}
-
-// nextSeq hands out the next sequence number. The caller holds m.mu.
+// nextSeq hands out the next sequence number: IDs are reserved in blocks
+// of idBlock, the counter persisted when a block is exhausted, not per
+// ID, so IDs skip after a restart but never repeat. The caller holds
+// m.mu.
 func (m *Manager) nextSeq() (uint64, error) {
 	if m.seq == m.reserved {
 		mark := m.reserved + idBlock

@@ -252,7 +252,7 @@ func TestIDsUniqueAcrossRestart(t *testing.T) {
 	}
 	seen := make(map[string]bool)
 	for i := 0; i < 5; i++ {
-		id, err := m1.NewID()
+		id, err := newID(m1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,7 +266,7 @@ func TestIDsUniqueAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		id, err := m2.NewID()
+		id, err := newID(m2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -288,7 +288,7 @@ func TestIDsReservedInBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= idBlock+1; i++ {
-		id, err := m1.NewID()
+		id, err := newID(m1)
 		if want := fmt.Sprintf("n1#%d", i); err != nil || id != want {
 			t.Fatalf("id %d = %q, %v; want %q", i, id, err, want)
 		}
@@ -300,7 +300,7 @@ func TestIDsReservedInBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id, err := m2.NewID(); err != nil || id != fmt.Sprintf("n1#%d", 2*idBlock+1) {
+	if id, err := newID(m2); err != nil || id != fmt.Sprintf("n1#%d", 2*idBlock+1) {
 		t.Errorf("first id after restart = %q, %v; want the one past the reserved blocks", id, err)
 	}
 }
@@ -457,4 +457,13 @@ func TestMarkTracksUnsettledTransactions(t *testing.T) {
 	if got, want := m2.Mark(), uint64(idBlock+1); got != want {
 		t.Fatalf("mark after resolving = %d, want %d (the next ID after the restart)", got, want)
 	}
+}
+
+// newID allocates an ID the way every transaction does.
+func newID(m *Manager) (string, error) {
+	tx, err := m.Begin()
+	if err != nil {
+		return "", err
+	}
+	return tx.ID(), nil
 }
