@@ -454,7 +454,7 @@ func (n *Node) await(ch chan protocol.AckMsg, kind, id string) (protocol.AckMsg,
 		return protocol.AckMsg{}, fmt.Errorf("%w: %s %s", errAckTimeout, kind, id)
 	case <-n.stop:
 		n.dropWaiter(kind, id)
-		return protocol.AckMsg{}, errors.New("node: stopped")
+		return protocol.AckMsg{}, errStopped
 	}
 }
 

@@ -40,7 +40,7 @@ func (m *Machine) queryDecided(e QueryReceived) []Effect {
 // of something the source settled: nobody waits); and otherwise starts
 // writing d.
 func (m *Machine) verdict(src string, d Decide) []Effect {
-	if commit, ok := m.decided[src][d.TxnID]; ok {
+	if commit, ok := m.decided[d.TxnID]; ok {
 		return []Effect{outcome(src, d.TxnID, commit)}
 	}
 	seq, ok := seqOf(d.TxnID)
@@ -61,25 +61,14 @@ func (m *Machine) handoffDecided(e HandoffDecided) []Effect {
 	if !e.OK {
 		return nil // nothing written; the source's query asks again
 	}
-	src := Coordinator(e.TxnID)
-	m.record(src, e.TxnID, e.Commit)
-	return []Effect{outcome(src, e.TxnID, e.Commit)}
+	m.decided[e.TxnID] = e.Commit
+	return []Effect{outcome(Coordinator(e.TxnID), e.TxnID, e.Commit)}
 }
 
 // recoveredOutcome rebuilds one record and the source's mark from it.
 func (m *Machine) recoveredOutcome(e RecoveredOutcome) []Effect {
-	src := Coordinator(e.TxnID)
-	m.record(src, e.TxnID, e.Commit)
-	return m.advanceMark(src, e.Mark)
-}
-
-func (m *Machine) record(src, txnID string, commit bool) {
-	recs := m.decided[src]
-	if recs == nil {
-		recs = make(map[string]bool)
-		m.decided[src] = recs
-	}
-	recs[txnID] = commit
+	m.decided[e.TxnID] = e.Commit
+	return m.advanceMark(Coordinator(e.TxnID), e.Mark)
 }
 
 // advanceMark raises the source's mark and collects every record below
@@ -90,14 +79,11 @@ func (m *Machine) advanceMark(src string, mark uint64) []Effect {
 	}
 	m.marks[src] = mark
 	var drop []string
-	for id := range m.decided[src] {
-		if seq, _ := seqOf(id); seq < mark {
+	for id := range m.decided {
+		if seq, _ := seqOf(id); seq < mark && Coordinator(id) == src {
 			drop = append(drop, id)
-			delete(m.decided[src], id)
+			delete(m.decided, id)
 		}
-	}
-	if len(m.decided[src]) == 0 {
-		delete(m.decided, src)
 	}
 	if len(drop) == 0 {
 		return nil

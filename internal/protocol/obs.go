@@ -105,7 +105,7 @@ func (m *Machine) StateOf(txnID, agentID string) string {
 		if m.deciding[txnID] {
 			return "deciding"
 		}
-		if commit, ok := m.decided[Coordinator(txnID)][txnID]; ok {
+		if commit, ok := m.decided[txnID]; ok {
 			if commit {
 				return "decided-commit"
 			}

@@ -81,13 +81,13 @@ type Machine struct {
 	cfg   Config
 	ready bool
 
-	coord    map[string]*coordTxn       // RCE transactions this node coordinates
-	delegs   map[string]*delegation     // hand-offs this node's branches wait on
-	decided  map[string]map[string]bool // decider records: source → txn → committed
-	deciding map[string]bool            // hand-offs whose verdict is being written
-	marks    map[string]uint64          // decider: highest mark seen per source
-	branches map[string]*branch         // RCE branch per transaction
-	done     map[string]string          // undelivered completion: agent → owner
+	coord    map[string]*coordTxn   // RCE transactions this node coordinates
+	delegs   map[string]*delegation // hand-offs this node's branches wait on
+	decided  map[string]bool        // decider records: txn → committed (false: fenced)
+	deciding map[string]bool        // hand-offs whose verdict is being written
+	marks    map[string]uint64      // decider: highest mark seen per source
+	branches map[string]*branch     // RCE branch per transaction
+	done     map[string]string      // undelivered completion: agent → owner
 
 	// scheds holds the coalesced per-(class, peer) timer slots (see
 	// timers.go), keyed by their wheel timer ID "<class>|<peer>".
@@ -103,7 +103,7 @@ func NewMachine(cfg Config) *Machine {
 		cfg:      cfg,
 		coord:    make(map[string]*coordTxn),
 		delegs:   make(map[string]*delegation),
-		decided:  make(map[string]map[string]bool),
+		decided:  make(map[string]bool),
 		deciding: make(map[string]bool),
 		marks:    make(map[string]uint64),
 		branches: make(map[string]*branch),
@@ -509,9 +509,7 @@ func (m *Machine) Stats() Stats {
 		}
 	}
 	s.Delegations = len(m.delegs)
-	for _, recs := range m.decided {
-		s.Outcomes += len(recs)
-	}
+	s.Outcomes = len(m.decided)
 	s.Deciding = len(m.deciding)
 	for _, b := range m.branches {
 		switch b.state {
