@@ -251,33 +251,24 @@ func (m *Manager) Store() stable.Store { return m.store }
 // idBlock is how many transaction IDs one write of the counter reserves.
 const idBlock = 64
 
-// nextSeq hands out the next sequence number: IDs are reserved in blocks
-// of idBlock, the counter persisted when a block is exhausted, not per
-// ID, so IDs skip after a restart but never repeat. The caller holds
-// m.mu.
-func (m *Manager) nextSeq() (uint64, error) {
+// Begin starts a local transaction with a fresh ID. IDs are reserved in
+// blocks of idBlock: the counter is persisted when a block is exhausted,
+// not per ID, so IDs skip after a restart but never repeat. The
+// transaction holds Mark at or below its sequence number until it
+// settles.
+func (m *Manager) Begin() (*Tx, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	if m.seq == m.reserved {
 		mark := m.reserved + idBlock
 		if err := m.store.Apply(stable.Put(m.seqKey(), []byte(strconv.FormatUint(mark, 10)))); err != nil {
-			return 0, err
+			return nil, err
 		}
 		m.reserved = mark
 	}
 	m.seq++
-	return m.seq, nil
-}
-
-// Begin starts a local transaction with a fresh ID. It holds Mark at or
-// below its sequence number until it settles.
-func (m *Manager) Begin() (*Tx, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	seq, err := m.nextSeq()
-	if err != nil {
-		return nil, err
-	}
-	m.open[seq] = struct{}{}
-	return &Tx{id: m.node + "#" + strconv.FormatUint(seq, 10), seq: seq, mgr: m, status: StatusActive}, nil
+	m.open[m.seq] = struct{}{}
+	return &Tx{id: m.node + "#" + strconv.FormatUint(m.seq, 10), seq: m.seq, mgr: m, status: StatusActive}, nil
 }
 
 // BeginWithID starts a local transaction under an externally supplied ID
