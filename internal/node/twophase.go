@@ -138,15 +138,15 @@ func (n *Node) pause(err error) error {
 	return err
 }
 
-// sendResolved tells a decider this node's current mark (q.resolved). It
-// parks in the piggyback hold buffer (piggybackKind) when the wheel runs,
-// joining b otherwise.
+// sendResolved tells a decider this node's current mark (q.resolved).
 func (n *Node) sendResolved(to string) {
 	var b outBatch
 	n.sendResolvedInto(&b, to)
 	b.flush(n)
 }
 
+// sendResolvedInto is sendResolved joining batch b. The message parks in
+// the piggyback hold buffer (piggybackKind) when the wheel runs.
 func (n *Node) sendResolvedInto(b *outBatch, to string) {
 	n.sendTo(b, to, protocol.KindResolved, &protocol.MarkMsg{Mark: n.mgr.Mark()})
 }
@@ -168,12 +168,11 @@ func (n *Node) prepareRCERemote(tx *txn.Tx, dest string, ops []*core.OpEntry) ch
 // participants it is a plain local commit.
 //
 // count (may be nil) runs as count(1) immediately before the commit is
-// applied: metric increments belong there, because the instant the commit lands its
-// effects are visible to concurrent workers and remote nodes — a counter
-// bumped *after* could be missed by a snapshot taken on completion of the
-// chain this commit enables. If the commit itself fails (store I/O error;
-// never in the simulated environment) the count is one high — the retry
-// recounts — which is harmless for advisory metrics.
+// applied: metric increments belong there, because the instant the
+// commit lands its effects are visible to concurrent workers and remote
+// nodes — a counter bumped *after* could be missed by a snapshot taken on
+// completion of the chain this commit enables. A commit that fails takes
+// the count back with count(-1).
 func (n *Node) commitDistributed(tx *txn.Tx, parts []string, count func(int64)) error {
 	if len(parts) > 0 {
 		tx.AddCommitOps(n.mgr.DecisionOp(tx.ID()))
@@ -182,6 +181,9 @@ func (n *Node) commitDistributed(tx *txn.Tx, parts []string, count func(int64)) 
 		count(1)
 	}
 	if err := tx.Commit(); err != nil {
+		if count != nil {
+			count(-1)
+		}
 		n.abortParts(tx, parts)
 		_ = tx.Abort()
 		return fmt.Errorf("node %s: commit: %w", n.cfg.Name, err)
