@@ -71,7 +71,7 @@ func run(args []string) error {
 		obsAddr   = fs.String("obs-addr", "", "admin-plane listen address serving /metrics, /healthz, /trace, /ring and /debug/pprof (empty disables)")
 		members   = fs.String("members", "", "comma-separated peer node names seeding the membership view; enables consistent-hash placement (@ring itinerary locations) and live rebalancing (empty keeps static wiring)")
 	)
-	// The storage knobs (-store, -sync, -wal-*, -repl*) are the shared
+	// The storage knobs (-store, -sync, -wal-*) are the shared
 	// flag surface: they parse into a stable.Spec in one place.
 	sflags := stable.BindFlags(fs, stable.Spec{Engine: "wal", Sync: true})
 	if err := fs.Parse(args); err != nil {
@@ -86,16 +86,7 @@ func run(args []string) error {
 		return err
 	}
 
-	spec, err := sflags.Spec()
-	if err != nil {
-		return err
-	}
-	if spec.Repl.Enabled() {
-		// Replication needs the multi-node runtime to wire a transport
-		// between primaries and replica hosts (see stable.Spec.Repl); a
-		// standalone process has no peers to hold its replicas.
-		return fmt.Errorf("-repl is not supported by the standalone agentnode (replication is wired by the cluster runtime)")
-	}
+	spec := sflags.Spec()
 	spec.Dir = *dataDir
 	store, err := openStore(spec, logger)
 	if err != nil {

@@ -144,8 +144,9 @@ func tree(t *testing.T, fsys fs.FS) map[string]string {
 	return out
 }
 
-// TestRunRejectsRepl: the standalone process has no peers to hold
-// replicas; -repl must be refused up front, not silently ignored.
+// TestRunRejectsRepl: replication is gone and -repl is no flag, so the
+// flag package refuses it by name. An old deployment script that asks
+// for replicas must fail at start, not run a node unreplicated.
 func TestRunRejectsRepl(t *testing.T) {
 	err := run([]string{"-name", "A", "-listen", ":0", "-data", t.TempDir(), "-repl", "2"})
 	if err == nil || !strings.Contains(err.Error(), "-repl") {

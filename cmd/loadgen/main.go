@@ -6,8 +6,7 @@
 // compensated rollbacks, drained queues and a clean store reopen. A plain
 // load is a chaos run with an empty schedule, -join schedules one node
 // join mid-run, and -chaos draws each seed's fault schedule. It is the
-// driver for the cluster smokes (mid-run join, replication, storage
-// engines, chaos) and for profiles and traces; timing numbers come from
+// driver for the cluster smokes (mid-run join, storage engines, chaos) and for profiles and traces; timing numbers come from
 // `go run ./bench`, not from here.
 //
 // Usage:
@@ -18,13 +17,10 @@
 //	loadgen -store wal -wal-segment 4096     # nodes on the WAL engine, 4 KiB segments
 //	loadgen -ring                            # consistent-hash placement (@ring steps)
 //	loadgen -join -workers 4                 # boot an extra node mid-run; live agents migrate to it
-//	loadgen -repl 2                          # replicate every shard to 2 followers (quorum acks)
-//	loadgen -repl 2 -repl-acks async         # replicate asynchronously (primary-only durability)
 //	loadgen -profile shard-saturate          # two runs, 1x and 10x in-flight agents
 //	loadgen -trace t.json -cpuprofile p      # causal trace (chrome://tracing) and pprof CPU profile
 //	loadgen -chaos -chaos-seeds 20           # chaos sweep: 20 seeded fault schedules
 //	loadgen -chaos -chaos-seed 7 -store wal  # replay one failing seed, print its schedule
-//	loadgen -chaos -repl 2 -chaos-kill 2     # chaos with permanent machine kills + failover
 //
 // The per-step service time (-stepwork) is spent inside the step
 // transaction with the bank lock held; it is what makes the workload
@@ -82,7 +78,6 @@ func run(args []string) (*chaos.Result, error) {
 	chaosSeed := fs.Int64("chaos-seed", -1, "chaos: replay exactly this seed (prints the schedule)")
 	chaosSeeds := fs.Int("chaos-seeds", 5, "chaos: number of consecutive seeds to sweep")
 	chaosBase := fs.Int64("chaos-base-seed", 1, "chaos: first seed of the sweep")
-	chaosKill := fs.Int("chaos-kill", 0, "chaos: permanent machine kills per schedule (requires -repl with quorum acks)")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
@@ -94,13 +89,9 @@ func run(args []string) (*chaos.Result, error) {
 	if *chaosMode && (*joinMid || *profileName != "") {
 		return nil, errors.New("-join and -profile cannot be combined with -chaos: the seed draws the schedule")
 	}
-	spec, err := sflags.Spec()
-	if err != nil {
-		return nil, err
-	}
 	opts := chaos.Options{
 		Nodes: *nodes, Workers: *workers, Agents: *agents, Steps: *steps, Banks: *banks,
-		StepWork: *stepwork, Store: spec, Ring: *ring, Kills: *chaosKill,
+		StepWork: *stepwork, Store: sflags.Spec(), Ring: *ring,
 	}
 	var sched chaos.Schedule
 	if *joinMid {
@@ -137,6 +128,7 @@ func run(args []string) (*chaos.Result, error) {
 	}
 
 	var last *chaos.Result
+	var err error
 	switch {
 	case *chaosMode:
 		seeds := []int64{*chaosSeed}
@@ -250,9 +242,6 @@ func report(opts chaos.Options, res *chaos.Result) {
 	fmt.Printf("control plane: decision_commits/txn=%.3f decision_ops/commit=%.2f piggybacked=%d timers/txn=%.3f\n",
 		safeDiv(m.DecisionBatches, m.StepTxns), safeDiv(m.DecisionOps, m.DecisionBatches), m.AckPiggybacked,
 		safeDiv(m.TimersArmed, m.StepTxns))
-	if r := opts.Store.Repl; r.Enabled() {
-		fmt.Printf("replication: followers=%d follower_acks=%d batches=%d\n", r.Followers, r.FollowerAcks(), m.ReplBatches)
-	}
 	for _, v := range res.Violations {
 		fmt.Printf("  violation: %s\n", v)
 	}

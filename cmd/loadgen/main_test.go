@@ -45,7 +45,9 @@ func TestLoadgenBadFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-store", "papyrus"},
 		{"-chaos", "-store", "papyrus"},
-		{"-repl-acks", "most"},
+		// Replication is gone: its flags are refused by name.
+		{"-repl", "2"},
+		{"-chaos-kill", "1"},
 		// The seed draws the schedule: a join or a profile would replace it.
 		{"-chaos", "-join"},
 		{"-chaos-seed", "1", "-profile", "shard-saturate"},

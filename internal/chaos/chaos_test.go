@@ -27,28 +27,15 @@ var (
 	chaosStore   = flag.String("chaos-store", "mem", fmt.Sprintf("stable engine per node, one of %v", stable.Engines()))
 	chaosWorkers = flag.Int("chaos-workers", 1, "scheduler workers per node")
 	chaosChurn   = flag.Int("chaos-churn", 0, "membership churn draws per seed (joins + leaves; 0 disables)")
-	chaosRepl    = flag.Int("chaos-repl", 0, "follower replicas per shard (0 disables replication)")
-	chaosAcks    = flag.String("chaos-repl-acks", "quorum", "replication ack mode: quorum|async")
-	chaosKill    = flag.Int("chaos-kill", 0, "permanent-kill draws per seed (requires -chaos-repl with quorum acks)")
 )
 
-func chaosOptions(seed int64) (chaos.Options, error) {
-	spec := stable.Spec{Engine: *chaosStore, Repl: stable.ReplSpec{Followers: *chaosRepl}}
-	switch *chaosAcks {
-	case "quorum":
-		spec.Repl.Acks = stable.AcksQuorum
-	case "async":
-		spec.Repl.Acks = 1
-	default:
-		return chaos.Options{}, fmt.Errorf("-chaos-repl-acks %q: want quorum or async", *chaosAcks)
-	}
+func chaosOptions(seed int64) chaos.Options {
 	return chaos.Options{
 		Seed:    seed,
-		Store:   spec,
+		Store:   stable.Spec{Engine: *chaosStore},
 		Workers: *chaosWorkers,
 		Churn:   *chaosChurn,
-		Kills:   *chaosKill,
-	}, nil
+	}
 }
 
 // reproLine is the one command that replays seed: TestChaos with every
@@ -71,10 +58,7 @@ func reproLine(seed int64) string {
 // violation, printing the exact schedule and the one-line repro command.
 func runSeed(t *testing.T, seed int64, verbose bool) {
 	t.Helper()
-	opts, err := chaosOptions(seed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	opts := chaosOptions(seed)
 	res, err := chaos.Run(opts)
 	if err != nil {
 		t.Fatalf("seed %d: harness error: %v", seed, err)
@@ -304,70 +288,6 @@ func TestChaosChurn(t *testing.T) {
 				t.Logf("\n%s", res.Schedule.String())
 			}
 		})
-	}
-}
-
-// TestChaosKillPermanent runs seeds whose schedules include permanent
-// kills — machine death with the disk — on a replicated cluster with
-// quorum acks. The killed node's agents must complete on the promoted
-// replica with zero lost or duplicated steps; the executor restores the
-// replication factor between kills, so a seed may kill several machines.
-func TestChaosKillPermanent(t *testing.T) {
-	for _, tc := range []struct {
-		store string
-		seed  int64
-	}{
-		{"mem", 21}, {"wal", 22},
-	} {
-		tc := tc
-		t.Run(fmt.Sprintf("%s/seed=%d", tc.store, tc.seed), func(t *testing.T) {
-			res, err := chaos.Run(chaos.Options{
-				Seed: tc.seed,
-				Store: stable.Spec{Engine: tc.store,
-					Repl: stable.ReplSpec{Followers: 2, Acks: stable.AcksQuorum}},
-				Kills:   2,
-				Agents:  10,
-				Steps:   4,
-				Gen:     chaos.GenConfig{Faults: 4, Horizon: 900 * time.Millisecond},
-				Timeout: time.Minute,
-			})
-			if err != nil {
-				t.Fatalf("harness error: %v", err)
-			}
-			kills := 0
-			for _, e := range res.Schedule.Events {
-				if e.Op == chaos.OpKillPermanent {
-					kills++
-				}
-			}
-			if kills == 0 {
-				t.Fatalf("kill run drew no kills:\n%s", res.Schedule.String())
-			}
-			t.Logf("%s", res.Summary())
-			for _, v := range res.Violations {
-				t.Errorf("violation: %s", v)
-			}
-			if t.Failed() {
-				t.Logf("\n%s", res.Schedule.String())
-			}
-		})
-	}
-}
-
-// TestChaosKillRequiresQuorum: the harness must refuse the combinations
-// a permanent kill genuinely cannot survive, instead of reporting the
-// resulting data loss as a protocol violation.
-func TestChaosKillRequiresQuorum(t *testing.T) {
-	quorum := stable.Spec{Repl: stable.ReplSpec{Followers: 2, Acks: stable.AcksQuorum}}
-	async := stable.Spec{Repl: stable.ReplSpec{Followers: 2, Acks: 1}}
-	if _, err := chaos.Run(chaos.Options{Seed: 1, Kills: 1, Store: async}); err == nil {
-		t.Error("async acks + permanent kills was not rejected")
-	}
-	if _, err := chaos.Run(chaos.Options{Seed: 1, Kills: 1}); err == nil {
-		t.Error("permanent kills without replication was not rejected")
-	}
-	if _, err := chaos.Run(chaos.Options{Seed: 1, Kills: 1, Store: quorum, Churn: 1}); err == nil {
-		t.Error("permanent kills + churn was not rejected")
 	}
 }
 

@@ -40,9 +40,7 @@ type Options struct {
 
 	// Store configures every node's stable storage (Engine defaults to
 	// mem). A durable engine roots its files under Store.Dir, a temp dir
-	// when empty. Store.Repl with Followers > 0 wraps every node's engine
-	// (mem included) in the repl primary, and each node hosts replicas of
-	// its neighbours' shards.
+	// when empty.
 	Store stable.Spec
 
 	// Ring places every step by consistent hash ("@ring:<key>" locations
@@ -78,15 +76,6 @@ type Options struct {
 	// ring-placed and with rollbacks disabled: a compensation targets the
 	// concrete node its step ran on, which may have permanently left.
 	Churn int
-
-	// Kills draws this many permanent-kill events into the schedule:
-	// distinct nodes whose disk is destroyed with the machine and whose
-	// identity fails over onto the most caught-up surviving replica.
-	// Requires Store.Repl with Followers > 0 and Acks = stable.AcksQuorum
-	// (with fewer acks a kill genuinely loses acknowledged data — the
-	// harness refuses the combination rather than report it as a
-	// protocol violation) and is mutually exclusive with Churn.
-	Kills int
 }
 
 // Defaults returns the Options a zero value runs with: the workload a
@@ -174,18 +163,12 @@ func (r *Result) Failed() bool { return len(r.Violations) > 0 }
 // Summary is a one-line digest for logs and tables.
 func (r *Result) Summary() string {
 	crashes, parts, faults := r.Schedule.Counts()
-	kills := 0
-	for _, e := range r.Schedule.Events {
-		if e.Op == OpKillPermanent {
-			kills++
-		}
-	}
 	verdict := "OK"
 	if r.Failed() {
 		verdict = fmt.Sprintf("VIOLATIONS=%d", len(r.Violations))
 	}
-	return fmt.Sprintf("seed=%d crashes=%d kills=%d partitions=%d faultwins=%d drops=%d dups=%d reorders=%d agents=%d rolledback=%d elapsed=%s %s",
-		r.Seed, crashes, kills, parts, faults, r.Faults.Drops, r.Faults.Dups, r.Faults.Reorders,
+	return fmt.Sprintf("seed=%d crashes=%d partitions=%d faultwins=%d drops=%d dups=%d reorders=%d agents=%d rolledback=%d elapsed=%s %s",
+		r.Seed, crashes, parts, faults, r.Faults.Drops, r.Faults.Dups, r.Faults.Reorders,
 		r.Completed, r.RolledBack, r.Elapsed.Round(time.Millisecond), verdict)
 }
 
@@ -234,17 +217,6 @@ func RunSchedule(opts Options, sched Schedule) (*Result, error) {
 
 func run(opts Options, fixed *Schedule) (*Result, error) {
 	opts.fillDefaults()
-	if opts.Kills > 0 {
-		if opts.Churn > 0 {
-			return nil, fmt.Errorf("chaos: Kills and Churn cannot be combined (a drain can target an identity mid-failover)")
-		}
-		if !opts.Store.Repl.Enabled() {
-			return nil, fmt.Errorf("chaos: Kills requires replication (Store.Repl.Followers > 0): a permanent kill destroys the disk")
-		}
-		if opts.Store.Repl.Acks != stable.AcksQuorum {
-			return nil, fmt.Errorf("chaos: permanent kills need quorum acks (with fewer, the unreplicated tail dies with the machine)")
-		}
-	}
 
 	names := make([]string, opts.Nodes)
 	for i := range names {
@@ -399,7 +371,7 @@ func run(opts Options, fixed *Schedule) (*Result, error) {
 	res.Faults = cl.LinkFaultStats()
 	cl.Close()
 	res.Trace = cl.TraceRecords()
-	if err := checkStoresReopen(res, cl, names); err != nil {
+	if err := checkStoresReopen(res, opts.Store, names); err != nil {
 		return nil, err
 	}
 	sortViolations(res.Violations)
@@ -477,7 +449,6 @@ func writeTimelineArtifact(opts Options, res *Result) {
 func genConfig(opts Options, names []string) GenConfig {
 	g := opts.Gen
 	g.Nodes = names
-	g.Kills = opts.Kills
 	if opts.Churn > 0 {
 		g.Churn = opts.Churn
 		for i := 0; i < opts.Churn; i++ {
@@ -704,23 +675,6 @@ func execute(cl *cluster.Cluster, sched Schedule, start time.Time, opts Options)
 					leaveErr <- fmt.Errorf("chaos: leave %s: %w", name, err)
 				}
 			}(ev.Node)
-		case OpKillPermanent:
-			// The most severe fault subsumes the milder network chaos:
-			// end every open partition/fault window early, because this
-			// executor must block until the replication factor is back
-			// (the scheduled heal/clear events it would starve become
-			// harmless no-ops).
-			cl.HealAllLinks()
-			cl.ClearLinkFaults()
-			if err := cl.KillPermanent(ev.Node); err != nil {
-				return fmt.Errorf("chaos: kill-permanent %s: %w", ev.Node, err)
-			}
-			// Quorum tolerates one lost copy at a time: the survivors
-			// must finish re-replicating before the schedule may take
-			// the next machine down.
-			if err := cl.AwaitReplication(30 * time.Second); err != nil {
-				return err
-			}
 		}
 	}
 	for _, n := range cl.CrashedNodes() {
@@ -890,16 +844,14 @@ func checkQueuesEmpty(res *Result, cl *cluster.Cluster, names []string) error {
 // checkStoresReopen reopens every durable store after the cluster shut
 // down — the cold-restart conformance check: the engine must recover
 // (checkpoint load + tail replay for wal), and the recovered queue must
-// be empty. The spec comes from the cluster because a permanent-kill
-// failover re-homes a node's primary onto the promoted replica's
-// directory, not the node's original one.
-func checkStoresReopen(res *Result, cl *cluster.Cluster, names []string) error {
+// be empty.
+func checkStoresReopen(res *Result, spec stable.Spec, names []string) error {
+	if !spec.Durable() {
+		return nil // volatile engine: nothing to reopen
+	}
+	spec.Counters = nil
 	for _, n := range names {
-		spec, ok := cl.NodeStoreSpec(n)
-		if !ok {
-			return nil // volatile engine: nothing to reopen
-		}
-		st, err := stable.Open(spec)
+		st, err := stable.Open(spec.ForNode(n))
 		if err != nil {
 			res.Violations = append(res.Violations, Violation{
 				Invariant: "store-recovery",

@@ -56,14 +56,6 @@ const (
 	// OpLeave drains a previously joined node back out: Left status
 	// floods, its agents migrate to the new owners, then it detaches.
 	OpLeave
-	// OpKillPermanent kills a node *with its disk* — the permanent
-	// failure class the paper's own recovery excludes. The cluster
-	// promotes the most caught-up surviving replica of the node's shard
-	// and reboots the identity on it (cluster.KillPermanent); requires a
-	// run with replication (Options.Store.Repl) and quorum acks. The executor
-	// waits for the replication factor to be restored before the next
-	// event, so a schedule may contain several kills.
-	OpKillPermanent
 )
 
 func (o Op) String() string {
@@ -84,8 +76,6 @@ func (o Op) String() string {
 		return "join"
 	case OpLeave:
 		return "leave"
-	case OpKillPermanent:
-		return "kill-permanent"
 	default:
 		return fmt.Sprintf("op(%d)", int(o))
 	}
@@ -102,7 +92,7 @@ type Event struct {
 
 func (e Event) String() string {
 	switch e.Op {
-	case OpCrash, OpRecover, OpJoin, OpLeave, OpKillPermanent:
+	case OpCrash, OpRecover, OpJoin, OpLeave:
 		return fmt.Sprintf("t=%-8s %-12s %s", e.At, e.Op, e.Node)
 	case OpFaults:
 		return fmt.Sprintf("t=%-8s %-12s %s<->%s drop=%.2f dup=%.2f reorder=%.2f delay=%s spike=%s",
@@ -139,17 +129,14 @@ func (s *Schedule) Counts() (crashes, partitions, faultWindows int) {
 func (s *Schedule) String() string {
 	var b strings.Builder
 	crashes, parts, faults := s.Counts()
-	joins, kills := 0, 0
+	joins := 0
 	for _, e := range s.Events {
-		switch e.Op {
-		case OpJoin:
+		if e.Op == OpJoin {
 			joins++
-		case OpKillPermanent:
-			kills++
 		}
 	}
-	fmt.Fprintf(&b, "chaos schedule seed=%d nodes=%v (%d crashes, %d partitions, %d fault windows, %d joins, %d kills)\n",
-		s.Seed, s.Nodes, crashes, parts, faults, joins, kills)
+	fmt.Fprintf(&b, "chaos schedule seed=%d nodes=%v (%d crashes, %d partitions, %d fault windows, %d joins)\n",
+		s.Seed, s.Nodes, crashes, parts, faults, joins)
 	for _, e := range s.Events {
 		fmt.Fprintf(&b, "  %s\n", e)
 	}
@@ -180,13 +167,6 @@ type GenConfig struct {
 	// crash/partition draws target them. Zero disables churn.
 	Churn     int
 	JoinNames []string // names for joined nodes; must cover Churn draws
-
-	// Kills is the number of permanent-kill draws. Each targets a
-	// distinct original node at a time outside that node's crash windows
-	// (the kill itself subsumes a crash, and mixing the two on one node
-	// would shadow the window's recover event). Zero disables kills.
-	// Requires a replicated run; the harness enforces quorum acks.
-	Kills int
 }
 
 func (g *GenConfig) fillDefaults() {
@@ -320,23 +300,6 @@ func Generate(seed int64, cfg GenConfig) Schedule {
 					Event{At: at, Op: OpFaults, A: a, B: b, Faults: lf},
 					Event{At: at + hold, Op: OpClearFaults, A: a, B: b})
 			}
-			break
-		}
-	}
-	// Permanent kills, after the crash draws so each can dodge its
-	// target's crash windows. Targets are distinct original nodes: the
-	// identity is reborn synchronously on a promoted replica, so later
-	// windows (and the workload) keep addressing it.
-	killed := make(map[string]bool)
-	for k := 0; k < cfg.Kills && k < len(nodes); k++ {
-		for attempt := 0; attempt < 6; attempt++ {
-			n := nodes[rng.Intn(len(nodes))]
-			at := time.Duration(rng.Int63n(int64(cfg.Horizon)))
-			if killed[n] || overlaps(crashed[n], interval{at, at}) {
-				continue
-			}
-			killed[n] = true
-			events = append(events, Event{At: at, Op: OpKillPermanent, Node: n})
 			break
 		}
 	}

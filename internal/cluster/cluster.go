@@ -8,9 +8,7 @@
 // discarding all volatile state; the stable store survives, exactly like a
 // machine reboot. Recover re-attaches a fresh runtime to the surviving
 // store and lets the node-level recovery protocol resolve in-doubt work.
-// With replication configured (Options.Store.Repl), KillPermanent models
-// the harsher fault where the disk dies too: the node's identity fails
-// over onto the most caught-up surviving replica (see repl.go).
+// A node never loses its store: §4.3 assumes temporary faults only.
 package cluster
 
 import (
@@ -27,7 +25,6 @@ import (
 	"repro/internal/network"
 	"repro/internal/node"
 	"repro/internal/stable"
-	"repro/internal/stable/repl"
 	"repro/internal/trace"
 	"repro/internal/txn"
 )
@@ -55,12 +52,11 @@ type Options struct {
 	Counters *metrics.Counters
 	// Store configures every node's stable engine through the unified
 	// stable.Spec entry point: Engine/Dir/Sync select the engine (each
-	// node gets Spec.ForNode(name)), Repl adds per-shard primary/backup
-	// replication (enabling KillPermanent failover). The zero value gives
-	// each node a MemStore owned by the cluster, so it survives simulated
-	// crashes; a durable engine automatically runs its real
-	// crash-recovery path on Recover (the store handle is closed on Crash
-	// and reopened via stable.Open).
+	// node gets Spec.ForNode(name)). The zero value gives each node a
+	// MemStore owned by the cluster, so it survives simulated crashes; a
+	// durable engine automatically runs its real crash-recovery path on
+	// Recover (the store handle is closed on Crash and reopened via
+	// stable.Open).
 	Store stable.Spec
 	// FaultSeed seeds the simulated network's fault RNG so probabilistic
 	// link faults (SetLinkFaults) replay identically for the same seed.
@@ -98,13 +94,6 @@ type nodeState struct {
 	// terminal, and the node object and store stay readable so
 	// invariant checks can still sum its resources.
 	left bool
-	// dead: KillPermanent destroyed the node's storage and no failover
-	// has (yet) succeeded. Terminal unless a replica promotion revives
-	// the identity.
-	dead bool
-	// replHost is the follower side of the node's replication plane,
-	// rebuilt on every boot.
-	replHost *repl.Host
 }
 
 // Cluster is a simulated multi-node agent system.
@@ -119,17 +108,6 @@ type Cluster struct {
 	tracers map[string]*trace.Tracer
 	results map[string]chan Result
 	started bool
-	// followers caches each shard's fixed follower set; storeDirs
-	// overrides a node's primary data directory after a failover promoted
-	// a replica living elsewhere on disk.
-	followers map[string][]string
-	storeDirs map[string]string
-
-	// replicaMu guards the cluster-owned replica stores (they outlive
-	// their holder's runtime, like the primaries outlive theirs).
-	replicaMu sync.Mutex
-	replicas  map[string]map[string]*replicaRef // holder -> shard -> ref
-	replGen   map[string]int                    // "holder/shard" -> next dir generation
 
 	collectorEp network.Endpoint
 	wg          sync.WaitGroup
@@ -142,7 +120,7 @@ func New(opts Options) *Cluster {
 		opts.Counters = &metrics.Counters{}
 	}
 	if opts.Store.Counters == nil {
-		opts.Store.Counters = opts.Counters // engine and replication metrics alike
+		opts.Store.Counters = opts.Counters
 	}
 	if opts.LogMode == 0 {
 		opts.LogMode = core.StateLogging
@@ -155,16 +133,12 @@ func New(opts Options) *Cluster {
 			FaultSeed: opts.FaultSeed,
 			Clock:     opts.Clock,
 		}),
-		registry:  agent.NewRegistry(),
-		counters:  opts.Counters,
-		nodes:     make(map[string]*nodeState),
-		tracers:   make(map[string]*trace.Tracer),
-		results:   make(map[string]chan Result),
-		followers: make(map[string][]string),
-		storeDirs: make(map[string]string),
-		replicas:  make(map[string]map[string]*replicaRef),
-		replGen:   make(map[string]int),
-		stop:      make(chan struct{}),
+		registry: agent.NewRegistry(),
+		counters: opts.Counters,
+		nodes:    make(map[string]*nodeState),
+		tracers:  make(map[string]*trace.Tracer),
+		results:  make(map[string]chan Result),
+		stop:     make(chan struct{}),
 	}
 }
 
@@ -197,15 +171,9 @@ func (c *Cluster) AddNode(name string, factories ...node.ResourceFactory) error 
 	return nil
 }
 
-// newStore builds one node's stable engine store (the inner store —
-// replication wrapping happens separately, once the node set is known).
+// newStore opens one node's stable store in its own directory.
 func (c *Cluster) newStore(name string) (stable.Store, error) {
-	spec := c.opts.Store
-	spec.Repl = stable.ReplSpec{} // replication is layered on by the cluster
-	if spec.Durable() {
-		spec.Dir = c.storeDir(name)
-	}
-	store, err := stable.Open(spec)
+	store, err := stable.Open(c.opts.Store.ForNode(name))
 	if err != nil {
 		return nil, fmt.Errorf("cluster: store for %q: %w", name, err)
 	}
@@ -227,23 +195,6 @@ func (c *Cluster) Start() error {
 	}
 	c.mu.Unlock()
 	sort.Strings(names)
-
-	if c.replEnabled() {
-		// The node set is final now: fix every shard's follower set and
-		// wrap each engine store into its shard's primary.
-		for _, name := range names {
-			c.mu.Lock()
-			st := c.nodes[name]
-			c.mu.Unlock()
-			rs, err := c.wrapRepl(name, st.store, false)
-			if err != nil {
-				return err
-			}
-			c.mu.Lock()
-			st.store = rs
-			c.mu.Unlock()
-		}
-	}
 
 	ep, err := c.sim.Endpoint(collectorName)
 	if err != nil {
@@ -268,13 +219,6 @@ func (c *Cluster) bootNode(name string) error {
 	c.mu.Lock()
 	st := c.nodes[name]
 	c.mu.Unlock()
-	if c.replEnabled() {
-		// Attach the replication plane first, so the store can replicate
-		// (and block on quorum acks) from the node's first write on.
-		if err := c.bootRepl(name, st); err != nil {
-			return err
-		}
-	}
 	ep, err := c.sim.Endpoint(name)
 	if err != nil {
 		return err
@@ -353,15 +297,6 @@ func (c *Cluster) Join(name string, factories ...node.ResourceFactory) error {
 	}
 	c.nodes[name] = &nodeState{store: store, factories: factories}
 	c.mu.Unlock()
-	if c.replEnabled() {
-		rs, err := c.wrapRepl(name, store, false)
-		if err != nil {
-			return err
-		}
-		c.mu.Lock()
-		c.nodes[name].store = rs
-		c.mu.Unlock()
-	}
 	if err := c.bootNode(name); err != nil {
 		return err
 	}
@@ -424,12 +359,8 @@ func (c *Cluster) Leave(name string, timeout time.Duration) error {
 	}
 	c.mu.Lock()
 	c.nodes[name].left = true
-	store := c.nodes[name].store
 	c.mu.Unlock()
 	c.sim.Crash(name)
-	if rs, ok := store.(*repl.Store); ok {
-		rs.Unbind()
-	}
 	n.Stop()
 	return nil
 }
@@ -632,17 +563,10 @@ func (c *Cluster) Crash(name string) error {
 	n := st.n
 	store := st.store
 	c.mu.Unlock()
-	// Order matters: detach from the network first, so that when
-	// releasing quorum-blocked writers (Unbind) lets the node runtime
-	// wind down, nothing under-replicated can leak out of the dead node.
 	c.sim.Crash(name)
-	if rs, ok := store.(*repl.Store); ok {
-		rs.Unbind()
-	}
 	n.Stop()
 	if c.opts.Store.Durable() {
 		_ = stable.Close(store)
-		c.closeReplicas(name)
 	}
 	return nil
 }
@@ -652,7 +576,7 @@ func (c *Cluster) Crash(name string) error {
 func (c *Cluster) Recover(name string) error {
 	c.mu.Lock()
 	st, ok := c.nodes[name]
-	if !ok || !st.crashed || st.dead {
+	if !ok || !st.crashed {
 		c.mu.Unlock()
 		return fmt.Errorf("cluster: cannot recover %q", name)
 	}
@@ -661,13 +585,6 @@ func (c *Cluster) Recover(name string) error {
 		store, err := c.newStore(name)
 		if err != nil {
 			return err
-		}
-		if c.replEnabled() {
-			rs, err := c.wrapRepl(name, store, false)
-			if err != nil {
-				return err
-			}
-			store = rs
 		}
 		c.mu.Lock()
 		st.store = store
@@ -716,7 +633,7 @@ func (c *Cluster) CrashedNodes() []string {
 	defer c.mu.Unlock()
 	var names []string
 	for name, st := range c.nodes {
-		if st.crashed && !st.dead {
+		if st.crashed {
 			names = append(names, name)
 		}
 	}
@@ -741,23 +658,10 @@ func (c *Cluster) Close() {
 	c.mu.Unlock()
 	for _, st := range nodes {
 		if st.n != nil && !st.crashed && !st.left {
-			if rs, ok := st.store.(*repl.Store); ok {
-				rs.Unbind()
-			}
 			st.n.Stop()
 		}
 		_ = stable.Close(st.store)
 	}
-	c.replicaMu.Lock()
-	for _, byShard := range c.replicas {
-		for _, ref := range byShard {
-			if ref.store != nil {
-				_ = stable.Close(ref.store)
-				ref.store = nil
-			}
-		}
-	}
-	c.replicaMu.Unlock()
 	c.sim.Close()
 	c.wg.Wait()
 }

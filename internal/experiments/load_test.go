@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/chaos"
-	"repro/internal/stable"
 )
 
 // runLoad runs a plain load, a chaos run with the given (fault-free)
@@ -41,23 +40,6 @@ func TestThroughputHarness(t *testing.T) {
 	}
 	if res.Metrics.SchedClaims == 0 {
 		t.Error("scheduler claimed nothing; pool not engaged")
-	}
-}
-
-// TestThroughputReplicated: `loadgen -repl`'s wiring — a load with
-// quorum-replicated stores completes with every invariant intact and
-// with replication actually engaged on the commit path.
-func TestThroughputReplicated(t *testing.T) {
-	res := runLoad(t, chaos.Options{
-		Nodes: 3, Workers: 2, Agents: 9, Steps: 3, Banks: 2,
-		StepWork: time.Millisecond, RollbackRatio: -1,
-		Store: stable.Spec{Repl: stable.ReplSpec{Followers: 2, Acks: stable.AcksQuorum}},
-	}, chaos.Schedule{})
-	if res.Metrics.StepTxns != 9*(3+1) {
-		t.Errorf("step txns = %d, want 36", res.Metrics.StepTxns)
-	}
-	if res.Metrics.ReplBatches == 0 {
-		t.Error("no batches replicated; Repl spec not wired through")
 	}
 }
 

@@ -97,11 +97,6 @@ type fields[T any] struct {
 	WALCheckpoints    T // index checkpoints persisted
 	Fsyncs            T // fsync calls issued by stable storage
 	FsyncNanos        T // cumulative time spent in fsync
-
-	// Replicated storage (internal/stable/repl).
-	ReplBatches   T // committed batches shipped to follower replicas
-	ReplAcks      T // follower flush acknowledgements received
-	ReplSnapshots T // full-snapshot catch-ups streamed to followers
 }
 
 // isPeak reports whether the named field is a high-water mark rather than
@@ -337,16 +332,6 @@ func (c *Counters) ObserveFsync(d time.Duration) {
 		c.live.FsyncNanos.Add(int64(d))
 	})
 }
-
-// IncReplBatch records one committed batch shipped to follower replicas.
-func (c *Counters) IncReplBatch() { c.on(func() { c.live.ReplBatches.Add(1) }) }
-
-// IncReplAck records one follower flush acknowledgement received.
-func (c *Counters) IncReplAck() { c.on(func() { c.live.ReplAcks.Add(1) }) }
-
-// IncReplSnapshot records one full-snapshot catch-up streamed to a
-// lagging or freshly (re)joined follower.
-func (c *Counters) IncReplSnapshot() { c.on(func() { c.live.ReplSnapshots.Add(1) }) }
 
 // StepStarted marks one step entering execution; it returns the current
 // in-flight count. Pair with StepFinished.

@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"strings"
 	"sync"
 	"time"
 
@@ -70,18 +69,6 @@ var (
 	// it at once: no decider can ever see that prepare (DESIGN.md §5).
 	ErrUnreachable = errors.New("network: peer unreachable")
 )
-
-// hostOf maps an endpoint name to the host (node) it lives on. A node
-// may attach several endpoints — e.g. "w1" for the protocol plane and
-// "w1!repl" for the storage replication plane — that share the node's
-// fate: one partition blocks both, one crash detaches both. The host is
-// the name up to the first '!'.
-func hostOf(name string) string {
-	if i := strings.IndexByte(name, '!'); i >= 0 {
-		return name[:i]
-	}
-	return name
-}
 
 // SimConfig configures a simulated network.
 type SimConfig struct {
@@ -190,23 +177,20 @@ func (s *Sim) Endpoint(name string) (Endpoint, error) {
 	}
 	ep := newSimEndpoint(name, s)
 	s.eps[name] = ep
-	delete(s.down, hostOf(name))
+	delete(s.down, name)
 	return ep, nil
 }
 
-// Crash marks a node as down: every endpoint attached to the host is
-// detached, all messages to or from it are dropped until Endpoint is
-// called again for the same host, and messages already in flight toward
-// it are lost (they were addressed to the previous incarnation).
+// Crash marks a node as down: its endpoint is detached, all messages to
+// or from it are dropped until Endpoint is called again for the same
+// name, and messages already in flight toward it are lost (they were
+// addressed to the previous incarnation).
 func (s *Sim) Crash(name string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for epName, ep := range s.eps {
-		if hostOf(epName) == name {
-			ep.close()
-			delete(s.eps, epName)
-			s.epoch[epName]++
-		}
+	if ep, ok := s.eps[name]; ok {
+		ep.close()
+		delete(s.eps, name)
 	}
 	s.down[name] = true
 	s.epoch[name]++
@@ -352,8 +336,7 @@ func (s *Sim) send(from, to string, msgs []Outgoing) error {
 		s.mu.Unlock()
 		return ErrNetworkClosed
 	}
-	hostFrom, hostTo := hostOf(from), hostOf(to)
-	if s.blocked[hostFrom][hostTo] || s.down[hostTo] || s.down[hostFrom] {
+	if s.blocked[from][to] || s.down[to] || s.down[from] {
 		s.mu.Unlock()
 		// Partitioned link or crashed host on either end: lost, and
 		// counted. A crashed sender cannot transmit — its endpoint
@@ -372,7 +355,7 @@ func (s *Sim) send(from, to string, msgs []Outgoing) error {
 	var held []Message // reordered: one hop each, heldLat later
 	var heldLat time.Duration
 	var rolled LinkStats
-	if f := s.faults[hostFrom][hostTo]; f.Active() {
+	if f := s.faults[from][to]; f.Active() {
 		lat += f.Extra
 		heldLat = lat + f.Delay
 		if f.Delay <= 0 {
@@ -400,7 +383,7 @@ func (s *Sim) send(from, to string, msgs []Outgoing) error {
 				*dst = append(*dst, msg)
 			}
 		}
-		st := s.statsFor(hostFrom, hostTo)
+		st := s.statsFor(from, to)
 		*st = st.add(rolled)
 	} else {
 		for _, m := range msgs {
@@ -468,7 +451,7 @@ func (s *Sim) deliver(batch []Message, epoch int) {
 	from, to := batch[0].From, batch[0].To
 	s.mu.Lock()
 	ep, ok := s.eps[to]
-	if s.closed || !ok || s.down[hostOf(to)] || s.epoch[to] != epoch || s.blocked[hostOf(from)][hostOf(to)] {
+	if s.closed || !ok || s.down[to] || s.epoch[to] != epoch || s.blocked[from][to] {
 		closed := s.closed
 		s.mu.Unlock()
 		if !closed {

@@ -3,10 +3,8 @@ package stable_test
 import (
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/stable"
-	"repro/internal/stable/repl"
 	"repro/internal/stable/storetest"
 	"repro/internal/stable/wal"
 )
@@ -45,26 +43,6 @@ func TestStoreConformance(t *testing.T) {
 			return s
 		})
 	})
-	// The replication wrapper is itself a stable.Store and must preserve
-	// the engine semantics exactly — including hiding its own meta record
-	// from readers. Unbound, so commits retain locally (nothing to ack).
-	t.Run("repl", func(t *testing.T) {
-		storetest.Conformance(t, func(t *testing.T) stable.Store {
-			inner, err := wal.Open(t.TempDir(), wal.Options{NoBackground: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			s, err := repl.Wrap(inner, repl.Options{
-				Shard: "n0", Followers: []string{"n1"}, Acks: 1,
-				ResendEvery: time.Hour,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { _ = s.Close() })
-			return s
-		})
-	})
 }
 
 // TestStoreCrashMatrix crashes each durable engine at every fsync
@@ -95,27 +73,6 @@ func TestStoreCrashMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 			return &ckptEveryN{Store: s, every: 3}
-		})
-	})
-	// A replicated store's crash durability is its inner engine's: every
-	// crash point must recover identically through the wrapper, with the
-	// replication position resuming alongside. (Abandoned incarnations
-	// keep an inert resend goroutine until test exit, like their leaked
-	// file handles.)
-	t.Run("repl", func(t *testing.T) {
-		storetest.CrashMatrix(t, func(t *testing.T, dir string) stable.Store {
-			inner, err := wal.Open(dir, wal.Options{NoBackground: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			s, err := repl.Wrap(inner, repl.Options{
-				Shard: "n0", Followers: []string{"n1"}, Acks: 1,
-				ResendEvery: time.Hour,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s
 		})
 	})
 }

@@ -2,13 +2,13 @@ package stable
 
 import "sync"
 
-// GroupCommit is the leader-election loop of group commit, shared by
-// every engine whose Apply coalesces concurrent callers (wal.Store,
-// repl.Store). A caller enqueues its batch and waits until a leader
-// commits it. Whenever no leader is active, one queued caller
-// takes over, hands the concatenated ops of everything queued at that
-// moment (its own batch included) to commit as one crash-consistency
-// point, wakes the group with the result and returns. Each leader
+// GroupCommit is the leader-election loop of group commit, for an
+// engine whose Apply coalesces concurrent callers (wal.Store). A caller
+// enqueues its batch and waits until a leader commits it. Whenever no
+// leader is active, one queued caller takes over, hands the
+// concatenated ops of everything queued at that moment (its own batch
+// included) to commit as one crash-consistency point, wakes the group
+// with the result and returns. Each leader
 // commits exactly one group, so sustained concurrent traffic rotates
 // leadership instead of making one caller commit other callers' groups
 // for as long as the queue stays non-empty.

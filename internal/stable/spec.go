@@ -26,11 +26,6 @@ type Spec struct {
 	Sync bool
 	// WAL tunes the log-structured engine; ignored by others.
 	WAL WALSpec
-	// Repl configures primary/backup replication on top of the engine.
-	// The zero value disables replication. Replication is wired by the
-	// multi-node runtime (cluster) because it needs a transport; Open
-	// itself returns the unreplicated engine.
-	Repl ReplSpec
 	// Counters receives storage metrics; nil = off, methods are nil-safe
 	// (as trace.Tracer).
 	Counters *metrics.Counters
@@ -42,44 +37,6 @@ type Spec struct {
 type WALSpec struct {
 	SegmentSize     int64
 	CheckpointEvery int64
-}
-
-// ReplSpec configures primary/backup replication of committed batches.
-type ReplSpec struct {
-	// Followers is the number of follower replicas per shard. 0 disables
-	// replication.
-	Followers int
-	// Acks is the number of copies (counting the primary) that must hold
-	// a batch before Apply returns. 0 or 1 means asynchronous shipping:
-	// the batch is on the wire but only the primary's copy is guaranteed.
-	// AcksQuorum selects a majority of 1+Followers copies.
-	Acks int
-}
-
-// AcksQuorum selects synchronous replication to a majority of copies
-// when assigned to ReplSpec.Acks.
-const AcksQuorum = -1
-
-// Enabled reports whether replication is configured.
-func (r ReplSpec) Enabled() bool { return r.Followers > 0 }
-
-// FollowerAcks resolves Acks to the number of *follower* acknowledgements
-// an Apply must collect before returning: 0 for asynchronous shipping,
-// Followers/2+... for AcksQuorum (a majority of the 1+Followers copies,
-// counting the primary's own durable write).
-func (r ReplSpec) FollowerAcks() int {
-	n := r.Acks
-	if n == AcksQuorum {
-		n = (1+r.Followers)/2 + 1
-	}
-	n-- // the primary's local commit is the first copy
-	if n < 0 {
-		n = 0
-	}
-	if n > r.Followers {
-		n = r.Followers
-	}
-	return n
 }
 
 // ForNode returns a copy of the Spec rooted at the node's own directory.

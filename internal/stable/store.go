@@ -10,18 +10,19 @@
 //     batches, so a transaction commit (queue removal + remote hand-off
 //     bookkeeping + decision record) is a single crash-consistent action.
 //   - Spec/Open: the single configuration value and constructor through
-//     which every engine (and the replication wrapper around it) is built.
+//     which every engine is built.
 //   - MemStore: in-memory store that survives *simulated* node crashes
 //     (the cluster keeps it while the node's volatile state is discarded).
 //   - Queue: a FIFO agent input queue whose entries land in a caller's
 //     batch or transaction.
 //   - GroupCommit: the leader-election loop that coalesces concurrent
-//     Apply callers into one commit, shared by wal.Store and repl.Store.
+//     Apply callers into one commit (wal.Store's Apply).
 //
 // The one durable engine, the log-structured WAL that survives real
 // process death (cmd/agentnode's default), lives in the stable/wal
-// subpackage and the primary/backup replication layer in stable/repl;
-// both register with or wrap the engines opened here.
+// subpackage and registers itself with Open. A node keeps one store and
+// nothing copies it elsewhere: §4.3 assumes a crashed node comes back
+// with its stable storage.
 package stable
 
 import "errors"
@@ -58,7 +59,7 @@ type Applier interface {
 
 // Store is a crash-consistent key-value store: the composition of the
 // Reader and Applier halves. Optional behaviours are expressed as
-// capability interfaces (Reopener, Replicated) rather than widening this
+// capability interfaces (Reopener) rather than widening this
 // one.
 type Store interface {
 	Reader
@@ -73,26 +74,6 @@ type Store interface {
 type Reopener interface {
 	Store
 	Close() error
-}
-
-// ReplStatus describes the replication state of a Replicated store.
-type ReplStatus struct {
-	// Epoch counts promotions: it bumps each time a different physical
-	// copy becomes the authoritative one.
-	Epoch uint64
-	// LSN is the sequence number of the last locally committed record.
-	LSN uint64
-	// Acked maps each follower to the highest LSN it has durably
-	// acknowledged in the current epoch.
-	Acked map[string]uint64
-}
-
-// Replicated is the capability of stores that ship committed batches to
-// follower replicas (stable/repl). Callers use it to observe replication
-// lag and to wait for quiescence in tests.
-type Replicated interface {
-	Store
-	ReplStatus() ReplStatus
 }
 
 // Close releases s if it is a durable engine holding a handle (a
