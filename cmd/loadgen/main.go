@@ -6,8 +6,9 @@
 // compensated rollbacks, drained queues and a clean store reopen. A plain
 // load is a chaos run with an empty schedule, -join schedules one node
 // join mid-run, and -chaos draws each seed's fault schedule. It is the
-// driver for the cluster smokes (mid-run join, storage engines, chaos) and for profiles and traces; timing numbers come from
-// `go run ./bench`, not from here.
+// driver for the cluster smokes (mid-run join, storage engines, chaos)
+// and for profiles and traces; timing numbers come from `go run ./bench`,
+// not from here.
 //
 // Usage:
 //
