@@ -291,6 +291,74 @@ func TestChaosChurn(t *testing.T) {
 	}
 }
 
+// TestChaosKillPermanent runs the seeds that once drew permanent machine
+// kills over replicated stores. A node that loses its disk is outside
+// §4.3's model, so the seeds now draw only the faults the paper allows:
+// every node that crashes is recovered on its own store, and the run
+// must hold every invariant on both engines. Seed 22 draws only message
+// faults; seed 21 crashes a node.
+func TestChaosKillPermanent(t *testing.T) {
+	crashes := 0
+	for _, tc := range []struct {
+		store string
+		seed  int64
+	}{
+		{"mem", 21}, {"wal", 22},
+	} {
+		tc := tc
+		t.Run(fmt.Sprintf("%s/seed=%d", tc.store, tc.seed), func(t *testing.T) {
+			res, err := chaos.Run(chaos.Options{
+				Seed:    tc.seed,
+				Store:   stable.Spec{Engine: tc.store},
+				Agents:  10,
+				Steps:   4,
+				Gen:     chaos.GenConfig{Faults: 4, Horizon: 900 * time.Millisecond},
+				Timeout: time.Minute,
+			})
+			if err != nil {
+				t.Fatalf("harness error: %v", err)
+			}
+			down := map[string]int{}
+			for _, e := range res.Schedule.Events {
+				switch e.Op {
+				case chaos.OpCrash:
+					crashes++
+					down[e.Node]++
+				case chaos.OpRecover:
+					down[e.Node]--
+				}
+			}
+			for n, d := range down {
+				if d != 0 {
+					t.Errorf("node %s: %d crash(es) without a recover", n, d)
+				}
+			}
+			t.Logf("%s", res.Summary())
+			for _, v := range res.Violations {
+				t.Errorf("violation: %s", v)
+			}
+			if t.Failed() {
+				t.Logf("\n%s", res.Schedule.String())
+			}
+		})
+	}
+	if crashes == 0 {
+		t.Error("neither seed drew a crash")
+	}
+}
+
+// TestChaosKillRequiresQuorum: a permanent kill was only survivable over
+// quorum-replicated stores, and both are gone. A replay line that still
+// asks for them must fail on the unknown flag rather than quietly run a
+// sweep without kills or replicas.
+func TestChaosKillRequiresQuorum(t *testing.T) {
+	for _, name := range []string{"chaos-kill", "chaos-repl", "chaos-repl-acks"} {
+		if flag.Lookup(name) != nil {
+			t.Errorf("-%s is still defined", name)
+		}
+	}
+}
+
 // TestChaosDurableEngines runs one seed on the durable engine so the store
 // reopen path (real crash recovery of a durable Options.Store) is
 // exercised even without the CI matrix.
