@@ -13,7 +13,8 @@ import (
 // the machine over a representative protocol mix: one source hand-off
 // (delegate → outcome), one decider hand-off (prepare → decided → the
 // source's mark collects the record), and one RCE branch lifecycle (exec
-// → prepared → commit) — 8 transitions per iteration. The machine is the
+// naming its decider → prepared → the decider's commit verdict, which
+// the branch acknowledges) — 8 transitions per iteration. The machine is the
 // single-threaded heart of every node, so ns/op here bounds a node's
 // protocol decision rate.
 func BenchmarkProtocolTransitions(b *testing.B) {
@@ -43,9 +44,9 @@ func BenchmarkProtocolTransitions(b *testing.B) {
 		m.Step(protocol.ResolvedReceived{From: "peer", Mark: seq + 1})
 
 		// RCE branch lifecycle.
-		m.Step(protocol.RCEExecReceived{TxnID: "peer#1", From: "peer", Ops: ops})
+		m.Step(protocol.RCEExecReceived{TxnID: "peer#1", From: "peer", Decider: "d", Ops: ops})
 		m.Step(protocol.BranchPrepared{TxnID: "peer#1", OK: true})
-		m.Step(protocol.CtlReceived{TxnID: "peer#1", From: "peer", Commit: true})
+		m.Step(protocol.OutcomeReceived{TxnID: "peer#1", From: "d", Committed: true})
 	}
 	b.StopTimer()
 	if s := m.Stats(); s.Delegations != 0 || s.Outcomes != 0 || s.BranchesPrepared != 0 {

@@ -20,14 +20,15 @@ const (
 	TypePrepare byte = 0x01
 	// TypeAck carries AckMsg (every *.ack kind and agent.done.ack).
 	TypeAck byte = 0x02
-	// TypeCtl carries CtlMsg (rce.commit, rce.abort, txn.query).
+	// TypeCtl carries CtlMsg (txn.query).
 	TypeCtl byte = 0x03
-	// TypeStatus carries StatusMsg (txn.status, q.outcome).
+	// TypeStatus carries StatusMsg (q.outcome).
 	TypeStatus byte = 0x04
 	// TypeRCEExec carries RCEExecMsg (rce.exec).
 	TypeRCEExec byte = 0x05
-	// TypeCtlBatch carries CtlBatchMsg (ctl.batch).
-	TypeCtlBatch byte = 0x06
+	// 0x06 is retired: the coalesced RCE commit/abort controls
+	// (ctl.batch), last written by commit a03745a.
+
 	// TypeQueryBatch carries QueryBatchMsg (query.batch).
 	TypeQueryBatch byte = 0x07
 	// TypeMark carries MarkMsg (q.resolved).
@@ -49,11 +50,12 @@ func Decode(data []byte, v any) error {
 
 // AppendTo implements wire.BinaryMessage.
 func (m *PrepareMsg) AppendTo(buf []byte) []byte {
-	buf = slices.Grow(buf, 2+len(m.TxnID)+len(m.EntryID)+len(m.Data)+24)
+	buf = slices.Grow(buf, 2+len(m.TxnID)+len(m.EntryID)+len(m.Data)+24+16*len(m.Parties))
 	buf = append(buf, wire.BinaryVersion, TypePrepare)
 	buf = wire.AppendString(buf, m.TxnID)
 	buf = wire.AppendString(buf, m.EntryID)
 	buf = wire.AppendUvarint(buf, m.Mark)
+	buf = wire.AppendStrings(buf, m.Parties)
 	return wire.AppendBytes(buf, m.Data)
 }
 
@@ -64,7 +66,7 @@ func (m *PrepareMsg) DecodeFrom(buf []byte) error {
 		return err
 	}
 	r := wire.NewReader(b)
-	m.TxnID, m.EntryID, m.Mark, m.Data = r.String(), r.String(), r.Uvarint(), r.Bytes()
+	m.TxnID, m.EntryID, m.Mark, m.Parties, m.Data = r.String(), r.String(), r.Uvarint(), r.Strings(), r.Bytes()
 	return r.Done()
 }
 
@@ -155,9 +157,10 @@ func (m *StatusMsg) DecodeFrom(buf []byte) error {
 // container's log (wire.AppendBytesMap: sorted keys, nil and empty kept
 // distinct), so an encoding is deterministic for identical messages.
 func (m *RCEExecMsg) AppendTo(buf []byte) []byte {
-	buf = slices.Grow(buf, 2+len(m.TxnID)+16+32*len(m.Ops))
+	buf = slices.Grow(buf, 2+len(m.TxnID)+len(m.Decider)+16+32*len(m.Ops))
 	buf = append(buf, wire.BinaryVersion, TypeRCEExec)
 	buf = wire.AppendString(buf, m.TxnID)
+	buf = wire.AppendString(buf, m.Decider)
 	buf = wire.AppendUvarint(buf, uint64(len(m.Ops)))
 	for _, op := range m.Ops {
 		if op == nil {
@@ -178,45 +181,13 @@ func (m *RCEExecMsg) DecodeFrom(buf []byte) error {
 		return err
 	}
 	r := wire.NewReader(b)
-	m.TxnID = r.String()
+	m.TxnID, m.Decider = r.String(), r.String()
 	m.Ops = nil
 	// An op costs at least its kind, name length and parameter count.
 	if n := r.Count(3); n > 0 {
 		m.Ops = make([]*core.OpEntry, 0, n)
 		for i := 0; i < n && r.Err() == nil; i++ {
 			m.Ops = append(m.Ops, &core.OpEntry{Kind: core.OpKind(r.Uvarint()), Op: r.String(), Params: r.BytesMap()})
-		}
-	}
-	return r.Done()
-}
-
-// --- CtlBatchMsg ------------------------------------------------------
-
-// AppendTo implements wire.BinaryMessage.
-func (m *CtlBatchMsg) AppendTo(buf []byte) []byte {
-	buf = slices.Grow(buf, 2+8+len(m.Items)*24)
-	buf = append(buf, wire.BinaryVersion, TypeCtlBatch)
-	buf = wire.AppendUvarint(buf, uint64(len(m.Items)))
-	for _, it := range m.Items {
-		buf = wire.AppendString(buf, it.TxnID)
-		buf = wire.AppendBool(buf, it.Commit)
-	}
-	return buf
-}
-
-// DecodeFrom implements wire.BinaryMessage.
-func (m *CtlBatchMsg) DecodeFrom(buf []byte) error {
-	b, err := wire.Body(buf, TypeCtlBatch)
-	if err != nil {
-		return err
-	}
-	r := wire.NewReader(b)
-	m.Items = nil
-	// An item costs at least its ID length and a bool.
-	if n := r.Count(2); n > 0 {
-		m.Items = make([]CtlBatchItem, n)
-		for i := range m.Items {
-			m.Items[i] = CtlBatchItem{TxnID: r.String(), Commit: r.Bool()}
 		}
 	}
 	return r.Done()

@@ -22,7 +22,7 @@ func fastPathMessages() []struct {
 		msg  wire.BinaryMessage
 		zero func() wire.BinaryMessage
 	}{
-		{"prepare", &PrepareMsg{TxnID: "n1#7", EntryID: "agent-3", Mark: 5, Data: []byte("container-bytes")},
+		{"prepare", &PrepareMsg{TxnID: "n1#7", EntryID: "agent-3", Mark: 5, Parties: []string{"n3"}, Data: []byte("container-bytes")},
 			func() wire.BinaryMessage { return &PrepareMsg{} }},
 		{"mark", &MarkMsg{Mark: 1 << 40},
 			func() wire.BinaryMessage { return &MarkMsg{} }},
@@ -32,15 +32,10 @@ func fastPathMessages() []struct {
 			func() wire.BinaryMessage { return &CtlMsg{} }},
 		{"status", &StatusMsg{TxnID: "n1#7", Committed: true},
 			func() wire.BinaryMessage { return &StatusMsg{} }},
-		{"rce-exec", &RCEExecMsg{TxnID: "n1#7", Ops: []*core.OpEntry{
+		{"rce-exec", &RCEExecMsg{TxnID: "n1#7", Decider: "n2", Ops: []*core.OpEntry{
 			{Kind: core.OpResource, Op: "withdraw", Params: core.Params{"amount": []byte("100"), "acct": []byte("a-9")}},
 			{Kind: core.OpAgent, Op: "noop"},
 		}}, func() wire.BinaryMessage { return &RCEExecMsg{} }},
-		{"ctl-batch", &CtlBatchMsg{Items: []CtlBatchItem{
-			{TxnID: "n1#7", Commit: true},
-			{TxnID: "n1#9", Commit: true},
-			{TxnID: "n2#1"},
-		}}, func() wire.BinaryMessage { return &CtlBatchMsg{} }},
 		{"query-batch", &QueryBatchMsg{TxnIDs: []string{"n1#7", "n2#4"}},
 			func() wire.BinaryMessage { return &QueryBatchMsg{} }},
 	}
@@ -153,7 +148,7 @@ func TestBinaryCodecRejectsCorruptInput(t *testing.T) {
 		t.Fatalf("type confusion: got %v", err)
 	}
 	// Declared op count beyond the buffer must fail before allocating.
-	bad := append([]byte{wire.BinaryVersion, TypeRCEExec}, wire.AppendString(nil, "t")...)
+	bad := append([]byte{wire.BinaryVersion, TypeRCEExec}, wire.AppendString(wire.AppendString(nil, "t"), "d")...)
 	bad = wire.AppendUvarint(bad, 1<<62)
 	var rce RCEExecMsg
 	if err := rce.DecodeFrom(bad); !errors.Is(err, wire.ErrCorrupt) {

@@ -47,13 +47,12 @@ func FuzzWireRoundTrip(f *testing.F) {
 			msg  wire.BinaryMessage
 			zero func() wire.BinaryMessage
 		}{
-			{&PrepareMsg{TxnID: txn, EntryID: entry, Mark: uint64(sel) * uint64(len(data)), Data: data}, func() wire.BinaryMessage { return &PrepareMsg{} }},
+			{&PrepareMsg{TxnID: txn, EntryID: entry, Mark: uint64(sel) * uint64(len(data)), Parties: batchTxns(errStr, entry, sel>>1), Data: data}, func() wire.BinaryMessage { return &PrepareMsg{} }},
 			{&MarkMsg{Mark: uint64(sel) << (len(txn) % 64)}, func() wire.BinaryMessage { return &MarkMsg{} }},
 			{&AckMsg{TxnID: txn, OK: ok, Err: errStr}, func() wire.BinaryMessage { return &AckMsg{} }},
 			{&CtlMsg{TxnID: txn}, func() wire.BinaryMessage { return &CtlMsg{} }},
 			{&StatusMsg{TxnID: txn, Committed: ok}, func() wire.BinaryMessage { return &StatusMsg{} }},
-			{&RCEExecMsg{TxnID: txn, Ops: ops}, func() wire.BinaryMessage { return &RCEExecMsg{} }},
-			{&CtlBatchMsg{Items: batchItems(txn, entry, ok, sel)}, func() wire.BinaryMessage { return &CtlBatchMsg{} }},
+			{&RCEExecMsg{TxnID: txn, Decider: errStr, Ops: ops}, func() wire.BinaryMessage { return &RCEExecMsg{} }},
 			{&QueryBatchMsg{TxnIDs: batchTxns(txn, entry, sel)}, func() wire.BinaryMessage { return &QueryBatchMsg{} }},
 		}
 		for _, tc := range msgs {
@@ -120,20 +119,8 @@ func FuzzWireRoundTrip(f *testing.F) {
 	})
 }
 
-// batchItems derives a CtlBatchMsg item list from the fuzz input: nil,
-// one item or two, with the flag combinations driven by sel.
-func batchItems(txn, entry string, ok bool, sel byte) []CtlBatchItem {
-	if sel&0x20 != 0 {
-		return nil
-	}
-	items := []CtlBatchItem{{TxnID: txn, Commit: sel&0x01 != 0}}
-	if sel&0x40 != 0 {
-		items = append(items, CtlBatchItem{TxnID: entry, Commit: true})
-	}
-	return items
-}
-
-// batchTxns derives a QueryBatchMsg transaction list the same way.
+// batchTxns derives a string list (QueryBatchMsg's transactions, a
+// prepare's parties) from the fuzz input: nil, one string or two.
 func batchTxns(txn, entry string, sel byte) []string {
 	if sel&0x20 != 0 {
 		return nil

@@ -14,12 +14,12 @@ import (
 // no panics, only well-formed effects (parseable timer IDs, known
 // message kinds, non-nil payloads), the driver contract on branch
 // settles (a Commit/AbortBranch only for a parked transaction, plus the
-// defensive stray-completion abort), that the decider never answers one
-// hand-off both ways, and the terminal invariant that once every
-// in-flight execution and verdict write completes, every transaction
-// receives its verdict and every source's mark passes its hand-offs, no
-// branch, delegation, commit record or fence survives — everything
-// resolves.
+// defensive stray-completion abort), that no node sends to itself, that
+// the decider never answers one transaction both ways, and the terminal
+// invariant that once every in-flight execution and verdict write
+// completes, every transaction receives its verdict, every party
+// acknowledges and every source's mark passes its hand-offs, no branch,
+// delegation, commit record or fence survives — everything resolves.
 func FuzzProtocolEvents(f *testing.F) {
 	f.Add([]byte{0x01, 0x12, 0x23, 0x34, 0x45})
 	f.Add([]byte{0x20, 0x30, 0x50, 0x60, 0x70, 0x80})
@@ -36,45 +36,63 @@ func FuzzProtocolEvents(f *testing.F) {
 
 		txns := []string{"co#1", "co#2", "self#3", "peer#4"}
 		agents := []string{"a1", "a2"}
+		parties := [][]string{nil, {"peer"}, {"self"}, {"peer", "self"}}
 		ops := []*core.OpEntry{{Kind: core.OpResource, Op: "c"}}
 		for i := 0; i+1 < len(data); i += 2 {
 			arg := data[i+1]
 			txn := txns[int(arg)%len(txns)]
-			src := protocol.Coordinator(txn)
+			src := protocol.Origin(txn)
 			ag := agents[int(arg)%len(agents)]
+			parts := parties[int(arg/4)%len(parties)]
 			switch data[i] % 18 {
 			case 0:
-				model.apply(m.Step(protocol.Delegate{TxnID: txn, Decider: "peer", EntryID: ag, Data: []byte("d"), Mark: uint64(arg % 5)}))
+				model.apply(m.Step(protocol.Delegate{TxnID: txn, Decider: "peer", EntryID: ag, Data: []byte("d"), Mark: uint64(arg % 5), Parties: parts}))
 			case 1:
-				model.apply(m.Step(protocol.CoordPrepareRCE{TxnID: txn, Dest: "peer", Ops: ops}))
-			case 2:
-				model.apply(m.Step(protocol.CoordDecided{TxnID: txn, Commit: arg%2 == 0, Parts: []string{"peer"}}))
-			case 3:
-				kinds := []string{protocol.KindRCEExecAck, protocol.KindRCECommitAck, protocol.KindRCEAbortAck}
+				// The driver settles its own transaction once; its RCE
+				// parties are other nodes.
+				if src != "self" || model.settled[txn] {
+					break
+				}
+				model.settled[txn] = true
+				model.apply(m.Step(protocol.LocalDecided{TxnID: txn, Commit: arg%2 == 0, Parties: []string{"peer"}}))
+			case 2, 3:
+				kinds := []string{protocol.KindRCEExecAck, protocol.KindOutcomeAck}
 				model.apply(m.Step(protocol.AckReceived{Kind: kinds[int(arg)%len(kinds)], TxnID: txn, From: "peer", OK: true}))
 			case 4:
 				from := "peer"
 				if arg%2 == 0 {
 					from = src // a source asking its decider
 				}
-				model.apply(m.Step(protocol.QueryReceived{TxnID: txn, From: from, StoreDecided: arg%3 == 0, StorePrepared: arg%5 == 0}))
+				// The driver's own mark passes its transaction only
+				// once it has settled it.
+				var mark uint64
+				if model.settled[txn] {
+					mark = uint64(arg % 6)
+				}
+				model.apply(m.Step(protocol.QueryReceived{TxnID: txn, From: from, Mark: mark}))
 			case 5:
-				model.apply(m.Step(protocol.StatusReceived{TxnID: txn, Committed: arg%2 == 0}))
+				model.apply(m.Step(protocol.OutcomeReceived{TxnID: txn, From: "peer", Committed: arg%2 == 0}))
 			case 6:
-				model.apply(m.Step(protocol.HandoffReceived{TxnID: txn, From: src, EntryID: ag, Data: []byte("d"), Mark: uint64(arg % 7)}))
+				model.apply(m.Step(protocol.HandoffReceived{TxnID: txn, From: src, EntryID: ag, Data: []byte("d"), Mark: uint64(arg % 7), Parties: parts}))
 			case 7:
 				// A verdict write completing, honouring the driver
 				// contract when possible, deliberately stray otherwise.
-				commit, ok := model.deciding[txn]
+				d, ok := model.deciding[txn]
 				delete(model.deciding, txn)
 				if !ok {
-					commit = arg%2 == 0
+					d.Commit = arg%2 == 0
 				}
-				model.apply(m.Step(protocol.HandoffDecided{TxnID: txn, Commit: commit && arg%3 != 0, OK: arg%7 != 0}))
-			case 8:
-				model.apply(m.Step(protocol.CtlReceived{TxnID: txn, From: "peer", Commit: arg%2 == 0}))
-			case 9:
-				model.apply(m.Step(protocol.RCEExecReceived{TxnID: txn, From: "peer", Ops: ops}))
+				commit, written := d.Commit && arg%3 != 0, arg%7 != 0
+				if commit && written && d.Branch {
+					model.parked[txn] = false // committed inside the write
+				}
+				model.apply(m.Step(protocol.HandoffDecided{TxnID: txn, Commit: commit, OK: written}))
+			case 8, 9:
+				decider := "peer"
+				if data[i]%18 == 8 {
+					decider = "self" // the decider is this party
+				}
+				model.apply(m.Step(protocol.RCEExecReceived{TxnID: txn, From: "peer", Decider: decider, Ops: ops}))
 			case 10:
 				// Execution completion honouring the driver contract
 				// when possible, deliberately stray otherwise.
@@ -98,9 +116,9 @@ func FuzzProtocolEvents(f *testing.F) {
 			case 14:
 				switch arg % 3 {
 				case 0:
-					model.apply(m.Step(protocol.RecoveredBranch{TxnID: txn}))
+					model.apply(m.Step(protocol.RecoveredBranch{TxnID: txn, Decider: "peer"}))
 				case 1:
-					model.apply(m.Step(protocol.RecoveredDelegation{TxnID: txn, Decider: "peer"}))
+					model.apply(m.Step(protocol.RecoveredBranch{TxnID: txn, Decider: "self"}))
 				default:
 					// A replayed record says what was answered, if
 					// anything; replay precedes any write in flight.
@@ -111,7 +129,11 @@ func FuzzProtocolEvents(f *testing.F) {
 					if !ok {
 						commit = arg%4 == 0
 					}
-					model.apply(m.Step(protocol.RecoveredOutcome{TxnID: txn, Commit: commit, Mark: uint64(arg % 3)}))
+					var listed []string
+					if commit {
+						listed = []string{"peer"}
+					}
+					model.apply(m.Step(protocol.RecoveredOutcome{TxnID: txn, Commit: commit, Mark: uint64(arg % 3), Parties: listed}))
 				}
 			case 15:
 				// Fire an armed timer (or a stale/garbage one).
@@ -129,8 +151,8 @@ func FuzzProtocolEvents(f *testing.F) {
 
 		// Quiescence drive: complete every outstanding execution and
 		// verdict write, then deliver a final verdict for every
-		// transaction, every outcome, every agent ack, and a mark past
-		// every hand-off of every source.
+		// transaction, every party's acknowledgement, every agent ack,
+		// and a mark past every hand-off of every source.
 		model.apply(m.Step(protocol.ReadyReached{}))
 		for _, txn := range txns {
 			for model.outstanding[txn] > 0 {
@@ -138,16 +160,18 @@ func FuzzProtocolEvents(f *testing.F) {
 				model.parked[txn] = true
 				model.apply(m.Step(protocol.BranchPrepared{TxnID: txn, OK: true}))
 			}
-			if commit, ok := model.deciding[txn]; ok {
+			if d, ok := model.deciding[txn]; ok {
 				delete(model.deciding, txn)
-				model.apply(m.Step(protocol.HandoffDecided{TxnID: txn, Commit: commit, OK: true}))
+				if d.Commit && d.Branch {
+					model.parked[txn] = false
+				}
+				model.apply(m.Step(protocol.HandoffDecided{TxnID: txn, Commit: d.Commit, OK: true}))
 			}
 		}
 		for _, txn := range txns {
-			model.apply(m.Step(protocol.StatusReceived{TxnID: txn, Committed: false}))
-			model.apply(m.Step(protocol.OutcomeReceived{TxnID: txn, Committed: false}))
-			model.apply(m.Step(protocol.AckReceived{Kind: protocol.KindRCECommitAck, TxnID: txn, From: "peer", OK: true}))
-			model.apply(m.Step(protocol.ResolvedReceived{From: protocol.Coordinator(txn), Mark: 100}))
+			model.apply(m.Step(protocol.OutcomeReceived{TxnID: txn, From: "peer", Committed: false}))
+			model.apply(m.Step(protocol.AckReceived{Kind: protocol.KindOutcomeAck, TxnID: txn, From: "peer", OK: true}))
+			model.apply(m.Step(protocol.ResolvedReceived{From: protocol.Origin(txn), Mark: 100}))
 		}
 		for _, ag := range agents {
 			model.apply(m.Step(protocol.DoneAcked{AgentID: ag}))
@@ -187,11 +211,12 @@ func FuzzProtocolEvents(f *testing.F) {
 // validates effect well-formedness as they stream out.
 type driverModel struct {
 	t           *testing.T
-	outstanding map[string]int  // ExecBranch effects awaiting completion
-	parked      map[string]bool // prepared branch transactions parked
-	timers      map[string]bool // armed timer IDs
-	deciding    map[string]bool // Decide effects awaiting their write (Commit)
-	answered    map[string]bool // the decider's outcome per hand-off
+	outstanding map[string]int             // ExecBranch effects awaiting completion
+	parked      map[string]bool            // prepared branch transactions parked
+	timers      map[string]bool            // armed timer IDs
+	deciding    map[string]protocol.Decide // Decide effects awaiting their write
+	answered    map[string]bool            // the decider's outcome per transaction
+	settled     map[string]bool            // own transactions the driver settled
 }
 
 func newDriverModel(t *testing.T) *driverModel {
@@ -200,18 +225,17 @@ func newDriverModel(t *testing.T) *driverModel {
 		outstanding: make(map[string]int),
 		parked:      make(map[string]bool),
 		timers:      make(map[string]bool),
-		deciding:    make(map[string]bool),
+		deciding:    make(map[string]protocol.Decide),
 		answered:    make(map[string]bool),
+		settled:     make(map[string]bool),
 	}
 }
 
 var knownKinds = map[string]bool{
-	protocol.KindEnqueuePrepare: true, protocol.KindOutcome: true, protocol.KindResolved: true,
-	protocol.KindTxnQuery: true, protocol.KindTxnStatus: true,
+	protocol.KindEnqueuePrepare: true, protocol.KindOutcome: true,
+	protocol.KindOutcomeAck: true, protocol.KindResolved: true,
+	protocol.KindTxnQuery: true, protocol.KindQueryBatch: true,
 	protocol.KindRCEExec: true, protocol.KindRCEExecAck: true,
-	protocol.KindRCECommit: true, protocol.KindRCECommitAck: true,
-	protocol.KindRCEAbort: true, protocol.KindRCEAbortAck: true,
-	protocol.KindCtlBatch: true, protocol.KindQueryBatch: true,
 }
 
 func (d *driverModel) apply(effs []protocol.Effect) {
@@ -221,7 +245,7 @@ func (d *driverModel) apply(effs []protocol.Effect) {
 			if !knownKinds[e.Kind] {
 				d.t.Fatalf("send with unknown kind %q", e.Kind)
 			}
-			if e.To == "" || e.Payload == nil {
+			if e.To == "" || e.To == "self" || e.Payload == nil {
 				d.t.Fatalf("malformed send: %+v", e)
 			}
 			if e.Kind == protocol.KindOutcome {
@@ -239,7 +263,7 @@ func (d *driverModel) apply(effs []protocol.Effect) {
 			if _, dup := d.deciding[e.TxnID]; dup {
 				d.t.Fatalf("second Decide for %s while one is outstanding", e.TxnID)
 			}
-			d.deciding[e.TxnID] = e.Commit
+			d.deciding[e.TxnID] = e
 		case protocol.DropOutcomes:
 			for _, id := range e.TxnIDs {
 				delete(d.answered, id) // collected: the ID is free of its record

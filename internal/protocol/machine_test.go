@@ -1,6 +1,7 @@
 package protocol_test
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -32,129 +33,175 @@ func pick[T protocol.Effect](effs []protocol.Effect) []T {
 	return out
 }
 
-func TestCoordinatorLifecycle(t *testing.T) {
-	m := newReady("co")
-	const txn = "co#1"
-
-	// Prepare marks the transaction active and ships the RCE list.
-	effs := m.Step(protocol.CoordPrepareRCE{TxnID: txn, Dest: "p", Ops: nil})
-	sends := pick[protocol.SendMsg](effs)
-	if len(sends) != 1 || sends[0].Kind != protocol.KindRCEExec || sends[0].To != "p" {
-		t.Fatalf("prepare effects = %+v", effs)
+// TestDeciderDrivesPartiesToCommit: a hand-off listing RCE parties is
+// decided once for all of them. The verdict goes to the source and to
+// each party; a commit is re-sent on the party's timer until it
+// acknowledges, and the record stays until every party has acknowledged
+// and the source's mark has passed it — below the mark, no record means
+// abort. The decider's own transaction (its agent stays) is recorded
+// from LocalDecided and goes with the last acknowledgement; until its
+// own mark passes the ID, a party asking about it gets no answer.
+func TestDeciderDrivesPartiesToCommit(t *testing.T) {
+	m := newReady("d")
+	const txn = "s#5"
+	effs := m.Step(protocol.HandoffReceived{TxnID: txn, From: "s", EntryID: "a", Mark: 5, Parties: []string{"p", "r"}})
+	dec := pick[protocol.Decide](effs)
+	if len(dec) != 1 || !dec[0].Commit || dec[0].Branch || !slices.Equal(dec[0].Parties, []string{"p", "r"}) {
+		t.Fatalf("hand-off effects = %+v", effs)
 	}
-	if s := m.Stats(); s.CoordActive != 1 {
-		t.Fatalf("stats after prepare: %+v", s)
+	if effs := m.Step(protocol.QueryReceived{TxnID: txn, From: "p"}); len(effs) != 0 {
+		t.Fatalf("party query while deciding = %+v", effs)
 	}
-
-	// While active and undecided, queries are answered with silence.
-	if effs := m.Step(protocol.QueryReceived{TxnID: txn, From: "p", StoreDecided: false}); len(effs) != 0 {
-		t.Fatalf("active query answered: %+v", effs)
+	effs = m.Step(protocol.HandoffDecided{TxnID: txn, Commit: true, OK: true})
+	var to []string
+	for _, s := range pick[protocol.SendMsg](effs) {
+		if s.Kind != protocol.KindOutcome || !s.Payload.(*protocol.StatusMsg).Committed {
+			t.Fatalf("decided send = %+v", s)
+		}
+		to = append(to, s.To)
 	}
-	// With the decision record present, queries answer committed even
-	// while active (commit landed, ctls still going out).
-	effs = m.Step(protocol.QueryReceived{TxnID: txn, From: "p", StoreDecided: true})
-	st := pick[protocol.SendMsg](effs)
-	if len(st) != 1 || !st[0].Payload.(*protocol.StatusMsg).Committed {
-		t.Fatalf("decided query = %+v", effs)
-	}
-
-	// Decide commit with two participants: two ctl sends + one resend
-	// timer per participant peer.
-	parts := []string{"p", "r"}
-	effs = m.Step(protocol.CoordDecided{TxnID: txn, Commit: true, Parts: parts})
-	if got := pick[protocol.SendMsg](effs); len(got) != 2 {
-		t.Fatalf("decided effects = %+v", effs)
+	if !slices.Equal(to, []string{"s", "p", "r"}) {
+		t.Fatalf("verdict went to %v, want the source and both parties", to)
 	}
 	if got := pick[protocol.ArmTimer](effs); len(got) != 2 || got[0].ID != "pctl|p" || got[1].ID != "pctl|r" {
-		t.Fatalf("ctl resend timers armed = %+v", effs)
+		t.Fatalf("resend timers = %+v", effs)
 	}
-	if s := m.Stats(); s.CoordActive != 0 || s.CoordPendingCtl != 1 {
-		t.Fatalf("stats after decide: %+v", s)
-	}
-
-	// Each peer's timer resends that peer's outstanding control and
-	// re-arms.
-	for _, peer := range parts {
-		effs = m.Step(protocol.TimerFired{ID: "pctl|" + peer})
-		got := pick[protocol.SendMsg](effs)
-		if len(got) != 1 || got[0].To != peer || got[0].Kind != protocol.KindRCECommit {
-			t.Fatalf("timer resend to %s = %+v", peer, effs)
-		}
-		if len(pick[protocol.ArmTimer](effs)) != 1 {
-			t.Fatalf("resend timer for %s did not re-arm: %+v", peer, effs)
-		}
+	if s := m.Stats(); s.Outcomes != 1 || s.PendingParties != 2 {
+		t.Fatalf("stats = %+v", s)
 	}
 
-	// A query whose store read raced the commit (StoreDecided=false but
-	// controls pending) must answer committed from machine state — a
-	// presumed-abort answer here would let the participant abort a
-	// committed compensation.
-	effs = m.Step(protocol.QueryReceived{TxnID: txn, From: "p", StoreDecided: false})
-	race := pick[protocol.SendMsg](effs)
-	if len(race) != 1 || !race[0].Payload.(*protocol.StatusMsg).Committed {
-		t.Fatalf("racing query answered %+v, want committed", effs)
+	// An unacknowledged commit is re-sent; a party's query is answered
+	// from the record.
+	effs = m.Step(protocol.TimerFired{ID: "pctl|p"})
+	if got := pick[protocol.SendMsg](effs); len(got) != 1 || got[0].To != "p" || got[0].Kind != protocol.KindOutcome {
+		t.Fatalf("resend = %+v", effs)
+	}
+	effs = m.Step(protocol.QueryReceived{TxnID: txn, From: "r"})
+	if got := pick[protocol.SendMsg](effs); len(got) != 1 || got[0].To != "r" || !got[0].Payload.(*protocol.StatusMsg).Committed {
+		t.Fatalf("party query = %+v", effs)
 	}
 
-	// A refused control ack (participant store error) must not retire
-	// the obligation: the resend timer keeps driving it.
-	effs = m.Step(protocol.AckReceived{Kind: protocol.KindRCECommitAck, TxnID: txn, From: "p", OK: false, Err: "io"})
-	if len(effs) != 0 {
-		t.Fatalf("refused ctl ack produced effects: %+v", effs)
+	// The record outlives the source's mark until the last party
+	// acknowledges; a duplicate acknowledgement changes nothing.
+	ack := func(from, id string) []protocol.Effect {
+		return m.Step(protocol.AckReceived{Kind: protocol.KindOutcomeAck, TxnID: id, From: from, OK: true})
 	}
-	if s := m.Stats(); s.CoordPendingCtl != 1 {
-		t.Fatalf("refused ctl ack retired the obligation: %+v", s)
+	if effs := ack("p", txn); len(effs) != 0 {
+		t.Fatalf("first ack = %+v", effs)
 	}
-
-	// First ack retires one participant; no decision GC yet.
-	effs = m.Step(protocol.AckReceived{Kind: protocol.KindRCECommitAck, TxnID: txn, From: "p", OK: true})
-	if len(pick[protocol.ClearDecision](effs)) != 0 {
-		t.Fatalf("decision cleared early: %+v", effs)
+	if effs := ack("p", txn); len(effs) != 0 {
+		t.Fatalf("duplicate ack = %+v", effs)
 	}
-	// Duplicate ack is ignored.
-	if effs := m.Step(protocol.AckReceived{Kind: protocol.KindRCECommitAck, TxnID: txn, From: "p", OK: true}); len(effs) != 0 {
-		t.Fatalf("duplicate ack produced effects: %+v", effs)
+	if effs := m.Step(protocol.ResolvedReceived{From: "s", Mark: 6}); len(effs) != 0 {
+		t.Fatalf("mark with a party pending = %+v", effs)
 	}
-	// Last ack clears the decision record; the timers are left to fire.
-	effs = m.Step(protocol.AckReceived{Kind: protocol.KindRCECommitAck, TxnID: txn, From: "r", OK: true})
-	if len(pick[protocol.ClearDecision](effs)) != 1 || len(effs) != 1 {
-		t.Fatalf("final ack effects = %+v", effs)
+	effs = ack("r", txn)
+	if drop := pick[protocol.DropOutcomes](effs); len(drop) != 1 || !slices.Equal(drop[0].TxnIDs, []string{txn}) || len(effs) != 1 {
+		t.Fatalf("last ack = %+v", effs)
 	}
-	if s := m.Stats(); s.CoordPendingCtl != 0 {
-		t.Fatalf("pending ctl after all acks: %+v", s)
-	}
-	// The armed timers of the settled transaction fire into nothing and
-	// retire their slots (one-shot, self-healing).
 	for _, peer := range []string{"p", "r"} {
 		if effs := m.Step(protocol.TimerFired{ID: "pctl|" + peer}); len(effs) != 0 {
-			t.Fatalf("stale ctl timer produced effects: %+v", effs)
+			t.Fatalf("resend timer of %s after its ack = %+v", peer, effs)
 		}
 	}
-	if n := m.SchedSlots(); n != 0 {
-		t.Fatalf("%d timer slots linger after the settled timers fired", n)
+	effs = m.Step(protocol.QueryReceived{TxnID: txn, From: "p"})
+	if got := pick[protocol.SendMsg](effs); len(got) != 1 || got[0].Payload.(*protocol.StatusMsg).Committed {
+		t.Fatalf("query below the mark without a record = %+v, want abort", effs)
 	}
 
-	// Forgotten transaction: presumed abort.
-	effs = m.Step(protocol.QueryReceived{TxnID: txn, From: "p", StoreDecided: false})
-	ans := pick[protocol.SendMsg](effs)
-	if len(ans) != 1 || ans[0].Payload.(*protocol.StatusMsg).Committed {
-		t.Fatalf("presumed abort answer = %+v", effs)
+	// Its own transaction.
+	const own = "d#9"
+	effs = m.Step(protocol.LocalDecided{TxnID: own, Commit: true, Parties: []string{"p"}})
+	if got := pick[protocol.SendMsg](effs); len(got) != 1 || got[0].To != "p" || !got[0].Payload.(*protocol.StatusMsg).Committed {
+		t.Fatalf("local commit = %+v", effs)
+	}
+	effs = ack("p", own)
+	if drop := pick[protocol.DropOutcomes](effs); len(drop) != 1 || drop[0].TxnIDs[0] != own {
+		t.Fatalf("ack of its own transaction = %+v", effs)
+	}
+	if effs := m.Step(protocol.QueryReceived{TxnID: own, From: "p", Mark: 9}); len(effs) != 0 {
+		t.Fatalf("query while its own mark is at the ID = %+v", effs)
+	}
+	effs = m.Step(protocol.QueryReceived{TxnID: own, From: "p", Mark: 10})
+	if got := pick[protocol.SendMsg](effs); len(got) != 1 || got[0].Payload.(*protocol.StatusMsg).Committed {
+		t.Fatalf("query past its own mark = %+v, want abort", effs)
+	}
+	if effs := m.Step(protocol.TimerFired{ID: "pctl|p"}); len(effs) != 0 {
+		t.Fatalf("resend timer after the last ack = %+v", effs)
+	}
+	if s := m.Stats(); s.Outcomes != 0 || s.PendingParties != 0 || m.SchedSlots() != 0 {
+		t.Fatalf("decider state lingers: %+v, %d slots", s, m.SchedSlots())
 	}
 }
 
-func TestCoordinatorAbortNotifiesOnce(t *testing.T) {
+// TestDeciderAbortNotifiesPartiesOnce: an abort is sent to each party
+// once and not recorded — presumed abort covers a lost one — whether the
+// node settled its own transaction or refused a hand-off with a fence.
+func TestDeciderAbortNotifiesPartiesOnce(t *testing.T) {
 	m := newReady("co")
-	const txn = "co#2"
-	m.Step(protocol.CoordPrepareRCE{TxnID: txn, Dest: "r", Ops: nil})
-	effs := m.Step(protocol.CoordDecided{TxnID: txn, Commit: false, Parts: []string{"r"}})
+	effs := m.Step(protocol.LocalDecided{TxnID: "co#3", Parties: []string{"r"}})
 	sends := pick[protocol.SendMsg](effs)
-	if len(sends) != 1 || sends[0].Kind != protocol.KindRCEAbort {
-		t.Fatalf("abort effects = %+v", effs)
+	if len(sends) != 1 || sends[0].To != "r" || sends[0].Payload.(*protocol.StatusMsg).Committed || len(effs) != 1 {
+		t.Fatalf("local abort = %+v", effs)
 	}
-	if got := pick[protocol.ArmTimer](effs); len(got) != 0 {
-		t.Fatalf("abort armed a retry timer: %+v", effs)
+	if s := m.Stats(); s.Outcomes != 0 || s.PendingParties != 0 {
+		t.Fatalf("abort left state: %+v", s)
 	}
-	if s := m.Stats(); s.CoordActive != 0 || s.CoordPendingCtl != 0 {
-		t.Fatalf("coordinator state lingers after abort: %+v", s)
+
+	m = protocol.NewMachine(protocol.Config{Node: "d"}) // recovering: refuses
+	m.Step(protocol.HandoffReceived{TxnID: "s#4", From: "s", EntryID: "a", Parties: []string{"r"}})
+	effs = m.Step(protocol.HandoffDecided{TxnID: "s#4", Commit: false, OK: true})
+	var to []string
+	for _, s := range pick[protocol.SendMsg](effs) {
+		if s.Payload.(*protocol.StatusMsg).Committed {
+			t.Fatalf("fence sent a commit: %+v", effs)
+		}
+		to = append(to, s.To)
+	}
+	if !slices.Equal(to, []string{"s", "r"}) || len(pick[protocol.ArmTimer](effs)) != 0 {
+		t.Fatalf("fence effects = %+v", effs)
+	}
+}
+
+// TestDeciderIsItsOwnParty: an RCE branch naming this node as decider
+// commits inside the decider's own write — the Decide says so, and the
+// verdict settles the branch state without a CommitBranch — and a
+// branch whose prepare never comes asks the local decider, without a
+// message, which fences and aborts it.
+func TestDeciderIsItsOwnParty(t *testing.T) {
+	m := newReady("d")
+	m.Step(protocol.RCEExecReceived{TxnID: "s#7", From: "s", Decider: "d"})
+	effs := m.Step(protocol.BranchPrepared{TxnID: "s#7", OK: true})
+	if got := pick[protocol.ArmTimer](effs); len(got) != 1 || got[0].ID != "pstale|d" {
+		t.Fatalf("prepared effects = %+v", effs)
+	}
+	effs = m.Step(protocol.HandoffReceived{TxnID: "s#7", From: "s", EntryID: "a", Mark: 7, Parties: []string{"d", "r"}})
+	dec := pick[protocol.Decide](effs)
+	if len(dec) != 1 || !dec[0].Commit || !dec[0].Branch || !slices.Equal(dec[0].Parties, []string{"r"}) {
+		t.Fatalf("hand-off effects = %+v", effs)
+	}
+	effs = m.Step(protocol.HandoffDecided{TxnID: "s#7", Commit: true, OK: true})
+	if len(pick[protocol.CommitBranch](effs)) != 0 || len(pick[protocol.SendMsg](effs)) != 2 {
+		t.Fatalf("decided effects = %+v", effs)
+	}
+	if s := m.Stats(); s.BranchesPrepared != 0 || s.PendingParties != 1 {
+		t.Fatalf("stats = %+v", s)
+	}
+
+	m.Step(protocol.RCEExecReceived{TxnID: "s#8", From: "s", Decider: "d"})
+	m.Step(protocol.BranchPrepared{TxnID: "s#8", OK: true})
+	// The first fire drains s#7's dead entry; s#8's falls due on the
+	// next.
+	effs = append(m.Step(protocol.TimerFired{ID: "pstale|d"}), m.Step(protocol.TimerFired{ID: "pstale|d"})...)
+	if dec := pick[protocol.Decide](effs); len(dec) != 1 || dec[0].TxnID != "s#8" || dec[0].Commit || len(pick[protocol.SendMsg](effs)) != 0 {
+		t.Fatalf("stale own branch = %+v, want a local fence", effs)
+	}
+	effs = m.Step(protocol.HandoffDecided{TxnID: "s#8", Commit: false, OK: true})
+	if got := pick[protocol.AbortBranch](effs); len(got) != 1 {
+		t.Fatalf("fenced own branch = %+v", effs)
+	}
+	if s := m.Stats(); s.BranchesPrepared != 0 {
+		t.Fatalf("branch state lingers: %+v", s)
 	}
 }
 
@@ -188,7 +235,7 @@ func TestSourceDelegationLifecycle(t *testing.T) {
 		t.Fatalf("unreachable effects = %+v", effs)
 	}
 
-	effs = m.Step(protocol.RecoveredDelegation{TxnID: "s#3", Decider: "d"})
+	effs = m.Step(protocol.RecoveredBranch{TxnID: "s#3", Decider: "d"})
 	if q := pick[protocol.SendMsg](effs); len(q) != 1 || q[0].Kind != protocol.KindTxnQuery || q[0].To != "d" {
 		t.Fatalf("recovered delegation effects = %+v", effs)
 	}
@@ -299,12 +346,12 @@ func TestRCEBranchHappyPath(t *testing.T) {
 	const txn = "co#5"
 	ops := []*core.OpEntry{{Kind: core.OpResource, Op: "c"}}
 
-	effs := m.Step(protocol.RCEExecReceived{TxnID: txn, From: "co", Ops: ops})
-	if got := pick[protocol.ExecBranch](effs); len(got) != 1 {
+	effs := m.Step(protocol.RCEExecReceived{TxnID: txn, From: "co", Decider: "d", Ops: ops})
+	if got := pick[protocol.ExecBranch](effs); len(got) != 1 || got[0].Decider != "d" {
 		t.Fatalf("exec effects = %+v", effs)
 	}
 	// A duplicate request while executing is silently deduplicated.
-	if effs := m.Step(protocol.RCEExecReceived{TxnID: txn, From: "co", Ops: ops}); len(effs) != 0 {
+	if effs := m.Step(protocol.RCEExecReceived{TxnID: txn, From: "co", Decider: "d", Ops: ops}); len(effs) != 0 {
 		t.Fatalf("duplicate exec produced effects: %+v", effs)
 	}
 	effs = m.Step(protocol.BranchPrepared{TxnID: txn, OK: true})
@@ -312,65 +359,66 @@ func TestRCEBranchHappyPath(t *testing.T) {
 	if len(acks) != 1 || !acks[0].Payload.(*protocol.AckMsg).OK {
 		t.Fatalf("prepared effects = %+v", effs)
 	}
-	if got := pick[protocol.ArmTimer](effs); len(got) != 1 || got[0].ID != "pstale|co" {
-		t.Fatalf("stale-branch timer not armed: %+v", effs)
+	if got := pick[protocol.ArmTimer](effs); len(got) != 1 || got[0].ID != "pstale|d" {
+		t.Fatalf("stale-branch timer not armed on the decider: %+v", effs)
 	}
 	if got := pick[protocol.CountCompOps](effs); len(got) != 1 || got[0].N != 1 {
 		t.Fatalf("comp ops not counted: %+v", effs)
 	}
 	// A duplicate request after prepare re-acks (lost ack).
-	effs = m.Step(protocol.RCEExecReceived{TxnID: txn, From: "co", Ops: ops})
+	effs = m.Step(protocol.RCEExecReceived{TxnID: txn, From: "co", Decider: "d", Ops: ops})
 	if acks := pick[protocol.SendMsg](effs); len(acks) != 1 || !acks[0].Payload.(*protocol.AckMsg).OK {
 		t.Fatalf("duplicate-after-prepare = %+v", effs)
 	}
 
-	// Commit control settles the parked transaction.
-	effs = m.Step(protocol.CtlReceived{TxnID: txn, From: "co", Commit: true})
+	// The decider's commit verdict settles the parked transaction, and
+	// the branch acknowledges it to the decider.
+	effs = m.Step(protocol.OutcomeReceived{TxnID: txn, From: "d", Committed: true})
 	if got := pick[protocol.CommitBranch](effs); len(got) != 1 {
-		t.Fatalf("commit ctl effects = %+v", effs)
+		t.Fatalf("commit verdict effects = %+v", effs)
 	}
-	if acks := pick[protocol.SendMsg](effs); len(acks) != 1 || acks[0].Kind != protocol.KindRCECommitAck {
-		t.Fatalf("commit ctl ack = %+v", effs)
+	if acks := pick[protocol.SendMsg](effs); len(acks) != 1 || acks[0].Kind != protocol.KindOutcomeAck || acks[0].To != "d" {
+		t.Fatalf("commit verdict ack = %+v", effs)
 	}
 	if s := m.Stats(); s.BranchesPrepared != 0 {
 		t.Fatalf("branch state lingers: %+v", s)
 	}
 }
 
-func TestRCEStaleBranchQueriesCoordinator(t *testing.T) {
+func TestRCEStaleBranchQueriesDecider(t *testing.T) {
 	m := newReady("p")
 	const txn = "co#6"
-	m.Step(protocol.RCEExecReceived{TxnID: txn, From: "co", Ops: nil})
+	m.Step(protocol.RCEExecReceived{TxnID: txn, From: "co", Decider: "d", Ops: nil})
 	m.Step(protocol.BranchPrepared{TxnID: txn, OK: true})
-	effs := m.Step(protocol.TimerFired{ID: "pstale|co"})
+	effs := m.Step(protocol.TimerFired{ID: "pstale|d"})
 	q := pick[protocol.SendMsg](effs)
-	if len(q) != 1 || q[0].Kind != protocol.KindTxnQuery || q[0].To != "co" {
+	if len(q) != 1 || q[0].Kind != protocol.KindTxnQuery || q[0].To != "d" {
 		t.Fatalf("stale branch timer = %+v", effs)
 	}
-	if got := pick[protocol.ArmTimer](effs); len(got) != 1 || got[0].ID != "pquery|co" {
+	if got := pick[protocol.ArmTimer](effs); len(got) != 1 || got[0].ID != "pquery|d" {
 		t.Fatalf("stale branch did not enter the query cadence: %+v", effs)
 	}
-	// Presumed abort resolves it.
-	effs = m.Step(protocol.StatusReceived{TxnID: txn, Committed: false})
-	if got := pick[protocol.AbortBranch](effs); len(got) != 1 {
-		t.Fatalf("status abort = %+v", effs)
+	// The decider's abort resolves it; an abort is not acknowledged.
+	effs = m.Step(protocol.OutcomeReceived{TxnID: txn, From: "d", Committed: false})
+	if got := pick[protocol.AbortBranch](effs); len(got) != 1 || len(effs) != 1 {
+		t.Fatalf("abort verdict = %+v", effs)
 	}
 }
 
 func TestRecoveredBranchResolution(t *testing.T) {
 	m := newReady("p")
 	const txn = "co#7"
-	effs := m.Step(protocol.RecoveredBranch{TxnID: txn})
+	effs := m.Step(protocol.RecoveredBranch{TxnID: txn, Decider: "d"})
 	q := pick[protocol.SendMsg](effs)
-	if len(q) != 1 || q[0].Kind != protocol.KindTxnQuery {
+	if len(q) != 1 || q[0].Kind != protocol.KindTxnQuery || q[0].To != "d" {
 		t.Fatalf("recovered branch = %+v", effs)
 	}
 	if s := m.Stats(); s.BranchesInDoubt != 1 {
 		t.Fatalf("stats = %+v", s)
 	}
-	effs = m.Step(protocol.StatusReceived{TxnID: txn, Committed: true})
+	effs = m.Step(protocol.OutcomeReceived{TxnID: txn, From: "d", Committed: true})
 	rec := pick[protocol.ResolveBranchRecord](effs)
-	if len(rec) != 1 || !rec[0].Commit {
+	if len(rec) != 1 || !rec[0].Commit || len(pick[protocol.SendMsg](effs)) != 1 {
 		t.Fatalf("recovered resolution = %+v", effs)
 	}
 	if s := m.Stats(); s.BranchesInDoubt != 0 {
@@ -403,36 +451,46 @@ func TestNotifierResendCycle(t *testing.T) {
 	}
 }
 
-// TestRCEQuerySilentWhileDelegated: a compensation whose agent moves on
-// prepares its own branch for the decider; until the verdict arrives its
-// RCE participants' queries get no presumed abort — neither while the
-// delegation is live nor, after a restart, while the driver reports the
-// branch prepared. Settled with no record, the answer is abort.
-func TestRCEQuerySilentWhileDelegated(t *testing.T) {
-	m := newReady("co")
-	m.Step(protocol.Delegate{TxnID: "co#9", Decider: "d", EntryID: "a", Mark: 9})
-	if effs := m.Step(protocol.QueryReceived{TxnID: "co#9", From: "r"}); len(effs) != 0 {
-		t.Fatalf("query while delegated = %+v", effs)
+// TestPartyEarlyQueryFences: a party that asks before the prepare
+// reaches the decider meets an unknown ID, which the decider fences
+// exactly as for a source: abort to the party (and to the source), and
+// the prepare that arrives later gets the recorded abort back instead of
+// a commit.
+func TestPartyEarlyQueryFences(t *testing.T) {
+	m := newReady("d")
+	effs := m.Step(protocol.QueryReceived{TxnID: "s#9", From: "p"})
+	if dec := pick[protocol.Decide](effs); len(dec) != 1 || dec[0].Commit || dec[0].From != "s" {
+		t.Fatalf("early party query = %+v, want a fence", effs)
 	}
-	m.Step(protocol.OutcomeReceived{TxnID: "co#9", Committed: false})
-	if effs := m.Step(protocol.QueryReceived{TxnID: "co#9", From: "r", StorePrepared: true}); len(effs) != 0 {
-		t.Fatalf("query with the branch prepared = %+v", effs)
+	effs = m.Step(protocol.HandoffDecided{TxnID: "s#9", Commit: false, OK: true})
+	var to []string
+	for _, s := range pick[protocol.SendMsg](effs) {
+		if s.Payload.(*protocol.StatusMsg).Committed {
+			t.Fatalf("fence answered commit: %+v", effs)
+		}
+		to = append(to, s.To)
 	}
-	effs := m.Step(protocol.QueryReceived{TxnID: "co#9", From: "r"})
-	if st := pick[protocol.SendMsg](effs); len(st) != 1 || st[0].Payload.(*protocol.StatusMsg).Committed {
-		t.Fatalf("settled query = %+v, want presumed abort", effs)
+	if !slices.Equal(to, []string{"s", "p"}) {
+		t.Fatalf("fence answered %v, want the source and the party", to)
+	}
+	effs = m.Step(protocol.HandoffReceived{TxnID: "s#9", From: "s", EntryID: "a", Mark: 9, Parties: []string{"p"}})
+	if len(pick[protocol.Decide](effs)) != 0 {
+		t.Fatalf("prepare after the fence decided again: %+v", effs)
+	}
+	if got := pick[protocol.SendMsg](effs); len(got) != 1 || got[0].To != "s" || got[0].Payload.(*protocol.StatusMsg).Committed {
+		t.Fatalf("prepare after the fence = %+v", effs)
 	}
 }
 
-func TestCoordinatorOf(t *testing.T) {
+func TestOrigin(t *testing.T) {
 	cases := map[string]string{
 		"nodeA#42":    "nodeA",
 		"a#b#7":       "a#b", // last separator wins
 		"noseparator": "",
 	}
 	for id, want := range cases {
-		if got := protocol.Coordinator(id); got != want {
-			t.Errorf("Coordinator(%q) = %q, want %q", id, got, want)
+		if got := protocol.Origin(id); got != want {
+			t.Errorf("Origin(%q) = %q, want %q", id, got, want)
 		}
 	}
 }

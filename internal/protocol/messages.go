@@ -2,45 +2,41 @@ package protocol
 
 import "repro/internal/core"
 
-// Message kinds of the node protocol. The q.* family is the hand-off of
-// agent containers between input queues, decided by the node that
-// receives the container (DESIGN.md §5): q.prepare carries the container
-// and the source's mark, q.outcome the decider's verdict, q.resolved the
-// source's mark once it settled. The rce.* family ships
-// resource-compensation-entry lists to the resource node in the
-// optimized rollback (Figure 5b); txn.query resolves in-doubt
-// transactions after crashes (presumed abort for RCE branches, a fence
-// for an unknown hand-off).
+// Message kinds of the node protocol. The q.* family is the commit
+// protocol, decided by one node per transaction (DESIGN.md §5):
+// q.prepare carries the container, the source's mark and the RCE
+// parties, q.outcome the decider's verdict (to the source and to each
+// party, and as the answer to a query), q.outcome.ack a party's
+// acknowledgement of a commit, q.resolved the source's mark once it
+// settled. rce.exec ships resource-compensation-entry lists to the
+// resource node in the optimized rollback (Figure 5b); txn.query
+// resolves in-doubt transactions after crashes (a fence for an unknown
+// ID, presumed abort below the source's mark).
 const (
 	KindEnqueuePrepare = "q.prepare"
 	KindOutcome        = "q.outcome"
+	KindOutcomeAck     = "q.outcome.ack"
 	KindResolved       = "q.resolved"
 
-	KindTxnQuery  = "txn.query"
-	KindTxnStatus = "txn.status"
-
-	KindRCEExec      = "rce.exec"
-	KindRCEExecAck   = "rce.exec.ack"
-	KindRCECommit    = "rce.commit"
-	KindRCECommitAck = "rce.commit.ack"
-	KindRCEAbort     = "rce.abort"
-	KindRCEAbortAck  = "rce.abort.ack"
-
-	// Cross-transaction control-plane batches (PR-10): one coalesced
-	// resend-timer fire per peer travels as one frame instead of one
-	// frame per transaction. Receivers explode them back into the
-	// per-transaction events of the kinds above.
-	KindCtlBatch   = "ctl.batch"
+	KindTxnQuery = "txn.query"
+	// KindQueryBatch coalesces one per-peer timer fire's in-doubt
+	// queries into one frame; the receiver explodes it back into
+	// txn.query events.
 	KindQueryBatch = "query.batch"
+
+	KindRCEExec    = "rce.exec"
+	KindRCEExecAck = "rce.exec.ack"
 )
 
-// PrepareMsg hands a container to the node that decides the step
-// transaction TxnID: enqueue it as EntryID and answer with the outcome.
-// Mark is the source's watermark (txn.Manager.Mark).
+// PrepareMsg hands a container to the node that decides transaction
+// TxnID: enqueue it as EntryID and answer with the outcome, to the
+// source and to each of Parties, the nodes holding RCE branches of the
+// transaction. Mark is the source's watermark (txn.Manager.Mark).
 type PrepareMsg struct {
 	TxnID   string
 	EntryID string
 	Mark    uint64
+	Parties []string
 	Data    []byte
 }
 
@@ -57,14 +53,14 @@ type AckMsg struct {
 	Err   string
 }
 
-// CtlMsg carries commit/abort/query instructions for a transaction.
+// CtlMsg names the transaction an in-doubt query (txn.query) asks about.
 type CtlMsg struct {
 	TxnID string
 }
 
-// StatusMsg answers a txn.query, or carries a decider's verdict
-// (q.outcome): Committed=false means abort (presumed abort for an RCE
-// branch, a fenced or refused hand-off).
+// StatusMsg carries a decider's verdict (q.outcome), sent on its own or
+// as the answer to a txn.query: Committed=false means abort (a fence, a
+// refused hand-off, presumed abort below the source's mark).
 type StatusMsg struct {
 	TxnID     string
 	Committed bool
@@ -72,28 +68,16 @@ type StatusMsg struct {
 
 // RCEExecMsg ships the resource compensation entries of one step to
 // the node where the step executed, to be run inside the (distributed)
-// compensation transaction identified by TxnID (§4.4.1).
+// compensation transaction identified by TxnID (§4.4.1), which Decider
+// decides.
 type RCEExecMsg struct {
-	TxnID string
-	Ops   []*core.OpEntry
-}
-
-// CtlBatchItem is one coalesced RCE control: semantically identical to
-// a CtlMsg of kind rce.commit (Commit) or rce.abort.
-type CtlBatchItem struct {
-	TxnID  string
-	Commit bool
-}
-
-// CtlBatchMsg carries every control the per-peer resend timer owed one
-// participant at fire time as a single frame (kind ctl.batch). The
-// receiver applies the items in order as independent CtlReceived events.
-type CtlBatchMsg struct {
-	Items []CtlBatchItem
+	TxnID   string
+	Decider string
+	Ops     []*core.OpEntry
 }
 
 // QueryBatchMsg carries the coalesced in-doubt queries of one per-peer
-// timer fire to a single coordinator (kind query.batch); each entry is
+// timer fire to a single decider (kind query.batch); each entry is
 // one txn.query.
 type QueryBatchMsg struct {
 	TxnIDs []string

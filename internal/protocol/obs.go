@@ -21,8 +21,6 @@ func EventInfo(ev Event) (name, txnID, agentID string) {
 		return "OutcomeReceived(abort)", e.TxnID, ""
 	case DelegationStale:
 		return "DelegationStale", e.TxnID, ""
-	case RecoveredDelegation:
-		return "RecoveredDelegation", e.TxnID, ""
 	case HandoffReceived:
 		return "HandoffReceived", e.TxnID, e.EntryID
 	case HandoffDecided:
@@ -32,29 +30,17 @@ func EventInfo(ev Event) (name, txnID, agentID string) {
 		return "HandoffDecided(fence)", e.TxnID, ""
 	case ResolvedReceived:
 		return "ResolvedReceived", "", ""
+	case LocalDecided:
+		if e.Commit {
+			return "LocalDecided(commit)", e.TxnID, ""
+		}
+		return "LocalDecided(abort)", e.TxnID, ""
 	case RecoveredOutcome:
 		return "RecoveredOutcome", e.TxnID, ""
-	case CoordPrepareRCE:
-		return "CoordPrepareRCE", e.TxnID, ""
-	case CoordDecided:
-		if e.Commit {
-			return "CoordDecided(commit)", e.TxnID, ""
-		}
-		return "CoordDecided(abort)", e.TxnID, ""
 	case AckReceived:
 		return e.Kind, e.TxnID, ""
 	case QueryReceived:
 		return "QueryReceived", e.TxnID, ""
-	case StatusReceived:
-		if e.Committed {
-			return "StatusReceived(commit)", e.TxnID, ""
-		}
-		return "StatusReceived(abort)", e.TxnID, ""
-	case CtlReceived:
-		if e.Commit {
-			return "CtlReceived(rce-commit)", e.TxnID, ""
-		}
-		return "CtlReceived(rce-abort)", e.TxnID, ""
 	case RCEExecReceived:
 		return "RCEExecReceived", e.TxnID, ""
 	case BranchPrepared:
@@ -86,30 +72,23 @@ func EventInfo(ev Event) (name, txnID, agentID string) {
 // called under the same serialization as Step.
 func (m *Machine) StateOf(txnID, agentID string) string {
 	if txnID != "" {
-		if c, ok := m.coord[txnID]; ok {
-			switch {
-			case c.active:
-				return "coord-active"
-			case len(c.pending) > 0:
-				return "coord-pending-ctl"
-			default:
-				return "coord-idle"
-			}
-		}
 		if d, ok := m.delegs[txnID]; ok {
 			if d.recovered {
 				return "delegated-recovered"
 			}
 			return "delegated"
 		}
-		if m.deciding[txnID] {
+		if _, ok := m.deciding[txnID]; ok {
 			return "deciding"
 		}
-		if commit, ok := m.decided[txnID]; ok {
-			if commit {
-				return "decided-commit"
+		if r, ok := m.decided[txnID]; ok {
+			switch {
+			case !r.commit:
+				return "decided-fence"
+			case len(r.pending) > 0:
+				return "decided-commit-pending"
 			}
-			return "decided-fence"
+			return "decided-commit"
 		}
 		if b, ok := m.branches[txnID]; ok {
 			switch b.state {

@@ -1,6 +1,7 @@
 package protocol_test
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -8,9 +9,10 @@ import (
 	"repro/internal/protocol"
 )
 
-// TestRCEAbortPermutations is the pure re-expression of the PR-4 chaos
-// catch (TestRCEAbortOvertakesPrepare): for every interleaving of
-// abort verdicts, exec requests and execution completions — no cluster,
+// TestRCEAbortPermutations is the pure re-expression of the chaos
+// harness's first catch (TestRCEAbortOvertakesPrepare): for every
+// interleaving of the decider's abort verdicts (its fence), exec
+// requests and execution completions — no cluster,
 // no store, no clock — an abort that lands during the branch lifetime
 // must never leave a prepared, lock-holding branch behind, and a
 // prepared branch that escapes (abort delivered before the execution
@@ -21,7 +23,7 @@ import (
 // through the Commit/AbortBranch effects.
 func TestRCEAbortPermutations(t *testing.T) {
 	// Event alphabets: e = exec request, p = execution completes
-	// (prepared OK), a = abort verdict (coordinator's presumed abort).
+	// (prepared OK), a = abort verdict (the decider's fence).
 	alphabets := [][]byte{
 		{'e', 'p', 'a'},
 		{'e', 'p', 'a', 'a'},      // duplicated abort (retry pressure)
@@ -66,7 +68,7 @@ func runRCEPermutation(t *testing.T, seq []byte) {
 
 	outstanding := 0         // ExecBranch effects not yet completed
 	parked := false          // a prepared branch transaction is parked (driver side)
-	timerArmed := false      // pstale|co armed (nothing fires it here, so it stays armed)
+	timerArmed := false      // pstale|d armed (nothing fires it here, so it stays armed)
 	abortSeen := false       // an abort verdict was delivered...
 	abortDuringLife := false // ...while the machine held branch state
 
@@ -80,7 +82,7 @@ func runRCEPermutation(t *testing.T, seq []byte) {
 			case protocol.AbortBranch:
 				parked = false
 			case protocol.ArmTimer:
-				if e.ID == "pstale|co" {
+				if e.ID == "pstale|d" {
 					timerArmed = true
 				}
 			}
@@ -90,7 +92,7 @@ func runRCEPermutation(t *testing.T, seq []byte) {
 	for _, s := range seq {
 		switch s {
 		case 'e':
-			apply(m.Step(protocol.RCEExecReceived{TxnID: txn, From: "co", Ops: ops}))
+			apply(m.Step(protocol.RCEExecReceived{TxnID: txn, From: "co", Decider: "d", Ops: ops}))
 		case 'p':
 			if outstanding == 0 {
 				continue // driver contract: no completion without an execution
@@ -106,7 +108,7 @@ func runRCEPermutation(t *testing.T, seq []byte) {
 				abortDuringLife = true
 			}
 			abortSeen = true
-			apply(m.Step(protocol.StatusReceived{TxnID: txn, Committed: false}))
+			apply(m.Step(protocol.OutcomeReceived{TxnID: txn, From: "d", Committed: false}))
 		}
 	}
 	// Drain outstanding executions (they always complete eventually).
@@ -147,13 +149,13 @@ func runRCEPermutation(t *testing.T, seq []byte) {
 
 // TestRCEAbortOvertakesPrepareEdge pins the exact seed-2 interleaving:
 // exec starts, abort lands while executing, execution completes. The
-// machine must abort the parked branch and refuse the coordinator —
-// the executing→executingAborted edge.
+// machine must abort the parked branch and refuse the compensating node
+// — the executing→executingAborted edge.
 func TestRCEAbortOvertakesPrepareEdge(t *testing.T) {
 	m := newReady("p")
 	const txn = "co#2"
-	m.Step(protocol.RCEExecReceived{TxnID: txn, From: "co", Ops: nil})
-	m.Step(protocol.StatusReceived{TxnID: txn, Committed: false})
+	m.Step(protocol.RCEExecReceived{TxnID: txn, From: "co", Decider: "d", Ops: nil})
+	m.Step(protocol.OutcomeReceived{TxnID: txn, From: "d", Committed: false})
 	effs := m.Step(protocol.BranchPrepared{TxnID: txn, OK: true})
 
 	if got := pick[protocol.AbortBranch](effs); len(got) != 1 {
@@ -167,7 +169,7 @@ func TestRCEAbortOvertakesPrepareEdge(t *testing.T) {
 	if ack.OK {
 		t.Fatal("zombie branch acknowledged")
 	}
-	if want := "aborted by coordinator during execution"; ack.Err != want {
+	if want := "aborted during execution"; ack.Err != want {
 		t.Errorf("refusal = %q, want %q", ack.Err, want)
 	}
 	if s := m.Stats(); s.BranchesExec+s.BranchesPrepared != 0 {
@@ -175,7 +177,7 @@ func TestRCEAbortOvertakesPrepareEdge(t *testing.T) {
 	}
 	// The tombstone must not outlive the execution: a fresh abort for an
 	// unknown transaction resolves via the branch record only.
-	effs = m.Step(protocol.StatusReceived{TxnID: txn, Committed: false})
+	effs = m.Step(protocol.OutcomeReceived{TxnID: txn, From: "d", Committed: false})
 	if got := pick[protocol.ResolveBranchRecord](effs); len(got) != 1 {
 		t.Fatalf("post-settle abort = %+v", effs)
 	}
@@ -184,39 +186,62 @@ func TestRCEAbortOvertakesPrepareEdge(t *testing.T) {
 	}
 }
 
-// TestDelegatedHandoffPermutations checks the one-hop hand-off (the node
-// that receives the container decides) over every interleaving of the
-// events around one hand-off from source "s" to decider "d": the source
-// sending (N), the prepare delivered (P), duplicated in flight (X) or
-// lost (L), the source's worker giving up waiting and querying (T), a
-// query delivered (Q), the decider's verdict write completing (W), the
-// outcome delivered (O), the source settling its branch (C), either node
-// crashing and recovering at any of those points (S, D), and the
-// source's mark delivered (R). Then the world quiesces. It asserts the
-// decider and the source never disagree — the container is in the
-// decider's queue exactly when the source's branch committed, and at
-// most once — and that every branch, commit record and fence resolves.
+// TestDelegatedHandoffPermutations checks the one-decider commit
+// protocol over every interleaving of the events around one transaction
+// "s#5": source s hands its container to decider d, and — in the
+// alphabets that begin with an RCE list (E) — party p holds an RCE
+// branch of it (Figure 5b). Events:
 //
-// The world is modelled the way the driver works: durable state is the
-// source's branch record and the decider's records and queue; volatile
-// state (the machines, the worker, pending writes) dies with a crash,
-// and so do messages in flight to the crashed node (a restarted endpoint
-// receives no frame sent to its previous incarnation).
+//	E the RCE list reaches p           B p's execution prepares its branch and acks s
+//	A p's exec ack reaches s           G s gives up waiting for it and aborts
+//	N s prepares its branch and sends q.prepare (after A)
+//	P the prepare reaches d            X / L the prepare is duplicated / lost
+//	T s's worker stops waiting for the outcome and queries d
+//	F p's stale timer fires: p queries d
+//	Q a query reaches d                W d's verdict write completes
+//	O the outcome reaches s            C s settles its branch and sends its mark
+//	V a verdict reaches p              Y / U a verdict to p is duplicated / lost
+//	K p's acknowledgement reaches d    R the source's mark reaches d
+//	S, D, Z s, d or p crashes and recovers
+//
+// Then the world quiesces: messages arrive, writes complete, waits
+// expire and timers fire until nothing moves. It asserts the parties
+// never disagree — the container is in d's queue exactly when s's branch
+// committed, exactly when p's branch committed, and at most once — and
+// that every branch, commit record and fence resolves: no record
+// outlives the party's last acknowledgement and the source's mark.
+//
+// The world is modelled the way the driver works: durable state is each
+// node's branch record and the decider's records and queue; volatile
+// state (the machines, the workers, parked transactions, executions and
+// writes in flight) dies with a crash, and so do messages in flight to
+// the crashed node (a restarted endpoint receives no frame sent to its
+// previous incarnation).
 func TestDelegatedHandoffPermutations(t *testing.T) {
-	alphabets := []string{
-		"NPWOCR",   // the one-hop path in every order
-		"NPXWOCR",  // a duplicated prepare
-		"NLTQWOCR", // a lost prepare: the query fences it
-		"NPTQWOCR", // the prepare racing the source's query
-		"NPWOCRS",  // a source crash at each point
-		"NPWOCRD",  // a decider crash at each point
-		"NSPWDOCR", // both
-		"NPXWOCRD", // a duplicate around a decider crash and the mark
+	alphabets := []struct{ prefix, perm string }{
+		{"", "NPWOCR"},   // the one-hop path in every order
+		{"", "NPXWOCR"},  // a duplicated prepare
+		{"", "NLTQWOCR"}, // a lost prepare: the query fences it
+		{"", "NPTQWOCR"}, // the prepare racing the source's query
+		{"", "NPWOCRS"},  // a source crash at each point
+		{"", "NPWOCRD"},  // a decider crash at each point
+		{"", "NSPWDOCR"}, // both
+		{"", "NPXWOCRD"}, // a duplicate around a decider crash and the mark
+
+		{"", "EBANPWVK"},    // with an RCE party: the verdict and its ack
+		{"", "EBANFQPW"},    // the party's stale query racing the prepare: a fence
+		{"", "EBANPWVZ"},    // a party crash at each point
+		{"", "EBANPWKD"},    // a decider crash around its record with parties
+		{"", "EBANPWOS"},    // a source crash at each point
+		{"", "EGBAV"},       // the source gives up: its abort overtakes the execution
+		{"EBA", "NPWYUVK"},  // the verdict to the party duplicated and lost
+		{"EBA", "NPWOCRZ"},  // a party crash around the source's mark
+		{"EBA", "NLTQFQWV"}, // a lost prepare fenced by both queries
 	}
 	runs := 0
-	for _, alphabet := range alphabets {
-		for _, seq := range permutations([]byte(alphabet)) {
-			runHandoffPermutation(t, string(seq))
+	for _, a := range alphabets {
+		for _, seq := range permutations([]byte(a.perm)) {
+			runHandoffPermutation(t, a.prefix+string(seq))
 			runs++
 		}
 	}
@@ -225,42 +250,58 @@ func TestDelegatedHandoffPermutations(t *testing.T) {
 
 const hoTxn = "s#5"
 
+// hoMsg is one message in flight.
 type hoMsg struct {
-	kind string
-	mark uint64
+	kind, from string
+	ok         bool // a verdict's commit, an ack's OK
+	mark       uint64
 }
 
-// handoffWorld is one source, one decider, the network between them and
-// the durable state each keeps.
+// handoffWorld is the source, the decider, the party, the network
+// between them and the durable state each keeps.
 type handoffWorld struct {
 	t    *testing.T
 	name string
 
-	s, d *protocol.Machine
+	s, d, p *protocol.Machine
+	parties []string // the transaction's RCE parties: none, or p
 
-	// Source: the branch record, the live worker's delegation and the
-	// verdict it was handed but has not applied yet.
-	sent, branch, live bool
-	settled            string // "", "commit", "abort"
-	verdict            *bool
+	// Source: its transaction (open until settled, or until the worker
+	// dies before preparing), whether the exec ack came back, its branch
+	// record, the live worker's delegation and the verdict it was handed
+	// but has not applied yet.
+	open, acked, sent, branch, live bool
+	settled                         string // "", "commit", "abort"
+	verdict                         *bool
+
+	// Party: its branch record, the parked transaction, executions in
+	// flight, and how its branch settled.
+	pBranch, parked bool
+	execs           int
+	pSettled        string
 
 	// Decider: its records, its queue, verdict writes in flight.
-	records  map[string]bool
+	records  map[string]protocol.RecoveredOutcome
 	enqueued int
 	writes   []protocol.Decide
 
-	toD, toS []hoMsg
+	toS, toD, toP []hoMsg
 }
 
 func newHandoffWorld(t *testing.T, name string) *handoffWorld {
-	w := &handoffWorld{t: t, name: name, branch: true, records: map[string]bool{}}
-	w.s = newReady("s")
-	w.d = newReady("d")
+	w := &handoffWorld{t: t, name: name, open: true, acked: true, records: map[string]protocol.RecoveredOutcome{}}
+	w.s, w.d, w.p = newReady("s"), newReady("d"), newReady("p")
+	if strings.HasPrefix(name, "E") {
+		w.parties, w.acked = []string{"p"}, false
+		w.toP = append(w.toP, hoMsg{kind: protocol.KindRCEExec, from: "s"})
+	}
 	return w
 }
 
+// mark is the source's watermark: its transaction counts while the
+// worker holds it or its branch is in doubt.
 func (w *handoffWorld) mark() uint64 {
-	if w.branch {
+	if w.open || w.branch {
 		return 5
 	}
 	return 6
@@ -271,11 +312,9 @@ func (w *handoffWorld) sApply(effs []protocol.Effect) {
 	for _, eff := range effs {
 		switch e := eff.(type) {
 		case protocol.SendHandoff:
-			w.toD = append(w.toD, hoMsg{kind: protocol.KindEnqueuePrepare, mark: e.Msg.Mark})
+			w.toD = append(w.toD, hoMsg{kind: protocol.KindEnqueuePrepare, from: "s", mark: e.Msg.Mark})
 		case protocol.SendMsg:
-			if e.Kind == protocol.KindTxnQuery {
-				w.toD = append(w.toD, hoMsg{kind: protocol.KindTxnQuery})
-			}
+			w.send(e, "s")
 		case protocol.DeliverAck:
 			if !w.live || e.Kind != protocol.KindOutcome {
 				w.t.Fatalf("%s: %+v delivered with no worker waiting on an outcome", w.name, e)
@@ -285,8 +324,31 @@ func (w *handoffWorld) sApply(effs []protocol.Effect) {
 		case protocol.ResolveBranchRecord:
 			w.settle(e.Commit)
 		case protocol.SendResolved:
-			w.toD = append(w.toD, hoMsg{kind: protocol.KindResolved, mark: w.mark()})
+			w.toD = append(w.toD, hoMsg{kind: protocol.KindResolved, from: "s", mark: w.mark()})
+		case protocol.Decide, protocol.CommitBranch, protocol.AbortBranch, protocol.ExecBranch:
+			w.t.Fatalf("%s: the source emitted %+v", w.name, e)
 		}
+	}
+}
+
+// send routes a machine's message by its destination.
+func (w *handoffWorld) send(e protocol.SendMsg, from string) {
+	m := hoMsg{kind: e.Kind, from: from}
+	switch p := e.Payload.(type) {
+	case *protocol.StatusMsg:
+		m.ok = p.Committed
+	case *protocol.AckMsg:
+		m.ok = p.OK
+	}
+	switch e.To {
+	case "s":
+		w.toS = append(w.toS, m)
+	case "d":
+		w.toD = append(w.toD, m)
+	case "p":
+		w.toP = append(w.toP, m)
+	default:
+		w.t.Fatalf("%s: %s sent %s to %q", w.name, from, e.Kind, e.To)
 	}
 }
 
@@ -296,10 +358,56 @@ func (w *handoffWorld) settle(commit bool) {
 		return
 	}
 	w.branch = false
-	w.settled = "abort"
+	w.settled = verdictName(commit)
+}
+
+func verdictName(commit bool) string {
 	if commit {
-		w.settled = "commit"
+		return "commit"
 	}
+	return "abort"
+}
+
+// pApply applies the party machine's effects.
+func (w *handoffWorld) pApply(effs []protocol.Effect) {
+	for _, eff := range effs {
+		switch e := eff.(type) {
+		case protocol.ExecBranch:
+			if e.Decider != "d" {
+				w.t.Fatalf("%s: branch prepared for decider %q", w.name, e.Decider)
+			}
+			w.execs++
+		case protocol.SendMsg:
+			w.send(e, "p")
+		case protocol.CommitBranch:
+			if !w.parked {
+				w.t.Fatalf("%s: CommitBranch with nothing parked", w.name)
+			}
+			w.parked = false
+			w.pSettle(true)
+		case protocol.AbortBranch:
+			if w.parked {
+				w.parked = false
+				w.pSettle(false)
+			}
+		case protocol.ResolveBranchRecord:
+			if w.parked {
+				w.t.Fatalf("%s: the record of a parked branch resolved behind it", w.name)
+			}
+			if w.pBranch {
+				w.pSettle(e.Commit)
+			}
+		}
+	}
+}
+
+// pSettle settles the party's branch record.
+func (w *handoffWorld) pSettle(commit bool) {
+	if w.pSettled != "" {
+		w.t.Fatalf("%s: the party's branch settled twice (%s, then %s)", w.name, w.pSettled, verdictName(commit))
+	}
+	w.pBranch = false
+	w.pSettled = verdictName(commit)
 }
 
 // dApply applies the decider machine's effects.
@@ -309,70 +417,102 @@ func (w *handoffWorld) dApply(effs []protocol.Effect) {
 		case protocol.Decide:
 			w.writes = append(w.writes, e)
 		case protocol.SendMsg:
-			if e.Kind == protocol.KindOutcome {
-				w.toS = append(w.toS, hoMsg{kind: protocol.KindOutcome, mark: b2u(e.Payload.(*protocol.StatusMsg).Committed)})
-			}
+			w.send(e, "d")
 		case protocol.DropOutcomes:
 			for _, id := range e.TxnIDs {
 				delete(w.records, id)
 			}
+		case protocol.CommitBranch, protocol.AbortBranch, protocol.ResolveBranchRecord, protocol.ExecBranch:
+			w.t.Fatalf("%s: the decider, no party here, emitted %+v", w.name, e)
 		}
 	}
 }
 
-func b2u(b bool) uint64 {
-	if b {
-		return 1
+// take removes the oldest message of kind from q (any kind if "").
+func take(q *[]hoMsg, kind string) (hoMsg, bool) {
+	for i, m := range *q {
+		if kind == "" || m.kind == kind {
+			*q = append((*q)[:i], (*q)[i+1:]...)
+			return m, true
+		}
 	}
-	return 0
+	return hoMsg{}, false
+}
+
+// dup duplicates the oldest message of kind in q.
+func dup(q *[]hoMsg, kind string) bool {
+	for _, m := range *q {
+		if m.kind == kind {
+			*q = append(*q, m)
+			return true
+		}
+	}
+	return false
 }
 
 // step runs one event; it reports whether anything happened.
 func (w *handoffWorld) step(ev byte) bool {
-	take := func(q *[]hoMsg, kind string) (hoMsg, bool) {
-		for i, m := range *q {
-			if m.kind == kind {
-				*q = append((*q)[:i], (*q)[i+1:]...)
-				return m, true
-			}
-		}
-		return hoMsg{}, false
-	}
 	switch ev {
-	case 'N':
-		if w.sent || !w.branch {
+	case 'E':
+		m, ok := take(&w.toP, protocol.KindRCEExec)
+		if !ok {
 			return false
 		}
-		w.sent, w.live = true, true
-		w.sApply(w.s.Step(protocol.Delegate{TxnID: hoTxn, Decider: "d", EntryID: "a", Mark: 5}))
+		w.pApply(w.p.Step(protocol.RCEExecReceived{TxnID: hoTxn, From: m.from, Decider: "d"}))
+	case 'B':
+		if w.execs == 0 {
+			return false
+		}
+		w.execs--
+		w.pBranch, w.parked = true, true
+		w.pApply(w.p.Step(protocol.BranchPrepared{TxnID: hoTxn, OK: true}))
+	case 'A':
+		m, ok := take(&w.toS, protocol.KindRCEExecAck)
+		if !ok {
+			return false
+		}
+		w.acked = w.acked || (m.ok && w.open && !w.sent)
+	case 'G':
+		if w.parties == nil || !w.open || w.sent {
+			return false
+		}
+		// The compensating node's wait for the exec ack expires: it
+		// aborts before any prepare left, and tells its parties.
+		w.open = false
+		w.sApply(w.s.Step(protocol.LocalDecided{TxnID: hoTxn, Parties: w.parties}))
+	case 'N':
+		if !w.open || !w.acked || w.sent {
+			return false
+		}
+		w.sent, w.live, w.branch = true, true, true
+		w.sApply(w.s.Step(protocol.Delegate{TxnID: hoTxn, Decider: "d", EntryID: "a", Mark: 5, Parties: w.parties}))
 	case 'P':
 		m, ok := take(&w.toD, protocol.KindEnqueuePrepare)
 		if !ok {
 			return false
 		}
-		w.dApply(w.d.Step(protocol.HandoffReceived{TxnID: hoTxn, From: "s", EntryID: "a", Mark: m.mark}))
+		w.dApply(w.d.Step(protocol.HandoffReceived{TxnID: hoTxn, From: "s", EntryID: "a", Mark: m.mark, Parties: w.parties}))
 	case 'X':
-		for _, m := range w.toD {
-			if m.kind == protocol.KindEnqueuePrepare {
-				w.toD = append(w.toD, m)
-				return true
-			}
-		}
-		return false
+		return dup(&w.toD, protocol.KindEnqueuePrepare)
 	case 'L':
-		if _, ok := take(&w.toD, protocol.KindEnqueuePrepare); !ok {
-			return false
-		}
+		_, ok := take(&w.toD, protocol.KindEnqueuePrepare)
+		return ok
 	case 'T':
 		if !w.live || w.verdict != nil {
 			return false
 		}
 		w.sApply(w.s.Step(protocol.DelegationStale{TxnID: hoTxn}))
-	case 'Q':
-		if _, ok := take(&w.toD, protocol.KindTxnQuery); !ok {
+	case 'F':
+		if w.parties == nil {
 			return false
 		}
-		w.dApply(w.d.Step(protocol.QueryReceived{TxnID: hoTxn, From: "s"}))
+		w.pApply(w.p.Step(protocol.TimerFired{ID: "pstale|d"}))
+	case 'Q':
+		m, ok := take(&w.toD, protocol.KindTxnQuery)
+		if !ok {
+			return false
+		}
+		w.dApply(w.d.Step(protocol.QueryReceived{TxnID: hoTxn, From: m.from}))
 	case 'W':
 		if len(w.writes) == 0 {
 			return false
@@ -382,7 +522,7 @@ func (w *handoffWorld) step(ev byte) bool {
 		if _, exists := w.records[e.TxnID]; exists {
 			w.t.Fatalf("%s: a verdict write over an existing record", w.name)
 		}
-		w.records[e.TxnID] = e.Commit
+		w.records[e.TxnID] = protocol.RecoveredOutcome{TxnID: e.TxnID, Commit: e.Commit, Mark: e.Mark, Parties: e.Parties}
 		if e.Commit {
 			w.enqueued++
 		}
@@ -392,14 +532,31 @@ func (w *handoffWorld) step(ev byte) bool {
 		if !ok {
 			return false
 		}
-		w.sApply(w.s.Step(protocol.OutcomeReceived{TxnID: hoTxn, Committed: m.mark == 1}))
+		w.sApply(w.s.Step(protocol.OutcomeReceived{TxnID: hoTxn, From: m.from, Committed: m.ok}))
+	case 'V':
+		m, ok := take(&w.toP, protocol.KindOutcome)
+		if !ok {
+			return false
+		}
+		w.pApply(w.p.Step(protocol.OutcomeReceived{TxnID: hoTxn, From: m.from, Committed: m.ok}))
+	case 'Y':
+		return dup(&w.toP, protocol.KindOutcome)
+	case 'U':
+		_, ok := take(&w.toP, protocol.KindOutcome)
+		return ok
+	case 'K':
+		m, ok := take(&w.toD, protocol.KindOutcomeAck)
+		if !ok {
+			return false
+		}
+		w.dApply(w.d.Step(protocol.AckReceived{Kind: m.kind, TxnID: hoTxn, From: m.from, OK: m.ok}))
 	case 'C':
 		if w.verdict == nil {
 			return false
 		}
 		w.settle(*w.verdict)
-		w.verdict, w.live = nil, false
-		w.toD = append(w.toD, hoMsg{kind: protocol.KindResolved, mark: w.mark()})
+		w.verdict, w.live, w.open = nil, false, false
+		w.toD = append(w.toD, hoMsg{kind: protocol.KindResolved, from: "s", mark: w.mark()})
 	case 'R':
 		m, ok := take(&w.toD, protocol.KindResolved)
 		if !ok {
@@ -408,50 +565,65 @@ func (w *handoffWorld) step(ev byte) bool {
 		w.dApply(w.d.Step(protocol.ResolvedReceived{From: "s", Mark: m.mark}))
 	case 'S':
 		// The source dies: worker, machine and messages to it are gone;
-		// the branch record stays, and recovery asks the decider.
+		// a transaction that never prepared dies with the worker, and a
+		// branch record stays, in doubt, and recovery asks the decider.
 		w.s, w.live, w.verdict, w.toS = newReady("s"), false, nil, nil
+		w.open, w.acked = false, false
 		if w.branch {
 			w.sent = true // a branch that outlives the crash is in doubt either way
-			w.sApply(w.s.Step(protocol.RecoveredDelegation{TxnID: hoTxn, Decider: "d"}))
+			w.sApply(w.s.Step(protocol.RecoveredBranch{TxnID: hoTxn, Decider: "d"}))
 		}
 	case 'D':
 		// The decider dies: machine, unfinished writes and messages to
 		// it are gone; records and queue stay and are replayed.
 		w.d, w.writes, w.toD = protocol.NewMachine(protocol.Config{Node: "d", RetryInterval: 50 * time.Millisecond}), nil, nil
-		for id, commit := range w.records {
-			w.dApply(w.d.Step(protocol.RecoveredOutcome{TxnID: id, Commit: commit, Mark: 5}))
+		for _, r := range w.records {
+			w.dApply(w.d.Step(r))
 		}
 		w.d.Step(protocol.ReadyReached{})
+	case 'Z':
+		// The party dies: machine, parked transaction, executions and
+		// messages to it are gone; its branch record stays, in doubt.
+		w.p, w.parked, w.execs, w.toP = protocol.NewMachine(protocol.Config{Node: "p", RetryInterval: 50 * time.Millisecond}), false, 0, nil
+		if w.pBranch {
+			w.pApply(w.p.Step(protocol.RecoveredBranch{TxnID: hoTxn, Decider: "d"}))
+		}
+		w.p.Step(protocol.ReadyReached{})
 	default:
 		w.t.Fatalf("unknown event %q", ev)
 	}
 	return true
 }
 
-// quiesce drives the world to rest: writes complete, messages arrive,
-// the source settles, and a source still in doubt re-asks (its query
-// timer) until it has a verdict.
+// quiesce drives the world to rest: messages arrive and writes complete;
+// then, with nothing in flight, the source's waits expire and every
+// node's timers fire, until nothing moves.
 func (w *handoffWorld) quiesce() {
 	for round := 0; round < 50; round++ {
 		progress := false
-		for _, ev := range []byte("WPQORC") {
+		for _, ev := range []byte("EBAWPQOVKRC") {
 			for w.step(ev) {
 				progress = true
 			}
 		}
-		if !progress && w.branch {
-			if !w.sent {
-				w.step('N')
-				continue
-			}
-			if w.live && w.verdict == nil {
-				w.sApply(w.s.Step(protocol.DelegationStale{TxnID: hoTxn}))
-			} else {
-				w.sApply(w.s.Step(protocol.TimerFired{ID: "pquery|d"}))
-			}
-			progress = len(w.toD) > 0
+		if progress {
+			continue
 		}
-		if !progress {
+		switch {
+		case w.open && !w.sent && w.acked:
+			w.step('N')
+		case w.open && !w.sent:
+			w.step('G')
+		case w.live && w.verdict == nil:
+			w.step('T')
+		case w.branch:
+			w.sApply(w.s.Step(protocol.TimerFired{ID: "pquery|d"}))
+		}
+		for _, id := range []string{"pstale|d", "pquery|d"} {
+			w.pApply(w.p.Step(protocol.TimerFired{ID: id}))
+		}
+		w.dApply(w.d.Step(protocol.TimerFired{ID: "pctl|p"}))
+		if len(w.toS)+len(w.toD)+len(w.toP)+len(w.writes) == 0 && !(w.open && !w.sent) {
 			return
 		}
 	}
@@ -469,22 +641,33 @@ func runHandoffPermutation(t *testing.T, seq string) {
 	// repaired by the next message from the source).
 	w.dApply(w.d.Step(protocol.ResolvedReceived{From: "s", Mark: w.mark()}))
 
-	if w.branch || w.settled == "" {
+	if w.branch || (w.sent && w.settled == "") {
 		t.Fatalf("%s: the source's branch never settled", seq)
 	}
 	if w.enqueued > 1 {
 		t.Fatalf("%s: the container was enqueued %d times", seq, w.enqueued)
 	}
 	if committed := w.settled == "commit"; committed != (w.enqueued == 1) {
-		t.Fatalf("%s: source %s, decider enqueued %d — they disagree", seq, w.settled, w.enqueued)
+		t.Fatalf("%s: source %q, decider enqueued %d — they disagree", seq, w.settled, w.enqueued)
+	}
+	if w.parties != nil {
+		if w.pBranch || w.parked || w.execs != 0 {
+			t.Fatalf("%s: the party's branch never settled (record %v, parked %v, executing %d)", seq, w.pBranch, w.parked, w.execs)
+		}
+		if committed := w.pSettled == "commit"; committed != (w.enqueued == 1) {
+			t.Fatalf("%s: party %q, decider enqueued %d — they disagree", seq, w.pSettled, w.enqueued)
+		}
+		if s := w.p.Stats(); s.BranchesExec+s.BranchesPrepared+s.BranchesInDoubt != 0 {
+			t.Fatalf("%s: party state lingers: %+v", seq, s)
+		}
 	}
 	if len(w.records) != 0 {
-		t.Fatalf("%s: records survive the mark: %v", seq, w.records)
+		t.Fatalf("%s: records survive the last acknowledgement and the mark: %v", seq, w.records)
 	}
 	if s := w.s.Stats(); s.Delegations != 0 {
 		t.Fatalf("%s: source state lingers: %+v", seq, s)
 	}
-	if s := w.d.Stats(); s.Outcomes != 0 || s.Deciding != 0 {
+	if s := w.d.Stats(); s.Outcomes != 0 || s.Deciding != 0 || s.PendingParties != 0 {
 		t.Fatalf("%s: decider state lingers: %+v", seq, s)
 	}
 }

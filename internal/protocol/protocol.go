@@ -4,31 +4,31 @@
 // presumed-abort in-doubt resolution, and the reliable
 // completion-notification cycle.
 //
-// The hand-off is decided by the node that receives the container
-// (the last-agent optimisation of two-phase commit). The source
-// prepares its own part durably, naming that node, and sends one
-// message; the decider enqueues the container and writes its commit
-// record atomically, then answers. A decider asked about a hand-off it
-// never saw fences the transaction durably before answering abort, and
-// every message from a source carries its watermark: the lowest
-// transaction it has not settled, below which the decider drops late
-// prepares and collects its records. Roles: source.go, decider.go,
-// coordinator.go (the RCE branches a compensation prepares), rce.go,
-// notify.go.
+// Every distributed transaction has one decider (DESIGN.md §5): the
+// node that receives the container (the last-agent optimisation of
+// two-phase commit), or the compensating node itself when its agent
+// stays. The source prepares its own part durably, naming the decider,
+// and sends one message; RCE parties prepare their branches naming it
+// too. The decider enqueues the container and writes its record
+// atomically, then sends its verdict to the source and to each party. A
+// decider asked about a transaction it never saw fences it durably
+// before answering abort, and every message from a source carries its
+// watermark: the lowest transaction it has not settled, below which the
+// decider drops late prepares and collects its records. Roles:
+// source.go, decider.go, rce.go (the RCE executor), notify.go.
 //
 // Everything here is a pure, single-threaded state machine. A
 // transition consumes exactly one Event — an inbound protocol message,
-// a timer firing, a local decision of the worker (begin / decide /
-// execution finished), or a recovery replay — and returns the list of
-// Effects the driver must apply: outbound messages, stable-store
-// writes, prepared-transaction commits/aborts, timer arms, and
-// metric counts. The machine never starts a goroutine, owns no
-// channel, and performs no I/O; facts that live in stable storage (the
-// presumed-abort decision record) are passed in on the event by the
-// driver. That makes every protocol decision — including the PR-4
-// chaos catch, an abort overtaking a lock-blocked RCE execution — an
-// ordinary state edge that permutation tests and fuzzers can cover
-// without a cluster, a store, or a clock.
+// a timer firing, a local decision of the worker (hand-off delegated,
+// own transaction decided, execution finished), or a recovery replay —
+// and returns the list of Effects the driver must apply: outbound
+// messages, stable-store writes, prepared-transaction commits/aborts,
+// timer arms, and metric counts. The machine never starts a goroutine,
+// owns no channel, and performs no I/O; facts the driver owns (a node's
+// own watermark) are passed in on the event. That makes every protocol
+// decision — including the chaos harness's first catch, an abort
+// overtaking a lock-blocked RCE execution — an ordinary state edge that permutation
+// tests and fuzzers can cover without a cluster, a store, or a clock.
 //
 // The driver (internal/node) serializes Step calls, translates wire
 // messages to events, applies effects in order, and runs every timer
@@ -49,16 +49,15 @@ import (
 // duration falls back to a sane default so a zero-config machine is
 // usable in tests.
 type Config struct {
-	// Node is the local node's network name (transaction IDs it
-	// coordinates are "<Node>#<seq>").
+	// Node is the local node's network name (transaction IDs it begins
+	// are "<Node>#<seq>").
 	Node string
-	// RetryInterval is the cadence of control-message resends, in-doubt
-	// queries and completion-notification resends (the old dispatcher
-	// tick, RetryDelay*5 in node terms).
+	// RetryInterval is the cadence of verdict resends, in-doubt queries
+	// and completion-notification resends (RetryDelay*5 in node terms).
 	RetryInterval time.Duration
 	// StaleAfter is how long a prepared RCE branch may sit undecided
-	// before the participant starts querying its coordinator
-	// (2*AckTimeout in node terms).
+	// before the party starts querying its decider (2*AckTimeout in node
+	// terms).
 	StaleAfter time.Duration
 }
 
@@ -72,19 +71,17 @@ func (c *Config) fillDefaults() {
 }
 
 // Machine holds the protocol state of one node across all its roles:
-// source and decider of queue hand-offs, coordinator of the RCE branches
-// of its compensation transactions, RCE participant (Figure 5b resource
-// side), and completion notifier. Step is the single transition
+// source and decider of distributed transactions, RCE party (Figure 5b
+// resource side), and completion notifier. Step is the single transition
 // function; it must be externally serialized (the driver guarantees one
 // Step at a time) and is otherwise a pure state+effects fold.
 type Machine struct {
 	cfg   Config
 	ready bool
 
-	coord    map[string]*coordTxn   // RCE transactions this node coordinates
 	delegs   map[string]*delegation // hand-offs this node's branches wait on
-	decided  map[string]bool        // decider records: txn → committed (false: fenced)
-	deciding map[string]bool        // hand-offs whose verdict is being written
+	decided  map[string]*record     // decider records: commits and fences
+	deciding map[string][]string    // verdicts being written → the parties to tell
 	marks    map[string]uint64      // decider: highest mark seen per source
 	branches map[string]*branch     // RCE branch per transaction
 	done     map[string]string      // undelivered completion: agent → owner
@@ -101,10 +98,9 @@ func NewMachine(cfg Config) *Machine {
 	cfg.fillDefaults()
 	return &Machine{
 		cfg:      cfg,
-		coord:    make(map[string]*coordTxn),
 		delegs:   make(map[string]*delegation),
-		decided:  make(map[string]bool),
-		deciding: make(map[string]bool),
+		decided:  make(map[string]*record),
+		deciding: make(map[string][]string),
 		marks:    make(map[string]uint64),
 		branches: make(map[string]*branch),
 		done:     make(map[string]string),
@@ -113,8 +109,8 @@ func NewMachine(cfg Config) *Machine {
 }
 
 // Event is one protocol input. Events are plain data; the driver
-// enriches them with the stable-store facts a decision needs (e.g.
-// QueryReceived.StoreDecided) so the machine itself stays I/O-free.
+// enriches them with the facts a decision needs that it owns (e.g.
+// QueryReceived.Mark) so the machine itself stays I/O-free.
 type Event interface{ isEvent() }
 
 // Effect is one output the driver must apply. Effects are emitted in
@@ -127,22 +123,26 @@ type Effect interface{ isEffect() }
 
 // Delegate opens a hand-off at its source: the worker prepared its
 // branch (naming Decider) and the container goes out now. Mark is the
-// source's watermark (txn.Manager.Mark).
+// source's watermark (txn.Manager.Mark); Parties are the RCE parties
+// whose branches the decider settles with the same verdict.
 type Delegate struct {
 	TxnID   string
 	Decider string
 	EntryID string
 	Data    []byte
 	Mark    uint64
+	Parties []string
 }
 
-// OutcomeReceived is a decider's verdict on one of this node's
-// hand-offs (q.outcome: the answer to the hand-off or to a query), or an
-// abort the driver feeds back, with its reason in Err, when the
-// prepare's send failed before any byte of it left
-// (network.ErrUnreachable: no decider can ever see it).
+// OutcomeReceived is a decider's verdict (q.outcome) from From: on one of
+// this node's hand-offs (the answer to the hand-off or to a query), or on
+// an RCE branch this node holds. The driver also feeds an abort back,
+// with its reason in Err and no From, when a prepare's send failed
+// before any byte of it left (network.ErrUnreachable: no decider can
+// ever see it).
 type OutcomeReceived struct {
 	TxnID     string
+	From      string
 	Committed bool
 	Err       string
 }
@@ -151,21 +151,15 @@ type OutcomeReceived struct {
 // within the worker's wait: the source starts querying its decider.
 type DelegationStale struct{ TxnID string }
 
-// RecoveredDelegation replays a crash-surviving branch that names its
-// decider: the source is in doubt and asks.
-type RecoveredDelegation struct {
-	TxnID   string
-	Decider string
-}
-
 // HandoffReceived is the decider half of a hand-off: a source asks this
-// node to enqueue a container and decide.
+// node to enqueue a container and decide, for itself and for Parties.
 type HandoffReceived struct {
 	TxnID   string
 	From    string
 	EntryID string
 	Data    []byte
 	Mark    uint64
+	Parties []string
 }
 
 // HandoffDecided reports the driver's durable verdict on a hand-off
@@ -178,6 +172,17 @@ type HandoffDecided struct {
 	OK     bool
 }
 
+// LocalDecided reports that this node settled its own transaction with
+// RCE Parties: Commit — the container stayed, and the commit record
+// landed in the transaction's own batch (the driver steps this from a
+// commit hook, before the transaction leaves its open set); !Commit —
+// the transaction aborted before any prepare of it left.
+type LocalDecided struct {
+	TxnID   string
+	Commit  bool
+	Parties []string
+}
+
 // ResolvedReceived carries a source's mark (q.resolved): every hand-off
 // of From below Mark has settled there.
 type ResolvedReceived struct {
@@ -187,31 +192,15 @@ type ResolvedReceived struct {
 
 // RecoveredOutcome replays one decider record found at start-up.
 type RecoveredOutcome struct {
-	TxnID  string
-	Commit bool
-	Mark   uint64
+	TxnID   string
+	Commit  bool
+	Mark    uint64
+	Parties []string
 }
 
-// CoordPrepareRCE opens the coordinator decision for TxnID and ships a
-// resource-compensation-entry list to the resource node (Figure 5b).
-type CoordPrepareRCE struct {
-	TxnID string
-	Dest  string
-	Ops   []*core.OpEntry
-}
-
-// CoordDecided closes the coordinator decision over the RCE branches
-// on Parts: Commit=true after the decision record is durably in the
-// store drives them to commit reliably; Commit=false notifies them of
-// the abort once (best effort — presumed abort covers the loss).
-type CoordDecided struct {
-	TxnID  string
-	Commit bool
-	Parts  []string
-}
-
-// AckReceived is an RCE acknowledgement. Kind is the ack message kind
-// (KindRCEExecAck, KindRCECommitAck, KindRCEAbortAck).
+// AckReceived is an acknowledgement: Kind KindRCEExecAck answers an RCE
+// list this node shipped, KindOutcomeAck a commit verdict it sent a
+// party.
 type AckReceived struct {
 	Kind  string
 	TxnID string
@@ -220,40 +209,24 @@ type AckReceived struct {
 	Err   string
 }
 
-// QueryReceived is an in-doubt query (txn.query). From a participant of
-// a transaction this node coordinates, StoreDecided and StorePrepared
-// are the driver-supplied facts whether the decision record, and this
-// node's own prepared branch for TxnID, exist in stable storage. From
-// the source of a hand-off this node decides, they are unused.
+// QueryReceived is an in-doubt query (txn.query) from a source or an RCE
+// party of a transaction this node decides. Mark is this node's own
+// watermark (txn.Manager.Mark), which the driver reads: it tells
+// whether this node's own transaction may still be running.
 type QueryReceived struct {
-	TxnID         string
-	From          string
-	StoreDecided  bool
-	StorePrepared bool
-}
-
-// StatusReceived is a coordinator's answer to an in-doubt query:
-// Committed=false means presumed abort.
-type StatusReceived struct {
-	TxnID     string
-	Committed bool
-}
-
-// CtlReceived is a commit/abort control message for an RCE branch from
-// its coordinator.
-type CtlReceived struct {
-	TxnID  string
-	From   string
-	Commit bool
+	TxnID string
+	From  string
+	Mark  uint64
 }
 
 // RCEExecReceived asks this node to execute a resource-compensation
-// list inside a prepared branch of the coordinator's compensation
-// transaction (Figure 5b, resource-node half).
+// list inside a prepared branch of compensation transaction TxnID,
+// decided by Decider (Figure 5b, resource-node half).
 type RCEExecReceived struct {
-	TxnID string
-	From  string
-	Ops   []*core.OpEntry
+	TxnID   string
+	From    string
+	Decider string
+	Ops     []*core.OpEntry
 }
 
 // BranchPrepared reports the driver's branch execution: OK=true means
@@ -276,9 +249,13 @@ type DoneRecorded struct {
 // notification.
 type DoneAcked struct{ AgentID string }
 
-// RecoveredBranch replays a crash-surviving prepared RCE branch record
-// (no live transaction); resolution goes through the branch record.
-type RecoveredBranch struct{ TxnID string }
+// RecoveredBranch replays a crash-surviving prepared branch record
+// naming its Decider: a hand-off this node began, or an RCE branch.
+// Either way the node is in doubt and asks.
+type RecoveredBranch struct {
+	TxnID   string
+	Decider string
+}
 
 // ReadyReached marks the end of recovery: hand-offs and RCE executions
 // are accepted from now on.
@@ -287,27 +264,23 @@ type ReadyReached struct{}
 // TimerFired delivers an expired timer previously armed via ArmTimer.
 type TimerFired struct{ ID string }
 
-func (Delegate) isEvent()            {}
-func (OutcomeReceived) isEvent()     {}
-func (DelegationStale) isEvent()     {}
-func (RecoveredDelegation) isEvent() {}
-func (HandoffReceived) isEvent()     {}
-func (HandoffDecided) isEvent()      {}
-func (ResolvedReceived) isEvent()    {}
-func (RecoveredOutcome) isEvent()    {}
-func (CoordPrepareRCE) isEvent()     {}
-func (CoordDecided) isEvent()        {}
-func (AckReceived) isEvent()         {}
-func (QueryReceived) isEvent()       {}
-func (StatusReceived) isEvent()      {}
-func (CtlReceived) isEvent()         {}
-func (RCEExecReceived) isEvent()     {}
-func (BranchPrepared) isEvent()      {}
-func (DoneRecorded) isEvent()        {}
-func (DoneAcked) isEvent()           {}
-func (RecoveredBranch) isEvent()     {}
-func (ReadyReached) isEvent()        {}
-func (TimerFired) isEvent()          {}
+func (Delegate) isEvent()         {}
+func (OutcomeReceived) isEvent()  {}
+func (DelegationStale) isEvent()  {}
+func (HandoffReceived) isEvent()  {}
+func (HandoffDecided) isEvent()   {}
+func (LocalDecided) isEvent()     {}
+func (ResolvedReceived) isEvent() {}
+func (RecoveredOutcome) isEvent() {}
+func (AckReceived) isEvent()      {}
+func (QueryReceived) isEvent()    {}
+func (RCEExecReceived) isEvent()  {}
+func (BranchPrepared) isEvent()   {}
+func (DoneRecorded) isEvent()     {}
+func (DoneAcked) isEvent()        {}
+func (RecoveredBranch) isEvent()  {}
+func (ReadyReached) isEvent()     {}
+func (TimerFired) isEvent()       {}
 
 // --- effects ----------------------------------------------------------
 
@@ -341,9 +314,11 @@ type DeliverAck struct {
 
 // Decide asks the driver to make a decider verdict durable and feed
 // the result back as HandoffDecided. Commit: vet the container (the
-// adoption gate), then enqueue Data and write the commit record in one
-// batch — or, if the gate refuses, write the fence instead. !Commit:
-// write the fence. Mark goes into the record.
+// adoption gate), then enqueue Data and write the commit record, listing
+// Parties, in one batch — with this node's own prepared branch of the
+// transaction when Branch is set — or, if the gate refuses or the branch
+// is gone, write the fence instead. !Commit: write the fence. Mark goes
+// into the record.
 type Decide struct {
 	TxnID   string
 	From    string
@@ -351,9 +326,12 @@ type Decide struct {
 	Data    []byte
 	Mark    uint64
 	Commit  bool
+	Parties []string
+	Branch  bool
 }
 
-// DropOutcomes garbage-collects decider records below a source's mark.
+// DropOutcomes garbage-collects decider records: below a source's mark,
+// with every party acknowledged.
 type DropOutcomes struct{ TxnIDs []string }
 
 // SendResolved sends the source's current mark to a decider
@@ -377,17 +355,14 @@ type ResolveBranchRecord struct {
 
 // ExecBranch asks the driver to execute the compensation list inside a
 // fresh branch transaction (off the dispatcher — compensations wait on
-// resource locks), park the prepared transaction, and feed the result
-// back as a BranchPrepared event.
+// resource locks), prepare it naming Decider, park the prepared
+// transaction, and feed the result back as a BranchPrepared event.
 type ExecBranch struct {
 	TxnID   string
 	ReplyTo string
+	Decider string
 	Ops     []*core.OpEntry
 }
-
-// ClearDecision garbage-collects the presumed-abort decision record:
-// every participant acknowledged the commit.
-type ClearDecision struct{ TxnID string }
 
 // ResendDone (re)sends the durable completion record for AgentID to
 // its owner.
@@ -417,7 +392,6 @@ func (CommitBranch) isEffect()        {}
 func (AbortBranch) isEffect()         {}
 func (ResolveBranchRecord) isEffect() {}
 func (ExecBranch) isEffect()          {}
-func (ClearDecision) isEffect()       {}
 func (ResendDone) isEffect()          {}
 func (DropDone) isEffect()            {}
 func (ArmTimer) isEffect()            {}
@@ -434,31 +408,23 @@ func (m *Machine) Step(ev Event) []Effect {
 	case Delegate:
 		return m.delegate(e)
 	case OutcomeReceived:
-		return m.settleDelegation(e)
+		return m.outcomeReceived(e)
 	case DelegationStale:
 		return m.delegationStale(e)
-	case RecoveredDelegation:
-		return m.recoveredDelegation(e)
 	case HandoffReceived:
 		return m.handoffReceived(e)
 	case HandoffDecided:
 		return m.handoffDecided(e)
+	case LocalDecided:
+		return m.localDecided(e)
 	case ResolvedReceived:
 		return m.advanceMark(e.From, e.Mark)
 	case RecoveredOutcome:
 		return m.recoveredOutcome(e)
-	case CoordPrepareRCE:
-		return m.coordPrepareRCE(e)
-	case CoordDecided:
-		return m.coordDecided(e)
 	case AckReceived:
 		return m.ackReceived(e)
 	case QueryReceived:
 		return m.queryReceived(e)
-	case StatusReceived:
-		return m.resolveBranch(e.TxnID, e.Committed)
-	case CtlReceived:
-		return m.ctlReceived(e)
 	case RCEExecReceived:
 		return m.rceExecReceived(e)
 	case BranchPrepared:
@@ -468,6 +434,9 @@ func (m *Machine) Step(ev Event) []Effect {
 	case DoneAcked:
 		return m.doneAcked(e)
 	case RecoveredBranch:
+		if Origin(e.TxnID) == m.cfg.Node {
+			return m.recoveredDelegation(e)
+		}
 		return m.recoveredBranch(e)
 	case ReadyReached:
 		m.ready = true
@@ -486,11 +455,10 @@ func (m *Machine) Transitions() int64 { return m.transitions }
 // invariant checkers use it to assert terminal conditions (e.g. every
 // prepared branch resolved).
 type Stats struct {
-	CoordActive      int // coordinator decisions still open
-	CoordPendingCtl  int // decided commits awaiting participant acks
 	Delegations      int // hand-offs this node's branches still wait on
 	Outcomes         int // decider records held (commits and fences)
-	Deciding         int // hand-off verdicts being written
+	PendingParties   int // commit verdicts not yet acknowledged by a party
+	Deciding         int // verdicts being written
 	BranchesExec     int // RCE executions in flight (incl. poisoned)
 	BranchesPrepared int // prepared branches awaiting decision
 	BranchesInDoubt  int // recovered branch records awaiting verdict
@@ -500,16 +468,11 @@ type Stats struct {
 // Stats reports the current state sizes.
 func (m *Machine) Stats() Stats {
 	var s Stats
-	for _, c := range m.coord {
-		if c.active {
-			s.CoordActive++
-		}
-		if len(c.pending) > 0 {
-			s.CoordPendingCtl++
-		}
-	}
 	s.Delegations = len(m.delegs)
 	s.Outcomes = len(m.decided)
+	for _, r := range m.decided {
+		s.PendingParties += len(r.pending)
+	}
 	s.Deciding = len(m.deciding)
 	for _, b := range m.branches {
 		switch b.state {
@@ -525,10 +488,10 @@ func (m *Machine) Stats() Stats {
 	return s
 }
 
-// Coordinator extracts the node that began a transaction from its ID
-// ("node#seq") — the coordinator of its RCE branches and the source of
-// its hand-off; it returns "" for IDs without a separator.
-func Coordinator(txnID string) string {
+// Origin extracts the node that began a transaction from its ID
+// ("node#seq") — the source of its hand-off, and the node its RCE
+// parties ran for; it returns "" for IDs without a separator.
+func Origin(txnID string) string {
 	if i := strings.LastIndex(txnID, "#"); i >= 0 {
 		return txnID[:i]
 	}

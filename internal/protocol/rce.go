@@ -1,35 +1,37 @@
 package protocol
 
 // RCE role (Figure 5b, resource-node half): execute a shipped
-// resource-compensation-entry list inside a prepared branch of the
-// coordinator's compensation transaction. States per transaction:
+// resource-compensation-entry list inside a prepared branch of a
+// compensation transaction, and settle it with its decider's verdict.
+// States per transaction:
 //
 //	(absent) --RCEExecReceived--> executing --BranchPrepared(ok)--> prepared
 //	    |                            |                                 |
-//	    |                            | StatusReceived/CtlReceived      | verdict
-//	    |                            |     (abort)                     v
-//	    |                            v                             (absent) +
-//	    |                     executingAborted                     Commit/AbortBranch
-//	    |                            |
+//	    |                            | abort verdict                   | verdict
+//	    |                            v                                 v
+//	    |                     executingAborted                     (absent) +
+//	    |                            |                             Commit/AbortBranch
 //	    |                            | BranchPrepared(any)
 //	    |                            v
 //	    |                 (absent) + AbortBranch + refused ack
 //	    |
 //	RecoveredBranch--> inDoubt --verdict--> (absent) + ResolveBranchRecord
 //
-// The executing→executingAborted edge is the PR-4 chaos catch (seed
-// 2): the coordinator's presumed abort overtakes an execution that is
-// blocked on a resource lock. A branch prepared *after* its
-// coordinator aborted would be a zombie — prepared, lock-holding,
-// already presumed-aborted — and under retry pressure those zombie
-// holds chain into a livelock where no attempt can prepare inside the
-// coordinator's ack window. What was a cross-map poison check
-// (rceInFlight/rceAborted) is now this ordinary transition.
+// The branch record names the decider, which rce.exec carries: the node
+// that receives the container, or the compensating node when the agent
+// stays (DESIGN.md §5). A commit verdict is acknowledged (q.outcome.ack)
+// so the decider can collect its record; an abort is not.
+//
+// The executing→executingAborted edge is the chaos harness's first catch
+// (seed 2): an abort overtakes an execution that is blocked on a
+// resource lock. A branch prepared *after* its transaction aborted
+// would be a zombie — prepared, lock-holding, already aborted — and
+// under retry pressure those zombie holds chain into a livelock where no
+// attempt can prepare inside the compensating node's ack window.
 //
 // A prepared branch left undecided for StaleAfter starts querying its
-// coordinator (the coordinator may have aborted silently — presumed
-// abort never pushes a verdict on its own), then re-asks on
-// RetryInterval.
+// decider (a decider that never saw the prepare fences it and answers
+// abort), then re-asks on RetryInterval.
 
 // branchState is the lifecycle position of one RCE branch.
 type branchState int
@@ -38,33 +40,33 @@ const (
 	// branchExecuting: the driver is running the compensation list
 	// (possibly blocked on resource locks).
 	branchExecuting branchState = iota + 1
-	// branchExecutingAborted: the coordinator's verdict (abort)
-	// overtook the still-running execution; the branch must abort
-	// instead of preparing.
+	// branchExecutingAborted: an abort verdict overtook the
+	// still-running execution; the branch must abort instead of
+	// preparing.
 	branchExecutingAborted
 	// branchPrepared: durably prepared and acknowledged; awaiting the
-	// coordinator's decision.
+	// decider's verdict.
 	branchPrepared
 	// branchInDoubt: a crash-surviving branch record with no live
 	// transaction; resolution replays or drops the durable record.
 	branchInDoubt
 )
 
-// branch is the participant-side state of one RCE branch.
+// branch is the party-side state of one RCE branch.
 type branch struct {
 	state   branchState
-	replyTo string // coordinator endpoint awaiting the exec ack
+	replyTo string // compensating node awaiting the exec ack
+	decider string // the node whose verdict settles the branch
 	ops     int64  // compensation entries in the branch (metrics)
 }
 
 // rceExecReceived starts (or deduplicates) a branch execution.
 func (m *Machine) rceExecReceived(e RCEExecReceived) []Effect {
-	if !m.ready {
-		return []Effect{SendMsg{
-			To:      e.From,
-			Kind:    KindRCEExecAck,
-			Payload: &AckMsg{TxnID: e.TxnID, OK: false, Err: "node recovering"},
-		}}
+	switch {
+	case !m.ready:
+		return []Effect{execAck(e.From, e.TxnID, false, "node recovering")}
+	case e.Decider == "":
+		return []Effect{execAck(e.From, e.TxnID, false, "no decider named")}
 	}
 	if b, ok := m.branches[e.TxnID]; ok {
 		switch b.state {
@@ -72,28 +74,24 @@ func (m *Machine) rceExecReceived(e RCEExecReceived) []Effect {
 			return nil // already executing; its ack will answer the retry too
 		case branchPrepared:
 			// Duplicate request (lost ack): already prepared.
-			return []Effect{SendMsg{
-				To:      e.From,
-				Kind:    KindRCEExecAck,
-				Payload: &AckMsg{TxnID: e.TxnID, OK: true},
-			}}
+			return []Effect{execAck(e.From, e.TxnID, true, "")}
 		case branchInDoubt:
-			// The coordinator is retrying an execution whose previous
+			// The compensating node is retrying an execution whose previous
 			// incarnation prepared durably before a crash; fall through
 			// to a fresh execution under the same transaction ID.
 		}
 	}
-	m.branches[e.TxnID] = &branch{state: branchExecuting, replyTo: e.From, ops: int64(len(e.Ops))}
+	m.branches[e.TxnID] = &branch{state: branchExecuting, replyTo: e.From, decider: e.Decider, ops: int64(len(e.Ops))}
 	// Any queued stale/query entry for the previous incarnation is
 	// filtered lazily at the next per-peer fire.
-	return []Effect{ExecBranch{TxnID: e.TxnID, ReplyTo: e.From, Ops: e.Ops}}
+	return []Effect{ExecBranch{TxnID: e.TxnID, ReplyTo: e.From, Decider: e.Decider, Ops: e.Ops}}
 }
 
 // branchPrepared lands the driver's execution result on the current
 // state. The abort-overtook-execution edge resolves here: the branch
-// was prepared durably, but the coordinator already presumed it
-// aborted, so it is aborted (releasing its locks) instead of being
-// registered — and the coordinator is told so.
+// was prepared durably, but its transaction already aborted, so it is
+// aborted (releasing its locks) instead of being registered — and the
+// compensating node is told so.
 func (m *Machine) branchPrepared(e BranchPrepared) []Effect {
 	b, ok := m.branches[e.TxnID]
 	if !ok {
@@ -115,59 +113,37 @@ func (m *Machine) branchPrepared(e BranchPrepared) []Effect {
 		// Execution or prepare failed; the driver already aborted the
 		// branch transaction.
 		delete(m.branches, e.TxnID)
-		return []Effect{SendMsg{
-			To:      b.replyTo,
-			Kind:    KindRCEExecAck,
-			Payload: &AckMsg{TxnID: e.TxnID, OK: false, Err: e.Err},
-		}}
+		return []Effect{execAck(b.replyTo, e.TxnID, false, e.Err)}
 	}
 	if b.state == branchExecutingAborted {
-		// The coordinator aborted while the compensations were running
+		// The transaction aborted while the compensations were running
 		// (lock waits make that window wide). Registering the branch
 		// now would create a zombie: prepared, lock-holding, and
-		// already presumed-aborted by its coordinator.
+		// already aborted.
 		delete(m.branches, e.TxnID)
-		return []Effect{
-			AbortBranch{TxnID: e.TxnID},
-			SendMsg{
-				To:      b.replyTo,
-				Kind:    KindRCEExecAck,
-				Payload: &AckMsg{TxnID: e.TxnID, OK: false, Err: "aborted by coordinator during execution"},
-			},
-		}
+		return []Effect{AbortBranch{TxnID: e.TxnID}, execAck(b.replyTo, e.TxnID, false, "aborted during execution")}
 	}
 	b.state = branchPrepared
-	effs := []Effect{
-		CountCompOps{N: b.ops},
-		SendMsg{
-			To:      b.replyTo,
-			Kind:    KindRCEExecAck,
-			Payload: &AckMsg{TxnID: e.TxnID, OK: true},
-		},
-	}
-	co := Coordinator(e.TxnID)
-	if co == "" || co == m.cfg.Node {
-		// No remote coordinator to query; the verdict arrives locally.
+	effs := []Effect{CountCompOps{N: b.ops}, execAck(b.replyTo, e.TxnID, true, "")}
+	return append(effs, m.enqueue(timerPeerStale, b.decider, dueEntry{id: e.TxnID, aux: auxBranch}, m.cfg.StaleAfter)...)
+}
+
+func execAck(to, txnID string, ok bool, reason string) Effect {
+	return SendMsg{To: to, Kind: KindRCEExecAck, Payload: &AckMsg{TxnID: txnID, OK: ok, Err: reason}}
+}
+
+// partyVerdict applies a verdict from From to this node's branch of
+// txnID and acknowledges a commit, which the decider keeps re-sending
+// until it has the acknowledgement.
+func (m *Machine) partyVerdict(txnID, from string, commit bool) []Effect {
+	effs := m.resolveBranch(txnID, commit)
+	if !commit || from == "" {
 		return effs
 	}
-	return append(effs, m.enqueue(timerPeerStale, co, dueEntry{id: e.TxnID, aux: auxBranch}, m.cfg.StaleAfter)...)
+	return append(effs, SendMsg{To: from, Kind: KindOutcomeAck, Payload: &AckMsg{TxnID: txnID, OK: true}})
 }
 
-// ctlReceived applies the coordinator's explicit commit/abort of an RCE
-// branch and always acknowledges.
-func (m *Machine) ctlReceived(e CtlReceived) []Effect {
-	ackKind := KindRCEAbortAck
-	if e.Commit {
-		ackKind = KindRCECommitAck
-	}
-	return append(m.resolveBranch(e.TxnID, e.Commit), SendMsg{
-		To:      e.From,
-		Kind:    ackKind,
-		Payload: &AckMsg{TxnID: e.TxnID, OK: true},
-	})
-}
-
-// resolveBranch applies a coordinator verdict to whatever branch state
+// resolveBranch applies a verdict to whatever branch state
 // exists: a live prepared transaction, a still-running execution (the
 // poison edge), a recovered record, or nothing (then only the durable
 // record — if any — is replayed or dropped).
@@ -203,18 +179,14 @@ func (m *Machine) resolveBranch(txnID string, commit bool) []Effect {
 }
 
 // recoveredBranch replays a crash-surviving in-doubt branch record:
-// query the coordinator immediately, then on the usual cadence. Live
-// branch state outranks the replay — a record surviving next to a live
+// query its decider immediately, then on the usual cadence. Live branch
+// state outranks the replay — a record surviving next to a live
 // execution or prepared transaction is that transaction's own record.
 func (m *Machine) recoveredBranch(e RecoveredBranch) []Effect {
 	if b, ok := m.branches[e.TxnID]; ok && b.state != branchInDoubt {
 		return nil
 	}
-	m.branches[e.TxnID] = &branch{state: branchInDoubt}
-	co := Coordinator(e.TxnID)
-	if co == "" || co == m.cfg.Node {
-		return nil
-	}
-	effs := []Effect{SendMsg{To: co, Kind: KindTxnQuery, Payload: &CtlMsg{TxnID: e.TxnID}}}
-	return append(effs, m.enqueue(timerPeerQuery, co, dueEntry{id: e.TxnID, aux: auxBranch}, m.cfg.RetryInterval)...)
+	m.branches[e.TxnID] = &branch{state: branchInDoubt, decider: e.Decider}
+	effs := m.enqueue(timerPeerQuery, e.Decider, dueEntry{id: e.TxnID, aux: auxBranch}, m.cfg.RetryInterval)
+	return append(m.querySend(e.Decider, []string{e.TxnID}), effs...)
 }

@@ -7,7 +7,7 @@ package protocol
 //
 //	(absent) --Delegate--> delegated --OutcomeReceived--> (absent)
 //	   delegated --DelegationStale--> delegated + query the decider (pquery)
-//	(absent) --RecoveredDelegation--> recovered --OutcomeReceived--> (absent)
+//	(absent) --RecoveredBranch (own ID)--> recovered --OutcomeReceived--> (absent)
 //
 // A live delegation has a worker waiting: its verdict goes to that
 // worker (DeliverAck), which commits or aborts the branch and then
@@ -27,8 +27,17 @@ type delegation struct {
 func (m *Machine) delegate(e Delegate) []Effect {
 	m.delegs[e.TxnID] = &delegation{decider: e.Decider}
 	return []Effect{SendHandoff{To: e.Decider, Msg: &PrepareMsg{
-		TxnID: e.TxnID, EntryID: e.EntryID, Mark: e.Mark, Data: e.Data,
+		TxnID: e.TxnID, EntryID: e.EntryID, Mark: e.Mark, Parties: e.Parties, Data: e.Data,
 	}}}
+}
+
+// outcomeReceived routes a verdict by who this node is in the
+// transaction: the source, or an RCE party.
+func (m *Machine) outcomeReceived(e OutcomeReceived) []Effect {
+	if _, ok := m.delegs[e.TxnID]; ok || Origin(e.TxnID) == m.cfg.Node {
+		return m.settleDelegation(e)
+	}
+	return m.partyVerdict(e.TxnID, e.From, e.Committed)
 }
 
 // settleDelegation applies a verdict: the decider's outcome or the
@@ -56,8 +65,9 @@ func (m *Machine) delegationStale(e DelegationStale) []Effect {
 	return m.queryDecider(e.TxnID, d.decider)
 }
 
-// recoveredDelegation replays a crash-surviving delegated branch.
-func (m *Machine) recoveredDelegation(e RecoveredDelegation) []Effect {
+// recoveredDelegation replays a crash-surviving branch of this node's
+// own transaction.
+func (m *Machine) recoveredDelegation(e RecoveredBranch) []Effect {
 	if d, ok := m.delegs[e.TxnID]; ok && !d.recovered {
 		return nil // the live delegation owns it
 	}
@@ -66,6 +76,6 @@ func (m *Machine) recoveredDelegation(e RecoveredDelegation) []Effect {
 }
 
 func (m *Machine) queryDecider(txnID, decider string) []Effect {
-	effs := []Effect{SendMsg{To: decider, Kind: KindTxnQuery, Payload: &CtlMsg{TxnID: txnID}}}
+	effs := m.querySend(decider, []string{txnID})
 	return append(effs, m.enqueue(timerPeerQuery, decider, dueEntry{id: txnID, aux: auxDeleg}, m.cfg.RetryInterval)...)
 }

@@ -1,6 +1,9 @@
 package protocol
 
-import "time"
+import (
+	"slices"
+	"time"
+)
 
 // Control-plane timers. One wheel timer per in-flight transaction
 // means 10k armed timers and 10k single-message resend frames per
@@ -15,9 +18,10 @@ import "time"
 // enqueue lands in `due` and arms the wheel timer when the slot is idle,
 // in `pending` when a timer is already ticking. A fire drains `due`,
 // promotes `pending`, filters every drained entry against the
-// authoritative role maps (coord/delegs/branches/done) and emits one
-// batched frame for the survivors — a single survivor goes out as the
-// plain per-transaction message. Survivors re-enqueue (re-arming the
+// authoritative role maps (decided/delegs/branches/done) and emits the
+// survivors together: queries as one query.batch frame (a single
+// survivor goes out as the plain txn.query), verdicts and done resends
+// as plain messages the driver sends in one batch. Survivors re-enqueue (re-arming the
 // timer); an entry therefore fires between 1× and 2× its interval
 // after enqueue, never early.
 //
@@ -29,15 +33,15 @@ import "time"
 //
 // Timer IDs are "<class>|<peer>". Classes:
 const (
-	// timerPeerCtl coalesces the coordinator's RCE commit-control
-	// resends per participant peer.
+	// timerPeerCtl coalesces a decider's commit-verdict resends per RCE
+	// party.
 	timerPeerCtl = "pctl"
 	// timerPeerQuery coalesces in-doubt queries — hand-offs waiting on
 	// their decider, recovered/stale RCE branches — per peer asked.
 	timerPeerQuery = "pquery"
 	// timerPeerStale coalesces the StaleAfter threshold of prepared
-	// branches per coordinator peer; a fire hands the still-prepared
-	// branches to timerPeerQuery.
+	// branches per decider; a fire hands the still-prepared branches to
+	// timerPeerQuery.
 	timerPeerStale = "pstale"
 	// timerPeerDone coalesces completion-notification resends per owner
 	// peer.
@@ -142,38 +146,27 @@ func (m *Machine) rearm(class, peer string, interval time.Duration) []Effect {
 	return nil
 }
 
-// peerCtlTimer resends every still-pending commit control headed to one
-// participant peer as a single frame. Controls are live while the
-// coordinator transaction still holds the matching pending obligation;
-// acked or re-decided entries drop out lazily.
+// peerCtlTimer re-sends every commit verdict one RCE party has not
+// acknowledged, as plain q.outcome messages the driver sends in one
+// batch. A verdict stays live while its record lists the party as
+// pending; acknowledged or collected entries drop out lazily.
 func (m *Machine) peerCtlTimer(peer string) []Effect {
 	fired := m.takeDue(timerPeerCtl, peer, func(e dueEntry) bool {
-		c, ok := m.coord[e.id]
-		return ok && c.pending[peer]
+		r, ok := m.decided[e.id]
+		return ok && slices.Contains(r.pending, peer)
 	})
-	var items []CtlBatchItem
-	var effs []Effect
+	var sends, effs []Effect
 	for _, e := range fired {
-		items = append(items, CtlBatchItem{TxnID: e.id, Commit: true})
+		sends = append(sends, outcome(peer, e.id, true))
 		effs = append(effs, m.enqueue(timerPeerCtl, peer, e, m.cfg.RetryInterval)...)
 	}
 	effs = append(effs, m.rearm(timerPeerCtl, peer, m.cfg.RetryInterval)...)
-	switch len(items) {
-	case 0:
-		return effs
-	case 1:
-		// A lone survivor travels as the plain per-transaction control.
-		send := SendMsg{To: peer, Kind: KindRCECommit, Payload: &CtlMsg{TxnID: items[0].TxnID}}
-		return append([]Effect{send}, effs...)
-	default:
-		send := SendMsg{To: peer, Kind: KindCtlBatch, Payload: &CtlBatchMsg{Items: items}}
-		return append([]Effect{send}, effs...)
-	}
+	return append(sends, effs...)
 }
 
-// peerQueryTimer re-asks one peer about every in-doubt entry this node
-// still tracks for it — hand-offs it decides, RCE branches it
-// coordinates — deduplicated per transaction, as a single frame.
+// peerQueryTimer re-asks one decider about every in-doubt entry this
+// node still tracks for it — hand-offs and RCE branches it decides —
+// deduplicated per transaction, as a single frame.
 func (m *Machine) peerQueryTimer(peer string) []Effect {
 	fired := m.takeDue(timerPeerQuery, peer, func(e dueEntry) bool { return m.queryLive(peer, e) })
 	var txns []string
@@ -191,8 +184,7 @@ func (m *Machine) peerQueryTimer(peer string) []Effect {
 }
 
 // queryLive reports whether an in-doubt query obligation still matters:
-// the delegation still waits on peer, or the branch exists and peer is
-// still its coordinator.
+// the delegation or the branch still waits on peer's verdict.
 func (m *Machine) queryLive(peer string, e dueEntry) bool {
 	switch e.aux {
 	case auxDeleg:
@@ -200,15 +192,22 @@ func (m *Machine) queryLive(peer string, e dueEntry) bool {
 		return ok && d.decider == peer
 	case auxBranch:
 		b, ok := m.branches[e.id]
-		return ok && (b.state == branchPrepared || b.state == branchInDoubt) &&
-			Coordinator(e.id) == peer
+		return ok && (b.state == branchPrepared || b.state == branchInDoubt) && b.decider == peer
 	}
 	return false
 }
 
 // querySend emits the in-doubt queries for txns as one frame (the plain
-// single-transaction query when only one survived).
+// single-transaction query when only one survived). A branch whose
+// decider is this node asks it here, without a message.
 func (m *Machine) querySend(peer string, txns []string) []Effect {
+	if peer == m.cfg.Node {
+		var effs []Effect
+		for _, id := range txns {
+			effs = append(effs, m.queryReceived(QueryReceived{TxnID: id, From: peer})...)
+		}
+		return effs
+	}
 	switch len(txns) {
 	case 0:
 		return nil
@@ -220,13 +219,13 @@ func (m *Machine) querySend(peer string, txns []string) []Effect {
 }
 
 // peerStaleTimer fires the StaleAfter threshold for prepared branches
-// coordinated by one peer: every branch still prepared starts the query
+// one peer decides: every branch still prepared starts the query
 // cadence (an immediate query, then RetryInterval re-asks via
 // timerPeerQuery).
 func (m *Machine) peerStaleTimer(peer string) []Effect {
 	fired := m.takeDue(timerPeerStale, peer, func(e dueEntry) bool {
 		b, ok := m.branches[e.id]
-		return ok && b.state == branchPrepared && Coordinator(e.id) == peer
+		return ok && b.state == branchPrepared && b.decider == peer
 	})
 	var txns []string
 	var effs []Effect

@@ -3,6 +3,7 @@ package protocol_test
 import (
 	"fmt"
 	"maps"
+	"slices"
 	"testing"
 
 	"repro/internal/protocol"
@@ -21,20 +22,34 @@ func armedIDs(effs []protocol.Effect) []string {
 	return ids
 }
 
-// decide drives one committed coordinator decision with a single RCE
-// participant on peer.
+// decide commits one of the machine's own transactions with a single
+// RCE party on peer.
 func decide(m *protocol.Machine, txn, peer string) []protocol.Effect {
-	return m.Step(protocol.CoordDecided{TxnID: txn, Commit: true, Parts: []string{peer}})
+	return m.Step(protocol.LocalDecided{TxnID: txn, Commit: true, Parties: []string{peer}})
 }
 
-// TestPeerCtlTimerCoalescesResends pins the tentpole behaviour: many
-// decided transactions headed to one participant peer share a single
-// resend timer, and a fire with more than one survivor emits one
-// multi-transaction CtlBatchMsg frame instead of N singles.
+// verdicts returns the transactions of the commit verdicts in effs.
+func verdicts(t *testing.T, effs []protocol.Effect, peer string) []string {
+	t.Helper()
+	var txns []string
+	for _, s := range pick[protocol.SendMsg](effs) {
+		st, ok := s.Payload.(*protocol.StatusMsg)
+		if s.Kind != protocol.KindOutcome || !ok || !st.Committed || s.To != peer {
+			t.Fatalf("resend %+v, want a commit verdict to %s", s, peer)
+		}
+		txns = append(txns, st.TxnID)
+	}
+	return txns
+}
+
+// TestPeerCtlTimerCoalescesResends pins the per-party resend slot: many
+// commit verdicts one RCE party has not acknowledged share a single
+// timer, and a fire re-sends every one still due, each as its plain
+// q.outcome — the driver sends them in one batch.
 func TestPeerCtlTimerCoalescesResends(t *testing.T) {
 	m := newReady("co")
 
-	// First decision arms the shared (pctl, p) timer...
+	// The first verdict arms the shared (pctl, p) timer...
 	if ids := armedIDs(decide(m, "co#1", "p")); len(ids) != 1 || ids[0] != "pctl|p" {
 		t.Fatalf("first decide armed %v, want [pctl|p]", ids)
 	}
@@ -46,55 +61,36 @@ func TestPeerCtlTimerCoalescesResends(t *testing.T) {
 		t.Fatalf("SchedSlots = %d, want 1", m.SchedSlots())
 	}
 
-	// First fire drains only the due bucket (co#1 — enqueued a full
-	// interval ago); co#2 was pending and is promoted. A single
-	// survivor travels as the plain per-transaction frame.
+	// The first fire drains only the due bucket (co#1 — enqueued a full
+	// interval ago); co#2 was pending and is promoted.
 	effs := m.Step(protocol.TimerFired{ID: "pctl|p"})
-	sends := pick[protocol.SendMsg](effs)
-	if len(sends) != 1 || sends[0].Kind != protocol.KindRCECommit {
-		t.Fatalf("first fire sends = %+v", sends)
-	}
-	if sends[0].Payload.(*protocol.CtlMsg).TxnID != "co#1" {
-		t.Fatalf("first fire resent %+v, want co#1", sends[0].Payload)
+	if got := verdicts(t, effs, "p"); !slices.Equal(got, []string{"co#1"}) {
+		t.Fatalf("first fire resent %v, want co#1", got)
 	}
 	if ids := armedIDs(effs); len(ids) != 1 || ids[0] != "pctl|p" {
 		t.Fatalf("first fire re-armed %v", ids)
 	}
 
-	// Second fire finds both transactions due: one CtlBatchMsg frame.
+	// The second fire finds both due: both verdicts in one fire.
 	effs = m.Step(protocol.TimerFired{ID: "pctl|p"})
-	sends = pick[protocol.SendMsg](effs)
-	if len(sends) != 1 || sends[0].Kind != protocol.KindCtlBatch || sends[0].To != "p" {
-		t.Fatalf("second fire sends = %+v", sends)
-	}
-	items := sends[0].Payload.(*protocol.CtlBatchMsg).Items
-	got := map[string]bool{}
-	for _, it := range items {
-		if !it.Commit {
-			t.Fatalf("batch item %+v, want a commit", it)
-		}
-		got[it.TxnID] = true
-	}
-	if len(items) != 2 || !got["co#1"] || !got["co#2"] {
-		t.Fatalf("batch items = %+v, want co#1+co#2", items)
+	if got := verdicts(t, effs, "p"); len(got) != 2 || !slices.Contains(got, "co#1") || !slices.Contains(got, "co#2") {
+		t.Fatalf("second fire resent %v, want co#1 and co#2", got)
 	}
 
-	// Retirement is lazy: the ack only clears the decision record, the
-	// next fire filters the dead entry and resends only the survivor.
-	effs = m.Step(protocol.AckReceived{Kind: protocol.KindRCECommitAck, TxnID: "co#1", From: "p", OK: true})
-	if len(effs) != 1 || len(pick[protocol.ClearDecision](effs)) != 1 {
-		t.Fatalf("ack effects = %+v, want only ClearDecision (lazy retirement)", effs)
+	// Retirement is lazy: the ack only collects the record; the next
+	// fire filters the dead entry and re-sends only the survivor.
+	effs = m.Step(protocol.AckReceived{Kind: protocol.KindOutcomeAck, TxnID: "co#1", From: "p", OK: true})
+	if len(effs) != 1 || len(pick[protocol.DropOutcomes](effs)) != 1 {
+		t.Fatalf("ack effects = %+v, want only DropOutcomes (lazy retirement)", effs)
 	}
 	effs = m.Step(protocol.TimerFired{ID: "pctl|p"})
-	sends = pick[protocol.SendMsg](effs)
-	if len(sends) != 1 || sends[0].Kind != protocol.KindRCECommit ||
-		sends[0].Payload.(*protocol.CtlMsg).TxnID != "co#2" {
-		t.Fatalf("post-ack fire sends = %+v, want lone co#2 plain frame", sends)
+	if got := verdicts(t, effs, "p"); !slices.Equal(got, []string{"co#2"}) {
+		t.Fatalf("post-ack fire resent %v, want co#2 alone", got)
 	}
 
 	// Last ack, then the fire on fully dead state: no send, no re-arm,
 	// slot garbage-collected — the quiescence invariant.
-	m.Step(protocol.AckReceived{Kind: protocol.KindRCECommitAck, TxnID: "co#2", From: "p", OK: true})
+	m.Step(protocol.AckReceived{Kind: protocol.KindOutcomeAck, TxnID: "co#2", From: "p", OK: true})
 	effs = m.Step(protocol.TimerFired{ID: "pctl|p"})
 	if len(effs) != 0 {
 		t.Fatalf("fire on dead state emitted %+v", effs)
@@ -105,9 +101,9 @@ func TestPeerCtlTimerCoalescesResends(t *testing.T) {
 }
 
 // TestPeerQueryTimerCoalescesInDoubt drives two stale hand-offs waiting
-// on the same decider plus a recovered RCE branch that decider
-// coordinates through the shared query timer: the fire emits one
-// QueryBatchMsg with per-transaction dedup.
+// on the same decider plus a recovered RCE branch that decider decides
+// through the shared query timer: the fire emits one QueryBatchMsg with
+// per-transaction dedup.
 func TestPeerQueryTimerCoalescesInDoubt(t *testing.T) {
 	m := newReady("p")
 
@@ -121,9 +117,9 @@ func TestPeerQueryTimerCoalescesInDoubt(t *testing.T) {
 	if ids := armedIDs(stale("p#2")); len(ids) != 0 {
 		t.Fatalf("second stale hand-off armed %v, want none", ids)
 	}
-	// A recovered branch coordinated by co joins the same slot: the
-	// immediate recovery query goes out, but no second timer appears.
-	effs := m.Step(protocol.RecoveredBranch{TxnID: "co#1"})
+	// A recovered branch co decides joins the same slot: the immediate
+	// recovery query goes out, but no second timer appears.
+	effs := m.Step(protocol.RecoveredBranch{TxnID: "x#1", Decider: "co"})
 	if ids := armedIDs(effs); len(ids) != 0 {
 		t.Fatalf("recovered branch armed %v, want none", ids)
 	}
@@ -144,14 +140,14 @@ func TestPeerQueryTimerCoalescesInDoubt(t *testing.T) {
 	for _, id := range txns {
 		got[id] = true
 	}
-	if len(txns) != 3 || !got["p#1"] || !got["p#2"] || !got["co#1"] {
-		t.Fatalf("query batch = %v, want p#1+p#2+co#1", txns)
+	if len(txns) != 3 || !got["p#1"] || !got["p#2"] || !got["x#1"] {
+		t.Fatalf("query batch = %v, want p#1+p#2+x#1", txns)
 	}
 
 	// Verdicts settle everything; the next fires drain to silence.
 	m.Step(protocol.OutcomeReceived{TxnID: "p#1", Committed: true})
 	m.Step(protocol.OutcomeReceived{TxnID: "p#2", Committed: false})
-	m.Step(protocol.StatusReceived{TxnID: "co#1", Committed: false})
+	m.Step(protocol.OutcomeReceived{TxnID: "x#1", From: "co", Committed: false})
 	m.Step(protocol.TimerFired{ID: "pquery|co"})
 	if effs := m.Step(protocol.TimerFired{ID: "pquery|co"}); len(effs) != 0 {
 		t.Fatalf("fire after verdicts emitted %+v", effs)
@@ -162,33 +158,33 @@ func TestPeerQueryTimerCoalescesInDoubt(t *testing.T) {
 }
 
 // TestPeerStaleTimerHandsOffToQuery pins the branch path: a prepared
-// RCE branch joins the per-peer stale timer, and its fire both asks the
-// coordinator immediately and moves the branch onto the shared query
+// RCE branch joins its decider's stale timer, and its fire both asks the
+// decider immediately and moves the branch onto the shared query
 // cadence.
 func TestPeerStaleTimerHandsOffToQuery(t *testing.T) {
 	m := newReady("r")
 
-	m.Step(protocol.RCEExecReceived{TxnID: "co#9", From: "co"})
+	m.Step(protocol.RCEExecReceived{TxnID: "co#9", From: "co", Decider: "d"})
 	effs := m.Step(protocol.BranchPrepared{TxnID: "co#9", OK: true})
-	if ids := armedIDs(effs); len(ids) != 1 || ids[0] != "pstale|co" {
-		t.Fatalf("branch prepared armed %v, want [pstale|co]", ids)
+	if ids := armedIDs(effs); len(ids) != 1 || ids[0] != "pstale|d" {
+		t.Fatalf("branch prepared armed %v, want [pstale|d]", ids)
 	}
 
-	effs = m.Step(protocol.TimerFired{ID: "pstale|co"})
+	effs = m.Step(protocol.TimerFired{ID: "pstale|d"})
 	sends := pick[protocol.SendMsg](effs)
 	if len(sends) != 1 || sends[0].Kind != protocol.KindTxnQuery ||
 		sends[0].Payload.(*protocol.CtlMsg).TxnID != "co#9" {
 		t.Fatalf("stale fire sends = %+v, want one co#9 query", sends)
 	}
 	ids := armedIDs(effs)
-	if len(ids) != 1 || ids[0] != "pquery|co" {
-		t.Fatalf("stale fire armed %v, want handoff to [pquery|co]", ids)
+	if len(ids) != 1 || ids[0] != "pquery|d" {
+		t.Fatalf("stale fire armed %v, want handoff to [pquery|d]", ids)
 	}
 
 	// The verdict resolves the branch; the pending query obligation
 	// dies lazily and the slot drains.
-	m.Step(protocol.StatusReceived{TxnID: "co#9", Committed: true})
-	if effs := m.Step(protocol.TimerFired{ID: "pquery|co"}); len(pick[protocol.SendMsg](effs)) != 0 {
+	m.Step(protocol.OutcomeReceived{TxnID: "co#9", From: "d", Committed: true})
+	if effs := m.Step(protocol.TimerFired{ID: "pquery|d"}); len(pick[protocol.SendMsg](effs)) != 0 {
 		t.Fatalf("query fire after verdict sent %+v", effs)
 	}
 	if m.SchedSlots() != 0 {
@@ -258,16 +254,15 @@ func TestBatchTimersScaleWithPeersNotTxns(t *testing.T) {
 }
 
 // TestBatchedFramesMatchUnbatchedPerTxn is the differential check: the
-// per-transaction (destination, kind, txn) resend obligations carried
-// by batched frames, once exploded item-by-item the way the receive
-// path does, are exactly the set the decided transactions owe — the
-// oracle computed from the inputs. The framing never changes the
+// per-transaction (destination, kind, txn) verdicts the per-party timers
+// re-send are exactly the set the decided transactions owe — the oracle
+// computed from the inputs. Coalescing the timers never changes the
 // protocol content.
 func TestBatchedFramesMatchUnbatchedPerTxn(t *testing.T) {
 	parts := map[string]string{"co#1": "p", "co#2": "p", "co#3": "q"}
 	want := map[string]bool{}
 	for txn, peer := range parts {
-		want[peer+"/"+protocol.KindRCECommit+"/"+txn] = true
+		want[peer+"/"+protocol.KindOutcome+"/"+txn] = true
 	}
 
 	m := newReady("co")
@@ -286,23 +281,13 @@ func TestBatchedFramesMatchUnbatchedPerTxn(t *testing.T) {
 		}
 	}
 
-	// Flatten sends into per-transaction obligations, undoing the batch
-	// framing exactly like the dispatcher's receive path.
 	got := map[string]bool{}
 	for _, s := range pick[protocol.SendMsg](resent) {
-		switch p := s.Payload.(type) {
-		case *protocol.CtlMsg:
-			got[s.To+"/"+s.Kind+"/"+p.TxnID] = true
-		case *protocol.CtlBatchMsg:
-			for _, it := range p.Items {
-				if !it.Commit {
-					t.Fatalf("abort in resend batch: %+v", it)
-				}
-				got[s.To+"/"+protocol.KindRCECommit+"/"+it.TxnID] = true
-			}
-		default:
-			t.Fatalf("unexpected resend payload %T", p)
+		st, ok := s.Payload.(*protocol.StatusMsg)
+		if !ok || !st.Committed {
+			t.Fatalf("unexpected resend %+v", s)
 		}
+		got[s.To+"/"+s.Kind+"/"+st.TxnID] = true
 	}
 	if !maps.Equal(got, want) {
 		t.Fatalf("resend obligations = %v, want %v", got, want)
