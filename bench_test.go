@@ -150,7 +150,7 @@ func BenchmarkWireCodec(b *testing.B) {
 
 // BenchmarkTransitionToWire: the full cost of moving one protocol
 // transition's outbound fan-out (a 1 KiB prepare, an outcome, a mark
-// and a status answer to one destination) from in-memory structs onto the
+// and a party's acknowledgement to one destination) from in-memory structs onto the
 // simulated wire and back into typed events at the peer — encode,
 // endpoint delivery, and the receiving dispatcher's payload decode, the
 // path a node pair takes around every Machine.Step. Variants match the
@@ -162,7 +162,7 @@ func BenchmarkTransitionToWire(b *testing.B) {
 	prep := &protocol.PrepareMsg{TxnID: "agent-42#7", EntryID: "agent-42", Data: make([]byte, 1024)}
 	out := &protocol.StatusMsg{TxnID: "agent-42#7", Committed: true}
 	mark := &protocol.MarkMsg{Mark: 7}
-	st := &protocol.StatusMsg{TxnID: "agent-42#7", Committed: true}
+	ack := &protocol.AckMsg{TxnID: "agent-42#7", OK: true}
 
 	run := func(b *testing.B, gob, batch, traced bool) {
 		// traced replays the node instrumentation around this path: a
@@ -195,8 +195,10 @@ func BenchmarkTransitionToWire(b *testing.B) {
 				switch msg.Kind {
 				case protocol.KindEnqueuePrepare:
 					v = &protocol.PrepareMsg{}
-				case protocol.KindOutcome, protocol.KindTxnStatus:
+				case protocol.KindOutcome:
 					v = &protocol.StatusMsg{}
+				case protocol.KindOutcomeAck:
+					v = &protocol.AckMsg{}
 				case protocol.KindResolved:
 					v = &protocol.MarkMsg{}
 				default:
@@ -227,7 +229,7 @@ func BenchmarkTransitionToWire(b *testing.B) {
 				{Kind: protocol.KindEnqueuePrepare, Payload: encode(prep)},
 				{Kind: protocol.KindOutcome, Payload: encode(out)},
 				{Kind: protocol.KindResolved, Payload: encode(mark)},
-				{Kind: protocol.KindTxnStatus, Payload: encode(st)},
+				{Kind: protocol.KindOutcomeAck, Payload: encode(ack)},
 			}
 			if batch {
 				if err := src.SendBatch("dst", msgs); err != nil {

@@ -266,7 +266,7 @@ func TestReplCoordinatorStandby(t *testing.T) {
 	if !ok {
 		t.Fatal("no node r1")
 	}
-	if err := n1.Queue().Enqueue(a.ID, data, txn.OutcomeOp(txnID, true, 1)); err != nil {
+	if err := n1.Queue().Enqueue(a.ID, data, txn.OutcomeOp(txnID, true, 1, nil)); err != nil {
 		t.Fatal(err)
 	}
 

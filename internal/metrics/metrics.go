@@ -72,9 +72,9 @@ type fields[T any] struct {
 
 	// Control-plane batching (internal/node's GC stager and ack piggybacking).
 	DecisionBatches   T                            // control-plane GC group commits flushed
-	DecisionOps       T                            // decision/done GC ops carried inside those commits
+	DecisionOps       T                            // outcome/done GC ops carried inside those commits
 	DecisionBatchSize [len(BatchSizeBuckets) + 1]T // ops-per-commit histogram (see BatchSizeBuckets)
-	AckPiggybacked    T                            // acks/status replies that rode an existing outbound batch
+	AckPiggybacked    T                            // acks and marks that rode an existing outbound batch
 
 	// Protocol core (internal/protocol driven by internal/node).
 	ProtocolTransitions T // protocol state-machine events processed
@@ -232,7 +232,7 @@ func (c *Counters) ObserveNetBatch(frames int) {
 }
 
 // ObserveDecisionBatch records one control-plane GC group commit
-// carrying ops staged decision-record clears / done-record drops.
+// carrying ops staged outcome-record and done-record drops.
 func (c *Counters) ObserveDecisionBatch(ops int) {
 	c.on(func() { observeBatch(ops, &c.live.DecisionBatches, &c.live.DecisionOps, &c.live.DecisionBatchSize) })
 }

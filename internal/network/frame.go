@@ -26,23 +26,23 @@ var frameKinds = [...]string{
 	1: "q.prepare",
 	// 2..6 are retired: the vote, the decision and their acks of the
 	// three-message hand-off, last sent by commit 6471191.
-	7:  "txn.query",
-	8:  "txn.status",
+	7: "txn.query",
+	// 8 and 11..14 are retired: the coordinator's answer to a query and
+	// the RCE commit/abort controls with their acks, last sent by commit
+	// a03745a.
 	9:  "rce.exec",
 	10: "rce.exec.ack",
-	11: "rce.commit",
-	12: "rce.commit.ack",
-	13: "rce.abort",
-	14: "rce.abort.ack",
 	15: "agent.launch",
 	16: "agent.launch.ack",
 	17: "agent.done",
 	18: "agent.done.ack",
 	19: "member.announce",
-	20: "ctl.batch",
+	// 20 is retired: the coalesced RCE controls (ctl.batch), last sent by
+	// commit a03745a.
 	21: "query.batch",
 	22: "q.outcome",
 	23: "q.resolved",
+	24: "q.outcome.ack",
 }
 
 // frameKindCodes is the inverse of frameKinds.

@@ -10,21 +10,21 @@ import (
 // Control-plane batching, driver half (the machine half is the per-peer
 // timer coalescing in internal/protocol/timers.go):
 //
-//   - record GC staging: ClearDecision, DropOutcomes and DropDone effects from
+//   - record GC staging: DropOutcomes and DropDone effects from
 //     concurrent transitions buffer into one bounded staging slice and
 //     apply as a single stable group commit, flushed when the buffer
 //     fills or after a RetryDelay linger. Only the garbage-collection
-//     deletes stage — the decision record itself is still written inside
-//     the transaction's own commit batch, so the durability-ordering
-//     invariant (no control send leaves before its decision record is
-//     stable) holds without the stager ever gating a send.
+//     deletes stage — the outcome record itself is still written inside
+//     the decider's own commit batch, so the durability-ordering
+//     invariant (no verdict leaves before its record is stable) holds
+//     without the stager ever gating a send.
 //
-//   - ack piggybacking: non-blocking messages (RCE commit/abort acks,
-//     status answers, a source's q.resolved) park per peer for up to a
-//     RetryDelay linger; the next outbound transition batch headed to
-//     that peer drains them into its frame group, so they ride a write
-//     the node was making anyway. A message someone blocks on (exec acks,
-//     hand-off outcomes, done acks) never parks.
+//   - ack piggybacking: non-blocking messages (a party's q.outcome.ack,
+//     a source's q.resolved) park per peer for up to a RetryDelay linger;
+//     the next outbound transition batch headed to that peer drains them
+//     into its frame group, so they ride a write the node was making
+//     anyway. A message someone blocks on (exec acks, verdicts, done
+//     acks) never parks.
 
 const (
 	// ctlStageMax bounds the GC staging buffer; a full buffer flushes
@@ -41,8 +41,8 @@ const (
 
 // stageCtlOp buffers one control-plane GC operation for the next group
 // commit (or applies it directly when the wheel is not running). Losing
-// staged deletes on a crash is safe: a surviving decision record answers
-// queries with the decision it records, and a surviving done record only
+// staged deletes on a crash is safe: a surviving outcome record answers
+// queries with the verdict it records, and a surviving done record only
 // restarts the idempotent done/ack cycle.
 func (n *Node) stageCtlOp(op stable.Op) {
 	if n.wheel == nil {
@@ -82,15 +82,10 @@ func (n *Node) flushCtlStage() {
 
 // piggybackKind reports whether a kind is safe to park: nothing blocks on
 // it, and a RetryDelay of extra latency sits far inside the sender's
-// RetryInterval resend cadence. A hand-off's outcome never parks: the
-// source's claim and locks wait on it.
+// RetryInterval resend cadence. A verdict never parks: the source's claim
+// and locks, and a party's locks, wait on it.
 func piggybackKind(kind string) bool {
-	switch kind {
-	case protocol.KindRCECommitAck, protocol.KindRCEAbortAck,
-		protocol.KindTxnStatus, protocol.KindResolved:
-		return true
-	}
-	return false
+	return kind == protocol.KindOutcomeAck || kind == protocol.KindResolved
 }
 
 // holdForRide parks one encoded reply for peer to, arming the linger

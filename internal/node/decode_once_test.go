@@ -221,11 +221,13 @@ func TestGarbageAtQueueHeadIsDropped(t *testing.T) {
 // container in the queue and in a completion record, the prepared
 // insertion commit e4fe5c0 kept with its container under q/s/, the
 // marker of a prepared insertion commit 6471191 kept under q/s/, the
-// coin-list till of commit 1b58917's shop, and the gob resource records
-// and branch records of commit 60b3006 (testdata, generated at those
-// commits; the resource records live in internal/resource, the branch in
-// internal/txn). A queue entry, resource record or branch of other
-// garbage does not, and neither does an empty queue; any q/s/ key does.
+// coin-list till of commit 1b58917's shop, the gob resource records and
+// branch records of commit 60b3006, and a coordinator's decision record
+// and a coordinator-decided (0x38) branch of commit a03745a (testdata,
+// generated at those commits; the resource records live in
+// internal/resource, the branches in internal/txn). A queue entry,
+// resource record or branch of other garbage does not, and neither does
+// an empty queue; any q/s/ or txn/decision/ key does.
 func TestRefusesGobContainers(t *testing.T) {
 	legacy := gobFixture(t)
 	newNode := func(store stable.Store) error {
@@ -302,6 +304,16 @@ func TestRefusesGobContainers(t *testing.T) {
 				return s.Apply(stable.Put("txn/branch/co#7", fixture(t, "../../txn/testdata/branch-gob-60b3006.bin")))
 			},
 			[]string{"60b3006", `"co#7"`}},
+		"decision-record-a03745a": {
+			func(s stable.Store) error {
+				return s.Apply(stable.Put("txn/decision/co#7", fixture(t, "decision-record-a03745a.bin")))
+			},
+			[]string{"a03745a", `"co#7"`}},
+		"branch-0x38-a03745a": {
+			func(s stable.Store) error {
+				return s.Apply(stable.Put("txn/branch/co#7", fixture(t, "../../txn/testdata/branch-0x38-a03745a.bin")))
+			},
+			[]string{"a03745a", `"co#7"`}},
 	} {
 		t.Run(name, func(t *testing.T) {
 			store := stable.NewMemStore(nil)

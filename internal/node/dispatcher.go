@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/network"
 	"repro/internal/protocol"
+	"repro/internal/stable"
 	"repro/internal/trace"
 	"repro/internal/txn"
 )
@@ -95,9 +96,8 @@ func (n *Node) onTimer(id string) {
 
 // handle translates one wire message into a protocol event. All
 // decision logic lives in the machine; this switch only decodes and,
-// where a decision needs a stable-storage fact (the presumed-abort
-// decision record), reads it to enrich the event. Protocol payloads go
-// through protocol.Decode.
+// where a decision needs a fact the driver owns (its own mark), reads it
+// to enrich the event. Protocol payloads go through protocol.Decode.
 func (n *Node) handle(msg network.Message) {
 	n.cfg.Tracer.Rec(trace.OpWireRecv, "", "", msg.Kind, msg.From, "", int64(len(msg.Payload)))
 	switch msg.Kind {
@@ -106,71 +106,46 @@ func (n *Node) handle(msg network.Message) {
 		if err := protocol.Decode(msg.Payload, &req); err != nil {
 			return
 		}
-		n.step(protocol.HandoffReceived{TxnID: req.TxnID, From: msg.From, EntryID: req.EntryID, Data: req.Data, Mark: req.Mark})
+		n.step(protocol.HandoffReceived{TxnID: req.TxnID, From: msg.From, EntryID: req.EntryID, Data: req.Data, Mark: req.Mark, Parties: req.Parties})
 	case protocol.KindOutcome:
 		var st protocol.StatusMsg
 		if err := protocol.Decode(msg.Payload, &st); err != nil {
 			return
 		}
-		n.step(protocol.OutcomeReceived{TxnID: st.TxnID, Committed: st.Committed})
+		n.step(protocol.OutcomeReceived{TxnID: st.TxnID, From: msg.From, Committed: st.Committed})
 	case protocol.KindResolved:
 		var mk protocol.MarkMsg
 		if err := protocol.Decode(msg.Payload, &mk); err != nil {
 			return
 		}
 		n.step(protocol.ResolvedReceived{From: msg.From, Mark: mk.Mark})
-	case protocol.KindRCECommit, protocol.KindRCEAbort:
-		var req protocol.CtlMsg
-		if err := protocol.Decode(msg.Payload, &req); err != nil {
-			return
-		}
-		n.step(protocol.CtlReceived{TxnID: req.TxnID, From: msg.From, Commit: msg.Kind == protocol.KindRCECommit})
 	case protocol.KindTxnQuery:
 		var req protocol.CtlMsg
 		if err := protocol.Decode(msg.Payload, &req); err != nil {
 			return
 		}
-		if ev, ok := n.queryEvent(req.TxnID, msg.From); ok {
-			n.step(ev)
-		}
-	case protocol.KindCtlBatch:
-		// One multi-transaction resend frame explodes into the exact
-		// per-transaction events the unbatched kinds produce; replies
-		// share one outbound batch.
-		var req protocol.CtlBatchMsg
-		if err := protocol.Decode(msg.Payload, &req); err != nil {
-			return
-		}
-		evs := make([]protocol.Event, 0, len(req.Items))
-		for _, it := range req.Items {
-			evs = append(evs, protocol.CtlReceived{TxnID: it.TxnID, From: msg.From, Commit: it.Commit})
-		}
-		n.step(evs...)
+		n.step(protocol.QueryReceived{TxnID: req.TxnID, From: msg.From, Mark: n.mgr.Mark()})
 	case protocol.KindQueryBatch:
+		// One multi-transaction query frame explodes into the exact
+		// per-transaction events the plain kind produces; the answers
+		// share one outbound batch.
 		var req protocol.QueryBatchMsg
 		if err := protocol.Decode(msg.Payload, &req); err != nil {
 			return
 		}
+		mark := n.mgr.Mark()
 		evs := make([]protocol.Event, 0, len(req.TxnIDs))
 		for _, txnID := range req.TxnIDs {
-			if ev, ok := n.queryEvent(txnID, msg.From); ok {
-				evs = append(evs, ev)
-			}
+			evs = append(evs, protocol.QueryReceived{TxnID: txnID, From: msg.From, Mark: mark})
 		}
 		n.step(evs...)
-	case protocol.KindTxnStatus:
-		var st protocol.StatusMsg
-		if err := protocol.Decode(msg.Payload, &st); err != nil {
-			return
-		}
-		n.step(protocol.StatusReceived{TxnID: st.TxnID, Committed: st.Committed})
 	case protocol.KindRCEExec:
 		var req protocol.RCEExecMsg
 		if err := protocol.Decode(msg.Payload, &req); err != nil {
 			return
 		}
-		n.step(protocol.RCEExecReceived{TxnID: req.TxnID, From: msg.From, Ops: req.Ops})
-	case protocol.KindRCEExecAck, protocol.KindRCECommitAck, protocol.KindRCEAbortAck:
+		n.step(protocol.RCEExecReceived{TxnID: req.TxnID, From: msg.From, Decider: req.Decider, Ops: req.Ops})
+	case protocol.KindRCEExecAck, protocol.KindOutcomeAck:
 		var ack protocol.AckMsg
 		if err := protocol.Decode(msg.Payload, &ack); err != nil {
 			return
@@ -189,18 +164,6 @@ func (n *Node) handle(msg network.Message) {
 		}
 		n.step(protocol.DoneAcked{AgentID: ack.TxnID})
 	}
-}
-
-// queryEvent enriches an in-doubt query with the stable-storage facts the
-// machine needs when this node began the transaction: its decision
-// record, and its own prepared branch (a hand-off still in doubt, whose
-// RCE participants must not be told "abort"). ok is false when the store
-// cannot be read; the asker re-asks.
-func (n *Node) queryEvent(txnID, from string) (protocol.QueryReceived, bool) {
-	decider, err1 := n.mgr.Decider(txnID)
-	decided, err2 := n.mgr.Decided(txnID)
-	return protocol.QueryReceived{TxnID: txnID, From: from, StoreDecided: decided, StorePrepared: decider != ""},
-		err1 == nil && err2 == nil
 }
 
 // applyEffect executes one machine effect. Mechanics only — queue and
@@ -241,10 +204,8 @@ func (n *Node) applyEffect(eff protocol.Effect, b *outBatch) {
 		n.wg.Add(1)
 		go func() {
 			defer n.wg.Done()
-			n.runBranchExec(e.TxnID, e.Ops)
+			n.runBranchExec(e.TxnID, e.Decider, e.Ops)
 		}()
-	case protocol.ClearDecision:
-		n.stageCtlOp(n.mgr.ClearDecisionOp(e.TxnID))
 	case protocol.ResendDone:
 		n.sendDone(b, e.AgentID)
 	case protocol.DropDone:
@@ -274,8 +235,10 @@ func (n *Node) sendHandoff(e protocol.SendHandoff, b *outBatch) {
 
 // decide makes a decider verdict durable (DESIGN.md §5) and feeds it back.
 // A commit vets the container first (adoptionGate); a refusal becomes a
-// fence. The entry and its commit record land in one Enqueue batch, so
-// the entry is visible — and the next step can run — at once.
+// fence. The entry and its commit record, listing the RCE parties, land
+// in one Enqueue batch — with this node's own prepared branch of the
+// transaction when it is a party too — so the entry is visible, and the
+// next step can run, at once.
 func (n *Node) decide(e protocol.Decide, b *outBatch) {
 	commit := e.Commit
 	var adopt func()
@@ -285,36 +248,58 @@ func (n *Node) decide(e protocol.Decide, b *outBatch) {
 			commit = false
 		}
 	}
+	var branch *txn.Tx
+	if commit && e.Branch {
+		if branch = n.takeBranchTx(e.TxnID); branch == nil {
+			commit = false // its branch is gone: this node cannot commit
+		}
+	}
+	rec := txn.OutcomeOp(e.TxnID, true, e.Mark, e.Parties)
 	var err error
-	if commit {
-		err = n.queue.Enqueue(e.EntryID, e.Data, txn.OutcomeOp(e.TxnID, true, e.Mark))
-	} else {
-		err = n.store.Apply(txn.OutcomeOp(e.TxnID, false, e.Mark))
+	switch {
+	case branch != nil:
+		err = branch.CommitPreparedWith(func(ops ...stable.Op) error {
+			return n.queue.Enqueue(e.EntryID, e.Data, append(ops, rec)...)
+		})
+		if err != nil {
+			n.parkBranchTx(e.TxnID, branch) // still prepared
+		}
+	case commit:
+		err = n.queue.Enqueue(e.EntryID, e.Data, rec)
+	default:
+		err = n.store.Apply(txn.OutcomeOp(e.TxnID, false, e.Mark, nil))
 	}
 	if err == nil && commit && adopt != nil {
 		adopt()
 	}
-	if err == nil && n.crashed(pointDeciderCommitted) {
+	point := pointDeciderCommitted
+	if commit && (len(e.Parties) > 0 || branch != nil) {
+		point = pointDeciderRecorded
+	}
+	if err == nil && n.crashed(point) {
 		return
 	}
 	n.stepInto(protocol.HandoffDecided{TxnID: e.TxnID, Commit: commit, OK: err == nil}, b)
 }
 
 // runBranchExec executes a resource-compensation-entry list inside a
-// branch of the coordinator's compensation transaction — the
-// resource-node half of Figure 5b. On success the prepared transaction
-// is parked for the coordinator's verdict; the machine decides (in the
-// BranchPrepared transition) whether the branch is acknowledged or —
-// if an abort overtook the execution — settled immediately.
-func (n *Node) runBranchExec(txnID string, ops []*core.OpEntry) {
+// branch of a compensation transaction — the resource-node half of
+// Figure 5b — prepared for its decider. On success the prepared
+// transaction is parked for the decider's verdict; the machine decides
+// (in the BranchPrepared transition) whether the branch is acknowledged
+// or — if an abort overtook the execution — settled immediately.
+func (n *Node) runBranchExec(txnID, decider string, ops []*core.OpEntry) {
 	tx := n.mgr.BeginWithID(txnID)
 	err := n.execCompOps(tx, nil, ops)
 	if err == nil {
-		err = tx.Prepare()
+		err = tx.PrepareDelegated(decider)
 	}
 	if err != nil {
 		_ = tx.Abort()
 		n.step(protocol.BranchPrepared{TxnID: txnID, OK: false, Err: err.Error()})
+		return
+	}
+	if n.crashed(pointPartyPrepared) {
 		return
 	}
 	n.parkBranchTx(txnID, tx)

@@ -6,14 +6,17 @@ import (
 	"repro/internal/network"
 )
 
-// The durable points of a hand-off, for crash tests outside the package.
+// The durable points of a distributed transaction, for crash tests
+// outside the package.
 const (
+	PointPartyPrepared    = pointPartyPrepared
 	PointSourcePrepared   = pointSourcePrepared
 	PointDeciderCommitted = pointDeciderCommitted
+	PointDeciderRecorded  = pointDeciderRecorded
 	PointSourceDecided    = pointSourceDecided
 )
 
-// SetCrashAt installs the hand-off crash hook (crashAt) for the test.
+// SetCrashAt installs the crash hook (crashAt) for the test.
 func SetCrashAt(t testing.TB, f func(node, point string) bool) {
 	crashAt = f
 	t.Cleanup(func() { crashAt = nil })

@@ -25,8 +25,12 @@ var crashNodes = []string{"n0", "n1", "n2"}
 
 const crashSeed = 100
 
-// crashCluster starts three nodes with a bank each on engine; every
-// "deposit" step moves one unit from the node's pool to its sink.
+// crashCluster starts three nodes with a bank each on engine, running
+// the optimized rollback (Figure 5). Every "deposit" step moves one unit
+// from the node's pool to its sink and logs the resource compensation
+// that moves it back; the first also logs an agent compensation marking
+// the WRO. "rollonce" deposits too, and rolls the tour back unless that
+// mark is set.
 func crashCluster(t *testing.T, engine string) *cluster.Cluster {
 	t.Helper()
 	spec := stable.Spec{Engine: engine}
@@ -37,6 +41,7 @@ func crashCluster(t *testing.T, engine string) *cluster.Cluster {
 		AckTimeout: 200 * time.Millisecond,
 		RetryDelay: 5 * time.Millisecond,
 		Store:      spec,
+		Optimized:  true,
 	})
 	for _, n := range crashNodes {
 		err := cl.AddNode(n, func(s stable.Store) (resource.Resource, error) { return resource.NewBank(s, "bank", false) })
@@ -44,15 +49,47 @@ func crashCluster(t *testing.T, engine string) *cluster.Cluster {
 			t.Fatal(err)
 		}
 	}
-	err := cl.Registry().RegisterStep("deposit", func(ctx agent.StepContext) error {
+	reg := cl.Registry()
+	deposit := func(ctx agent.StepContext) error {
 		r, ok := ctx.Resource("bank")
 		if !ok {
 			return errors.New("no bank")
 		}
+		ctx.LogComp(core.OpResource, "undeposit", core.NewParams())
+		if ctx.StepSeq() == 0 {
+			ctx.LogComp(core.OpAgent, "mark", core.NewParams())
+		}
 		return r.(*resource.Bank).Transfer(ctx.Tx(), "pool", "sink", 1)
-	})
-	if err != nil {
-		t.Fatal(err)
+	}
+	for _, err := range []error{
+		reg.RegisterStep("deposit", deposit),
+		reg.RegisterStep("rollonce", func(ctx agent.StepContext) error {
+			if err := deposit(ctx); err != nil {
+				return err
+			}
+			if rolled, err := ctx.WRO().Has("rolled"); err != nil || rolled {
+				return err
+			}
+			return ctx.RollbackCurrentSub()
+		}),
+		reg.RegisterComp("undeposit", func(ctx agent.CompContext) error {
+			r, err := ctx.Resource("bank")
+			if err != nil {
+				return err
+			}
+			return r.(*resource.Bank).Transfer(ctx.Tx(), "sink", "pool", 1)
+		}),
+		reg.RegisterComp("mark", func(ctx agent.CompContext) error {
+			wro, err := ctx.WRO()
+			if err != nil {
+				return err
+			}
+			return wro.Set("rolled", true)
+		}),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := cl.Start(); err != nil {
 		t.Fatal(err)
@@ -76,11 +113,26 @@ func crashCluster(t *testing.T, engine string) *cluster.Cluster {
 
 // tourAgent is an agent depositing once on each node, n0 → n1 → n2.
 func tourAgent(t *testing.T, id string) (*agent.Agent, []string) {
+	return tour(t, id, "deposit")
+}
+
+// rollbackAgent is tourAgent whose step on n2 rolls the tour back once.
+// The rollback compensates on n2 (no mixed entry), shipping n1's resource
+// compensation to n1 in a transaction n2 decides, then n0's to n0 in the
+// transaction that hands the agent back to n0 — which decides it and is
+// its party too. Then the tour runs again, and every bank ends one unit
+// up.
+func rollbackAgent(t *testing.T, id string) (*agent.Agent, []string) {
+	return tour(t, id, "rollonce")
+}
+
+func tour(t *testing.T, id, last string) (*agent.Agent, []string) {
 	t.Helper()
 	sub := &itinerary.Sub{ID: "tour-" + id}
-	for _, n := range crashNodes {
+	for _, n := range crashNodes[:2] {
 		sub.Entries = append(sub.Entries, itinerary.Step{Method: "deposit", Loc: n})
 	}
+	sub.Entries = append(sub.Entries, itinerary.Step{Method: last, Loc: crashNodes[2]})
 	it, err := itinerary.New(sub)
 	if err != nil {
 		t.Fatal(err)
@@ -159,18 +211,25 @@ func checkQuiesced(t *testing.T, cl *cluster.Cluster, agents int) {
 }
 
 // TestHandoffCrashAtEveryDurablePoint kills a node at each durable
-// point a hand-off adds — the source after its prepare and before the
-// send, the decider after its commit and before the outcome, the source
-// after the outcome and before it settles its branch — on the mem and
-// the wal engine. Each time the agent completes exactly once, every bank
-// moves exactly one unit, and no branch, commit record or fence
-// survives quiesce.
+// point of a distributed transaction — the source after its prepare and
+// before the send, the decider after its commit and before the outcome,
+// the source after the outcome and before it settles its branch; and,
+// in a rollback with RCE parties, a party after its branch is prepared
+// and before the exec ack, and a decider after a record with parties and
+// before the party verdicts leave — on the mem and the wal engine. Each
+// time the agent completes exactly once, every bank ends exactly one
+// unit up, and no branch, commit record or fence survives quiesce.
 func TestHandoffCrashAtEveryDurablePoint(t *testing.T) {
 	for _, engine := range []string{"mem", "wal"} {
-		for _, tc := range []struct{ node, point string }{
-			{"n0", node.PointSourcePrepared},
-			{"n1", node.PointDeciderCommitted},
-			{"n0", node.PointSourceDecided},
+		for _, tc := range []struct {
+			node, point string
+			agent       func(*testing.T, string) (*agent.Agent, []string)
+		}{
+			{"n0", node.PointSourcePrepared, tourAgent},
+			{"n1", node.PointDeciderCommitted, tourAgent},
+			{"n0", node.PointSourceDecided, tourAgent},
+			{"n1", node.PointPartyPrepared, rollbackAgent},
+			{"n2", node.PointDeciderRecorded, rollbackAgent},
 		} {
 			t.Run(engine+"/"+tc.point, func(t *testing.T) {
 				cl := crashCluster(t, engine)
@@ -184,7 +243,7 @@ func TestHandoffCrashAtEveryDurablePoint(t *testing.T) {
 					once.Do(func() { fired = true; close(hit) })
 					return fired
 				})
-				a, entered := tourAgent(t, "crash-"+tc.point)
+				a, entered := tc.agent(t, "crash-"+tc.point)
 				ch, err := cl.Launch(a, entered, "n0")
 				if err != nil {
 					t.Fatal(err)
@@ -192,7 +251,7 @@ func TestHandoffCrashAtEveryDurablePoint(t *testing.T) {
 				select {
 				case <-hit:
 				case <-time.After(10 * time.Second):
-					t.Fatalf("the hand-off never reached %s on %s", tc.point, tc.node)
+					t.Fatalf("the agent never reached %s on %s", tc.point, tc.node)
 				}
 				if err := cl.Crash(tc.node); err != nil {
 					t.Fatal(err)
@@ -202,6 +261,11 @@ func TestHandoffCrashAtEveryDurablePoint(t *testing.T) {
 				}
 				awaitAgent(t, ch)
 				checkQuiesced(t, cl, 1)
+				if tc.point == node.PointPartyPrepared || tc.point == node.PointDeciderRecorded {
+					if n := cl.Counters().Snapshot().RemoteCompBatches; n < 2 {
+						t.Fatalf("%d RCE lists shipped, want the rollback's two at least", n)
+					}
+				}
 			})
 		}
 	}
@@ -230,7 +294,7 @@ func TestLateDuplicatePrepareAfterCollection(t *testing.T) {
 					txnID = r.Txn
 				}
 			}
-			if protocol.Coordinator(txnID) != "n0" {
+			if protocol.Origin(txnID) != "n0" {
 				t.Fatalf("no step transaction of n0 in the trace (%q)", txnID)
 			}
 			again, entered := tourAgent(t, "dup")

@@ -28,11 +28,10 @@
 //
 // Crash behaviour. A node's volatile state (in-flight transactions, locks,
 // pending acks, the protocol machine) is lost on Stop/crash; its stable
-// store (input queue, resource states, prepared branches, decision and
-// outcome records) survives. On restart the node first resolves in-doubt
-// prepared work with the respective deciders and coordinators by
-// replaying the survivors into a fresh machine, then re-loads resources,
-// then resumes
+// store (input queue, resource states, prepared branches, outcome
+// records) survives. On restart the node first resolves in-doubt
+// prepared work with the respective deciders by replaying the survivors
+// into a fresh machine, then re-loads resources, then resumes
 // processing — exactly the recovery the paper's mechanism relies on
 // (§4.3: the agent and log still reside in the input queue, enabling the
 // algorithm to restart the transaction).
@@ -166,9 +165,9 @@ type Node struct {
 
 	decodes atomic.Int64 // full container decodes, see decode
 
-	// Control-plane write stager (PR-10): decision-record clears and
-	// done-record drops from concurrent transitions coalesce into one
-	// group Apply, flushed on size or after a short linger.
+	// Control-plane write stager: outcome-record and done-record drops
+	// from concurrent transitions coalesce into one group Apply, flushed
+	// on size or after a short linger.
 	stagerMu    sync.Mutex
 	stagerOps   []stable.Op
 	stagerArmed bool
@@ -179,6 +178,8 @@ type Node struct {
 	holdMu    sync.Mutex
 	held      map[string][]network.Outgoing
 	heldArmed map[string]bool
+
+	recovered []txn.Outcome // decider records found at New, replayed by Start
 
 	ready chan struct{}
 	stop  chan struct{}
@@ -234,18 +235,18 @@ func New(cfg Config, ep network.Endpoint, store stable.Store, registry *agent.Re
 		ready:     make(chan struct{}),
 		stop:      make(chan struct{}),
 	}
-	// The decider records answer queries the moment the dispatcher runs,
-	// so they — and with them each source's mark — are back in the
-	// machine first. A decider that cannot read them must not answer.
-	recs, err := mgr.Outcomes()
-	if err != nil {
+	// A decider that cannot read its records must not answer: they are
+	// read here, and replayed by Start.
+	if n.recovered, err = mgr.Outcomes(); err != nil {
 		return nil, fmt.Errorf("node %s: %w", cfg.Name, err)
-	}
-	for _, r := range recs {
-		n.step(protocol.RecoveredOutcome{TxnID: r.TxnID, Commit: r.Commit, Mark: r.Mark})
 	}
 	return n, nil
 }
+
+// retiredDecisionPrefix keyed a coordinator's commit decision records,
+// which the RCE branches of a compensation asked; refuseOlderLayout
+// refuses a data directory that holds one.
+const retiredDecisionPrefix = "txn/decision/"
 
 // refuseOlderLayout scans the input queue, entries and markers, the
 // completion records, the resource records and the prepared branches for
@@ -255,14 +256,18 @@ func New(cfg Config, ep network.Endpoint, store stable.Store, registry *agent.Re
 // stored it bare), prepared insertions under q/s/ (before the receiving
 // node decided a hand-off — and before commit e4fe5c0, carrying their
 // container), shops whose till is a coin list (before it was a balance),
-// and gob resource state and branch records (before their binary
-// records). Left to the runtime the first two would decode as a corrupt
+// gob resource state and branch records (before their binary records),
+// and a coordinator's decision records and the branches it decided
+// (0x38; before every distributed transaction had one decider). Left to
+// the runtime the first two would decode as a corrupt
 // container and be dropped as poisoned (failAgent), a prepared insertion
 // is an entry this queue shows at once although its coordinator may
 // abort it — an agent run twice — or, carrying its container, one never
 // shown — an agent lost; a resource record that does not decode keeps
-// the node not-ready for good, and a branch that does not decode is never
-// resolved. So the node refuses to start instead, with the store
+// the node not-ready for good, a branch that does not decode is never
+// resolved, and a coordinator-decided branch asks a node that no longer
+// answers from decision records, which it would never collect either.
+// So the node refuses to start instead, with the store
 // untouched. Only those shapes count: other garbage (a malformed launch)
 // stays on the runtime poison path, so one bad message cannot block a
 // restart.
@@ -295,6 +300,7 @@ func refuseOlderLayout(node string, store stable.Store, queue *stable.Queue) err
 		{donePrefix, "completion record of agent", "fd17232", false},
 		{resource.KeyPrefix, "resource record", "60b3006", true},
 		{txn.BranchPrefix, "prepared branch", "60b3006", false},
+		{retiredDecisionPrefix, "decision record of transaction", "a03745a", false},
 	} {
 		keys, err := store.Keys(recs.prefix)
 		if err != nil {
@@ -311,6 +317,10 @@ func refuseOlderLayout(node string, store stable.Store, queue *stable.Queue) err
 				return err
 			case recs.prefix == resource.KeyPrefix && resource.IsRetiredShopRecord(raw):
 				return refuse("shop record", k, "holds a coin-list till", "1b58917")
+			case recs.prefix == retiredDecisionPrefix:
+				return refuse(recs.what, name, "is a coordinator's commit decision", recs.commit)
+			case recs.prefix == txn.BranchPrefix && txn.IsRetiredBranchRecord(raw):
+				return refuse(recs.what, name, "waits on its coordinator's decision record", "a03745a")
 			case wire.LooksLikeGob(raw):
 				return refuse(recs.what, name, gob, recs.commit)
 			}
@@ -341,6 +351,14 @@ func (n *Node) Manager() *txn.Manager { return n.mgr }
 // happens in the background and gates queue processing.
 func (n *Node) Start() {
 	n.wheel = network.NewTimerWheel(n.clock, n.onTimer, n.cfg.Counters)
+	// The decider records answer queries the moment the dispatcher runs,
+	// so they — and with them each source's mark — are back in the
+	// machine first, and commits still owed to RCE parties go out again
+	// on the wheel.
+	for _, r := range n.recovered {
+		n.step(protocol.RecoveredOutcome{TxnID: r.TxnID, Commit: r.Commit, Mark: r.Mark, Parties: r.Parties})
+	}
+	n.recovered = nil
 	n.wg.Add(2)
 	go func() {
 		defer n.wg.Done()
@@ -390,8 +408,8 @@ func (n *Node) Stop() {
 }
 
 // InDoubt returns how many prepared branches this node's store holds:
-// hand-offs not yet settled with their decider's verdict, and RCE
-// branches awaiting their coordinator's. An agent completes before the
+// hand-offs and RCE branches not yet settled with their decider's
+// verdict. An agent completes before the
 // source of its last hand-off settles, so a quiescent cluster is one
 // where every node reads 0.
 func (n *Node) InDoubt() (int, error) {

@@ -13,17 +13,18 @@ import (
 )
 
 // TestRCEAbortOvertakesPrepare reproduces the livelock precursor found by
-// the chaos harness (seed 2): the coordinator's presumed abort arrives
-// while the participant's RCE execution is still running (its lock wait
-// makes that window wide). The participant must NOT register a prepared
-// branch afterwards — a branch prepared after its coordinator aborted is
-// a zombie that holds resource locks until the stale-branch query cycle,
-// and under retry pressure those zombie holds chain into a livelock.
+// the chaos harness (seed 2): the abort verdict — here the compensating
+// node's, which decides because its agent stays — arrives while the
+// party's RCE execution is still running (its lock wait makes that window
+// wide). The party must NOT register a prepared branch afterwards — a
+// branch prepared after its transaction aborted is a zombie that holds
+// resource locks until the stale-branch query cycle, and under retry
+// pressure those zombie holds chain into a livelock.
 //
 // With the protocol core this is the executing→executingAborted state
 // edge; here the full driver is exercised: a gated compensation keeps the
 // execution in flight while the abort verdict lands, then the prepared
-// branch must be aborted, its locks released, and the coordinator
+// branch must be aborted, its locks released, and the compensating node
 // refused. The exhaustive event-order coverage lives in
 // internal/protocol's permutation test.
 func TestRCEAbortOvertakesPrepare(t *testing.T) {
@@ -80,11 +81,11 @@ func TestRCEAbortOvertakesPrepare(t *testing.T) {
 
 	// Execution starts and blocks on the gate; the abort verdict
 	// overtakes it; then the execution finishes and prepares.
-	n.step(protocol.RCEExecReceived{TxnID: txnID, From: "co", Ops: ops})
-	n.step(protocol.StatusReceived{TxnID: txnID, Committed: false})
+	n.step(protocol.RCEExecReceived{TxnID: txnID, From: "co", Decider: "co", Ops: ops})
+	n.step(protocol.OutcomeReceived{TxnID: txnID, From: "co", Committed: false})
 	close(gate)
 
-	// The coordinator must be refused, not acknowledged.
+	// The compensating node must be refused, not acknowledged.
 	select {
 	case msg := <-coEp.Recv():
 		if msg.Kind != protocol.KindRCEExecAck {
@@ -134,7 +135,7 @@ func TestRCEAbortOvertakesPrepare(t *testing.T) {
 	}
 
 	// An abort with no in-flight execution must not leave branch state.
-	n.step(protocol.StatusReceived{TxnID: "co#8", Committed: false})
+	n.step(protocol.OutcomeReceived{TxnID: "co#8", From: "co", Committed: false})
 	n.pmu.Lock()
 	stats := n.machine.Stats()
 	n.pmu.Unlock()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/agent"
+	"repro/internal/core"
 	"repro/internal/protocol"
 	"repro/internal/stable"
 	"repro/internal/trace"
@@ -41,65 +42,34 @@ func (n *Node) runCompensation(entry *stable.Entry, c *Container, attempt int) e
 	n.cfg.Tracer.Rec(trace.OpAgentStep, tx.ID(), a.ID, "compensate", "", "", int64(attempt))
 	n.queue.RemoveIn(tx, entry)
 
+	// Pop the step this transaction compensates, then route the next hop
+	// first: its destination decides the transaction, so the RCE list
+	// has to name it.
+	var eos *core.EndStepEntry
+	var ops []*core.OpEntry
 	reached, _ := protocol.PopToTarget(a.Log, spID)
-	var parts []string
 	if !reached {
-		parts, err = n.compensateLastStep(tx, a, attempt)
-		if err != nil {
-			abortErr := tx.Abort()
-			n.abortParts(tx, parts)
+		if eos, ops, err = protocol.PopLastStep(a.Log); err != nil {
+			_ = tx.Abort()
 			n.cfg.Counters.IncCompTxnAbort()
-			if abortErr != nil {
-				return abortErr
-			}
-			return err
+			return permanent(fmt.Errorf("node %s: %w", n.cfg.Name, err))
 		}
 		reached, _ = protocol.PopToTarget(a.Log, spID)
 	}
-
-	var next *Container
-	var dest string
-	if reached {
-		// Restore the agent from the savepoint entry — without deleting
-		// it from the log (§4.3) — and start the next step transaction
-		// at the restored cursor position.
-		img, err := a.Log.ReconstructSRO(spID)
-		if err != nil {
-			_ = tx.Abort()
-			n.abortParts(tx, parts)
-			return permanent(fmt.Errorf("node %s: restore savepoint %q: %w", n.cfg.Name, spID, err))
-		}
-		a.SRO.Freeze(false)
-		if err := a.RestoreSystemImage(img); err != nil {
-			_ = tx.Abort()
-			n.abortParts(tx, parts)
-			return permanent(err)
-		}
-		step, err := a.Itin.StepAt(a.Cursor)
-		if err != nil {
-			_ = tx.Abort()
-			n.abortParts(tx, parts)
-			return permanent(fmt.Errorf("node %s: restored cursor: %w", n.cfg.Name, err))
-		}
-		next = &Container{Mode: ModeStep, Agent: a}
-		if dest, err = n.stepDest(a, step, attempt); err != nil {
-			_ = tx.Abort()
-			n.abortParts(tx, parts)
-			return err
-		}
-	} else {
-		// More steps to compensate: route the agent (or not — Figure
-		// 5a's destination rule) to the next compensation transaction.
-		eos, ok := protocol.PeekEOS(a.Log)
-		if !ok {
-			_ = tx.Abort()
-			n.abortParts(tx, parts)
-			return permanent(fmt.Errorf("node %s: agent %s: savepoint %q unreachable during rollback", n.cfg.Name, a.ID, spID))
-		}
-		next = &Container{Mode: ModeRollback, SpID: spID, Agent: a}
-		dest = protocol.CompensationDest(eos, n.cfg.Optimized, n.cfg.Name)
+	next, dest, err := n.nextHop(a, spID, reached, attempt)
+	if err != nil {
+		_ = tx.Abort()
+		return err
 	}
 
+	var parts []string
+	if eos != nil {
+		if parts, err = n.compensateLastStep(tx, a, eos, ops, dest, attempt); err != nil {
+			n.abort(tx, parts)
+			n.cfg.Counters.IncCompTxnAbort()
+			return err
+		}
+	}
 	a.SRO.Freeze(false) // clear runtime-only flag before serialization
 	if err := n.shipContainer(tx, next, dest, parts, n.cfg.Counters.AddCompTxns); err != nil {
 		n.cfg.Counters.IncCompTxnAbort()
@@ -108,23 +78,46 @@ func (n *Node) runCompensation(entry *stable.Entry, c *Container, attempt int) e
 	return nil
 }
 
-// compensateLastStep pops the last executed step off the log (EOS, then
-// operation entries until BOS — protocol.PopLastStep yields them already
-// in the reverse execution order compensations must run in, §4.2) and
-// executes its compensating operations inside tx. In the optimized
-// algorithm without mixed entries, agent compensation entries run
-// locally concurrently with the resource compensation entries shipped to
-// the resource node; the remote branch is returned as a prepared
-// participant.
-func (n *Node) compensateLastStep(tx *txn.Tx, a *agent.Agent, attempt int) ([]string, error) {
-	eos, ops, err := protocol.PopLastStep(a.Log)
-	if err != nil {
-		return nil, permanent(fmt.Errorf("node %s: %w", n.cfg.Name, err))
+// nextHop routes the container after this compensation transaction. On
+// reaching the target it restores the agent from the savepoint entry —
+// without deleting it from the log (§4.3) — and the next step
+// transaction starts at the restored cursor position; otherwise the next
+// compensation transaction runs where Figure 5a's destination rule puts
+// it. The SRO stays frozen for the compensations still to run here.
+func (n *Node) nextHop(a *agent.Agent, spID string, reached bool, attempt int) (*Container, string, error) {
+	if !reached {
+		eos, ok := protocol.PeekEOS(a.Log)
+		if !ok {
+			return nil, "", permanent(fmt.Errorf("node %s: agent %s: savepoint %q unreachable during rollback", n.cfg.Name, a.ID, spID))
+		}
+		return &Container{Mode: ModeRollback, SpID: spID, Agent: a}, protocol.CompensationDest(eos, n.cfg.Optimized, n.cfg.Name), nil
 	}
+	img, err := a.Log.ReconstructSRO(spID)
+	if err != nil {
+		return nil, "", permanent(fmt.Errorf("node %s: restore savepoint %q: %w", n.cfg.Name, spID, err))
+	}
+	if err := a.RestoreSystemImage(img); err != nil {
+		return nil, "", permanent(err)
+	}
+	step, err := a.Itin.StepAt(a.Cursor)
+	if err != nil {
+		return nil, "", permanent(fmt.Errorf("node %s: restored cursor: %w", n.cfg.Name, err))
+	}
+	dest, err := n.stepDest(a, step, attempt)
+	return &Container{Mode: ModeStep, Agent: a}, dest, err
+}
+
+// compensateLastStep executes the compensating operations of the step
+// the caller popped off the log (protocol.PopLastStep yields them in the
+// reverse execution order compensations must run in, §4.2) inside tx. In
+// the optimized algorithm without mixed entries, agent compensation
+// entries run locally concurrently with the resource compensation entries
+// shipped to the resource node, naming decider, the node the container
+// goes to next; the remote branch is returned as a prepared RCE party.
+func (n *Node) compensateLastStep(tx *txn.Tx, a *agent.Agent, eos *core.EndStepEntry, ops []*core.OpEntry, decider string, attempt int) ([]string, error) {
 	if len(ops) == 0 {
 		return nil, nil
 	}
-
 	dest := protocol.PickDestination(eos.Node, eos.AltNodes, attempt)
 	if protocol.CompensateLocally(eos, n.cfg.Optimized, n.cfg.Name) || dest == n.cfg.Name {
 		// Basic algorithm, or mixed entries (the agent was brought to
@@ -149,7 +142,7 @@ func (n *Node) compensateLastStep(tx *txn.Tx, a *agent.Agent, attempt int) ([]st
 	var parts []string
 	var ackCh chan protocol.AckMsg
 	if len(rces) > 0 {
-		ackCh = n.prepareRCERemote(tx, dest, rces)
+		ackCh = n.shipRCE(tx, dest, decider, rces)
 		parts = append(parts, dest)
 		n.cfg.Counters.IncRemoteCompBatch()
 	}

@@ -10,23 +10,24 @@ import (
 	"repro/internal/txn"
 )
 
-// Hand-off and coordinator driver shims. The decision logic — who
-// decides, how queries are answered, which messages go out and when they
-// stop being resent — lives in the protocol machine's roles; these
-// helpers only sequence the worker's blocking calls (register a waiter,
-// feed the event, await the answer).
+// Commit driver shims. The decision logic — who decides, how queries
+// are answered, which messages go out and when they stop being resent —
+// lives in the protocol machine's roles; these helpers only sequence the
+// worker's blocking calls (register a waiter, feed the event, await the
+// answer).
 
-// crashAt, when set, is asked at each durable point of the hand-off
-// (pointSourcePrepared, pointDeciderCommitted, pointSourceDecided); true
-// means the process dies there: the caller stops without another write
-// or send, and blocks until the node is stopped. Crash tests set it; it
-// is nil otherwise.
+// crashAt, when set, is asked at each durable point of a distributed
+// transaction (the point* constants); true means the process dies there:
+// the caller stops without another write or send, and blocks until the
+// node is stopped. Crash tests set it; it is nil otherwise.
 var crashAt func(node, point string) bool
 
-// The durable points of a hand-off, in order.
+// The durable points of a distributed transaction, in order.
 const (
+	pointPartyPrepared    = "party-prepared"    // RCE branch durable, exec ack not sent
 	pointSourcePrepared   = "source-prepared"   // branch durable, prepare not sent
 	pointDeciderCommitted = "decider-committed" // entry and record durable, outcome not sent
+	pointDeciderRecorded  = "decider-recorded"  // record with parties durable, party verdicts not sent
 	pointSourceDecided    = "source-decided"    // outcome received, branch not settled
 )
 
@@ -45,21 +46,16 @@ var errStopped = errors.New("node: stopped")
 
 // handOff finishes a transaction whose container moves to dest, which
 // decides it (DESIGN.md §5): the transaction is prepared as a branch
-// naming dest, the container goes out in one message, and the outcome
-// commits or aborts the branch. RCE participants prepared beforehand
-// (Figure 5b) learn the verdict from this node's decision record, which
-// rides in the branch's redo batch. count (may be nil) is the caller's
-// metric hook: count(1) runs before the prepare leaves, because dest may
-// make the agent visible — and its owner snapshot metrics — before the
+// naming dest, the container goes out in one message listing the RCE
+// parties (Figure 5b), and the outcome commits or aborts the branch; the
+// parties hear it from dest. count (may be nil) is the caller's metric
+// hook: count(1) runs before the prepare leaves, because dest may make
+// the agent visible — and its owner snapshot metrics — before the
 // outcome is back, and count(-1) takes it back if dest refused or never
 // saw the hand-off.
 func (n *Node) handOff(tx *txn.Tx, dest, entryID string, data []byte, parts []string, count func(int64)) error {
-	if len(parts) > 0 {
-		tx.AddCommitOps(n.mgr.DecisionOp(tx.ID()))
-	}
 	if err := tx.PrepareDelegated(dest); err != nil {
-		_ = tx.Abort()
-		n.abortParts(tx, parts)
+		n.abort(tx, parts)
 		return fmt.Errorf("node %s: hand-off to %s: %w", n.cfg.Name, dest, err)
 	}
 	if n.crashed(pointSourcePrepared) {
@@ -69,7 +65,7 @@ func (n *Node) handOff(tx *txn.Tx, dest, entryID string, data []byte, parts []st
 		count(1)
 	}
 	ch := n.registerWaiter(protocol.KindOutcome, tx.ID())
-	n.step(protocol.Delegate{TxnID: tx.ID(), Decider: dest, EntryID: entryID, Data: data, Mark: n.mgr.Mark()})
+	n.step(protocol.Delegate{TxnID: tx.ID(), Decider: dest, EntryID: entryID, Data: data, Mark: n.mgr.Mark(), Parties: parts})
 	out, err := n.awaitOutcome(ch, tx.ID())
 	if err != nil || n.crashed(pointSourceDecided) {
 		// Stopped: the branch stays prepared and recovery asks dest.
@@ -79,15 +75,16 @@ func (n *Node) handOff(tx *txn.Tx, dest, entryID string, data []byte, parts []st
 		if count != nil {
 			count(-1)
 		}
-		_ = tx.Abort()
-		n.abortParts(tx, parts)
 		if out.Err != "" {
-			// Nothing left: dest is down or cut off. The attempt still
-			// costs AckTimeout, what an unanswered prepare waits, so
+			// Nothing left: dest is down or cut off, and the parties
+			// hear the abort from here. The attempt still costs
+			// AckTimeout, what an unanswered prepare waits, so
 			// MaxAttempts attempts span MaxAttempts × AckTimeout of
 			// outage rather than a few retry delays.
+			n.abort(tx, parts)
 			return n.pause(fmt.Errorf("node %s: hand-off to %s: %s", n.cfg.Name, dest, out.Err))
 		}
+		_ = tx.Abort()
 		n.sendResolved(dest)
 		return fmt.Errorf("node %s: hand-off to %s refused", n.cfg.Name, dest)
 	}
@@ -99,11 +96,19 @@ func (n *Node) handOff(tx *txn.Tx, dest, entryID string, data []byte, parts []st
 				"node", n.cfg.Name, "txn", tx.ID(), "decider", dest, "err", err)
 		}
 	}
-	if len(parts) > 0 {
-		n.step(protocol.CoordDecided{TxnID: tx.ID(), Commit: true, Parts: parts})
-	}
 	n.sendResolved(dest)
 	return nil
+}
+
+// abort aborts tx before any prepare of it left this node, and tells its
+// RCE parties at once (LocalDecided): nothing but a decider's write of
+// that prepare could commit the transaction, and none will come. Without
+// parties it is a plain abort.
+func (n *Node) abort(tx *txn.Tx, parts []string) {
+	_ = tx.Abort()
+	if len(parts) > 0 {
+		n.step(protocol.LocalDecided{TxnID: tx.ID(), Parties: parts})
+	}
 }
 
 // awaitOutcome blocks for a hand-off's verdict. Past AckTimeout the
@@ -151,21 +156,24 @@ func (n *Node) sendResolvedInto(b *outBatch, to string) {
 	n.sendTo(b, to, protocol.KindResolved, &protocol.MarkMsg{Mark: n.mgr.Mark()})
 }
 
-// prepareRCERemote ships a resource-compensation-entry list to the
-// resource node (Figure 5b); the participant acknowledges once the
-// branch is durably prepared. The caller awaits the returned channel
-// after running its own agent compensation entries concurrently.
-func (n *Node) prepareRCERemote(tx *txn.Tx, dest string, ops []*core.OpEntry) chan protocol.AckMsg {
+// shipRCE sends a resource-compensation-entry list to the resource node
+// (Figure 5b), naming the transaction's decider; the party acknowledges
+// once its branch is durably prepared. The caller awaits the returned
+// channel after running its own agent compensation entries concurrently.
+func (n *Node) shipRCE(tx *txn.Tx, dest, decider string, ops []*core.OpEntry) chan protocol.AckMsg {
 	ch := n.registerWaiter(protocol.KindRCEExecAck, tx.ID())
-	n.step(protocol.CoordPrepareRCE{TxnID: tx.ID(), Dest: dest, Ops: ops})
+	var b outBatch
+	n.sendTo(&b, dest, protocol.KindRCEExec, &protocol.RCEExecMsg{TxnID: tx.ID(), Decider: decider, Ops: ops})
+	b.flush(n)
 	return ch
 }
 
 // commitDistributed finishes a transaction this node decides itself (the
-// container stays here, or there is none): with RCE participants, the
-// commit decision record joins the local commit batch (atomic "decide"),
-// then the machine drives the participants to commit reliably. Without
-// participants it is a plain local commit.
+// container stays here, or there is none): one local commit. With RCE
+// parties its outcome record joins the commit batch, and a commit hook
+// hands the verdict to the machine — which sends it to the parties —
+// before the transaction leaves this node's open set, so no query can
+// see the mark pass it before the record is known.
 //
 // count (may be nil) runs as count(1) immediately before the commit is
 // applied: metric increments belong there, because the instant the
@@ -175,7 +183,12 @@ func (n *Node) prepareRCERemote(tx *txn.Tx, dest string, ops []*core.OpEntry) ch
 // the count back with count(-1).
 func (n *Node) commitDistributed(tx *txn.Tx, parts []string, count func(int64)) error {
 	if len(parts) > 0 {
-		tx.AddCommitOps(n.mgr.DecisionOp(tx.ID()))
+		tx.AddCommitOps(txn.OutcomeOp(tx.ID(), true, 0, parts))
+		tx.OnCommit(func() {
+			if !n.crashed(pointDeciderRecorded) {
+				n.step(protocol.LocalDecided{TxnID: tx.ID(), Commit: true, Parties: parts})
+			}
+		})
 	}
 	if count != nil {
 		count(1)
@@ -184,17 +197,8 @@ func (n *Node) commitDistributed(tx *txn.Tx, parts []string, count func(int64)) 
 		if count != nil {
 			count(-1)
 		}
-		n.abortParts(tx, parts)
-		_ = tx.Abort()
+		n.abort(tx, parts)
 		return fmt.Errorf("node %s: commit: %w", n.cfg.Name, err)
 	}
-	n.step(protocol.CoordDecided{TxnID: tx.ID(), Commit: true, Parts: parts})
 	return nil
-}
-
-// abortParts notifies prepared participants of an abort (best effort:
-// presumed abort lets them resolve on their own if the message is lost)
-// and closes the coordinator decision, so queries answer "abort".
-func (n *Node) abortParts(tx *txn.Tx, parts []string) {
-	n.step(protocol.CoordDecided{TxnID: tx.ID(), Commit: false, Parts: parts})
 }

@@ -15,22 +15,17 @@ func TestAllKindsHaveFrameCodes(t *testing.T) {
 	kinds := []string{
 		protocol.KindEnqueuePrepare,
 		protocol.KindOutcome,
+		protocol.KindOutcomeAck,
 		protocol.KindResolved,
 		protocol.KindTxnQuery,
-		protocol.KindTxnStatus,
+		protocol.KindQueryBatch,
 		protocol.KindRCEExec,
 		protocol.KindRCEExecAck,
-		protocol.KindRCECommit,
-		protocol.KindRCECommitAck,
-		protocol.KindRCEAbort,
-		protocol.KindRCEAbortAck,
 		kindAgentLaunch,
 		kindAgentLaunchAck,
 		kindAgentDone,
 		kindAgentDoneAck,
 		kindMemberAnnounce,
-		protocol.KindCtlBatch,
-		protocol.KindQueryBatch,
 	}
 	seen := make(map[byte]string, len(kinds))
 	for _, k := range kinds {

@@ -127,9 +127,9 @@ func (n *Node) lockBusy(key string) bool {
 	return r.ConflictLock().Busy()
 }
 
-// runRecovery resolves in-doubt prepared branches — hand-offs waiting on
-// their decider, RCE branches waiting on their coordinator — by replaying
-// the stable-storage survivors into the protocol machine, then re-loads
+// runRecovery resolves in-doubt prepared branches — hand-offs and RCE
+// branches waiting on their decider — by replaying the stable-storage
+// survivors into the protocol machine, then re-loads
 // the resource managers from the stable store and replays undelivered
 // completion notifications. It returns false if the node was stopped
 // first.
@@ -143,19 +143,8 @@ func (n *Node) runRecovery() bool {
 			break
 		}
 		for _, id := range branches {
-			decider, err := n.mgr.Decider(id)
-			switch co := protocol.Coordinator(id); {
-			case err != nil:
-			case decider != "":
-				n.step(protocol.RecoveredDelegation{TxnID: id, Decider: decider})
-			case co == "" || co == n.cfg.Name:
-				// Self-coordinated: after a crash nothing is active,
-				// so the decision record alone decides.
-				if committed, err := n.mgr.Decided(id); err == nil {
-					n.step(protocol.StatusReceived{TxnID: id, Committed: committed})
-				}
-			default:
-				n.step(protocol.RecoveredBranch{TxnID: id})
+			if decider, err := n.mgr.Decider(id); err == nil && decider != "" {
+				n.step(protocol.RecoveredBranch{TxnID: id, Decider: decider})
 			}
 		}
 		select {
@@ -531,16 +520,15 @@ func (n *Node) startRollback(entry *stable.Entry, spID string) error {
 	return n.shipContainer(tx, &Container{Mode: ModeRollback, SpID: spID, Agent: a}, dest, nil, nil)
 }
 
-// shipContainer finishes a transaction that hands the container to dest:
-// a local enqueue joins the commit batch directly; a remote hand-off is
-// decided by dest (handOff). Pre-prepared RCE branches on parts (Figure
-// 5b) are committed with the same verdict. count (may be nil) is the
-// caller's metric hook (see handOff and commitDistributed).
+// shipContainer finishes a transaction that hands the container to dest,
+// its decider: a local enqueue joins the commit batch directly; a remote
+// hand-off is decided by dest (handOff). Pre-prepared RCE branches on
+// parts (Figure 5b) get the same verdict from the decider. count (may be
+// nil) is the caller's metric hook (see handOff and commitDistributed).
 func (n *Node) shipContainer(tx *txn.Tx, c *Container, dest string, parts []string, count func(int64)) error {
 	data, err := n.encode(c)
 	if err != nil {
-		_ = tx.Abort()
-		n.abortParts(tx, parts)
+		n.abort(tx, parts)
 		return permanent(err)
 	}
 	hook := count
@@ -554,8 +542,7 @@ func (n *Node) shipContainer(tx *txn.Tx, c *Container, dest string, parts []stri
 	}
 	if dest == n.cfg.Name {
 		if err := n.queue.EnqueueIn(tx, c.Agent.ID, data); err != nil {
-			_ = tx.Abort()
-			n.abortParts(tx, parts)
+			n.abort(tx, parts)
 			return err
 		}
 		return n.commitDistributed(tx, parts, hook)

@@ -1,38 +1,41 @@
 package txn
 
 import (
-	"fmt"
-
 	"repro/internal/stable"
 	"repro/internal/wire"
 )
 
 // The durable record of a prepared branch (txn/branch/<id>) is its redo
-// batch in wire.Reader's canonical format (DESIGN.md "Wire format"):
+// batch in wire.Reader's canonical format (DESIGN.md "Wire format"),
+// with the node that decides the branch:
 //
-//	0x90 0x38 | nOps { Key put:bool [Value] }
 //	0x90 0x39 | Decider | nOps { Key put:bool [Value] }
 //
-// 0x39 is a delegated branch (Tx.PrepareDelegated): the source of a
-// queue hand-off, whose outcome the named decider holds. A put's value
-// may be empty; a delete has none. The gob record this replaced was last
-// read by commit 60b3006 (node.New refuses it).
+// Every branch is delegated (Tx.PrepareDelegated): the source of a
+// hand-off, or an RCE party of a compensation, and the named decider
+// holds its outcome. A put's value may be empty; a delete has none. The
+// gob record this replaced was last read by commit 60b3006, and the
+// coordinator-decided record 0x38 by commit a03745a (node.New refuses
+// both).
 //
 // Binary type bytes of the txn block 0x38..0x3f (registry in
-// wire/binary.go); never reuse a value.
+// wire/binary.go); never reuse a value. 0x38 is retired.
 const (
-	typeBranch          = 0x38
+	typeRetiredBranch   = 0x38
 	typeDelegatedBranch = 0x39
 )
 
+// IsRetiredBranchRecord reports whether raw is a branch record its
+// coordinator decided (0x38), which no decider answers for any more.
+func IsRetiredBranchRecord(raw []byte) bool {
+	typ, _, err := wire.SplitBinary(raw)
+	return err == nil && typ == typeRetiredBranch
+}
+
 // appendBranch appends the record of a branch whose redo batch is ops,
-// decided by decider ("" for its coordinator).
+// decided by decider.
 func appendBranch(buf []byte, decider string, ops []stable.Op) []byte {
-	if decider == "" {
-		buf = append(buf, wire.BinaryVersion, typeBranch)
-	} else {
-		buf = wire.AppendString(append(buf, wire.BinaryVersion, typeDelegatedBranch), decider)
-	}
+	buf = wire.AppendString(append(buf, wire.BinaryVersion, typeDelegatedBranch), decider)
 	buf = wire.AppendUvarint(buf, uint64(len(ops)))
 	for _, op := range ops {
 		buf = wire.AppendString(buf, op.Key)
@@ -48,18 +51,13 @@ func appendBranch(buf []byte, decider string, ops []stable.Op) []byte {
 // but exactly one well-formed record is wire.ErrCorrupt. Values alias
 // raw.
 func parseBranch(raw []byte) (decider string, ops []stable.Op, err error) {
-	typ, b, err := wire.SplitBinary(raw)
+	b, err := wire.Body(raw, typeDelegatedBranch)
 	if err != nil {
 		return "", nil, err
 	}
-	if typ != typeBranch && typ != typeDelegatedBranch {
-		return "", nil, fmt.Errorf("%w: payload type 0x%02x, want a branch record", wire.ErrCorrupt, typ)
-	}
 	r := wire.NewReader(b)
-	if typ == typeDelegatedBranch {
-		if decider = r.String(); decider == "" && r.Err() == nil {
-			r.Fail("delegated branch without a decider")
-		}
+	if decider = r.String(); decider == "" && r.Err() == nil {
+		r.Fail("branch without a decider")
 	}
 	ops = make([]stable.Op, r.Count(2)) // a key length byte and the put flag
 	for i := 0; i < len(ops) && r.Err() == nil; i++ {

@@ -15,7 +15,7 @@ import (
 )
 
 // preparedBranch prepares a branch holding a put, an empty put and a
-// delete, and returns the record Prepare wrote.
+// delete, and returns the record PrepareDelegated wrote.
 func preparedBranch(t testing.TB) (ops []stable.Op, raw []byte) {
 	t.Helper()
 	store := stable.NewMemStore(nil)
@@ -26,7 +26,7 @@ func preparedBranch(t testing.TB) (ops []stable.Op, raw []byte) {
 	tx := m.BeginWithID("co#7")
 	ops = []stable.Op{stable.Put("res/bank/b", []byte{0x90, 0x30, 1}), stable.Put("empty", []byte{}), stable.Del("done/x")}
 	tx.AddCommitOps(ops...)
-	if err := tx.Prepare(); err != nil {
+	if err := tx.PrepareDelegated("d"); err != nil {
 		t.Fatal(err)
 	}
 	raw, ok, err := store.Get(BranchPrefix + "co#7")
@@ -36,34 +36,62 @@ func preparedBranch(t testing.TB) (ops []stable.Op, raw []byte) {
 	return ops, raw
 }
 
-// TestBranchRecordRoundTrip: the record keeps every op, an empty put
-// apart from a delete, and a gob record of commit 60b3006 (testdata,
-// written by that commit's Prepare) is refused as corrupt by
-// ResolveBranch, which leaves it in place. (The refusal by name at node
-// start is node's TestRefusesGobContainers.)
+// TestBranchRecordRoundTrip: the record keeps its decider, every op, an
+// empty put apart from a delete; and the records older commits wrote — a
+// gob record of commit 60b3006, a coordinator-decided 0x38 record of
+// commit a03745a (testdata, each written by that commit's Prepare) — are
+// refused as corrupt by ResolveBranch, which leaves them in place. (The
+// refusal by name at node start is node's TestRefusesGobContainers.)
 func TestBranchRecordRoundTrip(t *testing.T) {
 	ops, raw := preparedBranch(t)
 	decider, got, err := parseBranch(raw)
-	if err != nil || decider != "" || !reflect.DeepEqual(got, ops) {
-		t.Fatalf("parseBranch = %q, %#v, %v; want %#v", decider, got, err, ops)
+	if err != nil || decider != "d" || !reflect.DeepEqual(got, ops) {
+		t.Fatalf("parseBranch = %q, %#v, %v; want d, %#v", decider, got, err, ops)
 	}
-	delegated := appendBranch(nil, "d", ops)
-	if decider, got, err := parseBranch(delegated); err != nil || decider != "d" || !reflect.DeepEqual(got, ops) {
-		t.Fatalf("parseBranch(delegated) = %q, %#v, %v; want d, %#v", decider, got, err, ops)
+	for file, retired := range map[string]bool{"branch-gob-60b3006.bin": false, "branch-0x38-a03745a.bin": true} {
+		old, err := os.ReadFile(filepath.Join("testdata", file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if IsRetiredBranchRecord(old) != retired {
+			t.Errorf("%s: IsRetiredBranchRecord = %v", file, !retired)
+		}
+		m, store := newMgr(t)
+		if err := store.Apply(stable.Put(BranchPrefix+"co#7", old)); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.ResolveBranch("co#7", true); !errors.Is(err, wire.ErrCorrupt) || !strings.Contains(err.Error(), "co#7") {
+			t.Errorf("%s: ResolveBranch = %v, want wire.ErrCorrupt naming the branch", file, err)
+		}
+		if ids, _ := m.InDoubtBranches(); len(ids) != 1 {
+			t.Errorf("%s: in-doubt branches after the refusal = %v, want the old one", file, ids)
+		}
 	}
-	old, err := os.ReadFile(filepath.Join("testdata", "branch-gob-60b3006.bin"))
+}
+
+// TestOutcomeRecordParties: a record lists the parties a commit still
+// waits on, and one without parties is the layout commit a03745a wrote
+// (testdata, written by its OutcomeOp): it reads the same and re-encodes
+// to the same bytes. An empty list is not canonical and is refused.
+func TestOutcomeRecordParties(t *testing.T) {
+	old, err := os.ReadFile(filepath.Join("testdata", "outcome-0x3a-a03745a.bin"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, store := newMgr(t)
-	if err := store.Apply(stable.Put(BranchPrefix+"co#7", old)); err != nil {
-		t.Fatal(err)
+	o, err := parseOutcome(old)
+	if err != nil || !o.Commit || o.Mark != 3 || o.Parties != nil {
+		t.Fatalf("parent-written record = %+v, %v; want commit, mark 3, no parties", o, err)
 	}
-	if err := m.ResolveBranch("co#7", true); !errors.Is(err, wire.ErrCorrupt) || !strings.Contains(err.Error(), "co#7") {
-		t.Errorf("ResolveBranch on a gob record = %v, want wire.ErrCorrupt naming the branch", err)
+	if again := appendOutcome(nil, o.Commit, o.Mark, o.Parties); !bytes.Equal(again, old) {
+		t.Fatalf("parent-written record re-encodes as % x, want % x", again, old)
 	}
-	if ids, _ := m.InDoubtBranches(); len(ids) != 1 {
-		t.Errorf("in-doubt branches after the refusal = %v, want the gob one", ids)
+	raw := appendOutcome(nil, true, 9, []string{"p", "r"})
+	if o, err := parseOutcome(raw); err != nil || !reflect.DeepEqual(o.Parties, []string{"p", "r"}) || o.Mark != 9 {
+		t.Fatalf("record with parties = %+v, %v", o, err)
+	}
+	empty := wire.AppendStrings(appendOutcome(nil, true, 9, nil), nil)
+	if _, err := parseOutcome(empty); !errors.Is(err, wire.ErrCorrupt) {
+		t.Fatalf("empty party list = %v, want wire.ErrCorrupt", err)
 	}
 }
 
@@ -75,10 +103,12 @@ func TestBranchRecordRoundTrip(t *testing.T) {
 func FuzzBranchRecord(f *testing.F) {
 	_, raw := preparedBranch(f)
 	f.Add(raw)
-	f.Add(appendBranch(nil, "", nil))
+	f.Add(appendBranch(nil, "d", nil))
 	f.Add(appendBranch(nil, "dest", []stable.Op{stable.Del("q/e/1/a")}))
-	if old, err := os.ReadFile(filepath.Join("testdata", "branch-gob-60b3006.bin")); err == nil {
-		f.Add(old)
+	for _, file := range []string{"branch-gob-60b3006.bin", "branch-0x38-a03745a.bin"} {
+		if old, err := os.ReadFile(filepath.Join("testdata", file)); err == nil {
+			f.Add(old)
+		}
 	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		var before, after runtime.MemStats
@@ -101,22 +131,27 @@ func FuzzBranchRecord(f *testing.F) {
 }
 
 // FuzzOutcomeRecord fuzzes the decoder of the decider's commit records
-// and fences (txn/outcome/), read off a disk at recovery: parseOutcome
+// (with and without parties) and fences (txn/outcome/), read off a disk
+// at recovery: parseOutcome
 // never panics, refuses as wire.ErrCorrupt, and accepts only what
 // re-encodes to the same bytes.
 func FuzzOutcomeRecord(f *testing.F) {
-	f.Add(appendOutcome(nil, true, 17))
-	f.Add(appendOutcome(nil, false, 0))
+	f.Add(appendOutcome(nil, true, 17, nil))
+	f.Add(appendOutcome(nil, false, 0, nil))
 	f.Add([]byte{0x90, 0x3a, 2, 1})
+	f.Add(appendOutcome(nil, true, 17, []string{"p", "r"}))
+	if old, err := os.ReadFile(filepath.Join("testdata", "outcome-0x3a-a03745a.bin")); err == nil {
+		f.Add(old)
+	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		commit, mark, err := parseOutcome(raw)
+		o, err := parseOutcome(raw)
 		if err != nil {
 			if !errors.Is(err, wire.ErrCorrupt) {
 				t.Fatalf("refused with %v, want wire.ErrCorrupt", err)
 			}
 			return
 		}
-		if again := appendOutcome(nil, commit, mark); !bytes.Equal(again, raw) {
+		if again := appendOutcome(nil, o.Commit, o.Mark, o.Parties); !bytes.Equal(again, raw) {
 			t.Fatalf("record does not re-encode to itself:\n got % x\nwant % x", again, raw)
 		}
 	})

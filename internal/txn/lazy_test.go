@@ -80,7 +80,7 @@ func TestLazyOpPreparedBranch(t *testing.T) {
 		encodes++
 		return []byte("v"), nil
 	})
-	if err := tx.Prepare(); err != nil {
+	if err := tx.PrepareDelegated("d"); err != nil {
 		t.Fatal(err)
 	}
 	if encodes != 1 {

@@ -9,15 +9,18 @@ import (
 )
 
 // OutcomePrefix keys a decider's records (DESIGN.md §5): one per
-// delegated hand-off it has decided, txn/outcome/<txn>, where <txn> is
-// the source's transaction ID. The record is
+// distributed transaction it has decided, txn/outcome/<txn>, where <txn>
+// is the source's transaction ID. The record is
 //
-//	0x90 0x3a | Commit:bool | Mark:uvarint
+//	0x90 0x3a | Commit:bool | Mark:uvarint [ | nParties { Party } ]
 //
 // Commit=false is a fence: the decider answered abort, and a prepare
 // arriving later for the same ID gets that answer back. Mark is the
 // highest watermark the decider had seen from the source when it wrote
-// the record; recovery rebuilds the per-source mark from it.
+// the record; recovery rebuilds the per-source mark from it. Parties are
+// the RCE parties a commit was sent to and that had not acknowledged it
+// when the record was written; the list is left out when there are none,
+// so a record without parties reads as it did before parties existed.
 const OutcomePrefix = "txn/outcome/"
 
 // typeOutcome is the outcome record's type byte (txn block 0x38..0x3f).
@@ -25,33 +28,48 @@ const typeOutcome = 0x3a
 
 // Outcome is one decider record.
 type Outcome struct {
-	TxnID  string
-	Commit bool
-	Mark   uint64
+	TxnID   string
+	Commit  bool
+	Mark    uint64
+	Parties []string
 }
 
 // OutcomeOp returns the op writing the decider's record for id.
-func OutcomeOp(id string, commit bool, mark uint64) stable.Op {
-	return stable.Put(OutcomePrefix+id, appendOutcome(nil, commit, mark))
+func OutcomeOp(id string, commit bool, mark uint64, parties []string) stable.Op {
+	return stable.Put(OutcomePrefix+id, appendOutcome(nil, commit, mark, parties))
 }
 
 // DropOutcomeOp returns the op collecting the decider's record for id.
 func DropOutcomeOp(id string) stable.Op { return stable.Del(OutcomePrefix + id) }
 
-func appendOutcome(buf []byte, commit bool, mark uint64) []byte {
+func appendOutcome(buf []byte, commit bool, mark uint64, parties []string) []byte {
 	buf = wire.AppendBool(append(buf, wire.BinaryVersion, typeOutcome), commit)
-	return wire.AppendUvarint(buf, mark)
+	buf = wire.AppendUvarint(buf, mark)
+	if len(parties) == 0 {
+		return buf
+	}
+	return wire.AppendStrings(buf, parties)
 }
 
-// parseOutcome reads one record; anything else is wire.ErrCorrupt.
-func parseOutcome(raw []byte) (commit bool, mark uint64, err error) {
+// parseOutcome reads one record; anything else is wire.ErrCorrupt,
+// including an empty party list, which the writer leaves out.
+func parseOutcome(raw []byte) (o Outcome, err error) {
 	b, err := wire.Body(raw, typeOutcome)
 	if err != nil {
-		return false, 0, err
+		return o, err
 	}
 	r := wire.NewReader(b)
-	commit, mark = r.Bool(), r.Uvarint()
-	return commit, mark, r.Done()
+	o.Commit, o.Mark = r.Bool(), r.Uvarint()
+	if r.Err() != nil {
+		return o, r.Done()
+	}
+	if rest := r.Rest(); len(rest) > 0 {
+		r = wire.NewReader(rest)
+		if o.Parties = r.Strings(); o.Parties == nil && r.Err() == nil {
+			r.Fail("empty party list")
+		}
+	}
+	return o, r.Done()
 }
 
 // Outcomes lists the decider records in the store, for recovery. A
@@ -71,11 +89,12 @@ func (m *Manager) Outcomes() ([]Outcome, error) {
 		if !ok {
 			continue
 		}
-		commit, mark, err := parseOutcome(raw)
+		o, err := parseOutcome(raw)
 		if err != nil {
 			return nil, fmt.Errorf("txn: corrupt record %q: %w", k, err)
 		}
-		out = append(out, Outcome{TxnID: strings.TrimPrefix(k, OutcomePrefix), Commit: commit, Mark: mark})
+		o.TxnID = strings.TrimPrefix(k, OutcomePrefix)
+		out = append(out, o)
 	}
 	return out, nil
 }

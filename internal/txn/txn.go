@@ -1,9 +1,8 @@
 // Package txn provides the transactional substrate the paper assumes
 // ("transactional resource managers", §1-2): local ACID transactions over
-// node resources, plus the building blocks of distributed two-phase commit
-// used by step and compensation transactions (durable prepared branches on
-// participants, durable commit decisions on the coordinator; presumed
-// abort).
+// node resources, plus the building blocks of the distributed commit used
+// by step and compensation transactions (durable prepared branches naming
+// their decider, the decider's durable outcome records; presumed abort).
 //
 // Model. A local transaction (Tx) accumulates three things while resources
 // execute operations under it:
@@ -11,24 +10,21 @@
 //   - volatile undo closures restoring in-memory resource state on abort;
 //   - a batch of stable-store mutations applied atomically at commit
 //     (redo); this makes commit crash-consistent: either the whole batch
-//     (queue removal, resource states, enqueue bookkeeping, decision
+//     (queue removal, resource states, enqueue bookkeeping, outcome
 //     record) is applied or none of it;
 //   - resource locks (strict two-phase locking, coarse per-resource
 //     granularity) held until commit or abort.
 //
-// For distributed transactions, a participant turns its Tx into a durable
-// *prepared branch* (Tx.Prepare): the redo batch is persisted under the
-// transaction ID, locks remain held, and the branch survives a crash. The
-// coordinator persists its commit decision atomically with its own local
-// effects (DecisionOp) and then drives participants; a participant that
-// recovers with an in-doubt branch asks the coordinator and aborts if no
-// decision record exists (presumed abort).
-//
-// A queue hand-off turns this around (DESIGN.md §5): the source prepares
-// its own transaction as a branch naming the node that receives the
-// container (Tx.PrepareDelegated), and that node decides, writing its
-// verdict as an outcome record (OutcomeOp). The source's Mark bounds
-// which of those records the decider may collect.
+// Every distributed transaction has one decider (DESIGN.md §5): the node
+// that receives the container, or the compensating node when its agent
+// stays. Every other party — the source of a hand-off, the RCE parties
+// of a compensation — turns its Tx into a durable *prepared branch*
+// naming the decider (Tx.PrepareDelegated): the redo batch is persisted
+// under the transaction ID, locks remain held, and the branch survives a
+// crash. The decider writes its verdict as an outcome record (OutcomeOp)
+// atomically with its own effects; a party that recovers with an
+// in-doubt branch asks the decider. The source's Mark bounds which of
+// those records the decider may collect.
 package txn
 
 import (
@@ -238,9 +234,8 @@ func (m *Manager) settle(seq uint64) {
 // BranchPrefix prefixes the durable record of every prepared branch.
 const BranchPrefix = "txn/branch/"
 
-func (m *Manager) seqKey() string               { return "txnseq" }
-func (m *Manager) decisionKey(id string) string { return "txn/decision/" + id }
-func (m *Manager) branchKey(id string) string   { return BranchPrefix + id }
+func (m *Manager) seqKey() string             { return "txnseq" }
+func (m *Manager) branchKey(id string) string { return BranchPrefix + id }
 
 // Node returns the owning node name.
 func (m *Manager) Node() string { return m.node }
@@ -272,7 +267,7 @@ func (m *Manager) Begin() (*Tx, error) {
 }
 
 // BeginWithID starts a local transaction under an externally supplied ID
-// (participants join the coordinator's distributed transaction this way).
+// (RCE parties join the compensation transaction they run for this way).
 func (m *Manager) BeginWithID(id string) *Tx {
 	return &Tx{id: id, mgr: m, status: StatusActive}
 }
@@ -437,19 +432,13 @@ func (tx *Tx) Abort() error {
 	return nil
 }
 
-// Prepare turns the transaction into a durable prepared branch: the redo
-// batch is persisted under the transaction ID while locks stay held. After
-// Prepare, the branch survives crashes and must be resolved by
-// CommitPrepared, Abort, or (post-crash) Manager.ResolveBranch.
-func (tx *Tx) Prepare() error { return tx.prepare("") }
-
-// PrepareDelegated is Prepare for a transaction whose outcome another
-// node decides: a queue hand-off's source, with decider the node that
-// receives the container. The record names the decider, so a recovered
-// branch knows whom to ask (Manager.Decider).
-func (tx *Tx) PrepareDelegated(decider string) error { return tx.prepare(decider) }
-
-func (tx *Tx) prepare(decider string) error {
+// PrepareDelegated turns the transaction into a durable prepared branch
+// of a transaction decider decides: the redo batch is persisted under the
+// transaction ID, with the decider's name, while locks stay held. The
+// branch survives crashes and must be resolved by CommitPrepared,
+// CommitPreparedWith, Abort, or (post-crash) Manager.ResolveBranch; a
+// recovered branch knows whom to ask (Manager.Decider).
+func (tx *Tx) PrepareDelegated(decider string) error {
 	if tx.status != StatusActive {
 		return fmt.Errorf("%w: %s", ErrNotActive, tx.status)
 	}
@@ -473,16 +462,22 @@ func (tx *Tx) prepare(decider string) error {
 
 // CommitPrepared commits a prepared branch: the redo batch is applied and
 // the branch record removed in one atomic batch, then locks are released.
-func (tx *Tx) CommitPrepared() error {
+func (tx *Tx) CommitPrepared() error { return tx.CommitPreparedWith(tx.mgr.store.Apply) }
+
+// CommitPreparedWith is CommitPrepared through apply, which must apply
+// the branch's batch — with whatever ops of its own it adds — in one
+// atomic write: a decider that holds a branch of the transaction it
+// decides commits the branch inside its own write. If apply fails, the
+// branch stays prepared.
+func (tx *Tx) CommitPreparedWith(apply func(batch ...stable.Op) error) error {
 	if tx.status != StatusPrepared {
 		return fmt.Errorf("%w: %s", ErrNotPrepared, tx.status)
 	}
-	ops, err := tx.materialize() // pinned eager ops after Prepare
+	ops, err := tx.materialize() // pinned eager ops after the prepare
 	if err != nil {
 		return fmt.Errorf("txn %s: commit prepared: %w", tx.id, err)
 	}
-	batch := append(ops, stable.Del(tx.mgr.branchKey(tx.id)))
-	if err := tx.mgr.store.Apply(batch...); err != nil {
+	if err := apply(append(ops, stable.Del(tx.mgr.branchKey(tx.id)))...); err != nil {
 		return fmt.Errorf("txn %s: commit prepared: %w", tx.id, err)
 	}
 	tx.committed("commit-prepared")
@@ -496,30 +491,8 @@ func (tx *Tx) releaseLocks() {
 	tx.locks = nil
 }
 
-// DecisionOp returns the stable-store op recording a commit decision for
-// the distributed transaction id. The coordinator includes it in the same
-// commit batch as its local effects, making "decide commit" atomic with
-// committing the local branch.
-func (m *Manager) DecisionOp(id string) stable.Op {
-	return stable.Put(m.decisionKey(id), []byte("c"))
-}
-
-// ClearDecisionOp returns the op removing a decision record once every
-// participant has acknowledged the outcome.
-func (m *Manager) ClearDecisionOp(id string) stable.Op {
-	return stable.Del(m.decisionKey(id))
-}
-
-// Decided reports whether a commit decision was recorded for id. Absence
-// means abort (presumed abort).
-func (m *Manager) Decided(id string) (bool, error) {
-	_, ok, err := m.store.Get(m.decisionKey(id))
-	return ok, err
-}
-
-// Decider returns the node that decides the prepared branch id — "" for
-// a branch its coordinator decides (Prepare rather than
-// PrepareDelegated) or for no branch at all.
+// Decider returns the node that decides the prepared branch id, or ""
+// when there is no such branch.
 func (m *Manager) Decider(id string) (string, error) {
 	raw, ok, err := m.store.Get(m.branchKey(id))
 	if err != nil || !ok {

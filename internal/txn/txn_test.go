@@ -148,7 +148,7 @@ func TestPrepareCommitPrepared(t *testing.T) {
 	m, store := newMgr(t)
 	tx := m.BeginWithID("co#1")
 	tx.AddCommitOps(stable.Put("k", []byte("v")))
-	if err := tx.Prepare(); err != nil {
+	if err := tx.PrepareDelegated("d"); err != nil {
 		t.Fatal(err)
 	}
 	// Branch record durable, ops not yet applied.
@@ -176,7 +176,7 @@ func TestAbortPreparedClearsBranch(t *testing.T) {
 	tx.AddCommitOps(stable.Put("k", []byte("v")))
 	restored := false
 	tx.RecordUndo(func() { restored = true })
-	if err := tx.Prepare(); err != nil {
+	if err := tx.PrepareDelegated("d"); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.Abort(); err != nil {
@@ -194,13 +194,13 @@ func TestAbortPreparedClearsBranch(t *testing.T) {
 }
 
 func TestResolveBranchAfterCrash(t *testing.T) {
-	// Simulate: participant prepared, crashed (volatile Tx lost), then
-	// the coordinator's verdict arrives.
+	// Simulate: a party prepared, crashed (volatile Tx lost), then
+	// its decider's verdict arrives.
 	for _, commit := range []bool{true, false} {
 		m, store := newMgr(t)
 		tx := m.BeginWithID("co#9")
 		tx.AddCommitOps(stable.Put("k", []byte("v")))
-		if err := tx.Prepare(); err != nil {
+		if err := tx.PrepareDelegated("d"); err != nil {
 			t.Fatal(err)
 		}
 		// "Crash": drop tx. Recovery resolves from the durable record.
@@ -225,22 +225,34 @@ func TestResolveBranchAfterCrash(t *testing.T) {
 	}
 }
 
-func TestDecisionRecords(t *testing.T) {
+// TestCommitPreparedWithJoinsCallerOps: a decider that holds a branch of
+// the transaction it decides commits the branch inside its own write —
+// the branch's batch and the caller's ops land together — and a write
+// that fails leaves the branch prepared.
+func TestCommitPreparedWithJoinsCallerOps(t *testing.T) {
 	m, store := newMgr(t)
-	if ok, err := m.Decided("tx9"); err != nil || ok {
-		t.Errorf("Decided on unknown = %v, %v", ok, err)
-	}
-	if err := store.Apply(m.DecisionOp("tx9")); err != nil {
+	tx := m.BeginWithID("s#4")
+	tx.AddCommitOps(stable.Put("k", []byte("v")))
+	if err := tx.PrepareDelegated("n1"); err != nil {
 		t.Fatal(err)
 	}
-	if ok, _ := m.Decided("tx9"); !ok {
-		t.Error("decision record not found")
+	fail := errors.New("disk full")
+	if err := tx.CommitPreparedWith(func(...stable.Op) error { return fail }); !errors.Is(err, fail) || tx.Status() != StatusPrepared {
+		t.Fatalf("failed write = %v, status %s; want the error and the branch still prepared", err, tx.Status())
 	}
-	if err := store.Apply(m.ClearDecisionOp("tx9")); err != nil {
-		t.Fatal(err)
+	err := tx.CommitPreparedWith(func(batch ...stable.Op) error {
+		return store.Apply(append(batch, stable.Put("own", []byte("x")))...)
+	})
+	if err != nil || tx.Status() != StatusCommitted {
+		t.Fatalf("commit = %v, status %s", err, tx.Status())
 	}
-	if ok, _ := m.Decided("tx9"); ok {
-		t.Error("decision record not cleared")
+	for _, k := range []string{"k", "own"} {
+		if _, ok, _ := store.Get(k); !ok {
+			t.Errorf("%s not written", k)
+		}
+	}
+	if ids, _ := m.InDoubtBranches(); len(ids) != 0 {
+		t.Errorf("branch record survives the commit: %v", ids)
 	}
 }
 
@@ -380,7 +392,7 @@ func TestOnCommitHooks(t *testing.T) {
 	}
 	tx = m.BeginWithID("co#1")
 	tx.OnCommit(hook("prepared"))
-	if err := tx.Prepare(); err != nil {
+	if err := tx.PrepareDelegated("d"); err != nil {
 		t.Fatal(err)
 	}
 	if len(ran) != 2 {
