@@ -21,9 +21,9 @@ import (
 // authoritative role maps (decided/delegs/branches/done) and emits the
 // survivors together: queries as one query.batch frame (a single
 // survivor goes out as the plain txn.query), verdicts and done resends
-// as plain messages the driver sends in one batch. Survivors re-enqueue (re-arming the
-// timer); an entry therefore fires between 1× and 2× its interval
-// after enqueue, never early.
+// as plain messages the driver sends in one batch. Survivors re-enqueue
+// (re-arming the timer); an entry therefore fires between 1× and 2× its
+// interval after enqueue, never early.
 //
 // Removal is lazy: resolving a transaction does NOT cancel anything.
 // The next fire filters the dead entry out, and a slot whose buckets
