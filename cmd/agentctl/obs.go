@@ -68,7 +68,7 @@ func runMetrics(args []string, out io.Writer) error {
 // runRing fetches a node's membership view from the admin plane's /ring
 // endpoint and renders it: one row per member with its status, epoch and
 // owned fraction of the hash space, plus the node's local placement
-// stats (queue depth, claims in flight, agents adopted via migration).
+// stats (queue depth, claims in flight).
 func runRing(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("agentctl ring", flag.ContinueOnError)
 	var (
@@ -86,8 +86,8 @@ func runRing(args []string, out io.Writer) error {
 	if err := json.Unmarshal(body, &d); err != nil {
 		return fmt.Errorf("decode ring: %w", err)
 	}
-	fmt.Fprintf(out, "node %s: %d members, %d vnodes/member, queue depth=%d claimed=%d adopted=%d\n",
-		d.Node, len(d.Members), d.VNodes, d.Depth, d.Claimed, d.Adopted)
+	fmt.Fprintf(out, "node %s: %d members, %d vnodes/member, queue depth=%d claimed=%d\n",
+		d.Node, len(d.Members), d.VNodes, d.Depth, d.Claimed)
 	tw := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "MEMBER\tSTATUS\tEPOCH\tSHARE")
 	for _, m := range d.Members {

@@ -31,7 +31,7 @@ func startObs(t *testing.T) string {
 		membership.Member{Name: "B", Status: membership.Alive, Epoch: 1})
 	h := obs.Handler(obs.Config{
 		Node: "A", Counters: c, Tracer: tr,
-		Membership: m, Adopted: func() int { return 2 },
+		Membership: m,
 	})
 
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -132,7 +132,7 @@ func TestRingSubcommand(t *testing.T) {
 	got := out.String()
 	for _, want := range []string{
 		"node A: 2 members, 128 vnodes/member",
-		"adopted=2",
+		"queue depth=0 claimed=0",
 		"MEMBER", // table header
 		"alive",
 		"%", // rendered shares

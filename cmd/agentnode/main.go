@@ -69,7 +69,7 @@ func run(args []string) error {
 		optimized = fs.Bool("optimized", true, "use the optimized (Figure 5) rollback algorithm")
 		workers   = fs.Int("workers", 1, "concurrent step-transaction workers (1 = the paper's serial node model)")
 		obsAddr   = fs.String("obs-addr", "", "admin-plane listen address serving /metrics, /healthz, /trace, /ring and /debug/pprof (empty disables)")
-		members   = fs.String("members", "", "comma-separated peer node names seeding the membership view; enables consistent-hash placement (@ring itinerary locations) and live rebalancing (empty keeps static wiring)")
+		members   = fs.String("members", "", "comma-separated peer node names seeding the membership view; enables consistent-hash placement (@ring itinerary locations), checked at every claim (empty keeps static wiring)")
 	)
 	// The storage knobs (-store, -sync, -wal-*) are the shared
 	// flag surface: they parse into a stable.Spec in one place.
@@ -158,7 +158,6 @@ func run(args []string) error {
 				},
 				Membership: mgr,
 				Queue:      n.Queue(),
-				Adopted:    n.Adopted,
 			}),
 		}
 		go func() {

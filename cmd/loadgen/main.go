@@ -16,8 +16,7 @@
 //	loadgen -workers 8                       # 8 scheduler workers per node
 //	loadgen -workers 8 -banks 4              # spread the agents over 4 banks (-banks 1 is all-conflict)
 //	loadgen -store wal -wal-segment 4096     # nodes on the WAL engine, 4 KiB segments
-//	loadgen -ring                            # consistent-hash placement (@ring steps)
-//	loadgen -join -workers 4                 # boot an extra node mid-run; live agents migrate to it
+//	loadgen -join -workers 4                 # consistent-hash placement, one node booted mid-run takes its share
 //	loadgen -profile shard-saturate          # two runs, 1x and 10x in-flight agents
 //	loadgen -trace t.json -cpuprofile p      # causal trace (chrome://tracing) and pprof CPU profile
 //	loadgen -chaos -chaos-seeds 20           # chaos sweep: 20 seeded fault schedules
@@ -73,8 +72,7 @@ func run(args []string) (*chaos.Result, error) {
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile covering the whole run to this file")
 	memProfile := fs.String("memprofile", "", "write a pprof heap profile at the end of the run to this file")
 	tracePath := fs.String("trace", "", "write the final run's causal trace as Chrome trace_event JSON (open in chrome://tracing or Perfetto)")
-	ring := fs.Bool("ring", false, "place steps by consistent hash (membership layer on) instead of static round-robin wiring")
-	joinMid := fs.Bool("join", false, "boot one extra node mid-run and let the rebalancer migrate its ring share of live agents over (implies -ring)")
+	joinMid := fs.Bool("join", false, "place steps by consistent hash (membership layer on) and boot one extra node mid-run: each live agent it now owns is forwarded to it at its next claim")
 	chaosMode := fs.Bool("chaos", false, "draw each seed's fault schedule instead of running fault-free")
 	chaosSeed := fs.Int64("chaos-seed", -1, "chaos: replay exactly this seed (prints the schedule)")
 	chaosSeeds := fs.Int("chaos-seeds", 5, "chaos: number of consecutive seeds to sweep")
@@ -92,12 +90,12 @@ func run(args []string) (*chaos.Result, error) {
 	}
 	opts := chaos.Options{
 		Nodes: *nodes, Workers: *workers, Agents: *agents, Steps: *steps, Banks: *banks,
-		StepWork: *stepwork, Store: sflags.Spec(), Ring: *ring,
+		StepWork: *stepwork, Store: sflags.Spec(),
 	}
 	var sched chaos.Schedule
 	if *joinMid {
 		// Land the join mid-run: late enough that the load is spread out,
-		// early enough that plenty of steps remain to migrate.
+		// early enough that plenty of steps remain to forward.
 		at := max(time.Duration(*steps)**stepwork/3, 25*time.Millisecond)
 		sched.Events = []chaos.Event{{At: at, Op: chaos.OpJoin, Node: "j0"}}
 	}

@@ -9,11 +9,8 @@ import (
 // Binary encoding of the agent as it travels inside the container
 // (wire.Reader's canonical format; DESIGN.md "Wire format"):
 //
-//	Agent  present:bool [ ID Owner StepSeq Cursor Itinerary | WRO SRO Log ]
+//	Agent  present:bool [ ID Owner StepSeq Cursor Itinerary WRO SRO Log ]
 //	Space  present:bool [ Data:map ]
-//
-// The fields before the bar are the head: what routing decisions read
-// (ReadHead) without touching the data spaces or the log.
 
 // AppendTo appends the agent's encoding to buf; a nil agent round-trips
 // as nil. The log is the last field: logAt is the offset in out where its
@@ -39,10 +36,9 @@ func (a *Agent) AppendTo(buf []byte) (out []byte, logAt int, err error) {
 	return a.Log.AppendTo(buf)
 }
 
-// ReadHead consumes the head of an agent written by AppendTo and stops
-// before the data spaces: the returned agent has ID, Owner, StepSeq,
-// Cursor and Itin set and nothing else. Failures are reported through r.
-func ReadHead(r *wire.Reader) *Agent {
+// Read consumes an agent written by AppendTo. Data-space, image and
+// parameter values alias r's input.
+func Read(r *wire.Reader) *Agent {
 	if !r.Bool() {
 		return nil
 	}
@@ -52,20 +48,10 @@ func ReadHead(r *wire.Reader) *Agent {
 		StepSeq: r.Int(),
 		Cursor:  itinerary.ReadCursor(r),
 		Itin:    itinerary.ReadItinerary(r),
+		WRO:     readSpace(r),
+		SRO:     readSpace(r),
+		Log:     core.ReadLog(r),
 	}
-}
-
-// Read consumes an agent written by AppendTo. Data-space, image and
-// parameter values alias r's input.
-func Read(r *wire.Reader) *Agent {
-	a := ReadHead(r)
-	if a == nil {
-		return nil
-	}
-	a.WRO = readSpace(r)
-	a.SRO = readSpace(r)
-	a.Log = core.ReadLog(r)
-	return a
 }
 
 func (s *Space) appendTo(buf []byte) []byte {

@@ -279,8 +279,8 @@ func TestChaosChurn(t *testing.T) {
 			if joins == 0 {
 				t.Fatalf("churn run drew no joins:\n%s", res.Schedule.String())
 			}
-			t.Logf("%s migrations=%d aborts=%d refusals=%d",
-				res.Summary(), res.Metrics.Migrations, res.Metrics.MigrationAborts, res.Metrics.AdoptionRefusals)
+			t.Logf("%s migrations=%d aborts=%d",
+				res.Summary(), res.Metrics.Migrations, res.Metrics.MigrationAborts)
 			for _, v := range res.Violations {
 				t.Errorf("violation: %s", v)
 			}

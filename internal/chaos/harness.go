@@ -72,7 +72,7 @@ type Options struct {
 
 	// Churn draws this many membership join (and ~half as many leave)
 	// events into the schedule, so crashes and partitions fire while
-	// live agents migrate between nodes. Churn cells run the workload
+	// live agents are forwarded between nodes. Churn cells run the workload
 	// ring-placed and with rollbacks disabled: a compensation targets the
 	// concrete node its step ran on, which may have permanently left.
 	Churn int

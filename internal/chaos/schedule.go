@@ -49,12 +49,13 @@ const (
 	// OpClearFaults removes the faults installed on a link.
 	OpClearFaults
 	// OpJoin boots an additional node mid-run (membership churn): it
-	// announces itself, and every node's rebalancer migrates its ring
-	// share of live agents over — while the surrounding crash/partition
-	// windows keep firing.
+	// announces itself, and every node forwards each live agent the
+	// newcomer now owns at its next claim — while the surrounding
+	// crash/partition windows keep firing.
 	OpJoin
 	// OpLeave drains a previously joined node back out: Left status
-	// floods, its agents migrate to the new owners, then it detaches.
+	// floods, its workers forward its agents to the new owners, then it
+	// detaches.
 	OpLeave
 )
 
@@ -159,8 +160,8 @@ type GenConfig struct {
 	MaxSpike     time.Duration // latency-spike cap (default 2ms)
 
 	// Churn is the number of membership-churn draws: each boots
-	// JoinNames[i] somewhere in the first half of the horizon (so its
-	// rebalancing overlaps the crash/partition windows), and about half
+	// JoinNames[i] somewhere in the first half of the horizon (so the
+	// forwards it causes overlap the crash/partition windows), and about half
 	// the joins are followed by a drain-out leave of the same node later
 	// on. Only previously joined nodes ever leave — the original Nodes
 	// stay, because the workload's completion notifications and the
@@ -309,7 +310,7 @@ func Generate(seed int64, cfg GenConfig) Schedule {
 		events = append(events, Event{At: at, Op: OpJoin, Node: name})
 		if rng.Intn(2) == 0 {
 			// Drain back out later in the horizon, leaving room for the
-			// join's rebalancing to actually move agents first.
+			// join's forwards to actually move agents first.
 			lo := at + cfg.Horizon/4
 			leaveAt := lo + time.Duration(rng.Int63n(int64(cfg.Horizon-lo)+1))
 			events = append(events, Event{At: leaveAt, Op: OpLeave, Node: name})

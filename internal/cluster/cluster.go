@@ -69,7 +69,8 @@ type Options struct {
 	Clock network.Clock
 	// Membership gives every node a membership manager: views flood via
 	// announcements, "@ring" step locations resolve through the
-	// consistent-hash ring, and each node rebalances misplaced agents.
+	// consistent-hash ring, and a node forwards each agent it claims for
+	// a ring step another node owns.
 	// It also enables Join (boot a node mid-run) and Leave (drain and
 	// detach a node).
 	Membership bool
@@ -271,8 +272,8 @@ func (c *Cluster) seedMembers() []membership.Member {
 
 // Join registers and boots an additional node after Start — the
 // membership join path. The newcomer's boot announcement floods its
-// existence; every node's ring then includes it, and their rebalancers
-// migrate its fair share of ring-placed agents over. Requires
+// existence; every node's ring then includes it, and each ring-placed
+// agent it now owns is forwarded to it at its next claim. Requires
 // Options.Membership (without it the existing nodes would never learn
 // the new name).
 func (c *Cluster) Join(name string, factories ...node.ResourceFactory) error {
@@ -312,10 +313,10 @@ func (c *Cluster) Join(name string, factories ...node.ResourceFactory) error {
 }
 
 // Leave drains a node out of the cluster: its Left status floods, its
-// rebalancer migrates every ring-placed agent to the new owners (and the
-// node refuses new adoptions), and once the input queue is empty with no
-// claims or prepared branches awaiting a verdict, the runtime stops and detaches
-// from the network. The node object and its store remain readable — a
+// workers forward every ring-placed agent to the new owners (and the
+// node adopts no new agent), and once the input queue is empty with no
+// claims or prepared branches awaiting a verdict, the runtime stops and
+// detaches from the network. The node object and its store remain readable — a
 // departed node's resources still count in conservation sums.
 func (c *Cluster) Leave(name string, timeout time.Duration) error {
 	if !c.opts.Membership {
@@ -333,8 +334,8 @@ func (c *Cluster) Leave(name string, timeout time.Duration) error {
 	c.mu.Unlock()
 	n.AnnounceStatus(name, membership.Left)
 	deadline := time.Now().Add(timeout)
-	// Two consecutive clean reads: one could race an entry between its
-	// claim release and the rebalancer's next hand-off.
+	// Two consecutive clean reads: one could race an entry between one
+	// claim's release and the next claim's hand-off.
 	for streak := 0; streak < 2; {
 		depth, err := n.Queue().Len()
 		if err != nil {

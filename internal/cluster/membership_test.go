@@ -11,13 +11,15 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/node"
 	"repro/internal/resource"
+	"repro/internal/trace"
 	"repro/internal/txn"
 )
 
 // The membership tests run a bank-deposit workload whose steps are all
 // ring-placed ("@ring" resolves to the owner of the agent's ID), so
-// every join/leave/crash shifts live agents between nodes through the
-// 2PC migration path while conservation is checked at the end.
+// every join/leave/crash shifts live agents between nodes — a worker that
+// claims an agent whose ring owner is another node forwards it through
+// the hand-off — while conservation is checked at the end.
 
 const ringSink = "sink"
 
@@ -148,7 +150,7 @@ func sumRingSinks(t *testing.T, cl *cluster.Cluster) int64 {
 
 // TestMembershipJoinMigratesFairShare joins a node mid-workload and
 // checks it receives its ring share of live agents through committed
-// 2PC migrations, with conservation intact.
+// forwards, with conservation intact.
 func TestMembershipJoinMigratesFairShare(t *testing.T) {
 	const (
 		nodes  = 3
@@ -176,7 +178,7 @@ func TestMembershipJoinMigratesFairShare(t *testing.T) {
 	}
 
 	// The joined node's view must have converged and own a share of the
-	// ring; the agents it owns should largely have arrived by migration.
+	// ring; the agents it owns should largely have arrived by a forward.
 	nd, ok := cl.Node(joined)
 	if !ok {
 		t.Fatalf("joined node %s missing", joined)
@@ -194,12 +196,17 @@ func TestMembershipJoinMigratesFairShare(t *testing.T) {
 	if owned == 0 {
 		t.Fatalf("ring assigns no agents to %s (vnode placement broken)", joined)
 	}
-	adopted := nd.Adopted()
-	t.Logf("joined node owns %d/%d agents, adopted %d via migration (migrations=%d aborts=%d refusals=%d)",
-		owned, agents, adopted, snap.Migrations, snap.MigrationAborts, snap.AdoptionRefusals)
-	if adopted < (owned+3)/4 {
-		t.Fatalf("joined node adopted %d agents via migration, want at least ~%d/4 of its %d owned",
-			adopted, owned, owned)
+	forwarded := make(map[string]bool)
+	for _, r := range cl.TraceRecords() {
+		if r.Op == trace.OpMigrate && r.Name == "commit" && r.B == joined {
+			forwarded[r.Agent] = true
+		}
+	}
+	t.Logf("joined node owns %d/%d agents, %d forwarded to it (migrations=%d aborts=%d)",
+		owned, agents, len(forwarded), snap.Migrations, snap.MigrationAborts)
+	if len(forwarded) < (owned+3)/4 {
+		t.Fatalf("%d agents forwarded to the joined node, want at least ~%d/4 of its %d owned",
+			len(forwarded), owned, owned)
 	}
 }
 
@@ -260,9 +267,9 @@ func TestMembershipCrashDuringRebalance(t *testing.T) {
 	}
 	openRingSink(t, cl, joined)
 
-	// Crash a source while its rebalancer is migrating toward the
+	// Crash a source while its workers forward agents toward the
 	// newcomer, then bring it back; recovery resolves the in-doubt
-	// hand-offs and the rebalancer re-sweeps.
+	// hand-offs and the workers forward what is still misplaced.
 	victim := ringNodeName(0)
 	if err := cl.Crash(victim); err != nil {
 		t.Fatal(err)
@@ -278,6 +285,50 @@ func TestMembershipCrashDuringRebalance(t *testing.T) {
 		t.Fatalf("sink total %d, want %d (lost or duplicated steps)", got, want)
 	}
 	snap := counters.Snapshot()
-	t.Logf("migrations=%d aborts=%d refusals=%d announces=%d",
-		snap.Migrations, snap.MigrationAborts, snap.AdoptionRefusals, snap.MemberAnnounces)
+	t.Logf("migrations=%d aborts=%d announces=%d",
+		snap.Migrations, snap.MigrationAborts, snap.MemberAnnounces)
+}
+
+// TestMembershipForwardedAgentReturns sends an agent off a node and
+// brings it back there by a later ring step, twice: launched on w1 with
+// its first step owned by w0, it is forwarded to w0 unexecuted, and its
+// steps then alternate between w1 and w0. Nothing on w1 remembers the
+// forward, so the returning agent runs like any other: every step runs
+// once and the agent completes.
+func TestMembershipForwardedAgentReturns(t *testing.T) {
+	cl, counters := ringCluster(t, 3, 0)
+	w0, _ := cl.Node(ringNodeName(0))
+	ring := w0.Membership().Ring()
+	keyOf := func(owner string) string {
+		for i := 0; ; i++ {
+			if k := fmt.Sprint("k", i); ring.Owner(k) == owner {
+				return k
+			}
+		}
+	}
+	on0 := node.RingLoc + ":" + keyOf(ringNodeName(0))
+	on1 := node.RingLoc + ":" + keyOf(ringNodeName(1))
+	sub := &itinerary.Sub{ID: "job-back"}
+	for _, loc := range []string{on0, on1, on0, on1} {
+		sub.Entries = append(sub.Entries, itinerary.Step{Method: "ring.work", Loc: loc})
+	}
+	it, err := itinerary.New(sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, entered, err := agent.New("back", "", it)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, err := cl.Launch(a, entered, ringNodeName(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	awaitRingAgents(t, []<-chan cluster.Result{ch}, 30*time.Second)
+	if got := sumRingSinks(t, cl); got != 4 {
+		t.Fatalf("sink total %d, want 4 (lost or duplicated steps)", got)
+	}
+	if n := counters.Snapshot().Migrations; n != 1 {
+		t.Fatalf("%d forwards committed, want the one off w1", n)
+	}
 }

@@ -72,11 +72,14 @@ func TestTransferWritesContainerOnce(t *testing.T) {
 		t.Fatal("agent never reached n2")
 	}
 	n2, _ := cl.Node("n2")
-	entries, err := n2.Queue().Entries()
-	if err != nil || len(entries) != 1 {
-		t.Fatalf("n2 queue = %v, %v; want the one agent", entries, err)
+	var sizes []int64
+	if err := n2.Queue().Each(func(_, _ string, data []byte) error {
+		sizes = append(sizes, int64(len(data)))
+		return nil
+	}); err != nil || len(sizes) != 1 {
+		t.Fatalf("n2 queue holds %d entries, %v; want the one agent", len(sizes), err)
 	}
-	size := int64(len(entries[0].Data))
+	size := sizes[0]
 	if got := written() - before; size < 4<<10 || got < size || got > size+128 {
 		t.Errorf("the hand-off of a %d-byte container wrote %d bytes on n2, want it once (and at most 128 more)", size, got)
 	}

@@ -74,7 +74,6 @@ func TestThroughputJoinMidRun(t *testing.T) {
 	if res.Metrics.Migrations == 0 {
 		t.Error("mid-run join triggered no migrations")
 	}
-	t.Logf("migrations=%d bytes=%d aborts=%d refusals=%d",
-		res.Metrics.Migrations, res.Metrics.MigrationBytes,
-		res.Metrics.MigrationAborts, res.Metrics.AdoptionRefusals)
+	t.Logf("migrations=%d bytes=%d aborts=%d",
+		res.Metrics.Migrations, res.Metrics.MigrationBytes, res.Metrics.MigrationAborts)
 }

@@ -50,9 +50,9 @@ type point struct {
 
 // Ring is an immutable consistent-hash ring over a member set. Build one
 // with NewRing; derive ownership with Owner and churn deltas with
-// Changes. Immutability is what makes it safe to hand to the scheduler
-// and the rebalancer without locks — a membership change builds a new
-// Ring rather than mutating the old one.
+// Changes. Immutability is what makes it safe to hand to every worker
+// without locks — a membership change builds a new Ring rather than
+// mutating the old one.
 type Ring struct {
 	points  []point
 	members []string // sorted, deduplicated
@@ -141,8 +141,8 @@ type Change struct {
 
 // Changes diffs two rings and returns the arcs whose ownership moved.
 // The union of the returned arcs is exactly the set of keys for which
-// old.Owner != new.Owner, so a rebalancer walking the diff touches every
-// displaced key and nothing else.
+// old.Owner != new.Owner: walking the diff touches every displaced key
+// and nothing else.
 func Changes(old, new *Ring) []Change {
 	if old == nil || new == nil || len(old.points) == 0 || len(new.points) == 0 {
 		return nil

@@ -82,13 +82,13 @@ type fields[T any] struct {
 	TimersFired         T // protocol timers that fired
 	TimersCanceled      T // protocol timers canceled before firing
 
-	// Membership and migration (internal/node's rebalancer).
-	MemberAnnounces  T // membership announcements received over the wire
-	RingChanges      T // local ring rebuilds after a view change
-	Migrations       T // agents migrated off this node by the rebalancer
-	MigrationBytes   T // encoded container bytes moved by migrations
-	MigrationAborts  T // migration hand-offs aborted (retried later)
-	AdoptionRefusals T // duplicate adoptions refused by the epoch guard
+	// Membership and migration (internal/node's forward of a claimed,
+	// misplaced ring step).
+	MemberAnnounces T // membership announcements received over the wire
+	RingChanges     T // local ring rebuilds after a view change
+	Migrations      T // agents forwarded off this node to their ring owner
+	MigrationBytes  T // encoded container bytes moved by migrations
+	MigrationAborts T // migration hand-offs aborted (retried later)
 
 	// WAL storage engine (internal/stable/wal).
 	WALRotations      T // WAL segments sealed and rotated
@@ -303,12 +303,8 @@ func (c *Counters) AddMigrations(d, n int64) {
 }
 
 // IncMigrationAbort records one migration hand-off that aborted (the
-// rebalancer retries on the next sweep).
+// worker retries it after the scheduler's cooldown).
 func (c *Counters) IncMigrationAbort() { c.on(func() { c.live.MigrationAborts.Add(1) }) }
-
-// IncAdoptionRefusal records a duplicate adoption refused by the
-// destination's agent-epoch guard.
-func (c *Counters) IncAdoptionRefusal() { c.on(func() { c.live.AdoptionRefusals.Add(1) }) }
 
 // IncWALRotation records one WAL segment sealed and a new one opened.
 func (c *Counters) IncWALRotation() { c.on(func() { c.live.WALRotations.Add(1) }) }

@@ -105,8 +105,8 @@ func sampleContainers(t testing.TB) map[string]*Container {
 
 	return map[string]*Container{
 		"forward":   {Mode: ModeStep, Agent: forward},
-		"rollback":  {Mode: ModeRollback, SpID: "shops", Agent: rb, Epoch: 3},
-		"nil-agent": {Mode: ModeStep, SpID: "x", Epoch: -1},
+		"rollback":  {Mode: ModeRollback, SpID: "shops", Agent: rb},
+		"nil-agent": {Mode: ModeStep, SpID: "x"},
 		"nil-log":   {Mode: ModeStep, Agent: noLog},
 		"bare":      {Agent: &agent.Agent{}},
 	}
@@ -241,7 +241,7 @@ func randomContainer(rng *rand.Rand) *Container {
 		}
 		return s
 	}
-	c := &Container{Mode: Mode(rng.Intn(4) - 1), SpID: str(), Epoch: rng.Int63n(9) - 2}
+	c := &Container{Mode: Mode(rng.Intn(4) - 1), SpID: str()}
 	if rng.Intn(10) == 0 {
 		return c
 	}
@@ -286,40 +286,26 @@ func randBytes(rng *rand.Rand, n int) []byte {
 	return b
 }
 
-// TestPeekContainerReadsOnlyTheHead: the prefix peek agrees with the full
-// decode on every leading field and never reaches the spaces or the log —
-// it succeeds on a container cut right behind the itinerary.
-func TestPeekContainerReadsOnlyTheHead(t *testing.T) {
-	for name, c := range sampleContainers(t) {
-		data, err := EncodeContainer(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		full, err := DecodeContainer(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		head, err := peekContainer(data)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if head.Mode != full.Mode || head.SpID != full.SpID || head.Epoch != full.Epoch || (head.Agent == nil) != (full.Agent == nil) {
-			t.Errorf("%s: head %+v, full %+v", name, head, full)
-		}
-		if full.Agent == nil {
-			continue
-		}
-		h, f := head.Agent, full.Agent
-		if h.ID != f.ID || h.Owner != f.Owner || h.StepSeq != f.StepSeq ||
-			!reflect.DeepEqual(h.Cursor, f.Cursor) || !reflect.DeepEqual(h.Itin, f.Itin) {
-			t.Errorf("%s: head agent %+v, full %+v", name, h, f)
-		}
-		if h.SRO != nil || h.WRO != nil || h.Log != nil {
-			t.Errorf("%s: peek decoded spaces or log", name)
-		}
-		if _, err := peekContainer(data[:tailStart(t, full)]); err != nil {
-			t.Errorf("%s: peek of the bare head: %v", name, err)
-		}
+// TestContainerReadsParentEpoch: a container whose reserved slot holds a
+// migration epoch, as commit c1c7f14 wrote it for an agent it moved,
+// decodes to the same agent as today's encoding, which writes the slot
+// as 0.
+func TestContainerReadsParentEpoch(t *testing.T) {
+	old := fixture(t, "container-epoch-c1c7f14.bin")
+	got, err := DecodeContainer(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := EncodeContainer(sampleContainers(t)["forward"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := EncodeContainer(got)
+	if err != nil || !bytes.Equal(again, want) {
+		t.Fatalf("c1c7f14 container re-encodes as %x, %v; want %x", again, err, want)
+	}
+	if bytes.Equal(old, want) {
+		t.Fatal("fixture holds no epoch")
 	}
 }
 
@@ -403,13 +389,14 @@ func inflateCount(data []byte, at int) []byte {
 // never panic, must refuse what it refuses as wire.ErrCorrupt, must not
 // allocate out of proportion to its input whatever counts the input
 // declares, and whatever it accepts re-encodes to exactly the input bytes
-// (one container, one encoding) with the prefix peek agreeing on the head.
+// with the reserved slot written as 0 (one container, one encoding).
 func FuzzContainerRoundTrip(f *testing.F) {
 	// Seeds built by the encoder; the committed corpus under testdata/fuzz
 	// holds the same shapes as literal bytes (TestContainerCorpusCurrent).
 	for _, data := range corpusSeeds(f) {
 		f.Add(data)
 	}
+	f.Add(fixture(f, "container-epoch-c1c7f14.bin"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var c *Container
 		var err error
@@ -424,15 +411,23 @@ func FuzzContainerRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted container does not encode: %v", err)
 		}
-		if !bytes.Equal(again, data) {
-			t.Fatalf("accepted container re-encodes differently:\n in  %x\n out %x", data, again)
-		}
-		head, err := peekContainer(data)
-		if err != nil || head.Mode != c.Mode || head.Epoch != c.Epoch || (head.Agent == nil) != (c.Agent == nil) ||
-			(c.Agent != nil && (head.Agent.ID != c.Agent.ID || !reflect.DeepEqual(head.Agent.Cursor, c.Agent.Cursor))) {
-			t.Fatalf("peek disagrees with decode: %+v, %v", head, err)
+		if want := zeroReserved(data); !bytes.Equal(again, want) {
+			t.Fatalf("accepted container re-encodes differently:\n in  %x\n out %x", want, again)
 		}
 	})
+}
+
+// zeroReserved returns a well-formed container with its reserved varint
+// written as 0: the bytes EncodeContainer writes for what it decodes to.
+func zeroReserved(data []byte) []byte {
+	b, _ := wire.Body(data, typeContainer)
+	r := wire.NewReader(b)
+	_, _ = r.Int(), r.String()
+	rest := r.Rest()
+	r = wire.NewReader(rest)
+	r.Varint()
+	out := append([]byte{}, data[:len(data)-len(rest)]...)
+	return append(append(out, 0), r.Rest()...)
 }
 
 // corpusSeeds names the fuzz seeds: every sample container, the rollback

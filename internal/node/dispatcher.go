@@ -234,20 +234,13 @@ func (n *Node) sendHandoff(e protocol.SendHandoff, b *outBatch) {
 }
 
 // decide makes a decider verdict durable (DESIGN.md §5) and feeds it back.
-// A commit vets the container first (adoptionGate); a refusal becomes a
+// A node that has left the cluster adopts nothing: its commit becomes a
 // fence. The entry and its commit record, listing the RCE parties, land
 // in one Enqueue batch — with this node's own prepared branch of the
 // transaction when it is a party too — so the entry is visible, and the
 // next step can run, at once.
 func (n *Node) decide(e protocol.Decide, b *outBatch) {
-	commit := e.Commit
-	var adopt func()
-	if commit {
-		var err error
-		if adopt, err = n.adoptionGate(e); err != nil {
-			commit = false
-		}
-	}
+	commit := e.Commit && (n.members == nil || !n.members.Left())
 	var branch *txn.Tx
 	if commit && e.Branch {
 		if branch = n.takeBranchTx(e.TxnID); branch == nil {
@@ -268,9 +261,6 @@ func (n *Node) decide(e protocol.Decide, b *outBatch) {
 		err = n.queue.Enqueue(e.EntryID, e.Data, rec)
 	default:
 		err = n.store.Apply(txn.OutcomeOp(e.TxnID, false, e.Mark, nil))
-	}
-	if err == nil && commit && adopt != nil {
-		adopt()
 	}
 	point := pointDeciderCommitted
 	if commit && (len(e.Parties) > 0 || branch != nil) {

@@ -11,6 +11,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/itinerary"
+	"repro/internal/membership"
 	"repro/internal/network"
 	"repro/internal/node"
 	"repro/internal/protocol"
@@ -26,7 +27,8 @@ var crashNodes = []string{"n0", "n1", "n2"}
 const crashSeed = 100
 
 // crashCluster starts three nodes with a bank each on engine, running
-// the optimized rollback (Figure 5). Every "deposit" step moves one unit
+// the optimized rollback (Figure 5) with the membership layer on, so a
+// step may be ring-placed. Every "deposit" step moves one unit
 // from the node's pool to its sink and logs the resource compensation
 // that moves it back; the first also logs an agent compensation marking
 // the WRO. "rollonce" deposits too, and rolls the tour back unless that
@@ -42,6 +44,7 @@ func crashCluster(t *testing.T, engine string) *cluster.Cluster {
 		RetryDelay: 5 * time.Millisecond,
 		Store:      spec,
 		Optimized:  true,
+		Membership: true,
 	})
 	for _, n := range crashNodes {
 		err := cl.AddNode(n, func(s stable.Store) (resource.Resource, error) { return resource.NewBank(s, "bank", false) })
@@ -126,13 +129,34 @@ func rollbackAgent(t *testing.T, id string) (*agent.Agent, []string) {
 	return tour(t, id, "rollonce")
 }
 
+// forwardAgent deposits on n1, n2 and n0, in that order, with the step on
+// n1 ring-placed: launched on n0, it is claimed there first and forwarded
+// to n1 unexecuted.
+func forwardAgent(t *testing.T, id string) (*agent.Agent, []string) {
+	ring := membership.NewRing(crashNodes)
+	key := ""
+	for i := 0; ring.Owner(key) != "n1"; i++ {
+		key = fmt.Sprint("k", i)
+	}
+	return route(t, id, []string{node.RingLoc + ":" + key, "n2", "n0"}, "deposit")
+}
+
 func tour(t *testing.T, id, last string) (*agent.Agent, []string) {
+	return route(t, id, crashNodes, last)
+}
+
+// route is an agent depositing at each of locs in turn, with method last
+// at the last one.
+func route(t *testing.T, id string, locs []string, last string) (*agent.Agent, []string) {
 	t.Helper()
 	sub := &itinerary.Sub{ID: "tour-" + id}
-	for _, n := range crashNodes[:2] {
-		sub.Entries = append(sub.Entries, itinerary.Step{Method: "deposit", Loc: n})
+	for i, loc := range locs {
+		method := "deposit"
+		if i == len(locs)-1 {
+			method = last
+		}
+		sub.Entries = append(sub.Entries, itinerary.Step{Method: method, Loc: loc})
 	}
-	sub.Entries = append(sub.Entries, itinerary.Step{Method: last, Loc: crashNodes[2]})
 	it, err := itinerary.New(sub)
 	if err != nil {
 		t.Fatal(err)
@@ -216,22 +240,27 @@ func checkQuiesced(t *testing.T, cl *cluster.Cluster, agents int) {
 // the source after the outcome and before it settles its branch; and,
 // in a rollback with RCE parties, a party after its branch is prepared
 // and before the exec ack, and a decider after a record with parties and
-// before the party verdicts leave — on the mem and the wal engine. Each
-// time the agent completes exactly once, every bank ends exactly one
-// unit up, and no branch, commit record or fence survives quiesce.
+// before the party verdicts leave; and the first three again for a
+// container forwarded unexecuted to the ring owner of its step — on the
+// mem and the wal engine. Each time the agent completes exactly once,
+// every bank ends exactly one unit up, and no branch, commit record or
+// fence survives quiesce; a forwarded agent was forwarded exactly once.
 func TestHandoffCrashAtEveryDurablePoint(t *testing.T) {
 	for _, engine := range []string{"mem", "wal"} {
 		for _, tc := range []struct {
-			node, point string
-			agent       func(*testing.T, string) (*agent.Agent, []string)
+			node, point, row string
+			agent            func(*testing.T, string) (*agent.Agent, []string)
 		}{
-			{"n0", node.PointSourcePrepared, tourAgent},
-			{"n1", node.PointDeciderCommitted, tourAgent},
-			{"n0", node.PointSourceDecided, tourAgent},
-			{"n1", node.PointPartyPrepared, rollbackAgent},
-			{"n2", node.PointDeciderRecorded, rollbackAgent},
+			{"n0", node.PointSourcePrepared, "", tourAgent},
+			{"n1", node.PointDeciderCommitted, "", tourAgent},
+			{"n0", node.PointSourceDecided, "", tourAgent},
+			{"n1", node.PointPartyPrepared, "", rollbackAgent},
+			{"n2", node.PointDeciderRecorded, "", rollbackAgent},
+			{"n0", node.PointSourcePrepared, "forward-", forwardAgent},
+			{"n1", node.PointDeciderCommitted, "forward-", forwardAgent},
+			{"n0", node.PointSourceDecided, "forward-", forwardAgent},
 		} {
-			t.Run(engine+"/"+tc.point, func(t *testing.T) {
+			t.Run(engine+"/"+tc.row+tc.point, func(t *testing.T) {
 				cl := crashCluster(t, engine)
 				hit := make(chan struct{})
 				var once sync.Once
@@ -266,6 +295,9 @@ func TestHandoffCrashAtEveryDurablePoint(t *testing.T) {
 						t.Fatalf("%d RCE lists shipped, want the rollback's two at least", n)
 					}
 				}
+				if n := cl.Counters().Snapshot().Migrations; tc.row != "" && n != 1 {
+					t.Fatalf("%d forwards committed, want 1", n)
+				}
 			})
 		}
 	}
@@ -274,45 +306,61 @@ func TestHandoffCrashAtEveryDurablePoint(t *testing.T) {
 // TestLateDuplicatePrepareAfterCollection delivers a copy of a settled
 // hand-off's prepare to its decider after the source's mark collected
 // the commit record: the decider drops it — no second entry, no new
-// record, no second deposit.
+// record, no second deposit. The hand-off is n0's step transaction, or
+// the forward of the agent n0 claimed for a ring step n1 owns; the
+// decider's drop is what keeps a replayed forward from running an agent
+// twice.
 func TestLateDuplicatePrepareAfterCollection(t *testing.T) {
 	for _, engine := range []string{"mem", "wal"} {
-		t.Run(engine, func(t *testing.T) {
-			cl := crashCluster(t, engine)
-			a, entered := tourAgent(t, "dup")
-			ch, err := cl.Launch(a, entered, "n0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			awaitAgent(t, ch)
-			checkQuiesced(t, cl, 1) // the mark has collected every record
-
-			// The first hand-off: n0's step transaction, decided by n1.
-			var txnID string
-			for _, r := range cl.TraceRecords() {
-				if r.Op == trace.OpAgentStep && r.Node == "n0" && r.Agent == "dup" {
-					txnID = r.Txn
-				}
-			}
-			if protocol.Origin(txnID) != "n0" {
-				t.Fatalf("no step transaction of n0 in the trace (%q)", txnID)
-			}
-			again, entered := tourAgent(t, "dup")
-			if err := node.AppendInitialSavepoints(again, entered, core.StateLogging); err != nil {
-				t.Fatal(err)
-			}
-			data, err := node.EncodeContainer(&node.Container{Mode: node.ModeStep, Agent: again})
-			if err != nil {
-				t.Fatal(err)
-			}
-			n1, _ := cl.Node("n1")
-			prep := &protocol.PrepareMsg{TxnID: txnID, EntryID: "dup", Mark: 1, Data: data}
-			n1.Deliver(network.Message{From: "n0", To: "n1", Kind: protocol.KindEnqueuePrepare, Payload: prep.AppendTo(nil)})
-			time.Sleep(50 * time.Millisecond)
-			if depth, err := n1.Queue().Len(); err != nil || depth != 0 {
-				t.Fatalf("decider queue after the late copy = %d, %v; want empty", depth, err)
-			}
-			checkQuiesced(t, cl, 1)
-		})
+		for _, tc := range []struct {
+			row   string
+			agent func(*testing.T, string) (*agent.Agent, []string)
+			op    trace.Op // the trace record naming n0's hand-off
+		}{
+			{"", tourAgent, trace.OpAgentStep},
+			{"-forward", forwardAgent, trace.OpMigrate},
+		} {
+			t.Run(engine+tc.row, func(t *testing.T) {
+				lateDuplicatePrepare(t, engine, tc.agent, tc.op)
+			})
+		}
 	}
+}
+
+func lateDuplicatePrepare(t *testing.T, engine string, newAgent func(*testing.T, string) (*agent.Agent, []string), op trace.Op) {
+	cl := crashCluster(t, engine)
+	a, entered := newAgent(t, "dup")
+	ch, err := cl.Launch(a, entered, "n0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	awaitAgent(t, ch)
+	checkQuiesced(t, cl, 1) // the mark has collected every record
+
+	// The first hand-off of n0, decided by n1.
+	var txnID string
+	for _, r := range cl.TraceRecords() {
+		if r.Op == op && r.Node == "n0" && r.Agent == "dup" && txnID == "" {
+			txnID = r.Txn
+		}
+	}
+	if protocol.Origin(txnID) != "n0" {
+		t.Fatalf("no %v transaction of n0 in the trace (%q)", op, txnID)
+	}
+	again, entered := newAgent(t, "dup")
+	if err := node.AppendInitialSavepoints(again, entered, core.StateLogging); err != nil {
+		t.Fatal(err)
+	}
+	data, err := node.EncodeContainer(&node.Container{Mode: node.ModeStep, Agent: again})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n1, _ := cl.Node("n1")
+	prep := &protocol.PrepareMsg{TxnID: txnID, EntryID: "dup", Mark: 1, Data: data}
+	n1.Deliver(network.Message{From: "n0", To: "n1", Kind: protocol.KindEnqueuePrepare, Payload: prep.AppendTo(nil)})
+	time.Sleep(50 * time.Millisecond)
+	if depth, err := n1.Queue().Len(); err != nil || depth != 0 {
+		t.Fatalf("decider queue after the late copy = %d, %v; want empty", depth, err)
+	}
+	checkQuiesced(t, cl, 1)
 }

@@ -37,11 +37,6 @@ type Container struct {
 	Mode  Mode
 	SpID  string // rollback target savepoint (ModeRollback only)
 	Agent *agent.Agent
-	// Epoch versions migration hand-offs of this container. Zero on the
-	// ordinary step/rollback paths; the rebalancer bumps it before each
-	// migration so a destination can refuse adopting an agent epoch it
-	// has already adopted (duplicate-adoption guard, see membership.go).
-	Epoch int64
 }
 
 // Binary type bytes of the node-runtime partition 0x10–0x1F (the
@@ -56,9 +51,12 @@ const (
 
 // EncodeContainer serializes a container for queue storage / transfer:
 //
-//	0x90 0x11 | Mode SpID Epoch | agent head | WRO SRO Log
+//	0x90 0x11 | Mode SpID Reserved | agent head | WRO SRO Log
 //
-// with the agent part as agent.Agent.AppendTo writes it. Map keys are
+// with the agent part as agent.Agent.AppendTo writes it. Reserved is a
+// varint written as 0 and read and discarded: up to commit c1c7f14 it was
+// the migration epoch, which moved containers carried non-zero, so every
+// container that build wrote still reads as the same agent. Map keys are
 // written in sorted order, so equal containers give equal bytes. This is
 // the only container format; the gob encoding it replaced (last read by
 // commit 5015b40) is refused at node start, see refuseOlderLayout. The
@@ -77,7 +75,7 @@ func encodeContainer(c *Container) (data []byte, logBytes int, err error) {
 	buf := append((*scratch)[:0], wire.BinaryVersion, typeContainer)
 	buf = wire.AppendVarint(buf, int64(c.Mode))
 	buf = wire.AppendString(buf, c.SpID)
-	buf = wire.AppendVarint(buf, c.Epoch)
+	buf = wire.AppendVarint(buf, 0) // reserved
 	buf, logAt, err := c.Agent.AppendTo(buf)
 	if err != nil {
 		return nil, 0, fmt.Errorf("node: encode container: %w", err)
@@ -95,7 +93,9 @@ func containerHead(data []byte) (*Container, *wire.Reader, error) {
 		return nil, nil, err
 	}
 	r := wire.NewReader(b)
-	return &Container{Mode: Mode(r.Int()), SpID: r.String(), Epoch: r.Varint()}, r, nil
+	c := &Container{Mode: Mode(r.Int()), SpID: r.String()}
+	r.Varint() // reserved
+	return c, r, nil
 }
 
 // DecodeContainer deserializes a container; anything but exactly one
@@ -110,22 +110,6 @@ func DecodeContainer(data []byte) (*Container, error) {
 	}
 	c.Agent = agent.Read(r)
 	if err := r.Done(); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// peekContainer decodes only the leading fields of a container — mode,
-// savepoint, epoch and the agent's head (ID, owner, step counter, cursor,
-// itinerary) — for routing decisions that never look at the data spaces
-// or the log. What follows the head is not validated.
-func peekContainer(data []byte) (*Container, error) {
-	c, r, err := containerHead(data)
-	if err != nil {
-		return nil, err
-	}
-	c.Agent = agent.ReadHead(r)
-	if err := r.Err(); err != nil {
 		return nil, err
 	}
 	return c, nil

@@ -105,9 +105,10 @@ type Config struct {
 	Logger *slog.Logger
 	// Membership, when set, turns on the membership layer: the node
 	// floods view announcements, resolves "@ring" step locations through
-	// the manager's consistent-hash ring, and runs a rebalancer that
-	// migrates misplaced ring-placed agents via queue hand-offs (see
-	// membership.go). Nil keeps the static-wiring behaviour.
+	// the manager's consistent-hash ring, and forwards a claimed
+	// ring-placed step whose owner is another node through the queue
+	// hand-off (see membership.go). Nil keeps the static-wiring
+	// behaviour.
 	Membership *membership.Manager
 }
 
@@ -152,10 +153,8 @@ type Node struct {
 	pmu     sync.Mutex
 	machine *protocol.Machine
 
-	// members is cfg.Membership (nil without the membership layer);
-	// adopted (under mu) backs the duplicate-adoption guard.
+	// members is cfg.Membership (nil without the membership layer).
 	members *membership.Manager
-	adopted map[string]int64
 
 	mu        sync.Mutex
 	resources map[string]resource.Resource
@@ -228,7 +227,6 @@ func New(cfg Config, ep network.Endpoint, store stable.Store, registry *agent.Re
 		}),
 		factories: factories,
 		members:   cfg.Membership,
-		adopted:   make(map[string]int64),
 		resources: make(map[string]resource.Resource),
 		waiters:   make(map[string]chan protocol.AckMsg),
 		branchTx:  make(map[string]*txn.Tx),
@@ -369,8 +367,6 @@ func (n *Node) Start() {
 		n.recoverThenWork()
 	}()
 	if n.members != nil {
-		n.wg.Add(1)
-		go n.rebalanceLoop()
 		// Introduce ourselves: a joining (or restarting) node's first
 		// announcement provokes anti-entropy replies that teach it the
 		// present view.

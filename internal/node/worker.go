@@ -227,6 +227,9 @@ func (n *Node) process(entry *stable.Entry, attempt int) error {
 	if a := c.Agent; a == nil || a.SRO == nil || a.WRO == nil || a.Log == nil {
 		return permanent(fmt.Errorf("node %s: container %q lacks an agent, a data space or a log", n.cfg.Name, entry.ID))
 	}
+	if dest, ok := n.misplaced(c); ok {
+		return n.forward(entry, c.Agent.ID, dest)
+	}
 	switch c.Mode {
 	case ModeStep:
 		return n.runStep(entry, c, attempt)

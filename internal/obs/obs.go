@@ -36,8 +36,6 @@ type Config struct {
 	Membership *membership.Manager
 	// Queue adds local queue depth/claims to /ring; may be nil.
 	Queue *stable.Queue
-	// Adopted reports how many agents migrated in; may be nil.
-	Adopted func() int
 }
 
 // RingMember is one member entry in the /ring dump.
@@ -57,7 +55,6 @@ type RingDump struct {
 	Members []RingMember `json:"members"`
 	Depth   int          `json:"queue_depth"`
 	Claimed int          `json:"queue_claimed"`
-	Adopted int          `json:"adopted"`
 }
 
 // Handler returns the admin-plane HTTP handler:
@@ -131,9 +128,6 @@ func Handler(cfg Config) http.Handler {
 		if cfg.Queue != nil {
 			d.Depth, _ = cfg.Queue.Len()
 			d.Claimed = cfg.Queue.Claimed()
-		}
-		if cfg.Adopted != nil {
-			d.Adopted = cfg.Adopted()
 		}
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)

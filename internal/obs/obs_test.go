@@ -146,7 +146,6 @@ func TestRingEndpoint(t *testing.T) {
 		Node:       "n1",
 		Membership: m,
 		Queue:      q,
-		Adopted:    func() int { return 3 },
 	})
 	rec := get(t, h, "/ring")
 	if rec.Code != http.StatusOK {
@@ -162,8 +161,8 @@ func TestRingEndpoint(t *testing.T) {
 	if d.Node != "n1" || d.VNodes != membership.DefaultVNodes {
 		t.Errorf("node/vnodes = %q/%d", d.Node, d.VNodes)
 	}
-	if d.Depth != 1 || d.Claimed != 0 || d.Adopted != 3 {
-		t.Errorf("placement stats = depth=%d claimed=%d adopted=%d", d.Depth, d.Claimed, d.Adopted)
+	if d.Depth != 1 || d.Claimed != 0 {
+		t.Errorf("placement stats = depth=%d claimed=%d", d.Depth, d.Claimed)
 	}
 	if len(d.Members) != 3 {
 		t.Fatalf("members = %+v", d.Members)

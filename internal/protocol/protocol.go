@@ -313,12 +313,11 @@ type DeliverAck struct {
 }
 
 // Decide asks the driver to make a decider verdict durable and feed
-// the result back as HandoffDecided. Commit: vet the container (the
-// adoption gate), then enqueue Data and write the commit record, listing
-// Parties, in one batch — with this node's own prepared branch of the
-// transaction when Branch is set — or, if the gate refuses or the branch
-// is gone, write the fence instead. !Commit: write the fence. Mark goes
-// into the record.
+// the result back as HandoffDecided. Commit: enqueue Data and write the
+// commit record, listing Parties, in one batch — with this node's own
+// prepared branch of the transaction when Branch is set — or, if the node
+// has left the cluster or the branch is gone, write the fence instead.
+// !Commit: write the fence. Mark goes into the record.
 type Decide struct {
 	TxnID   string
 	From    string

@@ -77,14 +77,6 @@ type Queue struct {
 	visible []string
 	seq     uint64
 	loaded  bool
-
-	// fence, when set, withholds matching agents from the worker Claim
-	// path. The membership rebalancer installs it while migrating agents
-	// away (and the drain before a Leave fences everything), so workers
-	// stop opening new step transactions on entries that are about to be
-	// handed to another node. TryClaim bypasses the fence — it *is* the
-	// rebalancer's path. Like claims, the fence is volatile.
-	fence func(id string) bool
 }
 
 // Entry is one committed queue element.
@@ -371,9 +363,6 @@ func (q *Queue) Claim(skip func(id string) bool) (e *Entry, depth int, err error
 		if skip != nil && skip(id) {
 			continue
 		}
-		if q.fence != nil && q.fence(id) {
-			continue // withheld for migration (see SetFence)
-		}
 		if e, err = q.mustRead(k); err != nil {
 			return nil, len(q.visible), err
 		}
@@ -387,8 +376,8 @@ func (q *Queue) Claim(skip func(id string) bool) (e *Entry, depth int, err error
 // readEntry fetches one visible entry: the ID from the key, the data from
 // the one store read. ok is false when the key is gone from the store:
 // a removal whose transaction committed and whose hook has not run yet.
-// A claim never meets one (the remover holds the entry's claim); a
-// listing passes over it.
+// A claim never meets one (the remover holds the entry's claim); Peek
+// passes over it.
 func (q *Queue) readEntry(key string) (e *Entry, ok bool, err error) {
 	data, ok, err := q.store.Get(key)
 	if err != nil || !ok {
@@ -432,68 +421,6 @@ func (q *Queue) Claimed() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return len(q.claimed)
-}
-
-// SetFence installs (or, with nil, removes) the claim fence: Claim passes
-// over entries whose agent ID f reports as fenced, exactly as if they were
-// claimed by someone else. Fenced entries stay visible, keep their FIFO
-// position and still count toward Len — only the worker hand-out path is
-// gated. A fence change wakes blocked consumers so a lifted fence is
-// noticed without a new enqueue.
-func (q *Queue) SetFence(f func(id string) bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.fence = f
-	q.signal()
-}
-
-// Entries returns the visible entries in FIFO order, including claimed
-// and fenced ones — the rebalancer's sweep listing. An entry whose removal
-// has committed but not yet left the index is skipped.
-func (q *Queue) Entries() ([]*Entry, error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if err := q.load(); err != nil {
-		return nil, err
-	}
-	out := make([]*Entry, 0, len(q.visible))
-	for _, k := range q.visible {
-		e, ok, err := q.readEntry(k)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			out = append(out, e)
-		}
-	}
-	return out, nil
-}
-
-// TryClaim claims the specific entry e (by queue position), bypassing the
-// fence — the migration path's targeted claim. It fails (ok=false) when
-// the entry is claimed, when its agent has another entry in flight, or
-// when the entry was consumed since the listing. On success it returns the
-// entry re-read from the store, so the caller migrates the current
-// container bytes, never a stale listing's.
-func (q *Queue) TryClaim(e *Entry) (*Entry, bool, error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if err := q.load(); err != nil {
-		return nil, false, err
-	}
-	if _, visible := slices.BinarySearch(q.visible, e.key); !visible || q.claimed[e.key] {
-		return nil, false, nil
-	}
-	if q.claimedIDs[q.entryID(e.key)] > 0 {
-		return nil, false, nil // an older entry of this agent is in flight
-	}
-	fresh, err := q.mustRead(e.key)
-	if err != nil {
-		return nil, false, err
-	}
-	q.claimed[e.key] = true
-	q.claimedIDs[fresh.ID]++
-	return fresh, true, nil
 }
 
 // RemoveIn deletes e when tx commits: the destructive read of the

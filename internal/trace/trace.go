@@ -56,9 +56,9 @@ const (
 	// OpMember is a membership view change (Name is the event — merge,
 	// set-status, announce; A the subject member, B its status).
 	OpMember
-	// OpMigrate follows one agent migration hand-off (Name is start,
-	// commit, abort or refuse; Agent the migrating agent, A the source,
-	// B the destination, N the container bytes).
+	// OpMigrate follows one forward of a misplaced ring-placed agent
+	// (Name is start, commit or abort; Agent the agent, A the source, B
+	// the destination, N the container bytes).
 	OpMigrate
 	// OpCtlFlush is one coalesced control-plane GC flush: decision-record
 	// clears and done-record drops from concurrent transitions applied as
