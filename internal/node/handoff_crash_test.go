@@ -134,8 +134,8 @@ func rollbackAgent(t *testing.T, id string) (*agent.Agent, []string) {
 // to n1 unexecuted.
 func forwardAgent(t *testing.T, id string) (*agent.Agent, []string) {
 	ring := membership.NewRing(crashNodes)
-	key := ""
-	for i := 0; ring.Owner(key) != "n1"; i++ {
+	key := "k0"
+	for i := 1; ring.Owner(key) != "n1"; i++ {
 		key = fmt.Sprint("k", i)
 	}
 	return route(t, id, []string{node.RingLoc + ":" + key, "n2", "n0"}, "deposit")
