@@ -235,9 +235,10 @@ func report(opts chaos.Options, res *chaos.Result) {
 		opts.Workers, opts.Agents, opts.Store.Engine, ms(res.P50), ms(res.P99),
 		m.SchedInFlightPeak, res.GoroutinePeak, m.SchedClaimConflicts, m.SchedLockAborts, m.SchedRetries, m.Messages,
 		safeDiv(m.NetBatchedMsgs, m.NetBatches), m.Migrations)
-	// Control-plane batching: stable group commits per step transaction
-	// that retired decision/done GC ops (< 1.0 is the coalescing win),
-	// replies that rode existing outbound batches, timer arms per txn.
+	// Control plane: store applies per step transaction that deleted
+	// collected decider and done records (one per DropOutcomes/DropDone
+	// effect), replies that rode existing outbound batches, timer arms
+	// per txn.
 	fmt.Printf("control plane: decision_commits/txn=%.3f decision_ops/commit=%.2f piggybacked=%d timers/txn=%.3f\n",
 		safeDiv(m.DecisionBatches, m.StepTxns), safeDiv(m.DecisionOps, m.DecisionBatches), m.AckPiggybacked,
 		safeDiv(m.TimersArmed, m.StepTxns))

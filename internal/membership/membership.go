@@ -100,16 +100,13 @@ func (v View) Equal(o View) bool {
 
 // Manager holds one node's membership view and its derived ring. It is
 // pure state: the owning node feeds it announcements (Merge) and local
-// transitions (SetStatus), and reads back the ring, the view and a
-// change signal. All methods are safe for concurrent use.
+// transitions (SetStatus), and reads back the ring and the view. All
+// methods are safe for concurrent use.
 type Manager struct {
 	mu     sync.Mutex
 	self   string
 	byName map[string]Member
 	ring   *Ring
-	// changed is a broadcast edge: closed and replaced whenever the view
-	// changes. Waiters grab the current channel and select on it.
-	changed chan struct{}
 }
 
 // NewManager builds a manager for node self seeded with the given
@@ -117,9 +114,8 @@ type Manager struct {
 // any real entry overrides; self is always present as Alive epoch 1.
 func NewManager(self string, seed ...Member) *Manager {
 	m := &Manager{
-		self:    self,
-		byName:  make(map[string]Member, len(seed)+1),
-		changed: make(chan struct{}),
+		self:   self,
+		byName: make(map[string]Member, len(seed)+1),
 	}
 	for _, s := range seed {
 		if s.Name == "" {
@@ -175,14 +171,6 @@ func (m *Manager) Left() bool {
 	return m.byName[m.self].Status == Left
 }
 
-// Changed returns a channel closed at the next view change. Grab a fresh
-// one after every wake-up.
-func (m *Manager) Changed() <-chan struct{} {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.changed
-}
-
 // Merge folds a remote view in, entry by entry. It returns whether the
 // local view changed (caller should re-broadcast: the flood rule) and
 // whether the remote view was missing anything the local one knows
@@ -219,7 +207,6 @@ func (m *Manager) Merge(remote View) (changed, remoteStale bool) {
 	}
 	if changed {
 		m.rebuildLocked()
-		m.signalLocked()
 	}
 	return changed, remoteStale
 }
@@ -237,7 +224,6 @@ func (m *Manager) SetStatus(name string, s Status) (Member, bool) {
 	next := Member{Name: name, Status: s, Epoch: cur.Epoch + 1}
 	m.byName[name] = next
 	m.rebuildLocked()
-	m.signalLocked()
 	return next, true
 }
 
@@ -259,9 +245,4 @@ func (m *Manager) Peers() []string {
 
 func (m *Manager) rebuildLocked() {
 	m.ring = NewRing(m.viewLocked().ringMembers())
-}
-
-func (m *Manager) signalLocked() {
-	close(m.changed)
-	m.changed = make(chan struct{})
 }

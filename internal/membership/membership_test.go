@@ -91,32 +91,6 @@ func TestManagerRingTracksStatus(t *testing.T) {
 	}
 }
 
-func TestManagerChangedSignal(t *testing.T) {
-	m := NewManager("w0")
-	ch := m.Changed()
-	select {
-	case <-ch:
-		t.Fatal("changed fired before any change")
-	default:
-	}
-	m.SetStatus("w9", Alive)
-	select {
-	case <-ch:
-	default:
-		t.Fatal("changed did not fire on a view change")
-	}
-	// SetStatus to the same status is a no-op and must not signal.
-	ch = m.Changed()
-	if _, ok := m.SetStatus("w9", Alive); ok {
-		t.Fatal("idempotent SetStatus reported a change")
-	}
-	select {
-	case <-ch:
-		t.Fatal("changed fired on a no-op")
-	default:
-	}
-}
-
 func TestManagerLeftAndConvergence(t *testing.T) {
 	// Three managers converging by exchanging views pairwise in an
 	// arbitrary order reach the same view — the semilattice property the

@@ -70,9 +70,9 @@ type fields[T any] struct {
 	WireBytesByKind map[string]int64             // payload bytes on the wire per message kind
 	WireMsgsByKind  map[string]int64             // messages on the wire per message kind
 
-	// Control-plane batching (internal/node's GC stager and ack piggybacking).
-	DecisionBatches   T                            // control-plane GC group commits flushed
-	DecisionOps       T                            // outcome/done GC ops carried inside those commits
+	// Control plane (internal/node's record GC and ack piggybacking).
+	DecisionBatches   T                            // record-GC applies (one per DropOutcomes/DropDone effect)
+	DecisionOps       T                            // outcome/done deletes carried inside those applies
 	DecisionBatchSize [len(BatchSizeBuckets) + 1]T // ops-per-commit histogram (see BatchSizeBuckets)
 	AckPiggybacked    T                            // acks and marks that rode an existing outbound batch
 
@@ -231,8 +231,8 @@ func (c *Counters) ObserveNetBatch(frames int) {
 	c.on(func() { observeBatch(frames, &c.live.NetBatches, &c.live.NetBatchedMsgs, &c.live.NetBatchSize) })
 }
 
-// ObserveDecisionBatch records one control-plane GC group commit
-// carrying ops staged outcome-record and done-record drops.
+// ObserveDecisionBatch records one control-plane GC apply carrying ops
+// outcome-record and done-record deletes.
 func (c *Counters) ObserveDecisionBatch(ops int) {
 	c.on(func() { observeBatch(ops, &c.live.DecisionBatches, &c.live.DecisionOps, &c.live.DecisionBatchSize) })
 }

@@ -39,7 +39,8 @@ var frameKinds = [...]string{
 	19: "member.announce",
 	// 20 is retired: the coalesced RCE controls (ctl.batch), last sent by
 	// commit a03745a.
-	21: "query.batch",
+	// 21 is retired: the coalesced in-doubt queries (query.batch), last
+	// sent by commit 127bc3b.
 	22: "q.outcome",
 	23: "q.resolved",
 	24: "q.outcome.ack",

@@ -17,13 +17,14 @@ import (
 // deterministically in deadline order.
 //
 // Schedule(id, d) arms (or re-arms) the timer id to fire after d on the
-// wheel's clock; Cancel disarms it. When a timer fires, the wheel calls
-// the fire callback with the id, outside the wheel's lock — the
-// callback may Schedule or Cancel freely. Each timer is one-shot: it
-// fires at most once per Schedule.
+// wheel's clock; Cancel disarms it. The wheel calls the fire callback
+// once per pass with the IDs of every timer that fell due together, in
+// deadline order, outside the wheel's lock — the callback may Schedule
+// or Cancel freely, and may handle the IDs as one batch. Each timer is
+// one-shot: it fires at most once per Schedule.
 type TimerWheel struct {
 	clock    Clock
-	fire     func(id string)
+	fire     func(ids []string)
 	counters *metrics.Counters // armed/fired/canceled counts; nil = off
 
 	mu     sync.Mutex
@@ -45,9 +46,10 @@ type timerEntry struct {
 }
 
 // NewTimerWheel creates and starts a wheel on the given clock (nil uses
-// the wall clock). fire is invoked for every expired timer, one at a
-// time, from the wheel's single goroutine. A nil counters is off.
-func NewTimerWheel(clock Clock, fire func(id string), counters *metrics.Counters) *TimerWheel {
+// the wall clock). fire is invoked with the expired timers of each pass,
+// one pass at a time, from the wheel's single goroutine. A nil counters
+// is off.
+func NewTimerWheel(clock Clock, fire func(ids []string), counters *metrics.Counters) *TimerWheel {
 	if clock == nil {
 		clock = WallClock()
 	}
@@ -158,11 +160,11 @@ func (w *TimerWheel) run() {
 		} else {
 			w.mu.Unlock()
 		}
-		for _, id := range due {
-			w.counters.IncTimerFired()
-			w.fire(id)
-		}
 		if len(due) > 0 {
+			for range due {
+				w.counters.IncTimerFired()
+			}
+			w.fire(due)
 			continue // deadlines may have accrued while firing
 		}
 		if wait == nil {

@@ -13,9 +13,9 @@ type collectFired struct {
 	ids []string
 }
 
-func (c *collectFired) fire(id string) {
+func (c *collectFired) fire(ids []string) {
 	c.mu.Lock()
-	c.ids = append(c.ids, id)
+	c.ids = append(c.ids, ids...)
 	c.mu.Unlock()
 }
 
@@ -117,9 +117,11 @@ func TestTimerWheelFireCallbackMaySchedule(t *testing.T) {
 	vc := NewVirtualClock(time.Time{})
 	var n atomic.Int64
 	var w *TimerWheel
-	w = NewTimerWheel(vc, func(id string) {
-		if n.Add(1) < 3 {
-			w.Schedule(id, 10*time.Millisecond) // periodic re-arm from the callback
+	w = NewTimerWheel(vc, func(ids []string) {
+		for _, id := range ids {
+			if n.Add(1) < 3 {
+				w.Schedule(id, 10*time.Millisecond) // periodic re-arm from the callback
+			}
 		}
 	}, nil)
 	defer w.Stop()

@@ -7,77 +7,33 @@ import (
 	"repro/internal/trace"
 )
 
-// Control-plane batching, driver half (the machine half is the per-peer
-// timer coalescing in internal/protocol/timers.go):
+// Control-plane writes and the ack hold:
 //
-//   - record GC staging: DropOutcomes and DropDone effects from
-//     concurrent transitions buffer into one bounded staging slice and
-//     apply as a single stable group commit, flushed when the buffer
-//     fills or after a RetryDelay linger. Only the garbage-collection
-//     deletes stage — the outcome record itself is still written inside
-//     the decider's own commit batch, so the durability-ordering
-//     invariant (no verdict leaves before its record is stable) holds
-//     without the stager ever gating a send.
+//   - record GC: a DropOutcomes or DropDone effect deletes its records in
+//     one store.Apply. Concurrent deletes need no staging here: the WAL's
+//     group commit already coalesces concurrent applies into one write.
+//     The outcome record itself is written inside the decider's own
+//     commit batch, so no verdict leaves before its record is stable.
 //
 //   - ack piggybacking: non-blocking messages (a party's q.outcome.ack,
 //     a source's q.resolved) park per peer for up to a RetryDelay linger;
 //     the next outbound transition batch headed to that peer drains them
 //     into its frame group, so they ride a write the node was making
 //     anyway. A message someone blocks on (exec acks, verdicts, done
-//     acks) never parks.
+//     acks) never parks. The linger is the one driver-level timer:
+//     onTimers intercepts it before the protocol machine sees the fire.
 
-const (
-	// ctlStageMax bounds the GC staging buffer; a full buffer flushes
-	// immediately instead of waiting for the linger timer.
-	ctlStageMax = 64
-	// stagerFlushID is the wheel timer draining the stager after its
-	// linger; holdPrefix marks the per-peer hold-buffer linger timers.
-	// Both are driver-level timers: onTimer intercepts them before the
-	// protocol machine sees the fire. Neither collides with a protocol
-	// timer kind.
-	stagerFlushID = "stager|flush"
-	holdPrefix    = "hold|"
-)
+// holdPrefix marks the per-peer hold linger timers; it collides with no
+// protocol timer class.
+const holdPrefix = "hold|"
 
-// stageCtlOp buffers one control-plane GC operation for the next group
-// commit (or applies it directly when the wheel is not running). Losing
-// staged deletes on a crash is safe: a surviving outcome record answers
+// dropRecords deletes collected control-plane records in one apply.
+// Losing it to a crash is safe: a surviving outcome record answers
 // queries with the verdict it records, and a surviving done record only
 // restarts the idempotent done/ack cycle.
-func (n *Node) stageCtlOp(op stable.Op) {
-	if n.wheel == nil {
-		_ = n.store.Apply(op)
-		return
-	}
-	n.stagerMu.Lock()
-	n.stagerOps = append(n.stagerOps, op)
-	full := len(n.stagerOps) >= ctlStageMax
-	arm := !full && !n.stagerArmed
-	if arm {
-		n.stagerArmed = true
-	}
-	n.stagerMu.Unlock()
-	if full {
-		n.flushCtlStage()
-	} else if arm {
-		n.wheel.Schedule(stagerFlushID, n.cfg.RetryDelay)
-	}
-}
-
-// flushCtlStage applies every staged GC operation as one stable group
-// commit.
-func (n *Node) flushCtlStage() {
-	n.stagerMu.Lock()
-	ops := n.stagerOps
-	n.stagerOps = nil
-	n.stagerArmed = false
-	n.stagerMu.Unlock()
-	if len(ops) == 0 {
-		return
-	}
+func (n *Node) dropRecords(ops ...stable.Op) {
 	_ = n.store.Apply(ops...)
 	n.cfg.Counters.ObserveDecisionBatch(len(ops))
-	n.cfg.Tracer.Rec(trace.OpCtlFlush, "", "", "", "", "", int64(len(ops)))
 }
 
 // piggybackKind reports whether a kind is safe to park: nothing blocks on

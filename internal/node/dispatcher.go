@@ -31,9 +31,8 @@ func (n *Node) dispatch() {
 	}
 }
 
-// step feeds events — one, or the per-transaction events of a batch
-// frame — through the protocol machine (serialized under pmu) and
-// applies the returned effects. Effects are applied outside
+// step feeds one event through the protocol machine (serialized under
+// pmu) and applies the returned effects. Effects are applied outside
 // the machine lock, in emission order, by the same caller — they are
 // idempotent or state-guarded, so concurrent steppers interleaving
 // their effect application is safe.
@@ -41,14 +40,11 @@ func (n *Node) dispatch() {
 // All messages the transition batch emits — including those of nested
 // transitions its effects trigger — are collected per destination and
 // flushed in one endpoint call per peer when the outermost step
-// returns, so a commit fan-out, an ack+status pair or the replies to a
-// coalesced frame coalesce on the wire instead of paying one network
-// hop each.
-func (n *Node) step(evs ...protocol.Event) {
+// returns, so a commit fan-out or an ack+status pair coalesce on the
+// wire instead of paying one network hop each.
+func (n *Node) step(ev protocol.Event) {
 	var b outBatch
-	for _, ev := range evs {
-		n.stepInto(ev, &b)
-	}
+	n.stepInto(ev, &b)
 	b.flush(n)
 }
 
@@ -78,20 +74,21 @@ func (n *Node) stepInto(ev protocol.Event, b *outBatch) {
 	}
 }
 
-// onTimer is the wheel's fire callback: a timer event like any other,
-// except for the two driver-level timers (the GC-stager linger and the
-// per-peer hold-buffer lingers), which never reach the machine.
-func (n *Node) onTimer(id string) {
-	if id == stagerFlushID {
-		n.flushCtlStage()
-		return
+// onTimers is the wheel's fire callback: the timers of one wheel pass
+// step into one outbound batch, so resends that fall due together share
+// a frame per peer. The one driver-level timer, the per-peer hold
+// linger, never reaches the machine.
+func (n *Node) onTimers(ids []string) {
+	var b outBatch
+	for _, id := range ids {
+		if peer, ok := strings.CutPrefix(id, holdPrefix); ok {
+			n.flushHeld(peer)
+			continue
+		}
+		n.cfg.Tracer.Rec(trace.OpTimerFire, "", "", id, "", "", 0)
+		n.stepInto(protocol.TimerFired{ID: id}, &b)
 	}
-	if peer, ok := strings.CutPrefix(id, holdPrefix); ok {
-		n.flushHeld(peer)
-		return
-	}
-	n.cfg.Tracer.Rec(trace.OpTimerFire, "", "", id, "", "", 0)
-	n.step(protocol.TimerFired{ID: id})
+	b.flush(n)
 }
 
 // handle translates one wire message into a protocol event. All
@@ -125,20 +122,6 @@ func (n *Node) handle(msg network.Message) {
 			return
 		}
 		n.step(protocol.QueryReceived{TxnID: req.TxnID, From: msg.From, Mark: n.mgr.Mark()})
-	case protocol.KindQueryBatch:
-		// One multi-transaction query frame explodes into the exact
-		// per-transaction events the plain kind produces; the answers
-		// share one outbound batch.
-		var req protocol.QueryBatchMsg
-		if err := protocol.Decode(msg.Payload, &req); err != nil {
-			return
-		}
-		mark := n.mgr.Mark()
-		evs := make([]protocol.Event, 0, len(req.TxnIDs))
-		for _, txnID := range req.TxnIDs {
-			evs = append(evs, protocol.QueryReceived{TxnID: txnID, From: msg.From, Mark: mark})
-		}
-		n.step(evs...)
 	case protocol.KindRCEExec:
 		var req protocol.RCEExecMsg
 		if err := protocol.Decode(msg.Payload, &req); err != nil {
@@ -181,9 +164,11 @@ func (n *Node) applyEffect(eff protocol.Effect, b *outBatch) {
 	case protocol.Decide:
 		n.decide(e, b)
 	case protocol.DropOutcomes:
-		for _, id := range e.TxnIDs {
-			n.stageCtlOp(txn.DropOutcomeOp(id))
+		ops := make([]stable.Op, len(e.TxnIDs))
+		for i, id := range e.TxnIDs {
+			ops[i] = txn.DropOutcomeOp(id)
 		}
+		n.dropRecords(ops...)
 	case protocol.SendResolved:
 		n.sendResolvedInto(b, e.To)
 	case protocol.CommitBranch:
@@ -209,7 +194,7 @@ func (n *Node) applyEffect(eff protocol.Effect, b *outBatch) {
 	case protocol.ResendDone:
 		n.sendDone(b, e.AgentID)
 	case protocol.DropDone:
-		n.stageCtlOp(stableDelDone(e.AgentID))
+		n.dropRecords(stableDelDone(e.AgentID))
 	case protocol.ArmTimer:
 		n.cfg.Tracer.Rec(trace.OpTimerArm, "", "", e.ID, "", "", int64(e.D))
 		if n.wheel != nil {
@@ -314,8 +299,9 @@ func (n *Node) takeBranchTx(txnID string) *txn.Tx {
 }
 
 // sendDone (re)sends one durable completion record to its owner,
-// joining the enclosing transition's outbound batch when one is active
-// so a coalesced done-resend timer emits one frame group per owner.
+// joining the enclosing transition's outbound batch when one is active,
+// so done resends falling due in one wheel pass share a frame group per
+// owner.
 func (n *Node) sendDone(b *outBatch, agentID string) {
 	raw, ok, err := n.store.Get(doneKey(agentID))
 	if err != nil || !ok {

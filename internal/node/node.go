@@ -164,13 +164,6 @@ type Node struct {
 
 	decodes atomic.Int64 // full container decodes, see decode
 
-	// Control-plane write stager: outcome-record and done-record drops
-	// from concurrent transitions coalesce into one group Apply, flushed
-	// on size or after a short linger.
-	stagerMu    sync.Mutex
-	stagerOps   []stable.Op
-	stagerArmed bool
-
 	// Ack piggyback hold buffers (PR-10): non-blocking responses parked
 	// per peer until an outbound batch heads that way or the linger
 	// timer flushes them.
@@ -348,7 +341,7 @@ func (n *Node) Manager() *txn.Manager { return n.mgr }
 // returns immediately; recovery (in-doubt resolution, resource loading)
 // happens in the background and gates queue processing.
 func (n *Node) Start() {
-	n.wheel = network.NewTimerWheel(n.clock, n.onTimer, n.cfg.Counters)
+	n.wheel = network.NewTimerWheel(n.clock, n.onTimers, n.cfg.Counters)
 	// The decider records answer queries the moment the dispatcher runs,
 	// so they — and with them each source's mark — are back in the
 	// machine first, and commits still owed to RCE parties go out again
@@ -398,9 +391,6 @@ func (n *Node) Stop() {
 		wheel.Stop()
 	}
 	n.wg.Wait()
-	// Courtesy drain of the GC stager: the ops are crash-safe to lose,
-	// but a clean stop should not leave avoidable garbage behind.
-	n.flushCtlStage()
 }
 
 // InDoubt returns how many prepared branches this node's store holds:

@@ -166,60 +166,64 @@ func TestProtocolTimersOnVirtualClock(t *testing.T) {
 	assertNoMessage(t, ownEp, 80*time.Millisecond)
 }
 
-// TestQueryBatchOnVirtualClock hands two agents to the same silent
+// TestInDoubtQueriesOnVirtualClock hands two agents to the same silent
 // decider and single-steps the clock: past the workers' wait each asks
-// once, then the coalesced per-peer query timer fires once per Advance,
-// and once both delegations share the due bucket one Advance emits a
-// single query.batch frame carrying both transactions — the wire-level
-// half of the per-peer coalescing that timers_test.go pins at the
-// machine level.
-func TestQueryBatchOnVirtualClock(t *testing.T) {
+// once, then each hand-off's own query timer re-asks it with a plain
+// txn.query once per RetryInterval. A repeated DelegationStale asks at
+// once but does not postpone its timer's fire, and after the verdicts
+// nothing is asked again.
+func TestInDoubtQueriesOnVirtualClock(t *testing.T) {
 	vc := network.NewVirtualClock(time.Time{})
 	n, coEp, _ := vcNode(t, vc, 2)
-	for _, id := range []string{"agent-qb1", "agent-qb2"} {
+	for _, id := range []string{"agent-q1", "agent-q2"} {
 		if err := n.Queue().Enqueue(id, vcContainer(t, id, "p", "co")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	txns := map[string]bool{recvPrepare(t, coEp).TxnID: true, recvPrepare(t, coEp).TxnID: true}
+	first := recvPrepare(t, coEp).TxnID
+	txns := map[string]bool{first: true, recvPrepare(t, coEp).TxnID: true}
+
+	// askedOnce receives one plain query per in-doubt hand-off.
+	askedOnce := func(when string) {
+		t.Helper()
+		asked := map[string]bool{}
+		for range txns {
+			msg := recvMsg(t, coEp, 2*time.Second)
+			var q protocol.CtlMsg
+			if msg.Kind != protocol.KindTxnQuery || protocol.Decode(msg.Payload, &q) != nil {
+				t.Fatalf("%s: expected %s, got %s", when, protocol.KindTxnQuery, msg.Kind)
+			}
+			asked[q.TxnID] = true
+		}
+		if len(asked) != len(txns) {
+			t.Fatalf("%s: asked %v, want each of %v once", when, asked, txns)
+		}
+		assertNoMessage(t, coEp, 30*time.Millisecond)
+	}
 
 	// Frozen clock: both branches are in doubt but nothing leaves.
 	assertNoMessage(t, coEp, 80*time.Millisecond)
 	vc.Advance(100 * time.Millisecond)
+	askedOnce("worker wait")
 	for i := 0; i < 2; i++ {
-		if kind := recvKind(t, coEp, 2*time.Second); kind != protocol.KindTxnQuery {
-			t.Fatalf("worker wait %d: expected %s, got %s", i, protocol.KindTxnQuery, kind)
-		}
+		vc.Advance(50 * time.Millisecond)
+		askedOnce("retry interval")
+	}
+
+	// Half an interval on, a repeated DelegationStale asks at once; the
+	// armed timer still fires at the end of the interval.
+	vc.Advance(25 * time.Millisecond)
+	n.step(protocol.DelegationStale{TxnID: first})
+	var q protocol.CtlMsg
+	if msg := recvMsg(t, coEp, 2*time.Second); msg.Kind != protocol.KindTxnQuery || protocol.Decode(msg.Payload, &q) != nil || q.TxnID != first {
+		t.Fatalf("repeated stale: expected a query for %s, got %s", first, msg.Kind)
 	}
 	assertNoMessage(t, coEp, 30*time.Millisecond)
+	vc.Advance(25 * time.Millisecond)
+	askedOnce("postponement check")
 
-	// First fire drains only the first entry (the second was enqueued
-	// while the timer ticked and is promoted): a lone survivor still
-	// travels as the plain single-transaction query.
-	vc.Advance(50 * time.Millisecond)
-	msg := recvMsg(t, coEp, 2*time.Second)
-	if msg.Kind != protocol.KindTxnQuery {
-		t.Fatalf("first advance: expected %s, got %s", protocol.KindTxnQuery, msg.Kind)
-	}
-
-	// Second fire finds both due: exactly one query.batch frame naming
-	// both transactions, and nothing else.
-	vc.Advance(50 * time.Millisecond)
-	msg = recvMsg(t, coEp, 2*time.Second)
-	if msg.Kind != protocol.KindQueryBatch {
-		t.Fatalf("second advance: expected %s, got %s", protocol.KindQueryBatch, msg.Kind)
-	}
-	var qb protocol.QueryBatchMsg
-	if err := protocol.Decode(msg.Payload, &qb); err != nil {
-		t.Fatalf("decode query batch: %v", err)
-	}
-	if len(qb.TxnIDs) != 2 || !txns[qb.TxnIDs[0]] || !txns[qb.TxnIDs[1]] || qb.TxnIDs[0] == qb.TxnIDs[1] {
-		t.Fatalf("query batch = %v, want %v", qb.TxnIDs, txns)
-	}
-	assertNoMessage(t, coEp, 30*time.Millisecond)
-
-	// The outcomes settle both; the next fire drains to silence but for
-	// the confirmations.
+	// The outcomes settle both; later fires ask nothing, and only the
+	// confirmations leave.
 	for txn := range txns {
 		outcome := (&protocol.StatusMsg{TxnID: txn, Committed: true}).AppendTo(nil)
 		if err := coEp.Send("p", protocol.KindOutcome, outcome); err != nil {

@@ -18,7 +18,6 @@ func TestAllKindsHaveFrameCodes(t *testing.T) {
 		protocol.KindOutcomeAck,
 		protocol.KindResolved,
 		protocol.KindTxnQuery,
-		protocol.KindQueryBatch,
 		protocol.KindRCEExec,
 		protocol.KindRCEExecAck,
 		kindAgentLaunch,

@@ -27,10 +27,10 @@ const (
 	// TypeRCEExec carries RCEExecMsg (rce.exec).
 	TypeRCEExec byte = 0x05
 	// 0x06 is retired: the coalesced RCE commit/abort controls
-	// (ctl.batch), last written by commit a03745a.
+	// (ctl.batch), last written by commit a03745a. 0x07 is retired: the
+	// coalesced in-doubt queries (query.batch), last written by commit
+	// 127bc3b.
 
-	// TypeQueryBatch carries QueryBatchMsg (query.batch).
-	TypeQueryBatch byte = 0x07
 	// TypeMark carries MarkMsg (q.resolved).
 	TypeMark byte = 0x08
 )
@@ -190,29 +190,5 @@ func (m *RCEExecMsg) DecodeFrom(buf []byte) error {
 			m.Ops = append(m.Ops, &core.OpEntry{Kind: core.OpKind(r.Uvarint()), Op: r.String(), Params: r.BytesMap()})
 		}
 	}
-	return r.Done()
-}
-
-// --- QueryBatchMsg ----------------------------------------------------
-
-// AppendTo implements wire.BinaryMessage.
-func (m *QueryBatchMsg) AppendTo(buf []byte) []byte {
-	buf = slices.Grow(buf, 2+8+len(m.TxnIDs)*20)
-	buf = append(buf, wire.BinaryVersion, TypeQueryBatch)
-	buf = wire.AppendUvarint(buf, uint64(len(m.TxnIDs)))
-	for _, id := range m.TxnIDs {
-		buf = wire.AppendString(buf, id)
-	}
-	return buf
-}
-
-// DecodeFrom implements wire.BinaryMessage.
-func (m *QueryBatchMsg) DecodeFrom(buf []byte) error {
-	b, err := wire.Body(buf, TypeQueryBatch)
-	if err != nil {
-		return err
-	}
-	r := wire.NewReader(b)
-	m.TxnIDs = r.Strings()
 	return r.Done()
 }

@@ -36,8 +36,6 @@ func fastPathMessages() []struct {
 			{Kind: core.OpResource, Op: "withdraw", Params: core.Params{"amount": []byte("100"), "acct": []byte("a-9")}},
 			{Kind: core.OpAgent, Op: "noop"},
 		}}, func() wire.BinaryMessage { return &RCEExecMsg{} }},
-		{"query-batch", &QueryBatchMsg{TxnIDs: []string{"n1#7", "n2#4"}},
-			func() wire.BinaryMessage { return &QueryBatchMsg{} }},
 	}
 }
 

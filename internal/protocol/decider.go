@@ -127,9 +127,9 @@ func (m *Machine) localDecided(e LocalDecided) []Effect {
 }
 
 // announce sends a verdict to the parties. A commit stays pending at
-// each party until it acknowledges, re-sent on the party's timer. This
-// node's own branch already committed inside the decider's write, or
-// aborts now.
+// each party until it acknowledges, re-sent on the transaction's timer.
+// This node's own branch already committed inside the decider's write,
+// or aborts now.
 func (m *Machine) announce(txnID string, r *record, parties []string) []Effect {
 	var effs []Effect
 	for _, p := range parties {
@@ -141,7 +141,7 @@ func (m *Machine) announce(txnID string, r *record, parties []string) []Effect {
 		case r.commit:
 			r.pending = append(r.pending, p)
 			effs = append(effs, outcome(p, txnID, true))
-			effs = append(effs, m.enqueue(timerPeerCtl, p, dueEntry{id: txnID}, m.cfg.RetryInterval)...)
+			effs = append(effs, m.arm(timerCtl, txnID, m.cfg.RetryInterval)...)
 		default:
 			effs = append(effs, outcome(p, txnID, false))
 		}
@@ -168,7 +168,7 @@ func (m *Machine) ackReceived(e AckReceived) []Effect {
 	if i < 0 {
 		return nil // duplicate or stale ack
 	}
-	// The resend entry is dropped lazily at the next per-peer fire.
+	// The resend timer finds the party gone at its next fire.
 	r.pending = slices.Delete(r.pending, i, i+1)
 	return m.collect(e.TxnID)
 }

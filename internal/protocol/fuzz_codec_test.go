@@ -47,13 +47,12 @@ func FuzzWireRoundTrip(f *testing.F) {
 			msg  wire.BinaryMessage
 			zero func() wire.BinaryMessage
 		}{
-			{&PrepareMsg{TxnID: txn, EntryID: entry, Mark: uint64(sel) * uint64(len(data)), Parties: batchTxns(errStr, entry, sel>>1), Data: data}, func() wire.BinaryMessage { return &PrepareMsg{} }},
+			{&PrepareMsg{TxnID: txn, EntryID: entry, Mark: uint64(sel) * uint64(len(data)), Parties: partyList(errStr, entry, sel>>1), Data: data}, func() wire.BinaryMessage { return &PrepareMsg{} }},
 			{&MarkMsg{Mark: uint64(sel) << (len(txn) % 64)}, func() wire.BinaryMessage { return &MarkMsg{} }},
 			{&AckMsg{TxnID: txn, OK: ok, Err: errStr}, func() wire.BinaryMessage { return &AckMsg{} }},
 			{&CtlMsg{TxnID: txn}, func() wire.BinaryMessage { return &CtlMsg{} }},
 			{&StatusMsg{TxnID: txn, Committed: ok}, func() wire.BinaryMessage { return &StatusMsg{} }},
 			{&RCEExecMsg{TxnID: txn, Decider: errStr, Ops: ops}, func() wire.BinaryMessage { return &RCEExecMsg{} }},
-			{&QueryBatchMsg{TxnIDs: batchTxns(txn, entry, sel)}, func() wire.BinaryMessage { return &QueryBatchMsg{} }},
 		}
 		for _, tc := range msgs {
 			gobEnc, err := wire.Encode(tc.msg)
@@ -119,15 +118,15 @@ func FuzzWireRoundTrip(f *testing.F) {
 	})
 }
 
-// batchTxns derives a string list (QueryBatchMsg's transactions, a
-// prepare's parties) from the fuzz input: nil, one string or two.
-func batchTxns(txn, entry string, sel byte) []string {
+// partyList derives a prepare's parties from the fuzz input: nil, one
+// string or two.
+func partyList(first, second string, sel byte) []string {
 	if sel&0x20 != 0 {
 		return nil
 	}
-	txns := []string{txn}
+	parts := []string{first}
 	if sel&0x40 != 0 {
-		txns = append(txns, entry)
+		parts = append(parts, second)
 	}
-	return txns
+	return parts
 }

@@ -234,8 +234,8 @@ func newDriverModel(t *testing.T) *driverModel {
 var knownKinds = map[string]bool{
 	protocol.KindEnqueuePrepare: true, protocol.KindOutcome: true,
 	protocol.KindOutcomeAck: true, protocol.KindResolved: true,
-	protocol.KindTxnQuery: true, protocol.KindQueryBatch: true,
-	protocol.KindRCEExec: true, protocol.KindRCEExecAck: true,
+	protocol.KindTxnQuery: true, protocol.KindRCEExec: true,
+	protocol.KindRCEExecAck: true,
 }
 
 func (d *driverModel) apply(effs []protocol.Effect) {

@@ -10,8 +10,8 @@ import (
 )
 
 // newReady builds a ready machine. The tests below pin each role's
-// states and effects plus the per-peer timer it arms and lazily retires;
-// the coalescing itself is covered by timers_test.go.
+// states and effects plus the obligation timer it arms and lazily
+// retires; the timer rules themselves are covered by timers_test.go.
 func newReady(node string) *protocol.Machine {
 	m := protocol.NewMachine(protocol.Config{
 		Node:          node,
@@ -35,8 +35,8 @@ func pick[T protocol.Effect](effs []protocol.Effect) []T {
 
 // TestDeciderDrivesPartiesToCommit: a hand-off listing RCE parties is
 // decided once for all of them. The verdict goes to the source and to
-// each party; a commit is re-sent on the party's timer until it
-// acknowledges, and the record stays until every party has acknowledged
+// each party; a commit is re-sent on the transaction's timer until every
+// party acknowledges, and the record stays until every party has acknowledged
 // and the source's mark has passed it — below the mark, no record means
 // abort. The decider's own transaction (its agent stays) is recorded
 // from LocalDecided and goes with the last acknowledgement; until its
@@ -63,17 +63,17 @@ func TestDeciderDrivesPartiesToCommit(t *testing.T) {
 	if !slices.Equal(to, []string{"s", "p", "r"}) {
 		t.Fatalf("verdict went to %v, want the source and both parties", to)
 	}
-	if got := pick[protocol.ArmTimer](effs); len(got) != 2 || got[0].ID != "pctl|p" || got[1].ID != "pctl|r" {
+	if got := pick[protocol.ArmTimer](effs); len(got) != 1 || got[0].ID != "pctl|"+txn {
 		t.Fatalf("resend timers = %+v", effs)
 	}
 	if s := m.Stats(); s.Outcomes != 1 || s.PendingParties != 2 {
 		t.Fatalf("stats = %+v", s)
 	}
 
-	// An unacknowledged commit is re-sent; a party's query is answered
-	// from the record.
-	effs = m.Step(protocol.TimerFired{ID: "pctl|p"})
-	if got := pick[protocol.SendMsg](effs); len(got) != 1 || got[0].To != "p" || got[0].Kind != protocol.KindOutcome {
+	// An unacknowledged commit is re-sent to each party; a party's query
+	// is answered from the record.
+	effs = m.Step(protocol.TimerFired{ID: "pctl|" + txn})
+	if got := pick[protocol.SendMsg](effs); len(got) != 2 || got[0].To != "p" || got[1].To != "r" || got[0].Kind != protocol.KindOutcome {
 		t.Fatalf("resend = %+v", effs)
 	}
 	effs = m.Step(protocol.QueryReceived{TxnID: txn, From: "r"})
@@ -99,10 +99,8 @@ func TestDeciderDrivesPartiesToCommit(t *testing.T) {
 	if drop := pick[protocol.DropOutcomes](effs); len(drop) != 1 || !slices.Equal(drop[0].TxnIDs, []string{txn}) || len(effs) != 1 {
 		t.Fatalf("last ack = %+v", effs)
 	}
-	for _, peer := range []string{"p", "r"} {
-		if effs := m.Step(protocol.TimerFired{ID: "pctl|" + peer}); len(effs) != 0 {
-			t.Fatalf("resend timer of %s after its ack = %+v", peer, effs)
-		}
+	if effs := m.Step(protocol.TimerFired{ID: "pctl|" + txn}); len(effs) != 0 {
+		t.Fatalf("resend timer after the last ack = %+v", effs)
 	}
 	effs = m.Step(protocol.QueryReceived{TxnID: txn, From: "p"})
 	if got := pick[protocol.SendMsg](effs); len(got) != 1 || got[0].Payload.(*protocol.StatusMsg).Committed {
@@ -126,11 +124,11 @@ func TestDeciderDrivesPartiesToCommit(t *testing.T) {
 	if got := pick[protocol.SendMsg](effs); len(got) != 1 || got[0].Payload.(*protocol.StatusMsg).Committed {
 		t.Fatalf("query past its own mark = %+v, want abort", effs)
 	}
-	if effs := m.Step(protocol.TimerFired{ID: "pctl|p"}); len(effs) != 0 {
+	if effs := m.Step(protocol.TimerFired{ID: "pctl|" + own}); len(effs) != 0 {
 		t.Fatalf("resend timer after the last ack = %+v", effs)
 	}
-	if s := m.Stats(); s.Outcomes != 0 || s.PendingParties != 0 || m.SchedSlots() != 0 {
-		t.Fatalf("decider state lingers: %+v, %d slots", s, m.SchedSlots())
+	if s := m.Stats(); s.Outcomes != 0 || s.PendingParties != 0 {
+		t.Fatalf("decider state lingers: %+v", s)
 	}
 }
 
@@ -172,7 +170,7 @@ func TestDeciderIsItsOwnParty(t *testing.T) {
 	m := newReady("d")
 	m.Step(protocol.RCEExecReceived{TxnID: "s#7", From: "s", Decider: "d"})
 	effs := m.Step(protocol.BranchPrepared{TxnID: "s#7", OK: true})
-	if got := pick[protocol.ArmTimer](effs); len(got) != 1 || got[0].ID != "pstale|d" {
+	if got := pick[protocol.ArmTimer](effs); len(got) != 1 || got[0].ID != "pstale|s#7" {
 		t.Fatalf("prepared effects = %+v", effs)
 	}
 	effs = m.Step(protocol.HandoffReceived{TxnID: "s#7", From: "s", EntryID: "a", Mark: 7, Parties: []string{"d", "r"}})
@@ -190,9 +188,11 @@ func TestDeciderIsItsOwnParty(t *testing.T) {
 
 	m.Step(protocol.RCEExecReceived{TxnID: "s#8", From: "s", Decider: "d"})
 	m.Step(protocol.BranchPrepared{TxnID: "s#8", OK: true})
-	// The first fire drains s#7's dead entry; s#8's falls due on the
-	// next.
-	effs = append(m.Step(protocol.TimerFired{ID: "pstale|d"}), m.Step(protocol.TimerFired{ID: "pstale|d"})...)
+	// s#7's stale timer finds its branch gone; s#8's asks.
+	if effs := m.Step(protocol.TimerFired{ID: "pstale|s#7"}); len(effs) != 0 {
+		t.Fatalf("stale timer of a committed branch = %+v", effs)
+	}
+	effs = m.Step(protocol.TimerFired{ID: "pstale|s#8"})
 	if dec := pick[protocol.Decide](effs); len(dec) != 1 || dec[0].TxnID != "s#8" || dec[0].Commit || len(pick[protocol.SendMsg](effs)) != 0 {
 		t.Fatalf("stale own branch = %+v, want a local fence", effs)
 	}
@@ -239,10 +239,10 @@ func TestSourceDelegationLifecycle(t *testing.T) {
 	if q := pick[protocol.SendMsg](effs); len(q) != 1 || q[0].Kind != protocol.KindTxnQuery || q[0].To != "d" {
 		t.Fatalf("recovered delegation effects = %+v", effs)
 	}
-	if got := pick[protocol.ArmTimer](effs); len(got) != 1 || got[0].ID != "pquery|d" {
-		t.Fatalf("recovered delegation did not join the query timer: %+v", effs)
+	if got := pick[protocol.ArmTimer](effs); len(got) != 1 || got[0].ID != "pquery|s#3" {
+		t.Fatalf("recovered delegation did not arm its query timer: %+v", effs)
 	}
-	effs = m.Step(protocol.TimerFired{ID: "pquery|d"})
+	effs = m.Step(protocol.TimerFired{ID: "pquery|s#3"})
 	if q := pick[protocol.SendMsg](effs); len(q) != 1 || q[0].Kind != protocol.KindTxnQuery {
 		t.Fatalf("query timer effects = %+v", effs)
 	}
@@ -252,11 +252,11 @@ func TestSourceDelegationLifecycle(t *testing.T) {
 	if len(rec) != 1 || !rec[0].Commit || len(res) != 1 || res[0].To != "d" {
 		t.Fatalf("recovered outcome effects = %+v", effs)
 	}
-	if effs := m.Step(protocol.TimerFired{ID: "pquery|d"}); len(effs) != 0 {
+	if effs := m.Step(protocol.TimerFired{ID: "pquery|s#3"}); len(effs) != 0 {
 		t.Fatalf("stale query timer produced effects: %+v", effs)
 	}
-	if s := m.Stats(); s.Delegations != 0 || m.SchedSlots() != 0 {
-		t.Fatalf("delegation state lingers: %+v, %d slots", s, m.SchedSlots())
+	if s := m.Stats(); s.Delegations != 0 {
+		t.Fatalf("delegation state lingers: %+v", s)
 	}
 }
 
@@ -320,7 +320,7 @@ func TestDeciderLifecycle(t *testing.T) {
 	if effs := m.Step(protocol.HandoffReceived{TxnID: "s#5", From: "s", EntryID: "a1", Mark: 5}); len(effs) != 0 {
 		t.Fatalf("late duplicate after collection = %+v", effs)
 	}
-	if s := m.Stats(); s.Outcomes != 0 || s.Deciding != 0 || m.SchedSlots() != 0 {
+	if s := m.Stats(); s.Outcomes != 0 || s.Deciding != 0 {
 		t.Fatalf("decider state lingers: %+v", s)
 	}
 }
@@ -359,8 +359,8 @@ func TestRCEBranchHappyPath(t *testing.T) {
 	if len(acks) != 1 || !acks[0].Payload.(*protocol.AckMsg).OK {
 		t.Fatalf("prepared effects = %+v", effs)
 	}
-	if got := pick[protocol.ArmTimer](effs); len(got) != 1 || got[0].ID != "pstale|d" {
-		t.Fatalf("stale-branch timer not armed on the decider: %+v", effs)
+	if got := pick[protocol.ArmTimer](effs); len(got) != 1 || got[0].ID != "pstale|"+txn {
+		t.Fatalf("stale-branch timer not armed: %+v", effs)
 	}
 	if got := pick[protocol.CountCompOps](effs); len(got) != 1 || got[0].N != 1 {
 		t.Fatalf("comp ops not counted: %+v", effs)
@@ -390,12 +390,12 @@ func TestRCEStaleBranchQueriesDecider(t *testing.T) {
 	const txn = "co#6"
 	m.Step(protocol.RCEExecReceived{TxnID: txn, From: "co", Decider: "d", Ops: nil})
 	m.Step(protocol.BranchPrepared{TxnID: txn, OK: true})
-	effs := m.Step(protocol.TimerFired{ID: "pstale|d"})
+	effs := m.Step(protocol.TimerFired{ID: "pstale|" + txn})
 	q := pick[protocol.SendMsg](effs)
 	if len(q) != 1 || q[0].Kind != protocol.KindTxnQuery || q[0].To != "d" {
 		t.Fatalf("stale branch timer = %+v", effs)
 	}
-	if got := pick[protocol.ArmTimer](effs); len(got) != 1 || got[0].ID != "pquery|d" {
+	if got := pick[protocol.ArmTimer](effs); len(got) != 1 || got[0].ID != "pquery|"+txn {
 		t.Fatalf("stale branch did not enter the query cadence: %+v", effs)
 	}
 	// The decider's abort resolves it; an abort is not acknowledged.
@@ -432,7 +432,7 @@ func TestNotifierResendCycle(t *testing.T) {
 	if len(pick[protocol.ResendDone](effs)) != 1 || len(pick[protocol.ArmTimer](effs)) != 1 {
 		t.Fatalf("done recorded = %+v", effs)
 	}
-	effs = m.Step(protocol.TimerFired{ID: "pdone|own"})
+	effs = m.Step(protocol.TimerFired{ID: "pdone|a1"})
 	if len(pick[protocol.ResendDone](effs)) != 1 || len(pick[protocol.ArmTimer](effs)) != 1 {
 		t.Fatalf("done timer = %+v", effs)
 	}
@@ -440,11 +440,8 @@ func TestNotifierResendCycle(t *testing.T) {
 	if len(pick[protocol.DropDone](effs)) != 1 || len(effs) != 1 {
 		t.Fatalf("done acked = %+v", effs)
 	}
-	if effs := m.Step(protocol.TimerFired{ID: "pdone|own"}); len(effs) != 0 {
+	if effs := m.Step(protocol.TimerFired{ID: "pdone|a1"}); len(effs) != 0 {
 		t.Fatalf("stale done timer = %+v", effs)
-	}
-	if n := m.SchedSlots(); n != 0 {
-		t.Fatalf("%d timer slots linger after the stale fire", n)
 	}
 	if s := m.Stats(); s.DonePending != 0 {
 		t.Fatalf("done state lingers: %+v", s)

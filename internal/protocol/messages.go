@@ -19,10 +19,6 @@ const (
 	KindResolved       = "q.resolved"
 
 	KindTxnQuery = "txn.query"
-	// KindQueryBatch coalesces one per-peer timer fire's in-doubt
-	// queries into one frame; the receiver explodes it back into
-	// txn.query events.
-	KindQueryBatch = "query.batch"
 
 	KindRCEExec    = "rce.exec"
 	KindRCEExecAck = "rce.exec.ack"
@@ -74,11 +70,4 @@ type RCEExecMsg struct {
 	TxnID   string
 	Decider string
 	Ops     []*core.OpEntry
-}
-
-// QueryBatchMsg carries the coalesced in-doubt queries of one per-peer
-// timer fire to a single decider (kind query.batch); each entry is
-// one txn.query.
-type QueryBatchMsg struct {
-	TxnIDs []string
 }

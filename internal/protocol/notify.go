@@ -2,7 +2,7 @@ package protocol
 
 // Notifier role: an agent's durable completion record must reach its
 // owner reliably. The record is sent when written, resent on the
-// per-owner timer, and garbage-collected on the owner's ack. Recovery
+// agent's timer, and garbage-collected on the owner's ack. Recovery
 // replays surviving records through DoneRecorded as well — the states
 // and edges are identical for the live and the recovered case.
 
@@ -12,7 +12,7 @@ func (m *Machine) doneRecorded(e DoneRecorded) []Effect {
 	if e.Owner == "" {
 		return effs // unroutable record; nothing to retry against
 	}
-	return append(effs, m.enqueue(timerPeerDone, e.Owner, dueEntry{id: e.AgentID}, m.cfg.RetryInterval)...)
+	return append(effs, m.arm(timerDone, e.AgentID, m.cfg.RetryInterval)...)
 }
 
 // doneAcked garbage-collects the completion record. The record is

@@ -1,5 +1,7 @@
 package protocol
 
+import "strings"
+
 // Observability helpers: pure, allocation-free views of events and
 // machine state for the trace ring. EventInfo names an event and pulls
 // out its subject IDs without the caller type-switching over the event
@@ -57,9 +59,13 @@ func EventInfo(ev Event) (name, txnID, agentID string) {
 	case ReadyReached:
 		return "ReadyReached", "", ""
 	case TimerFired:
-		// The ID names a peer, and the fire concerns many transactions —
-		// no single subject.
-		return "TimerFired", "", ""
+		// The ID names the obligation: "<class>|<txn>", or
+		// "pdone|<agent>".
+		class, id, _ := strings.Cut(e.ID, "|")
+		if class == timerDone {
+			return "TimerFired", "", id
+		}
+		return "TimerFired", id, ""
 	default:
 		return "Event?", "", ""
 	}

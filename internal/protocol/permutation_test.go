@@ -68,7 +68,7 @@ func runRCEPermutation(t *testing.T, seq []byte) {
 
 	outstanding := 0         // ExecBranch effects not yet completed
 	parked := false          // a prepared branch transaction is parked (driver side)
-	timerArmed := false      // pstale|d armed (nothing fires it here, so it stays armed)
+	timerArmed := false      // pstale|co#1 armed (nothing fires it here, so it stays armed)
 	abortSeen := false       // an abort verdict was delivered...
 	abortDuringLife := false // ...while the machine held branch state
 
@@ -82,7 +82,7 @@ func runRCEPermutation(t *testing.T, seq []byte) {
 			case protocol.AbortBranch:
 				parked = false
 			case protocol.ArmTimer:
-				if e.ID == "pstale|d" {
+				if e.ID == "pstale|"+txn {
 					timerArmed = true
 				}
 			}
@@ -198,6 +198,7 @@ func TestRCEAbortOvertakesPrepareEdge(t *testing.T) {
 //	P the prepare reaches d            X / L the prepare is duplicated / lost
 //	T s's worker stops waiting for the outcome and queries d
 //	F p's stale timer fires: p queries d
+//	J d's resend timer fires: d re-sends its commit to p
 //	Q a query reaches d                W d's verdict write completes
 //	O the outcome reaches s            C s settles its branch and sends its mark
 //	V a verdict reaches p              Y / U a verdict to p is duplicated / lost
@@ -228,15 +229,16 @@ func TestDelegatedHandoffPermutations(t *testing.T) {
 		{"", "NSPWDOCR"}, // both
 		{"", "NPXWOCRD"}, // a duplicate around a decider crash and the mark
 
-		{"", "EBANPWVK"},    // with an RCE party: the verdict and its ack
-		{"", "EBANFQPW"},    // the party's stale query racing the prepare: a fence
-		{"", "EBANPWVZ"},    // a party crash at each point
-		{"", "EBANPWKD"},    // a decider crash around its record with parties
-		{"", "EBANPWOS"},    // a source crash at each point
-		{"", "EGBAV"},       // the source gives up: its abort overtakes the execution
-		{"EBA", "NPWYUVK"},  // the verdict to the party duplicated and lost
-		{"EBA", "NPWOCRZ"},  // a party crash around the source's mark
-		{"EBA", "NLTQFQWV"}, // a lost prepare fenced by both queries
+		{"", "EBANPWVK"},     // with an RCE party: the verdict and its ack
+		{"", "EBANFQPW"},     // the party's stale query racing the prepare: a fence
+		{"", "EBANPWVZ"},     // a party crash at each point
+		{"", "EBANPWKD"},     // a decider crash around its record with parties
+		{"", "EBANPWOS"},     // a source crash at each point
+		{"", "EGBAV"},        // the source gives up: its abort overtakes the execution
+		{"EBA", "NPWYUVK"},   // the verdict to the party duplicated and lost
+		{"EBA", "NPWOCRZ"},   // a party crash around the source's mark
+		{"EBANP", "WUOCRJU"}, // the verdict and a resend lost: the resend must outlive the mark
+		{"EBA", "NLTQFQWV"},  // a lost prepare fenced by both queries
 	}
 	runs := 0
 	for _, a := range alphabets {
@@ -506,7 +508,12 @@ func (w *handoffWorld) step(ev byte) bool {
 		if w.parties == nil {
 			return false
 		}
-		w.pApply(w.p.Step(protocol.TimerFired{ID: "pstale|d"}))
+		w.pApply(w.p.Step(protocol.TimerFired{ID: "pstale|" + hoTxn}))
+	case 'J':
+		if w.parties == nil {
+			return false
+		}
+		w.dApply(w.d.Step(protocol.TimerFired{ID: "pctl|" + hoTxn}))
 	case 'Q':
 		m, ok := take(&w.toD, protocol.KindTxnQuery)
 		if !ok {
@@ -617,12 +624,12 @@ func (w *handoffWorld) quiesce() {
 		case w.live && w.verdict == nil:
 			w.step('T')
 		case w.branch:
-			w.sApply(w.s.Step(protocol.TimerFired{ID: "pquery|d"}))
+			w.sApply(w.s.Step(protocol.TimerFired{ID: "pquery|" + hoTxn}))
 		}
-		for _, id := range []string{"pstale|d", "pquery|d"} {
+		for _, id := range []string{"pstale|" + hoTxn, "pquery|" + hoTxn} {
 			w.pApply(w.p.Step(protocol.TimerFired{ID: id}))
 		}
-		w.dApply(w.d.Step(protocol.TimerFired{ID: "pctl|p"}))
+		w.dApply(w.d.Step(protocol.TimerFired{ID: "pctl|" + hoTxn}))
 		if len(w.toS)+len(w.toD)+len(w.toP)+len(w.writes) == 0 && !(w.open && !w.sent) {
 			return
 		}

@@ -86,9 +86,9 @@ type Machine struct {
 	branches map[string]*branch     // RCE branch per transaction
 	done     map[string]string      // undelivered completion: agent → owner
 
-	// scheds holds the coalesced per-(class, peer) timer slots (see
-	// timers.go), keyed by their wheel timer ID "<class>|<peer>".
-	scheds map[string]*peerSched
+	// armed holds the IDs of the obligation timers armed and not yet
+	// fired (timers.go).
+	armed map[string]bool
 
 	transitions int64
 }
@@ -104,7 +104,7 @@ func NewMachine(cfg Config) *Machine {
 		marks:    make(map[string]uint64),
 		branches: make(map[string]*branch),
 		done:     make(map[string]string),
-		scheds:   make(map[string]*peerSched),
+		armed:    make(map[string]bool),
 	}
 }
 
@@ -505,40 +505,4 @@ func seqOf(txnID string) (uint64, bool) {
 	}
 	seq, err := strconv.ParseUint(txnID[i+1:], 10, 64)
 	return seq, err == nil
-}
-
-// --- timer identifiers ------------------------------------------------
-
-// Timer IDs are "<class>|<peer>"; the classes are in timers.go.
-func timerID(class, peer string) string { return class + "|" + peer }
-
-// splitTimerID splits "<class>|<peer>"; ok=false for malformed IDs.
-func splitTimerID(tid string) (class, peer string, ok bool) {
-	i := strings.Index(tid, "|")
-	if i < 0 {
-		return "", "", false
-	}
-	return tid[:i], tid[i+1:], true
-}
-
-// timerFired dispatches an expired timer to its class. A fire whose
-// obligations are all gone (resolved between arm and fire) produces no
-// effects and is not re-armed — timers are one-shot and self-healing.
-func (m *Machine) timerFired(e TimerFired) []Effect {
-	class, peer, ok := splitTimerID(e.ID)
-	if !ok {
-		return nil
-	}
-	switch class {
-	case timerPeerCtl:
-		return m.peerCtlTimer(peer)
-	case timerPeerQuery:
-		return m.peerQueryTimer(peer)
-	case timerPeerStale:
-		return m.peerStaleTimer(peer)
-	case timerPeerDone:
-		return m.peerDoneTimer(peer)
-	default:
-		return nil
-	}
 }

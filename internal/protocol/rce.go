@@ -67,6 +67,11 @@ func (m *Machine) rceExecReceived(e RCEExecReceived) []Effect {
 		return []Effect{execAck(e.From, e.TxnID, false, "node recovering")}
 	case e.Decider == "":
 		return []Effect{execAck(e.From, e.TxnID, false, "no decider named")}
+	case Origin(e.TxnID) == m.cfg.Node:
+		// This node's part of its own transaction is its hand-off branch,
+		// settled as a delegation; a compensating node runs its local
+		// entries inside the transaction and never ships them to itself.
+		return []Effect{execAck(e.From, e.TxnID, false, "own transaction")}
 	}
 	if b, ok := m.branches[e.TxnID]; ok {
 		switch b.state {
@@ -82,8 +87,8 @@ func (m *Machine) rceExecReceived(e RCEExecReceived) []Effect {
 		}
 	}
 	m.branches[e.TxnID] = &branch{state: branchExecuting, replyTo: e.From, decider: e.Decider, ops: int64(len(e.Ops))}
-	// Any queued stale/query entry for the previous incarnation is
-	// filtered lazily at the next per-peer fire.
+	// A stale or query timer of the previous incarnation finds the
+	// branch executing at its next fire, and does nothing.
 	return []Effect{ExecBranch{TxnID: e.TxnID, ReplyTo: e.From, Decider: e.Decider, Ops: e.Ops}}
 }
 
@@ -125,7 +130,7 @@ func (m *Machine) branchPrepared(e BranchPrepared) []Effect {
 	}
 	b.state = branchPrepared
 	effs := []Effect{CountCompOps{N: b.ops}, execAck(b.replyTo, e.TxnID, true, "")}
-	return append(effs, m.enqueue(timerPeerStale, b.decider, dueEntry{id: e.TxnID, aux: auxBranch}, m.cfg.StaleAfter)...)
+	return append(effs, m.arm(timerStale, e.TxnID, m.cfg.StaleAfter)...)
 }
 
 func execAck(to, txnID string, ok bool, reason string) Effect {
@@ -187,6 +192,5 @@ func (m *Machine) recoveredBranch(e RecoveredBranch) []Effect {
 		return nil
 	}
 	m.branches[e.TxnID] = &branch{state: branchInDoubt, decider: e.Decider}
-	effs := m.enqueue(timerPeerQuery, e.Decider, dueEntry{id: e.TxnID, aux: auxBranch}, m.cfg.RetryInterval)
-	return append(m.querySend(e.Decider, []string{e.TxnID}), effs...)
+	return m.query(e.TxnID, e.Decider)
 }

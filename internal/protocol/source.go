@@ -6,7 +6,7 @@ package protocol
 // per transaction:
 //
 //	(absent) --Delegate--> delegated --OutcomeReceived--> (absent)
-//	   delegated --DelegationStale--> delegated + query the decider (pquery)
+//	   delegated --DelegationStale--> delegated + query the decider (pquery|<txn>)
 //	(absent) --RecoveredBranch (own ID)--> recovered --OutcomeReceived--> (absent)
 //
 // A live delegation has a worker waiting: its verdict goes to that
@@ -23,8 +23,12 @@ type delegation struct {
 }
 
 // delegate records the hand-off before its prepare leaves, so an
-// outcome that races back finds it.
+// outcome that races back finds it. Only this node's own transactions
+// are handed off from here; any other is refused at once.
 func (m *Machine) delegate(e Delegate) []Effect {
+	if Origin(e.TxnID) != m.cfg.Node {
+		return []Effect{DeliverAck{Kind: KindOutcome, TxnID: e.TxnID, Err: "not this node's transaction"}}
+	}
 	m.delegs[e.TxnID] = &delegation{decider: e.Decider}
 	return []Effect{SendHandoff{To: e.Decider, Msg: &PrepareMsg{
 		TxnID: e.TxnID, EntryID: e.EntryID, Mark: e.Mark, Parties: e.Parties, Data: e.Data,
@@ -32,9 +36,9 @@ func (m *Machine) delegate(e Delegate) []Effect {
 }
 
 // outcomeReceived routes a verdict by who this node is in the
-// transaction: the source, or an RCE party.
+// transaction: the source of its own, or an RCE party of another's.
 func (m *Machine) outcomeReceived(e OutcomeReceived) []Effect {
-	if _, ok := m.delegs[e.TxnID]; ok || Origin(e.TxnID) == m.cfg.Node {
+	if Origin(e.TxnID) == m.cfg.Node {
 		return m.settleDelegation(e)
 	}
 	return m.partyVerdict(e.TxnID, e.From, e.Committed)
@@ -56,13 +60,13 @@ func (m *Machine) settleDelegation(e OutcomeReceived) []Effect {
 }
 
 // delegationStale starts the in-doubt query cycle of a live hand-off
-// whose outcome is late: ask now, then on the decider's query timer.
+// whose outcome is late: ask now, then on the transaction's query timer.
 func (m *Machine) delegationStale(e DelegationStale) []Effect {
 	d, ok := m.delegs[e.TxnID]
 	if !ok {
 		return nil
 	}
-	return m.queryDecider(e.TxnID, d.decider)
+	return m.query(e.TxnID, d.decider)
 }
 
 // recoveredDelegation replays a crash-surviving branch of this node's
@@ -72,10 +76,5 @@ func (m *Machine) recoveredDelegation(e RecoveredBranch) []Effect {
 		return nil // the live delegation owns it
 	}
 	m.delegs[e.TxnID] = &delegation{decider: e.Decider, recovered: true}
-	return m.queryDecider(e.TxnID, e.Decider)
-}
-
-func (m *Machine) queryDecider(txnID, decider string) []Effect {
-	effs := m.querySend(decider, []string{txnID})
-	return append(effs, m.enqueue(timerPeerQuery, decider, dueEntry{id: txnID, aux: auxDeleg}, m.cfg.RetryInterval)...)
+	return m.query(e.TxnID, e.Decider)
 }

@@ -20,9 +20,10 @@
 //     txn.Lock.Busy) — is passed over when a non-conflicting task is
 //     ready. If every ready task conflicts, the oldest runs anyway: 2PL
 //     serializes it, and workers never starve.
-//   - Bounded admission: at most Workers+Backlog entries are leased at
-//     once, so a deep queue stays on stable storage instead of in memory
-//     (backpressure against unbounded claim slurping).
+//   - Bounded admission: at most 2×Workers entries are leased at once
+//     (every worker busy and as many ready behind them), so a deep queue
+//     stays on stable storage instead of in memory (backpressure against
+//     unbounded claim slurping).
 //   - Abort/retry: a retryable failure (2PL lock conflict, remote ack
 //     timeout, §2's "abort and restart the step transaction") releases
 //     the lease and puts the agent on a RetryDelay cooldown; permanent
@@ -46,12 +47,9 @@ const pollInterval = 50 * time.Millisecond
 
 // Config configures a Pool. Queue and Exec are mandatory.
 type Config struct {
-	// Workers is the number of concurrent step executors (min 1).
+	// Workers is the number of concurrent step executors (min 1). The
+	// pool leases at most 2×Workers entries.
 	Workers int
-	// Backlog is how many claimed-but-not-running tasks the dispatcher
-	// may hold ready beyond the running set — the admission bound is
-	// Workers+Backlog leases. Default: Workers.
-	Backlog int
 	// RetryDelay is the cooldown before a retryable failure is retried.
 	RetryDelay time.Duration
 	// MaxAttempts bounds attempts per container before Fail is called.
@@ -119,9 +117,6 @@ func New(cfg Config) *Pool {
 	}
 	if cfg.Workers < 1 {
 		cfg.Workers = 1
-	}
-	if cfg.Backlog <= 0 {
-		cfg.Backlog = cfg.Workers
 	}
 	if cfg.RetryDelay <= 0 {
 		cfg.RetryDelay = 10 * time.Millisecond
@@ -211,7 +206,7 @@ func (p *Pool) dispatcher() {
 // cooldown expiry).
 func (p *Pool) tryClaim() (bool, time.Duration) {
 	p.mu.Lock()
-	if p.stopped || len(p.ready)+p.running >= p.cfg.Workers+p.cfg.Backlog {
+	if p.stopped || len(p.ready)+p.running >= 2*p.cfg.Workers {
 		p.mu.Unlock()
 		return false, pollInterval
 	}

@@ -200,24 +200,23 @@ func TestPoolMaxAttemptsExhaustion(t *testing.T) {
 	}
 }
 
-// TestPoolConflictAwareDispatch parks the single worker on a filler task
-// while the dispatcher leases one task whose conflict key is busy and one
-// whose key is free; the free one must run first even though the busy one
-// is older.
+// TestPoolConflictAwareDispatch parks both workers on filler tasks while
+// the dispatcher leases one task whose conflict key is busy and one whose
+// key is free; the first worker released must run the free one first even
+// though the busy one is older.
 func TestPoolConflictAwareDispatch(t *testing.T) {
 	h := newHarness()
-	for _, id := range []string{"filler", "old-busy", "young-free"} {
+	for _, id := range []string{"filler-1", "filler-2", "old-busy", "young-free"} {
 		if err := h.queue.Enqueue(id, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	var busy atomic.Bool
 	busy.Store(true)
-	release := make(chan struct{})
+	release := map[string]chan struct{}{"filler-1": make(chan struct{}), "filler-2": make(chan struct{})}
 	var c metrics.Counters
 	p := New(Config{
-		Workers: 1,
-		Backlog: 2,
+		Workers: 2,
 		Queue:   h.queue,
 		Hints: func(e *stable.Entry) []string {
 			switch e.ID {
@@ -230,8 +229,8 @@ func TestPoolConflictAwareDispatch(t *testing.T) {
 		},
 		Busy: func(key string) bool { return key == "k-busy" && busy.Load() },
 		Exec: func(e *stable.Entry, attempt int) error {
-			if e.ID == "filler" {
-				<-release
+			if ch, ok := release[e.ID]; ok {
+				<-ch
 			}
 			if e.ID == "young-free" {
 				busy.Store(false) // lock released before the old task runs
@@ -242,17 +241,19 @@ func TestPoolConflictAwareDispatch(t *testing.T) {
 		Counters: &c,
 	})
 	p.Start()
-	// Wait until both conflict tasks are leased into the ready set, then
-	// let the worker pick.
-	waitFor(t, "backlog leased", func() bool { return h.queue.Claimed() == 3 })
-	close(release)
+	// Wait until both conflict tasks are leased into the ready set behind
+	// the two fillers, then free one worker to pick.
+	waitFor(t, "backlog leased", func() bool { return h.queue.Claimed() == 4 })
+	close(release["filler-1"])
+	waitFor(t, "conflict tasks done", func() bool { return len(h.executed()) == 3 })
+	close(release["filler-2"])
 	waitFor(t, "all done", func() bool {
 		ln, _ := h.queue.Len()
 		return ln == 0
 	})
 	p.Stop()
 	got := h.executed()
-	want := []string{"filler", "young-free", "old-busy"}
+	want := []string{"filler-1", "young-free", "old-busy"}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("execution order = %v, want %v", got, want)
@@ -264,8 +265,8 @@ func TestPoolConflictAwareDispatch(t *testing.T) {
 }
 
 // TestPoolBoundedAdmission checks backpressure: with every worker wedged,
-// the pool leases at most Workers+Backlog entries, leaving the rest on
-// stable storage.
+// the pool leases at most 2×Workers entries, leaving the rest on stable
+// storage.
 func TestPoolBoundedAdmission(t *testing.T) {
 	h := newHarness()
 	const n = 20
@@ -277,7 +278,6 @@ func TestPoolBoundedAdmission(t *testing.T) {
 	release := make(chan struct{})
 	p := New(Config{
 		Workers: 2,
-		Backlog: 3,
 		Queue:   h.queue,
 		Exec: func(e *stable.Entry, attempt int) error {
 			<-release
@@ -285,10 +285,10 @@ func TestPoolBoundedAdmission(t *testing.T) {
 		},
 	})
 	p.Start()
-	waitFor(t, "admission filled", func() bool { return h.queue.Claimed() == 5 })
+	waitFor(t, "admission filled", func() bool { return h.queue.Claimed() == 4 })
 	time.Sleep(20 * time.Millisecond) // give an over-admitting bug time to show
-	if cl := h.queue.Claimed(); cl != 5 {
-		t.Errorf("claimed %d entries, admission bound is 5", cl)
+	if cl := h.queue.Claimed(); cl != 4 {
+		t.Errorf("claimed %d entries, admission bound is 4", cl)
 	}
 	close(release)
 	waitFor(t, "drained", func() bool {
@@ -312,7 +312,6 @@ func TestPoolStopDrains(t *testing.T) {
 	var finished atomic.Bool
 	p := New(Config{
 		Workers: 1,
-		Backlog: 2,
 		Queue:   h.queue,
 		Exec: func(e *stable.Entry, attempt int) error {
 			close(started)
@@ -323,7 +322,7 @@ func TestPoolStopDrains(t *testing.T) {
 	})
 	p.Start()
 	<-started
-	waitFor(t, "backlog leased", func() bool { return h.queue.Claimed() == 3 })
+	waitFor(t, "backlog leased", func() bool { return h.queue.Claimed() == 2 })
 	done := make(chan struct{})
 	go func() {
 		p.Stop()

@@ -30,7 +30,7 @@ const (
 	// OpTransition is one Machine.Step: event in, state edge, effects out.
 	OpTransition Op = iota + 1
 	// OpTimerArm / OpTimerFire follow a protocol timer through the
-	// wheel. Name carries the timer ID ("class|peer").
+	// wheel. Name carries the timer ID ("class|txn", "pdone|agent").
 	OpTimerArm
 	OpTimerFire
 	// OpWireSend / OpWireRecv are one protocol message leaving or
@@ -60,10 +60,6 @@ const (
 	// (Name is start, commit or abort; Agent the agent, A the source, B
 	// the destination, N the container bytes).
 	OpMigrate
-	// OpCtlFlush is one coalesced control-plane GC flush: decision-record
-	// clears and done-record drops from concurrent transitions applied as
-	// a single group commit. N is the number of staged ops in the batch.
-	OpCtlFlush
 	// OpPiggyback is one deferred ack/status frame riding an outbound
 	// batch already headed to its peer instead of flushing its own frame
 	// (Name is the message kind, A the peer, N the payload bytes).
@@ -84,7 +80,6 @@ var opNames = [...]string{
 	OpStable:     "stable",
 	OpMember:     "member",
 	OpMigrate:    "migrate",
-	OpCtlFlush:   "ctl-flush",
 	OpPiggyback:  "piggyback",
 }
 
