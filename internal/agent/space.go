@@ -24,9 +24,9 @@ import (
 var ErrFrozen = errors.New("agent: strongly reversible objects are not accessible during compensation")
 
 // Space is one half of the agent's private data space. Values are stored
-// encoded (wire.EncodeValue: tagged scalars, gob for other types), so a
-// Space snapshot is a deep copy by construction and the container codec
-// carries them as opaque bytes.
+// encoded (wire.EncodeValue: tagged scalars and lists, gob for other
+// types), so a Space snapshot is a deep copy by construction and the
+// container codec carries them as opaque bytes.
 type Space struct {
 	Data map[string][]byte
 

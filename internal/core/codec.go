@@ -10,12 +10,15 @@ import (
 // container (wire.Reader's canonical format; DESIGN.md "Wire format"):
 //
 //	Log    present:bool [ nEntries { kind:byte entry } ]
-//	SP     ID Mode Image:map hasDelta:bool [ Changed:map nDeleted { string } ] Special:bool RefID Auto:bool
-//	BOS    Node Seq
-//	OE     Kind Op Params:map
-//	EOS    Node Seq HasMixed:bool nAlt { string }
+//	SP     ID:name Mode Image:map hasDelta:bool [ Changed:map nDeleted { name } ] Special:bool RefID:name Auto:bool
+//	BOS    Node:name Seq
+//	OE     Kind Op:name Params:map
+//	EOS    Node:name Seq HasMixed:bool nAlt { name }
 //
-// Integers are signed varints, maps are wire.AppendBytesMap.
+// Integers are signed varints, maps are wire.AppendNamedMap. The entries
+// write their names — and their maps' keys — through a table of their
+// own (wire.Names), which starts where the entries start, so
+// EncodedSize is still the entries' bytes inside a container.
 const (
 	kindSP  byte = 1
 	kindBOS byte = 2
@@ -39,36 +42,38 @@ func (l *Log) AppendTo(buf []byte) (out []byte, entriesAt int, err error) {
 }
 
 func (l *Log) appendEntries(buf []byte) ([]byte, error) {
+	names := wire.NewNames()
+	defer names.Release()
 	for i, e := range l.Entries {
 		switch v := e.(type) {
 		case *SavepointEntry:
 			buf = append(buf, kindSP)
-			buf = wire.AppendString(buf, v.ID)
+			buf = names.Append(buf, v.ID)
 			buf = wire.AppendVarint(buf, int64(v.Mode))
-			buf = wire.AppendBytesMap(buf, v.Image)
+			buf = wire.AppendNamedMap(buf, names, v.Image)
 			buf = wire.AppendBool(buf, v.Delta != nil)
 			if v.Delta != nil {
-				buf = wire.AppendBytesMap(buf, v.Delta.Changed)
-				buf = wire.AppendStrings(buf, v.Delta.Deleted)
+				buf = wire.AppendNamedMap(buf, names, v.Delta.Changed)
+				buf = names.AppendList(buf, v.Delta.Deleted)
 			}
 			buf = wire.AppendBool(buf, v.Special)
-			buf = wire.AppendString(buf, v.RefID)
+			buf = names.Append(buf, v.RefID)
 			buf = wire.AppendBool(buf, v.Auto)
 		case *BeginStepEntry:
 			buf = append(buf, kindBOS)
-			buf = wire.AppendString(buf, v.Node)
+			buf = names.Append(buf, v.Node)
 			buf = wire.AppendVarint(buf, int64(v.Seq))
 		case *OpEntry:
 			buf = append(buf, kindOE)
 			buf = wire.AppendVarint(buf, int64(v.Kind))
-			buf = wire.AppendString(buf, v.Op)
-			buf = wire.AppendBytesMap(buf, v.Params)
+			buf = names.Append(buf, v.Op)
+			buf = wire.AppendNamedMap(buf, names, v.Params)
 		case *EndStepEntry:
 			buf = append(buf, kindEOS)
-			buf = wire.AppendString(buf, v.Node)
+			buf = names.Append(buf, v.Node)
 			buf = wire.AppendVarint(buf, int64(v.Seq))
 			buf = wire.AppendBool(buf, v.HasMixed)
-			buf = wire.AppendStrings(buf, v.AltNodes)
+			buf = names.AppendList(buf, v.AltNodes)
 		default:
 			return nil, fmt.Errorf("core: encode: log entry %d is %T", i, e)
 		}
@@ -88,22 +93,23 @@ func ReadLog(r *wire.Reader) *Log {
 	if n == 0 {
 		return l
 	}
+	r.StartNames()
 	l.Entries = make([]Entry, 0, n)
 	for i := 0; i < n && r.Err() == nil; i++ {
 		switch kind := r.Byte(); kind {
 		case kindSP:
-			sp := &SavepointEntry{ID: r.String(), Mode: LogMode(r.Int()), Image: r.BytesMap()}
+			sp := &SavepointEntry{ID: r.Name(), Mode: LogMode(r.Int()), Image: r.NamedMap()}
 			if r.Bool() {
-				sp.Delta = &SRODelta{Changed: r.BytesMap(), Deleted: r.Strings()}
+				sp.Delta = &SRODelta{Changed: r.NamedMap(), Deleted: r.NameList()}
 			}
-			sp.Special, sp.RefID, sp.Auto = r.Bool(), r.String(), r.Bool()
+			sp.Special, sp.RefID, sp.Auto = r.Bool(), r.Name(), r.Bool()
 			l.Entries = append(l.Entries, sp)
 		case kindBOS:
-			l.Entries = append(l.Entries, &BeginStepEntry{Node: r.String(), Seq: r.Int()})
+			l.Entries = append(l.Entries, &BeginStepEntry{Node: r.Name(), Seq: r.Int()})
 		case kindOE:
-			l.Entries = append(l.Entries, &OpEntry{Kind: OpKind(r.Int()), Op: r.String(), Params: r.BytesMap()})
+			l.Entries = append(l.Entries, &OpEntry{Kind: OpKind(r.Int()), Op: r.Name(), Params: r.NamedMap()})
 		case kindEOS:
-			l.Entries = append(l.Entries, &EndStepEntry{Node: r.String(), Seq: r.Int(), HasMixed: r.Bool(), AltNodes: r.Strings()})
+			l.Entries = append(l.Entries, &EndStepEntry{Node: r.Name(), Seq: r.Int(), HasMixed: r.Bool(), AltNodes: r.NameList()})
 		default:
 			r.Fail("log entry kind 0x%02x", kind)
 		}

@@ -165,7 +165,7 @@ func TestFig6PinsLogSizes(t *testing.T) {
 	if _, err := fmt.Sscan(tab.Rows[1][3], &transition); err != nil {
 		t.Fatal(err)
 	}
-	if ratio := fmt.Sprintf("%.3f", transition/state); ratio != "0.091" {
-		t.Errorf("transition/state peak log ratio = %s, want 0.091", ratio)
+	if ratio := fmt.Sprintf("%.3f", transition/state); ratio != "0.087" {
+		t.Errorf("transition/state peak log ratio = %s, want 0.087", ratio)
 	}
 }

@@ -11,9 +11,12 @@ import (
 // canonical format; DESIGN.md "Wire format"):
 //
 //	Itinerary  present:bool [ nSubs { Sub } ]
-//	Sub        ID AnyOrder:bool nEntries { kind:byte (Step | Sub) }
-//	Step       Method Loc nAlt { string }
+//	Sub        ID:name AnyOrder:bool nEntries { kind:byte (Step | Sub) }
+//	Step       Method:name Loc:name nAlt { name }
 //	Cursor     Done:bool nPath { varint }
+//
+// An itinerary writes its names through a table of its own (wire.Names),
+// so a method or node that recurs costs a back-reference.
 const (
 	kindStep byte = 1
 	kindSub  byte = 2
@@ -32,38 +35,40 @@ func (it *Itinerary) AppendTo(buf []byte) ([]byte, error) {
 	if it == nil {
 		return wire.AppendBool(buf, false), nil
 	}
+	names := wire.NewNames()
+	defer names.Release()
 	buf = wire.AppendBool(buf, true)
 	buf = wire.AppendUvarint(buf, uint64(len(it.Subs)))
 	for _, sub := range it.Subs {
 		var err error
-		if buf, err = appendSub(buf, sub, 1); err != nil {
+		if buf, err = appendSub(buf, names, sub, 1); err != nil {
 			return nil, err
 		}
 	}
 	return buf, nil
 }
 
-func appendSub(buf []byte, sub *Sub, depth int) ([]byte, error) {
+func appendSub(buf []byte, names *wire.Names, sub *Sub, depth int) ([]byte, error) {
 	if sub == nil {
 		return nil, fmt.Errorf("itinerary: encode: nil sub-itinerary")
 	}
 	if depth > maxDepth {
 		return nil, fmt.Errorf("itinerary: encode: sub-itinerary %q nested deeper than %d", sub.ID, maxDepth)
 	}
-	buf = wire.AppendString(buf, sub.ID)
+	buf = names.Append(buf, sub.ID)
 	buf = wire.AppendBool(buf, sub.AnyOrder)
 	buf = wire.AppendUvarint(buf, uint64(len(sub.Entries)))
 	for _, e := range sub.Entries {
 		switch v := e.(type) {
 		case Step:
 			buf = append(buf, kindStep)
-			buf = wire.AppendString(buf, v.Method)
-			buf = wire.AppendString(buf, v.Loc)
-			buf = wire.AppendStrings(buf, v.Alt)
+			buf = names.Append(buf, v.Method)
+			buf = names.Append(buf, v.Loc)
+			buf = names.AppendList(buf, v.Alt)
 		case *Sub:
 			buf = append(buf, kindSub)
 			var err error
-			if buf, err = appendSub(buf, v, depth+1); err != nil {
+			if buf, err = appendSub(buf, names, v, depth+1); err != nil {
 				return nil, err
 			}
 		default:
@@ -79,6 +84,7 @@ func ReadItinerary(r *wire.Reader) *Itinerary {
 	if !r.Bool() {
 		return nil
 	}
+	r.StartNames()
 	it := &Itinerary{}
 	// A sub costs at least its ID length, order flag and entry count.
 	if n := r.Count(3); n > 0 {
@@ -95,7 +101,7 @@ func readSub(r *wire.Reader, depth int) *Sub {
 		r.Fail("sub-itinerary nested deeper than %d", maxDepth)
 		return nil
 	}
-	sub := &Sub{ID: r.String(), AnyOrder: r.Bool()}
+	sub := &Sub{ID: r.Name(), AnyOrder: r.Bool()}
 	// An entry costs at least its kind byte and three length bytes.
 	n := r.Count(4)
 	if n == 0 {
@@ -105,7 +111,7 @@ func readSub(r *wire.Reader, depth int) *Sub {
 	for i := 0; i < n && r.Err() == nil; i++ {
 		switch kind := r.Byte(); kind {
 		case kindStep:
-			sub.Entries = append(sub.Entries, Step{Method: r.String(), Loc: r.String(), Alt: r.Strings()})
+			sub.Entries = append(sub.Entries, Step{Method: r.Name(), Loc: r.Name(), Alt: r.NameList()})
 		case kindSub:
 			sub.Entries = append(sub.Entries, readSub(r, depth+1))
 		default:

@@ -286,26 +286,26 @@ func randBytes(rng *rand.Rand, n int) []byte {
 	return b
 }
 
-// TestContainerReadsParentEpoch: a container whose reserved slot holds a
-// migration epoch, as commit c1c7f14 wrote it for an agent it moved,
-// decodes to the same agent as today's encoding, which writes the slot
-// as 0.
-func TestContainerReadsParentEpoch(t *testing.T) {
-	old := fixture(t, "container-epoch-c1c7f14.bin")
-	got, err := DecodeContainer(old)
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestContainerRefusesRetiredLayout: a container in the 0x11 layout — as
+// commit 4840178 wrote it, names in full and a reserved varint after SpID,
+// or as commit c1c7f14 wrote it with a migration epoch in that slot — is
+// ErrCorrupt, and the same agent in today's layout is smaller.
+func TestContainerRefusesRetiredLayout(t *testing.T) {
 	want, err := EncodeContainer(sampleContainers(t)["forward"])
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := EncodeContainer(got)
-	if err != nil || !bytes.Equal(again, want) {
-		t.Fatalf("c1c7f14 container re-encodes as %x, %v; want %x", again, err, want)
-	}
-	if bytes.Equal(old, want) {
-		t.Fatal("fixture holds no epoch")
+	for _, name := range []string{"container-4840178.bin", "container-epoch-c1c7f14.bin"} {
+		old := fixture(t, name)
+		if !isRetiredContainer(old) {
+			t.Fatalf("%s is no 0x11 container", name)
+		}
+		if _, err := DecodeContainer(old); !errors.Is(err, wire.ErrCorrupt) {
+			t.Errorf("%s: %v, want ErrCorrupt", name, err)
+		}
+		if len(want) >= len(old) {
+			t.Errorf("%s: %d bytes, today's layout %d; want it smaller", name, len(old), len(want))
+		}
 	}
 }
 
@@ -396,7 +396,7 @@ func FuzzContainerRoundTrip(f *testing.F) {
 	for _, data := range corpusSeeds(f) {
 		f.Add(data)
 	}
-	f.Add(fixture(f, "container-epoch-c1c7f14.bin"))
+	f.Add(fixture(f, "container-4840178.bin"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var c *Container
 		var err error
@@ -411,28 +411,16 @@ func FuzzContainerRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted container does not encode: %v", err)
 		}
-		if want := zeroReserved(data); !bytes.Equal(again, want) {
-			t.Fatalf("accepted container re-encodes differently:\n in  %x\n out %x", want, again)
+		if !bytes.Equal(again, data) {
+			t.Fatalf("accepted container re-encodes differently:\n in  %x\n out %x", data, again)
 		}
 	})
 }
 
-// zeroReserved returns a well-formed container with its reserved varint
-// written as 0: the bytes EncodeContainer writes for what it decodes to.
-func zeroReserved(data []byte) []byte {
-	b, _ := wire.Body(data, typeContainer)
-	r := wire.NewReader(b)
-	_, _ = r.Int(), r.String()
-	rest := r.Rest()
-	r = wire.NewReader(rest)
-	r.Varint()
-	out := append([]byte{}, data[:len(data)-len(rest)]...)
-	return append(append(out, 0), r.Rest()...)
-}
-
 // corpusSeeds names the fuzz seeds: every sample container, the rollback
-// container truncated, and it again with its sub, map and log-entry counts
-// inflated past anything the input could hold.
+// container truncated, it again with its sub, map and log-entry counts
+// inflated past anything the input could hold, and the name-table faults
+// of nameSeeds.
 func corpusSeeds(t testing.TB) map[string][]byte {
 	seeds := make(map[string][]byte)
 	for name, c := range sampleContainers(t) {
@@ -466,7 +454,33 @@ func corpusSeeds(t testing.TB) map[string][]byte {
 	seeds["inflated-subs"] = inflateCount(rb, subs)
 	seeds["inflated-map"] = inflateCount(rb, wro)
 	seeds["inflated-log"] = inflateCount(rb, entries)
+	for name, pair := range nameSeeds(seeds["bare"]) {
+		seeds[name] = pair[0]
+	}
 	return seeds
+}
+
+// nameSeeds pairs each name-table fault with the same bytes made well
+// formed, both spliced into the bare container (an agent with every field
+// zero) in place of its absent itinerary or log: a reference past the
+// table, a reference before any inline name, a name written inline twice,
+// and a reference that puts a map's keys out of order.
+func nameSeeds(bare []byte) map[string][2][]byte {
+	// The bare agent ends Itinerary WRO SRO Log, each one absent byte.
+	itin := func(b ...byte) []byte {
+		out := append(append([]byte{}, bare[:len(bare)-4]...), b...)
+		return append(out, bare[len(bare)-3:]...)
+	}
+	log := func(b ...byte) []byte { return append(append([]byte{}, bare[:len(bare)-1]...), b...) }
+	// Itineraries: present, two subs (or one), each an ID, an order flag
+	// and no entries. The log: present, one OE (kind 3) of kind 0 named
+	// "a", with two parameters whose second key is the fault.
+	return map[string][2][]byte{
+		"name-ref-out-of-range":     {itin(1, 2, 2, 'a', 0, 0, 3, 0, 0), itin(1, 2, 2, 'a', 0, 0, 1, 0, 0)},
+		"name-ref-before-inline":    {itin(1, 1, 1, 0, 0), itin(1, 1, 0, 0, 0)},
+		"name-inline-repeat":        {itin(1, 2, 2, 'a', 0, 0, 2, 'a', 0, 0), itin(1, 2, 2, 'a', 0, 0, 2, 'b', 0, 0)},
+		"name-ref-breaks-key-order": {log(1, 1, 3, 0, 2, 'a', 3, 2, 'b', 0, 1, 0), log(1, 1, 3, 0, 2, 'a', 3, 2, 'b', 0, 2, 'c', 0)},
+	}
 }
 
 var updateCorpus = os.Getenv("UPDATE_CORPUS") != ""
@@ -480,7 +494,13 @@ func TestContainerCorpusCurrent(t *testing.T) {
 	seeds := corpusSeeds(t)
 	checkCorpus(t, "FuzzContainerRoundTrip", seeds)
 	checkCorpus(t, "FuzzAnnounce", announceSeeds())
-	for _, name := range []string{"inflated-subs", "inflated-map", "inflated-log", "truncated", "trailing"} {
+	for name, pair := range nameSeeds(seeds["bare"]) {
+		if _, err := DecodeContainer(pair[1]); err != nil {
+			t.Errorf("seed %s made well formed: %v", name, err)
+		}
+	}
+	for _, name := range []string{"inflated-subs", "inflated-map", "inflated-log", "truncated", "trailing",
+		"name-ref-out-of-range", "name-ref-before-inline", "name-inline-repeat", "name-ref-breaks-key-order"} {
 		if _, err := DecodeContainer(seeds[name]); !errors.Is(err, wire.ErrCorrupt) {
 			t.Errorf("seed %s: %v, want ErrCorrupt", name, err)
 		}
@@ -590,5 +610,93 @@ func TestAnnounceRoundTrip(t *testing.T) {
 		if err := new(announceMsg).DecodeFrom(seeds[name]); !errors.Is(err, wire.ErrCorrupt) {
 			t.Errorf("%s announce: %v, want ErrCorrupt", name, err)
 		}
+	}
+}
+
+// TestContainerLogBytesMatchEncodedSize: the log size a container encode
+// reports is core.Log.EncodedSize, for every sample container — the name
+// table of the log starts where its entries start, so the two agree.
+func TestContainerLogBytesMatchEncodedSize(t *testing.T) {
+	samples := sampleContainers(t)
+	samples["tour-forward-step8"] = tourForwardStep8(t)
+	for name, c := range samples {
+		_, logBytes, err := encodeContainer(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 0
+		if c.Agent != nil && c.Agent.Log != nil {
+			if want, err = c.Agent.Log.EncodedSize(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if logBytes != want {
+			t.Errorf("%s: encode reports %d log bytes, EncodedSize %d", name, logBytes, want)
+		}
+	}
+}
+
+// tourForwardStep8 builds the container a tour-forward agent ships after
+// its eighth step: bench's tour shape — eight bench.work steps round-robin
+// over four nodes, then bench.decide — under state logging, with the even
+// steps logging one mixed entry and the odd ones a resource and an agent
+// entry, as the runtime appends them (node.process).
+func tourForwardStep8(t testing.TB) *Container {
+	t.Helper()
+	node := func(i int) string { return fmt.Sprintf("n%d", i%4) }
+	sub := &itinerary.Sub{ID: "tour"}
+	for i := 0; i < 8; i++ {
+		sub.Entries = append(sub.Entries, itinerary.Step{Method: "bench.work", Loc: node(1 + i)})
+	}
+	sub.Entries = append(sub.Entries, itinerary.Step{Method: "bench.decide", Loc: node(1)})
+	it, err := itinerary.New(sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, entered, err := agent.NewAt("o0-000001", "", it, node(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.WRO.Set("bank", "bank3"); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.WRO.Set("mixed", 0b01010101); err != nil {
+		t.Fatal(err)
+	}
+	if err := AppendInitialSavepoints(a, entered, core.StateLogging); err != nil {
+		t.Fatal(err)
+	}
+	for seq := 0; seq < 8; seq++ {
+		here, mixed := node(1+seq), seq%2 == 0
+		a.Log.Append(&core.BeginStepEntry{Node: here, Seq: seq})
+		if mixed {
+			a.Log.Append(&core.OpEntry{Kind: core.OpMixed, Op: "bench.comp.mixed", Params: core.NewParams().Set("bank", "bank3").Set("id", a.ID)})
+		} else {
+			a.Log.Append(&core.OpEntry{Kind: core.OpResource, Op: "bench.comp.resource", Params: core.NewParams().Set("bank", "bank3").Set("id", a.ID)})
+			a.Log.Append(&core.OpEntry{Kind: core.OpAgent, Op: "bench.comp.agent", Params: core.NewParams().Set("id", a.ID)})
+		}
+		a.Log.Append(&core.EndStepEntry{Node: here, Seq: seq, HasMixed: mixed})
+		a.StepSeq = seq + 1
+		move, err := a.Itin.AdvanceHook(a.Cursor, itinerary.LocalityOrder(here))
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.Cursor = move.Next
+	}
+	return &Container{Mode: ModeStep, Agent: a}
+}
+
+// TestTourForwardContainerSize pins what a tour-forward agent carries
+// after its eighth step: 648 bytes, 524 of them log. Commit 4840178, which
+// wrote every name in full, encoded the same agent in 1 037 bytes, 832 of
+// them log. A change here changes wire_kb_per_agent; re-pin it with the
+// new number's reason.
+func TestTourForwardContainerSize(t *testing.T) {
+	data, logBytes, err := encodeContainer(tourForwardStep8(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data) != 648 || logBytes != 524 {
+		t.Errorf("step-8 tour-forward container: %d bytes, %d of them log; want 648 and 524", len(data), logBytes)
 	}
 }

@@ -222,8 +222,10 @@ func TestGarbageAtQueueHeadIsDropped(t *testing.T) {
 // insertion commit e4fe5c0 kept with its container under q/s/, the
 // marker of a prepared insertion commit 6471191 kept under q/s/, the
 // coin-list till of commit 1b58917's shop, the gob resource records and
-// branch records of commit 60b3006, and a coordinator's decision record
-// and a coordinator-decided (0x38) branch of commit a03745a (testdata,
+// branch records of commit 60b3006, a coordinator's decision record and
+// a coordinator-decided (0x38) branch of commit a03745a, and a 0x11
+// container as commits 4840178 and c1c7f14 wrote it, queued or in a
+// completion record (testdata,
 // generated at those commits; the resource records live in
 // internal/resource, the branches in internal/txn). A queue entry,
 // resource record or branch of other garbage does not, and neither does
@@ -309,6 +311,18 @@ func TestRefusesGobContainers(t *testing.T) {
 				return s.Apply(stable.Put("txn/decision/co#7", fixture(t, "decision-record-a03745a.bin")))
 			},
 			[]string{"a03745a", `"co#7"`}},
+		"container-0x11-4840178": {
+			func(s stable.Store) error { return queue(s).Enqueue("fwd", fixture(t, "container-4840178.bin")) },
+			[]string{"4840178", `"fwd"`, "0x11"}},
+		"container-epoch-c1c7f14": {
+			func(s stable.Store) error { return queue(s).Enqueue("fwd", fixture(t, "container-epoch-c1c7f14.bin")) },
+			[]string{"4840178", `"fwd"`, "0x11"}},
+		"done-record-0x11": {
+			func(s stable.Store) error {
+				rec := appendDoneRec("owner", &doneMsg{AgentID: "fwd", Data: fixture(t, "container-4840178.bin")})
+				return s.Apply(stable.Put("done/fwd", rec))
+			},
+			[]string{"4840178", `"fwd"`, "0x11"}},
 		"branch-0x38-a03745a": {
 			func(s stable.Store) error {
 				return s.Apply(stable.Put("txn/branch/co#7", fixture(t, "../../txn/testdata/branch-0x38-a03745a.bin")))

@@ -42,25 +42,28 @@ type Container struct {
 // Binary type bytes of the node-runtime partition 0x10–0x1F (the
 // protocol messages own 0x01–0x0F); never reuse a value.
 const (
-	typeDone      = 0x10 // doneMsg
-	typeContainer = 0x11 // Container
-	typeLaunch    = 0x12 // launchMsg
-	typeDoneRec   = 0x13 // durable completion record (stable storage only)
-	typeAnnounce  = 0x14 // announceMsg
+	typeDone = 0x10 // doneMsg
+	// typeRetiredContainer is the container layout up to commit 4840178:
+	// names written in full, a reserved varint after SpID. refuseOlderLayout
+	// refuses a store that holds one.
+	typeRetiredContainer = 0x11
+	typeLaunch           = 0x12 // launchMsg
+	typeDoneRec          = 0x13 // durable completion record (stable storage only)
+	typeAnnounce         = 0x14 // announceMsg
+	typeContainer        = 0x15 // Container
 )
 
 // EncodeContainer serializes a container for queue storage / transfer:
 //
-//	0x90 0x11 | Mode SpID Reserved | agent head | WRO SRO Log
+//	0x90 0x15 | Mode SpID | agent head | WRO SRO Log
 //
-// with the agent part as agent.Agent.AppendTo writes it. Reserved is a
-// varint written as 0 and read and discarded: up to commit c1c7f14 it was
-// the migration epoch, which moved containers carried non-zero, so every
-// container that build wrote still reads as the same agent. Map keys are
-// written in sorted order, so equal containers give equal bytes. This is
-// the only container format; the gob encoding it replaced (last read by
-// commit 5015b40) is refused at node start, see refuseOlderLayout. The
-// result is an exact-size copy out of a pooled scratch buffer.
+// with the agent part as agent.Agent.AppendTo writes it; the itinerary and
+// the log each write their names through a table of their own. Map keys
+// are written in sorted order, so equal containers give equal bytes. This
+// is the only container format: the 0x11 layout it replaced (last read by
+// commit 4840178) and the gob encoding before that (last read by commit
+// 5015b40) are refused at node start, see refuseOlderLayout. The result is
+// an exact-size copy out of a pooled scratch buffer.
 func EncodeContainer(c *Container) ([]byte, error) {
 	data, _, err := encodeContainer(c)
 	return data, err
@@ -75,7 +78,6 @@ func encodeContainer(c *Container) (data []byte, logBytes int, err error) {
 	buf := append((*scratch)[:0], wire.BinaryVersion, typeContainer)
 	buf = wire.AppendVarint(buf, int64(c.Mode))
 	buf = wire.AppendString(buf, c.SpID)
-	buf = wire.AppendVarint(buf, 0) // reserved
 	buf, logAt, err := c.Agent.AppendTo(buf)
 	if err != nil {
 		return nil, 0, fmt.Errorf("node: encode container: %w", err)
@@ -93,9 +95,13 @@ func containerHead(data []byte) (*Container, *wire.Reader, error) {
 		return nil, nil, err
 	}
 	r := wire.NewReader(b)
-	c := &Container{Mode: Mode(r.Int()), SpID: r.String()}
-	r.Varint() // reserved
-	return c, r, nil
+	return &Container{Mode: Mode(r.Int()), SpID: r.String()}, r, nil
+}
+
+// isRetiredContainer reports whether data is a container in the 0x11
+// layout.
+func isRetiredContainer(data []byte) bool {
+	return len(data) >= 2 && data[0] == wire.BinaryVersion && data[1] == typeRetiredContainer
 }
 
 // DecodeContainer deserializes a container; anything but exactly one

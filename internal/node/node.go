@@ -234,6 +234,13 @@ func New(cfg Config, ep network.Endpoint, store stable.Store, registry *agent.Re
 	return n, nil
 }
 
+// doneHoldsRetiredContainer reports whether a completion record carries a
+// container in the 0x11 layout.
+func doneHoldsRetiredContainer(raw []byte) bool {
+	_, msg, err := readDoneRec(raw)
+	return err == nil && isRetiredContainer(msg.Data)
+}
+
 // retiredDecisionPrefix keyed a coordinator's commit decision records,
 // which the RCE branches of a compensation asked; refuseOlderLayout
 // refuses a data directory that holds one.
@@ -249,8 +256,10 @@ const retiredDecisionPrefix = "txn/decision/"
 // container), shops whose till is a coin list (before it was a balance),
 // gob resource state and branch records (before their binary records),
 // and a coordinator's decision records and the branches it decided
-// (0x38; before every distributed transaction had one decider). Left to
-// the runtime the first two would decode as a corrupt
+// (0x38; before every distributed transaction had one decider), and
+// containers in the 0x11 layout, queued or in a completion record (before
+// the itinerary and the log wrote their names through a table). Left to
+// the runtime the first two and the last would decode as a corrupt
 // container and be dropped as poisoned (failAgent), a prepared insertion
 // is an entry this queue shows at once although its coordinator may
 // abort it — an agent run twice — or, carrying its container, one never
@@ -267,6 +276,7 @@ func refuseOlderLayout(node string, store stable.Store, queue *stable.Queue) err
 		return fmt.Errorf("node %s: %s %q %s: this data directory was written by an older runtime; %s is the last commit that reads it (finish or drain its agents there)", node, what, name, how, commit)
 	}
 	const gob = "is gob-encoded"
+	const retiredLayout = "writes its names in full (container type 0x11)"
 	err := queue.Each(func(key, id string, data []byte) error {
 		switch {
 		case id == "" && stable.IsRetiredStagedRecord(data):
@@ -278,6 +288,8 @@ func refuseOlderLayout(node string, store stable.Store, queue *stable.Queue) err
 			return refuse("queued container of agent", id, gob, "5015b40")
 		case strings.HasPrefix(key, "q/s/"):
 			return refuse("prepared insertion", key, "hides a queue entry until its coordinator decides", "6471191")
+		case isRetiredContainer(data):
+			return refuse("queued container of agent", id, retiredLayout, "4840178")
 		}
 		return nil
 	})
@@ -308,6 +320,8 @@ func refuseOlderLayout(node string, store stable.Store, queue *stable.Queue) err
 				return err
 			case recs.prefix == resource.KeyPrefix && resource.IsRetiredShopRecord(raw):
 				return refuse("shop record", k, "holds a coin-list till", "1b58917")
+			case recs.prefix == donePrefix && doneHoldsRetiredContainer(raw):
+				return refuse(recs.what, name, retiredLayout, "4840178")
 			case recs.prefix == retiredDecisionPrefix:
 				return refuse(recs.what, name, "is a coordinator's commit decision", recs.commit)
 			case recs.prefix == txn.BranchPrefix && txn.IsRetiredBranchRecord(raw):

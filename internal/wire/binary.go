@@ -136,6 +136,12 @@ func AppendStrings(buf []byte, ss []string) []byte {
 // nil and empty stay distinct across a round trip, as gob keeps them: 0
 // is nil, n+1 is n entries.
 func AppendBytesMap[M ~map[string][]byte](buf []byte, m M) []byte {
+	return appendMap(buf, nil, m)
+}
+
+// appendMap writes a bytes map with its keys as plain strings, or through
+// names when there is a table.
+func appendMap[M ~map[string][]byte](buf []byte, names *Names, m M) []byte {
 	if m == nil {
 		return append(buf, 0)
 	}
@@ -146,7 +152,11 @@ func AppendBytesMap[M ~map[string][]byte](buf []byte, m M) []byte {
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		buf = AppendString(buf, k)
+		if names != nil {
+			buf = names.Append(buf, k)
+		} else {
+			buf = AppendString(buf, k)
+		}
 		buf = AppendBytes(buf, m[k])
 	}
 	return buf
@@ -177,11 +187,13 @@ func PutScratch(p *[]byte) {
 // the end (Done).
 //
 // A Reader accepts only the canonical encoding — minimal varints, bool
-// bytes 0 and 1, strictly ascending map keys — so whatever it accepts
-// re-encodes to the same bytes. []byte values alias the input.
+// bytes 0 and 1, strictly ascending map keys, each name inline once (see
+// Names) — so whatever it accepts re-encodes to the same bytes. []byte
+// values alias the input.
 type Reader struct {
-	b   []byte
-	err error
+	b     []byte
+	err   error
+	names Names // the table of the part being read (StartNames)
 }
 
 // NewReader returns a Reader over b.
@@ -313,7 +325,9 @@ func (r *Reader) Strings() []string {
 
 // BytesMap consumes a map written by AppendBytesMap. Values alias the
 // input.
-func (r *Reader) BytesMap() map[string][]byte {
+func (r *Reader) BytesMap() map[string][]byte { return r.bytesMap(false) }
+
+func (r *Reader) bytesMap(named bool) map[string][]byte {
 	shifted := r.Uvarint()
 	if shifted == 0 {
 		return nil
@@ -327,7 +341,12 @@ func (r *Reader) BytesMap() map[string][]byte {
 	m := make(map[string][]byte, n)
 	prev := ""
 	for i := 0; i < n && r.err == nil; i++ {
-		k := r.String()
+		var k string
+		if named {
+			k = r.Name()
+		} else {
+			k = r.String()
+		}
 		if i > 0 && k <= prev {
 			r.Fail("map key %q out of order", k)
 			break

@@ -4,14 +4,17 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 )
 
 // The value codec: the one encoding of user-defined values — data-space
 // objects (agent.Space) and compensation parameters (core.Params). The
 // runtime carries such a value as opaque bytes; only EncodeValue and
-// DecodeValue look inside. The scalar kinds that dominate both (§4.4.1
+// DecodeValue look inside. The kinds that dominate both (§4.4.1
 // operation entries carry small named values such as account names and
-// amounts) are written under a one-byte tag, every other type as gob.
+// amounts; steps keep flags, counters and lists) are written under a
+// one-byte tag, and only user structs and other types as gob: a gob
+// decoder compiles the value's type afresh for every standalone value.
 //
 // A gob stream begins with the message byte count encoded as gob's
 // unsigned varint: a single byte below 0x80, or a negated-length byte in
@@ -27,6 +30,15 @@ const (
 	TagString = 0x82
 	// TagBytes prefixes a raw byte slice.
 	TagBytes = 0x83
+	// TagBool prefixes one byte, 0 or 1.
+	TagBool = 0x84
+	// TagFloat64 prefixes the eight little-endian bytes of a float64.
+	TagFloat64 = 0x85
+	// TagInts prefixes a shifted count (0 nil, n+1 n elements) of signed
+	// varints: []int and []int64.
+	TagInts = 0x86
+	// TagStrings prefixes a shifted count of length-prefixed strings.
+	TagStrings = 0x87
 )
 
 // Tagged reports whether data begins with an out-of-band scalar tag (i.e.
@@ -86,8 +98,9 @@ func gobUint(b []byte) (uint64, []byte, bool) {
 	return v, b[1+n:], true
 }
 
-// EncodeValue encodes one user-defined value: int, int64, string and
-// []byte as tagged scalars, every other type as gob.
+// EncodeValue encodes one user-defined value: int, int64, string, []byte,
+// bool, float64, []int, []int64 and []string under their tags, every other
+// type as gob.
 func EncodeValue(v any) ([]byte, error) {
 	switch x := v.(type) {
 	case int64:
@@ -98,40 +111,98 @@ func EncodeValue(v any) ([]byte, error) {
 		return EncodeString(x), nil
 	case []byte:
 		return EncodeBytes(x), nil
+	case bool:
+		return AppendBool([]byte{TagBool}, x), nil
+	case float64:
+		return binary.LittleEndian.AppendUint64(append(make([]byte, 0, 9), TagFloat64), math.Float64bits(x)), nil
+	case []int:
+		return appendList(TagInts, x, func(buf []byte, i int) []byte { return AppendVarint(buf, int64(i)) }), nil
+	case []int64:
+		return appendList(TagInts, x, AppendVarint), nil
+	case []string:
+		return appendList(TagStrings, x, AppendString), nil
 	}
 	return Encode(v)
 }
 
+// appendList writes a tagged list with its count shifted by one, so nil
+// and empty stay distinct.
+func appendList[T any](tag byte, list []T, add func([]byte, T) []byte) []byte {
+	if list == nil {
+		return []byte{tag, 0}
+	}
+	buf := AppendUvarint(make([]byte, 1, 2+2*len(list)), uint64(len(list))+1)
+	buf[0] = tag
+	for _, v := range list {
+		buf = add(buf, v)
+	}
+	return buf
+}
+
+// readList reads a list written by appendList: nil for a zero count.
+func readList[T any](r *Reader, read func() T) []T {
+	shifted := r.Uvarint()
+	if shifted == 0 {
+		return nil
+	}
+	// Each element costs at least one byte.
+	if shifted-1 > uint64(len(r.b)) {
+		r.Fail("list of %d elements exceeds buffer", shifted-1)
+		return nil
+	}
+	list := make([]T, shifted-1)
+	for i := range list {
+		list[i] = read()
+	}
+	return list
+}
+
 // DecodeValue decodes a value produced by EncodeValue into out (a non-nil
-// pointer). A tagged scalar decodes only into its own kind (int and int64
-// interchangeably); anything else is an error, never a misdecode.
+// pointer). A tagged value decodes only into its own kind (int and int64
+// interchangeably, []int and []int64 likewise), and only from its one
+// canonical encoding; anything else is an error, never a misdecode.
 func DecodeValue(data []byte, out any) error {
 	if !Tagged(data) {
 		return Decode(data, out)
 	}
+	tag, r := data[0], &Reader{b: data[1:]}
+	var ok bool
 	switch o := out.(type) {
 	case *int64:
-		if v, ok := DecodeInt64(data); ok {
-			*o = v
-			return nil
-		}
+		ok = tag == TagInt64 && store(r, o, r.Varint())
 	case *int:
-		if v, ok := DecodeInt64(data); ok {
-			*o = int(v)
-			return nil
-		}
+		ok = tag == TagInt64 && store(r, o, r.Int())
 	case *string:
-		if v, ok := DecodeString(data); ok {
-			*o = v
-			return nil
-		}
+		ok = tag == TagString && store(r, o, string(r.Rest()))
 	case *[]byte:
-		if v, ok := DecodeBytes(data); ok {
-			*o = v
-			return nil
-		}
+		ok = tag == TagBytes && store(r, o, append([]byte{}, r.Rest()...))
+	case *bool:
+		ok = tag == TagBool && store(r, o, r.Bool())
+	case *float64:
+		ok = tag == TagFloat64 && len(data) == 9 && store(r, o, math.Float64frombits(binary.LittleEndian.Uint64(r.Rest())))
+	case *[]int:
+		ok = tag == TagInts && store(r, o, readList(r, r.Int))
+	case *[]int64:
+		ok = tag == TagInts && store(r, o, readList(r, r.Varint))
+	case *[]string:
+		ok = tag == TagStrings && store(r, o, readList(r, r.String))
 	}
-	return fmt.Errorf("wire: cannot decode tagged scalar 0x%02x into %T", data[0], out)
+	if ok {
+		return nil
+	}
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("wire: decode %T: %w", out, err)
+	}
+	return fmt.Errorf("wire: cannot decode tagged value 0x%02x into %T", tag, out)
+}
+
+// store sets *o to v once r has parsed its whole input.
+func store[T any](r *Reader, o *T, v T) bool {
+	if r.Done() != nil {
+		return false
+	}
+	*o = v
+	return true
 }
 
 // EncodeInt64 encodes v as a tagged signed varint.
@@ -143,16 +214,14 @@ func EncodeInt64(v int64) []byte {
 }
 
 // DecodeInt64 decodes a value produced by EncodeInt64. ok is false when
-// data is not a tagged int64 (the caller should fall back to gob).
+// data is not a tagged int64 in its one canonical encoding.
 func DecodeInt64(data []byte) (v int64, ok bool) {
 	if len(data) < 2 || data[0] != TagInt64 {
 		return 0, false
 	}
-	v, n := binary.Varint(data[1:])
-	if n <= 0 || 1+n != len(data) {
-		return 0, false
-	}
-	return v, true
+	r := Reader{b: data[1:]}
+	v = r.Varint()
+	return v, r.Done() == nil
 }
 
 // EncodeString encodes s as tagged raw bytes.
@@ -163,29 +232,10 @@ func EncodeString(s string) []byte {
 	return buf
 }
 
-// DecodeString decodes a value produced by EncodeString.
-func DecodeString(data []byte) (s string, ok bool) {
-	if len(data) < 1 || data[0] != TagString {
-		return "", false
-	}
-	return string(data[1:]), true
-}
-
 // EncodeBytes encodes b (copied) as tagged raw bytes.
 func EncodeBytes(b []byte) []byte {
 	buf := make([]byte, 1+len(b))
 	buf[0] = TagBytes
 	copy(buf[1:], b)
 	return buf
-}
-
-// DecodeBytes decodes a value produced by EncodeBytes. The returned slice
-// is a copy owned by the caller.
-func DecodeBytes(data []byte) (b []byte, ok bool) {
-	if len(data) < 1 || data[0] != TagBytes {
-		return nil, false
-	}
-	out := make([]byte, len(data)-1)
-	copy(out, data[1:])
-	return out, true
 }

@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"math"
+	"reflect"
 	"testing"
 )
 
@@ -19,22 +21,25 @@ func TestScalarRoundTrip(t *testing.T) {
 		}
 	}
 	for _, s := range []string{"", "x", "hello world"} {
-		got, ok := DecodeString(EncodeString(s))
-		if !ok || got != s {
-			t.Errorf("string %q -> %q, %v", s, got, ok)
+		var got string
+		if err := DecodeValue(EncodeString(s), &got); err != nil || got != s {
+			t.Errorf("string %q -> %q, %v", s, got, err)
 		}
 	}
 	b := []byte{1, 2, 3}
-	got, ok := DecodeBytes(EncodeBytes(b))
-	if !ok || !bytes.Equal(got, b) {
-		t.Errorf("bytes %v -> %v, %v", b, got, ok)
+	var got []byte
+	if err := DecodeValue(EncodeBytes(b), &got); err != nil || !bytes.Equal(got, b) {
+		t.Errorf("bytes %v -> %v, %v", b, got, err)
 	}
 	// The decoded slice must not alias the encoding.
 	enc := EncodeBytes(b)
-	dec, _ := DecodeBytes(enc)
+	var dec []byte
+	if err := DecodeValue(enc, &dec); err != nil {
+		t.Fatal(err)
+	}
 	dec[0] = 99
 	if enc[1] == 99 {
-		t.Error("DecodeBytes aliases its input")
+		t.Error("DecodeValue aliases its input")
 	}
 }
 
@@ -63,11 +68,15 @@ func TestScalarDecodeMismatch(t *testing.T) {
 	if _, ok := DecodeInt64(EncodeString("x")); ok {
 		t.Error("string decoded as int64")
 	}
-	if _, ok := DecodeString(EncodeInt64(1)); ok {
+	var s string
+	if err := DecodeValue(EncodeInt64(1), &s); err == nil {
 		t.Error("int64 decoded as string")
 	}
 	if _, ok := DecodeInt64(nil); ok {
 		t.Error("nil decoded as int64")
+	}
+	if _, ok := DecodeInt64([]byte{TagInt64, 0x80, 0x00}); ok {
+		t.Error("padded varint decoded as int64")
 	}
 }
 
@@ -92,4 +101,110 @@ func TestEncodeAllocsFlat(t *testing.T) {
 	if allocs > 24 {
 		t.Errorf("Encode allocs/op = %.1f, want <= 24", allocs)
 	}
+}
+
+// TestValueCodecLists: bool, float64 and the list kinds are tagged, keep
+// nil and empty apart ([]int and []int64 read each other) and decode into
+// no other kind.
+func TestValueCodecLists(t *testing.T) {
+	for _, c := range []struct {
+		in, out any // out: a pointer to the kind the value decodes into
+	}{
+		{true, new(bool)}, {false, new(bool)}, {-1.5, new(float64)}, {math.Inf(1), new(float64)},
+		{[]int{3, -1, 1 << 40}, new([]int)}, {[]int64{7}, new([]int)}, {[]int{}, new([]int64)}, {[]int(nil), new([]int)},
+		{[]string{"a", "", "bc"}, new([]string)}, {[]string{}, new([]string)}, {[]string(nil), new([]string)},
+	} {
+		data, err := EncodeValue(c.in)
+		if err != nil || !Tagged(data) {
+			t.Fatalf("%T %v encoded as %x, %v", c.in, c.in, data, err)
+		}
+		if err := DecodeValue(data, c.out); err != nil {
+			t.Fatalf("%T %v -> %T: %v", c.in, c.in, c.out, err)
+		}
+		got := reflect.ValueOf(c.out).Elem().Interface()
+		if again, err := EncodeValue(got); err != nil || !bytes.Equal(again, data) {
+			t.Errorf("%T %v decoded as %T %v", c.in, c.in, got, got)
+		}
+	}
+	if bytes.Equal(mustEncode(t, []int(nil)), mustEncode(t, []int{})) {
+		t.Error("nil and empty lists encode alike")
+	}
+	var b bool
+	for _, v := range []any{1, "x", 2.0, []int{1}, []string{"1"}} {
+		if err := DecodeValue(mustEncode(t, v), &b); err == nil {
+			t.Errorf("%T decoded into bool", v)
+		}
+	}
+}
+
+func mustEncode(t *testing.T, v any) []byte {
+	t.Helper()
+	data, err := EncodeValue(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// valueKinds holds one pointer per kind the value codec tags, keyed by
+// the tag that decodes into it.
+func valueKinds() []struct {
+	tag byte
+	out func() any
+} {
+	return []struct {
+		tag byte
+		out func() any
+	}{
+		{TagInt64, func() any { return new(int64) }},
+		{TagInt64, func() any { return new(int) }},
+		{TagString, func() any { return new(string) }},
+		{TagBytes, func() any { return new([]byte) }},
+		{TagBool, func() any { return new(bool) }},
+		{TagFloat64, func() any { return new(float64) }},
+		{TagInts, func() any { return new([]int) }},
+		{TagInts, func() any { return new([]int64) }},
+		{TagStrings, func() any { return new([]string) }},
+	}
+}
+
+// FuzzValueCodec fuzzes the decoder of the values a data space or a
+// compensation's parameters hold: DecodeValue never panics, a tagged value
+// decodes into no kind but its own, and what it decodes re-encodes to
+// exactly the input bytes. Untagged input is gob's, which this codec only
+// hands on.
+func FuzzValueCodec(f *testing.F) {
+	for _, v := range []any{int64(-3), 1 << 40, "", "name", []byte{0, 1}, true, false, 0.25, math.NaN(),
+		[]int{1, -1}, []int(nil), []int{}, []int64{1 << 50}, []string{"a", ""}, []string(nil), []string{}} {
+		data, err := EncodeValue(v)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte{TagInt64, 0x80, 0x00})      // padded varint
+	f.Add([]byte{TagBool, 2})                // bool byte 2
+	f.Add([]byte{TagInts, 0xff, 0xff, 0x7f}) // count past the input
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if !Tagged(data) {
+			return
+		}
+		for _, k := range valueKinds() {
+			out := k.out()
+			err := DecodeValue(data, out)
+			if k.tag != data[0] {
+				if err == nil {
+					t.Fatalf("value tagged 0x%02x decoded into %T", data[0], out)
+				}
+				continue
+			}
+			if err != nil {
+				continue
+			}
+			again, err := EncodeValue(reflect.ValueOf(out).Elem().Interface())
+			if err != nil || !bytes.Equal(again, data) {
+				t.Fatalf("%x decoded into %T re-encodes as %x, %v", data, out, again, err)
+			}
+		}
+	})
 }

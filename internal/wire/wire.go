@@ -8,9 +8,10 @@
 // records it keeps on stable storage — travels in the hand-rolled
 // length-prefixed binary format of binary.go. User-defined values
 // (data-space objects, compensation parameters) are opaque bytes produced
-// by the value codec of scalar.go: a tagged scalar for int/int64/string/
-// []byte, gob for every other type. That fallback is the one use of gob
-// left (Encode/Decode below); nothing the runtime defines is gob.
+// by the value codec of scalar.go: a tagged encoding for int/int64/string/
+// []byte/bool/float64 and []int/[]int64/[]string, gob for every other
+// type. That fallback is the one use of gob left (Encode/Decode below);
+// nothing the runtime defines is gob.
 package wire
 
 import (
