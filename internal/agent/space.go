@@ -24,7 +24,7 @@ import (
 var ErrFrozen = errors.New("agent: strongly reversible objects are not accessible during compensation")
 
 // Space is one half of the agent's private data space. Values are stored
-// encoded (wire.EncodeValue: tagged scalars and lists, gob for other
+// encoded (wire.EncodeValue: tagged scalars and []int, gob for other
 // types), so a Space snapshot is a deep copy by construction and the
 // container codec carries them as opaque bytes.
 type Space struct {
@@ -63,7 +63,8 @@ func (s *Space) Set(key string, v any) error {
 	return nil
 }
 
-// Get decodes the value under key into out (a non-nil pointer). It
+// Get decodes the value under key into out (a non-nil pointer): a type
+// of the stored value's kind, named or not (wire.DecodeValue). It
 // returns false if the key does not exist.
 func (s *Space) Get(key string, out any) (bool, error) {
 	if err := s.check(); err != nil {

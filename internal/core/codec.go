@@ -94,6 +94,7 @@ func ReadLog(r *wire.Reader) *Log {
 		return l
 	}
 	r.StartNames()
+	defer r.EndNames()
 	l.Entries = make([]Entry, 0, n)
 	for i := 0; i < n && r.Err() == nil; i++ {
 		switch kind := r.Byte(); kind {

@@ -85,6 +85,7 @@ func ReadItinerary(r *wire.Reader) *Itinerary {
 		return nil
 	}
 	r.StartNames()
+	defer r.EndNames()
 	it := &Itinerary{}
 	// A sub costs at least its ID length, order flag and entry count.
 	if n := r.Count(3); n > 0 {

@@ -193,7 +193,7 @@ func PutScratch(p *[]byte) {
 type Reader struct {
 	b     []byte
 	err   error
-	names Names // the table of the part being read (StartNames)
+	names *Names // the table of the part being read (StartNames)
 }
 
 // NewReader returns a Reader over b.

@@ -21,19 +21,16 @@ import (
 // a reference past the table, so whatever decodes re-encodes to the same
 // bytes. A name read by reference is the string already allocated.
 
-// smallNames is how many entries a table finds through slots, an open
-// addressing index on a cheap hash of the name: every table the runtime
-// writes fits. A larger table indexes its entries in a map, whose seeded
-// hash a crafted input cannot make collide.
-const smallNames = 32
-
 // Names is one part's name table. The writing side gets one from
-// NewNames; a Reader keeps its own (Reader.StartNames).
+// NewNames; a Reader takes one in StartNames.
 type Names struct {
 	list  []string
-	slots [2 * smallNames]uint8 // list index+1 by slotOf, linearly probed; 0 is empty
-	index map[string]int        // every entry, once list outgrows smallNames
+	index map[string]int // list index of each entry
 }
+
+// maxPooledNames caps the tables the pool keeps: a map never shrinks, so
+// one part with many names would otherwise pin its size for good.
+const maxPooledNames = 1 << 10
 
 var namesPool = sync.Pool{New: func() any { return new(Names) }}
 
@@ -43,76 +40,32 @@ func NewNames() *Names { return namesPool.Get().(*Names) }
 
 // Release empties t and returns it to the pool.
 func (t *Names) Release() {
-	t.reset()
+	if len(t.list) > maxPooledNames {
+		return
+	}
+	clear(t.list)
+	t.list = t.list[:0]
+	clear(t.index)
 	namesPool.Put(t)
 }
 
-func (t *Names) reset() {
-	clear(t.list)
-	t.list = t.list[:0]
-	t.slots = [2 * smallNames]uint8{}
-	clear(t.index)
-}
-
-// slotOf hashes a name by its length and two of its bytes: names that
-// share a prefix ("n1", "n2"; "bench.comp.agent", "bench.comp.mixed")
-// differ at the end.
-func slotOf(s string) uint {
-	h := uint(len(s))
-	if len(s) > 0 {
-		h = (h*131+uint(s[len(s)-1]))*131 + uint(s[len(s)/2])
+// add appends s to the table.
+func (t *Names) add(s string) {
+	if t.index == nil {
+		t.index = make(map[string]int)
 	}
-	return h
-}
-
-// find returns s's entry, or false and the free slot where s goes.
-func (t *Names) find(s string) (i int, ok bool, free uint) {
-	if len(t.list) > smallNames {
-		i, ok = t.index[s]
-		return i, ok, 0
-	}
-	for h := slotOf(s); ; h++ {
-		free = h % uint(len(t.slots))
-		e := t.slots[free]
-		if e == 0 {
-			return 0, false, free
-		}
-		if t.list[e-1] == s {
-			return int(e - 1), true, 0
-		}
-	}
-}
-
-// add appends s to the table, free being what find returned for it.
-func (t *Names) add(s string, free uint) {
-	if t.list == nil {
-		t.list = make([]string, 0, 8)
-	}
+	t.index[s] = len(t.list)
 	t.list = append(t.list, s)
-	switch n := len(t.list); {
-	case n <= smallNames:
-		t.slots[free] = uint8(n)
-	case n == smallNames+1:
-		if t.index == nil {
-			t.index = make(map[string]int, 4*smallNames)
-		}
-		for i, name := range t.list {
-			t.index[name] = i
-		}
-	default:
-		t.index[s] = n - 1
-	}
 }
 
 // Append appends s through the table.
 func (t *Names) Append(buf []byte, s string) []byte {
-	i, ok, free := t.find(s)
-	if ok {
+	if i, ok := t.index[s]; ok {
 		return binary.AppendUvarint(buf, uint64(i)<<1|1)
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(s))<<1)
 	if s != "" {
-		t.add(s, free)
+		t.add(s)
 	}
 	return append(buf, s...)
 }
@@ -131,11 +84,24 @@ func AppendNamedMap[M ~map[string][]byte](buf []byte, t *Names, m M) []byte {
 	return appendMap(buf, t, m)
 }
 
-// StartNames begins a fresh name table: the part that follows wrote its
-// names through a table of its own.
-func (r *Reader) StartNames() { r.names.reset() }
+// StartNames begins a fresh name table for the part that follows, which
+// wrote its names through a table of its own; EndNames closes it.
+func (r *Reader) StartNames() {
+	r.EndNames()
+	r.names = NewNames()
+}
 
-// Name consumes a name written by Names.Append.
+// EndNames returns the part's table to the pool. The part's names stay
+// valid.
+func (r *Reader) EndNames() {
+	if r.names != nil {
+		r.names.Release()
+		r.names = nil
+	}
+}
+
+// Name consumes a name written by Names.Append, within StartNames and
+// EndNames.
 func (r *Reader) Name() string {
 	x := r.Uvarint()
 	if x&1 == 1 {
@@ -152,14 +118,14 @@ func (r *Reader) Name() string {
 	case n == 0:
 		return ""
 	}
-	s := string(r.b[:x>>1])
+	b := r.b[:x>>1]
 	r.b = r.b[x>>1:]
-	_, ok, free := r.names.find(s)
-	if ok {
-		r.Fail("name %q written inline twice", s)
+	if _, ok := r.names.index[string(b)]; ok {
+		r.Fail("name %q written inline twice", b)
 		return ""
 	}
-	r.names.add(s, free)
+	s := string(b)
+	r.names.add(s)
 	return s
 }
 

@@ -8,8 +8,8 @@ import (
 )
 
 // TestNamesRoundTrip: a repeated name is a one-byte reference, an empty
-// name never joins the table, a table past smallNames entries still finds
-// every name, and a reader decodes it all back.
+// name never joins the table, a table of many entries finds every name,
+// and a reader decodes it all back.
 func TestNamesRoundTrip(t *testing.T) {
 	names := NewNames()
 	defer names.Release()
@@ -21,7 +21,7 @@ func TestNamesRoundTrip(t *testing.T) {
 		t.Fatalf("names = %v, want %v", buf, want)
 	}
 	var many []string
-	for i := 0; i < 3*smallNames; i++ {
+	for i := 0; i < 100; i++ {
 		many = append(many, fmt.Sprintf("n%d", i))
 	}
 	buf = names.AppendList(buf, many)
@@ -54,12 +54,12 @@ func TestNamesRoundTrip(t *testing.T) {
 }
 
 // TestNamesCanonicalOnly: a reference past the table, a reference before
-// any inline name, an inline repeat — also past smallNames entries — and a
-// reference that puts map keys out of order are ErrCorrupt; StartNames
-// empties the table.
+// any inline name, an inline repeat — also in a table of many entries —
+// and a reference that puts map keys out of order are ErrCorrupt;
+// StartNames empties the table.
 func TestNamesCanonicalOnly(t *testing.T) {
 	var big []byte
-	for i := 0; i <= smallNames; i++ {
+	for i := 0; i < 40; i++ {
 		big = append(big, 4, 'n', byte('a'+i))
 	}
 	names := func(r *Reader) {
@@ -80,12 +80,15 @@ func TestNamesCanonicalOnly(t *testing.T) {
 	}
 	for name, c := range cases {
 		r := NewReader(c.in)
+		r.StartNames()
 		c.read(r)
+		r.EndNames()
 		if !errors.Is(r.Err(), ErrCorrupt) {
 			t.Errorf("%s: %v, want ErrCorrupt", name, r.Err())
 		}
 	}
 	r := NewReader([]byte{2, 'a', 2, 'a'})
+	r.StartNames()
 	r.Name()
 	r.StartNames()
 	if got := r.Name(); got != "a" || r.Done() != nil {

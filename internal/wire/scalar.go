@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"math"
+	"reflect"
 )
 
 // The value codec: the one encoding of user-defined values — data-space
@@ -12,17 +12,17 @@ import (
 // runtime carries such a value as opaque bytes; only EncodeValue and
 // DecodeValue look inside. The kinds that dominate both (§4.4.1
 // operation entries carry small named values such as account names and
-// amounts; steps keep flags, counters and lists) are written under a
-// one-byte tag, and only user structs and other types as gob: a gob
-// decoder compiles the value's type afresh for every standalone value.
+// amounts; steps keep flags, counters and lists of sizes) are written
+// under a one-byte tag, and every other type as gob: a gob decoder
+// compiles the value's type afresh for every standalone value.
 //
 // A gob stream begins with the message byte count encoded as gob's
 // unsigned varint: a single byte below 0x80, or a negated-length byte in
 // 0xF8..0xFF followed by big-endian bytes. First bytes in 0x80..0xF7 can
 // therefore never start a valid gob encoding, which makes them free for
 // out-of-band tags. DecodeValue probes the tag and falls back to gob for
-// untagged (non-scalar) values, so the two formats coexist in the same
-// Params map or savepoint image.
+// untagged values, so the two formats coexist in the same Params map or
+// savepoint image.
 const (
 	// TagInt64 prefixes a signed varint (covers int and int64 params).
 	TagInt64 = 0x81
@@ -32,13 +32,10 @@ const (
 	TagBytes = 0x83
 	// TagBool prefixes one byte, 0 or 1.
 	TagBool = 0x84
-	// TagFloat64 prefixes the eight little-endian bytes of a float64.
-	TagFloat64 = 0x85
-	// TagInts prefixes a shifted count (0 nil, n+1 n elements) of signed
-	// varints: []int and []int64.
+	// TagInts prefixes a []int: a shifted count (0 nil, n+1 n elements)
+	// of signed varints. 0x85 and 0x87 are kept for float64 and []string,
+	// which go as gob until a workload stores them.
 	TagInts = 0x86
-	// TagStrings prefixes a shifted count of length-prefixed strings.
-	TagStrings = 0x87
 )
 
 // Tagged reports whether data begins with an out-of-band scalar tag (i.e.
@@ -99,8 +96,7 @@ func gobUint(b []byte) (uint64, []byte, bool) {
 }
 
 // EncodeValue encodes one user-defined value: int, int64, string, []byte,
-// bool, float64, []int, []int64 and []string under their tags, every other
-// type as gob.
+// bool and []int under their tags, every other type as gob.
 func EncodeValue(v any) ([]byte, error) {
 	switch x := v.(type) {
 	case int64:
@@ -113,96 +109,89 @@ func EncodeValue(v any) ([]byte, error) {
 		return EncodeBytes(x), nil
 	case bool:
 		return AppendBool([]byte{TagBool}, x), nil
-	case float64:
-		return binary.LittleEndian.AppendUint64(append(make([]byte, 0, 9), TagFloat64), math.Float64bits(x)), nil
 	case []int:
-		return appendList(TagInts, x, func(buf []byte, i int) []byte { return AppendVarint(buf, int64(i)) }), nil
-	case []int64:
-		return appendList(TagInts, x, AppendVarint), nil
-	case []string:
-		return appendList(TagStrings, x, AppendString), nil
+		if x == nil {
+			return []byte{TagInts, 0}, nil
+		}
+		buf := AppendUvarint(make([]byte, 1, 2+2*len(x)), uint64(len(x))+1)
+		buf[0] = TagInts
+		for _, i := range x {
+			buf = AppendVarint(buf, int64(i))
+		}
+		return buf, nil
 	}
 	return Encode(v)
 }
 
-// appendList writes a tagged list with its count shifted by one, so nil
-// and empty stay distinct.
-func appendList[T any](tag byte, list []T, add func([]byte, T) []byte) []byte {
-	if list == nil {
-		return []byte{tag, 0}
-	}
-	buf := AppendUvarint(make([]byte, 1, 2+2*len(list)), uint64(len(list))+1)
-	buf[0] = tag
-	for _, v := range list {
-		buf = add(buf, v)
-	}
-	return buf
-}
-
-// readList reads a list written by appendList: nil for a zero count.
-func readList[T any](r *Reader, read func() T) []T {
-	shifted := r.Uvarint()
-	if shifted == 0 {
-		return nil
-	}
-	// Each element costs at least one byte.
-	if shifted-1 > uint64(len(r.b)) {
-		r.Fail("list of %d elements exceeds buffer", shifted-1)
-		return nil
-	}
-	list := make([]T, shifted-1)
-	for i := range list {
-		list[i] = read()
-	}
-	return list
-}
-
 // DecodeValue decodes a value produced by EncodeValue into out (a non-nil
-// pointer). A tagged value decodes only into its own kind (int and int64
-// interchangeably, []int and []int64 likewise), and only from its one
-// canonical encoding; anything else is an error, never a misdecode.
+// pointer). A tagged value decodes into what gob would decode it into: a
+// type of its own kind, named or not, with integers of any signed width
+// that holds them. It is read only from its one canonical encoding;
+// anything else is an error, never a misdecode.
 func DecodeValue(data []byte, out any) error {
 	if !Tagged(data) {
 		return Decode(data, out)
 	}
-	tag, r := data[0], &Reader{b: data[1:]}
-	var ok bool
-	switch o := out.(type) {
-	case *int64:
-		ok = tag == TagInt64 && store(r, o, r.Varint())
-	case *int:
-		ok = tag == TagInt64 && store(r, o, r.Int())
-	case *string:
-		ok = tag == TagString && store(r, o, string(r.Rest()))
-	case *[]byte:
-		ok = tag == TagBytes && store(r, o, append([]byte{}, r.Rest()...))
-	case *bool:
-		ok = tag == TagBool && store(r, o, r.Bool())
-	case *float64:
-		ok = tag == TagFloat64 && len(data) == 9 && store(r, o, math.Float64frombits(binary.LittleEndian.Uint64(r.Rest())))
-	case *[]int:
-		ok = tag == TagInts && store(r, o, readList(r, r.Int))
-	case *[]int64:
-		ok = tag == TagInts && store(r, o, readList(r, r.Varint))
-	case *[]string:
-		ok = tag == TagStrings && store(r, o, readList(r, r.String))
+	v := reflect.ValueOf(out)
+	if v.Kind() != reflect.Pointer || v.IsNil() {
+		return fmt.Errorf("wire: decode into %T: not a non-nil pointer", out)
 	}
-	if ok {
-		return nil
+	v = v.Elem()
+	tag, r := data[0], Reader{b: data[1:]}
+	switch k := v.Kind(); {
+	case tag == TagInt64 && signed(k):
+		x := r.Varint()
+		if v.OverflowInt(x) {
+			r.Fail("integer %d overflows %s", x, v.Type())
+		}
+		if r.Done() == nil {
+			v.SetInt(x)
+		}
+	case tag == TagString && k == reflect.String:
+		v.SetString(string(r.Rest()))
+	case tag == TagBytes && k == reflect.Slice && v.Type().Elem().Kind() == reflect.Uint8:
+		v.SetBytes(append([]byte{}, r.Rest()...))
+	case tag == TagBool && k == reflect.Bool:
+		if x := r.Bool(); r.Done() == nil {
+			v.SetBool(x)
+		}
+	case tag == TagInts && k == reflect.Slice && signed(v.Type().Elem().Kind()):
+		if list := readInts(&r, v.Type()); r.Done() == nil {
+			v.Set(list)
+		}
+	default:
+		return fmt.Errorf("wire: cannot decode tagged value 0x%02x into %T", tag, out)
 	}
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("wire: decode %T: %w", out, err)
 	}
-	return fmt.Errorf("wire: cannot decode tagged value 0x%02x into %T", tag, out)
+	return nil
 }
 
-// store sets *o to v once r has parsed its whole input.
-func store[T any](r *Reader, o *T, v T) bool {
-	if r.Done() != nil {
-		return false
+func signed(k reflect.Kind) bool { return k >= reflect.Int && k <= reflect.Int64 }
+
+// readInts reads the body of a TagInts value into a slice of type t: nil
+// for a zero count.
+func readInts(r *Reader, t reflect.Type) reflect.Value {
+	shifted := r.Uvarint()
+	if shifted == 0 {
+		return reflect.Zero(t)
 	}
-	*o = v
-	return true
+	// Each element costs at least one byte.
+	if shifted-1 > uint64(len(r.b)) {
+		r.Fail("list of %d elements exceeds buffer", shifted-1)
+		return reflect.Value{}
+	}
+	n := int(shifted - 1)
+	list := reflect.MakeSlice(t, n, n)
+	for i := 0; i < n && r.err == nil; i++ {
+		x, e := r.Varint(), list.Index(i)
+		if e.OverflowInt(x) {
+			r.Fail("integer %d overflows %s", x, e.Type())
+		}
+		e.SetInt(x)
+	}
+	return list
 }
 
 // EncodeInt64 encodes v as a tagged signed varint.
