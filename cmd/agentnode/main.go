@@ -1,14 +1,14 @@
 // Command agentnode runs one agent-system node as a standalone OS process
 // over TCP, with a disk-backed stable store — the multi-process deployment
 // of the system (binary frames on the wire, binary agent containers inside
-// them and on disk; a data directory still holding gob containers from
-// before that codec is refused at start). Killing the process and
-// restarting it with the same -data directory exercises the
-// crash-recovery protocol for real. The durable engine, -store=wal (the
-// default), appends commits to checksummed log segments with index
-// checkpoints, so restart replays only the log tail written since the
-// last checkpoint. A data directory written by the removed file engine
-// (one holding kv/) is refused at start and left untouched.
+// them and on disk). Killing the process and restarting it with the same
+// -data directory exercises the crash-recovery protocol for real. The
+// durable engine, -store=wal (the default), appends commits to
+// checksummed log segments with index checkpoints, so restart replays
+// only the log tail written since the last checkpoint. The -data
+// directory carries a layout stamp (stable.Layout): an empty one is
+// stamped, and one written by another layout is refused at start, left
+// untouched, naming the last commit that reads it.
 //
 // Example three-node cluster (plus the agentctl client as peer "ctl"):
 //
@@ -30,7 +30,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"syscall"
@@ -190,14 +189,8 @@ func run(args []string) error {
 }
 
 // openStore builds the node's stable store through the unified
-// stable.Open path. A data directory written by the removed file engine
-// (its kv/ subdirectory) is refused rather than silently started empty —
-// the agent queue and resource states in it would all be invisible — and
-// is left as it is.
+// stable.Open path, which refuses a data directory of another layout.
 func openStore(spec stable.Spec, logger *slog.Logger) (stable.Store, error) {
-	if _, err := os.Stat(filepath.Join(spec.Dir, "kv")); err == nil {
-		return nil, fmt.Errorf("data dir %s holds a file-engine layout (kv/): the file engine was removed; df71a49 is the last commit that reads it (finish or drain its agents there)", spec.Dir)
-	}
 	if spec.Engine == "mem" {
 		logger.Warn("-store=mem is volatile; a restart loses the input queue and all resource state")
 	}

@@ -73,7 +73,7 @@ func TestTransferWritesContainerOnce(t *testing.T) {
 	}
 	n2, _ := cl.Node("n2")
 	var sizes []int64
-	if err := n2.Queue().Each(func(_, _ string, data []byte) error {
+	if err := n2.Queue().Each(func(_ string, data []byte) error {
 		sizes = append(sizes, int64(len(data)))
 		return nil
 	}); err != nil || len(sizes) != 1 {

@@ -297,7 +297,7 @@ func TestContainerRefusesRetiredLayout(t *testing.T) {
 	}
 	for _, name := range []string{"container-4840178.bin", "container-epoch-c1c7f14.bin"} {
 		old := fixture(t, name)
-		if !isRetiredContainer(old) {
+		if len(old) < 2 || old[1] != typeRetiredContainer {
 			t.Fatalf("%s is no 0x11 container", name)
 		}
 		if _, err := DecodeContainer(old); !errors.Is(err, wire.ErrCorrupt) {

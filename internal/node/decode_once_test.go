@@ -214,180 +214,6 @@ func TestGarbageAtQueueHeadIsDropped(t *testing.T) {
 	}
 }
 
-// TestRefusesGobContainers: a store holding what an older runtime wrote
-// stops the node from starting and is left exactly as it was — a
-// container in the gob encoding of commit 5015b40, committed or merely
-// staged, the gob envelopes commit fd17232 wrapped around a binary
-// container in the queue and in a completion record, the prepared
-// insertion commit e4fe5c0 kept with its container under q/s/, the
-// marker of a prepared insertion commit 6471191 kept under q/s/, the
-// coin-list till of commit 1b58917's shop, the gob resource records and
-// branch records of commit 60b3006, a coordinator's decision record and
-// a coordinator-decided (0x38) branch of commit a03745a, and a 0x11
-// container as commits 4840178 and c1c7f14 wrote it, queued or in a
-// completion record (testdata,
-// generated at those commits; the resource records live in
-// internal/resource, the branches in internal/txn). A queue entry,
-// resource record or branch of other garbage does not, and neither does
-// an empty queue; any q/s/ or txn/decision/ key does.
-func TestRefusesGobContainers(t *testing.T) {
-	legacy := gobFixture(t)
-	newNode := func(store stable.Store) error {
-		sim := network.NewSim(network.SimConfig{})
-		defer sim.Close()
-		ep, err := sim.Endpoint("p")
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = New(Config{Name: "p"}, ep, store, agent.NewRegistry())
-		return err
-	}
-	queue := func(store stable.Store) *stable.Queue { return stable.NewQueue(store, "q/") }
-	for name, tc := range map[string]struct {
-		put  func(store stable.Store) error
-		want []string // what the refusal names
-	}{
-		"committed": {
-			func(s stable.Store) error { return queue(s).Enqueue("legacy-agent", legacy) },
-			[]string{"5015b40", `"legacy-agent"`}},
-		"staged": {
-			// A prepared insertion as commits e4fe5c0..6471191 wrote it:
-			// the container at its entry key, hidden by a marker.
-			func(s stable.Store) error {
-				return s.Apply(stable.Put("q/seq", []byte("1")),
-					stable.Put("q/e/0000000000000000/legacy-agent", legacy),
-					stable.Put("q/s/co#1", fixture(t, "queue-marker-6471191.bin")))
-			},
-			[]string{"5015b40", `"legacy-agent"`}},
-		"marker-6471191": {
-			func(s stable.Store) error {
-				return s.Apply(stable.Put("q/seq", []byte("1")),
-					stable.Put("q/e/0000000000000000/agent-6471191", vcContainer(t, "agent-6471191", "p")),
-					stable.Put("q/s/co#1", fixture(t, "queue-marker-6471191.bin")))
-			},
-			[]string{"6471191", `"q/s/co#1"`}},
-		"envelope-committed": {
-			func(s stable.Store) error {
-				return s.Apply(stable.Put("q/seq", []byte("1")), stable.Put("q/e/0000000000000000", fixture(t, "queue-entry-fd17232.bin")))
-			},
-			[]string{"fd17232", `"q/e/0000000000000000"`}},
-		"envelope-staged": {
-			func(s stable.Store) error {
-				return s.Apply(stable.Put("q/seq", []byte("1")), stable.Put("q/s/co#1", fixture(t, "queue-staged-fd17232.bin")))
-			},
-			[]string{"fd17232", `"q/s/co#1"`}},
-		"staged-with-container": {
-			func(s stable.Store) error {
-				return s.Apply(stable.Put("q/seq", []byte("1")), stable.Put("q/s/co#1", fixture(t, "queue-staged-e4fe5c0.bin")))
-			},
-			[]string{"e4fe5c0", `"q/s/co#1"`}},
-		"envelope-done": {
-			func(s stable.Store) error {
-				return s.Apply(stable.Put("done/legacy-agent", fixture(t, "done-record-fd17232.bin")))
-			},
-			[]string{"fd17232", `"legacy-agent"`}},
-		"shop-coin-till": {
-			func(s stable.Store) error {
-				return s.Apply(stable.Put("res/shop/shop", fixture(t, "../../resource/testdata/shop-till-1b58917.bin")))
-			},
-			[]string{"1b58917", `"res/shop/shop"`}},
-		"bank-gob": {
-			func(s stable.Store) error {
-				return s.Apply(stable.Put("res/bank/bank", fixture(t, "../../resource/testdata/bank-gob-60b3006.bin")))
-			},
-			[]string{"60b3006", `"res/bank/bank"`}},
-		"shop-gob": {
-			func(s stable.Store) error {
-				return s.Apply(stable.Put("res/shop/shop", fixture(t, "../../resource/testdata/shop-gob-60b3006.bin")))
-			},
-			[]string{"60b3006", `"res/shop/shop"`}},
-		"branch-gob": {
-			func(s stable.Store) error {
-				return s.Apply(stable.Put("txn/branch/co#7", fixture(t, "../../txn/testdata/branch-gob-60b3006.bin")))
-			},
-			[]string{"60b3006", `"co#7"`}},
-		"decision-record-a03745a": {
-			func(s stable.Store) error {
-				return s.Apply(stable.Put("txn/decision/co#7", fixture(t, "decision-record-a03745a.bin")))
-			},
-			[]string{"a03745a", `"co#7"`}},
-		"container-0x11-4840178": {
-			func(s stable.Store) error { return queue(s).Enqueue("fwd", fixture(t, "container-4840178.bin")) },
-			[]string{"4840178", `"fwd"`, "0x11"}},
-		"container-epoch-c1c7f14": {
-			func(s stable.Store) error { return queue(s).Enqueue("fwd", fixture(t, "container-epoch-c1c7f14.bin")) },
-			[]string{"4840178", `"fwd"`, "0x11"}},
-		"done-record-0x11": {
-			func(s stable.Store) error {
-				rec := appendDoneRec("owner", &doneMsg{AgentID: "fwd", Data: fixture(t, "container-4840178.bin")})
-				return s.Apply(stable.Put("done/fwd", rec))
-			},
-			[]string{"4840178", `"fwd"`, "0x11"}},
-		"branch-0x38-a03745a": {
-			func(s stable.Store) error {
-				return s.Apply(stable.Put("txn/branch/co#7", fixture(t, "../../txn/testdata/branch-0x38-a03745a.bin")))
-			},
-			[]string{"a03745a", `"co#7"`}},
-	} {
-		t.Run(name, func(t *testing.T) {
-			store := stable.NewMemStore(nil)
-			if err := tc.put(store); err != nil {
-				t.Fatal(err)
-			}
-			before := dumpStore(t, store)
-			err := newNode(store)
-			if err == nil {
-				t.Fatal("New on an older runtime's store succeeded, want a refusal")
-			}
-			for _, want := range tc.want {
-				if !strings.Contains(err.Error(), want) {
-					t.Errorf("refusal %q does not name %s", err, want)
-				}
-			}
-			if after := dumpStore(t, store); !reflect.DeepEqual(after, before) {
-				t.Errorf("refusal modified the store:\n before %v\n after  %v", before, after)
-			}
-		})
-	}
-	store := stable.NewMemStore(nil)
-	if err := newNode(store); err != nil {
-		t.Errorf("an empty store blocked the start: %v", err)
-	}
-	if err := queue(store).Enqueue("junk", []byte{0x00, 0xde, 0xad}); err != nil {
-		t.Fatal(err)
-	}
-	if err := store.Apply(
-		stable.Put("q/e/9999999999999999", []byte("\x00not even a queue record")),
-		stable.Put("done/junk", []byte{0x00}),
-		stable.Put("res/shop/junk", []byte{0x00}),
-		stable.Put("res/bank/junk", []byte{0x00}),
-		stable.Put("txn/branch/junk#1", []byte{0x00}),
-	); err != nil {
-		t.Fatal(err)
-	}
-	if err := newNode(store); err != nil {
-		t.Errorf("garbage that is not gob blocked the start: %v", err)
-	}
-}
-
-// dumpStore returns every key with its value.
-func dumpStore(t *testing.T, store stable.Store) map[string]string {
-	t.Helper()
-	keys, err := store.Keys("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := make(map[string]string, len(keys))
-	for _, k := range keys {
-		v, _, err := store.Get(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[k] = string(v)
-	}
-	return out
-}
-
 func TestLaunchMessageRoundTrip(t *testing.T) {
 	payload, err := EncodeLaunch("agent-9", []byte{1, 2, 3})
 	if err != nil {

@@ -43,9 +43,8 @@ type Container struct {
 // protocol messages own 0x01–0x0F); never reuse a value.
 const (
 	typeDone = 0x10 // doneMsg
-	// typeRetiredContainer is the container layout up to commit 4840178:
-	// names written in full, a reserved varint after SpID. refuseOlderLayout
-	// refuses a store that holds one.
+	// typeRetiredContainer is the container layout last read by commit
+	// 4840178: names written in full, a reserved varint after SpID.
 	typeRetiredContainer = 0x11
 	typeLaunch           = 0x12 // launchMsg
 	typeDoneRec          = 0x13 // durable completion record (stable storage only)
@@ -62,8 +61,9 @@ const (
 // are written in sorted order, so equal containers give equal bytes. This
 // is the only container format: the 0x11 layout it replaced (last read by
 // commit 4840178) and the gob encoding before that (last read by commit
-// 5015b40) are refused at node start, see refuseOlderLayout. The result is
-// an exact-size copy out of a pooled scratch buffer.
+// 5015b40) decode as wire.ErrCorrupt, and no data dir that may hold them
+// opens (stable.Layout). The result is an exact-size copy out of a pooled
+// scratch buffer.
 func EncodeContainer(c *Container) ([]byte, error) {
 	data, _, err := encodeContainer(c)
 	return data, err
@@ -96,12 +96,6 @@ func containerHead(data []byte) (*Container, *wire.Reader, error) {
 	}
 	r := wire.NewReader(b)
 	return &Container{Mode: Mode(r.Int()), SpID: r.String()}, r, nil
-}
-
-// isRetiredContainer reports whether data is a container in the 0x11
-// layout.
-func isRetiredContainer(data []byte) bool {
-	return len(data) >= 2 && data[0] == wire.BinaryVersion && data[1] == typeRetiredContainer
 }
 
 // DecodeContainer deserializes a container; anything but exactly one

@@ -190,9 +190,6 @@ func New(cfg Config, ep network.Endpoint, store stable.Store, registry *agent.Re
 		return nil, fmt.Errorf("node: name %q must not contain '#'", cfg.Name)
 	}
 	queue := stable.NewQueue(store, "q/")
-	if err := refuseOlderLayout(cfg.Name, store, queue); err != nil {
-		return nil, err // before anything below can write to the store
-	}
 	mgr, err := txn.NewManager(cfg.Name, store)
 	if err != nil {
 		return nil, err
@@ -232,106 +229,6 @@ func New(cfg Config, ep network.Endpoint, store stable.Store, registry *agent.Re
 		return nil, fmt.Errorf("node %s: %w", cfg.Name, err)
 	}
 	return n, nil
-}
-
-// doneHoldsRetiredContainer reports whether a completion record carries a
-// container in the 0x11 layout.
-func doneHoldsRetiredContainer(raw []byte) bool {
-	_, msg, err := readDoneRec(raw)
-	return err == nil && isRetiredContainer(msg.Data)
-}
-
-// retiredDecisionPrefix keyed a coordinator's commit decision records,
-// which the RCE branches of a compensation asked; refuseOlderLayout
-// refuses a data directory that holds one.
-const retiredDecisionPrefix = "txn/decision/"
-
-// refuseOlderLayout scans the input queue, entries and markers, the
-// completion records, the resource records and the prepared branches for
-// what an older runtime wrote and this one no longer reads: gob-encoded
-// containers (before the binary container codec), the gob envelopes the
-// queue and done/ records wrapped around a container (before the queue
-// stored it bare), prepared insertions under q/s/ (before the receiving
-// node decided a hand-off — and before commit e4fe5c0, carrying their
-// container), shops whose till is a coin list (before it was a balance),
-// gob resource state and branch records (before their binary records),
-// and a coordinator's decision records and the branches it decided
-// (0x38; before every distributed transaction had one decider), and
-// containers in the 0x11 layout, queued or in a completion record (before
-// the itinerary and the log wrote their names through a table). Left to
-// the runtime the first two and the last would decode as a corrupt
-// container and be dropped as poisoned (failAgent), a prepared insertion
-// is an entry this queue shows at once although its coordinator may
-// abort it — an agent run twice — or, carrying its container, one never
-// shown — an agent lost; a resource record that does not decode keeps
-// the node not-ready for good, a branch that does not decode is never
-// resolved, and a coordinator-decided branch asks a node that no longer
-// answers from decision records, which it would never collect either.
-// So the node refuses to start instead, with the store
-// untouched. Only those shapes count: other garbage (a malformed launch)
-// stays on the runtime poison path, so one bad message cannot block a
-// restart.
-func refuseOlderLayout(node string, store stable.Store, queue *stable.Queue) error {
-	refuse := func(what, name, how, commit string) error {
-		return fmt.Errorf("node %s: %s %q %s: this data directory was written by an older runtime; %s is the last commit that reads it (finish or drain its agents there)", node, what, name, how, commit)
-	}
-	const gob = "is gob-encoded"
-	const retiredLayout = "writes its names in full (container type 0x11)"
-	err := queue.Each(func(key, id string, data []byte) error {
-		switch {
-		case id == "" && stable.IsRetiredStagedRecord(data):
-			return refuse("prepared insertion", key, "carries its container", "e4fe5c0")
-		case wire.LooksLikeGob(data) && id == "":
-			// Not this layout's record: the envelope around the container.
-			return refuse("queue record", key, gob, "fd17232")
-		case wire.LooksLikeGob(data):
-			return refuse("queued container of agent", id, gob, "5015b40")
-		case strings.HasPrefix(key, "q/s/"):
-			return refuse("prepared insertion", key, "hides a queue entry until its coordinator decides", "6471191")
-		case isRetiredContainer(data):
-			return refuse("queued container of agent", id, retiredLayout, "4840178")
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	for _, recs := range []struct {
-		prefix, what, commit string
-		byKey                bool // name the record by its key, not by what follows the prefix
-	}{
-		{donePrefix, "completion record of agent", "fd17232", false},
-		{resource.KeyPrefix, "resource record", "60b3006", true},
-		{txn.BranchPrefix, "prepared branch", "60b3006", false},
-		{retiredDecisionPrefix, "decision record of transaction", "a03745a", false},
-	} {
-		keys, err := store.Keys(recs.prefix)
-		if err != nil {
-			return err
-		}
-		for _, k := range keys {
-			name := k
-			if !recs.byKey {
-				name = strings.TrimPrefix(k, recs.prefix)
-			}
-			raw, _, err := store.Get(k)
-			switch {
-			case err != nil:
-				return err
-			case recs.prefix == resource.KeyPrefix && resource.IsRetiredShopRecord(raw):
-				return refuse("shop record", k, "holds a coin-list till", "1b58917")
-			case recs.prefix == donePrefix && doneHoldsRetiredContainer(raw):
-				return refuse(recs.what, name, retiredLayout, "4840178")
-			case recs.prefix == retiredDecisionPrefix:
-				return refuse(recs.what, name, "is a coordinator's commit decision", recs.commit)
-			case recs.prefix == txn.BranchPrefix && txn.IsRetiredBranchRecord(raw):
-				return refuse(recs.what, name, "waits on its coordinator's decision record", "a03745a")
-			case wire.LooksLikeGob(raw):
-				return refuse(recs.what, name, gob, recs.commit)
-			}
-		}
-	}
-	return nil
 }
 
 // Name returns the node name.

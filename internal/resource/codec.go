@@ -17,7 +17,7 @@ import (
 //
 // Integers are signed varints and CoinSeq unsigned; {…} is a count, then
 // the entries in ascending key order. The gob records this replaced were
-// last read by commit 60b3006 (node.New refuses them).
+// last read by commit 60b3006 and are wire.ErrCorrupt.
 //
 // Binary type bytes of the resource block 0x30..0x37 (registry in
 // wire/binary.go); never reuse a value.

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/stable"
 	"repro/internal/txn"
+	"repro/internal/wire"
 )
 
 func newTx(t *testing.T, m *txn.Manager) *txn.Tx {
@@ -351,24 +352,20 @@ func TestShopStateSizeIndependentOfTrips(t *testing.T) {
 
 // TestShopRefusesCoinListTill: a shop record in the layout of commit
 // 1b58917 (testdata, written by that commit's Shop: a till of coins
-// worth 210 USD) is recognised as retired and fails to load, rather
-// than loading as an empty till, and the store is left as it was. (The
-// refusal by name at node start is node's TestRefusesGobContainers.)
+// worth 210 USD) fails to load as wire.ErrCorrupt, rather than loading
+// as an empty till, and the store is left as it was.
 func TestShopRefusesCoinListTill(t *testing.T) {
 	old, err := os.ReadFile(filepath.Join("testdata", "shop-till-1b58917.bin"))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !IsRetiredShopRecord(old) {
-		t.Fatal("the 1b58917 record is not recognised as retired")
 	}
 	store := stable.NewMemStore(nil)
 	const key = KeyPrefix + "shop/shop"
 	if err := store.Apply(stable.Put(key, old)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewShop(store, "shop", ShopConfig{Currency: "USD"}); err == nil {
-		t.Fatal("NewShop read a coin-list till")
+	if _, err := NewShop(store, "shop", ShopConfig{Currency: "USD"}); !errors.Is(err, wire.ErrCorrupt) {
+		t.Fatalf("NewShop of a coin-list till = %v, want wire.ErrCorrupt", err)
 	}
 	if raw, _, _ := store.Get(key); !bytes.Equal(raw, old) {
 		t.Error("the refusal modified the record")
@@ -377,7 +374,7 @@ func TestShopRefusesCoinListTill(t *testing.T) {
 		t.Errorf("the refusal wrote to the store: %v", keys)
 	}
 
-	// This layout's record is not mistaken for the old one.
+	// This layout's record reloads.
 	m, fresh := setup(t)
 	s, err := NewShop(fresh, "shop", ShopConfig{Currency: "USD"})
 	if err != nil {
@@ -392,10 +389,6 @@ func TestShopRefusesCoinListTill(t *testing.T) {
 	}
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
-	}
-	raw, _, _ := fresh.Get(key)
-	if IsRetiredShopRecord(raw) {
-		t.Error("a current record is taken for the retired layout")
 	}
 	if _, err := NewShop(fresh, "shop", ShopConfig{}); err != nil {
 		t.Errorf("reload of a current record: %v", err)

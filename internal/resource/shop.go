@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/stable"
 	"repro/internal/txn"
-	"repro/internal/wire"
 )
 
 // RefundMode selects the shop's compensation policy (§3.2: "the seller of
@@ -46,7 +45,7 @@ type shopState struct {
 	Currency   string
 	Stock      map[string]int
 	Price      map[string]int64
-	Till       int64 // a coin list (Cash) up to 1b58917, see IsRetiredShopRecord
+	Till       int64 // a coin list (Cash) in the gob record last read by 1b58917
 	Mode       RefundMode
 	FeePercent int64
 	CoinSeq    uint64
@@ -59,15 +58,6 @@ type ShopConfig struct {
 	Currency   string
 	Mode       RefundMode
 	FeePercent int64 // refund fee in percent, applied in RefundCash mode
-}
-
-// IsRetiredShopRecord reports whether raw is a shop record whose till is
-// a coin list, the layout of commit 1b58917 and before: a gob record that
-// defines the Cash type. Such a record is refused, never read (node.New
-// names it): its coins have no balance to land in, and NewShop fails to
-// decode it.
-func IsRetiredShopRecord(raw []byte) bool {
-	return wire.GobDefines(raw, "Cash")
 }
 
 // NewShop creates or re-loads the shop named name on the given store.

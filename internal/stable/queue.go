@@ -6,8 +6,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-
-	"repro/internal/wire"
 )
 
 // Queue is the agent input queue of one node (§2 of the paper): a FIFO of
@@ -27,9 +25,6 @@ import (
 //     no prepared, hidden insertion (DESIGN.md §5).
 //   - EnqueueIn: insertion that lands when a caller's transaction
 //     commits (a step handing its agent to the next step on this node).
-//
-// The <prefix>s/<txn> markers that hid prepared insertions until commit
-// 6471191 are not read; node.New refuses a store that holds one.
 //
 // A Queue is the only Queue over its prefix while it lives: the sequence
 // counter, the order and the claims are read from the store once and
@@ -91,14 +86,6 @@ type Entry struct {
 
 	key string // store key, used by Remove and RemoveIn
 }
-
-// Binary type bytes of the stable block 0x20..0x2f (registry in
-// wire/binary.go); never reuse a value. Both are retired: 0x20 is the
-// prepared insertion that carried its container (seq, ID, then the
-// container), last written and read by commit e4fe5c0; 0x21 the marker of
-// a prepared insertion (seq and ID of the entry it hid), last written and
-// read by commit 6471191.
-const typeStagedRecord = 0x20
 
 // NewQueue returns a queue stored under the given key prefix.
 func NewQueue(store Store, prefix string) *Queue {
@@ -168,19 +155,6 @@ func (q *Queue) putEntry(seq uint64, id string, data []byte) Op {
 		data = []byte{}
 	}
 	return Put(q.entryKey(seq, id), data)
-}
-
-// IsRetiredStagedRecord reports whether raw, the value of a <prefix>s/ key,
-// is a prepared insertion as commit e4fe5c0 and its predecessors back to
-// PR 23 wrote it: type byte 0x20, the seq, the ID, then the container.
-func IsRetiredStagedRecord(raw []byte) bool {
-	b, err := wire.Body(raw, typeStagedRecord)
-	if err != nil {
-		return false
-	}
-	r := wire.NewReader(b)
-	_, _ = r.Uvarint(), r.String() // the container is whatever follows
-	return r.Err() == nil
 }
 
 // load reads the sequence counter and the entry keys into memory, once
@@ -284,33 +258,23 @@ func (q *Queue) EnqueueIn(tx Tx, id string, data []byte) error {
 	return nil
 }
 
-// Each calls fn with the store key, agent ID and container bytes of every
-// entry, stopping at fn's first error. A record this layout did not write
-// — an entry key that names no agent, any <prefix>s/ key (the retired
-// prepared insertions) — is passed on with an empty ID and its raw value,
-// so a start-up check can tell a queue written by an older runtime from
-// an empty one.
-func (q *Queue) Each(fn func(key, id string, data []byte) error) error {
-	for _, sub := range []string{"e/", "s/"} {
-		keys, err := q.store.Keys(q.prefix + sub)
+// Each calls fn with the agent ID and container bytes of every
+// committed entry, oldest first, stopping at fn's first error.
+func (q *Queue) Each(fn func(id string, data []byte) error) error {
+	keys, err := q.store.Keys(q.prefix + "e/")
+	if err != nil {
+		return err
+	}
+	for _, k := range keys {
+		data, ok, err := q.store.Get(k)
 		if err != nil {
 			return err
 		}
-		for _, k := range keys {
-			data, ok, err := q.store.Get(k)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				continue
-			}
-			id := ""
-			if sub == "e/" {
-				id = q.entryID(k)
-			}
-			if err := fn(k, id, data); err != nil {
-				return err
-			}
+		if !ok {
+			continue
+		}
+		if err := fn(q.entryID(k), data); err != nil {
+			return err
 		}
 	}
 	return nil

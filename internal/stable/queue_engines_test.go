@@ -342,12 +342,13 @@ func TestQueueClaimCachedIDsStayCorrect(t *testing.T) {
 // TestQueueKeyNamesAgent: the entry key carries the agent ID and the value
 // the bare data, whichever of the write paths made the entry — an ID
 // with slashes in it and an entry without data included — and FIFO order
-// follows the reserved sequence numbers across all of them.
+// follows the reserved sequence numbers across all of them. Each walks
+// those entries only: another key under the prefix is none of them.
 func TestQueueKeyNamesAgent(t *testing.T) {
 	storeImpls(t, func(t *testing.T, s stable.Store) {
 		q := stable.NewQueue(s, "q/")
 		// Reservation order: decided, direct, ops, direct without data.
-		if err := q.Enqueue("tenant/a/decided", []byte("decided-data"), stable.Put("rec", []byte{1})); err != nil {
+		if err := q.Enqueue("tenant/a/decided", []byte("decided-data"), stable.Put("q/s/rec", []byte{1})); err != nil {
 			t.Fatal(err)
 		}
 		if err := q.Enqueue("tenant/a/direct", []byte("direct-data")); err != nil {
@@ -381,7 +382,7 @@ func TestQueueKeyNamesAgent(t *testing.T) {
 			}
 		}
 		var each [][2]string
-		if err := q.Each(func(_, id string, data []byte) error {
+		if err := q.Each(func(id string, data []byte) error {
 			each = append(each, [2]string{id, string(data)})
 			return nil
 		}); err != nil || !reflect.DeepEqual(each, want) {

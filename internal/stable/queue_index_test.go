@@ -33,7 +33,7 @@ func viewOf(t *testing.T, q *stable.Queue) queueView {
 	if head != nil {
 		v.Head = head.ID + "=" + string(head.Data)
 	}
-	if err := q.Each(func(_, id string, data []byte) error {
+	if err := q.Each(func(id string, data []byte) error {
 		v.Entries = append(v.Entries, id+"="+string(data))
 		return nil
 	}); err != nil {

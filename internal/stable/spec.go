@@ -1,7 +1,9 @@
 package stable
 
 import (
+	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -81,8 +83,22 @@ func Engines() []string {
 	return names
 }
 
+// Layout numbers the layout of a durable engine's data directory: the
+// engine's files and the keys and records the runtime keeps in them.
+// Open stamps a new directory with it (its LAYOUT file) and opens no
+// directory stamped otherwise or not at all. A layout change bumps Layout
+// and sets lastReader to the last commit that reads the layout before.
+const Layout = 1
+
+// lastReader is the last commit that reads a data directory Open refuses:
+// an unstamped one, as every runtime up to that commit wrote them.
+const lastReader = "0ea4125"
+
+const layoutFile = "LAYOUT"
+
 // Open constructs the store described by spec. It is the only
-// non-test construction path for storage engines.
+// non-test construction path for storage engines, and the one gate of
+// a durable engine's data directory: see Layout.
 func Open(spec Spec) (Store, error) {
 	name := spec.Engine
 	if name == "" {
@@ -94,10 +110,83 @@ func Open(spec Spec) (Store, error) {
 	if !ok {
 		return nil, fmt.Errorf("stable: unknown engine %q (registered: %v; is its package linked in?)", name, Engines())
 	}
-	if name != "mem" && spec.Dir == "" {
-		return nil, fmt.Errorf("stable: engine %q needs a data directory", name)
+	if name != "mem" {
+		if spec.Dir == "" {
+			return nil, fmt.Errorf("stable: engine %q needs a data directory", name)
+		}
+		if err := stampLayout(spec.Dir, spec.Sync); err != nil {
+			return nil, err
+		}
 	}
 	return open(spec)
+}
+
+// stampLayout reads dir's LAYOUT before any engine touches dir. A
+// missing or empty dir (or one holding only a stamp's leftover temp file)
+// is stamped with Layout; a dir stamped with Layout passes; any other is
+// refused, unchanged.
+func stampLayout(dir string, sync bool) error {
+	want := fmt.Sprintf("%d\n", Layout)
+	path := filepath.Join(dir, layoutFile)
+	tmp := path + ".tmp"
+	raw, err := os.ReadFile(path)
+	if err == nil {
+		if string(raw) == want {
+			return nil
+		}
+		return refuseLayout(dir, fmt.Sprintf("its %s holds %q, not %d", layoutFile, raw, Layout))
+	}
+	if !errors.Is(err, os.ErrNotExist) {
+		return err
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return err
+	}
+	for _, e := range entries {
+		if e.Name() != filepath.Base(tmp) {
+			return refuseLayout(dir, "it holds no "+layoutFile)
+		}
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	if err := writeFile(tmp, []byte(want), sync); err != nil {
+		return err
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		return err
+	}
+	if sync {
+		return syncDir(dir)
+	}
+	return nil
+}
+
+func refuseLayout(dir, why string) error {
+	return fmt.Errorf("stable: data dir %s is not stamped with layout %d, the one this runtime reads (%s); %s is the last commit that reads it (finish or drain its agents there)", dir, Layout, why, lastReader)
+}
+
+// writeFile writes data to path, fsynced if sync is set.
+func writeFile(path string, data []byte, sync bool) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil && sync {
+		err = f.Sync()
+	}
+	return errors.Join(err, f.Close())
+}
+
+// syncDir fsyncs a directory, so a rename in it is durable.
+func syncDir(dir string) error {
+	f, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	return errors.Join(f.Sync(), f.Close())
 }
 
 func init() {

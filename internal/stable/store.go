@@ -10,7 +10,8 @@
 //     batches, so a transaction commit (queue removal + remote hand-off
 //     bookkeeping + decision record) is a single crash-consistent action.
 //   - Spec/Open: the single configuration value and constructor through
-//     which every engine is built.
+//     which every engine is built, and the layout stamp (Layout) that
+//     gates a durable engine's data directory.
 //   - MemStore: in-memory store that survives *simulated* node crashes
 //     (the cluster keeps it while the node's volatile state is discarded).
 //   - Queue: a FIFO agent input queue whose entries land in a caller's

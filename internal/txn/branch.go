@@ -15,8 +15,8 @@ import (
 // hand-off, or an RCE party of a compensation, and the named decider
 // holds its outcome. A put's value may be empty; a delete has none. The
 // gob record this replaced was last read by commit 60b3006, and the
-// coordinator-decided record 0x38 by commit a03745a (node.New refuses
-// both).
+// coordinator-decided record 0x38 by commit a03745a; both are
+// wire.ErrCorrupt.
 //
 // Binary type bytes of the txn block 0x38..0x3f (registry in
 // wire/binary.go); never reuse a value. 0x38 is retired.
@@ -24,13 +24,6 @@ const (
 	typeRetiredBranch   = 0x38
 	typeDelegatedBranch = 0x39
 )
-
-// IsRetiredBranchRecord reports whether raw is a branch record its
-// coordinator decided (0x38), which no decider answers for any more.
-func IsRetiredBranchRecord(raw []byte) bool {
-	typ, _, err := wire.SplitBinary(raw)
-	return err == nil && typ == typeRetiredBranch
-}
 
 // appendBranch appends the record of a branch whose redo batch is ops,
 // decided by decider.

@@ -40,21 +40,17 @@ func preparedBranch(t testing.TB) (ops []stable.Op, raw []byte) {
 // empty put apart from a delete; and the records older commits wrote — a
 // gob record of commit 60b3006, a coordinator-decided 0x38 record of
 // commit a03745a (testdata, each written by that commit's Prepare) — are
-// refused as corrupt by ResolveBranch, which leaves them in place. (The
-// refusal by name at node start is node's TestRefusesGobContainers.)
+// refused as corrupt by ResolveBranch, which leaves them in place.
 func TestBranchRecordRoundTrip(t *testing.T) {
 	ops, raw := preparedBranch(t)
 	decider, got, err := parseBranch(raw)
 	if err != nil || decider != "d" || !reflect.DeepEqual(got, ops) {
 		t.Fatalf("parseBranch = %q, %#v, %v; want d, %#v", decider, got, err, ops)
 	}
-	for file, retired := range map[string]bool{"branch-gob-60b3006.bin": false, "branch-0x38-a03745a.bin": true} {
+	for _, file := range []string{"branch-gob-60b3006.bin", "branch-0x38-a03745a.bin"} {
 		old, err := os.ReadFile(filepath.Join("testdata", file))
 		if err != nil {
 			t.Fatal(err)
-		}
-		if IsRetiredBranchRecord(old) != retired {
-			t.Errorf("%s: IsRetiredBranchRecord = %v", file, !retired)
 		}
 		m, store := newMgr(t)
 		if err := store.Apply(stable.Put(BranchPrefix+"co#7", old)); err != nil {

@@ -137,7 +137,7 @@ func TestValueCodec(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if Tagged(data) != c.tagged || LooksLikeGob(data) == c.tagged {
+		if Tagged(data) != c.tagged {
 			t.Errorf("%T encoded with lead byte 0x%02x", c.in, data[0])
 		}
 		if err := DecodeValue(data, c.out); err != nil {
@@ -156,10 +156,5 @@ func TestValueCodec(t *testing.T) {
 	}
 	if _, err := EncodeValue(func() {}); err == nil {
 		t.Error("func value encoded")
-	}
-	for _, data := range [][]byte{nil, {0x00, 1}, {BinaryVersion, 0x11}} {
-		if LooksLikeGob(data) {
-			t.Errorf("%v looks like gob", data)
-		}
 	}
 }

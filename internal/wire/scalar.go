@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"reflect"
@@ -42,57 +41,6 @@ const (
 // cannot be a gob encoding).
 func Tagged(data []byte) bool {
 	return len(data) > 0 && data[0] >= 0x80 && data[0] < 0xF8
-}
-
-// LooksLikeGob reports whether data opens with a byte a gob stream can
-// start with (0x01..0x7F, 0xF8..0xFF) — the test that tells a container
-// written before the binary codec from other garbage.
-func LooksLikeGob(data []byte) bool {
-	return len(data) > 0 && data[0] != 0 && !Tagged(data)
-}
-
-// GobDefines reports whether data is a gob stream that defines a type or
-// field named name before its value: how a refusal tells one retired gob
-// layout from another without decoding either. Only the type-definition
-// messages are searched, so the value's own strings cannot match.
-func GobDefines(data []byte, name string) bool {
-	want := AppendString(nil, name) // gob writes a string as count, bytes
-	for len(data) > 0 {
-		n, rest, ok := gobUint(data)
-		if !ok || n > uint64(len(rest)) {
-			return false
-		}
-		msg := rest[:n]
-		data = rest[n:]
-		id, def, ok := gobUint(msg)
-		if !ok || id&1 == 0 {
-			return false // a non-negative type ID: the value, after every definition
-		}
-		if bytes.Contains(def, want) {
-			return true
-		}
-	}
-	return false
-}
-
-// gobUint reads one gob unsigned integer: a byte below 0x80, or the
-// negated byte count followed by that many big-endian bytes.
-func gobUint(b []byte) (uint64, []byte, bool) {
-	if len(b) == 0 {
-		return 0, nil, false
-	}
-	if b[0] < 0x80 {
-		return uint64(b[0]), b[1:], true
-	}
-	n := -int(int8(b[0]))
-	if n > 8 || len(b) <= n {
-		return 0, nil, false
-	}
-	var v uint64
-	for _, c := range b[1 : 1+n] {
-		v = v<<8 | uint64(c)
-	}
-	return v, b[1+n:], true
 }
 
 // EncodeValue encodes one user-defined value: int, int64, string, []byte,

@@ -44,25 +44,3 @@ func TestMustEncodePanicsOnUnencodable(t *testing.T) {
 	}()
 	MustEncode(make(chan int))
 }
-
-// TestGobDefines: a gob stream's type definitions are searched, its
-// value's strings are not, and anything else defines nothing.
-func TestGobDefines(t *testing.T) {
-	type Label string
-	type labelled struct{ Tag Label }
-	data, err := Encode(payload{Name: "Label", Tags: []string{"Tag"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !GobDefines(data, "Meta") || GobDefines(data, "Label") || GobDefines(data, "Tag") {
-		t.Errorf("payload: Meta=%v Label=%v Tag=%v, want only its field Meta", GobDefines(data, "Meta"), GobDefines(data, "Label"), GobDefines(data, "Tag"))
-	}
-	if data := MustEncode(labelled{Tag: "x"}); !GobDefines(data, "Tag") {
-		t.Error("a struct's field name is not found")
-	}
-	for _, data := range [][]byte{nil, {0x90, 0x30}, {0x05, 0xff}, {0xff}, {0x7f, 0x01}} {
-		if GobDefines(data, "Tag") {
-			t.Errorf("% x defines Tag", data)
-		}
-	}
-}
