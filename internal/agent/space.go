@@ -24,8 +24,8 @@ import (
 var ErrFrozen = errors.New("agent: strongly reversible objects are not accessible during compensation")
 
 // Space is one half of the agent's private data space. Values are stored
-// encoded (wire.EncodeValue: tagged scalars and []int, gob for other
-// types), so a Space snapshot is a deep copy by construction and the
+// encoded (wire.EncodeValue: tagged scalars, []int and binary forms, gob
+// for other types), so a Space snapshot is a deep copy by construction and the
 // container codec carries them as opaque bytes.
 type Space struct {
 	Data map[string][]byte

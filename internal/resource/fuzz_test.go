@@ -128,6 +128,45 @@ func FuzzExchangeState(f *testing.F) {
 	fuzzState[exchangeState](f, typeExchange, "res/exchange/fx")
 }
 
+// FuzzCash fuzzes the decoder of digital cash in a data space
+// (Cash.UnmarshalBinary): it never panics, refuses as wire.ErrCorrupt,
+// allocates in proportion to its input whatever coin count it declares,
+// and accepts only what re-encodes to the same bytes. The gob wallet of
+// layout 1 is refused.
+func FuzzCash(f *testing.F) {
+	for _, c := range []Cash{nil, {}, {{Serial: "bank-00000001", Currency: "USD", Value: 500}},
+		{{Serial: "a", Currency: "EUR", Value: -1}, {}}} {
+		data, err := c.MarshalBinary()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte{0xff, 0xff, 0x7f}) // a count past the input
+	if old, err := os.ReadFile(filepath.Join("testdata", "wallet-gob-15a522f.bin")); err == nil {
+		f.Add(old)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var c Cash
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := c.UnmarshalBinary(data)
+		runtime.ReadMemStats(&after)
+		if n, limit := after.TotalAlloc-before.TotalAlloc, uint64(64*len(data)+1<<16); n > limit {
+			t.Fatalf("decoding %d bytes allocated %d, want <= %d", len(data), n, limit)
+		}
+		if err != nil {
+			if !errors.Is(err, wire.ErrCorrupt) {
+				t.Fatalf("refused with %v, want wire.ErrCorrupt", err)
+			}
+			return
+		}
+		if again, _ := c.MarshalBinary(); !bytes.Equal(again, data) {
+			t.Fatalf("cash does not re-encode to itself:\n got % x\nwant % x", again, data)
+		}
+	})
+}
+
 // TestGobRecordsRefused: the gob records of commit 60b3006 (testdata,
 // written by that commit's Bank and Shop) fail to load as
 // wire.ErrCorrupt.

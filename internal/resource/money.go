@@ -3,6 +3,8 @@ package resource
 import (
 	"fmt"
 	"sort"
+
+	"repro/internal/wire"
 )
 
 // Coin is one digital coin (Chaum-style digital cash, the paper's §3.2
@@ -15,8 +17,47 @@ type Coin struct {
 	Value    int64 // smallest currency unit (cents)
 }
 
-// Cash is a multiset of coins.
+// Cash is a multiset of coins. It travels in an agent's data space in its
+// binary form (wire.TagBinary): a shifted count (0 nil, n+1 n coins), then
+// each coin's Serial, Currency and Value (a signed varint).
 type Cash []Coin
+
+// MarshalBinary encodes c in its binary form.
+func (c Cash) MarshalBinary() ([]byte, error) {
+	if c == nil {
+		return []byte{0}, nil
+	}
+	buf := wire.AppendUvarint(make([]byte, 0, 1+24*len(c)), uint64(len(c))+1)
+	for _, coin := range c {
+		buf = wire.AppendString(buf, coin.Serial)
+		buf = wire.AppendString(buf, coin.Currency)
+		buf = wire.AppendVarint(buf, coin.Value)
+	}
+	return buf, nil
+}
+
+// UnmarshalBinary decodes the binary form MarshalBinary writes, and only
+// that: anything else is wire.ErrCorrupt and leaves c unchanged.
+func (c *Cash) UnmarshalBinary(data []byte) error {
+	r := wire.NewReader(data)
+	var out Cash
+	if shifted := r.Uvarint(); shifted > 0 {
+		// A coin costs at least two length bytes and a value byte.
+		if n := shifted - 1; n > uint64(len(data)/3) {
+			r.Fail("%d coins exceed buffer", n)
+		} else {
+			out = make(Cash, n)
+			for i := range out {
+				out[i] = Coin{Serial: r.String(), Currency: r.String(), Value: r.Varint()}
+			}
+		}
+	}
+	if err := r.Done(); err != nil {
+		return err
+	}
+	*c = out
+	return nil
+}
 
 // Total returns the total value of coins in the given currency.
 func (c Cash) Total(currency string) int64 {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/stable"
@@ -572,6 +573,55 @@ func TestCashTake(t *testing.T) {
 	taken0, rest0, err := c.Take("USD", 0)
 	if err != nil || len(taken0) != 0 || rest0.Total("USD") != 120 {
 		t.Errorf("take 0 = %v / %v / %v", taken0, rest0, err)
+	}
+}
+
+// TestCashValueRoundTrip: nil, empty and multi-coin cash travel in a data
+// space under wire.TagBinary and come back as they went, nil and empty
+// apart; a one-coin wallet is a fraction of its gob encoding.
+func TestCashValueRoundTrip(t *testing.T) {
+	for _, c := range []Cash{nil, {}, {
+		{Serial: "bank-00000001", Currency: "USD", Value: 500},
+		{Serial: "shop-00000002.b", Currency: "EUR", Value: -7},
+		{},
+	}} {
+		data, err := wire.EncodeValue(c)
+		if err != nil || len(data) == 0 || data[0] != wire.TagBinary {
+			t.Fatalf("%#v encoded as % x, %v", c, data, err)
+		}
+		got := Cash{{Serial: "stale"}}
+		if err := wire.DecodeValue(data, &got); err != nil {
+			t.Fatalf("%#v: %v", c, err)
+		}
+		if (got == nil) != (c == nil) || !slices.Equal(got, c) {
+			t.Errorf("%#v decoded as %#v", c, got)
+		}
+	}
+	wallet := Cash{{Serial: "bank-00000001", Currency: "USD", Value: 500}}
+	data, err := wire.EncodeValue(wallet)
+	if err != nil || len(data) > 24 {
+		t.Errorf("one-coin wallet is %d B, want <= 24: %v", len(data), err)
+	}
+}
+
+// TestGobWalletRefused: the gob wallet of layout 1 (testdata, the one in
+// stable's wal-15a522f fixture) does not decode into Cash: an error, never
+// a misdecode, and the target is left as it was.
+func TestGobWalletRefused(t *testing.T) {
+	old, err := os.ReadFile(filepath.Join("testdata", "wallet-gob-15a522f.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg, err := os.ReadFile(filepath.Join("..", "stable", "testdata", "wal-15a522f", "00000001.seg"))
+	if err != nil || !bytes.Contains(seg, old) {
+		t.Fatalf("the wal-15a522f fixture does not hold this wallet: %v", err)
+	}
+	got := Cash{{Serial: "kept"}}
+	if err := wire.DecodeValue(old, &got); err == nil {
+		t.Errorf("gob wallet decoded as %#v", got)
+	}
+	if len(got) != 1 || got[0].Serial != "kept" {
+		t.Errorf("refused decode changed the target to %#v", got)
 	}
 }
 

@@ -1,6 +1,7 @@
 package stable_test
 
 import (
+	"fmt"
 	"io/fs"
 	"maps"
 	"os"
@@ -15,10 +16,11 @@ import (
 // holding only a stamp's leftover temp file) and reopens it with its
 // data; it refuses every other dir — one written before the stamp (by
 // 0ea4125's wal engine, or with the deleted file engine's kv/ and
-// journal; testdata), or one whose stamp is another number or garbage —
-// naming the dir and the last commit that reads it, and leaves it byte
-// for byte as it was. The mem engine has no dir: it is never stamped or
-// refused.
+// journal), one stamped with layout 1 (15a522f's wal engine, a queued
+// agent carrying a gob wallet; testdata), or one whose stamp is another
+// number or garbage — naming the dir and the last commit that reads it
+// (or that none does), and leaves it byte for byte as it was. The mem
+// engine has no dir: it is never stamped or refused.
 func TestOpenLayoutStamp(t *testing.T) {
 	fixture := func(name string) func(t *testing.T, dir string) {
 		return func(t *testing.T, dir string) {
@@ -41,14 +43,16 @@ func TestOpenLayoutStamp(t *testing.T) {
 		absent bool // Dir does not exist yet
 		setup  func(t *testing.T, dir string)
 		refuse bool
+		reader string // the last commit named as reading a refused dir, if any
 	}{
 		{name: "fresh", engine: "wal"},
 		{name: "fresh-sync", engine: "wal", sync: true},
 		{name: "absent", engine: "wal", absent: true},
 		{name: "leftover-temp", engine: "wal", setup: write("LAYOUT.tmp", "")},
-		{name: "wal-0ea4125", engine: "wal", setup: fixture("wal-0ea4125"), refuse: true},
-		{name: "file-df71a49", engine: "wal", setup: fixture("file-df71a49"), refuse: true},
-		{name: "layout-2", engine: "wal", setup: write("LAYOUT", "2\n"), refuse: true},
+		{name: "wal-0ea4125", engine: "wal", setup: fixture("wal-0ea4125"), refuse: true, reader: "0ea4125"},
+		{name: "file-df71a49", engine: "wal", setup: fixture("file-df71a49"), refuse: true, reader: "0ea4125"},
+		{name: "wal-15a522f", engine: "wal", setup: fixture("wal-15a522f"), refuse: true, reader: "15a522f"},
+		{name: "layout-next", engine: "wal", setup: write("LAYOUT", fmt.Sprintf("%d\n", stable.Layout+1)), refuse: true},
 		{name: "layout-garbage", engine: "wal", setup: write("LAYOUT", "\x00garbage"), refuse: true},
 		{name: "mem-unstamped", engine: "mem", setup: fixture("wal-0ea4125")},
 		{name: "mem-absent", engine: "mem", absent: true},
@@ -69,7 +73,11 @@ func TestOpenLayoutStamp(t *testing.T) {
 					_ = stable.Close(s)
 					t.Fatal("opened, want a refusal")
 				}
-				for _, want := range []string{dir, "0ea4125", "last commit that reads it"} {
+				reader := "no commit this runtime knows of reads it"
+				if tc.reader != "" {
+					reader = tc.reader + " is the last commit that reads it"
+				}
+				for _, want := range []string{dir, reader} {
 					if !strings.Contains(err.Error(), want) {
 						t.Errorf("refusal %q does not name %q", err, want)
 					}
@@ -95,8 +103,8 @@ func TestOpenLayoutStamp(t *testing.T) {
 				return
 			}
 			got := tree(t, dir)
-			if _, tmp := got["LAYOUT.tmp"]; tmp || got["LAYOUT"] != "1\n" {
-				t.Errorf("stamped dir holds %q, want LAYOUT = 1 and no temp file", got)
+			if _, tmp := got["LAYOUT.tmp"]; tmp || got["LAYOUT"] != fmt.Sprintf("%d\n", stable.Layout) {
+				t.Errorf("stamped dir holds %q, want LAYOUT = %d and no temp file", got, stable.Layout)
 			}
 			s, err = stable.Open(spec)
 			if err != nil {

@@ -87,12 +87,16 @@ func Engines() []string {
 // engine's files and the keys and records the runtime keeps in them.
 // Open stamps a new directory with it (its LAYOUT file) and opens no
 // directory stamped otherwise or not at all. A layout change bumps Layout
-// and sets lastReader to the last commit that reads the layout before.
-const Layout = 1
+// and adds the layout before to lastReaders.
+//
+// Layout 2: digital cash (resource.Cash) in an agent's data space is its
+// binary form, no longer gob.
+const Layout = 2
 
-// lastReader is the last commit that reads a data directory Open refuses:
-// an unstamped one, as every runtime up to that commit wrote them.
-const lastReader = "0ea4125"
+// lastReaders maps the stamp of each retired layout to the last commit
+// that reads a data directory of it; "" is no stamp at all, as every
+// runtime up to 0ea4125 wrote them.
+var lastReaders = map[string]string{"": "0ea4125", "1\n": "15a522f"}
 
 const layoutFile = "LAYOUT"
 
@@ -134,7 +138,7 @@ func stampLayout(dir string, sync bool) error {
 		if string(raw) == want {
 			return nil
 		}
-		return refuseLayout(dir, fmt.Sprintf("its %s holds %q, not %d", layoutFile, raw, Layout))
+		return refuseLayout(dir, string(raw), fmt.Sprintf("its %s holds %q", layoutFile, raw))
 	}
 	if !errors.Is(err, os.ErrNotExist) {
 		return err
@@ -145,7 +149,7 @@ func stampLayout(dir string, sync bool) error {
 	}
 	for _, e := range entries {
 		if e.Name() != filepath.Base(tmp) {
-			return refuseLayout(dir, "it holds no "+layoutFile)
+			return refuseLayout(dir, "", "it holds no "+layoutFile)
 		}
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -163,8 +167,14 @@ func stampLayout(dir string, sync bool) error {
 	return nil
 }
 
-func refuseLayout(dir, why string) error {
-	return fmt.Errorf("stable: data dir %s is not stamped with layout %d, the one this runtime reads (%s); %s is the last commit that reads it (finish or drain its agents there)", dir, Layout, why, lastReader)
+// refuseLayout refuses dir, stamped stamp ("" none), naming the last
+// commit that reads it when there is one.
+func refuseLayout(dir, stamp, why string) error {
+	reader := "no commit this runtime knows of reads it"
+	if commit, ok := lastReaders[stamp]; ok {
+		reader = commit + " is the last commit that reads it (finish or drain its agents there)"
+	}
+	return fmt.Errorf("stable: data dir %s is not stamped with layout %d, the one this runtime reads (%s); %s", dir, Layout, why, reader)
 }
 
 // writeFile writes data to path, fsynced if sync is set.

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding"
 	"encoding/binary"
 	"fmt"
 	"reflect"
@@ -12,8 +13,10 @@ import (
 // DecodeValue look inside. The kinds that dominate both (§4.4.1
 // operation entries carry small named values such as account names and
 // amounts; steps keep flags, counters and lists of sizes) are written
-// under a one-byte tag, and every other type as gob: a gob decoder
-// compiles the value's type afresh for every standalone value.
+// under a one-byte tag, as is any type with a binary form of its own
+// (encoding.BinaryMarshaler: the agents' digital cash). Every other type
+// goes as gob: a gob decoder compiles the value's type afresh for every
+// standalone value.
 //
 // A gob stream begins with the message byte count encoded as gob's
 // unsigned varint: a single byte below 0x80, or a negated-length byte in
@@ -35,6 +38,9 @@ const (
 	// of signed varints. 0x85 and 0x87 are kept for float64 and []string,
 	// which go as gob until a workload stores them.
 	TagInts = 0x86
+	// TagBinary prefixes the MarshalBinary bytes of a type that has them;
+	// it decodes only into an encoding.BinaryUnmarshaler.
+	TagBinary = 0x88
 )
 
 // Tagged reports whether data begins with an out-of-band scalar tag (i.e.
@@ -44,7 +50,8 @@ func Tagged(data []byte) bool {
 }
 
 // EncodeValue encodes one user-defined value: int, int64, string, []byte,
-// bool and []int under their tags, every other type as gob.
+// bool and []int under their tags, an encoding.BinaryMarshaler under
+// TagBinary, every other type as gob.
 func EncodeValue(v any) ([]byte, error) {
 	switch x := v.(type) {
 	case int64:
@@ -67,6 +74,12 @@ func EncodeValue(v any) ([]byte, error) {
 			buf = AppendVarint(buf, int64(i))
 		}
 		return buf, nil
+	case encoding.BinaryMarshaler:
+		body, err := x.MarshalBinary()
+		if err != nil {
+			return nil, fmt.Errorf("wire: encode %T: %w", v, err)
+		}
+		return append([]byte{TagBinary}, body...), nil
 	}
 	return Encode(v)
 }
@@ -75,7 +88,8 @@ func EncodeValue(v any) ([]byte, error) {
 // pointer). A tagged value decodes into what gob would decode it into: a
 // type of its own kind, named or not, with integers of any signed width
 // that holds them. It is read only from its one canonical encoding;
-// anything else is an error, never a misdecode.
+// anything else is an error, never a misdecode. A TagBinary value decodes
+// only through out's UnmarshalBinary, which owns its canonical form.
 func DecodeValue(data []byte, out any) error {
 	if !Tagged(data) {
 		return Decode(data, out)
@@ -83,6 +97,16 @@ func DecodeValue(data []byte, out any) error {
 	v := reflect.ValueOf(out)
 	if v.Kind() != reflect.Pointer || v.IsNil() {
 		return fmt.Errorf("wire: decode into %T: not a non-nil pointer", out)
+	}
+	if data[0] == TagBinary {
+		u, ok := out.(encoding.BinaryUnmarshaler)
+		if !ok {
+			return fmt.Errorf("wire: cannot decode tagged value 0x%02x into %T", TagBinary, out)
+		}
+		if err := u.UnmarshalBinary(data[1:]); err != nil {
+			return fmt.Errorf("wire: decode %T: %w", out, err)
+		}
+		return nil
 	}
 	v = v.Elem()
 	tag, r := data[0], Reader{b: data[1:]}

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"testing"
 )
@@ -188,6 +189,47 @@ func TestValueCodecLikeGob(t *testing.T) {
 	}
 }
 
+// point has a binary form of its own: two signed varints.
+type point struct{ X, Y int64 }
+
+func (p point) MarshalBinary() ([]byte, error) {
+	return AppendVarint(AppendVarint(nil, p.X), p.Y), nil
+}
+
+func (p *point) UnmarshalBinary(data []byte) error {
+	r := NewReader(data)
+	x, y := r.Varint(), r.Varint()
+	if err := r.Done(); err != nil {
+		return err
+	}
+	*p = point{x, y}
+	return nil
+}
+
+// TestValueCodecBinary: a type with a binary form goes under TagBinary
+// and decodes through its UnmarshalBinary, into nothing else; no other
+// tag decodes into it, and its own refusal is the decode's.
+func TestValueCodecBinary(t *testing.T) {
+	data := mustEncode(t, point{3, -4})
+	if !bytes.Equal(data, []byte{TagBinary, 6, 7}) {
+		t.Fatalf("point encoded as % x", data)
+	}
+	var p point
+	if err := DecodeValue(data, &p); err != nil || p != (point{3, -4}) {
+		t.Errorf("point decoded as %v, %v", p, err)
+	}
+	var n int
+	if err := DecodeValue(data, &n); err == nil {
+		t.Error("a binary value decoded into an int")
+	}
+	if err := DecodeValue(mustEncode(t, 1), &p); err == nil {
+		t.Error("an int decoded into a point")
+	}
+	if err := DecodeValue(append(data, 0), &p); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("trailing byte: %v, want ErrCorrupt", err)
+	}
+}
+
 // TestDecodeValueAllocs guards the data-space read path: a tagged integer
 // decodes without allocating, a string with the string only.
 func TestDecodeValueAllocs(t *testing.T) {
@@ -243,6 +285,7 @@ func valueKinds() []struct {
 		{TagInts, func() any { return new([]int) }},
 		{TagInts, func() any { return new(sizes) }},
 		{TagInts, func() any { return new([]int8) }},
+		{TagBinary, func() any { return new(point) }},
 	}
 }
 
@@ -258,6 +301,8 @@ func canonical(tag byte, v reflect.Value) any {
 		return v.Bytes()
 	case TagBool:
 		return v.Bool()
+	case TagBinary:
+		return v.Interface()
 	}
 	if v.IsNil() {
 		return []int(nil)
@@ -272,8 +317,8 @@ func canonical(tag byte, v reflect.Value) any {
 // FuzzValueCodec fuzzes the decoder of the values a data space or a
 // compensation's parameters hold: DecodeValue never panics, a tagged value
 // decodes into no kind but its own, and what it decodes re-encodes to
-// exactly the input bytes. Untagged input is gob's, which this codec only
-// hands on.
+// exactly the input bytes — a TagBinary value through a test type with a
+// binary form. Untagged input is gob's, which this codec only hands on.
 func FuzzValueCodec(f *testing.F) {
 	for _, v := range []any{int64(-3), 1 << 40, "", "name", []byte{0, 1}, true, false,
 		[]int{1, -1}, []int{300}, []int(nil), []int{}} {
@@ -287,6 +332,8 @@ func FuzzValueCodec(f *testing.F) {
 	f.Add([]byte{TagBool, 2})                // bool byte 2
 	f.Add([]byte{TagInts, 0xff, 0xff, 0x7f}) // count past the input
 	f.Add([]byte{0x85, 0})                   // a reserved tag
+	f.Add([]byte{TagBinary, 6, 7})           // point{3, -4}
+	f.Add([]byte{TagBinary, 6})              // a point cut short
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if !Tagged(data) {
 			return

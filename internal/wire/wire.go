@@ -9,7 +9,7 @@
 // length-prefixed binary format of binary.go. User-defined values
 // (data-space objects, compensation parameters) are opaque bytes produced
 // by the value codec of scalar.go: a tagged encoding for int/int64/string/
-// []byte/bool/float64 and []int/[]int64/[]string, gob for every other
+// []byte/bool, []int and any encoding.BinaryMarshaler, gob for every other
 // type. That fallback is the one use of gob left (Encode/Decode below);
 // nothing the runtime defines is gob.
 package wire
