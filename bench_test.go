@@ -82,7 +82,7 @@ func BenchmarkFig2LogAppend(b *testing.B) {
 // BenchmarkFig2LogEncode: gob encoding cost of the migrating log.
 func BenchmarkFig2LogEncode(b *testing.B) {
 	var l core.Log
-	if err := l.AppendSavepoint("sp", map[string][]byte{"v": make([]byte, 1024)}, core.StateLogging, true); err != nil {
+	if err := l.AppendSavepoint("sp", nil, map[string][]byte{"v": make([]byte, 1024)}, core.StateLogging, true); err != nil {
 		b.Fatal(err)
 	}
 	for s := 0; s < 16; s++ {
@@ -466,7 +466,7 @@ func BenchmarkTLogSavepoint(b *testing.B) {
 						buf[0] = byte(sp + 1)
 						sro[fmt.Sprintf("obj%02d", (sp*16+j)%64)] = buf
 					}
-					if err := l.AppendSavepoint(fmt.Sprintf("sp%d", sp), sro, mode, true); err != nil {
+					if err := l.AppendSavepoint(fmt.Sprintf("sp%d", sp), nil, sro, mode, true); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -3,7 +3,6 @@ package agent
 import (
 	"errors"
 	"fmt"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/itinerary"
@@ -66,78 +65,46 @@ func NewAt(id, owner string, itin *itinerary.Itinerary, launchNode string) (*Age
 	}, entered, nil
 }
 
-// Reserved SRO image keys under which the runtime snapshots system state
-// (itinerary + cursor + step sequence) so that a rollback also restores the
-// agent's position. The prefix cannot collide with application keys set
-// through Space (applications choose their own keys; the runtime rejects
-// this prefix in SystemImage).
-const (
-	sysPrefix     = "__sys/"
-	sysKeyCursor  = sysPrefix + "cursor"
-	sysKeyItin    = sysPrefix + "itinerary"
-	sysKeyStepSeq = sysPrefix + "stepseq"
-)
-
-// SystemImage returns the SRO snapshot augmented with the system state
-// (cursor, itinerary, step counter); this is the image savepoint entries
-// store.
-func (a *Agent) SystemImage() (map[string][]byte, error) {
-	img := a.SRO.Snapshot()
-	for k := range img {
-		if strings.HasPrefix(k, sysPrefix) {
-			return nil, fmt.Errorf("agent %s: reserved SRO key %q", a.ID, k)
-		}
-	}
+// SysState returns the execution state a new savepoint records beside
+// the SRO: the cursor, the step counter and the itinerary's encoding.
+func (a *Agent) SysState() (*core.SysState, error) {
 	itin, err := a.Itin.AppendTo(nil)
 	if err != nil {
 		return nil, err
 	}
-	img[sysKeyCursor] = a.Cursor.AppendTo(nil)
-	img[sysKeyItin] = itin
-	img[sysKeyStepSeq] = wire.EncodeInt64(int64(a.StepSeq))
-	return img, nil
+	return &core.SysState{Cursor: a.Cursor, StepSeq: a.StepSeq, Itin: itin}, nil
 }
 
-// RestoreSystemImage restores the SRO space and the system state from a
-// savepoint image produced by SystemImage.
-func (a *Agent) RestoreSystemImage(img map[string][]byte) error {
-	raw, ok := img[sysKeyCursor]
-	if !ok {
-		return fmt.Errorf("agent %s: savepoint image lacks system state", a.ID)
+// RestoreSavepoint returns the agent to savepoint id of its log (§4.3):
+// the cursor, step counter, itinerary and SRO recorded there. The WRO is
+// compensated, never restored (§4.1). This is the one place a savepoint's
+// itinerary is decoded.
+func (a *Agent) RestoreSavepoint(id string) error {
+	sys, sro, err := a.Log.SavepointState(id)
+	if err != nil {
+		return fmt.Errorf("agent %s: %w", a.ID, err)
 	}
-	r := wire.NewReader(raw)
-	cursor := itinerary.ReadCursor(r)
-	if err := r.Done(); err != nil {
-		return fmt.Errorf("agent %s: savepoint cursor: %w", a.ID, err)
-	}
-	r = wire.NewReader(img[sysKeyItin])
+	r := wire.NewReader(sys.Itin)
 	itin := itinerary.ReadItinerary(r)
 	if err := r.Done(); err != nil {
-		return fmt.Errorf("agent %s: savepoint itinerary: %w", a.ID, err)
+		return fmt.Errorf("agent %s: savepoint %q itinerary: %w", a.ID, id, err)
 	}
-	seq, ok := wire.DecodeInt64(img[sysKeyStepSeq])
-	if !ok {
-		return fmt.Errorf("agent %s: savepoint step counter: %w", a.ID, wire.ErrCorrupt)
-	}
-	a.Cursor = cursor
+	a.Cursor = sys.Cursor
 	a.Itin = itin
-	a.StepSeq = int(seq)
-	a.RestoreSRO(img)
+	a.StepSeq = sys.StepSeq
+	a.SRO.Restore(sro)
 	return nil
 }
 
-// RestoreSRO replaces the strongly reversible objects with the
-// application part of a savepoint image, leaving the system keys out. It
-// is the one place an image becomes the SRO: RestoreSystemImage ends with
-// it, and a rollback applies it as soon as its target savepoint is known,
-// because no compensation can read the SRO it would otherwise carry
-// (§4.3).
-func (a *Agent) RestoreSRO(img map[string][]byte) {
-	app := make(map[string][]byte, len(img))
-	for k, v := range img {
-		if !strings.HasPrefix(k, sysPrefix) {
-			app[k] = v
-		}
+// RestoreSRO replaces the SRO with the one savepoint id recorded. A
+// rollback applies it as soon as its target savepoint is known, because
+// no compensation can read the SRO it would otherwise carry (§4.3);
+// RestoreSavepoint restores the same bytes again on reaching the target.
+func (a *Agent) RestoreSRO(id string) error {
+	sro, err := a.Log.ReconstructSRO(id)
+	if err != nil {
+		return fmt.Errorf("agent %s: %w", a.ID, err)
 	}
-	a.SRO.Restore(app)
+	a.SRO.Restore(sro)
+	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/itinerary"
 	"repro/internal/wire"
 )
@@ -129,7 +130,31 @@ func TestAgentNew(t *testing.T) {
 	}
 }
 
-func TestSystemImageRoundTrip(t *testing.T) {
+// savepoint writes savepoint id with the agent's current state, as the
+// runtime does, and sends the agent through its container codec, so the
+// savepoint's itinerary comes back as a reference to the agent's.
+func savepoint(t *testing.T, a *Agent, id string) *Agent {
+	t.Helper()
+	sys, err := a.SysState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Log.AppendSavepoint(id, sys, a.SRO.Data, core.StateLogging, true); err != nil {
+		t.Fatal(err)
+	}
+	data, _, err := a.AppendTo(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := wire.NewReader(data)
+	got := Read(r)
+	if err := r.Done(); err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+func TestSavepointStateRoundTrip(t *testing.T) {
 	a, _, err := New("a1", "o", testItinerary(t))
 	if err != nil {
 		t.Fatal(err)
@@ -138,10 +163,7 @@ func TestSystemImageRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.StepSeq = 7
-	img, err := a.SystemImage()
-	if err != nil {
-		t.Fatal(err)
-	}
+	a = savepoint(t, a, "s")
 
 	// Diverge, then restore.
 	if err := a.SRO.Set("user", "changed"); err != nil {
@@ -155,8 +177,9 @@ func TestSystemImageRoundTrip(t *testing.T) {
 	}
 	a.StepSeq = 99
 	a.Cursor = itinerary.Cursor{Done: true}
+	a.Itin = nil
 
-	if err := a.RestoreSystemImage(img); err != nil {
+	if err := a.RestoreSavepoint("s"); err != nil {
 		t.Fatal(err)
 	}
 	var v string
@@ -184,26 +207,59 @@ func TestSystemImageRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSystemImageRejectsReservedKeys(t *testing.T) {
+// TestSROKeyNamedLikeSystemState: the SRO has no reserved keys. One named
+// as the system state's key once was survives a savepoint, the container
+// codec and a rollback untouched, and so does the system state.
+func TestSROKeyNamedLikeSystemState(t *testing.T) {
 	a, _, err := New("a1", "o", testItinerary(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.SRO.Set("__sys/evil", 1); err != nil {
+	const key = "__sys/cursor"
+	if err := a.SRO.Set(key, "app"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.SystemImage(); err == nil {
-		t.Error("reserved key accepted in SRO")
+	a = savepoint(t, a, "s")
+	if err := a.SRO.Set(key, "later"); err != nil {
+		t.Fatal(err)
+	}
+	a.Cursor = itinerary.Cursor{Path: []int{0, 1}}
+	if err := a.RestoreSavepoint("s"); err != nil {
+		t.Fatal(err)
+	}
+	var v string
+	if err := a.SRO.MustGet(key, &v); err != nil || v != "app" {
+		t.Errorf("SRO[%q] = %q, %v; want %q", key, v, err, "app")
+	}
+	if keys, _ := a.SRO.Keys(); !reflect.DeepEqual(keys, []string{key}) {
+		t.Errorf("SRO keys = %q, want only %q", keys, key)
+	}
+	if !reflect.DeepEqual(a.Cursor.Path, []int{0, 0}) {
+		t.Errorf("cursor = %+v, want the first step", a.Cursor)
 	}
 }
 
-func TestRestoreSystemImageRejectsPlainImage(t *testing.T) {
+// TestRestoreSavepointRejectsBareSavepoint: a savepoint that records no
+// system state, or an itinerary that does not decode, restores nothing.
+func TestRestoreSavepointRejectsBareSavepoint(t *testing.T) {
 	a, _, err := New("a1", "o", testItinerary(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.RestoreSystemImage(map[string][]byte{"k": []byte("v")}); err == nil {
-		t.Error("image without system state accepted")
+	if err := a.Log.AppendSavepoint("bare", nil, map[string][]byte{"k": []byte("v")}, core.StateLogging, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Log.AppendSavepoint("torn", &core.SysState{Itin: []byte{1, 5}}, nil, core.StateLogging, true); err != nil {
+		t.Fatal(err)
+	}
+	before := a.Cursor
+	for _, id := range []string{"bare", "torn", "ghost"} {
+		if err := a.RestoreSavepoint(id); err == nil {
+			t.Errorf("savepoint %q restored", id)
+		}
+	}
+	if has, _ := a.SRO.Has("k"); has || !reflect.DeepEqual(a.Cursor, before) {
+		t.Errorf("a refused restore changed the agent: cursor %+v, SRO %v", a.Cursor, a.SRO.Data)
 	}
 }
 

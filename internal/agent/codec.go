@@ -13,9 +13,10 @@ import (
 //	Space  present:bool [ Data:map ]
 
 // AppendTo appends the agent's encoding to buf; a nil agent round-trips
-// as nil. The log is the last field: logAt is the offset in out where its
-// entries begin, so len(out)-logAt is the log's EncodedSize (0 without an
-// agent or a log). It fails where the itinerary or the log cannot be
+// as nil. The log is the last field, given the itinerary's bytes just
+// written, so a savepoint that recorded the same itinerary refers to them:
+// logAt is the offset in out where the log's entries begin (len(out) for
+// no agent or no log). It fails where the itinerary or the log cannot be
 // encoded.
 func (a *Agent) AppendTo(buf []byte) (out []byte, logAt int, err error) {
 	if a == nil {
@@ -27,31 +28,30 @@ func (a *Agent) AppendTo(buf []byte) (out []byte, logAt int, err error) {
 	buf = wire.AppendString(buf, a.Owner)
 	buf = wire.AppendVarint(buf, int64(a.StepSeq))
 	buf = a.Cursor.AppendTo(buf)
+	itinAt := len(buf)
 	buf, err = a.Itin.AppendTo(buf)
 	if err != nil {
 		return nil, 0, err
 	}
+	itin := buf[itinAt:len(buf):len(buf)]
 	buf = a.WRO.appendTo(buf)
 	buf = a.SRO.appendTo(buf)
-	return a.Log.AppendTo(buf)
+	return a.Log.AppendTo(buf, itin)
 }
 
-// Read consumes an agent written by AppendTo. Data-space, image and
-// parameter values alias r's input.
+// Read consumes an agent written by AppendTo. Data-space, image,
+// parameter and savepoint itinerary values alias r's input.
 func Read(r *wire.Reader) *Agent {
 	if !r.Bool() {
 		return nil
 	}
-	return &Agent{
-		ID:      r.String(),
-		Owner:   r.String(),
-		StepSeq: r.Int(),
-		Cursor:  itinerary.ReadCursor(r),
-		Itin:    itinerary.ReadItinerary(r),
-		WRO:     readSpace(r),
-		SRO:     readSpace(r),
-		Log:     core.ReadLog(r),
-	}
+	a := &Agent{ID: r.String(), Owner: r.String(), StepSeq: r.Int(), Cursor: itinerary.ReadCursor(r)}
+	mark := r.Mark()
+	a.Itin = itinerary.ReadItinerary(r)
+	itin := r.Since(mark)
+	a.WRO, a.SRO = readSpace(r), readSpace(r)
+	a.Log = core.ReadLog(r, itin)
+	return a
 }
 
 func (s *Space) appendTo(buf []byte) []byte {

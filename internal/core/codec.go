@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 
+	"repro/internal/itinerary"
 	"repro/internal/wire"
 )
 
@@ -10,15 +12,21 @@ import (
 // container (wire.Reader's canonical format; DESIGN.md "Wire format"):
 //
 //	Log    present:bool [ nEntries { kind:byte entry } ]
-//	SP     ID:name Mode Image:map hasDelta:bool [ Changed:map nDeleted { name } ] Special:bool RefID:name Auto:bool
+//	SP     ID:name Mode Sys Image:map hasDelta:bool [ Changed:map nDeleted { name } ] Special:bool RefID:name Auto:bool
+//	Sys    0 (none) | 1 Cursor StepSeq Itin
+//	Itin   0 (the enclosing container's itinerary) | n+1 followed by n bytes
 //	BOS    Node:name Seq
 //	OE     Kind Op:name Params:map
 //	EOS    Node:name Seq HasMixed:bool nAlt { name }
 //
-// Integers are signed varints, maps are wire.AppendNamedMap. The entries
-// write their names — and their maps' keys — through a table of their
-// own (wire.Names), which starts where the entries start, so
-// EncodedSize is still the entries' bytes inside a container.
+// Integers are signed varints, maps are wire.AppendNamedMap, Cursor is
+// itinerary.Cursor.AppendTo. A savepoint's itinerary equal to the one the
+// enclosing container carries is written as the one-byte reference 0, and
+// only then: inline bytes equal to it, or a reference in a log outside a
+// container, are wire.ErrCorrupt. The entries write their names — and
+// their maps' keys — through a table of their own (wire.Names), which
+// starts where the entries start, so a container's log bytes are those of
+// a standalone AppendTo given the same itinerary.
 const (
 	kindSP  byte = 1
 	kindBOS byte = 2
@@ -27,9 +35,12 @@ const (
 )
 
 // AppendTo appends the log's encoding to buf; a nil log round-trips as
-// nil. entriesAt is the offset in out where the entries begin, so
-// len(out)-entriesAt is EncodedSize. It fails only on a nil entry.
-func (l *Log) AppendTo(buf []byte) (out []byte, entriesAt int, err error) {
+// nil. itin is the encoding of the itinerary the enclosing container
+// carries (nil outside one): a savepoint whose itinerary equals it refers
+// to it. entriesAt is the offset in out where the entries begin; with a
+// nil itin, len(out)-entriesAt is EncodedSize. It fails only on a nil
+// entry.
+func (l *Log) AppendTo(buf, itin []byte) (out []byte, entriesAt int, err error) {
 	if l == nil {
 		buf = wire.AppendBool(buf, false)
 		return buf, len(buf), nil
@@ -37,11 +48,11 @@ func (l *Log) AppendTo(buf []byte) (out []byte, entriesAt int, err error) {
 	buf = wire.AppendBool(buf, true)
 	buf = wire.AppendUvarint(buf, uint64(len(l.Entries)))
 	entriesAt = len(buf)
-	buf, err = l.appendEntries(buf)
+	buf, err = l.appendEntries(buf, itin)
 	return buf, entriesAt, err
 }
 
-func (l *Log) appendEntries(buf []byte) ([]byte, error) {
+func (l *Log) appendEntries(buf, itin []byte) ([]byte, error) {
 	names := wire.NewNames()
 	defer names.Release()
 	for i, e := range l.Entries {
@@ -50,6 +61,7 @@ func (l *Log) appendEntries(buf []byte) ([]byte, error) {
 			buf = append(buf, kindSP)
 			buf = names.Append(buf, v.ID)
 			buf = wire.AppendVarint(buf, int64(v.Mode))
+			buf = appendSys(buf, v.Sys, itin)
 			buf = wire.AppendNamedMap(buf, names, v.Image)
 			buf = wire.AppendBool(buf, v.Delta != nil)
 			if v.Delta != nil {
@@ -81,9 +93,24 @@ func (l *Log) appendEntries(buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// ReadLog consumes a log written by AppendTo; failures are reported
-// through r. Image, delta and parameter values alias r's input.
-func ReadLog(r *wire.Reader) *Log {
+func appendSys(buf []byte, s *SysState, itin []byte) []byte {
+	buf = wire.AppendBool(buf, s != nil)
+	if s == nil {
+		return buf
+	}
+	buf = s.Cursor.AppendTo(buf)
+	buf = wire.AppendVarint(buf, int64(s.StepSeq))
+	if itin != nil && bytes.Equal(s.Itin, itin) {
+		return wire.AppendUvarint(buf, 0)
+	}
+	buf = wire.AppendUvarint(buf, uint64(len(s.Itin))+1)
+	return append(buf, s.Itin...)
+}
+
+// ReadLog consumes a log written by AppendTo with the same itin; failures
+// are reported through r. Image, delta, parameter and savepoint itinerary
+// values alias r's input (or itin, for a reference to it).
+func ReadLog(r *wire.Reader, itin []byte) *Log {
 	if !r.Bool() {
 		return nil
 	}
@@ -99,7 +126,9 @@ func ReadLog(r *wire.Reader) *Log {
 	for i := 0; i < n && r.Err() == nil; i++ {
 		switch kind := r.Byte(); kind {
 		case kindSP:
-			sp := &SavepointEntry{ID: r.Name(), Mode: LogMode(r.Int()), Image: r.NamedMap()}
+			sp := &SavepointEntry{ID: r.Name(), Mode: LogMode(r.Int())}
+			sp.Sys = readSys(r, itin)
+			sp.Image = r.NamedMap()
 			if r.Bool() {
 				sp.Delta = &SRODelta{Changed: r.NamedMap(), Deleted: r.NameList()}
 			}
@@ -118,15 +147,35 @@ func ReadLog(r *wire.Reader) *Log {
 	return l
 }
 
-// EncodedSize returns the serialized size of the log's entries in bytes —
-// what the log adds to an agent container — for the log-size experiments
-// (F6, T-log). It is measured with the container's own encoder, so the
-// two cannot disagree; a container encode reports the same number without
-// a second pass (AppendTo's entriesAt).
+func readSys(r *wire.Reader, itin []byte) *SysState {
+	if !r.Bool() {
+		return nil
+	}
+	s := &SysState{Cursor: itinerary.ReadCursor(r), StepSeq: r.Int()}
+	switch n := r.Uvarint(); {
+	case n > 0:
+		s.Itin = r.Take(n - 1)
+		if itin != nil && bytes.Equal(s.Itin, itin) {
+			r.Fail("savepoint itinerary written inline equals the container's")
+		}
+	case itin == nil:
+		r.Fail("savepoint itinerary refers to a container outside one")
+	default:
+		s.Itin = itin
+	}
+	return s
+}
+
+// EncodedSize returns the serialized size of the log's entries in bytes
+// outside a container, every savepoint itinerary inline — for the
+// log-size experiments (F2, T-log). It is measured with the container's
+// own encoder; inside a container the same log can be smaller, by the
+// itineraries that refer to the container's (AppendTo's entriesAt
+// measures that without a second pass).
 func (l *Log) EncodedSize() (int, error) {
 	scratch := wire.GetScratch()
 	defer wire.PutScratch(scratch)
-	buf, err := l.appendEntries((*scratch)[:0])
+	buf, err := l.appendEntries((*scratch)[:0], nil)
 	if err != nil {
 		return 0, err
 	}

@@ -6,18 +6,27 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/itinerary"
 	"repro/internal/wire"
 )
 
 // TestEntryCodecTable: every entry kind, in each of its shapes, survives
 // the binary codec unchanged, re-encodes to the same bytes, and costs
-// EncodedSize exactly its own encoding.
+// EncodedSize exactly its own encoding outside a container. Inside one
+// (a container itinerary given) the same holds, and a savepoint whose
+// itinerary is the container's costs that itinerary less one byte.
 func TestEntryCodecTable(t *testing.T) {
-	image := map[string][]byte{"b": []byte("2"), "a": []byte("1"), "__sys/cursor": {0, 1, 0}}
+	image := map[string][]byte{"b": []byte("2"), "a": []byte("1")}
+	itin := []byte{1, 1, 4, 't', 'r', 'i', 'p', 0, 0}
+	sys := &SysState{Cursor: itinerary.Cursor{Path: []int{0, 2}}, StepSeq: 2, Itin: itin}
 	cases := map[string]Entry{
 		"SP image":       &SavepointEntry{ID: "sp", Mode: StateLogging, Image: image, Auto: true},
 		"SP empty image": &SavepointEntry{ID: "sp", Mode: StateLogging, Image: map[string][]byte{}},
-		"SP delta": &SavepointEntry{ID: "sp2", Mode: TransitionLogging,
+		"SP sys":         &SavepointEntry{ID: "sp", Mode: StateLogging, Sys: sys, Image: image, Auto: true},
+		"SP sys other itinerary": &SavepointEntry{ID: "sp", Mode: StateLogging, Image: image,
+			Sys: &SysState{Cursor: itinerary.Cursor{Done: true}, StepSeq: -1, Itin: []byte{1, 0}}},
+		"SP sys no itinerary": &SavepointEntry{ID: "sp", Mode: StateLogging, Sys: &SysState{}},
+		"SP delta": &SavepointEntry{ID: "sp2", Mode: TransitionLogging, Sys: sys,
 			Delta: &SRODelta{Changed: map[string][]byte{"a": []byte("9")}, Deleted: []string{"b", "c"}}},
 		"SP empty delta": &SavepointEntry{ID: "sp3", Mode: TransitionLogging, Delta: &SRODelta{}},
 		"SP special":     &SavepointEntry{ID: "inner", Special: true, RefID: "sp", Auto: true},
@@ -31,34 +40,99 @@ func TestEntryCodecTable(t *testing.T) {
 	}
 	for name, e := range cases {
 		t.Run(name, func(t *testing.T) {
-			l := &Log{Entries: []Entry{e}}
-			data, at, err := l.AppendTo(nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r := wire.NewReader(data)
-			got := ReadLog(r)
-			if err := r.Done(); err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, l) {
-				t.Errorf("round trip:\n got %+v\nwant %+v", got.Entries[0], e)
-			}
-			if again, _, err := got.AppendTo(nil); err != nil || !bytes.Equal(again, data) {
-				t.Errorf("re-encoding changed the bytes (%v)", err)
-			}
-			// present byte + count byte precede the one entry.
-			if sz, err := l.EncodedSize(); err != nil || sz != len(data)-2 || sz != len(data)-at {
-				t.Errorf("EncodedSize = %d, %v; the entry encodes to %d bytes, AppendTo places it at %d", sz, err, len(data)-2, at)
-			}
-			for cut := 0; cut < len(data); cut++ {
-				r := wire.NewReader(data[:cut])
-				ReadLog(r)
-				if err := r.Done(); !errors.Is(err, wire.ErrCorrupt) {
-					t.Fatalf("log cut at %d of %d: %v, want ErrCorrupt", cut, len(data), err)
-				}
+			for _, in := range []struct {
+				where string
+				itin  []byte
+			}{{"standalone", nil}, {"in container", itin}} {
+				t.Run(in.where, func(t *testing.T) {
+					l := &Log{Entries: []Entry{e}}
+					data, at, err := l.AppendTo(nil, in.itin)
+					if err != nil {
+						t.Fatal(err)
+					}
+					r := wire.NewReader(data)
+					got := ReadLog(r, in.itin)
+					if err := r.Done(); err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, l) {
+						t.Errorf("round trip:\n got %+v\nwant %+v", got.Entries[0], e)
+					}
+					if again, _, err := got.AppendTo(nil, in.itin); err != nil || !bytes.Equal(again, data) {
+						t.Errorf("re-encoding changed the bytes (%v)", err)
+					}
+					// present byte + count byte precede the one entry.
+					sz, err := l.EncodedSize()
+					if err != nil || len(data)-2 != len(data)-at {
+						t.Fatalf("EncodedSize: %v; the entry encodes to %d bytes, AppendTo places it at %d", err, len(data)-2, at)
+					}
+					want := sz
+					if sp, ok := e.(*SavepointEntry); ok && in.itin != nil && sp.Sys != nil && bytes.Equal(sp.Sys.Itin, itin) {
+						want -= len(itin)
+					}
+					if len(data)-at != want {
+						t.Errorf("the entry encodes to %d bytes, want %d (EncodedSize %d)", len(data)-at, want, sz)
+					}
+					for cut := 0; cut < len(data); cut++ {
+						r := wire.NewReader(data[:cut])
+						ReadLog(r, in.itin)
+						if err := r.Done(); !errors.Is(err, wire.ErrCorrupt) {
+							t.Fatalf("log cut at %d of %d: %v, want ErrCorrupt", cut, len(data), err)
+						}
+					}
+				})
 			}
 		})
+	}
+}
+
+// TestSavepointItineraryCanonical: a savepoint's itinerary has one
+// encoding. A reference is refused outside a container, and inline bytes
+// equal to the container's itinerary are refused inside one, so whatever
+// decodes re-encodes to its own bytes.
+func TestSavepointItineraryCanonical(t *testing.T) {
+	itin := []byte{1, 1, 4, 't', 'r', 'i', 'p', 0, 0}
+	l := &Log{Entries: []Entry{&SavepointEntry{ID: "sp", Mode: StateLogging,
+		Sys: &SysState{Cursor: itinerary.Cursor{Path: []int{0, 0}}, StepSeq: 1, Itin: itin}}}}
+	ref, _, err := l.AppendTo(nil, itin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inline, _, err := l.AppendTo(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(inline)-len(ref) != len(itin) {
+		t.Fatalf("reference form %d B, inline %d B; want the itinerary's %d B apart", len(ref), len(inline), len(itin))
+	}
+	r := wire.NewReader(ref)
+	got := ReadLog(r, itin)
+	if err := r.Done(); err != nil {
+		t.Fatal(err)
+	}
+	if sys := got.Entries[0].(*SavepointEntry).Sys; &sys.Itin[0] != &itin[0] {
+		t.Error("a reference decodes to a copy, want the container's itinerary bytes")
+	}
+	for _, tc := range []struct {
+		name string
+		data []byte
+		itin []byte
+	}{
+		{"reference outside a container", ref, nil},
+		{"inline equal to the container's", inline, itin},
+	} {
+		r := wire.NewReader(tc.data)
+		ReadLog(r, tc.itin)
+		if err := r.Done(); !errors.Is(err, wire.ErrCorrupt) {
+			t.Errorf("%s: %v, want ErrCorrupt", tc.name, err)
+		}
+	}
+	// The same inline bytes in a container carrying another itinerary are
+	// the canonical form.
+	r = wire.NewReader(inline)
+	ReadLog(r, []byte{1, 0})
+	if err := r.Done(); err != nil {
+		t.Errorf("inline itinerary in a container carrying another: %v", err)
 	}
 }
 
@@ -67,12 +141,12 @@ func TestEntryCodecTable(t *testing.T) {
 // or an unknown kind byte is an error, not a panic.
 func TestLogCodecNilEmptyAndBadInput(t *testing.T) {
 	for _, l := range []*Log{nil, {}} {
-		data, _, err := l.AppendTo(nil)
+		data, _, err := l.AppendTo(nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		r := wire.NewReader(data)
-		got := ReadLog(r)
+		got := ReadLog(r, nil)
 		if err := r.Done(); err != nil || (got == nil) != (l == nil) || (got != nil && got.Len() != 0) {
 			t.Errorf("log %v round-tripped to %v, %v", l, got, err)
 		}
@@ -82,20 +156,20 @@ func TestLogCodecNilEmptyAndBadInput(t *testing.T) {
 		big[k] = []byte(k)
 	}
 	l := &Log{Entries: []Entry{&SavepointEntry{ID: "sp", Mode: StateLogging, Image: big}}}
-	first, _, err := l.AppendTo(nil)
+	first, _, err := l.AppendTo(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
-		if again, _, _ := l.AppendTo(nil); !bytes.Equal(again, first) {
+		if again, _, _ := l.AppendTo(nil, nil); !bytes.Equal(again, first) {
 			t.Fatal("equal logs encoded to different bytes")
 		}
 	}
-	if _, _, err := (&Log{Entries: []Entry{nil}}).AppendTo(nil); err == nil {
+	if _, _, err := (&Log{Entries: []Entry{nil}}).AppendTo(nil, nil); err == nil {
 		t.Error("nil log entry encoded")
 	}
 	r := wire.NewReader([]byte{1, 1, 9, 0, 0})
-	ReadLog(r)
+	ReadLog(r, nil)
 	if !errors.Is(r.Err(), wire.ErrCorrupt) {
 		t.Errorf("unknown entry kind: %v, want ErrCorrupt", r.Err())
 	}

@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/itinerary"
 	"repro/internal/wire"
 )
 
@@ -105,7 +106,8 @@ type Entry interface {
 	entryName() string
 }
 
-// SavepointEntry marks an agent savepoint (§4.2). Exactly one of
+// SavepointEntry marks an agent savepoint (§4.2): the agent's execution
+// state (Sys) and its strongly reversible objects. Exactly one of
 // Image/Delta is meaningful for data-carrying savepoints; Special
 // savepoints carry no data and reference an earlier savepoint whose state
 // they share (§4.4.2: a sub-itinerary starting immediately after its parent
@@ -113,6 +115,10 @@ type Entry interface {
 type SavepointEntry struct {
 	ID   string
 	Mode LogMode
+
+	// Sys is the execution state a rollback to this savepoint restores;
+	// nil for a special savepoint.
+	Sys *SysState
 
 	// Image is the full SRO image (state logging, or the base savepoint
 	// under transition logging).
@@ -127,6 +133,16 @@ type SavepointEntry struct {
 
 	// Auto marks savepoints placed automatically by the itinerary layer.
 	Auto bool
+}
+
+// SysState is an agent's execution state at a savepoint (§2, §4.2): the
+// itinerary cursor, the step counter, and the itinerary itself, kept as
+// its encoding (itinerary.Itinerary.AppendTo) so that only a restore
+// decodes it.
+type SysState struct {
+	Cursor  itinerary.Cursor
+	StepSeq int
+	Itin    []byte
 }
 
 // SRODelta is the difference between the SRO states of two adjacent

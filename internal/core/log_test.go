@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/itinerary"
 	"repro/internal/wire"
 )
 
@@ -50,7 +51,7 @@ func TestLogAppendPopLast(t *testing.T) {
 func TestLogFigure2Layout(t *testing.T) {
 	// Reproduce Figure 2: ... SPk BOSn OEn,1 ... OEn,p EOSn BOSn+1 ...
 	var l Log
-	if err := l.AppendSavepoint("k", img("v", "1"), StateLogging, false); err != nil {
+	if err := l.AppendSavepoint("k", nil, img("v", "1"), StateLogging, false); err != nil {
 		t.Fatal(err)
 	}
 	l.Append(&BeginStepEntry{Node: "n", Seq: 7})
@@ -68,7 +69,7 @@ func TestLogFigure2Layout(t *testing.T) {
 func TestSavepointStateLoggingRestore(t *testing.T) {
 	var l Log
 	src := img("a", "1", "b", "2")
-	if err := l.AppendSavepoint("sp1", src, StateLogging, true); err != nil {
+	if err := l.AppendSavepoint("sp1", nil, src, StateLogging, true); err != nil {
 		t.Fatal(err)
 	}
 	// Mutating the source must not affect the stored image.
@@ -84,10 +85,10 @@ func TestSavepointStateLoggingRestore(t *testing.T) {
 
 func TestSavepointDuplicateRejected(t *testing.T) {
 	var l Log
-	if err := l.AppendSavepoint("sp", img(), StateLogging, false); err != nil {
+	if err := l.AppendSavepoint("sp", nil, img(), StateLogging, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendSavepoint("sp", img(), StateLogging, false); err == nil {
+	if err := l.AppendSavepoint("sp", nil, img(), StateLogging, false); err == nil {
 		t.Error("duplicate savepoint accepted")
 	}
 }
@@ -99,7 +100,7 @@ func TestTransitionLoggingChain(t *testing.T) {
 	s3 := img("b", "3", "c", "4")           // a deleted
 	for i, s := range []map[string][]byte{s1, s2, s3} {
 		id := []string{"sp1", "sp2", "sp3"}[i]
-		if err := l.AppendSavepoint(id, s, TransitionLogging, true); err != nil {
+		if err := l.AppendSavepoint(id, nil, s, TransitionLogging, true); err != nil {
 			t.Fatal(err)
 		}
 		l.Append(&BeginStepEntry{Node: "n", Seq: i})
@@ -147,7 +148,7 @@ func imagesEqual(a, b map[string][]byte) bool {
 
 func TestSpecialSavepointResolution(t *testing.T) {
 	var l Log
-	if err := l.AppendSavepoint("outer", img("k", "v"), StateLogging, true); err != nil {
+	if err := l.AppendSavepoint("outer", nil, img("k", "v"), StateLogging, true); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.AppendSpecialSavepoint("inner", "outer", true); err != nil {
@@ -165,6 +166,56 @@ func TestSpecialSavepointResolution(t *testing.T) {
 	}
 }
 
+// TestSavepointStateTransitionLogging: under transition logging every
+// data-carrying savepoint keeps its own system state, whole, while its
+// delta covers the SRO alone; a special savepoint resolves both through
+// its reference, a removal keeps the survivors' state, and a savepoint
+// without system state cannot be restored.
+func TestSavepointStateTransitionLogging(t *testing.T) {
+	sys := func(seq int) *SysState {
+		return &SysState{Cursor: itinerary.Cursor{Path: []int{0, seq}}, StepSeq: seq, Itin: []byte{1, byte(seq)}}
+	}
+	var l Log
+	for i, id := range []string{"a", "b", "c"} {
+		if err := l.AppendSavepoint(id, sys(i), img("k", id), TransitionLogging, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.AppendSpecialSavepoint("c2", "c", true); err != nil {
+		t.Fatal(err)
+	}
+	if d := l.Entries[1].(*SavepointEntry).Delta; d == nil || len(d.Changed) != 1 || d.Changed["k"] == nil {
+		t.Fatalf("savepoint b's delta = %+v, want the SRO key k alone", d)
+	}
+	check := func(id string, want int) {
+		t.Helper()
+		got, sro, err := l.SavepointState(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, sys(want)) || string(sro["k"]) != string(rune('a'+want)) {
+			t.Errorf("savepoint %s: state %+v, SRO %q; want %+v and k=%c", id, got, sro, sys(want), 'a'+want)
+		}
+	}
+	check("b", 1)
+	check("c2", 2)
+	if err := l.RemoveSavepoint("b"); err != nil {
+		t.Fatal(err)
+	}
+	check("a", 0)
+	check("c", 2)
+	check("c2", 2)
+	if err := l.AppendSavepoint("bare", nil, img(), StateLogging, true); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := l.SavepointState("bare"); err == nil {
+		t.Error("a savepoint without system state restored")
+	}
+	if _, _, err := l.SavepointState("ghost"); !errors.Is(err, ErrNoSuchSavepoint) {
+		t.Errorf("missing savepoint: %v, want ErrNoSuchSavepoint", err)
+	}
+}
+
 func TestSpecialSavepointMissingRef(t *testing.T) {
 	var l Log
 	if err := l.AppendSpecialSavepoint("inner", "ghost", true); !errors.Is(err, ErrNoSuchSavepoint) {
@@ -175,7 +226,7 @@ func TestSpecialSavepointMissingRef(t *testing.T) {
 func TestRemoveSavepointStateMode(t *testing.T) {
 	var l Log
 	for _, id := range []string{"a", "b", "c"} {
-		if err := l.AppendSavepoint(id, img("x", id), StateLogging, true); err != nil {
+		if err := l.AppendSavepoint(id, nil, img("x", id), StateLogging, true); err != nil {
 			t.Fatal(err)
 		}
 		l.Append(&BeginStepEntry{Node: "n", Seq: 0})
@@ -207,7 +258,7 @@ func TestRemoveSavepointTransitionModeMerges(t *testing.T) {
 		var l Log
 		for i, s := range states {
 			id := []string{"sp0", "sp1", "sp2"}[i]
-			if err := l.AppendSavepoint(id, s, TransitionLogging, true); err != nil {
+			if err := l.AppendSavepoint(id, nil, s, TransitionLogging, true); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -231,7 +282,7 @@ func TestRemoveSavepointTransitionModeMerges(t *testing.T) {
 
 func TestRemoveSavepointBlockedBySpecialRef(t *testing.T) {
 	var l Log
-	if err := l.AppendSavepoint("outer", img(), StateLogging, true); err != nil {
+	if err := l.AppendSavepoint("outer", nil, img(), StateLogging, true); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.AppendSpecialSavepoint("inner", "outer", true); err != nil {
@@ -260,7 +311,7 @@ func TestLastIsSavepointAndSavepoints(t *testing.T) {
 	if l.LastIsSavepoint("a") {
 		t.Error("empty log claims savepoint")
 	}
-	if err := l.AppendSavepoint("a", img(), StateLogging, false); err != nil {
+	if err := l.AppendSavepoint("a", nil, img(), StateLogging, false); err != nil {
 		t.Fatal(err)
 	}
 	if !l.LastIsSavepoint("a") || l.LastIsSavepoint("b") {
@@ -270,7 +321,7 @@ func TestLastIsSavepointAndSavepoints(t *testing.T) {
 	if l.LastIsSavepoint("a") {
 		t.Error("LastIsSavepoint true after BOS")
 	}
-	if err := l.AppendSavepoint("b", img(), StateLogging, false); err != nil {
+	if err := l.AppendSavepoint("b", nil, img(), StateLogging, false); err != nil {
 		t.Fatal(err)
 	}
 	got := l.Savepoints()
@@ -284,7 +335,7 @@ func TestLogClearAndEncodedSize(t *testing.T) {
 	if sz, err := l.EncodedSize(); err != nil || sz != 0 {
 		t.Errorf("empty log size = %d, %v", sz, err)
 	}
-	if err := l.AppendSavepoint("a", img("k", strings.Repeat("v", 1000)), StateLogging, false); err != nil {
+	if err := l.AppendSavepoint("a", nil, img("k", strings.Repeat("v", 1000)), StateLogging, false); err != nil {
 		t.Fatal(err)
 	}
 	sz1, err := l.EncodedSize()
@@ -310,7 +361,7 @@ func init() {
 // holding every entry kind.
 func TestLogGobRoundTrip(t *testing.T) {
 	var l Log
-	if err := l.AppendSavepoint("sp", img("a", "1"), StateLogging, true); err != nil {
+	if err := l.AppendSavepoint("sp", nil, img("a", "1"), StateLogging, true); err != nil {
 		t.Fatal(err)
 	}
 	l.Append(&BeginStepEntry{Node: "n1", Seq: 3})
@@ -328,12 +379,12 @@ func TestLogGobRoundTrip(t *testing.T) {
 	if err := wire.Decode(data, &viaGob); err != nil {
 		t.Fatal(err)
 	}
-	bin, _, err := l.AppendTo(nil)
+	bin, _, err := l.AppendTo(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := wire.NewReader(bin)
-	got := ReadLog(r)
+	got := ReadLog(r, nil)
 	if err := r.Done(); err != nil {
 		t.Fatal(err)
 	}
@@ -407,11 +458,11 @@ func TestEntryName(t *testing.T) {
 func TestTransitionBaseAfterClear(t *testing.T) {
 	// After Clear, the next savepoint becomes a fresh base image.
 	var l Log
-	if err := l.AppendSavepoint("a", img("x", "1"), TransitionLogging, true); err != nil {
+	if err := l.AppendSavepoint("a", nil, img("x", "1"), TransitionLogging, true); err != nil {
 		t.Fatal(err)
 	}
 	l.Clear()
-	if err := l.AppendSavepoint("b", img("x", "2"), TransitionLogging, true); err != nil {
+	if err := l.AppendSavepoint("b", nil, img("x", "2"), TransitionLogging, true); err != nil {
 		t.Fatal(err)
 	}
 	sp := l.Entries[0].(*SavepointEntry)

@@ -47,10 +47,10 @@ func TestPropertyTransitionEqualsState(t *testing.T) {
 		var stateLog, transLog Log
 		for i, s := range states {
 			id := fmt.Sprintf("sp%d", i)
-			if err := stateLog.AppendSavepoint(id, s, StateLogging, true); err != nil {
+			if err := stateLog.AppendSavepoint(id, nil, s, StateLogging, true); err != nil {
 				return false
 			}
-			if err := transLog.AppendSavepoint(id, s, TransitionLogging, true); err != nil {
+			if err := transLog.AppendSavepoint(id, nil, s, TransitionLogging, true); err != nil {
 				return false
 			}
 		}
@@ -87,7 +87,7 @@ func TestPropertyRemovalPreservesReconstruction(t *testing.T) {
 		for _, mode := range []LogMode{StateLogging, TransitionLogging} {
 			var l Log
 			for i, s := range states {
-				if err := l.AppendSavepoint(fmt.Sprintf("sp%d", i), s, mode, true); err != nil {
+				if err := l.AppendSavepoint(fmt.Sprintf("sp%d", i), nil, s, mode, true); err != nil {
 					return false
 				}
 			}

@@ -5,16 +5,17 @@ import (
 	"sort"
 )
 
-// AppendSavepoint captures the given SRO snapshot in a new savepoint entry
-// appended to the log. Under StateLogging the full image is stored; under
-// TransitionLogging only the difference against the previous data-carrying
-// savepoint is stored, except that the first savepoint in the log always
-// carries a full base image (§4.2).
-func (l *Log) AppendSavepoint(id string, sro map[string][]byte, mode LogMode, auto bool) error {
+// AppendSavepoint captures the system state sys (nil for none) and a copy
+// of the SRO contents in a new savepoint entry appended to the log. Under
+// StateLogging the full SRO image is stored; under TransitionLogging only
+// the difference against the previous data-carrying savepoint is stored,
+// except that the first savepoint in the log always carries a full base
+// image (§4.2). sys is stored whole either way.
+func (l *Log) AppendSavepoint(id string, sys *SysState, sro map[string][]byte, mode LogMode, auto bool) error {
 	if l.HasSavepoint(id) {
 		return fmt.Errorf("core: savepoint %q already in log", id)
 	}
-	sp := &SavepointEntry{ID: id, Mode: mode, Auto: auto}
+	sp := &SavepointEntry{ID: id, Mode: mode, Sys: sys, Auto: auto}
 	switch mode {
 	case StateLogging:
 		sp.Image = copyImage(sro)
@@ -46,6 +47,25 @@ func (l *Log) AppendSpecialSavepoint(id, refID string, auto bool) error {
 	}
 	l.Append(&SavepointEntry{ID: id, Special: true, RefID: refID, Auto: auto})
 	return nil
+}
+
+// SavepointState returns what savepoint id recorded: the system state and
+// the SRO image (ReconstructSRO). A special savepoint resolves both
+// through RefID.
+func (l *Log) SavepointState(id string) (*SysState, map[string][]byte, error) {
+	idx := l.savepointIndex(id)
+	if idx < 0 {
+		return nil, nil, fmt.Errorf("%w: %q", ErrNoSuchSavepoint, id)
+	}
+	sp := l.Entries[idx].(*SavepointEntry)
+	if sp.Special {
+		return l.SavepointState(sp.RefID)
+	}
+	if sp.Sys == nil {
+		return nil, nil, fmt.Errorf("core: savepoint %q records no system state", id)
+	}
+	sro, err := l.ReconstructSRO(id)
+	return sp.Sys, sro, err
 }
 
 // ReconstructSRO returns the SRO state recorded at savepoint id, resolving

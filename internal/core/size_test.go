@@ -30,7 +30,7 @@ func sampleStep(l *Log, seq int) {
 
 func TestEncodedSizeIncrementalMatchesRebuild(t *testing.T) {
 	var l Log
-	if err := l.AppendSavepoint("sp", map[string][]byte{"v": make([]byte, 512)}, StateLogging, true); err != nil {
+	if err := l.AppendSavepoint("sp", nil, map[string][]byte{"v": make([]byte, 512)}, StateLogging, true); err != nil {
 		t.Fatal(err)
 	}
 	for s := 0; s < 8; s++ {
@@ -47,7 +47,7 @@ func TestEncodedSizeIncrementalMatchesRebuild(t *testing.T) {
 
 func TestEncodedSizePopSubtracts(t *testing.T) {
 	var l Log
-	if err := l.AppendSavepoint("sp", map[string][]byte{"v": make([]byte, 64)}, StateLogging, true); err != nil {
+	if err := l.AppendSavepoint("sp", nil, map[string][]byte{"v": make([]byte, 64)}, StateLogging, true); err != nil {
 		t.Fatal(err)
 	}
 	sampleStep(&l, 0)
@@ -76,11 +76,11 @@ func TestEncodedSizePopSubtracts(t *testing.T) {
 func TestEncodedSizeInvalidatedByRemoveSavepoint(t *testing.T) {
 	var l Log
 	img := map[string][]byte{"v": make([]byte, 128)}
-	if err := l.AppendSavepoint("a", img, TransitionLogging, false); err != nil {
+	if err := l.AppendSavepoint("a", nil, img, TransitionLogging, false); err != nil {
 		t.Fatal(err)
 	}
 	img["v"] = make([]byte, 256)
-	if err := l.AppendSavepoint("b", img, TransitionLogging, false); err != nil {
+	if err := l.AppendSavepoint("b", nil, img, TransitionLogging, false); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := l.EncodedSize(); err != nil {

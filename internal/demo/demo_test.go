@@ -149,9 +149,6 @@ func (a *valueAudit) check(key string, data []byte) {
 	}
 	values := func(where string, m map[string][]byte) {
 		for k, v := range m {
-			if strings.HasPrefix(k, "__sys/") {
-				continue // a savepoint's system state: the runtime's own records, not values
-			}
 			if !wire.Tagged(v) {
 				a.untagged = append(a.untagged, fmt.Sprintf("%s %s[%q] = % x", key, where, k, v))
 			}

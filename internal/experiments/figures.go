@@ -60,7 +60,7 @@ func Fig2() (*Table, error) {
 	}
 	for _, p := range []int{1, 4, 16, 64} {
 		var l core.Log
-		if err := l.AppendSavepoint("k", map[string][]byte{"v": make([]byte, 64)}, core.StateLogging, true); err != nil {
+		if err := l.AppendSavepoint("k", nil, map[string][]byte{"v": make([]byte, 64)}, core.StateLogging, true); err != nil {
 			return nil, err
 		}
 		const steps = 8
@@ -83,7 +83,7 @@ func Fig2() (*Table, error) {
 	}
 	// Layout check: the exact Figure-2 sequence.
 	var l core.Log
-	if err := l.AppendSavepoint("k", nil, core.StateLogging, true); err != nil {
+	if err := l.AppendSavepoint("k", nil, nil, core.StateLogging, true); err != nil {
 		return nil, err
 	}
 	l.Append(&core.BeginStepEntry{Node: "n", Seq: 0})
@@ -292,7 +292,7 @@ func TLog() (*Table, error) {
 					buf[0] = byte(sp + 1)
 					sro[key] = buf
 				}
-				if err := l.AppendSavepoint(fmt.Sprintf("sp%d", sp), sro, mode, true); err != nil {
+				if err := l.AppendSavepoint(fmt.Sprintf("sp%d", sp), nil, sro, mode, true); err != nil {
 					return nil, err
 				}
 				// Sanity: reconstruction matches the captured state.

@@ -148,10 +148,10 @@ func checkPerfModelBound(t *testing.T, tbl *Table) {
 // TestFig6PinsLogSizes pins the paper's Figure 6 table — the peak encoded
 // log of each variant — in testdata/f6.golden, and what transition
 // logging saves over state logging with a savepoint per step. The sizes
-// are a property of the container format (core.Log.EncodedSize measures
-// with its encoder), so a format change has to re-baseline them there and
-// say so in EXPERIMENTS.md; before the binary codec they were 183.24 /
-// 18.33 / 13.70 / 13.70 KB under gob.
+// are a property of the container format (each is a log as a container
+// encode carries it), so a format change has to re-baseline them there
+// and say so in EXPERIMENTS.md; before the binary codec they were 183.24
+// / 18.33 / 13.70 / 13.70 KB under gob.
 func TestFig6PinsLogSizes(t *testing.T) {
 	tab, err := Fig6()
 	if err != nil {

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/agent"
 	"repro/internal/core"
+	"repro/internal/demo"
 	"repro/internal/itinerary"
 	"repro/internal/membership"
 	"repro/internal/wire"
@@ -35,21 +36,24 @@ func init() {
 // TestContainerCorpusCurrent pins them against the checked-in corpus.
 func sampleContainers(t testing.TB) map[string]*Container {
 	t.Helper()
-	tour, err := itinerary.New(
-		&itinerary.Sub{ID: "out", Entries: []itinerary.Entry{
-			itinerary.Step{Method: "pay", Loc: "A"},
-			&itinerary.Sub{ID: "shops", AnyOrder: true, Entries: []itinerary.Entry{
-				itinerary.Step{Method: "buy", Loc: "B", Alt: []string{"C", "D"}},
-				&itinerary.Sub{ID: "inner", Entries: []itinerary.Entry{itinerary.Step{Method: "rate", Loc: "@ring:k"}}},
+	tour := func() *itinerary.Itinerary {
+		it, err := itinerary.New(
+			&itinerary.Sub{ID: "out", Entries: []itinerary.Entry{
+				itinerary.Step{Method: "pay", Loc: "A"},
+				&itinerary.Sub{ID: "shops", AnyOrder: true, Entries: []itinerary.Entry{
+					itinerary.Step{Method: "buy", Loc: "B", Alt: []string{"C", "D"}},
+					&itinerary.Sub{ID: "inner", Entries: []itinerary.Entry{itinerary.Step{Method: "rate", Loc: "@ring:k"}}},
+				}},
 			}},
-		}},
-		&itinerary.Sub{ID: "back", Entries: []itinerary.Entry{itinerary.Step{Method: "report", Loc: "A"}}},
-	)
-	if err != nil {
-		t.Fatal(err)
+			&itinerary.Sub{ID: "back", Entries: []itinerary.Entry{itinerary.Step{Method: "report", Loc: "A"}}},
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return it
 	}
 	newAgent := func(id string, mode core.LogMode) *agent.Agent {
-		a, entered, err := agent.New(id, "owner", tour)
+		a, entered, err := agent.New(id, "owner", tour())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,6 +102,20 @@ func sampleContainers(t testing.TB) map[string]*Container {
 		t.Fatal(err)
 	}
 
+	// Entering shops fixed a new order of its entries after the launch
+	// savepoint of out: that one's itinerary travels inline, shops'
+	// refers to the container's.
+	inline := newAgent("inl", core.StateLogging)
+	inline.Log.Append(&core.BeginStepEntry{Node: "A", Seq: 0})
+	inline.Log.Append(&core.EndStepEntry{Node: "A", Seq: 0})
+	shops := inline.Itin.Subs[0].Entries[1].(*itinerary.Sub)
+	shops.Entries[0], shops.Entries[1] = shops.Entries[1], shops.Entries[0]
+	inline.StepSeq = 1
+	inline.Cursor = itinerary.Cursor{Path: []int{0, 1, 0, 0}}
+	if err := appendSavepointTo(inline, "shops", core.StateLogging); err != nil {
+		t.Fatal(err)
+	}
+
 	noLog := newAgent("nolog", core.StateLogging)
 	noLog.Log = nil
 	noLog.SRO = nil
@@ -106,6 +124,7 @@ func sampleContainers(t testing.TB) map[string]*Container {
 	return map[string]*Container{
 		"forward":   {Mode: ModeStep, Agent: forward},
 		"rollback":  {Mode: ModeRollback, SpID: "shops", Agent: rb},
+		"inline":    {Mode: ModeStep, Agent: inline},
 		"nil-agent": {Mode: ModeStep, SpID: "x"},
 		"nil-log":   {Mode: ModeStep, Agent: noLog},
 		"bare":      {Agent: &agent.Agent{}},
@@ -263,6 +282,16 @@ func randomContainer(rng *rand.Rand) *Container {
 			case 0:
 				sp := &core.SavepointEntry{ID: str(), Mode: core.LogMode(rng.Intn(3)), Image: bmap(),
 					Special: rng.Intn(2) == 0, RefID: str(), Auto: rng.Intn(2) == 0}
+				if rng.Intn(3) != 0 {
+					sp.Sys = &core.SysState{StepSeq: rng.Intn(300) - 10, Itin: randBytes(rng, rng.Intn(12))}
+					sp.Sys.Cursor.Done = rng.Intn(5) == 0
+					for n := rng.Intn(4); n > 0; n-- {
+						sp.Sys.Cursor.Path = append(sp.Sys.Cursor.Path, rng.Intn(200)-3)
+					}
+					if rng.Intn(2) == 0 {
+						sp.Sys.Itin, _ = a.Itin.AppendTo(nil) // the container's: a reference
+					}
+				}
 				if rng.Intn(2) == 0 {
 					sp.Delta = &core.SRODelta{Changed: bmap(), Deleted: strs()}
 				}
@@ -306,6 +335,44 @@ func TestContainerRefusesRetiredLayout(t *testing.T) {
 		if len(want) >= len(old) {
 			t.Errorf("%s: %d bytes, today's layout %d; want it smaller", name, len(old), len(want))
 		}
+	}
+}
+
+// TestContainerRefusesSysImageLayout: a container in the 0x15 layout, as
+// commit 0b60b8b wrote it for a demo agent holding its launch savepoint
+// (system state under reserved keys of the savepoint's SRO image), is
+// ErrCorrupt; the same agent in today's layout is smaller by at least
+// the itinerary copy and the three key names.
+func TestContainerRefusesSysImageLayout(t *testing.T) {
+	old := fixture(t, "container-0b60b8b.bin")
+	if len(old) < 2 || old[1] != typeRetiredSysImage {
+		t.Fatal("container-0b60b8b.bin is no 0x15 container")
+	}
+	if _, err := DecodeContainer(old); !errors.Is(err, wire.ErrCorrupt) {
+		t.Errorf("0x15 container: %v, want ErrCorrupt", err)
+	}
+	a, entered, err := demo.NewAgent("trip1", "alice", "A", "B", "C")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Owner = "ctl"
+	if err := a.SRO.Set("note", "before the trip"); err != nil {
+		t.Fatal(err)
+	}
+	if err := AppendInitialSavepoints(a, entered, core.StateLogging); err != nil {
+		t.Fatal(err)
+	}
+	now, err := EncodeContainer(&Container{Mode: ModeStep, Agent: a})
+	if err != nil {
+		t.Fatal(err)
+	}
+	itin, err := a.Itin.AppendTo(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := len("__sys/cursor") + len("__sys/itinerary") + len("__sys/stepseq")
+	if saved := len(old) - len(now); saved < len(itin)+keys {
+		t.Errorf("today's layout: %d B, 0x15: %d B; want at least %d B saved", len(now), len(old), len(itin)+keys)
 	}
 }
 
@@ -397,6 +464,7 @@ func FuzzContainerRoundTrip(f *testing.F) {
 		f.Add(data)
 	}
 	f.Add(fixture(f, "container-4840178.bin"))
+	f.Add(fixture(f, "container-0b60b8b.bin"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var c *Container
 		var err error
@@ -417,10 +485,12 @@ func FuzzContainerRoundTrip(f *testing.F) {
 	})
 }
 
-// corpusSeeds names the fuzz seeds: every sample container, the rollback
-// container truncated, it again with its sub, map and log-entry counts
-// inflated past anything the input could hold, and the name-table faults
-// of nameSeeds.
+// corpusSeeds names the fuzz seeds: every sample container (among them
+// savepoints with no system state, with an itinerary that refers to the
+// container's and with one inline), the rollback container truncated, it
+// again with its sub, map and log-entry counts inflated past anything the
+// input could hold, it with its savepoints' itinerary written inline
+// though it is the container's, and the name-table faults of nameSeeds.
 func corpusSeeds(t testing.TB) map[string][]byte {
 	seeds := make(map[string][]byte)
 	for name, c := range sampleContainers(t) {
@@ -444,7 +514,7 @@ func corpusSeeds(t testing.TB) map[string][]byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	log, _, err := c.Agent.Log.AppendTo(nil)
+	log, _, err := c.Agent.Log.AppendTo(nil, itin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,6 +524,13 @@ func corpusSeeds(t testing.TB) map[string][]byte {
 	seeds["inflated-subs"] = inflateCount(rb, subs)
 	seeds["inflated-map"] = inflateCount(rb, wro)
 	seeds["inflated-log"] = inflateCount(rb, entries)
+	// The rollback container's log, last in it, with every savepoint
+	// itinerary that refers to the container's written inline instead.
+	inline, _, err := c.Agent.Log.AppendTo(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeds["sp-itinerary-inline-equal"] = append(append([]byte{}, rb[:len(rb)-len(log)]...), inline...)
 	for name, pair := range nameSeeds(seeds["bare"]) {
 		seeds[name] = pair[0]
 	}
@@ -499,7 +576,7 @@ func TestContainerCorpusCurrent(t *testing.T) {
 			t.Errorf("seed %s made well formed: %v", name, err)
 		}
 	}
-	for _, name := range []string{"inflated-subs", "inflated-map", "inflated-log", "truncated", "trailing",
+	for _, name := range []string{"inflated-subs", "inflated-map", "inflated-log", "truncated", "trailing", "sp-itinerary-inline-equal",
 		"name-ref-out-of-range", "name-ref-before-inline", "name-inline-repeat", "name-ref-breaks-key-order"} {
 		if _, err := DecodeContainer(seeds[name]); !errors.Is(err, wire.ErrCorrupt) {
 			t.Errorf("seed %s: %v, want ErrCorrupt", name, err)
@@ -614,8 +691,12 @@ func TestAnnounceRoundTrip(t *testing.T) {
 }
 
 // TestContainerLogBytesMatchEncodedSize: the log size a container encode
-// reports is core.Log.EncodedSize, for every sample container — the name
-// table of the log starts where its entries start, so the two agree.
+// reports is the size of a standalone core.Log.AppendTo given the same
+// itinerary, for every sample container — the name table of the log
+// starts where its entries start, so the two agree. Outside a container
+// every savepoint's itinerary is inline: the step-8 tour-forward log,
+// whose one savepoint recorded the container's itinerary, is bigger there
+// by that itinerary's bytes (core.Log.EncodedSize).
 func TestContainerLogBytesMatchEncodedSize(t *testing.T) {
 	samples := sampleContainers(t)
 	samples["tour-forward-step8"] = tourForwardStep8(t)
@@ -626,13 +707,31 @@ func TestContainerLogBytesMatchEncodedSize(t *testing.T) {
 		}
 		want := 0
 		if c.Agent != nil && c.Agent.Log != nil {
-			if want, err = c.Agent.Log.EncodedSize(); err != nil {
+			itin, err := c.Agent.Itin.AppendTo(nil)
+			if err != nil {
 				t.Fatal(err)
 			}
+			log, at, err := c.Agent.Log.AppendTo(nil, itin)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = len(log) - at
 		}
 		if logBytes != want {
-			t.Errorf("%s: encode reports %d log bytes, EncodedSize %d", name, logBytes, want)
+			t.Errorf("%s: encode reports %d log bytes, a standalone encode given its itinerary %d", name, logBytes, want)
 		}
+	}
+	c := samples["tour-forward-step8"]
+	_, logBytes, err := encodeContainer(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	itin, err := c.Agent.Itin.AppendTo(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if size, err := c.Agent.Log.EncodedSize(); err != nil || size != logBytes+len(itin) {
+		t.Errorf("step-8 tour-forward log: %d B in its container, EncodedSize %d, %v; want %d", logBytes, size, err, logBytes+len(itin))
 	}
 }
 
@@ -687,16 +786,18 @@ func tourForwardStep8(t testing.TB) *Container {
 }
 
 // TestTourForwardContainerSize pins what a tour-forward agent carries
-// after its eighth step: 648 bytes, 524 of them log. Commit 4840178, which
-// wrote every name in full, encoded the same agent in 1 037 bytes, 832 of
-// them log. A change here changes wire_kb_per_agent; re-pin it with the
-// new number's reason.
+// after its eighth step: 528 bytes, 404 of them log. Commit 0b60b8b, whose
+// savepoint kept its system state under three reserved keys of its SRO
+// image with a second copy of the itinerary, encoded the same agent in
+// 648 bytes, 524 of them log; commit 4840178, which wrote every name in
+// full, in 1 037 bytes, 832 of them log. A change here changes
+// wire_kb_per_agent; re-pin it with the new number's reason.
 func TestTourForwardContainerSize(t *testing.T) {
 	data, logBytes, err := encodeContainer(tourForwardStep8(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(data) != 648 || logBytes != 524 {
-		t.Errorf("step-8 tour-forward container: %d bytes, %d of them log; want 648 and 524", len(data), logBytes)
+	if len(data) != 528 || logBytes != 404 {
+		t.Errorf("step-8 tour-forward container: %d bytes, %d of them log; want 528 and 404", len(data), logBytes)
 	}
 }

@@ -49,17 +49,23 @@ const (
 	typeLaunch           = 0x12 // launchMsg
 	typeDoneRec          = 0x13 // durable completion record (stable storage only)
 	typeAnnounce         = 0x14 // announceMsg
-	typeContainer        = 0x15 // Container
+	// typeRetiredSysImage is the container layout last read by commit
+	// 0b60b8b: a savepoint's system state under reserved keys of its SRO
+	// image, the itinerary copied into every one.
+	typeRetiredSysImage = 0x15
+	typeContainer       = 0x16 // Container
 )
 
 // EncodeContainer serializes a container for queue storage / transfer:
 //
-//	0x90 0x15 | Mode SpID | agent head | WRO SRO Log
+//	0x90 0x16 | Mode SpID | agent head | WRO SRO Log
 //
 // with the agent part as agent.Agent.AppendTo writes it; the itinerary and
-// the log each write their names through a table of their own. Map keys
-// are written in sorted order, so equal containers give equal bytes. This
-// is the only container format: the 0x11 layout it replaced (last read by
+// the log each write their names through a table of their own, and a
+// savepoint whose itinerary equals the agent's refers to it (core.Log's
+// codec). Map keys are written in sorted order, so equal containers give
+// equal bytes. This is the only container format: the 0x15 layout it
+// replaced (last read by commit 0b60b8b), the 0x11 layout (last read by
 // commit 4840178) and the gob encoding before that (last read by commit
 // 5015b40) decode as wire.ErrCorrupt, and no data dir that may hold them
 // opens (stable.Layout). The result is an exact-size copy out of a pooled
@@ -70,8 +76,8 @@ func EncodeContainer(c *Container) ([]byte, error) {
 }
 
 // encodeContainer is EncodeContainer that also reports logBytes, the
-// encoded size of the agent's log entries (core.Log.EncodedSize), read off
-// the encode instead of a second pass over the log.
+// encoded size of the agent's log entries as the container carries them,
+// read off the encode instead of a second pass over the log.
 func encodeContainer(c *Container) (data []byte, logBytes int, err error) {
 	scratch := wire.GetScratch()
 	defer wire.PutScratch(scratch)

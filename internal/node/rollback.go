@@ -92,12 +92,8 @@ func (n *Node) nextHop(a *agent.Agent, spID string, reached bool, attempt int) (
 		}
 		return &Container{Mode: ModeRollback, SpID: spID, Agent: a}, protocol.CompensationDest(eos, n.cfg.Optimized, n.cfg.Name), nil
 	}
-	img, err := a.Log.ReconstructSRO(spID)
-	if err != nil {
+	if err := a.RestoreSavepoint(spID); err != nil {
 		return nil, "", permanent(fmt.Errorf("node %s: restore savepoint %q: %w", n.cfg.Name, spID, err))
-	}
-	if err := a.RestoreSystemImage(img); err != nil {
-		return nil, "", permanent(err)
 	}
 	step, err := a.Itin.StepAt(a.Cursor)
 	if err != nil {

@@ -437,11 +437,11 @@ func appendSavepointTo(a *agent.Agent, id string, mode core.LogMode) error {
 		}
 		return a.Log.AppendSpecialSavepoint(id, ref, true)
 	}
-	img, err := a.SystemImage()
+	sys, err := a.SysState()
 	if err != nil {
 		return err
 	}
-	return a.Log.AppendSavepoint(id, img, mode, true)
+	return a.Log.AppendSavepoint(id, sys, a.SRO.Data, mode, true)
 }
 
 // AppendInitialSavepoints constitutes the savepoints of the
@@ -509,11 +509,9 @@ func (n *Node) startRollback(entry *stable.Entry, spID string) error {
 	if !ok {
 		return permanent(fmt.Errorf("node %s: agent %s: savepoint %q unreachable (no end-of-step entry)", n.cfg.Name, a.ID, spID))
 	}
-	img, err := a.Log.ReconstructSRO(spID)
-	if err != nil {
+	if err := a.RestoreSRO(spID); err != nil {
 		return permanent(fmt.Errorf("node %s: restore savepoint %q: %w", n.cfg.Name, spID, err))
 	}
-	a.RestoreSRO(img)
 	dest := protocol.CompensationDest(eos, n.cfg.Optimized, n.cfg.Name)
 	tx, err := n.mgr.Begin()
 	if err != nil {

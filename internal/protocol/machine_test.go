@@ -495,12 +495,12 @@ func TestOrigin(t *testing.T) {
 func TestPopToTarget(t *testing.T) {
 	mkLog := func() *core.Log {
 		l := &core.Log{}
-		if err := l.AppendSavepoint("base", map[string][]byte{}, core.StateLogging, true); err != nil {
+		if err := l.AppendSavepoint("base", nil, map[string][]byte{}, core.StateLogging, true); err != nil {
 			t.Fatal(err)
 		}
 		l.Append(&core.BeginStepEntry{Node: "n", Seq: 0})
 		l.Append(&core.EndStepEntry{Node: "n", Seq: 0})
-		if err := l.AppendSavepoint("target", map[string][]byte{}, core.StateLogging, true); err != nil {
+		if err := l.AppendSavepoint("target", nil, map[string][]byte{}, core.StateLogging, true); err != nil {
 			t.Fatal(err)
 		}
 		if err := l.AppendSpecialSavepoint("stale1", "target", true); err != nil {
@@ -549,7 +549,7 @@ func TestPeekEOS(t *testing.T) {
 	}
 	l.Append(&core.BeginStepEntry{Node: "n", Seq: 0})
 	l.Append(&core.EndStepEntry{Node: "resnode", Seq: 0, HasMixed: true})
-	if err := l.AppendSavepoint("sp", map[string][]byte{}, core.StateLogging, true); err != nil {
+	if err := l.AppendSavepoint("sp", nil, map[string][]byte{}, core.StateLogging, true); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.AppendSpecialSavepoint("sp2", "sp", true); err != nil {

@@ -17,8 +17,10 @@ import (
 // data; it refuses every other dir — one written before the stamp (by
 // 0ea4125's wal engine, or with the deleted file engine's kv/ and
 // journal), one stamped with layout 1 (15a522f's wal engine, a queued
-// agent carrying a gob wallet; testdata), or one whose stamp is another
-// number or garbage — naming the dir and the last commit that reads it
+// agent carrying a gob wallet; testdata), one stamped with layout 2
+// (0b60b8b's wal engine, a queued 0x15 container whose savepoint keeps
+// its system state inside its SRO image; testdata), or one whose stamp is
+// another number or garbage — naming the dir and the last commit that reads it
 // (or that none does), and leaves it byte for byte as it was. The mem
 // engine has no dir: it is never stamped or refused.
 func TestOpenLayoutStamp(t *testing.T) {
@@ -52,6 +54,7 @@ func TestOpenLayoutStamp(t *testing.T) {
 		{name: "wal-0ea4125", engine: "wal", setup: fixture("wal-0ea4125"), refuse: true, reader: "0ea4125"},
 		{name: "file-df71a49", engine: "wal", setup: fixture("file-df71a49"), refuse: true, reader: "0ea4125"},
 		{name: "wal-15a522f", engine: "wal", setup: fixture("wal-15a522f"), refuse: true, reader: "15a522f"},
+		{name: "wal-0b60b8b", engine: "wal", setup: fixture("wal-0b60b8b"), refuse: true, reader: "0b60b8b"},
 		{name: "layout-next", engine: "wal", setup: write("LAYOUT", fmt.Sprintf("%d\n", stable.Layout+1)), refuse: true},
 		{name: "layout-garbage", engine: "wal", setup: write("LAYOUT", "\x00garbage"), refuse: true},
 		{name: "mem-unstamped", engine: "mem", setup: fixture("wal-0ea4125")},

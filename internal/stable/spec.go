@@ -91,12 +91,15 @@ func Engines() []string {
 //
 // Layout 2: digital cash (resource.Cash) in an agent's data space is its
 // binary form, no longer gob.
-const Layout = 2
+//
+// Layout 3: a queued container is type 0x16, whose savepoints record their
+// system state as fields and refer to the container's itinerary.
+const Layout = 3
 
 // lastReaders maps the stamp of each retired layout to the last commit
 // that reads a data directory of it; "" is no stamp at all, as every
 // runtime up to 0ea4125 wrote them.
-var lastReaders = map[string]string{"": "0ea4125", "1\n": "15a522f"}
+var lastReaders = map[string]string{"": "0ea4125", "1\n": "15a522f", "2\n": "0b60b8b"}
 
 const layoutFile = "LAYOUT"
 

@@ -273,8 +273,10 @@ func (r *Reader) Bool() bool {
 
 // Bytes consumes a length-prefixed byte slice aliasing the input; a zero
 // length yields nil.
-func (r *Reader) Bytes() []byte {
-	n := r.Uvarint()
+func (r *Reader) Bytes() []byte { return r.Take(r.Uvarint()) }
+
+// Take consumes the next n bytes, aliasing the input; n = 0 yields nil.
+func (r *Reader) Take(n uint64) []byte {
 	if n > uint64(len(r.b)) {
 		r.Fail("length %d exceeds buffer", n)
 		return nil
@@ -289,6 +291,18 @@ func (r *Reader) Bytes() []byte {
 
 // String consumes a length-prefixed string (a copy).
 func (r *Reader) String() string { return string(r.Bytes()) }
+
+// Mark returns the input not yet consumed, for Since; it consumes
+// nothing.
+func (r *Reader) Mark() []byte { return r.b }
+
+// Since returns the span consumed after mark was taken, aliasing the
+// input: the encoding of what a decoder just read, for a later field to
+// compare with or refer to.
+func (r *Reader) Since(mark []byte) []byte {
+	n := len(mark) - len(r.b)
+	return mark[:n:n]
+}
 
 // Rest consumes everything that is left, aliasing the input: the trailing
 // field of a record whose end is the record's own.

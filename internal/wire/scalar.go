@@ -174,17 +174,6 @@ func EncodeInt64(v int64) []byte {
 	return buf[:1+n]
 }
 
-// DecodeInt64 decodes a value produced by EncodeInt64. ok is false when
-// data is not a tagged int64 in its one canonical encoding.
-func DecodeInt64(data []byte) (v int64, ok bool) {
-	if len(data) < 2 || data[0] != TagInt64 {
-		return 0, false
-	}
-	r := Reader{b: data[1:]}
-	v = r.Varint()
-	return v, r.Done() == nil
-}
-
 // EncodeString encodes s as tagged raw bytes.
 func EncodeString(s string) []byte {
 	buf := make([]byte, 1+len(s))

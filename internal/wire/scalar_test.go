@@ -15,9 +15,9 @@ type streamMsg struct {
 
 func TestScalarRoundTrip(t *testing.T) {
 	for _, v := range []int64{0, 1, -1, 63, 64, -65, 1 << 40, -(1 << 40)} {
-		got, ok := DecodeInt64(EncodeInt64(v))
-		if !ok || got != v {
-			t.Errorf("int64 %d -> %d, %v", v, got, ok)
+		var got int64
+		if err := DecodeValue(EncodeInt64(v), &got); err != nil || got != v {
+			t.Errorf("int64 %d -> %d, %v", v, got, err)
 		}
 	}
 	for _, s := range []string{"", "x", "hello world"} {
@@ -65,18 +65,19 @@ func TestScalarTagsDisjointFromGob(t *testing.T) {
 }
 
 func TestScalarDecodeMismatch(t *testing.T) {
-	if _, ok := DecodeInt64(EncodeString("x")); ok {
+	var n int64
+	if err := DecodeValue(EncodeString("x"), &n); err == nil {
 		t.Error("string decoded as int64")
 	}
 	var s string
 	if err := DecodeValue(EncodeInt64(1), &s); err == nil {
 		t.Error("int64 decoded as string")
 	}
-	if _, ok := DecodeInt64(nil); ok {
+	if err := DecodeValue(nil, &n); err == nil {
 		t.Error("nil decoded as int64")
 	}
-	if _, ok := DecodeInt64([]byte{TagInt64, 0x80, 0x00}); ok {
-		t.Error("padded varint decoded as int64")
+	if err := DecodeValue([]byte{TagInt64, 0x80, 0x00}, &n); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("padded varint decoded as int64: %v, want ErrCorrupt", err)
 	}
 }
 
