@@ -133,6 +133,7 @@ func ReadLog(r *wire.Reader, itin []byte) *Log {
 				sp.Delta = &SRODelta{Changed: r.NamedMap(), Deleted: r.NameList()}
 			}
 			sp.Special, sp.RefID, sp.Auto = r.Bool(), r.Name(), r.Bool()
+			checkSavepoint(r, l.Entries, sp)
 			l.Entries = append(l.Entries, sp)
 		case kindBOS:
 			l.Entries = append(l.Entries, &BeginStepEntry{Node: r.Name(), Seq: r.Int()})
@@ -145,6 +146,26 @@ func ReadLog(r *wire.Reader, itin []byte) *Log {
 		}
 	}
 	return l
+}
+
+// checkSavepoint fails r unless AppendSavepoint or AppendSpecialSavepoint
+// could have appended sp after entries: its ID is new, and a special
+// savepoint's RefID names an earlier savepoint. Then no RefID chain
+// loops.
+func checkSavepoint(r *wire.Reader, entries []Entry, sp *SavepointEntry) {
+	refFound := !sp.Special
+	for _, e := range entries {
+		if prev, ok := e.(*SavepointEntry); ok {
+			if prev.ID == sp.ID {
+				r.Fail("savepoint %q written twice", sp.ID)
+				return
+			}
+			refFound = refFound || prev.ID == sp.RefID
+		}
+	}
+	if !refFound {
+		r.Fail("special savepoint %q refers to %q, not an earlier savepoint", sp.ID, sp.RefID)
+	}
 }
 
 func readSys(r *wire.Reader, itin []byte) *SysState {

@@ -46,6 +46,10 @@ func TestEntryCodecTable(t *testing.T) {
 			}{{"standalone", nil}, {"in container", itin}} {
 				t.Run(in.where, func(t *testing.T) {
 					l := &Log{Entries: []Entry{e}}
+					if sp, ok := e.(*SavepointEntry); ok && sp.Special {
+						// A special savepoint follows the one it refers to.
+						l.Entries = []Entry{&SavepointEntry{ID: sp.RefID}, e}
+					}
 					data, at, err := l.AppendTo(nil, in.itin)
 					if err != nil {
 						t.Fatal(err)
@@ -133,6 +137,40 @@ func TestSavepointItineraryCanonical(t *testing.T) {
 	ReadLog(r, []byte{1, 0})
 	if err := r.Done(); err != nil {
 		t.Errorf("inline itinerary in a container carrying another: %v", err)
+	}
+}
+
+// TestReadLogSavepointReferences: the decoder accepts only the savepoint
+// sequences AppendSavepoint and AppendSpecialSavepoint can write. A
+// duplicate ID and a RefID that does not name an earlier savepoint are
+// wire.ErrCorrupt, so no decoded log holds a RefID cycle.
+func TestReadLogSavepointReferences(t *testing.T) {
+	sp := func(id string) Entry { return &SavepointEntry{ID: id, Mode: StateLogging} }
+	special := func(id, ref string) Entry { return &SavepointEntry{ID: id, Special: true, RefID: ref} }
+	for _, tc := range []struct {
+		name    string
+		entries []Entry
+		ok      bool
+	}{
+		{"special refers to an earlier savepoint", []Entry{sp("a"), &BeginStepEntry{Node: "n"}, special("b", "a")}, true},
+		{"special refers to an earlier special", []Entry{sp("a"), special("b", "a"), special("c", "b")}, true},
+		{"SP*(a->a)", []Entry{special("a", "a")}, false},
+		{"SP*(a->a) after a savepoint", []Entry{sp("b"), special("a", "a")}, false},
+		{"forward RefID", []Entry{special("b", "a"), sp("a")}, false},
+		{"RefID names no savepoint", []Entry{sp("a"), special("b", "c")}, false},
+		{"RefID names a step", []Entry{&BeginStepEntry{Node: "a"}, special("b", "a")}, false},
+		{"duplicate ID", []Entry{sp("a"), sp("a")}, false},
+		{"duplicate ID of a special", []Entry{sp("a"), special("b", "a"), special("b", "a")}, false},
+	} {
+		data, _, err := (&Log{Entries: tc.entries}).AppendTo(nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := wire.NewReader(data)
+		ReadLog(r, nil)
+		if err := r.Done(); tc.ok != (err == nil) || (err != nil && !errors.Is(err, wire.ErrCorrupt)) {
+			t.Errorf("%s: %v, want accepted=%v (refusals ErrCorrupt)", tc.name, err, tc.ok)
+		}
 	}
 }
 

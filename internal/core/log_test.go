@@ -216,6 +216,29 @@ func TestSavepointStateTransitionLogging(t *testing.T) {
 	}
 }
 
+// TestSpecialSavepointLoopBounded: a log built around the checked
+// appends, with a special savepoint naming itself or a later savepoint,
+// resolves to an error, not a stack overflow.
+func TestSpecialSavepointLoopBounded(t *testing.T) {
+	for _, entries := range [][]Entry{
+		{&SavepointEntry{ID: "a", Special: true, RefID: "a"}},
+		{&SavepointEntry{ID: "b", Special: true, RefID: "a"}, &SavepointEntry{ID: "a", Special: true, RefID: "b"}},
+		{&SavepointEntry{ID: "b", Special: true, RefID: "c"}, &SavepointEntry{ID: "c", Sys: &SysState{}}},
+	} {
+		l := &Log{Entries: entries}
+		for _, e := range entries {
+			if sp := e.(*SavepointEntry); sp.Special {
+				if _, err := l.ReconstructSRO(sp.ID); err == nil {
+					t.Errorf("%s: ReconstructSRO(%s) resolved", l, sp.ID)
+				}
+				if _, _, err := l.SavepointState(sp.ID); err == nil {
+					t.Errorf("%s: SavepointState(%s) resolved", l, sp.ID)
+				}
+			}
+		}
+	}
+}
+
 func TestSpecialSavepointMissingRef(t *testing.T) {
 	var l Log
 	if err := l.AppendSpecialSavepoint("inner", "ghost", true); !errors.Is(err, ErrNoSuchSavepoint) {

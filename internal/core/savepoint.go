@@ -53,18 +53,14 @@ func (l *Log) AppendSpecialSavepoint(id, refID string, auto bool) error {
 // the SRO image (ReconstructSRO). A special savepoint resolves both
 // through RefID.
 func (l *Log) SavepointState(id string) (*SysState, map[string][]byte, error) {
-	idx := l.savepointIndex(id)
-	if idx < 0 {
-		return nil, nil, fmt.Errorf("%w: %q", ErrNoSuchSavepoint, id)
-	}
-	sp := l.Entries[idx].(*SavepointEntry)
-	if sp.Special {
-		return l.SavepointState(sp.RefID)
+	idx, sp, err := l.resolve(id)
+	if err != nil {
+		return nil, nil, err
 	}
 	if sp.Sys == nil {
-		return nil, nil, fmt.Errorf("core: savepoint %q records no system state", id)
+		return nil, nil, fmt.Errorf("core: savepoint %q records no system state", sp.ID)
 	}
-	sro, err := l.ReconstructSRO(id)
+	sro, err := l.reconstructAt(idx, sp)
 	return sp.Sys, sro, err
 }
 
@@ -72,14 +68,39 @@ func (l *Log) SavepointState(id string) (*SysState, map[string][]byte, error) {
 // special savepoints and, under transition logging, replaying the delta
 // chain from the base image forward.
 func (l *Log) ReconstructSRO(id string) (map[string][]byte, error) {
+	idx, sp, err := l.resolve(id)
+	if err != nil {
+		return nil, err
+	}
+	return l.reconstructAt(idx, sp)
+}
+
+// resolve returns the data-carrying savepoint that savepoint id stands
+// for, and its index: id's own, or the one its RefID chain ends at. Each
+// RefID must name an earlier savepoint, so the walk ends within idx steps
+// whatever the log holds.
+func (l *Log) resolve(id string) (int, *SavepointEntry, error) {
 	idx := l.savepointIndex(id)
 	if idx < 0 {
-		return nil, fmt.Errorf("%w: %q", ErrNoSuchSavepoint, id)
+		return -1, nil, fmt.Errorf("%w: %q", ErrNoSuchSavepoint, id)
 	}
 	sp := l.Entries[idx].(*SavepointEntry)
-	if sp.Special {
-		return l.ReconstructSRO(sp.RefID)
+	for sp.Special {
+		ref := l.savepointIndex(sp.RefID)
+		if ref < 0 {
+			return -1, nil, fmt.Errorf("%w: %q (referenced by %q)", ErrNoSuchSavepoint, sp.RefID, sp.ID)
+		}
+		if ref >= idx {
+			return -1, nil, fmt.Errorf("core: special savepoint %q refers to %q, not an earlier savepoint", sp.ID, sp.RefID)
+		}
+		idx, sp = ref, l.Entries[ref].(*SavepointEntry)
 	}
+	return idx, sp, nil
+}
+
+// reconstructAt returns the SRO state of the data-carrying savepoint sp at
+// index idx.
+func (l *Log) reconstructAt(idx int, sp *SavepointEntry) (map[string][]byte, error) {
 	if sp.Mode == StateLogging || sp.Delta == nil {
 		return copyImage(sp.Image), nil
 	}
@@ -94,7 +115,7 @@ func (l *Log) ReconstructSRO(id string) (map[string][]byte, error) {
 		case cur.Delta == nil:
 			state = copyImage(cur.Image)
 		case state == nil:
-			return nil, fmt.Errorf("core: savepoint %q has no base image in log", id)
+			return nil, fmt.Errorf("core: savepoint %q has no base image in log", sp.ID)
 		default:
 			applyDelta(state, cur.Delta)
 		}

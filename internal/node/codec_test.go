@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/agent"
@@ -277,11 +278,21 @@ func randomContainer(rng *rand.Rand) *Container {
 	}
 	if rng.Intn(8) != 0 {
 		a.Log = &core.Log{}
+		// Savepoint IDs are unique, and a special savepoint refers to an
+		// earlier one: the decoder refuses anything else.
+		var ids []string
 		for n := rng.Intn(8); n > 0; n-- {
 			switch rng.Intn(4) {
 			case 0:
 				sp := &core.SavepointEntry{ID: str(), Mode: core.LogMode(rng.Intn(3)), Image: bmap(),
-					Special: rng.Intn(2) == 0, RefID: str(), Auto: rng.Intn(2) == 0}
+					RefID: str(), Auto: rng.Intn(2) == 0}
+				for slices.Contains(ids, sp.ID) {
+					sp.ID += "'"
+				}
+				if len(ids) > 0 && rng.Intn(2) == 0 {
+					sp.Special, sp.RefID = true, ids[rng.Intn(len(ids))]
+				}
+				ids = append(ids, sp.ID)
 				if rng.Intn(3) != 0 {
 					sp.Sys = &core.SysState{StepSeq: rng.Intn(300) - 10, Itin: randBytes(rng, rng.Intn(12))}
 					sp.Sys.Cursor.Done = rng.Intn(5) == 0
@@ -490,7 +501,8 @@ func FuzzContainerRoundTrip(f *testing.F) {
 // container's and with one inline), the rollback container truncated, it
 // again with its sub, map and log-entry counts inflated past anything the
 // input could hold, it with its savepoints' itinerary written inline
-// though it is the container's, and the name-table faults of nameSeeds.
+// though it is the container's, it with a special savepoint naming itself
+// or a later savepoint, and the name-table faults of nameSeeds.
 func corpusSeeds(t testing.TB) map[string][]byte {
 	seeds := make(map[string][]byte)
 	for name, c := range sampleContainers(t) {
@@ -531,6 +543,25 @@ func corpusSeeds(t testing.TB) map[string][]byte {
 		t.Fatal(err)
 	}
 	seeds["sp-itinerary-inline-equal"] = append(append([]byte{}, rb[:len(rb)-len(log)]...), inline...)
+	// The rollback container with a special savepoint that names itself,
+	// and with one ahead of the savepoint it names.
+	for name, edit := range map[string]func([]core.Entry) []core.Entry{
+		"sp-self-ref": func(es []core.Entry) []core.Entry {
+			return append(es, &core.SavepointEntry{ID: "loop", Special: true, RefID: "loop"})
+		},
+		"sp-forward-ref": func(es []core.Entry) []core.Entry {
+			return append([]core.Entry{&core.SavepointEntry{ID: "ahead", Special: true, RefID: "shops"}}, es...)
+		},
+	} {
+		c, err := DecodeContainer(rb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Agent.Log.Entries = edit(c.Agent.Log.Entries)
+		if seeds[name], err = EncodeContainer(c); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for name, pair := range nameSeeds(seeds["bare"]) {
 		seeds[name] = pair[0]
 	}
@@ -576,7 +607,7 @@ func TestContainerCorpusCurrent(t *testing.T) {
 			t.Errorf("seed %s made well formed: %v", name, err)
 		}
 	}
-	for _, name := range []string{"inflated-subs", "inflated-map", "inflated-log", "truncated", "trailing", "sp-itinerary-inline-equal",
+	for _, name := range []string{"inflated-subs", "inflated-map", "inflated-log", "truncated", "trailing", "sp-itinerary-inline-equal", "sp-self-ref", "sp-forward-ref",
 		"name-ref-out-of-range", "name-ref-before-inline", "name-inline-repeat", "name-ref-breaks-key-order"} {
 		if _, err := DecodeContainer(seeds[name]); !errors.Is(err, wire.ErrCorrupt) {
 			t.Errorf("seed %s: %v, want ErrCorrupt", name, err)

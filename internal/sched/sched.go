@@ -174,6 +174,10 @@ func (p *Pool) Stop() {
 // dispatcher claims entries into the bounded ready set and sleeps on the
 // queue's broadcast Notify, freed slots, or cooldown expiry.
 func (p *Pool) dispatcher() {
+	// One timer for the dispatcher's life: since Go 1.23 Reset discards
+	// a fire nobody received, so a pass never wakes on a stale one.
+	timer := time.NewTimer(pollInterval)
+	defer timer.Stop()
 	for {
 		select {
 		case <-p.stop:
@@ -187,15 +191,12 @@ func (p *Pool) dispatcher() {
 		if claimed {
 			continue
 		}
-		timer := time.NewTimer(wait)
+		timer.Reset(wait)
 		select {
 		case <-p.stop:
-			timer.Stop()
 			return
 		case <-ch:
-			timer.Stop()
 		case <-p.slotFree:
-			timer.Stop()
 		case <-timer.C:
 		}
 	}
