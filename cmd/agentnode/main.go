@@ -65,7 +65,6 @@ func run(args []string) error {
 		peersFlag = fs.String("peers", "", "comma-separated name=host:port peer list")
 		resFlag   = fs.String("resources", "", "comma-separated kind=name resource list (bank=, shop=, dir=)")
 		seedFlag  = fs.String("seed", "", "semicolon-separated seeding directives: "+demo.FormatHint())
-		optimized = fs.Bool("optimized", true, "use the optimized (Figure 5) rollback algorithm")
 		workers   = fs.Int("workers", 1, "concurrent step-transaction workers (1 = the paper's serial node model)")
 		obsAddr   = fs.String("obs-addr", "", "admin-plane listen address serving /metrics, /healthz, /trace, /ring and /debug/pprof (empty disables)")
 		members   = fs.String("members", "", "comma-separated peer node names seeding the membership view; enables consistent-hash placement (@ring itinerary locations), checked at every claim (empty keeps static wiring)")
@@ -126,7 +125,7 @@ func run(args []string) error {
 	}
 	n, err := node.New(node.Config{
 		Name:       *name,
-		Optimized:  *optimized,
+		Optimized:  true,
 		Workers:    *workers,
 		Counters:   counters,
 		Tracer:     tracer,

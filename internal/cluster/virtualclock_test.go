@@ -18,8 +18,9 @@ import (
 // progress WITHOUT a single protocol timer firing — retries, in-doubt
 // queries and notification resends are armed but never needed, so chaos
 // runs on a virtual clock advance protocol time explicitly instead of
-// racing wall-clock pollers. The per-peer timers retire lazily (dead
-// entries filtered at fire time — no cancels at all).
+// racing wall-clock pollers. Each hand-off's stale timer is cancelled
+// by its verdict; every other timer retires lazily (dead entries
+// filtered at fire time).
 func TestVirtualClockClusterDeterministicTimers(t *testing.T) {
 	t.Run("ctlbatch", testVirtualClockCluster)
 }
@@ -87,8 +88,8 @@ func testVirtualClockCluster(t *testing.T) {
 	if snap.TimersFired != 0 {
 		t.Errorf("%d protocol timers fired on a frozen virtual clock with a loss-free network", snap.TimersFired)
 	}
-	if snap.TimersCanceled != 0 {
-		t.Errorf("%d protocol timers canceled (retirement is lazy, at fire time)", snap.TimersCanceled)
+	if snap.TimersCanceled != snap.AgentTransfers || snap.AgentTransfers != 2 {
+		t.Errorf("%d protocol timers canceled for %d hand-offs, want one per hand-off of the trip's two (the rest retire lazily, at fire time)", snap.TimersCanceled, snap.AgentTransfers)
 	}
 
 	// Advancing the clock far past every retry interval on the settled

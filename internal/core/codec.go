@@ -149,11 +149,12 @@ func ReadLog(r *wire.Reader, itin []byte) *Log {
 }
 
 // checkSavepoint fails r unless AppendSavepoint or AppendSpecialSavepoint
-// could have appended sp after entries: its ID is new, and a special
-// savepoint's RefID names an earlier savepoint. Then no RefID chain
-// loops.
+// could have appended sp after entries: its ID is new, a special
+// savepoint's RefID names an earlier savepoint, and a delta follows an
+// earlier data-carrying savepoint (so the first of those is a base
+// image). Then no RefID chain loops, and every delta has a base.
 func checkSavepoint(r *wire.Reader, entries []Entry, sp *SavepointEntry) {
-	refFound := !sp.Special
+	refFound, baseFound := !sp.Special, sp.Delta == nil
 	for _, e := range entries {
 		if prev, ok := e.(*SavepointEntry); ok {
 			if prev.ID == sp.ID {
@@ -161,10 +162,14 @@ func checkSavepoint(r *wire.Reader, entries []Entry, sp *SavepointEntry) {
 				return
 			}
 			refFound = refFound || prev.ID == sp.RefID
+			baseFound = baseFound || !prev.Special
 		}
 	}
 	if !refFound {
 		r.Fail("special savepoint %q refers to %q, not an earlier savepoint", sp.ID, sp.RefID)
+	}
+	if !baseFound {
+		r.Fail("savepoint %q is a delta with no earlier base image", sp.ID)
 	}
 }
 

@@ -49,6 +49,9 @@ func TestEntryCodecTable(t *testing.T) {
 					if sp, ok := e.(*SavepointEntry); ok && sp.Special {
 						// A special savepoint follows the one it refers to.
 						l.Entries = []Entry{&SavepointEntry{ID: sp.RefID}, e}
+					} else if ok && sp.Delta != nil {
+						// A delta follows its base image.
+						l.Entries = []Entry{&SavepointEntry{ID: "base"}, e}
 					}
 					data, at, err := l.AppendTo(nil, in.itin)
 					if err != nil {
@@ -142,11 +145,15 @@ func TestSavepointItineraryCanonical(t *testing.T) {
 
 // TestReadLogSavepointReferences: the decoder accepts only the savepoint
 // sequences AppendSavepoint and AppendSpecialSavepoint can write. A
-// duplicate ID and a RefID that does not name an earlier savepoint are
-// wire.ErrCorrupt, so no decoded log holds a RefID cycle.
+// duplicate ID, a RefID that does not name an earlier savepoint and a
+// delta with no earlier base image are wire.ErrCorrupt, so no decoded
+// log holds a RefID cycle or a delta restore cannot apply.
 func TestReadLogSavepointReferences(t *testing.T) {
 	sp := func(id string) Entry { return &SavepointEntry{ID: id, Mode: StateLogging} }
 	special := func(id, ref string) Entry { return &SavepointEntry{ID: id, Special: true, RefID: ref} }
+	delta := func(id string) Entry {
+		return &SavepointEntry{ID: id, Mode: TransitionLogging, Delta: &SRODelta{Changed: map[string][]byte{"k": []byte("v")}}}
+	}
 	for _, tc := range []struct {
 		name    string
 		entries []Entry
@@ -161,6 +168,8 @@ func TestReadLogSavepointReferences(t *testing.T) {
 		{"RefID names a step", []Entry{&BeginStepEntry{Node: "a"}, special("b", "a")}, false},
 		{"duplicate ID", []Entry{sp("a"), sp("a")}, false},
 		{"duplicate ID of a special", []Entry{sp("a"), special("b", "a"), special("b", "a")}, false},
+		{"delta after a base image", []Entry{sp("a"), special("b", "a"), delta("c"), delta("d")}, true},
+		{"delta with no earlier base image", []Entry{delta("a"), sp("b")}, false},
 	} {
 		data, _, err := (&Log{Entries: tc.entries}).AppendTo(nil, nil)
 		if err != nil {

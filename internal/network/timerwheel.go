@@ -71,7 +71,9 @@ func NewTimerWheel(clock Clock, fire func(ids []string), counters *metrics.Count
 
 // Schedule arms timer id to fire after d. An already-armed id is
 // re-armed to the new deadline (the old one never fires). d <= 0 fires
-// on the next wheel pass.
+// on the next wheel pass. Only a timer that becomes the earliest wakes
+// the wheel goroutine: any later one is due after the clock waiter the
+// wheel already sleeps on, which re-reads the heap when it fires.
 func (w *TimerWheel) Schedule(id string, d time.Duration) {
 	deadline := w.clock.Now().Add(d)
 	w.mu.Lock()
@@ -79,20 +81,23 @@ func (w *TimerWheel) Schedule(id string, d time.Duration) {
 		w.mu.Unlock()
 		return
 	}
-	if e, ok := w.index[id]; ok {
+	e, ok := w.index[id]
+	if ok {
 		e.deadline = deadline
 		e.seq = w.seq
-		w.seq++
 		heap.Fix(&w.heap, e.pos)
 	} else {
-		e := &timerEntry{id: id, deadline: deadline, seq: w.seq}
-		w.seq++
+		e = &timerEntry{id: id, deadline: deadline, seq: w.seq}
 		w.index[id] = e
 		heap.Push(&w.heap, e)
 	}
+	w.seq++
+	head := e.pos == 0
 	w.mu.Unlock()
 	w.counters.IncTimerArmed()
-	w.wake()
+	if head {
+		w.wake()
+	}
 }
 
 // Cancel disarms timer id; a timer that already fired (or was never
@@ -180,8 +185,8 @@ func (w *TimerWheel) run() {
 		case <-w.stop:
 			return
 		case <-w.poke:
-			// A Schedule may have armed an earlier deadline; the
-			// abandoned clock waiter is harmless (capacity-1 channel).
+			// A Schedule armed an earlier deadline; the abandoned
+			// clock waiter is harmless (capacity-1 channel).
 		case <-wait:
 		}
 	}

@@ -185,3 +185,32 @@ func waitFor(t *testing.T, cond func() bool) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// TestTimerWheelWakesOnlyForEarlierDeadline pins that arming a timer
+// later than the armed head registers no new clock waiter, and arming
+// an earlier one does (the wheel re-sleeps on the new head).
+func TestTimerWheelWakesOnlyForEarlierDeadline(t *testing.T) {
+	vc := NewVirtualClock(time.Time{})
+	var fired collectFired
+	w := NewTimerWheel(vc, fired.fire, nil)
+	defer w.Stop()
+
+	w.Schedule("head", 50*time.Millisecond)
+	waitFor(t, func() bool { return vc.Pending() > 0 })
+	time.Sleep(10 * time.Millisecond) // a wake racing the wheel's start registers twice
+	base := vc.Pending()
+	for _, id := range []string{"later", "latest"} {
+		w.Schedule(id, time.Second)
+		time.Sleep(10 * time.Millisecond) // give a spurious wake time to show
+		if n := vc.Pending(); n != base {
+			t.Fatalf("arming %s behind the head: %d clock waiters, want %d", id, n, base)
+		}
+	}
+	w.Schedule("earlier", 10*time.Millisecond)
+	waitFor(t, func() bool { return vc.Pending() == base+1 }) // old waiters stay until they fire
+	vc.Advance(10 * time.Millisecond)
+	waitFor(t, func() bool { return len(fired.snapshot()) == 1 })
+	if got := fired.snapshot(); got[0] != "earlier" {
+		t.Fatalf("fired %v, want [earlier]", got)
+	}
+}

@@ -278,9 +278,11 @@ func randomContainer(rng *rand.Rand) *Container {
 	}
 	if rng.Intn(8) != 0 {
 		a.Log = &core.Log{}
-		// Savepoint IDs are unique, and a special savepoint refers to an
-		// earlier one: the decoder refuses anything else.
+		// Savepoint IDs are unique, a special savepoint refers to an
+		// earlier one, and a delta follows a data-carrying one: the
+		// decoder refuses anything else.
 		var ids []string
+		base := false
 		for n := rng.Intn(8); n > 0; n-- {
 			switch rng.Intn(4) {
 			case 0:
@@ -303,9 +305,10 @@ func randomContainer(rng *rand.Rand) *Container {
 						sp.Sys.Itin, _ = a.Itin.AppendTo(nil) // the container's: a reference
 					}
 				}
-				if rng.Intn(2) == 0 {
+				if base && rng.Intn(2) == 0 {
 					sp.Delta = &core.SRODelta{Changed: bmap(), Deleted: strs()}
 				}
+				base = base || !sp.Special
 				a.Log.Append(sp)
 			case 1:
 				a.Log.Append(&core.BeginStepEntry{Node: str(), Seq: rng.Intn(100) - 1})
@@ -502,7 +505,8 @@ func FuzzContainerRoundTrip(f *testing.F) {
 // again with its sub, map and log-entry counts inflated past anything the
 // input could hold, it with its savepoints' itinerary written inline
 // though it is the container's, it with a special savepoint naming itself
-// or a later savepoint, and the name-table faults of nameSeeds.
+// or a later savepoint, it with a delta savepoint ahead of any base image,
+// and the name-table faults of nameSeeds.
 func corpusSeeds(t testing.TB) map[string][]byte {
 	seeds := make(map[string][]byte)
 	for name, c := range sampleContainers(t) {
@@ -544,13 +548,18 @@ func corpusSeeds(t testing.TB) map[string][]byte {
 	}
 	seeds["sp-itinerary-inline-equal"] = append(append([]byte{}, rb[:len(rb)-len(log)]...), inline...)
 	// The rollback container with a special savepoint that names itself,
-	// and with one ahead of the savepoint it names.
+	// with one ahead of the savepoint it names, and with a delta ahead of
+	// every base image.
 	for name, edit := range map[string]func([]core.Entry) []core.Entry{
 		"sp-self-ref": func(es []core.Entry) []core.Entry {
 			return append(es, &core.SavepointEntry{ID: "loop", Special: true, RefID: "loop"})
 		},
 		"sp-forward-ref": func(es []core.Entry) []core.Entry {
 			return append([]core.Entry{&core.SavepointEntry{ID: "ahead", Special: true, RefID: "shops"}}, es...)
+		},
+		"sp-delta-no-base": func(es []core.Entry) []core.Entry {
+			delta := &core.SRODelta{Changed: map[string][]byte{"k": []byte("v")}}
+			return append([]core.Entry{&core.SavepointEntry{ID: "nobase", Mode: core.TransitionLogging, Delta: delta}}, es...)
 		},
 	} {
 		c, err := DecodeContainer(rb)
@@ -607,7 +616,7 @@ func TestContainerCorpusCurrent(t *testing.T) {
 			t.Errorf("seed %s made well formed: %v", name, err)
 		}
 	}
-	for _, name := range []string{"inflated-subs", "inflated-map", "inflated-log", "truncated", "trailing", "sp-itinerary-inline-equal", "sp-self-ref", "sp-forward-ref",
+	for _, name := range []string{"inflated-subs", "inflated-map", "inflated-log", "truncated", "trailing", "sp-itinerary-inline-equal", "sp-self-ref", "sp-forward-ref", "sp-delta-no-base",
 		"name-ref-out-of-range", "name-ref-before-inline", "name-inline-repeat", "name-ref-breaks-key-order"} {
 		if _, err := DecodeContainer(seeds[name]); !errors.Is(err, wire.ErrCorrupt) {
 			t.Errorf("seed %s: %v, want ErrCorrupt", name, err)

@@ -160,7 +160,7 @@ func (n *Node) applyEffect(eff protocol.Effect, b *outBatch) {
 	case protocol.SendHandoff:
 		n.sendHandoff(e, b)
 	case protocol.DeliverAck:
-		n.deliverAck(e.Kind, e.TxnID, protocol.AckMsg{TxnID: e.TxnID, OK: e.OK, Err: e.Err})
+		n.deliverAck(e.TxnID, protocol.AckMsg{TxnID: e.TxnID, OK: e.OK, Err: e.Err})
 	case protocol.Decide:
 		n.decide(e, b)
 	case protocol.DropOutcomes:
@@ -171,16 +171,8 @@ func (n *Node) applyEffect(eff protocol.Effect, b *outBatch) {
 		n.dropRecords(ops...)
 	case protocol.SendResolved:
 		n.sendResolvedInto(b, e.To)
-	case protocol.CommitBranch:
-		if tx := n.takeBranchTx(e.TxnID); tx != nil {
-			_ = tx.CommitPrepared()
-		}
-	case protocol.AbortBranch:
-		if tx := n.takeBranchTx(e.TxnID); tx != nil {
-			_ = tx.Abort()
-		}
-	case protocol.ResolveBranchRecord:
-		_ = n.mgr.ResolveBranch(e.TxnID, e.Commit)
+	case protocol.SettleBranch:
+		n.settleBranch(e)
 	case protocol.ExecBranch:
 		// Executed asynchronously: compensating operations wait on
 		// resource locks, and a blocked dispatcher could not deliver
@@ -199,6 +191,10 @@ func (n *Node) applyEffect(eff protocol.Effect, b *outBatch) {
 		n.cfg.Tracer.Rec(trace.OpTimerArm, "", "", e.ID, "", "", int64(e.D))
 		if n.wheel != nil {
 			n.wheel.Schedule(e.ID, e.D)
+		}
+	case protocol.CancelTimer:
+		if n.wheel != nil {
+			n.wheel.Cancel(e.ID)
 		}
 	case protocol.CountCompOps:
 		n.cfg.Counters.IncCompOps(e.N)
@@ -228,7 +224,7 @@ func (n *Node) decide(e protocol.Decide, b *outBatch) {
 	commit := e.Commit && (n.members == nil || !n.members.Left())
 	var branch *txn.Tx
 	if commit && e.Branch {
-		if branch = n.takeBranchTx(e.TxnID); branch == nil {
+		if branch = n.takeBranch(e.TxnID).tx; branch == nil {
 			commit = false // its branch is gone: this node cannot commit
 		}
 	}
@@ -240,7 +236,7 @@ func (n *Node) decide(e protocol.Decide, b *outBatch) {
 			return n.queue.Enqueue(e.EntryID, e.Data, append(ops, rec)...)
 		})
 		if err != nil {
-			n.parkBranchTx(e.TxnID, branch) // still prepared
+			n.parkBranch(e.TxnID, parked{tx: branch}) // still prepared
 		}
 	case commit:
 		err = n.queue.Enqueue(e.EntryID, e.Data, rec)
@@ -277,25 +273,59 @@ func (n *Node) runBranchExec(txnID, decider string, ops []*core.OpEntry) {
 	if n.crashed(pointPartyPrepared) {
 		return
 	}
-	n.parkBranchTx(txnID, tx)
+	n.parkBranch(txnID, parked{tx: tx})
 	n.step(protocol.BranchPrepared{TxnID: txnID, OK: true})
 }
 
-func (n *Node) parkBranchTx(txnID string, tx *txn.Tx) {
+// parked is a prepared branch waiting for its decider's verdict: an RCE
+// party's, or a hand-off's source branch, whose then ends the worker's
+// attempt once the branch is settled.
+type parked struct {
+	tx   *txn.Tx
+	then func(commit bool, reason string)
+}
+
+func (n *Node) parkBranch(txnID string, p parked) {
 	n.mu.Lock()
-	n.branchTx[txnID] = tx
+	n.branchTx[txnID] = p
 	n.mu.Unlock()
 }
 
-func (n *Node) takeBranchTx(txnID string) *txn.Tx {
+func (n *Node) takeBranch(txnID string) parked {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	tx, ok := n.branchTx[txnID]
-	if !ok {
-		return nil
-	}
+	p := n.branchTx[txnID]
 	delete(n.branchTx, txnID)
-	return tx
+	return p
+}
+
+// settleBranch applies a verdict to a prepared branch of this node (the
+// SettleBranch effect), a hand-off's or an RCE party's, live or
+// recovered: the transaction parked for it commits or aborts, and then
+// what its worker left to run runs; with none parked, the durable record
+// is replayed or dropped.
+func (n *Node) settleBranch(e protocol.SettleBranch) {
+	if protocol.Origin(e.TxnID) == n.cfg.Name && n.crashed(pointSourceDecided) {
+		return
+	}
+	p := n.takeBranch(e.TxnID)
+	switch {
+	case p.tx == nil:
+		_ = n.mgr.ResolveBranch(e.TxnID, e.Commit)
+		return
+	case !e.Commit:
+		_ = p.tx.Abort()
+	case p.tx.CommitPrepared() != nil:
+		// The decider has committed: the branch must follow. The record
+		// is durable, so replay it.
+		if err := n.mgr.ResolveBranch(e.TxnID, true); err != nil {
+			n.cfg.Logger.Error("branch committed at its decider, not settled here",
+				"node", n.cfg.Name, "txn", e.TxnID, "err", err)
+		}
+	}
+	if p.then != nil {
+		p.then(e.Commit, e.Err)
+	}
 }
 
 // sendDone (re)sends one durable completion record to its owner,

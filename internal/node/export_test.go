@@ -11,6 +11,7 @@ import (
 const (
 	PointPartyPrepared    = pointPartyPrepared
 	PointSourcePrepared   = pointSourcePrepared
+	PointSourceHeld       = pointSourceHeld
 	PointDeciderCommitted = pointDeciderCommitted
 	PointDeciderRecorded  = pointDeciderRecorded
 	PointSourceDecided    = pointSourceDecided

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -236,12 +237,13 @@ func checkQuiesced(t *testing.T, cl *cluster.Cluster, agents int) {
 
 // TestHandoffCrashAtEveryDurablePoint kills a node at each durable
 // point of a distributed transaction — the source after its prepare and
-// before the send, the decider after its commit and before the outcome,
-// the source after the outcome and before it settles its branch; and,
-// in a rollback with RCE parties, a party after its branch is prepared
-// and before the exec ack, and a decider after a record with parties and
-// before the party verdicts leave; and the first three again for a
-// container forwarded unexecuted to the ring owner of its step — on the
+// before the send, the source after the send with its worker returned
+// and its branch parked, the decider after its commit and before the
+// outcome, the source after the outcome and before it settles its
+// branch; and, in a rollback with RCE parties, a party after its branch
+// is prepared and before the exec ack, and a decider after a record with
+// parties and before the party verdicts leave; and the first four again
+// for a container forwarded unexecuted to the ring owner of its step — on the
 // mem and the wal engine. Each time the agent completes exactly once,
 // every bank ends exactly one unit up, and no branch, commit record or
 // fence survives quiesce; a forwarded agent was forwarded exactly once.
@@ -252,11 +254,13 @@ func TestHandoffCrashAtEveryDurablePoint(t *testing.T) {
 			agent            func(*testing.T, string) (*agent.Agent, []string)
 		}{
 			{"n0", node.PointSourcePrepared, "", tourAgent},
+			{"n0", node.PointSourceHeld, "", tourAgent},
 			{"n1", node.PointDeciderCommitted, "", tourAgent},
 			{"n0", node.PointSourceDecided, "", tourAgent},
 			{"n1", node.PointPartyPrepared, "", rollbackAgent},
 			{"n2", node.PointDeciderRecorded, "", rollbackAgent},
 			{"n0", node.PointSourcePrepared, "forward-", forwardAgent},
+			{"n0", node.PointSourceHeld, "forward-", forwardAgent},
 			{"n1", node.PointDeciderCommitted, "forward-", forwardAgent},
 			{"n0", node.PointSourceDecided, "forward-", forwardAgent},
 		} {
@@ -264,12 +268,20 @@ func TestHandoffCrashAtEveryDurablePoint(t *testing.T) {
 				cl := crashCluster(t, engine)
 				hit := make(chan struct{})
 				var once sync.Once
+				var dead atomic.Bool // killed, not yet crashed
 				node.SetCrashAt(t, func(n, point string) bool {
-					if n != tc.node || point != tc.point {
+					if n != tc.node {
+						return false
+					}
+					if dead.Load() {
+						return true // a killed node dies at every later point
+					}
+					if point != tc.point {
 						return false
 					}
 					fired := false
 					once.Do(func() { fired = true; close(hit) })
+					dead.Store(fired)
 					return fired
 				})
 				a, entered := tc.agent(t, "crash-"+tc.point)
@@ -282,9 +294,15 @@ func TestHandoffCrashAtEveryDurablePoint(t *testing.T) {
 				case <-time.After(10 * time.Second):
 					t.Fatalf("the agent never reached %s on %s", tc.point, tc.node)
 				}
+				if tc.point == node.PointSourceHeld {
+					// The worker sends its prepare and returns; the node
+					// dies once the decider has decided it.
+					awaitDecided(t, cl, tc.node)
+				}
 				if err := cl.Crash(tc.node); err != nil {
 					t.Fatal(err)
 				}
+				dead.Store(false)
 				if err := cl.Recover(tc.node); err != nil {
 					t.Fatal(err)
 				}
@@ -300,6 +318,29 @@ func TestHandoffCrashAtEveryDurablePoint(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// awaitDecided waits until another node holds a decider record of one
+// of source's transactions.
+func awaitDecided(t *testing.T, cl *cluster.Cluster, source string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		for _, n := range crashNodes {
+			nd, _ := cl.Node(n)
+			keys, err := nd.Manager().Store().Keys(txn.OutcomePrefix + source + "#")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n != source && len(keys) > 0 {
+				return
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no decider recorded a hand-off of %s", source)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -177,7 +177,8 @@ func (n *Node) misplaced(c *Container) (string, bool) {
 // dest, which enqueues the stored bytes and decides (handOff), so a crash
 // at any point leaves the agent in exactly one input queue. A failed
 // forward costs an attempt and retries on the scheduler's cooldown, as a
-// ring-routed step's hand-off does.
+// ring-routed step's hand-off does; the verdict, not the worker, records
+// how it ended.
 func (n *Node) forward(entry *stable.Entry, agentID, dest string) error {
 	tx, err := n.mgr.Begin()
 	if err != nil {
@@ -187,11 +188,13 @@ func (n *Node) forward(entry *stable.Entry, agentID, dest string) error {
 	n.cfg.Tracer.Rec(trace.OpMigrate, tx.ID(), agentID, "start", n.cfg.Name, dest, size)
 	n.queue.RemoveIn(tx, entry)
 	count := func(d int64) { n.cfg.Counters.AddMigrations(d, size) }
-	if err := n.handOff(tx, dest, agentID, entry.Data, nil, count); err != nil {
-		n.cfg.Counters.IncMigrationAbort()
-		n.cfg.Tracer.Rec(trace.OpMigrate, tx.ID(), agentID, "abort", n.cfg.Name, dest, 0)
-		return fmt.Errorf("node %s: forward %s to %s: %w", n.cfg.Name, agentID, dest, err)
-	}
-	n.cfg.Tracer.Rec(trace.OpMigrate, tx.ID(), agentID, "commit", n.cfg.Name, dest, size)
-	return nil
+	return n.handOff(entry, tx, dest, agentID, entry.Data, nil, count, func(err error) error {
+		if err != nil {
+			n.cfg.Counters.IncMigrationAbort()
+			n.cfg.Tracer.Rec(trace.OpMigrate, tx.ID(), agentID, "abort", n.cfg.Name, dest, 0)
+			return fmt.Errorf("node %s: forward %s to %s: %w", n.cfg.Name, agentID, dest, err)
+		}
+		n.cfg.Tracer.Rec(trace.OpMigrate, tx.ID(), agentID, "commit", n.cfg.Name, dest, size)
+		return nil
+	})
 }

@@ -11,7 +11,7 @@
 // network.TimerWheel per node turns timer-fire callbacks into events —
 // Machine.Step is always serialized under one mutex. The effects a
 // transition returns (outbound messages, a decider's verdict write,
-// branch commits/aborts, record GC, timer arm/cancel) are applied by
+// branch settles, record GC, timer arm/cancel) are applied by
 // the same caller, outside the machine lock. Timers therefore cost O(1)
 // goroutines per node — not one polling loop per in-flight transaction —
 // and a network.VirtualClock advances every protocol timer
@@ -20,9 +20,11 @@
 // Concurrency model. Each node runs a dispatcher goroutine handling
 // protocol messages and a sched.Pool of Config.Workers step workers
 // draining the agent input queue through volatile claim/lease hand-out
-// (default 1: the paper's serial node model). Workers block on the
-// outcome of their hand-off and on RCE acknowledgements; the dispatcher
-// never blocks on a worker. Concurrent step transactions are serialized by the txn
+// (default 1: the paper's serial node model). A worker is free once its
+// hand-off is prepared and sent: the branch stays parked, holding its
+// locks and its queue lease, until the verdict settles it. Only a
+// compensation worker blocks, on its RCE acknowledgements; the
+// dispatcher never blocks on a worker. Concurrent step transactions are serialized by the txn
 // layer's strict 2PL; the pool additionally avoids co-scheduling steps
 // whose registered resource hints collide.
 //
@@ -158,9 +160,9 @@ type Node struct {
 
 	mu        sync.Mutex
 	resources map[string]resource.Resource
-	waiters   map[string]chan protocol.AckMsg
-	branchTx  map[string]*txn.Tx // prepared RCE branch transactions, parked for the verdict
-	pool      *sched.Pool        // step scheduler; set once recovery completes
+	waiters   map[string]chan protocol.AckMsg // RCE exec acks awaited, by transaction
+	branchTx  map[string]parked               // prepared branches, parked for the verdict
+	pool      *sched.Pool                     // step scheduler; set once recovery completes
 
 	decodes atomic.Int64 // full container decodes, see decode
 
@@ -219,7 +221,7 @@ func New(cfg Config, ep network.Endpoint, store stable.Store, registry *agent.Re
 		members:   cfg.Membership,
 		resources: make(map[string]resource.Resource),
 		waiters:   make(map[string]chan protocol.AckMsg),
-		branchTx:  make(map[string]*txn.Tx),
+		branchTx:  make(map[string]parked),
 		ready:     make(chan struct{}),
 		stop:      make(chan struct{}),
 	}
@@ -280,11 +282,12 @@ func (n *Node) Start() {
 
 // Stop halts the node, abandoning volatile state (the crash case). The
 // stable store is left intact; a new Node on the same store recovers.
-// Closing the stop channel first unblocks workers waiting on remote
-// acknowledgements, so the scheduler pool drains promptly: in-flight step
+// Closing the stop channel first unblocks compensation workers waiting
+// on RCE exec acks, so the scheduler pool drains promptly: in-flight step
 // attempts finish (committed work stands, aborted work is still queued),
-// and claims on never-started entries are released. The timer wheel is
-// stopped before waiting so no further timer events fire.
+// and claims on never-started entries and held hand-offs are released —
+// a parked branch stays prepared, and recovery asks its decider. The
+// timer wheel is stopped before waiting so no further timer events fire.
 func (n *Node) Stop() {
 	n.mu.Lock()
 	select {
@@ -321,31 +324,27 @@ func (n *Node) Ready() <-chan struct{} { return n.ready }
 
 // --- ack plumbing -----------------------------------------------------
 
-func ackKey(kind, id string) string { return kind + "|" + id }
-
-// registerWaiter registers interest in an acknowledgement before the
-// request is sent; await then blocks for it. The machine's DeliverAck
-// effect fulfils it.
-func (n *Node) registerWaiter(kind, id string) chan protocol.AckMsg {
+// registerWaiter registers interest in transaction id's RCE exec ack
+// before the request is sent; await then blocks for it. The machine's
+// DeliverAck effect fulfils it.
+func (n *Node) registerWaiter(id string) chan protocol.AckMsg {
 	ch := make(chan protocol.AckMsg, 1)
 	n.mu.Lock()
-	n.waiters[ackKey(kind, id)] = ch
+	n.waiters[id] = ch
 	n.mu.Unlock()
 	return ch
 }
 
-func (n *Node) dropWaiter(kind, id string) {
+func (n *Node) dropWaiter(id string) {
 	n.mu.Lock()
-	delete(n.waiters, ackKey(kind, id))
+	delete(n.waiters, id)
 	n.mu.Unlock()
 }
 
-func (n *Node) deliverAck(kind, id string, msg protocol.AckMsg) {
+func (n *Node) deliverAck(id string, msg protocol.AckMsg) {
 	n.mu.Lock()
-	ch, ok := n.waiters[ackKey(kind, id)]
-	if ok {
-		delete(n.waiters, ackKey(kind, id))
-	}
+	ch, ok := n.waiters[id]
+	delete(n.waiters, id)
 	n.mu.Unlock()
 	if ok {
 		ch <- msg
@@ -355,7 +354,8 @@ func (n *Node) deliverAck(kind, id string, msg protocol.AckMsg) {
 // errAckTimeout marks a missing acknowledgement (retryable).
 var errAckTimeout = errors.New("node: acknowledgement timed out")
 
-func (n *Node) await(ch chan protocol.AckMsg, kind, id string) (protocol.AckMsg, error) {
+func (n *Node) await(ch chan protocol.AckMsg, id string) (protocol.AckMsg, error) {
+	const kind = protocol.KindRCEExecAck
 	timeout, cancel := network.ClockTimer(n.clock, n.cfg.AckTimeout)
 	defer cancel()
 	select {
@@ -365,10 +365,10 @@ func (n *Node) await(ch chan protocol.AckMsg, kind, id string) (protocol.AckMsg,
 		}
 		return msg, nil
 	case <-timeout:
-		n.dropWaiter(kind, id)
+		n.dropWaiter(id)
 		return protocol.AckMsg{}, fmt.Errorf("%w: %s %s", errAckTimeout, kind, id)
 	case <-n.stop:
-		n.dropWaiter(kind, id)
+		n.dropWaiter(id)
 		return protocol.AckMsg{}, errStopped
 	}
 }

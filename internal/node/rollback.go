@@ -71,11 +71,12 @@ func (n *Node) runCompensation(entry *stable.Entry, c *Container, attempt int) e
 		}
 	}
 	a.SRO.Freeze(false) // clear runtime-only flag before serialization
-	if err := n.shipContainer(tx, next, dest, parts, n.cfg.Counters.AddCompTxns); err != nil {
-		n.cfg.Counters.IncCompTxnAbort()
+	return n.shipContainer(entry, tx, next, dest, parts, n.cfg.Counters.AddCompTxns, func(err error) error {
+		if err != nil {
+			n.cfg.Counters.IncCompTxnAbort()
+		}
 		return err
-	}
-	return nil
+	})
 }
 
 // nextHop routes the container after this compensation transaction. On
@@ -144,13 +145,13 @@ func (n *Node) compensateLastStep(tx *txn.Tx, a *agent.Agent, eos *core.EndStepE
 	}
 	if err := n.execCompOps(tx, a, aces); err != nil {
 		if ackCh != nil {
-			n.dropWaiter(protocol.KindRCEExecAck, tx.ID())
+			n.dropWaiter(tx.ID())
 		}
 		return parts, err
 	}
 	n.cfg.Counters.IncCompOps(int64(len(aces)))
 	if ackCh != nil {
-		if _, err := n.await(ackCh, protocol.KindRCEExecAck, tx.ID()); err != nil {
+		if _, err := n.await(ackCh, tx.ID()); err != nil {
 			return parts, fmt.Errorf("node %s: remote compensation on %s: %w", n.cfg.Name, eos.Node, err)
 		}
 	}

@@ -5,27 +5,31 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/network"
 	"repro/internal/protocol"
+	"repro/internal/sched"
+	"repro/internal/stable"
 	"repro/internal/txn"
 )
 
 // Commit driver shims. The decision logic — who decides, how queries
 // are answered, which messages go out and when they stop being resent —
 // lives in the protocol machine's roles; these helpers only sequence the
-// worker's blocking calls (register a waiter, feed the event, await the
-// answer).
+// worker's calls (prepare, park, feed the event).
 
 // crashAt, when set, is asked at each durable point of a distributed
 // transaction (the point* constants); true means the process dies there:
 // the caller stops without another write or send, and blocks until the
-// node is stopped. Crash tests set it; it is nil otherwise.
+// node is stopped. At source-held the worker sends its prepare and
+// returns whatever the answer, with nothing left to write or send, so a
+// hook that kills a node there answers true at its later points until
+// it is stopped. Crash tests set it; it is nil otherwise.
 var crashAt func(node, point string) bool
 
 // The durable points of a distributed transaction, in order.
 const (
 	pointPartyPrepared    = "party-prepared"    // RCE branch durable, exec ack not sent
 	pointSourcePrepared   = "source-prepared"   // branch durable, prepare not sent
+	pointSourceHeld       = "source-held"       // prepare leaving, worker returning, outcome not settled
 	pointDeciderCommitted = "decider-committed" // entry and record durable, outcome not sent
 	pointDeciderRecorded  = "decider-recorded"  // record with parties durable, party verdicts not sent
 	pointSourceDecided    = "source-decided"    // outcome received, branch not settled
@@ -46,64 +50,58 @@ var errStopped = errors.New("node: stopped")
 
 // handOff finishes a transaction whose container moves to dest, which
 // decides it (DESIGN.md §5): the transaction is prepared as a branch
-// naming dest, the container goes out in one message listing the RCE
-// parties (Figure 5b), and the outcome commits or aborts the branch; the
-// parties hear it from dest. count (may be nil) is the caller's metric
-// hook: count(1) runs before the prepare leaves, because dest may make
-// the agent visible — and its owner snapshot metrics — before the
-// outcome is back, and count(-1) takes it back if dest refused or never
-// saw the hand-off.
-func (n *Node) handOff(tx *txn.Tx, dest, entryID string, data []byte, parts []string, count func(int64)) error {
+// naming dest, parked with this node's driver, and the container goes out
+// in one message listing the RCE parties (Figure 5b). The worker does not
+// wait for the outcome: handOff returns sched.Held, and the branch keeps
+// its locks until the verdict settles it (settleBranch), which ends the
+// attempt on entry with done's mapping of the result — nil once
+// committed. The parties hear the verdict from dest. count is the
+// caller's metric hook: count(1) runs before the prepare leaves,
+// because dest may make the agent visible — and its owner snapshot
+// metrics — before the outcome is back, and count(-1) takes it back if
+// dest refused or never saw the hand-off.
+func (n *Node) handOff(entry *stable.Entry, tx *txn.Tx, dest, agentID string, data []byte, parts []string, count func(int64), done func(error) error) error {
 	if err := tx.PrepareDelegated(dest); err != nil {
 		n.abort(tx, parts)
-		return fmt.Errorf("node %s: hand-off to %s: %w", n.cfg.Name, dest, err)
+		return done(fmt.Errorf("node %s: hand-off to %s: %w", n.cfg.Name, dest, err))
 	}
 	if n.crashed(pointSourcePrepared) {
 		return errStopped
 	}
-	if count != nil {
-		count(1)
-	}
-	ch := n.registerWaiter(protocol.KindOutcome, tx.ID())
-	n.step(protocol.Delegate{TxnID: tx.ID(), Decider: dest, EntryID: entryID, Data: data, Mark: n.mgr.Mark(), Parties: parts})
-	out, err := n.awaitOutcome(ch, tx.ID())
-	if err != nil || n.crashed(pointSourceDecided) {
-		// Stopped: the branch stays prepared and recovery asks dest.
-		return errStopped
-	}
-	if !out.OK {
-		if count != nil {
+	count(1)
+	pool := n.pool
+	n.parkBranch(tx.ID(), parked{tx: tx, then: func(commit bool, reason string) {
+		var err error
+		switch {
+		case reason != "":
+			// Nothing left: dest is down or cut off, and the parties
+			// hear the abort from here. The retry waits AckTimeout, what
+			// an unanswered prepare waits, so MaxAttempts attempts span
+			// MaxAttempts × AckTimeout of outage rather than a few retry
+			// delays.
+			n.abort(tx, parts)
+			err = &sched.Backoff{Err: fmt.Errorf("node %s: hand-off to %s: %s", n.cfg.Name, dest, reason), D: n.cfg.AckTimeout}
+		case !commit:
+			err = fmt.Errorf("node %s: hand-off to %s refused", n.cfg.Name, dest)
+		}
+		if err != nil {
 			count(-1)
 		}
-		if out.Err != "" {
-			// Nothing left: dest is down or cut off, and the parties
-			// hear the abort from here. The attempt still costs
-			// AckTimeout, what an unanswered prepare waits, so
-			// MaxAttempts attempts span MaxAttempts × AckTimeout of
-			// outage rather than a few retry delays.
-			n.abort(tx, parts)
-			return n.pause(fmt.Errorf("node %s: hand-off to %s: %s", n.cfg.Name, dest, out.Err))
-		}
-		_ = tx.Abort()
-		n.sendResolved(dest)
-		return fmt.Errorf("node %s: hand-off to %s refused", n.cfg.Name, dest)
+		pool.Settle(entry, done(err))
+	}})
+	if crashAt != nil {
+		// Asked before the prepare leaves, so a node that dies here dies
+		// before any verdict can settle the branch.
+		crashAt(n.cfg.Name, pointSourceHeld)
 	}
-	if err := tx.CommitPrepared(); err != nil {
-		// dest has committed: the branch must follow. The record is
-		// durable, so replay it.
-		if err := n.mgr.ResolveBranch(tx.ID(), true); err != nil {
-			n.cfg.Logger.Error("hand-off committed at its decider, branch not settled",
-				"node", n.cfg.Name, "txn", tx.ID(), "decider", dest, "err", err)
-		}
-	}
-	n.sendResolved(dest)
-	return nil
+	n.step(protocol.Delegate{TxnID: tx.ID(), Decider: dest, EntryID: agentID, Data: data, Mark: n.mgr.Mark(), Parties: parts})
+	return sched.Held
 }
 
-// abort aborts tx before any prepare of it left this node, and tells its
-// RCE parties at once (LocalDecided): nothing but a decider's write of
-// that prepare could commit the transaction, and none will come. Without
-// parties it is a plain abort.
+// abort aborts tx before any prepare of it reached a decider, and tells
+// its RCE parties at once (LocalDecided): nothing but a decider's write
+// of that prepare could commit the transaction, and none will come.
+// Without parties it is a plain abort. Aborting twice is harmless.
 func (n *Node) abort(tx *txn.Tx, parts []string) {
 	_ = tx.Abort()
 	if len(parts) > 0 {
@@ -111,47 +109,9 @@ func (n *Node) abort(tx *txn.Tx, parts []string) {
 	}
 }
 
-// awaitOutcome blocks for a hand-off's verdict. Past AckTimeout the
-// source is in doubt: it asks the decider once, the machine re-asks on
-// its query timer, and the worker keeps waiting — the branch cannot
-// settle without the verdict.
-func (n *Node) awaitOutcome(ch chan protocol.AckMsg, txnID string) (protocol.AckMsg, error) {
-	timeout, cancel := network.ClockTimer(n.clock, n.cfg.AckTimeout)
-	defer cancel()
-	for {
-		select {
-		case msg := <-ch:
-			return msg, nil
-		case <-timeout:
-			timeout = nil
-			n.step(protocol.DelegationStale{TxnID: txnID})
-		case <-n.stop:
-			n.dropWaiter(protocol.KindOutcome, txnID)
-			return protocol.AckMsg{}, errStopped
-		}
-	}
-}
-
-// pause returns err after AckTimeout, or at once when the node stops.
-func (n *Node) pause(err error) error {
-	timeout, cancel := network.ClockTimer(n.clock, n.cfg.AckTimeout)
-	defer cancel()
-	select {
-	case <-timeout:
-	case <-n.stop:
-	}
-	return err
-}
-
-// sendResolved tells a decider this node's current mark (q.resolved).
-func (n *Node) sendResolved(to string) {
-	var b outBatch
-	n.sendResolvedInto(&b, to)
-	b.flush(n)
-}
-
-// sendResolvedInto is sendResolved joining batch b. The message parks in
-// the piggyback hold buffer (piggybackKind) when the wheel runs.
+// sendResolvedInto tells a decider this node's current mark (q.resolved)
+// in batch b. The message parks in the piggyback hold buffer
+// (piggybackKind) when the wheel runs.
 func (n *Node) sendResolvedInto(b *outBatch, to string) {
 	n.sendTo(b, to, protocol.KindResolved, &protocol.MarkMsg{Mark: n.mgr.Mark()})
 }
@@ -161,7 +121,7 @@ func (n *Node) sendResolvedInto(b *outBatch, to string) {
 // once its branch is durably prepared. The caller awaits the returned
 // channel after running its own agent compensation entries concurrently.
 func (n *Node) shipRCE(tx *txn.Tx, dest, decider string, ops []*core.OpEntry) chan protocol.AckMsg {
-	ch := n.registerWaiter(protocol.KindRCEExecAck, tx.ID())
+	ch := n.registerWaiter(tx.ID())
 	var b outBatch
 	n.sendTo(&b, dest, protocol.KindRCEExec, &protocol.RCEExecMsg{TxnID: tx.ID(), Decider: decider, Ops: ops})
 	b.flush(n)

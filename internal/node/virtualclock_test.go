@@ -85,8 +85,8 @@ func recvPrepare(t *testing.T, ep network.Endpoint) protocol.PrepareMsg {
 // TestProtocolTimersOnVirtualClock drives the source's in-doubt query
 // cycle and the completion-resend cycle on a manually advanced clock.
 // Node p hands an agent to a decider that goes silent: no query leaves
-// until the virtual clock moves past the worker's wait, and each Advance
-// then fires exactly one deterministic query; the decider's outcome
+// until the virtual clock moves past the hand-off's StaleAfter, and each
+// Advance then fires exactly one deterministic query; the decider's outcome
 // settles the branch and its q.resolved follows after the hold linger.
 // As a decider, p answers a hand-off at once — no timer involved — and
 // the agent it adopted completes; the unacknowledged completion
@@ -104,8 +104,10 @@ func TestProtocolTimersOnVirtualClock(t *testing.T) {
 	// The decider goes silent. The branch is in doubt, but no query may
 	// leave the node while the virtual clock is frozen.
 	assertNoMessage(t, coEp, 80*time.Millisecond)
-	// Past the worker's wait the source asks; then each Advance past the
-	// retry interval fires exactly one query.
+	// Past StaleAfter (2×AckTimeout) the source asks; then each Advance
+	// past the retry interval fires exactly one query.
+	vc.Advance(100 * time.Millisecond)
+	assertNoMessage(t, coEp, 30*time.Millisecond)
 	vc.Advance(100 * time.Millisecond)
 	for i := 0; i < 3; i++ {
 		if kind := recvKind(t, coEp, 2*time.Second); kind != protocol.KindTxnQuery {
@@ -167,11 +169,10 @@ func TestProtocolTimersOnVirtualClock(t *testing.T) {
 }
 
 // TestInDoubtQueriesOnVirtualClock hands two agents to the same silent
-// decider and single-steps the clock: past the workers' wait each asks
-// once, then each hand-off's own query timer re-asks it with a plain
-// txn.query once per RetryInterval. A repeated DelegationStale asks at
-// once but does not postpone its timer's fire, and after the verdicts
-// nothing is asked again.
+// decider and single-steps the clock: past StaleAfter each asks once,
+// then each hand-off's own query timer re-asks it with a plain txn.query
+// once per RetryInterval — not before — and after the verdicts nothing
+// is asked again.
 func TestInDoubtQueriesOnVirtualClock(t *testing.T) {
 	vc := network.NewVirtualClock(time.Time{})
 	n, coEp, _ := vcNode(t, vc, 2)
@@ -203,24 +204,19 @@ func TestInDoubtQueriesOnVirtualClock(t *testing.T) {
 
 	// Frozen clock: both branches are in doubt but nothing leaves.
 	assertNoMessage(t, coEp, 80*time.Millisecond)
-	vc.Advance(100 * time.Millisecond)
-	askedOnce("worker wait")
+	vc.Advance(200 * time.Millisecond)
+	askedOnce("stale")
 	for i := 0; i < 2; i++ {
 		vc.Advance(50 * time.Millisecond)
 		askedOnce("retry interval")
 	}
 
-	// Half an interval on, a repeated DelegationStale asks at once; the
-	// armed timer still fires at the end of the interval.
+	// Half an interval on nothing is asked; the armed timers fire at the
+	// end of the interval.
 	vc.Advance(25 * time.Millisecond)
-	n.step(protocol.DelegationStale{TxnID: first})
-	var q protocol.CtlMsg
-	if msg := recvMsg(t, coEp, 2*time.Second); msg.Kind != protocol.KindTxnQuery || protocol.Decode(msg.Payload, &q) != nil || q.TxnID != first {
-		t.Fatalf("repeated stale: expected a query for %s, got %s", first, msg.Kind)
-	}
 	assertNoMessage(t, coEp, 30*time.Millisecond)
 	vc.Advance(25 * time.Millisecond)
-	askedOnce("postponement check")
+	askedOnce("half-interval check")
 
 	// The outcomes settle both; later fires ask nothing, and only the
 	// confirmations leave.

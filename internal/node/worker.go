@@ -396,7 +396,7 @@ func (n *Node) runStep(entry *stable.Entry, c *Container, attempt int) error {
 		_ = tx.Abort()
 		return err
 	}
-	return n.shipContainer(tx, &Container{Mode: ModeStep, Agent: a}, dest, nil, n.cfg.Counters.AddStepTxns)
+	return n.shipContainer(entry, tx, &Container{Mode: ModeStep, Agent: a}, dest, nil, n.cfg.Counters.AddStepTxns, nil)
 }
 
 // stepDest resolves the node a step runs on: its location (or, on a
@@ -518,19 +518,24 @@ func (n *Node) startRollback(entry *stable.Entry, spID string) error {
 		return err
 	}
 	n.queue.RemoveIn(tx, entry)
-	return n.shipContainer(tx, &Container{Mode: ModeRollback, SpID: spID, Agent: a}, dest, nil, nil)
+	return n.shipContainer(entry, tx, &Container{Mode: ModeRollback, SpID: spID, Agent: a}, dest, nil, nil, nil)
 }
 
 // shipContainer finishes a transaction that hands the container to dest,
 // its decider: a local enqueue joins the commit batch directly; a remote
-// hand-off is decided by dest (handOff). Pre-prepared RCE branches on
-// parts (Figure 5b) get the same verdict from the decider. count (may be
-// nil) is the caller's metric hook (see handOff and commitDistributed).
-func (n *Node) shipContainer(tx *txn.Tx, c *Container, dest string, parts []string, count func(int64)) error {
+// hand-off is decided by dest (handOff), and the attempt on entry is
+// held until it is. Pre-prepared RCE branches on parts (Figure 5b) get
+// the same verdict from the decider. count (may be nil) is the caller's
+// metric hook (see handOff and commitDistributed); done (may be nil)
+// maps the transaction's result, nil once committed, to the attempt's.
+func (n *Node) shipContainer(entry *stable.Entry, tx *txn.Tx, c *Container, dest string, parts []string, count func(int64), done func(error) error) error {
+	if done == nil {
+		done = func(err error) error { return err }
+	}
 	data, err := n.encode(c)
 	if err != nil {
 		n.abort(tx, parts)
-		return permanent(err)
+		return done(permanent(err))
 	}
 	hook := count
 	if dest != n.cfg.Name {
@@ -544,9 +549,9 @@ func (n *Node) shipContainer(tx *txn.Tx, c *Container, dest string, parts []stri
 	if dest == n.cfg.Name {
 		if err := n.queue.EnqueueIn(tx, c.Agent.ID, data); err != nil {
 			n.abort(tx, parts)
-			return err
+			return done(err)
 		}
-		return n.commitDistributed(tx, parts, hook)
+		return done(n.commitDistributed(tx, parts, hook))
 	}
-	return n.handOff(tx, dest, c.Agent.ID, data, parts, hook)
+	return n.handOff(entry, tx, dest, c.Agent.ID, data, parts, hook, done)
 }

@@ -49,7 +49,7 @@ func BenchmarkProtocolTransitions(b *testing.B) {
 		m.Step(protocol.OutcomeReceived{TxnID: "peer#1", From: "d", Committed: true})
 	}
 	b.StopTimer()
-	if s := m.Stats(); s.Delegations != 0 || s.Outcomes != 0 || s.BranchesPrepared != 0 {
+	if s := m.Stats(); s.Outcomes != 0 || s.BranchesPrepared != 0 {
 		b.Fatalf("state leaked across cycles: %+v", s)
 	}
 	b.ReportMetric(float64(m.Transitions())/float64(b.N), "transitions/op")

@@ -155,7 +155,7 @@ func (m *Machine) announce(txnID string, r *record, parties []string) []Effect {
 func (m *Machine) ackReceived(e AckReceived) []Effect {
 	switch e.Kind {
 	case KindRCEExecAck:
-		return []Effect{DeliverAck{Kind: e.Kind, TxnID: e.TxnID, OK: e.OK, Err: e.Err}}
+		return []Effect{DeliverAck{TxnID: e.TxnID, OK: e.OK, Err: e.Err}}
 	case KindOutcomeAck:
 	default:
 		return nil

@@ -12,9 +12,8 @@ import (
 // FuzzProtocolEvents drives random event sequences — including orders a
 // correct driver would never produce — through the machine and asserts:
 // no panics, only well-formed effects (parseable timer IDs, known
-// message kinds, non-nil payloads), the driver contract on branch
-// settles (a Commit/AbortBranch only for a parked transaction, plus the
-// defensive stray-completion abort), that no node sends to itself, that
+// message kinds, non-nil payloads), that every parked branch is settled,
+// that no node sends to itself, that
 // the decider never answers one transaction both ways, and the terminal
 // invariant that once every in-flight execution and verdict write
 // completes, every transaction receives its verdict, every party
@@ -145,7 +144,7 @@ func FuzzProtocolEvents(f *testing.F) {
 			case 16:
 				model.apply(m.Step(protocol.ResolvedReceived{From: src, Mark: uint64(arg % 6)}))
 			case 17:
-				model.apply(m.Step(protocol.DelegationStale{TxnID: txn}))
+				model.apply(m.Step(protocol.TimerFired{ID: "pstale|" + txn}))
 			}
 		}
 
@@ -181,7 +180,7 @@ func FuzzProtocolEvents(f *testing.F) {
 		if st.BranchesExec != 0 || st.BranchesPrepared != 0 || st.BranchesInDoubt != 0 {
 			t.Fatalf("branch state survives quiescence: %+v", st)
 		}
-		if st.Delegations != 0 || st.Outcomes != 0 || st.Deciding != 0 {
+		if st.Outcomes != 0 || st.Deciding != 0 {
 			t.Fatalf("hand-off state survives verdicts and marks: %+v", st)
 		}
 		if st.DonePending != 0 {
@@ -270,21 +269,19 @@ func (d *driverModel) apply(effs []protocol.Effect) {
 			}
 		case protocol.ExecBranch:
 			d.outstanding[e.TxnID]++
-		case protocol.CommitBranch:
-			if !d.parked[e.TxnID] {
-				d.t.Fatalf("CommitBranch for unparked txn %s", e.TxnID)
-			}
-			d.parked[e.TxnID] = false
-		case protocol.AbortBranch:
-			// Legal for parked transactions and as the defensive answer
-			// to a stray completion (the driver treats unknown txns as a
-			// no-op), so no parked precondition.
+		case protocol.SettleBranch:
+			// The parked transaction if any, else the durable record.
 			d.parked[e.TxnID] = false
 		case protocol.ArmTimer:
 			if !validTimerID(e.ID) || e.D <= 0 {
 				d.t.Fatalf("malformed ArmTimer: %+v", e)
 			}
 			d.timers[e.ID] = true
+		case protocol.CancelTimer:
+			if !d.timers[e.ID] {
+				d.t.Fatalf("CancelTimer for a timer never armed: %+v", e)
+			}
+			delete(d.timers, e.ID)
 		case protocol.CountCompOps:
 			if e.N < 0 {
 				d.t.Fatalf("negative comp-op count: %+v", e)

@@ -1,6 +1,7 @@
 package protocol_test
 
 import (
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -163,7 +164,7 @@ func TestDeciderAbortNotifiesPartiesOnce(t *testing.T) {
 
 // TestDeciderIsItsOwnParty: an RCE branch naming this node as decider
 // commits inside the decider's own write — the Decide says so, and the
-// verdict settles the branch state without a CommitBranch — and a
+// verdict settles the branch state without a SettleBranch — and a
 // branch whose prepare never comes asks the local decider, without a
 // message, which fences and aborts it.
 func TestDeciderIsItsOwnParty(t *testing.T) {
@@ -179,7 +180,7 @@ func TestDeciderIsItsOwnParty(t *testing.T) {
 		t.Fatalf("hand-off effects = %+v", effs)
 	}
 	effs = m.Step(protocol.HandoffDecided{TxnID: "s#7", Commit: true, OK: true})
-	if len(pick[protocol.CommitBranch](effs)) != 0 || len(pick[protocol.SendMsg](effs)) != 2 {
+	if len(pick[protocol.SettleBranch](effs)) != 0 || len(pick[protocol.SendMsg](effs)) != 2 {
 		t.Fatalf("decided effects = %+v", effs)
 	}
 	if s := m.Stats(); s.BranchesPrepared != 0 || s.PendingParties != 1 {
@@ -197,7 +198,7 @@ func TestDeciderIsItsOwnParty(t *testing.T) {
 		t.Fatalf("stale own branch = %+v, want a local fence", effs)
 	}
 	effs = m.Step(protocol.HandoffDecided{TxnID: "s#8", Commit: false, OK: true})
-	if got := pick[protocol.AbortBranch](effs); len(got) != 1 {
+	if got := pick[protocol.SettleBranch](effs); len(got) != 1 || got[0].Commit {
 		t.Fatalf("fenced own branch = %+v", effs)
 	}
 	if s := m.Stats(); s.BranchesPrepared != 0 {
@@ -205,58 +206,87 @@ func TestDeciderIsItsOwnParty(t *testing.T) {
 	}
 }
 
-// TestSourceDelegationLifecycle: a live hand-off sends its prepare and
-// arms nothing — the worker's wait covers a late outcome — and the
-// decider's verdict goes to that worker once; a send that never left
-// aborts it the same way; a recovered branch asks its decider at once
-// and on the query timer, and its verdict settles the record and sends
-// the source's mark.
+// TestSourceDelegationLifecycle: a hand-off arms its stale timer and
+// sends its prepare, and its verdict settles the branch through the
+// same effect whether the delegation is live or recovered — disarming
+// the stale timer and sending the source's mark; a stale fire asks the
+// decider; a send that never left settles the branch at once and sends
+// no mark; a recovered branch asks its decider at once and on the query
+// timer.
 func TestSourceDelegationLifecycle(t *testing.T) {
 	m := newReady("s")
 	effs := m.Step(protocol.Delegate{TxnID: "s#1", Decider: "d", EntryID: "a1", Data: []byte("x"), Mark: 1})
 	sh := pick[protocol.SendHandoff](effs)
-	if len(sh) != 1 || sh[0].To != "d" || sh[0].Msg.TxnID != "s#1" || sh[0].Msg.Mark != 1 || len(effs) != 1 {
+	if len(sh) != 1 || sh[0].To != "d" || sh[0].Msg.TxnID != "s#1" || sh[0].Msg.Mark != 1 || len(effs) != 2 {
 		t.Fatalf("delegate effects = %+v", effs)
 	}
-	if s := m.Stats(); s.Delegations != 1 {
+	if got := pick[protocol.ArmTimer](effs); len(got) != 1 || got[0].ID != "pstale|s#1" || got[0].D != 300*time.Millisecond {
+		t.Fatalf("delegate did not arm its stale timer first: %+v", effs)
+	}
+	if _, first := effs[0].(protocol.ArmTimer); !first {
+		t.Fatalf("the prepare leaves before the stale timer is armed: %+v", effs)
+	}
+	if s := m.Stats(); s.BranchesPrepared != 1 {
 		t.Fatalf("stats = %+v", s)
 	}
-	effs = m.Step(protocol.OutcomeReceived{TxnID: "s#1", Committed: true})
-	if got := pick[protocol.DeliverAck](effs); len(got) != 1 || got[0].Kind != protocol.KindOutcome || !got[0].OK || len(effs) != 1 {
-		t.Fatalf("outcome effects = %+v", effs)
+	effs = m.Step(protocol.OutcomeReceived{TxnID: "s#1", From: "d", Committed: true})
+	want := []protocol.Effect{protocol.SettleBranch{TxnID: "s#1", Commit: true}, protocol.CancelTimer{ID: "pstale|s#1"}, protocol.SendResolved{To: "d"}}
+	if !reflect.DeepEqual(effs, want) {
+		t.Fatalf("outcome effects = %+v, want %+v", effs, want)
 	}
 	if effs := m.Step(protocol.OutcomeReceived{TxnID: "s#1", Committed: false}); len(effs) != 0 {
 		t.Fatalf("duplicate outcome produced effects: %+v", effs)
 	}
-
-	m.Step(protocol.Delegate{TxnID: "s#2", Decider: "d", EntryID: "a2", Mark: 2})
-	effs = m.Step(protocol.OutcomeReceived{TxnID: "s#2"}) // the send never left
-	if got := pick[protocol.DeliverAck](effs); len(got) != 1 || got[0].OK {
-		t.Fatalf("unreachable effects = %+v", effs)
+	if effs := m.Step(protocol.TimerFired{ID: "pstale|s#1"}); len(effs) != 0 {
+		t.Fatalf("disarmed stale timer produced effects: %+v", effs)
 	}
 
-	effs = m.Step(protocol.RecoveredBranch{TxnID: "s#3", Decider: "d"})
+	m.Step(protocol.Delegate{TxnID: "s#2", Decider: "d", EntryID: "a2", Mark: 2})
+	effs = m.Step(protocol.TimerFired{ID: "pstale|s#2"})
+	if q := pick[protocol.SendMsg](effs); len(q) != 1 || q[0].Kind != protocol.KindTxnQuery || q[0].To != "d" {
+		t.Fatalf("stale delegation effects = %+v", effs)
+	}
+	if got := pick[protocol.ArmTimer](effs); len(got) != 1 || got[0].ID != "pquery|s#2" {
+		t.Fatalf("stale delegation did not arm its query timer: %+v", effs)
+	}
+	effs = m.Step(protocol.OutcomeReceived{TxnID: "s#2", From: "d", Committed: false})
+	if got := pick[protocol.SettleBranch](effs); len(got) != 1 || got[0].Commit || len(pick[protocol.CancelTimer](effs)) != 0 {
+		t.Fatalf("stale delegation's abort = %+v", effs)
+	}
+
+	m.Step(protocol.Delegate{TxnID: "s#3", Decider: "d", EntryID: "a3", Mark: 3})
+	effs = m.Step(protocol.OutcomeReceived{TxnID: "s#3", Err: "unreachable"}) // the send never left
+	want = []protocol.Effect{protocol.SettleBranch{TxnID: "s#3", Err: "unreachable"}, protocol.CancelTimer{ID: "pstale|s#3"}}
+	if !reflect.DeepEqual(effs, want) {
+		t.Fatalf("unreachable effects = %+v, want %+v", effs, want)
+	}
+
+	effs = m.Step(protocol.RecoveredBranch{TxnID: "s#4", Decider: "d"})
 	if q := pick[protocol.SendMsg](effs); len(q) != 1 || q[0].Kind != protocol.KindTxnQuery || q[0].To != "d" {
 		t.Fatalf("recovered delegation effects = %+v", effs)
 	}
-	if got := pick[protocol.ArmTimer](effs); len(got) != 1 || got[0].ID != "pquery|s#3" {
+	if got := pick[protocol.ArmTimer](effs); len(got) != 1 || got[0].ID != "pquery|s#4" {
 		t.Fatalf("recovered delegation did not arm its query timer: %+v", effs)
 	}
-	effs = m.Step(protocol.TimerFired{ID: "pquery|s#3"})
+	effs = m.Step(protocol.TimerFired{ID: "pquery|s#4"})
 	if q := pick[protocol.SendMsg](effs); len(q) != 1 || q[0].Kind != protocol.KindTxnQuery {
 		t.Fatalf("query timer effects = %+v", effs)
 	}
-	effs = m.Step(protocol.OutcomeReceived{TxnID: "s#3", Committed: true})
-	rec := pick[protocol.ResolveBranchRecord](effs)
-	res := pick[protocol.SendResolved](effs)
-	if len(rec) != 1 || !rec[0].Commit || len(res) != 1 || res[0].To != "d" {
-		t.Fatalf("recovered outcome effects = %+v", effs)
+	effs = m.Step(protocol.OutcomeReceived{TxnID: "s#4", From: "d", Committed: true})
+	want = []protocol.Effect{protocol.SettleBranch{TxnID: "s#4", Commit: true}, protocol.SendResolved{To: "d"}}
+	if !reflect.DeepEqual(effs, want) {
+		t.Fatalf("recovered outcome effects = %+v, want %+v", effs, want)
 	}
-	if effs := m.Step(protocol.TimerFired{ID: "pquery|s#3"}); len(effs) != 0 {
+	if effs := m.Step(protocol.TimerFired{ID: "pquery|s#4"}); len(effs) != 0 {
 		t.Fatalf("stale query timer produced effects: %+v", effs)
 	}
-	if s := m.Stats(); s.Delegations != 0 {
+	if s := m.Stats(); s.BranchesPrepared+s.BranchesInDoubt != 0 {
 		t.Fatalf("delegation state lingers: %+v", s)
+	}
+	// Another node's transaction is refused at once, settling the branch.
+	effs = m.Step(protocol.Delegate{TxnID: "x#1", Decider: "d"})
+	if got := pick[protocol.SettleBranch](effs); len(got) != 1 || got[0].Commit || got[0].Err == "" || len(effs) != 1 {
+		t.Fatalf("foreign delegate effects = %+v", effs)
 	}
 }
 
@@ -374,8 +404,11 @@ func TestRCEBranchHappyPath(t *testing.T) {
 	// The decider's commit verdict settles the parked transaction, and
 	// the branch acknowledges it to the decider.
 	effs = m.Step(protocol.OutcomeReceived{TxnID: txn, From: "d", Committed: true})
-	if got := pick[protocol.CommitBranch](effs); len(got) != 1 {
+	if got := pick[protocol.SettleBranch](effs); len(got) != 1 || !got[0].Commit {
 		t.Fatalf("commit verdict effects = %+v", effs)
+	}
+	if got := pick[protocol.CancelTimer](effs); len(got) != 1 || got[0].ID != "pstale|"+txn {
+		t.Fatalf("commit verdict left the stale timer armed: %+v", effs)
 	}
 	if acks := pick[protocol.SendMsg](effs); len(acks) != 1 || acks[0].Kind != protocol.KindOutcomeAck || acks[0].To != "d" {
 		t.Fatalf("commit verdict ack = %+v", effs)
@@ -398,9 +431,10 @@ func TestRCEStaleBranchQueriesDecider(t *testing.T) {
 	if got := pick[protocol.ArmTimer](effs); len(got) != 1 || got[0].ID != "pquery|"+txn {
 		t.Fatalf("stale branch did not enter the query cadence: %+v", effs)
 	}
-	// The decider's abort resolves it; an abort is not acknowledged.
+	// The decider's abort resolves it; an abort is not acknowledged, and
+	// the stale timer has fired already.
 	effs = m.Step(protocol.OutcomeReceived{TxnID: txn, From: "d", Committed: false})
-	if got := pick[protocol.AbortBranch](effs); len(got) != 1 || len(effs) != 1 {
+	if got := pick[protocol.SettleBranch](effs); len(got) != 1 || got[0].Commit || len(effs) != 1 {
 		t.Fatalf("abort verdict = %+v", effs)
 	}
 }
@@ -417,7 +451,7 @@ func TestRecoveredBranchResolution(t *testing.T) {
 		t.Fatalf("stats = %+v", s)
 	}
 	effs = m.Step(protocol.OutcomeReceived{TxnID: txn, From: "d", Committed: true})
-	rec := pick[protocol.ResolveBranchRecord](effs)
+	rec := pick[protocol.SettleBranch](effs)
 	if len(rec) != 1 || !rec[0].Commit || len(pick[protocol.SendMsg](effs)) != 1 {
 		t.Fatalf("recovered resolution = %+v", effs)
 	}

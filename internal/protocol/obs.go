@@ -21,8 +21,6 @@ func EventInfo(ev Event) (name, txnID, agentID string) {
 			return "OutcomeReceived(commit)", e.TxnID, ""
 		}
 		return "OutcomeReceived(abort)", e.TxnID, ""
-	case DelegationStale:
-		return "DelegationStale", e.TxnID, ""
 	case HandoffReceived:
 		return "HandoffReceived", e.TxnID, e.EntryID
 	case HandoffDecided:
@@ -78,12 +76,6 @@ func EventInfo(ev Event) (name, txnID, agentID string) {
 // called under the same serialization as Step.
 func (m *Machine) StateOf(txnID, agentID string) string {
 	if txnID != "" {
-		if d, ok := m.delegs[txnID]; ok {
-			if d.recovered {
-				return "delegated-recovered"
-			}
-			return "delegated"
-		}
 		if _, ok := m.deciding[txnID]; ok {
 			return "deciding"
 		}

@@ -20,7 +20,7 @@ import (
 // it. The driver contract is modeled explicitly: an execution
 // completion can only be delivered after the machine emitted the
 // matching ExecBranch effect, and parked transactions are tracked
-// through the Commit/AbortBranch effects.
+// through the SettleBranch effect.
 func TestRCEAbortPermutations(t *testing.T) {
 	// Event alphabets: e = exec request, p = execution completes
 	// (prepared OK), a = abort verdict (the decider's fence).
@@ -77,13 +77,18 @@ func runRCEPermutation(t *testing.T, seq []byte) {
 			switch e := eff.(type) {
 			case protocol.ExecBranch:
 				outstanding++
-			case protocol.CommitBranch:
-				t.Fatalf("%s: CommitBranch emitted without any commit verdict", name)
-			case protocol.AbortBranch:
+			case protocol.SettleBranch:
+				if e.Commit {
+					t.Fatalf("%s: a commit settled without any commit verdict", name)
+				}
 				parked = false
 			case protocol.ArmTimer:
 				if e.ID == "pstale|"+txn {
 					timerArmed = true
+				}
+			case protocol.CancelTimer:
+				if e.ID == "pstale|"+txn {
+					timerArmed = false
 				}
 			}
 		}
@@ -158,8 +163,8 @@ func TestRCEAbortOvertakesPrepareEdge(t *testing.T) {
 	m.Step(protocol.OutcomeReceived{TxnID: txn, From: "d", Committed: false})
 	effs := m.Step(protocol.BranchPrepared{TxnID: txn, OK: true})
 
-	if got := pick[protocol.AbortBranch](effs); len(got) != 1 {
-		t.Fatalf("no AbortBranch on the poison edge: %+v", effs)
+	if got := pick[protocol.SettleBranch](effs); len(got) != 1 || got[0].Commit {
+		t.Fatalf("no abort on the poison edge: %+v", effs)
 	}
 	acks := pick[protocol.SendMsg](effs)
 	if len(acks) != 1 {
@@ -176,9 +181,9 @@ func TestRCEAbortOvertakesPrepareEdge(t *testing.T) {
 		t.Fatalf("branch state lingers: %+v", s)
 	}
 	// The tombstone must not outlive the execution: a fresh abort for an
-	// unknown transaction resolves via the branch record only.
+	// unknown transaction settles the branch record and nothing else.
 	effs = m.Step(protocol.OutcomeReceived{TxnID: txn, From: "d", Committed: false})
-	if got := pick[protocol.ResolveBranchRecord](effs); len(got) != 1 {
+	if got := pick[protocol.SettleBranch](effs); len(got) != 1 || len(effs) != 1 {
 		t.Fatalf("post-settle abort = %+v", effs)
 	}
 	if s := m.Stats(); s.BranchesExec != 0 {
@@ -196,17 +201,19 @@ func TestRCEAbortOvertakesPrepareEdge(t *testing.T) {
 //	A p's exec ack reaches s           G s gives up waiting for it and aborts
 //	N s prepares its branch and sends q.prepare (after A)
 //	P the prepare reaches d            X / L the prepare is duplicated / lost
-//	T s's worker stops waiting for the outcome and queries d
+//	T s's stale timer fires: s queries d
 //	F p's stale timer fires: p queries d
 //	J d's resend timer fires: d re-sends its commit to p
 //	Q a query reaches d                W d's verdict write completes
-//	O the outcome reaches s            C s settles its branch and sends its mark
+//	O the outcome reaches s            C s's driver settles its branch and sends its mark
 //	V a verdict reaches p              Y / U a verdict to p is duplicated / lost
 //	K p's acknowledgement reaches d    R the source's mark reaches d
 //	S, D, Z s, d or p crashes and recovers
 //
-// Then the world quiesces: messages arrive, writes complete, waits
-// expire and timers fire until nothing moves. It asserts the parties
+// Then the world quiesces: messages arrive, writes complete and timers
+// fire until nothing moves — except, in the quiet alphabets, the party's
+// own stale and query timers, so only the decider's commit resend can
+// bring it a lost verdict. It asserts the parties
 // never disagree — the container is in d's queue exactly when s's branch
 // committed, exactly when p's branch committed, and at most once — and
 // that every branch, commit record and fence resolves: no record
@@ -219,31 +226,35 @@ func TestRCEAbortOvertakesPrepareEdge(t *testing.T) {
 // the crashed node (a restarted endpoint receives no frame sent to its
 // previous incarnation).
 func TestDelegatedHandoffPermutations(t *testing.T) {
-	alphabets := []struct{ prefix, perm string }{
-		{"", "NPWOCR"},   // the one-hop path in every order
-		{"", "NPXWOCR"},  // a duplicated prepare
-		{"", "NLTQWOCR"}, // a lost prepare: the query fences it
-		{"", "NPTQWOCR"}, // the prepare racing the source's query
-		{"", "NPWOCRS"},  // a source crash at each point
-		{"", "NPWOCRD"},  // a decider crash at each point
-		{"", "NSPWDOCR"}, // both
-		{"", "NPXWOCRD"}, // a duplicate around a decider crash and the mark
+	alphabets := []struct {
+		prefix, perm string
+		quiet        bool // p's stale and query timers never fire
+	}{
+		{"", "NPWOCR", false},   // the one-hop path in every order
+		{"", "NPXWOCR", false},  // a duplicated prepare
+		{"", "NLTQWOCR", false}, // a lost prepare: the query fences it
+		{"", "NPTQWOCR", false}, // the prepare racing the source's query
+		{"", "NPWOCRS", false},  // a source crash at each point
+		{"", "NPWOCRD", false},  // a decider crash at each point
+		{"", "NSPWDOCR", false}, // both
+		{"", "NPXWOCRD", false}, // a duplicate around a decider crash and the mark
 
-		{"", "EBANPWVK"},     // with an RCE party: the verdict and its ack
-		{"", "EBANFQPW"},     // the party's stale query racing the prepare: a fence
-		{"", "EBANPWVZ"},     // a party crash at each point
-		{"", "EBANPWKD"},     // a decider crash around its record with parties
-		{"", "EBANPWOS"},     // a source crash at each point
-		{"", "EGBAV"},        // the source gives up: its abort overtakes the execution
-		{"EBA", "NPWYUVK"},   // the verdict to the party duplicated and lost
-		{"EBA", "NPWOCRZ"},   // a party crash around the source's mark
-		{"EBANP", "WUOCRJU"}, // the verdict and a resend lost: the resend must outlive the mark
-		{"EBA", "NLTQFQWV"},  // a lost prepare fenced by both queries
+		{"", "EBANPWVK", false},     // with an RCE party: the verdict and its ack
+		{"", "EBANFQPW", false},     // the party's stale query racing the prepare: a fence
+		{"", "EBANPWVZ", false},     // a party crash at each point
+		{"", "EBANPWKD", false},     // a decider crash around its record with parties
+		{"", "EBANPWOS", false},     // a source crash at each point
+		{"", "EGBAV", false},        // the source gives up: its abort overtakes the execution
+		{"EBA", "NPWYUVK", false},   // the verdict to the party duplicated and lost
+		{"EBA", "NPWOCRZ", false},   // a party crash around the source's mark
+		{"EBANP", "WUOCRJU", false}, // the verdict and a resend lost: the resend must outlive the mark
+		{"EBA", "NLTQFQWV", false},  // a lost prepare fenced by both queries
+		{"EBANP", "WUOCRJU", true},  // as above, and only the decider's resends reach the party
 	}
 	runs := 0
 	for _, a := range alphabets {
 		for _, seq := range permutations([]byte(a.perm)) {
-			runHandoffPermutation(t, a.prefix+string(seq))
+			runHandoffPermutation(t, a.prefix+string(seq), a.quiet)
 			runs++
 		}
 	}
@@ -270,11 +281,13 @@ type handoffWorld struct {
 
 	// Source: its transaction (open until settled, or until the worker
 	// dies before preparing), whether the exec ack came back, its branch
-	// record, the live worker's delegation and the verdict it was handed
-	// but has not applied yet.
+	// record, the transaction the worker parked, and the effects from the
+	// verdict's SettleBranch on that the driver has not applied yet.
 	open, acked, sent, branch, live bool
 	settled                         string // "", "commit", "abort"
-	verdict                         *bool
+	pending                         []protocol.Effect
+
+	quiet bool // the party's stale and query timers never fire
 
 	// Party: its branch record, the parked transaction, executions in
 	// flight, and how its branch settled.
@@ -290,8 +303,8 @@ type handoffWorld struct {
 	toS, toD, toP []hoMsg
 }
 
-func newHandoffWorld(t *testing.T, name string) *handoffWorld {
-	w := &handoffWorld{t: t, name: name, open: true, acked: true, records: map[string]protocol.RecoveredOutcome{}}
+func newHandoffWorld(t *testing.T, name string, quiet bool) *handoffWorld {
+	w := &handoffWorld{t: t, name: name, open: true, acked: true, quiet: quiet, records: map[string]protocol.RecoveredOutcome{}}
 	w.s, w.d, w.p = newReady("s"), newReady("d"), newReady("p")
 	if strings.HasPrefix(name, "E") {
 		w.parties, w.acked = []string{"p"}, false
@@ -309,25 +322,24 @@ func (w *handoffWorld) mark() uint64 {
 	return 6
 }
 
-// sApply applies the source machine's effects.
+// sApply applies the source machine's effects, up to a SettleBranch:
+// that one and the rest wait for the driver (C).
 func (w *handoffWorld) sApply(effs []protocol.Effect) {
-	for _, eff := range effs {
+	for i, eff := range effs {
 		switch e := eff.(type) {
 		case protocol.SendHandoff:
 			w.toD = append(w.toD, hoMsg{kind: protocol.KindEnqueuePrepare, from: "s", mark: e.Msg.Mark})
 		case protocol.SendMsg:
 			w.send(e, "s")
-		case protocol.DeliverAck:
-			if !w.live || e.Kind != protocol.KindOutcome {
-				w.t.Fatalf("%s: %+v delivered with no worker waiting on an outcome", w.name, e)
+		case protocol.SettleBranch:
+			if w.pending != nil {
+				w.t.Fatalf("%s: a second verdict settles the source's branch", w.name)
 			}
-			v := e.OK
-			w.verdict = &v
-		case protocol.ResolveBranchRecord:
-			w.settle(e.Commit)
+			w.pending = effs[i:]
+			return
 		case protocol.SendResolved:
 			w.toD = append(w.toD, hoMsg{kind: protocol.KindResolved, from: "s", mark: w.mark()})
-		case protocol.Decide, protocol.CommitBranch, protocol.AbortBranch, protocol.ExecBranch:
+		case protocol.Decide, protocol.DeliverAck, protocol.ExecBranch:
 			w.t.Fatalf("%s: the source emitted %+v", w.name, e)
 		}
 	}
@@ -381,22 +393,10 @@ func (w *handoffWorld) pApply(effs []protocol.Effect) {
 			w.execs++
 		case protocol.SendMsg:
 			w.send(e, "p")
-		case protocol.CommitBranch:
-			if !w.parked {
-				w.t.Fatalf("%s: CommitBranch with nothing parked", w.name)
-			}
-			w.parked = false
-			w.pSettle(true)
-		case protocol.AbortBranch:
-			if w.parked {
+		case protocol.SettleBranch:
+			// The parked transaction, or else the durable record.
+			if w.parked || w.pBranch {
 				w.parked = false
-				w.pSettle(false)
-			}
-		case protocol.ResolveBranchRecord:
-			if w.parked {
-				w.t.Fatalf("%s: the record of a parked branch resolved behind it", w.name)
-			}
-			if w.pBranch {
 				w.pSettle(e.Commit)
 			}
 		}
@@ -424,7 +424,7 @@ func (w *handoffWorld) dApply(effs []protocol.Effect) {
 			for _, id := range e.TxnIDs {
 				delete(w.records, id)
 			}
-		case protocol.CommitBranch, protocol.AbortBranch, protocol.ResolveBranchRecord, protocol.ExecBranch:
+		case protocol.SettleBranch, protocol.ExecBranch:
 			w.t.Fatalf("%s: the decider, no party here, emitted %+v", w.name, e)
 		}
 	}
@@ -500,12 +500,12 @@ func (w *handoffWorld) step(ev byte) bool {
 		_, ok := take(&w.toD, protocol.KindEnqueuePrepare)
 		return ok
 	case 'T':
-		if !w.live || w.verdict != nil {
+		if !w.live {
 			return false
 		}
-		w.sApply(w.s.Step(protocol.DelegationStale{TxnID: hoTxn}))
+		w.sApply(w.s.Step(protocol.TimerFired{ID: "pstale|" + hoTxn}))
 	case 'F':
-		if w.parties == nil {
+		if w.parties == nil || w.quiet {
 			return false
 		}
 		w.pApply(w.p.Step(protocol.TimerFired{ID: "pstale|" + hoTxn}))
@@ -558,12 +558,13 @@ func (w *handoffWorld) step(ev byte) bool {
 		}
 		w.dApply(w.d.Step(protocol.AckReceived{Kind: m.kind, TxnID: hoTxn, From: m.from, OK: m.ok}))
 	case 'C':
-		if w.verdict == nil {
+		if w.pending == nil {
 			return false
 		}
-		w.settle(*w.verdict)
-		w.verdict, w.live, w.open = nil, false, false
-		w.toD = append(w.toD, hoMsg{kind: protocol.KindResolved, from: "s", mark: w.mark()})
+		rest := w.pending[1:]
+		w.settle(w.pending[0].(protocol.SettleBranch).Commit)
+		w.pending, w.live, w.open = nil, false, false
+		w.sApply(rest)
 	case 'R':
 		m, ok := take(&w.toD, protocol.KindResolved)
 		if !ok {
@@ -574,7 +575,7 @@ func (w *handoffWorld) step(ev byte) bool {
 		// The source dies: worker, machine and messages to it are gone;
 		// a transaction that never prepared dies with the worker, and a
 		// branch record stays, in doubt, and recovery asks the decider.
-		w.s, w.live, w.verdict, w.toS = newReady("s"), false, nil, nil
+		w.s, w.live, w.pending, w.toS = newReady("s"), false, nil, nil
 		w.open, w.acked = false, false
 		if w.branch {
 			w.sent = true // a branch that outlives the crash is in doubt either way
@@ -621,13 +622,15 @@ func (w *handoffWorld) quiesce() {
 			w.step('N')
 		case w.open && !w.sent:
 			w.step('G')
-		case w.live && w.verdict == nil:
-			w.step('T')
 		case w.branch:
-			w.sApply(w.s.Step(protocol.TimerFired{ID: "pquery|" + hoTxn}))
+			for _, id := range []string{"pstale|" + hoTxn, "pquery|" + hoTxn} {
+				w.sApply(w.s.Step(protocol.TimerFired{ID: id}))
+			}
 		}
 		for _, id := range []string{"pstale|" + hoTxn, "pquery|" + hoTxn} {
-			w.pApply(w.p.Step(protocol.TimerFired{ID: id}))
+			if !w.quiet {
+				w.pApply(w.p.Step(protocol.TimerFired{ID: id}))
+			}
 		}
 		w.dApply(w.d.Step(protocol.TimerFired{ID: "pctl|" + hoTxn}))
 		if len(w.toS)+len(w.toD)+len(w.toP)+len(w.writes) == 0 && !(w.open && !w.sent) {
@@ -637,9 +640,9 @@ func (w *handoffWorld) quiesce() {
 	w.t.Fatalf("%s: the world never came to rest", w.name)
 }
 
-func runHandoffPermutation(t *testing.T, seq string) {
+func runHandoffPermutation(t *testing.T, seq string, quiet bool) {
 	t.Helper()
-	w := newHandoffWorld(t, seq)
+	w := newHandoffWorld(t, seq, quiet)
 	for i := 0; i < len(seq); i++ {
 		w.step(seq[i])
 	}
@@ -671,7 +674,7 @@ func runHandoffPermutation(t *testing.T, seq string) {
 	if len(w.records) != 0 {
 		t.Fatalf("%s: records survive the last acknowledgement and the mark: %v", seq, w.records)
 	}
-	if s := w.s.Stats(); s.Delegations != 0 {
+	if s := w.s.Stats(); s.BranchesPrepared+s.BranchesInDoubt != 0 {
 		t.Fatalf("%s: source state lingers: %+v", seq, s)
 	}
 	if s := w.d.Stats(); s.Outcomes != 0 || s.Deciding != 0 || s.PendingParties != 0 {

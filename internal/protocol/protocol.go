@@ -22,8 +22,8 @@
 // a timer firing, a local decision of the worker (hand-off delegated,
 // own transaction decided, execution finished), or a recovery replay —
 // and returns the list of Effects the driver must apply: outbound
-// messages, stable-store writes, prepared-transaction commits/aborts,
-// timer arms, and metric counts. The machine never starts a goroutine,
+// messages, stable-store writes, prepared-branch settles, timer arms
+// and cancels, and metric counts. The machine never starts a goroutine,
 // owns no channel, and performs no I/O; facts the driver owns (a node's
 // own watermark) are passed in on the event. That makes every protocol
 // decision — including the chaos harness's first catch, an abort
@@ -55,9 +55,9 @@ type Config struct {
 	// RetryInterval is the cadence of verdict resends, in-doubt queries
 	// and completion-notification resends (RetryDelay*5 in node terms).
 	RetryInterval time.Duration
-	// StaleAfter is how long a prepared RCE branch may sit undecided
-	// before the party starts querying its decider (2*AckTimeout in node
-	// terms).
+	// StaleAfter is how long a hand-off or a prepared RCE branch may sit
+	// undecided before the source or party starts querying its decider
+	// (2*AckTimeout in node terms).
 	StaleAfter time.Duration
 }
 
@@ -79,12 +79,11 @@ type Machine struct {
 	cfg   Config
 	ready bool
 
-	delegs   map[string]*delegation // hand-offs this node's branches wait on
-	decided  map[string]*record     // decider records: commits and fences
-	deciding map[string][]string    // verdicts being written → the parties to tell
-	marks    map[string]uint64      // decider: highest mark seen per source
-	branches map[string]*branch     // RCE branch per transaction
-	done     map[string]string      // undelivered completion: agent → owner
+	decided  map[string]*record  // decider records: commits and fences
+	deciding map[string][]string // verdicts being written → the parties to tell
+	marks    map[string]uint64   // decider: highest mark seen per source
+	branches map[string]*branch  // prepared branch per transaction: hand-off or RCE
+	done     map[string]string   // undelivered completion: agent → owner
 
 	// armed holds the IDs of the obligation timers armed and not yet
 	// fired (timers.go).
@@ -98,7 +97,6 @@ func NewMachine(cfg Config) *Machine {
 	cfg.fillDefaults()
 	return &Machine{
 		cfg:      cfg,
-		delegs:   make(map[string]*delegation),
 		decided:  make(map[string]*record),
 		deciding: make(map[string][]string),
 		marks:    make(map[string]uint64),
@@ -139,17 +137,13 @@ type Delegate struct {
 // an RCE branch this node holds. The driver also feeds an abort back,
 // with its reason in Err and no From, when a prepare's send failed
 // before any byte of it left (network.ErrUnreachable: no decider can
-// ever see it).
+// ever see it) — possibly inside the Delegate step that sent it.
 type OutcomeReceived struct {
 	TxnID     string
 	From      string
 	Committed bool
 	Err       string
 }
-
-// DelegationStale reports that a live hand-off's outcome did not arrive
-// within the worker's wait: the source starts querying its decider.
-type DelegationStale struct{ TxnID string }
 
 // HandoffReceived is the decider half of a hand-off: a source asks this
 // node to enqueue a container and decide, for itself and for Parties.
@@ -266,7 +260,6 @@ type TimerFired struct{ ID string }
 
 func (Delegate) isEvent()         {}
 func (OutcomeReceived) isEvent()  {}
-func (DelegationStale) isEvent()  {}
 func (HandoffReceived) isEvent()  {}
 func (HandoffDecided) isEvent()   {}
 func (LocalDecided) isEvent()     {}
@@ -301,12 +294,9 @@ type SendHandoff struct {
 	Msg *PrepareMsg
 }
 
-// DeliverAck routes an answer to the local worker blocked on it (the
-// driver's waiter plumbing): an RCE exec ack, or — Kind KindOutcome, OK
-// the commit — a live hand-off's verdict, on which the worker commits or
-// aborts its prepared branch.
+// DeliverAck routes an RCE exec ack to the compensation worker blocked
+// on it (the driver's waiter plumbing).
 type DeliverAck struct {
-	Kind  string
 	TxnID string
 	OK    bool
 	Err   string
@@ -337,19 +327,16 @@ type DropOutcomes struct{ TxnIDs []string }
 // (q.resolved); the driver reads the mark when it applies the effect.
 type SendResolved struct{ To string }
 
-// CommitBranch / AbortBranch settle the live prepared branch
-// transaction parked by the driver for TxnID.
-type CommitBranch struct{ TxnID string }
-
-// AbortBranch aborts the parked branch transaction (releasing its
-// resource locks).
-type AbortBranch struct{ TxnID string }
-
-// ResolveBranchRecord replays or drops the crash-surviving durable
-// branch record for TxnID (txn.Manager.ResolveBranch).
-type ResolveBranchRecord struct {
+// SettleBranch applies a verdict to this node's prepared branch of
+// TxnID, a hand-off's or an RCE party's, live or recovered: the driver
+// commits or aborts the prepared transaction it parked for TxnID (and
+// runs what the parking worker left to run), or, with none parked,
+// replays or drops the durable branch record (txn.Manager.ResolveBranch).
+// Err is set when the hand-off's prepare never reached a decider.
+type SettleBranch struct {
 	TxnID  string
 	Commit bool
+	Err    string
 }
 
 // ExecBranch asks the driver to execute the compensation list inside a
@@ -377,24 +364,26 @@ type ArmTimer struct {
 	D  time.Duration
 }
 
+// CancelTimer disarms the named timer on the node's timer wheel.
+type CancelTimer struct{ ID string }
+
 // CountCompOps bumps the compensating-operations metric (the branch
 // prepared successfully).
 type CountCompOps struct{ N int64 }
 
-func (SendMsg) isEffect()             {}
-func (SendHandoff) isEffect()         {}
-func (DeliverAck) isEffect()          {}
-func (Decide) isEffect()              {}
-func (DropOutcomes) isEffect()        {}
-func (SendResolved) isEffect()        {}
-func (CommitBranch) isEffect()        {}
-func (AbortBranch) isEffect()         {}
-func (ResolveBranchRecord) isEffect() {}
-func (ExecBranch) isEffect()          {}
-func (ResendDone) isEffect()          {}
-func (DropDone) isEffect()            {}
-func (ArmTimer) isEffect()            {}
-func (CountCompOps) isEffect()        {}
+func (SendMsg) isEffect()      {}
+func (SendHandoff) isEffect()  {}
+func (DeliverAck) isEffect()   {}
+func (Decide) isEffect()       {}
+func (DropOutcomes) isEffect() {}
+func (SendResolved) isEffect() {}
+func (SettleBranch) isEffect() {}
+func (ExecBranch) isEffect()   {}
+func (ResendDone) isEffect()   {}
+func (DropDone) isEffect()     {}
+func (ArmTimer) isEffect()     {}
+func (CancelTimer) isEffect()  {}
+func (CountCompOps) isEffect() {}
 
 // --- transition dispatch ----------------------------------------------
 
@@ -408,8 +397,6 @@ func (m *Machine) Step(ev Event) []Effect {
 		return m.delegate(e)
 	case OutcomeReceived:
 		return m.outcomeReceived(e)
-	case DelegationStale:
-		return m.delegationStale(e)
 	case HandoffReceived:
 		return m.handoffReceived(e)
 	case HandoffDecided:
@@ -433,9 +420,6 @@ func (m *Machine) Step(ev Event) []Effect {
 	case DoneAcked:
 		return m.doneAcked(e)
 	case RecoveredBranch:
-		if Origin(e.TxnID) == m.cfg.Node {
-			return m.recoveredDelegation(e)
-		}
 		return m.recoveredBranch(e)
 	case ReadyReached:
 		m.ready = true
@@ -454,12 +438,11 @@ func (m *Machine) Transitions() int64 { return m.transitions }
 // invariant checkers use it to assert terminal conditions (e.g. every
 // prepared branch resolved).
 type Stats struct {
-	Delegations      int // hand-offs this node's branches still wait on
 	Outcomes         int // decider records held (commits and fences)
 	PendingParties   int // commit verdicts not yet acknowledged by a party
 	Deciding         int // verdicts being written
 	BranchesExec     int // RCE executions in flight (incl. poisoned)
-	BranchesPrepared int // prepared branches awaiting decision
+	BranchesPrepared int // prepared branches awaiting decision, hand-offs' included
 	BranchesInDoubt  int // recovered branch records awaiting verdict
 	DonePending      int // completion notifications awaiting ack
 }
@@ -467,7 +450,6 @@ type Stats struct {
 // Stats reports the current state sizes.
 func (m *Machine) Stats() Stats {
 	var s Stats
-	s.Delegations = len(m.delegs)
 	s.Outcomes = len(m.decided)
 	for _, r := range m.decided {
 		s.PendingParties += len(r.pending)

@@ -10,17 +10,21 @@ package protocol
 //	    |                            | abort verdict                   | verdict
 //	    |                            v                                 v
 //	    |                     executingAborted                     (absent) +
-//	    |                            |                             Commit/AbortBranch
+//	    |                            |                             SettleBranch
 //	    |                            | BranchPrepared(any)
 //	    |                            v
-//	    |                 (absent) + AbortBranch + refused ack
+//	    |                 (absent) + SettleBranch(abort) + refused ack
 //	    |
-//	RecoveredBranch--> inDoubt --verdict--> (absent) + ResolveBranchRecord
+//	RecoveredBranch--> inDoubt --verdict--> (absent) + SettleBranch
 //
-// The branch record names the decider, which rce.exec carries: the node
-// that receives the container, or the compensating node when the agent
-// stays (DESIGN.md §5). A commit verdict is acknowledged (q.outcome.ack)
-// so the decider can collect its record; an abort is not.
+// Every verdict is one SettleBranch, whatever the state: the driver
+// settles the transaction it parked, or else the durable record. A
+// hand-off's own branch at its source shares the prepared and inDoubt
+// states (source.go). The branch record names the decider, which
+// rce.exec carries: the node that receives the container, or the
+// compensating node when the agent stays (DESIGN.md §5). A commit
+// verdict is acknowledged (q.outcome.ack) so the decider can collect
+// its record; an abort is not.
 //
 // The executing→executingAborted edge is the chaos harness's first catch
 // (seed 2): an abort overtakes an execution that is blocked on a
@@ -33,7 +37,7 @@ package protocol
 // decider (a decider that never saw the prepare fences it and answers
 // abort), then re-asks on RetryInterval.
 
-// branchState is the lifecycle position of one RCE branch.
+// branchState is the lifecycle position of one branch.
 type branchState int
 
 const (
@@ -68,9 +72,9 @@ func (m *Machine) rceExecReceived(e RCEExecReceived) []Effect {
 	case e.Decider == "":
 		return []Effect{execAck(e.From, e.TxnID, false, "no decider named")}
 	case Origin(e.TxnID) == m.cfg.Node:
-		// This node's part of its own transaction is its hand-off branch,
-		// settled as a delegation; a compensating node runs its local
-		// entries inside the transaction and never ships them to itself.
+		// This node's part of its own transaction is its hand-off's
+		// branch (source.go); a compensating node runs its local entries
+		// inside the transaction and never ships them to itself.
 		return []Effect{execAck(e.From, e.TxnID, false, "own transaction")}
 	}
 	if b, ok := m.branches[e.TxnID]; ok {
@@ -104,7 +108,7 @@ func (m *Machine) branchPrepared(e BranchPrepared) []Effect {
 		// the stray parked transaction is aborted so it cannot sit on
 		// its locks.
 		if e.OK {
-			return []Effect{AbortBranch{TxnID: e.TxnID}}
+			return m.settle(e.TxnID, false, "")
 		}
 		return nil
 	}
@@ -126,7 +130,7 @@ func (m *Machine) branchPrepared(e BranchPrepared) []Effect {
 		// now would create a zombie: prepared, lock-holding, and
 		// already aborted.
 		delete(m.branches, e.TxnID)
-		return []Effect{AbortBranch{TxnID: e.TxnID}, execAck(b.replyTo, e.TxnID, false, "aborted during execution")}
+		return append(m.settle(e.TxnID, false, ""), execAck(b.replyTo, e.TxnID, false, "aborted during execution"))
 	}
 	b.state = branchPrepared
 	effs := []Effect{CountCompOps{N: b.ops}, execAck(b.replyTo, e.TxnID, true, "")}
@@ -148,45 +152,27 @@ func (m *Machine) partyVerdict(txnID, from string, commit bool) []Effect {
 	return append(effs, SendMsg{To: from, Kind: KindOutcomeAck, Payload: &AckMsg{TxnID: txnID, OK: true}})
 }
 
-// resolveBranch applies a verdict to whatever branch state
-// exists: a live prepared transaction, a still-running execution (the
-// poison edge), a recovered record, or nothing (then only the durable
-// record — if any — is replayed or dropped).
+// resolveBranch applies a verdict to whatever branch state exists: a
+// prepared or recovered branch goes; a still-running execution stays,
+// poisoned by an abort so it aborts instead of preparing (its execution
+// is typically blocked on a resource lock).
 func (m *Machine) resolveBranch(txnID string, commit bool) []Effect {
-	b, ok := m.branches[txnID]
-	if !ok {
-		// Crash-surviving branch record (no live Tx): replay/drop the
-		// redo.
-		return []Effect{ResolveBranchRecord{TxnID: txnID, Commit: commit}}
-	}
-	switch b.state {
-	case branchPrepared:
-		delete(m.branches, txnID)
-		if !commit {
-			return []Effect{AbortBranch{TxnID: txnID}}
-		}
-		return []Effect{CommitBranch{TxnID: txnID}}
-	case branchExecuting:
-		if !commit {
-			// The abort overtook the branch: its RCE execution is still
-			// running (typically blocked on a resource lock). Poison it
-			// so it aborts instead of preparing.
+	if b, ok := m.branches[txnID]; ok {
+		switch {
+		case b.state == branchPrepared || b.state == branchInDoubt:
+			delete(m.branches, txnID)
+		case b.state == branchExecuting && !commit:
 			b.state = branchExecutingAborted
 		}
-		return []Effect{ResolveBranchRecord{TxnID: txnID, Commit: commit}}
-	case branchExecutingAborted:
-		return []Effect{ResolveBranchRecord{TxnID: txnID, Commit: commit}}
-	case branchInDoubt:
-		delete(m.branches, txnID)
-		return []Effect{ResolveBranchRecord{TxnID: txnID, Commit: commit}}
 	}
-	return nil
+	return m.settle(txnID, commit, "")
 }
 
-// recoveredBranch replays a crash-surviving in-doubt branch record:
-// query its decider immediately, then on the usual cadence. Live branch
-// state outranks the replay — a record surviving next to a live
-// execution or prepared transaction is that transaction's own record.
+// recoveredBranch replays a crash-surviving in-doubt branch record, a
+// hand-off's or an RCE party's: query its decider immediately, then on
+// the usual cadence. Live branch state outranks the replay — a record
+// surviving next to a live execution or prepared transaction is that
+// transaction's own record.
 func (m *Machine) recoveredBranch(e RecoveredBranch) []Effect {
 	if b, ok := m.branches[e.TxnID]; ok && b.state != branchInDoubt {
 		return nil

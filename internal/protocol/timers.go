@@ -10,19 +10,21 @@ import (
 // obligation is something this node must re-send until it is answered:
 // a commit to the RCE parties that have not acknowledged it, a query
 // from an in-doubt source or party, the StaleAfter threshold of a
-// prepared branch, a completion record to its owner.
+// hand-off or a prepared branch, a completion record to its owner.
 //
 // A fire checks the obligation against the role maps
-// (decided/delegs/branches/done). A live one sends its plain message and
+// (decided/branches/done). A live one sends its plain message and
 // re-arms; a dead one does nothing, so a quiescent machine goes silent
 // within one interval — what the fuzz quiescence invariant (fire every
-// armed timer, demand no re-arm) pins. Retirement is lazy: resolving an
-// obligation cancels nothing, the next fire finds it dead.
+// armed timer, demand no re-arm) pins. Retirement is lazy — resolving an
+// obligation cancels nothing, the next fire finds it dead — except for
+// the stale timer: one is armed per hand-off, so the verdict disarms it
+// (CancelTimer) and a healthy hand-off leaves nothing armed.
 //
 // The machine remembers which timers are armed, so registering a live
-// obligation again (a repeated DelegationStale, a replayed branch) adds
-// no timer and does not postpone the armed one's fire. A fire of a timer
-// that is not armed — a stale or foreign ID — is ignored.
+// obligation again (a replayed branch) adds no timer and does not
+// postpone the armed one's fire. A fire of a timer that is not armed — a
+// stale or foreign ID — is ignored.
 //
 // Timer IDs are "<class>|<txn>" ("<class>|<agent>" for pdone). Classes:
 const (
@@ -32,8 +34,8 @@ const (
 	// timerQuery re-asks the decider about a hand-off or an RCE branch
 	// still in doubt here.
 	timerQuery = "pquery"
-	// timerStale is the StaleAfter threshold of a prepared RCE branch: a
-	// fire on a branch still prepared starts its queries.
+	// timerStale is the StaleAfter threshold of a hand-off or a prepared
+	// RCE branch: a fire on one still in doubt starts its queries.
 	timerStale = "pstale"
 	// timerDone re-sends a completion record to its owner.
 	timerDone = "pdone"
@@ -68,13 +70,9 @@ func (m *Machine) timerFired(e TimerFired) []Effect {
 			effs = append(effs, outcome(p, id, true))
 		}
 		return append(effs, m.arm(timerCtl, id, m.cfg.RetryInterval)...)
-	case timerQuery:
+	case timerQuery, timerStale:
 		if decider, ok := m.inDoubt(id); ok {
 			return m.query(id, decider)
-		}
-	case timerStale:
-		if b, ok := m.branches[id]; ok && b.state == branchPrepared {
-			return m.query(id, b.decider)
 		}
 	case timerDone:
 		if owner := m.done[id]; owner != "" {
@@ -85,11 +83,9 @@ func (m *Machine) timerFired(e TimerFired) []Effect {
 }
 
 // inDoubt returns the decider a query about txnID goes to: the one this
-// node's hand-off, or its prepared or recovered RCE branch, waits on.
+// node's prepared or recovered branch — a hand-off's or an RCE party's —
+// waits on.
 func (m *Machine) inDoubt(txnID string) (string, bool) {
-	if d, ok := m.delegs[txnID]; ok {
-		return d.decider, true
-	}
 	if b, ok := m.branches[txnID]; ok && (b.state == branchPrepared || b.state == branchInDoubt) {
 		return b.decider, true
 	}

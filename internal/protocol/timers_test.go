@@ -110,15 +110,14 @@ func TestPeerCtlTimerCoalescesResends(t *testing.T) {
 // TestPeerQueryTimerCoalescesInDoubt drives two stale hand-offs waiting
 // on the same decider plus a recovered RCE branch it decides: each is
 // re-asked on its own timer with a plain txn.query. A repeated
-// DelegationStale or RecoveredBranch asks at once but arms nothing, so
-// it neither adds a timer nor postpones the armed one; after the
-// verdicts nothing fires.
+// RecoveredBranch asks at once but arms nothing, so it neither adds a
+// timer nor postpones the armed one; after the verdicts nothing fires.
 func TestPeerQueryTimerCoalescesInDoubt(t *testing.T) {
 	m := newReady("p")
 
 	stale := func(txn string) []protocol.Effect {
 		m.Step(protocol.Delegate{TxnID: txn, Decider: "co", EntryID: "e-" + txn, Data: []byte("x"), Mark: 1})
-		return m.Step(protocol.DelegationStale{TxnID: txn})
+		return m.Step(protocol.TimerFired{ID: "pstale|" + txn})
 	}
 	for _, txn := range []string{"p#1", "p#2"} {
 		effs := stale(txn)
@@ -136,7 +135,7 @@ func TestPeerQueryTimerCoalescesInDoubt(t *testing.T) {
 
 	// Re-registering a live obligation arms nothing.
 	for _, ev := range []protocol.Event{
-		protocol.DelegationStale{TxnID: "p#1"},
+		protocol.RecoveredBranch{TxnID: "p#1", Decider: "co"},
 		protocol.RecoveredBranch{TxnID: "x#1", Decider: "co"},
 	} {
 		if ids := armedIDs(m.Step(ev)); len(ids) != 0 {

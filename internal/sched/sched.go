@@ -26,8 +26,12 @@
 //     unbounded claim slurping).
 //   - Abort/retry: a retryable failure (2PL lock conflict, remote ack
 //     timeout, §2's "abort and restart the step transaction") releases
-//     the lease and puts the agent on a RetryDelay cooldown; permanent
-//     failures and exhausted attempts are handed to Config.Fail.
+//     the lease and puts the agent on a RetryDelay (or Backoff) cooldown;
+//     permanent failures and exhausted attempts go to Config.Fail.
+//   - Held attempts (Exec returned Held: a hand-off awaits its verdict)
+//     free the worker but keep the lease, keys and attempt count until
+//     Settle; they count toward the lease bound, so in-doubt hand-offs
+//     per node stay bounded.
 package sched
 
 import (
@@ -40,6 +44,20 @@ import (
 	"repro/internal/trace"
 	"repro/internal/txn"
 )
+
+// Held is what Exec returns for an attempt that Settle ends. Settle may
+// run before Exec returns, so Exec must not touch the entry once it has
+// arranged its Settle.
+var Held = errors.New("sched: attempt held until settled")
+
+// Backoff is a retryable error whose retry waits D instead of RetryDelay.
+type Backoff struct {
+	Err error
+	D   time.Duration
+}
+
+func (b *Backoff) Error() string { return b.Err.Error() }
+func (b *Backoff) Unwrap() error { return b.Err }
 
 // pollInterval bounds the dispatcher's sleep when no wakeup source is
 // armed (safety net; the broadcast Notify normally wakes it).
@@ -86,8 +104,9 @@ type Config struct {
 
 // task is one leased queue entry awaiting or undergoing execution.
 type task struct {
-	entry *stable.Entry
-	keys  []string
+	entry   *stable.Entry
+	keys    []string
+	attempt int
 }
 
 // Pool runs Config.Workers workers over the input queue. Start launches
@@ -97,11 +116,11 @@ type Pool struct {
 	cfg Config
 
 	mu       sync.Mutex
-	cond     *sync.Cond // wakes workers when ready grows or stop is set
-	ready    []*task    // leased, awaiting a worker, oldest first
-	running  int
-	runKeys  map[string]int // conflict-key multiset of running tasks
-	attempts map[string]int // per-container attempt counts (by agent ID)
+	cond     *sync.Cond              // wakes workers when ready grows or stop is set
+	ready    []*task                 // leased, awaiting a worker, oldest first
+	running  map[*stable.Entry]*task // taken by a worker: executing or held
+	runKeys  map[string]int          // conflict-key multiset of running tasks
+	attempts map[string]int          // per-container attempt counts (by agent ID)
 	cooldown map[string]time.Time
 	stopped  bool
 
@@ -123,6 +142,7 @@ func New(cfg Config) *Pool {
 	}
 	p := &Pool{
 		cfg:      cfg,
+		running:  make(map[*stable.Entry]*task),
 		runKeys:  make(map[string]int),
 		attempts: make(map[string]int),
 		cooldown: make(map[string]time.Time),
@@ -151,7 +171,8 @@ func (p *Pool) Start() {
 // Stop drains the pool: no new tasks are dispatched, running attempts
 // finish (the caller should first unblock anything Exec waits on, e.g.
 // by closing the node's stop channel), and leases on tasks that never
-// started are released. Stop is idempotent.
+// started or are held are released; a later Settle does nothing. Stop is
+// idempotent.
 func (p *Pool) Stop() {
 	p.mu.Lock()
 	already := p.stopped
@@ -165,6 +186,10 @@ func (p *Pool) Stop() {
 	p.mu.Lock()
 	ready := p.ready
 	p.ready = nil
+	for _, t := range p.running { // with the workers gone, all held
+		ready = append(ready, t)
+	}
+	clear(p.running)
 	p.mu.Unlock()
 	for _, t := range ready {
 		p.cfg.Queue.Release(t.entry)
@@ -207,7 +232,7 @@ func (p *Pool) dispatcher() {
 // cooldown expiry).
 func (p *Pool) tryClaim() (bool, time.Duration) {
 	p.mu.Lock()
-	if p.stopped || len(p.ready)+p.running >= 2*p.cfg.Workers {
+	if p.stopped || len(p.ready)+len(p.running) >= 2*p.cfg.Workers {
 		p.mu.Unlock()
 		return false, pollInterval
 	}
@@ -279,7 +304,7 @@ func (p *Pool) take() *task {
 			return nil
 		}
 		if t := p.selectLocked(); t != nil {
-			p.running++
+			p.running[t.entry] = t
 			for _, k := range t.keys {
 				p.runKeys[k]++
 			}
@@ -327,19 +352,40 @@ func (p *Pool) conflictsLocked(t *task) bool {
 	return false
 }
 
-// exec runs one attempt and settles the task: done, retry-after-cooldown,
-// or permanent failure.
+// exec runs one attempt and, unless it is held, settles the task.
 func (p *Pool) exec(t *task) {
 	p.mu.Lock()
-	attempt := p.attempts[t.entry.ID] + 1
+	t.attempt = p.attempts[t.entry.ID] + 1
 	p.mu.Unlock()
 
 	p.cfg.Counters.StepStarted()
 	start := time.Now()
-	err := p.cfg.Exec(t.entry, attempt)
-	p.cfg.Counters.StepFinished(time.Since(start), err == nil)
+	err := p.cfg.Exec(t.entry, t.attempt)
+	p.cfg.Counters.StepFinished(time.Since(start), err == nil || err == Held)
 
+	if err != Held {
+		p.finish(t, err)
+	}
+}
+
+// Settle ends the held attempt on e with err, as exec ends any other.
+// An attempt Stop released, or one already settled, ignores it.
+func (p *Pool) Settle(e *stable.Entry, err error) {
+	p.mu.Lock()
+	t, ok := p.running[e]
+	delete(p.running, e)
+	p.mu.Unlock()
+	if ok {
+		p.finish(t, err)
+	}
+}
+
+// finish settles one attempt's task: done, retry-after-cooldown, or
+// permanent failure.
+func (p *Pool) finish(t *task, err error) {
+	attempt := t.attempt
 	settled := err == nil
+	cooldown := p.cfg.RetryDelay
 	if err != nil {
 		perm := p.cfg.Permanent != nil && p.cfg.Permanent(err)
 		if !perm && p.cfg.MaxAttempts > 0 && attempt >= p.cfg.MaxAttempts {
@@ -362,10 +408,14 @@ func (p *Pool) exec(t *task) {
 		// is NOT settled — keep the attempt count and cooldown, or the
 		// poisoned entry would spin hot forever with a fresh attempt
 		// counter.
+		var b *Backoff
+		if errors.As(err, &b) {
+			cooldown = b.D
+		}
 	}
 
 	p.mu.Lock()
-	p.running--
+	delete(p.running, t.entry)
 	for _, k := range t.keys {
 		if p.runKeys[k] <= 1 {
 			delete(p.runKeys, k)
@@ -378,7 +428,7 @@ func (p *Pool) exec(t *task) {
 		delete(p.cooldown, t.entry.ID)
 	} else {
 		p.attempts[t.entry.ID] = attempt
-		p.cooldown[t.entry.ID] = time.Now().Add(p.cfg.RetryDelay)
+		p.cooldown[t.entry.ID] = time.Now().Add(cooldown)
 	}
 	p.mu.Unlock()
 

@@ -427,3 +427,114 @@ func TestPoolPermanentWithoutFailHandler(t *testing.T) {
 		t.Error("entry never attempted")
 	}
 }
+
+// TestPoolHeldAttempt checks the held-attempt contract: an Exec that
+// returns Held frees its worker at once — with one worker, a second
+// entry runs while the first is held — while the lease stays and counts
+// toward the 2×Workers bound; Settle then ends the attempt like a
+// return would: a retryable error keeps the attempt count and retries
+// after the cooldown, nil completes it. A Settle that runs before Exec
+// returns Held is applied once Exec does.
+func TestPoolHeldAttempt(t *testing.T) {
+	h := newHarness()
+	for _, id := range []string{"held", "other", "third"} {
+		if err := h.queue.Enqueue(id, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var (
+		mu       sync.Mutex
+		held     = map[string]*stable.Entry{}
+		attempts = map[string][]int{}
+		p        *Pool
+	)
+	p = New(Config{
+		Workers:    1,
+		RetryDelay: time.Millisecond,
+		Queue:      h.queue,
+		Exec: func(e *stable.Entry, attempt int) error {
+			mu.Lock()
+			attempts[e.ID] = append(attempts[e.ID], attempt)
+			mu.Unlock()
+			switch {
+			case e.ID == "third":
+				// Settled inside its own Exec, before Held is returned.
+				if err := h.consume(e); err != nil {
+					return err
+				}
+				p.Settle(e, nil)
+				return Held
+			case attempt == 1:
+				mu.Lock()
+				held[e.ID] = e
+				mu.Unlock()
+				return Held
+			}
+			return h.consume(e)
+		},
+	})
+	p.Start()
+	defer p.Stop()
+	waitFor(t, "both held", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(held) == 2
+	})
+	// Two held leases fill the bound of one worker: "third" waits.
+	time.Sleep(20 * time.Millisecond)
+	if cl := h.queue.Claimed(); cl != 2 {
+		t.Fatalf("claimed %d entries while two attempts are held, want 2", cl)
+	}
+	mu.Lock()
+	hold, other := held["held"], held["other"]
+	mu.Unlock()
+	p.Settle(hold, errors.New("refused"))
+	if err := h.consume(other); err != nil { // its transaction committed
+		t.Fatal(err)
+	}
+	p.Settle(other, nil)
+	p.Settle(other, errors.New("late")) // settled already: ignored
+	waitFor(t, "drained", func() bool {
+		ln, _ := h.queue.Len()
+		return ln == 0 && h.queue.Claimed() == 0
+	})
+	mu.Lock()
+	defer mu.Unlock()
+	want := map[string][]int{"held": {1, 2}, "other": {1}, "third": {1}}
+	for id, w := range want {
+		if fmt.Sprint(attempts[id]) != fmt.Sprint(w) {
+			t.Errorf("%s attempts = %v, want %v", id, attempts[id], w)
+		}
+	}
+}
+
+// TestPoolStopReleasesHeld checks that Stop releases a held lease and
+// that a later Settle of it does nothing.
+func TestPoolStopReleasesHeld(t *testing.T) {
+	h := newHarness()
+	if err := h.queue.Enqueue("held", nil); err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan *stable.Entry, 1)
+	failed := false
+	p := New(Config{
+		Workers: 1,
+		Queue:   h.queue,
+		Exec: func(e *stable.Entry, attempt int) error {
+			got <- e
+			return Held
+		},
+		Permanent: func(error) bool { return true },
+		Fail:      func(*stable.Entry, error) { failed = true },
+	})
+	p.Start()
+	e := <-got
+	p.Stop()
+	if cl := h.queue.Claimed(); cl != 0 {
+		t.Fatalf("claimed %d after Stop, want 0", cl)
+	}
+	p.Settle(e, errors.New("after stop"))
+	if failed {
+		t.Fatal("a Settle after Stop ran Fail")
+	}
+}
