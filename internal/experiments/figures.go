@@ -364,7 +364,12 @@ func runUnreachable(withAlt bool) (string, time.Duration, error) {
 			return "", 0, err
 		}
 	}
+	// The decide step waits for the payment node to be down, so no
+	// compensation can reach it first: a hand-off to it that left before
+	// the crash would sit in doubt, and an RCE branch it prepared could
+	// hold its bank's lock through its Stop.
 	var decideStarted atomic.Bool
+	resDown := make(chan struct{})
 	reg := cl.Registry()
 	if err := reg.RegisterStep("tft.pay", func(ctx agent.StepContext) error {
 		if again, err := ctx.WRO().Has("second"); err != nil || again {
@@ -382,6 +387,7 @@ func runUnreachable(withAlt bool) (string, time.Duration, error) {
 	}
 	if err := reg.RegisterStep("tft.decide", func(ctx agent.StepContext) error {
 		decideStarted.Store(true)
+		<-resDown
 		if done, err := ctx.WRO().Has("second"); err != nil {
 			return err
 		} else if done {
@@ -450,11 +456,14 @@ func runUnreachable(withAlt bool) (string, time.Duration, error) {
 	// Kill the payment node once the agent safely moved past it.
 	for !decideStarted.Load() {
 		if time.Since(start) > runTimeout {
+			close(resDown)
 			return "", 0, errors.New("tft: decide never reached")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if err := cl.Crash("res"); err != nil {
+	err = cl.Crash("res")
+	close(resDown)
+	if err != nil {
 		return "", 0, err
 	}
 

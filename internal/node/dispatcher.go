@@ -159,8 +159,10 @@ func (n *Node) applyEffect(eff protocol.Effect, b *outBatch) {
 		n.sendTo(b, e.To, e.Kind, e.Payload)
 	case protocol.SendHandoff:
 		n.sendHandoff(e, b)
-	case protocol.DeliverAck:
-		n.deliverAck(e.TxnID, protocol.AckMsg{TxnID: e.TxnID, OK: e.OK, Err: e.Err})
+	case protocol.ExecAcked:
+		if p := n.takeBranch(e.TxnID); p.then != nil {
+			p.then(e.OK, e.Err)
+		}
 	case protocol.Decide:
 		n.decide(e, b)
 	case protocol.DropOutcomes:
@@ -277,12 +279,12 @@ func (n *Node) runBranchExec(txnID, decider string, ops []*core.OpEntry) {
 	n.step(protocol.BranchPrepared{TxnID: txnID, OK: true})
 }
 
-// parked is a prepared branch waiting for its decider's verdict: an RCE
-// party's, or a hand-off's source branch, whose then ends the worker's
-// attempt once the branch is settled.
+// parked is a transaction waiting on a peer: an RCE party's or a
+// hand-off's prepared branch for its verdict, or a compensation for its
+// exec ack. then, if set, ends the worker's attempt once that lands.
 type parked struct {
 	tx   *txn.Tx
-	then func(commit bool, reason string)
+	then func(ok bool, reason string)
 }
 
 func (n *Node) parkBranch(txnID string, p parked) {
@@ -312,6 +314,10 @@ func (n *Node) settleBranch(e protocol.SettleBranch) {
 	switch {
 	case p.tx == nil:
 		_ = n.mgr.ResolveBranch(e.TxnID, e.Commit)
+		select {
+		case n.recoveredSettled <- struct{}{}:
+		default:
+		}
 		return
 	case !e.Commit:
 		_ = p.tx.Abort()

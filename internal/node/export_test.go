@@ -9,6 +9,7 @@ import (
 // The durable points of a distributed transaction, for crash tests
 // outside the package.
 const (
+	PointCompHeld         = pointCompHeld
 	PointPartyPrepared    = pointPartyPrepared
 	PointSourcePrepared   = pointSourcePrepared
 	PointSourceHeld       = pointSourceHeld

@@ -240,9 +240,11 @@ func checkQuiesced(t *testing.T, cl *cluster.Cluster, agents int) {
 // before the send, the source after the send with its worker returned
 // and its branch parked, the decider after its commit and before the
 // outcome, the source after the outcome and before it settles its
-// branch; and, in a rollback with RCE parties, a party after its branch
-// is prepared and before the exec ack, and a decider after a record with
-// parties and before the party verdicts leave; and the first four again
+// branch; and, in a rollback with RCE parties, the compensating node
+// after its RCE list left with its worker returned, a party after its
+// branch is prepared and before the exec ack, and a decider after a
+// record with parties and before the party verdicts leave; and the first
+// four again
 // for a container forwarded unexecuted to the ring owner of its step — on the
 // mem and the wal engine. Each time the agent completes exactly once,
 // every bank ends exactly one unit up, and no branch, commit record or
@@ -257,6 +259,7 @@ func TestHandoffCrashAtEveryDurablePoint(t *testing.T) {
 			{"n0", node.PointSourceHeld, "", tourAgent},
 			{"n1", node.PointDeciderCommitted, "", tourAgent},
 			{"n0", node.PointSourceDecided, "", tourAgent},
+			{"n2", node.PointCompHeld, "", rollbackAgent},
 			{"n1", node.PointPartyPrepared, "", rollbackAgent},
 			{"n2", node.PointDeciderRecorded, "", rollbackAgent},
 			{"n0", node.PointSourcePrepared, "forward-", forwardAgent},
@@ -294,10 +297,15 @@ func TestHandoffCrashAtEveryDurablePoint(t *testing.T) {
 				case <-time.After(10 * time.Second):
 					t.Fatalf("the agent never reached %s on %s", tc.point, tc.node)
 				}
-				if tc.point == node.PointSourceHeld {
+				switch tc.point {
+				case node.PointSourceHeld:
 					// The worker sends its prepare and returns; the node
 					// dies once the decider has decided it.
 					awaitDecided(t, cl, tc.node)
+				case node.PointCompHeld:
+					// The worker ships its RCE list and returns; the node
+					// dies once the party has prepared its branch.
+					awaitBranch(t, cl, "n1", tc.node)
 				}
 				if err := cl.Crash(tc.node); err != nil {
 					t.Fatal(err)
@@ -308,7 +316,7 @@ func TestHandoffCrashAtEveryDurablePoint(t *testing.T) {
 				}
 				awaitAgent(t, ch)
 				checkQuiesced(t, cl, 1)
-				if tc.point == node.PointPartyPrepared || tc.point == node.PointDeciderRecorded {
+				if tc.point == node.PointCompHeld || tc.point == node.PointPartyPrepared || tc.point == node.PointDeciderRecorded {
 					if n := cl.Counters().Snapshot().RemoteCompBatches; n < 2 {
 						t.Fatalf("%d RCE lists shipped, want the rollback's two at least", n)
 					}
@@ -339,6 +347,27 @@ func awaitDecided(t *testing.T, cl *cluster.Cluster, source string) {
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("no decider recorded a hand-off of %s", source)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// awaitBranch waits until party holds a prepared branch of one of
+// source's transactions.
+func awaitBranch(t *testing.T, cl *cluster.Cluster, party, source string) {
+	t.Helper()
+	nd, _ := cl.Node(party)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		keys, err := nd.Manager().Store().Keys(txn.BranchPrefix + source + "#")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(keys) > 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s prepared no branch of %s", party, source)
 		}
 		time.Sleep(time.Millisecond)
 	}

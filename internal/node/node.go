@@ -20,11 +20,10 @@
 // Concurrency model. Each node runs a dispatcher goroutine handling
 // protocol messages and a sched.Pool of Config.Workers step workers
 // draining the agent input queue through volatile claim/lease hand-out
-// (default 1: the paper's serial node model). A worker is free once its
-// hand-off is prepared and sent: the branch stays parked, holding its
-// locks and its queue lease, until the verdict settles it. Only a
-// compensation worker blocks, on its RCE acknowledgements; the
-// dispatcher never blocks on a worker. Concurrent step transactions are serialized by the txn
+// (default 1: the paper's serial node model). A worker never waits on a
+// peer: its prepared hand-off, or its shipped RCE list, stays parked with
+// its locks and queue lease until the verdict, or the exec ack or its
+// timeout, ends it. The dispatcher never blocks on a worker. Concurrent step transactions are serialized by the txn
 // layer's strict 2PL; the pool additionally avoids co-scheduling steps
 // whose registered resource hints collide.
 //
@@ -40,7 +39,6 @@
 package node
 
 import (
-	"errors"
 	"fmt"
 	"log/slog"
 	"strings"
@@ -76,7 +74,9 @@ type Config struct {
 	Optimized bool
 	// LogMode selects state or transition logging for savepoints (§4.2).
 	LogMode core.LogMode
-	// AckTimeout bounds waits for remote acknowledgements.
+	// AckTimeout is how long a shipped RCE list waits for its exec ack
+	// and a hand-off to an unreachable decider waits to retry; in-doubt
+	// branches first query after twice that. All run on the timer wheel.
 	AckTimeout time.Duration
 	// RetryDelay is the back-off between attempts of failed work.
 	RetryDelay time.Duration
@@ -88,7 +88,7 @@ type Config struct {
 	// reproduces the paper's one-step-at-a-time node model; higher
 	// values run independent step transactions in parallel under 2PL.
 	Workers int
-	// Clock drives the node's protocol timers (ack timeouts, control
+	// Clock drives the node's protocol timers (exec-ack timeouts, control
 	// resends, in-doubt queries, notification resends) through its
 	// timer wheel; nil uses the wall clock. A network.VirtualClock
 	// makes every protocol timer manually advanceable.
@@ -147,8 +147,7 @@ type Node struct {
 	mgr       *txn.Manager
 	registry  *agent.Registry
 	factories []ResourceFactory
-	clock     network.Clock
-	wheel     *network.TimerWheel
+	wheel     *network.TimerWheel // every wait in the node runs on it
 
 	// pmu serializes Machine.Step; the machine itself is pure and
 	// single-threaded. Never hold mu and pmu together.
@@ -158,11 +157,11 @@ type Node struct {
 	// members is cfg.Membership (nil without the membership layer).
 	members *membership.Manager
 
-	mu        sync.Mutex
-	resources map[string]resource.Resource
-	waiters   map[string]chan protocol.AckMsg // RCE exec acks awaited, by transaction
-	branchTx  map[string]parked               // prepared branches, parked for the verdict
-	pool      *sched.Pool                     // step scheduler; set once recovery completes
+	mu               sync.Mutex
+	resources        map[string]resource.Resource
+	branchTx         map[string]parked // transactions parked for a verdict or an exec ack
+	pool             *sched.Pool       // step scheduler; set once recovery completes
+	recoveredSettled chan struct{}     // a verdict settled a branch record; recovery waits for the last
 
 	decodes atomic.Int64 // full container decodes, see decode
 
@@ -211,19 +210,18 @@ func New(cfg Config, ep network.Endpoint, store stable.Store, registry *agent.Re
 		queue:    queue,
 		mgr:      mgr,
 		registry: registry,
-		clock:    cfg.Clock,
 		machine: protocol.NewMachine(protocol.Config{
 			Node:          cfg.Name,
 			RetryInterval: cfg.RetryDelay * 5,
-			StaleAfter:    2 * cfg.AckTimeout,
+			AckTimeout:    cfg.AckTimeout,
 		}),
-		factories: factories,
-		members:   cfg.Membership,
-		resources: make(map[string]resource.Resource),
-		waiters:   make(map[string]chan protocol.AckMsg),
-		branchTx:  make(map[string]parked),
-		ready:     make(chan struct{}),
-		stop:      make(chan struct{}),
+		factories:        factories,
+		members:          cfg.Membership,
+		resources:        make(map[string]resource.Resource),
+		branchTx:         make(map[string]parked),
+		recoveredSettled: make(chan struct{}, 1),
+		ready:            make(chan struct{}),
+		stop:             make(chan struct{}),
 	}
 	// A decider that cannot read its records must not answer: they are
 	// read here, and replayed by Start.
@@ -254,7 +252,7 @@ func (n *Node) Manager() *txn.Manager { return n.mgr }
 // returns immediately; recovery (in-doubt resolution, resource loading)
 // happens in the background and gates queue processing.
 func (n *Node) Start() {
-	n.wheel = network.NewTimerWheel(n.clock, n.onTimers, n.cfg.Counters)
+	n.wheel = network.NewTimerWheel(n.cfg.Clock, n.onTimers, n.cfg.Counters)
 	// The decider records answer queries the moment the dispatcher runs,
 	// so they — and with them each source's mark — are back in the
 	// machine first, and commits still owed to RCE parties go out again
@@ -282,12 +280,11 @@ func (n *Node) Start() {
 
 // Stop halts the node, abandoning volatile state (the crash case). The
 // stable store is left intact; a new Node on the same store recovers.
-// Closing the stop channel first unblocks compensation workers waiting
-// on RCE exec acks, so the scheduler pool drains promptly: in-flight step
-// attempts finish (committed work stands, aborted work is still queued),
-// and claims on never-started entries and held hand-offs are released —
-// a parked branch stays prepared, and recovery asks its decider. The
-// timer wheel is stopped before waiting so no further timer events fire.
+// The scheduler pool drains: in-flight step attempts finish, and claims
+// on never-started entries and held attempts are released — a parked
+// hand-off branch stays prepared, and recovery asks its decider; an
+// unprepared compensation dies with the process. The timer wheel is
+// stopped before waiting so no further timer events fire.
 func (n *Node) Stop() {
 	n.mu.Lock()
 	select {
@@ -321,57 +318,6 @@ func (n *Node) InDoubt() (int, error) {
 // machine tracks readiness itself via the ReadyReached event; this
 // channel is the public API for launchers and the cluster.)
 func (n *Node) Ready() <-chan struct{} { return n.ready }
-
-// --- ack plumbing -----------------------------------------------------
-
-// registerWaiter registers interest in transaction id's RCE exec ack
-// before the request is sent; await then blocks for it. The machine's
-// DeliverAck effect fulfils it.
-func (n *Node) registerWaiter(id string) chan protocol.AckMsg {
-	ch := make(chan protocol.AckMsg, 1)
-	n.mu.Lock()
-	n.waiters[id] = ch
-	n.mu.Unlock()
-	return ch
-}
-
-func (n *Node) dropWaiter(id string) {
-	n.mu.Lock()
-	delete(n.waiters, id)
-	n.mu.Unlock()
-}
-
-func (n *Node) deliverAck(id string, msg protocol.AckMsg) {
-	n.mu.Lock()
-	ch, ok := n.waiters[id]
-	delete(n.waiters, id)
-	n.mu.Unlock()
-	if ok {
-		ch <- msg
-	}
-}
-
-// errAckTimeout marks a missing acknowledgement (retryable).
-var errAckTimeout = errors.New("node: acknowledgement timed out")
-
-func (n *Node) await(ch chan protocol.AckMsg, id string) (protocol.AckMsg, error) {
-	const kind = protocol.KindRCEExecAck
-	timeout, cancel := network.ClockTimer(n.clock, n.cfg.AckTimeout)
-	defer cancel()
-	select {
-	case msg := <-ch:
-		if !msg.OK {
-			return msg, fmt.Errorf("node: %s refused: %s", kind, msg.Err)
-		}
-		return msg, nil
-	case <-timeout:
-		n.dropWaiter(id)
-		return protocol.AckMsg{}, fmt.Errorf("%w: %s %s", errAckTimeout, kind, id)
-	case <-n.stop:
-		n.dropWaiter(id)
-		return protocol.AckMsg{}, errStopped
-	}
-}
 
 // send marshals and transmits a protocol message (fire and forget; the
 // simulated network only fails permanently for unknown destinations).

@@ -6,6 +6,7 @@ import (
 	"repro/internal/agent"
 	"repro/internal/core"
 	"repro/internal/protocol"
+	"repro/internal/sched"
 	"repro/internal/stable"
 	"repro/internal/trace"
 	"repro/internal/txn"
@@ -62,20 +63,38 @@ func (n *Node) runCompensation(entry *stable.Entry, c *Container, attempt int) e
 		return err
 	}
 
-	var parts []string
+	var ship *protocol.RCEShipped
 	if eos != nil {
-		if parts, err = n.compensateLastStep(tx, a, eos, ops, dest, attempt); err != nil {
-			n.abort(tx, parts)
+		if ship, err = n.compensateLastStep(tx, a, eos, ops, dest, attempt); err != nil {
+			_ = tx.Abort()
 			n.cfg.Counters.IncCompTxnAbort()
 			return err
 		}
 	}
-	a.SRO.Freeze(false) // clear runtime-only flag before serialization
-	return n.shipContainer(entry, tx, next, dest, parts, n.cfg.Counters.AddCompTxns, func(err error) error {
-		if err != nil {
+	finish := func(parts []string) error {
+		a.SRO.Freeze(false) // clear runtime-only flag before serialization
+		return n.shipContainer(entry, tx, next, dest, parts, n.cfg.Counters.AddCompTxns, func(err error) error {
+			if err != nil {
+				n.cfg.Counters.IncCompTxnAbort()
+			}
+			return err
+		})
+	}
+	if ship == nil {
+		return finish(nil)
+	}
+	// Figure 5b: the worker is free at the ship; the exec ack, or its
+	// timeout on the wheel, ends the attempt.
+	parts := []string{ship.To}
+	pool := n.pool
+	return n.hold(tx, pointCompHeld, *ship, func(ok bool, reason string) {
+		if !ok {
+			n.abort(tx, parts)
 			n.cfg.Counters.IncCompTxnAbort()
+			pool.Settle(entry, fmt.Errorf("node %s: remote compensation on %s: %s", n.cfg.Name, ship.To, reason))
+		} else if err := finish(parts); err != sched.Held {
+			pool.Settle(entry, err)
 		}
-		return err
 	})
 }
 
@@ -107,11 +126,12 @@ func (n *Node) nextHop(a *agent.Agent, spID string, reached bool, attempt int) (
 // compensateLastStep executes the compensating operations of the step
 // the caller popped off the log (protocol.PopLastStep yields them in the
 // reverse execution order compensations must run in, §4.2) inside tx. In
-// the optimized algorithm without mixed entries, agent compensation
-// entries run locally concurrently with the resource compensation entries
-// shipped to the resource node, naming decider, the node the container
-// goes to next; the remote branch is returned as a prepared RCE party.
-func (n *Node) compensateLastStep(tx *txn.Tx, a *agent.Agent, eos *core.EndStepEntry, ops []*core.OpEntry, decider string, attempt int) ([]string, error) {
+// the optimized algorithm without mixed entries (Figure 5b), the agent
+// compensation entries run here first, so a failing one aborts before
+// anything left, and the resource compensation entries are returned as
+// the list to ship to the resource node, naming decider, the node the
+// container goes to next; nil when nothing ships.
+func (n *Node) compensateLastStep(tx *txn.Tx, a *agent.Agent, eos *core.EndStepEntry, ops []*core.OpEntry, decider string, attempt int) (*protocol.RCEShipped, error) {
 	if len(ops) == 0 {
 		return nil, nil
 	}
@@ -129,31 +149,17 @@ func (n *Node) compensateLastStep(tx *txn.Tx, a *agent.Agent, eos *core.EndStepE
 		return nil, nil
 	}
 
-	// Figure 5b: group the entries, ship the resource compensation
-	// entries, run the agent compensation entries concurrently, then
-	// wait for the ACK.
 	aces, rces, err := protocol.SplitCompOps(ops)
 	if err != nil {
 		return nil, permanent(fmt.Errorf("node %s: %w", n.cfg.Name, err))
 	}
-	var parts []string
-	var ackCh chan protocol.AckMsg
-	if len(rces) > 0 {
-		ackCh = n.shipRCE(tx, dest, decider, rces)
-		parts = append(parts, dest)
-		n.cfg.Counters.IncRemoteCompBatch()
-	}
 	if err := n.execCompOps(tx, a, aces); err != nil {
-		if ackCh != nil {
-			n.dropWaiter(tx.ID())
-		}
-		return parts, err
+		return nil, err
 	}
 	n.cfg.Counters.IncCompOps(int64(len(aces)))
-	if ackCh != nil {
-		if _, err := n.await(ackCh, tx.ID()); err != nil {
-			return parts, fmt.Errorf("node %s: remote compensation on %s: %w", n.cfg.Name, eos.Node, err)
-		}
+	if len(rces) == 0 {
+		return nil, nil
 	}
-	return parts, nil
+	n.cfg.Counters.IncRemoteCompBatch()
+	return &protocol.RCEShipped{TxnID: tx.ID(), To: dest, Decider: decider, Ops: rces}, nil
 }

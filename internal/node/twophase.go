@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/protocol"
 	"repro/internal/sched"
 	"repro/internal/stable"
@@ -19,14 +18,15 @@ import (
 // crashAt, when set, is asked at each durable point of a distributed
 // transaction (the point* constants); true means the process dies there:
 // the caller stops without another write or send, and blocks until the
-// node is stopped. At source-held the worker sends its prepare and
-// returns whatever the answer, with nothing left to write or send, so a
-// hook that kills a node there answers true at its later points until
+// node is stopped. At source-held and comp-held the worker sends its
+// prepare or RCE list and returns, with nothing left to write or send, so
+// a hook that kills a node there answers true at its later points until
 // it is stopped. Crash tests set it; it is nil otherwise.
 var crashAt func(node, point string) bool
 
 // The durable points of a distributed transaction, in order.
 const (
+	pointCompHeld         = "comp-held"         // RCE list leaving, worker returning, exec ack not in
 	pointPartyPrepared    = "party-prepared"    // RCE branch durable, exec ack not sent
 	pointSourcePrepared   = "source-prepared"   // branch durable, prepare not sent
 	pointSourceHeld       = "source-held"       // prepare leaving, worker returning, outcome not settled
@@ -45,7 +45,7 @@ func (n *Node) crashed(point string) bool {
 	return true
 }
 
-// errStopped reports that the node stopped while a worker waited.
+// errStopped ends an attempt whose node died at a crash point (crashAt).
 var errStopped = errors.New("node: stopped")
 
 // handOff finishes a transaction whose container moves to dest, which
@@ -70,7 +70,7 @@ func (n *Node) handOff(entry *stable.Entry, tx *txn.Tx, dest, agentID string, da
 	}
 	count(1)
 	pool := n.pool
-	n.parkBranch(tx.ID(), parked{tx: tx, then: func(commit bool, reason string) {
+	return n.hold(tx, pointSourceHeld, protocol.Delegate{TxnID: tx.ID(), Decider: dest, EntryID: agentID, Data: data, Mark: n.mgr.Mark(), Parties: parts}, func(commit bool, reason string) {
 		var err error
 		switch {
 		case reason != "":
@@ -88,13 +88,18 @@ func (n *Node) handOff(entry *stable.Entry, tx *txn.Tx, dest, agentID string, da
 			count(-1)
 		}
 		pool.Settle(entry, done(err))
-	}})
+	})
+}
+
+// hold parks tx with then, which the answer to ev runs, and steps ev: the
+// worker returns sched.Held. Parked first, no answer can find it missing;
+// point is asked before ev's message leaves.
+func (n *Node) hold(tx *txn.Tx, point string, ev protocol.Event, then func(ok bool, reason string)) error {
+	n.parkBranch(tx.ID(), parked{tx: tx, then: then})
 	if crashAt != nil {
-		// Asked before the prepare leaves, so a node that dies here dies
-		// before any verdict can settle the branch.
-		crashAt(n.cfg.Name, pointSourceHeld)
+		crashAt(n.cfg.Name, point)
 	}
-	n.step(protocol.Delegate{TxnID: tx.ID(), Decider: dest, EntryID: agentID, Data: data, Mark: n.mgr.Mark(), Parties: parts})
+	n.step(ev)
 	return sched.Held
 }
 
@@ -114,18 +119,6 @@ func (n *Node) abort(tx *txn.Tx, parts []string) {
 // (piggybackKind) when the wheel runs.
 func (n *Node) sendResolvedInto(b *outBatch, to string) {
 	n.sendTo(b, to, protocol.KindResolved, &protocol.MarkMsg{Mark: n.mgr.Mark()})
-}
-
-// shipRCE sends a resource-compensation-entry list to the resource node
-// (Figure 5b), naming the transaction's decider; the party acknowledges
-// once its branch is durably prepared. The caller awaits the returned
-// channel after running its own agent compensation entries concurrently.
-func (n *Node) shipRCE(tx *txn.Tx, dest, decider string, ops []*core.OpEntry) chan protocol.AckMsg {
-	ch := n.registerWaiter(tx.ID())
-	var b outBatch
-	n.sendTo(&b, dest, protocol.KindRCEExec, &protocol.RCEExecMsg{TxnID: tx.ID(), Decider: decider, Ops: ops})
-	b.flush(n)
-	return ch
 }
 
 // commitDistributed finishes a transaction this node decides itself (the

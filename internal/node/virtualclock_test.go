@@ -13,37 +13,57 @@ import (
 	"repro/internal/stable"
 )
 
-// vcNode starts node p on a frozen virtual clock with a "noop" step and
-// a bank, and returns it with the endpoints of the peers "co" (a decider
-// that answers only when the test says so) and "own" (an owner).
+// vcNode starts node p on a frozen virtual clock with a "noop" step, a
+// "mark" agent compensation and a bank, running the Figure 5 rollback,
+// and returns it with the endpoints of the peers "co" (a decider, or an
+// RCE party, that answers only when the test says so) and "own" (an
+// owner).
 func vcNode(t *testing.T, vc *network.VirtualClock, workers int) (n *Node, coEp, ownEp network.Endpoint) {
 	t.Helper()
 	sim := network.NewSim(network.SimConfig{})
 	t.Cleanup(sim.Close)
-	ep, err := sim.Endpoint("p")
-	if err != nil {
-		t.Fatal(err)
-	}
+	var err error
 	if coEp, err = sim.Endpoint("co"); err != nil {
 		t.Fatal(err)
 	}
 	if ownEp, err = sim.Endpoint("own"); err != nil {
 		t.Fatal(err)
 	}
+	n = startVCNode(t, sim, vc, stable.NewMemStore(nil), workers)
+	<-n.Ready()
+	return n, coEp, ownEp
+}
+
+// startVCNode starts node p of vcNode on store, attaching (or
+// re-attaching) its endpoint to sim.
+func startVCNode(t *testing.T, sim *network.Sim, vc *network.VirtualClock, store stable.Store, workers int) *Node {
+	t.Helper()
+	ep, err := sim.Endpoint("p")
+	if err != nil {
+		t.Fatal(err)
+	}
 	reg := agent.NewRegistry()
 	if err := reg.RegisterStep("noop", func(ctx agent.StepContext) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	n, err = New(Config{Name: "p", RetryDelay: 10 * time.Millisecond, AckTimeout: 100 * time.Millisecond, Workers: workers, Clock: vc}, ep,
-		stable.NewMemStore(nil), reg,
+	if err := reg.RegisterComp("mark", func(ctx agent.CompContext) error {
+		wro, err := ctx.WRO()
+		if err != nil {
+			return err
+		}
+		return wro.Set("marked", true)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	n, err := New(Config{Name: "p", Optimized: true, RetryDelay: 10 * time.Millisecond, AckTimeout: 100 * time.Millisecond, Workers: workers, Clock: vc}, ep,
+		store, reg,
 		func(st stable.Store) (resource.Resource, error) { return resource.NewBank(st, "bank", true) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	n.Start()
 	t.Cleanup(n.Stop)
-	<-n.Ready()
-	return n, coEp, ownEp
+	return n
 }
 
 // vcContainer encodes a fresh agent whose "noop" steps run at locs.

@@ -128,29 +128,29 @@ func (n *Node) lockBusy(key string) bool {
 }
 
 // runRecovery resolves in-doubt prepared branches — hand-offs and RCE
-// branches waiting on their decider — by replaying the stable-storage
-// survivors into the protocol machine, then re-loads
-// the resource managers from the stable store and replays undelivered
-// completion notifications. It returns false if the node was stopped
-// first.
+// branches waiting on their decider — by replaying each stable-storage
+// survivor into the protocol machine once, whose query timers ask on
+// until the verdicts settle them, then re-loads the resource managers
+// from the stable store and replays undelivered completion
+// notifications. It returns false if the node was stopped first.
 func (n *Node) runRecovery() bool {
-	for {
-		branches, err := n.mgr.InDoubtBranches()
-		if err != nil {
-			return false
+	branches, err := n.mgr.InDoubtBranches()
+	if err != nil {
+		return false
+	}
+	for _, id := range branches {
+		if decider, err := n.mgr.Decider(id); err == nil && decider != "" {
+			n.step(protocol.RecoveredBranch{TxnID: id, Decider: decider})
 		}
-		if len(branches) == 0 {
-			break
-		}
-		for _, id := range branches {
-			if decider, err := n.mgr.Decider(id); err == nil && decider != "" {
-				n.step(protocol.RecoveredBranch{TxnID: id, Decider: decider})
-			}
-		}
+	}
+	for len(branches) > 0 {
 		select {
 		case <-n.stop:
 			return false
-		case <-n.clock.After(n.cfg.RetryDelay * 5):
+		case <-n.recoveredSettled:
+		}
+		if branches, err = n.mgr.InDoubtBranches(); err != nil {
+			return false
 		}
 	}
 	for _, f := range n.factories {

@@ -21,7 +21,7 @@ func BenchmarkProtocolTransitions(b *testing.B) {
 	m := protocol.NewMachine(protocol.Config{
 		Node:          "co",
 		RetryInterval: 50 * time.Millisecond,
-		StaleAfter:    time.Second,
+		AckTimeout:    500 * time.Millisecond,
 	})
 	m.Step(protocol.ReadyReached{})
 	ops := []*core.OpEntry{{Kind: core.OpResource, Op: "c"}}

@@ -141,7 +141,7 @@ func (m *Machine) announce(txnID string, r *record, parties []string) []Effect {
 		case r.commit:
 			r.pending = append(r.pending, p)
 			effs = append(effs, outcome(p, txnID, true))
-			effs = append(effs, m.arm(timerCtl, txnID, m.cfg.RetryInterval)...)
+			effs = append(effs, m.arm(timerCtl+"|"+txnID, m.cfg.RetryInterval)...)
 		default:
 			effs = append(effs, outcome(p, txnID, false))
 		}
@@ -149,13 +149,14 @@ func (m *Machine) announce(txnID string, r *record, parties []string) []Effect {
 	return effs
 }
 
-// ackReceived routes an acknowledgement: an exec ack goes to the worker
-// blocked on it; a party's q.outcome.ack retires its pending commit, and
-// the last one collects the record once the source's mark has passed it.
+// ackReceived routes an acknowledgement: an exec ack ends the shipped
+// list it answers (rce.go); a party's q.outcome.ack retires its pending
+// commit, and the last one collects the record once the source's mark
+// has passed it.
 func (m *Machine) ackReceived(e AckReceived) []Effect {
 	switch e.Kind {
 	case KindRCEExecAck:
-		return []Effect{DeliverAck{TxnID: e.TxnID, OK: e.OK, Err: e.Err}}
+		return m.execAcked(e)
 	case KindOutcomeAck:
 	default:
 		return nil

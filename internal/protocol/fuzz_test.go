@@ -13,6 +13,7 @@ import (
 // correct driver would never produce — through the machine and asserts:
 // no panics, only well-formed effects (parseable timer IDs, known
 // message kinds, non-nil payloads), that every parked branch is settled,
+// that a shipped RCE list's wait ends at most once,
 // that no node sends to itself, that
 // the decider never answers one transaction both ways, and the terminal
 // invariant that once every in-flight execution and verdict write
@@ -43,7 +44,7 @@ func FuzzProtocolEvents(f *testing.F) {
 			src := protocol.Origin(txn)
 			ag := agents[int(arg)%len(agents)]
 			parts := parties[int(arg/4)%len(parties)]
-			switch data[i] % 18 {
+			switch data[i] % 19 {
 			case 0:
 				model.apply(m.Step(protocol.Delegate{TxnID: txn, Decider: "peer", EntryID: ag, Data: []byte("d"), Mark: uint64(arg % 5), Parties: parts}))
 			case 1:
@@ -144,7 +145,14 @@ func FuzzProtocolEvents(f *testing.F) {
 			case 16:
 				model.apply(m.Step(protocol.ResolvedReceived{From: src, Mark: uint64(arg % 6)}))
 			case 17:
-				model.apply(m.Step(protocol.TimerFired{ID: "pstale|" + txn}))
+				model.apply(m.Step(protocol.TimerFired{ID: "pexec|" + txn}))
+			case 18:
+				// A worker ships its own transaction's RCE list once.
+				if src != "self" || model.shipped[txn] {
+					break
+				}
+				model.shipped[txn], model.awaiting[txn] = true, true
+				model.apply(m.Step(protocol.RCEShipped{TxnID: txn, To: "peer", Decider: "peer", Ops: ops}))
 			}
 		}
 
@@ -170,6 +178,7 @@ func FuzzProtocolEvents(f *testing.F) {
 		for _, txn := range txns {
 			model.apply(m.Step(protocol.OutcomeReceived{TxnID: txn, From: "peer", Committed: false}))
 			model.apply(m.Step(protocol.AckReceived{Kind: protocol.KindOutcomeAck, TxnID: txn, From: "peer", OK: true}))
+			model.apply(m.Step(protocol.AckReceived{Kind: protocol.KindRCEExecAck, TxnID: txn, From: "peer", OK: true}))
 			model.apply(m.Step(protocol.ResolvedReceived{From: protocol.Origin(txn), Mark: 100}))
 		}
 		for _, ag := range agents {
@@ -216,6 +225,8 @@ type driverModel struct {
 	deciding    map[string]protocol.Decide // Decide effects awaiting their write
 	answered    map[string]bool            // the decider's outcome per transaction
 	settled     map[string]bool            // own transactions the driver settled
+	shipped     map[string]bool            // own transactions whose RCE list the driver shipped
+	awaiting    map[string]bool            // shipped lists whose exec wait has not ended
 }
 
 func newDriverModel(t *testing.T) *driverModel {
@@ -227,6 +238,8 @@ func newDriverModel(t *testing.T) *driverModel {
 		deciding:    make(map[string]protocol.Decide),
 		answered:    make(map[string]bool),
 		settled:     make(map[string]bool),
+		shipped:     make(map[string]bool),
+		awaiting:    make(map[string]bool),
 	}
 }
 
@@ -269,6 +282,11 @@ func (d *driverModel) apply(effs []protocol.Effect) {
 			}
 		case protocol.ExecBranch:
 			d.outstanding[e.TxnID]++
+		case protocol.ExecAcked:
+			if !d.awaiting[e.TxnID] {
+				d.t.Fatalf("ExecAcked for %s, whose exec wait is not open: %+v", e.TxnID, e)
+			}
+			delete(d.awaiting, e.TxnID)
 		case protocol.SettleBranch:
 			// The parked transaction if any, else the durable record.
 			d.parked[e.TxnID] = false

@@ -17,7 +17,7 @@ func newReady(node string) *protocol.Machine {
 	m := protocol.NewMachine(protocol.Config{
 		Node:          node,
 		RetryInterval: 50 * time.Millisecond,
-		StaleAfter:    300 * time.Millisecond,
+		AckTimeout:    150 * time.Millisecond,
 	})
 	m.Step(protocol.ReadyReached{})
 	return m
@@ -171,7 +171,7 @@ func TestDeciderIsItsOwnParty(t *testing.T) {
 	m := newReady("d")
 	m.Step(protocol.RCEExecReceived{TxnID: "s#7", From: "s", Decider: "d"})
 	effs := m.Step(protocol.BranchPrepared{TxnID: "s#7", OK: true})
-	if got := pick[protocol.ArmTimer](effs); len(got) != 1 || got[0].ID != "pstale|s#7" {
+	if got := pick[protocol.ArmTimer](effs); len(got) != 1 || got[0].ID != "pquery|s#7" {
 		t.Fatalf("prepared effects = %+v", effs)
 	}
 	effs = m.Step(protocol.HandoffReceived{TxnID: "s#7", From: "s", EntryID: "a", Mark: 7, Parties: []string{"d", "r"}})
@@ -190,10 +190,10 @@ func TestDeciderIsItsOwnParty(t *testing.T) {
 	m.Step(protocol.RCEExecReceived{TxnID: "s#8", From: "s", Decider: "d"})
 	m.Step(protocol.BranchPrepared{TxnID: "s#8", OK: true})
 	// s#7's stale timer finds its branch gone; s#8's asks.
-	if effs := m.Step(protocol.TimerFired{ID: "pstale|s#7"}); len(effs) != 0 {
+	if effs := m.Step(protocol.TimerFired{ID: "pquery|s#7"}); len(effs) != 0 {
 		t.Fatalf("stale timer of a committed branch = %+v", effs)
 	}
-	effs = m.Step(protocol.TimerFired{ID: "pstale|s#8"})
+	effs = m.Step(protocol.TimerFired{ID: "pquery|s#8"})
 	if dec := pick[protocol.Decide](effs); len(dec) != 1 || dec[0].TxnID != "s#8" || dec[0].Commit || len(pick[protocol.SendMsg](effs)) != 0 {
 		t.Fatalf("stale own branch = %+v, want a local fence", effs)
 	}
@@ -220,7 +220,7 @@ func TestSourceDelegationLifecycle(t *testing.T) {
 	if len(sh) != 1 || sh[0].To != "d" || sh[0].Msg.TxnID != "s#1" || sh[0].Msg.Mark != 1 || len(effs) != 2 {
 		t.Fatalf("delegate effects = %+v", effs)
 	}
-	if got := pick[protocol.ArmTimer](effs); len(got) != 1 || got[0].ID != "pstale|s#1" || got[0].D != 300*time.Millisecond {
+	if got := pick[protocol.ArmTimer](effs); len(got) != 1 || got[0].ID != "pquery|s#1" || got[0].D != 300*time.Millisecond {
 		t.Fatalf("delegate did not arm its stale timer first: %+v", effs)
 	}
 	if _, first := effs[0].(protocol.ArmTimer); !first {
@@ -230,33 +230,34 @@ func TestSourceDelegationLifecycle(t *testing.T) {
 		t.Fatalf("stats = %+v", s)
 	}
 	effs = m.Step(protocol.OutcomeReceived{TxnID: "s#1", From: "d", Committed: true})
-	want := []protocol.Effect{protocol.SettleBranch{TxnID: "s#1", Commit: true}, protocol.CancelTimer{ID: "pstale|s#1"}, protocol.SendResolved{To: "d"}}
+	want := []protocol.Effect{protocol.SettleBranch{TxnID: "s#1", Commit: true}, protocol.CancelTimer{ID: "pquery|s#1"}, protocol.SendResolved{To: "d"}}
 	if !reflect.DeepEqual(effs, want) {
 		t.Fatalf("outcome effects = %+v, want %+v", effs, want)
 	}
 	if effs := m.Step(protocol.OutcomeReceived{TxnID: "s#1", Committed: false}); len(effs) != 0 {
 		t.Fatalf("duplicate outcome produced effects: %+v", effs)
 	}
-	if effs := m.Step(protocol.TimerFired{ID: "pstale|s#1"}); len(effs) != 0 {
+	if effs := m.Step(protocol.TimerFired{ID: "pquery|s#1"}); len(effs) != 0 {
 		t.Fatalf("disarmed stale timer produced effects: %+v", effs)
 	}
 
 	m.Step(protocol.Delegate{TxnID: "s#2", Decider: "d", EntryID: "a2", Mark: 2})
-	effs = m.Step(protocol.TimerFired{ID: "pstale|s#2"})
+	effs = m.Step(protocol.TimerFired{ID: "pquery|s#2"})
 	if q := pick[protocol.SendMsg](effs); len(q) != 1 || q[0].Kind != protocol.KindTxnQuery || q[0].To != "d" {
 		t.Fatalf("stale delegation effects = %+v", effs)
 	}
 	if got := pick[protocol.ArmTimer](effs); len(got) != 1 || got[0].ID != "pquery|s#2" {
 		t.Fatalf("stale delegation did not arm its query timer: %+v", effs)
 	}
+	// The verdict lands in the query phase and disarms the same timer.
 	effs = m.Step(protocol.OutcomeReceived{TxnID: "s#2", From: "d", Committed: false})
-	if got := pick[protocol.SettleBranch](effs); len(got) != 1 || got[0].Commit || len(pick[protocol.CancelTimer](effs)) != 0 {
+	if got := pick[protocol.SettleBranch](effs); len(got) != 1 || got[0].Commit || !reflect.DeepEqual(pick[protocol.CancelTimer](effs), []protocol.CancelTimer{{ID: "pquery|s#2"}}) {
 		t.Fatalf("stale delegation's abort = %+v", effs)
 	}
 
 	m.Step(protocol.Delegate{TxnID: "s#3", Decider: "d", EntryID: "a3", Mark: 3})
 	effs = m.Step(protocol.OutcomeReceived{TxnID: "s#3", Err: "unreachable"}) // the send never left
-	want = []protocol.Effect{protocol.SettleBranch{TxnID: "s#3", Err: "unreachable"}, protocol.CancelTimer{ID: "pstale|s#3"}}
+	want = []protocol.Effect{protocol.SettleBranch{TxnID: "s#3", Err: "unreachable"}, protocol.CancelTimer{ID: "pquery|s#3"}}
 	if !reflect.DeepEqual(effs, want) {
 		t.Fatalf("unreachable effects = %+v, want %+v", effs, want)
 	}
@@ -273,7 +274,7 @@ func TestSourceDelegationLifecycle(t *testing.T) {
 		t.Fatalf("query timer effects = %+v", effs)
 	}
 	effs = m.Step(protocol.OutcomeReceived{TxnID: "s#4", From: "d", Committed: true})
-	want = []protocol.Effect{protocol.SettleBranch{TxnID: "s#4", Commit: true}, protocol.SendResolved{To: "d"}}
+	want = []protocol.Effect{protocol.SettleBranch{TxnID: "s#4", Commit: true}, protocol.CancelTimer{ID: "pquery|s#4"}, protocol.SendResolved{To: "d"}}
 	if !reflect.DeepEqual(effs, want) {
 		t.Fatalf("recovered outcome effects = %+v, want %+v", effs, want)
 	}
@@ -389,7 +390,7 @@ func TestRCEBranchHappyPath(t *testing.T) {
 	if len(acks) != 1 || !acks[0].Payload.(*protocol.AckMsg).OK {
 		t.Fatalf("prepared effects = %+v", effs)
 	}
-	if got := pick[protocol.ArmTimer](effs); len(got) != 1 || got[0].ID != "pstale|"+txn {
+	if got := pick[protocol.ArmTimer](effs); len(got) != 1 || got[0].ID != "pquery|"+txn {
 		t.Fatalf("stale-branch timer not armed: %+v", effs)
 	}
 	if got := pick[protocol.CountCompOps](effs); len(got) != 1 || got[0].N != 1 {
@@ -407,7 +408,7 @@ func TestRCEBranchHappyPath(t *testing.T) {
 	if got := pick[protocol.SettleBranch](effs); len(got) != 1 || !got[0].Commit {
 		t.Fatalf("commit verdict effects = %+v", effs)
 	}
-	if got := pick[protocol.CancelTimer](effs); len(got) != 1 || got[0].ID != "pstale|"+txn {
+	if got := pick[protocol.CancelTimer](effs); len(got) != 1 || got[0].ID != "pquery|"+txn {
 		t.Fatalf("commit verdict left the stale timer armed: %+v", effs)
 	}
 	if acks := pick[protocol.SendMsg](effs); len(acks) != 1 || acks[0].Kind != protocol.KindOutcomeAck || acks[0].To != "d" {
@@ -423,7 +424,7 @@ func TestRCEStaleBranchQueriesDecider(t *testing.T) {
 	const txn = "co#6"
 	m.Step(protocol.RCEExecReceived{TxnID: txn, From: "co", Decider: "d", Ops: nil})
 	m.Step(protocol.BranchPrepared{TxnID: txn, OK: true})
-	effs := m.Step(protocol.TimerFired{ID: "pstale|" + txn})
+	effs := m.Step(protocol.TimerFired{ID: "pquery|" + txn})
 	q := pick[protocol.SendMsg](effs)
 	if len(q) != 1 || q[0].Kind != protocol.KindTxnQuery || q[0].To != "d" {
 		t.Fatalf("stale branch timer = %+v", effs)
@@ -432,10 +433,11 @@ func TestRCEStaleBranchQueriesDecider(t *testing.T) {
 		t.Fatalf("stale branch did not enter the query cadence: %+v", effs)
 	}
 	// The decider's abort resolves it; an abort is not acknowledged, and
-	// the stale timer has fired already.
+	// it disarms the query timer.
 	effs = m.Step(protocol.OutcomeReceived{TxnID: txn, From: "d", Committed: false})
-	if got := pick[protocol.SettleBranch](effs); len(got) != 1 || got[0].Commit || len(effs) != 1 {
-		t.Fatalf("abort verdict = %+v", effs)
+	want := []protocol.Effect{protocol.SettleBranch{TxnID: txn}, protocol.CancelTimer{ID: "pquery|" + txn}}
+	if !reflect.DeepEqual(effs, want) {
+		t.Fatalf("abort verdict = %+v, want %+v", effs, want)
 	}
 }
 
@@ -680,5 +682,70 @@ func TestPopLastStep(t *testing.T) {
 	l2.Append(&core.BeginStepEntry{Node: "n"})
 	if _, _, err := protocol.PopLastStep(l2); err == nil {
 		t.Error("malformed log accepted")
+	}
+}
+
+// TestCompensatorAwaitsExecAck pins the compensator's half of Figure 5b:
+// shipping arms pexec at AckTimeout and sends rce.exec naming the
+// decider; the party's ack ends the wait once, with its answer, and
+// disarms the timer; a pexec fire ends it refused; a duplicate ack, an
+// ack from another node and an ack after the timeout do nothing.
+func TestCompensatorAwaitsExecAck(t *testing.T) {
+	m := newReady("co")
+	ops := []*core.OpEntry{{Kind: core.OpResource, Op: "c"}}
+	ship := func(txn string) {
+		t.Helper()
+		effs := m.Step(protocol.RCEShipped{TxnID: txn, To: "p", Decider: "d", Ops: ops})
+		if got := pick[protocol.ArmTimer](effs); len(got) != 1 || got[0].ID != "pexec|"+txn || got[0].D != 150*time.Millisecond {
+			t.Fatalf("ship armed %+v, want pexec|%s at AckTimeout", got, txn)
+		}
+		sends := pick[protocol.SendMsg](effs)
+		if len(sends) != 1 || sends[0].To != "p" || sends[0].Kind != protocol.KindRCEExec {
+			t.Fatalf("ship sent %+v", sends)
+		}
+		if msg := sends[0].Payload.(*protocol.RCEExecMsg); msg.TxnID != txn || msg.Decider != "d" || len(msg.Ops) != 1 {
+			t.Fatalf("rce.exec = %+v", msg)
+		}
+		if s := m.Stats(); s.BranchesExec != 1 {
+			t.Fatalf("stats while shipped = %+v", s)
+		}
+	}
+	ack := func(txn, from string, ok bool) []protocol.Effect {
+		return m.Step(protocol.AckReceived{Kind: protocol.KindRCEExecAck, TxnID: txn, From: from, OK: ok, Err: "busy"})
+	}
+
+	ship("co#1")
+	if effs := ack("co#1", "q", true); len(effs) != 0 {
+		t.Fatalf("ack from a node never shipped to = %+v", effs)
+	}
+	want := []protocol.Effect{protocol.ExecAcked{TxnID: "co#1", OK: true, Err: "busy"}, protocol.CancelTimer{ID: "pexec|co#1"}}
+	if effs := ack("co#1", "p", true); !reflect.DeepEqual(effs, want) {
+		t.Fatalf("ack effects = %+v, want %+v", effs, want)
+	}
+	if effs := ack("co#1", "p", true); len(effs) != 0 {
+		t.Fatalf("duplicate ack = %+v", effs)
+	}
+	if effs := m.Step(protocol.TimerFired{ID: "pexec|co#1"}); len(effs) != 0 {
+		t.Fatalf("disarmed pexec fired %+v", effs)
+	}
+
+	ship("co#2")
+	if got := pick[protocol.ExecAcked](ack("co#2", "p", false)); len(got) != 1 || got[0].OK || got[0].Err != "busy" {
+		t.Fatalf("refusal = %+v", got)
+	}
+
+	ship("co#3")
+	effs := m.Step(protocol.TimerFired{ID: "pexec|co#3"})
+	if len(effs) != 1 {
+		t.Fatalf("pexec fire = %+v, want one ExecAcked", effs)
+	}
+	if got := effs[0].(protocol.ExecAcked); got.TxnID != "co#3" || got.OK || got.Err == "" {
+		t.Fatalf("pexec fire = %+v, want a timed-out ExecAcked", got)
+	}
+	if effs := ack("co#3", "p", true); len(effs) != 0 {
+		t.Fatalf("late ack = %+v", effs)
+	}
+	if s := m.Stats(); s.BranchesExec != 0 {
+		t.Fatalf("shipped state lingers: %+v", s)
 	}
 }

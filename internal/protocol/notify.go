@@ -12,7 +12,7 @@ func (m *Machine) doneRecorded(e DoneRecorded) []Effect {
 	if e.Owner == "" {
 		return effs // unroutable record; nothing to retry against
 	}
-	return append(effs, m.arm(timerDone, e.AgentID, m.cfg.RetryInterval)...)
+	return append(effs, m.arm(timerDone+"|"+e.AgentID, m.cfg.RetryInterval)...)
 }
 
 // doneAcked garbage-collects the completion record. The record is

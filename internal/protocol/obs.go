@@ -43,6 +43,8 @@ func EventInfo(ev Event) (name, txnID, agentID string) {
 		return "QueryReceived", e.TxnID, ""
 	case RCEExecReceived:
 		return "RCEExecReceived", e.TxnID, ""
+	case RCEShipped:
+		return "RCEShipped", e.TxnID, ""
 	case BranchPrepared:
 		if e.OK {
 			return "BranchPrepared(ok)", e.TxnID, ""

@@ -83,11 +83,11 @@ func runRCEPermutation(t *testing.T, seq []byte) {
 				}
 				parked = false
 			case protocol.ArmTimer:
-				if e.ID == "pstale|"+txn {
+				if e.ID == "pquery|"+txn {
 					timerArmed = true
 				}
 			case protocol.CancelTimer:
-				if e.ID == "pstale|"+txn {
+				if e.ID == "pquery|"+txn {
 					timerArmed = false
 				}
 			}
@@ -198,7 +198,7 @@ func TestRCEAbortOvertakesPrepareEdge(t *testing.T) {
 // branch of it (Figure 5b). Events:
 //
 //	E the RCE list reaches p           B p's execution prepares its branch and acks s
-//	A p's exec ack reaches s           G s gives up waiting for it and aborts
+//	A p's exec ack reaches s           M / G it is lost / s's pexec timer fires: s aborts
 //	N s prepares its branch and sends q.prepare (after A)
 //	P the prepare reaches d            X / L the prepare is duplicated / lost
 //	T s's stale timer fires: s queries d
@@ -212,8 +212,9 @@ func TestRCEAbortOvertakesPrepareEdge(t *testing.T) {
 //
 // Then the world quiesces: messages arrive, writes complete and timers
 // fire until nothing moves — except, in the quiet alphabets, the party's
-// own stale and query timers, so only the decider's commit resend can
-// bring it a lost verdict. It asserts the parties
+// own query timer, so only the decider's commit resend can bring it a
+// lost verdict. s ships its RCE list as a machine event, and the exec ack
+// or the pexec fire ends its wait exactly once. It asserts the parties
 // never disagree — the container is in d's queue exactly when s's branch
 // committed, exactly when p's branch committed, and at most once — and
 // that every branch, commit record and fence resolves: no record
@@ -228,7 +229,7 @@ func TestRCEAbortOvertakesPrepareEdge(t *testing.T) {
 func TestDelegatedHandoffPermutations(t *testing.T) {
 	alphabets := []struct {
 		prefix, perm string
-		quiet        bool // p's stale and query timers never fire
+		quiet        bool // p's query timer never fires
 	}{
 		{"", "NPWOCR", false},   // the one-hop path in every order
 		{"", "NPXWOCR", false},  // a duplicated prepare
@@ -245,6 +246,8 @@ func TestDelegatedHandoffPermutations(t *testing.T) {
 		{"", "EBANPWKD", false},     // a decider crash around its record with parties
 		{"", "EBANPWOS", false},     // a source crash at each point
 		{"", "EGBAV", false},        // the source gives up: its abort overtakes the execution
+		{"", "EBMGV", false},        // the exec ack lost: the pexec fire aborts, the party hears it
+		{"", "EBAGNPW", false},      // the ack racing the pexec fire
 		{"EBA", "NPWYUVK", false},   // the verdict to the party duplicated and lost
 		{"EBA", "NPWOCRZ", false},   // a party crash around the source's mark
 		{"EBANP", "WUOCRJU", false}, // the verdict and a resend lost: the resend must outlive the mark
@@ -280,14 +283,15 @@ type handoffWorld struct {
 	parties []string // the transaction's RCE parties: none, or p
 
 	// Source: its transaction (open until settled, or until the worker
-	// dies before preparing), whether the exec ack came back, its branch
-	// record, the transaction the worker parked, and the effects from the
-	// verdict's SettleBranch on that the driver has not applied yet.
-	open, acked, sent, branch, live bool
-	settled                         string // "", "commit", "abort"
-	pending                         []protocol.Effect
+	// dies before preparing), whether the exec ack ended its wait (and
+	// with it ok), its branch record, the transaction the worker parked,
+	// and the effects from the verdict's SettleBranch on that the driver
+	// has not applied yet.
+	open, ended, acked, sent, branch, live bool
+	settled                                string // "", "commit", "abort"
+	pending                                []protocol.Effect
 
-	quiet bool // the party's stale and query timers never fire
+	quiet bool // the party's query timer never fires
 
 	// Party: its branch record, the parked transaction, executions in
 	// flight, and how its branch settled.
@@ -308,7 +312,7 @@ func newHandoffWorld(t *testing.T, name string, quiet bool) *handoffWorld {
 	w.s, w.d, w.p = newReady("s"), newReady("d"), newReady("p")
 	if strings.HasPrefix(name, "E") {
 		w.parties, w.acked = []string{"p"}, false
-		w.toP = append(w.toP, hoMsg{kind: protocol.KindRCEExec, from: "s"})
+		w.sApply(w.s.Step(protocol.RCEShipped{TxnID: hoTxn, To: "p", Decider: "d"}))
 	}
 	return w
 }
@@ -339,7 +343,18 @@ func (w *handoffWorld) sApply(effs []protocol.Effect) {
 			return
 		case protocol.SendResolved:
 			w.toD = append(w.toD, hoMsg{kind: protocol.KindResolved, from: "s", mark: w.mark()})
-		case protocol.Decide, protocol.DeliverAck, protocol.ExecBranch:
+		case protocol.ExecAcked:
+			// The parked worker's continuation: go on to the hand-off, or
+			// abort before any prepare left and tell the party.
+			if w.ended || !w.open || w.sent {
+				w.t.Fatalf("%s: the exec wait ended again (%+v)", w.name, e)
+			}
+			w.ended, w.acked = true, e.OK
+			if !e.OK {
+				w.open = false
+				w.sApply(w.s.Step(protocol.LocalDecided{TxnID: hoTxn, Parties: w.parties}))
+			}
+		case protocol.Decide, protocol.ExecBranch:
 			w.t.Fatalf("%s: the source emitted %+v", w.name, e)
 		}
 	}
@@ -473,15 +488,18 @@ func (w *handoffWorld) step(ev byte) bool {
 		if !ok {
 			return false
 		}
-		w.acked = w.acked || (m.ok && w.open && !w.sent)
+		w.sApply(w.s.Step(protocol.AckReceived{Kind: m.kind, TxnID: hoTxn, From: m.from, OK: m.ok}))
+	case 'M':
+		_, ok := take(&w.toS, protocol.KindRCEExecAck)
+		return ok
 	case 'G':
-		if w.parties == nil || !w.open || w.sent {
+		if w.parties == nil {
 			return false
 		}
-		// The compensating node's wait for the exec ack expires: it
-		// aborts before any prepare left, and tells its parties.
-		w.open = false
-		w.sApply(w.s.Step(protocol.LocalDecided{TxnID: hoTxn, Parties: w.parties}))
+		// The compensating node's exec-ack timeout: a list still awaited
+		// ends refused, and the continuation aborts before any prepare
+		// left, telling its parties.
+		w.sApply(w.s.Step(protocol.TimerFired{ID: "pexec|" + hoTxn}))
 	case 'N':
 		if !w.open || !w.acked || w.sent {
 			return false
@@ -503,12 +521,12 @@ func (w *handoffWorld) step(ev byte) bool {
 		if !w.live {
 			return false
 		}
-		w.sApply(w.s.Step(protocol.TimerFired{ID: "pstale|" + hoTxn}))
+		w.sApply(w.s.Step(protocol.TimerFired{ID: "pquery|" + hoTxn}))
 	case 'F':
 		if w.parties == nil || w.quiet {
 			return false
 		}
-		w.pApply(w.p.Step(protocol.TimerFired{ID: "pstale|" + hoTxn}))
+		w.pApply(w.p.Step(protocol.TimerFired{ID: "pquery|" + hoTxn}))
 	case 'J':
 		if w.parties == nil {
 			return false
@@ -623,14 +641,10 @@ func (w *handoffWorld) quiesce() {
 		case w.open && !w.sent:
 			w.step('G')
 		case w.branch:
-			for _, id := range []string{"pstale|" + hoTxn, "pquery|" + hoTxn} {
-				w.sApply(w.s.Step(protocol.TimerFired{ID: id}))
-			}
+			w.sApply(w.s.Step(protocol.TimerFired{ID: "pquery|" + hoTxn}))
 		}
-		for _, id := range []string{"pstale|" + hoTxn, "pquery|" + hoTxn} {
-			if !w.quiet {
-				w.pApply(w.p.Step(protocol.TimerFired{ID: id}))
-			}
+		if !w.quiet {
+			w.pApply(w.p.Step(protocol.TimerFired{ID: "pquery|" + hoTxn}))
 		}
 		w.dApply(w.d.Step(protocol.TimerFired{ID: "pctl|" + hoTxn}))
 		if len(w.toS)+len(w.toD)+len(w.toP)+len(w.writes) == 0 && !(w.open && !w.sent) {

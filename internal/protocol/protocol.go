@@ -20,7 +20,7 @@
 // Everything here is a pure, single-threaded state machine. A
 // transition consumes exactly one Event — an inbound protocol message,
 // a timer firing, a local decision of the worker (hand-off delegated,
-// own transaction decided, execution finished), or a recovery replay —
+// RCE list shipped, own transaction decided, execution finished), or a recovery replay —
 // and returns the list of Effects the driver must apply: outbound
 // messages, stable-store writes, prepared-branch settles, timer arms
 // and cancels, and metric counts. The machine never starts a goroutine,
@@ -55,20 +55,22 @@ type Config struct {
 	// RetryInterval is the cadence of verdict resends, in-doubt queries
 	// and completion-notification resends (RetryDelay*5 in node terms).
 	RetryInterval time.Duration
-	// StaleAfter is how long a hand-off or a prepared RCE branch may sit
-	// undecided before the source or party starts querying its decider
-	// (2*AckTimeout in node terms).
-	StaleAfter time.Duration
+	// AckTimeout is how long a shipped RCE list waits for its exec ack;
+	// a hand-off or a prepared RCE branch first asks its decider after
+	// twice that (staleAfter).
+	AckTimeout time.Duration
 }
 
 func (c *Config) fillDefaults() {
 	if c.RetryInterval <= 0 {
 		c.RetryInterval = 50 * time.Millisecond
 	}
-	if c.StaleAfter <= 0 {
-		c.StaleAfter = 4 * time.Second
+	if c.AckTimeout <= 0 {
+		c.AckTimeout = 2 * time.Second
 	}
 }
+
+func (c *Config) staleAfter() time.Duration { return 2 * c.AckTimeout }
 
 // Machine holds the protocol state of one node across all its roles:
 // source and decider of distributed transactions, RCE party (Figure 5b
@@ -82,7 +84,7 @@ type Machine struct {
 	decided  map[string]*record  // decider records: commits and fences
 	deciding map[string][]string // verdicts being written → the parties to tell
 	marks    map[string]uint64   // decider: highest mark seen per source
-	branches map[string]*branch  // prepared branch per transaction: hand-off or RCE
+	branches map[string]*branch  // per transaction: a prepared branch, hand-off or RCE, or a shipped RCE list
 	done     map[string]string   // undelivered completion: agent → owner
 
 	// armed holds the IDs of the obligation timers armed and not yet
@@ -223,6 +225,16 @@ type RCEExecReceived struct {
 	Ops     []*core.OpEntry
 }
 
+// RCEShipped ships a compensation transaction's resource compensation
+// entries to the party To, whose branch Decider settles (Figure 5b); the
+// worker parked the transaction, and ExecAcked ends it.
+type RCEShipped struct {
+	TxnID   string
+	To      string
+	Decider string
+	Ops     []*core.OpEntry
+}
+
 // BranchPrepared reports the driver's branch execution: OK=true means
 // the branch transaction is durably prepared and parked; OK=false
 // means it failed and was already aborted by the driver.
@@ -268,6 +280,7 @@ func (RecoveredOutcome) isEvent() {}
 func (AckReceived) isEvent()      {}
 func (QueryReceived) isEvent()    {}
 func (RCEExecReceived) isEvent()  {}
+func (RCEShipped) isEvent()       {}
 func (BranchPrepared) isEvent()   {}
 func (DoneRecorded) isEvent()     {}
 func (DoneAcked) isEvent()        {}
@@ -294,9 +307,10 @@ type SendHandoff struct {
 	Msg *PrepareMsg
 }
 
-// DeliverAck routes an RCE exec ack to the compensation worker blocked
-// on it (the driver's waiter plumbing).
-type DeliverAck struct {
+// ExecAcked ends a shipped RCE list once, for what the worker parked:
+// OK when the party prepared its branch; else Err says why not — its
+// refusal, or no ack within AckTimeout.
+type ExecAcked struct {
 	TxnID string
 	OK    bool
 	Err   string
@@ -345,7 +359,6 @@ type SettleBranch struct {
 // transaction, and feed the result back as a BranchPrepared event.
 type ExecBranch struct {
 	TxnID   string
-	ReplyTo string
 	Decider string
 	Ops     []*core.OpEntry
 }
@@ -373,7 +386,7 @@ type CountCompOps struct{ N int64 }
 
 func (SendMsg) isEffect()      {}
 func (SendHandoff) isEffect()  {}
-func (DeliverAck) isEffect()   {}
+func (ExecAcked) isEffect()    {}
 func (Decide) isEffect()       {}
 func (DropOutcomes) isEffect() {}
 func (SendResolved) isEffect() {}
@@ -413,6 +426,8 @@ func (m *Machine) Step(ev Event) []Effect {
 		return m.queryReceived(e)
 	case RCEExecReceived:
 		return m.rceExecReceived(e)
+	case RCEShipped:
+		return m.rceShipped(e)
 	case BranchPrepared:
 		return m.branchPrepared(e)
 	case DoneRecorded:
@@ -441,7 +456,7 @@ type Stats struct {
 	Outcomes         int // decider records held (commits and fences)
 	PendingParties   int // commit verdicts not yet acknowledged by a party
 	Deciding         int // verdicts being written
-	BranchesExec     int // RCE executions in flight (incl. poisoned)
+	BranchesExec     int // RCE executions in flight (incl. poisoned), or shipped lists awaiting their ack
 	BranchesPrepared int // prepared branches awaiting decision, hand-offs' included
 	BranchesInDoubt  int // recovered branch records awaiting verdict
 	DonePending      int // completion notifications awaiting ack
@@ -457,7 +472,7 @@ func (m *Machine) Stats() Stats {
 	s.Deciding = len(m.deciding)
 	for _, b := range m.branches {
 		switch b.state {
-		case branchExecuting, branchExecutingAborted:
+		case branchExecuting, branchExecutingAborted, branchShipped:
 			s.BranchesExec++
 		case branchPrepared:
 			s.BranchesPrepared++

@@ -1,9 +1,13 @@
 package protocol
 
-// RCE role (Figure 5b, resource-node half): execute a shipped
-// resource-compensation-entry list inside a prepared branch of a
-// compensation transaction, and settle it with its decider's verdict.
-// States per transaction:
+// RCE roles (Figure 5b): the compensator ships a resource-compensation-
+// entry list and awaits its exec ack, with no worker waiting on it:
+//
+//	(absent) --RCEShipped--> shipped (pexec|<txn> armed) --ack or pexec fire--> (absent) + ExecAcked
+//
+// A later ack finds nothing. The party executes the list inside a
+// prepared branch of the compensation transaction, and settles it with
+// its decider's verdict:
 //
 //	(absent) --RCEExecReceived--> executing --BranchPrepared(ok)--> prepared
 //	    |                            |                                 |
@@ -33,9 +37,9 @@ package protocol
 // under retry pressure those zombie holds chain into a livelock where no
 // attempt can prepare inside the compensating node's ack window.
 //
-// A prepared branch left undecided for StaleAfter starts querying its
+// A prepared branch left undecided for staleAfter starts querying its
 // decider (a decider that never saw the prepare fences it and answers
-// abort), then re-asks on RetryInterval.
+// abort), then re-asks on RetryInterval — one pquery timer.
 
 // branchState is the lifecycle position of one branch.
 type branchState int
@@ -54,14 +58,36 @@ const (
 	// branchInDoubt: a crash-surviving branch record with no live
 	// transaction; resolution replays or drops the durable record.
 	branchInDoubt
+	// branchShipped: the compensator's RCE list awaits its exec ack.
+	branchShipped
 )
 
-// branch is the party-side state of one RCE branch.
+// branch is one transaction's branch here: an RCE party's, a hand-off's
+// source branch, or a compensator's shipped list.
 type branch struct {
 	state   branchState
-	replyTo string // compensating node awaiting the exec ack
+	peer    string // the other end of the exec round: the compensator, or the party
 	decider string // the node whose verdict settles the branch
 	ops     int64  // compensation entries in the branch (metrics)
+	timer   string // its one timer ID, built once: pquery|<txn> or pexec|<txn>
+}
+
+// rceShipped arms a shipped list's exec-ack timeout and sends it.
+func (m *Machine) rceShipped(e RCEShipped) []Effect {
+	b := &branch{state: branchShipped, peer: e.To, decider: e.Decider, timer: timerExec + "|" + e.TxnID}
+	m.branches[e.TxnID] = b
+	effs := append(make([]Effect, 0, 2), m.arm(b.timer, m.cfg.AckTimeout)...)
+	return append(effs, SendMsg{To: e.To, Kind: KindRCEExec, Payload: &RCEExecMsg{TxnID: e.TxnID, Decider: e.Decider, Ops: e.Ops}})
+}
+
+// execAcked ends a shipped list on its party's ack, disarming the timeout.
+func (m *Machine) execAcked(e AckReceived) []Effect {
+	b, ok := m.branches[e.TxnID]
+	if !ok || b.state != branchShipped || b.peer != e.From {
+		return nil
+	}
+	delete(m.branches, e.TxnID)
+	return m.disarm(append(make([]Effect, 0, 2), ExecAcked{TxnID: e.TxnID, OK: e.OK, Err: e.Err}), b)
 }
 
 // rceExecReceived starts (or deduplicates) a branch execution.
@@ -90,10 +116,10 @@ func (m *Machine) rceExecReceived(e RCEExecReceived) []Effect {
 			// to a fresh execution under the same transaction ID.
 		}
 	}
-	m.branches[e.TxnID] = &branch{state: branchExecuting, replyTo: e.From, decider: e.Decider, ops: int64(len(e.Ops))}
-	// A stale or query timer of the previous incarnation finds the
-	// branch executing at its next fire, and does nothing.
-	return []Effect{ExecBranch{TxnID: e.TxnID, ReplyTo: e.From, Decider: e.Decider, Ops: e.Ops}}
+	m.branches[e.TxnID] = &branch{state: branchExecuting, peer: e.From, decider: e.Decider, ops: int64(len(e.Ops)), timer: queryTimer(e.TxnID)}
+	// A query timer of the previous incarnation finds the branch
+	// executing at its next fire, and does nothing.
+	return []Effect{ExecBranch{TxnID: e.TxnID, Decider: e.Decider, Ops: e.Ops}}
 }
 
 // branchPrepared lands the driver's execution result on the current
@@ -108,7 +134,7 @@ func (m *Machine) branchPrepared(e BranchPrepared) []Effect {
 		// the stray parked transaction is aborted so it cannot sit on
 		// its locks.
 		if e.OK {
-			return m.settle(e.TxnID, false, "")
+			return m.settle(e.TxnID, nil, false, "")
 		}
 		return nil
 	}
@@ -122,7 +148,7 @@ func (m *Machine) branchPrepared(e BranchPrepared) []Effect {
 		// Execution or prepare failed; the driver already aborted the
 		// branch transaction.
 		delete(m.branches, e.TxnID)
-		return []Effect{execAck(b.replyTo, e.TxnID, false, e.Err)}
+		return []Effect{execAck(b.peer, e.TxnID, false, e.Err)}
 	}
 	if b.state == branchExecutingAborted {
 		// The transaction aborted while the compensations were running
@@ -130,11 +156,11 @@ func (m *Machine) branchPrepared(e BranchPrepared) []Effect {
 		// now would create a zombie: prepared, lock-holding, and
 		// already aborted.
 		delete(m.branches, e.TxnID)
-		return append(m.settle(e.TxnID, false, ""), execAck(b.replyTo, e.TxnID, false, "aborted during execution"))
+		return append(m.settle(e.TxnID, b, false, ""), execAck(b.peer, e.TxnID, false, "aborted during execution"))
 	}
 	b.state = branchPrepared
-	effs := []Effect{CountCompOps{N: b.ops}, execAck(b.replyTo, e.TxnID, true, "")}
-	return append(effs, m.arm(timerStale, e.TxnID, m.cfg.StaleAfter)...)
+	effs := []Effect{CountCompOps{N: b.ops}, execAck(b.peer, e.TxnID, true, "")}
+	return append(effs, m.arm(b.timer, m.cfg.staleAfter())...)
 }
 
 func execAck(to, txnID string, ok bool, reason string) Effect {
@@ -157,7 +183,8 @@ func (m *Machine) partyVerdict(txnID, from string, commit bool) []Effect {
 // poisoned by an abort so it aborts instead of preparing (its execution
 // is typically blocked on a resource lock).
 func (m *Machine) resolveBranch(txnID string, commit bool) []Effect {
-	if b, ok := m.branches[txnID]; ok {
+	b := m.branches[txnID]
+	if b != nil {
 		switch {
 		case b.state == branchPrepared || b.state == branchInDoubt:
 			delete(m.branches, txnID)
@@ -165,7 +192,7 @@ func (m *Machine) resolveBranch(txnID string, commit bool) []Effect {
 			b.state = branchExecutingAborted
 		}
 	}
-	return m.settle(txnID, commit, "")
+	return m.settle(txnID, b, commit, "")
 }
 
 // recoveredBranch replays a crash-surviving in-doubt branch record, a
@@ -177,6 +204,7 @@ func (m *Machine) recoveredBranch(e RecoveredBranch) []Effect {
 	if b, ok := m.branches[e.TxnID]; ok && b.state != branchInDoubt {
 		return nil
 	}
-	m.branches[e.TxnID] = &branch{state: branchInDoubt, decider: e.Decider}
-	return m.query(e.TxnID, e.Decider)
+	b := &branch{state: branchInDoubt, decider: e.Decider, timer: queryTimer(e.TxnID)}
+	m.branches[e.TxnID] = b
+	return m.query(e.TxnID, b)
 }

@@ -6,10 +6,10 @@ package protocol
 // branch (rce.go), and the decider's verdict settles it the same way.
 // States per transaction:
 //
-//	(absent) --Delegate--> prepared (pstale|<txn> armed)
-//	(absent) --RecoveredBranch (own ID)--> inDoubt + query the decider (pquery|<txn>)
-//	prepared --pstale fire--> prepared + query the decider (pquery|<txn>)
-//	prepared/inDoubt --OutcomeReceived--> (absent) + SettleBranch + q.resolved
+//	(absent) --Delegate--> prepared (pquery|<txn> armed at staleAfter)
+//	(absent) --RecoveredBranch (own ID)--> inDoubt + query the decider (pquery|<txn> re-armed)
+//	prepared --pquery fire--> prepared + query the decider (pquery|<txn> re-armed)
+//	prepared/inDoubt --OutcomeReceived--> (absent) + SettleBranch + q.resolved + pquery disarmed
 //
 // No worker waits on the verdict: the one that prepared the branch left
 // it parked with the driver and went on, and SettleBranch settles the
@@ -18,7 +18,7 @@ package protocol
 // verdict arrives it keeps asking.
 
 // delegate records the hand-off before its prepare leaves, so an
-// outcome that races back finds it, and arms its stale timer first, so
+// outcome that races back finds it, and arms its query timer first, so
 // a send that fails at once finds it armed and disarms it. Only this
 // node's own transactions are handed off from here; any other is
 // refused at once.
@@ -26,8 +26,9 @@ func (m *Machine) delegate(e Delegate) []Effect {
 	if Origin(e.TxnID) != m.cfg.Node {
 		return []Effect{SettleBranch{TxnID: e.TxnID, Err: "not this node's transaction"}}
 	}
-	m.branches[e.TxnID] = &branch{state: branchPrepared, decider: e.Decider}
-	effs := append(make([]Effect, 0, 2), m.arm(timerStale, e.TxnID, m.cfg.StaleAfter)...)
+	b := &branch{state: branchPrepared, decider: e.Decider, timer: queryTimer(e.TxnID)}
+	m.branches[e.TxnID] = b
+	effs := append(make([]Effect, 0, 2), m.arm(b.timer, m.cfg.staleAfter())...)
 	return append(effs, SendHandoff{To: e.Decider, Msg: &PrepareMsg{
 		TxnID: e.TxnID, EntryID: e.EntryID, Mark: e.Mark, Parties: e.Parties, Data: e.Data,
 	}})
@@ -47,7 +48,7 @@ func (m *Machine) outcomeReceived(e OutcomeReceived) []Effect {
 		return nil
 	}
 	delete(m.branches, e.TxnID)
-	effs := m.settle(e.TxnID, e.Committed, e.Err)
+	effs := m.settle(e.TxnID, b, e.Committed, e.Err)
 	if e.Err != "" {
 		return effs
 	}
@@ -55,13 +56,9 @@ func (m *Machine) outcomeReceived(e OutcomeReceived) []Effect {
 }
 
 // settle is the one way a verdict reaches a prepared branch here, the
-// source's or a party's: the SettleBranch effect, with the branch's
-// stale timer disarmed, so a healthy hand-off leaves nothing armed.
-func (m *Machine) settle(txnID string, commit bool, reason string) []Effect {
-	effs := append(make([]Effect, 0, 3), SettleBranch{TxnID: txnID, Commit: commit, Err: reason})
-	if tid := timerStale + "|" + txnID; m.armed[tid] {
-		delete(m.armed, tid)
-		effs = append(effs, CancelTimer{ID: tid})
-	}
-	return effs
+// source's or a party's: the SettleBranch effect, with the timer of b (nil
+// when the machine holds no branch) disarmed, so a healthy hand-off
+// leaves nothing armed.
+func (m *Machine) settle(txnID string, b *branch, commit bool, reason string) []Effect {
+	return m.disarm(append(make([]Effect, 0, 3), SettleBranch{TxnID: txnID, Commit: commit, Err: reason}), b)
 }

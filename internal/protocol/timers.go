@@ -7,19 +7,19 @@ import (
 
 // Control-plane timers: one wheel timer per obligation, the textbook
 // presumed-abort retry (Mohan, Lindsay & Obermarck, R*, TODS 1986). An
-// obligation is something this node must re-send until it is answered:
-// a commit to the RCE parties that have not acknowledged it, a query
-// from an in-doubt source or party, the StaleAfter threshold of a
-// hand-off or a prepared branch, a completion record to its owner.
+// obligation is something this node must re-send until it is answered
+// (or give up on): a commit to the RCE parties that have not acknowledged
+// it, a query from an in-doubt source or party, a shipped RCE list's
+// exec ack, a completion record to its owner.
 //
 // A fire checks the obligation against the role maps
-// (decided/branches/done). A live one sends its plain message and
-// re-arms; a dead one does nothing, so a quiescent machine goes silent
-// within one interval — what the fuzz quiescence invariant (fire every
-// armed timer, demand no re-arm) pins. Retirement is lazy — resolving an
-// obligation cancels nothing, the next fire finds it dead — except for
-// the stale timer: one is armed per hand-off, so the verdict disarms it
-// (CancelTimer) and a healthy hand-off leaves nothing armed.
+// (decided/branches/done). A live one acts and re-arms; a dead one does
+// nothing, so a quiescent machine goes silent within one interval — what
+// the fuzz quiescence invariant (fire every armed timer, demand no
+// re-arm) pins. Retirement is lazy — resolving an obligation cancels
+// nothing, the next fire finds it dead — except for a branch's timer: one
+// is armed per hand-off and per shipped list, so the verdict or the ack
+// disarms it (CancelTimer) and a healthy hand-off leaves nothing armed.
 //
 // The machine remembers which timers are armed, so registering a live
 // obligation again (a replayed branch) adds no timer and does not
@@ -31,19 +31,20 @@ const (
 	// timerCtl re-sends a decider's commit to every party that has not
 	// acknowledged it.
 	timerCtl = "pctl"
-	// timerQuery re-asks the decider about a hand-off or an RCE branch
-	// still in doubt here.
+	// timerQuery asks the decider about a hand-off or an RCE branch in
+	// doubt here: staleAfter after the prepare, then every RetryInterval.
 	timerQuery = "pquery"
-	// timerStale is the StaleAfter threshold of a hand-off or a prepared
-	// RCE branch: a fire on one still in doubt starts its queries.
-	timerStale = "pstale"
+	// timerExec gives up on a shipped RCE list whose exec ack has not
+	// come within AckTimeout.
+	timerExec = "pexec"
 	// timerDone re-sends a completion record to its owner.
 	timerDone = "pdone"
 )
 
+func queryTimer(txnID string) string { return timerQuery + "|" + txnID }
+
 // arm registers one obligation's timer unless it is already armed.
-func (m *Machine) arm(class, id string, d time.Duration) []Effect {
-	tid := class + "|" + id
+func (m *Machine) arm(tid string, d time.Duration) []Effect {
 	if m.armed[tid] {
 		return nil
 	}
@@ -51,8 +52,17 @@ func (m *Machine) arm(class, id string, d time.Duration) []Effect {
 	return []Effect{ArmTimer{ID: tid, D: d}}
 }
 
-// timerFired runs one armed obligation's fire: re-send and re-arm while
-// it is live, nothing once it is dead.
+// disarm appends the cancel of b's timer, if armed, to effs.
+func (m *Machine) disarm(effs []Effect, b *branch) []Effect {
+	if b == nil || !m.armed[b.timer] {
+		return effs
+	}
+	delete(m.armed, b.timer)
+	return append(effs, CancelTimer{ID: b.timer})
+}
+
+// timerFired runs one armed obligation's fire: act and re-arm while it
+// is live, nothing once it is dead.
 func (m *Machine) timerFired(e TimerFired) []Effect {
 	if !m.armed[e.ID] {
 		return nil
@@ -69,38 +79,33 @@ func (m *Machine) timerFired(e TimerFired) []Effect {
 		for _, p := range r.pending {
 			effs = append(effs, outcome(p, id, true))
 		}
-		return append(effs, m.arm(timerCtl, id, m.cfg.RetryInterval)...)
-	case timerQuery, timerStale:
-		if decider, ok := m.inDoubt(id); ok {
-			return m.query(id, decider)
+		return append(effs, m.arm(e.ID, m.cfg.RetryInterval)...)
+	case timerQuery:
+		if b, ok := m.branches[id]; ok && (b.state == branchPrepared || b.state == branchInDoubt) {
+			return m.query(id, b)
+		}
+	case timerExec:
+		if b, ok := m.branches[id]; ok && b.state == branchShipped {
+			delete(m.branches, id)
+			return []Effect{ExecAcked{TxnID: id, Err: "no exec ack within AckTimeout"}}
 		}
 	case timerDone:
 		if owner := m.done[id]; owner != "" {
-			return append([]Effect{ResendDone{AgentID: id}}, m.arm(timerDone, id, m.cfg.RetryInterval)...)
+			return append([]Effect{ResendDone{AgentID: id}}, m.arm(e.ID, m.cfg.RetryInterval)...)
 		}
 	}
 	return nil
 }
 
-// inDoubt returns the decider a query about txnID goes to: the one this
-// node's prepared or recovered branch — a hand-off's or an RCE party's —
-// waits on.
-func (m *Machine) inDoubt(txnID string) (string, bool) {
-	if b, ok := m.branches[txnID]; ok && (b.state == branchPrepared || b.state == branchInDoubt) {
-		return b.decider, true
-	}
-	return "", false
-}
-
-// query asks decider about txnID now, as a plain txn.query, and registers
-// the re-ask. A branch whose decider is this node asks it here, without
-// a message.
-func (m *Machine) query(txnID, decider string) []Effect {
+// query asks b's decider about txnID now, as a plain txn.query, and
+// registers the re-ask. A branch whose decider is this node asks it
+// here, without a message.
+func (m *Machine) query(txnID string, b *branch) []Effect {
 	var effs []Effect
-	if decider == m.cfg.Node {
-		effs = m.queryReceived(QueryReceived{TxnID: txnID, From: decider})
+	if b.decider == m.cfg.Node {
+		effs = m.queryReceived(QueryReceived{TxnID: txnID, From: b.decider})
 	} else {
-		effs = []Effect{SendMsg{To: decider, Kind: KindTxnQuery, Payload: &CtlMsg{TxnID: txnID}}}
+		effs = []Effect{SendMsg{To: b.decider, Kind: KindTxnQuery, Payload: &CtlMsg{TxnID: txnID}}}
 	}
-	return append(effs, m.arm(timerQuery, txnID, m.cfg.RetryInterval)...)
+	return append(effs, m.arm(b.timer, m.cfg.RetryInterval)...)
 }

@@ -4,6 +4,7 @@ import (
 	"maps"
 	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/protocol"
 )
@@ -117,7 +118,7 @@ func TestPeerQueryTimerCoalescesInDoubt(t *testing.T) {
 
 	stale := func(txn string) []protocol.Effect {
 		m.Step(protocol.Delegate{TxnID: txn, Decider: "co", EntryID: "e-" + txn, Data: []byte("x"), Mark: 1})
-		return m.Step(protocol.TimerFired{ID: "pstale|" + txn})
+		return m.Step(protocol.TimerFired{ID: "pquery|" + txn})
 	}
 	for _, txn := range []string{"p#1", "p#2"} {
 		effs := stale(txn)
@@ -164,28 +165,50 @@ func TestPeerQueryTimerCoalescesInDoubt(t *testing.T) {
 	}
 }
 
-// TestPeerStaleTimerHandsOffToQuery pins the branch path: a prepared RCE
-// branch arms its stale timer, and its fire both asks the decider at
-// once and starts the branch's query timer.
+// TestPeerStaleTimerHandsOffToQuery pins the one in-doubt timer of a
+// prepared RCE branch and of a hand-off: armed at staleAfter, its fire
+// asks the decider at once and re-arms the same ID at RetryInterval,
+// and the verdict disarms it in either phase — nothing stays armed.
 func TestPeerStaleTimerHandsOffToQuery(t *testing.T) {
 	m := newReady("r")
+	armed := map[string]bool{}
+	track := func(effs []protocol.Effect) []protocol.Effect {
+		for _, e := range effs {
+			switch e := e.(type) {
+			case protocol.ArmTimer:
+				armed[e.ID] = true
+			case protocol.CancelTimer:
+				delete(armed, e.ID)
+			}
+		}
+		return effs
+	}
 
 	m.Step(protocol.RCEExecReceived{TxnID: "co#9", From: "co", Decider: "d"})
-	effs := m.Step(protocol.BranchPrepared{TxnID: "co#9", OK: true})
-	if ids := armedIDs(effs); !slices.Equal(ids, []string{"pstale|co#9"}) {
-		t.Fatalf("branch prepared armed %v, want [pstale|co#9]", ids)
+	effs := track(m.Step(protocol.BranchPrepared{TxnID: "co#9", OK: true}))
+	if got := pick[protocol.ArmTimer](effs); len(got) != 1 || got[0].ID != "pquery|co#9" || got[0].D != 300*time.Millisecond {
+		t.Fatalf("branch prepared armed %+v, want pquery|co#9 at staleAfter", got)
+	}
+	track(m.Step(protocol.Delegate{TxnID: "r#1", Decider: "d", EntryID: "a", Mark: 1}))
+
+	for _, txn := range []string{"co#9", "r#1"} {
+		delete(armed, "pquery|"+txn) // the fire
+		effs = track(m.Step(protocol.TimerFired{ID: "pquery|" + txn}))
+		if got := queries(t, effs, "d"); !slices.Equal(got, []string{txn}) {
+			t.Fatalf("stale fire asked %v, want %s", got, txn)
+		}
+		if got := pick[protocol.ArmTimer](effs); len(got) != 1 || got[0].ID != "pquery|"+txn || got[0].D != 50*time.Millisecond {
+			t.Fatalf("stale fire armed %+v, want pquery|%s at RetryInterval", got, txn)
+		}
 	}
 
-	effs = m.Step(protocol.TimerFired{ID: "pstale|co#9"})
-	if got := queries(t, effs, "d"); !slices.Equal(got, []string{"co#9"}) {
-		t.Fatalf("stale fire asked %v, want co#9", got)
+	// The verdicts land in the query phase and disarm the timers; a
+	// late fire finds nothing armed.
+	track(m.Step(protocol.OutcomeReceived{TxnID: "co#9", From: "d", Committed: true}))
+	track(m.Step(protocol.OutcomeReceived{TxnID: "r#1", From: "d", Committed: false}))
+	if len(armed) != 0 {
+		t.Fatalf("armed after the verdicts: %v", armed)
 	}
-	if ids := armedIDs(effs); !slices.Equal(ids, []string{"pquery|co#9"}) {
-		t.Fatalf("stale fire armed %v, want [pquery|co#9]", ids)
-	}
-
-	// The verdict resolves the branch; the query timer finds it gone.
-	m.Step(protocol.OutcomeReceived{TxnID: "co#9", From: "d", Committed: true})
 	if effs := m.Step(protocol.TimerFired{ID: "pquery|co#9"}); len(effs) != 0 {
 		t.Fatalf("query fire after the verdict emitted %+v", effs)
 	}
