@@ -558,7 +558,7 @@ func BenchmarkEOSFlagAblation(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			hasMixed := false
 			for j := l.Len() - 2; j >= 0; j-- {
-				op, ok := l.Entries[j].(*core.OpEntry)
+				op, ok := l.Entry(j).(*core.OpEntry)
 				if !ok {
 					break
 				}

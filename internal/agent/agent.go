@@ -28,6 +28,14 @@ type Agent struct {
 	Cursor itinerary.Cursor
 
 	Log *core.Log
+
+	// itinRead is the itinerary Read decoded from itinEnc when no sub of
+	// it has a partial order: the runtime edits an itinerary in place only
+	// to fix such a sub's order (itinerary.EnterHook), so while Itin is
+	// still itinRead its encoding is itinEnc, and AppendTo copies that.
+	// An itinerary is replaced, never edited in place, anywhere else.
+	itinRead *itinerary.Itinerary
+	itinEnc  []byte
 }
 
 // New creates an agent with the given ID, owner and itinerary. The cursor

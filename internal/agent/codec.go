@@ -29,8 +29,9 @@ func (a *Agent) AppendTo(buf []byte) (out []byte, logAt int, err error) {
 	buf = wire.AppendVarint(buf, int64(a.StepSeq))
 	buf = a.Cursor.AppendTo(buf)
 	itinAt := len(buf)
-	buf, err = a.Itin.AppendTo(buf)
-	if err != nil {
+	if a.Itin != nil && a.Itin == a.itinRead {
+		buf = append(buf, a.itinEnc...)
+	} else if buf, err = a.Itin.AppendTo(buf); err != nil {
 		return nil, 0, err
 	}
 	itin := buf[itinAt:len(buf):len(buf)]
@@ -40,17 +41,27 @@ func (a *Agent) AppendTo(buf []byte) (out []byte, logAt int, err error) {
 }
 
 // Read consumes an agent written by AppendTo. Data-space, image,
-// parameter and savepoint itinerary values alias r's input.
+// parameter and savepoint itinerary values alias r's input, and the
+// names and map keys are slices of one copy of it (wire.Reader.Share),
+// which lives as long as the agent's data. ID and Owner, which callers
+// keep past the agent, share a copy of their own. The log is scanned,
+// its entries decoded as they are read.
 func Read(r *wire.Reader) *Agent {
 	if !r.Bool() {
 		return nil
 	}
-	a := &Agent{ID: r.String(), Owner: r.String(), StepSeq: r.Int(), Cursor: itinerary.ReadCursor(r)}
+	id, owner := r.Bytes(), r.Bytes()
+	both := string(id) + string(owner)
+	a := &Agent{ID: both[:len(id)], Owner: both[len(id):], StepSeq: r.Int(), Cursor: itinerary.ReadCursor(r)}
+	r.Share()
 	mark := r.Mark()
 	a.Itin = itinerary.ReadItinerary(r)
 	itin := r.Since(mark)
+	if a.Itin.Ordered() {
+		a.itinRead, a.itinEnc = a.Itin, itin
+	}
 	a.WRO, a.SRO = readSpace(r), readSpace(r)
-	a.Log = core.ReadLog(r, itin)
+	a.Log = core.ScanLog(r, itin)
 	return a
 }
 

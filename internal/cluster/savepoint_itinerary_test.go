@@ -228,8 +228,8 @@ func checkRestores(t *testing.T, containers []*node.Container) {
 			rollingTo = ""
 		}
 		seen := map[string]bool{}
-		for _, e := range a.Log.Entries {
-			sp, ok := e.(*core.SavepointEntry)
+		for i := 0; i < a.Log.Len(); i++ {
+			sp, ok := a.Log.Entry(i).(*core.SavepointEntry)
 			if !ok {
 				continue
 			}

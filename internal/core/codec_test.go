@@ -3,8 +3,11 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/itinerary"
 	"repro/internal/wire"
@@ -45,25 +48,25 @@ func TestEntryCodecTable(t *testing.T) {
 				itin  []byte
 			}{{"standalone", nil}, {"in container", itin}} {
 				t.Run(in.where, func(t *testing.T) {
-					l := &Log{Entries: []Entry{e}}
+					l := &Log{tail: []Entry{e}}
 					if sp, ok := e.(*SavepointEntry); ok && sp.Special {
 						// A special savepoint follows the one it refers to.
-						l.Entries = []Entry{&SavepointEntry{ID: sp.RefID}, e}
+						l.tail = []Entry{&SavepointEntry{ID: sp.RefID}, e}
 					} else if ok && sp.Delta != nil {
 						// A delta follows its base image.
-						l.Entries = []Entry{&SavepointEntry{ID: "base"}, e}
+						l.tail = []Entry{&SavepointEntry{ID: "base"}, e}
 					}
 					data, at, err := l.AppendTo(nil, in.itin)
 					if err != nil {
 						t.Fatal(err)
 					}
 					r := wire.NewReader(data)
-					got := ReadLog(r, in.itin)
+					got := ScanLog(r, in.itin)
 					if err := r.Done(); err != nil {
 						t.Fatal(err)
 					}
-					if !reflect.DeepEqual(got, l) {
-						t.Errorf("round trip:\n got %+v\nwant %+v", got.Entries[0], e)
+					if !reflect.DeepEqual(got.entries(), l.tail) {
+						t.Errorf("round trip:\n got %+v\nwant %+v", got.Entry(0), e)
 					}
 					if again, _, err := got.AppendTo(nil, in.itin); err != nil || !bytes.Equal(again, data) {
 						t.Errorf("re-encoding changed the bytes (%v)", err)
@@ -82,7 +85,7 @@ func TestEntryCodecTable(t *testing.T) {
 					}
 					for cut := 0; cut < len(data); cut++ {
 						r := wire.NewReader(data[:cut])
-						ReadLog(r, in.itin)
+						ScanLog(r, in.itin)
 						if err := r.Done(); !errors.Is(err, wire.ErrCorrupt) {
 							t.Fatalf("log cut at %d of %d: %v, want ErrCorrupt", cut, len(data), err)
 						}
@@ -99,7 +102,7 @@ func TestEntryCodecTable(t *testing.T) {
 // decodes re-encodes to its own bytes.
 func TestSavepointItineraryCanonical(t *testing.T) {
 	itin := []byte{1, 1, 4, 't', 'r', 'i', 'p', 0, 0}
-	l := &Log{Entries: []Entry{&SavepointEntry{ID: "sp", Mode: StateLogging,
+	l := &Log{tail: []Entry{&SavepointEntry{ID: "sp", Mode: StateLogging,
 		Sys: &SysState{Cursor: itinerary.Cursor{Path: []int{0, 0}}, StepSeq: 1, Itin: itin}}}}
 	ref, _, err := l.AppendTo(nil, itin)
 	if err != nil {
@@ -113,11 +116,11 @@ func TestSavepointItineraryCanonical(t *testing.T) {
 		t.Fatalf("reference form %d B, inline %d B; want the itinerary's %d B apart", len(ref), len(inline), len(itin))
 	}
 	r := wire.NewReader(ref)
-	got := ReadLog(r, itin)
+	got := ScanLog(r, itin)
 	if err := r.Done(); err != nil {
 		t.Fatal(err)
 	}
-	if sys := got.Entries[0].(*SavepointEntry).Sys; &sys.Itin[0] != &itin[0] {
+	if sys := got.Entry(0).(*SavepointEntry).Sys; &sys.Itin[0] != &itin[0] {
 		t.Error("a reference decodes to a copy, want the container's itinerary bytes")
 	}
 	for _, tc := range []struct {
@@ -129,7 +132,7 @@ func TestSavepointItineraryCanonical(t *testing.T) {
 		{"inline equal to the container's", inline, itin},
 	} {
 		r := wire.NewReader(tc.data)
-		ReadLog(r, tc.itin)
+		ScanLog(r, tc.itin)
 		if err := r.Done(); !errors.Is(err, wire.ErrCorrupt) {
 			t.Errorf("%s: %v, want ErrCorrupt", tc.name, err)
 		}
@@ -137,13 +140,13 @@ func TestSavepointItineraryCanonical(t *testing.T) {
 	// The same inline bytes in a container carrying another itinerary are
 	// the canonical form.
 	r = wire.NewReader(inline)
-	ReadLog(r, []byte{1, 0})
+	ScanLog(r, []byte{1, 0})
 	if err := r.Done(); err != nil {
 		t.Errorf("inline itinerary in a container carrying another: %v", err)
 	}
 }
 
-// TestReadLogSavepointReferences: the decoder accepts only the savepoint
+// TestReadLogSavepointReferences: the scan accepts only the savepoint
 // sequences AppendSavepoint and AppendSpecialSavepoint can write. A
 // duplicate ID, a RefID that does not name an earlier savepoint and a
 // delta with no earlier base image are wire.ErrCorrupt, so no decoded
@@ -171,12 +174,12 @@ func TestReadLogSavepointReferences(t *testing.T) {
 		{"delta after a base image", []Entry{sp("a"), special("b", "a"), delta("c"), delta("d")}, true},
 		{"delta with no earlier base image", []Entry{delta("a"), sp("b")}, false},
 	} {
-		data, _, err := (&Log{Entries: tc.entries}).AppendTo(nil, nil)
+		data, _, err := (&Log{tail: tc.entries}).AppendTo(nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		r := wire.NewReader(data)
-		ReadLog(r, nil)
+		ScanLog(r, nil)
 		if err := r.Done(); tc.ok != (err == nil) || (err != nil && !errors.Is(err, wire.ErrCorrupt)) {
 			t.Errorf("%s: %v, want accepted=%v (refusals ErrCorrupt)", tc.name, err, tc.ok)
 		}
@@ -193,7 +196,7 @@ func TestLogCodecNilEmptyAndBadInput(t *testing.T) {
 			t.Fatal(err)
 		}
 		r := wire.NewReader(data)
-		got := ReadLog(r, nil)
+		got := ScanLog(r, nil)
 		if err := r.Done(); err != nil || (got == nil) != (l == nil) || (got != nil && got.Len() != 0) {
 			t.Errorf("log %v round-tripped to %v, %v", l, got, err)
 		}
@@ -202,7 +205,7 @@ func TestLogCodecNilEmptyAndBadInput(t *testing.T) {
 	for _, k := range []string{"q", "w", "e", "r", "t", "y", "u", "i", "o", "p"} {
 		big[k] = []byte(k)
 	}
-	l := &Log{Entries: []Entry{&SavepointEntry{ID: "sp", Mode: StateLogging, Image: big}}}
+	l := &Log{tail: []Entry{&SavepointEntry{ID: "sp", Mode: StateLogging, Image: big}}}
 	first, _, err := l.AppendTo(nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -212,12 +215,161 @@ func TestLogCodecNilEmptyAndBadInput(t *testing.T) {
 			t.Fatal("equal logs encoded to different bytes")
 		}
 	}
-	if _, _, err := (&Log{Entries: []Entry{nil}}).AppendTo(nil, nil); err == nil {
+	if _, _, err := (&Log{tail: []Entry{nil}}).AppendTo(nil, nil); err == nil {
 		t.Error("nil log entry encoded")
 	}
 	r := wire.NewReader([]byte{1, 1, 9, 0, 0})
-	ReadLog(r, nil)
+	ScanLog(r, nil)
 	if !errors.Is(r.Err(), wire.ErrCorrupt) {
 		t.Errorf("unknown entry kind: %v, want ErrCorrupt", r.Err())
+	}
+}
+
+// TestScanRefusesInlineRepeat: a log entry naming inline a name the
+// entries before it already wrote is ErrCorrupt, as it is in one entry.
+func TestScanRefusesInlineRepeat(t *testing.T) {
+	// present, two BOS entries, each naming "n" inline at step 0.
+	for _, data := range [][]byte{
+		{1, 2, kindBOS, 2, 'n', 0, kindBOS, 2, 'n', 0},
+		{1, 1, kindEOS, 2, 'n', 0, 0, 1, 2, 'n'},
+	} {
+		r := wire.NewReader(data)
+		ScanLog(r, nil)
+		if err := r.Done(); !errors.Is(err, wire.ErrCorrupt) {
+			t.Errorf("%x: %v, want ErrCorrupt", data, err)
+		}
+	}
+}
+
+// manySavepoints encodes a base savepoint followed by n special ones
+// referring to it.
+func manySavepoints(t testing.TB, n int) []byte {
+	l := &Log{}
+	if err := l.AppendSavepoint("base", nil, map[string][]byte{"k": []byte("v")}, StateLogging, false); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		l.Append(&SavepointEntry{ID: fmt.Sprintf("s%d", i), Special: true, RefID: "base"})
+	}
+	data, _, err := l.AppendTo(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestScanSavepointsLinear: the scan checks each savepoint against those
+// before it in constant time, so four times the savepoints cost at most
+// five times the time (a walk over the earlier entries would cost 16).
+// Each sample scans the small log four times as often as the large one,
+// and the best of several samples counts.
+func TestScanSavepointsLinear(t *testing.T) {
+	scan := func(data []byte, times int) time.Duration {
+		best := time.Duration(1 << 62)
+		for i := 0; i < 9; i++ {
+			runtime.GC()
+			start := time.Now()
+			for j := 0; j < times; j++ {
+				r := wire.NewReader(data)
+				ScanLog(r, nil)
+				if err := r.Done(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			best = min(best, time.Since(start))
+		}
+		return best
+	}
+	small, large := manySavepoints(t, 250), manySavepoints(t, 1000)
+	scan(large, 1) // warm up
+	if ts, tl := scan(small, 16), scan(large, 4); 4*tl > 5*ts {
+		t.Errorf("scanning 1000 special savepoints took %v, 250 took %v: more than 5x", tl/4, ts/16)
+	}
+}
+
+// TestLazyLogMatchesMaterialised: on a scanned log and on the same
+// entries built in memory, appending and popping a step encode to the
+// same bytes, and every savepoint reconstructs the same state.
+func TestLazyLogMatchesMaterialised(t *testing.T) {
+	l := &Log{}
+	img := func(kv ...string) map[string][]byte {
+		m := map[string][]byte{}
+		for i := 0; i+1 < len(kv); i += 2 {
+			m[kv[i]] = []byte(kv[i+1])
+		}
+		return m
+	}
+	sys := &SysState{StepSeq: 1, Itin: []byte{1, 0}}
+	if err := l.AppendSavepoint("a", sys, img("x", "1"), TransitionLogging, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.AppendSpecialSavepoint("a2", "a", true); err != nil {
+		t.Fatal(err)
+	}
+	step := func(l *Log, node string, seq int) {
+		l.Append(&BeginStepEntry{Node: node, Seq: seq})
+		l.Append(&OpEntry{Kind: OpResource, Op: "undo", Params: NewParams().Set("id", seq)})
+		l.Append(&EndStepEntry{Node: node, Seq: seq, AltNodes: []string{"alt"}})
+	}
+	step(l, "n1", 0)
+	if err := l.AppendSavepoint("b", sys, img("x", "2", "y", "3"), TransitionLogging, false); err != nil {
+		t.Fatal(err)
+	}
+	step(l, "n2", 1)
+	for _, itin := range [][]byte{nil, {1, 0}} {
+		data, _, err := l.AppendTo(nil, itin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scan := func() *Log {
+			r := wire.NewReader(data)
+			got := ScanLog(r, itin)
+			if err := r.Done(); err != nil {
+				t.Fatal(err)
+			}
+			return got
+		}
+		lazy := scan()
+		eager := &Log{tail: scan().entries()}
+		for _, id := range []string{"a", "a2", "b", "none"} {
+			s1, img1, err1 := lazy.SavepointState(id)
+			s2, img2, err2 := eager.SavepointState(id)
+			if !reflect.DeepEqual(s1, s2) || !reflect.DeepEqual(img1, img2) || (err1 == nil) != (err2 == nil) {
+				t.Errorf("SavepointState(%s): lazy %v %v %v, materialised %v %v %v", id, s1, img1, err1, s2, img2, err2)
+			}
+			r1, err1 := lazy.ReconstructSRO(id)
+			r2, err2 := eager.ReconstructSRO(id)
+			if !reflect.DeepEqual(r1, r2) || (err1 == nil) != (err2 == nil) {
+				t.Errorf("ReconstructSRO(%s): lazy %v %v, materialised %v %v", id, r1, err1, r2, err2)
+			}
+		}
+		for _, edit := range []func(*Log){
+			func(l *Log) { step(l, "n3", 2) },
+			func(l *Log) { l.Pop(); l.Pop(); l.Pop() },
+			func(l *Log) { l.Pop(); l.Pop(); l.Pop(); step(l, "n9", 1) },
+			func(l *Log) {
+				for l.Len() > 1 {
+					l.Pop()
+				}
+				step(l, "n1", 0)
+			},
+		} {
+			lazy, eager := scan(), &Log{tail: scan().entries()}
+			edit(lazy)
+			edit(eager)
+			got, _, err1 := lazy.AppendTo(nil, itin)
+			want, _, err2 := eager.AppendTo(nil, itin)
+			if err1 != nil || err2 != nil || !bytes.Equal(got, want) {
+				t.Errorf("itin %x: edited lazy log encodes to %x, materialised to %x (%v, %v)", itin, got, want, err1, err2)
+			}
+		}
+		// The scanned bytes are not what the log encodes to beside
+		// another itinerary: that encode writes every entry anew.
+		lazy = scan()
+		got, _, err := lazy.AppendTo(nil, []byte{1, 1})
+		want, _, _ := (&Log{tail: scan().entries()}).AppendTo(nil, []byte{1, 1})
+		if err != nil || !bytes.Equal(got, want) {
+			t.Errorf("itin %x: re-encoded beside another itinerary: %x, want %x (%v)", itin, got, want, err)
+		}
 	}
 }

@@ -196,43 +196,147 @@ var (
 // Log is the agent rollback log. It is a stack: entries are appended at
 // step commit and popped (from the end) during rollback. The zero value is
 // an empty log; codec.go gives its encoding inside the agent container.
+//
+// A log read from a container (ScanLog) keeps the entries it arrived with
+// as their bytes plus an index: an entry is decoded when something reads
+// it, and encoding copies the bytes of those still in the log. So an
+// entry is never modified once it is in a log; an edit inside the log
+// (RemoveSavepoint) decodes them all first.
 type Log struct {
-	Entries []Entry
+	// The first len(index) entries are the scanned ones, still the bytes
+	// raw[:end] they arrived in; decoded holds those read so far (nil
+	// until the first read). tail holds the entries appended since. raw
+	// aliases the container it was scanned from and is never written;
+	// itin is that container's itinerary, names raw's name table
+	// (first-use order) and endNames its length at end.
+	index         []span
+	decoded       []Entry
+	tail          []Entry
+	end, endNames int
+	raw, itin     []byte
+	names         []string
+}
+
+// span locates scanned entry i: it starts at raw[off] and was written
+// when the name table held names[:names]. A savepoint's ID is names[id]
+// (-1: the empty ID).
+type span struct {
+	off, names int
+	id         int32
+	kind       byte
+	special    bool
+}
+
+// Entry returns entry i, 0 <= i < Len, decoding it on its first read.
+func (l *Log) Entry(i int) Entry {
+	if i >= len(l.index) {
+		return l.tail[i-len(l.index)]
+	}
+	if l.decoded == nil {
+		l.decoded = make([]Entry, len(l.index))
+	}
+	if l.decoded[i] == nil {
+		l.decoded[i] = l.decode(i)
+	}
+	return l.decoded[i]
+}
+
+// entries returns every entry in a new slice, decoding the scanned ones.
+func (l *Log) entries() []Entry {
+	es := make([]Entry, l.Len())
+	for i := range es {
+		es[i] = l.Entry(i)
+	}
+	return es
+}
+
+// materialise decodes every scanned entry and drops the bytes, so the
+// entries can be edited in place.
+func (l *Log) materialise() {
+	if len(l.index) > 0 {
+		*l = Log{tail: l.entries()}
+	}
 }
 
 // Append adds e at the end of the log.
-func (l *Log) Append(e Entry) { l.Entries = append(l.Entries, e) }
+func (l *Log) Append(e Entry) {
+	if l.tail == nil {
+		l.tail = make([]Entry, 0, 8) // a step's BOS, OEs and EOS
+	}
+	l.tail = append(l.tail, e)
+}
 
 // Len returns the number of entries.
-func (l *Log) Len() int { return len(l.Entries) }
+func (l *Log) Len() int { return len(l.index) + len(l.tail) }
 
 // Last returns the final entry, or nil if the log is empty.
 func (l *Log) Last() Entry {
-	if len(l.Entries) == 0 {
+	if l.Len() == 0 {
 		return nil
 	}
-	return l.Entries[len(l.Entries)-1]
+	return l.Entry(l.Len() - 1)
 }
 
-// Pop removes and returns the final entry (LOG.pop() in Figure 4b).
+// Pop removes and returns the final entry (LOG.pop() in Figure 4b). A
+// scanned entry leaves the index; its bytes stay where they are.
 func (l *Log) Pop() (Entry, error) {
-	if len(l.Entries) == 0 {
+	if n := len(l.tail); n > 0 {
+		e := l.tail[n-1]
+		l.tail[n-1] = nil
+		l.tail = l.tail[:n-1]
+		return e, nil
+	}
+	n := len(l.index)
+	if n == 0 {
 		return nil, ErrEmptyLog
 	}
-	e := l.Entries[len(l.Entries)-1]
-	l.Entries = l.Entries[:len(l.Entries)-1]
+	e := l.Entry(n - 1)
+	l.end, l.endNames = l.index[n-1].off, l.index[n-1].names
+	l.index = l.index[:n-1]
+	l.decoded[n-1] = nil
+	l.decoded = l.decoded[:n-1]
 	return e, nil
 }
 
 // Clear discards all entries (§4.4.2: completion of a sub-itinerary of the
 // main itinerary deletes all rollback information).
-func (l *Log) Clear() { l.Entries = nil }
+func (l *Log) Clear() { *l = Log{} }
+
+// savepointID returns the ID of entry i if it is a savepoint, without
+// decoding it.
+func (l *Log) savepointID(i int) (string, bool) {
+	if i < len(l.index) {
+		switch sp := l.index[i]; {
+		case sp.kind != kindSP:
+			return "", false
+		case sp.id < 0:
+			return "", true
+		default:
+			return l.names[sp.id], true
+		}
+	}
+	sp, ok := l.tail[i-len(l.index)].(*SavepointEntry)
+	if !ok {
+		return "", false
+	}
+	return sp.ID, true
+}
+
+// dataSavepoint returns entry i if it is a data-carrying savepoint,
+// decoding no other entry.
+func (l *Log) dataSavepoint(i int) (*SavepointEntry, bool) {
+	if i < len(l.index) && (l.index[i].kind != kindSP || l.index[i].special) {
+		return nil, false
+	}
+	sp, ok := l.Entry(i).(*SavepointEntry)
+	return sp, ok && !sp.Special
+}
 
 // savepointIndex returns the index of the savepoint with the given ID, or
 // -1. Special savepoints match their own ID (not their RefID).
 func (l *Log) savepointIndex(id string) int {
-	for i, e := range l.Entries {
-		if sp, ok := e.(*SavepointEntry); ok && sp.ID == id {
+	for i := 0; i < l.Len(); i++ {
+		if spID, ok := l.savepointID(i); ok && spID == id {
 			return i
 		}
 	}
@@ -245,16 +349,19 @@ func (l *Log) HasSavepoint(id string) bool { return l.savepointIndex(id) >= 0 }
 // LastIsSavepoint reports whether the final log entry is the savepoint with
 // the given ID — the "savepoint spID reached" test of Figures 4 and 5.
 func (l *Log) LastIsSavepoint(id string) bool {
-	sp, ok := l.Last().(*SavepointEntry)
-	return ok && sp.ID == id
+	if l.Len() == 0 {
+		return false
+	}
+	spID, ok := l.savepointID(l.Len() - 1)
+	return ok && spID == id
 }
 
 // Savepoints returns the IDs of all savepoints in log order.
 func (l *Log) Savepoints() []string {
 	var ids []string
-	for _, e := range l.Entries {
-		if sp, ok := e.(*SavepointEntry); ok {
-			ids = append(ids, sp.ID)
+	for i := 0; i < l.Len(); i++ {
+		if id, ok := l.savepointID(i); ok {
+			ids = append(ids, id)
 		}
 	}
 	return ids
@@ -262,12 +369,12 @@ func (l *Log) Savepoints() []string {
 
 // String renders the log compactly, e.g. "SP(a) BOS(n1/0) OE(res) EOS(n1/0)".
 func (l *Log) String() string {
-	out := make([]byte, 0, 16*len(l.Entries))
-	for i, e := range l.Entries {
+	out := make([]byte, 0, 16*l.Len())
+	for i := 0; i < l.Len(); i++ {
 		if i > 0 {
 			out = append(out, ' ')
 		}
-		switch v := e.(type) {
+		switch v := l.Entry(i).(type) {
 		case *SavepointEntry:
 			if v.Special {
 				out = append(out, ("SP*(" + v.ID + "->" + v.RefID + ")")...)

@@ -107,18 +107,18 @@ func TestTransitionLoggingChain(t *testing.T) {
 		l.Append(&EndStepEntry{Node: "n", Seq: i})
 	}
 	// First savepoint carries the base image; later ones carry deltas.
-	sp1 := l.Entries[0].(*SavepointEntry)
+	sp1 := l.Entry(0).(*SavepointEntry)
 	if sp1.Image == nil || sp1.Delta != nil {
 		t.Error("sp1 should carry a base image")
 	}
-	sp2 := l.Entries[3].(*SavepointEntry)
+	sp2 := l.Entry(3).(*SavepointEntry)
 	if sp2.Image != nil || sp2.Delta == nil {
 		t.Error("sp2 should carry a delta")
 	}
 	if len(sp2.Delta.Changed) != 2 || len(sp2.Delta.Deleted) != 0 {
 		t.Errorf("sp2 delta = %+v, want 2 changed 0 deleted", sp2.Delta)
 	}
-	sp3 := l.Entries[6].(*SavepointEntry)
+	sp3 := l.Entry(6).(*SavepointEntry)
 	if len(sp3.Delta.Changed) != 0 || len(sp3.Delta.Deleted) != 1 || sp3.Delta.Deleted[0] != "a" {
 		t.Errorf("sp3 delta = %+v, want deletion of a", sp3.Delta)
 	}
@@ -184,7 +184,7 @@ func TestSavepointStateTransitionLogging(t *testing.T) {
 	if err := l.AppendSpecialSavepoint("c2", "c", true); err != nil {
 		t.Fatal(err)
 	}
-	if d := l.Entries[1].(*SavepointEntry).Delta; d == nil || len(d.Changed) != 1 || d.Changed["k"] == nil {
+	if d := l.Entry(1).(*SavepointEntry).Delta; d == nil || len(d.Changed) != 1 || d.Changed["k"] == nil {
 		t.Fatalf("savepoint b's delta = %+v, want the SRO key k alone", d)
 	}
 	check := func(id string, want int) {
@@ -225,7 +225,7 @@ func TestSpecialSavepointLoopBounded(t *testing.T) {
 		{&SavepointEntry{ID: "b", Special: true, RefID: "a"}, &SavepointEntry{ID: "a", Special: true, RefID: "b"}},
 		{&SavepointEntry{ID: "b", Special: true, RefID: "c"}, &SavepointEntry{ID: "c", Sys: &SysState{}}},
 	} {
-		l := &Log{Entries: entries}
+		l := &Log{tail: entries}
 		for _, e := range entries {
 			if sp := e.(*SavepointEntry); sp.Special {
 				if _, err := l.ReconstructSRO(sp.ID); err == nil {
@@ -394,11 +394,11 @@ func TestLogGobRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	data, err := wire.Encode(&l)
+	data, err := wire.Encode(l.entries())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var viaGob Log
+	var viaGob []Entry
 	if err := wire.Decode(data, &viaGob); err != nil {
 		t.Fatal(err)
 	}
@@ -407,22 +407,22 @@ func TestLogGobRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := wire.NewReader(bin)
-	got := ReadLog(r, nil)
+	got := ScanLog(r, nil)
 	if err := r.Done(); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, &viaGob) {
-		t.Errorf("binary round trip differs from the gob oracle:\n got %+v\nwant %+v", got, &viaGob)
+	if !reflect.DeepEqual(got.entries(), viaGob) {
+		t.Errorf("binary round trip differs from the gob oracle:\n got %+v\nwant %+v", got.entries(), viaGob)
 	}
 	if got.String() != l.String() {
 		t.Errorf("roundtrip:\n got %s\nwant %s", got.String(), l.String())
 	}
-	op := got.Entries[2].(*OpEntry)
+	op := got.Entry(2).(*OpEntry)
 	var amt int64
 	if err := op.Params.Get("amt", &amt); err != nil || amt != 42 {
 		t.Errorf("param amt = %d, %v", amt, err)
 	}
-	eos := got.Entries[3].(*EndStepEntry)
+	eos := got.Entry(3).(*EndStepEntry)
 	if !eos.HasMixed || len(eos.AltNodes) != 1 {
 		t.Errorf("EOS lost flags: %+v", eos)
 	}
@@ -488,7 +488,7 @@ func TestTransitionBaseAfterClear(t *testing.T) {
 	if err := l.AppendSavepoint("b", nil, img("x", "2"), TransitionLogging, true); err != nil {
 		t.Fatal(err)
 	}
-	sp := l.Entries[0].(*SavepointEntry)
+	sp := l.Entry(0).(*SavepointEntry)
 	if sp.Image == nil {
 		t.Error("savepoint after Clear lacks base image")
 	}

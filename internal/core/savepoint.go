@@ -84,7 +84,7 @@ func (l *Log) resolve(id string) (int, *SavepointEntry, error) {
 	if idx < 0 {
 		return -1, nil, fmt.Errorf("%w: %q", ErrNoSuchSavepoint, id)
 	}
-	sp := l.Entries[idx].(*SavepointEntry)
+	sp := l.Entry(idx).(*SavepointEntry)
 	for sp.Special {
 		ref := l.savepointIndex(sp.RefID)
 		if ref < 0 {
@@ -93,7 +93,7 @@ func (l *Log) resolve(id string) (int, *SavepointEntry, error) {
 		if ref >= idx {
 			return -1, nil, fmt.Errorf("core: special savepoint %q refers to %q, not an earlier savepoint", sp.ID, sp.RefID)
 		}
-		idx, sp = ref, l.Entries[ref].(*SavepointEntry)
+		idx, sp = ref, l.Entry(ref).(*SavepointEntry)
 	}
 	return idx, sp, nil
 }
@@ -107,8 +107,8 @@ func (l *Log) reconstructAt(idx int, sp *SavepointEntry) (map[string][]byte, err
 	// Transition logging: replay forward from the base image.
 	var state map[string][]byte
 	for i := 0; i <= idx; i++ {
-		cur, ok := l.Entries[i].(*SavepointEntry)
-		if !ok || cur.Special {
+		cur, ok := l.dataSavepoint(i)
+		if !ok {
 			continue
 		}
 		switch {
@@ -129,21 +129,22 @@ func (l *Log) reconstructAt(idx int, sp *SavepointEntry) (map[string][]byte, err
 // task" the paper flags; this is the implementation. Removal fails if a
 // special savepoint still references id.
 func (l *Log) RemoveSavepoint(id string) error {
+	l.materialise()
 	idx := l.savepointIndex(id)
 	if idx < 0 {
 		return fmt.Errorf("%w: %q", ErrNoSuchSavepoint, id)
 	}
-	for _, e := range l.Entries {
+	for _, e := range l.tail {
 		if sp, ok := e.(*SavepointEntry); ok && sp.Special && sp.RefID == id {
 			return fmt.Errorf("core: savepoint %q still referenced by special savepoint %q", id, sp.ID)
 		}
 	}
-	victim := l.Entries[idx].(*SavepointEntry)
+	victim := l.tail[idx].(*SavepointEntry)
 	if !victim.Special && victim.Mode == TransitionLogging {
 		// Re-base the next data-carrying savepoint before the chain
 		// breaks.
-		for j := idx + 1; j < len(l.Entries); j++ {
-			next, ok := l.Entries[j].(*SavepointEntry)
+		for j := idx + 1; j < len(l.tail); j++ {
+			next, ok := l.tail[j].(*SavepointEntry)
 			if !ok || next.Special {
 				continue
 			}
@@ -167,15 +168,15 @@ func (l *Log) RemoveSavepoint(id string) error {
 			break
 		}
 	}
-	l.Entries = append(l.Entries[:idx], l.Entries[idx+1:]...)
+	l.tail = append(l.tail[:idx], l.tail[idx+1:]...)
 	return nil
 }
 
 // lastSROState reconstructs the state of the last data-carrying savepoint,
 // or returns nil if the log has none.
 func (l *Log) lastSROState() (map[string][]byte, error) {
-	for i := len(l.Entries) - 1; i >= 0; i-- {
-		if sp, ok := l.Entries[i].(*SavepointEntry); ok && !sp.Special {
+	for i := l.Len() - 1; i >= 0; i-- {
+		if sp, ok := l.dataSavepoint(i); ok {
 			return l.ReconstructSRO(sp.ID)
 		}
 	}
@@ -186,7 +187,7 @@ func (l *Log) lastSROState() (map[string][]byte, error) {
 // savepoint strictly before index idx.
 func (l *Log) reconstructBefore(idx int) (map[string][]byte, error) {
 	for i := idx - 1; i >= 0; i-- {
-		if sp, ok := l.Entries[i].(*SavepointEntry); ok && !sp.Special {
+		if sp, ok := l.dataSavepoint(i); ok {
 			return l.ReconstructSRO(sp.ID)
 		}
 	}

@@ -10,7 +10,7 @@ import (
 // Log decoded from a container would.
 func rebuildSize(t *testing.T, l *Log) int {
 	t.Helper()
-	fresh := &Log{Entries: append([]Entry(nil), l.Entries...)}
+	fresh := &Log{tail: l.entries()}
 	sz, err := fresh.EncodedSize()
 	if err != nil {
 		t.Fatal(err)

@@ -159,8 +159,8 @@ func (a *valueAudit) check(key string, data []byte) {
 	}
 	values("WRO", c.Agent.WRO.Snapshot())
 	values("SRO", c.Agent.SRO.Snapshot())
-	for i, e := range c.Agent.Log.Entries {
-		switch e := e.(type) {
+	for i := 0; i < c.Agent.Log.Len(); i++ {
+		switch e := c.Agent.Log.Entry(i).(type) {
 		case *core.SavepointEntry:
 			values(fmt.Sprintf("log[%d].Image", i), e.Image)
 			if e.Delta != nil {

@@ -143,3 +143,12 @@ func ReadCursor(r *wire.Reader) Cursor {
 	}
 	return c
 }
+
+// SkipCursor consumes a cursor as ReadCursor does, refusing what it
+// refuses, and keeps nothing.
+func SkipCursor(r *wire.Reader) {
+	r.Bool()
+	for n := r.Count(1); n > 0 && r.Err() == nil; n-- {
+		r.Int()
+	}
+}

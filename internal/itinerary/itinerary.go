@@ -79,6 +79,33 @@ func New(subs ...*Sub) (*Itinerary, error) {
 	return it, nil
 }
 
+// Ordered reports whether the order of every sub's entries is total (no
+// AnyOrder sub): then entering a sub never reorders the itinerary. A nil
+// itinerary is ordered.
+func (it *Itinerary) Ordered() bool {
+	if it == nil {
+		return true
+	}
+	for _, sub := range it.Subs {
+		if !sub.ordered() {
+			return false
+		}
+	}
+	return true
+}
+
+func (s *Sub) ordered() bool {
+	if s == nil || s.AnyOrder {
+		return false
+	}
+	for _, e := range s.Entries {
+		if sub, ok := e.(*Sub); ok && !sub.ordered() {
+			return false
+		}
+	}
+	return true
+}
+
 // Validate checks the structural rules: at least one top-level
 // sub-itinerary, no step entries in the main itinerary (enforced by
 // construction), unique sub IDs, no empty subs, and steps with methods and

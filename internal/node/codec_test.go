@@ -18,6 +18,7 @@ import (
 	"repro/internal/demo"
 	"repro/internal/itinerary"
 	"repro/internal/membership"
+	"repro/internal/protocol"
 	"repro/internal/wire"
 )
 
@@ -183,19 +184,61 @@ func viaBothCodecs(t *testing.T, c *Container) {
 	if err != nil || !bytes.Equal(again, bin) {
 		t.Errorf("re-encoding the decoded container changed its bytes (%v)", err)
 	}
-	gobEnc, err := wire.Encode(c)
+	gobEnc, err := wire.Encode(gobFormOf(c))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var oracle Container
+	var oracle gobForm
 	if err := wire.Decode(gobEnc, &oracle); err != nil {
 		t.Fatal(err)
 	}
-	dropEmpty(reflect.ValueOf(got))
+	binary := gobFormOf(got)
+	dropEmpty(reflect.ValueOf(binary))
 	dropEmpty(reflect.ValueOf(&oracle))
-	if !reflect.DeepEqual(got, &oracle) {
-		t.Errorf("binary and gob disagree:\nbinary %s\ngob    %s", dump(got), dump(&oracle))
+	if !reflect.DeepEqual(binary, &oracle) {
+		t.Errorf("binary and gob disagree:\nbinary %s\ngob    %s", dump(got), dump(oracle.container()))
 	}
+}
+
+// gobForm is a container as gob carries it: a core.Log keeps its entries
+// unexported, so the agent travels with its log as a list.
+type gobForm struct {
+	Mode  Mode
+	SpID  string
+	Agent *gobAgent
+}
+
+type gobAgent struct {
+	ID, Owner string
+	StepSeq   int
+	SRO, WRO  *agent.Space
+	Itin      *itinerary.Itinerary
+	Cursor    itinerary.Cursor
+	Log       *gobLog
+}
+
+type gobLog struct{ Entries []core.Entry }
+
+func gobFormOf(c *Container) *gobForm {
+	f := &gobForm{Mode: c.Mode, SpID: c.SpID}
+	if a := c.Agent; a != nil {
+		f.Agent = &gobAgent{ID: a.ID, Owner: a.Owner, StepSeq: a.StepSeq, SRO: a.SRO, WRO: a.WRO, Itin: a.Itin, Cursor: a.Cursor}
+		if a.Log != nil {
+			f.Agent.Log = &gobLog{Entries: entriesOf(a.Log)}
+		}
+	}
+	return f
+}
+
+func (f *gobForm) container() *Container {
+	c := &Container{Mode: f.Mode, SpID: f.SpID}
+	if g := f.Agent; g != nil {
+		c.Agent = &agent.Agent{ID: g.ID, Owner: g.Owner, StepSeq: g.StepSeq, SRO: g.SRO, WRO: g.WRO, Itin: g.Itin, Cursor: g.Cursor}
+		if g.Log != nil {
+			c.Agent.Log = logOf(g.Log.Entries)
+		}
+	}
+	return c
 }
 
 func dump(c *Container) string {
@@ -470,7 +513,9 @@ func inflateCount(data []byte, at int) []byte {
 // never panic, must refuse what it refuses as wire.ErrCorrupt, must not
 // allocate out of proportion to its input whatever counts the input
 // declares, and whatever it accepts re-encodes to exactly the input bytes
-// with the reserved slot written as 0 (one container, one encoding).
+// with the reserved slot written as 0 (one container, one encoding) and
+// carries a log whose scan behaves as its entries decoded whole
+// (checkLazyLog).
 func FuzzContainerRoundTrip(f *testing.F) {
 	// Seeds built by the encoder; the committed corpus under testdata/fuzz
 	// holds the same shapes as literal bytes (TestContainerCorpusCurrent).
@@ -496,7 +541,76 @@ func FuzzContainerRoundTrip(f *testing.F) {
 		if !bytes.Equal(again, data) {
 			t.Fatalf("accepted container re-encodes differently:\n in  %x\n out %x", data, again)
 		}
+		checkLazyLog(t, data)
 	})
+}
+
+// checkLazyLog: the log of an accepted container, scanned, behaves as its
+// entries decoded whole and built in memory: that log re-encodes to the
+// same bytes, every savepoint reconstructs the same state from both, and
+// a step appended or popped on each encodes to the same bytes.
+func checkLazyLog(t *testing.T, data []byte) {
+	t.Helper()
+	decode := func(materialise bool) *core.Log {
+		c, err := DecodeContainer(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.Agent == nil || c.Agent.Log == nil {
+			return nil
+		}
+		if materialise {
+			c.Agent.Log = logOf(entriesOf(c.Agent.Log))
+		}
+		return c.Agent.Log
+	}
+	encode := func(l *core.Log) ([]byte, error) {
+		c, err := DecodeContainer(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Agent.Log = l
+		return EncodeContainer(c)
+	}
+	lazy, eager := decode(false), decode(true)
+	if lazy == nil {
+		return
+	}
+	if again, err := encode(eager); err != nil || !bytes.Equal(again, data) {
+		t.Fatalf("the log decoded whole re-encodes differently (%v):\n in  %x\n out %x", err, data, again)
+	}
+	for _, id := range eager.Savepoints() {
+		s1, img1, err1 := lazy.SavepointState(id)
+		s2, img2, err2 := eager.SavepointState(id)
+		if !reflect.DeepEqual(s1, s2) || !reflect.DeepEqual(img1, img2) || (err1 == nil) != (err2 == nil) {
+			t.Fatalf("SavepointState(%q): scanned %v %v %v, decoded whole %v %v %v", id, s1, img1, err1, s2, img2, err2)
+		}
+		sro1, err1 := lazy.ReconstructSRO(id)
+		sro2, err2 := eager.ReconstructSRO(id)
+		if !reflect.DeepEqual(sro1, sro2) || (err1 == nil) != (err2 == nil) {
+			t.Fatalf("ReconstructSRO(%q): scanned %v %v, decoded whole %v %v", id, sro1, err1, sro2, err2)
+		}
+	}
+	for name, edit := range map[string]func(*core.Log) error{
+		"append a step": func(l *core.Log) error {
+			for _, e := range forwardStep {
+				l.Append(e)
+			}
+			return nil
+		},
+		"pop a step": func(l *core.Log) error {
+			_, _, err := protocol.PopLastStep(l)
+			return err
+		},
+	} {
+		lazy, eager := decode(false), decode(true)
+		errLazy, errEager := edit(lazy), edit(eager)
+		got, err1 := encode(lazy)
+		want, err2 := encode(eager)
+		if (errLazy == nil) != (errEager == nil) || err1 != nil || err2 != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s: scanned log gives %x (%v, %v), decoded whole %x (%v, %v)", name, got, errLazy, err1, want, errEager, err2)
+		}
+	}
 }
 
 // corpusSeeds names the fuzz seeds: every sample container (among them
@@ -505,7 +619,9 @@ func FuzzContainerRoundTrip(f *testing.F) {
 // again with its sub, map and log-entry counts inflated past anything the
 // input could hold, it with its savepoints' itinerary written inline
 // though it is the container's, it with a special savepoint naming itself
-// or a later savepoint, it with a delta savepoint ahead of any base image,
+// or a later savepoint, it with 300 special savepoints referring to one
+// (a scan checking each against the earlier entries is quadratic in them),
+// it with a delta savepoint ahead of any base image,
 // and the name-table faults of nameSeeds.
 func corpusSeeds(t testing.TB) map[string][]byte {
 	seeds := make(map[string][]byte)
@@ -557,6 +673,12 @@ func corpusSeeds(t testing.TB) map[string][]byte {
 		"sp-forward-ref": func(es []core.Entry) []core.Entry {
 			return append([]core.Entry{&core.SavepointEntry{ID: "ahead", Special: true, RefID: "shops"}}, es...)
 		},
+		"sp-many-special": func(es []core.Entry) []core.Entry {
+			for i := 0; i < 300; i++ {
+				es = append(es, &core.SavepointEntry{ID: fmt.Sprintf("s%03d", i), Special: true, RefID: "shops"})
+			}
+			return es
+		},
 		"sp-delta-no-base": func(es []core.Entry) []core.Entry {
 			delta := &core.SRODelta{Changed: map[string][]byte{"k": []byte("v")}}
 			return append([]core.Entry{&core.SavepointEntry{ID: "nobase", Mode: core.TransitionLogging, Delta: delta}}, es...)
@@ -566,7 +688,7 @@ func corpusSeeds(t testing.TB) map[string][]byte {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.Agent.Log.Entries = edit(c.Agent.Log.Entries)
+		c.Agent.Log = logOf(edit(entriesOf(c.Agent.Log)))
 		if seeds[name], err = EncodeContainer(c); err != nil {
 			t.Fatal(err)
 		}
@@ -575,6 +697,24 @@ func corpusSeeds(t testing.TB) map[string][]byte {
 		seeds[name] = pair[0]
 	}
 	return seeds
+}
+
+// entriesOf decodes every entry of l.
+func entriesOf(l *core.Log) []core.Entry {
+	es := make([]core.Entry, l.Len())
+	for i := range es {
+		es[i] = l.Entry(i)
+	}
+	return es
+}
+
+// logOf builds a log in memory from es.
+func logOf(es []core.Entry) *core.Log {
+	l := &core.Log{}
+	for _, e := range es {
+		l.Append(e)
+	}
+	return l
 }
 
 // nameSeeds pairs each name-table fault with the same bytes made well

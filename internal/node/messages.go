@@ -94,26 +94,18 @@ func encodeContainer(c *Container) (data []byte, logBytes int, err error) {
 	return data, len(buf) - logAt, nil
 }
 
-// containerHead reads what precedes the agent and leaves r at it.
-func containerHead(data []byte) (*Container, *wire.Reader, error) {
-	b, err := wire.Body(data, typeContainer)
-	if err != nil {
-		return nil, nil, err
-	}
-	r := wire.NewReader(b)
-	return &Container{Mode: Mode(r.Int()), SpID: r.String()}, r, nil
-}
-
 // DecodeContainer deserializes a container; anything but exactly one
 // well-formed container is wire.ErrCorrupt. Data-space, savepoint-image
 // and parameter values alias data, which the caller must not modify
 // afterwards (queue entries and inbound payloads qualify: each is freshly
 // allocated and immutable once delivered).
 func DecodeContainer(data []byte) (*Container, error) {
-	c, r, err := containerHead(data)
+	b, err := wire.Body(data, typeContainer)
 	if err != nil {
 		return nil, err
 	}
+	r := wire.NewReader(b)
+	c := &Container{Mode: Mode(r.Int()), SpID: r.String()}
 	c.Agent = agent.Read(r)
 	if err := r.Done(); err != nil {
 		return nil, err

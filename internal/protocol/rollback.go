@@ -41,7 +41,7 @@ func PopToTarget(l *core.Log, spID string) (reached bool, popped int) {
 // savepoints.
 func PeekEOS(l *core.Log) (*core.EndStepEntry, bool) {
 	for i := l.Len() - 1; i >= 0; i-- {
-		switch e := l.Entries[i].(type) {
+		switch e := l.Entry(i).(type) {
 		case *core.SavepointEntry:
 			continue
 		case *core.EndStepEntry:

@@ -194,6 +194,11 @@ type Reader struct {
 	b     []byte
 	err   error
 	names *Names // the table of the part being read (StartNames)
+	// ResumeNames: the part's whole table, known[:next] in scope.
+	known []string
+	next  int
+	// Share: a copy of the input from where it was called on.
+	shared string
 }
 
 // NewReader returns a Reader over b.
@@ -292,6 +297,26 @@ func (r *Reader) Take(n uint64) []byte {
 // String consumes a length-prefixed string (a copy).
 func (r *Reader) String() string { return string(r.Bytes()) }
 
+// Share makes each name and map key read from here on a slice of one
+// copy of the rest of the input, so they cost one allocation together
+// rather than one each. It suits a decode whose names live about as long
+// as the values aliasing the input do: a name kept longer keeps the whole
+// copy. A reader already sharing keeps its copy.
+func (r *Reader) Share() {
+	if r.shared == "" {
+		r.shared = string(r.b)
+	}
+}
+
+// str returns b, the input just consumed, as a string: a slice of the
+// shared copy when b lies within it.
+func (r *Reader) str(b []byte) string {
+	if at := len(r.shared) - len(r.b) - len(b); at >= 0 {
+		return r.shared[at : at+len(b)]
+	}
+	return string(b)
+}
+
 // Mark returns the input not yet consumed, for Since; it consumes
 // nothing.
 func (r *Reader) Mark() []byte { return r.b }
@@ -339,9 +364,11 @@ func (r *Reader) Strings() []string {
 
 // BytesMap consumes a map written by AppendBytesMap. Values alias the
 // input.
-func (r *Reader) BytesMap() map[string][]byte { return r.bytesMap(false) }
+func (r *Reader) BytesMap() map[string][]byte { return r.bytesMap(false, true) }
 
-func (r *Reader) bytesMap(named bool) map[string][]byte {
+// bytesMap reads a map with plain or named keys; without keep it only
+// checks the map and returns nil.
+func (r *Reader) bytesMap(named, keep bool) map[string][]byte {
 	shifted := r.Uvarint()
 	if shifted == 0 {
 		return nil
@@ -352,20 +379,25 @@ func (r *Reader) bytesMap(named bool) map[string][]byte {
 		return nil
 	}
 	n := int(shifted - 1)
-	m := make(map[string][]byte, n)
+	var m map[string][]byte
+	if keep {
+		m = make(map[string][]byte, n)
+	}
 	prev := ""
 	for i := 0; i < n && r.err == nil; i++ {
 		var k string
 		if named {
 			k = r.Name()
 		} else {
-			k = r.String()
+			k = r.str(r.Bytes())
 		}
 		if i > 0 && k <= prev {
 			r.Fail("map key %q out of order", k)
 			break
 		}
-		m[k] = r.Bytes()
+		if v := r.Bytes(); keep {
+			m[k] = v
+		}
 		prev = k
 	}
 	return m
