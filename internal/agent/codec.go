@@ -42,10 +42,9 @@ func (a *Agent) AppendTo(buf []byte) (out []byte, logAt int, err error) {
 
 // Read consumes an agent written by AppendTo. Data-space, image,
 // parameter and savepoint itinerary values alias r's input, and the
-// names and map keys are slices of one copy of it (wire.Reader.Share),
-// which lives as long as the agent's data. ID and Owner, which callers
-// keep past the agent, share a copy of their own. The log is scanned,
-// its entries decoded as they are read.
+// names and map keys are slices of one string (wire.Reader.Share). ID
+// and Owner, which callers keep past the agent, share a copy of their
+// own. The log is scanned, its entries decoded as they are read.
 func Read(r *wire.Reader) *Agent {
 	if !r.Bool() {
 		return nil
@@ -60,7 +59,8 @@ func Read(r *wire.Reader) *Agent {
 	if a.Itin.Ordered() {
 		a.itinRead, a.itinEnc = a.Itin, itin
 	}
-	a.WRO, a.SRO = readSpace(r), readSpace(r)
+	spaces := new([2]Space) // one allocation for both
+	a.WRO, a.SRO = readSpace(r, &spaces[0]), readSpace(r, &spaces[1])
 	a.Log = core.ScanLog(r, itin)
 	return a
 }
@@ -73,9 +73,12 @@ func (s *Space) appendTo(buf []byte) []byte {
 	return wire.AppendBytesMap(buf, s.Data)
 }
 
-func readSpace(r *wire.Reader) *Space {
+// readSpace reads a space into s and returns it, or nil for an absent
+// space.
+func readSpace(r *wire.Reader, s *Space) *Space {
 	if !r.Bool() {
 		return nil
 	}
-	return &Space{Data: r.BytesMap()}
+	s.Data = r.BytesMap()
+	return s
 }

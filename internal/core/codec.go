@@ -142,7 +142,6 @@ func ScanLog(r *wire.Reader, itin []byte) *Log {
 		return l
 	}
 	start := r.Mark()
-	r.Share()
 	r.StartNames()
 	index := make([]span, n)
 	// A name written inline costs at least two bytes, so the table can

@@ -343,8 +343,28 @@ func TestLazyLogMatchesMaterialised(t *testing.T) {
 				t.Errorf("ReconstructSRO(%s): lazy %v %v, materialised %v %v", id, r1, err1, r2, err2)
 			}
 		}
+		// The index answers SavepointAt and DropLast: neither decodes an
+		// entry.
+		idx := scan()
+		for i := idx.Len() - 1; i >= 0; i-- {
+			id, ok := idx.SavepointAt(i)
+			sp, isSP := eager.Entry(i).(*SavepointEntry)
+			if ok != isSP || (ok && id != sp.ID) {
+				t.Errorf("SavepointAt(%d) = %q, %v; entry is %s", i, id, ok, EntryName(eager.Entry(i)))
+			}
+			idx.DropLast()
+		}
+		if idx.Len() != 0 || idx.DropLast() || idx.decoded != nil {
+			t.Errorf("dropped every entry: %d left, %d decoded", idx.Len(), len(idx.decoded))
+		}
 		for _, edit := range []func(*Log){
 			func(l *Log) { step(l, "n3", 2) },
+			func(l *Log) {
+				for range 4 {
+					l.DropLast()
+				}
+				step(l, "n4", 2)
+			},
 			func(l *Log) { l.Pop(); l.Pop(); l.Pop() },
 			func(l *Log) { l.Pop(); l.Pop(); l.Pop(); step(l, "n9", 1) },
 			func(l *Log) {

@@ -277,34 +277,47 @@ func (l *Log) Last() Entry {
 	return l.Entry(l.Len() - 1)
 }
 
-// Pop removes and returns the final entry (LOG.pop() in Figure 4b). A
-// scanned entry leaves the index; its bytes stay where they are.
+// Pop removes and returns the final entry (LOG.pop() in Figure 4b).
 func (l *Log) Pop() (Entry, error) {
+	e := l.Last()
+	if !l.DropLast() {
+		return nil, ErrEmptyLog
+	}
+	return e, nil
+}
+
+// DropLast removes the final entry without decoding it; it reports false
+// on an empty log. A scanned entry leaves the index; its bytes stay where
+// they are.
+func (l *Log) DropLast() bool {
 	if n := len(l.tail); n > 0 {
-		e := l.tail[n-1]
 		l.tail[n-1] = nil
 		l.tail = l.tail[:n-1]
-		return e, nil
+		return true
 	}
 	n := len(l.index)
 	if n == 0 {
-		return nil, ErrEmptyLog
+		return false
 	}
-	e := l.Entry(n - 1)
 	l.end, l.endNames = l.index[n-1].off, l.index[n-1].names
 	l.index = l.index[:n-1]
-	l.decoded[n-1] = nil
-	l.decoded = l.decoded[:n-1]
-	return e, nil
+	if l.decoded != nil {
+		l.decoded[n-1] = nil
+		l.decoded = l.decoded[:n-1]
+	}
+	return true
 }
 
 // Clear discards all entries (§4.4.2: completion of a sub-itinerary of the
 // main itinerary deletes all rollback information).
 func (l *Log) Clear() { *l = Log{} }
 
-// savepointID returns the ID of entry i if it is a savepoint, without
-// decoding it.
-func (l *Log) savepointID(i int) (string, bool) {
+// SavepointAt returns the ID of entry i if it is a savepoint, decoding
+// nothing; an i outside the log is no savepoint.
+func (l *Log) SavepointAt(i int) (string, bool) {
+	if i < 0 || i >= l.Len() {
+		return "", false
+	}
 	if i < len(l.index) {
 		switch sp := l.index[i]; {
 		case sp.kind != kindSP:
@@ -336,7 +349,7 @@ func (l *Log) dataSavepoint(i int) (*SavepointEntry, bool) {
 // -1. Special savepoints match their own ID (not their RefID).
 func (l *Log) savepointIndex(id string) int {
 	for i := 0; i < l.Len(); i++ {
-		if spID, ok := l.savepointID(i); ok && spID == id {
+		if spID, ok := l.SavepointAt(i); ok && spID == id {
 			return i
 		}
 	}
@@ -349,10 +362,7 @@ func (l *Log) HasSavepoint(id string) bool { return l.savepointIndex(id) >= 0 }
 // LastIsSavepoint reports whether the final log entry is the savepoint with
 // the given ID — the "savepoint spID reached" test of Figures 4 and 5.
 func (l *Log) LastIsSavepoint(id string) bool {
-	if l.Len() == 0 {
-		return false
-	}
-	spID, ok := l.savepointID(l.Len() - 1)
+	spID, ok := l.SavepointAt(l.Len() - 1)
 	return ok && spID == id
 }
 
@@ -360,7 +370,7 @@ func (l *Log) LastIsSavepoint(id string) bool {
 func (l *Log) Savepoints() []string {
 	var ids []string
 	for i := 0; i < l.Len(); i++ {
-		if id, ok := l.savepointID(i); ok {
+		if id, ok := l.SavepointAt(i); ok {
 			ids = append(ids, id)
 		}
 	}

@@ -430,7 +430,8 @@ func (n *Node) appendSavepoint(a *agent.Agent, id string) error {
 // (§4.4.2); the reference is flattened to the root data-carrying entry so
 // removal order between nested scopes stays unconstrained.
 func appendSavepointTo(a *agent.Agent, id string, mode core.LogMode) error {
-	if sp, ok := a.Log.Last().(*core.SavepointEntry); ok {
+	if _, ok := a.Log.SavepointAt(a.Log.Len() - 1); ok {
+		sp := a.Log.Last().(*core.SavepointEntry)
 		ref := sp.ID
 		if sp.Special {
 			ref = sp.RefID

@@ -20,34 +20,29 @@ import (
 // the final log entry, and how many entries were popped. Non-target
 // savepoints above the target belong to execution that is being rolled
 // back and are discarded, generalizing Figure 4b's single "if (last
-// log entry is savepoint) LOG.pop()" to stacked savepoints.
+// log entry is savepoint) LOG.pop()" to stacked savepoints. It decodes
+// no entry.
 func PopToTarget(l *core.Log, spID string) (reached bool, popped int) {
 	for {
-		sp, ok := l.Last().(*core.SavepointEntry)
+		id, ok := l.SavepointAt(l.Len() - 1)
 		if !ok {
 			return false, popped
 		}
-		if sp.ID == spID {
+		if id == spID {
 			return true, popped
 		}
-		if _, err := l.Pop(); err != nil {
-			return false, popped
-		}
+		l.DropLast()
 		popped++
 	}
 }
 
 // PeekEOS returns the most recent end-of-step entry, skipping trailing
-// savepoints.
+// savepoints; it decodes that entry alone.
 func PeekEOS(l *core.Log) (*core.EndStepEntry, bool) {
 	for i := l.Len() - 1; i >= 0; i-- {
-		switch e := l.Entry(i).(type) {
-		case *core.SavepointEntry:
-			continue
-		case *core.EndStepEntry:
-			return e, true
-		default:
-			return nil, false
+		if _, ok := l.SavepointAt(i); !ok {
+			eos, ok := l.Entry(i).(*core.EndStepEntry)
+			return eos, ok
 		}
 	}
 	return nil, false

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -197,8 +198,9 @@ type Reader struct {
 	// ResumeNames: the part's whole table, known[:next] in scope.
 	known []string
 	next  int
-	// Share: a copy of the input from where it was called on.
-	shared string
+	// Share: the names and map keys read since, back to back.
+	share  bool
+	shared strings.Builder
 }
 
 // NewReader returns a Reader over b.
@@ -298,23 +300,25 @@ func (r *Reader) Take(n uint64) []byte {
 func (r *Reader) String() string { return string(r.Bytes()) }
 
 // Share makes each name and map key read from here on a slice of one
-// copy of the rest of the input, so they cost one allocation together
-// rather than one each. It suits a decode whose names live about as long
-// as the values aliasing the input do: a name kept longer keeps the whole
-// copy. A reader already sharing keeps its copy.
-func (r *Reader) Share() {
-	if r.shared == "" {
-		r.shared = string(r.b)
-	}
-}
+// string that holds them back to back, so they cost an allocation or two
+// together rather than one each; a name kept past the decode keeps only
+// the names read with it alive, not the input.
+func (r *Reader) Share() { r.share = true }
 
-// str returns b, the input just consumed, as a string: a slice of the
-// shared copy when b lies within it.
+// str returns b, the input just consumed, as a string: after Share, a
+// slice of the shared string.
 func (r *Reader) str(b []byte) string {
-	if at := len(r.shared) - len(r.b) - len(b); at >= 0 {
-		return r.shared[at : at+len(b)]
+	if !r.share || len(b) == 0 {
+		return string(b)
 	}
-	return string(b)
+	if r.shared.Cap() == 0 {
+		// Names are a small part of an input; the string grows when they
+		// are more.
+		r.shared.Grow(min(len(r.b)+len(b), 256))
+	}
+	at := r.shared.Len()
+	r.shared.Write(b)
+	return r.shared.String()[at:]
 }
 
 // Mark returns the input not yet consumed, for Since; it consumes
